@@ -37,6 +37,6 @@ pub use element::{
     UNABSORBED, VIRTUAL_NODE,
 };
 pub use repair::{
-    plan_repair, ClusterPatch, ClusteringRepair, DegradeReason, RepairError, RepairOutcome,
-    TopologyOp,
+    plan_repair, ClusterPatch, ClusteringRepair, DegradeReason, RepairError, RepairIndex,
+    RepairOutcome, TopologyOp,
 };

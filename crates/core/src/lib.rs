@@ -66,7 +66,7 @@ mod state_dp;
 pub mod store;
 
 pub use pipeline::{prepare, prepare_and_solve, PipelineError, PreparedTree};
-pub use plan::{PlanMember, PlanView, SolvePlan};
+pub use plan::{PlanMember, PlanRouting, PlanView, SolvePlan};
 pub use problem::{ClusterDp, ClusterView, Member, Payload};
 pub use sequential::{solve_sequential, SequentialSolution};
 pub use snapshot::{

@@ -221,59 +221,68 @@ impl PreparedTree {
             .solve(ctx, problem, node_inputs, aux_input, edge_inputs)
     }
 
-    /// Splice a planned structural repair (see [`tree_clustering::plan_repair`]) into
-    /// every cached representation of this tree: the clustering's element list, the
-    /// degree-reduced edge list, the aux-node map, the node counts, and — when one is
-    /// cached — the [`SolvePlan`] skeletons and routing indexes.
+    /// Splice a planned structural repair (see [`tree_clustering::RepairIndex::plan`])
+    /// into every cached representation of this tree: the clustering's element list,
+    /// the degree-reduced edge list, the aux-node map, the node counts, and — when one
+    /// is cached — the [`SolvePlan`] skeletons and routing indexes.
+    ///
+    /// The three flat tables are patched where they lie, with no host-side copy: edges
+    /// and aux records are dropped from their chunks and the new leaf edges land where
+    /// a balanced input would put them; the element list takes one in-place pass that
+    /// drops, demotes and appends, and is then shifted back into the balanced layout
+    /// (a later `plan_uncached` reads all three under charged primitives, so their
+    /// chunking is part of the charged model). These passes are the only work here
+    /// that is linear in the tree; the plan splice is confined to the touched views.
     ///
     /// Host-side surgery, zero rounds (the incremental solver's `inc-struct` phase
     /// meters the moved words). The repair must have been planned against this tree's
     /// current clustering; applying a stale repair corrupts the state.
     // mpc-cost: rounds(const)
-    pub fn apply_structural_repair(
-        &mut self,
-        ctx: &mut MpcContext,
-        repair: &tree_clustering::ClusteringRepair,
-    ) {
+    pub fn apply_structural_repair(&mut self, repair: &tree_clustering::ClusteringRepair) {
         // Edge list: drop every edge out of the removed set (all such edges have their
         // child endpoint in it), append the new leaf edges (always Original: links
-        // attach original-id leaves below original nodes).
-        let kept = self
-            .edges
-            .clone()
-            .filter_local(|(e, _)| !repair.removed_nodes.contains(&e.child));
-        let added: DistVec<(DirectedEdge, EdgeKind)> = ctx.from_vec(
-            repair
-                .added_leaves
-                .iter()
-                .map(|l| (l.out_edge, EdgeKind::Original))
-                .collect(),
-        );
-        self.edges = kept.concat_local(added);
+        // attach original-id leaves below original nodes) spread over the front chunks.
+        let per_chunk = repair
+            .added_leaves
+            .len()
+            .div_ceil(self.edges.num_chunks().max(1))
+            .max(1);
+        let mut new_edges = repair.added_leaves.chunks(per_chunk);
+        // mpc-lint: allow(metered-exchange) — drops records where they lie and places the new leaf edges like `from_vec` places an input; the caller's inc-struct/splice round meters the spliced records
+        for chunk in self.edges.chunks_mut() {
+            if !repair.removed_nodes.is_empty() {
+                chunk.retain(|(e, _)| !repair.removed_nodes.contains(&e.child));
+            }
+            let leaves = new_edges.next().unwrap_or_default();
+            chunk.extend(leaves.iter().map(|l| (l.out_edge, EdgeKind::Original)));
+        }
 
-        // Clustering elements: drop, demote, append.
-        let mut elements = self.clustering.elements.to_vec();
-        repair.patch_elements(&mut elements);
-        self.clustering.elements = ctx.from_vec(elements);
+        // Clustering elements: drop, demote, append, rebalance.
+        // mpc-lint: allow(metered-exchange) — machine-local drop/demote, then the new leaves join at the end and `relayout_balanced` restores the input layout `from_vec` would give; metered by the caller's inc-struct/splice round
+        let elements = self.clustering.elements.chunks_mut();
+        if !repair.removed_elements.is_empty() || !repair.demoted.is_empty() {
+            for chunk in elements.iter_mut() {
+                chunk.retain_mut(|e| repair.retain_element(e));
+            }
+        }
+        let last = elements.iter().rposition(|c| !c.is_empty()).unwrap_or(0);
+        elements[last].extend(repair.added_leaves.iter().copied());
+        self.clustering.elements.relayout_balanced();
         self.clustering.num_nodes = repair.new_num_nodes;
 
         // Aux map and node counts.
-        self.aux_to_original = self
-            .aux_to_original
-            .clone()
-            .filter_local(|(aux, _)| !repair.removed_aux.contains(aux));
+        if !repair.removed_aux.is_empty() {
+            // mpc-lint: allow(metered-exchange) — machine-local filter: records are dropped where they lie
+            for chunk in self.aux_to_original.chunks_mut() {
+                chunk.retain(|(aux, _)| !repair.removed_aux.contains(aux));
+            }
+        }
         let removed_originals = repair.removed_nodes.len() - repair.removed_aux.len();
         self.original_nodes = self.original_nodes - removed_originals + repair.added_leaves.len();
         self.num_nodes = repair.new_num_nodes;
 
-        // Cached plan: splice the skeletons and re-derive the routing indexes against
-        // the post-repair edge set.
-        if self.plan.get().is_some() {
-            let edge_children: std::collections::BTreeSet<NodeId> =
-                self.edges.iter().map(|(e, _)| e.child).collect();
-            if let Some(plan) = self.plan.get_mut() {
-                plan.apply_repair(repair, &edge_children);
-            }
+        if let Some(plan) = self.plan.get_mut() {
+            plan.apply_repair(repair);
         }
     }
 
@@ -359,4 +368,203 @@ pub fn prepare_and_solve<P: ClusterDp>(
     let prepared = prepare(ctx, input, threshold)?;
     let solution = prepared.solve_planned(ctx, problem, node_inputs, aux_input, edge_inputs);
     Ok((prepared, solution))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mpc_engine::MpcConfig;
+    use std::collections::BTreeSet;
+    use tree_clustering::{is_aux_node, ElementKind, RepairIndex, RepairOutcome, TopologyOp};
+    use tree_gen::shapes;
+    use tree_repr::{ListOfEdges, Tree};
+
+    /// What `apply_structural_repair` did before it patched in place: every flat table
+    /// cloned, filtered and redistributed through `from_vec`. Returns `before` with the
+    /// three tables replaced.
+    fn with_rebuilt_tables(
+        ctx: &mut MpcContext,
+        before: &PreparedTree,
+        repair: &tree_clustering::ClusteringRepair,
+    ) -> PreparedTree {
+        let added = ctx.from_vec(
+            repair
+                .added_leaves
+                .iter()
+                .map(|l| (l.out_edge, EdgeKind::Original))
+                .collect::<Vec<_>>(),
+        );
+        let mut elements = before.clustering.elements.to_vec();
+        elements.retain_mut(|e| repair.retain_element(e));
+        elements.extend(repair.added_leaves.iter().copied());
+        let mut rebuilt = before.clone();
+        rebuilt.edges = before
+            .edges
+            .clone()
+            .filter_local(|(e, _)| !repair.removed_nodes.contains(&e.child))
+            .concat_local(added);
+        rebuilt.clustering.elements = ctx.from_vec(elements);
+        rebuilt.aux_to_original = before
+            .aux_to_original
+            .clone()
+            .filter_local(|(aux, _)| !repair.removed_aux.contains(aux));
+        rebuilt
+    }
+
+    /// One small valid batch over the live original nodes `live` (root first): a few
+    /// links, on odd steps the cut of a leaf linked earlier, every fifth step the cut
+    /// of the subtree below one of the `cut_among` lowest-numbered non-root nodes.
+    fn batch(
+        live: &[NodeId],
+        step: u64,
+        next_id: &mut NodeId,
+        cut_among: usize,
+    ) -> Vec<TopologyOp> {
+        let pick = |salt: u64, len: usize| {
+            (step
+                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                .wrapping_add(salt * 7919)
+                >> 17) as usize
+                % len
+        };
+        let mut ops = Vec::new();
+        for i in 0..1 + step % 3 {
+            ops.push(TopologyOp::Link {
+                parent: live[pick(i, live.len())],
+                child: *next_id,
+            });
+            *next_id += 1;
+        }
+        if step % 2 == 1 {
+            if let Some(&leaf) = live.iter().find(|&&v| v >= FIRST_LINKED) {
+                ops.push(TopologyOp::Cut { child: leaf });
+            }
+        }
+        if step % 5 == 4 {
+            let victim = live[1 + pick(99, cut_among.min(live.len() - 1))];
+            if !ops.contains(&TopologyOp::Cut { child: victim }) {
+                ops.push(TopologyOp::Cut { child: victim });
+            }
+        }
+        ops
+    }
+
+    /// Ids of the leaves the generated batches link.
+    const FIRST_LINKED: NodeId = 10_000;
+
+    /// Runs `steps` generated batches; returns how many (demotions, removed auxiliary
+    /// nodes) the repairs covered.
+    fn check_repairs_patch_like_a_rebuild(
+        tree: &Tree,
+        threshold: usize,
+        steps: u64,
+        cut_among: usize,
+    ) -> (usize, usize) {
+        let mut ctx = MpcContext::new(
+            MpcConfig::new(2 * tree.len(), 0.5)
+                .with_memory_slack(512.0)
+                .with_bandwidth_slack(512.0),
+        );
+        let mut prepared = prepare(
+            &mut ctx,
+            TreeInput::ListOfEdges(ListOfEdges::from_tree(tree)),
+            Some(threshold),
+        )
+        .expect("well-formed tree");
+        prepared.plan(&mut ctx);
+        let mut index = RepairIndex::build(&prepared.clustering, prepared.edges.iter());
+        let mut next_id = FIRST_LINKED;
+        let (mut repaired, mut demoted, mut removed_aux) = (0, 0, 0);
+        for step in 0..steps {
+            let mut live: Vec<NodeId> = prepared
+                .clustering
+                .elements
+                .iter()
+                .filter(|e| e.kind == ElementKind::Node && !is_aux_node(e.id))
+                .map(|e| e.id)
+                .collect();
+            live.sort_unstable();
+            assert_eq!(live[0], prepared.root);
+            let ops = batch(&live, step, &mut next_id, cut_among);
+            let repair = match index.plan(&ops).expect("generated batches are valid") {
+                RepairOutcome::Repaired(repair) => repair,
+                // A link below a full parent: not this test's subject.
+                RepairOutcome::Degrade(_) => continue,
+            };
+            repaired += 1;
+            demoted += repair.demoted.len();
+            removed_aux += repair.removed_aux.len();
+
+            let rebuilt = with_rebuilt_tables(&mut ctx, &prepared, &repair);
+            prepared.apply_structural_repair(&repair);
+            index.apply(&repair);
+
+            assert_eq!(
+                prepared.edges.chunks(),
+                rebuilt.edges.chunks(),
+                "step {step}: edges"
+            );
+            assert_eq!(
+                prepared.clustering.elements.chunks(),
+                rebuilt.clustering.elements.chunks(),
+                "step {step}: elements"
+            );
+            assert_eq!(
+                prepared.aux_to_original.chunks(),
+                rebuilt.aux_to_original.chunks(),
+                "step {step}: aux map"
+            );
+            let plain: Vec<DirectedEdge> = prepared.edges.iter().map(|(e, _)| *e).collect();
+            assert_eq!(
+                prepared.clustering.validate(&plain),
+                Vec::new(),
+                "step {step}"
+            );
+            assert_eq!(
+                index,
+                RepairIndex::build(&prepared.clustering, prepared.edges.iter()),
+                "step {step}: repair index"
+            );
+
+            let plan = prepared.plan.get().expect("plan was built");
+            let edge_children: BTreeSet<NodeId> = plain.iter().map(|e| e.child).collect();
+            assert_eq!(
+                plan,
+                &plan.reindexed(&edge_children),
+                "step {step}: indexes"
+            );
+            assert_eq!(
+                plan.routing_by_id(),
+                prepared.plan_uncached(&mut ctx).routing_by_id(),
+                "step {step}: routing vs a fresh plan of the repaired tree"
+            );
+        }
+        assert!(
+            repaired * 2 > steps,
+            "most generated batches repair locally"
+        );
+        (demoted, removed_aux)
+    }
+
+    #[test]
+    fn structural_repairs_patch_tables_and_plan_like_a_rebuild() {
+        let (demoted, _) =
+            check_repairs_patch_like_a_rebuild(&shapes::path(300), 4, 40, usize::MAX);
+        assert!(demoted > 0, "mid-path cuts demote indegree-1 clusters");
+        check_repairs_patch_like_a_rebuild(&shapes::balanced_kary(121, 3), 4, 40, usize::MAX);
+        check_repairs_patch_like_a_rebuild(&shapes::random_recursive(400, 7), 3, 40, usize::MAX);
+        // Six hubs of ten leaves below the root: every node above the leaves is
+        // degree-reduced, and cutting a hub removes its auxiliary fan-out.
+        let hubs = Tree::from_parents(
+            std::iter::once(None)
+                .chain((0..6).map(|_| Some(0)))
+                .chain((0..60).map(|leaf| Some(1 + leaf / 10)))
+                .collect(),
+        );
+        let (_, removed_aux) = check_repairs_patch_like_a_rebuild(&hubs, 3, 40, 6);
+        assert!(
+            removed_aux > 0,
+            "cut hubs take their auxiliary nodes with them"
+        );
+    }
 }

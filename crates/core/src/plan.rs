@@ -39,7 +39,7 @@ use tree_repr::{DirectedEdge, NodeId};
 
 /// The problem-independent skeleton of one cluster view: everything
 /// [`ClusterView`] holds except payloads and problem edge inputs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlanView {
     /// The cluster's id.
     pub cluster: ElementId,
@@ -64,7 +64,7 @@ pub struct PlanView {
 }
 
 /// The problem-independent part of one [`Member`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlanMember {
     /// The clustering element.
     pub element: Element,
@@ -95,7 +95,11 @@ impl Words for PlanView {
 /// Where an element's payload (input or summary) lives: its member slot inside the
 /// absorbing cluster's skeleton view. Fields are `pub(crate)` so the snapshot codec
 /// (`crate::snapshot`) can persist the routing indexes verbatim.
-#[derive(Debug, Clone, Copy)]
+///
+/// Every per-key slot list of the plan is kept in `(layer, machine, view, member)`
+/// order — the order a plan build registers slots in — so a plan that was spliced in
+/// place is equal to one re-indexed from scratch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct MemberSlot {
     pub(crate) layer: u32,
     pub(crate) machine: u32,
@@ -103,12 +107,58 @@ pub(crate) struct MemberSlot {
     pub(crate) member: u32,
 }
 
-/// One skeleton view, addressed by layer/machine/index.
-#[derive(Debug, Clone, Copy)]
+/// One skeleton view, addressed by layer/machine/index (and ordered that way).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct ViewSlot {
     pub(crate) layer: u32,
     pub(crate) machine: u32,
     pub(crate) view: u32,
+}
+
+/// What a [`SolvePlan`] routes where, by id instead of by slot: for every index entry
+/// the cluster (and member element) it addresses, and for every view its header, its
+/// top and attach elements and its member tree as parent ids. Independent of machine
+/// placement and member order; see [`SolvePlan::routing_by_id`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct PlanRouting {
+    payload: BTreeMap<ElementId, (ElementId, ElementId)>,
+    out_edge: BTreeMap<NodeId, BTreeSet<(ElementId, ElementId)>>,
+    in_edge: BTreeMap<NodeId, BTreeSet<ElementId>>,
+    out_label_readers: BTreeMap<NodeId, BTreeSet<ElementId>>,
+    in_label_readers: BTreeMap<NodeId, BTreeSet<ElementId>>,
+    views: BTreeMap<ElementId, ViewById>,
+    aux_nodes: BTreeSet<NodeId>,
+}
+
+/// One view of a [`PlanRouting`]: the member-less header, the ids of the top and
+/// attach members, and every member with its edge kind and its parent's id.
+type ViewById = (
+    PlanView,
+    (ElementId, Option<ElementId>),
+    BTreeMap<ElementId, (Element, EdgeKind, Option<ElementId>)>,
+);
+
+impl MemberSlot {
+    /// The view holding this member.
+    fn view_slot(self) -> ViewSlot {
+        ViewSlot {
+            layer: self.layer,
+            machine: self.machine,
+            view: self.view,
+        }
+    }
+}
+
+impl ViewSlot {
+    /// The slot of member `member` of this view.
+    fn member_slot(self, member: usize) -> MemberSlot {
+        MemberSlot {
+            layer: self.layer,
+            machine: self.machine,
+            view: self.view,
+            member: member as u32,
+        }
+    }
 }
 
 /// The problem-independent solve plan of one prepared tree (see the module docs).
@@ -116,7 +166,7 @@ pub(crate) struct ViewSlot {
 /// Build it once per [`PreparedTree`](crate::PreparedTree) via
 /// [`PreparedTree::plan`](crate::PreparedTree::plan), then run
 /// [`solve`](Self::solve) (or [`solve_many`](Self::solve_many)) for every problem.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SolvePlan {
     pub(crate) num_layers: u32,
     pub(crate) num_machines: usize,
@@ -333,140 +383,296 @@ impl SolvePlan {
         }
     }
 
-    /// Register the routing-index entries of one cached skeleton view (the
-    /// [`register`](Self::register) logic, re-run over a [`PlanView`] during
-    /// [`reindex`](Self::reindex)).
-    fn register_skeleton(
-        &mut self,
-        layer: u32,
-        machine: usize,
-        view_idx: usize,
-        view: &PlanView,
-        edge_children: &BTreeSet<NodeId>,
-    ) {
-        let vslot = ViewSlot {
-            layer,
-            machine: machine as u32,
-            view: view_idx as u32,
-        };
-        if view.cluster == self.top_cluster {
-            self.top_machine = machine;
-        }
-        self.out_label_readers
-            .entry(view.out_edge.child)
-            .or_default()
-            .push(vslot);
-        if let Some(in_edge) = view.in_edge {
-            self.in_label_readers
-                .entry(in_edge.child)
-                .or_default()
-                .push(vslot);
-            if edge_children.contains(&in_edge.child) {
-                self.in_edge_slots
-                    .entry(in_edge.child)
-                    .or_default()
-                    .push(vslot);
-            }
-        }
-        for (member_idx, member) in view.members.iter().enumerate() {
-            let slot = MemberSlot {
-                layer,
-                machine: machine as u32,
-                view: view_idx as u32,
-                member: member_idx as u32,
-            };
-            self.payload_slot.insert(member.element.id, slot);
-            if edge_children.contains(&member.element.out_edge.child) {
-                self.out_edge_slots
-                    .entry(member.element.out_edge.child)
-                    .or_default()
-                    .push(slot);
-            }
-        }
+    /// The skeleton view at `slot`.
+    fn view_at_mut(&mut self, slot: ViewSlot) -> &mut PlanView {
+        &mut self.layers[slot.layer as usize - 1][slot.machine as usize][slot.view as usize]
     }
 
-    /// Rebuild every routing index (payload slots, edge-input slots, label readers,
-    /// top machine) from the current skeleton views. Host-side, zero rounds: the
-    /// indexes are derived data, so after a structural splice it is both simpler and
-    /// safer to re-derive them than to patch five maps surgically. Iteration order
-    /// (layers → machines → views → members) matches [`build_plan`], so a repaired
-    /// plan routes records exactly like a freshly built one.
-    fn reindex(&mut self, edge_children: &BTreeSet<NodeId>) {
-        self.payload_slot.clear();
-        self.out_edge_slots.clear();
-        self.in_edge_slots.clear();
-        self.out_label_readers.clear();
-        self.in_label_readers.clear();
-        let layers = std::mem::take(&mut self.layers);
-        for (li, layer) in layers.iter().enumerate() {
-            for (machine, views) in layer.iter().enumerate() {
-                for (view_idx, view) in views.iter().enumerate() {
-                    self.register_skeleton(li as u32 + 1, machine, view_idx, view, edge_children);
-                }
-            }
-        }
-        self.layers = layers;
-    }
-
-    /// Splice a structural repair into the cached skeletons: drop the views of removed
-    /// clusters, drop removed members (remapping parent/child/top/attach indexes),
-    /// demote clusters whose incoming edge was cut, append the new leaf members, and
-    /// rebuild the routing indexes against the post-repair edge set.
+    /// Splice a structural repair into the cached skeletons and routing indexes: drop
+    /// the views of removed clusters, drop removed members (remapping
+    /// parent/child/top/attach indexes), demote clusters whose incoming edge was cut,
+    /// and append the new leaf members.
+    ///
+    /// Every view the repair touches is addressed through the routing indexes
+    /// themselves — a removed or demoted element's `payload_slot` names the view that
+    /// holds it, a cut edge's `in_label_readers` name the views it entered — and the
+    /// indexes are patched entry by entry: keys of removed elements and edges vanish,
+    /// and only the views behind a deleted one in its `(layer, machine)` bucket are
+    /// re-addressed. The result equals a from-scratch re-index of the spliced
+    /// skeletons, at a cost confined to the touched buckets.
     ///
     /// Host-side surgery on cached state — zero rounds; the caller (the incremental
     /// solver's `inc-struct` phase) meters the moved words. Panics if the repair does
     /// not match this plan's clustering (same-generation repair objects only).
     // mpc-cost: rounds(const)
-    pub fn apply_repair(
-        &mut self,
-        repair: &tree_clustering::ClusteringRepair,
-        edge_children: &BTreeSet<NodeId>,
-    ) {
-        for layer in &mut self.layers {
-            for views in layer.iter_mut() {
-                views.retain(|v| !repair.removed_elements.contains(&v.cluster));
-                for view in views.iter_mut() {
-                    if let Some(patch) = repair.patches.get(&view.cluster) {
-                        if patch.clear_in_edge {
-                            view.kind = ElementKind::ClusterIndeg0;
-                            view.in_edge = None;
-                            view.attach = None;
-                            view.in_kind = EdgeKind::Original;
-                            view.has_in_data = false;
-                        }
-                        if !patch.removed_members.is_empty() {
-                            splice_member_removals(view, &patch.removed_members);
-                        }
-                        for leaf in &patch.added {
-                            let parent_idx = view
-                                .members
-                                .iter()
-                                .position(|m| m.element.id == leaf.out_edge.parent)
-                                .expect("link parent is a member of the absorbing cluster");
-                            let idx = view.members.len();
-                            view.members.push(PlanMember {
-                                element: *leaf,
-                                out_kind: EdgeKind::Original,
-                                parent: Some(parent_idx),
-                                // mpc-lint: allow(alloc-hygiene) — the empty child list is owned by the new member record; ownership leaves the loop with the push
-                                children: Vec::new(),
-                            });
-                            view.members[parent_idx].children.push(idx);
-                        }
-                    }
-                    if !repair.demoted.is_empty() {
-                        // Member copies of demoted clusters live in their parent's
-                        // view; rewrite them so member-tree acceptance stays sound.
-                        for m in &mut view.members {
-                            repair.patch_member_record(&mut m.element);
-                        }
-                    }
+    pub fn apply_repair(&mut self, repair: &tree_clustering::ClusteringRepair) {
+        // Demotions first, while every slot still addresses the pre-repair layout. A
+        // view reading a cut edge's label as its in-label is either removed or demoted;
+        // the member copy of a demoted cluster sits in its parent's view.
+        for child in &repair.removed_nodes {
+            for &slot in self.in_label_readers.get(child).into_iter().flatten() {
+                let view = &mut self.layers[slot.layer as usize - 1][slot.machine as usize]
+                    [slot.view as usize];
+                if repair.demoted.contains(&view.cluster) {
+                    view.kind = ElementKind::ClusterIndeg0;
+                    view.in_edge = None;
+                    view.attach = None;
+                    view.in_kind = EdgeKind::Original;
+                    view.has_in_data = false;
                 }
             }
         }
-        self.aux_nodes
-            .retain(|(aux, _)| !repair.removed_aux.contains(aux));
-        self.reindex(edge_children);
+        for cluster in &repair.demoted {
+            if let Some(slot) = self.payload_slot.get(cluster) {
+                let view = &mut self.layers[slot.layer as usize - 1][slot.machine as usize]
+                    [slot.view as usize];
+                repair.retain_element(&mut view.members[slot.member as usize].element);
+            }
+        }
+
+        // Member removals inside surviving views (found through any removed member).
+        for patch in repair.patches.values() {
+            if let Some(slot) = patch
+                .removed_members
+                .first()
+                .and_then(|m| self.payload_slot.get(m))
+            {
+                self.remove_members(slot.view_slot(), &patch.removed_members);
+            }
+        }
+
+        // Forget the removed span: a removed element held by a removed cluster dooms
+        // that cluster's view, and every index keyed by a removed edge loses the key
+        // (all of its entries belong to removed or just-demoted views).
+        let mut doomed: BTreeSet<ViewSlot> = BTreeSet::new();
+        for id in &repair.removed_elements {
+            if let Some(slot) = self.payload_slot.remove(id) {
+                let holder = slot.view_slot();
+                if repair
+                    .removed_elements
+                    .contains(&self.view_at_mut(holder).cluster)
+                {
+                    doomed.insert(holder);
+                }
+            }
+        }
+        for child in &repair.removed_nodes {
+            self.out_edge_slots.remove(child);
+            self.in_edge_slots.remove(child);
+            self.out_label_readers.remove(child);
+            self.in_label_readers.remove(child);
+        }
+        self.remove_views(&doomed);
+
+        // New leaves: appended to the absorbing cluster's view (the view holding the
+        // link parent; a parent linked earlier in the batch is registered by then).
+        for leaf in repair.patches.values().flat_map(|p| &p.added) {
+            let parent = *self
+                .payload_slot
+                .get(&leaf.out_edge.parent)
+                .expect("link parent is a member of the absorbing cluster");
+            let view = self.view_at_mut(parent.view_slot());
+            let idx = view.members.len();
+            view.members.push(PlanMember {
+                element: *leaf,
+                out_kind: EdgeKind::Original,
+                parent: Some(parent.member as usize),
+                // mpc-lint: allow(alloc-hygiene) — the empty child list is owned by the new member record; ownership leaves the loop with the push
+                children: Vec::new(),
+            });
+            view.members[parent.member as usize].children.push(idx);
+            let slot = MemberSlot {
+                member: idx as u32,
+                ..parent
+            };
+            self.payload_slot.insert(leaf.id, slot);
+            // A fresh leaf tops no cluster, so it is the only element leaving by its edge.
+            // mpc-lint: allow(alloc-hygiene) — the one-entry slot list is owned by the index; ownership leaves the loop with the insert
+            self.out_edge_slots.insert(leaf.id, vec![slot]);
+        }
+
+        if !repair.removed_aux.is_empty() {
+            self.aux_nodes
+                .retain(|(aux, _)| !repair.removed_aux.contains(aux));
+        }
+    }
+
+    /// Drop a downward-closed set of members from the view at `at`, remapping the
+    /// parent/children/top/attach indexes onto the compacted member list and moving
+    /// the surviving members' slots along. The removed set is downward-closed in the
+    /// member tree (a removed member's descendants are removed too), so every
+    /// survivor's parent survives and the top member always survives.
+    fn remove_members(&mut self, at: ViewSlot, removed: &BTreeSet<ElementId>) {
+        let view = &mut self.layers[at.layer as usize - 1][at.machine as usize][at.view as usize];
+        let mut remap: Vec<Option<usize>> = Vec::with_capacity(view.members.len());
+        let mut kept = 0usize;
+        for (old, m) in view.members.iter().enumerate() {
+            if removed.contains(&m.element.id) {
+                remap.push(None);
+                continue;
+            }
+            if kept != old {
+                let from = at.member_slot(old);
+                if let Some(slot) = self.payload_slot.get_mut(&m.element.id) {
+                    slot.member = kept as u32;
+                }
+                if let Some(slot) = self
+                    .out_edge_slots
+                    .get_mut(&m.element.out_edge.child)
+                    .and_then(|slots| slots.iter_mut().find(|s| **s == from))
+                {
+                    slot.member = kept as u32;
+                }
+            }
+            remap.push(Some(kept));
+            kept += 1;
+        }
+        let mut old = 0usize;
+        view.members.retain_mut(|m| {
+            let keep = remap[old].is_some();
+            old += 1;
+            if keep {
+                m.parent = m.parent.map(|p| {
+                    remap[p].expect(
+                        "parent of a surviving member survives (removal is downward-closed)",
+                    )
+                });
+                m.children.retain_mut(|c| match remap[*c] {
+                    Some(new) => {
+                        *c = new;
+                        true
+                    }
+                    None => false,
+                });
+            }
+            keep
+        });
+        view.top = remap[view.top].expect("the top member never lies in the removed span");
+        view.attach = view.attach.and_then(|a| remap[a]);
+    }
+
+    /// Delete the views at `doomed` (whose index entries are already gone) and
+    /// re-address the views behind them in the same `(layer, machine)` bucket.
+    fn remove_views(&mut self, doomed: &BTreeSet<ViewSlot>) {
+        let mut rest = doomed.iter().copied().peekable();
+        while let Some(first) = rest.next() {
+            let bucket =
+                std::mem::take(&mut self.layers[first.layer as usize - 1][first.machine as usize]);
+            let mut next_doomed = Some(first.view);
+            let mut kept: Vec<PlanView> = Vec::with_capacity(bucket.len());
+            for (old, view) in bucket.into_iter().enumerate() {
+                if next_doomed == Some(old as u32) {
+                    next_doomed = rest
+                        .next_if(|s| (s.layer, s.machine) == (first.layer, first.machine))
+                        .map(|s| s.view);
+                    continue;
+                }
+                if kept.len() != old {
+                    let from = ViewSlot {
+                        view: old as u32,
+                        ..first
+                    };
+                    self.readdress_view(&view, from, kept.len() as u32);
+                }
+                kept.push(view);
+            }
+            self.layers[first.layer as usize - 1][first.machine as usize] = kept;
+        }
+    }
+
+    /// Point every index entry of `view` (registered at `from`) at view index `to` of
+    /// the same bucket.
+    fn readdress_view(&mut self, view: &PlanView, from: ViewSlot, to: u32) {
+        let readdress = |readers: &mut BTreeMap<NodeId, Vec<ViewSlot>>, key: NodeId| {
+            if let Some(slot) = readers
+                .get_mut(&key)
+                .and_then(|slots| slots.iter_mut().find(|s| **s == from))
+            {
+                slot.view = to;
+            }
+        };
+        readdress(&mut self.out_label_readers, view.out_edge.child);
+        if let Some(in_edge) = view.in_edge {
+            readdress(&mut self.in_label_readers, in_edge.child);
+            readdress(&mut self.in_edge_slots, in_edge.child);
+        }
+        for (idx, member) in view.members.iter().enumerate() {
+            if let Some(slot) = self.payload_slot.get_mut(&member.element.id) {
+                slot.view = to;
+            }
+            let from = from.member_slot(idx);
+            if let Some(slot) = self
+                .out_edge_slots
+                .get_mut(&member.element.out_edge.child)
+                .and_then(|slots| slots.iter_mut().find(|s| **s == from))
+            {
+                slot.view = to;
+            }
+        }
+    }
+
+    /// The plan's skeletons and routing indexes with every slot resolved to the ids it
+    /// addresses (see [`PlanRouting`]). Two plans of one clustering — say one spliced
+    /// through [`apply_repair`](Self::apply_repair) and one freshly built on the
+    /// repaired tree — agree on it even though they place views on different machines
+    /// and order members differently. `O(n log n)` host work; for tests and audits.
+    // mpc-cost: rounds(const)
+    pub fn routing_by_id(&self) -> PlanRouting {
+        let view_of =
+            |s: &ViewSlot| &self.layers[s.layer as usize - 1][s.machine as usize][s.view as usize];
+        let member_of = |s: &MemberSlot| {
+            let view = view_of(&s.view_slot());
+            (view.cluster, view.members[s.member as usize].element.id)
+        };
+        let clusters = |readers: &BTreeMap<NodeId, Vec<ViewSlot>>| {
+            readers
+                .iter()
+                .map(|(&key, slots)| (key, slots.iter().map(|s| view_of(s).cluster).collect()))
+                .collect()
+        };
+        PlanRouting {
+            payload: self
+                .payload_slot
+                .iter()
+                .map(|(&id, slot)| (id, member_of(slot)))
+                .collect(),
+            out_edge: self
+                .out_edge_slots
+                .iter()
+                .map(|(&key, slots)| (key, slots.iter().map(member_of).collect()))
+                .collect(),
+            in_edge: clusters(&self.in_edge_slots),
+            out_label_readers: clusters(&self.out_label_readers),
+            in_label_readers: clusters(&self.in_label_readers),
+            views: self
+                .layers
+                .iter()
+                .flatten()
+                .flatten()
+                .map(|view| {
+                    let id_at = |idx: usize| view.members[idx].element.id;
+                    let members = view
+                        .members
+                        .iter()
+                        .map(|m| (m.element.id, (m.element, m.out_kind, m.parent.map(id_at))))
+                        .collect();
+                    let header = PlanView {
+                        cluster: view.cluster,
+                        kind: view.kind,
+                        members: Vec::new(),
+                        top: 0,
+                        out_edge: view.out_edge,
+                        in_edge: view.in_edge,
+                        attach: None,
+                        in_kind: view.in_kind,
+                        has_in_data: view.has_in_data,
+                    };
+                    let ends = (id_at(view.top), view.attach.map(id_at));
+                    (view.cluster, (header, ends, members))
+                })
+                .collect(),
+            aux_nodes: self.aux_nodes.iter().map(|&(aux, _)| aux).collect(),
+        }
     }
 
     /// Number of layers of the underlying clustering.
@@ -1058,39 +1264,6 @@ impl SolvePlan {
     }
 }
 
-/// Drop a downward-closed set of members from a skeleton view, remapping the
-/// parent/children/top/attach indexes onto the compacted member list. The removed set
-/// is downward-closed in the member tree (a removed member's descendants are removed
-/// too), so every survivor's parent survives and the top member always survives.
-fn splice_member_removals(view: &mut PlanView, removed: &BTreeSet<ElementId>) {
-    let mut remap: Vec<Option<usize>> = Vec::with_capacity(view.members.len());
-    let mut kept = 0usize;
-    for m in &view.members {
-        if removed.contains(&m.element.id) {
-            remap.push(None);
-        } else {
-            remap.push(Some(kept));
-            kept += 1;
-        }
-    }
-    let old = std::mem::take(&mut view.members);
-    view.members = old
-        .into_iter()
-        .enumerate()
-        .filter_map(|(i, mut m)| {
-            remap[i]?;
-            m.parent = m.parent.map(|p| {
-                remap[p]
-                    .expect("parent of a surviving member survives (removal is downward-closed)")
-            });
-            m.children = m.children.iter().filter_map(|&c| remap[c]).collect();
-            Some(m)
-        })
-        .collect();
-    view.top = remap[view.top].expect("the top member never lies in the removed span");
-    view.attach = view.attach.and_then(|a| remap[a]);
-}
-
 /// The per-view working state of one evaluation pass: payload and edge-input slots to
 /// fill before summarization, and the boundary labels delivered before labeling.
 struct ViewState<P: ClusterDp> {
@@ -1149,5 +1322,61 @@ impl<P: ClusterDp> ViewState<P> {
             in_kind: pv.in_kind,
             in_input,
         }
+    }
+}
+
+#[cfg(test)]
+impl SolvePlan {
+    /// Test oracle: this plan with every routing index cleared and re-derived from
+    /// the skeleton views, in the order [`build_plan`] registers them (layers →
+    /// machines → views → members). `edge_children` is the set of edge children of the
+    /// degree-reduced edge list, as in [`build_plan`].
+    pub(crate) fn reindexed(&self, edge_children: &BTreeSet<NodeId>) -> SolvePlan {
+        let mut plan = SolvePlan {
+            payload_slot: BTreeMap::new(),
+            out_edge_slots: BTreeMap::new(),
+            in_edge_slots: BTreeMap::new(),
+            out_label_readers: BTreeMap::new(),
+            in_label_readers: BTreeMap::new(),
+            ..self.clone()
+        };
+        for (li, layer) in self.layers.iter().enumerate() {
+            for (machine, views) in layer.iter().enumerate() {
+                for (view_idx, view) in views.iter().enumerate() {
+                    let vslot = ViewSlot {
+                        layer: li as u32 + 1,
+                        machine: machine as u32,
+                        view: view_idx as u32,
+                    };
+                    plan.out_label_readers
+                        .entry(view.out_edge.child)
+                        .or_default()
+                        .push(vslot);
+                    if let Some(in_edge) = view.in_edge {
+                        plan.in_label_readers
+                            .entry(in_edge.child)
+                            .or_default()
+                            .push(vslot);
+                        if edge_children.contains(&in_edge.child) {
+                            plan.in_edge_slots
+                                .entry(in_edge.child)
+                                .or_default()
+                                .push(vslot);
+                        }
+                    }
+                    for (member_idx, member) in view.members.iter().enumerate() {
+                        let slot = vslot.member_slot(member_idx);
+                        plan.payload_slot.insert(member.element.id, slot);
+                        if edge_children.contains(&member.element.out_edge.child) {
+                            plan.out_edge_slots
+                                .entry(member.element.out_edge.child)
+                                .or_default()
+                                .push(slot);
+                        }
+                    }
+                }
+            }
+        }
+        plan
     }
 }

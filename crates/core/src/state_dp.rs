@@ -16,6 +16,15 @@
 //! [`StateDp::requires_external_child`]: a promise state asserts that the subtree below
 //! the cluster's incoming edge will satisfy the node's requirement, and the assertion is
 //! verified by [`StateDp::absorb_child`] when that edge is merged one layer higher.
+//!
+//! That merge happens after the rest of the cluster has already been summarized
+//! against the attach node's *exposed* state, so it may not change what was exposed:
+//! the incoming edge's child is accepted only if it leaves the attach node's state as
+//! it is, or turns a promise state into a fulfilled one. Anything the subtree below the
+//! incoming edge contributes to the attach node — a dominator, a matching partner, a
+//! lower auxiliary copy that used up the node's "matched" budget — therefore has to go
+//! through a promise state, which is what the attach node's parent (in particular an
+//! upper auxiliary copy of the same original node) gets to see.
 
 use crate::problem::{ClusterDp, ClusterView, Payload};
 use mpc_engine::Words;
@@ -218,6 +227,29 @@ impl<P: StateDp> StateEngine<P> {
         }
     }
 
+    /// Merge the child below a cluster's incoming edge (in state `child_state`) into
+    /// the cluster's attach node, whose state was exposed as `exposed` when the cluster
+    /// was summarized: the score of the edge, or `None` when the combination is
+    /// infeasible or would change what the rest of the cluster already saw (see the
+    /// module docs). A promise state must be fulfilled by exactly this edge.
+    fn absorb_into_attach(
+        &self,
+        exposed: usize,
+        kind: EdgeKind,
+        edge_input: &P::EdgeInput,
+        child_state: usize,
+    ) -> Option<Score> {
+        let (new_state, score) =
+            self.problem
+                .absorb_child(exposed, kind, edge_input, child_state)?;
+        let settled = if self.problem.requires_external_child(exposed) {
+            !self.problem.requires_external_child(new_state)
+        } else {
+            new_state == exposed
+        };
+        settled.then_some(score)
+    }
+
     /// Merge child table `child` into parent table `parent` across the child's outgoing
     /// edge. `into_private` selects whether the edge enters the parent's own interface
     /// node (original-node parent) or the parent's private attach dimension
@@ -247,27 +279,24 @@ impl<P: StateDp> StateEngine<P> {
                         let Some(cv) = child.get(cs, ce) else {
                             continue;
                         };
-                        let target = if into_private { pe } else { ps };
-                        let Some((new_state, score)) =
-                            self.problem.absorb_child(target, kind, edge_input, cs)
-                        else {
-                            continue;
-                        };
-                        let (out_s, out_e) = if into_private {
+                        let (out_s, out_e, score) = if into_private {
                             // The private dimension is consumed; the child may carry the
-                            // external dimension. The attach node's updated state is
-                            // dropped (its obligations toward the rest of the cluster were
-                            // already encoded when the summary was built) — but a promise
-                            // state must have been fulfilled by exactly this edge.
-                            if self.problem.requires_external_child(new_state) {
+                            // external dimension.
+                            let Some(score) = self.absorb_into_attach(pe, kind, edge_input, cs)
+                            else {
                                 continue;
-                            }
-                            (ps, ce.min(out.ext - 1))
+                            };
+                            (ps, ce.min(out.ext - 1), score)
                         } else {
                             // The parent's own state evolves; at most one of the two
                             // tables carries the external dimension.
+                            let Some((new_state, score)) =
+                                self.problem.absorb_child(ps, kind, edge_input, cs)
+                            else {
+                                continue;
+                            };
                             let e = if child.ext > 1 { ce } else { pe };
-                            (new_state, e.min(out.ext - 1))
+                            (new_state, e.min(out.ext - 1), score)
                         };
                         out.improve(out_s, out_e, pv + cv + score);
                     }
@@ -402,15 +431,11 @@ impl<P: StateDp> ClusterDp for StateEngine<P> {
                 let Some(v) = top_table.get(*out_label, e) else {
                     continue;
                 };
-                let Some((new_state, score)) =
-                    self.problem
-                        .absorb_child(e, view.in_kind, &in_input, ext_child_state)
+                let Some(score) =
+                    self.absorb_into_attach(e, view.in_kind, &in_input, ext_child_state)
                 else {
                     continue;
                 };
-                if self.problem.requires_external_child(new_state) {
-                    continue;
-                }
                 let total = v + score;
                 if best.map(|(bv, _)| total > bv).unwrap_or(true) {
                     best = Some((total, e));
@@ -449,20 +474,20 @@ impl<P: StateDp> ClusterDp for StateEngine<P> {
                                 let Some(cv) = child_table.get(cs, ce) else {
                                     continue;
                                 };
-                                let absorb_target = if into_private { pe } else { ps };
-                                let Some((new_state, score)) =
-                                    self.problem.absorb_child(absorb_target, kind, &input, cs)
-                                else {
-                                    continue;
-                                };
-                                let (out_s, out_e) = if into_private {
-                                    if self.problem.requires_external_child(new_state) {
+                                let (out_s, out_e, score) = if into_private {
+                                    let Some(score) = self.absorb_into_attach(pe, kind, &input, cs)
+                                    else {
                                         continue;
-                                    }
-                                    (ps, ce.min(current_table.ext - 1))
+                                    };
+                                    (ps, ce.min(current_table.ext - 1), score)
                                 } else {
+                                    let Some((new_state, score)) =
+                                        self.problem.absorb_child(ps, kind, &input, cs)
+                                    else {
+                                        continue;
+                                    };
                                     let e = if child_table.ext > 1 { ce } else { pe };
-                                    (new_state, e.min(current_table.ext - 1))
+                                    (new_state, e.min(current_table.ext - 1), score)
                                 };
                                 if out_s == target_state
                                     && out_e == te

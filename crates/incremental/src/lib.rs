@@ -37,7 +37,10 @@
 //! splices the affected cached views, plan skeletons, and records in place (two routing
 //! rounds), after which the same dirty-root-path machinery re-solves only the patched
 //! clusters. Batches that would overflow a bound degrade to an honest full re-prepare
-//! and re-solve (`stats.degraded` reports which path ran).
+//! and re-solve (`stats.degraded` reports which path ran). The host work follows the
+//! charge: the batch is planned against a persistent repair index and every index over
+//! the cached records is patched in place, so a repaired batch costs what it touches
+//! (plus three in-place passes over the prepared tree's flat tables), not `O(n)`.
 //!
 //! ```
 //! use mpc_engine::{MpcConfig, MpcContext};

@@ -7,7 +7,7 @@ use mpc_engine::par::{par_map, worth_parallelizing};
 use mpc_engine::{DistVec, MpcContext, Words};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use tree_clustering::{
-    is_aux_node, plan_repair, ClusteringRepair, EdgeKind, ElementId, ElementKind, RepairOutcome,
+    is_aux_node, ClusteringRepair, EdgeKind, ElementId, ElementKind, RepairIndex, RepairOutcome,
     TopologyOp, VIRTUAL_NODE,
 };
 use tree_dp_core::{
@@ -56,6 +56,11 @@ where
     /// The input assigned to auxiliary degree-reduction nodes, retained so the
     /// degraded structural path can re-prepare and re-solve without asking the caller.
     aux_input: P::NodeInput,
+    /// The index structural batches are planned against, built over the prepared
+    /// tree's clustering on the first structural batch and patched by every locally
+    /// repaired one. Derived data: a restored solver starts without it, and a degrade
+    /// (which replaces the clustering) drops it.
+    repair_index: Option<RepairIndex>,
 }
 
 impl<P: ClusterDp> IncrementalSolver<P>
@@ -103,6 +108,7 @@ where
             top_cluster: prepared.clustering.top_cluster,
             root: prepared.clustering.root,
             aux_input,
+            repair_index: None,
         }
     }
 
@@ -134,6 +140,7 @@ where
             top_cluster,
             root,
             aux_input,
+            repair_index: None,
         }
     }
 
@@ -387,22 +394,49 @@ where
         });
     }
 
+    /// The repair index over `prepared`'s clustering, built on first use.
+    fn ensure_repair_index(&mut self, prepared: &PreparedTree) -> &mut RepairIndex {
+        self.repair_index
+            .get_or_insert_with(|| RepairIndex::build(&prepared.clustering, prepared.edges.iter()))
+    }
+
+    /// Dry-run a structural batch: `Ok` exactly when
+    /// [`apply_structural`](Self::apply_structural) would accept `ops` (repairing
+    /// locally or degrading), the rejecting op's error otherwise. Changes nothing
+    /// beyond building the repair index on first use; costs `O(|ops| + removed span)`
+    /// lookups, which lets a caller that folds several requests into one batch vet
+    /// each request against the ones it already accepted.
+    // mpc-cost: rounds(const)
+    pub fn validate_structural(
+        &mut self,
+        prepared: &PreparedTree,
+        ops: &[TopologyOp],
+    ) -> Result<(), StructuralError> {
+        self.ensure_repair_index(prepared).plan(ops)?;
+        Ok(())
+    }
+
     /// Apply an ordered batch of structural `link`/`cut` operations and re-solve.
     ///
-    /// The batch is planned against the cached clustering
-    /// ([`tree_clustering::plan_repair`], host-side, 0 rounds). When the repair stays
-    /// within the clustering bounds, the new `inc-struct` phase charges one routing
-    /// round for the batch broadcast and one for the spliced records, the cached
-    /// clustering / plan / store are patched in place (`prepared` is updated too, so
-    /// its cached [`SolvePlan`] keeps matching), and the existing dirty-root-path
-    /// machinery re-solves the affected clusters — `O(1)` rounds total. When a link
-    /// would overflow a degree or cluster-size bound, the batch *degrades*: the
-    /// original tree is reconstructed, mutated, fully re-prepared, and re-solved (the
-    /// honest `O(log D)` price), with `stats.degraded = true`.
+    /// The batch is planned against the solver's persistent [`RepairIndex`] over the
+    /// cached clustering (host-side, 0 rounds, reading only the records the batch
+    /// addresses). When the repair stays within the clustering bounds, the `inc-struct`
+    /// phase charges one routing round for the batch broadcast and one for the spliced
+    /// records, the cached clustering / plan / store and every index over them are
+    /// patched in place (`prepared` is updated too, so its cached [`SolvePlan`] keeps
+    /// matching), and the existing dirty-root-path machinery re-solves the affected
+    /// clusters — `O(1)` rounds total. When a link would overflow a degree or
+    /// cluster-size bound, the batch *degrades*: the original tree is reconstructed,
+    /// mutated, fully re-prepared, and re-solved (the honest `O(log D)` price), with
+    /// `stats.degraded = true`.
     ///
-    /// The batch is atomic: an invalid op rejects the whole batch with
-    /// [`StructuralError::Invalid`] and nothing changes. After a successful return the
-    /// solver's labels are identical to a fresh solve on the mutated tree.
+    /// `prepared` must be the tree this solver was built on (as left by the solver's
+    /// earlier structural batches). The batch is atomic: an invalid op rejects the
+    /// whole batch with [`StructuralError::Invalid`] and nothing changes. After a
+    /// successful return the solver's labels are identical to a fresh solve on the
+    /// mutated tree.
+    ///
+    /// [`SolvePlan`]: tree_dp_core::SolvePlan
     // mpc-cost: rounds(prepare)
     pub fn apply_structural(
         &mut self,
@@ -421,8 +455,7 @@ where
         }
 
         let topo_ops: Vec<TopologyOp> = batch.ops().iter().map(|op| op.topology()).collect();
-        let edges_host: Vec<(DirectedEdge, EdgeKind)> = prepared.edges.iter().copied().collect();
-        let repair = match plan_repair(&prepared.clustering, &edges_host, &topo_ops)? {
+        let repair = match self.ensure_repair_index(prepared).plan(&topo_ops)? {
             RepairOutcome::Repaired(repair) => repair,
             RepairOutcome::Degrade(_) => {
                 self.degrade_rebuild(ctx, prepared, batch, &topo_ops)?;
@@ -471,12 +504,15 @@ where
             // Host-side surgery on the pre-placed records; the spliced volume is what
             // actually moves between machines (removed records are dropped in place).
             self.splice_store(&repair, &leaf_inputs);
-            prepared.apply_structural_repair(ctx, &repair);
+            prepared.apply_structural_repair(&repair);
+            self.topo.apply_repair(&self.store, &repair);
+            if let Some(index) = &mut self.repair_index {
+                index.apply(&repair);
+            }
             if !repair.is_noop() {
                 charge_routing_round(ctx, repair.splice_words(), "inc-struct/splice");
             }
         });
-        self.topo = Topology::build(&self.store);
 
         // ---- re-solve: every patched cluster is dirty at its own layer -------------
         let mut pending_dirty: BTreeMap<u32, BTreeSet<ElementId>> = BTreeMap::new();
@@ -646,11 +682,40 @@ where
         );
         self.store = store;
         self.topo = Topology::build(&self.store);
+        self.repair_index = None;
         self.num_layers = new_prepared.num_layers();
         self.top_cluster = new_prepared.clustering.top_cluster;
         self.root = new_prepared.clustering.root;
         *prepared = new_prepared;
         Ok(())
+    }
+
+    /// Check the solver's patched-in-place indexes against from-scratch builds: the
+    /// cluster topology against one derived from the cached views, and the repair
+    /// index (when one has been built) against one built over `prepared`'s clustering
+    /// and edge list. `Err` names the first index that drifted. `O(n log n)` host work,
+    /// zero rounds — the drift alarm for long update sequences and the oracle the
+    /// structural test suites call after every batch.
+    // mpc-cost: rounds(const)
+    pub fn audit_indexes(&self, prepared: &PreparedTree) -> Result<(), String> {
+        if self.topo != Topology::build(&self.store) {
+            return Err("cluster topology differs from a rebuild over the cached views".into());
+        }
+        match &self.repair_index {
+            Some(index)
+                if *index != RepairIndex::build(&prepared.clustering, prepared.edges.iter()) =>
+            {
+                Err("repair index differs from a rebuild over the repaired clustering".into())
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// The persistent repair index, once a structural batch has built it (`None` on a
+    /// fresh or restored solver and after a degrade).
+    // mpc-cost: rounds(const)
+    pub fn repair_index(&self) -> Option<&RepairIndex> {
+        self.repair_index.as_ref()
     }
 
     /// The wrapped problem.
@@ -751,29 +816,49 @@ fn splice_view_member_removals<P: ClusterDp>(
 
 /// Apply a validated topology batch to an *original* (pre-degree-reduction) edge list,
 /// in op order: links append a leaf edge, cuts remove the whole subtree below the cut
-/// child. Host-side; used only by the degraded re-prepare path.
+/// child. Host-side; used only by the degraded re-prepare path. One adjacency index is
+/// built up front and maintained across the ops (`O((n + ops) log n)` for the batch):
+/// cut edges are tombstoned by position and dropped in one final pass.
 fn apply_ops_to_original_edges(edges: &mut Vec<DirectedEdge>, ops: &[TopologyOp]) {
+    // Live edge position by child, and child-edge positions by parent (these may name
+    // tombstoned positions; `live` decides).
+    let mut edge_of: BTreeMap<NodeId, usize> = BTreeMap::new();
+    let mut below: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
+    for (at, e) in edges.iter().enumerate() {
+        edge_of.insert(e.child, at);
+        below.entry(e.parent).or_default().push(at);
+    }
+    let mut live = vec![true; edges.len()];
     for op in ops {
         match *op {
-            TopologyOp::Link { parent, child } => edges.push(DirectedEdge::new(child, parent)),
+            TopologyOp::Link { parent, child } => {
+                edge_of.insert(child, edges.len());
+                below.entry(parent).or_default().push(edges.len());
+                live.push(true);
+                edges.push(DirectedEdge::new(child, parent));
+            }
             TopologyOp::Cut { child } => {
-                let mut children: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
-                for e in edges.iter() {
-                    children.entry(e.parent).or_default().push(e.child);
-                }
-                let mut removed = BTreeSet::from([child]);
                 let mut queue = VecDeque::from([child]);
                 while let Some(x) = queue.pop_front() {
-                    for &y in children.get(&x).map(Vec::as_slice).unwrap_or(&[]) {
-                        if removed.insert(y) {
-                            queue.push_back(y);
-                        }
+                    if let Some(at) = edge_of.remove(&x) {
+                        live[at] = false;
                     }
+                    let child_edges = below.remove(&x).unwrap_or_default();
+                    queue.extend(
+                        child_edges
+                            .into_iter()
+                            .filter(|&at| live[at])
+                            .map(|at| edges[at].child),
+                    );
                 }
-                edges.retain(|e| !removed.contains(&e.child));
             }
         }
     }
+    let mut at = 0;
+    edges.retain(|_| {
+        at += 1;
+        live[at - 1]
+    });
 }
 
 /// Charge one routing round that moves `words` words in total, spread evenly over the

@@ -3,8 +3,9 @@
 //!
 //! A [`StructuralBatch`] carries `link`/`cut` operations *with their problem inputs*
 //! (a new leaf needs a node input and an edge input for its new edge); the topology
-//! side of each op is handed to [`tree_clustering::plan_repair`], which either plans a
-//! local splice of the cached clustering or asks for a degrade to a full re-prepare.
+//! side of each op is planned against the solver's persistent
+//! [`tree_clustering::RepairIndex`], which either plans a local splice of the cached
+//! clustering or asks for a degrade to a full re-prepare.
 
 use tree_clustering::{RepairError, TopologyOp};
 use tree_dp_core::ClusterDp;

@@ -50,6 +50,47 @@ impl<T> DistVec<T> {
         }
     }
 
+    /// Re-chunk in place into the balanced input layout — chunk for chunk what
+    /// [`from_vec_cfg`](Self::from_vec_cfg) makes of [`to_vec`](Self::to_vec) for this
+    /// chunk count — by shifting records across chunk boundaries instead of
+    /// round-tripping through one host vector. Like `from_vec`, this is host-side
+    /// placement of an input, not an MPC operation: it charges nothing, and a caller
+    /// that uses it on live data meters the moved records itself.
+    ///
+    /// Every record moves `O(1)` times whatever the starting layout. A chunk that is
+    /// short pulls from the chunks behind it; records a chunk has too many of wait in
+    /// a queue for the chunks behind, so the only allocations are that queue (sized by
+    /// the imbalance, empty for a vector that only lost records) and chunks outgrowing
+    /// their capacity. A vector that is already balanced is left untouched.
+    pub fn relayout_balanced(&mut self) {
+        let machines = self.chunks.len();
+        let mut remaining = self.len();
+        let per = remaining.div_ceil(machines.max(1)).max(1);
+        // Records displaced from earlier chunks, in global order: they precede the
+        // current chunk's own records.
+        let mut displaced: std::collections::VecDeque<T> = std::collections::VecDeque::new();
+        for i in 0..machines {
+            let want = per.min(remaining);
+            remaining -= want;
+            let (head, tail) = self.chunks.split_at_mut(i + 1);
+            let chunk = &mut head[i];
+            let from_displaced = displaced.len().min(want);
+            let own = (want - from_displaced).min(chunk.len());
+            displaced.extend(chunk.drain(own..));
+            if from_displaced > 0 {
+                chunk.splice(0..0, displaced.drain(..from_displaced));
+            }
+            // Still short only when nothing is displaced any more: the chunks behind
+            // hold the rest.
+            let mut donors = tail.iter_mut();
+            while chunk.len() < want {
+                let donor = donors.next().expect("the chunks behind hold the deficit");
+                let take = (want - chunk.len()).min(donor.len());
+                chunk.extend(donor.drain(..take));
+            }
+        }
+    }
+
     /// An empty distributed vector with one (empty) chunk per machine.
     pub fn empty_cfg(cfg: &MpcConfig) -> Self {
         Self {
@@ -270,6 +311,47 @@ mod tests {
         assert_eq!(dv.into_vec(), data);
         let empty: DistVec<u64> = DistVec::empty_cfg(&cfg());
         assert!(empty.into_vec().is_empty());
+    }
+
+    #[test]
+    fn relayout_balanced_matches_from_vec_of_to_vec() {
+        let machines = cfg().num_machines();
+        // Skewed layouts: everything up front, everything at the back, a sawtooth, a
+        // balanced layout that lost and gained a few records, and the empty vector.
+        let layouts: Vec<Vec<usize>> = vec![
+            (0..machines)
+                .map(|i| if i == 0 { 300 } else { 0 })
+                .collect(),
+            (0..machines)
+                .map(|i| if i + 1 == machines { 300 } else { 0 })
+                .collect(),
+            (0..machines).map(|i| (i * 7) % 23).collect(),
+            (0..machines)
+                .map(|i| match i {
+                    0 => 9,
+                    3 => 7,
+                    5 => 12,
+                    _ if i < 12 => 10,
+                    _ => 0,
+                })
+                .collect(),
+            vec![0; machines],
+        ];
+        for sizes in layouts {
+            let mut next = 0u64;
+            let chunks: Vec<Vec<u64>> = sizes
+                .iter()
+                .map(|&len| {
+                    let chunk = (next..next + len as u64).collect();
+                    next += len as u64;
+                    chunk
+                })
+                .collect();
+            let mut dv = DistVec::from_chunks(chunks);
+            let expected = DistVec::from_vec_cfg(&cfg(), dv.to_vec());
+            dv.relayout_balanced();
+            assert_eq!(dv.chunks(), expected.chunks(), "layout {sizes:?}");
+        }
     }
 
     #[test]

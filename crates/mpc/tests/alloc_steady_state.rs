@@ -11,22 +11,32 @@
 //! **zero net heap growth**: every byte allocated during the call is freed or
 //! returned to the arena by the time it finishes.
 //!
+//! The same allocator also counts *gross* allocated bytes, which pins the structural
+//! update path without a clock: a warm one-op `link` and a one-op leaf `cut` on a path
+//! allocate the same (within 2×) at `n = 4096` and `n = 65536`, and a 16-op batch no
+//! more than twice what 16 one-op batches do — i.e. nothing on that path builds a host
+//! structure proportional to the tree.
+//!
 //! The whole check lives in one `#[test]` so no concurrent test pollutes the global
 //! counters, and it forces sequential machine-local execution (the parallel path
 //! deliberately trades thread-local allocations for wall-clock speed).
 
 use mpc_engine::{DistVec, MpcConfig, MpcContext};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicIsize, Ordering};
+use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 
 struct CountingAllocator;
 
 /// Net outstanding heap bytes (allocations minus deallocations).
 static NET_BYTES: AtomicIsize = AtomicIsize::new(0);
 
+/// Gross bytes ever requested (allocations plus the growth of reallocations).
+static GROSS_BYTES: AtomicUsize = AtomicUsize::new(0);
+
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         NET_BYTES.fetch_add(layout.size() as isize, Ordering::SeqCst);
+        GROSS_BYTES.fetch_add(layout.size(), Ordering::SeqCst);
         System.alloc(layout)
     }
 
@@ -37,6 +47,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         NET_BYTES.fetch_add(new_size as isize - layout.size() as isize, Ordering::SeqCst);
+        GROSS_BYTES.fetch_add(new_size.saturating_sub(layout.size()), Ordering::SeqCst);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -46,6 +57,123 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 fn net() -> isize {
     NET_BYTES.load(Ordering::SeqCst)
+}
+
+/// Gross bytes `f` requests from the allocator.
+fn gross_bytes_of(f: impl FnOnce()) -> usize {
+    let before = GROSS_BYTES.load(Ordering::SeqCst);
+    f();
+    GROSS_BYTES.load(Ordering::SeqCst) - before
+}
+
+/// Gross allocation of warm structural batches on a path of `n` nodes (same cluster
+/// threshold at every `n`, so only the tree size varies).
+struct StructuralBytes {
+    /// One batch linking one leaf.
+    link: usize,
+    /// One batch cutting that leaf again.
+    cut: usize,
+    /// Sixteen one-op batches: eight links, eight cuts of older leaves.
+    sixteen_singles: usize,
+    /// The same eight links and eight cuts as one batch.
+    sixteen_batched: usize,
+}
+
+fn structural_bytes(n: usize) -> StructuralBytes {
+    use tree_dp_core::StateEngine;
+    use tree_dp_incremental::{IncrementalSolver, StructuralBatch};
+    use tree_dp_problems::MaxWeightIndependentSet;
+    use tree_repr::{ListOfEdges, TreeInput};
+    type MaxIs = StateEngine<MaxWeightIndependentSet>;
+
+    let tree = tree_gen::shapes::path(n);
+    let cfg = MpcConfig::new(n, 0.5)
+        .with_parallel(false)
+        .with_memory_slack(512.0)
+        .with_bandwidth_slack(512.0);
+    let mut ctx = MpcContext::new(cfg);
+    let mut prepared = tree_dp_core::prepare(
+        &mut ctx,
+        TreeInput::ListOfEdges(ListOfEdges::from_tree(&tree)),
+        Some(16),
+    )
+    .expect("prepare");
+    prepared.plan(&mut ctx);
+    let inputs = ctx.from_vec(
+        (0..n)
+            .map(|v| (v as u64, 1 + (v % 13) as i64))
+            .collect::<Vec<_>>(),
+    );
+    let no_edges = ctx.from_vec(Vec::<(u64, ())>::new());
+    let mut solver = IncrementalSolver::new(
+        &mut ctx,
+        &prepared,
+        MaxIs::new(MaxWeightIndependentSet),
+        &inputs,
+        0,
+        &no_edges,
+    );
+
+    // Link sites spread over the path; fresh leaf ids from a counter.
+    let site = |i: usize| ((2 * i + 1) * n / 18) as u64;
+    let mut next_leaf = 1_000_000u64;
+    let mut fresh = || {
+        next_leaf += 1;
+        next_leaf
+    };
+    let mut apply = |batch: StructuralBatch<MaxIs>| {
+        let ctx = &mut ctx;
+        let bytes = gross_bytes_of(|| {
+            let stats = solver
+                .apply_structural(ctx, &mut prepared, &batch)
+                .expect("valid batch");
+            assert!(!stats.degraded);
+        });
+        // The phase breakdown the simulator records is bookkeeping, not the update.
+        ctx.reset_metrics();
+        bytes
+    };
+
+    // Warm-up: builds the repair index, grows the chunk and map capacities the
+    // measured batches reuse, and leaves eight leaves to cut.
+    let mut old: Vec<u64> = (0..8).map(|_| fresh()).collect();
+    for (i, &leaf) in old.iter().enumerate() {
+        apply(StructuralBatch::new().link(site(i), leaf, 5, ()));
+    }
+    for _ in 0..2 {
+        let leaf = fresh();
+        apply(StructuralBatch::new().link(site(8), leaf, 5, ()));
+        apply(StructuralBatch::new().cut(leaf));
+    }
+
+    let leaf = fresh();
+    let link = apply(StructuralBatch::new().link(site(8), leaf, 5, ()));
+    let cut = apply(StructuralBatch::new().cut(leaf));
+
+    let mut sixteen_singles = 0;
+    let mut newer = Vec::new();
+    for (i, &gone) in old.iter().enumerate() {
+        let leaf = fresh();
+        newer.push(leaf);
+        sixteen_singles += apply(StructuralBatch::new().link(site(i), leaf, 5, ()));
+        sixteen_singles += apply(StructuralBatch::new().cut(gone));
+    }
+    old = newer;
+    let mut batch = StructuralBatch::new();
+    for i in 0..8 {
+        batch = batch.link(site(i), fresh(), 5, ());
+    }
+    for &gone in &old {
+        batch = batch.cut(gone);
+    }
+    let sixteen_batched = apply(batch);
+
+    StructuralBytes {
+        link,
+        cut,
+        sixteen_singles,
+        sixteen_batched,
+    }
 }
 
 /// Assert that calls of `step` after a warm-up leave the heap where they found it.
@@ -186,4 +314,25 @@ fn warm_primitive_calls_have_zero_net_heap_growth() {
         drop(sol);
         ctx.reset_metrics();
     });
+
+    // --- structural batches: allocation follows what the batch touches, not `n`.
+    let small = structural_bytes(4096);
+    let large = structural_bytes(65536);
+    for (what, at_small, at_large) in [
+        ("1-op link", small.link, large.link),
+        ("1-op leaf cut", small.cut, large.cut),
+    ] {
+        assert!(
+            at_large <= 2 * at_small && at_small <= 2 * at_large,
+            "{what}: {at_small} bytes at n = 4096 vs {at_large} bytes at n = 65536"
+        );
+    }
+    for (n, bytes) in [(4096, &small), (65536, &large)] {
+        assert!(
+            bytes.sixteen_batched <= 2 * bytes.sixteen_singles,
+            "n = {n}: a 16-op batch allocated {} bytes, sixteen 1-op batches {}",
+            bytes.sixteen_batched,
+            bytes.sixteen_singles
+        );
+    }
 }

@@ -141,23 +141,19 @@ impl StateDp for MinWeightDominatingSet {
             }
             EdgeKind::Auxiliary => {
                 // Copies of one original node: membership must agree; domination
-                // accumulated by one copy transfers to the other.
+                // accumulated by the lower copy transfers to the upper one. A lower
+                // copy's promise counts as domination here — it is verified where that
+                // copy's cluster absorbs its incoming edge — and fulfils this copy's own
+                // promise when this is that edge.
                 let in_set = state == 0;
                 let child_in_set = child == 0;
                 if in_set != child_in_set {
                     return None;
                 }
-                if in_set {
-                    return Some((0, 0));
-                }
-                let dominated = state == 1 || state == 3 || child == 1 || child == 3;
-                let promised = state == 3 || child == 3;
-                let new_state = if promised {
-                    3
-                } else if dominated {
+                let new_state = if !in_set && (child == 1 || child == 3) {
                     1
                 } else {
-                    2
+                    state
                 };
                 Some((new_state, 0))
             }
@@ -227,11 +223,13 @@ impl StateDp for MaxWeightMatching {
                 if child == 2 {
                     return None;
                 }
+                // A lower copy's promise counts as matched (it is verified where that
+                // copy's cluster absorbs its incoming edge), and a matched lower copy
+                // fulfils this copy's own promise when this is that edge.
                 let child_matched = child == 1 || child == 3;
                 match (state, child_matched) {
-                    (0, true) => Some((1, 0)),
-                    (1, true) | (3, true) => None,
-                    (2, true) => None,
+                    (0, true) | (3, true) => Some((1, 0)),
+                    (1, true) | (2, true) => None,
                     _ => Some((state, 0)),
                 }
             }

@@ -457,3 +457,165 @@ fn larger_trees_round_counts_depend_on_diameter() {
         rounds[1]
     );
 }
+
+/// Optimum of `problem` on `tree` three ways — the fresh-assembly engine, the cached
+/// plan, and the sequential solver on the original (not degree-reduced) tree — for
+/// every cluster threshold in 2–4, which degree-reduces anything wider than a path.
+/// All must agree, and equal `expected` (max-plus convention) where brute force gave one.
+fn check_on_degree_reduced<P: tree_dp_core::StateDp>(
+    what: &str,
+    tree: &Tree,
+    problem: P,
+    node_inputs: &[P::NodeInput],
+    aux_input: P::NodeInput,
+    edge_inputs: &[P::EdgeInput],
+    expected: Option<i64>,
+) {
+    let engine = StateEngine::new(problem);
+    let seq = solve_sequential(
+        &engine,
+        &tree.edges(),
+        tree.root() as u64,
+        |v| node_inputs[v as usize].clone(),
+        |c| (EdgeKind::Original, edge_inputs[c as usize].clone()),
+    )
+    .root_summary
+    .best(engine.problem());
+    if let Some(expected) = expected {
+        assert_eq!(seq, Some(expected), "{what}: sequential vs brute force");
+    }
+    for threshold in 2..=4 {
+        let cfg = MpcConfig::new((2 * tree.len()).max(16), 0.5)
+            .with_memory_slack(512.0)
+            .with_bandwidth_slack(512.0);
+        let mut ctx = MpcContext::new(cfg);
+        let input = TreeInput::ListOfEdges(ListOfEdges::from_tree(tree));
+        let prepared = prepare(&mut ctx, input, Some(threshold)).expect("pipeline prepares");
+        let nodes = ctx.from_vec(
+            node_inputs
+                .iter()
+                .enumerate()
+                .map(|(v, x)| (v as u64, x.clone()))
+                .collect::<Vec<_>>(),
+        );
+        let edges = ctx.from_vec(
+            (0..tree.len())
+                .filter(|&v| tree.parent(v).is_some())
+                .map(|v| (v as u64, edge_inputs[v].clone()))
+                .collect::<Vec<_>>(),
+        );
+        let fresh = prepared
+            .solve(&mut ctx, &engine, &nodes, aux_input.clone(), &edges)
+            .root_summary
+            .best(engine.problem());
+        let planned = prepared
+            .plan(&mut ctx)
+            .solve(&mut ctx, &engine, &nodes, aux_input.clone(), &edges)
+            .root_summary
+            .best(engine.problem());
+        assert_eq!(
+            fresh, seq,
+            "{what}, threshold {threshold}: fresh vs sequential"
+        );
+        assert_eq!(
+            planned, seq,
+            "{what}, threshold {threshold}: plan vs sequential"
+        );
+    }
+}
+
+/// Regression gate for the auxiliary-edge rules (Section 5.3): every Table-1
+/// optimization problem on stars, brooms and random recursive trees whose degrees
+/// exceed the threshold, so copies of one node sit in different clusters and the
+/// incoming edge of a cluster is an auxiliary one.
+#[test]
+fn table1_optima_survive_degree_reduction() {
+    let mut trees: Vec<(String, Tree)> = vec![
+        ("star-8".into(), shapes::star(8)),
+        ("star-12".into(), shapes::star(12)),
+        ("star-30".into(), shapes::star(30)),
+        ("broom-3-8".into(), shapes::broom(3, 8)),
+        ("broom-6-14".into(), shapes::broom(6, 14)),
+    ];
+    for seed in 0..8 {
+        trees.push((
+            format!("random-recursive-12/{seed}"),
+            shapes::random_recursive(12, seed),
+        ));
+        trees.push((
+            format!("random-recursive-40/{seed}"),
+            shapes::random_recursive(40, seed),
+        ));
+    }
+    for (i, (name, tree)) in trees.iter().enumerate() {
+        let n = tree.len();
+        let small = n <= 12;
+        let w: Vec<i64> = labels::uniform_weights(n, 1, 20, 40 + i as u64)
+            .into_iter()
+            .map(|w| w as i64)
+            .collect();
+        let w2: Vec<i64> = labels::uniform_weights(n, 0, 10, 90 + i as u64)
+            .into_iter()
+            .map(|w| w as i64)
+            .collect();
+        let unit = vec![(); n];
+        check_on_degree_reduced(
+            &format!("MaxIS on {name}"),
+            tree,
+            MaxWeightIndependentSet,
+            &w,
+            0,
+            &unit,
+            small.then(|| brute::max_weight_independent_set(tree, &w)),
+        );
+        check_on_degree_reduced(
+            &format!("MinVC on {name}"),
+            tree,
+            MinWeightVertexCover,
+            &w,
+            0,
+            &unit,
+            small.then(|| -brute::min_weight_vertex_cover(tree, &w)),
+        );
+        check_on_degree_reduced(
+            &format!("MinDS on {name}"),
+            tree,
+            MinWeightDominatingSet,
+            &w,
+            0,
+            &unit,
+            small.then(|| -brute::min_weight_dominating_set(tree, &w)),
+        );
+        check_on_degree_reduced(
+            &format!("matching on {name}"),
+            tree,
+            MaxWeightMatching,
+            &unit,
+            (),
+            &w,
+            small.then(|| brute::max_weight_matching(tree, &w)),
+        );
+        let clauses: Vec<(i64, i64)> = w.iter().zip(&w2).map(|(&p, &q)| (p, q)).collect();
+        check_on_degree_reduced(
+            &format!("max-SAT on {name}"),
+            tree,
+            TreeMaxSat,
+            &clauses,
+            (0, 0),
+            &w2,
+            small.then(|| {
+                let (pos, neg): (Vec<i64>, Vec<i64>) = clauses.iter().copied().unzip();
+                brute::max_sat(tree, &pos, &neg, &w2)
+            }),
+        );
+        check_on_degree_reduced(
+            &format!("sum coloring on {name}"),
+            tree,
+            SumColoring { colors: 3 },
+            &vec![1i64; n],
+            0,
+            &unit,
+            small.then(|| -brute::min_sum_coloring(tree, 3)),
+        );
+    }
+}

@@ -10,7 +10,10 @@
 //!    requests are coalesced per tenant — all weight updates of a flush fold into
 //!    *one* `apply_batch` call, all structural (link/cut) requests into *one*
 //!    [`IncrementalSolver::apply_structural`] call, and all queries into *one*
-//!    [`SolvePlan::solve_many`] call over the cached plan. A structural batch takes
+//!    [`SolvePlan::solve_many`] call over the cached plan. Each structural request is
+//!    first dry-run against the tree as the requests accepted before it leave it
+//!    ([`IncrementalSolver::validate_structural`]); one with an invalid op is rejected
+//!    on its own and the rest of the flush proceeds. The folded batch takes
 //!    the resident plan out of the cache, splices it in place alongside the
 //!    clustering repair, and re-admits it under the budget (a degrade re-admits the
 //!    freshly rebuilt plan instead). A flush that finds the tenant's plan evicted
@@ -32,6 +35,7 @@ use crate::metrics::TenantMetrics;
 use crate::CacheStats;
 use mpc_engine::{DistVec, MpcConfig, MpcContext};
 use std::collections::BTreeMap;
+use tree_clustering::TopologyOp;
 use tree_dp_core::{
     open, prepare, seal, ClusterDp, DpSolution, PipelineError, PreparedTree, Snapshot,
     SnapshotError, SolverStore,
@@ -150,11 +154,13 @@ pub enum Request<P: ClusterDp> {
         /// Edge-input changes, keyed by the edge's child endpoint.
         edge_updates: Vec<(NodeId, P::EdgeInput)>,
     },
-    /// Change the tenant's tree itself: batched `link`/`cut` operations. All
+    /// Change the tenant's tree itself: batched `link`/`cut` operations. The valid
     /// structural requests of one flush fold into a single
     /// [`IncrementalSolver::apply_structural`] call, applied after the flush's
-    /// weight updates and before its queries (ops concatenate in submission order;
-    /// the folded batch stays atomic — one invalid op rejects them all).
+    /// weight updates and before its queries (ops concatenate in submission order).
+    /// A request is atomic — one invalid op rejects it whole — and is judged against
+    /// the tree as the requests accepted before it leave it, so a rejected request
+    /// costs its neighbours nothing.
     Structural(StructuralBatch<P>),
 }
 
@@ -367,8 +373,7 @@ where
         let mut node_updates: BTreeMap<NodeId, P::NodeInput> = BTreeMap::new();
         let mut edge_updates: BTreeMap<NodeId, P::EdgeInput> = BTreeMap::new();
         let mut update_positions: Vec<usize> = Vec::new();
-        let mut structural: StructuralBatch<P> = StructuralBatch::new();
-        let mut structural_positions: Vec<usize> = Vec::new();
+        let mut structural_requests: Vec<(usize, StructuralBatch<P>)> = Vec::new();
         let mut queries: Vec<QueryItem<P>> = Vec::new();
         for (pos, req) in items {
             match req {
@@ -380,12 +385,7 @@ where
                     edge_updates.extend(eu);
                     update_positions.push(pos);
                 }
-                Request::Structural(batch) => {
-                    for op in batch.into_ops() {
-                        structural.push(op);
-                    }
-                    structural_positions.push(pos);
-                }
+                Request::Structural(batch) => structural_requests.push((pos, batch)),
                 Request::Query {
                     node_inputs,
                     edge_inputs,
@@ -411,11 +411,38 @@ where
             }
         }
 
-        // Stage 2: one folded structural batch. The resident plan (if any) is taken
-        // *out* of the cache and installed on the prepared tree so the repair can
-        // splice its skeleton in place; afterwards the plan — spliced on a local
-        // repair, freshly rebuilt on a degrade, untouched on a rejection — goes back
-        // through `put_entry`, which re-applies the budget.
+        // Stage 2: one folded structural batch of the requests that pass a dry run
+        // against the tree as the ones accepted before them leave it (planning costs
+        // only the records the ops address, so re-planning the accepted prefix per
+        // request is cheap). The resident plan (if any) is taken *out* of the cache and
+        // installed on the prepared tree so the repair can splice its skeleton in
+        // place; afterwards the plan — spliced on a local repair, freshly rebuilt on a
+        // degrade, untouched when nothing applied — goes back through `put_entry`,
+        // which re-applies the budget.
+        let mut structural: StructuralBatch<P> = StructuralBatch::new();
+        let mut structural_positions: Vec<usize> = Vec::new();
+        if let Some(tenant) = tenants.get_mut(id) {
+            let mut accepted: Vec<TopologyOp> = Vec::new();
+            for (pos, batch) in structural_requests {
+                let prefix = accepted.len();
+                accepted.extend(batch.ops().iter().map(|op| op.topology()));
+                match tenant
+                    .solver
+                    .validate_structural(&tenant.prepared, &accepted)
+                {
+                    Ok(()) => {
+                        for op in batch.into_ops() {
+                            structural.push(op);
+                        }
+                        structural_positions.push(pos);
+                    }
+                    Err(e) => {
+                        accepted.truncate(prefix);
+                        responses[pos] = Some(Response::Rejected(ServerError::Structural(e)));
+                    }
+                }
+            }
+        }
         if !structural_positions.is_empty() {
             let evicted = if let Some(tenant) = tenants.get_mut(id) {
                 let taken = cache.take_entry(id);

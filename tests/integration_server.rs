@@ -562,3 +562,115 @@ fn unknown_and_removed_tenants_are_rejected_cleanly() {
     assert!(server.labels("real").is_none());
     assert!(server.context("real").is_none());
 }
+
+/// One invalid structural request must not take the flush's other structural requests
+/// down with it: each request is judged against the tree as the requests accepted
+/// before it leave it, the offender alone is rejected, and the tenant ends where a
+/// fresh solve of the tree with only the accepted batches applied ends.
+#[test]
+fn invalid_structural_request_is_rejected_alone() {
+    use mpc_tree_dp::clustering::RepairError;
+    use mpc_tree_dp::{StructuralBatch, StructuralError};
+    use tree_repr::DirectedEdge;
+
+    let tree = balanced_kary(40, 3);
+    let n = tree.len();
+    let weights = weights_for(n, 3);
+    let mut server = Server::new(ServerConfig {
+        plan_budget_words: 1 << 20,
+    });
+    server
+        .admit(
+            "t",
+            TenantSpec {
+                config: strict_cfg(4 * n),
+                input: TreeInput::ListOfEdges(ListOfEdges::from_tree(&tree)),
+                threshold: Some(4),
+                problem: MaxIs::new(MaxWeightIndependentSet),
+                node_inputs: weights.clone(),
+                aux_input: 0,
+                edge_inputs: Vec::new(),
+            },
+        )
+        .expect("admission");
+
+    // valid · invalid (its first op alone would be fine) · valid, building on the
+    // first · invalid only because the second was rejected.
+    server.submit(
+        "t",
+        Request::Structural(StructuralBatch::new().link(5, 1000, 7, ())),
+    );
+    server.submit(
+        "t",
+        Request::Structural(StructuralBatch::new().link(1000, 1001, 4, ()).cut(0)),
+    );
+    server.submit(
+        "t",
+        Request::Structural(StructuralBatch::new().link(1000, 1002, 9, ()).cut(12)),
+    );
+    server.submit(
+        "t",
+        Request::Structural(StructuralBatch::new().link(1001, 1003, 2, ())),
+    );
+    let responses = server.flush();
+    assert_eq!(responses.len(), 4);
+    let stats = |i: usize| match &responses[i].1 {
+        Response::Structural(s) => *s,
+        Response::Rejected(e) => panic!("request {i} rejected: {e}"),
+        _ => panic!("request {i}: expected structural stats"),
+    };
+    let rejection = |i: usize| match &responses[i].1 {
+        Response::Rejected(ServerError::Structural(StructuralError::Invalid(e))) => *e,
+        _ => panic!("request {i}: expected a structural rejection"),
+    };
+    // The two accepted requests folded into one three-op batch and share its stats.
+    assert_eq!(stats(0).batch_size, 3);
+    assert_eq!(stats(2).batch_size, 3);
+    assert_eq!(stats(0).rounds, stats(2).rounds);
+    assert!(!stats(0).degraded);
+    assert_eq!(rejection(1), RepairError::CutRoot);
+    assert_eq!(rejection(3), RepairError::UnknownParent(1001));
+    assert_eq!(server.tenant_metrics("t").expect("tenant").structural, 2);
+
+    // Ground truth: the original tree with only the two accepted batches applied.
+    let cut: std::collections::BTreeSet<u64> = {
+        let mut gone = std::collections::BTreeSet::from([12u64]);
+        for v in 13..n {
+            if gone.contains(&(tree.parent(v).expect("non-root") as u64)) {
+                gone.insert(v as u64);
+            }
+        }
+        gone
+    };
+    let mut edges: Vec<DirectedEdge> = (1..n)
+        .filter(|v| !cut.contains(&(*v as u64)))
+        .map(|v| DirectedEdge::new(v as u64, tree.parent(v).expect("non-root") as u64))
+        .collect();
+    edges.push(DirectedEdge::new(1000, 5));
+    edges.push(DirectedEdge::new(1002, 1000));
+    let mut inputs: Vec<(u64, i64)> = weights
+        .into_iter()
+        .filter(|(v, _)| !cut.contains(v))
+        .collect();
+    inputs.extend([(1000, 7), (1002, 9)]);
+
+    let mut ctx = MpcContext::new(strict_cfg(4 * n));
+    let fresh = prepare(
+        &mut ctx,
+        TreeInput::ListOfEdges(ListOfEdges(edges)),
+        Some(4),
+    )
+    .expect("mutated tree stays well-formed");
+    let engine = MaxIs::new(MaxWeightIndependentSet);
+    let inputs = ctx.from_vec(inputs);
+    let no_edges = ctx.from_vec(Vec::<(u64, ())>::new());
+    let sol = fresh.solve_planned(&mut ctx, &engine, &inputs, 0, &no_edges);
+    let want_labels: BTreeMap<u64, usize> = sol.labels.iter().cloned().collect();
+    assert_eq!(server.labels("t").expect("tenant"), &want_labels);
+    assert_eq!(server.root_summary("t").expect("tenant"), &sol.root_summary);
+    server
+        .context("t")
+        .expect("tenant")
+        .check_compliance()
+        .unwrap_or_else(|v| panic!("strict violation: {v}"));
+}

@@ -6,14 +6,15 @@
 //! the same guarantee through `submit`/`flush` (plan-cache splice handshake) and
 //! through snapshot → restore.
 
+use mpc_tree_dp::clustering::{plan_repair, TopologyOp};
 use mpc_tree_dp::core::StateDp;
 use mpc_tree_dp::problems::{
     MaxWeightIndependentSet, MaxWeightMatching, MinWeightDominatingSet, MinWeightVertexCover,
 };
 use mpc_tree_dp::{
-    prepare, IncrementalSolver, ListOfEdges, MpcConfig, MpcContext, Request, Response,
-    ServerConfig, StateEngine, StructuralBatch, StructuralStats, TenantSpec, TreeDpServer,
-    TreeInput,
+    prepare, ClusterDp, IncrementalSolver, ListOfEdges, MpcConfig, MpcContext, PreparedTree,
+    Request, Response, ServerConfig, SolverStore, StateEngine, StructuralBatch, StructuralStats,
+    TenantSpec, TreeDpServer, TreeInput,
 };
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -158,6 +159,71 @@ fn assert_node_equiv<P>(
     );
 }
 
+/// Apply `batch` through the solver with the "patched == rebuilt" gate around it:
+/// beforehand, the persistent repair index (once built) must plan exactly what the
+/// standalone from-scratch `plan_repair` plans; afterwards, every index the batch
+/// patched in place — the solver's topology and repair index, the cached plan's
+/// routing — must equal a from-scratch build over the repaired tree, and the repaired
+/// clustering must validate clean.
+fn apply_checked<P>(
+    ctx: &mut MpcContext,
+    inc: &mut IncrementalSolver<P>,
+    prepared: &mut PreparedTree,
+    batch: &StructuralBatch<P>,
+    what: &str,
+) -> StructuralStats
+where
+    P: ClusterDp,
+    P::Summary: PartialEq,
+    P::Label: PartialEq,
+{
+    let ops: Vec<TopologyOp> = batch.ops().iter().map(|op| op.topology()).collect();
+    if let Some(index) = inc.repair_index() {
+        let edges: Vec<_> = prepared.edges.iter().copied().collect();
+        assert_eq!(
+            index.plan(&ops),
+            plan_repair(&prepared.clustering, &edges, &ops),
+            "{what}: persistent index vs standalone planner"
+        );
+    }
+    let stats = inc
+        .apply_structural(ctx, prepared, batch)
+        .unwrap_or_else(|e| panic!("{what}: valid batch rejected: {e}"));
+    assert_patched_equals_rebuilt(ctx, inc, prepared, what);
+    stats
+}
+
+/// The "patched == rebuilt" half of [`apply_checked`], also usable after weight
+/// batches, restores and degrades.
+fn assert_patched_equals_rebuilt<P>(
+    ctx: &MpcContext,
+    inc: &IncrementalSolver<P>,
+    prepared: &PreparedTree,
+    what: &str,
+) where
+    P: ClusterDp,
+    P::Summary: PartialEq,
+    P::Label: PartialEq,
+{
+    inc.audit_indexes(prepared)
+        .unwrap_or_else(|e| panic!("{what}: {e}"));
+    let plain: Vec<DirectedEdge> = prepared.edges.iter().map(|(e, _)| *e).collect();
+    assert_eq!(
+        prepared.clustering.validate(&plain),
+        Vec::new(),
+        "{what}: repaired clustering"
+    );
+    if prepared.has_plan() {
+        // Plan builds charge rounds: keep them off the solver's context.
+        let mut scratch = MpcContext::new(*ctx.config());
+        assert_eq!(
+            prepared.plan(&mut scratch).routing_by_id(),
+            prepared.plan_uncached(&mut scratch).routing_by_id(),
+            "{what}: spliced plan vs a fresh plan of the repaired tree"
+        );
+    }
+}
+
 /// Deterministic mixer shared by the op and weight-batch generators.
 fn mix(seed: u64, step: u64, i: u64) -> u64 {
     seed.wrapping_mul(6364136223846793005)
@@ -231,9 +297,7 @@ fn node_problem_structural_batches_match_fresh_prepare() {
         model.cut(10);
         model.link(3, 900, 7, 1);
         model.link(900, 901, 2, 1);
-        let stats = inc
-            .apply_structural(&mut ctx, &mut prepared, &batch)
-            .expect("valid batch");
+        let stats = apply_checked(&mut ctx, &mut inc, &mut prepared, &batch, "batch 1");
         assert!(stats.rounds > 0);
         assert_node_equiv(&mut ctx, &inc, &model, problem, "after batch 1");
 
@@ -241,14 +305,14 @@ fn node_problem_structural_batches_match_fresh_prepare() {
         let batch = StructuralBatch::new().cut(900).link(1, 902, 11, ());
         model.cut(900);
         model.link(1, 902, 11, 1);
-        inc.apply_structural(&mut ctx, &mut prepared, &batch)
-            .expect("valid batch");
+        apply_checked(&mut ctx, &mut inc, &mut prepared, &batch, "batch 2");
         assert_node_equiv(&mut ctx, &inc, &model, problem, "after batch 2");
 
         // A weight update after the repairs lands on the spliced store.
         inc.update_node_inputs(&mut ctx, &[(902, 50), (1, 0)]);
         model.weights.insert(902, 50);
         model.weights.insert(1, 0);
+        assert_patched_equals_rebuilt(&ctx, &inc, &prepared, "after weight update");
         assert_node_equiv(&mut ctx, &inc, &model, problem, "after weight update");
     }
     run(MaxWeightIndependentSet);
@@ -308,8 +372,7 @@ fn matching_structural_batches_match_fresh_prepare() {
     model.cut(7);
     model.link(2, 800, 0, 1i64 << 40);
     model.link(800, 801, 0, 1i64 << 41);
-    inc.apply_structural(&mut ctx, &mut prepared, &batch)
-        .expect("valid batch");
+    apply_checked(&mut ctx, &mut inc, &mut prepared, &batch, "matching batch");
 
     let fresh = prepare(
         &mut ctx,
@@ -396,10 +459,12 @@ fn degrading_batch_matches_fresh_prepare() {
             .link(5, 701, 31, ());
     model.link(5, 700, 30, 1);
     model.link(5, 701, 31, 1);
-    let stats = inc
-        .apply_structural(&mut ctx, &mut prepared, &batch)
-        .expect("valid batch");
+    let stats = apply_checked(&mut ctx, &mut inc, &mut prepared, &batch, "degrading batch");
     assert!(stats.degraded, "this batch must take the degrade path");
+    assert!(
+        inc.repair_index().is_none(),
+        "a degrade replaces the clustering, so its repair index goes too"
+    );
     assert_node_equiv(
         &mut ctx,
         &inc,
@@ -461,9 +526,7 @@ fn structural_batch_rounds_beat_full_reprepare() {
             .link(50 + 100 * i, 100_000 + i, 5, ());
     }
     assert_eq!(batch.len(), 16);
-    let stats = inc
-        .apply_structural(&mut ctx, &mut prepared, &batch)
-        .expect("valid batch");
+    let stats = apply_checked(&mut ctx, &mut inc, &mut prepared, &batch, "16-op batch");
     assert!(
         !stats.degraded,
         "a 16-op batch on path-4096 repairs locally"
@@ -512,8 +575,7 @@ fn structural_repair_stays_strict_compliant() {
             .cut(40)
             .link(2, 600, 9, ())
             .link(600, 601, 4, ());
-    inc.apply_structural(&mut ctx, &mut prepared, &batch)
-        .expect("valid batch");
+    apply_checked(&mut ctx, &mut inc, &mut prepared, &batch, "strict batch");
     ctx.check_compliance()
         .unwrap_or_else(|v| panic!("structural repair strict violation: {v}"));
 }
@@ -579,8 +641,13 @@ fn check_interleaved(tree: &Tree, seed: u64) -> Result<(), String> {
 
         // Then a structural batch (local repair or degrade, whatever it triggers).
         let batch = gen_batch(&mut model, seed, step, &mut next_id);
-        inc.apply_structural(&mut ctx, &mut prepared, &batch)
-            .map_err(|e| format!("step {step}: generated batch rejected: {e}"))?;
+        apply_checked(
+            &mut ctx,
+            &mut inc,
+            &mut prepared,
+            &batch,
+            &format!("step {step}"),
+        );
 
         let (fresh_labels, fresh_root_label, fresh_best) =
             fresh_node_solve(&mut ctx, &model, MaxWeightIndependentSet);
@@ -608,6 +675,125 @@ proptest! {
         seed in 0u64..500,
     ) {
         prop_assert_eq!(check_interleaved(&tree, seed), Ok(()));
+    }
+}
+
+/// Out-of-line body of the long-sequence proptest: `steps` batches alternating weight
+/// updates and link/cut batches over one tree in one execution mode, with the
+/// "patched == rebuilt" gate after every batch, the labels checked against a fresh
+/// prepare + solve every fourth step, and two detours on the way — a snapshot →
+/// restore of tree, plan and store (the restored solver starts without a repair index
+/// and rebuilds it on its next structural batch) and a batch that overflows a degree
+/// bound (the degrade drops the index; the next batch rebuilds it over the re-prepared
+/// clustering).
+fn check_long_sequence(tree: &Tree, seed: u64, parallel: bool, steps: u64) {
+    let n = tree.len();
+    let mut ctx = MpcContext::new(cfg_for(4 * n).with_parallel(parallel));
+    let mut prepared = prepare(
+        &mut ctx,
+        TreeInput::ListOfEdges(ListOfEdges::from_tree(tree)),
+        Some(4),
+    )
+    .expect("well-formed tree");
+    let mut model = Model::from_tree(tree, seed);
+    let inputs = ctx.from_vec(
+        model
+            .weights
+            .iter()
+            .map(|(&v, &w)| (v, w))
+            .collect::<Vec<_>>(),
+    );
+    let no_edges = ctx.from_vec(Vec::<(u64, ())>::new());
+    let mut inc = IncrementalSolver::new(
+        &mut ctx,
+        &prepared,
+        MaxIs::new(MaxWeightIndependentSet),
+        &inputs,
+        0,
+        &no_edges,
+    );
+    assert!(inc.repair_index().is_none(), "the index is built lazily");
+    let mut next_id = 50_000 + seed * 1000;
+
+    for step in 0..steps {
+        let what = format!("seed {seed}, parallel {parallel}, step {step}");
+        if step % 2 == 0 {
+            let live = model.live_nodes();
+            let updates: Vec<(u64, i64)> = (0..1 + step % 5)
+                .map(|i| {
+                    let m = mix(seed, step, 1000 + i);
+                    (live[m as usize % live.len()], ((m >> 32) % 31) as i64)
+                })
+                .collect();
+            for &(v, w) in &updates {
+                model.weights.insert(v, w);
+            }
+            inc.update_node_inputs(&mut ctx, &updates);
+            assert_patched_equals_rebuilt(&ctx, &inc, &prepared, &what);
+        } else if step == steps / 2 + 1 {
+            // Pile leaves below one node until its degree bound (threshold 4) breaks.
+            let hub = model.live_nodes()[0];
+            let mut batch = StructuralBatch::new();
+            for _ in 0..5 {
+                model.link(hub, next_id, 3, 1);
+                batch = batch.link(hub, next_id, 3, ());
+                next_id += 1;
+            }
+            let stats = apply_checked(&mut ctx, &mut inc, &mut prepared, &batch, &what);
+            assert!(stats.degraded, "{what}: five leaves below one node degrade");
+            assert!(
+                inc.repair_index().is_none(),
+                "{what}: degrade drops the index"
+            );
+        } else {
+            let batch = gen_batch(&mut model, seed, step, &mut next_id);
+            let stats = apply_checked(&mut ctx, &mut inc, &mut prepared, &batch, &what);
+            assert_eq!(
+                inc.repair_index().is_some(),
+                !stats.degraded,
+                "{what}: a repaired batch leaves the index built"
+            );
+        }
+
+        if step == steps / 4 {
+            // Snapshot → restore: derived indexes do not travel.
+            let restored_tree = PreparedTree::from_snapshot(&prepared.to_snapshot())
+                .expect("tree snapshot round-trips");
+            let store = SolverStore::from_snapshot(&inc.store().to_snapshot())
+                .expect("store snapshot round-trips");
+            inc = IncrementalSolver::restore(
+                MaxIs::new(MaxWeightIndependentSet),
+                store,
+                restored_tree.clustering.top_cluster,
+                restored_tree.clustering.root,
+                0,
+            );
+            prepared = restored_tree;
+            assert!(
+                inc.repair_index().is_none(),
+                "{what}: restored without index"
+            );
+            assert_patched_equals_rebuilt(&ctx, &inc, &prepared, &what);
+        }
+
+        if step % 4 == 3 || step + 1 == steps {
+            assert_node_equiv(&mut ctx, &inc, &model, MaxWeightIndependentSet, &what);
+        }
+    }
+}
+
+proptest! {
+    // 4 cases × 2 execution modes × 32 batches = 256 interleaved batches.
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    #[test]
+    fn long_interleaved_sequences_keep_patched_indexes_equal_to_rebuilt(
+        tree in arbitrary_tree(512),
+        seed in 0u64..500,
+    ) {
+        for parallel in [true, false] {
+            check_long_sequence(&tree, seed, parallel, 32);
+        }
     }
 }
 
