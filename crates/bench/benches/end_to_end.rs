@@ -1,8 +1,7 @@
-//! Criterion benchmarks B4: full pipeline (normalize → cluster → solve) vs the
-//! Bateni-style contraction baseline on low-diameter trees.
+//! Criterion benchmark B4: the full pipeline (normalize → cluster → solve) on a
+//! low-diameter tree.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mpc_tree_dp::baselines::bateni_max_is;
 use mpc_tree_dp::gen::shapes;
 use mpc_tree_dp::problems::MaxWeightIndependentSet;
 use mpc_tree_dp::{prepare, ListOfEdges, MpcConfig, MpcContext, StateEngine, TreeInput};
@@ -30,14 +29,6 @@ fn bench_end_to_end(c: &mut Criterion) {
                 );
                 let no_edges = ctx.from_vec(Vec::<(u64, ())>::new());
                 prepared.solve(&mut ctx, &engine, &inputs, 0, &no_edges)
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("bateni-baseline", n), &tree, |b, tree| {
-            let weights = vec![1i64; tree.len()];
-            b.iter(|| {
-                let mut ctx = MpcContext::new(MpcConfig::new(2 * tree.len(), 0.5));
-                let edges = ctx.from_vec(tree.edges());
-                bateni_max_is(&mut ctx, &edges, tree.root() as u64, &weights, 1)
             });
         });
     }

@@ -3,7 +3,6 @@
 //!
 //! Run with `cargo run --release -p mpc-tree-dp-bench --bin experiments [-- <exp-id>]`.
 
-use mpc_tree_dp::baselines::bateni_max_is;
 use mpc_tree_dp::gen::{labels, shapes, suite::standard_suite};
 use mpc_tree_dp::problems::*;
 use mpc_tree_dp::repr::Tree;
@@ -127,31 +126,6 @@ fn exp_rounds_vs_n() {
         let tree = shapes::with_diameter(n, 16, 5);
         let (_, prep, total, layers) = solve_is(&tree, 0.5);
         println!("{:>8} {:>16} {:>14} {:>8}", n, prep, total, layers);
-    }
-}
-
-fn exp_vs_bateni() {
-    println!("\n== E3: this work vs Bateni-style contraction baseline (low-diameter trees) ==");
-    println!(
-        "{:>8} {:>6} {:>18} {:>22}",
-        "n", "D", "this work (rounds)", "baseline (rounds, iters)"
-    );
-    for n in [1usize << 10, 1 << 12, 1 << 14] {
-        let tree = shapes::with_diameter(n, 12, 9);
-        let (ours_val, _, ours_rounds, _) = solve_is(&tree, 0.5);
-        let weights = vec![1i64; tree.len()];
-        let mut ctx = MpcContext::new(MpcConfig::new(2 * tree.len(), 0.5));
-        let edges = ctx.from_vec(tree.edges());
-        let base = bateni_max_is(&mut ctx, &edges, tree.root() as u64, &weights, 1);
-        assert_eq!(base.optimum, ours_val, "baseline and framework disagree");
-        println!(
-            "{:>8} {:>6} {:>18} {:>15}, {:>5}",
-            n,
-            tree.diameter(),
-            ours_rounds,
-            base.rounds,
-            base.iterations
-        );
     }
 }
 
@@ -281,6 +255,12 @@ fn exp_reuse() {
             .collect::<Vec<_>>(),
     );
     let no_edges = ctx.from_vec(Vec::<(u64, ())>::new());
+    let before = ctx.metrics().rounds;
+    let _ = prepared.plan(&mut ctx);
+    println!(
+        "plan build (once per tree)   : {} rounds",
+        ctx.metrics().rounds - before
+    );
     for name in ["max-is", "min-vc", "min-ds", "subtree-sum"] {
         let before = ctx.metrics().rounds;
         match name {
@@ -365,17 +345,16 @@ fn exp_degree_reduction() {
 }
 
 fn exp_ablation() {
-    println!("\n== E12: CountSubtreeSizes — capped doubling (O(log D)) vs rake-and-compress (O(height)) ==");
+    println!("\n== E12: CountSubtreeSizes by capped doubling — O(log D) rounds ==");
     println!(
-        "{:<20} {:>16} {:>22}",
-        "tree", "doubling rounds", "rake-compress rounds"
+        "{:<20} {:>20} {:>18}",
+        "tree", "cluster-sizes rounds", "clustering rounds"
     );
     for (name, tree) in [
         ("path-2048", shapes::path(2048)),
         ("balanced-binary-2047", shapes::balanced_kary(2047, 2)),
         ("star-2048", shapes::star(2048)),
     ] {
-        // Doubling (inside the full clustering) — measure the clustering phase.
         let mut ctx = MpcContext::new(MpcConfig::new(2 * tree.len(), 0.5));
         let _ = prepare(
             &mut ctx,
@@ -383,21 +362,11 @@ fn exp_ablation() {
             None,
         )
         .unwrap();
-        let doubling = ctx.metrics().phase_rounds("clustering");
-        // Rake-and-compress subtree sizes.
-        let mut ctx2 = MpcContext::new(MpcConfig::new(2 * tree.len(), 0.5));
-        let edges = ctx2.from_vec(tree.edges());
-        let _ = mpc_tree_dp::baselines::rake_compress_subtree_sizes(
-            &mut ctx2,
-            &edges,
-            tree.root() as u64,
-            tree.len(),
-        );
         println!(
-            "{:<20} {:>16} {:>22}",
+            "{:<20} {:>20} {:>18}",
             name,
-            doubling,
-            ctx2.metrics().rounds
+            ctx.metrics().phase_rounds("cluster-sizes"),
+            ctx.metrics().phase_rounds("clustering")
         );
     }
 }
@@ -976,8 +945,8 @@ fn check_rounds_against_baseline(path: &str, measured: &[(String, [u64; 11])]) -
 /// prepare pipeline: normalize, degree-reduction, clustering, and the
 /// clustering sub-phases) and solve MaxIS and MinVC, recording MPC rounds and
 /// wall-clock time; run the `multi` section (batched {MaxIS, MinVC, MinDS,
-/// matching} over one shared `SolvePlan` vs. four independent fresh solves,
-/// asserting identical optima and problem-independent evaluation rounds);
+/// matching} over one shared `SolvePlan` vs. four cold solves that each build
+/// their own plan, asserting problem-independent evaluation rounds);
 /// compare incremental vs. full re-solves for update batches of size 1/16/256
 /// (aggregated over the suite; only at `n ≤ 2048` to keep large tiers
 /// tractable); and compare parallel vs. sequential machine-local execution on
@@ -992,8 +961,8 @@ fn check_rounds_against_baseline(path: &str, measured: &[(String, [u64; 11])]) -
 /// assertions at 256× slack (violations panic at the offending call), making
 /// the top-level `violations.total` zero by construction. `--check-rounds` exits
 /// non-zero if any suite entry's charged rounds exceed the committed baseline
-/// — the CI rounds-regression guard, covering prepare, both fresh solves, the
-/// plan build/eval charges, the serving layer's plan-rebuild (cache-miss)
+/// — the CI rounds-regression guard, covering prepare, the MaxIS and MinVC
+/// solves, the plan build/eval charges, the serving layer's plan-rebuild (cache-miss)
 /// charge, the clustering sub-phases (clustering / cluster-sizes /
 /// cluster-paths) the fused subroutines re-priced, and the two structural
 /// columns (`struct_single` / `struct_batch`: a one-leaf and a 16-leaf
@@ -1006,7 +975,10 @@ fn check_rounds_against_baseline(path: &str, measured: &[(String, [u64; 11])]) -
 /// machine-checkable. Schema v9 adds the top-level `structural` section
 /// (batched link/cut repair vs. full re-prepare on `path-n`, with the ≤10%
 /// acceptance bar recorded as `meets_bar`) and the two structural guard
-/// columns above. The `server` section sweeps a multi-tenant `TreeDpServer`
+/// columns above. Schema v10 keeps every key; each suite entry's `max_is` /
+/// `min_vc` rounds are now evaluation passes over the plan (there is no other
+/// solve path), and `multi.independent_rounds` is four plan builds plus four
+/// evaluations. The `server` section sweeps a multi-tenant `TreeDpServer`
 /// across plan-cache budgets and records hit rate, evictions, the per-miss
 /// rebuild rounds, and p50/p99 wall time per request.
 fn exp_bench_json(seed: u64, n: usize, parallel: bool, strict: bool, check_rounds: Option<&str>) {
@@ -1109,8 +1081,6 @@ fn exp_bench_json(seed: u64, n: usize, parallel: bool, strict: bool, check_round
         );
         let no_edges = ctx.from_vec(Vec::<(u64, ())>::new());
 
-        // The plan is built up front (its rounds are deterministic and independent
-        // of the solves around it) so one closure can serve both paths below.
         let before = ctx.metrics().rounds;
         let t_plan = std::time::Instant::now();
         let _ = prepared.plan(&mut ctx);
@@ -1126,19 +1096,14 @@ fn exp_bench_json(seed: u64, n: usize, parallel: bool, strict: bool, check_round
         let rebuild_ms = t_rebuild.elapsed().as_secs_f64() * 1e3;
         let rebuild_rounds = ctx.metrics().rounds - before;
 
-        // `planned` routes the solve through the shared `SolvePlan` (the cheap
-        // evaluation pass); otherwise the fresh per-problem solver runs.
-        let mut solve = |problem: &str, planned: bool| -> (i64, u64, f64) {
+        // Every solve is one evaluation pass over the plan built above.
+        let mut solve = |problem: &str| -> (i64, u64, f64) {
             let before = ctx.metrics().rounds;
             let t = std::time::Instant::now();
             macro_rules! run {
                 ($engine:expr, $inputs:expr, $aux:expr, $edges:expr) => {{
                     let p = $engine;
-                    let sol = if planned {
-                        prepared.solve_planned(&mut ctx, &p, $inputs, $aux, $edges)
-                    } else {
-                        prepared.solve(&mut ctx, &p, $inputs, $aux, $edges)
-                    };
+                    let sol = prepared.solve(&mut ctx, &p, $inputs, $aux, $edges);
                     sol.root_summary.best(p.problem()).unwrap()
                 }};
             }
@@ -1170,34 +1135,23 @@ fn exp_bench_json(seed: u64, n: usize, parallel: bool, strict: bool, check_round
                 t.elapsed().as_secs_f64() * 1e3,
             )
         };
-        let (is_value, is_rounds, is_ms) = solve("max_is", false);
-        let (vc_value, vc_rounds, vc_ms) = solve("min_vc", false);
-
-        // ---- the `multi` section: four independent solves vs. one shared plan ------
-        let (ds_value, ds_rounds, _ds_ms) = solve("min_ds", false);
-        let (mm_value, mm_rounds, _mm_ms) = solve("matching", false);
-        let independent_rounds = is_rounds + vc_rounds + ds_rounds + mm_rounds;
-        let (p_is_value, p_is_rounds, p_is_ms) = solve("max_is", true);
-        let (p_vc_value, p_vc_rounds, p_vc_ms) = solve("min_vc", true);
-        let (p_ds_value, p_ds_rounds, p_ds_ms) = solve("min_ds", true);
-        let (p_mm_value, p_mm_rounds, p_mm_ms) = solve("matching", true);
-        // Correctness backstop for the benchmark itself: the plan path must agree
-        // with the fresh solves, and the evaluation charge is problem-independent —
-        // the batch total is exactly assembly + one evaluation per problem.
+        // ---- the `multi` section: four cold solves (each building its own plan) vs.
+        // one shared plan ------------------------------------------------------------
+        let (is_value, is_rounds, is_ms) = solve("max_is");
+        let (vc_value, vc_rounds, vc_ms) = solve("min_vc");
+        let (ds_value, ds_rounds, ds_ms) = solve("min_ds");
+        let (mm_value, mm_rounds, mm_ms) = solve("matching");
+        let independent_rounds = 4 * rebuild_rounds + is_rounds + vc_rounds + ds_rounds + mm_rounds;
+        // The evaluation charge is problem-independent — the batch total is exactly
+        // assembly + one evaluation per problem.
         assert_eq!(
-            (is_value, vc_value, ds_value, mm_value),
-            (p_is_value, p_vc_value, p_ds_value, p_mm_value),
-            "plan and fresh solves disagree on {}",
-            entry.name
-        );
-        assert_eq!(
-            (p_is_rounds, p_is_rounds, p_is_rounds),
-            (p_vc_rounds, p_ds_rounds, p_mm_rounds),
+            (is_rounds, is_rounds, is_rounds),
+            (vc_rounds, ds_rounds, mm_rounds),
             "plan evaluation rounds are not problem-independent on {}",
             entry.name
         );
-        let batched_rounds = plan_rounds + p_is_rounds + p_vc_rounds + p_ds_rounds + p_mm_rounds;
-        let batched_ms = plan_ms + p_is_ms + p_vc_ms + p_ds_ms + p_mm_ms;
+        let batched_rounds = plan_rounds + is_rounds + vc_rounds + ds_rounds + mm_rounds;
+        let batched_ms = plan_ms + is_ms + vc_ms + ds_ms + mm_ms;
 
         // ---- the two structural guard columns: link/cut repair on the live plan ----
         // An incremental solver seeded from the current weights absorbs a single
@@ -1244,7 +1198,7 @@ fn exp_bench_json(seed: u64, n: usize, parallel: bool, strict: bool, check_round
                 is_rounds,
                 vc_rounds,
                 plan_rounds,
-                p_is_rounds,
+                is_rounds,
                 rebuild_rounds,
                 ctx.metrics().phase_rounds("clustering"),
                 ctx.metrics().phase_rounds("cluster-sizes"),
@@ -1273,18 +1227,18 @@ fn exp_bench_json(seed: u64, n: usize, parallel: bool, strict: bool, check_round
             plan_ms,
             rebuild_rounds,
             rebuild_ms,
-            p_is_value,
-            p_is_rounds,
-            p_is_ms,
-            p_vc_value,
-            p_vc_rounds,
-            p_vc_ms,
-            p_ds_value,
-            p_ds_rounds,
-            p_ds_ms,
-            p_mm_value,
-            p_mm_rounds,
-            p_mm_ms,
+            is_value,
+            is_rounds,
+            is_ms,
+            vc_value,
+            vc_rounds,
+            vc_ms,
+            ds_value,
+            ds_rounds,
+            ds_ms,
+            mm_value,
+            mm_rounds,
+            mm_ms,
             batched_rounds,
             independent_rounds,
             batched_rounds as f64 / independent_rounds.max(1) as f64,
@@ -1425,7 +1379,7 @@ fn exp_bench_json(seed: u64, n: usize, parallel: bool, strict: bool, check_round
     println!(
         concat!(
             "{{\n",
-            "  \"schema\": \"mpc-tree-dp-bench/v9\",\n",
+            "  \"schema\": \"mpc-tree-dp-bench/v10\",\n",
             "  \"suite\": \"standard\",\n",
             "  \"n\": {},\n",
             "  \"delta\": 0.5,\n",
@@ -1511,9 +1465,6 @@ fn main() {
     if run("e2") {
         exp_rounds_vs_diameter();
         exp_rounds_vs_n();
-    }
-    if run("e3") {
-        exp_vs_bateni();
     }
     if run("e4") {
         exp_layers();

@@ -602,56 +602,4 @@ mod tests {
             "shallow {rounds_shallow} vs deep {rounds_deep}"
         );
     }
-
-    #[test]
-    fn fused_and_legacy_subroutines_build_identical_clusterings() {
-        // The convergence-skip flag changes only the metrics, never the clustering.
-        for (tree, threshold) in [
-            (shapes::path(300), Some(6)),
-            (shapes::balanced_kary(255, 2), None),
-            (shapes::caterpillar(70, 3), Some(5)),
-            (shapes::spider(4, 60), Some(8)),
-            (shapes::random_recursive(250, 7), Some(9)),
-        ] {
-            let n = tree.len().max(16);
-            let mut fused_ctx = MpcContext::new(MpcConfig::new(n, 0.5));
-            let edges = fused_ctx.from_vec(tree.edges());
-            let fused = build_clustering(
-                &mut fused_ctx,
-                &edges,
-                tree.root() as u64,
-                tree.len(),
-                threshold,
-            )
-            .expect("fused clustering succeeds");
-
-            let mut legacy_ctx =
-                MpcContext::new(MpcConfig::new(n, 0.5).with_convergence_skip(false));
-            let edges = legacy_ctx.from_vec(tree.edges());
-            let legacy = build_clustering(
-                &mut legacy_ctx,
-                &edges,
-                tree.root() as u64,
-                tree.len(),
-                threshold,
-            )
-            .expect("legacy clustering succeeds");
-
-            assert_eq!(
-                fused.elements.clone().into_vec(),
-                legacy.elements.clone().into_vec(),
-                "{}-node tree",
-                tree.len()
-            );
-            assert_eq!(fused.num_layers, legacy.num_layers);
-            assert_eq!(fused.top_cluster, legacy.top_cluster);
-            assert!(
-                fused_ctx.metrics().rounds <= legacy_ctx.metrics().rounds,
-                "fused {} vs legacy {} rounds on a {}-node tree",
-                fused_ctx.metrics().rounds,
-                legacy_ctx.metrics().rounds,
-                tree.len()
-            );
-        }
-    }
 }

@@ -19,15 +19,14 @@
 //!
 //! ## Fused convergence-aware execution
 //!
-//! Both subroutines run on [`MpcContext::converge`] by default: the state table is
+//! Both subroutines run on [`MpcContext::converge`]: the state table is
 //! indexed once, each doubling step is one fused emit/probe/update exchange (priced as
 //! a join on the first step and a lookup afterwards), converged elements stop emitting
 //! requests — so machines whose records have all settled drop out of later exchanges —
 //! and the final "nothing left to ask" step costs no rounds at all. Both directions of
 //! the path pointer-doubling advance in the *same* exchange instead of two sequential
-//! jump loops. [`MpcConfig::convergence_skip`](mpc_engine::MpcConfig::convergence_skip)
-//! `= false` selects the legacy step-by-step loops (kept for equivalence testing); the
-//! two paths produce bit-identical outputs and the fused path never uses more rounds.
+//! jump loops. The step-by-step loops this replaced live on in this module's tests as
+//! reference implementations: bit-identical outputs, never fewer rounds.
 
 use crate::element::ElementId;
 use mpc_engine::{DistVec, MpcContext, Words};
@@ -62,8 +61,7 @@ struct SizeState {
     /// next step has to fetch (every element of the next ball has an ancestor in the
     /// frontier band). Simulator bookkeeping derived from two consecutive sets, kept
     /// beside the state so the fused loop can emit from it; it never travels as state
-    /// payload, hence excluded from `words()` (matching the legacy loop's convention
-    /// of external frontier storage).
+    /// payload, hence excluded from `words()`.
     frontier: Vec<ElementId>,
 }
 
@@ -121,8 +119,8 @@ fn seed_size_states(
 
 /// One node's share of a doubling step: union the fetched balls (as `(heavy, set)`
 /// views) into its own, re-check the cap, and derive the next frontier
-/// (`union \ old set`, both sorted). Shared verbatim by the fused and the legacy loop
-/// so the two stay bit-identical.
+/// (`union \ old set`, both sorted). Shared verbatim with the reference loop in the
+/// tests so the two stay bit-identical.
 ///
 /// This is the dominant machine-local work of `cluster-sizes`, so it exploits the
 /// sortedness invariants instead of re-sorting: a heavy answer decides the state
@@ -238,35 +236,16 @@ fn union_step<'a>(
 ///
 /// `children` must list, for every participating node, its children *within the
 /// participating node set* (nodes absent from the map are treated as leaves).
-/// Runs `O(log h)` doubling iterations where `h` is the forest height; on the default
-/// fused path the whole loop costs `join + (steps − 1) · lookup` rounds, with machines
-/// whose nodes have all stabilized dropping out of the exchanges.
+/// Runs `O(log h)` doubling iterations where `h` is the forest height, as one
+/// [`MpcContext::converge`] call: each step fetches the balls of the frontier band and
+/// unions them in place, the whole loop costs `join + (steps − 1) · lookup` rounds,
+/// and stable nodes emit nothing, so fully-stable machines leave the exchange entirely.
 // mpc-cost: rounds(log)
 pub fn count_subtree_sizes(
     ctx: &mut MpcContext,
     adjacency: DistVec<(ElementId, Vec<ElementId>)>,
     cap: usize,
 ) -> DistVec<SubtreeInfo> {
-    let states = if ctx.config().convergence_skip {
-        count_subtree_sizes_fused(ctx, adjacency, cap)
-    } else {
-        count_subtree_sizes_legacy(ctx, adjacency, cap)
-    };
-    states.map_local(|s| SubtreeInfo {
-        id: s.id,
-        heavy: s.heavy,
-        descendants: if s.heavy { Vec::new() } else { s.set.clone() },
-    })
-}
-
-/// Fused path: the whole doubling loop is one [`MpcContext::converge`] call. Each step
-/// fetches the balls of the frontier band and unions them in place; stable nodes emit
-/// nothing, so fully-stable machines leave the exchange entirely.
-fn count_subtree_sizes_fused(
-    ctx: &mut MpcContext,
-    adjacency: DistVec<(ElementId, Vec<ElementId>)>,
-    cap: usize,
-) -> DistVec<SizeState> {
     let mut states = seed_size_states(adjacency, cap);
     ctx.check_memory(&states, "count_subtree_sizes/seed");
     ctx.converge(
@@ -292,87 +271,16 @@ fn count_subtree_sizes_fused(
         },
         "count_subtree_sizes",
     );
-    states
+    subtree_infos(states)
 }
 
-/// Legacy loop (selected by `convergence_skip = false`): one full `join_lookup` plus a
-/// termination broadcast per doubling step, frontiers stored beside the states.
-fn count_subtree_sizes_legacy(
-    ctx: &mut MpcContext,
-    adjacency: DistVec<(ElementId, Vec<ElementId>)>,
-    cap: usize,
-) -> DistVec<SizeState> {
-    let mut states = seed_size_states(adjacency, cap);
-    ctx.check_memory(&states, "count_subtree_sizes/seed");
-
-    loop {
-        // One doubling step: fetch the set of every frontier descendant and union it
-        // into the ball. A node's requests are emitted contiguously on its own
-        // machine, and the join returns its answers in request order on that same
-        // machine — so the per-node union is machine-local: no `gather_groups`
-        // detour and no second join to merge the unions back (both used to move
-        // every answer across the network again).
-        // mpc-lint: allow(metered-exchange) — requests are emitted on the machine owning the state; chunk i stays put
-        let requests: DistVec<(ElementId, ElementId)> = DistVec::from_chunks(
-            states
-                .chunks()
-                .iter()
-                .map(|chunk| {
-                    chunk
-                        .iter()
-                        .filter(|s| !s.stable)
-                        .flat_map(|s| s.frontier.iter().map(|&d| (s.id, d)))
-                        .collect()
-                })
-                .collect(),
-        );
-        if requests.is_empty() {
-            break;
-        }
-        let answered = ctx.join_lookup(requests, |r| r.1, &states, |s| s.id);
-        // Walk states and answers chunk by chunk in lockstep: the answers of one
-        // non-stable state are exactly the next `frontier.len()` records of its chunk.
-        let mut changed = 0u64;
-        for (state_chunk, answer_chunk) in states
-            // mpc-lint: allow(metered-exchange) — in-place union over each machine's own records
-            .chunks_mut()
-            .iter_mut()
-            // mpc-lint: allow(metered-exchange) — join answers are consumed on the machine that issued the requests
-            .zip(answered.into_chunks())
-        {
-            let mut answers = answer_chunk.into_iter();
-            for state in state_chunk.iter_mut() {
-                if state.stable {
-                    continue;
-                }
-                let fetched: Vec<Option<SizeState>> = (0..state.frontier.len())
-                    .map(|_| {
-                        let ((owner, _), found) = answers.next().expect("answer per request");
-                        debug_assert_eq!(owner, state.id, "answers aligned with requests");
-                        found
-                    })
-                    .collect();
-                let before = (state.set.len(), state.heavy);
-                union_step(
-                    state,
-                    fetched
-                        .iter()
-                        .map(|o| o.as_ref().map(|c| (c.heavy, c.set.as_slice()))),
-                    cap,
-                );
-                if (state.set.len(), state.heavy) != before {
-                    changed += 1;
-                }
-            }
-            debug_assert!(answers.next().is_none(), "all answers consumed");
-        }
-        ctx.check_memory(&states, "count_subtree_sizes/step");
-        let total_changed = ctx.broadcast(changed);
-        if total_changed == 0 {
-            break;
-        }
-    }
-    states
+/// The output records of the final doubling states.
+fn subtree_infos(states: DistVec<SizeState>) -> DistVec<SubtreeInfo> {
+    states.map_local(|s| SubtreeInfo {
+        id: s.id,
+        heavy: s.heavy,
+        descendants: if s.heavy { Vec::new() } else { s.set.clone() },
+    })
 }
 
 /// Input record for [`path_distances`]: one node of a degree-2 path, with its neighbor
@@ -430,20 +338,6 @@ impl Words for PathPosition {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct JumpState {
-    id: ElementId,
-    ptr: Option<ElementId>,
-    dist: u64,
-    anchor: ElementId,
-}
-
-impl Words for JumpState {
-    fn words(&self) -> usize {
-        5
-    }
-}
-
 /// Fused per-node state: both pointer-doubling directions advance in the same
 /// exchange. A direction is done when its pointer is `None`; a node with both
 /// directions done emits nothing, and a machine whose nodes are all done drops out.
@@ -496,7 +390,7 @@ fn seed_path_state(n: &PathNode) -> PathState {
 
 /// Merge one probed answer into one direction of a state: follow the target's pointer,
 /// accumulate its distance, adopt its anchor. A miss leaves the direction untouched
-/// (mirroring the legacy jump loop; by the path invariant every live pointer resolves).
+/// (by the path invariant every live pointer resolves).
 fn merge_jump(
     ptr: &mut Option<ElementId>,
     dist: &mut u64,
@@ -510,56 +404,16 @@ fn merge_jump(
     }
 }
 
-/// Pointer-doubling along one direction of the path: every node ends up knowing the
-/// first non-path node in that direction and its distance to it.
-fn jump(ctx: &mut MpcContext, init: Vec<JumpState>) -> Vec<(ElementId, ElementId, u64)> {
-    let mut states: DistVec<JumpState> = ctx.from_vec(init);
-    loop {
-        let pending = ctx.all_reduce(
-            &states,
-            0u64,
-            |acc, s| acc + u64::from(s.ptr.is_some()),
-            |a, b| a + b,
-        );
-        if pending == 0 {
-            break;
-        }
-        let snapshot = states.clone();
-        let joined = ctx.join_lookup(states, |s| s.ptr.unwrap_or(u64::MAX), &snapshot, |s| s.id);
-        states = joined.map_local(|(s, found)| match (s.ptr, found) {
-            (Some(_), Some(t)) => JumpState {
-                id: s.id,
-                ptr: t.ptr,
-                dist: s.dist + t.dist,
-                anchor: t.anchor,
-            },
-            _ => *s,
-        });
-        ctx.check_memory(&states, "path_distances/jump");
-    }
-    states.iter().map(|s| (s.id, s.anchor, s.dist)).collect()
-}
-
 /// Compute, for every degree-2 path node, its distance to both endpoints of its maximal
-/// path (the paper's `CountDistances`). `O(log D)` rounds; on the default fused path
-/// both directions double in the same exchange, so the loop costs
-/// `join + (steps − 1) · lookup` rounds instead of two sequential jump loops.
+/// path (the paper's `CountDistances`). `O(log D)` rounds: one
+/// [`MpcContext::converge`] call doubles both directions in the same exchange, so the
+/// loop costs `join + (steps − 1) · lookup` rounds. Probes observe pre-step states (the
+/// exchange probes before any update).
 // mpc-cost: rounds(log)
 pub fn path_distances(ctx: &mut MpcContext, nodes: DistVec<PathNode>) -> DistVec<PathPosition> {
     if nodes.is_empty() {
         return ctx.empty();
     }
-    if ctx.config().convergence_skip {
-        path_distances_fused(ctx, nodes)
-    } else {
-        path_distances_legacy(ctx, nodes)
-    }
-}
-
-/// Fused path: one [`MpcContext::converge`] call doubling both directions at once.
-/// Probes observe pre-step states (the exchange probes before any update), which is
-/// exactly the snapshot semantics of the legacy jump loop.
-fn path_distances_fused(ctx: &mut MpcContext, nodes: DistVec<PathNode>) -> DistVec<PathPosition> {
     let mut states: DistVec<PathState> = nodes.map_local(seed_path_state);
     ctx.converge(
         &mut states,
@@ -619,55 +473,6 @@ fn path_distances_fused(ctx: &mut MpcContext, nodes: DistVec<PathNode>) -> DistV
     })
 }
 
-/// Legacy path (selected by `convergence_skip = false`): two sequential jump loops,
-/// one per direction, each a full `all_reduce` + `join_lookup` per doubling step.
-fn path_distances_legacy(ctx: &mut MpcContext, nodes: DistVec<PathNode>) -> DistVec<PathPosition> {
-    let payload: Vec<PathNode> = nodes.iter().copied().collect();
-    let up_init: Vec<JumpState> = payload
-        .iter()
-        .map(|n| JumpState {
-            id: n.id,
-            ptr: if n.up_is_path { Some(n.up) } else { None },
-            dist: 1,
-            anchor: n.up,
-        })
-        .collect();
-    let down_init: Vec<JumpState> = payload
-        .iter()
-        .map(|n| JumpState {
-            id: n.id,
-            ptr: if n.down_is_path { Some(n.down) } else { None },
-            dist: 1,
-            anchor: n.down,
-        })
-        .collect();
-    let ups = jump(ctx, up_init);
-    let downs = jump(ctx, down_init);
-    // Both jump passes preserve the input record order (their states only ever act
-    // as join *requests*), so the two result lists are aligned with the input: the
-    // combination is a machine-local zip, not another join.
-    let positions: Vec<PathPosition> = ups
-        .into_iter()
-        .zip(downs)
-        .zip(payload)
-        .map(|((up, down), node)| {
-            debug_assert_eq!(up.0, down.0, "jump passes stay aligned");
-            debug_assert_eq!(up.0, node.id, "jump passes stay aligned with the input");
-            PathPosition {
-                id: up.0,
-                top_anchor: up.1,
-                dist_up: up.2,
-                bottom_anchor: down.1,
-                dist_down: down.2,
-                up: node.up,
-                out_edge: node.out_edge,
-                child_edge: node.child_edge,
-            }
-        })
-        .collect();
-    ctx.from_vec(positions)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -679,8 +484,176 @@ mod tests {
         MpcContext::new(MpcConfig::new(n.max(16), 0.5))
     }
 
-    fn ctx_legacy(n: usize) -> MpcContext {
-        MpcContext::new(MpcConfig::new(n.max(16), 0.5).with_convergence_skip(false))
+    /// Reference for [`count_subtree_sizes`], the loop it replaced: one full
+    /// `join_lookup` plus a termination broadcast per doubling step.
+    fn count_subtree_sizes_legacy(
+        ctx: &mut MpcContext,
+        adjacency: DistVec<(ElementId, Vec<ElementId>)>,
+        cap: usize,
+    ) -> DistVec<SubtreeInfo> {
+        let mut states = seed_size_states(adjacency, cap);
+        ctx.check_memory(&states, "count_subtree_sizes/seed");
+
+        loop {
+            // One doubling step: fetch the set of every frontier descendant and union it
+            // into the ball. A node's requests are emitted contiguously on its own
+            // machine, and the join returns its answers in request order on that same
+            // machine — so the per-node union is machine-local: no `gather_groups`
+            // detour and no second join to merge the unions back (both used to move
+            // every answer across the network again).
+            let requests: DistVec<(ElementId, ElementId)> = DistVec::from_chunks(
+                states
+                    .chunks()
+                    .iter()
+                    .map(|chunk| {
+                        chunk
+                            .iter()
+                            .filter(|s| !s.stable)
+                            .flat_map(|s| s.frontier.iter().map(|&d| (s.id, d)))
+                            .collect()
+                    })
+                    .collect(),
+            );
+            if requests.is_empty() {
+                break;
+            }
+            let answered = ctx.join_lookup(requests, |r| r.1, &states, |s| s.id);
+            // Walk states and answers chunk by chunk in lockstep: the answers of one
+            // non-stable state are exactly the next `frontier.len()` records of its chunk.
+            let mut changed = 0u64;
+            for (state_chunk, answer_chunk) in
+                states.chunks_mut().iter_mut().zip(answered.into_chunks())
+            {
+                let mut answers = answer_chunk.into_iter();
+                for state in state_chunk.iter_mut() {
+                    if state.stable {
+                        continue;
+                    }
+                    let fetched: Vec<Option<SizeState>> = (0..state.frontier.len())
+                        .map(|_| {
+                            let ((owner, _), found) = answers.next().expect("answer per request");
+                            debug_assert_eq!(owner, state.id, "answers aligned with requests");
+                            found
+                        })
+                        .collect();
+                    let before = (state.set.len(), state.heavy);
+                    union_step(
+                        state,
+                        fetched
+                            .iter()
+                            .map(|o| o.as_ref().map(|c| (c.heavy, c.set.as_slice()))),
+                        cap,
+                    );
+                    if (state.set.len(), state.heavy) != before {
+                        changed += 1;
+                    }
+                }
+                debug_assert!(answers.next().is_none(), "all answers consumed");
+            }
+            ctx.check_memory(&states, "count_subtree_sizes/step");
+            let total_changed = ctx.broadcast(changed);
+            if total_changed == 0 {
+                break;
+            }
+        }
+        subtree_infos(states)
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    struct JumpState {
+        id: ElementId,
+        ptr: Option<ElementId>,
+        dist: u64,
+        anchor: ElementId,
+    }
+
+    impl Words for JumpState {
+        fn words(&self) -> usize {
+            5
+        }
+    }
+
+    /// Pointer-doubling along one direction of the path: every node ends up knowing the
+    /// first non-path node in that direction and its distance to it.
+    fn jump(ctx: &mut MpcContext, init: Vec<JumpState>) -> Vec<(ElementId, ElementId, u64)> {
+        let mut states: DistVec<JumpState> = ctx.from_vec(init);
+        loop {
+            let pending = ctx.all_reduce(
+                &states,
+                0u64,
+                |acc, s| acc + u64::from(s.ptr.is_some()),
+                |a, b| a + b,
+            );
+            if pending == 0 {
+                break;
+            }
+            let snapshot = states.clone();
+            let joined =
+                ctx.join_lookup(states, |s| s.ptr.unwrap_or(u64::MAX), &snapshot, |s| s.id);
+            states = joined.map_local(|(s, found)| match (s.ptr, found) {
+                (Some(_), Some(t)) => JumpState {
+                    id: s.id,
+                    ptr: t.ptr,
+                    dist: s.dist + t.dist,
+                    anchor: t.anchor,
+                },
+                _ => *s,
+            });
+            ctx.check_memory(&states, "path_distances/jump");
+        }
+        states.iter().map(|s| (s.id, s.anchor, s.dist)).collect()
+    }
+
+    /// Reference for [`path_distances`], the loops it replaced: two sequential jump
+    /// loops, one per direction, each a full `all_reduce` + `join_lookup` per doubling step.
+    fn path_distances_legacy(
+        ctx: &mut MpcContext,
+        nodes: DistVec<PathNode>,
+    ) -> DistVec<PathPosition> {
+        let payload: Vec<PathNode> = nodes.iter().copied().collect();
+        let up_init: Vec<JumpState> = payload
+            .iter()
+            .map(|n| JumpState {
+                id: n.id,
+                ptr: if n.up_is_path { Some(n.up) } else { None },
+                dist: 1,
+                anchor: n.up,
+            })
+            .collect();
+        let down_init: Vec<JumpState> = payload
+            .iter()
+            .map(|n| JumpState {
+                id: n.id,
+                ptr: if n.down_is_path { Some(n.down) } else { None },
+                dist: 1,
+                anchor: n.down,
+            })
+            .collect();
+        let ups = jump(ctx, up_init);
+        let downs = jump(ctx, down_init);
+        // Both jump passes preserve the input record order (their states only ever act
+        // as join *requests*), so the two result lists are aligned with the input: the
+        // combination is a machine-local zip, not another join.
+        let positions: Vec<PathPosition> = ups
+            .into_iter()
+            .zip(downs)
+            .zip(payload)
+            .map(|((up, down), node)| {
+                debug_assert_eq!(up.0, down.0, "jump passes stay aligned");
+                debug_assert_eq!(up.0, node.id, "jump passes stay aligned with the input");
+                PathPosition {
+                    id: up.0,
+                    top_anchor: up.1,
+                    dist_up: up.2,
+                    bottom_anchor: down.1,
+                    dist_down: down.2,
+                    up: node.up,
+                    out_edge: node.out_edge,
+                    child_edge: node.child_edge,
+                }
+            })
+            .collect();
+        ctx.from_vec(positions)
     }
 
     fn adjacency_of(tree: &Tree) -> Vec<(ElementId, Vec<ElementId>)> {
@@ -772,24 +745,30 @@ mod tests {
         );
     }
 
+    /// The shapes the fused subroutines are held against their reference loops on.
+    fn reference_shapes() -> [Tree; 6] {
+        [
+            shapes::path(1500),
+            shapes::balanced_kary(1023, 2),
+            shapes::caterpillar(400, 2),
+            shapes::spider(6, 150),
+            shapes::random_recursive(1200, 2),
+            shapes::random_recursive(1200, 9),
+        ]
+    }
+
     #[test]
     fn subtree_sizes_fused_matches_legacy() {
-        // Identical outputs under both execution strategies, and the fused loop never
-        // pays more rounds than the legacy per-step join + broadcast.
-        for (tree, cap) in [
-            (shapes::path(100), 7),
-            (shapes::balanced_kary(63, 2), 5),
-            (shapes::caterpillar(40, 2), 6),
-            (shapes::spider(4, 20), 9),
-            (shapes::random_recursive(150, 3), 8),
-        ] {
-            let mut fused_ctx = ctx(256);
+        // Identical outputs, and the fused loop never pays more rounds than the
+        // per-step join + broadcast it replaced.
+        for (tree, cap) in reference_shapes().into_iter().zip([7, 5, 6, 9, 8, 39]) {
+            let mut fused_ctx = ctx(2 * tree.len());
             let adj = fused_ctx.from_vec(adjacency_of(&tree));
             let fused = count_subtree_sizes(&mut fused_ctx, adj, cap).into_vec();
 
-            let mut legacy_ctx = ctx_legacy(256);
+            let mut legacy_ctx = ctx(2 * tree.len());
             let adj = legacy_ctx.from_vec(adjacency_of(&tree));
-            let legacy = count_subtree_sizes(&mut legacy_ctx, adj, cap).into_vec();
+            let legacy = count_subtree_sizes_legacy(&mut legacy_ctx, adj, cap).into_vec();
 
             assert_eq!(fused, legacy, "{}-node tree, cap {cap}", tree.len());
             assert!(
@@ -797,6 +776,10 @@ mod tests {
                 "fused {} vs legacy {} rounds",
                 fused_ctx.metrics().rounds,
                 legacy_ctx.metrics().rounds
+            );
+            assert!(
+                legacy_ctx.metrics().convergence.is_empty(),
+                "the reference loop never calls the fused primitive"
             );
         }
     }
@@ -884,20 +867,15 @@ mod tests {
 
     #[test]
     fn path_distances_fused_matches_legacy() {
-        for tree in [
-            shapes::path(120),
-            shapes::spider(5, 17),
-            shapes::caterpillar(60, 1),
-            shapes::random_recursive(200, 11),
-        ] {
+        for tree in reference_shapes() {
             let path_nodes = path_nodes_of(&tree);
-            let mut fused_ctx = ctx(256);
+            let mut fused_ctx = ctx(2 * tree.len());
             let dv = fused_ctx.from_vec(path_nodes.clone());
             let fused = path_distances(&mut fused_ctx, dv).into_vec();
 
-            let mut legacy_ctx = ctx_legacy(256);
+            let mut legacy_ctx = ctx(2 * tree.len());
             let dv = legacy_ctx.from_vec(path_nodes);
-            let legacy = path_distances(&mut legacy_ctx, dv).into_vec();
+            let legacy = path_distances_legacy(&mut legacy_ctx, dv).into_vec();
 
             assert_eq!(fused, legacy, "{}-node tree", tree.len());
             assert!(

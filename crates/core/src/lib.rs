@@ -11,14 +11,13 @@
 //!   realizes Definition 1 for most of Table 1 (independent set, matching, dominating
 //!   set, vertex cover, colorings, max-SAT, ...), including the auxiliary-edge rules
 //!   for high-degree inputs (Section 5.3).
-//! * [`solve_dp`] — the MPC solver (Sections 5.1–5.2).
-//! * [`solve_sequential`] — the sequential oracle used for differential testing.
 //! * [`prepare`] / [`PreparedTree`] — the end-to-end three-step pipeline (Section 1.4),
 //!   with clustering reuse across problems.
-//! * [`SolvePlan`] — the shared solve-plan engine: the problem-independent view
+//! * [`SolvePlan`] — the MPC solver (Sections 5.1–5.2): the problem-independent view
 //!   assembly is built once per prepared tree ([`PreparedTree::plan`]) and any number
 //!   of DP problems are then evaluated over the cached skeletons, each charging only
 //!   its problem-dependent payload/summary/label exchanges.
+//! * [`solve_sequential`] — the sequential oracle used for differential testing.
 //!
 //! ## Example
 //!
@@ -61,19 +60,16 @@ pub mod plan;
 pub mod problem;
 mod sequential;
 pub mod snapshot;
-pub mod solver;
 mod state_dp;
 pub mod store;
 
-pub use pipeline::{prepare, prepare_and_solve, PipelineError, PreparedTree};
-pub use plan::{PlanMember, PlanRouting, PlanView, SolvePlan};
+pub use pipeline::{prepare, PipelineError, PreparedTree};
+pub use plan::{DpSolution, PlanMember, PlanRouting, PlanView, SolvePlan};
 pub use problem::{ClusterDp, ClusterView, Member, Payload};
 pub use sequential::{solve_sequential, SequentialSolution};
 pub use snapshot::{
     open, seal, snapshot_from_bytes, snapshot_to_bytes, Snapshot, SnapshotError, SnapshotReader,
     SnapshotWriter, KIND_PLAN, KIND_PREPARED_TREE, KIND_STORE, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
-pub use solver::{label_layer, solve_dp, solve_dp_with_store, sort_solve_tables, summarize_layer};
-pub use solver::{DpSolution, EdgeData, PayloadTable, SolveTables};
 pub use state_dp::{Score, StateDp, StateEngine, StateSummary};
 pub use store::SolverStore;

@@ -7,14 +7,13 @@
 //!    trees (Section 4.4) and build the hierarchical clustering (`O(log D)` rounds,
 //!    Section 4).
 //! 3. **Solve** any number of DP problems on the same clustering, each in `O(1)` rounds
-//!    (Section 5). The clustering is computed once per input topology and reused — this
-//!    is the headline structural message of the paper.
+//!    (Section 5), through the [`SolvePlan`] built once per prepared tree. The
+//!    clustering is computed once per input topology and reused — this is the headline
+//!    structural message of the paper.
 
-use crate::plan::{build_plan, SolvePlan};
+use crate::plan::{build_plan, DpSolution, SolvePlan};
 use crate::problem::ClusterDp;
-use crate::solver::{solve_dp, solve_dp_with_store, DpSolution, EdgeData};
-use crate::store::SolverStore;
-use mpc_engine::{DistVec, MpcContext, Words};
+use mpc_engine::{DistVec, MpcContext};
 use std::cell::OnceCell;
 use tree_clustering::{build_clustering, reduce_degrees, ClusterError, Clustering, EdgeKind};
 use tree_repr::{normalize, DirectedEdge, NodeId, TreeInput};
@@ -114,7 +113,9 @@ pub fn prepare(
 }
 
 impl PreparedTree {
-    /// Solve one DP problem on the prepared tree (`O(1)` rounds).
+    /// Solve one DP problem on the prepared tree (`O(1)` rounds) through its cached
+    /// [`SolvePlan`]: the first call builds the plan (charged under `plan-build`),
+    /// every call pays the evaluation pass (`plan-solve`).
     ///
     /// * `node_inputs` — inputs of the *original* nodes.
     /// * `aux_input` — the input assigned to every auxiliary node introduced by degree
@@ -128,44 +129,8 @@ impl PreparedTree {
         aux_input: P::NodeInput,
         edge_inputs: &DistVec<(NodeId, P::EdgeInput)>,
     ) -> DpSolution<P> {
-        ctx.phase("dp-solve", |ctx| {
-            let all_inputs = self.assemble_inputs(node_inputs, aux_input);
-            let edge_data = self.assemble_edge_data(ctx, edge_inputs);
-            solve_dp(ctx, &self.clustering, problem, &all_inputs, &edge_data)
-        })
-    }
-
-    /// Like [`solve`](Self::solve), but additionally return the [`SolverStore`] of
-    /// per-cluster records so that batched input updates can be re-solved
-    /// incrementally (the `tree-dp-incremental` crate builds on this).
-    pub fn solve_with_store<P: ClusterDp>(
-        &self,
-        ctx: &mut MpcContext,
-        problem: &P,
-        node_inputs: &DistVec<(NodeId, P::NodeInput)>,
-        aux_input: P::NodeInput,
-        edge_inputs: &DistVec<(NodeId, P::EdgeInput)>,
-    ) -> (DpSolution<P>, SolverStore<P>) {
-        ctx.phase("dp-solve", |ctx| {
-            let all_inputs = self.assemble_inputs(node_inputs, aux_input);
-            let edge_data = self.assemble_edge_data(ctx, edge_inputs);
-            solve_dp_with_store(ctx, &self.clustering, problem, &all_inputs, &edge_data)
-        })
-    }
-
-    /// The full per-node input table: the caller's original-node inputs plus
-    /// `aux_input` for every auxiliary node introduced by degree reduction
-    /// (machine-local, 0 rounds).
-    pub fn assemble_inputs<I: Clone>(
-        &self,
-        node_inputs: &DistVec<(NodeId, I)>,
-        aux_input: I,
-    ) -> DistVec<(NodeId, I)> {
-        let aux_inputs: DistVec<(NodeId, I)> = self
-            .aux_to_original
-            .clone()
-            .map_local(|(aux, _)| (*aux, aux_input.clone()));
-        node_inputs.clone().concat_local(aux_inputs)
+        self.plan(ctx)
+            .solve(ctx, problem, node_inputs, aux_input, edge_inputs)
     }
 
     /// The shared [`SolvePlan`] of this prepared tree: the problem-independent view
@@ -203,22 +168,6 @@ impl PreparedTree {
             + self.edges.total_words()
             + self.aux_to_original.total_words()
             + plan
-    }
-
-    /// Solve one DP problem through the cached [`SolvePlan`] (building it on first
-    /// use): same contract and bit-identical results as [`solve`](Self::solve), but
-    /// after the first call every further problem pays only the cheap evaluation
-    /// pass instead of a full sort-join assembly.
-    pub fn solve_planned<P: ClusterDp>(
-        &self,
-        ctx: &mut MpcContext,
-        problem: &P,
-        node_inputs: &DistVec<(NodeId, P::NodeInput)>,
-        aux_input: P::NodeInput,
-        edge_inputs: &DistVec<(NodeId, P::EdgeInput)>,
-    ) -> DpSolution<P> {
-        self.plan(ctx)
-            .solve(ctx, problem, node_inputs, aux_input, edge_inputs)
     }
 
     /// Splice a planned structural repair (see [`tree_clustering::RepairIndex::plan`])
@@ -325,49 +274,10 @@ impl PreparedTree {
             .collect()
     }
 
-    /// The per-edge data table the solver consumes: kinds from the degree-reduced
-    /// edge list, inputs from the caller (edges without a caller record default to
-    /// `E::default()`).
-    pub fn assemble_edge_data<E: Clone + Default + Words + Send + Sync + 'static>(
-        &self,
-        ctx: &mut MpcContext,
-        edge_inputs: &DistVec<(NodeId, E)>,
-    ) -> DistVec<EdgeData<E>> {
-        let edge_data_raw =
-            ctx.join_lookup(self.edges.clone(), |(e, _)| e.child, edge_inputs, |x| x.0);
-        edge_data_raw.map_local(|((edge, kind), input)| EdgeData {
-            child: edge.child,
-            kind: *kind,
-            input: input.as_ref().map(|x| x.1.clone()).unwrap_or_default(),
-        })
-    }
-
     /// Number of layers of the underlying clustering.
     pub fn num_layers(&self) -> u32 {
         self.clustering.num_layers
     }
-}
-
-/// Convenience: prepare and solve a single problem in one call, returning the solution
-/// together with the prepared tree (so further problems can reuse the clustering).
-///
-/// The solve goes through the shared [`SolvePlan`], which stays cached on the returned
-/// [`PreparedTree`] — every further problem solved via
-/// [`solve_planned`](PreparedTree::solve_planned) (or `prepared.plan(ctx).solve(..)`)
-/// pays only the cheap evaluation pass.
-#[allow(clippy::type_complexity)]
-pub fn prepare_and_solve<P: ClusterDp>(
-    ctx: &mut MpcContext,
-    input: TreeInput,
-    threshold: Option<usize>,
-    problem: &P,
-    node_inputs: &DistVec<(NodeId, P::NodeInput)>,
-    aux_input: P::NodeInput,
-    edge_inputs: &DistVec<(NodeId, P::EdgeInput)>,
-) -> Result<(PreparedTree, DpSolution<P>), PipelineError> {
-    let prepared = prepare(ctx, input, threshold)?;
-    let solution = prepared.solve_planned(ctx, problem, node_inputs, aux_input, edge_inputs);
-    Ok((prepared, solution))
 }
 
 #[cfg(test)]

@@ -1,17 +1,16 @@
-//! The shared solve-plan engine: assemble the per-layer cluster views **once**, then
-//! solve any number of DP problems over them.
+//! The solve engine: assemble the per-layer cluster views **once**, then solve any
+//! number of DP problems over them.
 //!
 //! The paper's three-step approach (Section 1.4) prepares one hierarchical clustering
-//! and then solves "the problem of interest in `O(1)` rounds" — repeatable for any
-//! number of problems on the same clustering. [`solve_dp`](crate::solve_dp) realizes
-//! the `O(1)` bound but re-runs the full member/edge/payload sort-join assembly for
-//! every problem, even though almost all of that communication is problem-independent:
-//! which elements group into which cluster, the member-tree links, the boundary edges,
-//! and the edge kinds depend only on the clustering — never on the problem's inputs,
-//! summaries, or labels.
+//! and then solves "the problem of interest in `O(1)` rounds" (Sections 5.1–5.2) —
+//! repeatable for any number of problems on the same clustering. Almost all of the
+//! communication of such a solve is problem-independent: which elements group into
+//! which cluster, the member-tree links, the boundary edges, and the edge kinds depend
+//! only on the clustering — never on the problem's inputs, summaries, or labels.
 //!
-//! A [`SolvePlan`] factors that out. Building the plan runs the per-layer assembly
-//! once (charged like the fresh solver's bottom-up pass) and retains
+//! A [`SolvePlan`] factors that out. Building the plan brings the members of every
+//! cluster onto one machine, layer by layer, with a constant number of sort/join
+//! rounds each (charged under `plan-build`), and retains
 //!
 //! * per layer and per machine, the **skeleton view** of every cluster formed there
 //!   ([`PlanView`]: members in their assembled order, parent/children links, top and
@@ -22,20 +21,29 @@
 //! [`SolvePlan::solve`] then runs any [`ClusterDp`] over the cached skeletons,
 //! charging only the exchanges that genuinely depend on the problem: one scatter of
 //! the node/edge inputs into their slots, one summary-forwarding round per layer going
-//! up, and one label-forwarding round per layer coming down. Labels and optima are
-//! bit-identical to a fresh [`solve_dp`](crate::solve_dp) — the skeleton member order
-//! equals the fresh assembly's order because the sort/join/gather primitives order
-//! records by keys only, never by payloads — and solving `K` problems costs one
-//! assembly plus `K` cheap evaluation passes instead of `K` full solves.
+//! up (bottom-up summarization, Section 5.1), and one label-forwarding round per layer
+//! coming down (top-down labeling, Section 5.2). Solving `K` problems costs one
+//! assembly plus `K` cheap evaluation passes.
 
 use crate::problem::{ClusterDp, ClusterView, Member, Payload};
-use crate::solver::{build_views, sort_solve_tables, DpSolution, EdgeData, PayloadTable};
 use crate::store::SolverStore;
 use mpc_engine::par::{par_map, worth_parallelizing};
-use mpc_engine::{DistVec, MpcContext, Words};
+use mpc_engine::{DistVec, MpcContext, SortedTable, Words};
 use std::collections::{BTreeMap, BTreeSet};
-use tree_clustering::{Clustering, EdgeKind, Element, ElementId, ElementKind};
+use tree_clustering::{Clustering, EdgeKind, Element, ElementId, ElementKind, AUX_BASE};
 use tree_repr::{DirectedEdge, NodeId};
+
+/// The solution of a DP problem.
+#[derive(Debug, Clone)]
+pub struct DpSolution<P: ClusterDp> {
+    /// One label per edge, keyed by the edge's child endpoint. The virtual root edge is
+    /// included under the root's node id (it carries the root's own state).
+    pub labels: DistVec<(NodeId, P::Label)>,
+    /// The label of the virtual root edge.
+    pub root_label: P::Label,
+    /// The summary of the top cluster (e.g. the optimum value / total count).
+    pub root_summary: P::Summary,
+}
 
 /// The problem-independent skeleton of one cluster view: everything
 /// [`ClusterView`] holds except payloads and problem edge inputs.
@@ -45,7 +53,7 @@ pub struct PlanView {
     pub cluster: ElementId,
     /// The cluster's kind.
     pub kind: ElementKind,
-    /// Member skeletons, in the exact order the fresh assembly produces.
+    /// Member skeletons, in the order the group gathering delivered them.
     pub members: Vec<PlanMember>,
     /// Index of the top member.
     pub top: usize,
@@ -57,9 +65,9 @@ pub struct PlanView {
     pub attach: Option<usize>,
     /// Kind of the incoming edge.
     pub in_kind: EdgeKind,
-    /// `true` when the incoming edge exists in the degree-reduced edge list, i.e. the
-    /// fresh solver's in-edge join hits a record (whose input then defaults when the
-    /// caller provides none) rather than producing `None`.
+    /// `true` when the incoming edge exists in the degree-reduced edge list: the view
+    /// then carries an in-edge input (defaulted when the caller provides none) rather
+    /// than `None`.
     pub has_in_data: bool,
 }
 
@@ -190,39 +198,32 @@ pub struct SolvePlan {
     /// Label key → views reading it as their out-label.
     pub(crate) out_label_readers: BTreeMap<NodeId, Vec<ViewSlot>>,
     /// Label key → views reading it as their in-label. Unlike out-labels, an in-label
-    /// may be produced at a layer *below* its reader; the fresh solver then reads
-    /// `None`, so deliveries are filtered to readers strictly below the producer.
+    /// may be produced at a layer *below* its reader, after that reader was labeled;
+    /// the reader then sees `None`, so deliveries are filtered to readers strictly
+    /// below the producer.
     pub(crate) in_label_readers: BTreeMap<NodeId, Vec<ViewSlot>>,
 }
 
-/// The unit problem used to drive the problem-independent assembly: all payload types
-/// are zero-sized, so the plan build charges the structural data movement (elements,
-/// edges, member trees) without any problem-specific words.
-struct PlanProbe;
+/// One member on its way into a skeleton view: the clustering element and the kind of
+/// its outgoing original edge.
+struct MemberRec {
+    element: Element,
+    out_kind: EdgeKind,
+}
 
-impl ClusterDp for PlanProbe {
-    type NodeInput = ();
-    type EdgeInput = ();
-    type Summary = ();
-    type Label = ();
-
-    fn summarize(&self, _view: &ClusterView<Self>) {}
-
-    fn label_root(&self, _summary: &()) {}
-
-    fn label_members(&self, view: &ClusterView<Self>, _out: &(), _in: Option<&()>) -> Vec<()> {
-        vec![(); view.members.len()]
-    }
-
-    fn name(&self) -> &'static str {
-        "plan-probe"
+impl Words for MemberRec {
+    fn words(&self) -> usize {
+        // The element, its edge kind, and the tag word of the payload the member holds
+        // during a solve: `gather_groups` balances groups over machines by word count,
+        // so this width decides which machine every skeleton lives on.
+        self.element.words() + 2
     }
 }
 
-/// Build the solve plan of a clustering: run the per-layer view assembly once with the
-/// zero-sized [`PlanProbe`] problem (the same `build_views` machinery and charges as a
-/// fresh solve's bottom-up pass) and record the resulting skeletons and routing
-/// indexes. Charged under the `plan-build` phase.
+/// Build the solve plan of a clustering: assemble, layer by layer, the skeleton view
+/// of every cluster formed there — each fully contained in one machine (three probes
+/// of tables sorted once and one group gathering per layer) — and record the
+/// skeletons and routing indexes. Charged under the `plan-build` phase.
 pub(crate) fn build_plan(
     ctx: &mut MpcContext,
     clustering: &Clustering,
@@ -231,8 +232,8 @@ pub(crate) fn build_plan(
 ) -> SolvePlan {
     ctx.phase("plan-build", |ctx| {
         let machines = ctx.config().num_machines();
-        // The set of edge children present in the degree-reduced edge list: a slot is
-        // only registered for keys the fresh solver's edge joins would hit.
+        // The set of edge children present in the degree-reduced edge list: an input
+        // slot is only registered for edges that exist.
         let edge_children: BTreeSet<NodeId> = edges.iter().map(|(e, _)| e.child).collect();
         let aux_nodes: Vec<(NodeId, usize)> = aux_to_original
             .chunks()
@@ -241,17 +242,12 @@ pub(crate) fn build_plan(
             .flat_map(|(m, chunk)| chunk.iter().map(move |(aux, _)| (*aux, m)))
             .collect();
 
-        let edge_data: DistVec<EdgeData<()>> = edges.clone().map_local(|(e, k)| EdgeData {
-            child: e.child,
-            kind: *k,
-            input: (),
-        });
-        let tables = sort_solve_tables(ctx, clustering, &edge_data);
-        let mut payloads: PayloadTable<PlanProbe> = clustering
-            .elements
-            .clone()
-            .filter_local(|e| e.kind == ElementKind::Node)
-            .map_local(|e| (e.id, Payload::Input(())));
+        // Edge kinds keyed by the edge's child endpoint, and the element table: both
+        // are fixed for the whole build, so each is sorted once and probed per layer.
+        let edge_kinds: DistVec<(NodeId, EdgeKind)> =
+            edges.clone().map_local(|(e, kind)| (e.child, *kind));
+        let edges_sorted = ctx.sort_table(&edge_kinds, |d| d.0);
+        let elements_sorted = ctx.sort_table(&clustering.elements, |e| e.id);
 
         let mut plan = SolvePlan {
             num_layers: clustering.num_layers,
@@ -269,67 +265,135 @@ pub(crate) fn build_plan(
         };
 
         for layer in 1..=clustering.num_layers {
-            let views = build_views::<PlanProbe>(
-                ctx, clustering, layer, &payloads, None, &edge_data, &tables,
+            let views = build_skeletons(
+                ctx,
+                clustering,
+                layer,
+                &edge_kinds,
+                &edges_sorted,
+                &elements_sorted,
             );
-            if views.is_empty() {
-                // mpc-lint: allow(alloc-hygiene) — once per empty layer: O(machines) empty slot vecs, not per-record work
-                plan.layers.push(vec![Vec::new(); machines]);
-                continue;
-            }
-            // The probe's summaries keep the payload table shaped exactly like a real
-            // solve's, so the next layer's assembly joins charge the same way.
-            // mpc-lint: allow(metered-exchange) — probe summaries replace chunk i's views on machine i; no movement
-            let summaries: PayloadTable<PlanProbe> = DistVec::from_chunks(
-                views
-                    .chunks()
-                    .iter()
-                    .map(|chunk| {
-                        chunk
-                            .iter()
-                            .map(|v| (v.cluster, Payload::Summary(())))
-                            // mpc-lint: allow(alloc-hygiene) — per-chunk probe table moves into the DistVec; built once per layer
-                            .collect()
-                    })
-                    // mpc-lint: allow(alloc-hygiene) — outer chunk list, one vec per machine per layer
-                    .collect(),
-            );
-            let mut layer_views: Vec<Vec<PlanView>> = Vec::with_capacity(machines);
             for (machine, chunk) in views.chunks().iter().enumerate() {
-                let mut skeletons = Vec::with_capacity(chunk.len());
                 for (view_idx, view) in chunk.iter().enumerate() {
                     plan.register(layer, machine, view_idx, view, &edge_children);
-                    skeletons.push(PlanView {
-                        cluster: view.cluster,
-                        kind: view.kind,
-                        members: view
-                            .members
-                            .iter()
-                            .map(|m| PlanMember {
-                                element: m.element,
-                                out_kind: m.out_kind,
-                                parent: m.parent,
-                                children: m.children.clone(),
-                            })
-                            // mpc-lint: allow(alloc-hygiene) — plan skeleton outlives the loop; built once per plan, not per solve
-                            .collect(),
-                        top: view.top,
-                        out_edge: view.out_edge,
-                        in_edge: view.in_edge,
-                        attach: view.attach,
-                        in_kind: view.in_kind,
-                        has_in_data: view
-                            .in_edge
-                            .is_some_and(|e| edge_children.contains(&e.child)),
-                    });
                 }
-                layer_views.push(skeletons);
             }
-            plan.layers.push(layer_views);
-            payloads = payloads.concat_local(summaries);
+            // mpc-lint: allow(metered-exchange) — skeleton chunk i stays on machine i, where the gather assembled it
+            plan.layers.push(views.into_chunks());
         }
         plan
     })
+}
+
+/// Assemble the [`PlanView`] of every cluster formed at `layer`, each fully contained
+/// in one machine: fetch every member's edge kind, gather the members by absorbing
+/// cluster, attach the cluster's own element record and the kind of its incoming edge
+/// (probing the tables [`build_plan`] sorted), and link the member tree locally. One
+/// empty chunk per machine when no cluster forms at `layer`.
+fn build_skeletons(
+    ctx: &mut MpcContext,
+    clustering: &Clustering,
+    layer: u32,
+    edge_kinds: &DistVec<(NodeId, EdgeKind)>,
+    edges_sorted: &SortedTable<NodeId>,
+    elements_sorted: &SortedTable<ElementId>,
+) -> DistVec<PlanView> {
+    let members_at_layer = clustering
+        .elements
+        .clone()
+        .filter_local(|e| e.absorbed_at == layer && e.kind != ElementKind::TopCluster);
+    if members_at_layer.is_empty() {
+        return ctx.empty();
+    }
+    let parallel = ctx.config().parallel;
+    let member_recs = ctx
+        .join_lookup_sorted(
+            members_at_layer,
+            |e| e.out_edge.child,
+            edge_kinds,
+            edges_sorted,
+        )
+        .map_local_par(parallel, |(element, edge)| MemberRec {
+            element: *element,
+            out_kind: edge.map_or(EdgeKind::Original, |(_, kind)| kind),
+        });
+    let grouped = ctx.gather_groups(member_recs, |m| m.element.absorbed_into);
+    let with_cluster = ctx.join_lookup_sorted(
+        grouped,
+        |(cid, _)| *cid,
+        &clustering.elements,
+        elements_sorted,
+    );
+    let with_in_edge = ctx.join_lookup_sorted(
+        with_cluster,
+        |(_, cluster)| {
+            cluster
+                .as_ref()
+                .and_then(|c| c.in_edge)
+                .map_or(u64::MAX, |e| e.child)
+        },
+        edge_kinds,
+        edges_sorted,
+    );
+    // Linking a member tree is quadratic in the cluster size — the heaviest
+    // machine-local step of a build, and every cluster is independent.
+    let views = with_in_edge.map_local_par(parallel, |(((_, members), cluster), in_edge)| {
+        let cluster = cluster.as_ref().expect("cluster element exists");
+        link_members(cluster, members, in_edge.map(|(_, kind)| kind))
+    });
+    ctx.check_memory(&views, "plan/skeletons");
+    views
+}
+
+/// Link the members of one cluster into the small member tree (machine-local).
+/// `in_kind` is the kind of the cluster's incoming edge when that edge exists in the
+/// degree-reduced edge list.
+fn link_members(cluster: &Element, members: &[MemberRec], in_kind: Option<EdgeKind>) -> PlanView {
+    // Member `b` hangs below member `a` when `a` accepts `b`'s outgoing edge: original
+    // nodes accept every edge pointing at them, contracted clusters accept exactly
+    // their recorded incoming edge.
+    let accepts = |a: &MemberRec, edge: &DirectedEdge| -> bool {
+        if a.element.kind == ElementKind::Node {
+            a.element.id == edge.parent
+        } else {
+            a.element.in_edge == Some(*edge)
+        }
+    };
+    let mut skeletons: Vec<PlanMember> = members
+        .iter()
+        .map(|m| PlanMember {
+            element: m.element,
+            out_kind: m.out_kind,
+            parent: None,
+            children: Vec::new(),
+        })
+        .collect();
+    for (b, member) in members.iter().enumerate() {
+        let edge = member.element.out_edge;
+        if edge == cluster.out_edge {
+            continue;
+        }
+        if let Some(a) = (0..members.len()).find(|&a| a != b && accepts(&members[a], &edge)) {
+            skeletons[b].parent = Some(a);
+            skeletons[a].children.push(b);
+        }
+    }
+    PlanView {
+        cluster: cluster.id,
+        kind: cluster.kind,
+        members: skeletons,
+        top: members
+            .iter()
+            .position(|m| m.element.out_edge == cluster.out_edge)
+            .expect("the top member carries the cluster's outgoing edge"),
+        out_edge: cluster.out_edge,
+        in_edge: cluster.in_edge,
+        attach: cluster
+            .in_edge
+            .and_then(|e| members.iter().position(|m| accepts(m, &e))),
+        in_kind: in_kind.unwrap_or(EdgeKind::Original),
+        has_in_data: in_kind.is_some(),
+    }
 }
 
 impl SolvePlan {
@@ -339,7 +403,7 @@ impl SolvePlan {
         layer: u32,
         machine: usize,
         view_idx: usize,
-        view: &ClusterView<PlanProbe>,
+        view: &PlanView,
         edge_children: &BTreeSet<NodeId>,
     ) {
         let vslot = ViewSlot {
@@ -359,7 +423,7 @@ impl SolvePlan {
                 .entry(in_edge.child)
                 .or_default()
                 .push(vslot);
-            if edge_children.contains(&in_edge.child) {
+            if view.has_in_data {
                 self.in_edge_slots
                     .entry(in_edge.child)
                     .or_default()
@@ -367,12 +431,7 @@ impl SolvePlan {
             }
         }
         for (member_idx, member) in view.members.iter().enumerate() {
-            let slot = MemberSlot {
-                layer,
-                machine: machine as u32,
-                view: view_idx as u32,
-                member: member_idx as u32,
-            };
+            let slot = vslot.member_slot(member_idx);
             self.payload_slot.insert(member.element.id, slot);
             if edge_children.contains(&member.element.out_edge.child) {
                 self.out_edge_slots
@@ -729,9 +788,36 @@ impl SolvePlan {
         8 + skeletons + payload_idx + member_vecs + view_vecs + aux
     }
 
+    /// The lowest-numbered original node `node_inputs` holds no record for, if any:
+    /// [`solve`](Self::solve) needs an input for each of the tree's `original_nodes`
+    /// original nodes and panics on a gap, so callers passing on inputs they did not
+    /// produce check here first. Ids the plan does not route are ignored, as the solve
+    /// ignores them. `O(q log n)` for `q` records unless one is missing.
+    // mpc-cost: rounds(const)
+    pub fn missing_node_input<I>(
+        &self,
+        node_inputs: &[(NodeId, I)],
+        original_nodes: usize,
+    ) -> Option<NodeId> {
+        let mut covered: Vec<NodeId> = node_inputs
+            .iter()
+            .map(|(node, _)| *node)
+            .filter(|node| *node < AUX_BASE && self.payload_slot.contains_key(node))
+            .collect();
+        covered.sort_unstable();
+        covered.dedup();
+        if covered.len() == original_nodes {
+            return None;
+        }
+        self.payload_slot
+            .keys()
+            .take_while(|node| **node < AUX_BASE)
+            .find(|node| covered.binary_search(node).is_err())
+            .copied()
+    }
+
     /// Solve one DP problem over the cached plan (same contract as
-    /// [`PreparedTree::solve`](crate::PreparedTree::solve)): labels and optima are
-    /// bit-identical to a fresh [`solve_dp`](crate::solve_dp), but only the
+    /// [`PreparedTree::solve`](crate::PreparedTree::solve)). Only the
     /// problem-dependent exchanges are charged — one input scatter, one
     /// summary-forwarding round per layer up, one label-forwarding round per layer
     /// down (phases `plan-inputs` / `plan-up` / `plan-down` under `plan-solve`).
@@ -750,8 +836,7 @@ impl SolvePlan {
     /// Like [`solve`](Self::solve), but additionally fill a [`SolverStore`] with the
     /// per-cluster views, payloads, and labels of this solve — the store an
     /// [`IncrementalSolver`](../../tree_dp_incremental/struct.IncrementalSolver.html)
-    /// needs for batched re-solves. The store contents are identical to what the
-    /// fresh [`solve_dp_with_store`](crate::solve_dp_with_store) would retain.
+    /// needs for batched re-solves.
     // mpc-cost: rounds(layers)
     pub fn solve_with_store<P: ClusterDp>(
         &self,
@@ -828,14 +913,7 @@ impl SolvePlan {
             // ---- input scatter (1 round): every node/edge input travels straight to
             // its recorded slot; records already on the slot's machine are free.
             ctx.phase("plan-inputs", |ctx| {
-                self.scatter_inputs(
-                    ctx,
-                    node_inputs,
-                    &aux_input,
-                    edge_inputs,
-                    &mut state,
-                    store.as_deref_mut(),
-                );
+                self.scatter_inputs(ctx, node_inputs, &aux_input, edge_inputs, &mut state);
             });
 
             // ---- bottom-up (1 round per layer): summarize locally, forward each
@@ -923,11 +1001,9 @@ impl SolvePlan {
     /// The input scatter: route node inputs, auxiliary inputs, and edge inputs to
     /// their recorded slots, charging one round with exact moved-word volumes — a
     /// moved payload record is a `(key, Payload)` pair (`2 + input` words, matching
-    /// the summary-forwarding charge) and a moved edge record an `EdgeData`-shaped
-    /// `(child, kind, input)` (`2 + input` words). Duplicate records follow the
-    /// fresh solver exactly: the *slots* keep the first record (join semantics)
-    /// while a requested store keeps the last one (`record_payloads` iterates the
-    /// whole payload table, so later records overwrite earlier ones there).
+    /// the summary-forwarding charge) and a moved edge record a
+    /// `(child, kind, input)` triple (`2 + input` words). On duplicate records the
+    /// first one wins the slot (join semantics).
     fn scatter_inputs<P: ClusterDp>(
         &self,
         ctx: &mut MpcContext,
@@ -935,7 +1011,6 @@ impl SolvePlan {
         aux_input: &P::NodeInput,
         edge_inputs: &DistVec<(NodeId, P::EdgeInput)>,
         state: &mut [Vec<Vec<ViewState<P>>>],
-        mut store: Option<&mut SolverStore<P>>,
     ) {
         let machines = self.num_machines;
         let total_records = node_inputs.len() + edge_inputs.len() + self.aux_nodes.len();
@@ -949,19 +1024,14 @@ impl SolvePlan {
                              input: &P::NodeInput,
                              state: &mut [Vec<Vec<ViewState<P>>>],
                              sends: &mut [usize],
-                             recvs: &mut [usize],
-                             store: Option<&mut SolverStore<P>>| {
+                             recvs: &mut [usize]| {
             let Some(slot) = self.payload_slot.get(&node) else {
                 return;
             };
-            if let Some(store) = store {
-                // Last record wins in the store, like the fresh `record_payloads`.
-                store.set_payload(node, Payload::Input(input.clone()));
-            }
             let cell =
                 &mut state[slot.layer as usize - 1][slot.machine as usize][slot.view as usize];
             if cell.payloads[slot.member as usize].is_some() {
-                return; // duplicate record: the first one won the slot, like the join
+                return; // duplicate record: the first one won the slot
             }
             if slot.machine as usize != src {
                 let w = 2 + input.words();
@@ -972,27 +1042,11 @@ impl SolvePlan {
         };
         for (src, chunk) in node_inputs.chunks().iter().enumerate() {
             for (node, input) in chunk {
-                place_payload(
-                    src,
-                    *node,
-                    input,
-                    state,
-                    &mut sends,
-                    &mut recvs,
-                    store.as_deref_mut(),
-                );
+                place_payload(src, *node, input, state, &mut sends, &mut recvs);
             }
         }
         for &(aux, src) in &self.aux_nodes {
-            place_payload(
-                src,
-                aux,
-                aux_input,
-                state,
-                &mut sends,
-                &mut recvs,
-                store.as_deref_mut(),
-            );
+            place_payload(src, aux, aux_input, state, &mut sends, &mut recvs);
         }
         for (src, chunk) in edge_inputs.chunks().iter().enumerate() {
             for (child, input) in chunk {
@@ -1074,16 +1128,11 @@ impl SolvePlan {
         ctx.check_memory_words(resident, "plan/views");
         if let Some(store) = store {
             store.record_views(layer, &views);
-            // Record only *summary* payloads from the members: input payloads were
-            // already stored by the scatter with the fresh path's last-record-wins
-            // duplicate semantics, which the first-record-wins slot values here
-            // would otherwise clobber. A cluster's summary is produced exactly once,
-            // so its member slot value is its final store payload.
+            // Every element is a member of exactly one view, and its slot value is
+            // final once that view materializes.
             for view in views.iter() {
                 for member in &view.members {
-                    if matches!(member.payload, Payload::Summary(_)) {
-                        store.set_payload(member.element.id, member.payload.clone());
-                    }
+                    store.set_payload(member.element.id, member.payload.clone());
                 }
             }
         }
@@ -1236,8 +1285,7 @@ impl SolvePlan {
         let mut delivered = false;
         let mut place = |vslot: &ViewSlot, as_out: bool| {
             if vslot.layer >= producer_layer {
-                // The fresh solver's label table does not contain this key yet when
-                // that view is processed; it reads `None` there, and so do we.
+                // That view was labeled before this key was produced: it read `None`.
                 return;
             }
             delivered = true;
@@ -1270,7 +1318,7 @@ struct ViewState<P: ClusterDp> {
     payloads: Vec<Option<Payload<P::NodeInput, P::Summary>>>,
     out_inputs: Vec<Option<P::EdgeInput>>,
     /// `Some` only when the view's in-edge exists in the edge list (`has_in_data`);
-    /// filled lazily at materialization, defaulting like the fresh edge join.
+    /// filled lazily at materialization, defaulting when the caller gave no input.
     in_input: Option<P::EdgeInput>,
     out_label: Option<P::Label>,
     in_label: Option<P::Label>,
@@ -1287,8 +1335,8 @@ impl<P: ClusterDp> ViewState<P> {
         }
     }
 
-    /// Combine the skeleton with the filled slots into the exact [`ClusterView`] the
-    /// fresh assembly would build (consumes the payload and edge-input slots).
+    /// Combine the skeleton with the filled slots into the [`ClusterView`] handed to
+    /// the problem (consumes the payload and edge-input slots).
     fn materialize(&mut self, pv: &PlanView) -> ClusterView<P> {
         let payloads = std::mem::take(&mut self.payloads);
         let out_inputs = std::mem::take(&mut self.out_inputs);

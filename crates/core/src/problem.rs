@@ -97,6 +97,18 @@ impl<P: ClusterDp + ?Sized> Clone for ClusterView<P> {
     }
 }
 
+impl<P: ClusterDp> Words for ClusterView<P> {
+    fn words(&self) -> usize {
+        4 + self
+            .members
+            .iter()
+            .map(|m| {
+                m.element.words() + m.payload.words() + 2 + m.out_input.words() + m.children.len()
+            })
+            .sum::<usize>()
+    }
+}
+
 impl<P: ClusterDp + ?Sized> ClusterView<P> {
     /// Members in an order where every member appears after all of its children
     /// (bottom-up processing order).

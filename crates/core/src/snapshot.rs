@@ -555,10 +555,6 @@ impl Snapshot for MpcConfig {
             strict: r.take_bool()?,
             parallel: r.take_bool()?,
             radix: r.take_bool()?,
-            // Not part of the wire format: convergence skipping changes only round
-            // accounting, never outputs, so restored runs are equivalent under the
-            // default and the snapshot ABI stays stable.
-            convergence_skip: true,
         })
     }
 }

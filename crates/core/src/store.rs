@@ -15,8 +15,8 @@
 //! at the end of a solve; the store is the host-side record-keeping of that layout and
 //! can be exported/rebuilt record by record (see [`SolverStore::export_labels`]).
 
+use crate::plan::DpSolution;
 use crate::problem::{ClusterDp, ClusterView, Payload};
-use crate::solver::{DpSolution, PayloadTable};
 use mpc_engine::{DistVec, MpcContext};
 use std::collections::BTreeMap;
 use tree_clustering::ElementId;
@@ -63,20 +63,6 @@ impl<P: ClusterDp> SolverStore<P> {
         let slot = &mut self.views[(layer - 1) as usize];
         for view in views.iter() {
             slot.insert(view.cluster, view.clone());
-        }
-    }
-
-    /// Retain the final per-element payloads.
-    pub fn record_payloads(&mut self, payloads: &PayloadTable<P>) {
-        for (id, payload) in payloads.iter() {
-            self.payloads.insert(*id, payload.clone());
-        }
-    }
-
-    /// Retain the final per-edge labels.
-    pub fn record_labels(&mut self, labels: &DistVec<(NodeId, P::Label)>) {
-        for (child, label) in labels.iter() {
-            self.labels.insert(*child, label.clone());
         }
     }
 

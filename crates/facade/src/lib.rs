@@ -12,7 +12,6 @@
 //! * [`server`] — the multi-tenant serving layer (snapshot persistence,
 //!   memory-budgeted plan cache, admission batching, per-tenant metrics),
 //! * [`problems`] — the Table-1 problem library,
-//! * [`baselines`] — the Bateni-et-al.-style `O(log n)` baseline and ablations,
 //! * [`gen`] — synthetic workload generators.
 //!
 //! See `examples/quickstart.rs` for a five-minute tour and
@@ -23,7 +22,6 @@
 
 pub use mpc_engine as mpc;
 pub use tree_clustering as clustering;
-pub use tree_dp_baselines as baselines;
 pub use tree_dp_core as core;
 pub use tree_dp_incremental as incremental;
 pub use tree_dp_problems as problems;

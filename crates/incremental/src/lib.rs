@@ -20,11 +20,12 @@
 //!    per affected layer).
 //!
 //! Because the clustering has `O(1)` layers, an update batch costs `O(1)` rounds — and,
-//! unlike a full [`solve_dp`](tree_dp_core::solve_dp), those rounds are plain routing
-//! rounds on pre-placed data rather than sort/join cascades, so the charged round count
-//! (and the wall time) drops by an order of magnitude for small batches.
+//! unlike a full [`SolvePlan::solve`](tree_dp_core::SolvePlan::solve), which forwards
+//! every summary and every label once, those rounds move only the records on the
+//! dirty paths, so the words moved (and the wall time) drop by orders of magnitude
+//! for small batches.
 //!
-//! The produced labels are *identical* to a fresh solve on the updated inputs: the
+//! The produced labels are *identical* to a full solve on the updated inputs: the
 //! incremental path re-runs the same deterministic `summarize` / `label_members` code
 //! on the same views and only skips recomputations whose inputs are pointwise
 //! unchanged (which is why the problem's `Summary` and `Label` types must be

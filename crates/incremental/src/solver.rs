@@ -40,8 +40,8 @@ pub struct UpdateStats {
 /// labels per layer; [`update_node_inputs`](Self::update_node_inputs) and
 /// [`update_edge_inputs`](Self::update_edge_inputs) then re-solve batched input
 /// changes by re-processing only the dirty clusters. The cached solution is always
-/// identical to what a fresh [`solve_dp`](tree_dp_core::solve_dp) on the current
-/// inputs would produce.
+/// identical to what a full [`SolvePlan::solve`](tree_dp_core::SolvePlan::solve) on
+/// the current inputs would produce.
 pub struct IncrementalSolver<P: ClusterDp>
 where
     P::Summary: PartialEq,
@@ -875,10 +875,28 @@ fn charge_routing_round(ctx: &mut MpcContext, words: usize, what: &str) {
 mod tests {
     use super::*;
     use mpc_engine::MpcConfig;
-    use tree_dp_core::{prepare, StateEngine};
+    use tree_clustering::EdgeKind;
+    use tree_dp_core::{prepare, solve_sequential, StateDp, StateEngine};
     use tree_dp_problems::{MaxWeightIndependentSet, MaxWeightMatching};
     use tree_gen::shapes;
     use tree_repr::{ListOfEdges, Tree, TreeInput};
+
+    /// The optimum of `problem` by the sequential solver, on the tree given as a
+    /// child → parent edge list.
+    fn sequential_optimum<P: StateDp>(
+        problem: P,
+        edges: &[DirectedEdge],
+        root: u64,
+        node_input: impl Fn(u64) -> P::NodeInput,
+        edge_input: impl Fn(u64) -> P::EdgeInput,
+    ) -> Option<i64> {
+        let engine = StateEngine::new(problem);
+        solve_sequential(&engine, edges, root, node_input, |c| {
+            (EdgeKind::Original, edge_input(c))
+        })
+        .root_summary
+        .best(engine.problem())
+    }
 
     fn ctx_for(n: usize) -> MpcContext {
         MpcContext::new(
@@ -961,6 +979,17 @@ mod tests {
                     "{name} round {round}"
                 );
                 assert_eq!(inc.root_label(), &fresh.root_label, "{name} round {round}");
+                assert_eq!(
+                    inc.root_summary().best(&MaxWeightIndependentSet),
+                    sequential_optimum(
+                        MaxWeightIndependentSet,
+                        &tree.edges(),
+                        tree.root() as u64,
+                        |v| weights[v as usize],
+                        |_| (),
+                    ),
+                    "{name} round {round}: sequential oracle"
+                );
             }
         }
     }
@@ -1023,6 +1052,17 @@ mod tests {
                     &fresh.root_summary,
                     "{name} round {round}"
                 );
+                assert_eq!(
+                    inc.root_summary().best(&MaxWeightMatching),
+                    sequential_optimum(
+                        MaxWeightMatching,
+                        &tree.edges(),
+                        tree.root() as u64,
+                        |_| (),
+                        |c| edge_w[c as usize],
+                    ),
+                    "{name} round {round}: sequential oracle"
+                );
             }
         }
     }
@@ -1054,6 +1094,7 @@ mod tests {
         let stats = inc.update_node_inputs(&mut ctx, &[(17, 50)]);
 
         let before = ctx.metrics().rounds;
+        let words_before = ctx.metrics().total_words_sent;
         let fresh_inputs = ctx.from_vec(
             (0..tree.len())
                 .map(|v| (v as u64, if v == 17 { 50i64 } else { 1 }))
@@ -1067,12 +1108,21 @@ mod tests {
             &no_edges,
         );
         let full_rounds = ctx.metrics().rounds - before;
+        let full_words = ctx.metrics().total_words_sent - words_before;
         assert_eq!(inc.root_summary(), &fresh.root_summary);
+        // The full evaluation pass forwards every summary and label once; the update
+        // touches one root-path.
         assert!(
-            stats.rounds * 4 <= full_rounds,
+            stats.rounds * 2 <= full_rounds,
             "incremental {} rounds vs full {} rounds",
             stats.rounds,
             full_rounds
+        );
+        assert!(
+            stats.words_sent * 4 <= full_words,
+            "incremental {} words vs full {} words",
+            stats.words_sent,
+            full_words
         );
         assert!(stats.rounds > 0);
     }
@@ -1150,6 +1200,17 @@ mod tests {
         assert_eq!(inc_labels, fresh_labels, "{what}: labels");
         assert_eq!(inc.root_summary(), &fresh.root_summary, "{what}: summary");
         assert_eq!(inc.root_label(), &fresh.root_label, "{what}: root label");
+        assert_eq!(
+            inc.root_summary().best(&MaxWeightIndependentSet),
+            sequential_optimum(
+                MaxWeightIndependentSet,
+                mutated_edges,
+                fresh_prepared.root,
+                &weight_of,
+                |_| (),
+            ),
+            "{what}: sequential oracle"
+        );
     }
 
     #[test]

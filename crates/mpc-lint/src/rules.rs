@@ -142,22 +142,12 @@ impl Default for LintConfig {
                 "crates/mpc/src/prefix.rs",
                 "crates/mpc/src/context.rs",
                 "crates/core/src/plan.rs",
-                "crates/core/src/solver.rs",
             ]
             .map(str::to_string)
             .to_vec(),
-            round_whitelist: [
-                "crates/mpc/src/",
-                "crates/clustering/src/",
-                "crates/core/src/solver.rs",
-                // The comparison baselines loop until the tree is contracted — an
-                // O(log n)-iteration structure that is the algorithm being
-                // measured, with the dynamic `--check-rounds` baseline as its
-                // regression guard.
-                "crates/baselines/src/",
-            ]
-            .map(str::to_string)
-            .to_vec(),
+            round_whitelist: ["crates/mpc/src/", "crates/clustering/src/"]
+                .map(str::to_string)
+                .to_vec(),
             cost_required: [
                 "crates/core/src/plan.rs",
                 "crates/incremental/src/",

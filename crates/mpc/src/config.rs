@@ -29,15 +29,6 @@ pub struct MpcConfig {
     /// order, labels, rounds, and volume are bit-identical to the comparison
     /// fallback, which `with_radix(false)` forces (used by the equivalence tests).
     pub radix: bool,
-    /// Use the fused convergence-skipping implementations of iterative fixpoint
-    /// subroutines (the [`converge`](crate::MpcContext::converge) primitive):
-    /// converged elements drop out of every subsequent exchange and rounds are
-    /// charged only while some machine still has active work. Never affects
-    /// *results* — outputs are bit-identical to the step-by-step legacy loops,
-    /// which `with_convergence_skip(false)` forces (used by the equivalence
-    /// tests) — but it does change the *metrics*: the fused loops charge strictly
-    /// fewer (or equal) rounds and less volume.
-    pub convergence_skip: bool,
 }
 
 impl MpcConfig {
@@ -68,7 +59,6 @@ impl MpcConfig {
             strict: false,
             parallel: !Self::env_no_parallel(),
             radix: true,
-            convergence_skip: true,
         }
     }
 
@@ -120,15 +110,6 @@ impl MpcConfig {
     /// either way).
     pub fn with_radix(mut self, radix: bool) -> Self {
         self.radix = radix;
-        self
-    }
-
-    /// Builder-style setter for convergence skipping (`false` forces the legacy
-    /// step-by-step fixpoint loops; outputs are identical either way, but the
-    /// fused path charges fewer rounds — see
-    /// [`converge`](crate::MpcContext::converge)).
-    pub fn with_convergence_skip(mut self, skip: bool) -> Self {
-        self.convergence_skip = skip;
         self
     }
 
@@ -215,13 +196,10 @@ mod tests {
             .with_memory_slack(2.0)
             .with_bandwidth_slack(8.0)
             .with_strict(true)
-            .with_parallel(false)
-            .with_convergence_skip(false);
+            .with_parallel(false);
         assert_eq!(cfg.memory_slack, 2.0);
         assert_eq!(cfg.bandwidth_slack, 8.0);
         assert!(cfg.strict);
         assert!(!cfg.parallel);
-        assert!(!cfg.convergence_skip);
-        assert!(MpcConfig::new(100, 0.5).convergence_skip);
     }
 }

@@ -196,24 +196,6 @@ impl<T> DistVec<T> {
         }
     }
 
-    /// Like [`flat_map_local`](Self::flat_map_local), but borrowing the records and
-    /// spreading the per-machine work over OS threads when `parallel` is set and the
-    /// total record count is worth it. Output is bit-identical to the sequential path.
-    pub fn flat_map_local_par<U, F, I>(self, parallel: bool, f: F) -> DistVec<U>
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(&T) -> I + Sync,
-        I: IntoIterator<Item = U>,
-    {
-        let parallel = crate::par::worth_parallelizing(parallel, self.len());
-        DistVec {
-            chunks: crate::par::par_map(parallel, &self.chunks, |_, c| {
-                c.iter().flat_map(&f).collect()
-            }),
-        }
-    }
-
     /// Apply a machine-local filter to every record (no communication, 0 rounds).
     pub fn filter_local<F>(self, f: F) -> DistVec<T>
     where

@@ -55,9 +55,7 @@
 //!   [`MpcContext::join_lookup2`] for probing two key columns in one fused join,
 //!   and [`MpcContext::converge`] — the fused jump-join loop with convergence
 //!   skipping behind the clustering subroutines, whose per-machine participation
-//!   lands in [`Metrics::convergence`] as [`ConvergenceTrace`]s
-//!   ([`MpcConfig::convergence_skip`] selects the legacy step-by-step loops for
-//!   equivalence testing).
+//!   lands in [`Metrics::convergence`] as [`ConvergenceTrace`]s.
 //!
 //! ## Sorting fast path and scratch reuse
 //!

@@ -458,10 +458,10 @@ fn larger_trees_round_counts_depend_on_diameter() {
     );
 }
 
-/// Optimum of `problem` on `tree` three ways — the fresh-assembly engine, the cached
-/// plan, and the sequential solver on the original (not degree-reduced) tree — for
-/// every cluster threshold in 2–4, which degree-reduces anything wider than a path.
-/// All must agree, and equal `expected` (max-plus convention) where brute force gave one.
+/// Optimum of `problem` on `tree` through the MPC pipeline and by the sequential
+/// solver on the original (not degree-reduced) tree, for every cluster threshold in
+/// 2–4, which degree-reduces anything wider than a path. They must agree, and equal
+/// `expected` (max-plus convention) where brute force gave one.
 fn check_on_degree_reduced<P: tree_dp_core::StateDp>(
     what: &str,
     tree: &Tree,
@@ -504,22 +504,13 @@ fn check_on_degree_reduced<P: tree_dp_core::StateDp>(
                 .map(|v| (v as u64, edge_inputs[v].clone()))
                 .collect::<Vec<_>>(),
         );
-        let fresh = prepared
-            .solve(&mut ctx, &engine, &nodes, aux_input.clone(), &edges)
-            .root_summary
-            .best(engine.problem());
         let planned = prepared
-            .plan(&mut ctx)
             .solve(&mut ctx, &engine, &nodes, aux_input.clone(), &edges)
             .root_summary
             .best(engine.problem());
-        assert_eq!(
-            fresh, seq,
-            "{what}, threshold {threshold}: fresh vs sequential"
-        );
         assert_eq!(
             planned, seq,
-            "{what}, threshold {threshold}: plan vs sequential"
+            "{what}, threshold {threshold}: MPC vs sequential"
         );
     }
 }

@@ -66,6 +66,12 @@ pub enum ServerError {
     Snapshot(SnapshotError),
     /// A structural batch was rejected (invalid op or failed degrade re-prepare).
     Structural(StructuralError),
+    /// A query's `node_inputs` leave an original node of the tenant's tree without
+    /// an input.
+    InvalidQuery {
+        /// The lowest-numbered node without an input.
+        missing: NodeId,
+    },
     /// An internal invariant did not hold (never expected; returned instead of
     /// panicking, per the repo's panic policy).
     Internal(&'static str),
@@ -79,6 +85,9 @@ impl std::fmt::Display for ServerError {
             ServerError::Admission(msg) => write!(f, "admission failed: {msg}"),
             ServerError::Snapshot(e) => write!(f, "tenant snapshot: {e}"),
             ServerError::Structural(e) => write!(f, "{e}"),
+            ServerError::InvalidQuery { missing } => {
+                write!(f, "query gives node {missing} no input")
+            }
             ServerError::Internal(what) => write!(f, "internal serving error: {what}"),
         }
     }
@@ -138,9 +147,11 @@ pub struct AdmitReport {
 pub enum Request<P: ClusterDp> {
     /// Solve one ad-hoc problem instance over the tenant's cached plan. Queries in
     /// the same flush batch into a single [`SolvePlan::solve_many`]
-    /// (`tree_dp_core::SolvePlan::solve_many`) call.
+    /// (`tree_dp_core::SolvePlan::solve_many`) call. A query that leaves an original
+    /// node without an input is rejected alone ([`ServerError::InvalidQuery`]); ids
+    /// the tree does not hold are ignored.
     Query {
-        /// Inputs of the original nodes for this instance.
+        /// Inputs of the original nodes for this instance (one per node).
         node_inputs: Vec<(NodeId, P::NodeInput)>,
         /// Per-edge inputs for this instance.
         edge_inputs: Vec<(NodeId, P::EdgeInput)>,
@@ -507,6 +518,21 @@ where
             if let Some(tenant) = tenants.get_mut(id) {
                 match cache.plan(id) {
                     Some(plan) => {
+                        // An incomplete query would panic the evaluation pass and
+                        // take the whole flush with it: reject it alone.
+                        let original_nodes = tenant.prepared.original_nodes;
+                        queries.retain(|(pos, ni, _)| {
+                            match plan.missing_node_input(ni, original_nodes) {
+                                Some(missing) => {
+                                    responses[*pos] =
+                                        Some(Response::Rejected(ServerError::InvalidQuery {
+                                            missing,
+                                        }));
+                                    false
+                                }
+                                None => true,
+                            }
+                        });
                         let solver = &tenant.solver;
                         let ctx = &mut tenant.ctx;
                         let mut tables: Vec<InputTables<P>> = Vec::with_capacity(queries.len());

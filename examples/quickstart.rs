@@ -43,7 +43,7 @@ fn main() {
     println!("maximum-weight independent set value: {best}");
     println!("tree diameter: {}", tree.diameter());
     println!("MPC metrics: {}", ctx.metrics().summary());
-    for phase in ["normalize", "clustering", "dp-solve"] {
+    for phase in ["normalize", "clustering", "plan-build", "plan-solve"] {
         println!("  rounds in {phase}: {}", ctx.metrics().phase_rounds(phase));
     }
 }

@@ -1,10 +1,12 @@
 //! Property suite for the incremental re-solve subsystem: for every Table-1 problem
 //! (MaxIS, MinVC, MDS, matching), applying random update batches through
-//! [`IncrementalSolver`] yields labels and summaries *identical* to a fresh
-//! `solve_dp` on the updated inputs — the incremental path re-runs the same
-//! deterministic per-cluster code and only skips work whose inputs are unchanged.
+//! [`IncrementalSolver`] yields labels and summaries *identical* to a full plan
+//! evaluation of the updated inputs — the incremental path re-runs the same
+//! deterministic per-cluster code and only skips work whose inputs are unchanged —
+//! and an optimum equal to the sequential solver's on the original tree.
 
-use mpc_tree_dp::core::StateDp;
+use mpc_tree_dp::clustering::EdgeKind;
+use mpc_tree_dp::core::{solve_sequential, StateDp};
 use mpc_tree_dp::problems::{
     MaxWeightIndependentSet, MaxWeightMatching, MinWeightDominatingSet, MinWeightVertexCover,
 };
@@ -56,6 +58,25 @@ fn batch(seed: u64, step: u64, size: usize, lo: usize, n: usize) -> Vec<(u64, i6
             (key as u64, w)
         })
         .collect()
+}
+
+/// The optimum of `problem` by the sequential solver on the original tree.
+fn sequential_optimum<P: StateDp>(
+    problem: P,
+    tree: &Tree,
+    node_input: impl Fn(u64) -> P::NodeInput,
+    edge_input: impl Fn(u64) -> P::EdgeInput,
+) -> Option<i64> {
+    let engine = StateEngine::new(problem);
+    solve_sequential(
+        &engine,
+        &tree.edges(),
+        tree.root() as u64,
+        node_input,
+        |c| (EdgeKind::Original, edge_input(c)),
+    )
+    .root_summary
+    .best(engine.problem())
 }
 
 /// Drive a node-weight problem through three random update batches; return an error
@@ -122,6 +143,13 @@ where
                 problem.name()
             ));
         }
+        let oracle = sequential_optimum(problem, tree, |v| weights[v as usize], |_| ());
+        if inc.root_summary().best(&problem) != oracle {
+            return Err(format!(
+                "{}: optimum differs from the sequential oracle at step {step}",
+                problem.name()
+            ));
+        }
     }
     Ok(())
 }
@@ -181,6 +209,10 @@ proptest! {
             let fresh_labels: BTreeMap<u64, usize> = fresh.labels.iter().cloned().collect();
             prop_assert_eq!(inc.labels(), &fresh_labels, "matching labels diverge at step {}", step);
             prop_assert_eq!(inc.root_summary(), &fresh.root_summary);
+            prop_assert_eq!(
+                inc.root_summary().best(&MaxWeightMatching),
+                sequential_optimum(MaxWeightMatching, &tree, |_| (), |c| edge_w[c as usize])
+            );
         }
     }
 

@@ -77,6 +77,8 @@ fn clustering_reuse_has_constant_marginal_cost() {
             .collect::<Vec<_>>(),
     );
     let no_edges = ctx.from_vec(Vec::<(u64, ())>::new());
+    // The plan is part of the per-topology set-up, like the clustering it is built on.
+    prepared.plan(&mut ctx);
     let mut per_solve = Vec::new();
     for _ in 0..3 {
         let before = ctx.metrics().rounds;

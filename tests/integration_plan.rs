@@ -1,14 +1,18 @@
-//! The shared solve-plan engine: plan-based and batched solves must be bit-identical
-//! to fresh `solve_dp` runs (labels, root label, optimum) for MaxIS / MinVC / MinDS /
-//! matching, while charging strictly fewer rounds per problem — and a batch of four
-//! problems over one plan must cost at most 60% of four independent solves.
+//! The solve-plan engine against independent oracles: for MaxIS / MinVC / MinDS /
+//! matching the plan's optimum must equal the sequential solver's on the original
+//! tree and its labelling must be a feasible solution of exactly that value; an
+//! evaluation pass must charge strictly fewer rounds than the plan build; a batch of
+//! four problems over one plan must cost at most 60% of four cold solves; and the
+//! skeleton layout is pinned byte for byte.
 
+use mpc_tree_dp::clustering::EdgeKind;
+use mpc_tree_dp::core::{solve_sequential, StateDp};
 use mpc_tree_dp::gen::{shapes, suite::small_suite};
 use mpc_tree_dp::problems::{
     MaxWeightIndependentSet, MaxWeightMatching, MinWeightDominatingSet, MinWeightVertexCover,
 };
 use mpc_tree_dp::{
-    prepare, ClusterDp, ListOfEdges, MpcConfig, MpcContext, PreparedTree, StateEngine, TreeInput,
+    prepare, DistVec, ListOfEdges, MpcConfig, MpcContext, PreparedTree, StateEngine, TreeInput,
 };
 use std::collections::BTreeMap;
 use tree_repr::{NodeId, Tree};
@@ -40,47 +44,79 @@ fn random_tree(n: usize, seed: u64) -> Tree {
     Tree::from_parents(parents)
 }
 
-/// Solve `problem` fresh and through the prepared tree's plan; assert bit-identical
-/// labels / root label / root summary and return `(fresh_rounds, plan_eval_rounds)`.
-fn check_problem<P>(
-    ctx: &mut MpcContext,
-    prepared: &PreparedTree,
-    problem: &P,
-    node_inputs: &mpc_tree_dp::DistVec<(NodeId, P::NodeInput)>,
-    aux_input: P::NodeInput,
-    edge_inputs: &mpc_tree_dp::DistVec<(NodeId, P::EdgeInput)>,
-    what: &str,
-) -> (u64, u64)
-where
-    P: ClusterDp,
-    P::Label: PartialEq + std::fmt::Debug,
-    P::Summary: PartialEq + std::fmt::Debug,
-{
-    let before = ctx.metrics().rounds;
-    let fresh = prepared.solve(ctx, problem, node_inputs, aux_input.clone(), edge_inputs);
-    let fresh_rounds = ctx.metrics().rounds - before;
-
-    let plan = prepared.plan(ctx); // cached: free after the first call per tree
-    let before = ctx.metrics().rounds;
-    let planned = plan.solve(ctx, problem, node_inputs, aux_input, edge_inputs);
-    let eval_rounds = ctx.metrics().rounds - before;
-
-    let fresh_labels: BTreeMap<NodeId, P::Label> = fresh.labels.iter().cloned().collect();
-    let plan_labels: BTreeMap<NodeId, P::Label> = planned.labels.iter().cloned().collect();
-    assert_eq!(fresh_labels, plan_labels, "{what}: labels diverge");
-    assert_eq!(
-        fresh.root_label, planned.root_label,
-        "{what}: root label diverges"
-    );
-    assert_eq!(
-        fresh.root_summary, planned.root_summary,
-        "{what}: root summary diverges"
-    );
-    (fresh_rounds, eval_rounds)
+/// One prepared tree under test.
+struct Case<'a> {
+    ctx: MpcContext,
+    prepared: PreparedTree,
+    tree: &'a Tree,
+    what: &'a str,
 }
 
-/// Run all four Table-1 problems on one tree, checking plan-vs-fresh equivalence and
-/// that every plan evaluation charges strictly fewer rounds than its fresh solve.
+impl Case<'_> {
+    /// Solve `problem` through the prepared tree's plan; assert its optimum equals
+    /// the sequential solver's on the original tree and return it with the labels of
+    /// the original nodes and the evaluation rounds.
+    fn check<P: StateDp>(
+        &mut self,
+        problem: P,
+        node_inputs: &[P::NodeInput],
+        aux_input: P::NodeInput,
+        edge_inputs: &[P::EdgeInput],
+    ) -> (i64, BTreeMap<NodeId, usize>, u64) {
+        let Case {
+            ctx,
+            prepared,
+            tree,
+            what,
+        } = self;
+        let engine = StateEngine::new(problem);
+        let what = format!("{what}/{}", engine.problem().name());
+        let nodes: DistVec<(NodeId, P::NodeInput)> = ctx.from_vec(
+            node_inputs
+                .iter()
+                .enumerate()
+                .map(|(v, x)| (v as u64, x.clone()))
+                .collect::<Vec<_>>(),
+        );
+        let edges: DistVec<(NodeId, P::EdgeInput)> = ctx.from_vec(
+            (1..tree.len())
+                .map(|v| (v as u64, edge_inputs[v].clone()))
+                .collect::<Vec<_>>(),
+        );
+        let plan = prepared.plan(ctx); // cached: free after the first call per tree
+        let before = ctx.metrics().rounds;
+        let planned = plan.solve(ctx, &engine, &nodes, aux_input, &edges);
+        let eval_rounds = ctx.metrics().rounds - before;
+
+        let seq = solve_sequential(
+            &engine,
+            &tree.edges(),
+            tree.root() as u64,
+            |v| node_inputs[v as usize].clone(),
+            |c| (EdgeKind::Original, edge_inputs[c as usize].clone()),
+        );
+        let optimum = seq
+            .root_summary
+            .best(engine.problem())
+            .expect("feasible instance");
+        assert_eq!(
+            planned.root_summary.best(engine.problem()),
+            Some(optimum),
+            "{what}: optimum diverges from the sequential oracle"
+        );
+        let labels = planned
+            .labels
+            .iter()
+            .filter(|(v, _)| (*v as usize) < tree.len())
+            .cloned()
+            .collect();
+        (optimum, labels, eval_rounds)
+    }
+}
+
+/// Run all four Table-1 problems on one tree: optimum against the sequential oracle,
+/// the labelling a feasible solution of that value, and every plan evaluation
+/// strictly cheaper than the plan build.
 fn check_tree(tree: &Tree, threshold: Option<usize>, seed: u64, what: &str) {
     let mut ctx = ctx_for(tree.len());
     let prepared = prepare(
@@ -89,66 +125,86 @@ fn check_tree(tree: &Tree, threshold: Option<usize>, seed: u64, what: &str) {
         threshold,
     )
     .unwrap();
+    let n = tree.len();
     let mut state = seed;
-    let weights: Vec<i64> = (0..tree.len())
+    let w: Vec<i64> = (0..n)
         .map(|_| 1 + (splitmix(&mut state) % 30) as i64)
         .collect();
-    let node_w = ctx.from_vec(
-        weights
-            .iter()
-            .enumerate()
-            .map(|(v, &w)| (v as u64, w))
-            .collect::<Vec<_>>(),
-    );
-    let unit = ctx.from_vec((0..tree.len()).map(|v| (v as u64, ())).collect::<Vec<_>>());
-    let edge_w = ctx.from_vec(
-        (1..tree.len())
-            .map(|v| (v as u64, 1 + (v % 9) as i64))
-            .collect::<Vec<_>>(),
-    );
-    let no_edges = ctx.from_vec(Vec::<(u64, ())>::new());
+    let edge_w: Vec<i64> = (0..n).map(|v| 1 + (v % 9) as i64).collect();
+    let unit = vec![(); n];
+    let parent = |v: usize| tree.parent(v).map(|p| p as u64);
+    let weight_where = |labels: &BTreeMap<NodeId, usize>, chosen: usize| -> i64 {
+        (0..n)
+            .filter(|v| labels[&(*v as u64)] == chosen)
+            .map(|v| w[v])
+            .sum()
+    };
 
-    let mut results = Vec::new();
-    results.push(check_problem(
-        &mut ctx,
-        &prepared,
-        &StateEngine::new(MaxWeightIndependentSet),
-        &node_w,
-        0,
-        &no_edges,
-        &format!("{what}/max-is"),
-    ));
-    results.push(check_problem(
-        &mut ctx,
-        &prepared,
-        &StateEngine::new(MinWeightVertexCover),
-        &node_w,
-        0,
-        &no_edges,
-        &format!("{what}/min-vc"),
-    ));
-    results.push(check_problem(
-        &mut ctx,
-        &prepared,
-        &StateEngine::new(MinWeightDominatingSet),
-        &node_w,
-        0,
-        &no_edges,
-        &format!("{what}/min-ds"),
-    ));
-    results.push(check_problem(
-        &mut ctx,
-        &prepared,
-        &StateEngine::new(MaxWeightMatching),
-        &unit,
-        (),
-        &edge_w,
-        &format!("{what}/matching"),
-    ));
-    for (fresh, eval) in results {
+    let before = ctx.metrics().rounds;
+    prepared.plan(&mut ctx);
+    let build_rounds = ctx.metrics().rounds - before;
+    let mut case = Case {
+        ctx,
+        prepared,
+        tree,
+        what,
+    };
+    let mut evals = Vec::new();
+
+    // MaxIS: state 1 = in the set; no edge has both endpoints in it.
+    let (best, labels, eval) = case.check(MaxWeightIndependentSet, &w, 0, &unit);
+    for v in 1..n {
+        let both = labels[&(v as u64)] == 1 && labels[&parent(v).unwrap()] == 1;
+        assert!(!both, "{what}/max-is: edge below {v} inside the set");
+    }
+    assert_eq!(weight_where(&labels, 1), best, "{what}/max-is: set weight");
+    evals.push(eval);
+
+    // MinVC: state 1 = in the cover; every edge has an endpoint in it.
+    let (best, labels, eval) = case.check(MinWeightVertexCover, &w, 0, &unit);
+    for v in 1..n {
+        let covered = labels[&(v as u64)] == 1 || labels[&parent(v).unwrap()] == 1;
+        assert!(covered, "{what}/min-vc: edge below {v} uncovered");
+    }
+    assert_eq!(
+        -weight_where(&labels, 1),
+        best,
+        "{what}/min-vc: cover weight"
+    );
+    evals.push(eval);
+
+    // MinDS: state 0 = in the set; every node is in it or next to a member.
+    let (best, labels, eval) = case.check(MinWeightDominatingSet, &w, 0, &unit);
+    for v in 0..n {
+        let dominated = labels[&(v as u64)] == 0
+            || parent(v).is_some_and(|p| labels[&p] == 0)
+            || tree.children(v).iter().any(|&c| labels[&(c as u64)] == 0);
+        assert!(dominated, "{what}/min-ds: node {v} undominated");
+    }
+    assert_eq!(-weight_where(&labels, 0), best, "{what}/min-ds: set weight");
+    evals.push(eval);
+
+    // Matching: state 2 = matched to its parent; matched edges share no endpoint.
+    let (best, labels, eval) = case.check(MaxWeightMatching, &unit, (), &edge_w);
+    let mut matched = vec![false; n];
+    let mut total = 0;
+    for v in (1..n).filter(|v| labels[&(*v as u64)] == 2) {
+        let p = tree.parent(v).unwrap();
         assert!(
-            eval < fresh,
-            "{what}: plan evaluation ({eval} rounds) not cheaper than fresh solve ({fresh})"
+            !matched[v] && !matched[p],
+            "{what}/matching: two matched edges meet at edge {v}-{p}"
+        );
+        matched[v] = true;
+        matched[p] = true;
+        total += edge_w[v];
+    }
+    assert_eq!(total, best, "{what}/matching: matching weight");
+    evals.push(eval);
+
+    for eval in evals {
+        assert!(
+            eval < build_rounds,
+            "{what}: plan evaluation ({eval} rounds) not cheaper than the build ({build_rounds})"
         );
     }
 }
@@ -242,12 +298,10 @@ fn plan_is_built_once_and_cached() {
     assert_eq!(first_views, second_views);
 }
 
-/// The acceptance criterion of the plan engine: batched {MaxIS, MinVC, MinDS,
-/// matching} through one `SolvePlan` — including the plan build itself — charges at
-/// most 60% of the summed rounds of four independent `solve_dp` runs, with
-/// bit-identical labels and optima (asserted via `check_problem` in the suite tests;
-/// re-asserted here on the optima). Runs on `path-4096`, the shape named in the
-/// acceptance criteria.
+/// What the shared plan buys: batched {MaxIS, MinVC, MinDS, matching} through one
+/// `SolvePlan` — including the plan build itself — charges at most 60% of the summed
+/// rounds of four cold solves that each build their own plan, with identical optima.
+/// Runs on `path-4096`.
 #[test]
 fn batched_solves_charge_at_most_sixty_percent_of_independent_solves() {
     let tree = shapes::path(4096);
@@ -275,12 +329,20 @@ fn batched_solves_charge_at_most_sixty_percent_of_independent_solves() {
     let ds = StateEngine::new(MinWeightDominatingSet);
     let mm = StateEngine::new(MaxWeightMatching);
 
-    // Four independent fresh solves.
+    // Four cold solves: a plan of its own for every problem.
     let before = ctx.metrics().rounds;
-    let f_is = prepared.solve(&mut ctx, &is, &node_w, 0, &no_edges);
-    let f_vc = prepared.solve(&mut ctx, &vc, &node_w, 0, &no_edges);
-    let f_ds = prepared.solve(&mut ctx, &ds, &node_w, 0, &no_edges);
-    let f_mm = prepared.solve(&mut ctx, &mm, &unit, (), &edge_w);
+    let c_is = prepared
+        .plan_uncached(&mut ctx)
+        .solve(&mut ctx, &is, &node_w, 0, &no_edges);
+    let c_vc = prepared
+        .plan_uncached(&mut ctx)
+        .solve(&mut ctx, &vc, &node_w, 0, &no_edges);
+    let c_ds = prepared
+        .plan_uncached(&mut ctx)
+        .solve(&mut ctx, &ds, &node_w, 0, &no_edges);
+    let c_mm = prepared
+        .plan_uncached(&mut ctx)
+        .solve(&mut ctx, &mm, &unit, (), &edge_w);
     let independent = ctx.metrics().rounds - before;
 
     // One plan, four cheap evaluations (the plan build is part of the batch's bill).
@@ -292,14 +354,14 @@ fn batched_solves_charge_at_most_sixty_percent_of_independent_solves() {
     let p_mm = plan.solve(&mut ctx, &mm, &unit, (), &edge_w);
     let batched = ctx.metrics().rounds - before;
 
-    assert_eq!(f_is.root_summary, p_is.root_summary);
-    assert_eq!(f_vc.root_summary, p_vc.root_summary);
-    assert_eq!(f_ds.root_summary, p_ds.root_summary);
-    assert_eq!(f_mm.root_summary, p_mm.root_summary);
+    assert_eq!(c_is.root_summary, p_is.root_summary);
+    assert_eq!(c_vc.root_summary, p_vc.root_summary);
+    assert_eq!(c_ds.root_summary, p_ds.root_summary);
+    assert_eq!(c_mm.root_summary, p_mm.root_summary);
     assert!(
         batched * 100 <= independent * 60,
         "batched plan solves charged {batched} rounds, more than 60% of the {independent} \
-         rounds of four independent solves"
+         rounds of four cold solves"
     );
 }
 
@@ -395,4 +457,38 @@ fn multi_bench_rounds_are_assembly_plus_two_evaluations() {
         "plan evaluation regressed: {eval_is} rounds > baseline {}",
         nums[4]
     );
+}
+
+fn fnv1a_64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Layout pin: the `KIND_PLAN` snapshot bytes — every skeleton, its machine, its
+/// member order, every routing slot — hash to the digests taken at the commit before
+/// `build_plan` stopped assembling full cluster views (ec9efe6). Skeleton placement
+/// decides every `plan-solve` send/recv volume and the resident-words figure plan
+/// caches budget on, so a change here is a change to all of those.
+#[test]
+fn plan_layout_is_pinned() {
+    for (name, tree, digest) in [
+        ("path-257", shapes::path(257), 0xfb59_cba4_05d4_1fe2_u64),
+        ("star-64", shapes::star(64), 0x171d_9e87_ffc5_4ee8),
+        (
+            "random-recursive-300/7",
+            shapes::random_recursive(300, 7),
+            0x9f6b_1e99_eb42_6e3c,
+        ),
+    ] {
+        let mut ctx = ctx_for(tree.len());
+        let prepared = prepare(
+            &mut ctx,
+            TreeInput::ListOfEdges(ListOfEdges::from_tree(&tree)),
+            Some(4),
+        )
+        .unwrap();
+        let bytes = prepared.plan_uncached(&mut ctx).to_snapshot();
+        assert_eq!(fnv1a_64(&bytes), digest, "{name}: plan layout moved");
+    }
 }

@@ -77,7 +77,7 @@ fn mirror_solve(tree: &Tree, weights: &[(u64, i64)]) -> (i64, BTreeMap<u64, usiz
     let engine = MaxIs::new(MaxWeightIndependentSet);
     let inputs = ctx.from_vec(weights.to_vec());
     let no_edges = ctx.from_vec(Vec::<(u64, ())>::new());
-    let sol = prepared.solve_planned(&mut ctx, &engine, &inputs, 0, &no_edges);
+    let sol = prepared.solve(&mut ctx, &engine, &inputs, 0, &no_edges);
     ctx.check_compliance()
         .expect("mirror solve stays compliant");
     let best = sol.root_summary.best(engine.problem()).expect("optimum");
@@ -664,7 +664,7 @@ fn invalid_structural_request_is_rejected_alone() {
     let engine = MaxIs::new(MaxWeightIndependentSet);
     let inputs = ctx.from_vec(inputs);
     let no_edges = ctx.from_vec(Vec::<(u64, ())>::new());
-    let sol = fresh.solve_planned(&mut ctx, &engine, &inputs, 0, &no_edges);
+    let sol = fresh.solve(&mut ctx, &engine, &inputs, 0, &no_edges);
     let want_labels: BTreeMap<u64, usize> = sol.labels.iter().cloned().collect();
     assert_eq!(server.labels("t").expect("tenant"), &want_labels);
     assert_eq!(server.root_summary("t").expect("tenant"), &sol.root_summary);
@@ -673,4 +673,68 @@ fn invalid_structural_request_is_rejected_alone() {
         .expect("tenant")
         .check_compliance()
         .unwrap_or_else(|v| panic!("strict violation: {v}"));
+}
+
+/// A query that leaves one original node without an input used to panic the
+/// evaluation pass and lose every response of the flush. It is rejected alone: its
+/// neighbours — the same tenant's and another tenant's — are answered exactly as in
+/// a flush without it, and the tenant's counters record no query for it.
+#[test]
+fn incomplete_query_is_rejected_alone() {
+    let query = |weights: Vec<(u64, i64)>| Request::Query {
+        node_inputs: weights,
+        edge_inputs: Vec::new(),
+    };
+    // Answers and tenant counters of one flush over two fresh tenants, with or
+    // without the offending query between the valid ones.
+    let run = |with_offender: bool| {
+        let mut server = Server::new(ServerConfig {
+            plan_budget_words: 4 << 20,
+        });
+        for i in 0..2 {
+            server
+                .admit(format!("tenant-{i}"), spec_for(i))
+                .expect("admission succeeds");
+        }
+        let n0 = tenant_tree(0).len();
+        let n1 = tenant_tree(1).len();
+        server.submit("tenant-0", query(weights_for(n0, 5)));
+        if with_offender {
+            let mut short = weights_for(n0, 6);
+            short.pop();
+            // An id the tree does not hold does not stand in for the missing node.
+            short.push((n0 as u64 + 1000, 3));
+            server.submit("tenant-0", query(short));
+        }
+        server.submit("tenant-1", query(weights_for(n1, 7)));
+        server.submit("tenant-0", query(weights_for(n0, 8)));
+        let responses = server.flush();
+        let metrics: Vec<_> = (0..2)
+            .map(|i| {
+                let m = server
+                    .tenant_metrics(&format!("tenant-{i}"))
+                    .expect("tenant");
+                (m.queries, m.plan_hits, m.plan_misses, m.rounds_charged)
+            })
+            .collect();
+        (responses, metrics, n0)
+    };
+
+    let (clean, clean_metrics, _) = run(false);
+    let (mut mixed, mixed_metrics, n0) = run(true);
+    assert_eq!(mixed.len(), clean.len() + 1);
+    let (id, offender) = mixed.remove(1);
+    assert_eq!(id, "tenant-0");
+    match offender {
+        Response::Rejected(ServerError::InvalidQuery { missing }) => {
+            assert_eq!(missing, n0 as u64 - 1)
+        }
+        Response::Rejected(e) => panic!("wrong rejection: {e}"),
+        _ => panic!("the incomplete query must be rejected"),
+    }
+    for ((id_a, a), (id_b, b)) in clean.iter().zip(&mixed) {
+        assert_eq!(id_a, id_b);
+        assert_eq!(expect_solution(a), expect_solution(b), "{id_a}");
+    }
+    assert_eq!(clean_metrics, mixed_metrics);
 }

@@ -50,7 +50,7 @@ fn prepared_with_plan(tree: &Tree, weights: &[i64]) -> (MpcContext, PreparedTree
     let engine = MaxIs::new(MaxWeightIndependentSet);
     let inputs = weight_table(&mut ctx, weights);
     let no_edges = ctx.from_vec(Vec::<(u64, ())>::new());
-    let sol = prepared.solve_planned(&mut ctx, &engine, &inputs, 0, &no_edges);
+    let sol = prepared.solve(&mut ctx, &engine, &inputs, 0, &no_edges);
     let best = sol.root_summary.best(engine.problem()).expect("optimum");
     (ctx, prepared, best)
 }
@@ -66,7 +66,7 @@ fn prepared_tree_round_trips_with_cached_plan() {
         .map(|v| *v as i64)
         .collect();
     let (_, prepared, best) = prepared_with_plan(&tree, &weights);
-    assert!(prepared.has_plan(), "solve_planned caches the plan");
+    assert!(prepared.has_plan(), "solve caches the plan");
 
     let bytes = prepared.to_snapshot();
     let restored = PreparedTree::from_snapshot(&bytes).expect("round trip");
@@ -87,7 +87,7 @@ fn prepared_tree_round_trips_with_cached_plan() {
         let engine = MaxIs::new(MaxWeightIndependentSet);
         let inputs = weight_table(&mut ctx, &weights);
         let no_edges = ctx.from_vec(Vec::<(u64, ())>::new());
-        let sol = p.solve_planned(&mut ctx, &engine, &inputs, 0, &no_edges);
+        let sol = p.solve(&mut ctx, &engine, &inputs, 0, &no_edges);
         let mut labels: Vec<(u64, usize)> = sol.labels.iter().cloned().collect();
         labels.sort_unstable();
         let best = sol.root_summary.best(engine.problem()).expect("optimum");
@@ -416,7 +416,7 @@ fn check_random_tree_round_trip(tree: &Tree, seed: u64) {
     let mut ctx2 = MpcContext::new(cfg_for(n));
     let inputs2 = weight_table(&mut ctx2, &weights);
     let no_edges2 = ctx2.from_vec(Vec::<(u64, ())>::new());
-    let sol2 = restored.solve_planned(&mut ctx2, &engine, &inputs2, 0, &no_edges2);
+    let sol2 = restored.solve(&mut ctx2, &engine, &inputs2, 0, &no_edges2);
 
     prop_assert_eq!(&sol.root_summary, &sol2.root_summary);
     prop_assert_eq!(&sol.root_label, &sol2.root_label);

@@ -1,14 +1,14 @@
 //! Strict-mode conformance gate: the full pipeline — prepare → cached plan →
-//! `solve_many` → explicit input assembly → store export → incremental `apply_batch`
-//! — runs under strict accounting without a single recorded model violation, in both
+//! `solve_many` → store export → incremental `apply_batch` — runs under strict
+//! accounting without a single recorded model violation, in both
 //! parallel and sequential local execution, with bit-identical results.
 //!
 //! This suite is the dynamic counterpart of the `mpc-lint` static rules: what the
 //! linter cannot prove about round/volume/memory accounting, these runs observe (and
 //! strict mode turns any violation into an immediate panic at the offending call).
 
-use mpc_tree_dp::core::solver::default_edge_data;
-use mpc_tree_dp::core::EdgeData;
+use mpc_tree_dp::clustering::EdgeKind;
+use mpc_tree_dp::core::solve_sequential;
 use mpc_tree_dp::mpc::MachineId;
 use mpc_tree_dp::problems::brute::{count_matchings_mod, longest_path};
 use mpc_tree_dp::problems::median::MedianInput;
@@ -112,20 +112,20 @@ fn run_strict_pipeline(parallel: bool) -> (i64, Vec<(u64, usize)>, u64) {
     let inputs = weight_table(&mut ctx, &weights);
     let no_edges = ctx.from_vec(Vec::<(u64, ())>::new());
 
-    // The explicit assembly steps that the one-call solve wraps.
-    let all_inputs = prepared.assemble_inputs(&inputs, 0);
-    assert!(all_inputs.len() >= n, "aux nodes extend the input table");
-    let edge_data = prepared.assemble_edge_data(&mut ctx, &no_edges);
-    assert!(
-        edge_data.len() >= n - 1,
-        "every tree edge gets a data record"
-    );
-    let empty: DistVec<EdgeData<()>> = default_edge_data(&ctx);
-    assert!(empty.is_empty());
-
     // Two problem instances batched over the shared plan, checked against the
-    // sort-join assembly path.
+    // sequential oracle on the original (not degree-reduced) tree.
     let engine = StateEngine::new(MaxWeightIndependentSet);
+    let optimum = |ws: &[i64]| {
+        solve_sequential(
+            &engine,
+            &tree.edges(),
+            tree.root() as u64,
+            |v| ws[v as usize],
+            |_| (EdgeKind::Original, ()),
+        )
+        .root_summary
+        .best(engine.problem())
+    };
     let halved: Vec<i64> = weights.iter().map(|w| w / 2).collect();
     let inputs_halved = weight_table(&mut ctx, &halved);
     let sols = {
@@ -138,19 +138,27 @@ fn run_strict_pipeline(parallel: bool) -> (i64, Vec<(u64, usize)>, u64) {
             ],
         )
     };
-    let direct = prepared.solve(&mut ctx, &engine, &inputs, 0, &no_edges);
-    assert_eq!(sols[0].root_summary, direct.root_summary);
-    assert_eq!(sols[0].root_label, direct.root_label);
+    assert_eq!(
+        sols[0].root_summary.best(engine.problem()),
+        optimum(&weights)
+    );
+    assert_eq!(
+        sols[1].root_summary.best(engine.problem()),
+        optimum(&halved)
+    );
 
     // The solver store snapshot equals the distributed label table.
-    let (sol_store, store) = prepared.solve_with_store(&mut ctx, &engine, &inputs, 0, &no_edges);
+    let (sol_store, store) = prepared
+        .plan(&mut ctx)
+        .solve_with_store(&mut ctx, &engine, &inputs, 0, &no_edges);
     let mut exported = store.export_labels();
     exported.sort_unstable();
     let mut direct_labels: Vec<(u64, usize)> = sol_store.labels.iter().cloned().collect();
     direct_labels.sort_unstable();
     assert_eq!(exported, direct_labels);
 
-    // Incremental updates through apply_batch stay strict-clean and match a fresh solve.
+    // Incremental updates through apply_batch stay strict-clean and match a full
+    // evaluation of the updated weights (and the oracle).
     let mut inc = IncrementalSolver::new(
         &mut ctx,
         &prepared,
@@ -168,6 +176,7 @@ fn run_strict_pipeline(parallel: bool) -> (i64, Vec<(u64, usize)>, u64) {
     let fresh_inputs = weight_table(&mut ctx, &weights);
     let fresh = prepared.solve(&mut ctx, &engine, &fresh_inputs, 0, &no_edges);
     assert_eq!(inc.root_summary(), &fresh.root_summary);
+    assert_eq!(fresh.root_summary.best(engine.problem()), optimum(&weights));
 
     ctx.check_compliance()
         .expect("strict pipeline records no violations");

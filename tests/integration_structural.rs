@@ -6,8 +6,8 @@
 //! the same guarantee through `submit`/`flush` (plan-cache splice handshake) and
 //! through snapshot → restore.
 
-use mpc_tree_dp::clustering::{plan_repair, TopologyOp};
-use mpc_tree_dp::core::StateDp;
+use mpc_tree_dp::clustering::{plan_repair, EdgeKind, TopologyOp};
+use mpc_tree_dp::core::{solve_sequential, StateDp};
 use mpc_tree_dp::problems::{
     MaxWeightIndependentSet, MaxWeightMatching, MinWeightDominatingSet, MinWeightVertexCover,
 };
@@ -130,6 +130,18 @@ where
     let sol = fresh.solve(ctx, &engine, &inputs, 0, &no_edges);
     let labels: BTreeMap<u64, usize> = sol.labels.iter().cloned().collect();
     let best = sol.root_summary.best(engine.problem());
+    let sequential = solve_sequential(
+        &engine,
+        &model.edge_list(),
+        model.root,
+        |v| model.weights[&v],
+        |_| (EdgeKind::Original, ()),
+    );
+    assert_eq!(
+        best,
+        sequential.root_summary.best(engine.problem()),
+        "fresh prepare + solve vs the sequential oracle"
+    );
     (labels, sol.root_label, best)
 }
 
