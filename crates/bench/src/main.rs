@@ -185,12 +185,6 @@ fn exp_memory() {
         m.max_words_sent_per_round
     );
     println!("violations (total)        : {}", m.violations.len());
-    let outside = m
-        .violations
-        .iter()
-        .filter(|v| !v.context.contains("count_subtree_sizes"))
-        .count();
-    println!("violations outside the documented CountSubtreeSizes relaxation: {outside}");
 }
 
 fn exp_representations() {
@@ -1344,9 +1338,8 @@ fn exp_bench_json(seed: u64, n: usize, parallel: bool, strict: bool, check_round
     // Top-level violation accounting with its semantics spelled out: a `violation`
     // is a recorded (not fatal) breach of the Θ(n^δ)-word memory or bandwidth bound
     // *after* the configured slack factor; the default configs use 32× slack and
-    // tolerate the documented CountSubtreeSizes relaxation, while `--strict` runs
-    // the suite at 256× slack with hard assertions, so a strict run that completes
-    // has zero by construction.
+    // record what exceeds it, while `--strict` runs the suite at 256× slack with
+    // hard assertions, so a strict run that completes has zero by construction.
     let violations_section = format!(
         concat!(
             "  \"violations\": {{\n",
@@ -1355,7 +1348,8 @@ fn exp_bench_json(seed: u64, n: usize, parallel: bool, strict: bool, check_round
             "    \"explanation\": \"Counts Θ(n^δ)-bound breaches recorded after the \
              configured slack factor (default 32x memory/bandwidth): transient \
              gather/join/view-assembly peaks whose Θ-constants exceed 32x at this n, \
-             the documented CountSubtreeSizes relaxation being the known worst case. \
+             the single-group gathers of top-cluster assembly and degree reduction \
+             being the known worst case. \
              Run with --strict for hard assertions at 256x slack (violations panic), \
              which completes only when this is 0. \
              See README 'Cost model and slack factors'.\"\n",

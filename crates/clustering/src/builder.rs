@@ -40,7 +40,7 @@
 use crate::clustering::Clustering;
 use crate::element::{make_cluster_id, Element, ElementId, ElementKind, UNABSORBED, VIRTUAL_NODE};
 use crate::subroutines::{count_subtree_sizes, path_distances, PathNode, PathPosition};
-use mpc_engine::{DistVec, MpcContext, Words};
+use mpc_engine::{ConvergeError, DistVec, MpcContext, Words};
 use std::fmt;
 use tree_repr::{DirectedEdge, NodeId};
 
@@ -55,6 +55,12 @@ impl fmt::Display for ClusterError {
 }
 
 impl std::error::Error for ClusterError {}
+
+impl From<ConvergeError> for ClusterError {
+    fn from(e: ConvergeError) -> Self {
+        ClusterError(e.to_string())
+    }
+}
 
 /// One element of the *active* (partially contracted) tree during construction.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -238,7 +244,7 @@ pub fn build_clustering(
         let sizes = ctx.phase("cluster-sizes", |ctx| {
             let adjacency = uncolored_children(ctx, &actives);
             count_subtree_sizes(ctx, adjacency, threshold)
-        });
+        })?;
         // One fused two-column probe answers both size questions (own size, parent's
         // size) in a single join round.
         let uncolored = actives.clone().filter_local(|a| !a.colored);
@@ -308,7 +314,7 @@ pub fn build_clustering(
             out_edge: f.out_edge,
             child_edge: f.child_edge,
         });
-        let positions = ctx.phase("cluster-paths", |ctx| path_distances(ctx, path_nodes));
+        let positions = ctx.phase("cluster-paths", |ctx| path_distances(ctx, path_nodes))?;
 
         // Fragments of at most `threshold` consecutive path nodes; the bottom anchor of
         // the path uniquely identifies the path, the quotient of the downward distance
@@ -367,27 +373,27 @@ pub fn build_clustering(
     })
 }
 
+/// The announcement pairs both adjacency gathers group by their first field: on every
+/// machine, one `to_parent` pair per uncolored element below a real parent, then one
+/// `own` pair per uncolored element (which is what gives childless elements a group).
+fn announcements<P>(
+    actives: &DistVec<Active>,
+    to_parent: impl Fn(&Active) -> P,
+    own: impl Fn(&Active) -> P,
+) -> DistVec<P> {
+    actives
+        .filter_map_local(|a| (!a.colored && a.parent != VIRTUAL_NODE).then(|| to_parent(a)))
+        .concat_local(actives.filter_map_local(|a| (!a.colored).then(|| own(a))))
+}
+
 /// Uncolored-subgraph adjacency: for every uncolored element, the list of its uncolored
 /// children (possibly empty). One `gather_groups` (`O(1)` rounds).
 fn uncolored_children(
     ctx: &mut MpcContext,
     actives: &DistVec<Active>,
 ) -> DistVec<(ElementId, Vec<ElementId>)> {
-    let child_pairs: DistVec<(ElementId, ElementId)> = actives.clone().flat_map_local(|a| {
-        if !a.colored && a.parent != VIRTUAL_NODE {
-            vec![(a.parent, a.id)]
-        } else {
-            Vec::new()
-        }
-    });
-    let self_pairs: DistVec<(ElementId, ElementId)> = actives.clone().flat_map_local(|a| {
-        if !a.colored {
-            vec![(a.id, VIRTUAL_NODE)]
-        } else {
-            Vec::new()
-        }
-    });
-    let grouped = ctx.gather_groups(child_pairs.concat_local(self_pairs), |p| p.0);
+    let pairs = announcements(actives, |a| (a.parent, a.id), |a| (a.id, VIRTUAL_NODE));
+    let grouped = ctx.gather_groups(pairs, |p| p.0);
     grouped.map_local(|(id, pairs)| {
         let children: Vec<ElementId> = pairs
             .iter()
@@ -403,22 +409,12 @@ fn uncolored_children(
 /// outgoing edge)` to the parent; the self pair carries the node's own parent pointer
 /// and outgoing edge, so every downstream consumer works without further joins.
 fn uncolored_adjacency(ctx: &mut MpcContext, actives: &DistVec<Active>) -> DistVec<AdjRec> {
-    type Pair = (ElementId, ElementId, ElementId, DirectedEdge);
-    let child_pairs: DistVec<Pair> = actives.clone().flat_map_local(|a| {
-        if !a.colored && a.parent != VIRTUAL_NODE {
-            vec![(a.parent, a.id, VIRTUAL_NODE, a.out_edge)]
-        } else {
-            Vec::new()
-        }
-    });
-    let self_pairs: DistVec<Pair> = actives.clone().flat_map_local(|a| {
-        if !a.colored {
-            vec![(a.id, VIRTUAL_NODE, a.parent, a.out_edge)]
-        } else {
-            Vec::new()
-        }
-    });
-    let grouped = ctx.gather_groups(child_pairs.concat_local(self_pairs), |p| p.0);
+    let pairs = announcements(
+        actives,
+        |a| (a.parent, a.id, VIRTUAL_NODE, a.out_edge),
+        |a| (a.id, VIRTUAL_NODE, a.parent, a.out_edge),
+    );
+    let grouped = ctx.gather_groups(pairs, |p| p.0);
     grouped.map_local(|(id, pairs)| {
         // Every uncolored element emits a self pair, so the parent and out-edge
         // fields are always overwritten below (colored elements are leaves, hence

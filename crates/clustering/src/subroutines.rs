@@ -4,13 +4,22 @@
 //! Balliu et al. (SODA 2023) as black boxes. This module re-implements them on top of
 //! the `mpc-engine` primitives:
 //!
-//! * [`count_subtree_sizes`] — capped descendant-set doubling. Every node maintains the
-//!   set of descendants it has discovered (within the uncolored subgraph); one doubling
-//!   step replaces the set by the union of its members' sets, so after `⌈log₂ h⌉` steps
-//!   (`h` = height of the uncolored subgraph, `h ≤ D`) every node either knows its
-//!   subtree exactly or knows that it exceeds the cap `n^{δ/2}`. This is the documented
-//!   substitution for Lemma 6.13 of [4]: round-optimal (`O(log D)`), deterministic, but
-//!   using up to `O(n · n^{δ/2})` global memory instead of `O(n)`.
+//! * [`count_subtree_sizes`] — capped **rim doubling**. After step `k` a node `u` holds
+//!   its ball `B_k(u)`: its descendants within distance `2^k` in the uncolored
+//!   subgraph, `u` first, with the *rim* — the members at distance exactly `2^k` — as
+//!   the ball's suffix. One step fetches the balls of the rim nodes only. Those balls
+//!   are pairwise disjoint and each meets `B_k(u)` in its own center alone, so
+//!   `|B_{k+1}(u)| = |B_k(u)| + Σ_w (|B_k(w)| − 1)` is known from the answers'
+//!   *lengths*: the cap `n^{δ/2}` is tested before one id is copied, a node whose ball
+//!   would pass it turns *heavy* and drops its ball, and otherwise the union is a
+//!   concatenation (the answers' inner parts, then their rims as the new suffix) — no
+//!   sort, no dedup, no set ever longer than the cap. A heavy descendant strictly
+//!   inside the ball cannot be missed: its ball lies inside `B_{k+1}(u)`, so the
+//!   length sum passes the cap in the same step. An empty rim means the ball is the
+//!   whole subtree and the node stops asking. After `⌈log₂ cap⌉ + 1` steps at most
+//!   (and `⌈log₂ h⌉` for uncolored height `h ≤ D`) every node knows its subtree
+//!   exactly or knows that it is heavy — which is all `CountSubtreeSizes`
+//!   (Lemma 6.13 of [4]) has to tell the builder — within `cap + 4` words per node.
 //! * [`path_distances`] — pointer doubling along degree-2 paths (Lemma 6.17 of [4]).
 //!   Any path in a tree has length at most `D`, so `⌈log₂ D⌉` jump rounds suffice.
 //!
@@ -19,17 +28,17 @@
 //!
 //! ## Fused convergence-aware execution
 //!
-//! Both subroutines run on [`MpcContext::converge`]: the state table is
+//! Both subroutines run on [`MpcContext::try_converge`]: the state table is
 //! indexed once, each doubling step is one fused emit/probe/update exchange (priced as
 //! a join on the first step and a lookup afterwards), converged elements stop emitting
 //! requests — so machines whose records have all settled drop out of later exchanges —
 //! and the final "nothing left to ask" step costs no rounds at all. Both directions of
 //! the path pointer-doubling advance in the *same* exchange instead of two sequential
-//! jump loops. The step-by-step loops this replaced live on in this module's tests as
-//! reference implementations: bit-identical outputs, never fewer rounds.
+//! jump loops. The loops this replaced live on in this module's tests as reference
+//! implementations: bit-identical outputs, never fewer rounds or words.
 
 use crate::element::ElementId;
-use mpc_engine::{DistVec, MpcContext, Words};
+use mpc_engine::{ConvergeError, DistVec, MpcContext, Words};
 use tree_repr::DirectedEdge;
 
 /// Result of [`count_subtree_sizes`] for one node.
@@ -40,7 +49,8 @@ pub struct SubtreeInfo {
     pub id: ElementId,
     /// `true` when the node has strictly more than `cap` descendants (itself included).
     pub heavy: bool,
-    /// The node's full descendant set (itself included), exact whenever `heavy == false`.
+    /// The node's full descendant set (itself included) in ascending id order, exact
+    /// whenever `heavy == false` and empty otherwise.
     pub descendants: Vec<ElementId>,
 }
 
@@ -50,185 +60,95 @@ impl Words for SubtreeInfo {
     }
 }
 
+/// One node's doubling state. A heavy node's ball is dead weight — nothing ever reads
+/// it (the output drops it, and whoever fetches a heavy node turns heavy itself) — so
+/// heavy states carry an empty ball instead of shipping useless ids around.
 #[derive(Debug, Clone)]
 struct SizeState {
     id: ElementId,
     heavy: bool,
-    set: Vec<ElementId>,
-    /// `true` once the set can no longer grow (either heavy or a fixpoint was reached).
-    stable: bool,
-    /// Descendants discovered in the *previous* step — the only ones whose sets the
-    /// next step has to fetch (every element of the next ball has an ancestor in the
-    /// frontier band). Simulator bookkeeping derived from two consecutive sets, kept
-    /// beside the state so the fused loop can emit from it; it never travels as state
-    /// payload, hence excluded from `words()`.
-    frontier: Vec<ElementId>,
+    /// `B_k(id)` after step `k`: `id` first, the rim last. At most `cap` ids.
+    ball: Vec<ElementId>,
+    /// Length of the rim, the suffix of `ball` at distance exactly `2^k`: the only
+    /// nodes the next step asks. Zero once the ball is the whole subtree or was
+    /// dropped, which is when the node stops emitting.
+    rim: usize,
 }
 
 impl Words for SizeState {
     fn words(&self) -> usize {
-        4 + self.set.len()
+        4 + self.ball.len()
     }
 }
 
-/// What one doubling step ships back per fetched descendant: its heaviness and its
-/// current ball. Slimmer than the full state (no id, no flags, no frontier).
-struct SizeAnswer {
+/// What one doubling step ships back per rim node: its heaviness and its ball without
+/// the center (the asker holds that already), rim last.
+struct BallAnswer {
     heavy: bool,
-    set: Vec<ElementId>,
+    below: Vec<ElementId>,
+    rim: usize,
 }
 
-impl Words for SizeAnswer {
+impl Words for BallAnswer {
     fn words(&self) -> usize {
-        2 + self.set.len()
+        3 + self.below.len()
     }
 }
 
-/// Seed: every node knows itself and its children (distance ≤ 1), as a sorted set. A
-/// heavy node's descendant set is dead weight — nothing ever reads it (the final
-/// output drops it, and any node that unions a heavy descendant becomes heavy itself)
-/// — so heavy states carry an empty set instead of shipping useless ids around.
-fn seed_size_states(
-    adjacency: DistVec<(ElementId, Vec<ElementId>)>,
-    cap: usize,
-) -> DistVec<SizeState> {
-    adjacency.map_local(|(id, children)| {
-        let mut set = Vec::with_capacity(children.len() + 1);
-        set.push(*id);
-        set.extend(children.iter().copied());
-        set.sort_unstable();
-        set.dedup();
-        let heavy = set.len() > cap;
-        if heavy {
-            set = Vec::new();
-        }
-        let frontier: Vec<ElementId> = if heavy {
-            Vec::new()
-        } else {
-            set.iter().copied().filter(|&d| d != *id).collect()
+/// Seed (`k = 0`): a node's ball is itself and its children, every child on the rim.
+fn seed_size_state(id: ElementId, children: &[ElementId], cap: usize) -> SizeState {
+    if children.len() + 1 > cap {
+        return SizeState {
+            id,
+            heavy: true,
+            ball: Vec::new(),
+            rim: 0,
         };
-        SizeState {
-            id: *id,
-            heavy,
-            stable: heavy,
-            set,
-            frontier,
-        }
-    })
+    }
+    let mut ball = Vec::with_capacity(children.len() + 1);
+    ball.push(id);
+    ball.extend_from_slice(children);
+    SizeState {
+        id,
+        heavy: false,
+        ball,
+        rim: children.len(),
+    }
 }
 
-/// One node's share of a doubling step: union the fetched balls (as `(heavy, set)`
-/// views) into its own, re-check the cap, and derive the next frontier
-/// (`union \ old set`, both sorted). Shared verbatim with the reference loop in the
-/// tests so the two stay bit-identical.
-///
-/// This is the dominant machine-local work of `cluster-sizes`, so it exploits the
-/// sortedness invariants instead of re-sorting: a heavy answer decides the state
-/// without touching the sets at all; the one-answer case (every element of a path,
-/// the shape that maximizes doubling work) is a linear two-way merge that bails as
-/// soon as `cap` is exceeded; only the multi-answer case (whose balls may overlap)
-/// pays the general sort + dedup.
-fn union_step<'a>(
-    state: &mut SizeState,
-    found: impl Iterator<Item = Option<(bool, &'a [ElementId])>>,
-    cap: usize,
-) {
-    let mut heavy = false;
-    let mut first: Option<&[ElementId]> = None;
-    let mut rest: Vec<ElementId> = Vec::new();
-    for (child_heavy, child_set) in found.flatten() {
-        if child_heavy {
-            heavy = true;
-        }
-        match first {
-            None => first = Some(child_set),
-            Some(f) => {
-                if rest.is_empty() {
-                    rest.reserve(f.len() + child_set.len());
-                    rest.extend_from_slice(f);
-                }
-                rest.extend_from_slice(child_set);
-            }
-        }
+/// One node's share of a doubling step: size the next ball from the answers' lengths,
+/// and only if it stays within `cap` append the fetched balls — inner parts first, so
+/// the new rim (the answers' rims) ends up as the suffix. A rim node without a state
+/// of its own is a leaf: it adds nothing.
+fn grow_ball(state: &mut SizeState, answers: &[(ElementId, Option<BallAnswer>)], cap: usize) {
+    if state.rim == 0 {
+        return;
     }
-    state.frontier.clear();
-    // A heavy ball anywhere below makes this subtree heavy — no union needed.
-    if heavy {
+    let fetched = || answers.iter().filter_map(|(_, a)| a.as_ref());
+    let (mut size, mut rim, mut heavy) = (state.ball.len(), 0, false);
+    for a in fetched() {
+        size += a.below.len();
+        rim += a.rim;
+        heavy |= a.heavy;
+    }
+    if heavy || size > cap {
         state.heavy = true;
-        state.stable = true;
-        state.set.clear();
+        state.ball = Vec::new();
+        state.rim = 0;
         return;
     }
-    let Some(first) = first else {
-        // Nothing came back (an empty frontier's no-op step): the set is final.
-        state.stable = true;
-        return;
-    };
-    if rest.is_empty() {
-        // One ball: both sides are sorted and duplicate-free, so merge linearly,
-        // recording the genuinely new elements as the next frontier and bailing
-        // the moment the union exceeds the cap.
-        let old_len = state.set.len();
-        let (mut i, mut j) = (0usize, 0usize);
-        let mut merged: Vec<ElementId> = Vec::with_capacity((old_len + first.len()).min(cap + 1));
-        while merged.len() <= cap {
-            match (state.set.get(i), first.get(j)) {
-                (Some(&a), Some(&b)) if a == b => {
-                    merged.push(a);
-                    i += 1;
-                    j += 1;
-                }
-                (Some(&a), Some(&b)) if a < b => {
-                    merged.push(a);
-                    i += 1;
-                }
-                (_, Some(&b)) => {
-                    merged.push(b);
-                    state.frontier.push(b);
-                    j += 1;
-                }
-                (Some(&a), None) => {
-                    merged.push(a);
-                    i += 1;
-                }
-                (None, None) => break,
-            }
-        }
-        if merged.len() > cap {
-            state.heavy = true;
-            state.stable = true;
-            state.frontier.clear();
-            state.set.clear();
-        } else {
-            state.set = merged;
-            state.stable = state.frontier.is_empty();
-        }
-        return;
+    state.ball.reserve_exact(size - state.ball.len());
+    for a in fetched() {
+        state
+            .ball
+            .extend_from_slice(&a.below[..a.below.len() - a.rim]);
     }
-    // Several balls: they may overlap each other (a frontier element can be an
-    // ancestor of another), so fall back to sort + dedup over the concatenation.
-    let mut union = rest;
-    union.extend_from_slice(&state.set);
-    union.sort_unstable();
-    union.dedup();
-    if union.len() > cap {
-        state.heavy = true;
-        state.stable = true;
-        state.set.clear();
-        return;
+    for a in fetched() {
+        state
+            .ball
+            .extend_from_slice(&a.below[a.below.len() - a.rim..]);
     }
-    // New frontier: union \ old set (both sorted ascending).
-    let mut old = state.set.iter().copied().peekable();
-    for &u in &union {
-        match old.peek() {
-            Some(&o) if o == u => {
-                old.next();
-            }
-            _ => state.frontier.push(u),
-        }
-    }
-    state.set = union;
-    state.stable = state.frontier.is_empty();
+    state.rim = rim;
 }
 
 /// For every node of a rooted forest (given as `(node, children)` adjacency), determine
@@ -236,51 +156,45 @@ fn union_step<'a>(
 ///
 /// `children` must list, for every participating node, its children *within the
 /// participating node set* (nodes absent from the map are treated as leaves).
-/// Runs `O(log h)` doubling iterations where `h` is the forest height, as one
-/// [`MpcContext::converge`] call: each step fetches the balls of the frontier band and
-/// unions them in place, the whole loop costs `join + (steps − 1) · lookup` rounds,
-/// and stable nodes emit nothing, so fully-stable machines leave the exchange entirely.
+/// Runs `O(log min(h, cap))` doubling iterations where `h` is the forest height, as one
+/// [`MpcContext::try_converge`] call: each step fetches the balls of the rim nodes and
+/// appends them in place, the whole loop costs `join + (steps − 1) · lookup` rounds,
+/// and settled nodes emit nothing, so fully-settled machines leave the exchange
+/// entirely. No state ever holds more than `cap + 4` words.
+///
+/// # Errors
+///
+/// [`ConvergeError::StepBound`] when the adjacency is not a forest of the stated
+/// kind and the doubling fails to settle.
 // mpc-cost: rounds(log)
 pub fn count_subtree_sizes(
     ctx: &mut MpcContext,
     adjacency: DistVec<(ElementId, Vec<ElementId>)>,
     cap: usize,
-) -> DistVec<SubtreeInfo> {
-    let mut states = seed_size_states(adjacency, cap);
+) -> Result<DistVec<SubtreeInfo>, ConvergeError> {
+    let mut states = adjacency.map_local(|(id, children)| seed_size_state(*id, children, cap));
     ctx.check_memory(&states, "count_subtree_sizes/seed");
-    ctx.converge(
+    ctx.try_converge(
         &mut states,
         |s| s.id,
-        |s, out| out.extend(s.frontier.iter().copied()),
-        |s| SizeAnswer {
+        |s, out| out.extend_from_slice(&s.ball[s.ball.len() - s.rim..]),
+        |s| BallAnswer {
             heavy: s.heavy,
-            set: s.set.clone(),
+            below: s.ball.get(1..).unwrap_or_default().to_vec(),
+            rim: s.rim,
         },
-        |s, answers| {
-            if s.stable {
-                debug_assert!(answers.is_empty(), "stable nodes emit no requests");
-                return;
-            }
-            union_step(
-                s,
-                answers
-                    .iter()
-                    .map(|(_, a)| a.as_ref().map(|a| (a.heavy, a.set.as_slice()))),
-                cap,
-            );
-        },
+        |s, answers| grow_ball(s, answers, cap),
         "count_subtree_sizes",
-    );
-    subtree_infos(states)
-}
-
-/// The output records of the final doubling states.
-fn subtree_infos(states: DistVec<SizeState>) -> DistVec<SubtreeInfo> {
-    states.map_local(|s| SubtreeInfo {
-        id: s.id,
-        heavy: s.heavy,
-        descendants: if s.heavy { Vec::new() } else { s.set.clone() },
-    })
+    )?;
+    Ok(states.flat_map_local(|s| {
+        let mut descendants = s.ball;
+        descendants.sort_unstable();
+        Some(SubtreeInfo {
+            id: s.id,
+            heavy: s.heavy,
+            descendants,
+        })
+    }))
 }
 
 /// Input record for [`path_distances`]: one node of a degree-2 path, with its neighbor
@@ -406,16 +320,24 @@ fn merge_jump(
 
 /// Compute, for every degree-2 path node, its distance to both endpoints of its maximal
 /// path (the paper's `CountDistances`). `O(log D)` rounds: one
-/// [`MpcContext::converge`] call doubles both directions in the same exchange, so the
+/// [`MpcContext::try_converge`] call doubles both directions in the same exchange, so the
 /// loop costs `join + (steps − 1) · lookup` rounds. Probes observe pre-step states (the
 /// exchange probes before any update).
+///
+/// # Errors
+///
+/// [`ConvergeError::StepBound`] when the `up`/`down` pointers do not describe
+/// disjoint paths (a pointer cycle never settles).
 // mpc-cost: rounds(log)
-pub fn path_distances(ctx: &mut MpcContext, nodes: DistVec<PathNode>) -> DistVec<PathPosition> {
+pub fn path_distances(
+    ctx: &mut MpcContext,
+    nodes: DistVec<PathNode>,
+) -> Result<DistVec<PathPosition>, ConvergeError> {
     if nodes.is_empty() {
-        return ctx.empty();
+        return Ok(ctx.empty());
     }
     let mut states: DistVec<PathState> = nodes.map_local(seed_path_state);
-    ctx.converge(
+    ctx.try_converge(
         &mut states,
         |s| s.node.id,
         |s, out| {
@@ -460,8 +382,8 @@ pub fn path_distances(ctx: &mut MpcContext, nodes: DistVec<PathNode>) -> DistVec
             debug_assert!(next.next().is_none(), "all answers consumed");
         },
         "path_distances",
-    );
-    states.map_local(|s| PathPosition {
+    )?;
+    Ok(states.map_local(|s| PathPosition {
         id: s.node.id,
         top_anchor: s.top_anchor,
         dist_up: s.dist_up,
@@ -470,13 +392,13 @@ pub fn path_distances(ctx: &mut MpcContext, nodes: DistVec<PathNode>) -> DistVec
         up: s.node.up,
         out_edge: s.node.out_edge,
         child_edge: s.node.child_edge,
-    })
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpc_engine::MpcConfig;
+    use mpc_engine::{Metrics, MpcConfig};
     use tree_gen::shapes;
     use tree_repr::Tree;
 
@@ -484,79 +406,218 @@ mod tests {
         MpcContext::new(MpcConfig::new(n.max(16), 0.5))
     }
 
-    /// Reference for [`count_subtree_sizes`], the loop it replaced: one full
-    /// `join_lookup` plus a termination broadcast per doubling step.
+    #[derive(Debug, Clone)]
+    struct BandState {
+        id: ElementId,
+        heavy: bool,
+        set: Vec<ElementId>,
+        /// `true` once the set can no longer grow (either heavy or a fixpoint was reached).
+        stable: bool,
+        /// Descendants discovered in the *previous* step: the whole band at distance
+        /// `(2^(k-1), 2^k]`, every member of which the next step fetches. Simulator
+        /// bookkeeping derived from two consecutive sets, hence excluded from `words()`.
+        frontier: Vec<ElementId>,
+    }
+
+    impl Words for BandState {
+        fn words(&self) -> usize {
+            4 + self.set.len()
+        }
+    }
+
+    /// What one band step ships back per fetched descendant.
+    struct BandAnswer {
+        heavy: bool,
+        set: Vec<ElementId>,
+    }
+
+    impl Words for BandAnswer {
+        fn words(&self) -> usize {
+            2 + self.set.len()
+        }
+    }
+
+    /// Seed: every node knows itself and its children (distance ≤ 1), as a sorted set. A
+    /// heavy node's descendant set is dead weight — nothing ever reads it (the final
+    /// output drops it, and any node that unions a heavy descendant becomes heavy itself)
+    /// — so heavy states carry an empty set instead of shipping useless ids around.
+    fn seed_band_states(
+        adjacency: DistVec<(ElementId, Vec<ElementId>)>,
+        cap: usize,
+    ) -> DistVec<BandState> {
+        adjacency.map_local(|(id, children)| {
+            let mut set = Vec::with_capacity(children.len() + 1);
+            set.push(*id);
+            set.extend(children.iter().copied());
+            set.sort_unstable();
+            set.dedup();
+            let heavy = set.len() > cap;
+            if heavy {
+                set = Vec::new();
+            }
+            let frontier: Vec<ElementId> = if heavy {
+                Vec::new()
+            } else {
+                set.iter().copied().filter(|&d| d != *id).collect()
+            };
+            BandState {
+                id: *id,
+                heavy,
+                stable: heavy,
+                set,
+                frontier,
+            }
+        })
+    }
+
+    /// One node's share of a band step: union the fetched balls (as `(heavy, set)`
+    /// views) into its own, re-check the cap, and derive the next frontier
+    /// (`union \ old set`, both sorted). A heavy answer decides the state without
+    /// touching the sets; one answer is a linear two-way merge that bails as soon as
+    /// `cap` is exceeded; several answers (whose balls may overlap) pay sort + dedup.
+    fn union_step<'a>(
+        state: &mut BandState,
+        found: impl Iterator<Item = Option<(bool, &'a [ElementId])>>,
+        cap: usize,
+    ) {
+        let mut heavy = false;
+        let mut first: Option<&[ElementId]> = None;
+        let mut rest: Vec<ElementId> = Vec::new();
+        for (child_heavy, child_set) in found.flatten() {
+            if child_heavy {
+                heavy = true;
+            }
+            match first {
+                None => first = Some(child_set),
+                Some(f) => {
+                    if rest.is_empty() {
+                        rest.reserve(f.len() + child_set.len());
+                        rest.extend_from_slice(f);
+                    }
+                    rest.extend_from_slice(child_set);
+                }
+            }
+        }
+        state.frontier.clear();
+        // A heavy ball anywhere below makes this subtree heavy — no union needed.
+        if heavy {
+            state.heavy = true;
+            state.stable = true;
+            state.set.clear();
+            return;
+        }
+        let Some(first) = first else {
+            // Nothing came back (an empty frontier's no-op step): the set is final.
+            state.stable = true;
+            return;
+        };
+        if rest.is_empty() {
+            // One ball: both sides are sorted and duplicate-free, so merge linearly,
+            // recording the genuinely new elements as the next frontier and bailing
+            // the moment the union exceeds the cap.
+            let old_len = state.set.len();
+            let (mut i, mut j) = (0usize, 0usize);
+            let mut merged: Vec<ElementId> =
+                Vec::with_capacity((old_len + first.len()).min(cap + 1));
+            while merged.len() <= cap {
+                match (state.set.get(i), first.get(j)) {
+                    (Some(&a), Some(&b)) if a == b => {
+                        merged.push(a);
+                        i += 1;
+                        j += 1;
+                    }
+                    (Some(&a), Some(&b)) if a < b => {
+                        merged.push(a);
+                        i += 1;
+                    }
+                    (_, Some(&b)) => {
+                        merged.push(b);
+                        state.frontier.push(b);
+                        j += 1;
+                    }
+                    (Some(&a), None) => {
+                        merged.push(a);
+                        i += 1;
+                    }
+                    (None, None) => break,
+                }
+            }
+            if merged.len() > cap {
+                state.heavy = true;
+                state.stable = true;
+                state.frontier.clear();
+                state.set.clear();
+            } else {
+                state.set = merged;
+                state.stable = state.frontier.is_empty();
+            }
+            return;
+        }
+        // Several balls: they may overlap each other (a frontier element can be an
+        // ancestor of another), so fall back to sort + dedup over the concatenation.
+        let mut union = rest;
+        union.extend_from_slice(&state.set);
+        union.sort_unstable();
+        union.dedup();
+        if union.len() > cap {
+            state.heavy = true;
+            state.stable = true;
+            state.set.clear();
+            return;
+        }
+        // New frontier: union \ old set (both sorted ascending).
+        let mut old = state.set.iter().copied().peekable();
+        for &u in &union {
+            match old.peek() {
+                Some(&o) if o == u => {
+                    old.next();
+                }
+                _ => state.frontier.push(u),
+            }
+        }
+        state.set = union;
+        state.stable = state.frontier.is_empty();
+    }
+
+    /// Reference for [`count_subtree_sizes`], the loop it replaced: frontier-*band*
+    /// doubling on the same fused primitive. A node re-fetches the sorted set of every
+    /// descendant it found in the previous step — `2^(k-1)` overlapping `2^k`-word
+    /// answers per path node — and unions them before the cap can bind.
     fn count_subtree_sizes_legacy(
         ctx: &mut MpcContext,
         adjacency: DistVec<(ElementId, Vec<ElementId>)>,
         cap: usize,
     ) -> DistVec<SubtreeInfo> {
-        let mut states = seed_size_states(adjacency, cap);
+        let mut states = seed_band_states(adjacency, cap);
         ctx.check_memory(&states, "count_subtree_sizes/seed");
-
-        loop {
-            // One doubling step: fetch the set of every frontier descendant and union it
-            // into the ball. A node's requests are emitted contiguously on its own
-            // machine, and the join returns its answers in request order on that same
-            // machine — so the per-node union is machine-local: no `gather_groups`
-            // detour and no second join to merge the unions back (both used to move
-            // every answer across the network again).
-            let requests: DistVec<(ElementId, ElementId)> = DistVec::from_chunks(
-                states
-                    .chunks()
-                    .iter()
-                    .map(|chunk| {
-                        chunk
-                            .iter()
-                            .filter(|s| !s.stable)
-                            .flat_map(|s| s.frontier.iter().map(|&d| (s.id, d)))
-                            .collect()
-                    })
-                    .collect(),
-            );
-            if requests.is_empty() {
-                break;
-            }
-            let answered = ctx.join_lookup(requests, |r| r.1, &states, |s| s.id);
-            // Walk states and answers chunk by chunk in lockstep: the answers of one
-            // non-stable state are exactly the next `frontier.len()` records of its chunk.
-            let mut changed = 0u64;
-            for (state_chunk, answer_chunk) in
-                states.chunks_mut().iter_mut().zip(answered.into_chunks())
-            {
-                let mut answers = answer_chunk.into_iter();
-                for state in state_chunk.iter_mut() {
-                    if state.stable {
-                        continue;
-                    }
-                    let fetched: Vec<Option<SizeState>> = (0..state.frontier.len())
-                        .map(|_| {
-                            let ((owner, _), found) = answers.next().expect("answer per request");
-                            debug_assert_eq!(owner, state.id, "answers aligned with requests");
-                            found
-                        })
-                        .collect();
-                    let before = (state.set.len(), state.heavy);
-                    union_step(
-                        state,
-                        fetched
-                            .iter()
-                            .map(|o| o.as_ref().map(|c| (c.heavy, c.set.as_slice()))),
-                        cap,
-                    );
-                    if (state.set.len(), state.heavy) != before {
-                        changed += 1;
-                    }
+        ctx.converge(
+            &mut states,
+            |s| s.id,
+            |s, out| out.extend(s.frontier.iter().copied()),
+            |s| BandAnswer {
+                heavy: s.heavy,
+                set: s.set.clone(),
+            },
+            |s, answers| {
+                if s.stable {
+                    assert!(answers.is_empty(), "stable nodes emit no requests");
+                    return;
                 }
-                debug_assert!(answers.next().is_none(), "all answers consumed");
-            }
-            ctx.check_memory(&states, "count_subtree_sizes/step");
-            let total_changed = ctx.broadcast(changed);
-            if total_changed == 0 {
-                break;
-            }
-        }
-        subtree_infos(states)
+                union_step(
+                    s,
+                    answers
+                        .iter()
+                        .map(|(_, a)| a.as_ref().map(|a| (a.heavy, a.set.as_slice()))),
+                    cap,
+                );
+            },
+            "count_subtree_sizes",
+        );
+        states.map_local(|s| SubtreeInfo {
+            id: s.id,
+            heavy: s.heavy,
+            descendants: if s.heavy { Vec::new() } else { s.set.clone() },
+        })
     }
 
     #[derive(Debug, Clone, Copy)]
@@ -694,7 +755,7 @@ mod tests {
         let tree = shapes::balanced_kary(31, 2);
         let mut c = ctx(64);
         let adj = c.from_vec(adjacency_of(&tree));
-        let info = count_subtree_sizes(&mut c, adj, 100);
+        let info = count_subtree_sizes(&mut c, adj, 100).unwrap();
         let sizes = tree.subtree_sizes();
         for rec in info.into_vec() {
             assert!(!rec.heavy);
@@ -713,7 +774,7 @@ mod tests {
         let mut c = ctx(64);
         let adj = c.from_vec(adjacency_of(&tree));
         let cap = 10;
-        let info = count_subtree_sizes(&mut c, adj, cap);
+        let info = count_subtree_sizes(&mut c, adj, cap).unwrap();
         let sizes = tree.subtree_sizes();
         for rec in info.into_vec() {
             let expected_heavy = sizes[rec.id as usize] > cap;
@@ -734,7 +795,7 @@ mod tests {
         for tree in [&shallow, &deep] {
             let mut c = ctx(256);
             let adj = c.from_vec(adjacency_of(tree));
-            let _ = count_subtree_sizes(&mut c, adj, 8);
+            count_subtree_sizes(&mut c, adj, 8).unwrap();
             rounds.push(c.metrics().rounds);
         }
         assert!(
@@ -757,30 +818,89 @@ mod tests {
         ]
     }
 
+    /// Output and metrics of one loop.
+    type Run = (Vec<SubtreeInfo>, Metrics);
+
+    /// Both loops on the same adjacency: the rim loop, then the band reference.
+    fn rim_and_band(tree: &Tree, cap: usize) -> (Run, Run) {
+        let mut rim_ctx = ctx(2 * tree.len());
+        let adj = rim_ctx.from_vec(adjacency_of(tree));
+        let rim = count_subtree_sizes(&mut rim_ctx, adj, cap)
+            .unwrap()
+            .into_vec();
+
+        let mut band_ctx = ctx(2 * tree.len());
+        let adj = band_ctx.from_vec(adjacency_of(tree));
+        let band = count_subtree_sizes_legacy(&mut band_ctx, adj, cap).into_vec();
+        (
+            (rim, rim_ctx.metrics().clone()),
+            (band, band_ctx.metrics().clone()),
+        )
+    }
+
     #[test]
     fn subtree_sizes_fused_matches_legacy() {
-        // Identical outputs, and the fused loop never pays more rounds than the
-        // per-step join + broadcast it replaced.
+        // Identical outputs, and rim doubling never pays more rounds, steps or words
+        // than the band doubling it replaced.
         for (tree, cap) in reference_shapes().into_iter().zip([7, 5, 6, 9, 8, 39]) {
-            let mut fused_ctx = ctx(2 * tree.len());
-            let adj = fused_ctx.from_vec(adjacency_of(&tree));
-            let fused = count_subtree_sizes(&mut fused_ctx, adj, cap).into_vec();
-
-            let mut legacy_ctx = ctx(2 * tree.len());
-            let adj = legacy_ctx.from_vec(adjacency_of(&tree));
-            let legacy = count_subtree_sizes_legacy(&mut legacy_ctx, adj, cap).into_vec();
-
-            assert_eq!(fused, legacy, "{}-node tree, cap {cap}", tree.len());
+            let ((rim, rim_m), (band, band_m)) = rim_and_band(&tree, cap);
+            assert_eq!(rim, band, "{}-node tree, cap {cap}", tree.len());
             assert!(
-                fused_ctx.metrics().rounds <= legacy_ctx.metrics().rounds,
-                "fused {} vs legacy {} rounds",
-                fused_ctx.metrics().rounds,
-                legacy_ctx.metrics().rounds
+                rim_m.rounds <= band_m.rounds,
+                "rim {} vs band {} rounds",
+                rim_m.rounds,
+                band_m.rounds
             );
             assert!(
-                legacy_ctx.metrics().convergence.is_empty(),
-                "the reference loop never calls the fused primitive"
+                rim_m.convergence[0].active_machines.len()
+                    <= band_m.convergence[0].active_machines.len()
             );
+            assert!(rim_m.total_words_sent <= band_m.total_words_sent);
+        }
+    }
+
+    #[test]
+    fn rim_doubling_moves_strictly_fewer_words_than_band_doubling_on_a_path() {
+        // One request per path node and step instead of 2^(k-1): same output, same
+        // pricing formula, strictly less traffic from the second step on.
+        let ((rim, rim_m), (band, band_m)) = rim_and_band(&shapes::path(1024), 16);
+        assert_eq!(rim, band);
+        assert!(
+            rim_m.total_words_sent < band_m.total_words_sent,
+            "rim {} vs band {} words",
+            rim_m.total_words_sent,
+            band_m.total_words_sent
+        );
+        assert!(rim_m.rounds < band_m.rounds);
+        assert!(rim_m.violations.len() <= band_m.violations.len());
+    }
+
+    #[test]
+    fn no_doubling_state_outgrows_the_cap() {
+        // The states are all `count_subtree_sizes` keeps resident, so the memory
+        // peak it records is at most a full chunk of full balls.
+        let cap = 8;
+        for tree in [
+            shapes::path(4096),
+            shapes::spider(8, 512),
+            shapes::caterpillar(1366, 2),
+            shapes::random_recursive(4096, 5),
+        ] {
+            let mut c = ctx(2 * tree.len());
+            let adj = c.from_vec(adjacency_of(&tree));
+            let longest_chunk = adj.chunks().iter().map(Vec::len).max().unwrap();
+            let info = count_subtree_sizes(&mut c, adj, cap).unwrap();
+            assert!(
+                c.metrics().peak_local_memory <= longest_chunk * (cap + 4),
+                "{}-node tree: peak {} words, {longest_chunk} states of at most {} words",
+                tree.len(),
+                c.metrics().peak_local_memory,
+                cap + 4
+            );
+            let sizes = tree.subtree_sizes();
+            for rec in info.iter() {
+                assert_eq!(rec.heavy, sizes[rec.id as usize] > cap);
+            }
         }
     }
 
@@ -792,7 +912,7 @@ mod tests {
         let tree = shapes::path(200);
         let mut c = ctx(200);
         let adj = c.from_vec(adjacency_of(&tree));
-        let _ = count_subtree_sizes(&mut c, adj, 4);
+        count_subtree_sizes(&mut c, adj, 4).unwrap();
         let trace = c
             .metrics()
             .convergence
@@ -827,7 +947,7 @@ mod tests {
             })
             .collect();
         let dv = c.from_vec(nodes);
-        let out = path_distances(&mut c, dv).into_vec();
+        let out = path_distances(&mut c, dv).unwrap().into_vec();
         for p in out {
             assert_eq!(p.top_anchor, 0, "node {}", p.id);
             assert_eq!(p.bottom_anchor, 9, "node {}", p.id);
@@ -849,7 +969,7 @@ mod tests {
         let depths = tree.depths();
         let path_nodes = path_nodes_of(&tree);
         let dv = c.from_vec(path_nodes.clone());
-        let out = path_distances(&mut c, dv).into_vec();
+        let out = path_distances(&mut c, dv).unwrap().into_vec();
         assert_eq!(out.len(), path_nodes.len());
         for p in &out {
             assert_eq!(p.top_anchor, 0);
@@ -871,7 +991,7 @@ mod tests {
             let path_nodes = path_nodes_of(&tree);
             let mut fused_ctx = ctx(2 * tree.len());
             let dv = fused_ctx.from_vec(path_nodes.clone());
-            let fused = path_distances(&mut fused_ctx, dv).into_vec();
+            let fused = path_distances(&mut fused_ctx, dv).unwrap().into_vec();
 
             let mut legacy_ctx = ctx(2 * tree.len());
             let dv = legacy_ctx.from_vec(path_nodes);
@@ -891,6 +1011,6 @@ mod tests {
     fn empty_inputs() {
         let mut c = ctx(16);
         let empty_nodes: DistVec<PathNode> = c.empty();
-        assert!(path_distances(&mut c, empty_nodes).is_empty());
+        assert!(path_distances(&mut c, empty_nodes).unwrap().is_empty());
     }
 }

@@ -3,7 +3,7 @@
 
 use crate::config::MpcConfig;
 use crate::distvec::DistVec;
-use crate::error::{MpcError, MpcResult, Violation, ViolationKind};
+use crate::error::{ConvergeError, MpcError, MpcResult, Violation, ViolationKind};
 use crate::metrics::{ConvergenceTrace, Metrics, PhaseMetrics, PhaseTimer};
 use crate::par::{par_for_each_mut, par_map_mut, par_map_reduce, par_scatter, worth_parallelizing};
 use crate::primitives::index_get;
@@ -11,6 +11,7 @@ use crate::scratch::Scratch;
 use crate::sortkey::SortKey;
 use crate::words::{slice_words, Words};
 use crate::MachineId;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A per-machine outbox used by custom communication rounds
 /// (see [`MpcContext::communicate`]).
@@ -498,6 +499,7 @@ impl MpcContext {
 
     /// Make a small value known to all machines (`agg_rounds` rounds through a
     /// fan-out `Θ(n^δ)` broadcast tree).
+    // mpc-lint: allow(dead-pub-api) — Section 2 primitive of the documented simulator surface (README cost table, mpc-lint's charged-call set) for embedders' own termination checks; in-tree loops fold that flag into `converge`
     pub fn broadcast<T: Words + Clone>(&mut self, value: T) -> T {
         let machines = self.cfg.num_machines();
         let w = value.words();
@@ -616,16 +618,19 @@ impl MpcContext {
     /// [`ConvergenceTrace`] per call.
     ///
     /// **Contract**: `state_key` must stay stable across `update` calls (the
-    /// retained index addresses states positionally by key; debug builds assert
-    /// this) and requested keys should resolve to states whose answers make
-    /// progress, otherwise the loop never drains. Transient request/answer buffers
-    /// are exchange traffic, not state residency: memory is checked against
-    /// `states` after every step, matching the legacy loops' convention of keeping
-    /// frontiers outside the accounted state words.
+    /// retained index addresses states positionally by key) and requested keys
+    /// must resolve to states whose answers make progress. Both are checked on
+    /// every step, in every build profile: a re-keyed state ends the loop with
+    /// [`ConvergeError::KeyMutated`], and a loop that still emits requests after
+    /// `2⌈log₂ states⌉ + 8` charged steps — twice the doubling depth the round
+    /// bound assumes — ends with [`ConvergeError::StepBound`]. On an error the
+    /// states hold whatever the last completed step left; rounds charged so far
+    /// stay charged. Transient request/answer buffers are exchange traffic, not
+    /// state residency: memory is checked against `states` after every step.
     ///
     /// Returns the number of charged exchanges.
     // mpc-cost: rounds(log)
-    pub fn converge<T, K, A, FK, FQ, FA, FU>(
+    pub fn try_converge<T, K, A, FK, FQ, FA, FU>(
         &mut self,
         states: &mut DistVec<T>,
         state_key: FK,
@@ -633,7 +638,7 @@ impl MpcContext {
         answer: FA,
         update: FU,
         what: &'static str,
-    ) -> u64
+    ) -> Result<u64, ConvergeError>
     where
         T: Words + Send + Sync + 'static,
         K: SortKey + Words + Clone + Send + Sync + 'static,
@@ -655,8 +660,10 @@ impl MpcContext {
             .map(|_| ConvergeBuf::default())
             .collect();
         let mut active_machines: Vec<usize> = Vec::new();
+        let step_bound = 2 * u64::from(states.len().max(2).next_power_of_two().ilog2()) + 8;
+        let rekeyed = AtomicBool::new(false);
         let mut steps = 0u64;
-        loop {
+        let outcome = loop {
             // Emit + probe: read-only over the previous step's states, machine-
             // concurrent. Probing happens before any mutation, so every answer is
             // a snapshot of the pre-step states.
@@ -684,7 +691,13 @@ impl MpcContext {
             });
             let total_requests: usize = bufs.iter().map(|b| b.emitted.len()).sum();
             if total_requests == 0 {
-                break;
+                break Ok(steps);
+            }
+            if steps == step_bound {
+                break Err(ConvergeError::StepBound {
+                    what,
+                    bound: step_bound,
+                });
             }
             active_machines.push(bufs.iter().filter(|b| !b.emitted.is_empty()).count());
             let req_words: usize = bufs.iter().map(|b| b.req_words).sum();
@@ -714,27 +727,56 @@ impl MpcContext {
                 for (s, &count) in chunk.iter_mut().zip(buf.counts.iter()) {
                     let slice = &buf.answers[cursor..cursor + count as usize];
                     cursor += count as usize;
-                    if cfg!(debug_assertions) {
-                        let key_before = state_key(s);
-                        update(s, slice);
-                        assert!(
-                            state_key(s) == key_before,
-                            "converge states must keep their key stable across updates"
-                        );
-                    } else {
-                        update(s, slice);
+                    let key_before = state_key(s);
+                    update(s, slice);
+                    if state_key(s) != key_before {
+                        // Relaxed: the flag publishes no other data, and the
+                        // workers are joined before it is read.
+                        rekeyed.store(true, Ordering::Relaxed);
                     }
                 }
             });
             self.check_memory(states, what);
+            if rekeyed.load(Ordering::Relaxed) {
+                break Err(ConvergeError::KeyMutated { what, step: steps });
+            }
             steps += 1;
-        }
+        };
         self.scratch.pool.recycle_buf(index);
         self.metrics.convergence.push(ConvergenceTrace {
             name: what.to_string(),
             active_machines,
         });
-        steps
+        outcome
+    }
+
+    /// [`try_converge`](Self::try_converge) for callers whose closures keep the
+    /// contract by construction.
+    ///
+    /// # Panics
+    ///
+    /// With the [`ConvergeError`] as message when the loop had to be stopped.
+    // mpc-cost: rounds(log)
+    pub fn converge<T, K, A, FK, FQ, FA, FU>(
+        &mut self,
+        states: &mut DistVec<T>,
+        state_key: FK,
+        requests: FQ,
+        answer: FA,
+        update: FU,
+        what: &'static str,
+    ) -> u64
+    where
+        T: Words + Send + Sync + 'static,
+        K: SortKey + Words + Clone + Send + Sync + 'static,
+        A: Words + Send + Sync,
+        FK: Fn(&T) -> K + Sync,
+        FQ: Fn(&T, &mut Vec<K>) + Sync,
+        FA: Fn(&T) -> A + Sync,
+        FU: Fn(&mut T, &[(K, Option<A>)]) + Sync,
+    {
+        self.try_converge(states, state_key, requests, answer, update, what)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
@@ -1057,8 +1099,37 @@ mod tests {
     }
 
     #[test]
+    fn try_converge_reports_key_mutation_after_one_step() {
+        let mut c = ctx(256);
+        let mut states = c.from_vec(hop_path(10));
+        let outcome = c.try_converge(
+            &mut states,
+            |s: &Hop| s.0,
+            |s, out| {
+                if let Some(p) = s.1 {
+                    out.push(p);
+                }
+            },
+            |s| s.2,
+            |s, _answers: &[(u64, Option<u64>)]| s.0 += 1,
+            "bad",
+        );
+        assert_eq!(
+            outcome,
+            Err(ConvergeError::KeyMutated {
+                what: "bad",
+                step: 0
+            })
+        );
+        assert_eq!(c.metrics().rounds, c.join_rounds());
+        assert_eq!(c.metrics().convergence[0].active_machines.len(), 1);
+    }
+
+    #[test]
     #[should_panic(expected = "keep their key stable")]
     fn converge_rejects_key_mutation() {
+        // The infallible wrapper turns the typed error into a panic — in every
+        // build profile, so the release-mode suite terminates here too.
         let mut c = ctx(256);
         let mut states = c.from_vec(hop_path(10));
         let _ = c.converge(
@@ -1070,10 +1141,44 @@ mod tests {
                 }
             },
             |s| s.2,
-            |s, _answers: &[(u64, Option<u64>)]| {
-                s.0 += 1; // re-keying invalidates the retained index
-            },
+            |s, _answers: &[(u64, Option<u64>)]| s.0 += 1,
             "bad",
+        );
+    }
+
+    #[test]
+    fn try_converge_stops_at_the_step_bound_when_requests_never_drain() {
+        // Every state keeps asking for its successor and never learns anything.
+        let mut c = ctx(256);
+        let mut states = c.from_vec(hop_path(100));
+        let before = states.to_vec();
+        let err = c
+            .try_converge(
+                &mut states,
+                |s: &Hop| s.0,
+                |s, out| out.push(s.0 + 1),
+                |s| s.2,
+                |_s, _answers: &[(u64, Option<u64>)]| {},
+                "stuck",
+            )
+            .unwrap_err();
+        // 2⌈log₂ 100⌉ + 8.
+        let bound = 22;
+        assert_eq!(
+            err,
+            ConvergeError::StepBound {
+                what: "stuck",
+                bound
+            }
+        );
+        assert_eq!(states.to_vec(), before);
+        assert_eq!(
+            c.metrics().rounds,
+            c.join_rounds() + (bound - 1) * c.lookup_rounds()
+        );
+        assert_eq!(
+            c.metrics().convergence[0].active_machines.len(),
+            bound as usize
         );
     }
 

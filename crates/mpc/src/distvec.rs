@@ -210,6 +210,22 @@ impl<T> DistVec<T> {
         }
     }
 
+    /// Apply a machine-local filter-map to every record *by reference* (no
+    /// communication, 0 rounds): the way to derive a sparser table from one that
+    /// stays in use, without cloning it first.
+    pub fn filter_map_local<U, F>(&self, f: F) -> DistVec<U>
+    where
+        F: Fn(&T) -> Option<U>,
+    {
+        DistVec {
+            chunks: self
+                .chunks
+                .iter()
+                .map(|c| c.iter().filter_map(&f).collect())
+                .collect(),
+        }
+    }
+
     /// Concatenate two distributed vectors machine-by-machine (no communication,
     /// 0 rounds): machine `i` simply appends the other vector's chunk `i` to its own.
     pub fn concat_local(mut self, other: DistVec<T>) -> DistVec<T> {
@@ -350,6 +366,9 @@ mod tests {
         assert_eq!(mapped.to_vec()[49], 98);
         let filtered = mapped.filter_local(|x| x % 4 == 0);
         assert!(filtered.to_vec().iter().all(|x| x % 4 == 0));
+        let halves = filtered.filter_map_local(|x| (x % 8 == 0).then_some(x / 2));
+        assert!(halves.to_vec().iter().all(|x| x % 4 == 0));
+        assert_eq!(halves.num_chunks(), filtered.num_chunks());
         let expanded = filtered.flat_map_local(|x| vec![x, x + 1]);
         assert_eq!(expanded.len() % 2, 0);
     }

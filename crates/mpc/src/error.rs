@@ -74,6 +74,47 @@ impl fmt::Display for MpcError {
 
 impl std::error::Error for MpcError {}
 
+/// Why [`MpcContext::try_converge`](crate::MpcContext::try_converge) stopped a
+/// fixpoint loop before it drained. Both are contract breaches of the caller's
+/// closures; the loop reports them instead of running (and allocating) forever.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ConvergeError {
+    /// An `update` changed the key of a state. The retained index addresses states
+    /// by key, so every later probe would read the wrong record.
+    KeyMutated {
+        /// The `what` label of the offending call.
+        what: &'static str,
+        /// The (0-based) charged step whose update re-keyed a state.
+        step: u64,
+    },
+    /// Requests were still outstanding after `bound` charged steps. A doubling
+    /// loop over `n` states settles within `⌈log₂ n⌉ + 1` of them.
+    StepBound {
+        /// The `what` label of the offending call.
+        what: &'static str,
+        /// The bound that was exhausted (`2⌈log₂ n⌉ + 8`).
+        bound: u64,
+    },
+}
+
+impl fmt::Display for ConvergeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ConvergeError::KeyMutated { what, step } => write!(
+                f,
+                "converge states must keep their key stable across updates \
+                 (`{what}`, step {step})"
+            ),
+            ConvergeError::StepBound { what, bound } => write!(
+                f,
+                "`{what}` still had requests outstanding after {bound} converge steps"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ConvergeError {}
+
 #[cfg(test)]
 mod tests {
     use super::*;

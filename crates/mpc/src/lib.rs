@@ -53,9 +53,10 @@
 //!   [`MpcContext::sort_table`] / [`MpcContext::join_lookup_sorted`]
 //!   ([`SortedTable`]) for repeated lookups against one table,
 //!   [`MpcContext::join_lookup2`] for probing two key columns in one fused join,
-//!   and [`MpcContext::converge`] — the fused jump-join loop with convergence
-//!   skipping behind the clustering subroutines, whose per-machine participation
-//!   lands in [`Metrics::convergence`] as [`ConvergenceTrace`]s.
+//!   and [`MpcContext::try_converge`] / [`MpcContext::converge`] — the fused
+//!   jump-join loop with convergence skipping behind the clustering subroutines,
+//!   step-bounded and failing with a typed [`ConvergeError`], whose per-machine
+//!   participation lands in [`Metrics::convergence`] as [`ConvergenceTrace`]s.
 //!
 //! ## Sorting fast path and scratch reuse
 //!
@@ -99,7 +100,7 @@ pub mod words;
 pub use config::MpcConfig;
 pub use context::{MpcContext, Outbox};
 pub use distvec::DistVec;
-pub use error::{MpcError, MpcResult, Violation, ViolationKind};
+pub use error::{ConvergeError, MpcError, MpcResult, Violation, ViolationKind};
 pub use metrics::{ConvergenceTrace, Metrics, PhaseMetrics};
 pub use primitives::SortedTable;
 pub use sortkey::SortKey;

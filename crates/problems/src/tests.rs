@@ -33,18 +33,10 @@ fn solve_mpc<P: ClusterDp>(
     let inputs = ctx.from_vec(node_inputs);
     let edges = ctx.from_vec(edge_inputs);
     let sol = prepared.solve(&mut ctx, problem, &inputs, aux_input, &edges);
-    // The only tolerated violations are the documented memory relaxation of the
-    // capped descendant-set doubling (see DESIGN.md, substitution 2).
     assert!(
-        ctx.metrics()
-            .violations
-            .iter()
-            .all(|v| v.context.contains("count_subtree_sizes")),
+        ctx.metrics().violations.is_empty(),
         "unexpected MPC model violation: {:?}",
-        ctx.metrics()
-            .violations
-            .iter()
-            .find(|v| !v.context.contains("count_subtree_sizes"))
+        ctx.metrics().violations.first()
     );
     (sol, ctx.metrics().rounds)
 }

@@ -1,8 +1,9 @@
 //! Property-based tests (proptest): random trees and weights, checking the core
 //! invariants of the framework against independent computations.
 
+use mpc_tree_dp::clustering::subroutines::count_subtree_sizes;
 use mpc_tree_dp::clustering::{Clustering, ElementKind};
-use mpc_tree_dp::gen::TreeShape;
+use mpc_tree_dp::gen::{shapes, TreeShape};
 use mpc_tree_dp::problems::{MaxWeightIndependentSet, SubtreeAggregate};
 use mpc_tree_dp::{prepare, ListOfEdges, MpcConfig, MpcContext, StateEngine, TreeInput};
 use proptest::prelude::*;
@@ -74,6 +75,52 @@ fn clustering_respects_size_threshold_and_layer_bound_on_all_shapes() {
     }
 }
 
+/// At the default Θ-constants (32× slack) no exchange or state of
+/// `count_subtree_sizes` breaches the memory or bandwidth cap: the rim doubling
+/// binds the cap before it copies, so the subroutine needs no relaxation. The band
+/// doubling it replaced stayed clean up to n = 32768 and recorded 726 breaches on
+/// each of the two 65536-node trees.
+#[test]
+fn default_config_prepare_records_no_subtree_size_violation() {
+    let n = 4096;
+    for (name, tree) in [
+        ("path-4096", shapes::path(n)),
+        ("broom-4096", shapes::broom(n / 2, n / 2)),
+        ("caterpillar-4096", shapes::caterpillar(n / 3, 2)),
+        ("random-recursive-4096", shapes::random_recursive(n, 7)),
+        ("balanced-binary-4096", shapes::balanced_kary(n, 2)),
+        ("path-65536", shapes::path(65536)),
+        ("broom-65536", shapes::broom(32768, 32768)),
+    ] {
+        let mut ctx = MpcContext::new(MpcConfig::new(2 * tree.len(), 0.5));
+        prepare(
+            &mut ctx,
+            TreeInput::ListOfEdges(ListOfEdges::from_tree(&tree)),
+            None,
+        )
+        .unwrap();
+        let offender = ctx
+            .metrics()
+            .violations
+            .iter()
+            .find(|v| v.context.contains("count_subtree_sizes"));
+        assert!(offender.is_none(), "{name}: {offender:?}");
+    }
+}
+
+/// A random rooted forest over `0..n` for the subtree-size property: per node a
+/// parent draw (`< v` is the parent, anything else makes `v` a root, so node 0 always
+/// is one) followed by per node a presence draw (0 = the node has no adjacency
+/// record of its own and is a leaf to whoever lists it as a child).
+fn arbitrary_forest_draws(max_n: usize) -> impl Strategy<Value = Vec<usize>> {
+    (2..max_n).prop_flat_map(|n| {
+        (0..n)
+            .map(|v| 0..=v + 2)
+            .chain((0..n).map(|_| 0..=4))
+            .collect::<Vec<_>>()
+    })
+}
+
 fn arbitrary_tree(max_n: usize) -> impl Strategy<Value = Tree> {
     (2..max_n).prop_flat_map(|n| {
         (2..=n)
@@ -85,6 +132,52 @@ fn arbitrary_tree(max_n: usize) -> impl Strategy<Value = Tree> {
                 Tree::from_parents(vec)
             })
     })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn subtree_sizes_match_a_sequential_walk_on_random_forests(
+        draws in arbitrary_forest_draws(80),
+        cap in 1usize..=40,
+    ) {
+        let n = draws.len() / 2;
+        let present = |v: usize| draws[n + v] != 0;
+        let mut children: Vec<Vec<u64>> = vec![Vec::new(); n];
+        for v in 0..n {
+            if draws[v] < v {
+                children[draws[v]].push(v as u64);
+            }
+        }
+        let adjacency: Vec<(u64, Vec<u64>)> = (0..n)
+            .filter(|&v| present(v))
+            .map(|v| (v as u64, children[v].clone()))
+            .collect();
+        let mut ctx = MpcContext::new(MpcConfig::new((2 * n).max(16), 0.5));
+        let dv = ctx.from_vec(adjacency.clone());
+        let info = count_subtree_sizes(&mut ctx, dv, cap).unwrap().into_vec();
+        prop_assert_eq!(info.len(), adjacency.len());
+        for (rec, (id, _)) in info.iter().zip(&adjacency) {
+            prop_assert_eq!(rec.id, *id);
+            // Everything reachable through present nodes; absent ones end the walk.
+            let mut expected = vec![rec.id];
+            let mut next = 0;
+            while let Some(&v) = expected.get(next) {
+                next += 1;
+                if present(v as usize) {
+                    expected.extend(&children[v as usize]);
+                }
+            }
+            expected.sort_unstable();
+            prop_assert_eq!(rec.heavy, expected.len() > cap);
+            if rec.heavy {
+                prop_assert!(rec.descendants.is_empty());
+            } else {
+                prop_assert_eq!(&rec.descendants, &expected);
+            }
+        }
+    }
 }
 
 proptest! {
