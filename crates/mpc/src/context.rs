@@ -6,7 +6,6 @@ use crate::distvec::DistVec;
 use crate::error::{ConvergeError, MpcError, MpcResult, Violation, ViolationKind};
 use crate::metrics::{ConvergenceTrace, Metrics, PhaseMetrics, PhaseTimer};
 use crate::par::{par_for_each_mut, par_map_mut, par_map_reduce, par_scatter, worth_parallelizing};
-use crate::primitives::index_get;
 use crate::scratch::Scratch;
 use crate::sortkey::SortKey;
 use crate::words::{slice_words, Words};
@@ -680,7 +679,8 @@ impl MpcContext {
                     for j in start..buf.emitted.len() {
                         let k = buf.emitted[j].clone();
                         buf.req_words += k.words();
-                        let hit = index_get(&index, &k)
+                        let hit = index
+                            .get(&k)
                             .map(|e| answer(&states.chunks()[e.1 as usize][e.2 as usize]));
                         if let Some(a) = &hit {
                             buf.hit_words += a.words();
@@ -742,7 +742,7 @@ impl MpcContext {
             }
             steps += 1;
         };
-        self.scratch.pool.recycle_buf(index);
+        index.recycle(&mut self.scratch.pool);
         self.metrics.convergence.push(ConvergenceTrace {
             name: what.to_string(),
             active_machines,

@@ -239,6 +239,24 @@ impl<T> DistVec<T> {
         self
     }
 
+    /// Apply a machine-local transformation to every machine's **whole chunk** (no
+    /// communication, 0 rounds): `f(machine, chunk)` sees the records one machine
+    /// holds, in order, and its output stays on that machine — for passes that pair
+    /// up neighbouring records, which the per-record maps cannot express.
+    pub fn map_chunks_local<U, F>(self, f: F) -> DistVec<U>
+    where
+        F: Fn(usize, Vec<T>) -> Vec<U>,
+    {
+        DistVec {
+            chunks: self
+                .chunks
+                .into_iter()
+                .enumerate()
+                .map(|(machine, c)| f(machine, c))
+                .collect(),
+        }
+    }
+
     /// Apply a machine-local flat-map to every record (no communication, 0 rounds).
     pub fn flat_map_local<U, F, I>(self, f: F) -> DistVec<U>
     where

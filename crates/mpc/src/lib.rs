@@ -54,15 +54,17 @@
 //!   ([`SortedTable`]) for repeated lookups against one table,
 //!   [`MpcContext::join_lookup2`] for probing two key columns in one fused join,
 //!   and [`MpcContext::try_converge`] / [`MpcContext::converge`] — the fused
-//!   jump-join loop with convergence skipping behind the clustering subroutines,
-//!   step-bounded and failing with a typed [`ConvergeError`], whose per-machine
-//!   participation lands in [`Metrics::convergence`] as [`ConvergenceTrace`]s.
+//!   jump-join loop with convergence skipping behind the clustering subroutines
+//!   and the Euler-tour rooting, step-bounded and failing with a typed
+//!   [`ConvergeError`], whose per-machine participation lands in
+//!   [`Metrics::convergence`] as [`ConvergenceTrace`]s.
 //!
 //! ## Sorting fast path and scratch reuse
 //!
 //! Sort keys implement [`SortKey`]; keys with a monotone `u64` embedding take a
 //! linear-time LSD radix path whose output, labels, and metrics are bit-identical to
-//! the comparison fallback ([`MpcConfig::radix`] forces the latter for testing).
+//! the comparison fallback ([`MpcConfig::radix`] forces the latter for testing); on
+//! the same condition join and `converge` probes go through a bucket directory.
 //! Each context owns a scratch arena (radix buffers, merge heap, counters, and a
 //! record-buffer pool fed by consumed inputs and [`MpcContext::from_vec`]), so warm
 //! primitive calls perform zero net heap growth.

@@ -34,7 +34,9 @@
 //! fallback, which [`MpcConfig::radix`](crate::MpcConfig) = `false` forces for
 //! testing. The flat table indexes of `join_lookup`/`sort_table` instead use an
 //! allocation-free unstable lexicographic sort on both key paths — measured faster
-//! than LSD-plus-permutation at realistic table sizes, and identical in order.
+//! than LSD-plus-permutation at realistic table sizes, and identical in order. On
+//! the fast path every such index also carries a bucket directory, so a probe
+//! searches one bucket instead of the whole index (see [`SortedIndex`]).
 //!
 //! When [`MpcConfig::parallel`](crate::MpcConfig::parallel) is set, the machine-local
 //! share of the work (per-chunk sorting, per-request lookups) is spread over OS
@@ -133,16 +135,67 @@ fn merge_word_runs(
     }
 }
 
+/// The sorted `(key, chunk, position)` index of a table: the one probe structure
+/// behind `join_lookup`, `join_lookup2`, [`SortedTable`] and the fused convergence
+/// loop in `context.rs` ([`MpcContext::try_converge`]). Built by
+/// [`MpcContext::build_sorted_index`]; holds references into the table it was built
+/// from, never cloned records.
+///
+/// On the radix fast path (word keys, [`MpcConfig::radix`](crate::MpcConfig) set) it
+/// also carries a **bucket directory** over the keys' word range, about one bucket per
+/// entry, so a probe is a shift, two offset loads and a search inside one bucket
+/// instead of a binary search over the whole index. Without the directory the probe
+/// is that binary search; both return the same entry.
+#[derive(Debug, Clone)]
+pub(crate) struct SortedIndex<K> {
+    /// `(key, source chunk, position within chunk)` in ascending key order; ties keep
+    /// table order, so "first record with a key" is by construction the first hit.
+    entries: Vec<(K, u32, u32)>,
+    /// Bucket `b` holds the keys whose word lies in
+    /// `base + (b << shift) .. base + ((b + 1) << shift)`, which are
+    /// `entries[dir[b]..dir[b + 1]]`. Empty when there is no directory.
+    dir: Vec<u32>,
+    /// Word of the smallest key.
+    base: u64,
+    /// Right shift that maps `word - base` to its bucket.
+    shift: u32,
+}
+
+impl<K: SortKey> SortedIndex<K> {
+    /// The first entry (in table order) whose key equals `k`.
+    #[inline]
+    pub(crate) fn get(&self, k: &K) -> Option<&(K, u32, u32)> {
+        let bucket = if self.dir.is_empty() {
+            &self.entries[..]
+        } else {
+            let b = usize::try_from(k.to_word().checked_sub(self.base)? >> self.shift).ok()?;
+            // A directory has at least two offsets; `b` may be `usize::MAX`.
+            if b >= self.dir.len() - 1 {
+                return None;
+            }
+            &self.entries[self.dir[b] as usize..self.dir[b + 1] as usize]
+        };
+        let first = bucket.partition_point(|e| e.0 < *k);
+        bucket.get(first).filter(|e| e.0 == *k)
+    }
+
+    /// Hand both buffers back to the pool they were drawn from.
+    pub(crate) fn recycle(self, pool: &mut BufferPool)
+    where
+        K: 'static,
+    {
+        pool.recycle_buf(self.entries);
+        pool.recycle_buf(self.dir);
+    }
+}
+
 /// A table sorted once so that any number of [`join_lookup_sorted`]
 /// (`MpcContext::join_lookup_sorted`) probes can reuse the work — the repeated-lookup
 /// pattern of the clustering builder, the solver's view assembly, and the incremental
-/// solver. Built by [`MpcContext::sort_table`]; holds `(key, chunk, position)`
-/// references into the table it was built from, never cloned records.
+/// solver. Built by [`MpcContext::sort_table`]; positional, like the index it wraps.
 #[derive(Debug, Clone)]
 pub struct SortedTable<K> {
-    /// `(key, source chunk, position within chunk)` in ascending key order; ties keep
-    /// table order, so "first record with a key" is by construction the first hit.
-    index: Vec<(K, u32, u32)>,
+    index: SortedIndex<K>,
     /// Per-chunk record counts of the table this index was built from. Probing checks
     /// the probed table against this shape — a **structural** guard (it catches
     /// resized, re-chunked, or regenerated-at-a-different-size tables, not a
@@ -164,25 +217,13 @@ impl<K> SortedTable<K> {
 
     /// Number of indexed table records.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.index.entries.len()
     }
 
     /// `true` when the indexed table was empty.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.index.entries.is_empty()
     }
-}
-
-/// Look up `k` in a sorted index, returning the first matching table reference.
-/// Shared with the fused convergence loop in `context.rs`
-/// ([`MpcContext::converge`]).
-#[inline]
-pub(crate) fn index_get<'a, K: Ord>(
-    index: &'a [(K, u32, u32)],
-    k: &K,
-) -> Option<&'a (K, u32, u32)> {
-    let first = index.partition_point(|e| e.0 < *k);
-    index.get(first).filter(|e| e.0 == *k)
 }
 
 /// Per-request probe of a sorted index (shared by `join_lookup` and
@@ -196,13 +237,13 @@ fn probe_index<T, V, K, FT>(
     requests: DistVec<T>,
     req_key: &FT,
     table: &DistVec<V>,
-    index: &[(K, u32, u32)],
+    index: &SortedIndex<K>,
     pool: &mut BufferPool,
 ) -> (Vec<Vec<(T, Option<V>)>>, usize)
 where
     T: Send + 'static,
     V: Words + Clone + Send + Sync + 'static,
-    K: Ord + Sync,
+    K: SortKey + Sync,
     FT: Fn(&T) -> K + Sync,
 {
     let req_parallel = worth_parallelizing(parallel, requests.len());
@@ -218,7 +259,7 @@ where
         slot.1.reserve(slot.0.len());
         for req in slot.0.drain(..) {
             let k = req_key(&req);
-            let found = index_get(index, &k).map(|e| {
+            let found = index.get(&k).map(|e| {
                 let v = table.chunks()[e.1 as usize][e.2 as usize].clone();
                 hit_words += v.words();
                 v
@@ -439,36 +480,64 @@ impl MpcContext {
         result
     }
 
-    /// Build the sorted `(key, chunk, position)` index of a table — the machine-local
-    /// share of a table sort; charges nothing (callers account for the rounds).
-    /// `pub(crate)` so the fused convergence loop ([`Self::converge`], `context.rs`)
-    /// can build its state index with the same machinery.
+    /// Build the [`SortedIndex`] of a table — the machine-local share of a table
+    /// sort; charges nothing (callers account for the rounds). Both buffers come
+    /// from the scratch pool; [`SortedIndex::recycle`] returns them. `pub(crate)` so
+    /// the fused convergence loop ([`Self::try_converge`], `context.rs`) builds its
+    /// state index with the same machinery.
     pub(crate) fn build_sorted_index<V, K, FV>(
         &mut self,
         table: &DistVec<V>,
         key: &FV,
-    ) -> Vec<(K, u32, u32)>
+    ) -> SortedIndex<K>
     where
         V: Sync,
         K: SortKey + 'static,
         FV: Fn(&V) -> K + Sync,
     {
-        let mut index: Vec<(K, u32, u32)> = self.scratch.pool.take_buf();
-        index.reserve(table.len());
+        let mut entries: Vec<(K, u32, u32)> = self.scratch.pool.take_buf();
+        entries.reserve(table.len());
         for (c, chunk) in table.chunks().iter().enumerate() {
             assert!(
                 chunk.len() <= u32::MAX as usize,
                 "table chunk too large for u32 index"
             );
             for (i, v) in chunk.iter().enumerate() {
-                index.push((key(v), c as u32, i as u32));
+                entries.push((key(v), c as u32, i as u32));
             }
         }
         // Lexicographic (key, chunk, position) order equals a stable by-key sort —
         // the positions are distinct and ascending per key — so the unstable sort
         // (no temporary buffer, unlike `sort_by`) is safe on both key paths.
-        index.sort_unstable();
-        index
+        entries.sort_unstable();
+
+        let mut dir: Vec<u32> = self.scratch.pool.take_buf();
+        let (mut base, mut shift) = (0u64, 0u32);
+        // The offsets are `u32`: an index too long for them keeps the plain search,
+        // like an empty one.
+        let len = u32::try_from(entries.len()).unwrap_or(0);
+        if K::IS_WORD && self.config().radix && len > 0 {
+            base = entries[0].0.to_word();
+            let range = entries[len as usize - 1].0.to_word() - base;
+            // The smallest shift that leaves at most `len.next_power_of_two()`
+            // buckets: between half and twice as many buckets as entries.
+            let cap_bits = u64::from(len).next_power_of_two().trailing_zeros();
+            shift = (u64::BITS - range.leading_zeros()).saturating_sub(cap_bits);
+            dir.reserve((range >> shift) as usize + 2);
+            for (i, e) in entries.iter().enumerate() {
+                let bucket = ((e.0.to_word() - base) >> shift) as usize;
+                while dir.len() <= bucket {
+                    dir.push(i as u32);
+                }
+            }
+            dir.push(len);
+        }
+        SortedIndex {
+            entries,
+            dir,
+            base,
+            shift,
+        }
     }
 
     /// Sort a table once for any number of [`join_lookup_sorted`]
@@ -541,7 +610,7 @@ impl MpcContext {
             &index,
             &mut self.scratch.pool,
         );
-        self.scratch.pool.recycle_buf(index);
+        index.recycle(&mut self.scratch.pool);
 
         self.charge_rounds(self.join_rounds());
         let comm = vec![per_machine_moved; machines];
@@ -577,7 +646,7 @@ impl MpcContext {
     where
         T: Words + Send + 'static,
         V: Words + Clone + Send + Sync + 'static,
-        K: Ord + Sync,
+        K: SortKey + Sync,
         FT: Fn(&T) -> K + Sync,
     {
         assert!(
@@ -653,9 +722,11 @@ impl MpcContext {
         par_for_each_mut(req_parallel, &mut work, |_, slot| {
             slot.1.reserve(slot.0.len());
             for req in slot.0.drain(..) {
-                let first = index_get(&index, &req_key1(&req))
+                let first = index
+                    .get(&req_key1(&req))
                     .map(|e| table.chunks()[e.1 as usize][e.2 as usize].clone());
-                let second = index_get(&index, &req_key2(&req))
+                let second = index
+                    .get(&req_key2(&req))
                     .map(|e| table.chunks()[e.1 as usize][e.2 as usize].clone());
                 slot.1.push((req, first, second));
             }
@@ -663,7 +734,7 @@ impl MpcContext {
         let chunks: Vec<Vec<(T, Option<V>, Option<V>)>> =
             work.into_iter().map(|(_, out)| out).collect();
         self.scratch.pool.recycle_bufs(req_chunks);
-        self.scratch.pool.recycle_buf(index);
+        index.recycle(&mut self.scratch.pool);
 
         self.charge_rounds(self.join_rounds());
         let comm = vec![per_machine_moved; machines];
@@ -946,6 +1017,79 @@ mod tests {
         let requests = c.from_vec(vec![5u64]);
         let joined = c.join_lookup(requests, |r| *r, &table, |t| t.0).into_vec();
         assert_eq!(joined[0].1, Some((5, 1)));
+    }
+
+    /// Index `keys` with and without the bucket directory and check that both
+    /// answer every probe like a `partition_point` search over the sorted entries.
+    fn check_index<K>(keys: Vec<K>, probes: &[K])
+    where
+        K: SortKey + Words + Copy + std::fmt::Debug + Sync + 'static,
+    {
+        for radix in [true, false] {
+            let mut c = MpcContext::new(MpcConfig::new(256, 0.5).with_radix(radix));
+            let table = c.from_vec(keys.clone());
+            let index = c.build_sorted_index(&table, &|k: &K| *k);
+            assert_eq!(
+                index.dir.is_empty(),
+                !(radix && K::IS_WORD) || keys.is_empty()
+            );
+            assert_eq!(index.entries.len(), keys.len());
+            for k in probes.iter().chain(&keys) {
+                let first = index.entries.partition_point(|e| e.0 < *k);
+                let plain = index.entries.get(first).filter(|e| e.0 == *k);
+                assert_eq!(index.get(k), plain, "probe {k:?}, radix {radix}");
+                assert_eq!(plain.is_some(), keys.contains(k));
+            }
+        }
+    }
+
+    #[test]
+    fn sorted_index_directory_agrees_with_plain_search() {
+        // Dense keys (one bucket each) and misses below, between and above.
+        check_index((10u64..200).collect(), &[0, 9, 200, 5000, u64::MAX]);
+        check_index(
+            (0u64..300).map(|i| i * 7 + 3).collect(),
+            &[0, 4, 11, 2097, 2104],
+        );
+        // Base 0 and shift 0: the bucket of `u64::MAX` is `usize::MAX`.
+        check_index((0u64..64).collect(), &[64, u64::MAX]);
+        // Huge gaps: the shift leaves almost every key in the first bucket.
+        check_index(
+            vec![0u64, 1, u64::MAX - 1],
+            &[2, 1 << 40, u64::MAX - 2, u64::MAX],
+        );
+        check_index(vec![u64::MAX, 5, 1 << 63, 6], &[0, 4, 7, (1 << 63) + 1]);
+        // All keys equal: one bucket, first record in table order wins.
+        check_index(vec![42u64; 50], &[41, 43]);
+        // Empty and single-entry indexes.
+        check_index(Vec::<u64>::new(), &[0, 1, u64::MAX]);
+        check_index(vec![77u64], &[0, 76, 78, u64::MAX]);
+        // Signed keys straddling zero, and the extremes.
+        check_index(
+            (-40i64..40).map(|i| i * 3).collect(),
+            &[-121, -2, 1, 2, 118, 500],
+        );
+        check_index(
+            vec![i64::MIN, -1, 0, i64::MAX],
+            &[i64::MIN + 1, -2, 1, i64::MAX - 1],
+        );
+        // Composite keys never get a directory.
+        check_index(
+            vec![(1u64, 2u64), (1, 1), (0, 9)],
+            &[(0, 0), (1, 0), (2, 2)],
+        );
+    }
+
+    #[test]
+    fn sorted_index_keeps_first_hit_on_duplicate_keys() {
+        let mut c = ctx(256);
+        let table = c.from_vec(vec![(9u64, 'a'), (3, 'b'), (9, 'c'), (3, 'd'), (9, 'e')]);
+        let index = c.build_sorted_index(&table, &|t: &(u64, char)| t.0);
+        let hit = |k: u64| {
+            let e = index.get(&k).expect("key is present");
+            table.chunks()[e.1 as usize][e.2 as usize].1
+        };
+        assert_eq!((hit(3), hit(9)), ('b', 'a'));
     }
 
     #[test]

@@ -69,10 +69,12 @@ pub struct NormalizedTree {
 
 /// Convert any supported representation into the standard rooted list-of-edges form.
 ///
-/// Costs `O(1)` rounds for every rooted representation (parent pointers, BFS/DFS
-/// traversals, parentheses strings — the latter using the hierarchical matching of
-/// Section 3.2.1) and `O(log n)` rounds for undirected edge lists (see
-/// [`crate::rooting`] for the documented substitution). Returns `None` for malformed
+/// Costs `O(1)` rounds for every rooted representation: an edge list pays one join and
+/// one all-reduce to find its root, a parent array (pointers, BFS/DFS traversals) one
+/// numbering and one all-reduce, a parentheses string the hierarchical matching of
+/// Section 3.2.1. An undirected edge list pays `O(log n)`: two sorts, one join and
+/// `2⌊log₂(2m − 1)⌋` probe rounds of pointer doubling (see [`crate::rooting`] for
+/// the exact formula and the documented substitution). Returns `None` for malformed
 /// inputs (unbalanced parentheses, multiple roots, cycles).
 pub fn normalize(ctx: &mut MpcContext, input: TreeInput) -> Option<NormalizedTree> {
     match input {
@@ -112,40 +114,47 @@ pub fn normalize(ctx: &mut MpcContext, input: TreeInput) -> Option<NormalizedTre
     }
 }
 
+/// [`find_root_of_edge_list`]'s one-word tally of root candidates: no candidate yet,
+/// or more than one distinct candidate; any other value is the only candidate seen.
+/// These two ids are therefore not usable as node ids of an edge-list input.
+const NO_ROOT: NodeId = NodeId::MAX;
+const MANY_ROOTS: NodeId = NodeId::MAX - 1;
+
 /// Identify the root of a directed child→parent edge list: the unique node that appears
-/// as a parent but never as a child. One join plus one all-reduce (`O(1)` rounds).
+/// as a parent but never as a child. One join plus one all-reduce (`O(1)` rounds); the
+/// reduction carries "none, this one, or several" in a single word, so no machine ever
+/// collects the candidates.
 fn find_root_of_edge_list(ctx: &mut MpcContext, edges: &DistVec<DirectedEdge>) -> Option<NodeId> {
     if edges.is_empty() {
         return None;
     }
     // For every edge, ask whether its parent endpoint occurs as a child of some edge.
-    let requests = edges.clone();
-    let joined = ctx.join_lookup(requests, |e| e.parent, edges, |e| e.child);
+    let parents = edges.filter_map_local(|e| Some(e.parent));
+    let joined = ctx.join_lookup(parents, |p| *p, edges, |e| e.child);
+    let tally = |a: NodeId, b: NodeId| match (a, b) {
+        (NO_ROOT, x) | (x, NO_ROOT) => x,
+        (a, b) if a == b => a,
+        _ => MANY_ROOTS,
+    };
     let root = ctx.all_reduce(
         &joined,
-        NodeId::MAX,
-        |acc, (e, found)| {
+        NO_ROOT,
+        |acc, (parent, found)| {
             if found.is_none() {
-                acc.min(e.parent)
+                tally(acc, *parent)
             } else {
                 acc
             }
         },
-        |a, b| a.min(b),
+        tally,
     );
-    // Exactly one distinct parent must be root-like; count the distinct candidates.
-    let candidates = joined.filter_local(|(_, found)| found.is_none());
-    let distinct = ctx.gather_groups(candidates, |(e, _)| e.parent).len();
-    if root == NodeId::MAX || distinct != 1 {
-        None
-    } else {
-        Some(root)
-    }
+    (root != NO_ROOT && root != MANY_ROOTS).then_some(root)
 }
 
 /// Turn a parent-pointer array (BFS order, DFS order, or arbitrary order — they are all
 /// "index → parent index" arrays) into directed edges. `O(1)` rounds: attach indices,
-/// then drop the root entry.
+/// find the root and check it is the only one in a single reduction, then drop the
+/// root entry.
 fn parent_array_to_edges(
     ctx: &mut MpcContext,
     parents: Vec<Option<u64>>,
@@ -156,23 +165,20 @@ fn parent_array_to_edges(
     let num_nodes = parents.len();
     let dv = ctx.from_vec(parents);
     let indexed = ctx.with_index(dv);
-    let root = ctx.all_reduce(
+    let (root, roots) = ctx.all_reduce(
         &indexed,
-        NodeId::MAX,
-        |acc, (i, p)| if p.is_none() { acc.min(*i) } else { acc },
-        |a, b| a.min(b),
+        (NodeId::MAX, 0usize),
+        |(least, count), (i, p)| match p {
+            None => (least.min(*i), count + 1),
+            Some(_) => (least, count),
+        },
+        |a, b| (a.0.min(b.0), a.1 + b.1),
     );
-    if root == NodeId::MAX {
+    if roots != 1 {
         return None;
     }
-    let roots = indexed.clone().filter_local(|(_, p)| p.is_none());
-    if ctx.count(&roots) != 1 {
-        return None;
-    }
-    let edges: DistVec<DirectedEdge> = indexed.flat_map_local(|(i, p)| match p {
-        Some(parent) => vec![DirectedEdge::new(i, parent)],
-        None => Vec::new(),
-    });
+    let edges: DistVec<DirectedEdge> =
+        indexed.flat_map_local(|(i, p)| p.map(|parent| DirectedEdge::new(i, parent)));
     Some(NormalizedTree {
         edges,
         root,

@@ -2,16 +2,28 @@
 //!
 //! The paper delegates this step to the rooting algorithm of Balliu, Latypov, Maus,
 //! Olivetti and Uitto (SODA 2023), which runs in `O(log D)` rounds. That algorithm is a
-//! substantial result of its own; as documented in `DESIGN.md` we substitute a
-//! deterministic **Euler-tour list-ranking** rooting that runs in `O(log n)` rounds:
+//! substantial result of its own; this module substitutes a deterministic
+//! **Euler-tour list-ranking** rooting that runs in `O(log n)` rounds, built on the
+//! same fused [`MpcContext::try_converge`] engine as the clustering subroutines:
 //!
-//! 1. every undirected edge `{u, v}` becomes two arcs `(u, v)` and `(v, u)`,
-//! 2. the arcs are linked into the Euler tour of the tree (successor of `(u, v)` is
-//!    `(v, w)` where `w` follows `u` in the cyclic adjacency order of `v`),
-//! 3. the tour is broken at the designated root and ranked by pointer doubling
-//!    (`⌈log₂ 2m⌉` join rounds),
-//! 4. for every edge the arc that appears *earlier* in the tour points away from the
-//!    root, which orients the edge child→parent.
+//! 1. edge `e = {u, v}` (numbered by `with_index`) becomes the two arcs `2e = (u → v)`
+//!    and `2e + 1 = (v → u)`, so an arc's twin is `id ^ 1`;
+//! 2. one gather by head hands every node its incoming arcs; the successor of the
+//!    `i`-th arc into `v` is the twin of the `(i + 1)`-th (any fixed cyclic order
+//!    around a node yields an Euler tour), and the tour is cut inside the root's
+//!    group, after its last incoming arc; an input whose groups do not number
+//!    `m + 1` is not a tree and stops here;
+//! 3. one sort puts the arcs back in id order, twins side by side, and pointer
+//!    doubling ranks the tour: every arc chases `succ` and accumulates its distance to
+//!    the end, a finished arc asks for nothing;
+//! 4. of two twins, the arc farther from the end comes earlier in the tour and so
+//!    points away from the root, which orients the edge child→parent — a machine-local
+//!    pass over adjacent twins, plus one neighbour exchange for a pair that a chunk
+//!    boundary splits.
+//!
+//! With `a = agg_rounds`, `s = sort_rounds` and `k = ⌊log₂(2m − 1)⌋ + 1` doubling steps
+//! this charges `3a` (numbering, count-and-root reduction) `+ (s + 1)` (gather)
+//! `+ s` (sort) `+ join_rounds + 2(k − 1)` (ranking) `+ 1` (exchange) rounds.
 //!
 //! All other input representations are already rooted, so the `O(log D)` end-to-end
 //! guarantee of the paper is exercised through those (see Section 3 / `normalize`).
@@ -19,22 +31,25 @@
 use crate::ids::{DirectedEdge, NodeId};
 use mpc_engine::{DistVec, MpcContext, Words};
 
-/// State of one Euler-tour arc during pointer doubling.
+/// `succ` of an arc with nothing left to chase: the tour's last arc, and every arc
+/// once it has been ranked.
+const END: u64 = u64::MAX;
+
+/// One Euler-tour arc during pointer doubling. The tail is not stored: it is the
+/// twin's head.
 #[derive(Debug, Clone, Copy)]
 struct ArcState {
-    /// The arc, as (from, to).
-    arc: (NodeId, NodeId),
-    /// Current successor pointer (`None` once the end of the list is reached).
-    succ: Option<(NodeId, NodeId)>,
-    /// Accumulated distance to the current successor.
+    /// `2e` or `2e + 1` for edge number `e`.
+    id: u64,
+    /// Current successor pointer, [`END`] once the end of the tour is reached.
+    succ: u64,
+    /// Accumulated distance to `succ` (to the end of the tour once ranked).
     dist: u64,
+    /// The node the arc points at.
+    head: NodeId,
 }
 
-impl Words for ArcState {
-    fn words(&self) -> usize {
-        6
-    }
-}
+impl Words for ArcState {}
 
 /// Result of rooting an undirected edge list.
 #[derive(Debug, Clone)]
@@ -48,8 +63,11 @@ pub struct RootedTreeEdges {
 }
 
 /// Root an undirected edge list at its smallest node id and orient all edges
-/// child→parent. Returns `None` for an empty edge list or if the edges do not form a
-/// single tree (detected via an arc-count / reachability mismatch).
+/// child→parent, in input edge order. Returns `None` for an empty edge list or if the
+/// edges do not form a single tree: the input must have one node more than it has
+/// edges, and the arcs of a forest or of a graph with a cycle then fall into more than
+/// one successor cycle, of which only the root's is cut — the ranking of the others
+/// never settles.
 pub fn root_undirected(
     ctx: &mut MpcContext,
     edges: DistVec<(NodeId, NodeId)>,
@@ -57,126 +75,107 @@ pub fn root_undirected(
     if edges.is_empty() {
         return None;
     }
-    let num_edges = ctx.count(&edges);
-    let num_nodes = num_edges + 1;
-
-    // The root is the smallest node id (deterministic, known to everyone after an
-    // all-reduce).
-    let root = ctx.all_reduce(
+    // The edge count and the root (the smallest node id), known to everyone after
+    // one all-reduce.
+    let (num_edges, root) = ctx.all_reduce(
         &edges,
-        NodeId::MAX,
-        |acc, &(u, v)| acc.min(u).min(v),
-        |a, b| a.min(b),
+        (0usize, NodeId::MAX),
+        |(count, least), &(u, v)| (count + 1, least.min(u).min(v)),
+        |a, b| (a.0 + b.0, a.1.min(b.1)),
     );
 
-    // Arcs in both directions.
-    let arcs: DistVec<(NodeId, NodeId)> = edges.flat_map_local(|(u, v)| vec![(u, v), (v, u)]);
+    // Arcs in both directions, as (id, head).
+    let arcs: DistVec<(u64, NodeId)> = ctx
+        .with_index(edges)
+        .flat_map_local(|(e, (u, v))| [(2 * e, v), (2 * e + 1, u)]);
 
-    // Cyclic adjacency order: group arcs by their *target* so that machine holding node
-    // v sees all arcs (u, v) and can compute, for each, the next neighbor after u.
-    let by_target = ctx.gather_groups(arcs.clone(), |&(_, v)| v);
-    // Successor table entries: key (v, u) -> next neighbor w after u around v.
-    let succ_table: DistVec<((NodeId, NodeId), NodeId)> =
-        by_target.flat_map_local(|(v, mut incoming)| {
-            incoming.sort();
-            let neighbors: Vec<NodeId> = incoming.iter().map(|&(u, _)| u).collect();
-            let d = neighbors.len();
-            (0..d)
-                .map(|i| ((v, neighbors[i]), neighbors[(i + 1) % d]))
-                .collect::<Vec<_>>()
-        });
-
-    // succ(arc (u, v)) = (v, next neighbor of v after u); the tour is broken at the arc
-    // whose successor would be the start arc (root, first neighbor of root).
-    let first_neighbor_of_root = ctx.all_reduce(
-        &succ_table,
-        NodeId::MAX,
-        |acc, &((v, _), w)| if v == root { acc.min(w) } else { acc },
-        |a, b| a.min(b),
-    );
-    // The start arc is (root, w0) where w0 is the neighbor of root whose predecessor
-    // pointer wraps around; by the construction above the cycle is broken before the
-    // arc (root, first_neighbor_of_root).
-    let start_arc = (root, first_neighbor_of_root);
-
-    let joined = ctx.join_lookup(arcs, |&(u, v)| (v, u), &succ_table, |&(key, _)| key);
-    let mut valid = true;
-    let states: DistVec<ArcState> = joined.map_local(|item| {
-        let ((u, v), found) = item;
-        match found {
-            Some((_, w)) => {
-                let succ_arc = (*v, *w);
-                let succ = if succ_arc == start_arc {
-                    None
-                } else {
-                    Some(succ_arc)
-                };
-                ArcState {
-                    arc: (*u, *v),
-                    succ,
-                    dist: u64::from(succ.is_some()),
-                }
-            }
-            None => ArcState {
-                arc: (*u, *v),
-                succ: None,
-                dist: 0,
-            },
-        }
-    });
-
-    // Pointer doubling: after ceil(log2(2m)) iterations every arc knows its distance to
-    // the end of the tour.
-    let mut states = states;
-    let iterations = (2 * num_edges).next_power_of_two().trailing_zeros() as usize + 1;
-    for _ in 0..iterations {
-        let snapshot = states.clone();
-        let joined = ctx.join_lookup(
-            states,
-            |s| s.succ.unwrap_or((NodeId::MAX, NodeId::MAX)),
-            &snapshot,
-            |s| s.arc,
-        );
-        states = joined.map_local(|(s, found)| match (s.succ, found) {
-            (Some(_), Some(t)) => ArcState {
-                arc: s.arc,
-                succ: t.succ,
-                dist: s.dist + t.dist,
-            },
-            _ => *s,
-        });
-    }
-    if states.iter().any(|s| s.succ.is_some()) {
-        valid = false;
-    }
-
-    // Orient every edge: the endpoint whose arc has the larger distance-to-end is
-    // visited first in the tour, hence is the parent.
-    let keyed = states.map_local(|s| {
-        let (u, v) = s.arc;
-        let key = (u.min(v), u.max(v));
-        (key, s.arc, s.dist)
-    });
-    let grouped = ctx.gather_groups(keyed, |t| t.0);
-    let oriented: DistVec<DirectedEdge> = grouped.flat_map_local(|(_, arcs)| {
-        if arcs.len() != 2 {
-            return Vec::new();
-        }
-        let (a, b) = (&arcs[0], &arcs[1]);
-        // Larger distance-to-end == earlier in the tour == downward (parent→child) arc.
-        let (down, _up) = if a.2 > b.2 { (a, b) } else { (b, a) };
-        let (parent, child) = down.1;
-        vec![DirectedEdge::new(child, parent)]
-    });
-    let oriented = ctx.rebalance(oriented);
-    if ctx.count(&oriented) != num_edges || !valid {
+    // The machine holding node v sees every arc into v, in one fixed order, and
+    // links each to the twin of the next one around v.
+    let by_head = ctx.gather_groups(arcs, |&(_, head)| head);
+    // One group per node. A connected graph with a cycle can still link all its arcs
+    // into a single successor cycle, which would rank like a tree's tour; with
+    // m + 1 nodes a single cycle leaves room for a tree only.
+    if by_head.len() != num_edges + 1 {
         return None;
     }
+    let states: DistVec<ArcState> = by_head.flat_map_local(|(head, incoming)| {
+        let degree = incoming.len();
+        (0..degree).map(move |i| {
+            let succ = if head == root && i + 1 == degree {
+                END
+            } else {
+                incoming[(i + 1) % degree].0 ^ 1
+            };
+            ArcState {
+                id: incoming[i].0,
+                succ,
+                dist: u64::from(succ != END),
+                head,
+            }
+        })
+    });
+
+    // Back to arc-id order, then rank: afterwards `dist` is the distance to the end
+    // of the tour. An arc on a cycle that was not cut never reaches END.
+    let mut states = ctx.sort_by_key(states, |a| a.id);
+    ctx.try_converge(
+        &mut states,
+        |a| a.id,
+        |a, out| {
+            if a.succ != END {
+                out.push(a.succ);
+            }
+        },
+        |a| (a.succ, a.dist),
+        |a, answers| {
+            if let Some((_, Some((succ, dist)))) = answers.first() {
+                a.succ = *succ;
+                a.dist += *dist;
+            }
+        },
+        "root_undirected",
+    )
+    .ok()?;
+
+    // The even arc of every pair orients its edge. A machine whose first arc is odd
+    // sends it to the machine before, which holds the even twin as its last record.
+    let mut heads: Vec<Option<(u64, NodeId)>> = states
+        .chunks()
+        .iter()
+        .map(|chunk| {
+            let odd = chunk.first().filter(|a| a.id & 1 == 1);
+            odd.map(|a| (a.dist, a.head))
+        })
+        .collect();
+    let inboxes = ctx.communicate(&mut heads, |machine, head, out| {
+        if let Some(twin) = *head {
+            out.send(machine - 1, twin);
+        }
+    });
+    let oriented: DistVec<DirectedEdge> = states.map_chunks_local(|machine, chunk| {
+        let own = &chunk[usize::from(heads[machine].is_some())..];
+        own.chunks(2)
+            .map(|pair| {
+                let (twin_dist, twin_head) = match pair.get(1) {
+                    Some(twin) => (twin.dist, twin.head),
+                    None => inboxes[machine][0],
+                };
+                // (u → v) farther from the end than (v → u): it leads down, u is
+                // the parent.
+                let (u, v) = (twin_head, pair[0].head);
+                if pair[0].dist > twin_dist {
+                    DirectedEdge::new(v, u)
+                } else {
+                    DirectedEdge::new(u, v)
+                }
+            })
+            .collect()
+    });
 
     Some(RootedTreeEdges {
         edges: oriented,
         root,
-        num_nodes,
+        num_nodes: num_edges + 1,
     })
 }
 
@@ -264,6 +263,78 @@ mod tests {
     fn single_edge() {
         let tree = Tree::from_parents(vec![None, Some(0)]);
         check_matches(&tree);
+    }
+
+    fn root_edges(edges: Vec<(u64, u64)>) -> Option<RootedTreeEdges> {
+        let mut ctx = MpcContext::new(MpcConfig::new((2 * edges.len()).max(8), 0.5));
+        let dv = ctx.from_vec(edges);
+        root_undirected(&mut ctx, dv)
+    }
+
+    #[test]
+    fn non_trees_are_rejected_without_looping() {
+        // m = n − 1 edges, but a triangle beside a disjoint edge.
+        assert!(root_edges(vec![(0, 1), (1, 2), (2, 0), (3, 4)]).is_none());
+        // A single cycle.
+        assert!(root_edges(vec![(0, 1), (1, 2), (2, 3), (3, 0)]).is_none());
+        // A duplicated edge, alone and inside a tree.
+        assert!(root_edges(vec![(0, 1), (0, 1)]).is_none());
+        assert!(root_edges(vec![(0, 1), (1, 2), (2, 1), (2, 3)]).is_none());
+        // A self-loop, alone, at the root and below it.
+        assert!(root_edges(vec![(5, 5)]).is_none());
+        assert!(root_edges(vec![(0, 0), (0, 1)]).is_none());
+        assert!(root_edges(vec![(0, 1), (1, 1), (1, 2)]).is_none());
+        // A forest of two trees.
+        assert!(root_edges(vec![(0, 1), (1, 2), (3, 4), (4, 5)]).is_none());
+        // K4 minus an edge, in an order whose arcs form one successor cycle (a
+        // one-face embedding of genus 1): the ranking settles, the node count is off.
+        assert!(root_edges(vec![(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]).is_none());
+    }
+
+    #[test]
+    fn orientation_keeps_input_edge_order_and_any_ids() {
+        // Sparse ids, endpoints in either order: edge i of the output is edge i of
+        // the input, turned child→parent towards the smallest id.
+        let rooted = root_edges(vec![(900, 40), (7, 900), (40, 12), (31, 40)]).expect("a tree");
+        assert_eq!(rooted.root, 7);
+        assert_eq!(rooted.num_nodes, 5);
+        assert_eq!(
+            rooted.edges.into_vec(),
+            vec![
+                DirectedEdge::new(40, 900),
+                DirectedEdge::new(900, 7),
+                DirectedEdge::new(12, 40),
+                DirectedEdge::new(31, 40),
+            ]
+        );
+    }
+
+    /// Words the tuple-keyed join loop this module replaced moved to root
+    /// `path-4096` at `MpcConfig::new(8192, 0.5)` (138 rounds).
+    const OLD_PATH_4096_WORDS: u64 = 1_467_862;
+
+    #[test]
+    fn path_4096_rounds_follow_the_module_formula() {
+        let n = 4096usize;
+        let edges: Vec<(u64, u64)> = (1..n as u64).map(|v| (v - 1, v)).collect();
+        let arcs = 2 * edges.len() as u64;
+        // δ = 0.5 needs two aggregation levels at this size, δ = 0.6 one.
+        for delta in [0.5, 0.6] {
+            let mut ctx = MpcContext::new(MpcConfig::new(2 * n, delta));
+            let dv = ctx.from_vec(edges.clone());
+            let rooted = root_undirected(&mut ctx, dv).expect("a path is a tree");
+            assert_eq!(rooted.edges.len(), n - 1);
+            let (agg, sort, join) = (ctx.agg_rounds(), ctx.sort_rounds(), ctx.join_rounds());
+            let steps = u64::from((arcs - 1).ilog2()) + 1;
+            let rounds = ctx.metrics().rounds;
+            assert_eq!(rounds, 3 * agg + 2 * sort + 2 + join + 2 * (steps - 1));
+            let log_arcs = u64::from(arcs.next_power_of_two().ilog2());
+            if agg == 1 {
+                assert!(rounds <= join + 2 * log_arcs + 16, "{rounds} rounds");
+            } else {
+                assert!(ctx.metrics().total_words_sent < OLD_PATH_4096_WORDS);
+            }
+        }
     }
 
     #[test]

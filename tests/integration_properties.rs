@@ -8,7 +8,8 @@ use mpc_tree_dp::problems::{MaxWeightIndependentSet, SubtreeAggregate};
 use mpc_tree_dp::{prepare, ListOfEdges, MpcConfig, MpcContext, StateEngine, TreeInput};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use tree_repr::Tree;
+use tree_repr::rooting::root_undirected;
+use tree_repr::{DirectedEdge, Tree, UndirectedEdges};
 
 /// The paper's clustering invariants, checked host-side: every cluster of every layer
 /// stays within the `n^δ`-style member bound `threshold · (threshold + 1)`
@@ -233,5 +234,140 @@ proptest! {
         let edges: Vec<_> = prepared.edges.iter().map(|(e, _)| *e).collect();
         prop_assert!(prepared.clustering.validate(&edges).is_empty());
         assert_clustering_invariants(&prepared.clustering, prepared.num_nodes, "random-tree");
+    }
+}
+
+/// `tree` as an undirected edge list the way an outside producer might hand it over:
+/// sparse non-contiguous node ids, edges in shuffled order, endpoints in either order.
+/// Returns the id of every node beside the edges.
+fn scrambled_undirected(tree: &Tree, salt: u64) -> (Vec<u64>, Vec<(u64, u64)>) {
+    // An odd multiplier is a bijection modulo 2^40.
+    let id =
+        |v: usize| ((v as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) + salt) & ((1 << 40) - 1);
+    let mut state = salt | 1;
+    let mut draw = move |below: usize| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) as usize % below
+    };
+    let mut edges: Vec<(u64, u64)> = tree
+        .edges()
+        .iter()
+        .map(|e| (id(e.child as usize), id(e.parent as usize)))
+        .collect();
+    for i in (1..edges.len()).rev() {
+        edges.swap(i, draw(i + 1));
+    }
+    for e in edges.iter_mut() {
+        if draw(2) == 1 {
+            *e = (e.1, e.0);
+        }
+    }
+    ((0..tree.len()).map(id).collect(), edges)
+}
+
+/// Every edge turned child→parent by a sequential BFS from the smallest id, in input
+/// order — the oracle for [`root_undirected`].
+fn bfs_orientation(edges: &[(u64, u64)]) -> Vec<DirectedEdge> {
+    let mut neighbours: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+    for &(u, v) in edges {
+        neighbours.entry(u).or_default().push(v);
+        neighbours.entry(v).or_default().push(u);
+    }
+    let root = *neighbours.keys().next().expect("at least one edge");
+    let mut parent: BTreeMap<u64, u64> = BTreeMap::new();
+    let mut queue = vec![root];
+    let mut next = 0;
+    while let Some(&v) = queue.get(next) {
+        next += 1;
+        for &w in &neighbours[&v] {
+            if w != root && !parent.contains_key(&w) {
+                parent.insert(w, v);
+                queue.push(w);
+            }
+        }
+    }
+    edges
+        .iter()
+        .map(|&(u, v)| {
+            if parent.get(&u) == Some(&v) {
+                DirectedEdge::new(u, v)
+            } else {
+                DirectedEdge::new(v, u)
+            }
+        })
+        .collect()
+}
+
+/// Root `edges` under every `δ` regime and both local execution modes and compare
+/// with the BFS oracle.
+fn assert_rooting_matches_bfs(edges: &[(u64, u64)], what: &str) {
+    let expected = bfs_orientation(edges);
+    let root = edges.iter().map(|&(u, v)| u.min(v)).min().unwrap();
+    for delta in [0.3f64, 0.5, 0.7] {
+        for parallel in [false, true] {
+            let cfg = MpcConfig::new((2 * edges.len()).max(16), delta).with_parallel(parallel);
+            let mut ctx = MpcContext::new(cfg);
+            let dv = ctx.from_vec(edges.to_vec());
+            let rooted = root_undirected(&mut ctx, dv)
+                .unwrap_or_else(|| panic!("{what}: δ={delta} parallel={parallel} rejected a tree"));
+            assert_eq!(rooted.root, root, "{what}");
+            assert_eq!(rooted.num_nodes, edges.len() + 1, "{what}");
+            assert_eq!(
+                rooted.edges.into_vec(),
+                expected,
+                "{what}: δ={delta} parallel={parallel}"
+            );
+        }
+    }
+}
+
+#[test]
+fn rooting_matches_bfs_on_star_and_path_4096() {
+    for (name, tree) in [
+        ("star-4096", shapes::star(4096)),
+        ("path-4096", shapes::path(4096)),
+    ] {
+        assert_rooting_matches_bfs(&UndirectedEdges::from_tree(&tree).0, name);
+        assert_rooting_matches_bfs(&scrambled_undirected(&tree, 11).1, name);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn rooting_matches_bfs_and_solves_like_the_rooted_form(
+        tree in arbitrary_tree(300),
+        salt in 0u64..1_000_000,
+    ) {
+        let (ids, edges) = scrambled_undirected(&tree, salt);
+        assert_rooting_matches_bfs(&edges, "random-tree");
+
+        // MaxIS through `prepare`: the undirected form against the rooted edge list.
+        let weights: Vec<(u64, i64)> = ids.iter().map(|&id| (id, (id % 23) as i64 + 1)).collect();
+        let rooted_form = ListOfEdges(
+            tree.edges()
+                .iter()
+                .map(|e| DirectedEdge::new(ids[e.child as usize], ids[e.parent as usize]))
+                .collect(),
+        );
+        let best = |input: TreeInput| {
+            let cfg = MpcConfig::new((2 * tree.len()).max(16), 0.5)
+                .with_memory_slack(512.0)
+                .with_bandwidth_slack(512.0);
+            let mut ctx = MpcContext::new(cfg);
+            let prepared = prepare(&mut ctx, input, Some(4)).unwrap();
+            let engine = StateEngine::new(MaxWeightIndependentSet);
+            let inputs = ctx.from_vec(weights.clone());
+            let no_edges = ctx.from_vec(Vec::<(u64, ())>::new());
+            let sol = prepared.solve(&mut ctx, &engine, &inputs, 0, &no_edges);
+            sol.root_summary.best(engine.problem()).unwrap()
+        };
+        prop_assert_eq!(
+            best(TreeInput::UndirectedEdges(UndirectedEdges(edges))),
+            best(TreeInput::ListOfEdges(rooted_form))
+        );
     }
 }

@@ -11,6 +11,8 @@
 use mpc_tree_dp::gen::labels;
 use mpc_tree_dp::gen::suite::standard_suite;
 use mpc_tree_dp::problems::MaxWeightIndependentSet;
+use mpc_tree_dp::repr::rooting::root_undirected;
+use mpc_tree_dp::repr::UndirectedEdges;
 use mpc_tree_dp::{prepare, DistVec, ListOfEdges, MpcConfig, MpcContext, StateEngine, TreeInput};
 use std::collections::BTreeMap;
 
@@ -228,5 +230,25 @@ fn pipeline_radix_toggle_is_invisible_across_the_standard_suite() {
         let fast = run_pipeline(&entry.tree, 9, true);
         let slow = run_pipeline(&entry.tree, 9, false);
         assert_eq!(fast, slow, "radix modes diverged on {}", entry.name);
+    }
+}
+
+#[test]
+fn rooting_radix_toggle_is_invisible_across_the_standard_suite() {
+    // The Euler-tour ranking probes its dense arc ids through the bucket directory,
+    // which exists on the radix path only: orientation and metrics must not notice.
+    for entry in standard_suite(256, 9) {
+        let run = |radix: bool| {
+            let mut c = ctx_with(radix, 2 * entry.tree.len());
+            let dv = c.from_vec(UndirectedEdges::from_tree(&entry.tree).0);
+            let rooted = root_undirected(&mut c, dv).expect("a tree roots cleanly");
+            (rooted.root, rooted.edges.into_vec(), snapshot(&c))
+        };
+        assert_eq!(
+            run(true),
+            run(false),
+            "radix modes diverged on {}",
+            entry.name
+        );
     }
 }
