@@ -9,8 +9,9 @@
 //! only on the clustering — never on the problem's inputs, summaries, or labels.
 //!
 //! A [`SolvePlan`] factors that out. Building the plan brings the members of every
-//! cluster onto one machine, layer by layer, with a constant number of sort/join
-//! rounds each (charged under `plan-build`), and retains
+//! cluster of every layer onto one machine in **one** group gathering — two table
+//! sorts, three key-only probes and the gather, a number of rounds that does not
+//! depend on the layer count (charged under `plan-build`) — and retains
 //!
 //! * per layer and per machine, the **skeleton view** of every cluster formed there
 //!   ([`PlanView`]: members in their assembled order, parent/children links, top and
@@ -28,7 +29,7 @@
 use crate::problem::{ClusterDp, ClusterView, Member, Payload};
 use crate::store::SolverStore;
 use mpc_engine::par::{par_map, worth_parallelizing};
-use mpc_engine::{DistVec, MpcContext, SortedTable, Words};
+use mpc_engine::{DistVec, MpcContext, Words};
 use std::collections::{BTreeMap, BTreeSet};
 use tree_clustering::{Clustering, EdgeKind, Element, ElementId, ElementKind, AUX_BASE};
 use tree_repr::{DirectedEdge, NodeId};
@@ -107,7 +108,7 @@ impl Words for PlanView {
 /// Every per-key slot list of the plan is kept in `(layer, machine, view, member)`
 /// order — the order a plan build registers slots in — so a plan that was spliced in
 /// place is equal to one re-indexed from scratch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct MemberSlot {
     pub(crate) layer: u32,
     pub(crate) machine: u32,
@@ -204,26 +205,39 @@ pub struct SolvePlan {
     pub(crate) in_label_readers: BTreeMap<NodeId, Vec<ViewSlot>>,
 }
 
-/// One member on its way into a skeleton view: the clustering element and the kind of
-/// its outgoing original edge.
+/// One member on its way into a skeleton view: the clustering element, the kind of
+/// its outgoing original edge, and whether that edge exists in the degree-reduced edge
+/// list (the hit bit of the probe that fetched the kind).
 struct MemberRec {
     element: Element,
     out_kind: EdgeKind,
+    has_out_data: bool,
 }
 
 impl Words for MemberRec {
     fn words(&self) -> usize {
         // The element, its edge kind, and the tag word of the payload the member holds
-        // during a solve: `gather_groups` balances groups over machines by word count,
-        // so this width decides which machine every skeleton lives on.
+        // during a solve: the group gathering balances groups over machines by word
+        // count, so this width decides which machine every skeleton lives on.
         self.element.words() + 2
     }
 }
 
-/// Build the solve plan of a clustering: assemble, layer by layer, the skeleton view
-/// of every cluster formed there — each fully contained in one machine (three probes
-/// of tables sorted once and one group gathering per layer) — and record the
-/// skeletons and routing indexes. Charged under the `plan-build` phase.
+/// One linked skeleton view on its way into the plan.
+struct LinkedView {
+    /// The layer the cluster was formed at.
+    layer: u32,
+    view: PlanView,
+    /// Per member, in member order: [`MemberRec::has_out_data`]. Only the routing
+    /// indexes read it (an out-edge input slot is registered only for edges that
+    /// exist), so it travels beside the view instead of inside [`PlanMember`].
+    has_out_data: Vec<bool>,
+}
+
+/// Build the solve plan of a clustering: assemble the skeleton view of every cluster
+/// of every layer — each fully contained in one machine — and record the skeletons
+/// and routing indexes. Two table sorts, three probes and one group gathering,
+/// whatever the number of layers. Charged under the `plan-build` phase.
 pub(crate) fn build_plan(
     ctx: &mut MpcContext,
     clustering: &Clustering,
@@ -231,132 +245,116 @@ pub(crate) fn build_plan(
     aux_to_original: &DistVec<(NodeId, NodeId)>,
 ) -> SolvePlan {
     ctx.phase("plan-build", |ctx| {
-        let machines = ctx.config().num_machines();
-        // The set of edge children present in the degree-reduced edge list: an input
-        // slot is only registered for edges that exist.
-        let edge_children: BTreeSet<NodeId> = edges.iter().map(|(e, _)| e.child).collect();
-        let aux_nodes: Vec<(NodeId, usize)> = aux_to_original
-            .chunks()
-            .iter()
-            .enumerate()
-            .flat_map(|(m, chunk)| chunk.iter().map(move |(aux, _)| (*aux, m)))
-            .collect();
-
-        // Edge kinds keyed by the edge's child endpoint, and the element table: both
-        // are fixed for the whole build, so each is sorted once and probed per layer.
-        let edge_kinds: DistVec<(NodeId, EdgeKind)> =
-            edges.clone().map_local(|(e, kind)| (e.child, *kind));
-        let edges_sorted = ctx.sort_table(&edge_kinds, |d| d.0);
-        let elements_sorted = ctx.sort_table(&clustering.elements, |e| e.id);
-
-        let mut plan = SolvePlan {
-            num_layers: clustering.num_layers,
-            num_machines: machines,
-            root: clustering.root,
-            top_cluster: clustering.top_cluster,
-            top_machine: 0,
-            aux_nodes,
-            layers: Vec::with_capacity(clustering.num_layers as usize),
-            payload_slot: BTreeMap::new(),
-            out_edge_slots: BTreeMap::new(),
-            in_edge_slots: BTreeMap::new(),
-            out_label_readers: BTreeMap::new(),
-            in_label_readers: BTreeMap::new(),
-        };
-
-        for layer in 1..=clustering.num_layers {
-            let views = build_skeletons(
-                ctx,
-                clustering,
-                layer,
-                &edge_kinds,
-                &edges_sorted,
-                &elements_sorted,
-            );
-            for (machine, chunk) in views.chunks().iter().enumerate() {
-                for (view_idx, view) in chunk.iter().enumerate() {
-                    plan.register(layer, machine, view_idx, view, &edge_children);
-                }
-            }
-            // mpc-lint: allow(metered-exchange) — skeleton chunk i stays on machine i, where the gather assembled it
-            plan.layers.push(views.into_chunks());
-        }
-        plan
+        let views = build_skeletons(ctx, clustering, edges);
+        SolvePlan::from_views(ctx, clustering, aux_to_original, views)
     })
 }
 
-/// Assemble the [`PlanView`] of every cluster formed at `layer`, each fully contained
-/// in one machine: fetch every member's edge kind, gather the members by absorbing
-/// cluster, attach the cluster's own element record and the kind of its incoming edge
-/// (probing the tables [`build_plan`] sorted), and link the member tree locally. One
-/// empty chunk per machine when no cluster forms at `layer`.
+/// Assemble the linked view of every cluster, each fully contained in one machine and
+/// every layer's views spread over all machines: fetch every member's edge kind,
+/// gather the members by absorbing cluster — once, for all layers — attach the
+/// cluster's own element record and the kind of its incoming edge, and link the member
+/// tree locally. Every probe sends the bare key and rejoins the answer with the record
+/// it belongs to where that record already lies. Machine `i`'s views come layer by
+/// layer, in cluster-id order within a layer.
 fn build_skeletons(
     ctx: &mut MpcContext,
     clustering: &Clustering,
-    layer: u32,
-    edge_kinds: &DistVec<(NodeId, EdgeKind)>,
-    edges_sorted: &SortedTable<NodeId>,
-    elements_sorted: &SortedTable<ElementId>,
-) -> DistVec<PlanView> {
-    let members_at_layer = clustering
-        .elements
-        .clone()
-        .filter_local(|e| e.absorbed_at == layer && e.kind != ElementKind::TopCluster);
-    if members_at_layer.is_empty() {
-        return ctx.empty();
-    }
+    edges: &DistVec<(DirectedEdge, EdgeKind)>,
+) -> DistVec<LinkedView> {
     let parallel = ctx.config().parallel;
-    let member_recs = ctx
-        .join_lookup_sorted(
-            members_at_layer,
-            |e| e.out_edge.child,
-            edge_kinds,
-            edges_sorted,
-        )
-        .map_local_par(parallel, |(element, edge)| MemberRec {
-            element: *element,
-            out_kind: edge.map_or(EdgeKind::Original, |(_, kind)| kind),
-        });
-    let grouped = ctx.gather_groups(member_recs, |m| m.element.absorbed_into);
-    let with_cluster = ctx.join_lookup_sorted(
-        grouped,
-        |(cid, _)| *cid,
-        &clustering.elements,
-        elements_sorted,
-    );
-    let with_in_edge = ctx.join_lookup_sorted(
-        with_cluster,
-        |(_, cluster)| {
-            cluster
-                .as_ref()
-                .and_then(|c| c.in_edge)
-                .map_or(u64::MAX, |e| e.child)
-        },
-        edge_kinds,
-        edges_sorted,
-    );
-    // Linking a member tree is quadratic in the cluster size — the heaviest
-    // machine-local step of a build, and every cluster is independent.
-    let views = with_in_edge.map_local_par(parallel, |(((_, members), cluster), in_edge)| {
-        let cluster = cluster.as_ref().expect("cluster element exists");
-        link_members(cluster, members, in_edge.map(|(_, kind)| kind))
+    // Edge kinds keyed by the edge's child endpoint, and the element table: each is
+    // sorted once and probed for all layers at a time.
+    let edge_kinds: DistVec<(NodeId, EdgeKind)> =
+        edges.filter_map_local(|(e, kind)| Some((e.child, *kind)));
+    let edges_sorted = ctx.sort_table(&edge_kinds, |d| d.0);
+    let elements_sorted = ctx.sort_table(&clustering.elements, |e| e.id);
+
+    let members = clustering
+        .elements
+        .filter_map_local(|e| (e.kind != ElementKind::TopCluster).then_some(*e));
+    let out_edges = members.filter_map_local(|e| Some(e.out_edge.child));
+    let out_kinds = ctx.join_lookup_sorted(out_edges, |child| *child, &edge_kinds, &edges_sorted);
+    let member_recs = members.zip_local(out_kinds, |element, (_, edge)| MemberRec {
+        element,
+        out_kind: edge.map_or(EdgeKind::Original, |(_, kind)| kind),
+        has_out_data: edge.is_some(),
     });
-    ctx.check_memory(&views, "plan/skeletons");
-    views
+
+    // A cluster id carries the layer the cluster is formed at above the defining
+    // element's id, so the key order is layer-major and every layer is one run.
+    let grouped = ctx.gather_group_runs(
+        member_recs,
+        |m| m.element.absorbed_into,
+        |m| m.element.absorbed_at,
+    );
+
+    let cluster_ids = grouped.filter_map_local(|(cid, _)| Some(*cid));
+    let clusters = ctx.join_lookup_sorted(
+        cluster_ids,
+        |cid| *cid,
+        &clustering.elements,
+        &elements_sorted,
+    );
+    let with_cluster = grouped.zip_local(clusters, |(_, members), (_, cluster)| {
+        (cluster.expect("cluster element exists"), members)
+    });
+
+    // Only clusters that have an incoming edge ask for its kind; the answers come
+    // back in request order, one per such cluster.
+    let in_edges = with_cluster.filter_map_local(|(cluster, _)| cluster.in_edge.map(|e| e.child));
+    let in_kinds = ctx.join_lookup_sorted(in_edges, |child| *child, &edge_kinds, &edges_sorted);
+    let with_in_kind = with_cluster.map_chunks_local(|machine, chunk| {
+        let mut answers = in_kinds.chunks()[machine].iter();
+        chunk
+            .into_iter()
+            .map(|(cluster, members)| {
+                let in_kind = cluster.in_edge.and_then(|_| {
+                    let (_, edge) = answers.next().expect("one answer per incoming edge");
+                    edge.map(|(_, kind)| kind)
+                });
+                (cluster, members, in_kind)
+            })
+            .collect()
+    });
+    with_in_kind.map_local_par(parallel, |(cluster, members, in_kind)| {
+        link_members(cluster, members, *in_kind)
+    })
 }
 
-/// Link the members of one cluster into the small member tree (machine-local).
-/// `in_kind` is the kind of the cluster's incoming edge when that edge exists in the
-/// degree-reduced edge list.
-fn link_members(cluster: &Element, members: &[MemberRec], in_kind: Option<EdgeKind>) -> PlanView {
+/// The first member (lowest index) filed under `key` in a sorted `(key, member)` index.
+fn first_under<K: Ord>(index: &[(K, usize)], key: &K) -> Option<usize> {
+    let at = index.partition_point(|(k, _)| k < key);
+    index.get(at).filter(|(k, _)| k == key).map(|&(_, m)| m)
+}
+
+/// Link the members of one cluster into the small member tree (machine-local: one
+/// sort of the members, then a search per member). `in_kind` is the kind of the
+/// cluster's incoming edge when that edge exists in the degree-reduced edge list.
+fn link_members(cluster: &Element, members: &[MemberRec], in_kind: Option<EdgeKind>) -> LinkedView {
     // Member `b` hangs below member `a` when `a` accepts `b`'s outgoing edge: original
     // nodes accept every edge pointing at them, contracted clusters accept exactly
-    // their recorded incoming edge.
-    let accepts = |a: &MemberRec, edge: &DirectedEdge| -> bool {
-        if a.element.kind == ElementKind::Node {
-            a.element.id == edge.parent
-        } else {
-            a.element.in_edge == Some(*edge)
+    // their recorded incoming edge. Index the members by what they accept — nodes by
+    // id, contracted clusters by incoming edge; the first acceptor in member order
+    // wins, as a scan over the members would have it.
+    let mut nodes: Vec<(ElementId, usize)> = Vec::with_capacity(members.len());
+    let mut contracted: Vec<(DirectedEdge, usize)> = Vec::new();
+    for (idx, m) in members.iter().enumerate() {
+        if m.element.kind == ElementKind::Node {
+            nodes.push((m.element.id, idx));
+        } else if let Some(in_edge) = m.element.in_edge {
+            contracted.push((in_edge, idx));
+        }
+    }
+    nodes.sort_unstable();
+    contracted.sort_unstable();
+    let acceptor = |edge: &DirectedEdge| -> Option<usize> {
+        match (
+            first_under(&nodes, &edge.parent),
+            first_under(&contracted, edge),
+        ) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
         }
     };
     let mut skeletons: Vec<PlanMember> = members
@@ -373,12 +371,12 @@ fn link_members(cluster: &Element, members: &[MemberRec], in_kind: Option<EdgeKi
         if edge == cluster.out_edge {
             continue;
         }
-        if let Some(a) = (0..members.len()).find(|&a| a != b && accepts(&members[a], &edge)) {
+        if let Some(a) = acceptor(&edge).filter(|&a| a != b) {
             skeletons[b].parent = Some(a);
             skeletons[a].children.push(b);
         }
     }
-    PlanView {
+    let view = PlanView {
         cluster: cluster.id,
         kind: cluster.kind,
         members: skeletons,
@@ -388,57 +386,115 @@ fn link_members(cluster: &Element, members: &[MemberRec], in_kind: Option<EdgeKi
             .expect("the top member carries the cluster's outgoing edge"),
         out_edge: cluster.out_edge,
         in_edge: cluster.in_edge,
-        attach: cluster
-            .in_edge
-            .and_then(|e| members.iter().position(|m| accepts(m, &e))),
+        attach: cluster.in_edge.and_then(|e| acceptor(&e)),
         in_kind: in_kind.unwrap_or(EdgeKind::Original),
         has_in_data: in_kind.is_some(),
+    };
+    LinkedView {
+        layer: cluster.formed_at,
+        view,
+        has_out_data: members.iter().map(|m| m.has_out_data).collect(),
     }
 }
 
+/// Group `(key, slot)` pairs into the per-key slot lists of a routing index, every
+/// list in slot order — `(layer, machine, view, member)`, the order the views lie in.
+fn slots_by_key<S: Ord + Copy>(mut pairs: Vec<(NodeId, S)>) -> BTreeMap<NodeId, Vec<S>> {
+    pairs.sort_unstable();
+    let mut bounds: Vec<usize> = (0..pairs.len())
+        .filter(|&i| i == 0 || pairs[i - 1].0 != pairs[i].0)
+        .collect();
+    bounds.push(pairs.len());
+    // Sorted input: the map is bulk-built, not inserted into key by key.
+    bounds
+        .windows(2)
+        .map(|w| {
+            let run = &pairs[w[0]..w[1]];
+            (run[0].0, run.iter().map(|&(_, slot)| slot).collect())
+        })
+        .collect()
+}
+
 impl SolvePlan {
-    /// Register the routing-index entries of one assembled view.
-    fn register(
-        &mut self,
-        layer: u32,
-        machine: usize,
-        view_idx: usize,
-        view: &PlanView,
-        edge_children: &BTreeSet<NodeId>,
-    ) {
-        let vslot = ViewSlot {
-            layer,
-            machine: machine as u32,
-            view: view_idx as u32,
-        };
-        if view.cluster == self.top_cluster {
-            self.top_machine = machine;
-        }
-        self.out_label_readers
-            .entry(view.out_edge.child)
-            .or_default()
-            .push(vslot);
-        if let Some(in_edge) = view.in_edge {
-            self.in_label_readers
-                .entry(in_edge.child)
-                .or_default()
-                .push(vslot);
-            if view.has_in_data {
-                self.in_edge_slots
-                    .entry(in_edge.child)
-                    .or_default()
-                    .push(vslot);
+    /// Split every machine's linked views into the per-layer skeleton layout and
+    /// derive the routing indexes from it.
+    fn from_views(
+        ctx: &mut MpcContext,
+        clustering: &Clustering,
+        aux_to_original: &DistVec<(NodeId, NodeId)>,
+        views: DistVec<LinkedView>,
+    ) -> SolvePlan {
+        let machines = ctx.config().num_machines();
+        let num_layers = clustering.num_layers as usize;
+        let mut layers: Vec<Vec<Vec<PlanView>>> = (0..num_layers)
+            .map(|_| (0..machines).map(|_| Vec::new()).collect())
+            .collect();
+        let mut resident = vec![0usize; machines];
+        let mut top_machine = 0usize;
+        let mut payload: Vec<(ElementId, MemberSlot)> =
+            Vec::with_capacity(clustering.elements.len());
+        let mut out_edge: Vec<(NodeId, MemberSlot)> = Vec::with_capacity(clustering.elements.len());
+        let mut in_edge: Vec<(NodeId, ViewSlot)> = Vec::new();
+        let mut out_readers: Vec<(NodeId, ViewSlot)> = Vec::new();
+        let mut in_readers: Vec<(NodeId, ViewSlot)> = Vec::new();
+        // mpc-lint: allow(metered-exchange) — machine i's views stay on machine i, where the gather assembled them; they are only filed under their layer
+        for (machine, chunk) in views.into_chunks().into_iter().enumerate() {
+            for linked in chunk {
+                let LinkedView {
+                    layer,
+                    view,
+                    has_out_data,
+                } = linked;
+                let bucket = &mut layers[layer as usize - 1][machine];
+                let vslot = ViewSlot {
+                    layer,
+                    machine: machine as u32,
+                    view: bucket.len() as u32,
+                };
+                resident[machine] += view.words();
+                if view.cluster == clustering.top_cluster {
+                    top_machine = machine;
+                }
+                out_readers.push((view.out_edge.child, vslot));
+                if let Some(e) = view.in_edge {
+                    in_readers.push((e.child, vslot));
+                    if view.has_in_data {
+                        in_edge.push((e.child, vslot));
+                    }
+                }
+                for (idx, (member, has_out_data)) in
+                    view.members.iter().zip(has_out_data).enumerate()
+                {
+                    let slot = vslot.member_slot(idx);
+                    payload.push((member.element.id, slot));
+                    if has_out_data {
+                        out_edge.push((member.element.out_edge.child, slot));
+                    }
+                }
+                bucket.push(view);
             }
         }
-        for (member_idx, member) in view.members.iter().enumerate() {
-            let slot = vslot.member_slot(member_idx);
-            self.payload_slot.insert(member.element.id, slot);
-            if edge_children.contains(&member.element.out_edge.child) {
-                self.out_edge_slots
-                    .entry(member.element.out_edge.child)
-                    .or_default()
-                    .push(slot);
-            }
+        ctx.check_memory_words(&resident, "plan/skeletons");
+        // Sorted by key (then slot), the maps below are bulk-built.
+        payload.sort_unstable();
+        SolvePlan {
+            num_layers: clustering.num_layers,
+            num_machines: machines,
+            root: clustering.root,
+            top_cluster: clustering.top_cluster,
+            top_machine,
+            aux_nodes: aux_to_original
+                .chunks()
+                .iter()
+                .enumerate()
+                .flat_map(|(m, chunk)| chunk.iter().map(move |(aux, _)| (*aux, m)))
+                .collect(),
+            layers,
+            payload_slot: payload.into_iter().collect(),
+            out_edge_slots: slots_by_key(out_edge),
+            in_edge_slots: slots_by_key(in_edge),
+            out_label_readers: slots_by_key(out_readers),
+            in_label_readers: slots_by_key(in_readers),
         }
     }
 
@@ -1376,9 +1432,10 @@ impl<P: ClusterDp> ViewState<P> {
 #[cfg(test)]
 impl SolvePlan {
     /// Test oracle: this plan with every routing index cleared and re-derived from
-    /// the skeleton views, in the order [`build_plan`] registers them (layers →
-    /// machines → views → members). `edge_children` is the set of edge children of the
-    /// degree-reduced edge list, as in [`build_plan`].
+    /// the skeleton views by inserting slot after slot in `(layer, machine, view,
+    /// member)` order. `edge_children` is the set of edge children of the
+    /// degree-reduced edge list — what the hit bit of [`build_plan`]'s out-edge-kind
+    /// probe says member by member.
     pub(crate) fn reindexed(&self, edge_children: &BTreeSet<NodeId>) -> SolvePlan {
         let mut plan = SolvePlan {
             payload_slot: BTreeMap::new(),
@@ -1426,5 +1483,293 @@ impl SolvePlan {
             }
         }
         plan
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pipeline::{prepare, PreparedTree};
+    use mpc_engine::{MpcConfig, SortedTable};
+    use proptest::prelude::*;
+    use tree_gen::{shapes, standard_suite};
+    use tree_repr::{ListOfEdges, Tree, TreeInput};
+
+    /// The plan build this module had before it gathered all layers at once, kept as
+    /// the reference: per layer three probes that ship the whole member record (then
+    /// the whole gathered group) as the request, one `gather_groups`, and a member
+    /// tree linked by scanning for the acceptor; the routing indexes inserted key by
+    /// key ([`SolvePlan::reindexed`]).
+    fn build_plan_per_layer(ctx: &mut MpcContext, prepared: &PreparedTree) -> SolvePlan {
+        let clustering = &prepared.clustering;
+        ctx.phase("plan-build", |ctx| {
+            let edge_children: BTreeSet<NodeId> =
+                prepared.edges.iter().map(|(e, _)| e.child).collect();
+            let edge_kinds: DistVec<(NodeId, EdgeKind)> = prepared
+                .edges
+                .clone()
+                .map_local(|(e, kind)| (e.child, *kind));
+            let edges_sorted = ctx.sort_table(&edge_kinds, |d| d.0);
+            let elements_sorted = ctx.sort_table(&clustering.elements, |e| e.id);
+            let layers: Vec<Vec<Vec<PlanView>>> = (1..=clustering.num_layers)
+                .map(|layer| {
+                    skeletons_of_layer(
+                        ctx,
+                        clustering,
+                        layer,
+                        &edge_kinds,
+                        &edges_sorted,
+                        &elements_sorted,
+                    )
+                    .into_chunks()
+                })
+                .collect();
+            let top_machine = layers
+                .iter()
+                .flatten()
+                .position(|views| views.iter().any(|v| v.cluster == clustering.top_cluster))
+                .expect("the top cluster has a view")
+                % ctx.config().num_machines();
+            SolvePlan {
+                num_layers: clustering.num_layers,
+                num_machines: ctx.config().num_machines(),
+                root: clustering.root,
+                top_cluster: clustering.top_cluster,
+                top_machine,
+                aux_nodes: prepared
+                    .aux_to_original
+                    .chunks()
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(m, chunk)| chunk.iter().map(move |(aux, _)| (*aux, m)))
+                    .collect(),
+                layers,
+                payload_slot: BTreeMap::new(),
+                out_edge_slots: BTreeMap::new(),
+                in_edge_slots: BTreeMap::new(),
+                out_label_readers: BTreeMap::new(),
+                in_label_readers: BTreeMap::new(),
+            }
+            .reindexed(&edge_children)
+        })
+    }
+
+    fn skeletons_of_layer(
+        ctx: &mut MpcContext,
+        clustering: &Clustering,
+        layer: u32,
+        edge_kinds: &DistVec<(NodeId, EdgeKind)>,
+        edges_sorted: &SortedTable<NodeId>,
+        elements_sorted: &SortedTable<ElementId>,
+    ) -> DistVec<PlanView> {
+        let members_at_layer = clustering
+            .elements
+            .clone()
+            .filter_local(|e| e.absorbed_at == layer && e.kind != ElementKind::TopCluster);
+        if members_at_layer.is_empty() {
+            return ctx.empty();
+        }
+        let member_recs = ctx
+            .join_lookup_sorted(
+                members_at_layer,
+                |e| e.out_edge.child,
+                edge_kinds,
+                edges_sorted,
+            )
+            .map_local(|(element, edge)| MemberRec {
+                element: *element,
+                out_kind: edge.map_or(EdgeKind::Original, |(_, kind)| kind),
+                has_out_data: edge.is_some(),
+            });
+        let grouped = ctx.gather_groups(member_recs, |m| m.element.absorbed_into);
+        let with_cluster = ctx.join_lookup_sorted(
+            grouped,
+            |(cid, _)| *cid,
+            &clustering.elements,
+            elements_sorted,
+        );
+        let with_in_edge = ctx.join_lookup_sorted(
+            with_cluster,
+            |(_, cluster)| {
+                cluster
+                    .as_ref()
+                    .and_then(|c| c.in_edge)
+                    .map_or(u64::MAX, |e| e.child)
+            },
+            edge_kinds,
+            edges_sorted,
+        );
+        let views = with_in_edge.map_local(|(((_, members), cluster), in_edge)| {
+            let cluster = cluster.as_ref().expect("cluster element exists");
+            link_members_by_scan(cluster, members, in_edge.map(|(_, kind)| kind))
+        });
+        ctx.check_memory(&views, "plan/skeletons");
+        views
+    }
+
+    fn link_members_by_scan(
+        cluster: &Element,
+        members: &[MemberRec],
+        in_kind: Option<EdgeKind>,
+    ) -> PlanView {
+        let accepts = |a: &MemberRec, edge: &DirectedEdge| -> bool {
+            if a.element.kind == ElementKind::Node {
+                a.element.id == edge.parent
+            } else {
+                a.element.in_edge == Some(*edge)
+            }
+        };
+        let mut skeletons: Vec<PlanMember> = members
+            .iter()
+            .map(|m| PlanMember {
+                element: m.element,
+                out_kind: m.out_kind,
+                parent: None,
+                children: Vec::new(),
+            })
+            .collect();
+        for (b, member) in members.iter().enumerate() {
+            let edge = member.element.out_edge;
+            if edge == cluster.out_edge {
+                continue;
+            }
+            if let Some(a) = (0..members.len()).find(|&a| a != b && accepts(&members[a], &edge)) {
+                skeletons[b].parent = Some(a);
+                skeletons[a].children.push(b);
+            }
+        }
+        PlanView {
+            cluster: cluster.id,
+            kind: cluster.kind,
+            members: skeletons,
+            top: members
+                .iter()
+                .position(|m| m.element.out_edge == cluster.out_edge)
+                .expect("the top member carries the cluster's outgoing edge"),
+            out_edge: cluster.out_edge,
+            in_edge: cluster.in_edge,
+            attach: cluster
+                .in_edge
+                .and_then(|e| members.iter().position(|m| accepts(m, &e))),
+            in_kind: in_kind.unwrap_or(EdgeKind::Original),
+            has_in_data: in_kind.is_some(),
+        }
+    }
+
+    fn prepared(tree: &Tree, delta: f64, parallel: bool) -> (MpcContext, PreparedTree) {
+        let mut ctx =
+            MpcContext::new(MpcConfig::new(2 * tree.len(), delta).with_parallel(parallel));
+        let prepared = prepare(
+            &mut ctx,
+            TreeInput::ListOfEdges(ListOfEdges::from_tree(tree)),
+            None,
+        )
+        .expect("well-formed tree");
+        (ctx, prepared)
+    }
+
+    /// `(rounds, words)` charged by `f`.
+    fn charged<R>(ctx: &mut MpcContext, f: impl FnOnce(&mut MpcContext) -> R) -> (R, u64, u64) {
+        let before = (ctx.metrics().rounds, ctx.metrics().total_words_sent);
+        let out = f(ctx);
+        let m = ctx.metrics();
+        (out, m.rounds - before.0, m.total_words_sent - before.1)
+    }
+
+    /// The whole plan — every view at its `(layer, machine, index)`, every routing
+    /// index — equals the per-layer reference's. Returns whether degree reduction
+    /// added auxiliary nodes.
+    fn assert_builds_the_reference_plan(tree: &Tree, delta: f64, parallel: bool) -> bool {
+        let (mut ctx, prepared) = prepared(tree, delta, parallel);
+        let reference = build_plan_per_layer(&mut ctx, &prepared);
+        let plan = prepared.plan_uncached(&mut ctx);
+        assert_eq!(plan.layers, reference.layers, "skeleton placement");
+        assert_eq!(plan, reference);
+        !plan.aux_nodes.is_empty()
+    }
+
+    /// A random tree whose node `v` hangs below one of the `spread` nodes before it:
+    /// a path at `spread = 1`, towards a random recursive tree — with hubs that degree
+    /// reduction splits at these thresholds — as `spread` grows.
+    fn arbitrary_tree() -> impl Strategy<Value = Tree> {
+        (24usize..400).prop_flat_map(|n| {
+            (1..n).prop_flat_map(move |spread| {
+                (1..n)
+                    .map(|v| v.saturating_sub(spread)..v)
+                    .collect::<Vec<_>>()
+                    .prop_map(|parents| {
+                        Tree::from_parents(
+                            std::iter::once(None)
+                                .chain(parents.into_iter().map(Some))
+                                .collect(),
+                        )
+                    })
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn one_gather_builds_the_per_layer_plan(tree in arbitrary_tree()) {
+            for delta in [0.3, 0.5, 0.7] {
+                for parallel in [true, false] {
+                    assert_builds_the_reference_plan(&tree, delta, parallel);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_gather_builds_the_per_layer_plan_on_degree_reduced_trees() {
+        // Hubs far above every threshold: the plan holds auxiliary nodes and edges.
+        for tree in [
+            shapes::star(300),
+            shapes::broom(40, 200),
+            shapes::spider(90, 3),
+        ] {
+            for delta in [0.3, 0.5, 0.7] {
+                for parallel in [true, false] {
+                    assert!(assert_builds_the_reference_plan(&tree, delta, parallel));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_gather_builds_the_per_layer_plan_on_the_standard_suite() {
+        let suite = standard_suite(4096, 7);
+        assert_eq!(suite.len(), 9);
+        for entry in suite {
+            assert_builds_the_reference_plan(&entry.tree, 0.5, true);
+        }
+    }
+
+    #[test]
+    fn plan_build_rounds_do_not_depend_on_layers() {
+        let mut layer_counts = BTreeSet::new();
+        for tree in [shapes::path(4096), shapes::star(4096)] {
+            let (mut ctx, prepared) = prepared(&tree, 0.5, true);
+            let (sort, agg) = (ctx.sort_rounds(), ctx.agg_rounds());
+            let (plan, rounds, words) = charged(&mut ctx, |ctx| prepared.plan_uncached(ctx));
+            // Layers at which a cluster forms: each cost the per-layer build a gather.
+            layer_counts.insert(
+                plan.layers
+                    .iter()
+                    .filter(|layer| layer.iter().any(|views| !views.is_empty()))
+                    .count(),
+            );
+            // Two table sorts, the run-placed gather, three 2-round probes.
+            assert_eq!(rounds, 2 * (sort + agg) + (sort + 1 + agg) + 6);
+            let (_, old_rounds, old_words) =
+                charged(&mut ctx, |ctx| build_plan_per_layer(ctx, &prepared));
+            assert!(rounds < old_rounds);
+            assert!(
+                5 * words < 2 * old_words,
+                "{words} words against the per-layer build's {old_words}"
+            );
+        }
+        assert_eq!(layer_counts.len(), 2, "the two trees differ in layer count");
     }
 }

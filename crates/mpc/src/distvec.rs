@@ -239,6 +239,43 @@ impl<T> DistVec<T> {
         self
     }
 
+    /// Pair this vector with `other` record by record (no communication, 0 rounds):
+    /// machine `i` combines its `j`-th record of each through `f`. The way to rejoin
+    /// the answers of an order-preserving primitive (a key-only
+    /// [`join_lookup_sorted`](crate::MpcContext::join_lookup_sorted) probe) with the
+    /// records the requests were derived from.
+    ///
+    /// # Panics
+    /// Panics unless both vectors have the same chunk shape (machine count and
+    /// per-machine record counts): records are only ever paired on the machine that
+    /// already holds both.
+    pub fn zip_local<U, O, F>(self, other: DistVec<U>, f: F) -> DistVec<O>
+    where
+        F: Fn(T, U) -> O,
+    {
+        assert_eq!(
+            self.chunks.len(),
+            other.chunks.len(),
+            "zip_local: machine counts differ"
+        );
+        DistVec {
+            chunks: self
+                .chunks
+                .into_iter()
+                .zip(other.chunks)
+                .enumerate()
+                .map(|(machine, (a, b))| {
+                    assert_eq!(
+                        a.len(),
+                        b.len(),
+                        "zip_local: machine {machine} holds a different number of records"
+                    );
+                    a.into_iter().zip(b).map(|(t, u)| f(t, u)).collect()
+                })
+                .collect(),
+        }
+    }
+
     /// Apply a machine-local transformation to every machine's **whole chunk** (no
     /// communication, 0 rounds): `f(machine, chunk)` sees the records one machine
     /// holds, in order, and its output stays on that machine — for passes that pair
@@ -389,6 +426,41 @@ mod tests {
         assert_eq!(halves.num_chunks(), filtered.num_chunks());
         let expanded = filtered.flat_map_local(|x| vec![x, x + 1]);
         assert_eq!(expanded.len() % 2, 0);
+    }
+
+    #[test]
+    fn zip_local_pairs_records_where_they_lie() {
+        let left = DistVec::from_vec_cfg(&cfg(), (0u64..50).collect());
+        let right = left.clone().map_local(|x| x * 10);
+        let shape: Vec<usize> = left.chunks().iter().map(Vec::len).collect();
+        let zipped = left.zip_local(right, |a, b| (a, b));
+        assert_eq!(
+            zipped.chunks().iter().map(Vec::len).collect::<Vec<_>>(),
+            shape
+        );
+        assert!(zipped
+            .iter()
+            .enumerate()
+            .all(|(i, &(a, b))| a == i as u64 && b == 10 * a));
+        let empty: DistVec<u64> = DistVec::empty_cfg(&cfg());
+        assert!(empty.clone().zip_local(empty, |a, b| a + b).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "different number of records")]
+    fn zip_local_rejects_a_chunk_shape_mismatch() {
+        // Same total, same machine count, one record on the wrong machine.
+        let left = DistVec::from_chunks(vec![vec![1u64, 2], vec![3]]);
+        let right = DistVec::from_chunks(vec![vec![1u64], vec![2, 3]]);
+        let _ = left.zip_local(right, |a, b| a + b);
+    }
+
+    #[test]
+    #[should_panic(expected = "machine counts differ")]
+    fn zip_local_rejects_a_machine_count_mismatch() {
+        let left = DistVec::from_chunks(vec![vec![1u64], vec![]]);
+        let right = DistVec::from_chunks(vec![vec![1u64]]);
+        let _ = left.zip_local(right, |a, b| a + b);
     }
 
     #[test]

@@ -755,11 +755,74 @@ impl MpcContext {
     /// derived from its members, it is not shipped separately). Word keys take the
     /// radix path; grouping by equal key words equals grouping by equal keys because
     /// the [`SortKey`] embedding is injective.
+    ///
+    /// Whole groups are dealt to the machines in key order, a machine closing once the
+    /// next group would take it past `total words / machines` — the single-run case of
+    /// [`gather_group_runs`](Self::gather_group_runs).
     pub fn gather_groups<T, K, F>(&mut self, dv: DistVec<T>, key: F) -> DistVec<(K, Vec<T>)>
     where
         T: Words + Send + 'static,
         K: SortKey + Words,
         F: Fn(&T) -> K + Sync,
+    {
+        self.gather_runs_impl(dv, key, |_| 0, "gather_groups").0
+    }
+
+    /// [`gather_groups`](Self::gather_groups) for a table that is the union of several
+    /// **runs** — contiguous key ranges, `run_of` naming the run of a record — in one
+    /// sort: every run's groups are spread over **all** machines exactly as a
+    /// `gather_groups` call on that run alone would place them, instead of the runs
+    /// lying side by side on one machine range each. Machine `i` receives its groups
+    /// run by run, in key order. This is how one exchange assembles the clusters of
+    /// every layer of a clustering while each layer's evaluation still uses every
+    /// machine.
+    ///
+    /// Charges `sort_rounds + 1 + agg_rounds`: the sort and the routing round of
+    /// `gather_groups`, plus one aggregate that makes the per-run word totals (the
+    /// balancing targets, one word per run) known to every machine.
+    ///
+    /// # Panics
+    /// Panics unless `run_of` is constant over every group and non-decreasing along
+    /// the key order.
+    // mpc-cost: rounds(const)
+    pub fn gather_group_runs<T, K, F, R>(
+        &mut self,
+        dv: DistVec<T>,
+        key: F,
+        run_of: R,
+    ) -> DistVec<(K, Vec<T>)>
+    where
+        T: Words + Send + 'static,
+        K: SortKey + Words,
+        F: Fn(&T) -> K + Sync,
+        R: Fn(&T) -> u32,
+    {
+        let (result, runs) = self.gather_runs_impl(dv, key, run_of, "gather_group_runs");
+        let per_machine = vec![runs; self.config().num_machines()];
+        self.charge_rounds(self.agg_rounds());
+        self.record_comm(&per_machine, &per_machine, "gather_group_runs");
+        result
+    }
+
+    /// The one gather: sort by key, cut the sorted order into groups and the groups
+    /// into runs, and deal every run's groups to the machines against that run's own
+    /// `run words / machines` target. Charges the sort and the routing round; returns
+    /// the number of runs beside the placed groups so that
+    /// [`gather_group_runs`](Self::gather_group_runs) can price the aggregate of their
+    /// word totals.
+    #[allow(clippy::type_complexity)]
+    fn gather_runs_impl<T, K, F, R>(
+        &mut self,
+        dv: DistVec<T>,
+        key: F,
+        run_of: R,
+        what: &'static str,
+    ) -> (DistVec<(K, Vec<T>)>, usize)
+    where
+        T: Words + Send + 'static,
+        K: SortKey + Words,
+        F: Fn(&T) -> K + Sync,
+        R: Fn(&T) -> u32,
     {
         let machines = self.config().num_machines();
         let parallel = self.config().parallel;
@@ -806,49 +869,72 @@ impl MpcContext {
                 }
             }
         }
-        // Distribute whole groups over machines, keeping chunks balanced by word count.
-        let group_words = |k: &K, items: &[(T, usize)]| {
-            k.words() + 1 + items.iter().map(|(t, _)| t.words()).sum::<usize>()
-        };
-        let total_words: usize = groups.iter().map(|(k, items)| group_words(k, items)).sum();
-        let target = total_words.div_ceil(machines).max(1);
+        // Cut the groups into runs: `(run, number of groups, word total)` each.
+        let mut group_words: Vec<usize> = Vec::with_capacity(groups.len());
+        let mut runs: Vec<(u32, usize, usize)> = Vec::new();
+        for (k, items) in &groups {
+            let w = k.words() + 1 + items.iter().map(|(t, _)| t.words()).sum::<usize>();
+            group_words.push(w);
+            let run = run_of(&items[0].0);
+            assert!(
+                items.iter().all(|(t, _)| run_of(t) == run),
+                "{what}: a group straddles two runs"
+            );
+            match runs.last_mut() {
+                Some(open) if open.0 == run => {
+                    open.1 += 1;
+                    open.2 += w;
+                }
+                open => {
+                    assert!(
+                        !open.is_some_and(|open| open.0 >= run),
+                        "{what}: runs must not decrease along the key order"
+                    );
+                    runs.push((run, 1, w));
+                }
+            }
+        }
+        // Deal whole groups to the machines run by run, keeping every run balanced by
+        // word count over all of them.
         self.scratch.reset_counters(machines.max(srcs), machines);
         let mut chunks: Vec<Vec<(K, Vec<T>)>> = (0..machines).map(|_| Vec::new()).collect();
         {
             let Scratch { sends, recvs, .. } = &mut self.scratch;
-            let mut machine = 0usize;
-            let mut filled = 0usize;
-            for (k, items) in groups {
-                let w = group_words(&k, &items);
-                if filled + w > target && filled > 0 && machine + 1 < machines {
-                    machine += 1;
-                    filled = 0;
+            let mut groups = groups.into_iter().zip(group_words);
+            for &(_, len, total) in &runs {
+                let target = total.div_ceil(machines).max(1);
+                let (mut machine, mut filled) = (0usize, 0usize);
+                for ((k, items), w) in groups.by_ref().take(len) {
+                    if filled + w > target && filled > 0 && machine + 1 < machines {
+                        machine += 1;
+                        filled = 0;
+                    }
+                    filled += w;
+                    let members: Vec<T> = items
+                        .into_iter()
+                        .map(|(item, src)| {
+                            if src != machine {
+                                let iw = item.words();
+                                sends[src] += iw;
+                                recvs[machine] += iw;
+                            }
+                            item
+                        })
+                        // mpc-lint: allow(alloc-hygiene) — group members move into the result chunks; ownership leaves the loop
+                        .collect();
+                    chunks[machine].push((k, members));
                 }
-                filled += w;
-                let members: Vec<T> = items
-                    .into_iter()
-                    .map(|(item, src)| {
-                        if src != machine {
-                            let iw = item.words();
-                            sends[src] += iw;
-                            recvs[machine] += iw;
-                        }
-                        item
-                    })
-                    // mpc-lint: allow(alloc-hygiene) — group members move into the result chunks; ownership leaves the loop
-                    .collect();
-                chunks[machine].push((k, members));
             }
         }
         let result = DistVec::from_chunks(chunks);
         let sends = std::mem::take(&mut self.scratch.sends);
         let recvs = std::mem::take(&mut self.scratch.recvs);
         self.charge_rounds(self.sort_rounds() + 1);
-        self.record_comm(&sends, &recvs, "gather_groups");
+        self.record_comm(&sends, &recvs, what);
         self.scratch.sends = sends;
         self.scratch.recvs = recvs;
-        self.check_memory(&result, "gather_groups");
-        result
+        self.check_memory(&result, what);
+        (result, runs.len())
     }
 }
 
@@ -1276,6 +1362,116 @@ mod tests {
         let dv: DistVec<(u64, u64)> = c.empty();
         let groups = c.gather_groups(dv, |x| x.0);
         assert!(groups.is_empty());
+    }
+
+    /// Records `(key, payload)` whose run is the key's hundreds digit: three runs of
+    /// very different sizes, interleaved in the input.
+    fn run_data() -> Vec<(u64, u64)> {
+        (0..1200u64)
+            .map(|i| {
+                let run = [0, 2, 2, 5, 2, 5][(i % 6) as usize];
+                (100 * run + (i * 31) % (7 + 9 * run), i)
+            })
+            .collect()
+    }
+
+    fn run_of(r: &(u64, u64)) -> u32 {
+        (r.0 / 100) as u32
+    }
+
+    #[test]
+    fn gather_group_runs_places_every_run_like_its_own_gather_groups() {
+        let mut c = ctx(4096);
+        let dv = c.from_vec(run_data());
+        let machines = c.config().num_machines();
+        let placed = c.gather_group_runs(dv.clone(), |r| r.0, run_of);
+        assert_eq!(
+            c.metrics().rounds,
+            c.sort_rounds() + 1 + c.agg_rounds(),
+            "one sort, one routing round, one aggregate — whatever the run count"
+        );
+        let words = c.metrics().total_words_sent;
+
+        // The reference: one gather_groups per run, chunks concatenated per machine.
+        let mut r = ctx(4096);
+        let mut expected = vec![Vec::new(); machines];
+        for run in [0u32, 2, 5] {
+            let part = dv.clone().filter_local(|rec| run_of(rec) == run);
+            let gathered = r.gather_groups(part, |rec| rec.0);
+            assert!(
+                gathered.chunks().iter().filter(|c| !c.is_empty()).count() > 1,
+                "run {run} spreads over several machines"
+            );
+            for (machine, chunk) in gathered.chunks().iter().enumerate() {
+                expected[machine].extend(chunk.iter().cloned());
+            }
+        }
+        assert_eq!(placed.chunks(), &expected[..]);
+        // Same moved members; the aggregate adds one word per run and machine.
+        assert_eq!(
+            words,
+            r.metrics().total_words_sent + 3 * machines as u64,
+            "moved-member volume equals the per-run gathers'"
+        );
+        // A single run is gather_groups itself, plus the aggregate's charge.
+        let mut single = ctx(4096);
+        let one_run = single.gather_group_runs(dv.clone(), |r| r.0, |_| 9);
+        let mut plain = ctx(4096);
+        assert_eq!(one_run.chunks(), plain.gather_groups(dv, |r| r.0).chunks());
+        assert_eq!(
+            single.metrics().rounds,
+            plain.metrics().rounds + plain.agg_rounds()
+        );
+    }
+
+    #[test]
+    fn gather_group_runs_radix_and_parallel_toggles_change_nothing() {
+        let run = |radix: bool, parallel: bool| {
+            let mut c = MpcContext::new(
+                MpcConfig::new(4096, 0.5)
+                    .with_radix(radix)
+                    .with_parallel(parallel),
+            );
+            let dv = c.from_vec(run_data());
+            let placed = c.gather_group_runs(dv, |r| r.0, run_of);
+            let m = c.metrics();
+            (
+                placed.into_chunks(),
+                m.rounds,
+                m.total_words_sent,
+                m.max_words_sent_per_round,
+                m.peak_local_memory,
+            )
+        };
+        let reference = run(true, false);
+        assert_eq!(run(false, false), reference, "comparison fallback");
+        assert_eq!(run(true, true), reference, "parallel chunk sorts");
+    }
+
+    #[test]
+    #[should_panic(expected = "runs must not decrease")]
+    fn gather_group_runs_rejects_non_monotone_runs() {
+        let mut c = ctx(256);
+        let dv = c.from_vec(vec![(1u64, 0u64), (2, 0), (3, 0)]);
+        let _ = c.gather_group_runs(dv, |r| r.0, |r| [0, 5, 4, 4][r.0 as usize]);
+    }
+
+    #[test]
+    #[should_panic(expected = "straddles two runs")]
+    fn gather_group_runs_rejects_a_group_in_two_runs() {
+        let mut c = ctx(256);
+        let dv = c.from_vec(vec![(1u64, 0u64), (1, 1)]);
+        let _ = c.gather_group_runs(dv, |r| r.0, |r| r.1 as u32);
+    }
+
+    #[test]
+    fn gather_group_runs_empty_input() {
+        let mut c = ctx(256);
+        let dv: DistVec<(u64, u64)> = c.empty();
+        let groups = c.gather_group_runs(dv, |x| x.0, run_of);
+        assert!(groups.is_empty());
+        assert_eq!(groups.num_chunks(), c.config().num_machines());
+        assert_eq!(c.metrics().total_words_sent, 0);
     }
 
     #[test]
