@@ -376,10 +376,9 @@ fn bench_incremental_tree(
     tree: &Tree,
     batch_sizes: &[usize],
     seed: u64,
-    parallel: bool,
 ) -> (Vec<(u64, f64)>, u64, f64) {
     let n = tree.len();
-    let mut ctx = MpcContext::new(MpcConfig::new(2 * n, 0.5).with_parallel(parallel));
+    let mut ctx = MpcContext::new(MpcConfig::new(2 * n, 0.5));
     let prepared = prepare(
         &mut ctx,
         TreeInput::ListOfEdges(ListOfEdges::from_tree(tree)),
@@ -456,92 +455,6 @@ fn bench_incremental_tree(
     (per_batch, full_rounds, full_ms)
 }
 
-/// Measure `prepare` + one MaxIS solve on `tree` under the given parallel mode,
-/// returning `(wall_ms, rounds, words_sent, optimum)`.
-fn time_prepare_and_solve(tree: &Tree, seed: u64, parallel: bool) -> (f64, u64, u64, i64) {
-    let mut ctx = MpcContext::new(MpcConfig::new(2 * tree.len(), 0.5).with_parallel(parallel));
-    let w: Vec<i64> = labels::uniform_weights(tree.len(), 1, 30, seed)
-        .into_iter()
-        .map(|x| x as i64)
-        .collect();
-    let t0 = std::time::Instant::now();
-    let prepared = prepare(
-        &mut ctx,
-        TreeInput::ListOfEdges(ListOfEdges::from_tree(tree)),
-        None,
-    )
-    .expect("prepare");
-    let node_w = ctx.from_vec(
-        w.iter()
-            .enumerate()
-            .map(|(v, &x)| (v as u64, x))
-            .collect::<Vec<_>>(),
-    );
-    let no_edges = ctx.from_vec(Vec::<(u64, ())>::new());
-    let p = StateEngine::new(MaxWeightIndependentSet);
-    let sol = prepared.solve(&mut ctx, &p, &node_w, 0, &no_edges);
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let value = sol.root_summary.best(p.problem()).unwrap();
-    (
-        wall_ms,
-        ctx.metrics().rounds,
-        ctx.metrics().total_words_sent,
-        value,
-    )
-}
-
-/// The parallel-vs-sequential comparison section: run `prepare` + MaxIS over the whole
-/// suite once with parallel local execution and once without, and demand bit-identical
-/// model metrics (rounds and words sent) — `MpcConfig::parallel` may only change
-/// wall-clock time. Panics if the two modes diverge in metrics or optima.
-fn bench_parallel_modes(n: usize, seed: u64) -> String {
-    let (mut par_ms, mut seq_ms) = (0f64, 0f64);
-    let (mut par_rounds, mut seq_rounds) = (0u64, 0u64);
-    let (mut par_words, mut seq_words) = (0u64, 0u64);
-    let mut trees = 0usize;
-    for entry in standard_suite(n, seed) {
-        let (pm, pr, pw, pv) = time_prepare_and_solve(&entry.tree, seed, true);
-        let (sm, sr, sw, sv) = time_prepare_and_solve(&entry.tree, seed, false);
-        assert_eq!(
-            (pr, pw, pv),
-            (sr, sw, sv),
-            "parallel and sequential modes diverged on {}",
-            entry.name
-        );
-        par_ms += pm;
-        seq_ms += sm;
-        par_rounds += pr;
-        seq_rounds += sr;
-        par_words += pw;
-        seq_words += sw;
-        trees += 1;
-    }
-    format!(
-        concat!(
-            "  \"parallel\": {{\n",
-            "    \"workload\": \"prepare + max_is over the standard suite\",\n",
-            "    \"n\": {},\n",
-            "    \"trees\": {},\n",
-            "    \"worker_threads\": {},\n",
-            "    \"parallel\": {{ \"wall_ms\": {:.3}, \"rounds\": {}, \"words_sent\": {} }},\n",
-            "    \"sequential\": {{ \"wall_ms\": {:.3}, \"rounds\": {}, \"words_sent\": {} }},\n",
-            "    \"speedup\": {:.3},\n",
-            "    \"metrics_identical\": true\n",
-            "  }}"
-        ),
-        n,
-        trees,
-        mpc_tree_dp::mpc::par::worker_threads(),
-        par_ms,
-        par_rounds,
-        par_words,
-        seq_ms,
-        seq_rounds,
-        seq_words,
-        seq_ms / par_ms.max(1e-9),
-    )
-}
-
 /// The `server` section: a [`TreeDpServer`](mpc_tree_dp::TreeDpServer) fleet under
 /// sustained query/update traffic, swept across plan-cache memory budgets. Each
 /// sweep point admits the same eight tenants into a fresh server, drives the same
@@ -550,7 +463,7 @@ fn bench_parallel_modes(n: usize, seed: u64) -> String {
 /// (the measurable miss-cost curve: shrink the budget, watch this column bite), and
 /// p50/p99 wall time per request (flush wall divided evenly over its batched
 /// requests — admission batching means requests are *not* served one at a time).
-fn bench_server(n: usize, seed: u64, parallel: bool) -> String {
+fn bench_server(n: usize, seed: u64) -> String {
     use mpc_tree_dp::{Request, Response, ServerConfig, TenantSpec, TreeDpServer};
     type MaxIs = StateEngine<MaxWeightIndependentSet>;
     const TENANTS: usize = 8;
@@ -573,7 +486,7 @@ fn bench_server(n: usize, seed: u64, parallel: bool) -> String {
             .collect()
     };
     let spec = |i: usize| TenantSpec {
-        config: MpcConfig::new(2 * tenant_n, 0.5).with_parallel(parallel),
+        config: MpcConfig::new(2 * tenant_n, 0.5),
         input: TreeInput::ListOfEdges(ListOfEdges::from_tree(&trees[i])),
         threshold: None,
         problem: MaxIs::new(MaxWeightIndependentSet),
@@ -584,7 +497,7 @@ fn bench_server(n: usize, seed: u64, parallel: bool) -> String {
 
     // Budgets are sized off a real plan of this tier, in "how many plans fit" terms.
     let probe_words = {
-        let mut ctx = MpcContext::new(MpcConfig::new(2 * tenant_n, 0.5).with_parallel(parallel));
+        let mut ctx = MpcContext::new(MpcConfig::new(2 * tenant_n, 0.5));
         let prepared = prepare(
             &mut ctx,
             TreeInput::ListOfEdges(ListOfEdges::from_tree(&trees[0])),
@@ -717,12 +630,12 @@ fn bench_server(n: usize, seed: u64, parallel: bool) -> String {
 /// must charge at most 10% of the full re-prepare's rounds (`meets_bar`). A fresh
 /// solve on the mutated tree is the correctness backstop — the spliced solver and
 /// the fresh path must agree on the optimum, or the benchmark itself panics.
-fn bench_structural(n: usize, seed: u64, parallel: bool) -> String {
+fn bench_structural(n: usize, seed: u64) -> String {
     use mpc_tree_dp::repr::DirectedEdge;
     type MaxIs = StateEngine<MaxWeightIndependentSet>;
     let tree = shapes::path(n);
     let nn = n as u64;
-    let mut ctx = MpcContext::new(MpcConfig::new(2 * n, 0.5).with_parallel(parallel));
+    let mut ctx = MpcContext::new(MpcConfig::new(2 * n, 0.5));
     let mut prepared = prepare(
         &mut ctx,
         TreeInput::ListOfEdges(ListOfEdges::from_tree(&tree)),
@@ -783,7 +696,7 @@ fn bench_structural(n: usize, seed: u64, parallel: bool) -> String {
     for i in 0..8u64 {
         live_edges.push(DirectedEdge::new(nn + 1 + i, 50 + 100 * i));
     }
-    let mut ctx2 = MpcContext::new(MpcConfig::new(2 * n, 0.5).with_parallel(parallel));
+    let mut ctx2 = MpcContext::new(MpcConfig::new(2 * n, 0.5));
     let t_full = std::time::Instant::now();
     let fresh = prepare(
         &mut ctx2,
@@ -943,15 +856,12 @@ fn check_rounds_against_baseline(path: &str, measured: &[(String, [u64; 11])]) -
 /// their own plan, asserting problem-independent evaluation rounds);
 /// compare incremental vs. full re-solves for update batches of size 1/16/256
 /// (aggregated over the suite; only at `n ≤ 2048` to keep large tiers
-/// tractable); and compare parallel vs. sequential machine-local execution on
-/// prepare + MaxIS.
+/// tractable).
 /// `cargo run --release -p mpc-tree-dp-bench -- bench-json [--seed <u64>]
-/// [--n <usize>] [--no-parallel] [--strict] [--check-rounds <baseline file>]`
+/// [--n <usize>] [--strict] [--check-rounds <baseline file>]`
 /// prints the JSON to stdout (redirect it to `BENCH_seed.json` or its
 /// successors to anchor perf trajectories across PRs; `BENCH_pr9.json` is the
-/// `--n 65536` tier). `--no-parallel` forces the suite/incremental
-/// measurements onto the sequential path (the comparison section always
-/// measures both modes). `--strict` runs the suite entries with hard
+/// `--n 65536` tier). `--strict` runs the suite entries with hard
 /// assertions at 256× slack (violations panic at the offending call), making
 /// the top-level `violations.total` zero by construction. `--check-rounds` exits
 /// non-zero if any suite entry's charged rounds exceed the committed baseline
@@ -974,8 +884,9 @@ fn check_rounds_against_baseline(path: &str, measured: &[(String, [u64; 11])]) -
 /// solve path), and `multi.independent_rounds` is four plan builds plus four
 /// evaluations. The `server` section sweeps a multi-tenant `TreeDpServer`
 /// across plan-cache budgets and records hit rate, evictions, the per-miss
-/// rebuild rounds, and p50/p99 wall time per request.
-fn exp_bench_json(seed: u64, n: usize, parallel: bool, strict: bool, check_rounds: Option<&str>) {
+/// rebuild rounds, and p50/p99 wall time per request. Schema v11 drops the
+/// `parallel` section and `suite_parallel`: the thread pool they timed is gone.
+fn exp_bench_json(seed: u64, n: usize, strict: bool, check_rounds: Option<&str>) {
     const PREPARE_PHASES: [&str; 5] = [
         "normalize",
         "degree-reduction",
@@ -1004,7 +915,7 @@ fn exp_bench_json(seed: u64, n: usize, parallel: bool, strict: bool, check_round
         } else {
             MpcConfig::new(2 * tree.len(), 0.5)
         };
-        let mut ctx = MpcContext::new(base_cfg.with_parallel(parallel));
+        let mut ctx = MpcContext::new(base_cfg);
 
         let t0 = std::time::Instant::now();
         let mut prepared = prepare(
@@ -1294,8 +1205,7 @@ fn exp_bench_json(seed: u64, n: usize, parallel: bool, strict: bool, check_round
         let (mut full_rounds, mut full_ms) = (0u64, 0f64);
         let mut trees = 0usize;
         for entry in standard_suite(n, seed) {
-            let (per_batch, fr, fm) =
-                bench_incremental_tree(&entry.tree, &batch_sizes, seed, parallel);
+            let (per_batch, fr, fm) = bench_incremental_tree(&entry.tree, &batch_sizes, seed);
             for (total, (r, m)) in inc_totals.iter_mut().zip(per_batch) {
                 total.0 += r;
                 total.1 += m;
@@ -1331,9 +1241,8 @@ fn exp_bench_json(seed: u64, n: usize, parallel: bool, strict: bool, check_round
         "  \"incremental\": null".to_string()
     };
 
-    let parallel_section = bench_parallel_modes(n, seed);
-    let server_section = bench_server(n, seed, parallel);
-    let structural_section = bench_structural(n, seed, parallel);
+    let server_section = bench_server(n, seed);
+    let structural_section = bench_structural(n, seed);
 
     // Top-level violation accounting with its semantics spelled out: a `violation`
     // is a recorded (not fatal) breach of the Θ(n^δ)-word memory or bandwidth bound
@@ -1373,16 +1282,14 @@ fn exp_bench_json(seed: u64, n: usize, parallel: bool, strict: bool, check_round
     println!(
         concat!(
             "{{\n",
-            "  \"schema\": \"mpc-tree-dp-bench/v10\",\n",
+            "  \"schema\": \"mpc-tree-dp-bench/v11\",\n",
             "  \"suite\": \"standard\",\n",
             "  \"n\": {},\n",
             "  \"delta\": 0.5,\n",
             "  \"seed\": {},\n",
-            "  \"suite_parallel\": {},\n",
             "  \"suite_strict\": {},\n",
             "{},\n",
             "  \"entries\": [\n{}\n  ],\n",
-            "{},\n",
             "{},\n",
             "{},\n",
             "{},\n",
@@ -1391,13 +1298,11 @@ fn exp_bench_json(seed: u64, n: usize, parallel: bool, strict: bool, check_round
         ),
         n,
         seed,
-        parallel,
         strict,
         violations_section,
         entries.join(",\n"),
         multi_section,
         incremental_section,
-        parallel_section,
         server_section,
         structural_section,
     );
@@ -1425,8 +1330,7 @@ fn main() {
         // seed of 1 — so its `value` fields differ from a default run; its round
         // counts are still directly comparable.)
         // `--n <usize>` picks the suite size (default 1024; `BENCH_pr3.json` uses
-        // 65536), and `--no-parallel` forces the suite and incremental measurements
-        // onto the sequential machine-local path.
+        // 65536).
         let flag_value = |name: &str| {
             args.iter().position(|a| a == name).map(|i| {
                 args.get(i + 1)
@@ -1437,9 +1341,6 @@ fn main() {
         };
         let seed = flag_value("--seed").unwrap_or(7);
         let n = flag_value("--n").unwrap_or(1024) as usize;
-        // The bench sets `with_parallel` explicitly on every config, so honor the
-        // process-wide MPC_NO_PARALLEL override here as well as the CLI flag.
-        let parallel = !args.iter().any(|a| a == "--no-parallel") && !MpcConfig::env_no_parallel();
         // `--strict`: run the suite with hard assertions at 256× slack
         // (violations panic) — a completed run reports 0 violations.
         let strict = args.iter().any(|a| a == "--strict");
@@ -1449,7 +1350,7 @@ fn main() {
                 .unwrap_or_else(|| panic!("--check-rounds requires a file path"))
                 .clone()
         });
-        exp_bench_json(seed, n, parallel, strict, check_rounds.as_deref());
+        exp_bench_json(seed, n, strict, check_rounds.as_deref());
         return;
     }
     let run = |id: &str| filter.as_deref().map(|f| f == id).unwrap_or(true);

@@ -28,7 +28,6 @@
 
 use crate::problem::{ClusterDp, ClusterView, Member, Payload};
 use crate::store::SolverStore;
-use mpc_engine::par::{par_map, worth_parallelizing};
 use mpc_engine::{DistVec, MpcContext, Words};
 use std::collections::{BTreeMap, BTreeSet};
 use tree_clustering::{Clustering, EdgeKind, Element, ElementId, ElementKind, AUX_BASE};
@@ -262,7 +261,6 @@ fn build_skeletons(
     clustering: &Clustering,
     edges: &DistVec<(DirectedEdge, EdgeKind)>,
 ) -> DistVec<LinkedView> {
-    let parallel = ctx.config().parallel;
     // Edge kinds keyed by the edge's child endpoint, and the element table: each is
     // sorted once and probed for all layers at a time.
     let edge_kinds: DistVec<(NodeId, EdgeKind)> =
@@ -317,9 +315,7 @@ fn build_skeletons(
             })
             .collect()
     });
-    with_in_kind.map_local_par(parallel, |(cluster, members, in_kind)| {
-        link_members(cluster, members, *in_kind)
-    })
+    with_in_kind.map_local(|(cluster, members, in_kind)| link_members(cluster, members, *in_kind))
 }
 
 /// The first member (lowest index) filed under `key` in a sorted `(key, member)` index.
@@ -953,7 +949,6 @@ impl SolvePlan {
         );
         ctx.phase("plan-solve", |ctx| {
             let machines = self.num_machines;
-            let parallel = ctx.config().parallel;
             // Per-view working state, aligned with the skeleton layout.
             let mut state: Vec<Vec<Vec<ViewState<P>>>> = self
                 .layers
@@ -996,7 +991,6 @@ impl SolvePlan {
                         &mut resident,
                         &mut root_summary,
                         store.as_deref_mut(),
-                        parallel,
                     )
                 });
                 materialized.push(views);
@@ -1031,7 +1025,6 @@ impl SolvePlan {
                         &materialized[li],
                         &mut state,
                         &mut label_chunks,
-                        parallel,
                     );
                 }
             });
@@ -1139,9 +1132,8 @@ impl SolvePlan {
     }
 
     /// One bottom-up step over the plan: materialize the layer's views from the
-    /// skeletons and filled slots, summarize them (concurrently across machines when
-    /// parallel execution is enabled), and forward each summary to its member slot —
-    /// one round whose volume is exactly the moved summary records.
+    /// skeletons and filled slots, summarize them, and forward each summary to its
+    /// member slot — one round whose volume is exactly the moved summary records.
     #[allow(clippy::too_many_arguments)]
     fn summarize_plan_layer<P: ClusterDp>(
         &self,
@@ -1152,29 +1144,21 @@ impl SolvePlan {
         resident: &mut [usize],
         root_summary: &mut Option<P::Summary>,
         store: Option<&mut SolverStore<P>>,
-        parallel: bool,
     ) -> Vec<Vec<ClusterView<P>>> {
         let li = (layer - 1) as usize;
         let machines = self.num_machines;
         // Materialize every view of the layer (payload/input slots are consumed).
-        let plan_layer = &self.layers[li];
-        let layer_state = &mut state[li];
-        let total_views: usize = plan_layer.iter().map(Vec::len).sum();
-        let chunks: Vec<Vec<ClusterView<P>>> = {
-            let mut work: Vec<(&Vec<PlanView>, &mut Vec<ViewState<P>>)> =
-                plan_layer.iter().zip(layer_state.iter_mut()).collect();
-            mpc_engine::par::par_map_mut(
-                worth_parallelizing(parallel, total_views),
-                &mut work,
-                |_, (skeletons, states)| {
-                    skeletons
-                        .iter()
-                        .zip(states.iter_mut())
-                        .map(|(pv, st)| st.materialize(pv))
-                        .collect::<Vec<_>>()
-                },
-            )
-        };
+        let chunks: Vec<Vec<ClusterView<P>>> = self.layers[li]
+            .iter()
+            .zip(state[li].iter_mut())
+            .map(|(skeletons, states)| {
+                skeletons
+                    .iter()
+                    .zip(states.iter_mut())
+                    .map(|(pv, st)| st.materialize(pv))
+                    .collect()
+            })
+            .collect();
         // mpc-lint: allow(metered-exchange) — chunk i was materialized on machine i; reassembly is machine-local
         let views = DistVec::from_chunks(chunks);
         // This layer's views join the resident set (released only after top-down).
@@ -1192,23 +1176,13 @@ impl SolvePlan {
                 }
             }
         }
-        // Summarize per machine, concurrently; apply deliveries sequentially in
-        // machine order so the accounting is deterministic.
-        let summaries: Vec<Vec<(ElementId, P::Summary)>> = par_map(
-            worth_parallelizing(parallel, total_views),
-            views.chunks(),
-            |_, chunk| {
-                chunk
-                    .iter()
-                    .map(|view| (view.cluster, problem.summarize(view)))
-                    .collect()
-            },
-        );
+        // Summarize machine by machine and deliver each summary to its slot.
         let mut sends = vec![0usize; machines];
         let mut recvs = vec![0usize; machines];
         let mut any_forwarded = false;
-        for (src, machine_summaries) in summaries.into_iter().enumerate() {
-            for (cluster, summary) in machine_summaries {
+        for (src, chunk) in views.chunks().iter().enumerate() {
+            for view in chunk {
+                let (cluster, summary) = (view.cluster, problem.summarize(view));
                 if cluster == self.top_cluster {
                     *root_summary = Some(summary);
                     continue;
@@ -1237,8 +1211,8 @@ impl SolvePlan {
     }
 
     /// One top-down step over the plan: label the layer's views from their delivered
-    /// boundary labels (concurrently across machines), then forward each produced
-    /// label to its lower-layer readers — one round of exactly the moved label words.
+    /// boundary labels, then forward each produced label to its lower-layer readers —
+    /// one round of exactly the moved label words.
     #[allow(clippy::too_many_arguments)]
     fn label_plan_layer<P: ClusterDp>(
         &self,
@@ -1248,37 +1222,30 @@ impl SolvePlan {
         views: &[Vec<ClusterView<P>>],
         state: &mut [Vec<Vec<ViewState<P>>>],
         label_chunks: &mut [Vec<(NodeId, P::Label)>],
-        parallel: bool,
     ) {
         let li = (layer - 1) as usize;
         let machines = self.num_machines;
-        let total_views: usize = views.iter().map(Vec::len).sum();
-        let layer_state = &state[li];
-        let produced: Vec<Vec<(NodeId, P::Label)>> = {
-            let work: Vec<_> = views.iter().zip(layer_state.iter()).collect();
-            par_map(
-                worth_parallelizing(parallel, total_views),
-                &work,
-                |_, (machine_views, machine_states)| {
-                    machine_views
-                        .iter()
-                        .zip(machine_states.iter())
-                        .flat_map(|(view, st)| {
-                            let out_label =
-                                st.out_label.as_ref().expect("boundary out-label present");
-                            let member_labels =
-                                problem.label_members(view, out_label, st.in_label.as_ref());
-                            view.members
-                                .iter()
-                                .enumerate()
-                                .filter(|(i, _)| *i != view.top)
-                                .map(|(i, m)| (m.element.out_edge.child, member_labels[i].clone()))
-                                .collect::<Vec<_>>()
-                        })
-                        .collect::<Vec<_>>()
-                },
-            )
-        };
+        let produced: Vec<Vec<(NodeId, P::Label)>> = views
+            .iter()
+            .zip(state[li].iter())
+            .map(|(machine_views, machine_states)| {
+                machine_views
+                    .iter()
+                    .zip(machine_states.iter())
+                    .flat_map(|(view, st)| {
+                        let out_label = st.out_label.as_ref().expect("boundary out-label present");
+                        let member_labels =
+                            problem.label_members(view, out_label, st.in_label.as_ref());
+                        view.members
+                            .iter()
+                            .enumerate()
+                            .filter(|(i, _)| *i != view.top)
+                            .map(|(i, m)| (m.element.out_edge.child, member_labels[i].clone()))
+                            .collect::<Vec<_>>()
+                    })
+                    .collect()
+            })
+            .collect();
         let mut sends = vec![0usize; machines];
         let mut recvs = vec![0usize; machines];
         let mut any_delivered = false;
@@ -1656,9 +1623,8 @@ mod tests {
         }
     }
 
-    fn prepared(tree: &Tree, delta: f64, parallel: bool) -> (MpcContext, PreparedTree) {
-        let mut ctx =
-            MpcContext::new(MpcConfig::new(2 * tree.len(), delta).with_parallel(parallel));
+    fn prepared(tree: &Tree, delta: f64) -> (MpcContext, PreparedTree) {
+        let mut ctx = MpcContext::new(MpcConfig::new(2 * tree.len(), delta));
         let prepared = prepare(
             &mut ctx,
             TreeInput::ListOfEdges(ListOfEdges::from_tree(tree)),
@@ -1679,8 +1645,8 @@ mod tests {
     /// The whole plan — every view at its `(layer, machine, index)`, every routing
     /// index — equals the per-layer reference's. Returns whether degree reduction
     /// added auxiliary nodes.
-    fn assert_builds_the_reference_plan(tree: &Tree, delta: f64, parallel: bool) -> bool {
-        let (mut ctx, prepared) = prepared(tree, delta, parallel);
+    fn assert_builds_the_reference_plan(tree: &Tree, delta: f64) -> bool {
+        let (mut ctx, prepared) = prepared(tree, delta);
         let reference = build_plan_per_layer(&mut ctx, &prepared);
         let plan = prepared.plan_uncached(&mut ctx);
         assert_eq!(plan.layers, reference.layers, "skeleton placement");
@@ -1714,9 +1680,7 @@ mod tests {
         #[test]
         fn one_gather_builds_the_per_layer_plan(tree in arbitrary_tree()) {
             for delta in [0.3, 0.5, 0.7] {
-                for parallel in [true, false] {
-                    assert_builds_the_reference_plan(&tree, delta, parallel);
-                }
+                assert_builds_the_reference_plan(&tree, delta);
             }
         }
     }
@@ -1730,9 +1694,7 @@ mod tests {
             shapes::spider(90, 3),
         ] {
             for delta in [0.3, 0.5, 0.7] {
-                for parallel in [true, false] {
-                    assert!(assert_builds_the_reference_plan(&tree, delta, parallel));
-                }
+                assert!(assert_builds_the_reference_plan(&tree, delta));
             }
         }
     }
@@ -1742,7 +1704,7 @@ mod tests {
         let suite = standard_suite(4096, 7);
         assert_eq!(suite.len(), 9);
         for entry in suite {
-            assert_builds_the_reference_plan(&entry.tree, 0.5, true);
+            assert_builds_the_reference_plan(&entry.tree, 0.5);
         }
     }
 
@@ -1750,7 +1712,7 @@ mod tests {
     fn plan_build_rounds_do_not_depend_on_layers() {
         let mut layer_counts = BTreeSet::new();
         for tree in [shapes::path(4096), shapes::star(4096)] {
-            let (mut ctx, prepared) = prepared(&tree, 0.5, true);
+            let (mut ctx, prepared) = prepared(&tree, 0.5);
             let (sort, agg) = (ctx.sort_rounds(), ctx.agg_rounds());
             let (plan, rounds, words) = charged(&mut ctx, |ctx| prepared.plan_uncached(ctx));
             // Layers at which a cluster forms: each cost the per-layer build a gather.

@@ -143,22 +143,20 @@ impl<P: ClusterDp + ?Sized> ClusterView<P> {
 /// * [`label_members`](Self::label_members) labels all internal edges of a cluster given
 ///   the labels of its boundary edges (Fig. 3).
 ///
-/// Problems and their associated types must be `Sync`/`Send`: the solver fans the
-/// per-cluster `summarize`/`label_members` calls of one layer out over OS threads when
-/// `MpcConfig::parallel` is set (clusters within a layer are independent, so this
-/// never changes results). They must also be `'static` (own their data), which lets
-/// the MPC primitives recycle record buffers through the scratch arena. Plain-data
-/// problem types satisfy these bounds automatically.
-pub trait ClusterDp: Sync + 'static {
+/// Problems must be `'static` (own their data) and their associated types `Send`,
+/// which lets the MPC primitives recycle record buffers through the scratch arena of
+/// a context that may itself move between threads. Plain-data problem types satisfy
+/// these bounds automatically.
+pub trait ClusterDp: 'static {
     /// Input attached to every original node (e.g. a weight).
-    type NodeInput: Clone + Words + Send + Sync;
+    type NodeInput: Clone + Words + Send;
     /// Input attached to every original edge, keyed by the edge's child endpoint
     /// (use `()` when edges carry no data).
-    type EdgeInput: Clone + Default + Words + Send + Sync;
+    type EdgeInput: Clone + Default + Words + Send;
     /// The `O(1)`-word cluster summary `f(C)`.
-    type Summary: Clone + Words + Send + Sync;
+    type Summary: Clone + Words + Send;
     /// The per-edge output label.
-    type Label: Clone + Words + Send + Sync;
+    type Label: Clone + Words + Send;
 
     /// Summarize a cluster from its members (bottom-up step, Fig. 2).
     fn summarize(&self, view: &ClusterView<Self>) -> Self::Summary;

@@ -543,7 +543,8 @@ impl Snapshot for MpcConfig {
         w.put_f64(self.memory_slack);
         w.put_f64(self.bandwidth_slack);
         w.put_bool(self.strict);
-        w.put_bool(self.parallel);
+        // Reserved: the field that selected the retired thread pool.
+        w.put_bool(false);
         w.put_bool(self.radix);
     }
     fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
@@ -553,8 +554,11 @@ impl Snapshot for MpcConfig {
             memory_slack: r.take_f64()?,
             bandwidth_slack: r.take_f64()?,
             strict: r.take_bool()?,
-            parallel: r.take_bool()?,
-            radix: r.take_bool()?,
+            radix: {
+                // Reserved; older snapshots carry either value here.
+                r.take_bool()?;
+                r.take_bool()?
+            },
         })
     }
 }
@@ -1134,7 +1138,6 @@ mod tests {
             .with_memory_slack(64.0)
             .with_bandwidth_slack(64.0)
             .with_strict(true)
-            .with_parallel(false)
             .with_radix(false);
         let mut w = SnapshotWriter::new();
         cfg.encode(&mut w);
@@ -1143,6 +1146,36 @@ mod tests {
         let back = MpcConfig::decode(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(cfg, back);
+    }
+
+    #[test]
+    fn config_written_with_the_parallel_flag_set_still_decodes() {
+        // The layout every snapshot before the thread pool left was written in:
+        // n, delta, both slacks, then `strict`, `parallel`, `radix` as one byte each.
+        let mut w = SnapshotWriter::new();
+        w.put_usize(4096);
+        w.put_f64(0.5);
+        w.put_f64(64.0);
+        w.put_f64(32.0);
+        w.put_bool(true);
+        w.put_bool(true);
+        w.put_bool(false);
+        let old = w.into_bytes();
+        let mut r = SnapshotReader::new(&old);
+        let cfg = MpcConfig::decode(&mut r).unwrap();
+        r.finish().unwrap();
+        let expected = MpcConfig::new(4096, 0.5)
+            .with_memory_slack(64.0)
+            .with_strict(true)
+            .with_radix(false);
+        assert_eq!(cfg, expected);
+        // Re-encoding keeps the byte count; only the reserved byte reads 0.
+        let mut w = SnapshotWriter::new();
+        cfg.encode(&mut w);
+        let new = w.into_bytes();
+        assert_eq!(new.len(), old.len());
+        let reserved = old.len() - 2;
+        assert_eq!((old[reserved], new[reserved]), (1, 0));
     }
 
     #[test]

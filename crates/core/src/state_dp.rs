@@ -33,15 +33,12 @@ use tree_clustering::{EdgeKind, ElementKind};
 /// Score type of the engine (max-plus optimization; use negated costs for minimization).
 pub type Score = i64;
 
-/// A finite-state, additive-score tree DP problem.
-///
-/// `Sync` bounds mirror [`ClusterDp`]: the solver may evaluate independent clusters of
-/// one layer on multiple threads (see `crates/mpc/src/par.rs`).
-pub trait StateDp: Sync + 'static {
+/// A finite-state, additive-score tree DP problem. The bounds mirror [`ClusterDp`]'s.
+pub trait StateDp: 'static {
     /// Per-node input (weights, colors, observations, ...).
-    type NodeInput: Clone + Words + Send + Sync;
+    type NodeInput: Clone + Words + Send;
     /// Per-edge input keyed by the edge's child endpoint (`()` if unused).
-    type EdgeInput: Clone + Default + Words + Send + Sync;
+    type EdgeInput: Clone + Default + Words + Send;
 
     /// Number of per-node states (a small constant).
     fn num_states(&self) -> usize;

@@ -3,7 +3,6 @@
 
 use crate::structural::{StructuralBatch, StructuralError, StructuralOp, StructuralStats};
 use crate::topology::Topology;
-use mpc_engine::par::{par_map, worth_parallelizing};
 use mpc_engine::{DistVec, MpcContext, Words};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use tree_clustering::{
@@ -256,8 +255,6 @@ where
         mut pending_dirty: BTreeMap<u32, BTreeSet<ElementId>>,
         stats: &mut UpdateStats,
     ) {
-        let parallel = ctx.config().parallel;
-
         // ---- phase 2: bottom-up along the dirty root-paths -------------------------
         let mut dirty_per_layer: Vec<BTreeSet<ElementId>> =
             vec![BTreeSet::new(); self.num_layers as usize + 1];
@@ -269,21 +266,18 @@ where
                     continue;
                 }
                 let mut changed_words = 0usize;
-                // Dirty clusters of one layer are independent: re-summarize them
-                // concurrently (reads only), then apply the changes in cluster order
-                // so propagation and accounting match the sequential path exactly.
-                let dirty_vec: Vec<ElementId> = dirty.iter().copied().collect();
-                let new_summaries: Vec<(ElementId, P::Summary)> = {
-                    let store = &self.store;
-                    let problem = &self.problem;
-                    let par = worth_parallelizing(parallel, dirty_vec.len());
-                    par_map(par, &dirty_vec, |_, &cluster| {
-                        let view = store
+                // Dirty clusters of one layer are independent: re-summarize them all
+                // (reads only), then apply the changes in cluster order.
+                let new_summaries: Vec<(ElementId, P::Summary)> = dirty
+                    .iter()
+                    .map(|&cluster| {
+                        let view = self
+                            .store
                             .view(layer, cluster)
                             .expect("dirty cluster has a cached view");
-                        (cluster, problem.summarize(view))
+                        (cluster, self.problem.summarize(view))
                     })
-                };
+                    .collect();
                 for (cluster, new_summary) in new_summaries {
                     stats.resummarized += 1;
                     let changed = match self.store.payload(cluster) {
@@ -343,16 +337,13 @@ where
                 let mut changed_words = 0usize;
                 // Affected clusters of one layer are independent (their boundary
                 // labels were produced at strictly higher layers, and the labels they
-                // write are keyed by disjoint member edges), so re-label them
-                // concurrently and apply the changes in cluster order.
-                let affected_vec: Vec<ElementId> = affected.iter().copied().collect();
-                let per_cluster: Vec<Vec<(NodeId, P::Label)>> = {
-                    let store = &self.store;
-                    let topo = &self.topo;
-                    let problem = &self.problem;
-                    let par = worth_parallelizing(parallel, affected_vec.len());
-                    par_map(par, &affected_vec, |_, &cluster| {
-                        let site = topo.cluster_site[&cluster];
+                // write are keyed by disjoint member edges), so re-label them all
+                // and apply the changes in cluster order.
+                let (store, problem) = (&self.store, &self.problem);
+                let per_cluster: Vec<Vec<(NodeId, P::Label)>> = affected
+                    .iter()
+                    .map(|&cluster| {
+                        let site = self.topo.cluster_site[&cluster];
                         let out_label = store
                             .label(site.out_child)
                             .expect("boundary out-label cached");
@@ -375,8 +366,8 @@ where
                             })
                             .collect()
                     })
-                };
-                stats.relabeled += affected_vec.len();
+                    .collect();
+                stats.relabeled += affected.len();
                 for changed in per_cluster {
                     for (child, label) in changed {
                         stats.labels_changed += 1;

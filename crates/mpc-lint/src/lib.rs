@@ -1,11 +1,10 @@
 //! `mpc-lint`: workspace static analysis enforcing MPC model discipline.
 //!
-//! The repo's headline guarantees — bit-identical parallel/sequential execution, a
-//! zero-realloc primitive hot path, and exact round/volume accounting — are runtime
-//! properties the test suite can only probe on specific inputs. This crate checks the
-//! *code shapes* that put them at risk, before anything runs: unmetered `DistVec`
-//! chunk access, hash-order iteration, hot-loop allocation, unbalanced phase
-//! accounting, library panics, and dead public API.
+//! The repo's headline guarantees — runs that repeat bit for bit, a zero-realloc
+//! primitive hot path, and exact round/volume accounting — are runtime properties the
+//! test suite can only probe on specific inputs. This crate checks the *code shapes*
+//! that put them at risk, before anything runs: unmetered `DistVec` chunk access,
+//! hash-order iteration, hot-loop allocation, library panics, and dead public API.
 //!
 //! Pure `std`, no `syn`, offline: a scrubbing lexer ([`lexer`]) plus a line-oriented
 //! context model ([`model`]) feed a small rule engine ([`rules`]). A resolution pass
@@ -33,8 +32,7 @@ pub use model::{type_head, CallSite, FileModel, FnSpan, ImplSpan};
 pub use report::{render_json, render_text, Finding};
 pub use rules::{
     lint, lint_with_graph, LintConfig, ALLOC_HYGIENE, ALLOW_DIRECTIVE, ALL_RULES, COST_ANNOTATION,
-    DEAD_PUB_API, DETERMINISM, METERED_EXCHANGE, PANIC_POLICY, PHASE_DISCIPLINE, ROUND_BLOWUP,
-    SNAPSHOT_ABI,
+    DEAD_PUB_API, DETERMINISM, METERED_EXCHANGE, PANIC_POLICY, ROUND_BLOWUP, SNAPSHOT_ABI,
 };
 
 use std::path::{Path, PathBuf};

@@ -1,6 +1,6 @@
-//! The rule engine: nine repo-specific rules that statically enforce the MPC model
+//! The rule engine: eight repo-specific rules that statically enforce the MPC model
 //! discipline the runtime `Violation` machinery (see `crates/mpc/src/context.rs`)
-//! can only observe dynamically. Six are per-file/per-workspace token rules; three
+//! can only observe dynamically. Five are per-file/per-workspace token rules; three
 //! ride the resolved call graph ([`crate::graph`]).
 //!
 //! | rule                | enforces                                                   |
@@ -8,7 +8,6 @@
 //! | `metered-exchange`  | cross-machine data movement only through charged primitives|
 //! | `determinism`       | no hash-order iteration / wall clocks / unseeded RNG       |
 //! | `alloc-hygiene`     | no fresh allocation inside hot-path loops (use `Scratch`)  |
-//! | `phase-discipline`  | `begin_phase` / `end_phase` balanced per function          |
 //! | `panic-policy`      | no `unwrap()` in library crates; `expect` carries a message|
 //! | `dead-pub-api`      | every `pub` item is referenced somewhere in the workspace  |
 //! | `round-blowup`      | no (transitive) exchange inside an unbounded loop          |
@@ -25,7 +24,6 @@ use std::collections::{BTreeMap, BTreeSet};
 pub const METERED_EXCHANGE: &str = "metered-exchange";
 pub const DETERMINISM: &str = "determinism";
 pub const ALLOC_HYGIENE: &str = "alloc-hygiene";
-pub const PHASE_DISCIPLINE: &str = "phase-discipline";
 pub const PANIC_POLICY: &str = "panic-policy";
 pub const DEAD_PUB_API: &str = "dead-pub-api";
 pub const ROUND_BLOWUP: &str = "round-blowup";
@@ -36,11 +34,10 @@ pub const SNAPSHOT_ABI: &str = "snapshot-abi";
 pub const ALLOW_DIRECTIVE: &str = "allow-directive";
 
 /// Every suppressible rule identifier.
-pub const ALL_RULES: [&str; 9] = [
+pub const ALL_RULES: [&str; 8] = [
     METERED_EXCHANGE,
     DETERMINISM,
     ALLOC_HYGIENE,
-    PHASE_DISCIPLINE,
     PANIC_POLICY,
     DEAD_PUB_API,
     ROUND_BLOWUP,
@@ -50,7 +47,7 @@ pub const ALL_RULES: [&str; 9] = [
 
 /// `(rule, scope, one-line summary)` for every rule including the meta-rule —
 /// the `--json` report embeds this so downstream tooling is self-describing.
-pub const RULE_INFO: [(&str, &str, &str); 10] = [
+pub const RULE_INFO: [(&str, &str, &str); 9] = [
     (
         METERED_EXCHANGE,
         "per-file",
@@ -65,11 +62,6 @@ pub const RULE_INFO: [(&str, &str, &str); 10] = [
         ALLOC_HYGIENE,
         "per-file",
         "no fresh allocation inside hot-path loops",
-    ),
-    (
-        PHASE_DISCIPLINE,
-        "per-file",
-        "begin_phase/end_phase balanced per function",
     ),
     (
         PANIC_POLICY,
@@ -103,8 +95,8 @@ pub const RULE_INFO: [(&str, &str, &str); 10] = [
     ),
 ];
 
-/// Crates whose solver-visible state must iterate deterministically (the
-/// bit-identical parallel/sequential guarantee of PR 3 rides on it).
+/// Crates whose solver-visible state must iterate deterministically: identical runs
+/// must produce identical metrics, digests and snapshots.
 const DETERMINISM_CRATES: [&str; 6] = [
     "core",
     "clustering",
@@ -175,7 +167,6 @@ pub fn lint_with_graph(files: &[FileModel], cfg: &LintConfig) -> (Vec<Finding>, 
         metered_exchange(fm, &mut findings);
         determinism(fm, &mut findings);
         alloc_hygiene(fm, cfg, &mut findings);
-        phase_discipline(fm, &mut findings);
         panic_policy(fm, &mut findings);
     }
     dead_pub_api(files, &graph, &mut findings);
@@ -229,8 +220,8 @@ fn metered_exchange(fm: &FileModel, out: &mut Vec<Finding>) {
 
 // ----- R2: determinism -----------------------------------------------------------
 
-/// Hash-order iteration, wall clocks, and unseeded randomness all break the
-/// bit-identical parallel/sequential guarantee.
+/// Hash-order iteration, wall clocks, and unseeded randomness all make two runs of
+/// the same input differ in metrics, plan digests, or snapshot bytes.
 fn determinism(fm: &FileModel, out: &mut Vec<Finding>) {
     if fm.kind != FileKind::LibSrc {
         return;
@@ -251,9 +242,9 @@ fn determinism(fm: &FileModel, out: &mut Vec<Finding>) {
                         line: idx + 1,
                         message: format!(
                             "`{ty}` in a determinism-critical crate: iteration order \
-                             varies per process and breaks the bit-identical parallel \
-                             guarantee; use `BTreeMap`/`BTreeSet` or sort before \
-                             iterating"
+                             varies per process, so identical runs stop producing \
+                             identical metrics, digests and snapshots; use \
+                             `BTreeMap`/`BTreeSet` or sort before iterating"
                         ),
                     });
                 }
@@ -326,41 +317,6 @@ fn alloc_hygiene(fm: &FileModel, cfg: &LintConfig, out: &mut Vec<Finding>) {
                     ),
                 });
             }
-        }
-    }
-}
-
-// ----- R4: phase discipline ------------------------------------------------------
-
-/// An unmatched `begin_phase` corrupts round/volume attribution for everything that
-/// follows it; every function must close what it opens (or use the closure-based
-/// `MpcContext::phase`, which cannot be unbalanced).
-fn phase_discipline(fm: &FileModel, out: &mut Vec<Finding>) {
-    if fm.kind != FileKind::LibSrc {
-        return;
-    }
-    for f in &fm.fns {
-        if f.is_test {
-            continue;
-        }
-        let mut begins = 0usize;
-        let mut ends = 0usize;
-        for line in &fm.lines[f.start - 1..f.end.min(fm.lines.len())] {
-            begins += count_calls_not_decl(line, "begin_phase");
-            ends += count_calls_not_decl(line, "end_phase");
-        }
-        if begins != ends {
-            out.push(Finding {
-                rule: PHASE_DISCIPLINE,
-                file: fm.path.clone(),
-                line: f.start,
-                message: format!(
-                    "fn `{}` opens {begins} phase(s) but closes {ends}: every \
-                     `begin_phase` needs a matching `end_phase` on all paths (prefer \
-                     the closure-based `MpcContext::phase`)",
-                    f.name
-                ),
-            });
         }
     }
 }
@@ -872,29 +828,6 @@ fn has_call(line: &str, name: &str) -> bool {
     count_calls(line, name) > 0
 }
 
-/// Like [`count_calls`], but `fn name(` declarations of that very identifier do not
-/// count — the methods *implementing* the phase API declare these names.
-fn count_calls_not_decl(line: &str, name: &str) -> usize {
-    let mut n = 0;
-    let mut from = 0;
-    while let Some(pos) = find_token(line, name, from) {
-        let is_call = line[pos + name.len()..].trim_start().starts_with('(');
-        let is_decl = {
-            let before = line[..pos].trim_end();
-            before.ends_with("fn")
-                && !before[..before.len() - 2]
-                    .chars()
-                    .next_back()
-                    .is_some_and(is_ident)
-        };
-        if is_call && !is_decl {
-            n += 1;
-        }
-        from = pos + name.len();
-    }
-    n
-}
-
 fn count_calls(line: &str, name: &str) -> usize {
     let mut n = 0;
     let mut from = 0;
@@ -922,20 +855,4 @@ fn find_token(line: &str, name: &str, from: usize) -> Option<usize> {
         start = pos + name.len();
     }
     None
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::model::FileModel;
-
-    #[test]
-    fn phase_api_declarations_are_not_calls() {
-        let src = "pub fn begin_phase(&mut self, name: &str) {\n    self.push(name);\n}\n\
-                   pub fn end_phase(&mut self) {\n    self.pop();\n}\n";
-        let fm = FileModel::build("crates/mpc/src/context.rs", src);
-        let mut out = Vec::new();
-        phase_discipline(&fm, &mut out);
-        assert!(out.is_empty(), "declarations counted as calls: {out:?}");
-    }
 }

@@ -20,10 +20,6 @@ pub struct MpcConfig {
     /// If `true`, memory / bandwidth violations abort the computation with an error;
     /// otherwise they are recorded in [`Metrics`](crate::Metrics) and execution continues.
     pub strict: bool,
-    /// Execute machine-local computation on multiple OS threads (see
-    /// [`par::worker_threads`](crate::par::worker_threads) for the thread count).
-    /// Never affects results or metrics — only wall-clock time.
-    pub parallel: bool,
     /// Use the linear-time LSD radix fast path for sort keys with a `u64` embedding
     /// (see [`SortKey`](crate::SortKey)). Never affects results or metrics — output
     /// order, labels, rounds, and volume are bit-identical to the comparison
@@ -34,14 +30,7 @@ pub struct MpcConfig {
 impl MpcConfig {
     /// Create a configuration with default slack constants (`memory_slack = 32`,
     /// `bandwidth_slack = 32` — the Θ(·) constants absorb the fact that records span
-    /// several words), non-strict accounting, and parallel local execution.
-    ///
-    /// Setting the `MPC_NO_PARALLEL` environment variable (to any non-empty value)
-    /// turns parallel local execution off for every configuration built through this
-    /// constructor — a process-wide override used by CI to keep the sequential path
-    /// green and by anyone who wants deterministic single-threaded profiling without
-    /// touching call sites. [`with_parallel`](Self::with_parallel) still wins when
-    /// called explicitly afterwards.
+    /// several words) and non-strict accounting.
     ///
     /// # Panics
     /// Panics if `delta` is not in `(0, 1)` or `n == 0`.
@@ -57,17 +46,8 @@ impl MpcConfig {
             memory_slack: 32.0,
             bandwidth_slack: 32.0,
             strict: false,
-            parallel: !Self::env_no_parallel(),
             radix: true,
         }
-    }
-
-    /// `true` when the `MPC_NO_PARALLEL` environment variable disables parallel local
-    /// execution process-wide (set to any non-empty value). [`new`](Self::new) folds
-    /// this into the default; tools that set `parallel` explicitly (e.g. the bench
-    /// harness) should consult it too so the override keeps working for them.
-    pub fn env_no_parallel() -> bool {
-        std::env::var_os("MPC_NO_PARALLEL").is_some_and(|v| !v.is_empty())
     }
 
     /// Same as [`new`](Self::new) but with strict enforcement of the memory and
@@ -99,9 +79,10 @@ impl MpcConfig {
         self
     }
 
-    /// Builder-style setter for parallel machine-local execution.
-    pub fn with_parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
+    /// Does nothing: machine-local work runs on the calling thread.
+    #[doc(hidden)]
+    // mpc-lint: allow(dead-pub-api) — shim for the frozen `treedp-bench/src/workloads/probes.rs` (`par_speedup` calls `config(n).with_parallel(false)`); ROADMAP item 3's maintenance PR deletes the probe and this method
+    pub fn with_parallel(self, _: bool) -> Self {
         self
     }
 
@@ -195,11 +176,9 @@ mod tests {
         let cfg = MpcConfig::new(100, 0.5)
             .with_memory_slack(2.0)
             .with_bandwidth_slack(8.0)
-            .with_strict(true)
-            .with_parallel(false);
+            .with_strict(true);
         assert_eq!(cfg.memory_slack, 2.0);
         assert_eq!(cfg.bandwidth_slack, 8.0);
         assert!(cfg.strict);
-        assert!(!cfg.parallel);
     }
 }

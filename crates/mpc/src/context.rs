@@ -5,12 +5,10 @@ use crate::config::MpcConfig;
 use crate::distvec::DistVec;
 use crate::error::{ConvergeError, MpcError, MpcResult, Violation, ViolationKind};
 use crate::metrics::{ConvergenceTrace, Metrics, PhaseMetrics, PhaseTimer};
-use crate::par::{par_for_each_mut, par_map_mut, par_map_reduce, par_scatter, worth_parallelizing};
 use crate::scratch::Scratch;
 use crate::sortkey::SortKey;
 use crate::words::{slice_words, Words};
 use crate::MachineId;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A per-machine outbox used by custom communication rounds
 /// (see [`MpcContext::communicate`]).
@@ -133,10 +131,8 @@ impl MpcContext {
     }
 
     /// Run `f` as a named phase; rounds, communication, and wall-clock time consumed
-    /// inside are attributed to `name` in [`Metrics::phases`]. This closure form
-    /// cannot be left unbalanced; prefer it over explicit
-    /// [`begin_phase`](Self::begin_phase) / [`end_phase`](Self::end_phase) pairs
-    /// wherever control flow allows.
+    /// inside are attributed to `name` in [`Metrics::phases`]. The closure form
+    /// cannot be left unbalanced.
     pub fn phase<R>(&mut self, name: &str, f: impl FnOnce(&mut Self) -> R) -> R {
         self.begin_phase(name);
         let out = f(self);
@@ -144,13 +140,9 @@ impl MpcContext {
         out
     }
 
-    /// Open a named phase explicitly. Every `begin_phase` needs a matching
-    /// [`end_phase`](Self::end_phase) on all control-flow paths — the
-    /// `phase-discipline` lint checks the pairing per function statically. Use this
-    /// form only when a phase spans structures a closure cannot (e.g. opened in one
-    /// method, closed in another of the same struct); otherwise use
-    /// [`phase`](Self::phase).
-    pub fn begin_phase(&mut self, name: &str) {
+    /// Open a named phase; [`phase`](Self::phase) pairs it with
+    /// [`end_phase`](Self::end_phase).
+    fn begin_phase(&mut self, name: &str) {
         self.phase_stack
             .push(PhaseTimer::start(name, &self.metrics));
     }
@@ -161,8 +153,8 @@ impl MpcContext {
     ///
     /// # Panics
     /// Panics if no phase is open — an unbalanced `end_phase` is a phase-accounting
-    /// bug, the dynamic counterpart of what the `phase-discipline` lint rejects.
-    pub fn end_phase(&mut self) {
+    /// bug.
+    fn end_phase(&mut self) {
         let timer = self
             .phase_stack
             .pop()
@@ -340,38 +332,40 @@ impl MpcContext {
 
     // ----- communication primitives ------------------------------------------------
 
-    /// The shared scatter skeleton of [`route`](Self::route) and
-    /// [`rebalance`](Self::rebalance): bucket every record by `dest(src, global_index,
-    /// record)` (per-machine buckets computed concurrently when
-    /// [`MpcConfig::parallel`] is set), charge `rounds` rounds, and record the exact
-    /// send/receive volumes — only words whose destination differs from their source
-    /// machine count.
-    fn scatter<T, F>(&mut self, dv: DistVec<T>, rounds: u64, what: &str, dest: F) -> DistVec<T>
-    where
-        T: Words + Send,
-        F: Fn(usize, usize, &T) -> MachineId + Sync,
-    {
-        let machines = self.cfg.num_machines();
-        let sc = par_scatter(self.cfg.parallel, dv.into_chunks(), machines, dest);
-        self.charge_rounds(rounds);
-        self.record_comm(&sc.sends, &sc.recvs, what);
-        let result = DistVec::from_chunks(sc.buckets);
-        self.check_memory(&result, what);
-        result
-    }
-
     /// Send every record to the machine chosen by `dest` (1 round).
     ///
-    /// Records whose destination equals their current machine do not consume bandwidth.
-    /// Destinations are clamped to the machine range. When destinations are known to
-    /// be non-decreasing along the global order (e.g. the data was just sorted by
-    /// them), prefer [`route_sorted`](Self::route_sorted).
+    /// Records whose destination equals their current machine do not consume bandwidth:
+    /// only words whose destination differs from their source machine are recorded.
+    /// Destinations are clamped to the machine range; every machine receives its
+    /// records in global input order. When destinations are known to be non-decreasing
+    /// along the global order (e.g. the data was just sorted by them), prefer
+    /// [`route_sorted`](Self::route_sorted).
     pub fn route<T, F>(&mut self, dv: DistVec<T>, dest: F) -> DistVec<T>
     where
-        T: Words + Send,
-        F: Fn(&T) -> MachineId + Sync,
+        T: Words,
+        F: Fn(&T) -> MachineId,
     {
-        self.scatter(dv, 1, "route", |_src, _idx, item| dest(item))
+        let machines = self.cfg.num_machines();
+        let chunks = dv.into_chunks();
+        let mut buckets: Vec<Vec<T>> = (0..machines).map(|_| Vec::new()).collect();
+        let mut sends = vec![0usize; chunks.len()];
+        let mut recvs = vec![0usize; machines];
+        for (src, chunk) in chunks.into_iter().enumerate() {
+            for item in chunk {
+                let d = dest(&item).min(machines - 1);
+                if d != src {
+                    let w = item.words();
+                    sends[src] += w;
+                    recvs[d] += w;
+                }
+                buckets[d].push(item);
+            }
+        }
+        self.charge_rounds(1);
+        self.record_comm(&sends, &recvs, "route");
+        let result = DistVec::from_chunks(buckets);
+        self.check_memory(&result, "route");
+        result
     }
 
     /// The run-moving skeleton of [`rebalance`](Self::rebalance) and
@@ -379,7 +373,7 @@ impl MpcContext {
     /// non-decreasing along the global record order. `split(global_index, rest)` names
     /// the destination of the first record of `rest` and the length of the contiguous
     /// run headed there. Whole runs move at once (no per-record destination
-    /// decisions), buckets fill in global order — exactly the layout `scatter`
+    /// decisions), buckets fill in global order — exactly the layout `route`
     /// produces for a monotone destination function — and the consumed input buffers
     /// are recycled through the scratch arena. Only moved words count as volume.
     fn route_monotone<T, S>(
@@ -455,7 +449,7 @@ impl MpcContext {
     pub fn route_sorted<T, F>(&mut self, dv: DistVec<T>, dest: F) -> DistVec<T>
     where
         T: Words + Send + 'static,
-        F: Fn(&T) -> MachineId + Sync,
+        F: Fn(&T) -> MachineId,
     {
         let machines = self.cfg.num_machines();
         let last = std::cell::Cell::new(0usize);
@@ -482,18 +476,9 @@ impl MpcContext {
         let machines = self.cfg.num_machines();
         let per = dv.len().div_ceil(machines).max(1);
         let rounds = 1 + self.agg_rounds();
-        // Multi-core hosts keep PR 3's threaded per-record scatter; otherwise the
-        // sequential run-mover wins (no per-record destination decisions, recycled
-        // buffers). Both produce identical buckets and accounting for this monotone
-        // destination function, as `route_parallel_toggle_is_metric_invariant` and
-        // the integration_parallel suite assert.
-        if worth_parallelizing(self.cfg.parallel, dv.len()) && crate::par::worker_threads() > 1 {
-            self.scatter(dv, rounds, "rebalance", |_src, idx, _item| idx / per)
-        } else {
-            self.route_monotone(dv, rounds, "rebalance", |idx, _rest| {
-                (idx / per, per - idx % per)
-            })
-        }
+        self.route_monotone(dv, rounds, "rebalance", |idx, _rest| {
+            (idx / per, per - idx % per)
+        })
     }
 
     /// Make a small value known to all machines (`agg_rounds` rounds through a
@@ -510,24 +495,22 @@ impl MpcContext {
     }
 
     /// Fold all records into a single value known to every machine
-    /// (an all-reduce; `2 · agg_rounds` rounds). The per-machine local folds run
-    /// concurrently when [`MpcConfig::parallel`] is set; the cross-machine combine is
-    /// always applied in machine order, so the result is deterministic even for
-    /// non-commutative `combine` functions.
+    /// (an all-reduce; `2 · agg_rounds` rounds). Every machine folds its records
+    /// from `init`; the cross-machine combine is applied in machine order, so the
+    /// result is deterministic even for non-commutative `combine` functions.
     pub fn all_reduce<T, A, F, G>(&mut self, dv: &DistVec<T>, init: A, fold: F, combine: G) -> A
     where
-        T: Words + Sync,
-        A: Words + Clone + Send + Sync,
-        F: Fn(A, &T) -> A + Sync,
+        T: Words,
+        A: Words + Clone,
+        F: Fn(A, &T) -> A,
         G: Fn(A, A) -> A,
     {
-        let result = par_map_reduce(
-            worth_parallelizing(self.cfg.parallel, dv.len()),
-            dv.chunks(),
-            |_, c| c.iter().fold(init.clone(), &fold),
-            combine,
-        )
-        .unwrap_or(init);
+        let result = dv
+            .chunks()
+            .iter()
+            .map(|c| c.iter().fold(init.clone(), &fold))
+            .reduce(combine)
+            .unwrap_or(init);
         let machines = self.cfg.num_machines();
         let w = result.words();
         self.charge_rounds(2 * self.agg_rounds());
@@ -536,7 +519,7 @@ impl MpcContext {
     }
 
     /// Count the records of `dv` (all-reduce specialisation).
-    pub fn count<T: Words + Sync>(&mut self, dv: &DistVec<T>) -> usize {
+    pub fn count<T: Words>(&mut self, dv: &DistVec<T>) -> usize {
         self.all_reduce(dv, 0usize, |a, _| a + 1, |a, b| a + b)
     }
 
@@ -547,32 +530,27 @@ impl MpcContext {
     /// *configured* machine count — passing a `states` slice shorter than
     /// [`MpcConfig::num_machines`] simulates a round in which only a prefix of the
     /// machines participates, but destinations, inboxes, and the bandwidth check still
-    /// cover the whole machine set. Outbox construction runs concurrently across
-    /// machine states when [`MpcConfig::parallel`] is set; delivery order is
-    /// machine-index order either way. An empty `states` slice is a no-op: it returns
-    /// one empty inbox per configured machine and charges nothing.
+    /// cover the whole machine set. Delivery order is machine-index order. An empty
+    /// `states` slice is a no-op: it returns one empty inbox per configured machine
+    /// and charges nothing.
     ///
     /// The returned vector has one inbox per machine,
     /// `max(num_machines, states.len())` in total.
     pub fn communicate<S, M, F>(&mut self, states: &mut [S], f: F) -> Vec<Vec<M>>
     where
-        M: Words + Send,
-        S: Send,
-        F: Fn(MachineId, &mut S, &mut Outbox<M>) + Sync,
+        M: Words,
+        F: Fn(MachineId, &mut S, &mut Outbox<M>),
     {
         let machines = self.cfg.num_machines().max(states.len());
         if states.is_empty() {
             return (0..machines).map(|_| Vec::new()).collect();
         }
-        let outboxes: Vec<Outbox<M>> = par_map_mut(self.cfg.parallel, states, |i, s| {
-            let mut ob = Outbox::new();
-            f(i, s, &mut ob);
-            ob
-        });
         let mut sends = vec![0usize; machines];
         let mut recvs = vec![0usize; machines];
         let mut inboxes: Vec<Vec<M>> = (0..machines).map(|_| Vec::new()).collect();
-        for (src, ob) in outboxes.into_iter().enumerate() {
+        for (src, s) in states.iter_mut().enumerate() {
+            let mut ob = Outbox::new();
+            f(src, s, &mut ob);
             for (dst, msg) in ob.msgs {
                 let dst = dst.min(machines - 1);
                 let w = msg.words();
@@ -639,16 +617,15 @@ impl MpcContext {
         what: &'static str,
     ) -> Result<u64, ConvergeError>
     where
-        T: Words + Send + Sync + 'static,
-        K: SortKey + Words + Clone + Send + Sync + 'static,
-        A: Words + Send + Sync,
-        FK: Fn(&T) -> K + Sync,
-        FQ: Fn(&T, &mut Vec<K>) + Sync,
-        FA: Fn(&T) -> A + Sync,
-        FU: Fn(&mut T, &[(K, Option<A>)]) + Sync,
+        T: Words,
+        K: SortKey + Words + Clone + 'static,
+        A: Words,
+        FK: Fn(&T) -> K,
+        FQ: Fn(&T, &mut Vec<K>),
+        FA: Fn(&T) -> A,
+        FU: Fn(&mut T, &[(K, Option<A>)]),
     {
         let machines = self.cfg.num_machines();
-        let use_par = worth_parallelizing(self.cfg.parallel, states.len());
         // The state index is built once: updates mutate states in place and never
         // move or re-key them, so `(key, chunk, position)` stays valid for every
         // step. Its build is the machine-local share of the first step's fused
@@ -660,13 +637,12 @@ impl MpcContext {
             .collect();
         let mut active_machines: Vec<usize> = Vec::new();
         let step_bound = 2 * u64::from(states.len().max(2).next_power_of_two().ilog2()) + 8;
-        let rekeyed = AtomicBool::new(false);
         let mut steps = 0u64;
         let outcome = loop {
-            // Emit + probe: read-only over the previous step's states, machine-
-            // concurrent. Probing happens before any mutation, so every answer is
-            // a snapshot of the pre-step states.
-            par_for_each_mut(use_par, &mut bufs, |m, buf| {
+            // Emit + probe: read-only over the previous step's states. Probing
+            // happens before any mutation, so every answer is a snapshot of the
+            // pre-step states.
+            for (m, buf) in bufs.iter_mut().enumerate() {
                 buf.emitted.clear();
                 buf.counts.clear();
                 buf.answers.clear();
@@ -688,7 +664,7 @@ impl MpcContext {
                         buf.answers.push((k, hit));
                     }
                 }
-            });
+            }
             let total_requests: usize = bufs.iter().map(|b| b.emitted.len()).sum();
             if total_requests == 0 {
                 break Ok(steps);
@@ -719,25 +695,21 @@ impl MpcContext {
             self.charge_rounds(rounds);
             self.record_comm(&comm, &comm, what);
             self.scratch.sends = comm;
-            // Fold the answers back in, machine-concurrent. Keys must survive the
-            // update untouched — the retained index addresses states by them.
-            par_for_each_mut(use_par, states.chunks_mut(), |m, chunk| {
-                let buf = &bufs[m];
+            // Fold the answers back in. Keys must survive the update untouched —
+            // the retained index addresses states by them.
+            let mut rekeyed = false;
+            for (chunk, buf) in states.chunks_mut().iter_mut().zip(&bufs) {
                 let mut cursor = 0usize;
                 for (s, &count) in chunk.iter_mut().zip(buf.counts.iter()) {
                     let slice = &buf.answers[cursor..cursor + count as usize];
                     cursor += count as usize;
                     let key_before = state_key(s);
                     update(s, slice);
-                    if state_key(s) != key_before {
-                        // Relaxed: the flag publishes no other data, and the
-                        // workers are joined before it is read.
-                        rekeyed.store(true, Ordering::Relaxed);
-                    }
+                    rekeyed |= state_key(s) != key_before;
                 }
-            });
+            }
             self.check_memory(states, what);
-            if rekeyed.load(Ordering::Relaxed) {
+            if rekeyed {
                 break Err(ConvergeError::KeyMutated { what, step: steps });
             }
             steps += 1;
@@ -767,13 +739,13 @@ impl MpcContext {
         what: &'static str,
     ) -> u64
     where
-        T: Words + Send + Sync + 'static,
-        K: SortKey + Words + Clone + Send + Sync + 'static,
-        A: Words + Send + Sync,
-        FK: Fn(&T) -> K + Sync,
-        FQ: Fn(&T, &mut Vec<K>) + Sync,
-        FA: Fn(&T) -> A + Sync,
-        FU: Fn(&mut T, &[(K, Option<A>)]) + Sync,
+        T: Words,
+        K: SortKey + Words + Clone + 'static,
+        A: Words,
+        FK: Fn(&T) -> K,
+        FQ: Fn(&T, &mut Vec<K>),
+        FA: Fn(&T) -> A,
+        FU: Fn(&mut T, &[(K, Option<A>)]),
     {
         self.try_converge(states, state_key, requests, answer, update, what)
             .unwrap_or_else(|e| panic!("{e}"))
@@ -974,28 +946,6 @@ mod tests {
         assert_eq!(c.metrics().rounds, 1);
     }
 
-    #[test]
-    fn route_parallel_toggle_is_metric_invariant() {
-        let data: Vec<u64> = (0..3000).collect();
-        let run = |parallel: bool| {
-            let mut c = MpcContext::new(MpcConfig::new(4096, 0.5).with_parallel(parallel));
-            let dv = c.from_vec(data.clone());
-            let routed = c.route(dv, |x| (*x % 11) as usize);
-            let rebal = c.rebalance(routed);
-            (rebal.into_vec(), c.metrics().clone())
-        };
-        let (seq_data, seq_m) = run(false);
-        let (par_data, par_m) = run(true);
-        assert_eq!(seq_data, par_data);
-        assert_eq!(seq_m.rounds, par_m.rounds);
-        assert_eq!(seq_m.total_words_sent, par_m.total_words_sent);
-        assert_eq!(
-            seq_m.max_words_sent_per_round,
-            par_m.max_words_sent_per_round
-        );
-        assert_eq!(seq_m.peak_local_memory, par_m.peak_local_memory);
-    }
-
     /// Toy pointer-doubling states for the converge tests: `(id, ptr, dist)` on a
     /// path — each state chases `ptr` and accumulates `dist` until it reaches the
     /// end, exactly the Lemma 6.17 access pattern.
@@ -1080,22 +1030,6 @@ mod tests {
         assert_eq!(c.metrics().total_words_sent, 0);
         assert_eq!(c.metrics().convergence.len(), 1);
         assert!(c.metrics().convergence[0].active_machines.is_empty());
-    }
-
-    #[test]
-    fn converge_parallel_toggle_is_bit_identical() {
-        let run = |parallel: bool| {
-            let c = MpcContext::new(MpcConfig::new(1024, 0.5).with_parallel(parallel));
-            let (hops, steps, c) = run_hops(c, 300);
-            (hops, steps, c.metrics().clone())
-        };
-        let (seq, seq_steps, seq_m) = run(false);
-        let (par, par_steps, par_m) = run(true);
-        assert_eq!(seq, par);
-        assert_eq!(seq_steps, par_steps);
-        assert_eq!(seq_m.rounds, par_m.rounds);
-        assert_eq!(seq_m.total_words_sent, par_m.total_words_sent);
-        assert_eq!(seq_m.convergence, par_m.convergence);
     }
 
     #[test]

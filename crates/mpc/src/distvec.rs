@@ -178,24 +178,6 @@ impl<T> DistVec<T> {
         }
     }
 
-    /// Like [`map_local`](Self::map_local), but the per-machine work is spread over OS
-    /// threads when `parallel` is set and the total record count is worth it (see
-    /// `crate::par`). Chunk results are merged in machine order, so the output is
-    /// bit-identical to `map_local` either way; use this for machine-local
-    /// transformations whose per-record work is non-trivial (e.g. assembling cluster
-    /// views).
-    pub fn map_local_par<U, F>(self, parallel: bool, f: F) -> DistVec<U>
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(&T) -> U + Sync,
-    {
-        let parallel = crate::par::worth_parallelizing(parallel, self.len());
-        DistVec {
-            chunks: crate::par::par_map(parallel, &self.chunks, |_, c| c.iter().map(&f).collect()),
-        }
-    }
-
     /// Apply a machine-local filter to every record (no communication, 0 rounds).
     pub fn filter_local<F>(self, f: F) -> DistVec<T>
     where

@@ -28,15 +28,13 @@
 //! [`with_index`](MpcContext::with_index)) record the per-machine control words they
 //! exchange through the tree.
 //!
-//! ## Parallel machine-local execution
+//! ## Machine-local execution
 //!
 //! The model treats machine-local computation as free, but the simulator still has to
-//! perform it. With [`MpcConfig::parallel`] (the default) the machine-local share of
-//! every primitive — bucket construction in routing, per-chunk sorting, per-request
-//! joins, outbox construction in [`communicate`](MpcContext::communicate) — fans out
-//! over OS threads (see [`par`]); results and metrics are bit-identical to the
-//! sequential path, which `with_parallel(false)`, the `MPC_NO_PARALLEL` environment
-//! variable, or a single-core host selects.
+//! perform it: the machine-local share of every primitive — bucket construction in
+//! routing, per-chunk sorting, per-request joins, outbox construction in
+//! [`communicate`](MpcContext::communicate) — runs on the calling thread, one machine
+//! after the other.
 //!
 //! ## Main types
 //!
@@ -92,7 +90,6 @@ pub mod context;
 pub mod distvec;
 pub mod error;
 pub mod metrics;
-pub mod par;
 pub mod prefix;
 pub(crate) mod primitives;
 pub(crate) mod scratch;
@@ -110,3 +107,14 @@ pub use words::Words;
 
 /// Identifier of a simulated machine (index into the machine array).
 pub type MachineId = usize;
+
+/// What is left of the retired thread pool.
+#[doc(hidden)]
+// mpc-lint: allow(dead-pub-api) — shim for the frozen `treedp-bench/src/run.rs`, which reads `mpc::par::worker_threads()`; goes with ROADMAP item 3's maintenance PR
+pub mod par {
+    /// Machine-local work runs on the calling thread.
+    // mpc-lint: allow(dead-pub-api) — `treedp-bench/src/run.rs` reports it as `host.worker_threads`; goes with ROADMAP item 3's maintenance PR
+    pub fn worker_threads() -> usize {
+        1
+    }
+}

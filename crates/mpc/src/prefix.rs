@@ -13,8 +13,8 @@ impl MpcContext {
     /// a fan-in tree and the offsets broadcast back (`2 · agg_rounds` rounds).
     pub fn prefix_sums<T, F>(&mut self, dv: DistVec<T>, value: F) -> DistVec<(u64, T)>
     where
-        T: Words + Send,
-        F: Fn(&T) -> u64 + Sync,
+        T: Words,
+        F: Fn(&T) -> u64,
     {
         let machines = self.config().num_machines();
         let mut chunks_out: Vec<Vec<(u64, T)>> = Vec::with_capacity(dv.num_chunks());
@@ -43,8 +43,8 @@ impl MpcContext {
     /// `value(r)` over all records up to and including it.
     pub fn prefix_max<T, F>(&mut self, dv: DistVec<T>, value: F) -> DistVec<(u64, T)>
     where
-        T: Words + Send,
-        F: Fn(&T) -> u64 + Sync,
+        T: Words,
+        F: Fn(&T) -> u64,
     {
         let machines = self.config().num_machines();
         let mut chunks_out: Vec<Vec<(u64, T)>> = Vec::with_capacity(dv.num_chunks());

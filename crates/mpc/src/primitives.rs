@@ -37,16 +37,10 @@
 //! than LSD-plus-permutation at realistic table sizes, and identical in order. On
 //! the fast path every such index also carries a bucket directory, so a probe
 //! searches one bucket instead of the whole index (see [`SortedIndex`]).
-//!
-//! When [`MpcConfig::parallel`](crate::MpcConfig::parallel) is set, the machine-local
-//! share of the work (per-chunk sorting, per-request lookups) is spread over OS
-//! threads via the [`par`](crate::par) helpers; results and metrics are bit-identical
-//! to the sequential path.
 
 use crate::context::MpcContext;
 use crate::distvec::DistVec;
-use crate::par::{par_for_each_mut, worker_threads, worth_parallelizing};
-use crate::scratch::{BufferPool, Scratch, SortBufs};
+use crate::scratch::{BufferPool, Scratch};
 use crate::sortkey::SortKey;
 use crate::words::Words;
 use std::cmp::Reverse;
@@ -55,33 +49,25 @@ use std::collections::BinaryHeap;
 /// Globally sort per-machine chunks by `key`, returning `(key, record, source_chunk)`
 /// triples in stable sorted order (the comparison fallback of the sorting core).
 ///
-/// Every chunk is decorated and sorted locally (concurrently across chunks when
-/// `parallel` is set), then the sorted runs are combined by a k-way merge whose heap
-/// orders ties by source chunk index — which is exactly the order a stable sort of the
-/// concatenated input produces, so the parallel and sequential paths agree bit for
-/// bit. Each key is computed once per record.
-#[allow(clippy::type_complexity)]
-fn global_sort<T, K, F>(parallel: bool, chunks: Vec<Vec<T>>, key: &F) -> Vec<(K, T, usize)>
+/// Every chunk is decorated and sorted locally, then the sorted runs are combined by a
+/// k-way merge whose heap orders ties by source chunk index — which is exactly the
+/// order a stable sort of the concatenated input produces. Each key is computed once
+/// per record.
+fn global_sort<T, K, F>(chunks: Vec<Vec<T>>, key: &F) -> Vec<(K, T, usize)>
 where
-    T: Send,
-    K: Ord + Send,
-    F: Fn(&T) -> K + Sync,
+    K: Ord,
+    F: Fn(&T) -> K,
 {
     let total: usize = chunks.iter().map(Vec::len).sum();
-    let parallel = worth_parallelizing(parallel, total);
-    // Decorate + sort every chunk in place (slot.0 is consumed into slot.1).
-    let mut work: Vec<(Vec<T>, Vec<(K, T)>)> =
-        chunks.into_iter().map(|c| (c, Vec::new())).collect();
-    par_for_each_mut(parallel, &mut work, |_, slot| {
-        let items = std::mem::take(&mut slot.0);
-        let mut decorated: Vec<(K, T)> = items.into_iter().map(|t| (key(&t), t)).collect();
-        decorated.sort_by(|a, b| a.0.cmp(&b.0));
-        slot.1 = decorated;
-    });
-
     // K-way merge of the sorted runs, ties broken by source chunk (= global order).
-    let mut iters: Vec<std::vec::IntoIter<(K, T)>> =
-        work.into_iter().map(|(_, run)| run.into_iter()).collect();
+    let mut iters: Vec<std::vec::IntoIter<(K, T)>> = chunks
+        .into_iter()
+        .map(|chunk| {
+            let mut run: Vec<(K, T)> = chunk.into_iter().map(|t| (key(&t), t)).collect();
+            run.sort_by(|a, b| a.0.cmp(&b.0));
+            run.into_iter()
+        })
+        .collect();
     let mut pending: Vec<Option<T>> = iters.iter().map(|_| None).collect();
     let mut heap: BinaryHeap<Reverse<(K, usize)>> = BinaryHeap::with_capacity(iters.len());
     for (src, it) in iters.iter_mut().enumerate() {
@@ -233,7 +219,6 @@ impl<K> SortedTable<K> {
 /// probe path stays free of allocator churn like every other primitive.
 #[allow(clippy::type_complexity)]
 fn probe_index<T, V, K, FT>(
-    parallel: bool,
     requests: DistVec<T>,
     req_key: &FT,
     table: &DistVec<V>,
@@ -242,40 +227,25 @@ fn probe_index<T, V, K, FT>(
 ) -> (Vec<Vec<(T, Option<V>)>>, usize)
 where
     T: Send + 'static,
-    V: Words + Clone + Send + Sync + 'static,
-    K: SortKey + Sync,
-    FT: Fn(&T) -> K + Sync,
+    V: Words + Clone + Send + 'static,
+    K: SortKey,
+    FT: Fn(&T) -> K,
 {
-    let req_parallel = worth_parallelizing(parallel, requests.len());
     let mut req_chunks = requests.into_chunks();
-    let outs: Vec<Vec<(T, Option<V>)>> = pool.take_bufs(req_chunks.len());
-    let mut work: Vec<(&mut Vec<T>, Vec<(T, Option<V>)>, usize)> = req_chunks
-        .iter_mut()
-        .zip(outs)
-        .map(|(c, out)| (c, out, 0))
-        .collect();
-    par_for_each_mut(req_parallel, &mut work, |_, slot| {
-        let mut hit_words = 0usize;
-        slot.1.reserve(slot.0.len());
-        for req in slot.0.drain(..) {
+    let mut chunks: Vec<Vec<(T, Option<V>)>> = pool.take_bufs(req_chunks.len());
+    let mut hits_words = 0usize;
+    for (reqs, out) in req_chunks.iter_mut().zip(&mut chunks) {
+        out.reserve(reqs.len());
+        for req in reqs.drain(..) {
             let k = req_key(&req);
             let found = index.get(&k).map(|e| {
                 let v = table.chunks()[e.1 as usize][e.2 as usize].clone();
-                hit_words += v.words();
+                hits_words += v.words();
                 v
             });
-            slot.1.push((req, found));
+            out.push((req, found));
         }
-        slot.2 = hit_words;
-    });
-    let mut hits_words = 0usize;
-    let chunks = work
-        .into_iter()
-        .map(|(_, out, h)| {
-            hits_words += h;
-            out
-        })
-        .collect();
+    }
     pool.recycle_bufs(req_chunks);
     (chunks, hits_words)
 }
@@ -283,39 +253,21 @@ where
 impl MpcContext {
     /// Sort every chunk in place by the `u64` image of its key, leaving each chunk's
     /// sorted key words in the scratch arena (`words` runs delimited by `bounds`).
-    /// Runs concurrently across chunks when `parallel` is set (with thread-local radix
-    /// buffers); the sequential path reuses the context's scratch and allocates
-    /// nothing in steady state.
-    fn sort_chunks_by_word<T, W>(&mut self, parallel: bool, chunks: &mut [Vec<T>], word: &W)
+    /// Reuses the context's scratch and allocates nothing in steady state.
+    fn sort_chunks_by_word<T, W>(&mut self, chunks: &mut [Vec<T>], word: &W)
     where
-        T: Send,
-        W: Fn(&T) -> u64 + Sync,
+        W: Fn(&T) -> u64,
     {
         let total: usize = chunks.iter().map(Vec::len).sum();
-        let use_par = worth_parallelizing(parallel, total) && worker_threads() > 1;
         let sc = &mut self.scratch;
         sc.words.clear();
         sc.words.reserve(total);
         sc.bounds.clear();
         sc.bounds.push(0);
-        if use_par {
-            let mut slots: Vec<(&mut Vec<T>, Vec<u64>)> =
-                chunks.iter_mut().map(|c| (c, Vec::new())).collect();
-            par_for_each_mut(true, &mut slots, |_, slot| {
-                let mut bufs = SortBufs::default();
-                slot.1.reserve(slot.0.len());
-                bufs.sort_in_place(slot.0.as_mut_slice(), |t| word(t), &mut slot.1);
-            });
-            for (_, run_words) in slots {
-                sc.words.extend(run_words);
-                sc.bounds.push(sc.words.len());
-            }
-        } else {
-            for chunk in chunks.iter_mut() {
-                sc.sort
-                    .sort_in_place(chunk.as_mut_slice(), |t| word(t), &mut sc.words);
-                sc.bounds.push(sc.words.len());
-            }
+        for chunk in chunks.iter_mut() {
+            sc.sort
+                .sort_in_place(chunk.as_mut_slice(), |t| word(t), &mut sc.words);
+            sc.bounds.push(sc.words.len());
         }
     }
 
@@ -334,12 +286,11 @@ impl MpcContext {
     where
         T: Words + Send + 'static,
         K: SortKey,
-        F: Fn(&T) -> K + Sync,
+        F: Fn(&T) -> K,
         O: Words + Send + 'static,
         M: Fn(u64, T) -> O,
     {
         let machines = self.config().num_machines();
-        let parallel = self.config().parallel;
         let radix = self.config().radix;
         let srcs = dv.num_chunks();
         let total = dv.len();
@@ -349,7 +300,7 @@ impl MpcContext {
 
         if K::IS_WORD && radix {
             let mut chunks = dv.into_chunks();
-            self.sort_chunks_by_word(parallel, &mut chunks, &|t: &T| key(t).to_word());
+            self.sort_chunks_by_word(&mut chunks, &|t: &T| key(t).to_word());
             let Scratch {
                 words,
                 bounds,
@@ -373,7 +324,7 @@ impl MpcContext {
             drop(drains);
             self.scratch.pool.recycle_bufs(chunks);
         } else {
-            let sorted = global_sort(parallel, dv.into_chunks(), &key);
+            let sorted = global_sort(dv.into_chunks(), &key);
             let Scratch { sends, recvs, .. } = &mut self.scratch;
             for (i, (_key, item, src)) in sorted.into_iter().enumerate() {
                 let d = (i / per).min(machines - 1);
@@ -399,15 +350,13 @@ impl MpcContext {
 
     /// Sort records by `key` (stable, deterministic) and return them evenly partitioned
     /// in sorted order. Charges [`sort_rounds`](Self::sort_rounds) rounds. Word keys
-    /// take the linear-time radix path; per-chunk sorting runs concurrently when
-    /// [`MpcConfig::parallel`](crate::MpcConfig) is set. Communication volume counts
-    /// only records whose sorted position lands on a different machine than the one
-    /// they started on.
+    /// take the linear-time radix path. Communication volume counts only records whose
+    /// sorted position lands on a different machine than the one they started on.
     pub fn sort_by_key<T, K, F>(&mut self, dv: DistVec<T>, key: F) -> DistVec<T>
     where
         T: Words + Send + 'static,
         K: SortKey,
-        F: Fn(&T) -> K + Sync,
+        F: Fn(&T) -> K,
     {
         self.sort_impl(dv, key, |_, t| t, "sort_by_key")
     }
@@ -425,7 +374,7 @@ impl MpcContext {
     where
         T: Words + Send + 'static,
         K: SortKey,
-        F: Fn(&T) -> K + Sync,
+        F: Fn(&T) -> K,
     {
         self.sort_impl(dv, key, |i, t| (i, t), "sort_with_index")
     }
@@ -437,38 +386,23 @@ impl MpcContext {
     /// word per machine per direction recorded as communication volume. When the data
     /// is about to be sorted anyway, prefer the fused
     /// [`sort_with_index`](Self::sort_with_index).
-    #[allow(clippy::type_complexity)]
     pub fn with_index<T>(&mut self, dv: DistVec<T>) -> DistVec<(u64, T)>
     where
-        T: Words + Send,
+        T: Words,
     {
         let machines = self.config().num_machines();
-        let parallel = worth_parallelizing(self.config().parallel, dv.len());
-        // Per-machine base offsets (the result of the simulated prefix sum)...
-        let mut bases: Vec<u64> = Vec::with_capacity(dv.num_chunks());
-        {
-            let mut acc = 0u64;
-            for chunk in dv.chunks() {
-                bases.push(acc);
-                acc += chunk.len() as u64;
-            }
-        }
-        // ...then the machine-local decoration, concurrently across machines.
-        let mut work: Vec<(u64, Vec<T>, Vec<(u64, T)>)> = dv
+        // A machine's base offset is the result of the simulated prefix sum; the
+        // decoration is machine-local.
+        let mut next = 0u64;
+        let chunks: Vec<Vec<(u64, T)>> = dv
             .into_chunks()
             .into_iter()
-            .zip(bases)
-            .map(|(chunk, base)| (base, chunk, Vec::new()))
+            .map(|chunk| {
+                let base = next;
+                next += chunk.len() as u64;
+                (base..).zip(chunk).collect()
+            })
             .collect();
-        par_for_each_mut(parallel, &mut work, |_, slot| {
-            let items = std::mem::take(&mut slot.1);
-            slot.2 = items
-                .into_iter()
-                .enumerate()
-                .map(|(i, t)| (slot.0 + i as u64, t))
-                .collect();
-        });
-        let chunks: Vec<Vec<(u64, T)>> = work.into_iter().map(|(_, _, out)| out).collect();
         let rounds = self.agg_rounds();
         self.charge_rounds(rounds);
         // One word (the machine-local count) travels up and one offset travels back
@@ -491,9 +425,8 @@ impl MpcContext {
         key: &FV,
     ) -> SortedIndex<K>
     where
-        V: Sync,
         K: SortKey + 'static,
-        FV: Fn(&V) -> K + Sync,
+        FV: Fn(&V) -> K,
     {
         let mut entries: Vec<(K, u32, u32)> = self.scratch.pool.take_buf();
         entries.reserve(table.len());
@@ -550,9 +483,9 @@ impl MpcContext {
     /// mismatched table panics).
     pub fn sort_table<V, K, FV>(&mut self, table: &DistVec<V>, key: FV) -> SortedTable<K>
     where
-        V: Words + Sync,
+        V: Words,
         K: SortKey + 'static,
-        FV: Fn(&V) -> K + Sync,
+        FV: Fn(&V) -> K,
     {
         let index = self.build_sorted_index(table, &key);
         let machines = self.config().num_machines();
@@ -573,9 +506,7 @@ impl MpcContext {
     /// wins; algorithms in this workspace only join on unique keys. Charged as a
     /// **fused** sort-merge equi-join ([`join_rounds`](Self::join_rounds) `=
     /// sort_rounds + 1`): requests and table are sorted together in one exchange,
-    /// merged machine-locally, and the answers routed back. The table sort and the
-    /// per-request lookups run concurrently when
-    /// [`MpcConfig::parallel`](crate::MpcConfig) is set.
+    /// merged machine-locally, and the answers routed back.
     ///
     /// Re-joining against the same table sorts it again; when a table is probed more
     /// than once, build a [`SortedTable`] with [`sort_table`](Self::sort_table) and
@@ -590,26 +521,19 @@ impl MpcContext {
     ) -> DistVec<(T, Option<V>)>
     where
         T: Words + Send + 'static,
-        V: Words + Clone + Send + Sync + 'static,
-        K: SortKey + Sync + 'static,
-        FT: Fn(&T) -> K + Sync,
-        FV: Fn(&V) -> K + Sync,
+        V: Words + Clone + Send + 'static,
+        K: SortKey + 'static,
+        FT: Fn(&T) -> K,
+        FV: Fn(&V) -> K,
     {
-        let parallel = self.config().parallel;
         let index = self.build_sorted_index(table, &table_key);
         let table_words = table.total_words();
         let req_words = requests.total_words();
         let machines = self.config().num_machines();
         let per_machine_moved = (table_words + req_words).div_ceil(machines.max(1));
 
-        let (chunks, _hits) = probe_index(
-            parallel,
-            requests,
-            &req_key,
-            table,
-            &index,
-            &mut self.scratch.pool,
-        );
+        let (chunks, _hits) =
+            probe_index(requests, &req_key, table, &index, &mut self.scratch.pool);
         index.recycle(&mut self.scratch.pool);
 
         self.charge_rounds(self.join_rounds());
@@ -645,19 +569,17 @@ impl MpcContext {
     ) -> DistVec<(T, Option<V>)>
     where
         T: Words + Send + 'static,
-        V: Words + Clone + Send + Sync + 'static,
-        K: SortKey + Sync,
-        FT: Fn(&T) -> K + Sync,
+        V: Words + Clone + Send + 'static,
+        K: SortKey,
+        FT: Fn(&T) -> K,
     {
         assert!(
             sorted.shape_matches(table),
             "SortedTable was built from a different table (chunk shape mismatch)"
         );
-        let parallel = self.config().parallel;
         let req_words = requests.total_words();
         let machines = self.config().num_machines();
         let (chunks, hits_words) = probe_index(
-            parallel,
             requests,
             &req_key,
             table,
@@ -700,39 +622,33 @@ impl MpcContext {
     ) -> DistVec<(T, Option<V>, Option<V>)>
     where
         T: Words + Send + 'static,
-        V: Words + Clone + Send + Sync + 'static,
-        K: SortKey + Sync + 'static,
-        F1: Fn(&T) -> K + Sync,
-        F2: Fn(&T) -> K + Sync,
-        FV: Fn(&V) -> K + Sync,
+        V: Words + Clone + Send + 'static,
+        K: SortKey + 'static,
+        F1: Fn(&T) -> K,
+        F2: Fn(&T) -> K,
+        FV: Fn(&V) -> K,
     {
-        let parallel = self.config().parallel;
         let index = self.build_sorted_index(table, &table_key);
         let table_words = table.total_words();
         let req_words = requests.total_words();
         let machines = self.config().num_machines();
         let per_machine_moved = (table_words + 2 * req_words).div_ceil(machines.max(1));
 
-        let req_parallel = worth_parallelizing(parallel, requests.len());
         let mut req_chunks = requests.into_chunks();
-        let outs: Vec<Vec<(T, Option<V>, Option<V>)>> =
+        let mut chunks: Vec<Vec<(T, Option<V>, Option<V>)>> =
             self.scratch.pool.take_bufs(req_chunks.len());
-        let mut work: Vec<(&mut Vec<T>, Vec<(T, Option<V>, Option<V>)>)> =
-            req_chunks.iter_mut().zip(outs).collect();
-        par_for_each_mut(req_parallel, &mut work, |_, slot| {
-            slot.1.reserve(slot.0.len());
-            for req in slot.0.drain(..) {
+        for (reqs, out) in req_chunks.iter_mut().zip(&mut chunks) {
+            out.reserve(reqs.len());
+            for req in reqs.drain(..) {
                 let first = index
                     .get(&req_key1(&req))
                     .map(|e| table.chunks()[e.1 as usize][e.2 as usize].clone());
                 let second = index
                     .get(&req_key2(&req))
                     .map(|e| table.chunks()[e.1 as usize][e.2 as usize].clone());
-                slot.1.push((req, first, second));
+                out.push((req, first, second));
             }
-        });
-        let chunks: Vec<Vec<(T, Option<V>, Option<V>)>> =
-            work.into_iter().map(|(_, out)| out).collect();
+        }
         self.scratch.pool.recycle_bufs(req_chunks);
         index.recycle(&mut self.scratch.pool);
 
@@ -763,7 +679,7 @@ impl MpcContext {
     where
         T: Words + Send + 'static,
         K: SortKey + Words,
-        F: Fn(&T) -> K + Sync,
+        F: Fn(&T) -> K,
     {
         self.gather_runs_impl(dv, key, |_| 0, "gather_groups").0
     }
@@ -794,7 +710,7 @@ impl MpcContext {
     where
         T: Words + Send + 'static,
         K: SortKey + Words,
-        F: Fn(&T) -> K + Sync,
+        F: Fn(&T) -> K,
         R: Fn(&T) -> u32,
     {
         let (result, runs) = self.gather_runs_impl(dv, key, run_of, "gather_group_runs");
@@ -821,18 +737,17 @@ impl MpcContext {
     where
         T: Words + Send + 'static,
         K: SortKey + Words,
-        F: Fn(&T) -> K + Sync,
+        F: Fn(&T) -> K,
         R: Fn(&T) -> u32,
     {
         let machines = self.config().num_machines();
-        let parallel = self.config().parallel;
         let radix = self.config().radix;
         let srcs = dv.num_chunks();
         // Build groups, remembering each member's source machine for the accounting.
         let mut groups: Vec<(K, Vec<(T, usize)>)> = Vec::new();
         if K::IS_WORD && radix {
             let mut chunks = dv.into_chunks();
-            self.sort_chunks_by_word(parallel, &mut chunks, &|t: &T| key(t).to_word());
+            self.sort_chunks_by_word(&mut chunks, &|t: &T| key(t).to_word());
             let Scratch {
                 words,
                 bounds,
@@ -860,7 +775,7 @@ impl MpcContext {
             drop(drains);
             self.scratch.pool.recycle_bufs(chunks);
         } else {
-            let sorted = global_sort(parallel, dv.into_chunks(), &key);
+            let sorted = global_sort(dv.into_chunks(), &key);
             for (k, item, src) in sorted {
                 match groups.last_mut() {
                     Some((gk, items)) if *gk == k => items.push((item, src)),
@@ -989,26 +904,6 @@ mod tests {
     }
 
     #[test]
-    fn sort_parallel_toggle_is_metric_invariant() {
-        let data: Vec<u64> = (0..2000).map(|i| (i * 48271) % 701).collect();
-        let run = |parallel: bool| {
-            let mut c = MpcContext::new(MpcConfig::new(4096, 0.5).with_parallel(parallel));
-            let dv = c.from_vec(data.clone());
-            let sorted = c.sort_by_key(dv, |x| *x);
-            (sorted.into_vec(), c.metrics().clone())
-        };
-        let (seq, seq_m) = run(false);
-        let (par, par_m) = run(true);
-        assert_eq!(seq, par);
-        assert_eq!(seq_m.total_words_sent, par_m.total_words_sent);
-        assert_eq!(seq_m.rounds, par_m.rounds);
-        assert_eq!(
-            seq_m.max_words_sent_per_round,
-            par_m.max_words_sent_per_round
-        );
-    }
-
-    #[test]
     fn sort_radix_toggle_is_bit_identical() {
         // The radix fast path and the comparison fallback must agree on output,
         // rounds, and volume for word keys (the dedicated property suite covers the
@@ -1109,7 +1004,7 @@ mod tests {
     /// answer every probe like a `partition_point` search over the sorted entries.
     fn check_index<K>(keys: Vec<K>, probes: &[K])
     where
-        K: SortKey + Words + Copy + std::fmt::Debug + Sync + 'static,
+        K: SortKey + Words + Copy + std::fmt::Debug + 'static,
     {
         for radix in [true, false] {
             let mut c = MpcContext::new(MpcConfig::new(256, 0.5).with_radix(radix));
@@ -1322,25 +1217,6 @@ mod tests {
     }
 
     #[test]
-    fn gather_groups_parallel_toggle_is_metric_invariant() {
-        let data: Vec<(u64, u64)> = (0..1500).map(|i| ((i * 31) % 40, i)).collect();
-        let run = |parallel: bool| {
-            let mut c = MpcContext::new(MpcConfig::new(4096, 0.5).with_parallel(parallel));
-            let dv = c.from_vec(data.clone());
-            let grouped = c.gather_groups(dv, |x| x.0);
-            (grouped.into_vec(), c.metrics().clone())
-        };
-        let (seq, seq_m) = run(false);
-        let (par, par_m) = run(true);
-        assert_eq!(seq, par);
-        assert_eq!(seq_m.total_words_sent, par_m.total_words_sent);
-        assert_eq!(
-            seq_m.max_words_sent_per_round,
-            par_m.max_words_sent_per_round
-        );
-    }
-
-    #[test]
     fn gather_groups_radix_toggle_is_bit_identical() {
         let data: Vec<(u64, u64)> = (0..900).map(|i| ((i * 131) % 23, i)).collect();
         let run = |radix: bool| {
@@ -1425,13 +1301,9 @@ mod tests {
     }
 
     #[test]
-    fn gather_group_runs_radix_and_parallel_toggles_change_nothing() {
-        let run = |radix: bool, parallel: bool| {
-            let mut c = MpcContext::new(
-                MpcConfig::new(4096, 0.5)
-                    .with_radix(radix)
-                    .with_parallel(parallel),
-            );
+    fn gather_group_runs_radix_toggle_changes_nothing() {
+        let run = |radix: bool| {
+            let mut c = MpcContext::new(MpcConfig::new(4096, 0.5).with_radix(radix));
             let dv = c.from_vec(run_data());
             let placed = c.gather_group_runs(dv, |r| r.0, run_of);
             let m = c.metrics();
@@ -1443,9 +1315,7 @@ mod tests {
                 m.peak_local_memory,
             )
         };
-        let reference = run(true, false);
-        assert_eq!(run(false, false), reference, "comparison fallback");
-        assert_eq!(run(true, true), reference, "parallel chunk sorts");
+        assert_eq!(run(false), run(true), "comparison fallback");
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //! structure proportional to the tree.
 //!
 //! The whole check lives in one `#[test]` so no concurrent test pollutes the global
-//! counters, and it forces sequential machine-local execution (the parallel path
-//! deliberately trades thread-local allocations for wall-clock speed).
+//! counters; the contexts are `MpcConfig::new`'s default, so the pin holds for what
+//! every caller runs.
 
 use mpc_engine::{DistVec, MpcConfig, MpcContext};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -88,7 +88,6 @@ fn structural_bytes(n: usize) -> StructuralBytes {
 
     let tree = tree_gen::shapes::path(n);
     let cfg = MpcConfig::new(n, 0.5)
-        .with_parallel(false)
         .with_memory_slack(512.0)
         .with_bandwidth_slack(512.0);
     let mut ctx = MpcContext::new(cfg);
@@ -203,7 +202,7 @@ fn assert_steady_state(what: &str, warmup: usize, measured: usize, mut step: imp
 
 #[test]
 fn warm_primitive_calls_have_zero_net_heap_growth() {
-    let cfg = MpcConfig::new(2048, 0.5).with_parallel(false);
+    let cfg = MpcConfig::new(2048, 0.5);
     let mut ctx = MpcContext::new(cfg);
     let data: Vec<u64> = (0..1500u64)
         .map(|i| i.wrapping_mul(0x9e3779b97f4a7c15))
@@ -284,7 +283,6 @@ fn warm_primitive_calls_have_zero_net_heap_growth() {
 
     let tree = shapes::random_recursive(512, 3);
     let cfg = MpcConfig::new(2 * tree.len(), 0.5)
-        .with_parallel(false)
         .with_memory_slack(512.0)
         .with_bandwidth_slack(512.0);
     let mut ctx = MpcContext::new(cfg);

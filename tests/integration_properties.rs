@@ -300,26 +300,19 @@ fn bfs_orientation(edges: &[(u64, u64)]) -> Vec<DirectedEdge> {
         .collect()
 }
 
-/// Root `edges` under every `δ` regime and both local execution modes and compare
-/// with the BFS oracle.
+/// Root `edges` under every `δ` regime and compare with the BFS oracle.
 fn assert_rooting_matches_bfs(edges: &[(u64, u64)], what: &str) {
     let expected = bfs_orientation(edges);
     let root = edges.iter().map(|&(u, v)| u.min(v)).min().unwrap();
     for delta in [0.3f64, 0.5, 0.7] {
-        for parallel in [false, true] {
-            let cfg = MpcConfig::new((2 * edges.len()).max(16), delta).with_parallel(parallel);
-            let mut ctx = MpcContext::new(cfg);
-            let dv = ctx.from_vec(edges.to_vec());
-            let rooted = root_undirected(&mut ctx, dv)
-                .unwrap_or_else(|| panic!("{what}: δ={delta} parallel={parallel} rejected a tree"));
-            assert_eq!(rooted.root, root, "{what}");
-            assert_eq!(rooted.num_nodes, edges.len() + 1, "{what}");
-            assert_eq!(
-                rooted.edges.into_vec(),
-                expected,
-                "{what}: δ={delta} parallel={parallel}"
-            );
-        }
+        let cfg = MpcConfig::new((2 * edges.len()).max(16), delta);
+        let mut ctx = MpcContext::new(cfg);
+        let dv = ctx.from_vec(edges.to_vec());
+        let rooted = root_undirected(&mut ctx, dv)
+            .unwrap_or_else(|| panic!("{what}: δ={delta} rejected a tree"));
+        assert_eq!(rooted.root, root, "{what}");
+        assert_eq!(rooted.num_nodes, edges.len() + 1, "{what}");
+        assert_eq!(rooted.edges.into_vec(), expected, "{what}: δ={delta}");
     }
 }
 

@@ -1,7 +1,6 @@
 //! Strict-mode conformance gate: the full pipeline — prepare → cached plan →
 //! `solve_many` → store export → incremental `apply_batch` — runs under strict
-//! accounting without a single recorded model violation, in both
-//! parallel and sequential local execution, with bit-identical results.
+//! accounting without a single recorded model violation.
 //!
 //! This suite is the dynamic counterpart of the `mpc-lint` static rules: what the
 //! linter cannot prove about round/volume/memory accounting, these runs observe (and
@@ -25,63 +24,61 @@ use tree_gen::shapes::{heavy_caterpillar, path, spider, star};
 /// Ω(n^δ)-factor more data trips the strict panic here.
 const SLACK: f64 = 64.0;
 
-fn strict_cfg(input_words: usize, parallel: bool) -> MpcConfig {
+fn strict_cfg(input_words: usize) -> MpcConfig {
     MpcConfig::new(input_words, 0.5)
         .with_memory_slack(SLACK)
         .with_bandwidth_slack(SLACK)
         .with_strict(true)
-        .with_parallel(parallel)
 }
 
 /// The raw engine primitives stay compliant under `MpcConfig::strict`: balanced
-/// construction, an explicit phase, routing, one hand-rolled communication round,
+/// construction, a named phase, routing, one hand-rolled communication round,
 /// and a prefix scan — zero violations recorded.
 #[test]
 fn strict_engine_primitives_stay_compliant() {
     let cfg = MpcConfig::strict(512, 0.5).with_bandwidth_slack(8.0);
     let machines = cfg.num_machines();
     let mut ctx = MpcContext::new(cfg);
-    ctx.begin_phase("gate-primitives");
+    ctx.phase("gate-primitives", |ctx| {
+        let data: Vec<u64> = (0..512u64)
+            .map(|i| i.wrapping_mul(2654435761) % 997)
+            .collect();
+        let dv = DistVec::from_vec_cfg(&cfg, data.clone());
+        let words = dv.chunk_words();
+        let total: usize = words.iter().sum();
+        assert_eq!(words.len(), machines);
+        assert!(dv.max_chunk_words() <= cfg.balanced_chunk(total));
 
-    let data: Vec<u64> = (0..512u64)
-        .map(|i| i.wrapping_mul(2654435761) % 997)
-        .collect();
-    let dv = DistVec::from_vec_cfg(&cfg, data.clone());
-    let words = dv.chunk_words();
-    let total: usize = words.iter().sum();
-    assert_eq!(words.len(), machines);
-    assert!(dv.max_chunk_words() <= cfg.balanced_chunk(total));
+        // Route by residue; every chunk then holds exactly its own residue class.
+        let routed = ctx.route(dv, |&x| (x % machines as u64) as MachineId);
+        for (m, chunk) in routed.chunks().iter().enumerate() {
+            assert!(chunk.iter().all(|&x| x as usize % machines == m));
+        }
 
-    // Route by residue; every chunk then holds exactly its own residue class.
-    let routed = ctx.route(dv, |&x| (x % machines as u64) as MachineId);
-    for (m, chunk) in routed.chunks().iter().enumerate() {
-        assert!(chunk.iter().all(|&x| x as usize % machines == m));
-    }
+        // One explicit communication round: every machine reports its local sum to 0.
+        let mut sums: Vec<u64> = routed.chunks().iter().map(|c| c.iter().sum()).collect();
+        let inboxes = ctx.communicate(&mut sums, |_, sum, out| out.send(0, *sum));
+        let grand: u64 = inboxes[0].iter().sum();
+        assert_eq!(grand, data.iter().sum::<u64>());
 
-    // One explicit communication round: every machine reports its local sum to 0.
-    let mut sums: Vec<u64> = routed.chunks().iter().map(|c| c.iter().sum()).collect();
-    let inboxes = ctx.communicate(&mut sums, |_, sum, out| out.send(0, *sum));
-    let grand: u64 = inboxes[0].iter().sum();
-    assert_eq!(grand, data.iter().sum::<u64>());
-
-    // The prefix maximum is monotone and ends at the global maximum.
-    let pm = ctx.prefix_max(routed, |&x| x);
-    let mut prev = 0u64;
-    for &(running, _) in pm.iter() {
-        assert!(running >= prev, "prefix max must be monotone");
-        prev = running;
-    }
-    assert_eq!(prev, data.iter().copied().max().unwrap());
-
-    ctx.end_phase();
+        // The prefix maximum is monotone and ends at the global maximum.
+        let pm = ctx.prefix_max(routed, |&x| x);
+        let mut prev = 0u64;
+        for &(running, _) in pm.iter() {
+            assert!(running >= prev, "prefix max must be monotone");
+            prev = running;
+        }
+        assert_eq!(prev, data.iter().copied().max().unwrap());
+    });
     ctx.check_compliance()
         .expect("strict engine primitives stay compliant");
     assert!(ctx.metrics().violations.is_empty());
 }
 
-/// One full strict pipeline run; returns (root optimum, final incremental labels,
-/// rounds) so the two execution modes can be compared bit for bit.
-fn run_strict_pipeline(parallel: bool) -> (i64, Vec<(u64, usize)>, u64) {
+/// The gate proper: one full pipeline run under strict accounting, every answer
+/// checked against the sequential oracle.
+#[test]
+fn strict_pipeline_is_violation_free() {
     // A high-degree caterpillar forces the degree-reduction path.
     let tree = heavy_caterpillar(24, 12);
     let n = tree.len();
@@ -93,7 +90,7 @@ fn run_strict_pipeline(parallel: bool) -> (i64, Vec<(u64, usize)>, u64) {
         .map(|(v, &b)| *v as i64 + if b { 50 } else { 0 })
         .collect();
 
-    let mut ctx = MpcContext::new(strict_cfg(4 * n, parallel));
+    let mut ctx = MpcContext::new(strict_cfg(4 * n));
     let prepared = prepare(
         &mut ctx,
         TreeInput::ListOfEdges(ListOfEdges::from_tree(&tree)),
@@ -181,30 +178,6 @@ fn run_strict_pipeline(parallel: bool) -> (i64, Vec<(u64, usize)>, u64) {
     ctx.check_compliance()
         .expect("strict pipeline records no violations");
     assert!(ctx.metrics().violations.is_empty());
-
-    let best = fresh.root_summary.best(engine.problem()).unwrap();
-    let labels: Vec<(u64, usize)> = inc.labels().iter().map(|(k, v)| (*k, *v)).collect();
-    (best, labels, ctx.metrics().rounds)
-}
-
-/// The gate proper: violation-free in both execution modes, with bit-identical
-/// optima, labels, and round counts.
-#[test]
-fn strict_pipeline_is_violation_free_and_mode_invariant() {
-    let (best_par, labels_par, rounds_par) = run_strict_pipeline(true);
-    let (best_seq, labels_seq, rounds_seq) = run_strict_pipeline(false);
-    assert_eq!(
-        best_par, best_seq,
-        "optimum differs between execution modes"
-    );
-    assert_eq!(
-        labels_par, labels_seq,
-        "labels differ between execution modes"
-    );
-    assert_eq!(
-        rounds_par, rounds_seq,
-        "round count differs between execution modes"
-    );
 }
 
 /// A non-binary-adaptable problem (tree median) through the same strict gate.
@@ -223,7 +196,7 @@ fn strict_median_matches_sequential_reference() {
         })
         .collect();
 
-    let mut ctx = MpcContext::new(strict_cfg(4 * n, true));
+    let mut ctx = MpcContext::new(strict_cfg(4 * n));
     let prepared = prepare(
         &mut ctx,
         TreeInput::ListOfEdges(ListOfEdges::from_tree(&tree)),

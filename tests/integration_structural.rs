@@ -691,16 +691,16 @@ proptest! {
 }
 
 /// Out-of-line body of the long-sequence proptest: `steps` batches alternating weight
-/// updates and link/cut batches over one tree in one execution mode, with the
+/// updates and link/cut batches over one tree, with the
 /// "patched == rebuilt" gate after every batch, the labels checked against a fresh
 /// prepare + solve every fourth step, and two detours on the way — a snapshot →
 /// restore of tree, plan and store (the restored solver starts without a repair index
 /// and rebuilds it on its next structural batch) and a batch that overflows a degree
 /// bound (the degrade drops the index; the next batch rebuilds it over the re-prepared
 /// clustering).
-fn check_long_sequence(tree: &Tree, seed: u64, parallel: bool, steps: u64) {
+fn check_long_sequence(tree: &Tree, seed: u64, steps: u64) {
     let n = tree.len();
-    let mut ctx = MpcContext::new(cfg_for(4 * n).with_parallel(parallel));
+    let mut ctx = MpcContext::new(cfg_for(4 * n));
     let mut prepared = prepare(
         &mut ctx,
         TreeInput::ListOfEdges(ListOfEdges::from_tree(tree)),
@@ -728,7 +728,7 @@ fn check_long_sequence(tree: &Tree, seed: u64, parallel: bool, steps: u64) {
     let mut next_id = 50_000 + seed * 1000;
 
     for step in 0..steps {
-        let what = format!("seed {seed}, parallel {parallel}, step {step}");
+        let what = format!("seed {seed}, step {step}");
         if step % 2 == 0 {
             let live = model.live_nodes();
             let updates: Vec<(u64, i64)> = (0..1 + step % 5)
@@ -795,7 +795,7 @@ fn check_long_sequence(tree: &Tree, seed: u64, parallel: bool, steps: u64) {
 }
 
 proptest! {
-    // 4 cases × 2 execution modes × 32 batches = 256 interleaved batches.
+    // 4 cases × 32 batches = 128 interleaved batches.
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     #[test]
@@ -803,9 +803,7 @@ proptest! {
         tree in arbitrary_tree(512),
         seed in 0u64..500,
     ) {
-        for parallel in [true, false] {
-            check_long_sequence(&tree, seed, parallel, 32);
-        }
+        check_long_sequence(&tree, seed, 32);
     }
 }
 
