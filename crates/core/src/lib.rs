@@ -64,8 +64,8 @@ mod state_dp;
 pub mod store;
 
 pub use pipeline::{prepare, PipelineError, PreparedTree};
-pub use plan::{DpSolution, PlanMember, PlanRouting, PlanView, SolvePlan};
-pub use problem::{ClusterDp, ClusterView, Member, Payload};
+pub use plan::{DpSolution, PlanMember, PlanRouting, PlanView, SolvePlan, ViewSlot};
+pub use problem::{ClusterDp, ClusterView, Payload, SlotState};
 pub use sequential::{solve_sequential, SequentialSolution};
 pub use snapshot::{
     open, seal, snapshot_from_bytes, snapshot_to_bytes, Snapshot, SnapshotError, SnapshotReader,

@@ -25,8 +25,15 @@
 //! up (bottom-up summarization, Section 5.1), and one label-forwarding round per layer
 //! coming down (top-down labeling, Section 5.2). Solving `K` problems costs one
 //! assembly plus `K` cheap evaluation passes.
+//!
+//! The skeletons are the one representation of a cluster's local view. An evaluation
+//! pass fills a [`SlotState`] beside every skeleton and hands problems a
+//! [`ClusterView`] that borrows the pair — no view is ever copied out. A
+//! [`SolverStore`] is that slot state kept, with a plan value of its own; a structural
+//! repair goes through one splice ([`SolvePlan::apply_repair`]) whoever owns the plan,
+//! and [`SolvePlan::validate`] is the one place a plan read from bytes is checked.
 
-use crate::problem::{ClusterDp, ClusterView, Member, Payload};
+use crate::problem::{ClusterDp, ClusterView, Payload, SlotState};
 use crate::store::SolverStore;
 use mpc_engine::{DistVec, MpcContext, Words};
 use std::collections::{BTreeMap, BTreeSet};
@@ -45,8 +52,9 @@ pub struct DpSolution<P: ClusterDp> {
     pub root_summary: P::Summary,
 }
 
-/// The problem-independent skeleton of one cluster view: everything
-/// [`ClusterView`] holds except payloads and problem edge inputs.
+/// The problem-independent skeleton of one cluster view: everything a
+/// [`ClusterView`] shows a problem except the payloads and edge inputs, which lie in
+/// the [`SlotState`] aligned with it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanView {
     /// The cluster's id.
@@ -71,7 +79,8 @@ pub struct PlanView {
     pub has_in_data: bool,
 }
 
-/// The problem-independent part of one [`Member`].
+/// One member of a cluster: the clustering element, the kind of its outgoing original
+/// edge, and its position in the member tree.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanMember {
     /// The clustering element.
@@ -115,9 +124,12 @@ pub(crate) struct MemberSlot {
     pub(crate) member: u32,
 }
 
-/// One skeleton view, addressed by layer/machine/index (and ordered that way).
+/// One skeleton view, addressed by layer/machine/index (and ordered that way). The
+/// address of a view in its plan and of its [`SlotState`] in a [`SolverStore`]; a
+/// structural splice may move the views behind a deleted one, so an address is good
+/// until the next [`SolvePlan::apply_repair`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct ViewSlot {
+pub struct ViewSlot {
     pub(crate) layer: u32,
     pub(crate) machine: u32,
     pub(crate) view: u32,
@@ -148,7 +160,7 @@ type ViewById = (
 
 impl MemberSlot {
     /// The view holding this member.
-    fn view_slot(self) -> ViewSlot {
+    pub(crate) fn view_slot(self) -> ViewSlot {
         ViewSlot {
             layer: self.layer,
             machine: self.machine,
@@ -158,6 +170,12 @@ impl MemberSlot {
 }
 
 impl ViewSlot {
+    /// The layer the view is processed at (1-based).
+    // mpc-cost: rounds(const)
+    pub fn layer(self) -> u32 {
+        self.layer
+    }
+
     /// The slot of member `member` of this view.
     fn member_slot(self, member: usize) -> MemberSlot {
         MemberSlot {
@@ -411,6 +429,44 @@ fn slots_by_key<S: Ord + Copy>(mut pairs: Vec<(NodeId, S)>) -> BTreeMap<NodeId, 
         .collect()
 }
 
+/// Drop the items whose old index `keep` rejects, the rest staying in order: the one
+/// compaction every spliced vector goes through — a member list or a `(layer, machine)`
+/// view bucket, and whatever is [`Aligned`] with it.
+fn compact<T>(items: &mut Vec<T>, keep: &[bool]) {
+    let mut old = 0;
+    items.retain(|_| {
+        old += 1;
+        keep[old - 1]
+    });
+}
+
+/// Vectors aligned slot for slot with a plan's skeletons — a [`SolverStore`]'s slot
+/// state; nothing, `()`, for a bare plan. [`SolvePlan::splice`] reports every
+/// compaction of the skeletons so that what is aligned is compacted the same way.
+pub(crate) trait Aligned {
+    /// The member list of the view at `at` went through [`compact`] with `keep`.
+    fn members_compacted(&mut self, at: ViewSlot, keep: &[bool]);
+    /// The view bucket `(layer, machine)` went through [`compact`] with `keep`.
+    fn views_compacted(&mut self, layer: u32, machine: u32, keep: &[bool]);
+}
+
+impl Aligned for () {
+    fn members_compacted(&mut self, _: ViewSlot, _: &[bool]) {}
+    fn views_compacted(&mut self, _: u32, _: u32, _: &[bool]) {}
+}
+
+impl<P: ClusterDp> Aligned for PlanState<P> {
+    fn members_compacted(&mut self, at: ViewSlot, keep: &[bool]) {
+        let slots = slots_at(self, at);
+        compact(&mut slots.payloads, keep);
+        compact(&mut slots.out_inputs, keep);
+    }
+
+    fn views_compacted(&mut self, layer: u32, machine: u32, keep: &[bool]) {
+        compact(&mut self[layer as usize - 1][machine as usize], keep);
+    }
+}
+
 impl SolvePlan {
     /// Split every machine's linked views into the per-layer skeleton layout and
     /// derive the routing indexes from it.
@@ -495,12 +551,35 @@ impl SolvePlan {
     }
 
     /// The skeleton view at `slot`.
-    fn view_at_mut(&mut self, slot: ViewSlot) -> &mut PlanView {
+    pub(crate) fn view_at(&self, slot: ViewSlot) -> &PlanView {
+        &self.layers[slot.layer as usize - 1][slot.machine as usize][slot.view as usize]
+    }
+
+    pub(crate) fn view_at_mut(&mut self, slot: ViewSlot) -> &mut PlanView {
         &mut self.layers[slot.layer as usize - 1][slot.machine as usize][slot.view as usize]
     }
 
-    /// Splice a structural repair into the cached skeletons and routing indexes: drop
-    /// the views of removed clusters, drop removed members (remapping
+    /// The address of `cluster`'s own view, through the routing indexes: the cluster's
+    /// member copy names its outgoing edge, and the view reads that edge's label as its
+    /// out-label. `None` when the plan holds no such cluster.
+    // mpc-cost: rounds(const)
+    pub fn view_slot_of(&self, cluster: ElementId) -> Option<ViewSlot> {
+        let out_child = if cluster == self.top_cluster {
+            self.root
+        } else {
+            let slot = self.payload_slot.get(&cluster)?;
+            let holder = self.view_at(slot.view_slot());
+            holder.members[slot.member as usize].element.out_edge.child
+        };
+        self.out_label_readers
+            .get(&out_child)?
+            .iter()
+            .copied()
+            .find(|at| self.view_at(*at).cluster == cluster)
+    }
+
+    /// Splice a structural repair into the skeletons and routing indexes: drop the
+    /// views of removed clusters, drop removed members (remapping
     /// parent/child/top/attach indexes), demote clusters whose incoming edge was cut,
     /// and append the new leaf members.
     ///
@@ -512,11 +591,28 @@ impl SolvePlan {
     /// re-addressed. The result equals a from-scratch re-index of the spliced
     /// skeletons, at a cost confined to the touched buckets.
     ///
+    /// This is the only splice there is: a prepared tree's cached plan goes through it
+    /// bare, an incremental solver's own plan through
+    /// [`SolverStore::apply_repair`], which carries the slot state along.
+    ///
     /// Host-side surgery on cached state — zero rounds; the caller (the incremental
     /// solver's `inc-struct` phase) meters the moved words. Panics if the repair does
     /// not match this plan's clustering (same-generation repair objects only).
     // mpc-cost: rounds(const)
     pub fn apply_repair(&mut self, repair: &tree_clustering::ClusteringRepair) {
+        self.splice(repair, &mut ());
+    }
+
+    /// [`apply_repair`](Self::apply_repair) with `carried` — vectors aligned slot for
+    /// slot with the skeletons — compacted by the same remaps. What a repair adds or
+    /// clears (a new leaf's member, a demoted view's in-edge) has no counterpart to
+    /// move: the owner of `carried` writes those itself, at the addresses the spliced
+    /// indexes give.
+    pub(crate) fn splice(
+        &mut self,
+        repair: &tree_clustering::ClusteringRepair,
+        carried: &mut impl Aligned,
+    ) {
         // Demotions first, while every slot still addresses the pre-repair layout. A
         // view reading a cut edge's label as its in-label is either removed or demoted;
         // the member copy of a demoted cluster sits in its parent's view.
@@ -548,7 +644,7 @@ impl SolvePlan {
                 .first()
                 .and_then(|m| self.payload_slot.get(m))
             {
-                self.remove_members(slot.view_slot(), &patch.removed_members);
+                self.remove_members(slot.view_slot(), &patch.removed_members, carried);
             }
         }
 
@@ -561,7 +657,7 @@ impl SolvePlan {
                 let holder = slot.view_slot();
                 if repair
                     .removed_elements
-                    .contains(&self.view_at_mut(holder).cluster)
+                    .contains(&self.view_at(holder).cluster)
                 {
                     doomed.insert(holder);
                 }
@@ -573,7 +669,7 @@ impl SolvePlan {
             self.out_label_readers.remove(child);
             self.in_label_readers.remove(child);
         }
-        self.remove_views(&doomed);
+        self.remove_views(&doomed, carried);
 
         // New leaves: appended to the absorbing cluster's view (the view holding the
         // link parent; a parent linked earlier in the batch is registered by then).
@@ -613,7 +709,12 @@ impl SolvePlan {
     /// the surviving members' slots along. The removed set is downward-closed in the
     /// member tree (a removed member's descendants are removed too), so every
     /// survivor's parent survives and the top member always survives.
-    fn remove_members(&mut self, at: ViewSlot, removed: &BTreeSet<ElementId>) {
+    fn remove_members(
+        &mut self,
+        at: ViewSlot,
+        removed: &BTreeSet<ElementId>,
+        carried: &mut impl Aligned,
+    ) {
         let view = &mut self.layers[at.layer as usize - 1][at.machine as usize][at.view as usize];
         let mut remap: Vec<Option<usize>> = Vec::with_capacity(view.members.len());
         let mut kept = 0usize;
@@ -638,56 +739,62 @@ impl SolvePlan {
             remap.push(Some(kept));
             kept += 1;
         }
-        let mut old = 0usize;
-        view.members.retain_mut(|m| {
-            let keep = remap[old].is_some();
-            old += 1;
-            if keep {
-                m.parent = m.parent.map(|p| {
-                    remap[p].expect(
-                        "parent of a surviving member survives (removal is downward-closed)",
-                    )
-                });
-                m.children.retain_mut(|c| match remap[*c] {
-                    Some(new) => {
-                        *c = new;
-                        true
-                    }
-                    None => false,
-                });
+        for (old, m) in view.members.iter_mut().enumerate() {
+            if remap[old].is_none() {
+                continue;
             }
-            keep
-        });
+            m.parent = m.parent.map(|p| {
+                remap[p]
+                    .expect("parent of a surviving member survives (removal is downward-closed)")
+            });
+            m.children.retain_mut(|c| match remap[*c] {
+                Some(new) => {
+                    *c = new;
+                    true
+                }
+                None => false,
+            });
+        }
+        let keep: Vec<bool> = remap.iter().map(Option::is_some).collect();
+        compact(&mut view.members, &keep);
         view.top = remap[view.top].expect("the top member never lies in the removed span");
         view.attach = view.attach.and_then(|a| remap[a]);
+        carried.members_compacted(at, &keep);
     }
 
     /// Delete the views at `doomed` (whose index entries are already gone) and
     /// re-address the views behind them in the same `(layer, machine)` bucket.
-    fn remove_views(&mut self, doomed: &BTreeSet<ViewSlot>) {
+    fn remove_views(&mut self, doomed: &BTreeSet<ViewSlot>, carried: &mut impl Aligned) {
         let mut rest = doomed.iter().copied().peekable();
+        let mut keep: Vec<bool> = Vec::new();
         while let Some(first) = rest.next() {
-            let bucket =
+            let mut bucket =
                 std::mem::take(&mut self.layers[first.layer as usize - 1][first.machine as usize]);
-            let mut next_doomed = Some(first.view);
-            let mut kept: Vec<PlanView> = Vec::with_capacity(bucket.len());
-            for (old, view) in bucket.into_iter().enumerate() {
-                if next_doomed == Some(old as u32) {
-                    next_doomed = rest
-                        .next_if(|s| (s.layer, s.machine) == (first.layer, first.machine))
-                        .map(|s| s.view);
+            keep.clear();
+            keep.resize(bucket.len(), true);
+            keep[first.view as usize] = false;
+            while let Some(next) =
+                rest.next_if(|s| (s.layer, s.machine) == (first.layer, first.machine))
+            {
+                keep[next.view as usize] = false;
+            }
+            let mut to = 0u32;
+            for (old, view) in bucket.iter().enumerate() {
+                if !keep[old] {
                     continue;
                 }
-                if kept.len() != old {
+                if to != old as u32 {
                     let from = ViewSlot {
                         view: old as u32,
                         ..first
                     };
-                    self.readdress_view(&view, from, kept.len() as u32);
+                    self.readdress_view(view, from, to);
                 }
-                kept.push(view);
+                to += 1;
             }
-            self.layers[first.layer as usize - 1][first.machine as usize] = kept;
+            compact(&mut bucket, &keep);
+            self.layers[first.layer as usize - 1][first.machine as usize] = bucket;
+            carried.views_compacted(first.layer, first.machine, &keep);
         }
     }
 
@@ -792,6 +899,18 @@ impl SolvePlan {
         self.num_layers
     }
 
+    /// The root node of the tree the plan was built for.
+    // mpc-cost: rounds(const)
+    pub fn root(&self) -> NodeId {
+        self.root
+    }
+
+    /// The id of the top cluster of the underlying clustering.
+    // mpc-cost: rounds(const)
+    pub fn top_cluster(&self) -> ElementId {
+        self.top_cluster
+    }
+
     /// Number of machines the plan was built for (its skeletons are placed on exactly
     /// this machine layout).
     // mpc-cost: rounds(const)
@@ -882,11 +1001,13 @@ impl SolvePlan {
         aux_input: P::NodeInput,
         edge_inputs: &DistVec<(NodeId, P::EdgeInput)>,
     ) -> DpSolution<P> {
-        self.solve_impl(ctx, problem, node_inputs, aux_input, edge_inputs, None)
+        self.evaluate(ctx, problem, node_inputs, aux_input, edge_inputs)
+            .0
     }
 
-    /// Like [`solve`](Self::solve), but additionally fill a [`SolverStore`] with the
-    /// per-cluster views, payloads, and labels of this solve — the store an
+    /// Like [`solve`](Self::solve), but keep what the pass built instead of dropping
+    /// it: the returned [`SolverStore`] owns a copy of this plan, the slot state the
+    /// pass filled over its skeletons, and the labels — what an
     /// [`IncrementalSolver`](../../tree_dp_incremental/struct.IncrementalSolver.html)
     /// needs for batched re-solves.
     // mpc-cost: rounds(layers)
@@ -898,15 +1019,14 @@ impl SolvePlan {
         aux_input: P::NodeInput,
         edge_inputs: &DistVec<(NodeId, P::EdgeInput)>,
     ) -> (DpSolution<P>, SolverStore<P>) {
-        let mut store = SolverStore::new(self.num_layers);
-        let solution = self.solve_impl(
-            ctx,
-            problem,
-            node_inputs,
-            aux_input,
-            edge_inputs,
-            Some(&mut store),
-        );
+        let (solution, state) = self.evaluate(ctx, problem, node_inputs, aux_input, edge_inputs);
+        let store = SolverStore {
+            plan: self.clone(),
+            state,
+            labels: solution.labels.iter().cloned().collect(),
+            root_label: solution.root_label.clone(),
+            root_summary: solution.root_summary.clone(),
+        };
         (solution, store)
     }
 
@@ -933,15 +1053,23 @@ impl SolvePlan {
             .collect()
     }
 
-    fn solve_impl<P: ClusterDp>(
+    /// One `init(skeleton)` per view, laid out like [`layers`](Self::layers).
+    fn per_view<T>(&self, init: impl Fn(&PlanView) -> T) -> Vec<Vec<Vec<T>>> {
+        let per_bucket = |views: &Vec<PlanView>| views.iter().map(&init).collect();
+        let per_layer = |layer: &Vec<Vec<PlanView>>| layer.iter().map(per_bucket).collect();
+        self.layers.iter().map(per_layer).collect()
+    }
+
+    /// One evaluation pass: the solution, and the slot state the pass filled (every
+    /// view's payloads and edge inputs, where the skeletons lie).
+    fn evaluate<P: ClusterDp>(
         &self,
         ctx: &mut MpcContext,
         problem: &P,
         node_inputs: &DistVec<(NodeId, P::NodeInput)>,
         aux_input: P::NodeInput,
         edge_inputs: &DistVec<(NodeId, P::EdgeInput)>,
-        mut store: Option<&mut SolverStore<P>>,
-    ) -> DpSolution<P> {
+    ) -> (DpSolution<P>, PlanState<P>) {
         assert_eq!(
             self.num_machines,
             ctx.config().num_machines(),
@@ -949,17 +1077,8 @@ impl SolvePlan {
         );
         ctx.phase("plan-solve", |ctx| {
             let machines = self.num_machines;
-            // Per-view working state, aligned with the skeleton layout.
-            let mut state: Vec<Vec<Vec<ViewState<P>>>> = self
-                .layers
-                .iter()
-                .map(|layer| {
-                    layer
-                        .iter()
-                        .map(|views| views.iter().map(ViewState::for_view).collect())
-                        .collect()
-                })
-                .collect();
+            // Per-view slots, aligned with the skeleton layout.
+            let mut state: PlanState<P> = self.per_view(SlotState::for_view);
 
             // ---- input scatter (1 round): every node/edge input travels straight to
             // its recorded slot; records already on the slot's machine are free.
@@ -968,21 +1087,17 @@ impl SolvePlan {
             });
 
             // ---- bottom-up (1 round per layer): summarize locally, forward each
-            // summary to its member slot in the absorbing cluster's view. The
-            // materialized views of every processed layer stay resident until the
-            // top-down pass consumes them, so the memory check tracks the
-            // *cumulative* per-machine words, not one layer at a time.
-            let mut materialized: Vec<Vec<Vec<ClusterView<P>>>> = Vec::new();
+            // summary to its member slot in the absorbing cluster's view. The views of
+            // every processed layer stay resident until the top-down pass has read
+            // them, so the memory check tracks the *cumulative* per-machine words, not
+            // one layer at a time.
             let mut resident = vec![0usize; machines];
             let mut root_summary: Option<P::Summary> = None;
             for layer in 1..=self.num_layers {
-                let li = (layer - 1) as usize;
-                if self.layers[li].iter().all(Vec::is_empty) {
-                    // mpc-lint: allow(alloc-hygiene) — once per skipped layer: O(machines) empty slots
-                    materialized.push(vec![Vec::new(); machines]);
+                if self.layers[layer as usize - 1].iter().all(Vec::is_empty) {
                     continue;
                 }
-                let views = ctx.phase("plan-up", |ctx| {
+                ctx.phase("plan-up", |ctx| {
                     self.summarize_plan_layer(
                         ctx,
                         layer,
@@ -990,16 +1105,16 @@ impl SolvePlan {
                         &mut state,
                         &mut resident,
                         &mut root_summary,
-                        store.as_deref_mut(),
                     )
                 });
-                materialized.push(views);
             }
             let root_summary = root_summary.expect("top cluster summarized");
 
             // ---- top-down (1 round per layer): label locally, forward each produced
             // label to the lower-layer views that read it.
             let root_label = problem.label_root(&root_summary);
+            let mut boundary: Vec<Vec<Vec<BoundaryLabels<P::Label>>>> =
+                self.per_view(|_| (None, None));
             let mut label_chunks: Vec<Vec<(NodeId, P::Label)>> =
                 (0..machines).map(|_| Vec::new()).collect();
             label_chunks[self.top_machine].push((self.root, root_label.clone()));
@@ -1011,19 +1126,18 @@ impl SolvePlan {
                     self.top_machine,
                     // The root label is conceptually produced above every layer.
                     self.num_layers + 1,
-                    &mut state,
+                    &mut boundary,
                 );
                 for layer in (1..=self.num_layers).rev() {
-                    let li = (layer - 1) as usize;
-                    if self.layers[li].iter().all(Vec::is_empty) {
+                    if self.layers[layer as usize - 1].iter().all(Vec::is_empty) {
                         continue;
                     }
                     self.label_plan_layer(
                         ctx,
                         layer,
                         problem,
-                        &materialized[li],
-                        &mut state,
+                        &state,
+                        &mut boundary,
                         &mut label_chunks,
                     );
                 }
@@ -1032,18 +1146,12 @@ impl SolvePlan {
             // mpc-lint: allow(metered-exchange) — label_chunks[i] was produced on machine i by the top-down pass
             let labels = DistVec::from_chunks(label_chunks);
             ctx.check_memory(&labels, "plan/labels");
-            if let Some(store) = store {
-                for (child, label) in labels.iter() {
-                    store.set_label(*child, label.clone());
-                }
-                store.set_payload(self.top_cluster, Payload::Summary(root_summary.clone()));
-                store.set_root(root_label.clone(), root_summary.clone());
-            }
-            DpSolution {
+            let solution = DpSolution {
                 labels,
                 root_label,
                 root_summary,
-            }
+            };
+            (solution, state)
         })
     }
 
@@ -1059,7 +1167,7 @@ impl SolvePlan {
         node_inputs: &DistVec<(NodeId, P::NodeInput)>,
         aux_input: &P::NodeInput,
         edge_inputs: &DistVec<(NodeId, P::EdgeInput)>,
-        state: &mut [Vec<Vec<ViewState<P>>>],
+        state: &mut PlanState<P>,
     ) {
         let machines = self.num_machines;
         let total_records = node_inputs.len() + edge_inputs.len() + self.aux_nodes.len();
@@ -1071,7 +1179,7 @@ impl SolvePlan {
         let place_payload = |src: usize,
                              node: NodeId,
                              input: &P::NodeInput,
-                             state: &mut [Vec<Vec<ViewState<P>>>],
+                             state: &mut PlanState<P>,
                              sends: &mut [usize],
                              recvs: &mut [usize]| {
             let Some(slot) = self.payload_slot.get(&node) else {
@@ -1131,115 +1239,99 @@ impl SolvePlan {
         ctx.record_comm(&sends, &recvs, "plan-inputs");
     }
 
-    /// One bottom-up step over the plan: materialize the layer's views from the
-    /// skeletons and filled slots, summarize them, and forward each summary to its
-    /// member slot — one round whose volume is exactly the moved summary records.
-    #[allow(clippy::too_many_arguments)]
+    /// One bottom-up step over the plan: summarize the layer's views — each its
+    /// skeleton paired with its filled slots — and forward each summary to its member
+    /// slot, one round whose volume is exactly the moved summary records.
     fn summarize_plan_layer<P: ClusterDp>(
         &self,
         ctx: &mut MpcContext,
         layer: u32,
         problem: &P,
-        state: &mut [Vec<Vec<ViewState<P>>>],
+        state: &mut PlanState<P>,
         resident: &mut [usize],
         root_summary: &mut Option<P::Summary>,
-        store: Option<&mut SolverStore<P>>,
-    ) -> Vec<Vec<ClusterView<P>>> {
+    ) {
         let li = (layer - 1) as usize;
         let machines = self.num_machines;
-        // Materialize every view of the layer (payload/input slots are consumed).
-        let chunks: Vec<Vec<ClusterView<P>>> = self.layers[li]
-            .iter()
-            .zip(state[li].iter_mut())
-            .map(|(skeletons, states)| {
-                skeletons
-                    .iter()
-                    .zip(states.iter_mut())
-                    .map(|(pv, st)| st.materialize(pv))
-                    .collect()
-            })
-            .collect();
-        // mpc-lint: allow(metered-exchange) — chunk i was materialized on machine i; reassembly is machine-local
-        let views = DistVec::from_chunks(chunks);
+        let views_of = |machine: usize| {
+            self.layers[li][machine]
+                .iter()
+                .zip(&state[li][machine])
+                .map(|(skeleton, slots)| ClusterView { skeleton, slots })
+        };
         // This layer's views join the resident set (released only after top-down).
-        for (machine, chunk) in views.chunks().iter().enumerate() {
-            resident[machine] += mpc_engine::words::slice_words(chunk);
+        for (machine, words) in resident.iter_mut().enumerate() {
+            *words += views_of(machine).map(|view| view.words()).sum::<usize>();
         }
         ctx.check_memory_words(resident, "plan/views");
-        if let Some(store) = store {
-            store.record_views(layer, &views);
-            // Every element is a member of exactly one view, and its slot value is
-            // final once that view materializes.
-            for view in views.iter() {
-                for member in &view.members {
-                    store.set_payload(member.element.id, member.payload.clone());
-                }
-            }
-        }
-        // Summarize machine by machine and deliver each summary to its slot.
+        // Summarize machine by machine, then deliver each summary to its slot (in a
+        // view of a higher layer).
+        let summaries: Vec<(usize, ElementId, P::Summary)> = (0..machines)
+            .flat_map(|src| {
+                views_of(src)
+                    .map(move |view| (src, view.skeleton.cluster, problem.summarize(&view)))
+            })
+            .collect();
         let mut sends = vec![0usize; machines];
         let mut recvs = vec![0usize; machines];
         let mut any_forwarded = false;
-        for (src, chunk) in views.chunks().iter().enumerate() {
-            for view in chunk {
-                let (cluster, summary) = (view.cluster, problem.summarize(view));
-                if cluster == self.top_cluster {
-                    *root_summary = Some(summary);
-                    continue;
-                }
-                any_forwarded = true;
-                let slot = self
-                    .payload_slot
-                    .get(&cluster)
-                    .expect("every non-top cluster is absorbed somewhere");
-                if slot.machine as usize != src {
-                    // The summary record `(cluster, Payload::Summary)` moves.
-                    let w = 2 + summary.words();
-                    sends[src] += w;
-                    recvs[slot.machine as usize] += w;
-                }
-                state[slot.layer as usize - 1][slot.machine as usize][slot.view as usize]
-                    .payloads[slot.member as usize] = Some(Payload::Summary(summary));
+        for (src, cluster, summary) in summaries {
+            if cluster == self.top_cluster {
+                *root_summary = Some(summary);
+                continue;
             }
+            any_forwarded = true;
+            let slot = self
+                .payload_slot
+                .get(&cluster)
+                .expect("every non-top cluster is absorbed somewhere");
+            if slot.machine as usize != src {
+                // The summary record `(cluster, Payload::Summary)` moves.
+                let w = 2 + summary.words();
+                sends[src] += w;
+                recvs[slot.machine as usize] += w;
+            }
+            state[slot.layer as usize - 1][slot.machine as usize][slot.view as usize].payloads
+                [slot.member as usize] = Some(Payload::Summary(summary));
         }
         if any_forwarded {
             ctx.charge_rounds(1);
             ctx.record_comm(&sends, &recvs, "plan-up");
         }
-        // mpc-lint: allow(metered-exchange) — hands each chunk back to the machine that owns it
-        views.into_chunks()
     }
 
     /// One top-down step over the plan: label the layer's views from their delivered
     /// boundary labels, then forward each produced label to its lower-layer readers —
     /// one round of exactly the moved label words.
-    #[allow(clippy::too_many_arguments)]
     fn label_plan_layer<P: ClusterDp>(
         &self,
         ctx: &mut MpcContext,
         layer: u32,
         problem: &P,
-        views: &[Vec<ClusterView<P>>],
-        state: &mut [Vec<Vec<ViewState<P>>>],
+        state: &PlanState<P>,
+        boundary: &mut [Vec<Vec<BoundaryLabels<P::Label>>>],
         label_chunks: &mut [Vec<(NodeId, P::Label)>],
     ) {
         let li = (layer - 1) as usize;
         let machines = self.num_machines;
-        let produced: Vec<Vec<(NodeId, P::Label)>> = views
-            .iter()
-            .zip(state[li].iter())
-            .map(|(machine_views, machine_states)| {
-                machine_views
+        let produced: Vec<Vec<(NodeId, P::Label)>> = (0..machines)
+            .map(|machine| {
+                self.layers[li][machine]
                     .iter()
-                    .zip(machine_states.iter())
-                    .flat_map(|(view, st)| {
-                        let out_label = st.out_label.as_ref().expect("boundary out-label present");
-                        let member_labels =
-                            problem.label_members(view, out_label, st.in_label.as_ref());
-                        view.members
+                    .zip(&state[li][machine])
+                    .zip(&boundary[li][machine])
+                    .flat_map(|((skeleton, slots), (out_label, in_label))| {
+                        let out_label = out_label.as_ref().expect("boundary out-label present");
+                        let member_labels = problem.label_members(
+                            &ClusterView { skeleton, slots },
+                            out_label,
+                            in_label.as_ref(),
+                        );
+                        skeleton
+                            .members
                             .iter()
                             .enumerate()
-                            .filter(|(i, _)| *i != view.top)
+                            .filter(|(i, _)| *i != skeleton.top)
                             .map(|(i, m)| (m.element.out_edge.child, member_labels[i].clone()))
                             .collect::<Vec<_>>()
                     })
@@ -1252,7 +1344,7 @@ impl SolvePlan {
         for (src, machine_labels) in produced.into_iter().enumerate() {
             for (key, label) in machine_labels {
                 any_delivered |=
-                    self.place_label(key, &label, src, layer, state, &mut sends, &mut recvs);
+                    self.place_label(key, &label, src, layer, boundary, &mut sends, &mut recvs);
                 label_chunks[src].push((key, label));
             }
         }
@@ -1264,14 +1356,14 @@ impl SolvePlan {
 
     /// Deliver one produced label to every reader strictly below `producer_layer`,
     /// charging one round if anything is (or could be) forwarded.
-    fn deliver_label<P: ClusterDp>(
+    fn deliver_label<L: Clone + Words>(
         &self,
         ctx: &mut MpcContext,
         key: NodeId,
-        label: &P::Label,
+        label: &L,
         src: usize,
         producer_layer: u32,
-        state: &mut [Vec<Vec<ViewState<P>>>],
+        boundary: &mut [Vec<Vec<BoundaryLabels<L>>>],
     ) {
         let machines = self.num_machines;
         let mut sends = vec![0usize; machines];
@@ -1281,7 +1373,7 @@ impl SolvePlan {
             label,
             src,
             producer_layer,
-            state,
+            boundary,
             &mut sends,
             &mut recvs,
         );
@@ -1295,13 +1387,13 @@ impl SolvePlan {
     /// moved words. Returns `true` when at least one reader received it (whether or
     /// not any words crossed machines — the forwarding round still happens).
     #[allow(clippy::too_many_arguments)]
-    fn place_label<P: ClusterDp>(
+    fn place_label<L: Clone + Words>(
         &self,
         key: NodeId,
-        label: &P::Label,
+        label: &L,
         src: usize,
         producer_layer: u32,
-        state: &mut [Vec<Vec<ViewState<P>>>],
+        boundary: &mut [Vec<Vec<BoundaryLabels<L>>>],
         sends: &mut [usize],
         recvs: &mut [usize],
     ) -> bool {
@@ -1317,12 +1409,12 @@ impl SolvePlan {
                 sends[src] += w;
                 recvs[vslot.machine as usize] += w;
             }
-            let cell =
-                &mut state[vslot.layer as usize - 1][vslot.machine as usize][vslot.view as usize];
+            let cell = &mut boundary[vslot.layer as usize - 1][vslot.machine as usize]
+                [vslot.view as usize];
             if as_out {
-                cell.out_label = Some(label.clone());
+                cell.0 = Some(label.clone());
             } else {
-                cell.in_label = Some(label.clone());
+                cell.1 = Some(label.clone());
             }
         };
         for vslot in self.out_label_readers.get(&key).into_iter().flatten() {
@@ -1335,71 +1427,21 @@ impl SolvePlan {
     }
 }
 
-/// The per-view working state of one evaluation pass: payload and edge-input slots to
-/// fill before summarization, and the boundary labels delivered before labeling.
-struct ViewState<P: ClusterDp> {
-    payloads: Vec<Option<Payload<P::NodeInput, P::Summary>>>,
-    out_inputs: Vec<Option<P::EdgeInput>>,
-    /// `Some` only when the view's in-edge exists in the edge list (`has_in_data`);
-    /// filled lazily at materialization, defaulting when the caller gave no input.
-    in_input: Option<P::EdgeInput>,
-    out_label: Option<P::Label>,
-    in_label: Option<P::Label>,
+/// The slot state of every view of a plan, aligned with [`SolvePlan::layers`]:
+/// `state[layer - 1][machine][view]`.
+pub(crate) type PlanState<P> = Vec<Vec<Vec<SlotState<P>>>>;
+
+/// The slots of the view at `at`.
+pub(crate) fn slots_at<P: ClusterDp>(state: &mut PlanState<P>, at: ViewSlot) -> &mut SlotState<P> {
+    &mut state[at.layer as usize - 1][at.machine as usize][at.view as usize]
 }
 
-impl<P: ClusterDp> ViewState<P> {
-    fn for_view(pv: &PlanView) -> Self {
-        Self {
-            payloads: (0..pv.members.len()).map(|_| None).collect(),
-            out_inputs: (0..pv.members.len()).map(|_| None).collect(),
-            in_input: None,
-            out_label: None,
-            in_label: None,
-        }
-    }
+/// The `(out-label, in-label)` delivered to one view before its top-down step.
+type BoundaryLabels<L> = (Option<L>, Option<L>);
 
-    /// Combine the skeleton with the filled slots into the [`ClusterView`] handed to
-    /// the problem (consumes the payload and edge-input slots).
-    fn materialize(&mut self, pv: &PlanView) -> ClusterView<P> {
-        let payloads = std::mem::take(&mut self.payloads);
-        let out_inputs = std::mem::take(&mut self.out_inputs);
-        let members: Vec<Member<P>> = pv
-            .members
-            .iter()
-            .zip(payloads)
-            .zip(out_inputs)
-            .map(|((pm, payload), out_input)| Member {
-                element: pm.element,
-                payload: payload.expect("every member has a payload (input or summary)"),
-                out_kind: pm.out_kind,
-                out_input: out_input.unwrap_or_default(),
-                parent: pm.parent,
-                children: pm.children.clone(),
-            })
-            .collect();
-        let in_input = if pv.has_in_data {
-            Some(self.in_input.take().unwrap_or_default())
-        } else {
-            None
-        };
-        ClusterView {
-            cluster: pv.cluster,
-            kind: pv.kind,
-            members,
-            top: pv.top,
-            out_edge: pv.out_edge,
-            in_edge: pv.in_edge,
-            attach: pv.attach,
-            in_kind: pv.in_kind,
-            in_input,
-        }
-    }
-}
-
-#[cfg(test)]
 impl SolvePlan {
-    /// Test oracle: this plan with every routing index cleared and re-derived from
-    /// the skeleton views by inserting slot after slot in `(layer, machine, view,
+    /// The audit oracle: this plan with every routing index cleared and re-derived
+    /// from the skeleton views by inserting slot after slot in `(layer, machine, view,
     /// member)` order. `edge_children` is the set of edge children of the
     /// degree-reduced edge list — what the hit bit of [`build_plan`]'s out-edge-kind
     /// probe says member by member.
@@ -1450,6 +1492,140 @@ impl SolvePlan {
             }
         }
         plan
+    }
+
+    /// Name the first routing index that differs from [`reindexed`](Self::reindexed):
+    /// the zero-round drift alarm for a plan that has been spliced in place.
+    pub(crate) fn audit_routing(&self, edge_children: &BTreeSet<NodeId>) -> Result<(), String> {
+        let fresh = self.reindexed(edge_children);
+        let drifted = if self.payload_slot != fresh.payload_slot {
+            "payload_slot"
+        } else if self.out_edge_slots != fresh.out_edge_slots {
+            "out_edge_slots"
+        } else if self.in_edge_slots != fresh.in_edge_slots {
+            "in_edge_slots"
+        } else if self.out_label_readers != fresh.out_label_readers {
+            "out_label_readers"
+        } else if self.in_label_readers != fresh.in_label_readers {
+            "in_label_readers"
+        } else {
+            return Ok(());
+        };
+        Err(format!(
+            "routing index {drifted} differs from a re-index of the skeleton views"
+        ))
+    }
+
+    /// Check that the plan is safe to evaluate and splice — what a decoder must know
+    /// before it hands out a plan read from bytes: the layer/machine layout has the
+    /// declared shape, every view's member tree is one tree rooted at its top member
+    /// (indexes in range, parent and child links mutual), every routing slot addresses
+    /// an existing view or member that carries the key it is filed under, every member
+    /// has its payload slot, summaries flow to a higher layer, and the top cluster's
+    /// view lies on `top_machine`. `Err` names the first defect. `O(n log n)`.
+    // mpc-cost: rounds(const)
+    pub fn validate(&self) -> Result<(), &'static str> {
+        if self.layers.len() != self.num_layers as usize
+            || self.num_machines == 0
+            || self.layers.iter().any(|l| l.len() != self.num_machines)
+        {
+            return Err("plan layer/machine layout");
+        }
+        if self.top_machine >= self.num_machines
+            || self.aux_nodes.iter().any(|&(_, m)| m >= self.num_machines)
+        {
+            return Err("plan machine index");
+        }
+        let view = |s: &ViewSlot| {
+            self.layers
+                .get((s.layer as usize).wrapping_sub(1))?
+                .get(s.machine as usize)?
+                .get(s.view as usize)
+        };
+        let member = |s: &MemberSlot| view(&s.view_slot())?.members.get(s.member as usize);
+
+        let mut members = 0usize;
+        let mut top_found = false;
+        for (li, layer) in self.layers.iter().enumerate() {
+            for (machine, views) in layer.iter().enumerate() {
+                for v in views {
+                    v.validate()?;
+                    members += v.members.len();
+                    if v.cluster == self.top_cluster {
+                        top_found |= machine == self.top_machine;
+                    } else {
+                        match self.payload_slot.get(&v.cluster) {
+                            Some(s) if s.layer as usize > li + 1 => {}
+                            _ => return Err("plan summary slot"),
+                        }
+                    }
+                }
+            }
+        }
+        if !top_found {
+            return Err("plan top cluster view");
+        }
+        if self.payload_slot.len() != members
+            || self
+                .payload_slot
+                .iter()
+                .any(|(id, s)| member(s).map(|m| m.element.id) != Some(*id))
+        {
+            return Err("plan payload slot");
+        }
+        // Every slot of a per-key list addresses a record carrying that key.
+        fn filed<S>(
+            index: &BTreeMap<NodeId, Vec<S>>,
+            key_at: impl Fn(&S) -> Option<NodeId>,
+        ) -> bool {
+            let mut lists = index.iter();
+            lists.all(|(key, slots)| slots.iter().all(|s| key_at(s) == Some(*key)))
+        }
+        let leaving = |s: &MemberSlot| member(s).map(|m| m.element.out_edge.child);
+        let out_child = |s: &ViewSlot| view(s).map(|v| v.out_edge.child);
+        let in_child = |s: &ViewSlot| view(s).and_then(|v| v.in_edge).map(|e| e.child);
+        if !filed(&self.out_edge_slots, leaving) {
+            return Err("plan out-edge slot");
+        }
+        if !filed(&self.in_edge_slots, in_child) || !filed(&self.in_label_readers, in_child) {
+            return Err("plan in-edge slot");
+        }
+        if !filed(&self.out_label_readers, out_child) {
+            return Err("plan out-label reader");
+        }
+        Ok(())
+    }
+}
+
+impl PlanView {
+    /// Check that the member tree is one tree rooted at `top`: `top`, `attach` and
+    /// every parent/child index in range, parent and child links mutual, and every
+    /// member reached exactly once from the top member.
+    fn validate(&self) -> Result<(), &'static str> {
+        let n = self.members.len();
+        if self.top >= n || self.attach.is_some_and(|a| a >= n) {
+            return Err("view top/attach index");
+        }
+        if self.members[self.top].parent.is_some() {
+            return Err("view top member has a parent");
+        }
+        let mut reached = vec![false; n];
+        let mut stack = vec![self.top];
+        while let Some(i) = stack.pop() {
+            if std::mem::replace(&mut reached[i], true) {
+                return Err("view member tree");
+            }
+            for &c in &self.members[i].children {
+                if self.members.get(c).map(|m| m.parent) != Some(Some(i)) {
+                    return Err("view parent/child link");
+                }
+                stack.push(c);
+            }
+        }
+        if reached.contains(&false) {
+            return Err("view member tree");
+        }
+        Ok(())
     }
 }
 

@@ -1,9 +1,10 @@
 //! The dynamic-programming problem abstraction (Definition 1 of the paper) and the
-//! per-cluster local view handed to problem implementations.
+//! per-cluster local view handed to problem implementations: a [`ClusterView`] borrows
+//! a skeleton of the solve plan ([`PlanView`], assembled on one machine once) and the
+//! [`SlotState`] a problem's payloads and edge inputs were routed into beside it.
 
+use crate::plan::PlanView;
 use mpc_engine::Words;
-use tree_clustering::{EdgeKind, Element, ElementId, ElementKind};
-use tree_repr::DirectedEdge;
 
 /// Per-element payload during the DP: the original input of a node, or the summary of
 /// an already-contracted cluster.
@@ -24,100 +25,95 @@ impl<I: Words, S: Words> Words for Payload<I, S> {
     }
 }
 
-/// One member of a cluster, as seen by [`ClusterDp::summarize`] /
-/// [`ClusterDp::label_members`]: the clustering element, its payload, its position in
-/// the member tree, and the data attached to its outgoing original edge.
-pub struct Member<P: ClusterDp + ?Sized> {
-    /// The clustering element (original node or contracted cluster).
-    pub element: Element,
-    /// The member's payload (input for nodes, summary for clusters).
-    pub payload: Payload<P::NodeInput, P::Summary>,
-    /// Kind of the member's outgoing original edge (original vs. auxiliary).
-    pub out_kind: EdgeKind,
-    /// Problem-specific data attached to the member's outgoing original edge
-    /// (e.g. an edge weight); keyed by the edge's child endpoint.
-    pub out_input: P::EdgeInput,
-    /// Index (into [`ClusterView::members`]) of this member's parent member, `None` for
-    /// the top member.
-    pub parent: Option<usize>,
-    /// Indices of this member's child members.
-    pub children: Vec<usize>,
-}
-
-/// The local view of one cluster, fully assembled inside a single machine
-/// (Figs. 2 and 3 of the paper).
-pub struct ClusterView<P: ClusterDp + ?Sized> {
-    /// The cluster's id.
-    pub cluster: ElementId,
-    /// The cluster's kind (indegree-0, indegree-1, or the top cluster).
-    pub kind: ElementKind,
-    /// The member elements forming a small tree.
-    pub members: Vec<Member<P>>,
-    /// Index of the top member (whose outgoing edge is the cluster's outgoing edge).
-    pub top: usize,
-    /// The cluster's outgoing original edge.
-    pub out_edge: DirectedEdge,
-    /// The cluster's incoming original edge (only for indegree-1 clusters).
-    pub in_edge: Option<DirectedEdge>,
-    /// Index of the member the incoming edge points into (the *attach* member).
-    pub attach: Option<usize>,
-    /// Kind of the incoming edge.
-    pub in_kind: EdgeKind,
-    /// Problem-specific data of the incoming edge (keyed by its external child
+/// The problem-dependent slots of one cluster view, aligned member for member with its
+/// [`PlanView`] skeleton: the payload and the out-edge input of every member, and the
+/// input of the cluster's incoming edge. A slot is `None` until a record reaches it; an
+/// edge input nobody supplied reads as `Default::default()`.
+pub struct SlotState<P: ClusterDp + ?Sized> {
+    /// Per member: its payload (input for nodes, summary for clusters).
+    pub payloads: Vec<Option<Payload<P::NodeInput, P::Summary>>>,
+    /// Per member: the problem data of its outgoing original edge (e.g. an edge
+    /// weight), keyed by the edge's child endpoint.
+    pub out_inputs: Vec<Option<P::EdgeInput>>,
+    /// The problem data of the cluster's incoming edge (keyed by its external child
     /// endpoint).
     pub in_input: Option<P::EdgeInput>,
 }
 
-impl<P: ClusterDp + ?Sized> Clone for Member<P> {
-    fn clone(&self) -> Self {
+impl<P: ClusterDp + ?Sized> SlotState<P> {
+    /// Empty slots for every member of `skeleton`.
+    pub(crate) fn for_view(skeleton: &PlanView) -> Self {
         Self {
-            element: self.element,
-            payload: self.payload.clone(),
-            out_kind: self.out_kind,
-            out_input: self.out_input.clone(),
-            parent: self.parent,
-            children: self.children.clone(),
+            payloads: skeleton.members.iter().map(|_| None).collect(),
+            out_inputs: skeleton.members.iter().map(|_| None).collect(),
+            in_input: None,
         }
     }
 }
 
-impl<P: ClusterDp + ?Sized> Clone for ClusterView<P> {
-    fn clone(&self) -> Self {
-        Self {
-            cluster: self.cluster,
-            kind: self.kind,
-            members: self.members.clone(),
-            top: self.top,
-            out_edge: self.out_edge,
-            in_edge: self.in_edge,
-            attach: self.attach,
-            in_kind: self.in_kind,
-            in_input: self.in_input.clone(),
-        }
-    }
+/// The local view of one cluster, fully assembled inside a single machine
+/// (Figs. 2 and 3 of the paper), as handed to [`ClusterDp::summarize`] /
+/// [`ClusterDp::label_members`]: the problem-independent skeleton the solve plan
+/// assembled once, paired with the slots this problem's records were routed into.
+/// Nothing is copied to form a view; every pass reads the same two records.
+pub struct ClusterView<'a, P: ClusterDp + ?Sized> {
+    /// The cluster's kind, boundary edges and member tree (member `i` of the view is
+    /// `skeleton.members[i]`).
+    pub skeleton: &'a PlanView,
+    /// The slots aligned with `skeleton.members`.
+    pub slots: &'a SlotState<P>,
 }
 
-impl<P: ClusterDp> Words for ClusterView<P> {
+impl<P: ClusterDp> Words for ClusterView<'_, P> {
     fn words(&self) -> usize {
+        let unset = P::EdgeInput::default().words();
         4 + self
+            .skeleton
             .members
             .iter()
-            .map(|m| {
-                m.element.words() + m.payload.words() + 2 + m.out_input.words() + m.children.len()
+            .zip(&self.slots.payloads)
+            .zip(&self.slots.out_inputs)
+            .map(|((m, payload), out_input)| {
+                m.element.words()
+                    + payload.as_ref().map_or(0, Words::words)
+                    + 2
+                    + out_input.as_ref().map_or(unset, Words::words)
+                    + m.children.len()
             })
             .sum::<usize>()
     }
 }
 
-impl<P: ClusterDp + ?Sized> ClusterView<P> {
+impl<'a, P: ClusterDp + ?Sized> ClusterView<'a, P> {
+    /// The payload of member `i` (input for nodes, summary for clusters).
+    pub fn payload(&self, i: usize) -> &'a Payload<P::NodeInput, P::Summary> {
+        self.slots.payloads[i]
+            .as_ref()
+            .expect("every member has a payload (input or summary)")
+    }
+
+    /// The problem data attached to member `i`'s outgoing original edge.
+    pub fn out_input(&self, i: usize) -> P::EdgeInput {
+        self.slots.out_inputs[i].clone().unwrap_or_default()
+    }
+
+    /// The problem data of the cluster's incoming edge; `None` unless that edge exists
+    /// in the degree-reduced edge list.
+    pub fn in_input(&self) -> Option<P::EdgeInput> {
+        self.skeleton
+            .has_in_data
+            .then(|| self.slots.in_input.clone().unwrap_or_default())
+    }
+
     /// Members in an order where every member appears after all of its children
     /// (bottom-up processing order).
     pub fn bottom_up_order(&self) -> Vec<usize> {
-        let mut order = Vec::with_capacity(self.members.len());
-        let mut stack = vec![self.top];
+        let members = &self.skeleton.members;
+        let mut order = Vec::with_capacity(members.len());
+        let mut stack = vec![self.skeleton.top];
         while let Some(i) = stack.pop() {
             order.push(i);
-            stack.extend(self.members[i].children.iter().copied());
+            stack.extend(members[i].children.iter().copied());
         }
         order.reverse();
         order
@@ -159,7 +155,7 @@ pub trait ClusterDp: 'static {
     type Label: Clone + Words + Send;
 
     /// Summarize a cluster from its members (bottom-up step, Fig. 2).
-    fn summarize(&self, view: &ClusterView<Self>) -> Self::Summary;
+    fn summarize(&self, view: &ClusterView<'_, Self>) -> Self::Summary;
 
     /// Label the virtual outgoing edge of the top cluster given its summary.
     fn label_root(&self, summary: &Self::Summary) -> Self::Label;
@@ -170,7 +166,7 @@ pub trait ClusterDp: 'static {
     /// already labeled).
     fn label_members(
         &self,
-        view: &ClusterView<Self>,
+        view: &ClusterView<'_, Self>,
         out_label: &Self::Label,
         in_label: Option<&Self::Label>,
     ) -> Vec<Self::Label>;
@@ -184,7 +180,9 @@ pub trait ClusterDp: 'static {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tree_clustering::VIRTUAL_NODE;
+    use crate::plan::PlanMember;
+    use tree_clustering::{EdgeKind, Element, ElementKind, VIRTUAL_NODE};
+    use tree_repr::DirectedEdge;
 
     /// A trivial problem used to exercise the view plumbing: count nodes in each subtree.
     struct CountNodes;
@@ -195,10 +193,9 @@ mod tests {
         type Summary = u64;
         type Label = u64;
 
-        fn summarize(&self, view: &ClusterView<Self>) -> u64 {
-            view.members
-                .iter()
-                .map(|m| match &m.payload {
+        fn summarize(&self, view: &ClusterView<'_, Self>) -> u64 {
+            (0..view.skeleton.members.len())
+                .map(|i| match view.payload(i) {
                     Payload::Input(_) => 1,
                     Payload::Summary(s) => *s,
                 })
@@ -209,13 +206,18 @@ mod tests {
             *summary
         }
 
-        fn label_members(&self, view: &ClusterView<Self>, _: &u64, _: Option<&u64>) -> Vec<u64> {
-            vec![0; view.members.len()]
+        fn label_members(
+            &self,
+            view: &ClusterView<'_, Self>,
+            _: &u64,
+            _: Option<&u64>,
+        ) -> Vec<u64> {
+            vec![0; view.skeleton.members.len()]
         }
     }
 
-    fn leaf_member(id: u64, parent: Option<usize>) -> Member<CountNodes> {
-        Member {
+    fn leaf_member(id: u64, parent: Option<usize>) -> PlanMember {
+        PlanMember {
             element: Element {
                 id,
                 kind: ElementKind::Node,
@@ -225,9 +227,7 @@ mod tests {
                 out_edge: DirectedEdge::new(id, id + 100),
                 in_edge: None,
             },
-            payload: Payload::Input(1),
             out_kind: EdgeKind::Original,
-            out_input: (),
             parent,
             children: Vec::new(),
         }
@@ -239,7 +239,7 @@ mod tests {
         top.children = vec![1, 2];
         let mut mid = leaf_member(1, Some(0));
         mid.children = vec![3];
-        let view: ClusterView<CountNodes> = ClusterView {
+        let skeleton = PlanView {
             cluster: 99,
             kind: ElementKind::TopCluster,
             members: vec![top, mid, leaf_member(2, Some(0)), leaf_member(3, Some(1))],
@@ -248,7 +248,13 @@ mod tests {
             in_edge: None,
             attach: None,
             in_kind: EdgeKind::Original,
-            in_input: None,
+            has_in_data: false,
+        };
+        let mut slots: SlotState<CountNodes> = SlotState::for_view(&skeleton);
+        slots.payloads.fill(Some(Payload::Input(1)));
+        let view = ClusterView {
+            skeleton: &skeleton,
+            slots: &slots,
         };
         let up = view.bottom_up_order();
         let pos: Vec<usize> = {
@@ -258,7 +264,7 @@ mod tests {
             }
             p
         };
-        for (i, m) in view.members.iter().enumerate() {
+        for (i, m) in skeleton.members.iter().enumerate() {
             for &c in &m.children {
                 assert!(pos[c] < pos[i]);
             }

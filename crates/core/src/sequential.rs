@@ -8,7 +8,8 @@
 //! why tests compare solution *values*, not raw label vectors, for optimization
 //! problems).
 
-use crate::problem::{ClusterDp, ClusterView, Member, Payload};
+use crate::plan::{PlanMember, PlanView};
+use crate::problem::{ClusterDp, ClusterView, Payload, SlotState};
 use std::collections::BTreeMap;
 use tree_clustering::{EdgeKind, Element, ElementKind, VIRTUAL_NODE};
 use tree_repr::{DirectedEdge, NodeId};
@@ -45,12 +46,19 @@ pub fn solve_sequential<P: ClusterDp>(
         nodes.iter().enumerate().map(|(i, &v)| (v, i)).collect();
     let parent_of: BTreeMap<NodeId, NodeId> = edges.iter().map(|e| (e.child, e.parent)).collect();
 
-    let mut members: Vec<Member<P>> = nodes
+    let mut slots: SlotState<P> = SlotState {
+        payloads: Vec::with_capacity(nodes.len()),
+        out_inputs: Vec::with_capacity(nodes.len()),
+        in_input: None,
+    };
+    let mut members: Vec<PlanMember> = nodes
         .iter()
         .map(|&v| {
             let parent = parent_of.get(&v).copied();
             let (kind, input) = edge_info(v);
-            Member {
+            slots.payloads.push(Some(Payload::Input(node_input(v))));
+            slots.out_inputs.push(Some(input));
+            PlanMember {
                 element: Element {
                     id: v,
                     kind: ElementKind::Node,
@@ -60,9 +68,7 @@ pub fn solve_sequential<P: ClusterDp>(
                     out_edge: DirectedEdge::new(v, parent.unwrap_or(VIRTUAL_NODE)),
                     in_edge: None,
                 },
-                payload: Payload::Input(node_input(v)),
                 out_kind: kind,
-                out_input: input,
                 parent: parent.map(|p| index_of[&p]),
                 children: Vec::new(),
             }
@@ -73,7 +79,7 @@ pub fn solve_sequential<P: ClusterDp>(
             members[p].children.push(i);
         }
     }
-    let view = ClusterView {
+    let skeleton = PlanView {
         cluster: VIRTUAL_NODE,
         kind: ElementKind::TopCluster,
         members,
@@ -82,15 +88,19 @@ pub fn solve_sequential<P: ClusterDp>(
         in_edge: None,
         attach: None,
         in_kind: EdgeKind::Original,
-        in_input: None,
+        has_in_data: false,
+    };
+    let view = ClusterView {
+        skeleton: &skeleton,
+        slots: &slots,
     };
 
     let root_summary = problem.summarize(&view);
     let root_label = problem.label_root(&root_summary);
     let member_labels = problem.label_members(&view, &root_label, None);
     let mut labels: BTreeMap<NodeId, P::Label> = BTreeMap::new();
-    for (i, m) in view.members.iter().enumerate() {
-        if i == view.top {
+    for (i, m) in skeleton.members.iter().enumerate() {
+        if i == skeleton.top {
             labels.insert(m.element.id, root_label.clone());
         } else {
             labels.insert(m.element.id, member_labels[i].clone());

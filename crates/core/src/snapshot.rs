@@ -24,7 +24,11 @@
 //!
 //! Decoding is total: corrupted headers, truncated payloads, unknown versions, wrong
 //! kinds, and checksum mismatches all surface as [`SnapshotError`] values — never
-//! panics (the repo's panic-policy lint applies to this module like any other).
+//! panics (the repo's panic-policy lint applies to this module like any other). A
+//! checksum only vouches for the bytes, so a decoded [`SolvePlan`] is also checked
+//! for what the evaluation pass indexes by ([`SolvePlan::validate`]) and a decoded
+//! [`SolverStore`] for slot state that matches its plan: a re-sealed payload with one
+//! index out of place is [`SnapshotError::Malformed`], not a panic on the next solve.
 //!
 //! The codec is versioned through [`SNAPSHOT_VERSION`]: a reader refuses payloads
 //! written by a future version instead of misinterpreting them. Downstream users (the
@@ -33,7 +37,7 @@
 
 use crate::pipeline::PreparedTree;
 use crate::plan::{MemberSlot, PlanMember, PlanView, SolvePlan, ViewSlot};
-use crate::problem::{ClusterDp, ClusterView, Member, Payload};
+use crate::problem::{ClusterDp, Payload, SlotState};
 use crate::state_dp::StateSummary;
 use crate::store::SolverStore;
 use mpc_engine::{DistVec, MpcConfig};
@@ -52,8 +56,9 @@ pub const SNAPSHOT_VERSION: u32 = 1;
 pub const KIND_PREPARED_TREE: u32 = 1;
 /// Payload kind: a bare [`SolvePlan`].
 pub const KIND_PLAN: u32 = 2;
-/// Payload kind: a [`SolverStore`].
-pub const KIND_STORE: u32 = 3;
+/// Payload kind: a [`SolverStore`]. Bumped 3 → 4 when the store became a plan plus
+/// slot state (kind 3 held a cloned view per cluster and a payload map).
+pub const KIND_STORE: u32 = 4;
 
 /// Why a snapshot failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -750,7 +755,7 @@ impl Snapshot for SolvePlan {
         self.in_label_readers.encode(w);
     }
     fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(SolvePlan {
+        let plan = SolvePlan {
             num_layers: r.take_u32()?,
             num_machines: r.take_usize()?,
             root: r.take_u64()?,
@@ -763,7 +768,11 @@ impl Snapshot for SolvePlan {
             in_edge_slots: BTreeMap::decode(r)?,
             out_label_readers: BTreeMap::decode(r)?,
             in_label_readers: BTreeMap::decode(r)?,
-        })
+        };
+        // Every index the evaluation pass and the splice follow is checked here, once,
+        // for everything that carries a plan (tree, store, tenant).
+        plan.validate().map_err(SnapshotError::Malformed)?;
+        Ok(plan)
     }
 }
 
@@ -789,6 +798,17 @@ impl Snapshot for PreparedTree {
         let plan_value: Option<SolvePlan> = Option::decode(r)?;
         let plan = OnceCell::new();
         if let Some(p) = plan_value {
+            if (p.root, p.top_cluster, p.num_layers)
+                != (
+                    clustering.root,
+                    clustering.top_cluster,
+                    clustering.num_layers,
+                )
+            {
+                return Err(SnapshotError::Malformed(
+                    "cached plan of another clustering",
+                ));
+            }
             // A freshly created cell accepts exactly one value; ignore the Ok(()).
             let _ = plan.set(p);
         }
@@ -843,59 +863,21 @@ impl<I: Snapshot, S: Snapshot> Snapshot for Payload<I, S> {
     }
 }
 
-impl<P: ClusterDp> Snapshot for Member<P>
+impl<P: ClusterDp> Snapshot for SlotState<P>
 where
     P::NodeInput: Snapshot,
     P::EdgeInput: Snapshot,
     P::Summary: Snapshot,
 {
     fn encode(&self, w: &mut SnapshotWriter) {
-        self.element.encode(w);
-        self.payload.encode(w);
-        self.out_kind.encode(w);
-        self.out_input.encode(w);
-        self.parent.encode(w);
-        self.children.encode(w);
-    }
-    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Member {
-            element: Element::decode(r)?,
-            payload: Payload::decode(r)?,
-            out_kind: EdgeKind::decode(r)?,
-            out_input: P::EdgeInput::decode(r)?,
-            parent: Option::decode(r)?,
-            children: Vec::decode(r)?,
-        })
-    }
-}
-
-impl<P: ClusterDp> Snapshot for ClusterView<P>
-where
-    P::NodeInput: Snapshot,
-    P::EdgeInput: Snapshot,
-    P::Summary: Snapshot,
-{
-    fn encode(&self, w: &mut SnapshotWriter) {
-        w.put_u64(self.cluster);
-        self.kind.encode(w);
-        self.members.encode(w);
-        w.put_usize(self.top);
-        self.out_edge.encode(w);
-        self.in_edge.encode(w);
-        self.attach.encode(w);
-        self.in_kind.encode(w);
+        self.payloads.encode(w);
+        self.out_inputs.encode(w);
         self.in_input.encode(w);
     }
     fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(ClusterView {
-            cluster: r.take_u64()?,
-            kind: ElementKind::decode(r)?,
-            members: Vec::decode(r)?,
-            top: r.take_usize()?,
-            out_edge: DirectedEdge::decode(r)?,
-            in_edge: Option::decode(r)?,
-            attach: Option::decode(r)?,
-            in_kind: EdgeKind::decode(r)?,
+        Ok(SlotState {
+            payloads: Vec::decode(r)?,
+            out_inputs: Vec::decode(r)?,
             in_input: Option::decode(r)?,
         })
     }
@@ -909,28 +891,24 @@ where
     P::Label: Snapshot,
 {
     fn encode(&self, w: &mut SnapshotWriter) {
-        w.put_u32(self.num_layers);
-        self.payloads.encode(w);
-        self.views.encode(w);
+        self.plan.encode(w);
+        self.state.encode(w);
         self.labels.encode(w);
         self.root_label.encode(w);
         self.root_summary.encode(w);
     }
     fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let num_layers = r.take_u32()?;
-        let payloads = BTreeMap::decode(r)?;
-        let views: Vec<BTreeMap<_, _>> = Vec::decode(r)?;
-        if views.len() != num_layers as usize {
-            return Err(SnapshotError::Malformed("view layer count"));
-        }
-        Ok(SolverStore {
-            num_layers,
-            payloads,
-            views,
+        let store = SolverStore {
+            plan: SolvePlan::decode(r)?,
+            state: Vec::decode(r)?,
             labels: BTreeMap::decode(r)?,
-            root_label: Option::decode(r)?,
-            root_summary: Option::decode(r)?,
-        })
+            root_label: P::Label::decode(r)?,
+            root_summary: P::Summary::decode(r)?,
+        };
+        match store.state_mismatch() {
+            Some(what) => Err(SnapshotError::Malformed(what)),
+            None => Ok(store),
+        }
     }
 }
 

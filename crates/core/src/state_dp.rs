@@ -177,11 +177,10 @@ struct MemberTables {
 }
 
 impl<P: StateDp> StateEngine<P> {
-    fn base_table(&self, view: &ClusterView<Self>, idx: usize) -> (Table, bool) {
+    fn base_table(&self, view: &ClusterView<'_, Self>, idx: usize) -> (Table, bool) {
         let s = self.problem.num_states();
-        let member = &view.members[idx];
-        let is_attach = view.attach == Some(idx);
-        match &member.payload {
+        let is_attach = view.skeleton.attach == Some(idx);
+        match view.payload(idx) {
             Payload::Input(input) => {
                 // Original node: 1-dimensional; the attach lifting (tying the external
                 // dimension to the node's own final state) happens after its children
@@ -304,18 +303,19 @@ impl<P: StateDp> StateEngine<P> {
     }
 
     /// Bottom-up local DP over the members of a view, keeping backtracking snapshots.
-    fn run_local(&self, view: &ClusterView<Self>) -> Vec<MemberTables> {
+    fn run_local(&self, view: &ClusterView<'_, Self>) -> Vec<MemberTables> {
         let s = self.problem.num_states();
-        let n = view.members.len();
+        let members = &view.skeleton.members;
+        let n = members.len();
         let mut tables: Vec<Option<MemberTables>> = (0..n).map(|_| None).collect();
         for idx in view.bottom_up_order() {
             let (base, private_attach) = self.base_table(view, idx);
             let mut current = base;
             let mut steps = Vec::new();
-            for &c in &view.members[idx].children {
+            for &c in &members[idx].children {
                 let child_final = tables[c].as_ref().expect("children processed first");
-                let kind = view.members[c].out_kind;
-                let input = view.members[c].out_input.clone();
+                let kind = members[c].out_kind;
+                let input = view.out_input(c);
                 let provider = is_in_edge_provider(view, idx, c);
                 steps.push((c, current.clone()));
                 current = self.merge(
@@ -330,7 +330,7 @@ impl<P: StateDp> StateEngine<P> {
             // dimension to the node's own final state.
             let pre_lift = current.clone();
             let is_attach_node =
-                view.attach == Some(idx) && matches!(view.members[idx].payload, Payload::Input(_));
+                view.skeleton.attach == Some(idx) && matches!(view.payload(idx), Payload::Input(_));
             if is_attach_node {
                 let mut lifted = Table::new(s, s);
                 for st in 0..s {
@@ -357,11 +357,12 @@ impl<P: StateDp> StateEngine<P> {
 /// `true` when member `child` provides the incoming edge of (indegree-1 cluster) member
 /// `parent` within the view.
 fn is_in_edge_provider<P: StateDp>(
-    view: &ClusterView<StateEngine<P>>,
+    view: &ClusterView<'_, StateEngine<P>>,
     parent: usize,
     child: usize,
 ) -> bool {
-    view.members[parent].element.in_edge == Some(view.members[child].element.out_edge)
+    let members = &view.skeleton.members;
+    members[parent].element.in_edge == Some(members[child].element.out_edge)
 }
 
 impl<P: StateDp> ClusterDp for StateEngine<P> {
@@ -370,11 +371,12 @@ impl<P: StateDp> ClusterDp for StateEngine<P> {
     type Summary = StateSummary;
     type Label = usize;
 
-    fn summarize(&self, view: &ClusterView<Self>) -> StateSummary {
+    fn summarize(&self, view: &ClusterView<'_, Self>) -> StateSummary {
         let s = self.problem.num_states();
         let tables = self.run_local(view);
-        let top = &tables[view.top].final_table;
-        let has_attach = view.attach.is_some() && view.kind == ElementKind::ClusterIndeg1;
+        let skeleton = view.skeleton;
+        let top = &tables[skeleton.top].final_table;
+        let has_attach = skeleton.attach.is_some() && skeleton.kind == ElementKind::ClusterIndeg1;
         let ext = if has_attach { s } else { 1 };
         let mut values = vec![None; s * ext];
         for st in 0..s {
@@ -405,31 +407,32 @@ impl<P: StateDp> ClusterDp for StateEngine<P> {
 
     fn label_members(
         &self,
-        view: &ClusterView<Self>,
+        view: &ClusterView<'_, Self>,
         out_label: &usize,
         in_label: Option<&usize>,
     ) -> Vec<usize> {
         let s = self.problem.num_states();
         let tables = self.run_local(view);
-        let n = view.members.len();
+        let skeleton = view.skeleton;
+        let n = skeleton.members.len();
         let mut chosen_state = vec![usize::MAX; n];
         let mut chosen_ext = vec![0usize; n];
 
         // Fix the top member: its interface state is the label of the cluster's outgoing
         // edge; the external (attach) dimension is re-derived from the incoming edge's
         // label, reproducing the choice the parent layer's merge implied.
-        chosen_state[view.top] = *out_label;
-        let top_table = &tables[view.top].final_table;
+        chosen_state[skeleton.top] = *out_label;
+        let top_table = &tables[skeleton.top].final_table;
         if top_table.ext > 1 {
             let ext_child_state = in_label.copied().unwrap_or(0);
-            let in_input = view.in_input.clone().unwrap_or_default();
+            let in_input = view.in_input().unwrap_or_default();
             let mut best: Option<(Score, usize)> = None;
             for e in 0..top_table.ext {
                 let Some(v) = top_table.get(*out_label, e) else {
                     continue;
                 };
                 let Some(score) =
-                    self.absorb_into_attach(e, view.in_kind, &in_input, ext_child_state)
+                    self.absorb_into_attach(e, skeleton.in_kind, &in_input, ext_child_state)
                 else {
                     continue;
                 };
@@ -438,7 +441,7 @@ impl<P: StateDp> ClusterDp for StateEngine<P> {
                     best = Some((total, e));
                 }
             }
-            chosen_ext[view.top] = best.map(|(_, e)| e).unwrap_or(0);
+            chosen_ext[skeleton.top] = best.map(|(_, e)| e).unwrap_or(0);
         }
 
         // Walk top-down, re-deriving each member's children's states by replaying the
@@ -453,8 +456,8 @@ impl<P: StateDp> ClusterDp for StateEngine<P> {
             let mut current_table = &mt.pre_lift;
             for (child_idx, before) in mt.steps.iter().rev() {
                 let child_table = &tables[*child_idx].final_table;
-                let kind = view.members[*child_idx].out_kind;
-                let input = view.members[*child_idx].out_input.clone();
+                let kind = skeleton.members[*child_idx].out_kind;
+                let input = view.out_input(*child_idx);
                 let into_private = mt.private_attach && is_in_edge_provider(view, idx, *child_idx);
                 let te = target_ext.min(current_table.ext - 1);
                 let target_value = current_table

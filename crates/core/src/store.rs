@@ -1,103 +1,132 @@
-//! The per-cluster record store: everything a solve leaves behind so that later
-//! solves on the same clustering can reuse it.
+//! The solver store: what one evaluation pass builds, kept instead of dropped so that
+//! later solves on the same clustering can reuse it.
 //!
-//! The paper's headline structural message (Section 1.4) is that the hierarchical
-//! clustering is computed once and each DP problem then costs only `O(1)` extra rounds.
-//! [`SolverStore`] pushes that reuse one step further: it retains, per cluster, the
-//! assembled [`ClusterView`] (members, their payloads, and the boundary-edge data)
-//! together with the final per-element payloads and per-edge labels of the last solve.
-//! A workload that changes a few inputs can then re-run the bottom-up summarization
-//! only along the dirty root-paths and re-label only the affected top-down frontier —
-//! this is what `tree-dp-incremental` builds on top of this store.
+//! The paper's structural message (Section 1.4, Figs. 2–3) is that a cluster's local
+//! view is assembled on one machine once and every pass reuses it. [`SolverStore`]
+//! pushes that reuse one step further. It holds
 //!
-//! All contents are plain `(id, record)` pairs (element id → payload, cluster id →
-//! view, edge child → label), i.e. exactly the distributed records the machines hold
-//! at the end of a solve; the store is the host-side record-keeping of that layout and
-//! can be exported/rebuilt record by record (see [`SolverStore::export_labels`]).
+//! * a [`SolvePlan`] — the same type, spliced by the same code, as the plan a
+//!   [`PreparedTree`](crate::PreparedTree) caches; the store owns its own value
+//!   because a cache may evict the tree's plan while the store keeps serving updates,
+//! * the [`SlotState`](crate::SlotState) of every view, aligned slot for slot with that
+//!   plan's skeletons (`state[layer - 1][machine][view]`): the payloads and edge inputs
+//!   [`SolvePlan::solve`] routes into place and then drops, and
+//! * the per-edge labels and the root label/summary of the last solve.
+//!
+//! A view is never copied out of these ([`view`](SolverStore::view) borrows a skeleton
+//! and its slots). `tree-dp-incremental` writes changed inputs into their slots through
+//! the plan's routing indexes and re-processes only the dirty views; a structural repair
+//! is [`SolvePlan::apply_repair`]'s splice run on the store's plan with the slot state
+//! carried along by the same compactions ([`apply_repair`](SolverStore::apply_repair)).
 
-use crate::plan::DpSolution;
+use crate::plan::{slots_at, DpSolution, PlanState, SolvePlan, ViewSlot};
 use crate::problem::{ClusterDp, ClusterView, Payload};
-use mpc_engine::{DistVec, MpcContext};
-use std::collections::BTreeMap;
-use tree_clustering::ElementId;
-use tree_repr::NodeId;
+use mpc_engine::{MpcContext, Words};
+use std::collections::{BTreeMap, BTreeSet};
+use tree_clustering::{ClusteringRepair, EdgeKind, ElementId};
+use tree_repr::{DirectedEdge, NodeId};
 
-/// Per-cluster records retained by a solve: cached views per layer, final payloads,
-/// and final labels (see the module docs).
+/// A plan, the slot state of one problem over it, and that problem's labels (see the
+/// module docs). Produced by [`SolvePlan::solve_with_store`] or decoded from a
+/// snapshot; the slot state always matches the plan's skeletons member for member.
 pub struct SolverStore<P: ClusterDp> {
-    pub(crate) num_layers: u32,
-    /// Final payload of every element: `Input` for nodes, `Summary` for clusters.
-    pub(crate) payloads: BTreeMap<ElementId, Payload<P::NodeInput, P::Summary>>,
-    /// Cached cluster views, indexed by the layer they are processed at (`layer - 1`)
-    /// and keyed by cluster id.
-    pub(crate) views: Vec<BTreeMap<ElementId, ClusterView<P>>>,
+    pub(crate) plan: SolvePlan,
+    pub(crate) state: PlanState<P>,
     /// One label per edge, keyed by the edge's child endpoint (the virtual root edge
     /// under the root's node id).
     pub(crate) labels: BTreeMap<NodeId, P::Label>,
-    pub(crate) root_label: Option<P::Label>,
-    pub(crate) root_summary: Option<P::Summary>,
+    pub(crate) root_label: P::Label,
+    pub(crate) root_summary: P::Summary,
 }
 
 impl<P: ClusterDp> SolverStore<P> {
-    /// An empty store for a clustering with `num_layers` layers.
-    pub fn new(num_layers: u32) -> Self {
-        Self {
-            num_layers,
-            payloads: BTreeMap::new(),
-            views: (0..num_layers).map(|_| BTreeMap::new()).collect(),
-            labels: BTreeMap::new(),
-            root_label: None,
-            root_summary: None,
-        }
+    /// The plan the slot state is aligned with.
+    pub fn plan(&self) -> &SolvePlan {
+        &self.plan
     }
 
     /// Number of layers of the underlying clustering.
     pub fn num_layers(&self) -> u32 {
-        self.num_layers
+        self.plan.num_layers
     }
 
-    // ----- recording (called by the solver) ----------------------------------------
-
-    /// Retain the views processed at `layer` (1-based).
-    pub fn record_views(&mut self, layer: u32, views: &DistVec<ClusterView<P>>) {
-        let slot = &mut self.views[(layer - 1) as usize];
-        for view in views.iter() {
-            slot.insert(view.cluster, view.clone());
+    /// The view at `at`: its skeleton paired with its slots.
+    pub fn view(&self, at: ViewSlot) -> ClusterView<'_, P> {
+        ClusterView {
+            skeleton: self.plan.view_at(at),
+            slots: &self.state[at.layer as usize - 1][at.machine as usize][at.view as usize],
         }
     }
 
-    /// Retain the root label and root summary.
-    pub fn set_root(&mut self, label: P::Label, summary: P::Summary) {
-        self.root_label = Some(label);
-        self.root_summary = Some(summary);
+    /// Every view, layer by layer.
+    pub fn views(&self) -> impl Iterator<Item = ClusterView<'_, P>> {
+        let skeletons = self.plan.layers.iter().flatten().flatten();
+        skeletons
+            .zip(self.state.iter().flatten().flatten())
+            .map(|(skeleton, slots)| ClusterView { skeleton, slots })
     }
 
-    // ----- accessors / mutators (used by the incremental path) ---------------------
+    // ----- slot writes (the incremental path) ---------------------------------------
 
-    /// The cached view of `cluster`, if any view was retained for it.
-    pub fn view(&self, layer: u32, cluster: ElementId) -> Option<&ClusterView<P>> {
-        self.views.get((layer - 1) as usize)?.get(&cluster)
+    /// Write `input` into the payload slot of `node`; the view holding the slot, or
+    /// `None` when the plan routes no such element.
+    pub fn set_node_input(&mut self, node: NodeId, input: P::NodeInput) -> Option<ViewSlot> {
+        let slot = *self.plan.payload_slot.get(&node)?;
+        let at = slot.view_slot();
+        slots_at(&mut self.state, at).payloads[slot.member as usize] = Some(Payload::Input(input));
+        Some(at)
     }
 
-    /// Mutable access to the cached view of `cluster` at `layer`.
-    pub fn view_mut(&mut self, layer: u32, cluster: ElementId) -> Option<&mut ClusterView<P>> {
-        self.views.get_mut((layer - 1) as usize)?.get_mut(&cluster)
+    /// Write `input` into every slot carrying the input of the edge whose child
+    /// endpoint is `child` (the member slot of the element leaving by it, the in-edge
+    /// slot of the view it enters); the views written to.
+    pub fn set_edge_input(&mut self, child: NodeId, input: &P::EdgeInput) -> Vec<ViewSlot> {
+        let out_slots = self.plan.out_edge_slots.get(&child).into_iter().flatten();
+        let in_slots = self.plan.in_edge_slots.get(&child).into_iter().flatten();
+        let mut touched = Vec::new();
+        for slot in out_slots {
+            slots_at(&mut self.state, slot.view_slot()).out_inputs[slot.member as usize] =
+                Some(input.clone());
+            touched.push(slot.view_slot());
+        }
+        for at in in_slots {
+            slots_at(&mut self.state, *at).in_input = Some(input.clone());
+            touched.push(*at);
+        }
+        touched
     }
 
-    /// All cached views processed at `layer` (1-based), keyed by cluster id.
-    pub fn views_at(&self, layer: u32) -> impl Iterator<Item = (&ElementId, &ClusterView<P>)> {
-        self.views[(layer - 1) as usize].iter()
+    /// The current summary of `cluster`: the root summary for the top cluster, else
+    /// what the cluster's member slot in the absorbing view holds.
+    pub fn summary(&self, cluster: ElementId) -> Option<&P::Summary> {
+        if cluster == self.plan.top_cluster {
+            return Some(&self.root_summary);
+        }
+        let slot = self.plan.payload_slot.get(&cluster)?;
+        let at = slot.view_slot();
+        match &self.state[at.layer as usize - 1][at.machine as usize][at.view as usize].payloads
+            [slot.member as usize]
+        {
+            Some(Payload::Summary(summary)) => Some(summary),
+            _ => None,
+        }
     }
 
-    /// The final payload of `element`.
-    pub fn payload(&self, element: ElementId) -> Option<&Payload<P::NodeInput, P::Summary>> {
-        self.payloads.get(&element)
+    /// Overwrite the summary of `cluster`: the absorbing view whose member slot took
+    /// it, or `None` for the top cluster, whose summary is the root summary.
+    pub fn set_summary(&mut self, cluster: ElementId, summary: P::Summary) -> Option<ViewSlot> {
+        if cluster == self.plan.top_cluster {
+            self.root_summary = summary;
+            return None;
+        }
+        let slot = *self.plan.payload_slot.get(&cluster)?;
+        let at = slot.view_slot();
+        slots_at(&mut self.state, at).payloads[slot.member as usize] =
+            Some(Payload::Summary(summary));
+        Some(at)
     }
 
-    /// Overwrite the payload of `element`.
-    pub fn set_payload(&mut self, element: ElementId, payload: Payload<P::NodeInput, P::Summary>) {
-        self.payloads.insert(element, payload);
-    }
+    // ----- labels -------------------------------------------------------------------
 
     /// The label of the edge whose child endpoint is `child`.
     pub fn label(&self, child: NodeId) -> Option<&P::Label> {
@@ -114,59 +143,126 @@ impl<P: ClusterDp> SolverStore<P> {
         &self.labels
     }
 
-    /// The label of the virtual root edge (present after the initial solve).
+    /// The views that read the label of the edge whose child endpoint is `child` as a
+    /// boundary label (out-label or in-label) in their top-down step.
+    pub fn label_readers(&self, child: NodeId) -> impl Iterator<Item = ViewSlot> + '_ {
+        let out = self.plan.out_label_readers.get(&child);
+        let into = self.plan.in_label_readers.get(&child);
+        out.into_iter().chain(into).flatten().copied()
+    }
+
+    /// The label of the virtual root edge.
     pub fn root_label(&self) -> &P::Label {
-        self.root_label.as_ref().expect("store holds a solve")
+        &self.root_label
     }
 
-    /// Overwrite the root label.
+    /// Overwrite the root label (also filed under the root's node id).
     pub fn set_root_label(&mut self, label: P::Label) {
-        self.root_label = Some(label);
+        self.labels.insert(self.plan.root, label.clone());
+        self.root_label = label;
     }
 
-    /// The summary of the top cluster (present after the initial solve).
+    /// The summary of the top cluster.
     pub fn root_summary(&self) -> &P::Summary {
-        self.root_summary.as_ref().expect("store holds a solve")
+        &self.root_summary
     }
 
-    /// Overwrite the root summary.
-    pub fn set_root_summary(&mut self, summary: P::Summary) {
-        self.root_summary = Some(summary);
+    // ----- structural splicing (batched link/cut repair) ----------------------------
+
+    /// Splice a structural repair into the store: [`SolvePlan::apply_repair`]'s splice
+    /// on the store's plan, the slot state moved along by the same compactions, the
+    /// labels of removed edges dropped. `leaf_inputs` holds the node and edge input of
+    /// every leaf the repair adds. Zero rounds (the caller meters the spliced words).
+    // mpc-cost: rounds(const)
+    pub fn apply_repair(
+        &mut self,
+        repair: &ClusteringRepair,
+        leaf_inputs: &BTreeMap<NodeId, (P::NodeInput, P::EdgeInput)>,
+    ) {
+        self.plan.splice(repair, &mut self.state);
+        // What the repair clears or adds, at the addresses the spliced indexes give: a
+        // demoted view reads no in-edge input, a new leaf is its view's last member.
+        for cluster in &repair.demoted {
+            if let Some(at) = self.plan.view_slot_of(*cluster) {
+                slots_at(&mut self.state, at).in_input = None;
+            }
+        }
+        for leaf in repair.patches.values().flat_map(|p| &p.added) {
+            let (node_input, edge_input) = leaf_inputs
+                .get(&leaf.id)
+                .expect("every added leaf came from a link op")
+                .clone();
+            let slot = self.plan.payload_slot[&leaf.id];
+            let slots = slots_at(&mut self.state, slot.view_slot());
+            debug_assert_eq!(slots.payloads.len(), slot.member as usize);
+            slots.payloads.push(Some(Payload::Input(node_input)));
+            slots.out_inputs.push(Some(edge_input));
+        }
+        for child in &repair.removed_nodes {
+            self.labels.remove(child);
+        }
     }
 
-    // ----- structural splicing (used by batched link/cut repair) --------------------
-
-    /// Remove the payload of `element` (e.g. when a structural cut deletes it).
-    pub fn remove_payload(&mut self, element: ElementId) {
-        self.payloads.remove(&element);
+    /// Check the store against from-scratch derivations: every routing index of the
+    /// plan against a re-index of its skeleton views (`edges` is the degree-reduced
+    /// edge list the plan was built over), and the slot state against the skeletons'
+    /// shape. `Err` names the first index or view that drifted. Zero rounds,
+    /// `O(n log n)` host work — the alarm for long sequences of in-place splices.
+    // mpc-cost: rounds(const)
+    pub fn audit<'a>(
+        &self,
+        edges: impl IntoIterator<Item = &'a (DirectedEdge, EdgeKind)>,
+    ) -> Result<(), String> {
+        let edge_children: BTreeSet<NodeId> = edges.into_iter().map(|(e, _)| e.child).collect();
+        self.plan.audit_routing(&edge_children)?;
+        self.state_mismatch()
+            .map_or(Ok(()), |what| Err(what.into()))
     }
 
-    /// Remove the label of the edge whose child endpoint is `child`.
-    pub fn remove_label(&mut self, child: NodeId) {
-        self.labels.remove(&child);
+    /// What keeps the slot state from matching the plan's skeletons, if anything.
+    pub(crate) fn state_mismatch(&self) -> Option<&'static str> {
+        let layers = &self.plan.layers;
+        let buckets = || self.state.iter().flatten().zip(layers.iter().flatten());
+        if self.state.len() != layers.len()
+            || self
+                .state
+                .iter()
+                .zip(layers)
+                .any(|(s, l)| s.len() != l.len())
+            || buckets().any(|(s, l)| s.len() != l.len())
+        {
+            return Some("slot state layout differs from the plan's layer/machine/view layout");
+        }
+        for view in self.views() {
+            let members = view.skeleton.members.len();
+            if view.slots.payloads.len() != members || view.slots.out_inputs.len() != members {
+                return Some("slot state vectors differ in length from the member list");
+            }
+            if view.slots.payloads.iter().any(Option::is_none) {
+                return Some("slot state has a member without a payload");
+            }
+        }
+        None
     }
 
-    /// Remove the cached view of `cluster` at `layer` (1-based), returning it.
-    pub fn remove_view(&mut self, layer: u32, cluster: ElementId) -> Option<ClusterView<P>> {
-        self.views.get_mut((layer - 1) as usize)?.remove(&cluster)
-    }
-
-    /// Approximate resident size of the store in machine words: payloads, cached
-    /// views, and labels, each counted at its [`Words`](mpc_engine::Words) width plus
-    /// one key word. Used by the serving layer's per-tenant accounting.
+    /// Approximate resident size of the store in machine words: the plan, the slot
+    /// state and the labels, each record counted at its [`Words`] width plus one key
+    /// word. Used by the serving layer's per-tenant accounting.
     pub fn resident_words(&self) -> usize {
-        use mpc_engine::Words;
-        let payloads: usize = self.payloads.values().map(|p| 1 + p.words()).sum();
-        let views: usize = self
-            .views
+        let state: usize = self
+            .state
             .iter()
-            .flat_map(|layer| layer.values())
-            .map(|v| 1 + v.words())
+            .flatten()
+            .flatten()
+            .map(|slots| {
+                let payloads: usize = slots.payloads.iter().map(Words::words).sum();
+                let out_inputs: usize = slots.out_inputs.iter().map(Words::words).sum();
+                payloads + out_inputs + slots.in_input.words()
+            })
             .sum();
         let labels: usize = self.labels.values().map(|l| 1 + l.words()).sum();
-        let roots = self.root_label.as_ref().map_or(0, |l| l.words())
-            + self.root_summary.as_ref().map_or(0, |s| s.words());
-        1 + payloads + views + labels + roots
+        let roots = self.root_label.words() + self.root_summary.words();
+        self.plan.resident_words() + state + labels + roots
     }
 
     /// Export the label table as plain records (e.g. for snapshotting).
@@ -179,8 +275,267 @@ impl<P: ClusterDp> SolverStore<P> {
     pub fn to_solution(&self, ctx: &mut MpcContext) -> DpSolution<P> {
         DpSolution {
             labels: ctx.from_vec(self.export_labels()),
-            root_label: self.root_label().clone(),
-            root_summary: self.root_summary().clone(),
+            root_label: self.root_label.clone(),
+            root_summary: self.root_summary.clone(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pipeline::{prepare, PreparedTree};
+    use crate::snapshot::{
+        snapshot_from_bytes, snapshot_to_bytes, Snapshot, SnapshotError, KIND_PLAN,
+        KIND_PREPARED_TREE, KIND_STORE,
+    };
+    use mpc_engine::MpcConfig;
+    use tree_gen::shapes;
+    use tree_repr::{ListOfEdges, TreeInput};
+
+    /// Subtree sizes: a cluster is summarized by its node count.
+    struct Count;
+
+    impl ClusterDp for Count {
+        type NodeInput = u64;
+        type EdgeInput = ();
+        type Summary = u64;
+        type Label = u64;
+
+        fn summarize(&self, view: &ClusterView<'_, Self>) -> u64 {
+            (0..view.skeleton.members.len())
+                .map(|i| match view.payload(i) {
+                    Payload::Input(_) => 1,
+                    Payload::Summary(s) => *s,
+                })
+                .sum()
+        }
+
+        fn label_root(&self, summary: &u64) -> u64 {
+            *summary
+        }
+
+        fn label_members(
+            &self,
+            view: &ClusterView<'_, Self>,
+            _: &u64,
+            _: Option<&u64>,
+        ) -> Vec<u64> {
+            vec![0; view.skeleton.members.len()]
+        }
+    }
+
+    /// A prepared caterpillar (indegree-1 clusters, several layers) with its plan
+    /// cached, and the store of one solve over it.
+    fn solved() -> (PreparedTree, SolverStore<Count>) {
+        let tree = shapes::caterpillar(30, 3);
+        let mut ctx = MpcContext::new(
+            MpcConfig::new(2 * tree.len(), 0.5)
+                .with_memory_slack(512.0)
+                .with_bandwidth_slack(512.0),
+        );
+        let prepared = prepare(
+            &mut ctx,
+            TreeInput::ListOfEdges(ListOfEdges::from_tree(&tree)),
+            Some(4),
+        )
+        .expect("well-formed tree");
+        let ones = ctx.from_vec((0..tree.len() as u64).map(|v| (v, 1)).collect::<Vec<_>>());
+        let no_edges = ctx.from_vec(Vec::<(u64, ())>::new());
+        let (solution, store) = prepared
+            .plan(&mut ctx)
+            .solve_with_store(&mut ctx, &Count, &ones, 1, &no_edges);
+        assert_eq!(solution.root_summary, prepared.num_nodes as u64);
+        (prepared, store)
+    }
+
+    /// The first view with an incoming edge and a member that has both a parent and a
+    /// child: every index kind a corruption below touches is present in it.
+    fn rich_view(plan: &SolvePlan) -> ViewSlot {
+        let readers = plan.in_label_readers.values().flatten();
+        *readers
+            .clone()
+            .find(|at| {
+                let view = plan.view_at(**at);
+                view.attach.is_some()
+                    && view
+                        .members
+                        .iter()
+                        .any(|m| m.parent.is_some() && !m.children.is_empty())
+            })
+            .expect("a caterpillar has an indegree-1 cluster with an inner member")
+    }
+
+    fn decode_resealed<T: Snapshot>(kind: u32, value: &T) -> Result<T, SnapshotError> {
+        snapshot_from_bytes(kind, &snapshot_to_bytes(kind, value))
+    }
+
+    /// A checksum-valid payload with one index out of place must come back as a typed
+    /// error from every decoder that carries a plan, not as a value that panics on the
+    /// next solve or update.
+    #[test]
+    fn resealed_payloads_with_one_index_out_of_place_decode_to_malformed() {
+        let (prepared, store) = solved();
+        let plan = store.plan().clone();
+        assert_eq!(decode_resealed(KIND_PLAN, &plan).as_ref(), Ok(&plan));
+        let at = rich_view(&plan);
+        let inner = {
+            let members = &plan.view_at(at).members;
+            members
+                .iter()
+                .position(|m| m.parent.is_some() && !m.children.is_empty())
+                .expect("rich view")
+        };
+
+        type Corruption = (&'static str, fn(&mut SolvePlan, ViewSlot, usize));
+        let corruptions: [Corruption; 9] = [
+            ("top", |p, at, _| p.view_at_mut(at).top = usize::MAX),
+            ("attach", |p, at, _| {
+                let view = p.view_at_mut(at);
+                view.attach = Some(view.members.len());
+            }),
+            ("parent", |p, at, inner| {
+                let view = p.view_at_mut(at);
+                view.members[inner].parent = Some(view.members.len() + 7);
+            }),
+            ("children", |p, at, inner| {
+                p.view_at_mut(at).members[inner].children[0] = 1 << 40;
+            }),
+            ("payload slot member", |p, _, _| {
+                let slot = p.payload_slot.values_mut().next().expect("non-empty");
+                slot.member = u32::MAX;
+            }),
+            ("out-edge slot view", |p, _, _| {
+                let slots = p.out_edge_slots.values_mut().next().expect("non-empty");
+                slots[0].view = u32::MAX;
+            }),
+            ("in-label reader layer", |p, _, _| {
+                let slots = p.in_label_readers.values_mut().next().expect("non-empty");
+                slots[0].layer = 0;
+            }),
+            ("out-label reader machine", |p, _, _| {
+                let slots = p.out_label_readers.values_mut().next().expect("non-empty");
+                slots[0].machine = u32::MAX;
+            }),
+            ("top machine", |p, _, _| p.top_machine = p.num_machines),
+        ];
+        for (what, corrupt) in corruptions {
+            let mut bad = plan.clone();
+            corrupt(&mut bad, at, inner);
+            assert!(
+                matches!(
+                    decode_resealed(KIND_PLAN, &bad),
+                    Err(SnapshotError::Malformed(_))
+                ),
+                "{what}: plan"
+            );
+
+            let mut tree = prepared.clone();
+            tree.install_plan(bad.clone());
+            assert!(
+                matches!(
+                    decode_resealed(KIND_PREPARED_TREE, &tree).map(|_| ()),
+                    Err(SnapshotError::Malformed(_))
+                ),
+                "{what}: prepared tree"
+            );
+
+            let mut bad_store = decode_resealed(KIND_STORE, &store).expect("valid store");
+            bad_store.plan = bad;
+            assert!(
+                matches!(
+                    decode_resealed(KIND_STORE, &bad_store).map(|_| ()),
+                    Err(SnapshotError::Malformed(_))
+                ),
+                "{what}: store"
+            );
+        }
+
+        // The store's own part: slot state that does not match the skeletons.
+        let mut short = decode_resealed(KIND_STORE, &store).expect("valid store");
+        slots_at(&mut short.state, at).payloads.pop();
+        assert_eq!(
+            decode_resealed(KIND_STORE, &short).map(|_| ()),
+            Err(SnapshotError::Malformed(
+                "slot state vectors differ in length from the member list"
+            ))
+        );
+        let mut missing = decode_resealed(KIND_STORE, &store).expect("valid store");
+        missing.state[at.layer as usize - 1][at.machine as usize].pop();
+        assert!(matches!(
+            decode_resealed(KIND_STORE, &missing).map(|_| ()),
+            Err(SnapshotError::Malformed(_))
+        ));
+        // A tree whose cached plan belongs to another clustering.
+        let mut foreign = prepared.clone();
+        let mut other = plan.clone();
+        other.root += 1;
+        foreign.install_plan(other);
+        assert!(matches!(
+            decode_resealed(KIND_PREPARED_TREE, &foreign).map(|_| ()),
+            Err(SnapshotError::Malformed(_))
+        ));
+    }
+
+    /// Kind 3 was the store of cloned views and a payload map; its bytes are refused by
+    /// kind, before any of them is read as the new layout.
+    #[test]
+    fn superseded_store_kind_is_rejected() {
+        let (_, store) = solved();
+        let mut w = crate::snapshot::SnapshotWriter::new();
+        store.encode(&mut w);
+        let old = crate::snapshot::seal(3, w);
+        assert_eq!(
+            SolverStore::<Count>::from_snapshot(&old).map(|_| ()),
+            Err(SnapshotError::WrongKind {
+                found: 3,
+                expected: KIND_STORE
+            })
+        );
+    }
+
+    /// The audit is silent on a fresh store and names what drifted when one routing
+    /// entry or one state vector is moved behind its back.
+    #[test]
+    fn audit_names_the_drifted_index() {
+        let (prepared, store) = solved();
+        assert_eq!(store.audit(prepared.edges.iter()), Ok(()));
+        let reread = || decode_resealed(KIND_STORE, &store).expect("valid store");
+
+        let mut drifted = reread();
+        let slot = drifted
+            .plan
+            .payload_slot
+            .values_mut()
+            .next()
+            .expect("non-empty");
+        slot.member += 1;
+        let err = drifted.audit(prepared.edges.iter()).expect_err("planted");
+        assert!(err.contains("payload_slot"), "{err}");
+
+        let mut drifted = reread();
+        let readers = drifted
+            .plan
+            .out_label_readers
+            .values_mut()
+            .next()
+            .expect("non-empty");
+        readers.reverse();
+        readers.push(readers[0]);
+        let err = drifted.audit(prepared.edges.iter()).expect_err("planted");
+        assert!(err.contains("out_label_readers"), "{err}");
+
+        let mut drifted = reread();
+        let at = rich_view(&drifted.plan);
+        slots_at(&mut drifted.state, at).out_inputs.push(None);
+        let err = drifted.audit(prepared.edges.iter()).expect_err("planted");
+        assert!(err.contains("slot state vectors"), "{err}");
+
+        // A tree that moved on without the store: its edge list no longer has the
+        // edges the store's plan routes inputs to.
+        let mut fewer = prepared.clone();
+        fewer.edges = fewer.edges.clone().filter_local(|(e, _)| e.child % 5 != 0);
+        let err = store.audit(fewer.edges.iter()).expect_err("planted");
+        assert!(err.contains("out_edge_slots"), "{err}");
     }
 }

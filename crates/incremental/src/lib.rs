@@ -4,13 +4,14 @@
 //! problem in `O(1)` extra rounds (Section 1.4 / Section 5). This crate closes the
 //! remaining gap for dynamic workloads: after an initial solve, a batch of node- or
 //! edge-input changes does not have to pay for a full re-solve. [`IncrementalSolver`]
-//! retains the per-cluster records of the last solve (the
-//! [`SolverStore`](tree_dp_core::SolverStore) of `tree-dp-core`) and re-solves a batch
-//! by
+//! keeps what the last solve built — its own [`SolvePlan`](tree_dp_core::SolvePlan),
+//! the slot state filled over that plan's skeletons, and the labels (the
+//! [`SolverStore`](tree_dp_core::SolverStore) of `tree-dp-core`) — and re-solves a
+//! batch by
 //!
 //! 1. **`inc-dirty`** — routing the batched updates to the machines holding the
-//!    affected cluster views (one round; the addresses are known from the cached
-//!    clustering),
+//!    affected cluster views and writing them into their slots (one round; the
+//!    addresses are the plan's routing indexes),
 //! 2. **`inc-up`** — re-running the bottom-up summarization only along the *dirty
 //!    root-paths*: a cluster is re-summarized only if a member payload or boundary-edge
 //!    input changed, and dirt propagates to the parent cluster only when the summary
@@ -35,12 +36,12 @@
 //! **structural** updates — `link(parent, child)` adds a new leaf, `cut(child)` removes
 //! a whole subtree. A batch that stays within the clustering's degree and cluster-size
 //! bounds is repaired *locally*: a fourth phase, **`inc-struct`**, routes the batch and
-//! splices the affected cached views, plan skeletons, and records in place (two routing
-//! rounds), after which the same dirty-root-path machinery re-solves only the patched
-//! clusters. Batches that would overflow a bound degrade to an honest full re-prepare
+//! splices the solver's plan — its slot state carried along — and the prepared tree in
+//! place (two routing rounds), after which the same dirty-root-path machinery re-solves
+//! only the patched clusters. Batches that would overflow a bound degrade to an honest full re-prepare
 //! and re-solve (`stats.degraded` reports which path ran). The host work follows the
-//! charge: the batch is planned against a persistent repair index and every index over
-//! the cached records is patched in place, so a repaired batch costs what it touches
+//! charge: the batch is planned against a persistent repair index and the plan's routing
+//! indexes are patched in place, so a repaired batch costs what it touches
 //! (plus three in-place passes over the prepared tree's flat tables), not `O(n)`.
 //!
 //! ```
@@ -80,7 +81,6 @@
 
 mod solver;
 mod structural;
-mod topology;
 
 pub use solver::{IncrementalSolver, UpdateStats};
 pub use structural::{StructuralBatch, StructuralError, StructuralOp, StructuralStats};

@@ -2,16 +2,12 @@
 //! root-paths (see the crate docs for the three-phase round structure).
 
 use crate::structural::{StructuralBatch, StructuralError, StructuralOp, StructuralStats};
-use crate::topology::Topology;
 use mpc_engine::{DistVec, MpcContext, Words};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use tree_clustering::{
-    is_aux_node, ClusteringRepair, EdgeKind, ElementId, ElementKind, RepairIndex, RepairOutcome,
-    TopologyOp, VIRTUAL_NODE,
+    is_aux_node, EdgeKind, ElementKind, RepairIndex, RepairOutcome, TopologyOp, VIRTUAL_NODE,
 };
-use tree_dp_core::{
-    prepare, ClusterDp, ClusterView, DpSolution, Member, Payload, PreparedTree, SolverStore,
-};
+use tree_dp_core::{prepare, ClusterDp, DpSolution, Payload, PreparedTree, SolverStore, ViewSlot};
 use tree_repr::{DirectedEdge, ListOfEdges, NodeId, TreeInput};
 
 /// What one update batch cost and touched.
@@ -33,14 +29,21 @@ pub struct UpdateStats {
     pub words_sent: u64,
 }
 
+/// The views to re-process, by the layer they are processed at (`[layer]`, entry 0
+/// unused).
+type DirtyViews = Vec<BTreeSet<ViewSlot>>;
+
 /// An incremental DP solver over a prepared (clustered) tree.
 ///
-/// Construction performs one full solve while caching per-cluster views, payloads, and
-/// labels per layer; [`update_node_inputs`](Self::update_node_inputs) and
+/// Construction performs one full solve and keeps what it built — a
+/// [`SolvePlan`](tree_dp_core::SolvePlan) of its own, the slot state filled over that
+/// plan's skeletons, and the labels (a [`SolverStore`]);
+/// [`update_node_inputs`](Self::update_node_inputs) and
 /// [`update_edge_inputs`](Self::update_edge_inputs) then re-solve batched input
-/// changes by re-processing only the dirty clusters. The cached solution is always
-/// identical to what a full [`SolvePlan::solve`](tree_dp_core::SolvePlan::solve) on
-/// the current inputs would produce.
+/// changes by writing them into their slots and re-processing only the dirty views.
+/// The cached solution is always identical to what a full
+/// [`SolvePlan::solve`](tree_dp_core::SolvePlan::solve) on the current inputs would
+/// produce.
 pub struct IncrementalSolver<P: ClusterDp>
 where
     P::Summary: PartialEq,
@@ -48,10 +51,6 @@ where
 {
     problem: P,
     store: SolverStore<P>,
-    topo: Topology,
-    num_layers: u32,
-    top_cluster: ElementId,
-    root: NodeId,
     /// The input assigned to auxiliary degree-reduction nodes, retained so the
     /// degraded structural path can re-prepare and re-solve without asking the caller.
     aux_input: P::NodeInput,
@@ -68,15 +67,16 @@ where
     P::Label: PartialEq,
 {
     /// Solve the problem once on `prepared` (same contract as
-    /// [`PreparedTree::solve`]), caching all per-cluster records for later updates.
+    /// [`PreparedTree::solve`]), keeping what the pass built for later updates.
     ///
     /// The initial solve runs over the prepared tree's shared
-    /// [`SolvePlan`](tree_dp_core::SolvePlan): the cached views the incremental
-    /// machinery patches *are* the plan's skeleton views filled with this problem's
-    /// payloads, so constructing a solver on an already-planned tree charges only the
-    /// cheap evaluation pass (and building several solvers — or mixing incremental
-    /// updates with [`SolvePlan::solve`](tree_dp_core::SolvePlan::solve) calls for
-    /// other problems — shares one assembly).
+    /// [`SolvePlan`](tree_dp_core::SolvePlan), so constructing a solver on an
+    /// already-planned tree charges only the cheap evaluation pass (and building
+    /// several solvers — or mixing incremental updates with
+    /// [`SolvePlan::solve`](tree_dp_core::SolvePlan::solve) calls for other problems —
+    /// shares one assembly). The solver keeps its own copy of that plan: whoever holds
+    /// the tree's plan may drop it (a plan cache evicting it) and the solver still
+    /// serves updates at zero rebuild rounds.
     ///
     /// * `node_inputs` — inputs of the *original* nodes.
     /// * `aux_input` — the input of every auxiliary node introduced by degree
@@ -98,46 +98,22 @@ where
             aux_input.clone(),
             edge_inputs,
         );
-        let topo = Topology::build(&store);
-        Self {
-            problem,
-            store,
-            topo,
-            num_layers: prepared.num_layers(),
-            top_cluster: prepared.clustering.top_cluster,
-            root: prepared.clustering.root,
-            aux_input,
-            repair_index: None,
-        }
+        Self::restore(problem, store, aux_input)
     }
 
-    /// Rebuild a solver from a restored [`SolverStore`] without re-solving — the
-    /// snapshot-restore path of the serving layer (`tree-dp-server`).
+    /// Stand a solver up over an existing [`SolverStore`] without re-solving — a store
+    /// just filled by [`SolvePlan::solve_with_store`](tree_dp_core::SolvePlan::solve_with_store),
+    /// or one restored from a snapshot (the serving layer's restore path).
     ///
-    /// The store must hold a complete solve of `problem` on the tree whose top
-    /// cluster is `top_cluster` and whose root is `root` (e.g. a store round-tripped
-    /// through [`SolverStore::to_snapshot`](tree_dp_core::SolverStore)). The cluster
-    /// topology is re-derived from the store's cached views, so the restored solver
-    /// behaves bit-identically to the one that was snapshotted: same labels, same
-    /// update deltas, same round charges. Costs zero MPC rounds — restoration is
-    /// machine-local record placement, not communication.
+    /// The store must hold a complete solve of `problem`; its plan names the tree (root,
+    /// top cluster, layers). Nothing is derived: the restored solver addresses the same
+    /// plan and slot state the snapshotted one did, so it behaves bit-identically — same
+    /// labels, same update deltas, same round charges. Costs zero MPC rounds.
     // mpc-cost: rounds(const)
-    pub fn restore(
-        problem: P,
-        store: SolverStore<P>,
-        top_cluster: ElementId,
-        root: NodeId,
-        aux_input: P::NodeInput,
-    ) -> Self {
-        let topo = Topology::build(&store);
-        let num_layers = store.num_layers();
+    pub fn restore(problem: P, store: SolverStore<P>, aux_input: P::NodeInput) -> Self {
         Self {
             problem,
             store,
-            topo,
-            num_layers,
-            top_cluster,
-            root,
             aux_input,
             repair_index: None,
         }
@@ -165,12 +141,17 @@ where
         self.apply_batch(ctx, &[], updates)
     }
 
+    /// An empty dirty set for this solver's layers.
+    fn no_dirt(&self) -> DirtyViews {
+        vec![BTreeSet::new(); self.store.num_layers() as usize + 1]
+    }
+
     /// Apply one mixed batch of node- and edge-input changes.
     ///
     /// The three phases charge rounds for the deterministic MPC implementation whose
     /// data movement they simulate on the cached records: `inc-dirty` routes the batch
-    /// to the machines holding the affected views (1 round — the addresses are known
-    /// from the cached clustering), `inc-up` forwards changed summaries to the parent
+    /// to the machines holding the affected views (1 round — the addresses are the
+    /// plan's routing indexes), `inc-up` forwards changed summaries to the parent
     /// clusters' machines (1 round per layer that produced a change), and `inc-down`
     /// forwards changed boundary labels to the reading clusters' machines (1 round per
     /// layer that produced a change). Local recomputation is free in the MPC model.
@@ -188,48 +169,23 @@ where
             ..UpdateStats::default()
         };
 
-        // Clusters that must be re-summarized, keyed by the layer their view is
-        // processed at. Dirt from changed summaries is pushed into higher layers as
-        // the bottom-up pass ascends.
-        let mut pending_dirty: BTreeMap<u32, BTreeSet<ElementId>> = BTreeMap::new();
+        // Views that must be re-summarized. Dirt from changed summaries is pushed into
+        // higher layers as the bottom-up pass ascends.
+        let mut dirty = self.no_dirt();
 
-        // ---- phase 1: route the batch, patch the cached views ----------------------
+        // ---- phase 1: route the batch, write it into the slots ---------------------
         ctx.phase("inc-dirty", |ctx| {
             let mut batch_words = 0usize;
             for (node, input) in node_updates {
                 batch_words += 1 + input.words();
-                if self.store.payload(*node).is_none() {
-                    continue;
-                }
-                self.store.set_payload(*node, Payload::Input(input.clone()));
-                if let Some(site) = self.topo.member_site.get(node).copied() {
-                    if let Some(view) = self.store.view_mut(site.layer, site.cluster) {
-                        view.members[site.index].payload = Payload::Input(input.clone());
-                    }
-                    pending_dirty
-                        .entry(site.layer)
-                        .or_default()
-                        .insert(site.cluster);
+                if let Some(at) = self.store.set_node_input(*node, input.clone()) {
+                    dirty[at.layer() as usize].insert(at);
                 }
             }
             for (child, input) in edge_updates {
                 batch_words += 1 + input.words();
-                let member_sites = self.topo.out_edge_sites.get(child).cloned();
-                for site in member_sites.into_iter().flatten() {
-                    if let Some(view) = self.store.view_mut(site.layer, site.cluster) {
-                        view.members[site.index].out_input = input.clone();
-                    }
-                    pending_dirty
-                        .entry(site.layer)
-                        .or_default()
-                        .insert(site.cluster);
-                }
-                let in_sites = self.topo.in_edge_sites.get(child).cloned();
-                for (cluster, layer) in in_sites.into_iter().flatten() {
-                    if let Some(view) = self.store.view_mut(layer, cluster) {
-                        view.in_input = Some(input.clone());
-                    }
-                    pending_dirty.entry(layer).or_default().insert(cluster);
+                for at in self.store.set_edge_input(*child, input) {
+                    dirty[at.layer() as usize].insert(at);
                 }
             }
             if batch_words > 0 {
@@ -237,7 +193,7 @@ where
             }
         });
 
-        self.resolve_dirty(ctx, pending_dirty, &mut stats);
+        self.resolve_dirty(ctx, dirty, &mut stats);
 
         stats.rounds = ctx.metrics().rounds - rounds_before;
         stats.words_sent = ctx.metrics().total_words_sent - words_before;
@@ -252,56 +208,33 @@ where
     fn resolve_dirty(
         &mut self,
         ctx: &mut MpcContext,
-        mut pending_dirty: BTreeMap<u32, BTreeSet<ElementId>>,
+        mut dirty: DirtyViews,
         stats: &mut UpdateStats,
     ) {
+        let num_layers = self.store.num_layers() as usize;
         // ---- phase 2: bottom-up along the dirty root-paths -------------------------
-        let mut dirty_per_layer: Vec<BTreeSet<ElementId>> =
-            vec![BTreeSet::new(); self.num_layers as usize + 1];
         let mut root_summary_changed = false;
         ctx.phase("inc-up", |ctx| {
-            for layer in 1..=self.num_layers {
-                let dirty = pending_dirty.remove(&layer).unwrap_or_default();
-                if dirty.is_empty() {
-                    continue;
-                }
+            for layer in 1..=num_layers {
                 let mut changed_words = 0usize;
-                // Dirty clusters of one layer are independent: re-summarize them all
-                // (reads only), then apply the changes in cluster order.
-                let new_summaries: Vec<(ElementId, P::Summary)> = dirty
-                    .iter()
-                    .map(|&cluster| {
-                        let view = self
-                            .store
-                            .view(layer, cluster)
-                            .expect("dirty cluster has a cached view");
-                        (cluster, self.problem.summarize(view))
-                    })
-                    .collect();
-                for (cluster, new_summary) in new_summaries {
+                // Dirty views of one layer are independent: each summary lands in a
+                // view of a higher layer.
+                let layer_dirty = std::mem::take(&mut dirty[layer]);
+                for &at in &layer_dirty {
+                    let view = self.store.view(at);
+                    let cluster = view.skeleton.cluster;
+                    let new_summary = self.problem.summarize(&view);
                     stats.resummarized += 1;
-                    let changed = match self.store.payload(cluster) {
-                        Some(Payload::Summary(old)) => *old != new_summary,
-                        _ => true,
-                    };
-                    if !changed {
+                    if self.store.summary(cluster) == Some(&new_summary) {
                         continue;
                     }
                     stats.summaries_changed += 1;
                     changed_words += 1 + new_summary.words();
-                    self.store
-                        .set_payload(cluster, Payload::Summary(new_summary.clone()));
-                    if cluster == self.top_cluster {
-                        self.store.set_root_summary(new_summary);
-                        root_summary_changed = true;
-                    } else if let Some(site) = self.topo.member_site.get(&cluster).copied() {
-                        if let Some(parent_view) = self.store.view_mut(site.layer, site.cluster) {
-                            parent_view.members[site.index].payload = Payload::Summary(new_summary);
+                    match self.store.set_summary(cluster, new_summary) {
+                        Some(parent) => {
+                            dirty[parent.layer() as usize].insert(parent);
                         }
-                        pending_dirty
-                            .entry(site.layer)
-                            .or_default()
-                            .insert(site.cluster);
+                        None => root_summary_changed = true,
                     }
                 }
                 // Changed summaries travel to the parent clusters' machines; a layer
@@ -309,71 +242,59 @@ where
                 if changed_words > 0 {
                     charge_routing_round(ctx, changed_words, "inc-up/forward");
                 }
-                dirty_per_layer[layer as usize] = dirty;
+                dirty[layer] = layer_dirty;
             }
         });
 
         // ---- phase 3: top-down over the affected frontier --------------------------
+        // On top of the re-summarized views, every view one of whose boundary labels
+        // changed. Readers sit at strictly lower layers than the producer (the
+        // top-down invariant), so one descending pass picks them all up.
+        let mut affected = dirty;
         ctx.phase("inc-down", |ctx| {
-            // Clusters whose boundary labels changed, keyed by their processed layer.
-            let mut pending_relabel: BTreeMap<u32, BTreeSet<ElementId>> = BTreeMap::new();
             if root_summary_changed {
                 let new_root = self.problem.label_root(self.store.root_summary());
                 if *self.store.root_label() != new_root {
                     stats.labels_changed += 1;
-                    self.store.set_root_label(new_root.clone());
-                    self.store.set_label(self.root, new_root);
-                    mark_label_readers(&self.topo, self.root, &mut pending_relabel);
+                    let root = self.store.plan().root();
+                    self.store.set_root_label(new_root);
+                    for reader in self.store.label_readers(root) {
+                        affected[reader.layer() as usize].insert(reader);
+                    }
                 }
             }
-            for layer in (1..=self.num_layers).rev() {
-                let mut affected = std::mem::take(&mut dirty_per_layer[layer as usize]);
-                if let Some(extra) = pending_relabel.remove(&layer) {
-                    affected.extend(extra);
-                }
-                if affected.is_empty() {
-                    continue;
-                }
+            for layer in (1..=num_layers).rev() {
                 let mut changed_words = 0usize;
-                // Affected clusters of one layer are independent (their boundary
-                // labels were produced at strictly higher layers, and the labels they
-                // write are keyed by disjoint member edges), so re-label them all
-                // and apply the changes in cluster order.
-                let (store, problem) = (&self.store, &self.problem);
-                let per_cluster: Vec<Vec<(NodeId, P::Label)>> = affected
-                    .iter()
-                    .map(|&cluster| {
-                        let site = self.topo.cluster_site[&cluster];
-                        let out_label = store
-                            .label(site.out_child)
-                            .expect("boundary out-label cached");
-                        let in_label = site.in_child.and_then(|c| store.label(c));
-                        let view = store
-                            .view(layer, cluster)
-                            .expect("affected cluster has a cached view");
-                        let member_labels = problem.label_members(view, out_label, in_label);
-                        view.members
-                            .iter()
-                            .enumerate()
-                            .filter(|(i, _)| *i != view.top)
-                            .filter_map(|(i, member)| {
-                                let child = member.element.out_edge.child;
-                                if store.label(child) == Some(&member_labels[i]) {
-                                    None
-                                } else {
-                                    Some((child, member_labels[i].clone()))
-                                }
-                            })
-                            .collect()
-                    })
-                    .collect();
-                stats.relabeled += affected.len();
-                for changed in per_cluster {
+                // Affected views of one layer are independent (their boundary labels
+                // were produced at strictly higher layers, and the labels they write
+                // are keyed by disjoint member edges).
+                let layer_affected = std::mem::take(&mut affected[layer]);
+                stats.relabeled += layer_affected.len();
+                for &at in &layer_affected {
+                    let store = &self.store;
+                    let view = store.view(at);
+                    let skeleton = view.skeleton;
+                    let out_label = store
+                        .label(skeleton.out_edge.child)
+                        .expect("boundary out-label cached");
+                    let in_label = skeleton.in_edge.and_then(|e| store.label(e.child));
+                    let member_labels = self.problem.label_members(&view, out_label, in_label);
+                    let changed: Vec<(NodeId, P::Label)> = skeleton
+                        .members
+                        .iter()
+                        .zip(member_labels)
+                        .enumerate()
+                        .filter(|(i, _)| *i != skeleton.top)
+                        .map(|(_, (member, label))| (member.element.out_edge.child, label))
+                        .filter(|(child, label)| store.label(*child) != Some(label))
+                        .collect();
                     for (child, label) in changed {
                         stats.labels_changed += 1;
                         changed_words += 1 + label.words();
                         self.store.set_label(child, label);
-                        mark_label_readers(&self.topo, child, &mut pending_relabel);
+                        for reader in self.store.label_readers(child) {
+                            affected[reader.layer() as usize].insert(reader);
+                        }
                     }
                 }
                 // Changed labels travel to the reading clusters' machines; a layer
@@ -413,13 +334,13 @@ where
     /// cached clustering (host-side, 0 rounds, reading only the records the batch
     /// addresses). When the repair stays within the clustering bounds, the `inc-struct`
     /// phase charges one routing round for the batch broadcast and one for the spliced
-    /// records, the cached clustering / plan / store and every index over them are
-    /// patched in place (`prepared` is updated too, so its cached [`SolvePlan`] keeps
-    /// matching), and the existing dirty-root-path machinery re-solves the affected
-    /// clusters — `O(1)` rounds total. When a link would overflow a degree or
-    /// cluster-size bound, the batch *degrades*: the original tree is reconstructed,
-    /// mutated, fully re-prepared, and re-solved (the honest `O(log D)` price), with
-    /// `stats.degraded = true`.
+    /// records, the one repair is spliced into the solver's store and into `prepared`
+    /// (its flat tables and, when one is cached, its [`SolvePlan`] — through the same
+    /// splice as the store's plan), and the existing dirty-root-path machinery
+    /// re-solves the affected clusters — `O(1)` rounds total. When a link would
+    /// overflow a degree or cluster-size bound, the batch *degrades*: the original tree
+    /// is reconstructed, mutated, fully re-prepared, and re-solved (the honest
+    /// `O(log D)` price), with `stats.degraded = true`.
     ///
     /// `prepared` must be the tree this solver was built on (as left by the solver's
     /// earlier structural batches). The batch is atomic: an invalid op rejects the
@@ -460,7 +381,7 @@ where
         stats.added_leaves = repair.added_leaves.len();
         stats.patched_clusters = repair.patches.len();
 
-        // Inputs of the surviving new leaves, for the store splice.
+        // Inputs of the new leaves, for the store splice.
         let mut leaf_inputs: BTreeMap<NodeId, (P::NodeInput, P::EdgeInput)> = BTreeMap::new();
         for op in batch.ops() {
             if let StructuralOp::Link {
@@ -474,7 +395,7 @@ where
             }
         }
 
-        // ---- inc-struct: route the batch, splice every cached representation -------
+        // ---- inc-struct: route the batch, splice the store and the tree -------------
         ctx.phase("inc-struct", |ctx| {
             // The batch travels to the machines holding the affected views (the
             // addresses are known from the cached clustering, exactly like inc-dirty).
@@ -494,9 +415,8 @@ where
 
             // Host-side surgery on the pre-placed records; the spliced volume is what
             // actually moves between machines (removed records are dropped in place).
-            self.splice_store(&repair, &leaf_inputs);
+            self.store.apply_repair(&repair, &leaf_inputs);
             prepared.apply_structural_repair(&repair);
-            self.topo.apply_repair(&self.store, &repair);
             if let Some(index) = &mut self.repair_index {
                 index.apply(&repair);
             }
@@ -506,95 +426,22 @@ where
         });
 
         // ---- re-solve: every patched cluster is dirty at its own layer -------------
-        let mut pending_dirty: BTreeMap<u32, BTreeSet<ElementId>> = BTreeMap::new();
-        for (cid, patch) in &repair.patches {
-            pending_dirty.entry(patch.layer).or_default().insert(*cid);
+        let mut dirty = self.no_dirt();
+        for cluster in repair.patches.keys() {
+            let at = self
+                .store
+                .plan()
+                .view_slot_of(*cluster)
+                .expect("a patched cluster survives the repair");
+            dirty[at.layer() as usize].insert(at);
         }
         let mut upd = UpdateStats::default();
-        self.resolve_dirty(ctx, pending_dirty, &mut upd);
+        self.resolve_dirty(ctx, dirty, &mut upd);
         stats.resummarized = upd.resummarized;
         stats.relabeled = upd.relabeled;
         stats.rounds = ctx.metrics().rounds - rounds_before;
         stats.words_sent = ctx.metrics().total_words_sent - words_before;
         Ok(stats)
-    }
-
-    /// Splice a planned repair into the solver's cached records, mirroring
-    /// [`SolvePlan::apply_repair`](tree_dp_core::SolvePlan::apply_repair) member for
-    /// member so the store and the plan skeletons can never drift apart.
-    fn splice_store(
-        &mut self,
-        repair: &ClusteringRepair,
-        leaf_inputs: &BTreeMap<NodeId, (P::NodeInput, P::EdgeInput)>,
-    ) {
-        // Drop every record of the removed span.
-        for &id in &repair.removed_elements {
-            self.store.remove_payload(id);
-            if let Some(&layer) = self.topo.cluster_layer.get(&id) {
-                self.store.remove_view(layer, id);
-            }
-        }
-        for &child in &repair.removed_nodes {
-            self.store.remove_label(child);
-        }
-
-        // Patch the surviving views.
-        let mut new_payloads: Vec<(ElementId, P::NodeInput)> = Vec::new();
-        for (&cid, patch) in &repair.patches {
-            let view = self
-                .store
-                .view_mut(patch.layer, cid)
-                .expect("patched cluster has a cached view");
-            if patch.clear_in_edge {
-                view.kind = ElementKind::ClusterIndeg0;
-                view.in_edge = None;
-                view.attach = None;
-                view.in_kind = EdgeKind::Original;
-                view.in_input = None;
-            }
-            if !patch.removed_members.is_empty() {
-                splice_view_member_removals(view, &patch.removed_members);
-            }
-            for leaf in &patch.added {
-                let (node_input, edge_input) = leaf_inputs
-                    .get(&leaf.id)
-                    .expect("every added leaf came from a link op")
-                    .clone();
-                let parent_idx = view
-                    .members
-                    .iter()
-                    .position(|m| m.element.id == leaf.out_edge.parent)
-                    .expect("link parent is a member of the absorbing cluster");
-                let idx = view.members.len();
-                view.members.push(Member {
-                    element: *leaf,
-                    payload: Payload::Input(node_input.clone()),
-                    out_kind: EdgeKind::Original,
-                    out_input: edge_input,
-                    parent: Some(parent_idx),
-                    children: Vec::new(),
-                });
-                view.members[parent_idx].children.push(idx);
-                new_payloads.push((leaf.id, node_input));
-            }
-        }
-        for (id, input) in new_payloads {
-            self.store.set_payload(id, Payload::Input(input));
-        }
-
-        // Rewrite the member copies of demoted clusters in their parents' views
-        // (matched by id: the parent view's indexes may have shifted above).
-        for &cid in &repair.demoted {
-            let Some(site) = self.topo.member_site.get(&cid).copied() else {
-                continue;
-            };
-            if let Some(parent_view) = self.store.view_mut(site.layer, site.cluster) {
-                if let Some(m) = parent_view.members.iter_mut().find(|m| m.element.id == cid) {
-                    m.element.kind = ElementKind::ClusterIndeg0;
-                    m.element.in_edge = None;
-                }
-            }
-        }
     }
 
     /// The degraded structural path: reconstruct the original tree, apply the batch
@@ -613,24 +460,21 @@ where
         apply_ops_to_original_edges(&mut edges, topo_ops);
         let live_children: BTreeSet<NodeId> = edges.iter().map(|e| e.child).collect();
 
-        // 2. Recover the current inputs from the cached views: every original node
-        //    appears exactly once as a member of its absorbing cluster's view, holding
+        // 2. Recover the current inputs from the store: every original node appears
+        //    exactly once as a member of its absorbing cluster's view, whose slots hold
         //    its node input and the input of its outgoing edge.
         let mut node_inputs: Vec<(NodeId, P::NodeInput)> = Vec::new();
         let mut edge_inputs: Vec<(NodeId, P::EdgeInput)> = Vec::new();
-        for layer in 1..=self.num_layers {
-            for (_, view) in self.store.views_at(layer) {
-                for m in &view.members {
-                    if m.element.kind != ElementKind::Node || is_aux_node(m.element.id) {
-                        continue;
-                    }
-                    if let Payload::Input(input) = &m.payload {
-                        node_inputs.push((m.element.id, input.clone()));
-                    }
-                    if m.out_kind == EdgeKind::Original && m.element.out_edge.parent != VIRTUAL_NODE
-                    {
-                        edge_inputs.push((m.element.out_edge.child, m.out_input.clone()));
-                    }
+        for view in self.store.views() {
+            for (i, m) in view.skeleton.members.iter().enumerate() {
+                if m.element.kind != ElementKind::Node || is_aux_node(m.element.id) {
+                    continue;
+                }
+                if let Payload::Input(input) = view.payload(i) {
+                    node_inputs.push((m.element.id, input.clone()));
+                }
+                if m.out_kind == EdgeKind::Original && m.element.out_edge.parent != VIRTUAL_NODE {
+                    edge_inputs.push((m.element.out_edge.child, view.out_input(i)));
                 }
             }
         }
@@ -672,26 +516,22 @@ where
             &edge_dv,
         );
         self.store = store;
-        self.topo = Topology::build(&self.store);
         self.repair_index = None;
-        self.num_layers = new_prepared.num_layers();
-        self.top_cluster = new_prepared.clustering.top_cluster;
-        self.root = new_prepared.clustering.root;
         *prepared = new_prepared;
         Ok(())
     }
 
     /// Check the solver's patched-in-place indexes against from-scratch builds: the
-    /// cluster topology against one derived from the cached views, and the repair
-    /// index (when one has been built) against one built over `prepared`'s clustering
-    /// and edge list. `Err` names the first index that drifted. `O(n log n)` host work,
-    /// zero rounds — the drift alarm for long update sequences and the oracle the
-    /// structural test suites call after every batch.
+    /// routing indexes of its plan against a re-index of the plan's skeleton views
+    /// over `prepared`'s edge list, the slot state against the skeletons' shape
+    /// ([`SolverStore::audit`]), and the repair index (when one has been built) against
+    /// one built over `prepared`'s clustering and edge list. `Err` names the first
+    /// index that drifted. `O(n log n)` host work, zero rounds — the drift alarm for
+    /// long update sequences and the oracle the structural test suites call after
+    /// every batch.
     // mpc-cost: rounds(const)
     pub fn audit_indexes(&self, prepared: &PreparedTree) -> Result<(), String> {
-        if self.topo != Topology::build(&self.store) {
-            return Err("cluster topology differs from a rebuild over the cached views".into());
-        }
+        self.store.audit(prepared.edges.iter())?;
         match &self.repair_index {
             Some(index)
                 if *index != RepairIndex::build(&prepared.clustering, prepared.edges.iter()) =>
@@ -748,61 +588,11 @@ where
         self.store.to_solution(ctx)
     }
 
-    /// The underlying per-cluster record store.
+    /// The underlying store: the solver's plan, the slot state over it, the labels.
     // mpc-cost: rounds(const)
     pub fn store(&self) -> &SolverStore<P> {
         &self.store
     }
-}
-
-/// Mark every cluster that reads the label of the edge with child endpoint `child` for
-/// re-labeling. Readers always sit at strictly lower layers than the producer (the
-/// top-down invariant), so one descending pass picks them all up.
-fn mark_label_readers(
-    topo: &Topology,
-    child: NodeId,
-    pending_relabel: &mut BTreeMap<u32, BTreeSet<ElementId>>,
-) {
-    for &(cluster, layer) in topo.label_readers.get(&child).into_iter().flatten() {
-        pending_relabel.entry(layer).or_default().insert(cluster);
-    }
-}
-
-/// Drop a downward-closed set of members from a cached cluster view, remapping the
-/// parent/children/top/attach indexes onto the compacted member list — the
-/// [`ClusterView`] twin of the plan-skeleton splice. The removed set is downward-closed
-/// in the member tree, so every survivor's parent survives and the top member always
-/// survives.
-fn splice_view_member_removals<P: ClusterDp>(
-    view: &mut ClusterView<P>,
-    removed: &BTreeSet<ElementId>,
-) {
-    let mut remap: Vec<Option<usize>> = Vec::with_capacity(view.members.len());
-    let mut kept = 0usize;
-    for m in &view.members {
-        if removed.contains(&m.element.id) {
-            remap.push(None);
-        } else {
-            remap.push(Some(kept));
-            kept += 1;
-        }
-    }
-    let old = std::mem::take(&mut view.members);
-    view.members = old
-        .into_iter()
-        .enumerate()
-        .filter_map(|(i, mut m)| {
-            remap[i]?;
-            m.parent = m.parent.map(|p| {
-                remap[p]
-                    .expect("parent of a surviving member survives (removal is downward-closed)")
-            });
-            m.children = m.children.iter().filter_map(|&c| remap[c]).collect();
-            Some(m)
-        })
-        .collect();
-    view.top = remap[view.top].expect("the top member never lies in the removed span");
-    view.attach = view.attach.and_then(|a| remap[a]);
 }
 
 /// Apply a validated topology batch to an *original* (pre-degree-reduction) edge list,
@@ -1393,6 +1183,50 @@ mod tests {
         assert_eq!(inc.labels(), &before_labels, "nothing was applied");
         assert_eq!(inc.root_summary(), &before_summary);
         assert!(inc.label(200).is_none());
+    }
+
+    /// The drift alarm rings: a cut spliced into the tree but not into the solver leaves
+    /// the solver's plan routing inputs to edges the tree no longer has.
+    #[test]
+    fn audit_names_the_index_a_one_sided_repair_leaves_behind() {
+        let tree = shapes::path(60);
+        let mut ctx = ctx_for(tree.len());
+        let mut prepared = prepare(
+            &mut ctx,
+            TreeInput::ListOfEdges(ListOfEdges::from_tree(&tree)),
+            Some(4),
+        )
+        .unwrap();
+        let inputs = ctx.from_vec(
+            (0..tree.len())
+                .map(|v| (v as u64, 1i64))
+                .collect::<Vec<_>>(),
+        );
+        let no_edges = ctx.from_vec(Vec::<(u64, ())>::new());
+        let inc = IncrementalSolver::new(
+            &mut ctx,
+            &prepared,
+            StateEngine::new(MaxWeightIndependentSet),
+            &inputs,
+            0,
+            &no_edges,
+        );
+        assert_eq!(inc.audit_indexes(&prepared), Ok(()));
+
+        let edges: Vec<_> = prepared.edges.iter().copied().collect();
+        let repair = match tree_clustering::plan_repair(
+            &prepared.clustering,
+            &edges,
+            &[TopologyOp::Cut { child: 40 }],
+        ) {
+            Ok(RepairOutcome::Repaired(repair)) => repair,
+            other => panic!("a tail cut repairs locally, got {other:?}"),
+        };
+        prepared.apply_structural_repair(&repair);
+        let err = inc
+            .audit_indexes(&prepared)
+            .expect_err("the solver was left behind");
+        assert!(err.contains("out_edge_slots"), "{err}");
     }
 
     #[test]

@@ -33,8 +33,8 @@ pub struct FnSpan {
     /// Declared plain-`pub` (restricted visibilities like `pub(crate)` don't count,
     /// matching the dead-pub-api rule's notion of public surface).
     pub is_pub: bool,
-    /// Head identifier of the enclosing `impl` block's self type (`Member<P>` →
-    /// `Member`), when the function is an associated fn/method.
+    /// Head identifier of the enclosing `impl` block's self type (`SlotState<P>` →
+    /// `SlotState`), when the function is an associated fn/method.
     pub impl_type: Option<String>,
 }
 
@@ -44,7 +44,7 @@ pub struct ImplSpan {
     /// Last path segment of the implemented trait, without generics
     /// (`snapshot::Snapshot` → `Snapshot`); `None` for inherent impls.
     pub trait_name: Option<String>,
-    /// The self type with all whitespace removed (`Member<P>`, `(A,B)`, `Vec<T>`)
+    /// The self type with all whitespace removed (`SlotState<P>`, `(A,B)`, `Vec<T>`)
     /// — a deterministic key for the ABI lockfile.
     pub type_text: String,
     /// 1-based line of the `impl` keyword.
@@ -538,7 +538,7 @@ fn parse_impl_header(header: &str) -> (Option<String>, String) {
     (trait_name, type_text)
 }
 
-/// Head identifier of a type key (`Member<P>` → `Member`); `None` for tuples and
+/// Head identifier of a type key (`SlotState<P>` → `SlotState`); `None` for tuples and
 /// other headless types.
 pub fn type_head(type_text: &str) -> Option<String> {
     let head: String = type_text
@@ -645,12 +645,12 @@ fn real() {
     #[test]
     fn impl_blocks_and_member_fns_are_tracked() {
         let src = "\
-impl<P: ClusterDp> Snapshot for Member<P>
+impl<P: ClusterDp> Snapshot for SlotState<P>
 where
     P::Summary: Snapshot,
 {
     fn encode(&self, w: &mut SnapshotWriter) {
-        self.element.encode(w);
+        self.payloads.encode(w);
     }
 }
 
@@ -663,12 +663,12 @@ impl Plan {
         let m = FileModel::build("crates/core/src/snapshot.rs", src);
         assert_eq!(m.impls.len(), 2);
         assert_eq!(m.impls[0].trait_name.as_deref(), Some("Snapshot"));
-        assert_eq!(m.impls[0].type_text, "Member<P>");
+        assert_eq!(m.impls[0].type_text, "SlotState<P>");
         assert_eq!((m.impls[0].start, m.impls[0].end), (1, 8));
         assert_eq!(m.impls[1].trait_name, None);
         assert_eq!(m.impls[1].type_text, "Plan");
         assert_eq!(m.fns.len(), 2);
-        assert_eq!(m.fns[0].impl_type.as_deref(), Some("Member"));
+        assert_eq!(m.fns[0].impl_type.as_deref(), Some("SlotState"));
         assert!(!m.fns[0].is_pub);
         assert_eq!(m.fns[1].impl_type.as_deref(), Some("Plan"));
         assert!(m.fns[1].is_pub);

@@ -272,7 +272,7 @@ fn warm_primitive_calls_have_zero_net_heap_growth() {
 
     // --- solve-plan evaluation: with the plan (problem-independent view assembly)
     // built once, every warm `plan.solve` call must also leave the heap where it
-    // found it — its working state, materialized views, and label chunks are all
+    // found it — its slot state, boundary labels, and label chunks are all
     // freed when the returned solution drops. Metrics are reset inside the window:
     // the per-phase breakdown strings a solve records are bookkeeping of the
     // *simulator*, not of the evaluation pass, and would otherwise accumulate.

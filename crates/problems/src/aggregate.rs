@@ -77,9 +77,9 @@ impl ClusterDp for SubtreeAggregate {
     /// Aggregate of the labels in the subtree hanging below the edge.
     type Label = i64;
 
-    fn summarize(&self, view: &ClusterView<Self>) -> i64 {
-        view.members.iter().fold(self.op.identity(), |acc, m| {
-            let v = match &m.payload {
+    fn summarize(&self, view: &ClusterView<'_, Self>) -> i64 {
+        (0..view.skeleton.members.len()).fold(self.op.identity(), |acc, idx| {
+            let v = match view.payload(idx) {
                 Payload::Input(x) => *x,
                 Payload::Summary(s) => *s,
             };
@@ -93,23 +93,22 @@ impl ClusterDp for SubtreeAggregate {
 
     fn label_members(
         &self,
-        view: &ClusterView<Self>,
+        view: &ClusterView<'_, Self>,
         _out_label: &i64,
         in_label: Option<&i64>,
     ) -> Vec<i64> {
-        let n = view.members.len();
-        let mut sub = vec![self.op.identity(); n];
+        let members = &view.skeleton.members;
+        let mut sub = vec![self.op.identity(); members.len()];
         for idx in view.bottom_up_order() {
-            let m = &view.members[idx];
-            let own = match &m.payload {
+            let own = match view.payload(idx) {
                 Payload::Input(x) => *x,
                 Payload::Summary(s) => *s,
             };
             let mut acc = own;
-            for &c in &m.children {
+            for &c in &members[idx].children {
                 acc = self.op.combine(acc, sub[c]);
             }
-            if view.attach == Some(idx) {
+            if view.skeleton.attach == Some(idx) {
                 if let Some(external) = in_label {
                     acc = self.op.combine(acc, *external);
                 }
@@ -217,20 +216,20 @@ impl ExpressionEval {
         }
     }
 
-    fn member_forms(view: &ClusterView<Self>, hole: Option<i64>) -> Vec<Linear> {
-        let n = view.members.len();
-        let mut forms = vec![Linear::constant(0); n];
+    fn member_forms(view: &ClusterView<'_, Self>, hole: Option<i64>) -> Vec<Linear> {
+        let members = &view.skeleton.members;
+        let mut forms = vec![Linear::constant(0); members.len()];
         for idx in view.bottom_up_order() {
-            let m = &view.members[idx];
-            let mut child_forms: Vec<Linear> = m.children.iter().map(|&c| forms[c]).collect();
-            if view.attach == Some(idx) {
+            let mut child_forms: Vec<Linear> =
+                members[idx].children.iter().map(|&c| forms[c]).collect();
+            if view.skeleton.attach == Some(idx) {
                 // The external subtree below the incoming edge is one more child.
                 child_forms.push(match hole {
                     Some(x) => Linear::constant(x),
                     None => Linear::hole(),
                 });
             }
-            forms[idx] = match &m.payload {
+            forms[idx] = match view.payload(idx) {
                 Payload::Input(node) => Self::apply(node, &child_forms),
                 Payload::Summary(lin) => {
                     // A contracted cluster: a constant, or a linear function of the form
@@ -257,8 +256,8 @@ impl ClusterDp for ExpressionEval {
     type Summary = Linear;
     type Label = i64;
 
-    fn summarize(&self, view: &ClusterView<Self>) -> Linear {
-        Self::member_forms(view, None)[view.top]
+    fn summarize(&self, view: &ClusterView<'_, Self>) -> Linear {
+        Self::member_forms(view, None)[view.skeleton.top]
     }
 
     fn label_root(&self, summary: &Linear) -> i64 {
@@ -267,7 +266,7 @@ impl ClusterDp for ExpressionEval {
 
     fn label_members(
         &self,
-        view: &ClusterView<Self>,
+        view: &ClusterView<'_, Self>,
         _out_label: &i64,
         in_label: Option<&i64>,
     ) -> Vec<i64> {

@@ -95,26 +95,25 @@ enum Form {
 }
 
 impl TreeMedian {
-    fn member_forms(view: &ClusterView<Self>, hole: Option<i64>) -> Vec<Form> {
-        let n = view.members.len();
-        let mut forms = vec![Form::Fixed(0); n];
+    fn member_forms(view: &ClusterView<'_, Self>, hole: Option<i64>) -> Vec<Form> {
+        let members = &view.skeleton.members;
+        let mut forms = vec![Form::Fixed(0); members.len()];
         for idx in view.bottom_up_order() {
-            let m = &view.members[idx];
             let mut fixed: Vec<i64> = Vec::new();
             let mut pending: Option<(i64, i64)> = None;
-            for &c in &m.children {
+            for &c in &members[idx].children {
                 match forms[c] {
                     Form::Fixed(v) => fixed.push(v),
                     Form::Pending(a, b) => pending = Some((a, b)),
                 }
             }
-            if view.attach == Some(idx) {
+            if view.skeleton.attach == Some(idx) {
                 match hole {
                     Some(x) => fixed.push(x),
                     None => pending = Some((i64::MIN, i64::MAX)),
                 }
             }
-            forms[idx] = match &m.payload {
+            forms[idx] = match view.payload(idx) {
                 Payload::Input(Some(value)) => Form::Fixed(*value),
                 Payload::Input(None) => match pending {
                     None => {
@@ -153,8 +152,8 @@ impl ClusterDp for TreeMedian {
     type Summary = MedianSummary;
     type Label = i64;
 
-    fn summarize(&self, view: &ClusterView<Self>) -> MedianSummary {
-        match Self::member_forms(view, None)[view.top] {
+    fn summarize(&self, view: &ClusterView<'_, Self>) -> MedianSummary {
+        match Self::member_forms(view, None)[view.skeleton.top] {
             Form::Fixed(v) => MedianSummary::Fixed(v),
             Form::Pending(a, b) => MedianSummary::Pending { a, b },
         }
@@ -169,7 +168,7 @@ impl ClusterDp for TreeMedian {
 
     fn label_members(
         &self,
-        view: &ClusterView<Self>,
+        view: &ClusterView<'_, Self>,
         _out_label: &i64,
         in_label: Option<&i64>,
     ) -> Vec<i64> {

@@ -5,7 +5,10 @@
 //!
 //! 1. **Admit** ([`TreeDpServer::admit`]): prepare the tenant's tree on its own
 //!    [`MpcContext`], build its [`SolvePlan`] (into the shared cache), run the
-//!    initial solve, and stand up an [`IncrementalSolver`] over the solve's store.
+//!    initial solve, and stand up an [`IncrementalSolver`] over the solve's store —
+//!    a copy of that plan with the problem's slot state over it. The solver's copy
+//!    is the tenant's own: evicting the cached plan takes nothing from it, so weight
+//!    and structural updates never wait for a rebuild.
 //! 2. **Serve** ([`TreeDpServer::submit`] + [`TreeDpServer::flush`]): queued
 //!    requests are coalesced per tenant — all weight updates of a flush fold into
 //!    *one* `apply_batch` call, all structural (link/cut) requests into *one*
@@ -14,16 +17,18 @@
 //!    first dry-run against the tree as the requests accepted before it leave it
 //!    ([`IncrementalSolver::validate_structural`]); one with an invalid op is rejected
 //!    on its own and the rest of the flush proceeds. The folded batch takes
-//!    the resident plan out of the cache, splices it in place alongside the
-//!    clustering repair, and re-admits it under the budget (a degrade re-admits the
-//!    freshly rebuilt plan instead). A flush that finds the tenant's plan evicted
+//!    the resident plan out of the cache, splices it in place — the same splice the
+//!    solver runs on its own plan — and re-admits it under the budget (a degrade
+//!    re-admits the freshly rebuilt plan instead). A flush that finds the tenant's plan evicted
 //!    transparently rebuilds it first (re-charging the full `plan-build` rounds).
 //! 3. **Persist** ([`TreeDpServer::snapshot_tenant`] /
 //!    [`TreeDpServer::restore_tenant`]): a tenant serializes to a self-contained
 //!    [`KIND_TENANT`] snapshot (config, prepared tree, solver store, aux input,
 //!    metrics) and restores on any server — including a freshly started one —
-//!    with bit-identical labels and optima. Restored tenants re-enter with a cold
-//!    plan cache; their first query is an honest miss.
+//!    with bit-identical labels and optima. Restoring checks every index the parts
+//!    carry and that store, tree and config belong together; anything else is a
+//!    typed [`ServerError::Snapshot`]. Restored tenants re-enter with a cold plan
+//!    cache; their first query is an honest miss.
 //!
 //! Within one flush, a tenant's weight updates apply first, then its structural
 //! batch, then its queries (the queries see the updated *and* repaired state);
@@ -50,8 +55,9 @@ pub type TenantId = String;
 
 /// Snapshot payload kind of a serialized tenant (layered on the core codec's
 /// header; see [`tree_dp_core::seal`]). Bumped 100 → 101 when
-/// [`TenantMetrics`] grew its `structural` counter.
-pub const KIND_TENANT: u32 = 101;
+/// [`TenantMetrics`] grew its `structural` counter, 101 → 102 when the solver
+/// store inside it became a plan plus slot state.
+pub const KIND_TENANT: u32 = 102;
 
 /// Why a serving-layer operation failed.
 #[derive(Debug, Clone, PartialEq)]
@@ -278,13 +284,7 @@ where
             &edge_inputs,
         );
         let r3 = ctx.metrics().rounds;
-        let solver = IncrementalSolver::restore(
-            spec.problem,
-            store,
-            prepared.clustering.top_cluster,
-            prepared.clustering.root,
-            spec.aux_input.clone(),
-        );
+        let solver = IncrementalSolver::restore(spec.problem, store, spec.aux_input.clone());
 
         let evicted = self.cache.insert(id.clone(), plan, r2 - r1);
         for ev in &evicted {
@@ -640,10 +640,10 @@ where
     P::Label: Snapshot,
 {
     /// Serialize `id` as a self-contained [`KIND_TENANT`] snapshot: config,
-    /// prepared tree, solver store, aux input, and metrics. The cached plan
-    /// deliberately does *not* travel — a restored tenant's first query is an
-    /// honest cache miss that rebuilds it (bit-identical, since plans are a pure
-    /// function of the clustering).
+    /// prepared tree, solver store (the solver's own plan and slot state), aux
+    /// input, and metrics. The plan cache's entry deliberately does *not* travel —
+    /// a restored tenant's first query is an honest cache miss that rebuilds it
+    /// (plans are a pure function of the clustering).
     // mpc-cost: rounds(const)
     pub fn snapshot_tenant(&self, id: &str) -> Result<Vec<u8>, ServerError> {
         let tenant = self
@@ -674,17 +674,26 @@ where
         let aux_input = P::NodeInput::decode(&mut r)?;
         let metrics = TenantMetrics::decode(&mut r)?;
         r.finish().map_err(ServerError::from)?;
+        // Each part decoded sound on its own; they must also be parts of one tenant.
+        let plan = store.plan();
+        let clustering = &prepared.clustering;
+        if (plan.root(), plan.top_cluster(), plan.num_layers())
+            != (
+                clustering.root,
+                clustering.top_cluster,
+                clustering.num_layers,
+            )
+        {
+            return Err(SnapshotError::Malformed("solver store of another tree").into());
+        }
+        if plan.num_machines() != config.num_machines() {
+            return Err(SnapshotError::Malformed("solver store of another machine count").into());
+        }
         if self.tenants.contains_key(&id) {
             return Err(ServerError::DuplicateTenant(id));
         }
         let ctx = MpcContext::new(config);
-        let solver = IncrementalSolver::restore(
-            problem,
-            store,
-            prepared.clustering.top_cluster,
-            prepared.clustering.root,
-            aux_input.clone(),
-        );
+        let solver = IncrementalSolver::restore(problem, store, aux_input.clone());
         self.tenants.insert(
             id.clone(),
             Tenant {

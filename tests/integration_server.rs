@@ -738,3 +738,238 @@ fn incomplete_query_is_rejected_alone() {
     }
     assert_eq!(clean_metrics, mixed_metrics);
 }
+
+/// The plan a tenant admitted with `tree` (threshold 4, `strict_cfg(4n)`) gets.
+fn fresh_plan(tree: &Tree) -> mpc_tree_dp::SolvePlan {
+    let mut ctx = MpcContext::new(strict_cfg(4 * tree.len()));
+    let prepared = prepare(
+        &mut ctx,
+        TreeInput::ListOfEdges(ListOfEdges::from_tree(tree)),
+        Some(4),
+    )
+    .expect("well-formed tree");
+    prepared.plan_uncached(&mut ctx)
+}
+
+/// A tenant snapshot whose checksum is valid says nothing about the indexes inside it:
+/// one index out of place, a store that belongs to another tree or machine count, or
+/// the superseded payload kind must each come back from `restore_tenant` as a typed
+/// `ServerError::Snapshot` — not as a tenant that panics on its next update.
+#[test]
+fn resealed_tenant_snapshots_with_one_field_out_of_place_are_refused() {
+    use mpc_tree_dp::core::{seal, SnapshotWriter};
+
+    let tree = spider(5, 9);
+    let n = tree.len();
+    let cfg = ServerConfig {
+        plan_budget_words: 1 << 20,
+    };
+    let mut server = Server::new(cfg);
+    server
+        .admit(
+            "alpha",
+            TenantSpec {
+                config: strict_cfg(4 * n),
+                input: TreeInput::ListOfEdges(ListOfEdges::from_tree(&tree)),
+                threshold: Some(4),
+                problem: MaxIs::new(MaxWeightIndependentSet),
+                node_inputs: weights_for(n, 3),
+                aux_input: 0,
+                edge_inputs: Vec::new(),
+            },
+        )
+        .expect("admission");
+    let good = server.snapshot_tenant("alpha").expect("snapshot");
+    let restore = |bytes: &[u8]| {
+        Server::new(cfg)
+            .restore_tenant(bytes, MaxIs::new(MaxWeightIndependentSet))
+            .err()
+    };
+    assert_eq!(restore(&good), None);
+
+    // Re-seal the payload (header is 32 bytes) under `kind` after `edit`.
+    let reseal = |kind: u32, edit: &dyn Fn(&mut Vec<u8>)| {
+        let mut payload = good[32..].to_vec();
+        edit(&mut payload);
+        let mut w = SnapshotWriter::new();
+        w.put_bytes(&payload);
+        seal(kind, w)
+    };
+    let malformed = |bytes: &[u8]| {
+        matches!(
+            restore(bytes),
+            Some(ServerError::Snapshot(SnapshotError::Malformed(_)))
+        )
+    };
+
+    // The store's plan opens with `num_layers: u32`, `num_machines`, `root`,
+    // `top_cluster`, `top_machine` (u64 each); the tenant's tree travels without a
+    // cached plan, so the first such run of bytes is the store's.
+    let header = fresh_plan(&tree).to_snapshot()[32..60].to_vec();
+    let plan_at = good[32..]
+        .windows(header.len())
+        .position(|w| w == header)
+        .expect("the store's plan is in the payload");
+    let bump = |payload: &mut Vec<u8>, at: usize, by: u64| {
+        let mut field = [0u8; 8];
+        field.copy_from_slice(&payload[at..at + 8]);
+        let value = u64::from_le_bytes(field).wrapping_add(by);
+        payload[at..at + 8].copy_from_slice(&value.to_le_bytes());
+    };
+
+    // One index of the plan: `top_machine` past the last machine.
+    assert!(malformed(&reseal(KIND_TENANT, &|p| bump(
+        p,
+        plan_at + 28,
+        1 << 40
+    ))));
+    // A store that is sound but is not this tree's: another root.
+    assert!(malformed(&reseal(KIND_TENANT, &|p| bump(
+        p,
+        plan_at + 12,
+        1
+    ))));
+    // A config for another machine count: `n` is the config's first field, right
+    // behind the id string (length prefix + "alpha").
+    assert!(malformed(&reseal(KIND_TENANT, &|p| bump(
+        p,
+        8 + "alpha".len(),
+        1 << 20
+    ))));
+    // The payload kind tenants were written under before the store changed shape.
+    assert_eq!(
+        restore(&reseal(101, &|_| ())),
+        Some(ServerError::Snapshot(SnapshotError::WrongKind {
+            found: 101,
+            expected: KIND_TENANT
+        }))
+    );
+}
+
+/// The solver owns its plan: a tenant whose cached plan was evicted serves weight
+/// updates and a structural batch without a single `plan-build` round, at exactly the
+/// cost and with exactly the counters of a tenant whose plan is resident.
+#[test]
+fn evicted_tenant_serves_updates_and_structural_batches_without_a_rebuild() {
+    use mpc_tree_dp::StructuralBatch;
+
+    let tree = heavy_caterpillar(14, 7);
+    let n = tree.len();
+    let make_spec = || TenantSpec {
+        config: strict_cfg(4 * n),
+        input: TreeInput::ListOfEdges(ListOfEdges::from_tree(&tree)),
+        threshold: Some(4),
+        problem: MaxIs::new(MaxWeightIndependentSet),
+        node_inputs: weights_for(n, 5),
+        aux_input: 0,
+        edge_inputs: Vec::new(),
+    };
+    let plan_words = fresh_plan(&tree).resident_words();
+    // Room for one plan: admitting `resident` evicts `evicted`.
+    let mut server = Server::new(ServerConfig {
+        plan_budget_words: plan_words * 3 / 2,
+    });
+    server.admit("evicted", make_spec()).expect("admission");
+    server.admit("resident", make_spec()).expect("admission");
+    let cs = server.cache_stats();
+    assert_eq!((cs.resident_plans, cs.evictions), (1, 1));
+    assert_eq!(
+        server.tenant_metrics("evicted").expect("tenant").evictions,
+        1
+    );
+
+    let build_rounds = |server: &Server, id: &str| {
+        let metrics = server.context(id).expect("tenant").metrics();
+        metrics.phase_rounds("plan-build")
+    };
+    let built_before = build_rounds(&server, "evicted");
+    for id in ["evicted", "resident"] {
+        server.submit(
+            id,
+            Request::Update {
+                node_updates: vec![(1, 400), (5, 0), (n as u64 - 2, 63)],
+                edge_updates: Vec::new(),
+            },
+        );
+        server.submit(
+            id,
+            Request::Structural(
+                StructuralBatch::new()
+                    .cut(n as u64 - 1)
+                    .link(3, 10_000, 21, ())
+                    .link(10_000, 10_001, 8, ()),
+            ),
+        );
+    }
+    let responses = server.flush();
+    assert_eq!(
+        build_rounds(&server, "evicted"),
+        built_before,
+        "no plan-build round on the evicted tenant"
+    );
+    assert_eq!(server.cache_stats().resident_plans, 1, "still evicted");
+
+    let (u_evicted, u_resident) = (
+        expect_update(&responses[0].1),
+        expect_update(&responses[2].1),
+    );
+    assert_eq!(
+        (
+            u_evicted.batch_size,
+            u_evicted.resummarized,
+            u_evicted.summaries_changed,
+            u_evicted.relabeled,
+            u_evicted.labels_changed,
+            u_evicted.rounds,
+            u_evicted.words_sent
+        ),
+        (
+            u_resident.batch_size,
+            u_resident.resummarized,
+            u_resident.summaries_changed,
+            u_resident.relabeled,
+            u_resident.labels_changed,
+            u_resident.rounds,
+            u_resident.words_sent
+        )
+    );
+    assert!(u_evicted.rounds > 0);
+    let structural = |resp: &Response<MaxIs>| match resp {
+        Response::Structural(stats) => *stats,
+        _ => panic!("expected structural stats"),
+    };
+    let (s_evicted, s_resident) = (structural(&responses[1].1), structural(&responses[3].1));
+    assert!(!s_evicted.degraded && !s_resident.degraded);
+    assert_eq!(
+        (
+            s_evicted.removed_nodes,
+            s_evicted.added_leaves,
+            s_evicted.patched_clusters,
+            s_evicted.resummarized,
+            s_evicted.relabeled,
+            s_evicted.rounds,
+            s_evicted.words_sent
+        ),
+        (
+            s_resident.removed_nodes,
+            s_resident.added_leaves,
+            s_resident.patched_clusters,
+            s_resident.resummarized,
+            s_resident.relabeled,
+            s_resident.rounds,
+            s_resident.words_sent
+        )
+    );
+    assert_eq!(server.labels("evicted"), server.labels("resident"));
+    assert_eq!(
+        server.root_summary("evicted"),
+        server.root_summary("resident")
+    );
+    for id in ["evicted", "resident"] {
+        server
+            .context(id)
+            .expect("tenant")
+            .check_compliance()
+            .unwrap_or_else(|v| panic!("{id}: strict violation: {v}"));
+    }
+}

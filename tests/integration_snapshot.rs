@@ -169,13 +169,7 @@ fn solver_store_round_trips_into_incremental_solver() {
     let store: SolverStore<MaxIs> = SolverStore::from_snapshot(&bytes).expect("round trip");
     assert_eq!(store.num_layers(), solver.store().num_layers());
     assert_eq!(store.resident_words(), solver.store().resident_words());
-    let mut restored = IncrementalSolver::restore(
-        MaxIs::new(MaxWeightIndependentSet),
-        store,
-        prepared.clustering.top_cluster,
-        prepared.clustering.root,
-        0,
-    );
+    let mut restored = IncrementalSolver::restore(MaxIs::new(MaxWeightIndependentSet), store, 0);
     assert_eq!(restored.root_summary(), solver.root_summary());
     assert_eq!(restored.labels(), solver.labels());
 

@@ -773,13 +773,7 @@ fn check_long_sequence(tree: &Tree, seed: u64, steps: u64) {
                 .expect("tree snapshot round-trips");
             let store = SolverStore::from_snapshot(&inc.store().to_snapshot())
                 .expect("store snapshot round-trips");
-            inc = IncrementalSolver::restore(
-                MaxIs::new(MaxWeightIndependentSet),
-                store,
-                restored_tree.clustering.top_cluster,
-                restored_tree.clustering.root,
-                0,
-            );
+            inc = IncrementalSolver::restore(MaxIs::new(MaxWeightIndependentSet), store, 0);
             prepared = restored_tree;
             assert!(
                 inc.repair_index().is_none(),
