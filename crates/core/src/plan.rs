@@ -1314,38 +1314,34 @@ impl SolvePlan {
     ) {
         let li = (layer - 1) as usize;
         let machines = self.num_machines;
-        let produced: Vec<Vec<(NodeId, P::Label)>> = (0..machines)
-            .map(|machine| {
-                self.layers[li][machine]
-                    .iter()
-                    .zip(&state[li][machine])
-                    .zip(&boundary[li][machine])
-                    .flat_map(|((skeleton, slots), (out_label, in_label))| {
-                        let out_label = out_label.as_ref().expect("boundary out-label present");
-                        let member_labels = problem.label_members(
-                            &ClusterView { skeleton, slots },
-                            out_label,
-                            in_label.as_ref(),
-                        );
-                        skeleton
-                            .members
-                            .iter()
-                            .enumerate()
-                            .filter(|(i, _)| *i != skeleton.top)
-                            .map(|(i, m)| (m.element.out_edge.child, member_labels[i].clone()))
-                            .collect::<Vec<_>>()
-                    })
-                    .collect()
-            })
-            .collect();
         let mut sends = vec![0usize; machines];
         let mut recvs = vec![0usize; machines];
         let mut any_delivered = false;
-        for (src, machine_labels) in produced.into_iter().enumerate() {
-            for (key, label) in machine_labels {
+        for (src, output) in label_chunks.iter_mut().enumerate() {
+            // Labels go straight into the machine's output and are forwarded from there;
+            // their readers sit at lower layers, so this layer's boundary labels stay put.
+            let start = output.len();
+            let views = self.layers[li][src].iter().zip(&state[li][src]);
+            for ((skeleton, slots), (out_label, in_label)) in views.zip(&boundary[li][src]) {
+                let out_label = out_label.as_ref().expect("boundary out-label present");
+                let member_labels = problem.label_members(
+                    &ClusterView { skeleton, slots },
+                    out_label,
+                    in_label.as_ref(),
+                );
+                output.extend(
+                    skeleton
+                        .members
+                        .iter()
+                        .zip(member_labels)
+                        .enumerate()
+                        .filter(|(i, _)| *i != skeleton.top)
+                        .map(|(_, (m, label))| (m.element.out_edge.child, label)),
+                );
+            }
+            for (key, label) in &output[start..] {
                 any_delivered |=
-                    self.place_label(key, &label, src, layer, boundary, &mut sends, &mut recvs);
-                label_chunks[src].push((key, label));
+                    self.place_label(*key, label, src, layer, boundary, &mut sends, &mut recvs);
             }
         }
         if any_delivered {

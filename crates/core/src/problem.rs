@@ -118,14 +118,6 @@ impl<'a, P: ClusterDp + ?Sized> ClusterView<'a, P> {
         order.reverse();
         order
     }
-
-    /// Members in an order where every member appears before its children
-    /// (top-down processing order).
-    pub fn top_down_order(&self) -> Vec<usize> {
-        let mut order = self.bottom_up_order();
-        order.reverse();
-        order
-    }
 }
 
 /// A dynamic programming problem in the sense of Definition 1 of the paper.
@@ -269,7 +261,7 @@ mod tests {
                 assert!(pos[c] < pos[i]);
             }
         }
-        assert_eq!(view.top_down_order()[0], 0);
+        assert_eq!(up.last(), Some(&0), "the top member comes last");
         let summary = CountNodes.summarize(&view);
         assert_eq!(summary, 4);
         assert_eq!(CountNodes.label_root(&summary), 4);

@@ -25,9 +25,19 @@
 //! lower auxiliary copy that used up the node's "matched" budget — therefore has to go
 //! through a promise state, which is what the attach node's parent (in particular an
 //! upper auxiliary copy of the same original node) gets to see.
+//!
+//! **One arena.** Definition 1 grants a cluster's local DP `O(|C|)` extra space. The
+//! engine keeps it in one flat score arena, reused from view to view, where every table
+//! is a range. A child merge appends its output, so the parent's table from before each
+//! merge stays in place for backtracking. Labeling recomputes the local DP: keeping the
+//! tables from summarizing would hold every view's tables from the bottom-up pass to the
+//! top-down one, and views the incremental solver relabels without re-summarizing would
+//! need a second path.
 
+use crate::plan::PlanView;
 use crate::problem::{ClusterDp, ClusterView, Payload};
 use mpc_engine::Words;
+use std::cell::RefCell;
 use tree_clustering::{EdgeKind, ElementKind};
 
 /// Score type of the engine (max-plus optimization; use negated costs for minimization).
@@ -117,12 +127,17 @@ impl Words for StateSummary {
 /// Wraps a [`StateDp`] problem into a [`ClusterDp`].
 pub struct StateEngine<P: StateDp> {
     problem: P,
+    /// The local-DP arena, reused from view to view (see the module docs).
+    scratch: RefCell<LocalDp>,
 }
 
 impl<P: StateDp> StateEngine<P> {
     /// Wrap a finite-state problem.
     pub fn new(problem: P) -> Self {
-        Self { problem }
+        Self {
+            problem,
+            scratch: RefCell::default(),
+        }
     }
 
     /// Access the wrapped problem.
@@ -131,95 +146,134 @@ impl<P: StateDp> StateEngine<P> {
     }
 }
 
-/// A member's DP table during local (in-cluster) processing: `table[s][e]` is the best
-/// score of the member's subtree when its interface node is in state `s` and the
-/// cluster's attach node (if it lies in this subtree) is in state `e`.
-#[derive(Debug, Clone)]
-struct Table {
-    states: usize,
+/// A member's DP table: a range of the [`LocalDp`] arena holding `states × ext` scores
+/// from `off`. Entry `[s][e]` is the best score of the member's subtree when its
+/// interface node is in state `s` and the cluster's attach node (if it lies in this
+/// subtree) is in state `e`; `ext` is 1 while the table carries no attach dimension.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tab {
+    off: usize,
     ext: usize,
-    values: Vec<Option<Score>>,
 }
 
-impl Table {
-    fn new(states: usize, ext: usize) -> Self {
-        Self {
-            states,
-            ext,
-            values: vec![None; states * ext],
-        }
-    }
-
-    fn get(&self, s: usize, e: usize) -> Option<Score> {
-        self.values[s * self.ext + e]
-    }
-
-    fn improve(&mut self, s: usize, e: usize, v: Score) {
-        let slot = &mut self.values[s * self.ext + e];
-        if slot.map(|cur| v > cur).unwrap_or(true) {
-            *slot = Some(v);
-        }
+impl Tab {
+    /// Arena index of entry `[s][e]`.
+    fn at(self, s: usize, e: usize) -> usize {
+        self.off + s * self.ext + e
     }
 }
 
-/// Per-member backtracking record: the base table and a snapshot of the table before
-/// every child merge (in merge order).
-struct MemberTables {
-    /// `(child member index, table before this child was merged)`.
-    steps: Vec<(usize, Table)>,
-    /// Table after all child merges but before the attach lifting.
-    pre_lift: Table,
+/// Per-member record of one local DP.
+#[derive(Debug, Clone, Copy, Default)]
+struct MemberDp {
     /// Table exposed to the member's parent (equal to `pre_lift` unless lifted).
-    final_table: Table,
+    exposed: Tab,
+    /// Table after all child merges but before the attach lifting.
+    pre_lift: Tab,
+    /// The parent's table before this member was merged into it.
+    before: Tab,
     /// `true` when the member's own attach dimension is still private (an indegree-1
     /// cluster member whose incoming edge is provided by one of its children).
     private_attach: bool,
+    /// The attach index backtracking fixed for the member.
+    chosen_ext: usize,
+}
+
+/// The scratch of one view's local DP.
+#[derive(Debug, Default)]
+struct LocalDp {
+    states: usize,
+    /// Every table of the view, in the order the pass created them.
+    scores: Vec<Option<Score>>,
+    /// Members, every one before its children (reversed: the bottom-up order).
+    order: Vec<usize>,
+    /// Aligned with the view's members.
+    members: Vec<MemberDp>,
+}
+
+impl LocalDp {
+    /// Empty the arena and lay out the members of `skeleton` for a new pass.
+    fn start(&mut self, states: usize, skeleton: &PlanView) {
+        self.states = states;
+        self.scores.clear();
+        self.members.clear();
+        self.members
+            .resize(skeleton.members.len(), MemberDp::default());
+        self.order.clear();
+        self.order.push(skeleton.top);
+        let mut next = 0;
+        while let Some(&m) = self.order.get(next) {
+            self.order.extend_from_slice(&skeleton.members[m].children);
+            next += 1;
+        }
+    }
+
+    /// Append an all-infeasible table of attach width `ext`.
+    fn push_table(&mut self, ext: usize) -> Tab {
+        let off = self.scores.len();
+        self.scores.resize(off + self.states * ext, None);
+        Tab { off, ext }
+    }
+}
+
+/// Raise `slot` to `v` if `v` is strictly better.
+fn improve(slot: &mut Option<Score>, v: Score) {
+    if slot.map(|cur| v > cur).unwrap_or(true) {
+        *slot = Some(v);
+    }
+}
+
+/// The member edge a child merge crosses.
+struct Edge<I> {
+    kind: EdgeKind,
+    input: I,
+    /// Whether the edge enters the parent's private attach dimension (the child provides
+    /// an indegree-1 cluster parent's incoming edge) rather than its interface node.
+    into_private: bool,
 }
 
 impl<P: StateDp> StateEngine<P> {
-    fn base_table(&self, view: &ClusterView<'_, Self>, idx: usize) -> (Table, bool) {
-        let s = self.problem.num_states();
-        let is_attach = view.skeleton.attach == Some(idx);
-        match view.payload(idx) {
+    /// Append member `i`'s table before any child merge; `true` when its attach
+    /// dimension is private.
+    fn base_table(&self, view: &ClusterView<'_, Self>, i: usize, dp: &mut LocalDp) -> (Tab, bool) {
+        let s = dp.states;
+        let is_attach = view.skeleton.attach == Some(i);
+        let off = dp.scores.len();
+        match view.payload(i) {
             Payload::Input(input) => {
                 // Original node: 1-dimensional; the attach lifting (tying the external
                 // dimension to the node's own final state) happens after its children
                 // have been merged.
-                let mut t = Table::new(s, 1);
-                for st in 0..s {
-                    if !is_attach && self.problem.requires_external_child(st) {
-                        continue;
-                    }
-                    if let Some(score) = self.problem.init(input, st) {
-                        t.improve(st, 0, score);
-                    }
-                }
-                (t, false)
+                let promise = |st| !is_attach && self.problem.requires_external_child(st);
+                let init = |st| self.problem.init(input, st).filter(|_| !promise(st));
+                dp.scores.extend((0..s).map(init));
+                (Tab { off, ext: 1 }, false)
             }
             Payload::Summary(sum) => {
-                if !sum.has_attach {
-                    let mut t = Table::new(s, 1);
-                    for st in 0..s {
-                        if let Some(v) = sum.values[st] {
-                            t.improve(st, 0, v);
-                        }
-                    }
-                    (t, false)
-                } else {
-                    // Indegree-1 cluster: 2-dimensional. If this member is the view's
-                    // attach member the dimension stays external, otherwise it is
-                    // private and will be consumed by the member's single child.
-                    let mut t = Table::new(s, s);
-                    for st in 0..s {
-                        for e in 0..s {
-                            if let Some(v) = sum.values[st * s + e] {
-                                t.improve(st, e, v);
-                            }
-                        }
-                    }
-                    (t, !is_attach)
-                }
+                // An indegree-1 cluster is 2-dimensional. If this member is the view's
+                // attach member the dimension stays external, otherwise it is private
+                // and will be consumed by the member's single child.
+                let ext = if sum.has_attach { s } else { 1 };
+                dp.scores.extend_from_slice(&sum.values[..s * ext]);
+                (Tab { off, ext }, sum.has_attach && !is_attach)
             }
+        }
+    }
+
+    /// The edge member `child` hangs from member `parent` by; `private_attach` is the
+    /// parent's flag.
+    fn edge(
+        view: &ClusterView<'_, Self>,
+        private_attach: bool,
+        parent: usize,
+        child: usize,
+    ) -> Edge<P::EdgeInput> {
+        let members = &view.skeleton.members;
+        Edge {
+            kind: members[child].out_kind,
+            input: view.out_input(child),
+            into_private: private_attach
+                && members[parent].element.in_edge == Some(members[child].element.out_edge),
         }
     }
 
@@ -246,123 +300,104 @@ impl<P: StateDp> StateEngine<P> {
         settled.then_some(score)
     }
 
-    /// Merge child table `child` into parent table `parent` across the child's outgoing
-    /// edge. `into_private` selects whether the edge enters the parent's own interface
-    /// node (original-node parent) or the parent's private attach dimension
-    /// (indegree-1 cluster parent).
-    fn merge(
+    /// Every feasible combination of an entry `[ps][pe]` of table `parent` and an entry
+    /// `[cs][ce]` of table `child` across `edge`, in `(ps, pe, cs, ce)` order: `visit`
+    /// gets the merged entry `[state][attach index]` of a table of attach width
+    /// `out_ext` and its score. The first combination `visit` accepts is returned.
+    fn merge_steps(
         &self,
-        parent: &Table,
-        child: &Table,
-        kind: EdgeKind,
-        edge_input: &P::EdgeInput,
-        into_private: bool,
-    ) -> Table {
-        let s = parent.states;
-        let out_ext = if into_private {
-            child.ext
-        } else {
-            parent.ext.max(child.ext)
-        };
-        let mut out = Table::new(s, out_ext);
+        scores: &[Option<Score>],
+        parent: Tab,
+        child: Tab,
+        out_ext: usize,
+        edge: &Edge<P::EdgeInput>,
+        mut visit: impl FnMut(usize, usize, Score) -> bool,
+    ) -> Option<[usize; 4]> {
+        let s = self.problem.num_states();
         for ps in 0..s {
             for pe in 0..parent.ext {
-                let Some(pv) = parent.get(ps, pe) else {
+                let Some(pv) = scores[parent.at(ps, pe)] else {
                     continue;
                 };
                 for cs in 0..s {
                     for ce in 0..child.ext {
-                        let Some(cv) = child.get(cs, ce) else {
+                        let Some(cv) = scores[child.at(cs, ce)] else {
                             continue;
                         };
-                        let (out_s, out_e, score) = if into_private {
+                        let (out_s, out_e, score) = if edge.into_private {
                             // The private dimension is consumed; the child may carry the
                             // external dimension.
-                            let Some(score) = self.absorb_into_attach(pe, kind, edge_input, cs)
+                            let Some(score) =
+                                self.absorb_into_attach(pe, edge.kind, &edge.input, cs)
                             else {
                                 continue;
                             };
-                            (ps, ce.min(out.ext - 1), score)
+                            (ps, ce.min(out_ext - 1), score)
                         } else {
                             // The parent's own state evolves; at most one of the two
                             // tables carries the external dimension.
                             let Some((new_state, score)) =
-                                self.problem.absorb_child(ps, kind, edge_input, cs)
+                                self.problem.absorb_child(ps, edge.kind, &edge.input, cs)
                             else {
                                 continue;
                             };
                             let e = if child.ext > 1 { ce } else { pe };
-                            (new_state, e.min(out.ext - 1), score)
+                            (new_state, e.min(out_ext - 1), score)
                         };
-                        out.improve(out_s, out_e, pv + cv + score);
+                        if visit(out_s, out_e, pv + cv + score) {
+                            return Some([ps, pe, cs, ce]);
+                        }
                     }
                 }
             }
         }
+        None
+    }
+
+    /// Merge child table `child` into parent table `parent` across `edge`, appending
+    /// the result to the arena.
+    fn merge(&self, dp: &mut LocalDp, parent: Tab, child: Tab, edge: &Edge<P::EdgeInput>) -> Tab {
+        let out = dp.push_table(if edge.into_private {
+            child.ext
+        } else {
+            parent.ext.max(child.ext)
+        });
+        let (tables, fresh) = dp.scores.split_at_mut(out.off);
+        self.merge_steps(tables, parent, child, out.ext, edge, |s, e, v| {
+            improve(&mut fresh[s * out.ext + e], v);
+            false
+        });
         out
     }
 
-    /// Bottom-up local DP over the members of a view, keeping backtracking snapshots.
-    fn run_local(&self, view: &ClusterView<'_, Self>) -> Vec<MemberTables> {
+    /// Bottom-up local DP over the members of a view, into `dp`.
+    fn run_local(&self, view: &ClusterView<'_, Self>, dp: &mut LocalDp) {
         let s = self.problem.num_states();
-        let members = &view.skeleton.members;
-        let n = members.len();
-        let mut tables: Vec<Option<MemberTables>> = (0..n).map(|_| None).collect();
-        for idx in view.bottom_up_order() {
-            let (base, private_attach) = self.base_table(view, idx);
-            let mut current = base;
-            let mut steps = Vec::new();
-            for &c in &members[idx].children {
-                let child_final = tables[c].as_ref().expect("children processed first");
-                let kind = members[c].out_kind;
-                let input = view.out_input(c);
-                let provider = is_in_edge_provider(view, idx, c);
-                steps.push((c, current.clone()));
-                current = self.merge(
-                    &current,
-                    &child_final.final_table,
-                    kind,
-                    &input,
-                    private_attach && provider,
-                );
+        let skeleton = view.skeleton;
+        dp.start(s, skeleton);
+        for k in (0..dp.order.len()).rev() {
+            let idx = dp.order[k];
+            let (mut current, private_attach) = self.base_table(view, idx, dp);
+            for &c in &skeleton.members[idx].children {
+                dp.members[c].before = current;
+                let edge = Self::edge(view, private_attach, idx, c);
+                current = self.merge(dp, current, dp.members[c].exposed, &edge);
             }
             // Attach lifting for original-node attach members: tie the external
             // dimension to the node's own final state.
-            let pre_lift = current.clone();
-            let is_attach_node =
-                view.skeleton.attach == Some(idx) && matches!(view.payload(idx), Payload::Input(_));
-            if is_attach_node {
-                let mut lifted = Table::new(s, s);
+            let pre_lift = current;
+            if skeleton.attach == Some(idx) && matches!(view.payload(idx), Payload::Input(_)) {
+                current = dp.push_table(s);
                 for st in 0..s {
-                    if let Some(v) = current.get(st, 0) {
-                        lifted.improve(st, st, v);
-                    }
+                    dp.scores[current.at(st, st)] = dp.scores[pre_lift.at(st, 0)];
                 }
-                current = lifted;
             }
-            tables[idx] = Some(MemberTables {
-                steps,
-                pre_lift,
-                final_table: current,
-                private_attach,
-            });
+            let rec = &mut dp.members[idx];
+            rec.exposed = current;
+            rec.pre_lift = pre_lift;
+            rec.private_attach = private_attach;
         }
-        tables
-            .into_iter()
-            .map(|t| t.expect("all processed"))
-            .collect()
     }
-}
-
-/// `true` when member `child` provides the incoming edge of (indegree-1 cluster) member
-/// `parent` within the view.
-fn is_in_edge_provider<P: StateDp>(
-    view: &ClusterView<'_, StateEngine<P>>,
-    parent: usize,
-    child: usize,
-) -> bool {
-    let members = &view.skeleton.members;
-    members[parent].element.in_edge == Some(members[child].element.out_edge)
 }
 
 impl<P: StateDp> ClusterDp for StateEngine<P> {
@@ -372,20 +407,17 @@ impl<P: StateDp> ClusterDp for StateEngine<P> {
     type Label = usize;
 
     fn summarize(&self, view: &ClusterView<'_, Self>) -> StateSummary {
-        let s = self.problem.num_states();
-        let tables = self.run_local(view);
+        let dp = &mut *self.scratch.borrow_mut();
+        self.run_local(view, dp);
+        let s = dp.states;
         let skeleton = view.skeleton;
-        let top = &tables[skeleton.top].final_table;
+        let top = dp.members[skeleton.top].exposed;
         let has_attach = skeleton.attach.is_some() && skeleton.kind == ElementKind::ClusterIndeg1;
         let ext = if has_attach { s } else { 1 };
         let mut values = vec![None; s * ext];
         for st in 0..s {
             for e in 0..ext.min(top.ext) {
-                values[st * ext + e] = top.get(st, e);
-            }
-            if top.ext == 1 && ext > 1 {
-                // Degenerate case: the attach dimension never materialized (possible
-                // only if the attach member ended up infeasible); leave infeasible.
+                values[st * ext + e] = dp.scores[top.at(st, e)];
             }
         }
         StateSummary {
@@ -411,101 +443,59 @@ impl<P: StateDp> ClusterDp for StateEngine<P> {
         out_label: &usize,
         in_label: Option<&usize>,
     ) -> Vec<usize> {
-        let s = self.problem.num_states();
-        let tables = self.run_local(view);
+        let dp = &mut *self.scratch.borrow_mut();
+        self.run_local(view, dp);
         let skeleton = view.skeleton;
-        let n = skeleton.members.len();
-        let mut chosen_state = vec![usize::MAX; n];
-        let mut chosen_ext = vec![0usize; n];
+        let mut chosen_state = vec![usize::MAX; skeleton.members.len()];
 
         // Fix the top member: its interface state is the label of the cluster's outgoing
         // edge; the external (attach) dimension is re-derived from the incoming edge's
         // label, reproducing the choice the parent layer's merge implied.
         chosen_state[skeleton.top] = *out_label;
-        let top_table = &tables[skeleton.top].final_table;
+        let top_table = dp.members[skeleton.top].exposed;
         if top_table.ext > 1 {
             let ext_child_state = in_label.copied().unwrap_or(0);
             let in_input = view.in_input().unwrap_or_default();
-            let mut best: Option<(Score, usize)> = None;
-            for e in 0..top_table.ext {
-                let Some(v) = top_table.get(*out_label, e) else {
-                    continue;
-                };
-                let Some(score) =
-                    self.absorb_into_attach(e, skeleton.in_kind, &in_input, ext_child_state)
-                else {
-                    continue;
-                };
-                let total = v + score;
-                if best.map(|(bv, _)| total > bv).unwrap_or(true) {
-                    best = Some((total, e));
-                }
-            }
-            chosen_ext[skeleton.top] = best.map(|(_, e)| e).unwrap_or(0);
+            // The best total; the lowest attach index among equals.
+            let best = (0..top_table.ext)
+                .filter_map(|e| {
+                    let v = dp.scores[top_table.at(*out_label, e)]?;
+                    let kind = skeleton.in_kind;
+                    let score = self.absorb_into_attach(e, kind, &in_input, ext_child_state)?;
+                    Some((std::cmp::Reverse(v + score), e))
+                })
+                .min();
+            dp.members[skeleton.top].chosen_ext = best.map_or(0, |(_, e)| e);
         }
 
         // Walk top-down, re-deriving each member's children's states by replaying the
         // child merges backwards from the member's fixed final state.
-        for idx in view.top_down_order() {
-            let mt = &tables[idx];
-            let lifted = mt.final_table.ext > mt.pre_lift.ext;
+        for k in 0..dp.order.len() {
+            let idx = dp.order[k];
+            let rec = dp.members[idx];
             // Work on the pre-lift chain: for lifted members the external index equals
             // the own state, so dropping it loses nothing.
+            let lifted = rec.exposed.ext > rec.pre_lift.ext;
             let mut target_state = chosen_state[idx];
-            let mut target_ext = if lifted { 0 } else { chosen_ext[idx] };
-            let mut current_table = &mt.pre_lift;
-            for (child_idx, before) in mt.steps.iter().rev() {
-                let child_table = &tables[*child_idx].final_table;
-                let kind = skeleton.members[*child_idx].out_kind;
-                let input = view.out_input(*child_idx);
-                let into_private = mt.private_attach && is_in_edge_provider(view, idx, *child_idx);
-                let te = target_ext.min(current_table.ext - 1);
-                let target_value = current_table
-                    .get(target_state, te)
-                    .expect("fixed state is feasible");
-                let mut found = None;
-                'search: for ps in 0..s {
-                    for pe in 0..before.ext {
-                        let Some(pv) = before.get(ps, pe) else {
-                            continue;
-                        };
-                        for cs in 0..s {
-                            for ce in 0..child_table.ext {
-                                let Some(cv) = child_table.get(cs, ce) else {
-                                    continue;
-                                };
-                                let (out_s, out_e, score) = if into_private {
-                                    let Some(score) = self.absorb_into_attach(pe, kind, &input, cs)
-                                    else {
-                                        continue;
-                                    };
-                                    (ps, ce.min(current_table.ext - 1), score)
-                                } else {
-                                    let Some((new_state, score)) =
-                                        self.problem.absorb_child(ps, kind, &input, cs)
-                                    else {
-                                        continue;
-                                    };
-                                    let e = if child_table.ext > 1 { ce } else { pe };
-                                    (new_state, e.min(current_table.ext - 1), score)
-                                };
-                                if out_s == target_state
-                                    && out_e == te
-                                    && pv + cv + score == target_value
-                                {
-                                    found = Some((ps, pe, cs, ce));
-                                    break 'search;
-                                }
-                            }
-                        }
-                    }
-                }
-                let (ps, pe, cs, ce) = found.expect("backtracking finds a consistent predecessor");
-                chosen_state[*child_idx] = cs;
-                chosen_ext[*child_idx] = ce;
+            let mut target_ext = if lifted { 0 } else { rec.chosen_ext };
+            let mut current = rec.pre_lift;
+            for &c in skeleton.members[idx].children.iter().rev() {
+                let before = dp.members[c].before;
+                let edge = Self::edge(view, rec.private_attach, idx, c);
+                let te = target_ext.min(current.ext - 1);
+                let target_value =
+                    dp.scores[current.at(target_state, te)].expect("fixed state is feasible");
+                let child = dp.members[c].exposed;
+                let [ps, pe, cs, ce] = self
+                    .merge_steps(&dp.scores, before, child, current.ext, &edge, |s, e, v| {
+                        s == target_state && e == te && v == target_value
+                    })
+                    .expect("backtracking finds a consistent predecessor");
+                chosen_state[c] = cs;
+                dp.members[c].chosen_ext = ce;
                 target_state = ps;
                 target_ext = pe;
-                current_table = before;
+                current = before;
             }
         }
         chosen_state

@@ -648,8 +648,7 @@ fn charge_routing_round(ctx: &mut MpcContext, words: usize, what: &str) {
     let machines = ctx.config().num_machines();
     let per_machine = words.div_ceil(machines.max(1));
     ctx.charge_rounds(1);
-    let volumes = vec![per_machine; machines];
-    ctx.record_comm(&volumes, &volumes, what);
+    ctx.record_uniform_comm(per_machine, what);
 }
 
 #[cfg(test)]

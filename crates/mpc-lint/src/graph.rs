@@ -18,7 +18,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// `MpcContext` methods that charge rounds/volume. A call to one of these (on a
 /// receiver that is plausibly a context) is a *direct* exchange.
-pub const CHARGED_PRIMITIVES: [&str; 17] = [
+pub const CHARGED_PRIMITIVES: [&str; 18] = [
     "route",
     "route_sorted",
     "rebalance",
@@ -36,6 +36,7 @@ pub const CHARGED_PRIMITIVES: [&str; 17] = [
     "prefix_max",
     "charge_rounds",
     "record_comm",
+    "record_uniform_comm",
 ];
 
 /// One function in the workspace.

@@ -188,10 +188,28 @@ impl MpcContext {
     /// Record per-machine send/receive volumes for one round and check them against the
     /// bandwidth budget.
     pub fn record_comm(&mut self, sends: &[usize], recvs: &[usize], what: &str) {
+        self.record_volumes(sends.iter().copied(), recvs.iter().copied(), what);
+    }
+
+    /// [`record_comm`](Self::record_comm) for a round in which every machine sends and
+    /// receives `words`: the same metrics and violations, without materialising the
+    /// per-machine volumes.
+    pub fn record_uniform_comm(&mut self, words: usize, what: &str) {
+        let machines = self.cfg.num_machines();
+        let uniform = || (0..machines).map(|_| words);
+        self.record_volumes(uniform(), uniform(), what);
+    }
+
+    fn record_volumes(
+        &mut self,
+        sends: impl Iterator<Item = usize>,
+        recvs: impl Iterator<Item = usize>,
+        what: &str,
+    ) {
         let limit = self.cfg.bandwidth_capacity();
         let ctx_name = self.current_context(what);
         let round = self.metrics.rounds;
-        for (machine, &s) in sends.iter().enumerate() {
+        for (machine, s) in sends.enumerate() {
             self.metrics.total_words_sent += s as u64;
             if s > self.metrics.max_words_sent_per_round {
                 self.metrics.max_words_sent_per_round = s;
@@ -207,7 +225,7 @@ impl MpcContext {
                 });
             }
         }
-        for (machine, &r) in recvs.iter().enumerate() {
+        for (machine, r) in recvs.enumerate() {
             if r > self.metrics.max_words_received_per_round {
                 self.metrics.max_words_received_per_round = r;
             }
@@ -485,12 +503,8 @@ impl MpcContext {
     /// fan-out `Θ(n^δ)` broadcast tree).
     // mpc-lint: allow(dead-pub-api) — Section 2 primitive of the documented simulator surface (README cost table, mpc-lint's charged-call set) for embedders' own termination checks; in-tree loops fold that flag into `converge`
     pub fn broadcast<T: Words + Clone>(&mut self, value: T) -> T {
-        let machines = self.cfg.num_machines();
-        let w = value.words();
-        let sends = vec![w; machines];
-        let recvs = vec![w; machines];
         self.charge_rounds(self.agg_rounds());
-        self.record_comm(&sends, &recvs, "broadcast");
+        self.record_uniform_comm(value.words(), "broadcast");
         value
     }
 
@@ -511,10 +525,8 @@ impl MpcContext {
             .map(|c| c.iter().fold(init.clone(), &fold))
             .reduce(combine)
             .unwrap_or(init);
-        let machines = self.cfg.num_machines();
-        let w = result.words();
         self.charge_rounds(2 * self.agg_rounds());
-        self.record_comm(&vec![w; machines], &vec![w; machines], "all_reduce");
+        self.record_uniform_comm(result.words(), "all_reduce");
         result
     }
 
@@ -689,12 +701,8 @@ impl MpcContext {
                     (2 * req_words + hit_words).div_ceil(machines.max(1)),
                 )
             };
-            let mut comm = std::mem::take(&mut self.scratch.sends);
-            comm.clear();
-            comm.resize(machines, per_machine_moved);
             self.charge_rounds(rounds);
-            self.record_comm(&comm, &comm, what);
-            self.scratch.sends = comm;
+            self.record_uniform_comm(per_machine_moved, what);
             // Fold the answers back in. Keys must survive the update untouched —
             // the retained index addresses states by them.
             let mut rekeyed = false;

@@ -16,7 +16,6 @@ impl MpcContext {
         T: Words,
         F: Fn(&T) -> u64,
     {
-        let machines = self.config().num_machines();
         let mut chunks_out: Vec<Vec<(u64, T)>> = Vec::with_capacity(dv.num_chunks());
         let mut running = 0u64;
         for chunk in dv.into_chunks() {
@@ -32,8 +31,7 @@ impl MpcContext {
         self.charge_rounds(rounds);
         // One word (the machine-local sum) travels up and one offset travels back down
         // per machine.
-        let per = vec![1usize; machines];
-        self.record_comm(&per, &per, "prefix_sums");
+        self.record_uniform_comm(1, "prefix_sums");
         let result = DistVec::from_chunks(chunks_out);
         self.check_memory(&result, "prefix_sums");
         result
@@ -46,7 +44,6 @@ impl MpcContext {
         T: Words,
         F: Fn(&T) -> u64,
     {
-        let machines = self.config().num_machines();
         let mut chunks_out: Vec<Vec<(u64, T)>> = Vec::with_capacity(dv.num_chunks());
         let mut running = 0u64;
         for chunk in dv.into_chunks() {
@@ -60,8 +57,7 @@ impl MpcContext {
         }
         let rounds = 2 * self.agg_rounds();
         self.charge_rounds(rounds);
-        let per = vec![1usize; machines];
-        self.record_comm(&per, &per, "prefix_max");
+        self.record_uniform_comm(1, "prefix_max");
         let result = DistVec::from_chunks(chunks_out);
         self.check_memory(&result, "prefix_max");
         result

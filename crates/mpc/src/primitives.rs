@@ -390,7 +390,6 @@ impl MpcContext {
     where
         T: Words,
     {
-        let machines = self.config().num_machines();
         // A machine's base offset is the result of the simulated prefix sum; the
         // decoration is machine-local.
         let mut next = 0u64;
@@ -407,8 +406,7 @@ impl MpcContext {
         self.charge_rounds(rounds);
         // One word (the machine-local count) travels up and one offset travels back
         // down per machine.
-        let per = vec![1usize; machines];
-        self.record_comm(&per, &per, "with_index");
+        self.record_uniform_comm(1, "with_index");
         let result = DistVec::from_chunks(chunks);
         self.check_memory(&result, "with_index");
         result
@@ -491,8 +489,7 @@ impl MpcContext {
         let machines = self.config().num_machines();
         let per_machine = table.total_words().div_ceil(machines.max(1));
         self.charge_rounds(self.sort_rounds() + self.agg_rounds());
-        let comm = vec![per_machine; machines];
-        self.record_comm(&comm, &comm, "sort_table");
+        self.record_uniform_comm(per_machine, "sort_table");
         SortedTable {
             index,
             chunk_lens: table.chunks().iter().map(|c| c.len() as u32).collect(),
@@ -537,8 +534,7 @@ impl MpcContext {
         index.recycle(&mut self.scratch.pool);
 
         self.charge_rounds(self.join_rounds());
-        let comm = vec![per_machine_moved; machines];
-        self.record_comm(&comm, &comm, "join_lookup");
+        self.record_uniform_comm(per_machine_moved, "join_lookup");
         let result = DistVec::from_chunks(chunks);
         self.check_memory(&result, "join_lookup");
         result
@@ -588,8 +584,7 @@ impl MpcContext {
         );
         let per_machine_moved = (2 * req_words + hits_words).div_ceil(machines.max(1));
         self.charge_rounds(self.lookup_rounds());
-        let comm = vec![per_machine_moved; machines];
-        self.record_comm(&comm, &comm, "join_lookup_sorted");
+        self.record_uniform_comm(per_machine_moved, "join_lookup_sorted");
         let result = DistVec::from_chunks(chunks);
         self.check_memory(&result, "join_lookup_sorted");
         result
@@ -653,8 +648,7 @@ impl MpcContext {
         index.recycle(&mut self.scratch.pool);
 
         self.charge_rounds(self.join_rounds());
-        let comm = vec![per_machine_moved; machines];
-        self.record_comm(&comm, &comm, "join_lookup2");
+        self.record_uniform_comm(per_machine_moved, "join_lookup2");
         let result = DistVec::from_chunks(chunks);
         self.check_memory(&result, "join_lookup2");
         result
@@ -714,9 +708,8 @@ impl MpcContext {
         R: Fn(&T) -> u32,
     {
         let (result, runs) = self.gather_runs_impl(dv, key, run_of, "gather_group_runs");
-        let per_machine = vec![runs; self.config().num_machines()];
         self.charge_rounds(self.agg_rounds());
-        self.record_comm(&per_machine, &per_machine, "gather_group_runs");
+        self.record_uniform_comm(runs, "gather_group_runs");
         result
     }
 

@@ -17,6 +17,11 @@
 //! more than twice what 16 one-op batches do — i.e. nothing on that path builds a host
 //! structure proportional to the tree.
 //!
+//! It also counts allocation *calls*: a warm MaxIS solve over the same path's plan
+//! makes at most `8 · num_views` of them — a few per view (slot state, summary, label
+//! vector), none per member or per child merge, since the state engine runs every
+//! view's local DP in one reused arena.
+//!
 //! The whole check lives in one `#[test]` so no concurrent test pollutes the global
 //! counters; the contexts are `MpcConfig::new`'s default, so the pin holds for what
 //! every caller runs.
@@ -33,10 +38,14 @@ static NET_BYTES: AtomicIsize = AtomicIsize::new(0);
 /// Gross bytes ever requested (allocations plus the growth of reallocations).
 static GROSS_BYTES: AtomicUsize = AtomicUsize::new(0);
 
+/// Allocation calls ever made (`alloc` and `realloc`).
+static ALLOC_CALLS: AtomicUsize = AtomicUsize::new(0);
+
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         NET_BYTES.fetch_add(layout.size() as isize, Ordering::SeqCst);
         GROSS_BYTES.fetch_add(layout.size(), Ordering::SeqCst);
+        ALLOC_CALLS.fetch_add(1, Ordering::SeqCst);
         System.alloc(layout)
     }
 
@@ -48,6 +57,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         NET_BYTES.fetch_add(new_size as isize - layout.size() as isize, Ordering::SeqCst);
         GROSS_BYTES.fetch_add(new_size.saturating_sub(layout.size()), Ordering::SeqCst);
+        ALLOC_CALLS.fetch_add(1, Ordering::SeqCst);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -66,6 +76,13 @@ fn gross_bytes_of(f: impl FnOnce()) -> usize {
     GROSS_BYTES.load(Ordering::SeqCst) - before
 }
 
+/// Allocation calls `f` makes.
+fn alloc_calls_of(f: impl FnOnce()) -> usize {
+    let before = ALLOC_CALLS.load(Ordering::SeqCst);
+    f();
+    ALLOC_CALLS.load(Ordering::SeqCst) - before
+}
+
 /// Gross allocation of warm structural batches on a path of `n` nodes (same cluster
 /// threshold at every `n`, so only the tree size varies).
 struct StructuralBytes {
@@ -77,6 +94,10 @@ struct StructuralBytes {
     sixteen_singles: usize,
     /// The same eight links and eight cuts as one batch.
     sixteen_batched: usize,
+    /// Allocation calls of a warm MaxIS solve over the path's plan.
+    solve_calls: usize,
+    /// Views of that plan.
+    views: usize,
 }
 
 fn structural_bytes(n: usize) -> StructuralBytes {
@@ -112,6 +133,18 @@ fn structural_bytes(n: usize) -> StructuralBytes {
         0,
         &no_edges,
     );
+
+    let (solve_calls, views) = {
+        let plan = prepared.plan(&mut ctx);
+        let engine = MaxIs::new(MaxWeightIndependentSet);
+        let mut solve = || {
+            drop(plan.solve(&mut ctx, &engine, &inputs, 0, &no_edges));
+            ctx.reset_metrics();
+        };
+        solve();
+        solve();
+        (alloc_calls_of(solve), plan.num_views())
+    };
 
     // Link sites spread over the path; fresh leaf ids from a counter.
     let site = |i: usize| ((2 * i + 1) * n / 18) as u64;
@@ -172,6 +205,8 @@ fn structural_bytes(n: usize) -> StructuralBytes {
         cut,
         sixteen_singles,
         sixteen_batched,
+        solve_calls,
+        views,
     }
 }
 
@@ -331,6 +366,12 @@ fn warm_primitive_calls_have_zero_net_heap_growth() {
             "n = {n}: a 16-op batch allocated {} bytes, sixteen 1-op batches {}",
             bytes.sixteen_batched,
             bytes.sixteen_singles
+        );
+        assert!(
+            bytes.solve_calls <= 8 * bytes.views,
+            "n = {n}: a warm solve made {} allocation calls over {} views",
+            bytes.solve_calls,
+            bytes.views
         );
     }
 }

@@ -213,10 +213,8 @@ pub fn match_parentheses_mpc(
         // pending open; 2 rounds and O(group_size) words per machine.
         // mpc-lint: allow(round-blowup) — level loop runs ⌈log₂ n⌉ times (chunk count halves per level), so this charge totals O(log n) rounds
         ctx.charge_rounds(2);
-        let machines = ctx.config().num_machines();
-        let per = vec![2 * group_size.min(prev.len()); machines];
         // mpc-lint: allow(round-blowup) — level loop runs ⌈log₂ n⌉ times (chunk count halves per level), so this charge totals O(log n) rounds
-        ctx.record_comm(&per, &per, "paren-resolution-level");
+        ctx.record_uniform_comm(2 * group_size.min(prev.len()), "paren-resolution-level");
     }
 
     // Validity: the fully reduced string must be empty and exactly one open (the root)
