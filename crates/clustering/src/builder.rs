@@ -125,7 +125,8 @@ impl Words for FlagRec {
 /// child→parent edges.
 ///
 /// `threshold` overrides the cluster-size / degree threshold `n^{δ/2}` (useful for
-/// tests and ablation experiments); by default it is taken from the MPC configuration.
+/// tests that want several layers on a small tree); by default it is taken from the
+/// MPC configuration.
 /// The input tree must have maximum number of children at most the threshold — apply
 /// [`crate::degree::reduce_degrees`] first otherwise.
 pub fn build_clustering(

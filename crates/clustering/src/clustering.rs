@@ -33,7 +33,7 @@ pub struct Clustering {
 pub struct ClusteringViolation(pub String);
 
 impl Clustering {
-    /// Host-side structural validator used by tests and the experiment harness.
+    /// Host-side structural validator used by tests.
     ///
     /// Checks, against the original edge set, every property of Definitions 2 and 3:
     /// every node is eventually absorbed, clusters have exactly one outgoing and at most
@@ -256,7 +256,7 @@ impl Clustering {
     }
 
     /// Maximum number of member elements over all clusters (host-side helper for
-    /// experiments and tests).
+    /// examples and tests).
     pub fn max_cluster_size(&self) -> usize {
         let mut counts: BTreeMap<ElementId, usize> = BTreeMap::new();
         for e in self.elements.iter() {

@@ -68,7 +68,7 @@ pub struct PreparedTree {
 
 /// Run steps 1 and 2 of the pipeline: normalize any representation, reduce degrees, and
 /// build the hierarchical clustering. `threshold` overrides `n^{δ/2}` (useful for small
-/// test inputs and ablations).
+/// test inputs).
 pub fn prepare(
     ctx: &mut MpcContext,
     input: TreeInput,

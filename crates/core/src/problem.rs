@@ -163,7 +163,7 @@ pub trait ClusterDp: 'static {
         in_label: Option<&Self::Label>,
     ) -> Vec<Self::Label>;
 
-    /// Human-readable problem name (used by the experiment harness).
+    /// Human-readable problem name (used in test and report messages).
     fn name(&self) -> &'static str {
         "unnamed-dp"
     }

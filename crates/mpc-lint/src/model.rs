@@ -16,8 +16,6 @@ pub enum FileKind {
     Test,
     /// `examples/` programs.
     Example,
-    /// Criterion benches under `crates/*/benches/`.
-    Bench,
 }
 
 /// One function's extent in the file.
@@ -564,9 +562,6 @@ fn classify(path: &str) -> FileKind {
     if path.starts_with("examples/") || (in_crates && path.contains("/examples/")) {
         return FileKind::Example;
     }
-    if in_crates && path.contains("/benches/") {
-        return FileKind::Bench;
-    }
     FileKind::LibSrc
 }
 
@@ -719,10 +714,6 @@ fn f(ctx: &mut MpcContext) {
         assert_eq!(
             FileModel::build("examples/quickstart.rs", "").kind,
             FileKind::Example
-        );
-        assert_eq!(
-            FileModel::build("crates/bench/benches/b.rs", "").kind,
-            FileKind::Bench
         );
         assert_eq!(
             FileModel::build("crates/mpc/src/lib.rs", "").kind,

@@ -227,8 +227,8 @@ fn determinism(fm: &FileModel, out: &mut Vec<Finding>) {
         return;
     }
     let hash_scoped = DETERMINISM_CRATES.contains(&fm.crate_name.as_str());
-    let timing_scoped = fm.crate_name != "bench" && !fm.path.ends_with("metrics.rs");
-    let rng_scoped = fm.crate_name != "bench" && fm.crate_name != "treegen";
+    let timing_scoped = !fm.path.ends_with("metrics.rs");
+    let rng_scoped = fm.crate_name != "treegen";
     for (idx, line) in fm.lines.iter().enumerate() {
         if fm.line_is_test(idx + 1) {
             continue;
@@ -258,7 +258,7 @@ fn determinism(fm: &FileModel, out: &mut Vec<Finding>) {
                         file: fm.path.clone(),
                         line: idx + 1,
                         message: format!(
-                            "`{clock}` outside `metrics`/`bench`: wall clocks must not \
+                            "`{clock}` outside `metrics`: wall clocks must not \
                              influence algorithm behavior; attribute timing through \
                              `Metrics` instead"
                         ),
@@ -279,7 +279,7 @@ fn determinism(fm: &FileModel, out: &mut Vec<Finding>) {
                         file: fm.path.clone(),
                         line: idx + 1,
                         message: format!(
-                            "`{rng}` outside `treegen`/`bench`: unseeded randomness in \
+                            "`{rng}` outside `treegen`: unseeded randomness in \
                              solver code makes runs unreproducible; take a seed"
                         ),
                     });
@@ -326,7 +326,7 @@ fn alloc_hygiene(fm: &FileModel, cfg: &LintConfig, out: &mut Vec<Finding>) {
 /// Library crates return `Result` or explain themselves: `.unwrap()` is banned and
 /// `.expect("")` is an unwrap with extra steps.
 fn panic_policy(fm: &FileModel, out: &mut Vec<Finding>) {
-    if fm.kind != FileKind::LibSrc || fm.crate_name == "bench" {
+    if fm.kind != FileKind::LibSrc {
         return;
     }
     for (idx, line) in fm.lines.iter().enumerate() {
@@ -413,7 +413,7 @@ fn dead_pub_api(files: &[FileModel], _graph: &CallGraph, out: &mut Vec<Finding>)
         "fn", "struct", "enum", "trait", "type", "const", "static", "mod",
     ];
     for (fi, fm) in files.iter().enumerate() {
-        if fm.kind != FileKind::LibSrc || fm.crate_name == "bench" {
+        if fm.kind != FileKind::LibSrc {
             continue;
         }
         for (idx, line) in fm.lines.iter().enumerate() {

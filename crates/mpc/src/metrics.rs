@@ -95,8 +95,10 @@ impl Metrics {
     }
 
     /// Ratio of [`peak_local_memory`](Self::peak_local_memory) to the given
-    /// capacity — the model-headroom number the bench report tracks (1.0 means a
-    /// machine touched its entire `Θ(n^δ)` budget; above 1.0 is a violation).
+    /// capacity — the model-headroom number the benchmark reports as `peak_mem_ratio`
+    /// (1.0 means a machine touched its entire `Θ(n^δ)` budget; above 1.0 is a
+    /// violation).
+    // mpc-lint: allow(dead-pub-api) — read by `treedp-bench/src/workloads/mod.rs:63` (and `serve.rs`) for `peak_mem_ratio`; the linter does not scan `treedp-bench/`
     pub fn memory_headroom(&self, local_capacity: usize) -> f64 {
         self.peak_local_memory as f64 / local_capacity.max(1) as f64
     }
@@ -108,16 +110,6 @@ impl Metrics {
             .iter()
             .filter(|p| p.name == name)
             .map(|p| p.rounds)
-            .sum()
-    }
-
-    /// Wall-clock milliseconds spent in the phase with the given name (summed over
-    /// repeats), or 0 if the phase never ran.
-    pub fn phase_wall_ms(&self, name: &str) -> f64 {
-        self.phases
-            .iter()
-            .filter(|p| p.name == name)
-            .map(|p| p.wall_ms)
             .sum()
     }
 

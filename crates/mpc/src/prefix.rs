@@ -11,6 +11,7 @@ impl MpcContext {
     ///
     /// Cost: every machine computes its local sum, the per-machine sums are combined in
     /// a fan-in tree and the offsets broadcast back (`2 · agg_rounds` rounds).
+    // mpc-lint: allow(dead-pub-api) — Section 2 primitive timed by `treedp-bench/src/workloads/probes.rs:112` (`probe.prefix_sums`); the linter does not scan `treedp-bench/`
     pub fn prefix_sums<T, F>(&mut self, dv: DistVec<T>, value: F) -> DistVec<(u64, T)>
     where
         T: Words,

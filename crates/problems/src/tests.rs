@@ -22,8 +22,8 @@ fn solve_mpc<P: ClusterDp>(
     threshold: usize,
 ) -> (DpSolution<P>, u64) {
     // Generous Θ-constants: the correctness tests run on deliberately tiny trees where
-    // the asymptotic memory/bandwidth bounds have not kicked in yet; the model-compliance
-    // experiment (EXPERIMENTS.md, E5) uses realistic sizes with the default constants.
+    // the asymptotic memory/bandwidth bounds have not kicked in yet; the benchmark
+    // (`treedp-bench`) runs realistic sizes with the default constants.
     let cfg = MpcConfig::new((2 * tree.len()).max(16), 0.5)
         .with_memory_slack(512.0)
         .with_bandwidth_slack(512.0);

@@ -159,7 +159,7 @@ pub fn random_recursive(n: usize, seed: u64) -> Tree {
 
 /// A random tree whose node depths never exceed `max_depth`; new nodes attach to a
 /// uniformly random node of depth `< max_depth`. Diameter is at most `2 · max_depth`.
-pub fn depth_capped_random(n: usize, max_depth: usize, seed: u64) -> Tree {
+fn depth_capped_random(n: usize, max_depth: usize, seed: u64) -> Tree {
     assert!(n > 0 && max_depth >= 1);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut parents: Vec<Option<usize>> = vec![None];

@@ -1,5 +1,5 @@
-//! The standard evaluation suite used by the Table-1 experiment and the integration
-//! tests: a fixed, seeded collection of trees covering all structural regimes.
+//! The standard evaluation suite used by the integration tests, the rounds baseline and
+//! the benchmark: a fixed, seeded collection of trees covering all structural regimes.
 
 use crate::shapes::{self, TreeShape};
 use tree_repr::Tree;

@@ -2,17 +2,22 @@
 //! matching the plan's optimum must equal the sequential solver's on the original
 //! tree and its labelling must be a feasible solution of exactly that value; an
 //! evaluation pass must charge strictly fewer rounds than the plan build; a batch of
-//! four problems over one plan must cost at most 60% of four cold solves; and the
-//! skeleton layout is pinned byte for byte.
+//! four problems over one plan must cost at most 60% of four cold solves; the charged
+//! rounds of the n = 4096 standard suite must equal `rounds-baseline-n4096.txt`; and
+//! the skeleton layout is pinned byte for byte.
 
 use mpc_tree_dp::clustering::EdgeKind;
 use mpc_tree_dp::core::{solve_sequential, StateDp};
-use mpc_tree_dp::gen::{shapes, suite::small_suite};
+use mpc_tree_dp::gen::{
+    labels, shapes,
+    suite::{small_suite, standard_suite},
+};
 use mpc_tree_dp::problems::{
     MaxWeightIndependentSet, MaxWeightMatching, MinWeightDominatingSet, MinWeightVertexCover,
 };
 use mpc_tree_dp::{
-    prepare, DistVec, ListOfEdges, MpcConfig, MpcContext, PreparedTree, StateEngine, TreeInput,
+    prepare, DistVec, IncrementalSolver, ListOfEdges, MpcConfig, MpcContext, PreparedTree,
+    StateEngine, StructuralBatch, TreeInput,
 };
 use std::collections::BTreeMap;
 use tree_repr::{NodeId, Tree};
@@ -365,97 +370,177 @@ fn batched_solves_charge_at_most_sixty_percent_of_independent_solves() {
     );
 }
 
-/// Metrics accounting of the batched path: the total rounds of a {MaxIS, MinVC} batch
-/// equal the plan-build (assembly) rounds plus exactly twice the per-problem
-/// evaluation rounds — the assembly is charged once, never per problem, and the
-/// evaluation round count is problem-independent. The measured assembly/evaluation
-/// counts must also stay within the committed `rounds-baseline-n4096.txt` entries
-/// (the same numbers the CI `--check-rounds` guard enforces through `bench-json`).
-#[test]
-fn multi_bench_rounds_are_assembly_plus_two_evaluations() {
-    let tree = shapes::path(4096);
-    let mut ctx = MpcContext::new(MpcConfig::new(2 * tree.len(), 0.5));
-    let prepared = prepare(
+/// The columns of `rounds-baseline-n4096.txt` after the tree name, in file order.
+const BASELINE_COLUMNS: [&str; 8] = [
+    "prepare",
+    "plan_build",
+    "plan_eval",
+    "clustering",
+    "cluster-sizes",
+    "cluster-paths",
+    "struct_single",
+    "struct_batch",
+];
+
+/// Rounds `f` charges to `ctx`.
+fn rounds_of<R>(ctx: &mut MpcContext, f: impl FnOnce(&mut MpcContext) -> R) -> u64 {
+    let before = ctx.metrics().rounds;
+    f(ctx);
+    ctx.metrics().rounds - before
+}
+
+/// The charged rounds of one standard-suite tree, in [`BASELINE_COLUMNS`] order:
+/// prepare and its clustering sub-phases, the plan build, one evaluation, and a
+/// one-link then a 16-link structural batch on the live plan. It also asserts the
+/// charges the baseline leaves out because they equal listed ones by construction:
+/// MaxIS, MinVC, MinDS and matching each charge `plan_eval`, the four-problem batch
+/// costs `plan_build + 4 × plan_eval`, and `plan_uncached` charges `plan_build`.
+fn suite_rounds(name: &str, tree: &Tree, seed: u64) -> [u64; 8] {
+    let n = tree.len();
+    let mut ctx = MpcContext::new(MpcConfig::new(2 * n, 0.5));
+    let mut prepared = prepare(
         &mut ctx,
-        TreeInput::ListOfEdges(ListOfEdges::from_tree(&tree)),
+        TreeInput::ListOfEdges(ListOfEdges::from_tree(tree)),
         None,
     )
     .unwrap();
-    let node_w = ctx.from_vec(
-        (0..tree.len())
-            .map(|v| (v as u64, 1 + (v % 30) as i64))
+    let prepare_rounds = ctx.metrics().rounds;
+    let [clustering, sizes, paths] =
+        ["clustering", "cluster-sizes", "cluster-paths"].map(|p| ctx.metrics().phase_rounds(p));
+
+    let weights: Vec<(NodeId, i64)> = labels::uniform_weights(n, 1, 30, seed)
+        .into_iter()
+        .enumerate()
+        .map(|(v, w)| (v as u64, w as i64))
+        .collect();
+    let node_w = ctx.from_vec(weights);
+    let unit = ctx.from_vec((0..n).map(|v| (v as u64, ())).collect::<Vec<_>>());
+    let edge_w = ctx.from_vec(
+        (1..n)
+            .map(|v| (v as u64, (v % 7 + 1) as i64))
             .collect::<Vec<_>>(),
     );
     let no_edges = ctx.from_vec(Vec::<(u64, ())>::new());
 
-    let total_before = ctx.metrics().rounds;
-    let before = ctx.metrics().rounds;
-    let plan = prepared.plan(&mut ctx);
-    let assembly = ctx.metrics().rounds - before;
-
-    let before = ctx.metrics().rounds;
-    let _ = plan.solve(
-        &mut ctx,
-        &StateEngine::new(MaxWeightIndependentSet),
-        &node_w,
-        0,
-        &no_edges,
-    );
-    let eval_is = ctx.metrics().rounds - before;
-
-    let before = ctx.metrics().rounds;
-    let _ = plan.solve(
-        &mut ctx,
-        &StateEngine::new(MinWeightVertexCover),
-        &node_w,
-        0,
-        &no_edges,
-    );
-    let eval_vc = ctx.metrics().rounds - before;
-    let total = ctx.metrics().rounds - total_before;
-
+    let is = StateEngine::new(MaxWeightIndependentSet);
+    let vc = StateEngine::new(MinWeightVertexCover);
+    let ds = StateEngine::new(MinWeightDominatingSet);
+    let mm = StateEngine::new(MaxWeightMatching);
+    let solves: [&dyn Fn(&mut MpcContext); 4] = [
+        &|c| drop(prepared.solve(c, &is, &node_w, 0, &no_edges)),
+        &|c| drop(prepared.solve(c, &vc, &node_w, 0, &no_edges)),
+        &|c| drop(prepared.solve(c, &ds, &node_w, 0, &no_edges)),
+        &|c| drop(prepared.solve(c, &mm, &unit, (), &edge_w)),
+    ];
+    // The first solve builds the plan; the batch pays for it once.
+    let batch = rounds_of(&mut ctx, |c| solves.iter().for_each(|solve| solve(c)));
+    let build = ctx.metrics().phase_rounds("plan-build");
+    let evals = solves.map(|solve| rounds_of(&mut ctx, solve));
+    let plan_eval = evals[0];
+    for (problem, rounds) in ["MaxIS", "MinVC", "MinDS", "matching"].iter().zip(evals) {
+        assert_eq!(
+            rounds, plan_eval,
+            "{name}: {problem} evaluation is not plan_eval"
+        );
+    }
     assert_eq!(
-        eval_is, eval_vc,
-        "evaluation rounds must be problem-independent"
+        batch,
+        build + 4 * plan_eval,
+        "{name}: a four-problem batch is not plan_build + 4 × plan_eval"
     );
     assert_eq!(
-        total,
-        assembly + 2 * eval_is,
-        "batch total must be assembly + 2 × evaluation (no double-charged assembly)"
+        rounds_of(&mut ctx, |c| prepared.plan_uncached(c)),
+        build,
+        "{name}: plan_uncached does not charge plan_build"
     );
-    assert_eq!(assembly, ctx.metrics().phase_rounds("plan-build"));
 
-    // Cross-check against the committed baseline the CI rounds guard enforces.
-    let baseline_path = concat!(
+    let mut solver = IncrementalSolver::new(&mut ctx, &prepared, is, &node_w, 0, &no_edges);
+    let nn = n as u64;
+    let single = StructuralBatch::new().link(nn / 2, nn, 1, ());
+    let sixteen = (0..16u64).fold(StructuralBatch::new(), |b, i| {
+        b.link(i * nn / 17, nn + 1 + i, 1, ())
+    });
+    let [struct_single, struct_batch] = [single, sixteen].map(|b| {
+        solver
+            .apply_structural(&mut ctx, &mut prepared, &b)
+            .expect("leaf links repair")
+            .rounds
+    });
+
+    [
+        prepare_rounds,
+        build,
+        plan_eval,
+        clustering,
+        sizes,
+        paths,
+        struct_single,
+        struct_batch,
+    ]
+}
+
+/// The CI guard on charged rounds: every column of `rounds-baseline-n4096.txt` equals
+/// what the nine trees of `standard_suite(4096, 7)` charge at `MpcConfig::new(2n,
+/// 0.5)`, and the file lists exactly those trees. A change that moves rounds either
+/// way refreshes the file on purpose: the failure prints the measured table in the
+/// file's format.
+#[test]
+fn suite_rounds_equal_the_committed_baseline() {
+    const SEED: u64 = 7;
+    let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../rounds-baseline-n4096.txt"
     );
-    let baseline = std::fs::read_to_string(baseline_path).expect("baseline file readable");
-    let line = baseline
-        .lines()
-        .map(str::trim)
-        .find(|l| l.starts_with("path-4096"))
-        .expect("path-4096 baseline entry");
-    let nums: Vec<u64> = line
-        .split_whitespace()
-        .skip(1)
-        .map(|x| x.parse().expect("baseline number"))
-        .collect();
-    assert_eq!(
-        nums.len(),
-        11,
-        "baseline line must carry prepare/max_is/min_vc/plan_build/plan_eval/plan_rebuild/\
-         clustering/cluster-sizes/cluster-paths/struct_single/struct_batch"
+    let text = std::fs::read_to_string(path).expect("baseline file readable");
+    let mut baseline: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
+    let mut errors = Vec::new();
+    for line in text.lines().map(str::trim) {
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let mut fields = line.split_whitespace();
+        let tree = fields.next().expect("non-empty line");
+        if baseline.insert(tree, fields.collect()).is_some() {
+            errors.push(format!("{tree}: listed twice in the baseline"));
+        }
+    }
+
+    let mut table = String::new();
+    for entry in standard_suite(4096, SEED) {
+        let measured = suite_rounds(&entry.name, &entry.tree, SEED);
+        let row: Vec<String> = measured.iter().map(u64::to_string).collect();
+        table += &format!("{} {}\n", entry.name, row.join(" "));
+        let Some(listed) = baseline.remove(entry.name.as_str()) else {
+            errors.push(format!("{}: measured but not in the baseline", entry.name));
+            continue;
+        };
+        if listed.len() != BASELINE_COLUMNS.len() {
+            errors.push(format!(
+                "{}: baseline lists {} counts, expected {}",
+                entry.name,
+                listed.len(),
+                BASELINE_COLUMNS.len()
+            ));
+            continue;
+        }
+        for ((column, got), want) in BASELINE_COLUMNS.iter().zip(&row).zip(listed) {
+            if got != want {
+                errors.push(format!(
+                    "{} {column}: measured {got} rounds, baseline {want}",
+                    entry.name
+                ));
+            }
+        }
+    }
+    errors.extend(
+        baseline
+            .keys()
+            .map(|tree| format!("{tree}: in the baseline but not in the suite")),
     );
     assert!(
-        assembly <= nums[3],
-        "plan assembly regressed: {assembly} rounds > baseline {}",
-        nums[3]
-    );
-    assert!(
-        eval_is <= nums[4],
-        "plan evaluation regressed: {eval_is} rounds > baseline {}",
-        nums[4]
+        errors.is_empty(),
+        "charged rounds differ from {path}:\n  {}\nmeasured (the file's format):\n{table}",
+        errors.join("\n  ")
     );
 }
 

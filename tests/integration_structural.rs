@@ -498,8 +498,7 @@ fn degrading_batch_matches_fresh_prepare() {
 }
 
 /// A small structural batch costs a fraction of a full re-prepare: on a path of
-/// 4096 nodes, ≤16 link/cut ops repair in well under half the rounds of
-/// prepare + plan-build + solve (the bench records the ≤10% bar on n=65536).
+/// 4096 nodes, 16 link/cut ops repair in at most 10% of the rounds of `prepare`.
 #[test]
 fn structural_batch_rounds_beat_full_reprepare() {
     let tree = tree_gen::shapes::path(4096);
@@ -512,6 +511,7 @@ fn structural_batch_rounds_beat_full_reprepare() {
         None,
     )
     .expect("well-formed tree");
+    let prepare_rounds = ctx.metrics().rounds - r0;
     let inputs = ctx.from_vec(
         (0..n as u64)
             .map(|v| (v, 1 + (v % 17) as i64))
@@ -526,7 +526,6 @@ fn structural_batch_rounds_beat_full_reprepare() {
         0,
         &no_edges,
     );
-    let full_rounds = ctx.metrics().rounds - r0;
 
     // On a path, cutting a node removes its whole suffix — so cut from the deep
     // end upward in steps of 10, each removing only the 10 nodes below the
@@ -544,10 +543,10 @@ fn structural_batch_rounds_beat_full_reprepare() {
         "a 16-op batch on path-4096 repairs locally"
     );
     assert!(
-        stats.rounds * 2 < full_rounds,
-        "structural repair ({}) must beat half of prepare+plan+solve ({})",
+        stats.rounds * 10 <= prepare_rounds,
+        "structural repair ({}) must cost at most 10% of prepare ({})",
         stats.rounds,
-        full_rounds
+        prepare_rounds
     );
 }
 
