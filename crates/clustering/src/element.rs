@@ -25,10 +25,10 @@ pub fn is_cluster_id(id: ElementId) -> bool {
 /// Sentinel value of [`Element::absorbed_at`] for the one element that is never
 /// absorbed: the top cluster.
 ///
-/// Invariant (asserted by [`Element::is_absorbed`] and checked by
-/// [`crate::clustering::Clustering::validate`]): `absorbed_at == UNABSORBED` if and only
-/// if `kind == ElementKind::TopCluster`. In particular `0` is **not** a valid absorption
-/// layer (layers are numbered from 1) and is **not** interchangeable with the sentinel;
+/// Invariant (checked by [`crate::clustering::Clustering::validate`]): `absorbed_at ==
+/// UNABSORBED` if and only if `kind == ElementKind::TopCluster`. In particular `0` is
+/// **not** a valid absorption layer (layers are numbered from 1) and is **not**
+/// interchangeable with the sentinel;
 /// structural repair relies on this to distinguish "absorbed at the first layer" from
 /// "the unabsorbed top" without consulting the kind.
 pub const UNABSORBED: u32 = u32::MAX;
@@ -87,14 +87,15 @@ pub struct Element {
 }
 
 impl Element {
-    /// `true` for every element except the top cluster.
+    /// `true` for every element except the top cluster: the tests' reader of the
+    /// sentinel, which library code checks through `Clustering::validate`.
     ///
     /// Debug builds assert the [`UNABSORBED`] sentinel invariant: the `u32::MAX`
     /// sentinel appears exactly on the [`ElementKind::TopCluster`] element, so an
     /// `absorbed_at` of `0` (never produced — layers start at 1) can never be confused
     /// with "unabsorbed".
-    // mpc-lint: allow(dead-pub-api) — canonical reader of the absorbed_at sentinel; kept public so downstream consumers never compare against UNABSORBED by hand
-    pub fn is_absorbed(&self) -> bool {
+    #[cfg(test)]
+    fn is_absorbed(&self) -> bool {
         debug_assert_eq!(
             self.absorbed_at == UNABSORBED,
             self.kind == ElementKind::TopCluster,

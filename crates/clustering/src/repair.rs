@@ -123,8 +123,7 @@ pub struct ClusterPatch {
 impl ClusterPatch {
     /// `true` when the patch changes the member list or the cluster record at all
     /// (a patch can exist solely to mark a parent view dirty for a demoted member).
-    // mpc-lint: allow(dead-pub-api) — classification accessor for patch consumers that splice selectively; part of the ClusterPatch contract even though in-tree splicers apply every patch
-    pub fn is_material(&self) -> bool {
+    fn is_material(&self) -> bool {
         self.clear_in_edge || !self.removed_members.is_empty() || !self.added.is_empty()
     }
 }

@@ -43,7 +43,6 @@ use tree_repr::DirectedEdge;
 
 /// Result of [`count_subtree_sizes`] for one node.
 #[derive(Debug, Clone, PartialEq, Eq)]
-// mpc-lint: allow(dead-pub-api) — named return type of count_subtree_sizes; callers read fields via inference
 pub struct SubtreeInfo {
     /// The node this record describes.
     pub id: ElementId,

@@ -13,7 +13,7 @@
 
 use crate::plan::{build_plan, DpSolution, SolvePlan};
 use crate::problem::ClusterDp;
-use mpc_engine::{DistVec, MpcContext};
+use mpc_engine::{unmetered, DistVec, MpcContext};
 use std::cell::OnceCell;
 use tree_clustering::{build_clustering, reduce_degrees, ClusterError, Clustering, EdgeKind};
 use tree_repr::{normalize, DirectedEdge, NodeId, TreeInput};
@@ -197,8 +197,10 @@ impl PreparedTree {
             .div_ceil(self.edges.num_chunks().max(1))
             .max(1);
         let mut new_edges = repair.added_leaves.chunks(per_chunk);
-        // mpc-lint: allow(metered-exchange) — drops records where they lie and places the new leaf edges like `from_vec` places an input; the caller's inc-struct/splice round meters the spliced records
-        for chunk in self.edges.chunks_mut() {
+        // Drops records where they lie and places the new leaf edges like `from_vec`
+        // places an input; the caller's inc-struct/splice round meters the spliced
+        // records.
+        for chunk in unmetered::chunks_mut(&mut self.edges) {
             if !repair.removed_nodes.is_empty() {
                 chunk.retain(|(e, _)| !repair.removed_nodes.contains(&e.child));
             }
@@ -207,8 +209,10 @@ impl PreparedTree {
         }
 
         // Clustering elements: drop, demote, append, rebalance.
-        // mpc-lint: allow(metered-exchange) — machine-local drop/demote, then the new leaves join at the end and `relayout_balanced` restores the input layout `from_vec` would give; metered by the caller's inc-struct/splice round
-        let elements = self.clustering.elements.chunks_mut();
+        // Machine-local drop/demote, then the new leaves join at the end and
+        // `relayout_balanced` restores the input layout `from_vec` would give;
+        // metered by the caller's inc-struct/splice round.
+        let elements = unmetered::chunks_mut(&mut self.clustering.elements);
         if !repair.removed_elements.is_empty() || !repair.demoted.is_empty() {
             for chunk in elements.iter_mut() {
                 chunk.retain_mut(|e| repair.retain_element(e));
@@ -221,8 +225,8 @@ impl PreparedTree {
 
         // Aux map and node counts.
         if !repair.removed_aux.is_empty() {
-            // mpc-lint: allow(metered-exchange) — machine-local filter: records are dropped where they lie
-            for chunk in self.aux_to_original.chunks_mut() {
+            // Machine-local filter: records are dropped where they lie.
+            for chunk in unmetered::chunks_mut(&mut self.aux_to_original) {
                 chunk.retain(|(aux, _)| !repair.removed_aux.contains(aux));
             }
         }

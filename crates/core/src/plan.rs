@@ -35,7 +35,7 @@
 
 use crate::problem::{ClusterDp, ClusterView, Payload, SlotState};
 use crate::store::SolverStore;
-use mpc_engine::{DistVec, MpcContext, Words};
+use mpc_engine::{unmetered, DistVec, MpcContext, Words};
 use std::collections::{BTreeMap, BTreeSet};
 use tree_clustering::{Clustering, EdgeKind, Element, ElementId, ElementKind, AUX_BASE};
 use tree_repr::{DirectedEdge, NodeId};
@@ -489,7 +489,8 @@ impl SolvePlan {
         let mut in_edge: Vec<(NodeId, ViewSlot)> = Vec::new();
         let mut out_readers: Vec<(NodeId, ViewSlot)> = Vec::new();
         let mut in_readers: Vec<(NodeId, ViewSlot)> = Vec::new();
-        // mpc-lint: allow(metered-exchange) — machine i's views stay on machine i, where the gather assembled them; they are only filed under their layer
+        // Machine i's views stay on machine i, where the gather assembled them; they
+        // are only filed under their layer.
         for (machine, chunk) in views.into_chunks().into_iter().enumerate() {
             for linked in chunk {
                 let LinkedView {
@@ -1143,8 +1144,8 @@ impl SolvePlan {
                 }
             });
 
-            // mpc-lint: allow(metered-exchange) — label_chunks[i] was produced on machine i by the top-down pass
-            let labels = DistVec::from_chunks(label_chunks);
+            // label_chunks[i] was produced on machine i by the top-down pass.
+            let labels = unmetered::from_chunks(label_chunks);
             ctx.check_memory(&labels, "plan/labels");
             let solution = DpSolution {
                 labels,

@@ -24,7 +24,7 @@
 //!
 //! Decoding is total: corrupted headers, truncated payloads, unknown versions, wrong
 //! kinds, and checksum mismatches all surface as [`SnapshotError`] values — never
-//! panics (the repo's panic-policy lint applies to this module like any other). A
+//! panics (the workspace's `clippy::unwrap_used` deny applies here like anywhere). A
 //! checksum only vouches for the bytes, so a decoded [`SolvePlan`] is also checked
 //! for what the evaluation pass indexes by ([`SolvePlan::validate`]) and a decoded
 //! [`SolverStore`] for slot state that matches its plan: a re-sealed payload with one
@@ -40,7 +40,7 @@ use crate::plan::{MemberSlot, PlanMember, PlanView, SolvePlan, ViewSlot};
 use crate::problem::{ClusterDp, Payload, SlotState};
 use crate::state_dp::StateSummary;
 use crate::store::SolverStore;
-use mpc_engine::{DistVec, MpcConfig};
+use mpc_engine::{unmetered, DistVec, MpcConfig};
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use tree_clustering::{Clustering, EdgeKind, Element, ElementKind};
@@ -201,8 +201,7 @@ impl<'a> SnapshotReader<'a> {
     }
 
     /// Bytes not yet consumed.
-    // mpc-lint: allow(dead-pub-api) — decoder-side length probe for out-of-crate Snapshot impls (the server's tenant codec); in-crate reads are same-file
-    pub fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
     }
 
@@ -268,8 +267,7 @@ impl<'a> SnapshotReader<'a> {
     /// length exceeding the remaining byte count can never decode successfully — it is
     /// rejected up front as [`SnapshotError::Malformed`] instead of driving a giant
     /// `Vec::with_capacity` or an element-by-element walk to the end of the buffer.
-    // mpc-lint: allow(dead-pub-api) — decode helper of the public SnapshotReader API; every in-tree collection impl lives in this file, but downstream Snapshot impls need the same pre-allocation length validation
-    pub fn take_len(&mut self) -> Result<usize, SnapshotError> {
+    fn take_len(&mut self) -> Result<usize, SnapshotError> {
         let len = self.take_usize()?;
         if len > self.remaining() {
             return Err(SnapshotError::Malformed("length prefix exceeds buffer"));
@@ -534,8 +532,8 @@ impl<T: Snapshot> Snapshot for DistVec<T> {
             }
             chunks.push(chunk);
         }
-        // mpc-lint: allow(metered-exchange) — restores the encode-time chunk placement; no data moves between machines
-        Ok(DistVec::from_chunks(chunks))
+        // Restores the encode-time chunk placement; no record changes machine.
+        Ok(unmetered::from_chunks(chunks))
     }
 }
 

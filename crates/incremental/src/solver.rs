@@ -569,7 +569,6 @@ where
 
     /// The label of the edge whose child endpoint is `child`.
     // mpc-cost: rounds(const)
-    // mpc-lint: allow(dead-pub-api) — single-edge read API paired with labels(); batch consumers use labels() but point probes are part of the solver surface
     pub fn label(&self, child: NodeId) -> Option<&P::Label> {
         self.store.label(child)
     }
@@ -583,7 +582,7 @@ where
     /// Materialize the current solution as a [`DpSolution`] distributed over the
     /// machines of `ctx` (host-side convenience, 0 rounds).
     // mpc-cost: rounds(const)
-    // mpc-lint: allow(dead-pub-api) — materializes the incremental state as a DpSolution for parity checks against the batch solver; part of the solver surface
+    // Called by `treedp-bench/src/workloads/stream.rs` (`incremental.solution`).
     pub fn solution(&self, ctx: &mut MpcContext) -> DpSolution<P> {
         self.store.to_solution(ctx)
     }

@@ -85,15 +85,6 @@ pub struct Site {
     pub charged: bool,
 }
 
-/// Aggregate numbers for `--json` / `--dump-graph` headers.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GraphStats {
-    pub functions: usize,
-    pub edges: usize,
-    pub charged_sites: usize,
-    pub exchange_fns: usize,
-}
-
 /// The resolved workspace call graph.
 #[derive(Debug)]
 pub struct CallGraph {
@@ -102,8 +93,6 @@ pub struct CallGraph {
     pub sites: Vec<Vec<Site>>,
     /// Per symbol: transitively reaches a charged primitive.
     pub exchanges: Vec<bool>,
-    /// name → symbol ids, for rules that need their own lookups.
-    pub by_name: BTreeMap<String, Vec<usize>>,
 }
 
 impl CallGraph {
@@ -238,26 +227,21 @@ impl CallGraph {
             symbols,
             sites,
             exchanges,
-            by_name,
-        }
-    }
-
-    pub fn stats(&self) -> GraphStats {
-        GraphStats {
-            functions: self.symbols.len(),
-            edges: self.sites.iter().flatten().map(|s| s.callees.len()).sum(),
-            charged_sites: self.sites.iter().flatten().filter(|s| s.charged).count(),
-            exchange_fns: self.exchanges.iter().filter(|&&e| e).count(),
         }
     }
 
     /// Deterministic edge list for `--dump-graph`: one `caller -> callee` line per
-    /// resolved edge (deduplicated, sorted), exchange-performing callers marked.
+    /// resolved edge (deduplicated, sorted), exchange-performing callers marked,
+    /// under a header counting functions, edges, charged sites and
+    /// exchange-performing functions.
     pub fn render(&self) -> String {
-        let st = self.stats();
+        let sites = || self.sites.iter().flatten();
         let mut out = format!(
             "# call graph: {} fn(s), {} edge(s), {} charged site(s), {} exchange-performing\n",
-            st.functions, st.edges, st.charged_sites, st.exchange_fns
+            self.symbols.len(),
+            sites().map(|s| s.callees.len()).sum::<usize>(),
+            sites().filter(|s| s.charged).count(),
+            self.exchanges.iter().filter(|&&e| e).count()
         );
         let mut lines: BTreeSet<String> = BTreeSet::new();
         for (sid, ss) in self.sites.iter().enumerate() {

@@ -11,7 +11,7 @@
 //! every other character in place.
 
 /// An inline suppression directive parsed from a line comment:
-/// `// mpc-lint: allow(panic-policy, determinism) — reason text`.
+/// `// mpc-lint: allow(alloc-hygiene, round-blowup) — reason text`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Allow {
     /// 1-based source line the directive appears on.
@@ -406,17 +406,17 @@ mod tests {
 
     #[test]
     fn allow_directive_is_parsed() {
-        let s = scrub("x(); // mpc-lint: allow(panic-policy, determinism) — test shim\ny();");
+        let s = scrub("x(); // mpc-lint: allow(alloc-hygiene, round-blowup) — test shim\ny();");
         assert_eq!(s.allows.len(), 1);
         let a = &s.allows[0];
         assert_eq!(a.line, 1);
-        assert_eq!(a.rules, vec!["panic-policy", "determinism"]);
+        assert_eq!(a.rules, vec!["alloc-hygiene", "round-blowup"]);
         assert!(a.has_reason);
     }
 
     #[test]
     fn allow_without_reason_is_marked() {
-        let s = scrub("// mpc-lint: allow(determinism)\n// mpc-lint: allow(determinism) - x\n");
+        let s = scrub("// mpc-lint: allow(round-blowup)\n// mpc-lint: allow(round-blowup) - x\n");
         assert_eq!(s.allows.len(), 2);
         assert!(!s.allows[0].has_reason);
         assert!(!s.allows[1].has_reason); // a bare "x" is not a reason

@@ -1,19 +1,20 @@
 //! `mpc-lint`: workspace static analysis enforcing MPC model discipline.
 //!
-//! The repo's headline guarantees — runs that repeat bit for bit, a zero-realloc
-//! primitive hot path, and exact round/volume accounting — are runtime properties the
-//! test suite can only probe on specific inputs. This crate checks the *code shapes*
-//! that put them at risk, before anything runs: unmetered `DistVec` chunk access,
-//! hash-order iteration, hot-loop allocation, library panics, and dead public API.
+//! The repo's headline guarantees — a zero-realloc primitive hot path, round counts
+//! that follow the paper's bounds, and snapshots that stay readable — are runtime
+//! properties the test suite can only probe on specific inputs. This crate checks
+//! the *code shapes* that put them at risk, before anything runs: hot-loop
+//! allocation, exchanges inside unbounded loops, undeclared or inconsistent round
+//! budgets, and snapshot codec drift. What the compiler can check it checks
+//! instead (see [`rules`]).
 //!
 //! Pure `std`, no `syn`, offline: a scrubbing lexer ([`lexer`]) plus a line-oriented
 //! context model ([`model`]) feed a small rule engine ([`rules`]). A resolution pass
 //! ([`graph`]) links every call site to its candidate callees across the whole
 //! workspace; the `round-blowup` and `cost-annotation` rules ([`cost`]) walk that
 //! graph, and `snapshot-abi` ([`abi`]) fingerprints the snapshot codec against the
-//! committed `snapshot-abi.lock`. Findings print rustc-style or as JSON
-//! ([`report`]); inline `// mpc-lint: allow(<rule>) — <reason>` comments suppress
-//! individual findings.
+//! committed `snapshot-abi.lock`. Findings print rustc-style ([`report`]); inline
+//! `// mpc-lint: allow(<rule>) — <reason>` comments suppress individual findings.
 //!
 //! Run it with `cargo run -p mpc-lint` from anywhere inside the workspace.
 
@@ -27,18 +28,18 @@ pub mod rules;
 
 pub use abi::{AbiSurface, Lock};
 pub use cost::{CostClass, NoteProblem};
-pub use graph::{module_path, CallGraph, GraphStats, Site, Symbol, CHARGED_PRIMITIVES};
+pub use graph::{module_path, CallGraph, Site, Symbol, CHARGED_PRIMITIVES};
 pub use model::{type_head, CallSite, FileModel, FnSpan, ImplSpan};
-pub use report::{render_json, render_text, Finding};
+pub use report::{render_text, Finding};
 pub use rules::{
-    lint, lint_with_graph, LintConfig, ALLOC_HYGIENE, ALLOW_DIRECTIVE, ALL_RULES, COST_ANNOTATION,
-    DEAD_PUB_API, DETERMINISM, METERED_EXCHANGE, PANIC_POLICY, ROUND_BLOWUP, SNAPSHOT_ABI,
+    lint, LintConfig, ALLOC_HYGIENE, ALLOW_DIRECTIVE, ALL_RULES, COST_ANNOTATION, ROUND_BLOWUP,
+    SNAPSHOT_ABI,
 };
 
 use std::path::{Path, PathBuf};
 
 /// Lint in-memory sources given as `(workspace-relative path, source)` pairs — the
-/// entry point fixture tests use. The workspace-global rule (`dead-pub-api`) sees
+/// entry point fixture tests use. The call graph and the snapshot ABI surface see
 /// exactly the files passed in.
 pub fn lint_sources(sources: &[(&str, &str)], cfg: &LintConfig) -> Vec<Finding> {
     let models: Vec<FileModel> = sources
@@ -129,26 +130,17 @@ fn load_workspace_config(root: &Path, cfg: &mut LintConfig) {
     }
 }
 
-/// Lint the workspace rooted at `root`; returns findings, the number of files
-/// scanned, and the resolved call graph. Reads `snapshot-abi.lock` from the root
-/// unless the config already carries one. IO errors on individual files become
-/// findings rather than aborting the whole run.
-pub fn lint_workspace_full(
-    root: &Path,
-    cfg: &LintConfig,
-) -> std::io::Result<(Vec<Finding>, usize, CallGraph)> {
+/// Lint the workspace rooted at `root`; returns findings and the number of files
+/// scanned. Reads `snapshot-abi.lock` from the root unless the config already
+/// carries one. IO errors on individual files become findings rather than aborting
+/// the whole run.
+pub fn lint_workspace(root: &Path, cfg: &LintConfig) -> std::io::Result<(Vec<Finding>, usize)> {
     let mut cfg = cfg.clone();
     if cfg.abi_lock.is_none() {
         load_workspace_config(root, &mut cfg);
     }
     let (models, io_findings) = load_workspace_models(root)?;
-    let (mut findings, graph) = lint_with_graph(&models, &cfg);
+    let mut findings = lint(&models, &cfg);
     findings.extend(io_findings);
-    Ok((findings, models.len(), graph))
-}
-
-/// Lint the workspace rooted at `root`; returns findings and the number of files
-/// scanned.
-pub fn lint_workspace(root: &Path, cfg: &LintConfig) -> std::io::Result<(Vec<Finding>, usize)> {
-    lint_workspace_full(root, cfg).map(|(f, n, _)| (f, n))
+    Ok((findings, models.len()))
 }

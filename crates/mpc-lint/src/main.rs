@@ -1,7 +1,7 @@
 //! CLI for the MPC model-discipline linter.
 //!
 //! ```text
-//! cargo run -p mpc-lint [-- --json] [--root <dir>] [--rule <id>]
+//! cargo run -p mpc-lint [-- --root <dir>] [--rule <id>]
 //!                       [--dump-graph] [--write-abi-lock <path>]
 //! ```
 //!
@@ -11,13 +11,12 @@
 //! to a temp path and diffs against the committed one).
 
 use mpc_lint::{
-    abi, find_workspace_root, lint_workspace_full, load_workspace_models, render_json, render_text,
-    CallGraph, LintConfig,
+    abi, find_workspace_root, lint_workspace, load_workspace_models, render_text, CallGraph,
+    LintConfig,
 };
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = args.iter().any(|a| a == "--json");
     let dump_graph = args.iter().any(|a| a == "--dump-graph");
     let flag = |name: &str| {
         args.iter().position(|a| a == name).map(|i| {
@@ -78,28 +77,20 @@ fn main() {
     }
 
     let cfg = LintConfig::default();
-    let (mut findings, files_scanned, graph) =
-        lint_workspace_full(&root, &cfg).unwrap_or_else(|e| {
-            eprintln!("mpc-lint: cannot scan {}: {e}", root.display());
-            std::process::exit(2);
-        });
+    let (mut findings, files_scanned) = lint_workspace(&root, &cfg).unwrap_or_else(|e| {
+        eprintln!("mpc-lint: cannot scan {}: {e}", root.display());
+        std::process::exit(2);
+    });
     if let Some(rule) = &rule_filter {
         findings.retain(|f| f.rule == rule.as_str());
     }
 
-    if json {
-        print!(
-            "{}",
-            render_json(&findings, files_scanned, Some(&graph.stats()))
-        );
-    } else {
-        print!("{}", render_text(&findings));
-        eprintln!(
-            "mpc-lint: {} finding(s) across {} file(s)",
-            findings.len(),
-            files_scanned
-        );
-    }
+    print!("{}", render_text(&findings));
+    eprintln!(
+        "mpc-lint: {} finding(s) across {} file(s)",
+        findings.len(),
+        files_scanned
+    );
     if !findings.is_empty() {
         std::process::exit(1);
     }

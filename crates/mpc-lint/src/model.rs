@@ -28,8 +28,8 @@ pub struct FnSpan {
     pub end: usize,
     /// Declared under `#[test]` or inside a `#[cfg(test)]` region.
     pub is_test: bool,
-    /// Declared plain-`pub` (restricted visibilities like `pub(crate)` don't count,
-    /// matching the dead-pub-api rule's notion of public surface).
+    /// Declared plain-`pub` (restricted visibilities like `pub(crate)` don't count):
+    /// the surface `cost-annotation` requires a round class on.
     pub is_pub: bool,
     /// Head identifier of the enclosing `impl` block's self type (`SlotState<P>` →
     /// `SlotState`), when the function is an associated fn/method.

@@ -1,9 +1,9 @@
-//! Finding representation and the two output formats: rustc-style text and JSON.
+//! Finding representation and its rustc-style text rendering.
 
 /// One diagnostic produced by a rule.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule identifier (`metered-exchange`, `determinism`, …).
+    /// Rule identifier (`alloc-hygiene`, `round-blowup`, …).
     pub rule: &'static str,
     /// Workspace-relative file path.
     pub file: String,
@@ -24,120 +24,19 @@ pub fn render_text(findings: &[Finding]) -> String {
     out
 }
 
-/// Render findings as a JSON document (`--json` mode). Hand-rolled — the workspace
-/// is offline and dependency-free by policy. The report is self-describing: it
-/// embeds every rule's identifier/scope/summary, and when `stats` is given, the
-/// resolved call graph's aggregate numbers.
-pub fn render_json(
-    findings: &[Finding],
-    files_scanned: usize,
-    stats: Option<&crate::graph::GraphStats>,
-) -> String {
-    let mut out = String::from("{\n  \"rules\": [");
-    for (i, (name, scope, summary)) in crate::rules::RULE_INFO.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{ \"name\": \"{}\", \"scope\": \"{}\", \"summary\": \"{}\" }}",
-            escape(name),
-            escape(scope),
-            escape(summary)
-        ));
-    }
-    out.push_str("\n  ],\n  \"findings\": [");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{ \"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"message\": \"{}\" }}",
-            escape(f.rule),
-            escape(&f.file),
-            f.line,
-            escape(&f.message)
-        ));
-    }
-    if !findings.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str(&format!(
-        "],\n  \"count\": {},\n  \"files_scanned\": {}",
-        findings.len(),
-        files_scanned
-    ));
-    if let Some(st) = stats {
-        out.push_str(&format!(
-            ",\n  \"graph\": {{ \"functions\": {}, \"edges\": {}, \
-             \"charged_sites\": {}, \"exchange_fns\": {} }}",
-            st.functions, st.edges, st.charged_sites, st.exchange_fns
-        ));
-    }
-    out.push_str("\n}\n");
-    out
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample() -> Vec<Finding> {
-        vec![Finding {
-            rule: "panic-policy",
-            file: "crates/x/src/lib.rs".into(),
-            line: 7,
-            message: "`.unwrap()` in a \"library\" crate".into(),
-        }]
-    }
-
     #[test]
     fn text_format_is_rustc_style() {
-        let t = render_text(&sample());
-        assert!(t.contains("error[mpc-lint::panic-policy]"));
+        let t = render_text(&[Finding {
+            rule: "round-blowup",
+            file: "crates/x/src/lib.rs".into(),
+            line: 7,
+            message: "`route` is a charged primitive inside an unbounded loop".into(),
+        }]);
+        assert!(t.contains("error[mpc-lint::round-blowup]"));
         assert!(t.contains("--> crates/x/src/lib.rs:7"));
-    }
-
-    #[test]
-    fn json_escapes_quotes() {
-        let j = render_json(&sample(), 3, None);
-        assert!(j.contains("\\\"library\\\""));
-        assert!(j.contains("\"count\": 1"));
-        assert!(j.contains("\"files_scanned\": 3"));
-        assert!(!j.contains("\"graph\""));
-    }
-
-    #[test]
-    fn json_empty_findings() {
-        let j = render_json(&[], 0, None);
-        assert!(j.contains("\"findings\": []"));
-    }
-
-    #[test]
-    fn json_carries_rule_metadata_and_graph_stats() {
-        let stats = crate::graph::GraphStats {
-            functions: 10,
-            edges: 7,
-            charged_sites: 2,
-            exchange_fns: 3,
-        };
-        let j = render_json(&[], 4, Some(&stats));
-        assert!(j.contains("\"rules\": ["));
-        assert!(j.contains("\"name\": \"round-blowup\""));
-        assert!(j.contains("\"graph\": { \"functions\": 10, \"edges\": 7,"));
     }
 }

@@ -35,7 +35,11 @@ fn load_fixtures() -> Vec<Fixture> {
         if path.extension() != Some("rs".as_ref()) {
             continue;
         }
-        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        let name = path
+            .file_name()
+            .expect("a read_dir entry has a file name")
+            .to_string_lossy()
+            .into_owned();
         let source = std::fs::read_to_string(&path).expect("readable fixture file");
         let pretend = source
             .lines()
@@ -127,7 +131,7 @@ fn bad_fixtures_fire_exactly_the_marked_findings() {
         );
         checked += 1;
     }
-    assert_eq!(checked, 8, "expected one bad fixture per rule");
+    assert_eq!(checked, 4, "expected one bad fixture per rule");
 }
 
 #[test]
@@ -146,7 +150,7 @@ fn allowed_fixtures_come_back_clean() {
         );
         checked += 1;
     }
-    assert_eq!(checked, 8, "expected one allowed fixture per rule");
+    assert_eq!(checked, 4, "expected one allowed fixture per rule");
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //@ path: crates/core/src/plan.rs
-// R3: fresh allocation inside hot-path loops (this pretend-path is on the
+// R1: fresh allocation inside hot-path loops (this pretend-path is on the
 // configured hot list). The same patterns outside a loop are fine.
 
 fn eval(layers: &[Layer]) -> Vec<u64> {

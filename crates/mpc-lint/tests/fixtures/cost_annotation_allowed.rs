@@ -1,5 +1,5 @@
 //@ path: crates/incremental/src/fixture_ok.rs
-// R8 compliant: every pub fn in this cost-required layer declares its round
+// R3 compliant: every pub fn in this cost-required layer declares its round
 // class, and no call site costs more than its caller's declared budget.
 
 struct Store {
@@ -11,16 +11,16 @@ fn touch(store: &mut Store) {
 }
 
 // mpc-cost: rounds(layers)
-pub fn rebuild_all(store: &mut Store) { // mpc-lint: allow(dead-pub-api) — one-file fixture workspace
+pub fn rebuild_all(store: &mut Store) {
     touch(store);
 }
 
 // mpc-cost: rounds(const)
-pub fn epoch(store: &Store) -> u64 { // mpc-lint: allow(dead-pub-api) — one-file fixture workspace
+pub fn epoch(store: &Store) -> u64 {
     store.epoch
 }
 
 // mpc-cost: rounds(prepare)
-pub fn build_then_rebuild(store: &mut Store) { // mpc-lint: allow(dead-pub-api) — one-file fixture workspace
+pub fn build_then_rebuild(store: &mut Store) {
     rebuild_all(store);
 }

@@ -1,5 +1,5 @@
 //@ path: crates/incremental/src/fixture.rs
-// R8 violations: an annotated fn calling into a strictly higher class, a pub fn
+// R3 violations: an annotated fn calling into a strictly higher class, a pub fn
 // in a cost-required layer with no annotation, an unknown class name, and a note
 // that binds to nothing.
 
@@ -22,7 +22,6 @@ fn peek(store: &mut Store) -> u64 {
     store.epoch
 }
 
-// mpc-lint: allow(dead-pub-api) — fixture is linted as a one-file workspace
 pub fn refresh(store: &mut Store) { //~ cost-annotation
     touch(store);
 }

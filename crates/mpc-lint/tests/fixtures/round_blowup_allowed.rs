@@ -1,5 +1,5 @@
 //@ path: crates/repr/src/fixture_ok.rs
-// R7 compliant shapes: a bounded `for` loop may exchange (its trip count is an
+// R2 compliant shapes: a bounded `for` loop may exchange (its trip count is an
 // explicit expression, not data-dependent convergence), and a `while` loop whose
 // geometry genuinely bounds the iteration count documents that with an allow.
 

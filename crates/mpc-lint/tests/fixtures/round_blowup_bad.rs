@@ -1,5 +1,5 @@
 //@ path: crates/repr/src/fixture.rs
-// R7: exchanges inside unbounded loops, both directly charged and transitively
+// R2: exchanges inside unbounded loops, both directly charged and transitively
 // through a helper the resolution pass links to a charged primitive.
 
 fn shuffle_once(ctx: &mut MpcContext, work: DistVec<u64>) -> DistVec<u64> {

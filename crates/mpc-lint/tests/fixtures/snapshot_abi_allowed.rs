@@ -1,6 +1,6 @@
 //@ path: crates/core/src/snapfix_ok.rs
 //@ lock: fresh
-// R9 compliant: the lock matches the extracted surface exactly. `//@ lock: fresh`
+// R4 compliant: the lock matches the extracted surface exactly. `//@ lock: fresh`
 // makes the driver regenerate the lock from this very file — the same thing
 // `cargo run -p mpc-lint -- --write-abi-lock snapshot-abi.lock` does after an
 // intentional ABI change.

@@ -2,7 +2,7 @@
 //@ lock: version 1
 //@ lock: kind KIND_DEMO 7
 //@ lock: impl DemoRecord 0000000000000000
-// R9: the committed lock (the `//@ lock:` lines above) disagrees with this file
+// R4: the committed lock (the `//@ lock:` lines above) disagrees with this file
 // twice — the kind value changed and the impl body no longer matches its
 // recorded fingerprint — and neither change bumped SNAPSHOT_VERSION.
 

@@ -67,7 +67,7 @@ fn exchange_closure_crosses_crates() {
 }
 
 /// Self-hosting: the workspace this crate ships in — mpc-lint's own sources
-/// included — lints clean under all eight rules with the committed
+/// included — lints clean under all four rules with the committed
 /// `snapshot-abi.lock`.
 #[test]
 fn self_hosting_workspace_lints_clean() {

@@ -81,7 +81,7 @@ impl MpcConfig {
 
     /// Does nothing: machine-local work runs on the calling thread.
     #[doc(hidden)]
-    // mpc-lint: allow(dead-pub-api) — shim for the frozen `treedp-bench/src/workloads/probes.rs` (`par_speedup` calls `config(n).with_parallel(false)`); ROADMAP item 3's maintenance PR deletes the probe and this method
+    // Called by `treedp-bench/src/workloads/probes.rs` (`par_speedup`).
     pub fn with_parallel(self, _: bool) -> Self {
         self
     }

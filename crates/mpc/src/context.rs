@@ -19,8 +19,7 @@ pub struct Outbox<M> {
 
 impl<M> Outbox<M> {
     /// Create an empty outbox.
-    // mpc-lint: allow(dead-pub-api) — public constructor of the re-exported Outbox message buffer; embedders with custom step functions construct it directly even though in-tree code goes through Default
-    pub fn new() -> Self {
+    fn new() -> Self {
         Self { msgs: Vec::new() }
     }
 
@@ -501,7 +500,6 @@ impl MpcContext {
 
     /// Make a small value known to all machines (`agg_rounds` rounds through a
     /// fan-out `Θ(n^δ)` broadcast tree).
-    // mpc-lint: allow(dead-pub-api) — Section 2 primitive of the documented simulator surface (README cost table, mpc-lint's charged-call set) for embedders' own termination checks; in-tree loops fold that flag into `converge`
     pub fn broadcast<T: Words + Clone>(&mut self, value: T) -> T {
         self.charge_rounds(self.agg_rounds());
         self.record_uniform_comm(value.words(), "broadcast");

@@ -16,22 +16,17 @@ pub struct DistVec<T> {
 }
 
 impl<T> DistVec<T> {
-    /// Create a distributed vector from explicit per-machine chunks.
-    pub fn from_chunks(chunks: Vec<Vec<T>>) -> Self {
+    /// Create a distributed vector from explicit per-machine chunks. Outside this
+    /// crate the one door is [`unmetered::from_chunks`](crate::unmetered::from_chunks).
+    pub(crate) fn from_chunks(chunks: Vec<Vec<T>>) -> Self {
         Self { chunks }
     }
 
-    /// Distribute `data` evenly across the machines of `cfg`, preserving order.
-    pub fn from_vec_cfg(cfg: &MpcConfig, data: Vec<T>) -> Self {
-        let mut chunks: Vec<Vec<T>> = (0..cfg.num_machines()).map(|_| Vec::new()).collect();
-        Self::fill_balanced(data, &mut chunks);
-        Self { chunks }
-    }
-
-    /// The one balanced input layout rule, shared by [`from_vec_cfg`](Self::from_vec_cfg)
-    /// and the arena-backed `MpcContext::from_vec`: split `data` into
-    /// `chunks.len()` evenly sized contiguous runs (ceiling division, remainder in
-    /// the front chunks), appended to the given (empty) buffers in order.
+    /// The one balanced input layout rule, that of
+    /// [`MpcContext::from_vec`](crate::MpcContext::from_vec): split `data` into
+    /// `chunks.len()` evenly sized contiguous runs (ceiling division, remainder in the
+    /// front chunks), appended to the given (empty) buffers in order. There is at
+    /// least one machine, so the runs hold all of `data`.
     pub(crate) fn fill_balanced(data: Vec<T>, chunks: &mut [Vec<T>]) {
         let machines = chunks.len();
         let per = data.len().div_ceil(machines.max(1)).max(1);
@@ -39,23 +34,15 @@ impl<T> DistVec<T> {
         for chunk in chunks.iter_mut() {
             chunk.extend(it.by_ref().take(per));
         }
-        let rest: Vec<T> = it.collect();
-        if !rest.is_empty() {
-            // Only possible if machines*per < len, which the ceiling division prevents;
-            // keep the data anyway to be safe.
-            chunks
-                .last_mut()
-                .expect("at least one machine")
-                .extend(rest);
-        }
     }
 
     /// Re-chunk in place into the balanced input layout — chunk for chunk what
-    /// [`from_vec_cfg`](Self::from_vec_cfg) makes of [`to_vec`](Self::to_vec) for this
-    /// chunk count — by shifting records across chunk boundaries instead of
-    /// round-tripping through one host vector. Like `from_vec`, this is host-side
-    /// placement of an input, not an MPC operation: it charges nothing, and a caller
-    /// that uses it on live data meters the moved records itself.
+    /// [`MpcContext::from_vec`](crate::MpcContext::from_vec) makes of
+    /// [`to_vec`](Self::to_vec) at this chunk count — by shifting records across
+    /// chunk boundaries instead of round-tripping through one host vector. Like
+    /// `from_vec`, this is host-side placement of an input, not an MPC operation: it
+    /// charges nothing, and a caller that uses it on live data meters the moved
+    /// records itself.
     ///
     /// Every record moves `O(1)` times whatever the starting layout. A chunk that is
     /// short pulls from the chunks behind it; records a chunk has too many of wait in
@@ -118,8 +105,9 @@ impl<T> DistVec<T> {
         &self.chunks
     }
 
-    /// Mutable access to the per-machine chunks (machine-local computation).
-    pub fn chunks_mut(&mut self) -> &mut [Vec<T>] {
+    /// Mutable access to the per-machine chunks (machine-local computation). Outside
+    /// this crate the one door is [`unmetered::chunks_mut`](crate::unmetered::chunks_mut).
+    pub(crate) fn chunks_mut(&mut self) -> &mut [Vec<T>] {
         &mut self.chunks
     }
 
@@ -324,15 +312,21 @@ impl<T> Default for DistVec<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MpcContext;
 
     fn cfg() -> MpcConfig {
         MpcConfig::new(256, 0.5)
     }
 
+    /// `data` in the balanced input layout of [`cfg`].
+    fn balanced<T: Send + 'static>(data: Vec<T>) -> DistVec<T> {
+        MpcContext::new(cfg()).from_vec(data)
+    }
+
     #[test]
     fn from_vec_preserves_order_and_len() {
         let data: Vec<u64> = (0..100).collect();
-        let dv = DistVec::from_vec_cfg(&cfg(), data.clone());
+        let dv = balanced(data.clone());
         assert_eq!(dv.len(), 100);
         assert_eq!(dv.to_vec(), data);
         assert_eq!(dv.num_chunks(), cfg().num_machines());
@@ -341,7 +335,7 @@ mod tests {
     #[test]
     fn into_vec_matches_to_vec_without_cloning() {
         let data: Vec<u64> = (0..1000).map(|i| (i * 37) % 101).collect();
-        let dv = DistVec::from_vec_cfg(&cfg(), data.clone());
+        let dv = balanced(data.clone());
         assert_eq!(dv.to_vec(), data);
         assert_eq!(dv.into_vec(), data);
         let empty: DistVec<u64> = DistVec::empty_cfg(&cfg());
@@ -383,7 +377,7 @@ mod tests {
                 })
                 .collect();
             let mut dv = DistVec::from_chunks(chunks);
-            let expected = DistVec::from_vec_cfg(&cfg(), dv.to_vec());
+            let expected = balanced(dv.to_vec());
             dv.relayout_balanced();
             assert_eq!(dv.chunks(), expected.chunks(), "layout {sizes:?}");
         }
@@ -398,7 +392,7 @@ mod tests {
 
     #[test]
     fn map_filter_flatmap_are_local() {
-        let dv = DistVec::from_vec_cfg(&cfg(), (0u64..50).collect());
+        let dv = balanced((0u64..50).collect());
         let mapped = dv.map_local(|x| x * 2);
         assert_eq!(mapped.to_vec()[49], 98);
         let filtered = mapped.filter_local(|x| x % 4 == 0);
@@ -412,7 +406,7 @@ mod tests {
 
     #[test]
     fn zip_local_pairs_records_where_they_lie() {
-        let left = DistVec::from_vec_cfg(&cfg(), (0u64..50).collect());
+        let left = balanced((0u64..50).collect());
         let right = left.clone().map_local(|x| x * 10);
         let shape: Vec<usize> = left.chunks().iter().map(Vec::len).collect();
         let zipped = left.zip_local(right, |a, b| (a, b));
@@ -447,7 +441,7 @@ mod tests {
 
     #[test]
     fn words_accounting() {
-        let dv = DistVec::from_vec_cfg(&cfg(), (0u64..64).collect());
+        let dv = balanced((0u64..64).collect());
         assert_eq!(dv.total_words(), 64);
         assert!(dv.max_chunk_words() >= 1);
         assert_eq!(dv.chunk_words().iter().sum::<usize>(), 64);
@@ -455,7 +449,7 @@ mod tests {
 
     #[test]
     fn chunk_balance_is_even() {
-        let dv = DistVec::from_vec_cfg(&cfg(), (0u64..256).collect());
+        let dv = balanced((0u64..256).collect());
         let max = dv.chunks().iter().map(Vec::len).max().unwrap();
         let min_nonempty = dv
             .chunks()

@@ -108,12 +108,51 @@ pub use words::Words;
 /// Identifier of a simulated machine (index into the machine array).
 pub type MachineId = usize;
 
+/// Record placement chosen by the caller instead of by a charged primitive.
+///
+/// Inside this crate every primitive places its output records itself and meters
+/// what moved. These two functions are the only way for other crates to pick a
+/// placement without an [`MpcContext`]: the caller vouches that no record changes
+/// machine (or meters the move itself), and the import path names every such site.
+///
+/// ```
+/// use mpc_engine::{unmetered, DistVec};
+///
+/// let mut dv: DistVec<u64> = unmetered::from_chunks(vec![vec![1, 2], vec![3]]);
+/// unmetered::chunks_mut(&mut dv)[0].retain(|x| *x != 2);
+/// assert_eq!(dv.chunks(), [vec![1], vec![3]]);
+/// ```
+///
+/// The `DistVec` methods behind them are crate-private:
+///
+/// ```compile_fail,E0624
+/// let dv = mpc_engine::DistVec::from_chunks(vec![vec![1u64], vec![2]]);
+/// ```
+///
+/// ```compile_fail,E0624
+/// let mut dv = mpc_engine::unmetered::from_chunks(vec![vec![1u64], vec![2]]);
+/// dv.chunks_mut()[0].clear();
+/// ```
+pub mod unmetered {
+    use crate::DistVec;
+
+    /// A distributed vector whose machine `i` holds `chunks[i]`.
+    pub fn from_chunks<T>(chunks: Vec<Vec<T>>) -> DistVec<T> {
+        DistVec::from_chunks(chunks)
+    }
+
+    /// Mutable access to `dv`'s per-machine chunks.
+    pub fn chunks_mut<T>(dv: &mut DistVec<T>) -> &mut [Vec<T>] {
+        dv.chunks_mut()
+    }
+}
+
 /// What is left of the retired thread pool.
+// Kept for `treedp-bench/src/run.rs`, which reports `par::worker_threads()`.
 #[doc(hidden)]
-// mpc-lint: allow(dead-pub-api) — shim for the frozen `treedp-bench/src/run.rs`, which reads `mpc::par::worker_threads()`; goes with ROADMAP item 3's maintenance PR
 pub mod par {
     /// Machine-local work runs on the calling thread.
-    // mpc-lint: allow(dead-pub-api) — `treedp-bench/src/run.rs` reports it as `host.worker_threads`; goes with ROADMAP item 3's maintenance PR
+    // Called by `treedp-bench/src/run.rs` (`host.worker_threads`).
     pub fn worker_threads() -> usize {
         1
     }

@@ -62,7 +62,7 @@ pub struct PhaseMetrics {
 ///
 /// Wall-clock measurement lives here — with the rest of the metrics plumbing — and
 /// not in algorithm code: timing is simulator bookkeeping that must never influence
-/// algorithm behavior (the `determinism` lint bans `Instant::now` elsewhere).
+/// algorithm behavior (`clippy.toml` bans `Instant::now` everywhere else).
 #[derive(Debug)]
 pub struct PhaseTimer {
     pub(crate) name: String,
@@ -78,6 +78,8 @@ impl PhaseTimer {
             name: name.to_string(),
             rounds0: metrics.rounds,
             sent0: metrics.total_words_sent,
+            // The simulator's one clock: it feeds `wall_ms` and nothing else.
+            #[allow(clippy::disallowed_methods)]
             start: std::time::Instant::now(),
         }
     }
@@ -98,7 +100,7 @@ impl Metrics {
     /// capacity — the model-headroom number the benchmark reports as `peak_mem_ratio`
     /// (1.0 means a machine touched its entire `Θ(n^δ)` budget; above 1.0 is a
     /// violation).
-    // mpc-lint: allow(dead-pub-api) — read by `treedp-bench/src/workloads/mod.rs:63` (and `serve.rs`) for `peak_mem_ratio`; the linter does not scan `treedp-bench/`
+    // Called by `treedp-bench/src/workloads/mod.rs` and `serve.rs` (`peak_mem_ratio`).
     pub fn memory_headroom(&self, local_capacity: usize) -> f64 {
         self.peak_local_memory as f64 / local_capacity.max(1) as f64
     }

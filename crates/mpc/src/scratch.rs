@@ -16,7 +16,7 @@
 
 use std::any::{Any, TypeId};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::fmt;
 
 /// Upper bound on pooled buffers per record type (a backstop against pathological
@@ -163,7 +163,9 @@ pub(crate) fn apply_permutation<T>(items: &mut [T], pairs: &mut [(u64, u32)]) {
 /// input chunks are recycled here; output chunks are drawn from here.
 #[derive(Default)]
 pub(crate) struct BufferPool {
-    stacks: HashMap<TypeId, Box<dyn Any + Send>>,
+    // Looked up by key and never iterated, so hash order cannot reach a result.
+    #[allow(clippy::disallowed_types)]
+    stacks: std::collections::HashMap<TypeId, Box<dyn Any + Send>>,
 }
 
 impl BufferPool {

@@ -30,19 +30,6 @@ pub enum TreeInput {
 }
 
 impl TreeInput {
-    /// A short name for reporting (used by the benchmark harness).
-    // mpc-lint: allow(dead-pub-api) — input-shape discriminator for reporting; consumers match on the returned str so the name never appears at call sites outside this file
-    pub fn kind(&self) -> &'static str {
-        match self {
-            TreeInput::ListOfEdges(_) => "list-of-edges",
-            TreeInput::UndirectedEdges(_) => "undirected-edges",
-            TreeInput::StringOfParentheses(_) => "string-of-parentheses",
-            TreeInput::BfsTraversal(_) => "bfs-traversal",
-            TreeInput::DfsTraversal(_) => "dfs-traversal",
-            TreeInput::PointersToParents(_) => "pointers-to-parents",
-        }
-    }
-
     /// Size of the representation in input words (what `n` means for this input).
     pub fn input_words(&self) -> usize {
         match self {
@@ -219,7 +206,7 @@ mod tests {
             TreeInput::BfsTraversal(BfsTraversal::from_tree(&t)),
             TreeInput::DfsTraversal(DfsTraversal::from_tree(&t)),
         ] {
-            let kind = input.kind();
+            let kind = format!("{input:?}");
             let norm = normalize_input(input).unwrap_or_else(|| panic!("{kind} failed"));
             assert_eq!(norm.num_nodes, 5, "{kind}");
             assert_eq!(norm.edges.len(), 4, "{kind}");
@@ -274,7 +261,7 @@ mod tests {
             TreeInput::PointersToParents(PointersToParents::from_tree(&t)),
         ];
         for input in inputs {
-            let kind = input.kind();
+            let kind = format!("{input:?}");
             let norm = normalize_input(input).unwrap_or_else(|| panic!("{kind} failed"));
             assert_eq!(norm.num_nodes, t.len(), "{kind}");
             assert_eq!(norm.edges.len(), t.len() - 1, "{kind}");

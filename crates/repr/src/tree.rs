@@ -118,8 +118,7 @@ impl Tree {
     }
 
     /// Degree of `v` in the underlying undirected tree.
-    // mpc-lint: allow(dead-pub-api) — tree-utility accessor paired with max_degree; kept public for problem implementations that inspect degrees
-    pub fn degree(&self, v: usize) -> usize {
+    fn degree(&self, v: usize) -> usize {
         self.children[v].len() + usize::from(self.parent[v].is_some())
     }
 

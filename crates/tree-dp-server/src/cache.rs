@@ -69,13 +69,6 @@ impl PlanCache {
         }
     }
 
-    /// The configured budget in words.
-    // mpc-cost: rounds(const)
-    // mpc-lint: allow(dead-pub-api) — budget accessor paired with resident_words; operators read it when tuning ServerConfig
-    pub fn budget_words(&self) -> usize {
-        self.budget_words
-    }
-
     /// Words currently held by resident plans.
     // mpc-cost: rounds(const)
     pub fn resident_words(&self) -> usize {
@@ -84,8 +77,7 @@ impl PlanCache {
 
     /// Number of resident plans.
     // mpc-cost: rounds(const)
-    // mpc-lint: allow(dead-pub-api) — counter accessor aggregated into CacheStats same-file; kept public for monitoring symmetry
-    pub fn resident_plans(&self) -> usize {
+    fn resident_plans(&self) -> usize {
         self.entries.len()
     }
 

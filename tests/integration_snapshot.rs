@@ -190,7 +190,7 @@ fn solver_store_round_trips_into_incremental_solver() {
 }
 
 /// Every corruption class returns its typed error — no panics (the dynamic
-/// counterpart of mpc-lint's panic-policy rule).
+/// counterpart of the workspace's `clippy::unwrap_used` deny).
 #[test]
 fn corrupted_snapshots_return_errors() {
     let tree = spider(4, 6);

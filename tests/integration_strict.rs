@@ -13,7 +13,7 @@ use mpc_tree_dp::problems::brute::{count_matchings_mod, longest_path};
 use mpc_tree_dp::problems::median::MedianInput;
 use mpc_tree_dp::problems::{sequential_tree_median, MaxWeightIndependentSet, TreeMedian};
 use mpc_tree_dp::{
-    prepare, DistVec, IncrementalSolver, ListOfEdges, MpcConfig, MpcContext, StateEngine, TreeInput,
+    prepare, IncrementalSolver, ListOfEdges, MpcConfig, MpcContext, StateEngine, TreeInput,
 };
 use tree_gen::labels::{random_bools, uniform_values};
 use tree_gen::shapes::{heavy_caterpillar, path, spider, star};
@@ -43,7 +43,7 @@ fn strict_engine_primitives_stay_compliant() {
         let data: Vec<u64> = (0..512u64)
             .map(|i| i.wrapping_mul(2654435761) % 997)
             .collect();
-        let dv = DistVec::from_vec_cfg(&cfg, data.clone());
+        let dv = ctx.from_vec(data.clone());
         let words = dv.chunk_words();
         let total: usize = words.iter().sum();
         assert_eq!(words.len(), machines);
