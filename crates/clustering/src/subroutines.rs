@@ -19,8 +19,8 @@
 //!   whole subtree and the node stops asking. After `⌈log₂ cap⌉ + 1` steps at most
 //!   (and `⌈log₂ h⌉` for uncolored height `h ≤ D`) every node knows its subtree
 //!   exactly or knows that it is heavy — which is all `CountSubtreeSizes`
-//!   (Lemma 6.13 of [4]) has to tell the builder — within `cap + 4` words per node.
-//! * [`path_distances`] — pointer doubling along degree-2 paths (Lemma 6.17 of [4]).
+//!   (Lemma 6.13 of Balliu et al.) has to tell the builder — within `cap + 4` words per node.
+//! * [`path_distances`] — pointer doubling along degree-2 paths (Lemma 6.17 of Balliu et al.).
 //!   Any path in a tree has length at most `D`, so `⌈log₂ D⌉` jump rounds suffice.
 //!
 //! `GatherSubtrees` (Lemma 6.14) needs no separate routine here: once a light node knows

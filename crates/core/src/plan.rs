@@ -17,7 +17,9 @@
 //!   ([`PlanView`]: members in their assembled order, parent/children links, top and
 //!   attach indexes, boundary edges, edge kinds), and
 //! * **routing indexes** mapping every element to its member slot, every edge to the
-//!   slots reading its input, and every label key to the views reading it.
+//!   slots reading its input, and every label key to the views reading it — a pure
+//!   function of the skeletons, derived by one function at plan build and at
+//!   decode, so a snapshot carries only the skeletons.
 //!
 //! [`SolvePlan::solve`] then runs any [`ClusterDp`] over the cached skeletons,
 //! charging only the exchanges that genuinely depend on the problem: one scatter of
@@ -37,7 +39,9 @@ use crate::problem::{ClusterDp, ClusterView, Payload, SlotState};
 use crate::store::SolverStore;
 use mpc_engine::{unmetered, DistVec, MpcContext, Words};
 use std::collections::{BTreeMap, BTreeSet};
-use tree_clustering::{Clustering, EdgeKind, Element, ElementId, ElementKind, AUX_BASE};
+use tree_clustering::{
+    Clustering, EdgeKind, Element, ElementId, ElementKind, AUX_BASE, VIRTUAL_NODE,
+};
 use tree_repr::{DirectedEdge, NodeId};
 
 /// The solution of a DP problem.
@@ -73,10 +77,6 @@ pub struct PlanView {
     pub attach: Option<usize>,
     /// Kind of the incoming edge.
     pub in_kind: EdgeKind,
-    /// `true` when the incoming edge exists in the degree-reduced edge list: the view
-    /// then carries an in-edge input (defaulted when the caller provides none) rather
-    /// than `None`.
-    pub has_in_data: bool,
 }
 
 /// One member of a cluster: the clustering element, the kind of its outgoing original
@@ -103,19 +103,19 @@ impl Words for PlanMember {
 impl Words for PlanView {
     fn words(&self) -> usize {
         let members: usize = self.members.iter().map(Words::words).sum();
-        // cluster, kind, top, out_edge (2), in_edge (1+2), attach, in_kind,
-        // has_in_data + the member list.
+        // The header — cluster, kind, top, out_edge (2), in_edge (1+2), attach,
+        // in_kind — at its established 10-word width, which skeleton placement and
+        // plan-cache budgets are pinned to, plus the member list.
         10 + members
     }
 }
 
 /// Where an element's payload (input or summary) lives: its member slot inside the
-/// absorbing cluster's skeleton view. Fields are `pub(crate)` so the snapshot codec
-/// (`crate::snapshot`) can persist the routing indexes verbatim.
+/// absorbing cluster's skeleton view.
 ///
 /// Every per-key slot list of the plan is kept in `(layer, machine, view, member)`
-/// order — the order a plan build registers slots in — so a plan that was spliced in
-/// place is equal to one re-indexed from scratch.
+/// order — the order [`Routing::of`] derives — so a plan that was spliced in place is
+/// equal to one re-indexed from scratch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct MemberSlot {
     pub(crate) layer: u32,
@@ -206,6 +206,16 @@ pub struct SolvePlan {
     /// `layers[layer - 1][machine]` — the skeleton views grouped onto `machine` at
     /// `layer`, in assembly order.
     pub(crate) layers: Vec<Vec<Vec<PlanView>>>,
+    /// The routing indexes over `layers`: derived from them ([`Routing::of`]) at build
+    /// and decode, patched in place by the splice.
+    pub(crate) routing: Routing,
+}
+
+/// The five routing indexes of a plan — a pure function of its skeleton views
+/// ([`Routing::of`]), kept beside them so that an evaluation pass and a splice find
+/// every slot by key.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct Routing {
     /// Element id → the member slot its payload must reach (absent only for the top
     /// cluster, whose summary becomes the root summary).
     pub(crate) payload_slot: BTreeMap<ElementId, MemberSlot>,
@@ -222,13 +232,11 @@ pub struct SolvePlan {
     pub(crate) in_label_readers: BTreeMap<NodeId, Vec<ViewSlot>>,
 }
 
-/// One member on its way into a skeleton view: the clustering element, the kind of
-/// its outgoing original edge, and whether that edge exists in the degree-reduced edge
-/// list (the hit bit of the probe that fetched the kind).
+/// One member on its way into a skeleton view: the clustering element and the kind of
+/// its outgoing original edge.
 struct MemberRec {
     element: Element,
     out_kind: EdgeKind,
-    has_out_data: bool,
 }
 
 impl Words for MemberRec {
@@ -238,17 +246,6 @@ impl Words for MemberRec {
         // count, so this width decides which machine every skeleton lives on.
         self.element.words() + 2
     }
-}
-
-/// One linked skeleton view on its way into the plan.
-struct LinkedView {
-    /// The layer the cluster was formed at.
-    layer: u32,
-    view: PlanView,
-    /// Per member, in member order: [`MemberRec::has_out_data`]. Only the routing
-    /// indexes read it (an out-edge input slot is registered only for edges that
-    /// exist), so it travels beside the view instead of inside [`PlanMember`].
-    has_out_data: Vec<bool>,
 }
 
 /// Build the solve plan of a clustering: assemble the skeleton view of every cluster
@@ -273,12 +270,13 @@ pub(crate) fn build_plan(
 /// cluster's own element record and the kind of its incoming edge, and link the member
 /// tree locally. Every probe sends the bare key and rejoins the answer with the record
 /// it belongs to where that record already lies. Machine `i`'s views come layer by
-/// layer, in cluster-id order within a layer.
+/// layer, in cluster-id order within a layer, each with the layer its cluster was
+/// formed at.
 fn build_skeletons(
     ctx: &mut MpcContext,
     clustering: &Clustering,
     edges: &DistVec<(DirectedEdge, EdgeKind)>,
-) -> DistVec<LinkedView> {
+) -> DistVec<(u32, PlanView)> {
     // Edge kinds keyed by the edge's child endpoint, and the element table: each is
     // sorted once and probed for all layers at a time.
     let edge_kinds: DistVec<(NodeId, EdgeKind)> =
@@ -294,7 +292,6 @@ fn build_skeletons(
     let member_recs = members.zip_local(out_kinds, |element, (_, edge)| MemberRec {
         element,
         out_kind: edge.map_or(EdgeKind::Original, |(_, kind)| kind),
-        has_out_data: edge.is_some(),
     });
 
     // A cluster id carries the layer the cluster is formed at above the defining
@@ -345,7 +342,12 @@ fn first_under<K: Ord>(index: &[(K, usize)], key: &K) -> Option<usize> {
 /// Link the members of one cluster into the small member tree (machine-local: one
 /// sort of the members, then a search per member). `in_kind` is the kind of the
 /// cluster's incoming edge when that edge exists in the degree-reduced edge list.
-fn link_members(cluster: &Element, members: &[MemberRec], in_kind: Option<EdgeKind>) -> LinkedView {
+/// Returns the view with the layer its cluster was formed at.
+fn link_members(
+    cluster: &Element,
+    members: &[MemberRec],
+    in_kind: Option<EdgeKind>,
+) -> (u32, PlanView) {
     // Member `b` hangs below member `a` when `a` accepts `b`'s outgoing edge: original
     // nodes accept every edge pointing at them, contracted clusters accept exactly
     // their recorded incoming edge. Index the members by what they accept — nodes by
@@ -402,13 +404,8 @@ fn link_members(cluster: &Element, members: &[MemberRec], in_kind: Option<EdgeKi
         in_edge: cluster.in_edge,
         attach: cluster.in_edge.and_then(|e| acceptor(&e)),
         in_kind: in_kind.unwrap_or(EdgeKind::Original),
-        has_in_data: in_kind.is_some(),
     };
-    LinkedView {
-        layer: cluster.formed_at,
-        view,
-        has_out_data: members.iter().map(|m| m.has_out_data).collect(),
-    }
+    (cluster.formed_at, view)
 }
 
 /// Group `(key, slot)` pairs into the per-key slot lists of a routing index, every
@@ -467,6 +464,61 @@ impl<P: ClusterDp> Aligned for PlanState<P> {
     }
 }
 
+impl Routing {
+    /// The routing indexes of `layers`, derived from the skeleton views alone — the one
+    /// derivation plan build, snapshot decode and the drift audit share. Every member
+    /// takes a payload slot and, unless it leaves by the virtual root edge, an out-edge
+    /// input slot; every view reads its outgoing edge's label, and a view with an
+    /// incoming edge reads that edge's input and label. The pairs are grouped by one
+    /// sort, so every per-key list comes out in slot order.
+    pub(crate) fn of(layers: &[Vec<Vec<PlanView>>]) -> Routing {
+        let members: usize = layers
+            .iter()
+            .flatten()
+            .flatten()
+            .map(|v| v.members.len())
+            .sum();
+        let mut payload: Vec<(ElementId, MemberSlot)> = Vec::with_capacity(members);
+        let mut out_edge: Vec<(NodeId, MemberSlot)> = Vec::with_capacity(members);
+        let mut out_readers: Vec<(NodeId, ViewSlot)> = Vec::new();
+        let mut in_readers: Vec<(NodeId, ViewSlot)> = Vec::new();
+        for (li, layer) in layers.iter().enumerate() {
+            for (machine, views) in layer.iter().enumerate() {
+                for (index, view) in views.iter().enumerate() {
+                    let vslot = ViewSlot {
+                        layer: li as u32 + 1,
+                        machine: machine as u32,
+                        view: index as u32,
+                    };
+                    out_readers.push((view.out_edge.child, vslot));
+                    if let Some(e) = view.in_edge {
+                        in_readers.push((e.child, vslot));
+                    }
+                    for (idx, member) in view.members.iter().enumerate() {
+                        let slot = vslot.member_slot(idx);
+                        payload.push((member.element.id, slot));
+                        if member.element.out_edge.parent != VIRTUAL_NODE {
+                            out_edge.push((member.element.out_edge.child, slot));
+                        }
+                    }
+                }
+            }
+        }
+        // Sorted by key (then slot), the maps below are bulk-built.
+        payload.sort_unstable();
+        let in_label_readers = slots_by_key(in_readers);
+        Routing {
+            payload_slot: payload.into_iter().collect(),
+            out_edge_slots: slots_by_key(out_edge),
+            // Every incoming edge is an edge of the degree-reduced tree, so its input
+            // reaches exactly the views that read its label.
+            in_edge_slots: in_label_readers.clone(),
+            out_label_readers: slots_by_key(out_readers),
+            in_label_readers,
+        }
+    }
+}
+
 impl SolvePlan {
     /// Split every machine's linked views into the per-layer skeleton layout and
     /// derive the routing indexes from it.
@@ -474,7 +526,7 @@ impl SolvePlan {
         ctx: &mut MpcContext,
         clustering: &Clustering,
         aux_to_original: &DistVec<(NodeId, NodeId)>,
-        views: DistVec<LinkedView>,
+        views: DistVec<(u32, PlanView)>,
     ) -> SolvePlan {
         let machines = ctx.config().num_machines();
         let num_layers = clustering.num_layers as usize;
@@ -483,53 +535,18 @@ impl SolvePlan {
             .collect();
         let mut resident = vec![0usize; machines];
         let mut top_machine = 0usize;
-        let mut payload: Vec<(ElementId, MemberSlot)> =
-            Vec::with_capacity(clustering.elements.len());
-        let mut out_edge: Vec<(NodeId, MemberSlot)> = Vec::with_capacity(clustering.elements.len());
-        let mut in_edge: Vec<(NodeId, ViewSlot)> = Vec::new();
-        let mut out_readers: Vec<(NodeId, ViewSlot)> = Vec::new();
-        let mut in_readers: Vec<(NodeId, ViewSlot)> = Vec::new();
         // Machine i's views stay on machine i, where the gather assembled them; they
         // are only filed under their layer.
         for (machine, chunk) in views.into_chunks().into_iter().enumerate() {
-            for linked in chunk {
-                let LinkedView {
-                    layer,
-                    view,
-                    has_out_data,
-                } = linked;
-                let bucket = &mut layers[layer as usize - 1][machine];
-                let vslot = ViewSlot {
-                    layer,
-                    machine: machine as u32,
-                    view: bucket.len() as u32,
-                };
+            for (layer, view) in chunk {
                 resident[machine] += view.words();
                 if view.cluster == clustering.top_cluster {
                     top_machine = machine;
                 }
-                out_readers.push((view.out_edge.child, vslot));
-                if let Some(e) = view.in_edge {
-                    in_readers.push((e.child, vslot));
-                    if view.has_in_data {
-                        in_edge.push((e.child, vslot));
-                    }
-                }
-                for (idx, (member, has_out_data)) in
-                    view.members.iter().zip(has_out_data).enumerate()
-                {
-                    let slot = vslot.member_slot(idx);
-                    payload.push((member.element.id, slot));
-                    if has_out_data {
-                        out_edge.push((member.element.out_edge.child, slot));
-                    }
-                }
-                bucket.push(view);
+                layers[layer as usize - 1][machine].push(view);
             }
         }
         ctx.check_memory_words(&resident, "plan/skeletons");
-        // Sorted by key (then slot), the maps below are bulk-built.
-        payload.sort_unstable();
         SolvePlan {
             num_layers: clustering.num_layers,
             num_machines: machines,
@@ -542,12 +559,8 @@ impl SolvePlan {
                 .enumerate()
                 .flat_map(|(m, chunk)| chunk.iter().map(move |(aux, _)| (*aux, m)))
                 .collect(),
+            routing: Routing::of(&layers),
             layers,
-            payload_slot: payload.into_iter().collect(),
-            out_edge_slots: slots_by_key(out_edge),
-            in_edge_slots: slots_by_key(in_edge),
-            out_label_readers: slots_by_key(out_readers),
-            in_label_readers: slots_by_key(in_readers),
         }
     }
 
@@ -568,11 +581,12 @@ impl SolvePlan {
         let out_child = if cluster == self.top_cluster {
             self.root
         } else {
-            let slot = self.payload_slot.get(&cluster)?;
+            let slot = self.routing.payload_slot.get(&cluster)?;
             let holder = self.view_at(slot.view_slot());
             holder.members[slot.member as usize].element.out_edge.child
         };
-        self.out_label_readers
+        self.routing
+            .out_label_readers
             .get(&out_child)?
             .iter()
             .copied()
@@ -618,7 +632,8 @@ impl SolvePlan {
         // view reading a cut edge's label as its in-label is either removed or demoted;
         // the member copy of a demoted cluster sits in its parent's view.
         for child in &repair.removed_nodes {
-            for &slot in self.in_label_readers.get(child).into_iter().flatten() {
+            let readers = self.routing.in_label_readers.get(child);
+            for &slot in readers.into_iter().flatten() {
                 let view = &mut self.layers[slot.layer as usize - 1][slot.machine as usize]
                     [slot.view as usize];
                 if repair.demoted.contains(&view.cluster) {
@@ -626,12 +641,11 @@ impl SolvePlan {
                     view.in_edge = None;
                     view.attach = None;
                     view.in_kind = EdgeKind::Original;
-                    view.has_in_data = false;
                 }
             }
         }
         for cluster in &repair.demoted {
-            if let Some(slot) = self.payload_slot.get(cluster) {
+            if let Some(slot) = self.routing.payload_slot.get(cluster) {
                 let view = &mut self.layers[slot.layer as usize - 1][slot.machine as usize]
                     [slot.view as usize];
                 repair.retain_element(&mut view.members[slot.member as usize].element);
@@ -643,7 +657,7 @@ impl SolvePlan {
             if let Some(slot) = patch
                 .removed_members
                 .first()
-                .and_then(|m| self.payload_slot.get(m))
+                .and_then(|m| self.routing.payload_slot.get(m))
             {
                 self.remove_members(slot.view_slot(), &patch.removed_members, carried);
             }
@@ -654,7 +668,7 @@ impl SolvePlan {
         // (all of its entries belong to removed or just-demoted views).
         let mut doomed: BTreeSet<ViewSlot> = BTreeSet::new();
         for id in &repair.removed_elements {
-            if let Some(slot) = self.payload_slot.remove(id) {
+            if let Some(slot) = self.routing.payload_slot.remove(id) {
                 let holder = slot.view_slot();
                 if repair
                     .removed_elements
@@ -664,11 +678,12 @@ impl SolvePlan {
                 }
             }
         }
+        let routing = &mut self.routing;
         for child in &repair.removed_nodes {
-            self.out_edge_slots.remove(child);
-            self.in_edge_slots.remove(child);
-            self.out_label_readers.remove(child);
-            self.in_label_readers.remove(child);
+            routing.out_edge_slots.remove(child);
+            routing.in_edge_slots.remove(child);
+            routing.out_label_readers.remove(child);
+            routing.in_label_readers.remove(child);
         }
         self.remove_views(&doomed, carried);
 
@@ -676,6 +691,7 @@ impl SolvePlan {
         // link parent; a parent linked earlier in the batch is registered by then).
         for leaf in repair.patches.values().flat_map(|p| &p.added) {
             let parent = *self
+                .routing
                 .payload_slot
                 .get(&leaf.out_edge.parent)
                 .expect("link parent is a member of the absorbing cluster");
@@ -693,10 +709,10 @@ impl SolvePlan {
                 member: idx as u32,
                 ..parent
             };
-            self.payload_slot.insert(leaf.id, slot);
+            self.routing.payload_slot.insert(leaf.id, slot);
             // A fresh leaf tops no cluster, so it is the only element leaving by its edge.
             // mpc-lint: allow(alloc-hygiene) — the one-entry slot list is owned by the index; ownership leaves the loop with the insert
-            self.out_edge_slots.insert(leaf.id, vec![slot]);
+            self.routing.out_edge_slots.insert(leaf.id, vec![slot]);
         }
 
         if !repair.removed_aux.is_empty() {
@@ -726,10 +742,11 @@ impl SolvePlan {
             }
             if kept != old {
                 let from = at.member_slot(old);
-                if let Some(slot) = self.payload_slot.get_mut(&m.element.id) {
+                if let Some(slot) = self.routing.payload_slot.get_mut(&m.element.id) {
                     slot.member = kept as u32;
                 }
                 if let Some(slot) = self
+                    .routing
                     .out_edge_slots
                     .get_mut(&m.element.out_edge.child)
                     .and_then(|slots| slots.iter_mut().find(|s| **s == from))
@@ -789,7 +806,7 @@ impl SolvePlan {
                         view: old as u32,
                         ..first
                     };
-                    self.readdress_view(view, from, to);
+                    self.routing.readdress_view(view, from, to);
                 }
                 to += 1;
             }
@@ -798,7 +815,9 @@ impl SolvePlan {
             carried.views_compacted(first.layer, first.machine, &keep);
         }
     }
+}
 
+impl Routing {
     /// Point every index entry of `view` (registered at `from`) at view index `to` of
     /// the same bucket.
     fn readdress_view(&mut self, view: &PlanView, from: ViewSlot, to: u32) {
@@ -829,7 +848,9 @@ impl SolvePlan {
             }
         }
     }
+}
 
+impl SolvePlan {
     /// The plan's skeletons and routing indexes with every slot resolved to the ids it
     /// addresses (see [`PlanRouting`]). Two plans of one clustering — say one spliced
     /// through [`apply_repair`](Self::apply_repair) and one freshly built on the
@@ -849,20 +870,21 @@ impl SolvePlan {
                 .map(|(&key, slots)| (key, slots.iter().map(|s| view_of(s).cluster).collect()))
                 .collect()
         };
+        let routing = &self.routing;
         PlanRouting {
-            payload: self
+            payload: routing
                 .payload_slot
                 .iter()
                 .map(|(&id, slot)| (id, member_of(slot)))
                 .collect(),
-            out_edge: self
+            out_edge: routing
                 .out_edge_slots
                 .iter()
                 .map(|(&key, slots)| (key, slots.iter().map(member_of).collect()))
                 .collect(),
-            in_edge: clusters(&self.in_edge_slots),
-            out_label_readers: clusters(&self.out_label_readers),
-            in_label_readers: clusters(&self.in_label_readers),
+            in_edge: clusters(&routing.in_edge_slots),
+            out_label_readers: clusters(&routing.out_label_readers),
+            in_label_readers: clusters(&routing.in_label_readers),
             views: self
                 .layers
                 .iter()
@@ -884,7 +906,6 @@ impl SolvePlan {
                         in_edge: view.in_edge,
                         attach: None,
                         in_kind: view.in_kind,
-                        has_in_data: view.has_in_data,
                     };
                     let ends = (id_at(view.top), view.attach.map(id_at));
                     (view.cluster, (header, ends, members))
@@ -930,7 +951,8 @@ impl SolvePlan {
     }
 
     /// Approximate resident size of the plan in machine words: the skeleton views
-    /// plus the routing indexes (each slot entry counted at its encoded width). This
+    /// plus the routing indexes, counting one key word per entry and one word per slot
+    /// coordinate (four for a member slot, three for a view slot). This
     /// is the charge a plan cache levies against its memory budget — an estimate of
     /// what keeping the plan warm costs, not an exact allocator measurement.
     // mpc-cost: rounds(const)
@@ -942,18 +964,20 @@ impl SolvePlan {
             .flat_map(|views| views.iter())
             .map(Words::words)
             .sum();
-        // MemberSlot encodes as 4 words + 1 key word; ViewSlot as 3 + 1.
-        let payload_idx = self.payload_slot.len() * 5;
-        let member_vecs: usize = self
+        let routing = &self.routing;
+        // A payload entry is a key and a 4-word member slot; a slot list is a key, a
+        // length and 4 (member) or 3 (view) words per slot.
+        let payload_idx = routing.payload_slot.len() * 5;
+        let member_vecs: usize = routing
             .out_edge_slots
             .values()
             .map(|slots| 2 + slots.len() * 4)
             .sum();
-        let view_vecs: usize = self
+        let view_vecs: usize = routing
             .in_edge_slots
             .values()
-            .chain(self.in_label_readers.values())
-            .chain(self.out_label_readers.values())
+            .chain(routing.in_label_readers.values())
+            .chain(routing.out_label_readers.values())
             .map(|slots| 2 + slots.len() * 3)
             .sum();
         let aux = self.aux_nodes.len() * 2;
@@ -974,14 +998,15 @@ impl SolvePlan {
         let mut covered: Vec<NodeId> = node_inputs
             .iter()
             .map(|(node, _)| *node)
-            .filter(|node| *node < AUX_BASE && self.payload_slot.contains_key(node))
+            .filter(|node| *node < AUX_BASE && self.routing.payload_slot.contains_key(node))
             .collect();
         covered.sort_unstable();
         covered.dedup();
         if covered.len() == original_nodes {
             return None;
         }
-        self.payload_slot
+        self.routing
+            .payload_slot
             .keys()
             .take_while(|node| **node < AUX_BASE)
             .find(|node| covered.binary_search(node).is_err())
@@ -1183,7 +1208,7 @@ impl SolvePlan {
                              state: &mut PlanState<P>,
                              sends: &mut [usize],
                              recvs: &mut [usize]| {
-            let Some(slot) = self.payload_slot.get(&node) else {
+            let Some(slot) = self.routing.payload_slot.get(&node) else {
                 return;
             };
             let cell =
@@ -1208,7 +1233,7 @@ impl SolvePlan {
         }
         for (src, chunk) in edge_inputs.chunks().iter().enumerate() {
             for (child, input) in chunk {
-                for slot in self.out_edge_slots.get(child).into_iter().flatten() {
+                for slot in self.routing.out_edge_slots.get(child).into_iter().flatten() {
                     let cell = &mut state[slot.layer as usize - 1][slot.machine as usize]
                         [slot.view as usize];
                     if cell.out_inputs[slot.member as usize].is_some() {
@@ -1221,7 +1246,7 @@ impl SolvePlan {
                     }
                     cell.out_inputs[slot.member as usize] = Some(input.clone());
                 }
-                for vslot in self.in_edge_slots.get(child).into_iter().flatten() {
+                for vslot in self.routing.in_edge_slots.get(child).into_iter().flatten() {
                     let cell = &mut state[vslot.layer as usize - 1][vslot.machine as usize]
                         [vslot.view as usize];
                     if cell.in_input.is_some() {
@@ -1283,6 +1308,7 @@ impl SolvePlan {
             }
             any_forwarded = true;
             let slot = self
+                .routing
                 .payload_slot
                 .get(&cluster)
                 .expect("every non-top cluster is absorbed somewhere");
@@ -1414,10 +1440,11 @@ impl SolvePlan {
                 cell.1 = Some(label.clone());
             }
         };
-        for vslot in self.out_label_readers.get(&key).into_iter().flatten() {
+        let routing = &self.routing;
+        for vslot in routing.out_label_readers.get(&key).into_iter().flatten() {
             place(vslot, true);
         }
-        for vslot in self.in_label_readers.get(&key).into_iter().flatten() {
+        for vslot in routing.in_label_readers.get(&key).into_iter().flatten() {
             place(vslot, false);
         }
         delivered
@@ -1437,74 +1464,27 @@ pub(crate) fn slots_at<P: ClusterDp>(state: &mut PlanState<P>, at: ViewSlot) -> 
 type BoundaryLabels<L> = (Option<L>, Option<L>);
 
 impl SolvePlan {
-    /// The audit oracle: this plan with every routing index cleared and re-derived
-    /// from the skeleton views by inserting slot after slot in `(layer, machine, view,
-    /// member)` order. `edge_children` is the set of edge children of the
-    /// degree-reduced edge list — what the hit bit of [`build_plan`]'s out-edge-kind
-    /// probe says member by member.
-    pub(crate) fn reindexed(&self, edge_children: &BTreeSet<NodeId>) -> SolvePlan {
-        let mut plan = SolvePlan {
-            payload_slot: BTreeMap::new(),
-            out_edge_slots: BTreeMap::new(),
-            in_edge_slots: BTreeMap::new(),
-            out_label_readers: BTreeMap::new(),
-            in_label_readers: BTreeMap::new(),
-            ..self.clone()
-        };
-        for (li, layer) in self.layers.iter().enumerate() {
-            for (machine, views) in layer.iter().enumerate() {
-                for (view_idx, view) in views.iter().enumerate() {
-                    let vslot = ViewSlot {
-                        layer: li as u32 + 1,
-                        machine: machine as u32,
-                        view: view_idx as u32,
-                    };
-                    plan.out_label_readers
-                        .entry(view.out_edge.child)
-                        .or_default()
-                        .push(vslot);
-                    if let Some(in_edge) = view.in_edge {
-                        plan.in_label_readers
-                            .entry(in_edge.child)
-                            .or_default()
-                            .push(vslot);
-                        if edge_children.contains(&in_edge.child) {
-                            plan.in_edge_slots
-                                .entry(in_edge.child)
-                                .or_default()
-                                .push(vslot);
-                        }
-                    }
-                    for (member_idx, member) in view.members.iter().enumerate() {
-                        let slot = vslot.member_slot(member_idx);
-                        plan.payload_slot.insert(member.element.id, slot);
-                        if edge_children.contains(&member.element.out_edge.child) {
-                            plan.out_edge_slots
-                                .entry(member.element.out_edge.child)
-                                .or_default()
-                                .push(slot);
-                        }
-                    }
-                }
-            }
-        }
-        plan
-    }
-
-    /// Name the first routing index that differs from [`reindexed`](Self::reindexed):
-    /// the zero-round drift alarm for a plan that has been spliced in place.
+    /// Name the first routing index that differs from a re-derivation over the
+    /// skeleton views ([`Routing::of`]), or `out_edge_slots` when its keys are not
+    /// exactly `edge_children` — the edge children of the degree-reduced edge list the
+    /// plan takes edge inputs from: the zero-round drift alarm for a plan that has been
+    /// spliced in place.
     pub(crate) fn audit_routing(&self, edge_children: &BTreeSet<NodeId>) -> Result<(), String> {
-        let fresh = self.reindexed(edge_children);
-        let drifted = if self.payload_slot != fresh.payload_slot {
+        let (held, fresh) = (&self.routing, Routing::of(&self.layers));
+        let drifted = if held.payload_slot != fresh.payload_slot {
             "payload_slot"
-        } else if self.out_edge_slots != fresh.out_edge_slots {
+        } else if held.out_edge_slots != fresh.out_edge_slots {
             "out_edge_slots"
-        } else if self.in_edge_slots != fresh.in_edge_slots {
+        } else if held.in_edge_slots != fresh.in_edge_slots {
             "in_edge_slots"
-        } else if self.out_label_readers != fresh.out_label_readers {
+        } else if held.out_label_readers != fresh.out_label_readers {
             "out_label_readers"
-        } else if self.in_label_readers != fresh.in_label_readers {
+        } else if held.in_label_readers != fresh.in_label_readers {
             "in_label_readers"
+        } else if !held.out_edge_slots.keys().eq(edge_children) {
+            return Err(
+                "routing index out_edge_slots routes other edges than the edge list".into(),
+            );
         } else {
             return Ok(());
         };
@@ -1515,11 +1495,11 @@ impl SolvePlan {
 
     /// Check that the plan is safe to evaluate and splice — what a decoder must know
     /// before it hands out a plan read from bytes: the layer/machine layout has the
-    /// declared shape, every view's member tree is one tree rooted at its top member
-    /// (indexes in range, parent and child links mutual), every routing slot addresses
-    /// an existing view or member that carries the key it is filed under, every member
-    /// has its payload slot, summaries flow to a higher layer, and the top cluster's
-    /// view lies on `top_machine`. `Err` names the first defect. `O(n log n)`.
+    /// declared shape, machine indexes are in range, every view's member tree is one
+    /// tree rooted at its top member (indexes in range, parent and child links mutual),
+    /// every non-top cluster's summary flows to a member slot at a higher layer, the
+    /// top cluster's view lies on `top_machine`, and no element has two member slots.
+    /// `Err` names the first defect. `O(n log n)`.
     // mpc-cost: rounds(const)
     pub fn validate(&self) -> Result<(), &'static str> {
         if self.layers.len() != self.num_layers as usize
@@ -1533,14 +1513,6 @@ impl SolvePlan {
         {
             return Err("plan machine index");
         }
-        let view = |s: &ViewSlot| {
-            self.layers
-                .get((s.layer as usize).wrapping_sub(1))?
-                .get(s.machine as usize)?
-                .get(s.view as usize)
-        };
-        let member = |s: &MemberSlot| view(&s.view_slot())?.members.get(s.member as usize);
-
         let mut members = 0usize;
         let mut top_found = false;
         for (li, layer) in self.layers.iter().enumerate() {
@@ -1551,7 +1523,7 @@ impl SolvePlan {
                     if v.cluster == self.top_cluster {
                         top_found |= machine == self.top_machine;
                     } else {
-                        match self.payload_slot.get(&v.cluster) {
+                        match self.routing.payload_slot.get(&v.cluster) {
                             Some(s) if s.layer as usize > li + 1 => {}
                             _ => return Err("plan summary slot"),
                         }
@@ -1562,33 +1534,8 @@ impl SolvePlan {
         if !top_found {
             return Err("plan top cluster view");
         }
-        if self.payload_slot.len() != members
-            || self
-                .payload_slot
-                .iter()
-                .any(|(id, s)| member(s).map(|m| m.element.id) != Some(*id))
-        {
+        if self.routing.payload_slot.len() != members {
             return Err("plan payload slot");
-        }
-        // Every slot of a per-key list addresses a record carrying that key.
-        fn filed<S>(
-            index: &BTreeMap<NodeId, Vec<S>>,
-            key_at: impl Fn(&S) -> Option<NodeId>,
-        ) -> bool {
-            let mut lists = index.iter();
-            lists.all(|(key, slots)| slots.iter().all(|s| key_at(s) == Some(*key)))
-        }
-        let leaving = |s: &MemberSlot| member(s).map(|m| m.element.out_edge.child);
-        let out_child = |s: &ViewSlot| view(s).map(|v| v.out_edge.child);
-        let in_child = |s: &ViewSlot| view(s).and_then(|v| v.in_edge).map(|e| e.child);
-        if !filed(&self.out_edge_slots, leaving) {
-            return Err("plan out-edge slot");
-        }
-        if !filed(&self.in_edge_slots, in_child) || !filed(&self.in_label_readers, in_child) {
-            return Err("plan in-edge slot");
-        }
-        if !filed(&self.out_label_readers, out_child) {
-            return Err("plan out-label reader");
         }
         Ok(())
     }
@@ -1638,13 +1585,10 @@ mod tests {
     /// The plan build this module had before it gathered all layers at once, kept as
     /// the reference: per layer three probes that ship the whole member record (then
     /// the whole gathered group) as the request, one `gather_groups`, and a member
-    /// tree linked by scanning for the acceptor; the routing indexes inserted key by
-    /// key ([`SolvePlan::reindexed`]).
+    /// tree linked by scanning for the acceptor.
     fn build_plan_per_layer(ctx: &mut MpcContext, prepared: &PreparedTree) -> SolvePlan {
         let clustering = &prepared.clustering;
         ctx.phase("plan-build", |ctx| {
-            let edge_children: BTreeSet<NodeId> =
-                prepared.edges.iter().map(|(e, _)| e.child).collect();
             let edge_kinds: DistVec<(NodeId, EdgeKind)> = prepared
                 .edges
                 .clone()
@@ -1683,14 +1627,9 @@ mod tests {
                     .enumerate()
                     .flat_map(|(m, chunk)| chunk.iter().map(move |(aux, _)| (*aux, m)))
                     .collect(),
+                routing: Routing::of(&layers),
                 layers,
-                payload_slot: BTreeMap::new(),
-                out_edge_slots: BTreeMap::new(),
-                in_edge_slots: BTreeMap::new(),
-                out_label_readers: BTreeMap::new(),
-                in_label_readers: BTreeMap::new(),
             }
-            .reindexed(&edge_children)
         })
     }
 
@@ -1719,7 +1658,6 @@ mod tests {
             .map_local(|(element, edge)| MemberRec {
                 element: *element,
                 out_kind: edge.map_or(EdgeKind::Original, |(_, kind)| kind),
-                has_out_data: edge.is_some(),
             });
         let grouped = ctx.gather_groups(member_recs, |m| m.element.absorbed_into);
         let with_cluster = ctx.join_lookup_sorted(
@@ -1792,7 +1730,6 @@ mod tests {
                 .in_edge
                 .and_then(|e| members.iter().position(|m| accepts(m, &e))),
             in_kind: in_kind.unwrap_or(EdgeKind::Original),
-            has_in_data: in_kind.is_some(),
         }
     }
 
@@ -1816,14 +1753,19 @@ mod tests {
     }
 
     /// The whole plan — every view at its `(layer, machine, index)`, every routing
-    /// index — equals the per-layer reference's. Returns whether degree reduction
-    /// added auxiliary nodes.
+    /// index — equals the per-layer reference's, and the routing derived from the
+    /// skeletons alone takes edge inputs for exactly the edges of the degree-reduced
+    /// list. Returns whether degree reduction added auxiliary nodes.
     fn assert_builds_the_reference_plan(tree: &Tree, delta: f64) -> bool {
         let (mut ctx, prepared) = prepared(tree, delta);
         let reference = build_plan_per_layer(&mut ctx, &prepared);
         let plan = prepared.plan_uncached(&mut ctx);
         assert_eq!(plan.layers, reference.layers, "skeleton placement");
         assert_eq!(plan, reference);
+        let edge_children: BTreeSet<NodeId> = prepared.edges.iter().map(|(e, _)| e.child).collect();
+        assert_eq!(plan.audit_routing(&edge_children), Ok(()));
+        let in_edges = &plan.routing.in_edge_slots;
+        assert!(in_edges.keys().all(|c| edge_children.contains(c)));
         !plan.aux_nodes.is_empty()
     }
 

@@ -97,12 +97,12 @@ impl<'a, P: ClusterDp + ?Sized> ClusterView<'a, P> {
         self.slots.out_inputs[i].clone().unwrap_or_default()
     }
 
-    /// The problem data of the cluster's incoming edge; `None` unless that edge exists
-    /// in the degree-reduced edge list.
+    /// The problem data of the cluster's incoming edge; `None` for a cluster without
+    /// one.
     pub fn in_input(&self) -> Option<P::EdgeInput> {
         self.skeleton
-            .has_in_data
-            .then(|| self.slots.in_input.clone().unwrap_or_default())
+            .in_edge
+            .map(|_| self.slots.in_input.clone().unwrap_or_default())
     }
 
     /// Members in an order where every member appears after all of its children
@@ -240,7 +240,6 @@ mod tests {
             in_edge: None,
             attach: None,
             in_kind: EdgeKind::Original,
-            has_in_data: false,
         };
         let mut slots: SlotState<CountNodes> = SlotState::for_view(&skeleton);
         slots.payloads.fill(Some(Payload::Input(1)));

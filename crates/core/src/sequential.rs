@@ -88,7 +88,6 @@ pub fn solve_sequential<P: ClusterDp>(
         in_edge: None,
         attach: None,
         in_kind: EdgeKind::Original,
-        has_in_data: false,
     };
     let view = ClusterView {
         skeleton: &skeleton,

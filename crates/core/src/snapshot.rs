@@ -25,10 +25,12 @@
 //! Decoding is total: corrupted headers, truncated payloads, unknown versions, wrong
 //! kinds, and checksum mismatches all surface as [`SnapshotError`] values — never
 //! panics (the workspace's `clippy::unwrap_used` deny applies here like anywhere). A
-//! checksum only vouches for the bytes, so a decoded [`SolvePlan`] is also checked
-//! for what the evaluation pass indexes by ([`SolvePlan::validate`]) and a decoded
-//! [`SolverStore`] for slot state that matches its plan: a re-sealed payload with one
-//! index out of place is [`SnapshotError::Malformed`], not a panic on the next solve.
+//! plan travels as its skeleton views only: decoding derives the routing indexes from
+//! them, as a plan build does. A checksum only vouches for the bytes, so a decoded
+//! [`SolvePlan`] is also checked for what the evaluation pass relies on
+//! ([`SolvePlan::validate`]) and a decoded [`SolverStore`] for slot state that matches
+//! its plan: a re-sealed payload with one index out of place is
+//! [`SnapshotError::Malformed`], not a panic on the next solve.
 //!
 //! The codec is versioned through [`SNAPSHOT_VERSION`]: a reader refuses payloads
 //! written by a future version instead of misinterpreting them. Downstream users (the
@@ -36,7 +38,7 @@
 //! [`seal`] / [`open`].
 
 use crate::pipeline::PreparedTree;
-use crate::plan::{MemberSlot, PlanMember, PlanView, SolvePlan, ViewSlot};
+use crate::plan::{PlanMember, PlanView, Routing, SolvePlan};
 use crate::problem::{ClusterDp, Payload, SlotState};
 use crate::state_dp::StateSummary;
 use crate::store::SolverStore;
@@ -52,13 +54,16 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"TREEDPSS";
 /// Current format version written by [`seal`] and accepted by [`open`].
 pub const SNAPSHOT_VERSION: u32 = 1;
 
-/// Payload kind: a [`PreparedTree`] (with its cached plan, if built).
-pub const KIND_PREPARED_TREE: u32 = 1;
-/// Payload kind: a bare [`SolvePlan`].
-pub const KIND_PLAN: u32 = 2;
+/// Payload kind: a [`PreparedTree`] (with its cached plan, if built). Bumped 1 → 5
+/// when plans stopped carrying their routing indexes.
+pub const KIND_PREPARED_TREE: u32 = 5;
+/// Payload kind: a bare [`SolvePlan`]. Bumped 2 → 6 when plans stopped carrying their
+/// routing indexes.
+pub const KIND_PLAN: u32 = 6;
 /// Payload kind: a [`SolverStore`]. Bumped 3 → 4 when the store became a plan plus
-/// slot state (kind 3 held a cloned view per cluster and a payload map).
-pub const KIND_STORE: u32 = 4;
+/// slot state (kind 3 held a cloned view per cluster and a payload map), 4 → 7 when
+/// plans stopped carrying their routing indexes.
+pub const KIND_STORE: u32 = 7;
 
 /// Why a snapshot failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -546,8 +551,6 @@ impl Snapshot for MpcConfig {
         w.put_f64(self.memory_slack);
         w.put_f64(self.bandwidth_slack);
         w.put_bool(self.strict);
-        // Reserved: the field that selected the retired thread pool.
-        w.put_bool(false);
         w.put_bool(self.radix);
     }
     fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
@@ -557,11 +560,7 @@ impl Snapshot for MpcConfig {
             memory_slack: r.take_f64()?,
             bandwidth_slack: r.take_f64()?,
             strict: r.take_bool()?,
-            radix: {
-                // Reserved; older snapshots carry either value here.
-                r.take_bool()?;
-                r.take_bool()?
-            },
+            radix: r.take_bool()?,
         })
     }
 }
@@ -688,7 +687,6 @@ impl Snapshot for PlanView {
         self.in_edge.encode(w);
         self.attach.encode(w);
         self.in_kind.encode(w);
-        w.put_bool(self.has_in_data);
     }
     fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
         Ok(PlanView {
@@ -700,39 +698,6 @@ impl Snapshot for PlanView {
             in_edge: Option::decode(r)?,
             attach: Option::decode(r)?,
             in_kind: EdgeKind::decode(r)?,
-            has_in_data: r.take_bool()?,
-        })
-    }
-}
-
-impl Snapshot for MemberSlot {
-    fn encode(&self, w: &mut SnapshotWriter) {
-        w.put_u32(self.layer);
-        w.put_u32(self.machine);
-        w.put_u32(self.view);
-        w.put_u32(self.member);
-    }
-    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(MemberSlot {
-            layer: r.take_u32()?,
-            machine: r.take_u32()?,
-            view: r.take_u32()?,
-            member: r.take_u32()?,
-        })
-    }
-}
-
-impl Snapshot for ViewSlot {
-    fn encode(&self, w: &mut SnapshotWriter) {
-        w.put_u32(self.layer);
-        w.put_u32(self.machine);
-        w.put_u32(self.view);
-    }
-    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(ViewSlot {
-            layer: r.take_u32()?,
-            machine: r.take_u32()?,
-            view: r.take_u32()?,
         })
     }
 }
@@ -746,14 +711,9 @@ impl Snapshot for SolvePlan {
         w.put_usize(self.top_machine);
         self.aux_nodes.encode(w);
         self.layers.encode(w);
-        self.payload_slot.encode(w);
-        self.out_edge_slots.encode(w);
-        self.in_edge_slots.encode(w);
-        self.out_label_readers.encode(w);
-        self.in_label_readers.encode(w);
     }
     fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let plan = SolvePlan {
+        let mut plan = SolvePlan {
             num_layers: r.take_u32()?,
             num_machines: r.take_usize()?,
             root: r.take_u64()?,
@@ -761,14 +721,11 @@ impl Snapshot for SolvePlan {
             top_machine: r.take_usize()?,
             aux_nodes: Vec::decode(r)?,
             layers: Vec::decode(r)?,
-            payload_slot: BTreeMap::decode(r)?,
-            out_edge_slots: BTreeMap::decode(r)?,
-            in_edge_slots: BTreeMap::decode(r)?,
-            out_label_readers: BTreeMap::decode(r)?,
-            in_label_readers: BTreeMap::decode(r)?,
+            routing: Routing::default(),
         };
-        // Every index the evaluation pass and the splice follow is checked here, once,
-        // for everything that carries a plan (tree, store, tenant).
+        plan.routing = Routing::of(&plan.layers);
+        // What the evaluation pass and the splice rely on is checked here, once, for
+        // everything that carries a plan (tree, store, tenant).
         plan.validate().map_err(SnapshotError::Malformed)?;
         Ok(plan)
     }
@@ -1122,36 +1079,6 @@ mod tests {
         let back = MpcConfig::decode(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(cfg, back);
-    }
-
-    #[test]
-    fn config_written_with_the_parallel_flag_set_still_decodes() {
-        // The layout every snapshot before the thread pool left was written in:
-        // n, delta, both slacks, then `strict`, `parallel`, `radix` as one byte each.
-        let mut w = SnapshotWriter::new();
-        w.put_usize(4096);
-        w.put_f64(0.5);
-        w.put_f64(64.0);
-        w.put_f64(32.0);
-        w.put_bool(true);
-        w.put_bool(true);
-        w.put_bool(false);
-        let old = w.into_bytes();
-        let mut r = SnapshotReader::new(&old);
-        let cfg = MpcConfig::decode(&mut r).unwrap();
-        r.finish().unwrap();
-        let expected = MpcConfig::new(4096, 0.5)
-            .with_memory_slack(64.0)
-            .with_strict(true)
-            .with_radix(false);
-        assert_eq!(cfg, expected);
-        // Re-encoding keeps the byte count; only the reserved byte reads 0.
-        let mut w = SnapshotWriter::new();
-        cfg.encode(&mut w);
-        let new = w.into_bytes();
-        assert_eq!(new.len(), old.len());
-        let reserved = old.len() - 2;
-        assert_eq!((old[reserved], new[reserved]), (1, 0));
     }
 
     #[test]

@@ -71,7 +71,7 @@ impl<P: ClusterDp> SolverStore<P> {
     /// Write `input` into the payload slot of `node`; the view holding the slot, or
     /// `None` when the plan routes no such element.
     pub fn set_node_input(&mut self, node: NodeId, input: P::NodeInput) -> Option<ViewSlot> {
-        let slot = *self.plan.payload_slot.get(&node)?;
+        let slot = *self.plan.routing.payload_slot.get(&node)?;
         let at = slot.view_slot();
         slots_at(&mut self.state, at).payloads[slot.member as usize] = Some(Payload::Input(input));
         Some(at)
@@ -81,8 +81,9 @@ impl<P: ClusterDp> SolverStore<P> {
     /// endpoint is `child` (the member slot of the element leaving by it, the in-edge
     /// slot of the view it enters); the views written to.
     pub fn set_edge_input(&mut self, child: NodeId, input: &P::EdgeInput) -> Vec<ViewSlot> {
-        let out_slots = self.plan.out_edge_slots.get(&child).into_iter().flatten();
-        let in_slots = self.plan.in_edge_slots.get(&child).into_iter().flatten();
+        let routing = &self.plan.routing;
+        let out_slots = routing.out_edge_slots.get(&child).into_iter().flatten();
+        let in_slots = routing.in_edge_slots.get(&child).into_iter().flatten();
         let mut touched = Vec::new();
         for slot in out_slots {
             slots_at(&mut self.state, slot.view_slot()).out_inputs[slot.member as usize] =
@@ -102,7 +103,7 @@ impl<P: ClusterDp> SolverStore<P> {
         if cluster == self.plan.top_cluster {
             return Some(&self.root_summary);
         }
-        let slot = self.plan.payload_slot.get(&cluster)?;
+        let slot = self.plan.routing.payload_slot.get(&cluster)?;
         let at = slot.view_slot();
         match &self.state[at.layer as usize - 1][at.machine as usize][at.view as usize].payloads
             [slot.member as usize]
@@ -119,7 +120,7 @@ impl<P: ClusterDp> SolverStore<P> {
             self.root_summary = summary;
             return None;
         }
-        let slot = *self.plan.payload_slot.get(&cluster)?;
+        let slot = *self.plan.routing.payload_slot.get(&cluster)?;
         let at = slot.view_slot();
         slots_at(&mut self.state, at).payloads[slot.member as usize] =
             Some(Payload::Summary(summary));
@@ -146,8 +147,8 @@ impl<P: ClusterDp> SolverStore<P> {
     /// The views that read the label of the edge whose child endpoint is `child` as a
     /// boundary label (out-label or in-label) in their top-down step.
     pub fn label_readers(&self, child: NodeId) -> impl Iterator<Item = ViewSlot> + '_ {
-        let out = self.plan.out_label_readers.get(&child);
-        let into = self.plan.in_label_readers.get(&child);
+        let out = self.plan.routing.out_label_readers.get(&child);
+        let into = self.plan.routing.in_label_readers.get(&child);
         out.into_iter().chain(into).flatten().copied()
     }
 
@@ -192,7 +193,7 @@ impl<P: ClusterDp> SolverStore<P> {
                 .get(&leaf.id)
                 .expect("every added leaf came from a link op")
                 .clone();
-            let slot = self.plan.payload_slot[&leaf.id];
+            let slot = self.plan.routing.payload_slot[&leaf.id];
             let slots = slots_at(&mut self.state, slot.view_slot());
             debug_assert_eq!(slots.payloads.len(), slot.member as usize);
             slots.payloads.push(Some(Payload::Input(node_input)));
@@ -204,9 +205,10 @@ impl<P: ClusterDp> SolverStore<P> {
     }
 
     /// Check the store against from-scratch derivations: every routing index of the
-    /// plan against a re-index of its skeleton views (`edges` is the degree-reduced
-    /// edge list the plan was built over), and the slot state against the skeletons'
-    /// shape. `Err` names the first index or view that drifted. Zero rounds,
+    /// plan against a re-index of its skeleton views, the edges the plan takes inputs
+    /// for against `edges` (the degree-reduced edge list the plan was built over), and
+    /// the slot state against the skeletons' shape. `Err` names the first index or
+    /// view that drifted. Zero rounds,
     /// `O(n log n)` host work — the alarm for long sequences of in-place splices.
     // mpc-cost: rounds(const)
     pub fn audit<'a>(
@@ -350,9 +352,9 @@ mod tests {
     }
 
     /// The first view with an incoming edge and a member that has both a parent and a
-    /// child: every index kind a corruption below touches is present in it.
+    /// child: every skeleton field a corruption below touches is present in it.
     fn rich_view(plan: &SolvePlan) -> ViewSlot {
-        let readers = plan.in_label_readers.values().flatten();
+        let readers = plan.routing.in_label_readers.values().flatten();
         *readers
             .clone()
             .find(|at| {
@@ -370,9 +372,9 @@ mod tests {
         snapshot_from_bytes(kind, &snapshot_to_bytes(kind, value))
     }
 
-    /// A checksum-valid payload with one index out of place must come back as a typed
-    /// error from every decoder that carries a plan, not as a value that panics on the
-    /// next solve or update.
+    /// A checksum-valid payload with one skeleton field out of place must come back as
+    /// a typed error, naming the check it fails, from every decoder that carries a
+    /// plan — not as a value that panics on the next solve or update.
     #[test]
     fn resealed_payloads_with_one_index_out_of_place_decode_to_malformed() {
         let (prepared, store) = solved();
@@ -388,67 +390,58 @@ mod tests {
         };
 
         type Corruption = (&'static str, fn(&mut SolvePlan, ViewSlot, usize));
-        let corruptions: [Corruption; 9] = [
-            ("top", |p, at, _| p.view_at_mut(at).top = usize::MAX),
-            ("attach", |p, at, _| {
+        let corruptions: [Corruption; 7] = [
+            ("view top/attach index", |p, at, _| {
+                p.view_at_mut(at).top = usize::MAX
+            }),
+            ("view top/attach index", |p, at, _| {
                 let view = p.view_at_mut(at);
                 view.attach = Some(view.members.len());
             }),
-            ("parent", |p, at, inner| {
+            ("view parent/child link", |p, at, inner| {
                 let view = p.view_at_mut(at);
                 view.members[inner].parent = Some(view.members.len() + 7);
             }),
-            ("children", |p, at, inner| {
+            ("view parent/child link", |p, at, inner| {
                 p.view_at_mut(at).members[inner].children[0] = 1 << 40;
             }),
-            ("payload slot member", |p, _, _| {
-                let slot = p.payload_slot.values_mut().next().expect("non-empty");
-                slot.member = u32::MAX;
+            // One element id on members of two views (layer-1 members are all nodes).
+            ("plan payload slot", |p, _, _| {
+                let mut views = p.layers[0].iter().flatten();
+                let other = views.nth(1).expect("two layer-1 views").members[0]
+                    .element
+                    .id;
+                let mut views = p.layers[0].iter_mut().flatten();
+                views.next().expect("a layer-1 view").members[0].element.id = other;
             }),
-            ("out-edge slot view", |p, _, _| {
-                let slots = p.out_edge_slots.values_mut().next().expect("non-empty");
-                slots[0].view = u32::MAX;
+            // A non-top cluster whose only member slot lies in its own layer.
+            ("plan summary slot", |p, at, _| {
+                let view = p.view_at_mut(at);
+                view.cluster = view.members[view.top].element.id;
             }),
-            ("in-label reader layer", |p, _, _| {
-                let slots = p.in_label_readers.values_mut().next().expect("non-empty");
-                slots[0].layer = 0;
+            ("plan machine index", |p, _, _| {
+                p.top_machine = p.num_machines
             }),
-            ("out-label reader machine", |p, _, _| {
-                let slots = p.out_label_readers.values_mut().next().expect("non-empty");
-                slots[0].machine = u32::MAX;
-            }),
-            ("top machine", |p, _, _| p.top_machine = p.num_machines),
         ];
-        for (what, corrupt) in corruptions {
+        for (check, corrupt) in corruptions {
             let mut bad = plan.clone();
             corrupt(&mut bad, at, inner);
-            assert!(
-                matches!(
-                    decode_resealed(KIND_PLAN, &bad),
-                    Err(SnapshotError::Malformed(_))
-                ),
-                "{what}: plan"
+            let refused = Err(SnapshotError::Malformed(check));
+            assert_eq!(
+                decode_resealed(KIND_PLAN, &bad).map(|_| ()),
+                refused,
+                "plan"
             );
 
             let mut tree = prepared.clone();
             tree.install_plan(bad.clone());
-            assert!(
-                matches!(
-                    decode_resealed(KIND_PREPARED_TREE, &tree).map(|_| ()),
-                    Err(SnapshotError::Malformed(_))
-                ),
-                "{what}: prepared tree"
-            );
+            let decoded = decode_resealed(KIND_PREPARED_TREE, &tree).map(|_| ());
+            assert_eq!(decoded, refused, "prepared tree");
 
             let mut bad_store = decode_resealed(KIND_STORE, &store).expect("valid store");
             bad_store.plan = bad;
-            assert!(
-                matches!(
-                    decode_resealed(KIND_STORE, &bad_store).map(|_| ()),
-                    Err(SnapshotError::Malformed(_))
-                ),
-                "{what}: store"
-            );
+            let decoded = decode_resealed(KIND_STORE, &bad_store).map(|_| ());
+            assert_eq!(decoded, refused, "store");
         }
 
         // The store's own part: slot state that does not match the skeletons.
@@ -477,21 +470,29 @@ mod tests {
         ));
     }
 
-    /// Kind 3 was the store of cloned views and a payload map; its bytes are refused by
-    /// kind, before any of them is read as the new layout.
+    /// Every kind a payload was written under before its layout changed is refused by
+    /// kind, before any byte is read as the new layout: tree 1, plan 2, and store 3 (the
+    /// store of cloned views and a payload map) and 4 (plans with routing indexes).
     #[test]
     fn superseded_store_kind_is_rejected() {
-        let (_, store) = solved();
-        let mut w = crate::snapshot::SnapshotWriter::new();
-        store.encode(&mut w);
-        let old = crate::snapshot::seal(3, w);
-        assert_eq!(
-            SolverStore::<Count>::from_snapshot(&old).map(|_| ()),
-            Err(SnapshotError::WrongKind {
-                found: 3,
-                expected: KIND_STORE
-            })
-        );
+        let (prepared, store) = solved();
+        // The header's kind field; the checksum covers the payload only.
+        let with_kind = |mut bytes: Vec<u8>, kind: u32| {
+            bytes[12..16].copy_from_slice(&kind.to_le_bytes());
+            bytes
+        };
+        let wrong = |found, expected| Err(SnapshotError::WrongKind { found, expected });
+        for old in [3, 4] {
+            let bytes = with_kind(store.to_snapshot(), old);
+            let decoded = SolverStore::<Count>::from_snapshot(&bytes).map(|_| ());
+            assert_eq!(decoded, wrong(old, KIND_STORE));
+        }
+        let bytes = with_kind(store.plan().to_snapshot(), 2);
+        let decoded = SolvePlan::from_snapshot(&bytes).map(|_| ());
+        assert_eq!(decoded, wrong(2, KIND_PLAN));
+        let bytes = with_kind(prepared.to_snapshot(), 1);
+        let decoded = PreparedTree::from_snapshot(&bytes).map(|_| ());
+        assert_eq!(decoded, wrong(1, KIND_PREPARED_TREE));
     }
 
     /// The audit is silent on a fresh store and names what drifted when one routing
@@ -505,6 +506,7 @@ mod tests {
         let mut drifted = reread();
         let slot = drifted
             .plan
+            .routing
             .payload_slot
             .values_mut()
             .next()
@@ -516,6 +518,7 @@ mod tests {
         let mut drifted = reread();
         let readers = drifted
             .plan
+            .routing
             .out_label_readers
             .values_mut()
             .next()

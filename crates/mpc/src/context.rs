@@ -334,7 +334,7 @@ impl MpcContext {
     /// Distribute `data` evenly over the machines (this is the input layout; no
     /// rounds). Chunk buffers are drawn from the scratch arena, so data vectors
     /// created and consumed in a loop recycle their storage instead of growing the
-    /// heap (see [`crate::scratch`]).
+    /// heap (see the `scratch` module).
     pub fn from_vec<T: Send + 'static>(&mut self, data: Vec<T>) -> DistVec<T> {
         let machines = self.cfg.num_machines();
         let mut chunks: Vec<Vec<T>> = self.scratch.pool.take_bufs(machines);
@@ -461,8 +461,8 @@ impl MpcContext {
     /// runs are delimited by `partition_point`, which is only meaningful on
     /// monotone destinations. Debug builds assert the contract for every record;
     /// release builds do not check it, and violating it misroutes the records of
-    /// the offending run (they travel with their run head). Use [`route`]
-    /// (Self::route) when monotonicity is not guaranteed.
+    /// the offending run (they travel with their run head). Use
+    /// [`route`](Self::route) when monotonicity is not guaranteed.
     pub fn route_sorted<T, F>(&mut self, dv: DistVec<T>, dest: F) -> DistVec<T>
     where
         T: Words + Send + 'static,

@@ -175,8 +175,8 @@ impl<K: SortKey> SortedIndex<K> {
     }
 }
 
-/// A table sorted once so that any number of [`join_lookup_sorted`]
-/// (`MpcContext::join_lookup_sorted`) probes can reuse the work — the repeated-lookup
+/// A table sorted once so that any number of
+/// [`join_lookup_sorted`](crate::MpcContext::join_lookup_sorted) probes can reuse the work — the repeated-lookup
 /// pattern of the clustering builder, the solver's view assembly, and the incremental
 /// solver. Built by [`MpcContext::sort_table`]; positional, like the index it wraps.
 #[derive(Debug, Clone)]
@@ -471,8 +471,8 @@ impl MpcContext {
         }
     }
 
-    /// Sort a table once for any number of [`join_lookup_sorted`]
-    /// (`Self::join_lookup_sorted`) probes.
+    /// Sort a table once for any number of
+    /// [`join_lookup_sorted`](Self::join_lookup_sorted) probes.
     ///
     /// Charges one sort plus the broadcast of the resulting range-partition
     /// boundaries (`sort_rounds + agg_rounds`); every machine's share of the table is

@@ -4,8 +4,8 @@
 //! *"Fast Dynamic Programming in Trees in the MPC Model"* (SPAA 2023), on top of the
 //! `tree-dp-core` framework:
 //!
-//! * finite-state optimization problems via the generic [`StateEngine`]
-//!   (`tree_dp_core::StateEngine`): maximum-weight independent set (also yields a
+//! * finite-state optimization problems via the generic
+//!   [`StateEngine`](tree_dp_core::StateEngine): maximum-weight independent set (also yields a
 //!   maximal independent set), minimum-weight vertex cover, minimum-weight dominating
 //!   set, maximum-weight matching, weighted tree max-SAT, vertex coloring (an LCL),
 //!   sum coloring, and XML-structure validation — see [`optimization`];

@@ -1,5 +1,5 @@
 //! Finite-state optimization problems of Table 1, expressed as [`StateDp`] problems and
-//! solved through the generic [`StateEngine`].
+//! solved through the generic [`StateEngine`](tree_dp_core::StateEngine).
 //!
 //! All problems use the max-plus convention (minimization problems negate their costs),
 //! and all define the auxiliary-edge rules of Section 5.3 so they remain correct on

@@ -14,7 +14,7 @@
 //! * the representation types of Section 3.1 ([`ListOfEdges`], [`UndirectedEdges`],
 //!   [`StringOfParentheses`], [`BfsTraversal`], [`DfsTraversal`], [`PointersToParents`]),
 //! * lossless host-side conversions between them (reference implementations),
-//! * the MPC normalization of Section 3.2 ([`normalize`]), including the
+//! * the MPC normalization of Section 3.2 ([`normalize()`]), including the
 //!   chunk-cancellation parentheses-matching algorithm of Section 3.2/3.2.1
 //!   ([`parentheses`]) and Euler-tour rooting of undirected inputs ([`rooting`]).
 

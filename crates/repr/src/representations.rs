@@ -2,7 +2,7 @@
 //! between them.
 //!
 //! The host-side conversions are reference implementations: the MPC normalization in
-//! [`crate::normalize`] is tested against them, and workload generators use them to
+//! [`crate::normalize()`] is tested against them, and workload generators use them to
 //! produce the same tree in every representation.
 
 use crate::ids::{DirectedEdge, NodeId};

@@ -26,7 +26,8 @@
 //!    [`KIND_TENANT`] snapshot (config, prepared tree, solver store, aux input,
 //!    metrics) and restores on any server — including a freshly started one —
 //!    with bit-identical labels and optima. Restoring checks every index the parts
-//!    carry and that store, tree and config belong together; anything else is a
+//!    carry, that store, tree and config belong together, and that the tree
+//!    travels without a cached plan, as the server writes it; anything else is a
 //!    typed [`ServerError::Snapshot`]. Restored tenants re-enter with a cold plan
 //!    cache; their first query is an honest miss.
 //!
@@ -56,8 +57,9 @@ pub type TenantId = String;
 /// Snapshot payload kind of a serialized tenant (layered on the core codec's
 /// header; see [`tree_dp_core::seal`]). Bumped 100 → 101 when
 /// [`TenantMetrics`] grew its `structural` counter, 101 → 102 when the solver
-/// store inside it became a plan plus slot state.
-pub const KIND_TENANT: u32 = 102;
+/// store inside it became a plan plus slot state, 102 → 103 when plans stopped
+/// carrying their routing indexes and the config lost its reserved byte.
+pub const KIND_TENANT: u32 = 103;
 
 /// Why a serving-layer operation failed.
 #[derive(Debug, Clone, PartialEq)]
@@ -152,8 +154,9 @@ pub struct AdmitReport {
 /// One queued request against a tenant.
 pub enum Request<P: ClusterDp> {
     /// Solve one ad-hoc problem instance over the tenant's cached plan. Queries in
-    /// the same flush batch into a single [`SolvePlan::solve_many`]
-    /// (`tree_dp_core::SolvePlan::solve_many`) call. A query that leaves an original
+    /// the same flush batch into a single
+    /// [`SolvePlan::solve_many`](tree_dp_core::SolvePlan::solve_many) call. A query
+    /// that leaves an original
     /// node without an input is rejected alone ([`ServerError::InvalidQuery`]); ids
     /// the tree does not hold are ignored.
     Query {
@@ -675,6 +678,12 @@ where
         let metrics = TenantMetrics::decode(&mut r)?;
         r.finish().map_err(ServerError::from)?;
         // Each part decoded sound on its own; they must also be parts of one tenant.
+        // A tenant's tree travels plan-less: the flush moves a cached plan into the
+        // plan cache and evaluates it on this tenant's machines, whatever it was
+        // built for.
+        if prepared.has_plan() {
+            return Err(SnapshotError::Malformed("tenant tree with a cached plan").into());
+        }
         let plan = store.plan();
         let clustering = &prepared.clustering;
         if (plan.root(), plan.top_cluster(), plan.num_layers())

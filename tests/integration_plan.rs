@@ -551,19 +551,22 @@ fn fnv1a_64(bytes: &[u8]) -> u64 {
 }
 
 /// Layout pin: the `KIND_PLAN` snapshot bytes — every skeleton, its machine, its
-/// member order, every routing slot — hash to the digests taken at the commit before
-/// `build_plan` stopped assembling full cluster views (ec9efe6). Skeleton placement
-/// decides every `plan-solve` send/recv volume and the resident-words figure plan
-/// caches budget on, so a change here is a change to all of those.
+/// member order — hash to fixed digests. The skeletons are the placement the commit
+/// before `build_plan` stopped assembling full cluster views (ec9efe6) produced; the
+/// digests were re-taken once when plans stopped carrying their routing indexes,
+/// after checking that the plans still encode to the earlier digests in the earlier
+/// layout. Skeleton placement decides every `plan-solve` send/recv volume and the
+/// resident-words figure plan caches budget on, so a change here is a change to all
+/// of those.
 #[test]
 fn plan_layout_is_pinned() {
     for (name, tree, digest) in [
-        ("path-257", shapes::path(257), 0xfb59_cba4_05d4_1fe2_u64),
-        ("star-64", shapes::star(64), 0x171d_9e87_ffc5_4ee8),
+        ("path-257", shapes::path(257), 0xb38e_3a88_06a4_3d23_u64),
+        ("star-64", shapes::star(64), 0xc0ea_7926_62ed_5075),
         (
             "random-recursive-300/7",
             shapes::random_recursive(300, 7),
-            0x9f6b_1e99_eb42_6e3c,
+            0x2e2e_860a_25e2_af55,
         ),
     ] {
         let mut ctx = ctx_for(tree.len());

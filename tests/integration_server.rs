@@ -836,13 +836,80 @@ fn resealed_tenant_snapshots_with_one_field_out_of_place_are_refused() {
         8 + "alpha".len(),
         1 << 20
     ))));
-    // The payload kind tenants were written under before the store changed shape.
+    // The payload kinds tenants were written under before the store changed shape
+    // (101) and before plans stopped carrying their routing indexes (102).
+    for old in [101, 102] {
+        assert_eq!(
+            restore(&reseal(old, &|_| ())),
+            Some(ServerError::Snapshot(SnapshotError::WrongKind {
+                found: old,
+                expected: KIND_TENANT
+            }))
+        );
+    }
+}
+
+/// The server writes a tenant's tree without a cached plan: its queries evaluate the
+/// plan cache's copy, built for the tenant's own machines. A snapshot whose tree does
+/// carry one — here built for another machine count, which the next flush would move
+/// into the plan cache and evaluate — is refused, not restored.
+#[test]
+fn tenant_snapshot_whose_tree_carries_a_plan_is_refused() {
+    use mpc_tree_dp::core::{seal, SnapshotWriter};
+
+    let tree = spider(5, 9);
+    let n = tree.len();
+    let cfg = ServerConfig {
+        plan_budget_words: 1 << 20,
+    };
+    let mut server = Server::new(cfg);
+    server
+        .admit(
+            "alpha",
+            TenantSpec {
+                config: strict_cfg(4 * n),
+                input: TreeInput::ListOfEdges(ListOfEdges::from_tree(&tree)),
+                threshold: Some(4),
+                problem: MaxIs::new(MaxWeightIndependentSet),
+                node_inputs: weights_for(n, 3),
+                aux_input: 0,
+                edge_inputs: Vec::new(),
+            },
+        )
+        .expect("admission");
+    let good = server.snapshot_tenant("alpha").expect("snapshot");
+
+    // The tenant's tree as admission prepared it, then with a plan of its own.
+    let mut ctx = MpcContext::new(strict_cfg(4 * n));
+    let mut prepared = prepare(
+        &mut ctx,
+        TreeInput::ListOfEdges(ListOfEdges::from_tree(&tree)),
+        Some(4),
+    )
+    .expect("well-formed tree");
+    let plan_less = prepared.to_snapshot()[32..].to_vec();
+    let mut wide = MpcContext::new(strict_cfg(64 * n));
+    assert_ne!(wide.config().num_machines(), ctx.config().num_machines());
+    let foreign = prepared.plan_uncached(&mut wide);
+    prepared.install_plan(foreign);
+    let mut payload = good[32..].to_vec();
+    let at = payload
+        .windows(plan_less.len())
+        .position(|w| w == plan_less)
+        .expect("the tenant's tree is in the payload");
+    payload.splice(
+        at..at + plan_less.len(),
+        prepared.to_snapshot()[32..].to_vec(),
+    );
+    let mut w = SnapshotWriter::new();
+    w.put_bytes(&payload);
     assert_eq!(
-        restore(&reseal(101, &|_| ())),
-        Some(ServerError::Snapshot(SnapshotError::WrongKind {
-            found: 101,
-            expected: KIND_TENANT
-        }))
+        Server::new(cfg)
+            .restore_tenant(&seal(KIND_TENANT, w), MaxIs::new(MaxWeightIndependentSet))
+            .err(),
+        Some(ServerError::Snapshot(SnapshotError::Malformed(
+            "tenant tree with a cached plan"
+        )))
     );
 }
 
