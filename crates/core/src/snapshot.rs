@@ -551,7 +551,6 @@ impl Snapshot for MpcConfig {
         w.put_f64(self.memory_slack);
         w.put_f64(self.bandwidth_slack);
         w.put_bool(self.strict);
-        w.put_bool(self.radix);
     }
     fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
         Ok(MpcConfig {
@@ -560,7 +559,6 @@ impl Snapshot for MpcConfig {
             memory_slack: r.take_f64()?,
             bandwidth_slack: r.take_f64()?,
             strict: r.take_bool()?,
-            radix: r.take_bool()?,
         })
     }
 }
@@ -1070,8 +1068,7 @@ mod tests {
         let cfg = MpcConfig::new(4096, 0.5)
             .with_memory_slack(64.0)
             .with_bandwidth_slack(64.0)
-            .with_strict(true)
-            .with_radix(false);
+            .with_strict(true);
         let mut w = SnapshotWriter::new();
         cfg.encode(&mut w);
         let bytes = w.into_bytes();

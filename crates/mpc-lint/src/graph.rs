@@ -18,11 +18,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// `MpcContext` methods that charge rounds/volume. A call to one of these (on a
 /// receiver that is plausibly a context) is a *direct* exchange.
-pub const CHARGED_PRIMITIVES: [&str; 18] = [
+pub const CHARGED_PRIMITIVES: [&str; 15] = [
     "route",
-    "route_sorted",
     "rebalance",
-    "broadcast",
     "all_reduce",
     "communicate",
     "sort_by_key",
@@ -33,7 +31,6 @@ pub const CHARGED_PRIMITIVES: [&str; 18] = [
     "join_lookup_sorted",
     "gather_groups",
     "prefix_sums",
-    "prefix_max",
     "charge_rounds",
     "record_comm",
     "record_uniform_comm",

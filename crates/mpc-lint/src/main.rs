@@ -1,18 +1,15 @@
 //! CLI for the MPC model-discipline linter.
 //!
 //! ```text
-//! cargo run -p mpc-lint [-- --root <dir>] [--rule <id>]
-//!                       [--dump-graph] [--write-abi-lock <path>]
+//! cargo run -p mpc-lint [-- --root <dir>] [--rule <id>] [--dump-graph]
 //! ```
 //!
 //! Exits non-zero when any finding survives the inline allow directives, so CI can
 //! gate on it directly. `--dump-graph` prints the resolved call graph instead of
-//! linting; `--write-abi-lock` regenerates the snapshot-ABI lockfile (CI writes it
-//! to a temp path and diffs against the committed one).
+//! linting.
 
 use mpc_lint::{
-    abi, find_workspace_root, lint_workspace, load_workspace_models, render_text, CallGraph,
-    LintConfig,
+    find_workspace_root, lint_workspace, load_workspace_models, render_text, CallGraph, LintConfig,
 };
 
 fn main() {
@@ -43,34 +40,12 @@ fn main() {
         }
     };
     let rule_filter = flag("--rule");
-    let abi_lock_out = flag("--write-abi-lock");
-
-    let models_of = |root: &std::path::Path| {
-        load_workspace_models(root).unwrap_or_else(|e| {
-            eprintln!("mpc-lint: cannot scan {}: {e}", root.display());
-            std::process::exit(2);
-        })
-    };
-
-    if let Some(out_path) = abi_lock_out {
-        // Regenerate the snapshot-ABI lockfile and exit: this mode never lints.
-        let (models, _) = models_of(&root);
-        let surface = abi::extract(&models);
-        let text = abi::render_lock(&surface);
-        if let Err(e) = std::fs::write(&out_path, &text) {
-            eprintln!("mpc-lint: cannot write {out_path}: {e}");
-            std::process::exit(2);
-        }
-        eprintln!(
-            "mpc-lint: wrote {out_path} ({} impl(s), {} kind(s))",
-            surface.impls.len(),
-            surface.kinds.len()
-        );
-        return;
-    }
 
     if dump_graph {
-        let (models, _) = models_of(&root);
+        let (models, _) = load_workspace_models(&root).unwrap_or_else(|e| {
+            eprintln!("mpc-lint: cannot scan {}: {e}", root.display());
+            std::process::exit(2);
+        });
         let graph = CallGraph::build(&models);
         print!("{}", graph.render());
         return;

@@ -1,8 +1,8 @@
 //! Per-file context model built on top of the scrubbed source: which lines are test
 //! code, which lines sit inside a loop body (and whether that loop is statically
-//! bounded), the span of every function and `impl` block, and every call site with
-//! its `::`-qualifier chain — the structural facts the rules and the workspace call
-//! graph condition on.
+//! bounded), the span of every function and the self type of its `impl` block, and
+//! every call site with its `::`-qualifier chain — the structural facts the rules
+//! and the workspace call graph condition on.
 
 use crate::lexer::{scrub, Allow, CostNote, Scrubbed};
 
@@ -34,21 +34,6 @@ pub struct FnSpan {
     /// Head identifier of the enclosing `impl` block's self type (`SlotState<P>` →
     /// `SlotState`), when the function is an associated fn/method.
     pub impl_type: Option<String>,
-}
-
-/// One `impl` block's extent and parsed header.
-#[derive(Debug, Clone)]
-pub struct ImplSpan {
-    /// Last path segment of the implemented trait, without generics
-    /// (`snapshot::Snapshot` → `Snapshot`); `None` for inherent impls.
-    pub trait_name: Option<String>,
-    /// The self type with all whitespace removed (`SlotState<P>`, `(A,B)`, `Vec<T>`)
-    /// — a deterministic key for the ABI lockfile.
-    pub type_text: String,
-    /// 1-based line of the `impl` keyword.
-    pub start: usize,
-    /// 1-based line of the closing brace (inclusive).
-    pub end: usize,
 }
 
 /// One call site: an identifier immediately followed by `(` (after an optional
@@ -87,7 +72,6 @@ pub struct FileModel {
     /// bounded by an iterator, so round charges inside it are data-dependent.
     pub in_unbounded_loop: Vec<bool>,
     pub fns: Vec<FnSpan>,
-    pub impls: Vec<ImplSpan>,
     pub calls: Vec<CallSite>,
     pub allows: Vec<Allow>,
     pub costs: Vec<CostNote>,
@@ -97,8 +81,8 @@ pub struct FileModel {
 enum RegionKind {
     Test,
     Loop { unbounded: bool },
-    Fn(usize),   // index into fns
-    Impl(usize), // index into impls
+    Fn(usize),            // index into fns
+    Impl(Option<String>), // head of the impl's self type
 }
 
 impl FileModel {
@@ -125,7 +109,6 @@ impl FileModel {
             in_loop: vec![false; lines.len()],
             in_unbounded_loop: vec![false; lines.len()],
             fns: Vec::new(),
-            impls: Vec::new(),
             calls: Vec::new(),
             allows,
             costs,
@@ -150,8 +133,8 @@ impl FileModel {
         let mut pending_fn: Option<(String, usize, bool)> = None;
         // `impl Display for Foo {` — that `for` is not a loop. While pending, the
         // header text (everything after the `impl` keyword) accumulates so the
-        // trait/type can be parsed at the opening brace.
-        let mut pending_impl: Option<(String, usize)> = None;
+        // self type can be parsed at the opening brace.
+        let mut pending_impl: Option<String> = None;
         // `;` only terminates an item at bracket/paren depth 0 (`[u8; 4]` does not).
         let mut inner = 0usize;
 
@@ -173,7 +156,7 @@ impl FileModel {
             while let Some(c) = chars.next() {
                 if c.is_alphanumeric() || c == '_' {
                     ident.push(c);
-                    if let Some((h, _)) = pending_impl.as_mut() {
+                    if let Some(h) = pending_impl.as_mut() {
                         h.push(c);
                     }
                     if chars.peek().is_some() {
@@ -203,7 +186,7 @@ impl FileModel {
                     "impl" => {
                         // Start capturing the header. The keyword itself was pushed
                         // into any outer pending header char-by-char; harmless.
-                        pending_impl = Some((String::new(), lineno));
+                        pending_impl = Some(String::new());
                     }
                     _ => {}
                 }
@@ -220,7 +203,7 @@ impl FileModel {
                             let is_test =
                                 pending_test || regions.iter().any(|(k, _)| *k == RegionKind::Test);
                             let impl_type = regions.iter().rev().find_map(|(k, _)| match k {
-                                RegionKind::Impl(ii) => type_head(&self.impls[*ii].type_text),
+                                RegionKind::Impl(head) => head.clone(),
                                 _ => None,
                             });
                             self.fns.push(FnSpan {
@@ -232,15 +215,8 @@ impl FileModel {
                                 impl_type,
                             });
                             regions.push((RegionKind::Fn(self.fns.len() - 1), depth));
-                        } else if let Some((header, start)) = pending_impl.take() {
-                            let (trait_name, type_text) = parse_impl_header(&header);
-                            self.impls.push(ImplSpan {
-                                trait_name,
-                                type_text,
-                                start,
-                                end: start,
-                            });
-                            regions.push((RegionKind::Impl(self.impls.len() - 1), depth));
+                        } else if let Some(header) = pending_impl.take() {
+                            regions.push((RegionKind::Impl(impl_self_head(&header)), depth));
                         }
                         if pending_test {
                             regions.push((RegionKind::Test, depth));
@@ -258,10 +234,8 @@ impl FileModel {
                         depth = depth.saturating_sub(1);
                         while regions.last().is_some_and(|&(_, d)| d > depth) {
                             let (kind, _) = regions.pop().expect("regions non-empty");
-                            match kind {
-                                RegionKind::Fn(fi) => self.fns[fi].end = lineno,
-                                RegionKind::Impl(ii) => self.impls[ii].end = lineno,
-                                _ => {}
+                            if let RegionKind::Fn(fi) = kind {
+                                self.fns[fi].end = lineno;
                             }
                         }
                     }
@@ -276,7 +250,7 @@ impl FileModel {
                         pending_impl = None;
                     }
                     _ => {
-                        if let Some((h, _)) = pending_impl.as_mut() {
+                        if let Some(h) = pending_impl.as_mut() {
                             if !(c.is_alphanumeric() || c == '_') {
                                 h.push(c);
                             }
@@ -284,7 +258,7 @@ impl FileModel {
                     }
                 }
             }
-            if let Some((h, _)) = pending_impl.as_mut() {
+            if let Some(h) = pending_impl.as_mut() {
                 h.push('\n');
             }
             self.in_test[idx] = test_seen;
@@ -300,10 +274,8 @@ impl FileModel {
         // Close any region left open by truncated input.
         let last = self.lines.len();
         for (kind, _) in regions {
-            match kind {
-                RegionKind::Fn(fi) => self.fns[fi].end = last,
-                RegionKind::Impl(ii) => self.impls[ii].end = last,
-                _ => {}
+            if let RegionKind::Fn(fi) = kind {
+                self.fns[fi].end = last;
             }
         }
     }
@@ -469,85 +441,53 @@ fn decl_is_pub(line: &str, name: &str) -> bool {
     before.split_whitespace().any(|t| t == "pub")
 }
 
-/// Parse an impl header (the text between the `impl` keyword and the opening
-/// brace) into `(trait_name, type_text)`.
-fn parse_impl_header(header: &str) -> (Option<String>, String) {
+/// Head identifier of an impl block's self type, parsed from the header (the text
+/// between the `impl` keyword and the opening brace): `<P> Snapshot for SlotState<P>
+/// where ..` → `SlotState`. `None` for tuples, references and other headless types.
+fn impl_self_head(header: &str) -> Option<String> {
     // Collapse whitespace so multi-line headers normalize.
-    let toks: Vec<&str> = header.split_whitespace().collect();
-    let flat = toks.join(" ");
-    let chars: Vec<char> = flat.chars().collect();
-    let mut i = 0usize;
+    let chars: Vec<char> = header
+        .split_whitespace()
+        .collect::<Vec<_>>()
+        .join(" ")
+        .chars()
+        .collect();
     // Skip the leading generic parameter list.
+    let mut from = 0usize;
     if chars.first() == Some(&'<') {
         let mut angle = 0usize;
-        while i < chars.len() {
-            match chars[i] {
+        while from < chars.len() {
+            match chars[from] {
                 '<' => angle += 1,
                 '>' => angle -= 1,
                 _ => {}
             }
-            i += 1;
+            from += 1;
             if angle == 0 {
                 break;
             }
         }
     }
-    let rest: String = chars[i..].iter().collect();
-    // Find ` for ` and ` where ` at angle/paren depth 0.
-    let cut = |text: &str, word: &str| -> Option<usize> {
-        let cs: Vec<char> = text.chars().collect();
-        let w: Vec<char> = word.chars().collect();
-        let mut depth = 0i32;
-        for k in 0..cs.len() {
-            match cs[k] {
-                '<' | '(' | '[' => depth += 1,
-                '>' | ')' | ']' => depth -= 1,
-                _ => {}
-            }
-            if depth == 0 && k + w.len() <= cs.len() && cs[k..k + w.len()] == w[..] {
-                return Some(k);
-            }
+    // A ` for ` outside any bracket ends the trait: the self type follows it.
+    let mut depth = 0i32;
+    let mut start = from;
+    for k in from..chars.len() {
+        match chars[k] {
+            '<' | '(' | '[' => depth += 1,
+            '>' | ')' | ']' => depth -= 1,
+            _ => {}
         }
-        None
-    };
-    let (trait_part, mut type_part) = match cut(&rest, " for ") {
-        Some(p) => (
-            Some(rest[..p].trim().to_string()),
-            rest[p + 5..].to_string(),
-        ),
-        None => (None, rest),
-    };
-    if let Some(p) = cut(&type_part, " where ") {
-        type_part.truncate(p);
+        if depth == 0 && chars[k..].starts_with(&[' ', 'f', 'o', 'r', ' ']) {
+            start = k + 5;
+            break;
+        }
     }
-    let trait_name = trait_part.map(|t| {
-        let no_generics = match cut(&t, "<") {
-            Some(p) => t[..p].to_string(),
-            None => t,
-        };
-        no_generics
-            .rsplit("::")
-            .next()
-            .unwrap_or("")
-            .trim()
-            .to_string()
-    });
-    let type_text: String = type_part.chars().filter(|c| !c.is_whitespace()).collect();
-    (trait_name, type_text)
-}
-
-/// Head identifier of a type key (`SlotState<P>` → `SlotState`); `None` for tuples and
-/// other headless types.
-pub fn type_head(type_text: &str) -> Option<String> {
-    let head: String = type_text
-        .chars()
-        .take_while(|c| c.is_alphanumeric() || *c == '_')
+    let head: String = chars[start..]
+        .iter()
+        .skip_while(|c| c.is_whitespace())
+        .take_while(|c| c.is_alphanumeric() || **c == '_')
         .collect();
-    if head.is_empty() {
-        None
-    } else {
-        Some(head)
-    }
+    (!head.is_empty()).then_some(head)
 }
 
 fn classify(path: &str) -> FileKind {
@@ -654,19 +594,18 @@ impl Plan {
         7
     }
 }
+
+impl<A: Snapshot, B: Snapshot> Snapshot for (A, B) {
+    fn encode(&self, w: &mut SnapshotWriter) {}
+}
 ";
         let m = FileModel::build("crates/core/src/snapshot.rs", src);
-        assert_eq!(m.impls.len(), 2);
-        assert_eq!(m.impls[0].trait_name.as_deref(), Some("Snapshot"));
-        assert_eq!(m.impls[0].type_text, "SlotState<P>");
-        assert_eq!((m.impls[0].start, m.impls[0].end), (1, 8));
-        assert_eq!(m.impls[1].trait_name, None);
-        assert_eq!(m.impls[1].type_text, "Plan");
-        assert_eq!(m.fns.len(), 2);
+        assert_eq!(m.fns.len(), 3);
         assert_eq!(m.fns[0].impl_type.as_deref(), Some("SlotState"));
         assert!(!m.fns[0].is_pub);
         assert_eq!(m.fns[1].impl_type.as_deref(), Some("Plan"));
         assert!(m.fns[1].is_pub);
+        assert_eq!(m.fns[2].impl_type, None, "a tuple self type has no head");
     }
 
     #[test]

@@ -1,15 +1,13 @@
-//! The rule engine: four repo-specific rules that statically enforce the MPC model
+//! The rule engine: three repo-specific rules that statically enforce the MPC model
 //! discipline the runtime `Violation` machinery (see `crates/mpc/src/context.rs`)
-//! can only observe dynamically. `alloc-hygiene` is a per-file token rule; two ride
-//! the resolved call graph ([`crate::graph`]); `snapshot-abi` compares the codec
-//! against the committed lockfile.
+//! can only observe dynamically. `alloc-hygiene` is a per-file token rule; the other
+//! two ride the resolved call graph ([`crate::graph`]).
 //!
 //! | rule              | enforces                                                   |
 //! |-------------------|------------------------------------------------------------|
 //! | `alloc-hygiene`   | no fresh allocation inside hot-path loops (use `Scratch`)  |
 //! | `round-blowup`    | no (transitive) exchange inside an unbounded loop          |
 //! | `cost-annotation` | `// mpc-cost: rounds(<class>)` present and call-consistent |
-//! | `snapshot-abi`    | `Snapshot` impl bodies match the committed ABI lockfile    |
 //!
 //! What each catches that no compiler lint, clippy lint or test does (its
 //! `*_bad.rs` fixture plants one):
@@ -19,17 +17,15 @@
 //!   rounds-baseline test reaches.
 //! - `cost-annotation`: a `const`-declared fn calling a `layers` one; no test
 //!   reads the declared classes.
-//! - `snapshot-abi`: a codec body changed without a version bump; encode and
-//!   decode change together, so every round-trip test still passes.
 //!
-//! The checks that used to live here moved to the compiler: cross-machine chunk
-//! access is `pub(crate)` in `mpc-engine` (the `mpc_engine::unmetered` door names
-//! every use), `HashMap`/`HashSet` and the wall clocks are `clippy.toml`'s
+//! The checks that used to live here moved elsewhere: cross-machine chunk access is
+//! `pub(crate)` in `mpc-engine` (the `mpc_engine::unmetered` door names every use),
+//! `HashMap`/`HashSet` and the wall clocks are `clippy.toml`'s
 //! `disallowed-types`/`disallowed-methods`, library `unwrap` is the workspace's
-//! `clippy::unwrap_used = "deny"`, and crate-private dead code is rustc's
-//! `dead_code`.
+//! `clippy::unwrap_used = "deny"`, crate-private dead code is rustc's `dead_code`,
+//! and snapshot compatibility is checked on the bytes themselves, against the
+//! golden snapshots under `tests/snapshots/` (`tests/integration_snapshot.rs`).
 
-use crate::abi;
 use crate::cost;
 use crate::graph::CallGraph;
 use crate::model::{FileKind, FileModel};
@@ -39,13 +35,12 @@ use std::collections::{BTreeMap, BTreeSet};
 pub const ALLOC_HYGIENE: &str = "alloc-hygiene";
 pub const ROUND_BLOWUP: &str = "round-blowup";
 pub const COST_ANNOTATION: &str = "cost-annotation";
-pub const SNAPSHOT_ABI: &str = "snapshot-abi";
 /// Meta-rule: malformed `mpc-lint: allow` directives (no reason, unknown rule).
 /// Not itself suppressible.
 pub const ALLOW_DIRECTIVE: &str = "allow-directive";
 
 /// Every suppressible rule identifier.
-pub const ALL_RULES: [&str; 4] = [ALLOC_HYGIENE, ROUND_BLOWUP, COST_ANNOTATION, SNAPSHOT_ABI];
+pub const ALL_RULES: [&str; 3] = [ALLOC_HYGIENE, ROUND_BLOWUP, COST_ANNOTATION];
 
 /// Tunable knobs of the engine.
 #[derive(Debug, Clone)]
@@ -58,8 +53,6 @@ pub struct LintConfig {
     pub round_whitelist: Vec<String>,
     /// Path prefixes whose plain-`pub` fns must carry an `mpc-cost` annotation.
     pub cost_required: Vec<String>,
-    /// Contents of the committed `snapshot-abi.lock`, when present.
-    pub abi_lock: Option<String>,
 }
 
 impl Default for LintConfig {
@@ -83,7 +76,6 @@ impl Default for LintConfig {
             ]
             .map(str::to_string)
             .to_vec(),
-            abi_lock: None,
         }
     }
 }
@@ -98,7 +90,6 @@ pub fn lint(files: &[FileModel], cfg: &LintConfig) -> Vec<Finding> {
     }
     round_blowup(files, &graph, cfg, &mut findings);
     cost_annotation(files, &graph, cfg, &mut findings);
-    snapshot_abi(files, cfg, &mut findings);
     let mut findings = apply_allows(files, findings);
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     findings
@@ -263,137 +254,6 @@ fn cost_annotation(
                     ),
                 });
             }
-        }
-    }
-}
-
-// ----- R4: snapshot ABI (workspace) ----------------------------------------------
-
-/// Compare the extracted `Snapshot` codec surface against the committed
-/// `snapshot-abi.lock`. A body change without a `SNAPSHOT_VERSION`/kind bump is
-/// exactly the silent-drift bug this rule exists to catch; an *intentional* change
-/// bumps the version (or kind) and regenerates the lock in the same commit.
-fn snapshot_abi(files: &[FileModel], cfg: &LintConfig, out: &mut Vec<Finding>) {
-    let surface = abi::extract(files);
-    if surface.impls.is_empty() && surface.version.is_none() {
-        return; // workspace has no snapshot codec at all
-    }
-    // Anchor for findings that have no natural source line.
-    let anchor = surface
-        .version
-        .map(|(fi, line, _)| (files[fi].path.clone(), line))
-        .or_else(|| {
-            surface
-                .impls
-                .values()
-                .next()
-                .map(|&(_, fi, line)| (files[fi].path.clone(), line))
-        })
-        .expect("non-empty surface has an anchor");
-    let Some(lock_text) = &cfg.abi_lock else {
-        out.push(Finding {
-            rule: SNAPSHOT_ABI,
-            file: anchor.0,
-            line: anchor.1,
-            message: format!(
-                "workspace defines {} Snapshot impl(s) but no snapshot-abi.lock is \
-                 committed; generate one with `cargo run -p mpc-lint -- \
-                 --write-abi-lock snapshot-abi.lock`",
-                surface.impls.len()
-            ),
-        });
-        return;
-    };
-    let lock = abi::parse_lock(lock_text);
-    let cur_version = surface.version.map(|(_, _, v)| v);
-    if lock.version != cur_version {
-        out.push(Finding {
-            rule: SNAPSHOT_ABI,
-            file: anchor.0,
-            line: anchor.1,
-            message: format!(
-                "SNAPSHOT_VERSION is {} but snapshot-abi.lock records {}: regenerate \
-                 the lock (`--write-abi-lock snapshot-abi.lock`) in the same commit \
-                 as the version bump",
-                cur_version.map_or("absent".to_string(), |v| v.to_string()),
-                lock.version.map_or("absent".to_string(), |v| v.to_string()),
-            ),
-        });
-        return; // everything below would be noise until the lock is regenerated
-    }
-    for (name, &(value, fi, line)) in &surface.kinds {
-        match lock.kinds.get(name) {
-            None => out.push(Finding {
-                rule: SNAPSHOT_ABI,
-                file: files[fi].path.clone(),
-                line,
-                message: format!(
-                    "snapshot kind `{name}` is not recorded in snapshot-abi.lock; \
-                     regenerate the lock"
-                ),
-            }),
-            Some(&lv) if lv != value => out.push(Finding {
-                rule: SNAPSHOT_ABI,
-                file: files[fi].path.clone(),
-                line,
-                message: format!(
-                    "snapshot kind `{name}` changed from {lv} to {value} without \
-                     regenerating snapshot-abi.lock"
-                ),
-            }),
-            _ => {}
-        }
-    }
-    for name in lock.kinds.keys() {
-        if !surface.kinds.contains_key(name) {
-            out.push(Finding {
-                rule: SNAPSHOT_ABI,
-                file: anchor.0.clone(),
-                line: anchor.1,
-                message: format!(
-                    "snapshot kind `{name}` was removed but snapshot-abi.lock still \
-                     records it; removing a kind orphans persisted snapshots — \
-                     regenerate the lock if this is intentional"
-                ),
-            });
-        }
-    }
-    for (key, &(fp, fi, line)) in &surface.impls {
-        match lock.impls.get(key) {
-            None => out.push(Finding {
-                rule: SNAPSHOT_ABI,
-                file: files[fi].path.clone(),
-                line,
-                message: format!(
-                    "new `impl Snapshot for {key}` is not recorded in \
-                     snapshot-abi.lock; regenerate the lock"
-                ),
-            }),
-            Some(&lfp) if lfp != fp => out.push(Finding {
-                rule: SNAPSHOT_ABI,
-                file: files[fi].path.clone(),
-                line,
-                message: format!(
-                    "encode/decode body of `impl Snapshot for {key}` changed without \
-                     a SNAPSHOT_VERSION or kind bump: persisted snapshots may no \
-                     longer round-trip; bump the version (and regenerate the lock) \
-                     or revert the body change"
-                ),
-            }),
-            _ => {}
-        }
-    }
-    for key in lock.impls.keys() {
-        if !surface.impls.contains_key(key) {
-            out.push(Finding {
-                rule: SNAPSHOT_ABI,
-                file: anchor.0.clone(),
-                line: anchor.1,
-                message: format!(
-                    "`impl Snapshot for {key}` was removed but snapshot-abi.lock \
-                     still records it; regenerate the lock if this is intentional"
-                ),
-            });
         }
     }
 }

@@ -2,25 +2,20 @@
 //!
 //! Every file in `tests/fixtures/` is linted as its own one-file workspace. The
 //! first line `//@ path: <workspace-relative path>` sets the path the rules see
-//! (which decides crate scoping and hot-path membership). Snapshot-ABI fixtures
-//! carry their lockfile in `//@ lock:` lines — verbatim lock text, or the single
-//! word `fresh` to have the driver regenerate the lock from the fixture source
-//! (what `--write-abi-lock` does). In `*_bad.rs` fixtures, each offending line
-//! carries a `//~ <rule>` marker and the findings must match the markers exactly;
-//! `*_allowed.rs` fixtures show the same shapes with reasoned allow directives
-//! and must come back clean.
+//! (which decides crate scoping and hot-path membership). In `*_bad.rs` fixtures,
+//! each offending line carries a `//~ <rule>` marker and the findings must match
+//! the markers exactly; `*_allowed.rs` fixtures show the same shapes with reasoned
+//! allow directives and must come back clean.
 
 use mpc_lint::model::FnSpan;
-use mpc_lint::{abi, lint_sources, FileModel, LintConfig, ALL_RULES};
+use mpc_lint::{lint_sources, FileModel, LintConfig, ALL_RULES};
 use std::path::{Path, PathBuf};
 
-/// A parsed fixture: file name, pretend workspace path, raw source, and the
-/// `//@ lock:` directive lines (if any).
+/// A parsed fixture: file name, pretend workspace path, and raw source.
 struct Fixture {
     name: String,
     path: String,
     source: String,
-    lock_lines: Vec<String>,
 }
 
 fn fixtures_dir() -> PathBuf {
@@ -48,16 +43,10 @@ fn load_fixtures() -> Vec<Fixture> {
             .unwrap_or_else(|| panic!("{name}: first line must be `//@ path: <path>`"))
             .trim()
             .to_string();
-        let lock_lines = source
-            .lines()
-            .filter_map(|l| l.strip_prefix("//@ lock:"))
-            .map(|l| l.trim().to_string())
-            .collect();
         out.push(Fixture {
             name,
             path: pretend,
             source,
-            lock_lines,
         });
     }
     out.sort_by(|a, b| a.name.cmp(&b.name));
@@ -89,22 +78,6 @@ fn markers(source: &str) -> Vec<(usize, String)> {
     out
 }
 
-/// Build the per-fixture config: `//@ lock:` lines become the committed
-/// `snapshot-abi.lock` the `snapshot-abi` rule compares against. The single word
-/// `fresh` regenerates the lock from the fixture source itself.
-fn fixture_config(fx: &Fixture) -> LintConfig {
-    let mut cfg = LintConfig::default();
-    if !fx.lock_lines.is_empty() {
-        cfg.abi_lock = Some(if fx.lock_lines == ["fresh"] {
-            let fm = FileModel::build(&fx.path, &fx.source);
-            abi::render_lock(&abi::extract(std::slice::from_ref(&fm)))
-        } else {
-            fx.lock_lines.join("\n")
-        });
-    }
-    cfg
-}
-
 #[test]
 fn bad_fixtures_fire_exactly_the_marked_findings() {
     let mut checked = 0;
@@ -112,7 +85,7 @@ fn bad_fixtures_fire_exactly_the_marked_findings() {
         if !fx.name.ends_with("_bad.rs") {
             continue;
         }
-        let cfg = fixture_config(&fx);
+        let cfg = LintConfig::default();
         let expected = markers(&fx.source);
         assert!(
             !expected.is_empty(),
@@ -131,7 +104,11 @@ fn bad_fixtures_fire_exactly_the_marked_findings() {
         );
         checked += 1;
     }
-    assert_eq!(checked, 4, "expected one bad fixture per rule");
+    assert_eq!(
+        checked,
+        ALL_RULES.len(),
+        "expected one bad fixture per rule"
+    );
 }
 
 #[test]
@@ -141,7 +118,7 @@ fn allowed_fixtures_come_back_clean() {
         if !fx.name.ends_with("_allowed.rs") {
             continue;
         }
-        let cfg = fixture_config(&fx);
+        let cfg = LintConfig::default();
         let findings = lint_sources(&[(fx.path.as_str(), fx.source.as_str())], &cfg);
         assert!(
             findings.is_empty(),
@@ -150,7 +127,11 @@ fn allowed_fixtures_come_back_clean() {
         );
         checked += 1;
     }
-    assert_eq!(checked, 4, "expected one allowed fixture per rule");
+    assert_eq!(
+        checked,
+        ALL_RULES.len(),
+        "expected one allowed fixture per rule"
+    );
 }
 
 #[test]

@@ -67,8 +67,7 @@ fn exchange_closure_crosses_crates() {
 }
 
 /// Self-hosting: the workspace this crate ships in — mpc-lint's own sources
-/// included — lints clean under all four rules with the committed
-/// `snapshot-abi.lock`.
+/// included — lints clean under all three rules.
 #[test]
 fn self_hosting_workspace_lints_clean() {
     let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))

@@ -20,11 +20,6 @@ pub struct MpcConfig {
     /// If `true`, memory / bandwidth violations abort the computation with an error;
     /// otherwise they are recorded in [`Metrics`](crate::Metrics) and execution continues.
     pub strict: bool,
-    /// Use the linear-time LSD radix fast path for sort keys with a `u64` embedding
-    /// (see [`SortKey`](crate::SortKey)). Never affects results or metrics — output
-    /// order, labels, rounds, and volume are bit-identical to the comparison
-    /// fallback, which `with_radix(false)` forces (used by the equivalence tests).
-    pub radix: bool,
 }
 
 impl MpcConfig {
@@ -46,7 +41,6 @@ impl MpcConfig {
             memory_slack: 32.0,
             bandwidth_slack: 32.0,
             strict: false,
-            radix: true,
         }
     }
 
@@ -83,14 +77,6 @@ impl MpcConfig {
     #[doc(hidden)]
     // Called by `treedp-bench/src/workloads/probes.rs` (`par_speedup`).
     pub fn with_parallel(self, _: bool) -> Self {
-        self
-    }
-
-    /// Builder-style setter for the radix sorting fast path (`false` forces the
-    /// comparison fallback even for word keys; results and metrics are identical
-    /// either way).
-    pub fn with_radix(mut self, radix: bool) -> Self {
-        self.radix = radix;
         self
     }
 

@@ -1,5 +1,5 @@
 //! The MPC execution context: round counting, memory/bandwidth accounting, and the
-//! basic communication primitives (routing, broadcasting, rebalancing).
+//! basic communication primitives (routing, all-reduce, rebalancing).
 
 use crate::config::MpcConfig;
 use crate::distvec::DistVec;
@@ -354,9 +354,7 @@ impl MpcContext {
     /// Records whose destination equals their current machine do not consume bandwidth:
     /// only words whose destination differs from their source machine are recorded.
     /// Destinations are clamped to the machine range; every machine receives its
-    /// records in global input order. When destinations are known to be non-decreasing
-    /// along the global order (e.g. the data was just sorted by them), prefer
-    /// [`route_sorted`](Self::route_sorted).
+    /// records in global input order.
     pub fn route<T, F>(&mut self, dv: DistVec<T>, dest: F) -> DistVec<T>
     where
         T: Words,
@@ -385,11 +383,10 @@ impl MpcContext {
         result
     }
 
-    /// The run-moving skeleton of [`rebalance`](Self::rebalance) and
-    /// [`route_sorted`](Self::route_sorted), for destination assignments that are
-    /// non-decreasing along the global record order. `split(global_index, rest)` names
-    /// the destination of the first record of `rest` and the length of the contiguous
-    /// run headed there. Whole runs move at once (no per-record destination
+    /// The run-moving skeleton of [`rebalance`](Self::rebalance), for destination
+    /// assignments that are non-decreasing along the global record order.
+    /// `split(global_index, rest)` names the destination of the first record of
+    /// `rest` and the length of the contiguous run headed there. Whole runs move at once (no per-record destination
     /// decisions), buckets fill in global order — exactly the layout `route`
     /// produces for a monotone destination function — and the consumed input buffers
     /// are recycled through the scratch arena. Only moved words count as volume.
@@ -451,41 +448,10 @@ impl MpcContext {
         result
     }
 
-    /// [`route`](Self::route) for records whose destinations are **non-decreasing
-    /// along the current global order** (e.g. data just sorted by its destination):
-    /// 1 round, identical accounting, but the simulator moves whole contiguous runs —
-    /// destination boundaries are found by binary search instead of one `dest` call
-    /// per record, and steady-state calls allocate nothing.
-    ///
-    /// Monotonicity (after clamping to the machine range) is a **hard contract**:
-    /// runs are delimited by `partition_point`, which is only meaningful on
-    /// monotone destinations. Debug builds assert the contract for every record;
-    /// release builds do not check it, and violating it misroutes the records of
-    /// the offending run (they travel with their run head). Use
-    /// [`route`](Self::route) when monotonicity is not guaranteed.
-    pub fn route_sorted<T, F>(&mut self, dv: DistVec<T>, dest: F) -> DistVec<T>
-    where
-        T: Words + Send + 'static,
-        F: Fn(&T) -> MachineId,
-    {
-        let machines = self.cfg.num_machines();
-        let last = std::cell::Cell::new(0usize);
-        self.route_monotone(dv, 1, "route_sorted", |_idx, rest| {
-            let d = dest(&rest[0]).min(machines - 1);
-            let run = rest.partition_point(|t| dest(t).min(machines - 1) <= d);
-            debug_assert!(
-                d >= last.get() && rest[..run].iter().all(|t| dest(t).min(machines - 1) == d),
-                "route_sorted requires non-decreasing destinations"
-            );
-            last.set(d);
-            (d, run)
-        })
-    }
-
     /// Rebalance records into evenly sized contiguous chunks, preserving global order
     /// (1 round plus the prefix-sum style offset exchange). The destination of a
     /// record depends only on its global index, which is monotone — so whole runs
-    /// move at once through the [`route_sorted`](Self::route_sorted) skeleton.
+    /// move at once through the `route_monotone` skeleton.
     pub fn rebalance<T>(&mut self, dv: DistVec<T>) -> DistVec<T>
     where
         T: Words + Send + 'static,
@@ -496,14 +462,6 @@ impl MpcContext {
         self.route_monotone(dv, rounds, "rebalance", |idx, _rest| {
             (idx / per, per - idx % per)
         })
-    }
-
-    /// Make a small value known to all machines (`agg_rounds` rounds through a
-    /// fan-out `Θ(n^δ)` broadcast tree).
-    pub fn broadcast<T: Words + Clone>(&mut self, value: T) -> T {
-        self.charge_rounds(self.agg_rounds());
-        self.record_uniform_comm(value.words(), "broadcast");
-        value
     }
 
     /// Fold all records into a single value known to every machine
@@ -777,39 +735,6 @@ mod tests {
     }
 
     #[test]
-    fn route_sorted_matches_route_on_monotone_destinations() {
-        // Globally sorted values with a monotone destination function: the run-moving
-        // fast path must place every record exactly where the per-record `route`
-        // does, with identical rounds and volume.
-        let data: Vec<u64> = (0..900).collect();
-        let dest = |x: &u64| (*x / 64) as usize;
-        let mut a = ctx(1024);
-        let dv = a.from_vec(data.clone());
-        let routed = a.route(dv, dest);
-        let mut b = ctx(1024);
-        let dv = b.from_vec(data);
-        let run_routed = b.route_sorted(dv, dest);
-        assert_eq!(routed.chunks(), run_routed.chunks());
-        assert_eq!(a.metrics().rounds, b.metrics().rounds);
-        assert_eq!(a.metrics().total_words_sent, b.metrics().total_words_sent);
-        assert_eq!(
-            a.metrics().max_words_sent_per_round,
-            b.metrics().max_words_sent_per_round
-        );
-        assert_eq!(
-            a.metrics().max_words_received_per_round,
-            b.metrics().max_words_received_per_round
-        );
-        // Destinations beyond the machine range clamp identically on both paths.
-        let mut c = ctx(256);
-        let dv = c.from_vec((0u64..50).collect());
-        let clamped = c.route_sorted(dv, |x| (*x as usize) * 1000);
-        assert_eq!(clamped.len(), 50);
-        let machines = c.config().num_machines();
-        assert!(!clamped.chunks()[machines - 1].is_empty());
-    }
-
-    #[test]
     fn rebalance_restores_even_chunks() {
         let mut c = ctx(256);
         let dv = c.from_vec((0u64..100).collect());
@@ -822,14 +747,12 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_and_all_reduce_charge_rounds() {
+    fn all_reduce_charges_rounds() {
         let mut c = ctx(1024);
         let dv = c.from_vec((1u64..=100).collect());
         let sum = c.all_reduce(&dv, 0u64, |a, x| a + x, |a, b| a + b);
         assert_eq!(sum, 5050);
-        let v = c.broadcast(42u64);
-        assert_eq!(v, 42);
-        assert!(c.metrics().rounds >= 3);
+        assert_eq!(c.metrics().rounds, 2 * c.agg_rounds());
         assert_eq!(c.count(&dv), 100);
     }
 

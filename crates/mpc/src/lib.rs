@@ -23,10 +23,9 @@
 //! step, or a group gathering leaves on the machine it already occupies never touches
 //! the (simulated) network and contributes nothing to `total_words_sent` or the
 //! per-round bandwidth peaks — matching what a real MPC deployment would pay.
-//! Aggregation-tree primitives ([`broadcast`](MpcContext::broadcast),
-//! [`all_reduce`](MpcContext::all_reduce), prefix sums, the offset exchange of
-//! [`with_index`](MpcContext::with_index)) record the per-machine control words they
-//! exchange through the tree.
+//! Aggregation-tree primitives ([`all_reduce`](MpcContext::all_reduce), prefix sums,
+//! the offset exchange of [`with_index`](MpcContext::with_index)) record the
+//! per-machine control words they exchange through the tree.
 //!
 //! ## Machine-local execution
 //!
@@ -45,11 +44,12 @@
 //!   unit of data that primitives operate on.
 //! * Deterministic `O(1)`-round primitives from Section 2 of the paper:
 //!   [`MpcContext::sort_by_key`], [`MpcContext::prefix_sums`],
-//!   [`MpcContext::broadcast`], [`MpcContext::join_lookup`],
-//!   [`MpcContext::route`], [`MpcContext::gather_groups`] — plus the fused
-//!   variants [`MpcContext::sort_with_index`], [`MpcContext::route_sorted`],
-//!   [`MpcContext::sort_table`] / [`MpcContext::join_lookup_sorted`]
-//!   ([`SortedTable`]) for repeated lookups against one table,
+//!   [`MpcContext::all_reduce`], [`MpcContext::join_lookup`],
+//!   [`MpcContext::route`], [`MpcContext::rebalance`],
+//!   [`MpcContext::gather_groups`] — plus the fused variants
+//!   [`MpcContext::sort_with_index`], [`MpcContext::sort_table`] /
+//!   [`MpcContext::join_lookup_sorted`] ([`SortedTable`]) for repeated lookups
+//!   against one table,
 //!   [`MpcContext::join_lookup2`] for probing two key columns in one fused join,
 //!   and [`MpcContext::try_converge`] / [`MpcContext::converge`] — the fused
 //!   jump-join loop with convergence skipping behind the clustering subroutines
@@ -61,8 +61,8 @@
 //!
 //! Sort keys implement [`SortKey`]; keys with a monotone `u64` embedding take a
 //! linear-time LSD radix path whose output, labels, and metrics are bit-identical to
-//! the comparison fallback ([`MpcConfig::radix`] forces the latter for testing); on
-//! the same condition join and `converge` probes go through a bucket directory.
+//! the comparison path composite keys take; on the same condition join and
+//! `converge` probes go through a bucket directory.
 //! Each context owns a scratch arena (radix buffers, merge heap, counters, and a
 //! record-buffer pool fed by consumed inputs and [`MpcContext::from_vec`]), so warm
 //! primitive calls perform zero net heap growth.

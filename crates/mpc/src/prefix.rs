@@ -37,32 +37,6 @@ impl MpcContext {
         self.check_memory(&result, "prefix_sums");
         result
     }
-
-    /// Inclusive prefix maximum: every record is annotated with the maximum of
-    /// `value(r)` over all records up to and including it.
-    pub fn prefix_max<T, F>(&mut self, dv: DistVec<T>, value: F) -> DistVec<(u64, T)>
-    where
-        T: Words,
-        F: Fn(&T) -> u64,
-    {
-        let mut chunks_out: Vec<Vec<(u64, T)>> = Vec::with_capacity(dv.num_chunks());
-        let mut running = 0u64;
-        for chunk in dv.into_chunks() {
-            let mut local = Vec::with_capacity(chunk.len());
-            for item in chunk {
-                let v = value(&item);
-                running = running.max(v);
-                local.push((running, item));
-            }
-            chunks_out.push(local);
-        }
-        let rounds = 2 * self.agg_rounds();
-        self.charge_rounds(rounds);
-        self.record_uniform_comm(1, "prefix_max");
-        let result = DistVec::from_chunks(chunks_out);
-        self.check_memory(&result, "prefix_max");
-        result
-    }
 }
 
 #[cfg(test)]
@@ -83,20 +57,6 @@ mod tests {
             acc += v;
         }
         assert!(c.metrics().rounds >= 2);
-    }
-
-    #[test]
-    fn prefix_max_is_monotone_and_correct() {
-        let mut c = MpcContext::new(MpcConfig::new(512, 0.5));
-        let data: Vec<u64> = vec![3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5];
-        let dv = c.from_vec(data.clone());
-        let pm = c.prefix_max(dv, |x| *x).into_vec();
-        let mut run = 0u64;
-        for (i, (m, v)) in pm.iter().enumerate() {
-            run = run.max(data[i]);
-            assert_eq!(*m, run);
-            assert_eq!(*v, data[i]);
-        }
     }
 
     #[test]

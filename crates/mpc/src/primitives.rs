@@ -31,12 +31,13 @@
 //! LSD radix over the key bytes), and the runs are combined by the same stable
 //! k-way merge as the comparison path (ties broken by source chunk = global input
 //! order). Output order, labels, and metrics are bit-identical to the comparison
-//! fallback, which [`MpcConfig::radix`](crate::MpcConfig) = `false` forces for
-//! testing. The flat table indexes of `join_lookup`/`sort_table` instead use an
-//! allocation-free unstable lexicographic sort on both key paths — measured faster
-//! than LSD-plus-permutation at realistic table sizes, and identical in order. On
-//! the fast path every such index also carries a bucket directory, so a probe
-//! searches one bucket instead of the whole index (see [`SortedIndex`]).
+//! path that composite keys take; the tests reach it for word keys through a key
+//! newtype with the same order and `IS_WORD = false`. The flat table indexes of
+//! `join_lookup`/`sort_table` instead use an allocation-free unstable lexicographic
+//! sort on both key paths — measured faster than LSD-plus-permutation at realistic
+//! table sizes, and identical in order. On the fast path every such index also
+//! carries a bucket directory, so a probe searches one bucket instead of the whole
+//! index (see [`SortedIndex`]).
 
 use crate::context::MpcContext;
 use crate::distvec::DistVec;
@@ -127,11 +128,11 @@ fn merge_word_runs(
 /// [`MpcContext::build_sorted_index`]; holds references into the table it was built
 /// from, never cloned records.
 ///
-/// On the radix fast path (word keys, [`MpcConfig::radix`](crate::MpcConfig) set) it
-/// also carries a **bucket directory** over the keys' word range, about one bucket per
-/// entry, so a probe is a shift, two offset loads and a search inside one bucket
-/// instead of a binary search over the whole index. Without the directory the probe
-/// is that binary search; both return the same entry.
+/// For word keys (the radix fast path) it also carries a **bucket directory** over
+/// the keys' word range, about one bucket per entry, so a probe is a shift, two
+/// offset loads and a search inside one bucket instead of a binary search over the
+/// whole index. Without the directory the probe is that binary search; both return
+/// the same entry.
 #[derive(Debug, Clone)]
 pub(crate) struct SortedIndex<K> {
     /// `(key, source chunk, position within chunk)` in ascending key order; ties keep
@@ -291,14 +292,13 @@ impl MpcContext {
         M: Fn(u64, T) -> O,
     {
         let machines = self.config().num_machines();
-        let radix = self.config().radix;
         let srcs = dv.num_chunks();
         let total = dv.len();
         let per = total.div_ceil(machines).max(1);
         self.scratch.reset_counters(machines.max(srcs), machines);
         let mut out: Vec<Vec<O>> = self.scratch.pool.take_bufs(machines);
 
-        if K::IS_WORD && radix {
+        if K::IS_WORD {
             let mut chunks = dv.into_chunks();
             self.sort_chunks_by_word(&mut chunks, &|t: &T| key(t).to_word());
             let Scratch {
@@ -447,7 +447,7 @@ impl MpcContext {
         // The offsets are `u32`: an index too long for them keeps the plain search,
         // like an empty one.
         let len = u32::try_from(entries.len()).unwrap_or(0);
-        if K::IS_WORD && self.config().radix && len > 0 {
+        if K::IS_WORD && len > 0 {
             base = entries[0].0.to_word();
             let range = entries[len as usize - 1].0.to_word() - base;
             // The smallest shift that leaves at most `len.next_power_of_two()`
@@ -734,11 +734,10 @@ impl MpcContext {
         R: Fn(&T) -> u32,
     {
         let machines = self.config().num_machines();
-        let radix = self.config().radix;
         let srcs = dv.num_chunks();
         // Build groups, remembering each member's source machine for the accounting.
         let mut groups: Vec<(K, Vec<(T, usize)>)> = Vec::new();
-        if K::IS_WORD && radix {
+        if K::IS_WORD {
             let mut chunks = dv.into_chunks();
             self.sort_chunks_by_word(&mut chunks, &|t: &T| key(t).to_word());
             let Scratch {
@@ -855,6 +854,19 @@ mod tests {
         MpcContext::new(MpcConfig::new(n, 0.5))
     }
 
+    /// A key with the order of the key it wraps and `IS_WORD = false`: word keys
+    /// wrapped in it take the comparison path, the reference for the radix path.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    struct Cmp<K>(K);
+
+    impl<K: SortKey> SortKey for Cmp<K> {}
+
+    impl<K: Words> Words for Cmp<K> {
+        fn words(&self) -> usize {
+            self.0.words()
+        }
+    }
+
     #[test]
     fn sort_orders_globally() {
         let mut c = ctx(1024);
@@ -899,18 +911,16 @@ mod tests {
     #[test]
     fn sort_radix_toggle_is_bit_identical() {
         // The radix fast path and the comparison fallback must agree on output,
-        // rounds, and volume for word keys (the dedicated property suite covers the
-        // whole pipeline; this is the primitive-level smoke check).
+        // rounds, and volume for word keys (`tests/integration_radix.rs` covers every
+        // sorting primitive on adversarial keys; this is the smoke check).
         let data: Vec<(u64, u64)> = (0..1500).map(|i| ((i * 31) % 97, i)).collect();
-        let run = |radix: bool| {
-            let mut c = MpcContext::new(MpcConfig::new(4096, 0.5).with_radix(radix));
-            let dv = c.from_vec(data.clone());
-            let sorted = c.sort_by_key(dv, |x| x.0);
-            (sorted.into_vec(), c.metrics().clone())
-        };
-        let (fast, fast_m) = run(true);
-        let (slow, slow_m) = run(false);
-        assert_eq!(fast, slow);
+        let (mut fast, mut slow) = (ctx(4096), ctx(4096));
+        let dv = fast.from_vec(data.clone());
+        let fast_out = fast.sort_by_key(dv, |x| x.0).into_vec();
+        let dv = slow.from_vec(data);
+        let slow_out = slow.sort_by_key(dv, |x| Cmp(x.0)).into_vec();
+        assert_eq!(fast_out, slow_out);
+        let (fast_m, slow_m) = (fast.metrics(), slow.metrics());
         assert_eq!(fast_m.rounds, slow_m.rounds);
         assert_eq!(fast_m.total_words_sent, slow_m.total_words_sent);
         assert_eq!(fast_m.peak_local_memory, slow_m.peak_local_memory);
@@ -993,27 +1003,32 @@ mod tests {
         assert_eq!(joined[0].1, Some((5, 1)));
     }
 
-    /// Index `keys` with and without the bucket directory and check that both
-    /// answer every probe like a `partition_point` search over the sorted entries.
+    /// Index `keys` with the bucket directory (word keys) and without it (the same
+    /// keys wrapped in [`Cmp`]) and check that both answer every probe like a
+    /// `partition_point` search over the sorted entries.
     fn check_index<K>(keys: Vec<K>, probes: &[K])
     where
         K: SortKey + Words + Copy + std::fmt::Debug + 'static,
     {
-        for radix in [true, false] {
-            let mut c = MpcContext::new(MpcConfig::new(256, 0.5).with_radix(radix));
-            let table = c.from_vec(keys.clone());
-            let index = c.build_sorted_index(&table, &|k: &K| *k);
-            assert_eq!(
-                index.dir.is_empty(),
-                !(radix && K::IS_WORD) || keys.is_empty()
-            );
-            assert_eq!(index.entries.len(), keys.len());
-            for k in probes.iter().chain(&keys) {
-                let first = index.entries.partition_point(|e| e.0 < *k);
-                let plain = index.entries.get(first).filter(|e| e.0 == *k);
-                assert_eq!(index.get(k), plain, "probe {k:?}, radix {radix}");
-                assert_eq!(plain.is_some(), keys.contains(k));
-            }
+        check_index_of(keys.clone(), probes, K::IS_WORD);
+        let wrapped: Vec<Cmp<K>> = probes.iter().map(|&k| Cmp(k)).collect();
+        check_index_of(keys.into_iter().map(Cmp).collect(), &wrapped, false);
+    }
+
+    fn check_index_of<K>(keys: Vec<K>, probes: &[K], directory: bool)
+    where
+        K: SortKey + Words + Copy + std::fmt::Debug + 'static,
+    {
+        let mut c = ctx(256);
+        let table = c.from_vec(keys.clone());
+        let index = c.build_sorted_index(&table, &|k: &K| *k);
+        assert_eq!(index.dir.is_empty(), !directory || keys.is_empty());
+        assert_eq!(index.entries.len(), keys.len());
+        for k in probes.iter().chain(&keys) {
+            let first = index.entries.partition_point(|e| e.0 < *k);
+            let plain = index.entries.get(first).filter(|e| e.0 == *k);
+            assert_eq!(index.get(k), plain, "probe {k:?}");
+            assert_eq!(plain.is_some(), keys.contains(k));
         }
     }
 
@@ -1212,15 +1227,14 @@ mod tests {
     #[test]
     fn gather_groups_radix_toggle_is_bit_identical() {
         let data: Vec<(u64, u64)> = (0..900).map(|i| ((i * 131) % 23, i)).collect();
-        let run = |radix: bool| {
-            let mut c = MpcContext::new(MpcConfig::new(2048, 0.5).with_radix(radix));
-            let dv = c.from_vec(data.clone());
-            let grouped = c.gather_groups(dv, |x| x.0);
-            (grouped.into_vec(), c.metrics().clone())
-        };
-        let (fast, fast_m) = run(true);
-        let (slow, slow_m) = run(false);
-        assert_eq!(fast, slow);
+        let (mut fast, mut slow) = (ctx(2048), ctx(2048));
+        let dv = fast.from_vec(data.clone());
+        let fast_out = fast.gather_groups(dv, |x| x.0).into_vec();
+        let dv = slow.from_vec(data);
+        let slow_out = slow.gather_groups(dv, |x| Cmp(x.0)).into_vec();
+        let slow_out: Vec<_> = slow_out.into_iter().map(|(k, g)| (k.0, g)).collect();
+        assert_eq!(fast_out, slow_out);
+        let (fast_m, slow_m) = (fast.metrics(), slow.metrics());
         assert_eq!(fast_m.rounds, slow_m.rounds);
         assert_eq!(fast_m.total_words_sent, slow_m.total_words_sent);
     }
@@ -1295,20 +1309,23 @@ mod tests {
 
     #[test]
     fn gather_group_runs_radix_toggle_changes_nothing() {
-        let run = |radix: bool| {
-            let mut c = MpcContext::new(MpcConfig::new(4096, 0.5).with_radix(radix));
-            let dv = c.from_vec(run_data());
-            let placed = c.gather_group_runs(dv, |r| r.0, run_of);
+        let metrics = |c: &MpcContext| {
             let m = c.metrics();
-            (
-                placed.into_chunks(),
-                m.rounds,
-                m.total_words_sent,
-                m.max_words_sent_per_round,
-                m.peak_local_memory,
-            )
+            let peaks = (m.max_words_sent_per_round, m.peak_local_memory);
+            (m.rounds, m.total_words_sent, peaks)
         };
-        assert_eq!(run(false), run(true), "comparison fallback");
+        let (mut fast, mut slow) = (ctx(4096), ctx(4096));
+        let dv = fast.from_vec(run_data());
+        let placed: Vec<Vec<_>> = fast
+            .gather_group_runs(dv, |r| r.0, run_of)
+            .into_chunks()
+            .into_iter()
+            .map(|chunk| chunk.into_iter().map(|(k, g)| (Cmp(k), g)).collect())
+            .collect();
+        let dv = slow.from_vec(run_data());
+        let reference = slow.gather_group_runs(dv, |r| Cmp(r.0), run_of);
+        assert_eq!(placed, reference.into_chunks(), "comparison path");
+        assert_eq!(metrics(&fast), metrics(&slow), "comparison path");
     }
 
     #[test]

@@ -4,10 +4,9 @@
 //! order coincides with the `u64` order of an embedding ([`SortKey::IS_WORD`]) take
 //! the linear-time LSD radix path of `crate::scratch`; all other keys fall back to a
 //! comparison sort. Both paths are stable and produce bit-identical output order,
-//! labels, and metrics — the fast path is purely a wall-clock optimization (see the
-//! `radix_vs_comparison` integration suite). [`MpcConfig::radix`](crate::MpcConfig)
-//! can force the comparison path even for word keys, which is how the equivalence is
-//! tested end to end.
+//! labels, and metrics — the fast path is purely a wall-clock optimization. The
+//! tests check the equivalence by sorting word keys a second time through a newtype
+//! with the same `Ord` and `IS_WORD = false` (`tests/integration_radix.rs`).
 
 /// A sorting key: totally ordered, and optionally embeddable into `u64`.
 ///

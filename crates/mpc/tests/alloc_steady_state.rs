@@ -5,8 +5,8 @@
 //! calls stop allocating once warm: consumed input chunks become the next call's
 //! output chunks, and every transient buffer is reused. This test pins the property
 //! with a counting global allocator: after a short warm-up, each further
-//! `sort_by_key` / `sort_with_index` / `rebalance` / `route_sorted` /
-//! `gather_groups` / `join_lookup` / `join_lookup_sorted` cycle — and each warm
+//! `sort_by_key` / `sort_with_index` / `rebalance` / `gather_groups` /
+//! `join_lookup` / `join_lookup_sorted` cycle — and each warm
 //! solve-plan evaluation (`SolvePlan::solve` over a pre-built plan) — leaves
 //! **zero net heap growth**: every byte allocated during the call is freed or
 //! returned to the arena by the time it finishes.
@@ -253,16 +253,15 @@ fn warm_primitive_calls_have_zero_net_heap_growth() {
         dv = Some(ctx.sort_by_key(input, |x| *x ^ flip));
     });
 
-    // --- rebalance + route_sorted: pack records onto a prefix of the machines
-    // (within the bandwidth budget, so no violation records accumulate), then spread
-    // them back out; both directions move whole runs through pooled buckets.
+    // --- rebalance: the output of one call is the input of the next; whole runs
+    // move through pooled buckets (the run-moving skeleton every monotone
+    // placement shares).
     let machines = ctx.config().num_machines();
     assert!(machines > 16, "multi-machine layout expected");
     let mut dv: Option<DistVec<u64>> = Some(ctx.from_vec((0..1500u64).collect()));
-    assert_steady_state("rebalance/route_sorted", 3, 5, |_| {
-        let input = dv.take().expect("chained route input");
-        let packed = ctx.route_sorted(input, |x| (*x as usize) / 100);
-        dv = Some(ctx.rebalance(packed));
+    assert_steady_state("rebalance", 3, 5, |_| {
+        let input = dv.take().expect("chained rebalance input");
+        dv = Some(ctx.rebalance(input));
     });
 
     // --- sort_with_index: output type differs from the input's, so the result is

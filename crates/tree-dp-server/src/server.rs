@@ -26,10 +26,11 @@
 //!    [`KIND_TENANT`] snapshot (config, prepared tree, solver store, aux input,
 //!    metrics) and restores on any server — including a freshly started one —
 //!    with bit-identical labels and optima. Restoring checks every index the parts
-//!    carry, that store, tree and config belong together, and that the tree
-//!    travels without a cached plan, as the server writes it; anything else is a
-//!    typed [`ServerError::Snapshot`]. Restored tenants re-enter with a cold plan
-//!    cache; their first query is an honest miss.
+//!    carry, that store, tree and config belong together (the tree's tables span
+//!    the config's machines), and that the tree travels without a cached plan, as
+//!    the server writes it; anything else is a typed [`ServerError::Snapshot`].
+//!    Restored tenants re-enter with a cold plan cache; their first query is an
+//!    honest miss.
 //!
 //! Within one flush, a tenant's weight updates apply first, then its structural
 //! batch, then its queries (the queries see the updated *and* repaired state);
@@ -58,8 +59,9 @@ pub type TenantId = String;
 /// header; see [`tree_dp_core::seal`]). Bumped 100 → 101 when
 /// [`TenantMetrics`] grew its `structural` counter, 101 → 102 when the solver
 /// store inside it became a plan plus slot state, 102 → 103 when plans stopped
-/// carrying their routing indexes and the config lost its reserved byte.
-pub const KIND_TENANT: u32 = 103;
+/// carrying their routing indexes and the config lost its reserved byte, 103 → 104
+/// when the config lost its radix switch.
+pub const KIND_TENANT: u32 = 104;
 
 /// Why a serving-layer operation failed.
 #[derive(Debug, Clone, PartialEq)]
@@ -697,6 +699,16 @@ where
         }
         if plan.num_machines() != config.num_machines() {
             return Err(SnapshotError::Malformed("solver store of another machine count").into());
+        }
+        // A query that misses the plan cache rebuilds the plan from the tree's tables
+        // on this tenant's machines, so they must be laid out on exactly those.
+        let chunks = [
+            clustering.elements.num_chunks(),
+            prepared.edges.num_chunks(),
+            prepared.aux_to_original.num_chunks(),
+        ];
+        if chunks.iter().any(|&c| c != config.num_machines()) {
+            return Err(SnapshotError::Malformed("tenant tree of another machine count").into());
         }
         if self.tenants.contains_key(&id) {
             return Err(ServerError::DuplicateTenant(id));

@@ -4,17 +4,24 @@
 //! key has a monotone `u64` embedding (`SortKey::IS_WORD`). That path must be
 //! indistinguishable from the comparison fallback in everything the MPC model can
 //! observe: output order, DP labels, rounds, communication volume, per-round peaks,
-//! and peak memory. `MpcConfig::with_radix(false)` forces the fallback, which is how
-//! the two paths are compared — primitive by primitive on adversarial key
-//! distributions, and end to end across the standard suite.
+//! and peak memory. Wrapping a word key in [`Cmp`] — same order, `IS_WORD = false` —
+//! sends it down the comparison path, which is how the two paths are compared,
+//! primitive by primitive on adversarial key distributions.
 
-use mpc_tree_dp::gen::labels;
-use mpc_tree_dp::gen::suite::standard_suite;
-use mpc_tree_dp::problems::MaxWeightIndependentSet;
-use mpc_tree_dp::repr::rooting::root_undirected;
-use mpc_tree_dp::repr::UndirectedEdges;
-use mpc_tree_dp::{prepare, DistVec, ListOfEdges, MpcConfig, MpcContext, StateEngine, TreeInput};
-use std::collections::BTreeMap;
+use mpc_tree_dp::mpc::Words;
+use mpc_tree_dp::{MpcConfig, MpcContext, SortKey};
+
+/// A key with the order of the key it wraps and `IS_WORD = false`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Cmp<K>(K);
+
+impl<K: SortKey> SortKey for Cmp<K> {}
+
+impl<K: Words> Words for Cmp<K> {
+    fn words(&self) -> usize {
+        self.0.words()
+    }
+}
 
 /// Everything the MPC model measures, as one comparable value.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,8 +46,8 @@ fn snapshot(ctx: &MpcContext) -> MetricsSnapshot {
     }
 }
 
-fn ctx_with(radix: bool, n: usize) -> MpcContext {
-    MpcContext::new(MpcConfig::new(n, 0.5).with_radix(radix))
+fn ctx(n: usize) -> MpcContext {
+    MpcContext::new(MpcConfig::new(n, 0.5))
 }
 
 /// Deterministic pseudo-random u64 stream (splitmix64).
@@ -95,14 +102,12 @@ fn sort_by_key_radix_matches_comparison_on_all_cases() {
             .enumerate()
             .map(|(i, &k)| (k, i as u64))
             .collect();
-        let run = |radix: bool| {
-            let mut c = ctx_with(radix, n);
-            let dv = c.from_vec(data.clone());
-            let out = c.sort_by_key(dv, |r| r.0).into_vec();
-            (out, snapshot(&c))
-        };
-        let (fast, fast_m) = run(true);
-        let (slow, slow_m) = run(false);
+        let (mut f, mut s) = (ctx(n), ctx(n));
+        let dv = f.from_vec(data.clone());
+        let fast = f.sort_by_key(dv, |r| r.0).into_vec();
+        let dv = s.from_vec(data.clone());
+        let slow = s.sort_by_key(dv, |r| Cmp(r.0)).into_vec();
+        let (fast_m, slow_m) = (snapshot(&f), snapshot(&s));
         assert_eq!(fast, slow, "output diverged on {name}");
         assert_eq!(fast_m, slow_m, "metrics diverged on {name}");
         // And both equal a stable reference sort.
@@ -116,14 +121,12 @@ fn sort_by_key_radix_matches_comparison_on_all_cases() {
 fn sort_with_index_radix_matches_comparison_on_all_cases() {
     for (name, keys) in key_cases() {
         let n = keys.len().max(64);
-        let run = |radix: bool| {
-            let mut c = ctx_with(radix, n);
-            let dv = c.from_vec(keys.clone());
-            let out = c.sort_with_index(dv, |k| *k).into_vec();
-            (out, snapshot(&c))
-        };
-        let (fast, fast_m) = run(true);
-        let (slow, slow_m) = run(false);
+        let (mut f, mut s) = (ctx(n), ctx(n));
+        let dv = f.from_vec(keys.clone());
+        let fast = f.sort_with_index(dv, |k| *k).into_vec();
+        let dv = s.from_vec(keys.clone());
+        let slow = s.sort_with_index(dv, |k| Cmp(*k)).into_vec();
+        let (fast_m, slow_m) = (snapshot(&f), snapshot(&s));
         assert_eq!(fast, slow, "output diverged on {name}");
         assert_eq!(fast_m, slow_m, "metrics diverged on {name}");
         for (i, (idx, _)) in fast.iter().enumerate() {
@@ -141,17 +144,44 @@ fn gather_groups_radix_matches_comparison_on_all_cases() {
             .enumerate()
             .map(|(i, &k)| (k, i as u64))
             .collect();
-        let run = |radix: bool| {
-            let mut c = ctx_with(radix, n);
-            let dv = c.from_vec(data.clone());
-            let out = c.gather_groups(dv, |r| r.0).into_vec();
-            (out, snapshot(&c))
-        };
-        let (fast, fast_m) = run(true);
-        let (slow, slow_m) = run(false);
+        let (mut f, mut s) = (ctx(n), ctx(n));
+        let dv = f.from_vec(data.clone());
+        let fast = f.gather_groups(dv, |r| r.0).into_vec();
+        let dv = s.from_vec(data.clone());
+        let slow: Vec<_> = s
+            .gather_groups(dv, |r| Cmp(r.0))
+            .into_vec()
+            .into_iter()
+            .map(|(k, group)| (k.0, group))
+            .collect();
+        let (fast_m, slow_m) = (snapshot(&f), snapshot(&s));
         assert_eq!(fast, slow, "groups diverged on {name}");
         assert_eq!(fast_m, slow_m, "metrics diverged on {name}");
     }
+}
+
+/// Requests with the table record each one found.
+type Joined = Vec<(u64, Option<(u64, u64)>)>;
+
+/// A direct join, then a probe of the sorted table, with `key` picking the sort path.
+fn join_and_probe<K: SortKey + 'static>(
+    n: usize,
+    table: &[(u64, u64)],
+    requests: &[u64],
+    key: fn(u64) -> K,
+) -> (Joined, Joined, MetricsSnapshot) {
+    let mut c = ctx(n);
+    let table_dv = c.from_vec(table.to_vec());
+    let reqs = c.from_vec(requests.to_vec());
+    let direct = c
+        .join_lookup(reqs, |r| key(*r), &table_dv, |t| key(t.0))
+        .into_vec();
+    let sorted = c.sort_table(&table_dv, |t| key(t.0));
+    let reqs = c.from_vec(requests.to_vec());
+    let probed = c
+        .join_lookup_sorted(reqs, |r| key(*r), &table_dv, &sorted)
+        .into_vec();
+    (direct, probed, snapshot(&c))
 }
 
 #[test]
@@ -165,90 +195,11 @@ fn join_lookup_radix_matches_comparison_on_all_cases() {
             .iter()
             .map(|&k| if rng() % 2 == 0 { k } else { rng() % 64 })
             .collect();
-        let run = |radix: bool| {
-            let mut c = ctx_with(radix, n);
-            let table_dv = c.from_vec(table.clone());
-            let reqs = c.from_vec(requests.clone());
-            let direct = c.join_lookup(reqs, |r| *r, &table_dv, |t| t.0).into_vec();
-            let sorted = c.sort_table(&table_dv, |t| t.0);
-            let reqs2 = c.from_vec(requests.clone());
-            let probed = c
-                .join_lookup_sorted(reqs2, |r| *r, &table_dv, &sorted)
-                .into_vec();
-            assert_eq!(direct, probed, "sorted-table probe diverged on {name}");
-            (direct, snapshot(&c))
-        };
-        let (fast, fast_m) = run(true);
-        let (slow, slow_m) = run(false);
+        let (fast, fast_probed, fast_m) = join_and_probe(n, &table, &requests, |k| k);
+        let (slow, slow_probed, slow_m) = join_and_probe(n, &table, &requests, Cmp);
+        assert_eq!(fast, fast_probed, "sorted-table probe diverged on {name}");
+        assert_eq!(slow, slow_probed, "sorted-table probe diverged on {name}");
         assert_eq!(fast, slow, "answers diverged on {name}");
         assert_eq!(fast_m, slow_m, "metrics diverged on {name}");
-    }
-}
-
-/// One full pipeline run (prepare + MaxIS solve) in the given radix mode.
-fn run_pipeline(
-    tree: &mpc_tree_dp::Tree,
-    seed: u64,
-    radix: bool,
-) -> (BTreeMap<u64, usize>, usize, i64, MetricsSnapshot) {
-    let n = tree.len();
-    let mut ctx = MpcContext::new(MpcConfig::new(2 * n, 0.5).with_radix(radix));
-    let prepared = prepare(
-        &mut ctx,
-        TreeInput::ListOfEdges(ListOfEdges::from_tree(tree)),
-        None,
-    )
-    .expect("prepare");
-    let weights: Vec<i64> = labels::uniform_weights(n, 1, 30, seed)
-        .into_iter()
-        .map(|x| x as i64)
-        .collect();
-    let node_w = ctx.from_vec(
-        weights
-            .iter()
-            .enumerate()
-            .map(|(v, &w)| (v as u64, w))
-            .collect::<Vec<_>>(),
-    );
-    let no_edges: DistVec<(u64, ())> = ctx.from_vec(Vec::new());
-    let engine = StateEngine::new(MaxWeightIndependentSet);
-    let sol = prepared.solve(&mut ctx, &engine, &node_w, 0, &no_edges);
-    let value = sol.root_summary.best(engine.problem()).unwrap();
-    (
-        sol.labels.iter().cloned().collect(),
-        sol.root_label,
-        value,
-        snapshot(&ctx),
-    )
-}
-
-#[test]
-fn pipeline_radix_toggle_is_invisible_across_the_standard_suite() {
-    // Labels AND metrics must agree tree by tree — the radix path may only change
-    // wall-clock time, never anything the model observes.
-    for entry in standard_suite(256, 9) {
-        let fast = run_pipeline(&entry.tree, 9, true);
-        let slow = run_pipeline(&entry.tree, 9, false);
-        assert_eq!(fast, slow, "radix modes diverged on {}", entry.name);
-    }
-}
-
-#[test]
-fn rooting_radix_toggle_is_invisible_across_the_standard_suite() {
-    // The Euler-tour ranking probes its dense arc ids through the bucket directory,
-    // which exists on the radix path only: orientation and metrics must not notice.
-    for entry in standard_suite(256, 9) {
-        let run = |radix: bool| {
-            let mut c = ctx_with(radix, 2 * entry.tree.len());
-            let dv = c.from_vec(UndirectedEdges::from_tree(&entry.tree).0);
-            let rooted = root_undirected(&mut c, dv).expect("a tree roots cleanly");
-            (rooted.root, rooted.edges.into_vec(), snapshot(&c))
-        };
-        assert_eq!(
-            run(true),
-            run(false),
-            "radix modes diverged on {}",
-            entry.name
-        );
     }
 }

@@ -837,8 +837,9 @@ fn resealed_tenant_snapshots_with_one_field_out_of_place_are_refused() {
         1 << 20
     ))));
     // The payload kinds tenants were written under before the store changed shape
-    // (101) and before plans stopped carrying their routing indexes (102).
-    for old in [101, 102] {
+    // (101), before plans stopped carrying their routing indexes (102), and before
+    // the config lost its radix switch (103).
+    for old in [101, 102, 103] {
         assert_eq!(
             restore(&reseal(old, &|_| ())),
             Some(ServerError::Snapshot(SnapshotError::WrongKind {
@@ -909,6 +910,72 @@ fn tenant_snapshot_whose_tree_carries_a_plan_is_refused() {
             .err(),
         Some(ServerError::Snapshot(SnapshotError::Malformed(
             "tenant tree with a cached plan"
+        )))
+    );
+}
+
+/// A tenant's tree is laid out on the tenant's own machines: a query that misses the
+/// plan cache rebuilds the plan from it, on the tenant's context. A snapshot whose
+/// plan-less tree was prepared for another machine count — its auxiliary nodes name
+/// chunks past the tenant's last machine — is refused, not restored to panic on that
+/// rebuild. (Non-strict configs: under strict accounting admitting `star(200)` on 29
+/// machines already trips the memory cap.)
+#[test]
+fn tenant_snapshot_whose_tree_spans_another_machine_count_is_refused() {
+    use mpc_tree_dp::core::{seal, SnapshotWriter};
+
+    let tree = star(200);
+    let own_cfg = MpcConfig::new(800, 0.5);
+    let cfg = ServerConfig {
+        plan_budget_words: 1 << 20,
+    };
+    let mut server = Server::new(cfg);
+    server
+        .admit(
+            "alpha",
+            TenantSpec {
+                config: own_cfg,
+                input: TreeInput::ListOfEdges(ListOfEdges::from_tree(&tree)),
+                threshold: Some(4),
+                problem: MaxIs::new(MaxWeightIndependentSet),
+                node_inputs: weights_for(tree.len(), 3),
+                aux_input: 0,
+                edge_inputs: Vec::new(),
+            },
+        )
+        .expect("admission");
+    let good = server.snapshot_tenant("alpha").expect("snapshot");
+
+    // The tenant's tree as admission prepared it, and the same tree prepared on
+    // another machine count.
+    let tree_of = |config: MpcConfig| {
+        let mut ctx = MpcContext::new(config);
+        prepare(
+            &mut ctx,
+            TreeInput::ListOfEdges(ListOfEdges::from_tree(&tree)),
+            Some(4),
+        )
+        .expect("well-formed tree")
+        .to_snapshot()[32..]
+            .to_vec()
+    };
+    let wide_cfg = MpcConfig::new(12800, 0.5);
+    assert_ne!(wide_cfg.num_machines(), own_cfg.num_machines());
+    let own = tree_of(own_cfg);
+    let mut payload = good[32..].to_vec();
+    let at = payload
+        .windows(own.len())
+        .position(|w| w == own)
+        .expect("the tenant's tree is in the payload");
+    payload.splice(at..at + own.len(), tree_of(wide_cfg));
+    let mut w = SnapshotWriter::new();
+    w.put_bytes(&payload);
+    assert_eq!(
+        Server::new(cfg)
+            .restore_tenant(&seal(KIND_TENANT, w), MaxIs::new(MaxWeightIndependentSet))
+            .err(),
+        Some(ServerError::Snapshot(SnapshotError::Malformed(
+            "tenant tree of another machine count"
         )))
     );
 }

@@ -1,18 +1,23 @@
 //! Snapshot-codec integration suite: prepared trees, solve plans, and solver stores
 //! round-trip through the hand-rolled binary codec bit-identically, and every class
 //! of corrupted input (bad magic, truncation, wrong version, wrong kind, checksum
-//! mismatch, malformed payload) surfaces as a typed error — never a panic.
+//! mismatch, malformed payload) surfaces as a typed error — never a panic. Committed
+//! golden snapshots (`tests/snapshots/`) keep every kind's bytes readable.
 
 // The proptest block below expands past the default macro recursion limit.
 #![recursion_limit = "512"]
 
+use mpc_tree_dp::clustering::EdgeKind;
 use mpc_tree_dp::core::{
-    KIND_PLAN, KIND_PREPARED_TREE, KIND_STORE, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    solve_sequential, Payload, KIND_PLAN, KIND_PREPARED_TREE, KIND_STORE, SNAPSHOT_MAGIC,
+    SNAPSHOT_VERSION,
 };
 use mpc_tree_dp::problems::MaxWeightIndependentSet;
+use mpc_tree_dp::server::KIND_TENANT;
 use mpc_tree_dp::{
-    prepare, IncrementalSolver, ListOfEdges, MpcConfig, MpcContext, PreparedTree, SnapshotError,
-    SolvePlan, SolverStore, StateEngine, TreeInput,
+    prepare, IncrementalSolver, ListOfEdges, MpcConfig, MpcContext, PreparedTree, Request,
+    Response, ServerConfig, SnapshotError, SolvePlan, SolverStore, StateEngine, TenantSpec,
+    TreeDpServer, TreeInput,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -435,5 +440,357 @@ proptest! {
     #[test]
     fn random_trees_round_trip_through_snapshots(tree in arbitrary_tree(48), seed in 0u64..50) {
         check_random_tree_round_trip(&tree, seed);
+    }
+}
+
+// ----- golden snapshots --------------------------------------------------------------
+
+/// The FNV-1a-64 digest of every committed golden in `tests/snapshots/`, beside the
+/// `(SNAPSHOT_VERSION, kind)` it was written under. Snapshots written under a kind hold
+/// exactly these bytes, so a golden is never rewritten in place: a codec change that
+/// breaks one bumps the kind and commits a new golden and pin.
+const GOLDEN_PINS: [(u32, u32, u64); 4] = [
+    (1, 5, 0x2aeff05c631454de),
+    (1, 6, 0x9c6dabd047b13977),
+    (1, 7, 0x59d77b0889872ce9),
+    (1, 104, 0x7358f8e716368099),
+];
+
+/// The golden fixture: the smallest tree whose snapshots carry every tag value —
+/// each `ElementKind`, both `EdgeKind`s, both `Payload` variants, `None` and `Some`.
+fn golden_tree() -> Tree {
+    spider(3, 3)
+}
+
+fn golden_weight(v: u64) -> i64 {
+    (v as i64 * 5) % 7 + 1
+}
+
+/// One golden kind: file stem, kind constant and its name, and the fixture's bytes
+/// as the code encodes them today (what a missing golden is written from).
+struct Golden {
+    name: &'static str,
+    kind: u32,
+    kind_name: &'static str,
+    fresh: Vec<u8>,
+}
+
+impl Golden {
+    fn file(&self) -> String {
+        format!("{}-v{SNAPSHOT_VERSION}-k{}.hex", self.name, self.kind)
+    }
+
+    fn pin_line(&self, bytes: &[u8]) -> String {
+        format!(
+            "    ({SNAPSHOT_VERSION}, {}, 0x{:016x}),\n",
+            self.kind,
+            fnv1a_64(bytes)
+        )
+    }
+
+    /// Why a golden that no longer reads back fails the test, and what to do.
+    fn broken(&self, what: impl std::fmt::Display) -> String {
+        format!(
+            "the {} golden ({} {}) {what}: {} snapshots on disk would no longer restore. \
+             Revert the codec change, or bump {} and commit a golden under the new kind",
+            self.name, self.kind_name, self.kind, self.name, self.kind_name
+        )
+    }
+
+    /// Decode `bytes`, re-encode the value, and demand the same bytes back.
+    fn round_trip<T, E: std::fmt::Display>(
+        &self,
+        bytes: &[u8],
+        decode: impl FnOnce(&[u8]) -> Result<T, E>,
+        encode: impl FnOnce(&T) -> Vec<u8>,
+    ) -> T {
+        let value = decode(bytes)
+            .unwrap_or_else(|e| panic!("{}", self.broken(format!("no longer decodes ({e})"))));
+        assert!(
+            encode(&value) == bytes,
+            "{}",
+            self.broken("re-encodes to other bytes")
+        );
+        value
+    }
+}
+
+/// The fixture's four snapshots: its prepared tree with the cached plan, the plan,
+/// a MaxIS store, and a tenant that served two queries and one update.
+fn golden_fixture() -> [Golden; 4] {
+    let tree = golden_tree();
+    let n = tree.len();
+    let config = cfg_for(n);
+    let input = || TreeInput::ListOfEdges(ListOfEdges::from_tree(&tree));
+    let weights: Vec<(u64, i64)> = (0..n as u64).map(|v| (v, golden_weight(v))).collect();
+    let engine = MaxIs::new(MaxWeightIndependentSet);
+
+    let mut ctx = MpcContext::new(config);
+    let prepared = prepare(&mut ctx, input(), Some(2)).expect("well-formed tree");
+    let inputs = ctx.from_vec(weights.clone());
+    let no_edges = ctx.from_vec(Vec::<(u64, ())>::new());
+    let plan = prepared.plan(&mut ctx).clone();
+    let (_, store) = plan.solve_with_store(&mut ctx, &engine, &inputs, 0, &no_edges);
+
+    let mut server = golden_server();
+    let spec = TenantSpec {
+        config,
+        input: input(),
+        threshold: Some(2),
+        problem: MaxIs::new(MaxWeightIndependentSet),
+        node_inputs: weights.clone(),
+        aux_input: 0,
+        edge_inputs: Vec::new(),
+    };
+    server.admit("golden", spec).expect("admission");
+    server.submit(
+        "golden",
+        Request::Update {
+            node_updates: vec![(1, 9)],
+            edge_updates: Vec::new(),
+        },
+    );
+    for _ in 0..2 {
+        server.submit(
+            "golden",
+            Request::Query {
+                node_inputs: weights.clone(),
+                edge_inputs: Vec::new(),
+            },
+        );
+    }
+    server.flush();
+    let tenant = server.snapshot_tenant("golden").expect("snapshot");
+
+    let golden = |name, kind, kind_name, fresh| Golden {
+        name,
+        kind,
+        kind_name,
+        fresh,
+    };
+    [
+        golden(
+            "tree",
+            KIND_PREPARED_TREE,
+            "KIND_PREPARED_TREE",
+            prepared.to_snapshot(),
+        ),
+        golden("plan", KIND_PLAN, "KIND_PLAN", plan.to_snapshot()),
+        golden("store", KIND_STORE, "KIND_STORE", store.to_snapshot()),
+        golden("tenant", KIND_TENANT, "KIND_TENANT", tenant),
+    ]
+}
+
+fn golden_server() -> TreeDpServer<MaxIs> {
+    TreeDpServer::new(ServerConfig {
+        plan_budget_words: 1 << 20,
+    })
+}
+
+fn fnv1a_64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// 32 bytes per line, so a golden diffs line by line.
+fn to_hex(bytes: &[u8]) -> String {
+    let mut out = String::new();
+    for line in bytes.chunks(32) {
+        for b in line {
+            out.push_str(&format!("{b:02x}"));
+        }
+        out.push('\n');
+    }
+    out
+}
+
+fn from_hex(text: &str) -> Vec<u8> {
+    let digits: Vec<u8> = text.bytes().filter(|b| !b.is_ascii_whitespace()).collect();
+    digits
+        .chunks(2)
+        .map(|pair| {
+            let pair = std::str::from_utf8(pair).expect("ASCII hex");
+            u8::from_str_radix(pair, 16).expect("hex digit pair")
+        })
+        .collect()
+}
+
+/// Bytes written yesterday still read today: every current kind's golden decodes and
+/// re-encodes byte for byte, and the tenant golden, restored on a fresh server,
+/// answers a query with the fixture's sequential optimum (which no clustering change
+/// can move). A golden whose bytes no longer match its pin was rewritten under an
+/// unchanged kind; a kind without a golden prints the golden and pin to commit.
+#[test]
+fn golden_snapshots_decode_and_re_encode_byte_for_byte() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/snapshots");
+    let fixture = golden_fixture();
+
+    // Only the current kinds have goldens and pins; a superseded kind's go with it.
+    let current: Vec<String> = fixture.iter().map(Golden::file).collect();
+    for entry in std::fs::read_dir(&dir).into_iter().flatten() {
+        let file = entry.expect("readable entry").file_name();
+        let file = file.to_string_lossy();
+        assert!(
+            current.iter().any(|c| *c == file),
+            "tests/snapshots/{file} is no current kind's golden: delete it and its pin"
+        );
+    }
+    for &(version, kind, _) in &GOLDEN_PINS {
+        assert!(
+            version == SNAPSHOT_VERSION && fixture.iter().any(|g| g.kind == kind),
+            "GOLDEN_PINS names version {version}, kind {kind}, which no current kind is"
+        );
+    }
+
+    // Every current kind needs a golden and its pin; list all that lack one at once.
+    let mut goldens = Vec::new();
+    let mut missing = String::new();
+    for g in &fixture {
+        let file = g.file();
+        let Ok(text) = std::fs::read_to_string(dir.join(&file)) else {
+            missing += &format!(
+                "no golden for {} {}: commit tests/snapshots/{file}\n{}and pin it in \
+                 GOLDEN_PINS with\n{}",
+                g.kind_name,
+                g.kind,
+                to_hex(&g.fresh),
+                g.pin_line(&g.fresh)
+            );
+            continue;
+        };
+        let bytes = from_hex(&text);
+        match GOLDEN_PINS
+            .iter()
+            .find(|&&(v, k, _)| (v, k) == (SNAPSHOT_VERSION, g.kind))
+        {
+            None => {
+                missing += &format!(
+                    "no pin for tests/snapshots/{file}: add\n{}",
+                    g.pin_line(&bytes)
+                )
+            }
+            Some(&(_, _, digest)) => assert_eq!(
+                fnv1a_64(&bytes),
+                digest,
+                "tests/snapshots/{file} was rewritten under an unchanged kind: {} snapshots \
+                 already on disk hold the pinned bytes. Restore the file; if the codec must \
+                 change, bump {} ({}) and commit a golden under the new kind",
+                g.name,
+                g.kind_name,
+                g.kind
+            ),
+        }
+        goldens.push(bytes);
+    }
+    assert!(missing.is_empty(), "{missing}");
+
+    let [tree_g, plan_g, store_g, tenant_g] = &fixture;
+    let [tree_b, plan_b, store_b, tenant_b] = &goldens[..] else {
+        unreachable!("one golden per kind")
+    };
+    let tree = tree_g.round_trip(
+        tree_b,
+        PreparedTree::from_snapshot,
+        PreparedTree::to_snapshot,
+    );
+    plan_g.round_trip(plan_b, SolvePlan::from_snapshot, SolvePlan::to_snapshot);
+    let store = store_g.round_trip(
+        store_b,
+        SolverStore::<MaxIs>::from_snapshot,
+        SolverStore::to_snapshot,
+    );
+    let (mut server, id) = tenant_g.round_trip(
+        tenant_b,
+        |bytes| {
+            let mut server = golden_server();
+            let id = server.restore_tenant(bytes, MaxIs::new(MaxWeightIndependentSet))?;
+            Ok::<_, mpc_tree_dp::ServerError>((server, id))
+        },
+        |(server, id)| server.snapshot_tenant(id).unwrap_or_default(),
+    );
+    let metrics = server.tenant_metrics(&id).expect("restored tenant");
+    assert!(
+        (metrics.queries, metrics.updates, metrics.structural) == (2, 1, 0),
+        "{}",
+        tenant_g.broken(format!("restores other counters ({metrics:?})"))
+    );
+
+    // The restored tenant answers with the fixture's sequential optimum.
+    let fixture_tree = golden_tree();
+    let engine = MaxIs::new(MaxWeightIndependentSet);
+    let expected = solve_sequential(
+        &engine,
+        &fixture_tree.edges(),
+        fixture_tree.root() as u64,
+        golden_weight,
+        |_| (EdgeKind::Original, ()),
+    )
+    .root_summary
+    .best(engine.problem())
+    .expect("optimum");
+    server.submit(
+        id.as_str(),
+        Request::Query {
+            node_inputs: (0..fixture_tree.len() as u64)
+                .map(|v| (v, golden_weight(v)))
+                .collect(),
+            edge_inputs: Vec::new(),
+        },
+    );
+    let answer = match server.flush().pop() {
+        Some((_, Response::Solution(sol))) => sol.root_summary.best(engine.problem()),
+        _ => None,
+    };
+    assert!(
+        answer == Some(expected),
+        "{}",
+        tenant_g.broken(format!(
+            "answers {answer:?} where the optimum is {expected}"
+        ))
+    );
+
+    // Coverage: the goldens carry every tag value the codec writes.
+    assert!(tree.has_plan(), "the tree golden carries its plan (Some)");
+    let mut seen = std::collections::BTreeSet::new();
+    for view in store.views() {
+        seen.insert(format!("{:?}", view.skeleton.kind));
+        seen.insert(format!("attach {}", view.skeleton.attach.is_some()));
+        for (member, payload) in view.skeleton.members.iter().zip(&view.slots.payloads) {
+            seen.insert(format!("{:?}", member.element.kind));
+            seen.insert(format!("{:?}", member.out_kind));
+            seen.insert(format!("parent {}", member.parent.is_some()));
+            seen.insert(format!("in_edge {}", member.element.in_edge.is_some()));
+            seen.insert(
+                match payload {
+                    Some(Payload::Input(_)) => "Input",
+                    Some(Payload::Summary(_)) => "Summary",
+                    None => "no payload",
+                }
+                .to_string(),
+            );
+        }
+    }
+    for tag in [
+        "Node",
+        "ClusterIndeg0",
+        "ClusterIndeg1",
+        "TopCluster",
+        "Original",
+        "Auxiliary",
+        "Input",
+        "Summary",
+        "attach false",
+        "attach true",
+        "parent false",
+        "parent true",
+        "in_edge false",
+        "in_edge true",
+    ] {
+        assert!(
+            seen.contains(tag),
+            "the golden fixture no longer carries `{tag}` (saw {seen:?}): pick a fixture \
+             that does"
+        );
     }
 }

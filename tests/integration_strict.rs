@@ -61,14 +61,17 @@ fn strict_engine_primitives_stay_compliant() {
         let grand: u64 = inboxes[0].iter().sum();
         assert_eq!(grand, data.iter().sum::<u64>());
 
-        // The prefix maximum is monotone and ends at the global maximum.
-        let pm = ctx.prefix_max(routed, |&x| x);
+        // The exclusive prefix sums are monotone and end one record short of the
+        // grand total.
+        let ps = ctx.prefix_sums(routed, |&x| x);
         let mut prev = 0u64;
-        for &(running, _) in pm.iter() {
-            assert!(running >= prev, "prefix max must be monotone");
-            prev = running;
+        let mut last = 0u64;
+        for &(before, x) in ps.iter() {
+            assert!(before >= prev, "prefix sums must be monotone");
+            prev = before;
+            last = x;
         }
-        assert_eq!(prev, data.iter().copied().max().unwrap());
+        assert_eq!(prev + last, grand);
     });
     ctx.check_compliance()
         .expect("strict engine primitives stay compliant");
