@@ -174,7 +174,6 @@ pub enum RepairOutcome {
 /// This is the from-scratch entry point: it builds a throwaway [`RepairIndex`]
 /// (`O(n log n)` host work) and plans against it. Callers that apply batch after batch
 /// keep one index and patch it with [`RepairIndex::apply`] instead.
-// mpc-cost: rounds(const)
 pub fn plan_repair(
     clustering: &Clustering,
     edges: &[(DirectedEdge, crate::element::EdgeKind)],
@@ -224,7 +223,6 @@ fn with_key(set: &BTreeSet<(u64, u64)>, key: u64) -> impl Iterator<Item = u64> +
 
 impl RepairIndex {
     /// Index `clustering`, built over the reduced-tree `edges`.
-    // mpc-cost: rounds(const)
     pub fn build<'a>(
         clustering: &Clustering,
         edges: impl IntoIterator<Item = &'a (DirectedEdge, crate::element::EdgeKind)>,
@@ -278,7 +276,6 @@ impl RepairIndex {
     /// Plan the repair for `ops`, applied in order, without changing the index (so a
     /// plan doubles as a validity dry-run). Same contract as [`plan_repair`]; reads
     /// `O((|ops| + removed span) · layers)` records.
-    // mpc-cost: rounds(const)
     pub fn plan(&self, ops: &[TopologyOp]) -> Result<RepairOutcome, RepairError> {
         // Batch simulation state: the removed node set `R`, the surviving links, their
         // batch order (a slot is tombstoned when its leaf is cut again) and adjacency.
@@ -460,7 +457,6 @@ impl RepairIndex {
 
     /// Bring the index in step with a clustering that `repair` (planned against this
     /// index) has been applied to. `O((removed + added) · log n)`.
-    // mpc-cost: rounds(const)
     pub fn apply(&mut self, repair: &ClusteringRepair) {
         for &id in &repair.removed_elements {
             let Some(e) = self.elements.remove(&id) else {

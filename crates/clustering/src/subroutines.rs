@@ -165,7 +165,6 @@ fn grow_ball(state: &mut SizeState, answers: &[(ElementId, Option<BallAnswer>)],
 ///
 /// [`ConvergeError::StepBound`] when the adjacency is not a forest of the stated
 /// kind and the doubling fails to settle.
-// mpc-cost: rounds(log)
 pub fn count_subtree_sizes(
     ctx: &mut MpcContext,
     adjacency: DistVec<(ElementId, Vec<ElementId>)>,
@@ -327,7 +326,6 @@ fn merge_jump(
 ///
 /// [`ConvergeError::StepBound`] when the `up`/`down` pointers do not describe
 /// disjoint paths (a pointer cycle never settles).
-// mpc-cost: rounds(log)
 pub fn path_distances(
     ctx: &mut MpcContext,
     nodes: DistVec<PathNode>,

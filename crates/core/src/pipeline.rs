@@ -186,7 +186,6 @@ impl PreparedTree {
     /// Host-side surgery, zero rounds (the incremental solver's `inc-struct` phase
     /// meters the moved words). The repair must have been planned against this tree's
     /// current clustering; applying a stale repair corrupts the state.
-    // mpc-cost: rounds(const)
     pub fn apply_structural_repair(&mut self, repair: &tree_clustering::ClusteringRepair) {
         // Edge list: drop every edge out of the removed set (all such edges have their
         // child endpoint in it), append the new leaf edges (always Original: links
@@ -244,7 +243,6 @@ impl PreparedTree {
     /// repair splice the plan it keeps in its memory-budgeted cache: take the plan out
     /// of the cache, install it here, run the repair, then [`take_plan`](Self::take_plan)
     /// it back.
-    // mpc-cost: rounds(const)
     pub fn install_plan(&mut self, plan: SolvePlan) {
         self.plan.take();
         let _ = self.plan.set(plan);
@@ -254,7 +252,6 @@ impl PreparedTree {
     /// next [`plan`](Self::plan) call re-charges a full `plan-build`). This is also
     /// the plan-invalidation primitive: a caller that mutated the tree in a way the
     /// splice cannot follow (e.g. a degraded re-prepare) drops the stale plan here.
-    // mpc-cost: rounds(const)
     pub fn take_plan(&mut self) -> Option<SolvePlan> {
         self.plan.take()
     }
@@ -264,7 +261,6 @@ impl PreparedTree {
     /// parent are mapped back to the original node it stands in for. The degraded
     /// structural path re-prepares from this list after applying a batch that local
     /// repair cannot absorb.
-    // mpc-cost: rounds(const)
     pub fn original_edge_list(&self) -> Vec<DirectedEdge> {
         let aux_map: std::collections::BTreeMap<NodeId, NodeId> =
             self.aux_to_original.iter().copied().collect();

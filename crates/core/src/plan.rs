@@ -171,7 +171,6 @@ impl MemberSlot {
 
 impl ViewSlot {
     /// The layer the view is processed at (1-based).
-    // mpc-cost: rounds(const)
     pub fn layer(self) -> u32 {
         self.layer
     }
@@ -576,7 +575,6 @@ impl SolvePlan {
     /// The address of `cluster`'s own view, through the routing indexes: the cluster's
     /// member copy names its outgoing edge, and the view reads that edge's label as its
     /// out-label. `None` when the plan holds no such cluster.
-    // mpc-cost: rounds(const)
     pub fn view_slot_of(&self, cluster: ElementId) -> Option<ViewSlot> {
         let out_child = if cluster == self.top_cluster {
             self.root
@@ -613,7 +611,6 @@ impl SolvePlan {
     /// Host-side surgery on cached state — zero rounds; the caller (the incremental
     /// solver's `inc-struct` phase) meters the moved words. Panics if the repair does
     /// not match this plan's clustering (same-generation repair objects only).
-    // mpc-cost: rounds(const)
     pub fn apply_repair(&mut self, repair: &tree_clustering::ClusteringRepair) {
         self.splice(repair, &mut ());
     }
@@ -701,7 +698,6 @@ impl SolvePlan {
                 element: *leaf,
                 out_kind: EdgeKind::Original,
                 parent: Some(parent.member as usize),
-                // mpc-lint: allow(alloc-hygiene) — the empty child list is owned by the new member record; ownership leaves the loop with the push
                 children: Vec::new(),
             });
             view.members[parent.member as usize].children.push(idx);
@@ -711,7 +707,6 @@ impl SolvePlan {
             };
             self.routing.payload_slot.insert(leaf.id, slot);
             // A fresh leaf tops no cluster, so it is the only element leaving by its edge.
-            // mpc-lint: allow(alloc-hygiene) — the one-entry slot list is owned by the index; ownership leaves the loop with the insert
             self.routing.out_edge_slots.insert(leaf.id, vec![slot]);
         }
 
@@ -856,7 +851,6 @@ impl SolvePlan {
     /// through [`apply_repair`](Self::apply_repair) and one freshly built on the
     /// repaired tree — agree on it even though they place views on different machines
     /// and order members differently. `O(n log n)` host work; for tests and audits.
-    // mpc-cost: rounds(const)
     pub fn routing_by_id(&self) -> PlanRouting {
         let view_of =
             |s: &ViewSlot| &self.layers[s.layer as usize - 1][s.machine as usize][s.view as usize];
@@ -916,32 +910,27 @@ impl SolvePlan {
     }
 
     /// Number of layers of the underlying clustering.
-    // mpc-cost: rounds(const)
     pub fn num_layers(&self) -> u32 {
         self.num_layers
     }
 
     /// The root node of the tree the plan was built for.
-    // mpc-cost: rounds(const)
     pub fn root(&self) -> NodeId {
         self.root
     }
 
     /// The id of the top cluster of the underlying clustering.
-    // mpc-cost: rounds(const)
     pub fn top_cluster(&self) -> ElementId {
         self.top_cluster
     }
 
     /// Number of machines the plan was built for (its skeletons are placed on exactly
     /// this machine layout).
-    // mpc-cost: rounds(const)
     pub fn num_machines(&self) -> usize {
         self.num_machines
     }
 
     /// Total number of cached skeleton views across all layers.
-    // mpc-cost: rounds(const)
     pub fn num_views(&self) -> usize {
         self.layers
             .iter()
@@ -955,7 +944,6 @@ impl SolvePlan {
     /// coordinate (four for a member slot, three for a view slot). This
     /// is the charge a plan cache levies against its memory budget — an estimate of
     /// what keeping the plan warm costs, not an exact allocator measurement.
-    // mpc-cost: rounds(const)
     pub fn resident_words(&self) -> usize {
         let skeletons: usize = self
             .layers
@@ -989,7 +977,6 @@ impl SolvePlan {
     /// original nodes and panics on a gap, so callers passing on inputs they did not
     /// produce check here first. Ids the plan does not route are ignored, as the solve
     /// ignores them. `O(q log n)` for `q` records unless one is missing.
-    // mpc-cost: rounds(const)
     pub fn missing_node_input<I>(
         &self,
         node_inputs: &[(NodeId, I)],
@@ -1018,7 +1005,6 @@ impl SolvePlan {
     /// problem-dependent exchanges are charged — one input scatter, one
     /// summary-forwarding round per layer up, one label-forwarding round per layer
     /// down (phases `plan-inputs` / `plan-up` / `plan-down` under `plan-solve`).
-    // mpc-cost: rounds(layers)
     pub fn solve<P: ClusterDp>(
         &self,
         ctx: &mut MpcContext,
@@ -1036,7 +1022,6 @@ impl SolvePlan {
     /// pass filled over its skeletons, and the labels — what an
     /// [`IncrementalSolver`](../../tree_dp_incremental/struct.IncrementalSolver.html)
     /// needs for batched re-solves.
-    // mpc-cost: rounds(layers)
     pub fn solve_with_store<P: ClusterDp>(
         &self,
         ctx: &mut MpcContext,
@@ -1061,7 +1046,6 @@ impl SolvePlan {
     /// per-problem evaluation passes. (Problems of *different* types are batched the
     /// same way by calling [`solve`](Self::solve) repeatedly on the shared plan.)
     #[allow(clippy::type_complexity)]
-    // mpc-cost: rounds(layers)
     pub fn solve_many<P: ClusterDp>(
         &self,
         ctx: &mut MpcContext,
@@ -1500,7 +1484,6 @@ impl SolvePlan {
     /// every non-top cluster's summary flows to a member slot at a higher layer, the
     /// top cluster's view lies on `top_machine`, and no element has two member slots.
     /// `Err` names the first defect. `O(n log n)`.
-    // mpc-cost: rounds(const)
     pub fn validate(&self) -> Result<(), &'static str> {
         if self.layers.len() != self.num_layers as usize
             || self.num_machines == 0

@@ -174,7 +174,6 @@ impl<P: ClusterDp> SolverStore<P> {
     /// on the store's plan, the slot state moved along by the same compactions, the
     /// labels of removed edges dropped. `leaf_inputs` holds the node and edge input of
     /// every leaf the repair adds. Zero rounds (the caller meters the spliced words).
-    // mpc-cost: rounds(const)
     pub fn apply_repair(
         &mut self,
         repair: &ClusteringRepair,
@@ -210,7 +209,6 @@ impl<P: ClusterDp> SolverStore<P> {
     /// the slot state against the skeletons' shape. `Err` names the first index or
     /// view that drifted. Zero rounds,
     /// `O(n log n)` host work — the alarm for long sequences of in-place splices.
-    // mpc-cost: rounds(const)
     pub fn audit<'a>(
         &self,
         edges: impl IntoIterator<Item = &'a (DirectedEdge, EdgeKind)>,

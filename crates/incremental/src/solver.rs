@@ -82,7 +82,6 @@ where
     /// * `aux_input` — the input of every auxiliary node introduced by degree
     ///   reduction (never touched by updates; auxiliary copies keep it).
     /// * `edge_inputs` — optional per-edge inputs keyed by the edge's child endpoint.
-    // mpc-cost: rounds(layers)
     pub fn new(
         ctx: &mut MpcContext,
         prepared: &PreparedTree,
@@ -109,7 +108,6 @@ where
     /// top cluster, layers). Nothing is derived: the restored solver addresses the same
     /// plan and slot state the snapshotted one did, so it behaves bit-identically — same
     /// labels, same update deltas, same round charges. Costs zero MPC rounds.
-    // mpc-cost: rounds(const)
     pub fn restore(problem: P, store: SolverStore<P>, aux_input: P::NodeInput) -> Self {
         Self {
             problem,
@@ -121,7 +119,6 @@ where
 
     /// Apply a batch of node-input changes (keyed by *original* node id; unknown ids
     /// are ignored) and re-solve incrementally.
-    // mpc-cost: rounds(layers)
     pub fn update_node_inputs(
         &mut self,
         ctx: &mut MpcContext,
@@ -132,7 +129,6 @@ where
 
     /// Apply a batch of edge-input changes (keyed by the edge's child endpoint;
     /// unknown keys are ignored) and re-solve incrementally.
-    // mpc-cost: rounds(layers)
     pub fn update_edge_inputs(
         &mut self,
         ctx: &mut MpcContext,
@@ -155,7 +151,6 @@ where
     /// clusters' machines (1 round per layer that produced a change), and `inc-down`
     /// forwards changed boundary labels to the reading clusters' machines (1 round per
     /// layer that produced a change). Local recomputation is free in the MPC model.
-    // mpc-cost: rounds(layers)
     pub fn apply_batch(
         &mut self,
         ctx: &mut MpcContext,
@@ -318,7 +313,6 @@ where
     /// beyond building the repair index on first use; costs `O(|ops| + removed span)`
     /// lookups, which lets a caller that folds several requests into one batch vet
     /// each request against the ones it already accepted.
-    // mpc-cost: rounds(const)
     pub fn validate_structural(
         &mut self,
         prepared: &PreparedTree,
@@ -349,7 +343,6 @@ where
     /// mutated tree.
     ///
     /// [`SolvePlan`]: tree_dp_core::SolvePlan
-    // mpc-cost: rounds(prepare)
     pub fn apply_structural(
         &mut self,
         ctx: &mut MpcContext,
@@ -529,7 +522,6 @@ where
     /// index that drifted. `O(n log n)` host work, zero rounds — the drift alarm for
     /// long update sequences and the oracle the structural test suites call after
     /// every batch.
-    // mpc-cost: rounds(const)
     pub fn audit_indexes(&self, prepared: &PreparedTree) -> Result<(), String> {
         self.store.audit(prepared.edges.iter())?;
         match &self.repair_index {
@@ -544,51 +536,43 @@ where
 
     /// The persistent repair index, once a structural batch has built it (`None` on a
     /// fresh or restored solver and after a degrade).
-    // mpc-cost: rounds(const)
     pub fn repair_index(&self) -> Option<&RepairIndex> {
         self.repair_index.as_ref()
     }
 
     /// The wrapped problem.
-    // mpc-cost: rounds(const)
     pub fn problem(&self) -> &P {
         &self.problem
     }
 
     /// The summary of the top cluster on the current inputs (e.g. the optimum value).
-    // mpc-cost: rounds(const)
     pub fn root_summary(&self) -> &P::Summary {
         self.store.root_summary()
     }
 
     /// The label of the virtual root edge on the current inputs.
-    // mpc-cost: rounds(const)
     pub fn root_label(&self) -> &P::Label {
         self.store.root_label()
     }
 
     /// The label of the edge whose child endpoint is `child`.
-    // mpc-cost: rounds(const)
     pub fn label(&self, child: NodeId) -> Option<&P::Label> {
         self.store.label(child)
     }
 
     /// All labels on the current inputs, keyed by edge child endpoint.
-    // mpc-cost: rounds(const)
     pub fn labels(&self) -> &BTreeMap<NodeId, P::Label> {
         self.store.labels()
     }
 
     /// Materialize the current solution as a [`DpSolution`] distributed over the
     /// machines of `ctx` (host-side convenience, 0 rounds).
-    // mpc-cost: rounds(const)
     // Called by `treedp-bench/src/workloads/stream.rs` (`incremental.solution`).
     pub fn solution(&self, ctx: &mut MpcContext) -> DpSolution<P> {
         self.store.to_solution(ctx)
     }
 
     /// The underlying store: the solver's plan, the slot state over it, the labels.
-    // mpc-cost: rounds(const)
     pub fn store(&self) -> &SolverStore<P> {
         &self.store
     }

@@ -35,7 +35,6 @@ pub enum StructuralOp<P: ClusterDp> {
 
 impl<P: ClusterDp> StructuralOp<P> {
     /// The topology-only projection handed to the clustering repair planner.
-    // mpc-cost: rounds(const)
     pub fn topology(&self) -> TopologyOp {
         match self {
             StructuralOp::Link { parent, child, .. } => TopologyOp::Link {
@@ -89,13 +88,11 @@ impl<P: ClusterDp> Default for StructuralBatch<P> {
 
 impl<P: ClusterDp> StructuralBatch<P> {
     /// An empty batch.
-    // mpc-cost: rounds(const)
     pub fn new() -> Self {
         Self { ops: Vec::new() }
     }
 
     /// Append a `link(parent, child)` with the new leaf's inputs. Builder-style.
-    // mpc-cost: rounds(const)
     pub fn link(
         mut self,
         parent: NodeId,
@@ -113,39 +110,33 @@ impl<P: ClusterDp> StructuralBatch<P> {
     }
 
     /// Append a `cut(child)`. Builder-style.
-    // mpc-cost: rounds(const)
     pub fn cut(mut self, child: NodeId) -> Self {
         self.ops.push(StructuralOp::Cut { child });
         self
     }
 
     /// Append an already-constructed op.
-    // mpc-cost: rounds(const)
     pub fn push(&mut self, op: StructuralOp<P>) {
         self.ops.push(op);
     }
 
     /// The ops in application order.
-    // mpc-cost: rounds(const)
     pub fn ops(&self) -> &[StructuralOp<P>] {
         &self.ops
     }
 
     /// Consume the batch, yielding its ops in application order (used by callers
     /// that fold several batches into one, e.g. the serving layer's flush).
-    // mpc-cost: rounds(const)
     pub fn into_ops(self) -> Vec<StructuralOp<P>> {
         self.ops
     }
 
     /// Number of ops in the batch.
-    // mpc-cost: rounds(const)
     pub fn len(&self) -> usize {
         self.ops.len()
     }
 
     /// `true` when the batch holds no ops.
-    // mpc-cost: rounds(const)
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
     }

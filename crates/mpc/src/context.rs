@@ -574,7 +574,6 @@ impl MpcContext {
     /// state residency: memory is checked against `states` after every step.
     ///
     /// Returns the number of charged exchanges.
-    // mpc-cost: rounds(log)
     pub fn try_converge<T, K, A, FK, FQ, FA, FU>(
         &mut self,
         states: &mut DistVec<T>,
@@ -692,7 +691,6 @@ impl MpcContext {
     /// # Panics
     ///
     /// With the [`ConvergeError`] as message when the loop had to be stopped.
-    // mpc-cost: rounds(log)
     pub fn converge<T, K, A, FK, FQ, FA, FU>(
         &mut self,
         states: &mut DistVec<T>,

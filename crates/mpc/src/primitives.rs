@@ -297,6 +297,10 @@ impl MpcContext {
         let per = total.div_ceil(machines).max(1);
         self.scratch.reset_counters(machines.max(srcs), machines);
         let mut out: Vec<Vec<O>> = self.scratch.pool.take_bufs(machines);
+        // Every destination's share is known up front; pre-sized, no push below regrows.
+        for (d, buf) in out.iter_mut().enumerate() {
+            buf.reserve(per.min(total.saturating_sub(d * per)));
+        }
 
         if K::IS_WORD {
             let mut chunks = dv.into_chunks();
@@ -605,7 +609,6 @@ impl MpcContext {
     /// one moved copy of the requests per probed column. Replaces the
     /// `sort_table` + two `join_lookup_sorted` sequence (`sort_rounds + agg_rounds +
     /// 4` rounds) with `sort_rounds + 1` whenever the table is probed exactly twice.
-    // mpc-cost: rounds(const)
     #[allow(clippy::type_complexity)]
     pub fn join_lookup2<T, V, K, F1, F2, FV>(
         &mut self,
@@ -694,7 +697,6 @@ impl MpcContext {
     /// # Panics
     /// Panics unless `run_of` is constant over every group and non-decreasing along
     /// the key order.
-    // mpc-cost: rounds(const)
     pub fn gather_group_runs<T, K, F, R>(
         &mut self,
         dv: DistVec<T>,
@@ -771,7 +773,6 @@ impl MpcContext {
             for (k, item, src) in sorted {
                 match groups.last_mut() {
                     Some((gk, items)) if *gk == k => items.push((item, src)),
-                    // mpc-lint: allow(alloc-hygiene) — opens a new group owned by the result; arena buffers cannot outlive the call
                     _ => groups.push((k, vec![(item, src)])),
                 }
             }
@@ -827,7 +828,6 @@ impl MpcContext {
                             }
                             item
                         })
-                        // mpc-lint: allow(alloc-hygiene) — group members move into the result chunks; ownership leaves the loop
                         .collect();
                     chunks[machine].push((k, members));
                 }

@@ -4,23 +4,36 @@
 //! counters, and the type-keyed record-buffer pool) exists so that repeated primitive
 //! calls stop allocating once warm: consumed input chunks become the next call's
 //! output chunks, and every transient buffer is reused. This test pins the property
-//! with a counting global allocator: after a short warm-up, each further
-//! `sort_by_key` / `sort_with_index` / `rebalance` / `gather_groups` /
-//! `join_lookup` / `join_lookup_sorted` cycle — and each warm
-//! solve-plan evaluation (`SolvePlan::solve` over a pre-built plan) — leaves
-//! **zero net heap growth**: every byte allocated during the call is freed or
-//! returned to the arena by the time it finishes.
+//! with a counting global allocator: after a short warm-up, each further call of the
+//! primitives below — and each warm solve-plan evaluation (`SolvePlan::solve` over a
+//! pre-built plan) — leaves **zero net heap growth**: every byte allocated during the
+//! call is freed or returned to the arena by the time it finishes.
+//!
+//! It also counts allocation *calls*, since a buffer allocated and freed on every trip
+//! of a per-record or per-chunk loop nets to zero bytes but not to zero calls. One
+//! warm call of each hot primitive, at 1 500 and 24 000 records on
+//! `MpcConfig::new(2 · records, 0.5)` and net of building its input, makes:
+//! - at most 8 for `sort_by_key`, `sort_with_index`, `rebalance`, `join_lookup` and
+//!   `join_lookup_sorted`, whose output chunks are pooled or pre-sized;
+//! - at most `machines + 8` for `with_index` and `prefix_sums`, which build one fresh
+//!   chunk per machine;
+//! - at most `3 · groups + 8` for `gather_groups` and `gather_group_runs` over
+//!   4-record groups: one vector per group, grown once, plus the machines' chunks;
+//! - at most `6 · groups + 8` for `gather_groups` over 32-record groups: one more per
+//!   doubling of the group's vector past 4 records.
+//!
+//! Each of five measured warm calls per primitive must leave the heap where it found
+//! it, and the bound holds for the most calls any of them makes.
+//!
+//! A warm MaxIS solve over a path's plan makes at most `8 · num_views` calls — a few
+//! per view (slot state, summary, label vector), none per member or per child merge,
+//! since the state engine runs every view's local DP in one reused arena.
 //!
 //! The same allocator also counts *gross* allocated bytes, which pins the structural
 //! update path without a clock: a warm one-op `link` and a one-op leaf `cut` on a path
 //! allocate the same (within 2×) at `n = 4096` and `n = 65536`, and a 16-op batch no
 //! more than twice what 16 one-op batches do — i.e. nothing on that path builds a host
 //! structure proportional to the tree.
-//!
-//! It also counts allocation *calls*: a warm MaxIS solve over the same path's plan
-//! makes at most `8 · num_views` of them — a few per view (slot state, summary, label
-//! vector), none per member or per child merge, since the state engine runs every
-//! view's local DP in one reused arena.
 //!
 //! The whole check lives in one `#[test]` so no concurrent test pollutes the global
 //! counters; the contexts are `MpcConfig::new`'s default, so the pin holds for what
@@ -210,99 +223,153 @@ fn structural_bytes(n: usize) -> StructuralBytes {
     }
 }
 
-/// Assert that calls of `step` after a warm-up leave the heap where they found it.
-/// The closure is called with the iteration number; anything it allocates must be
-/// freed or pooled by the time it returns. A one-time lazy allocation elsewhere in
-/// the process (runtime machinery, a pool-map rehash) can land inside one
-/// measurement window, so a nonzero reading is retried — a *per-call* leak grows
-/// the heap on every attempt and still fails.
-fn assert_steady_state(what: &str, warmup: usize, measured: usize, mut step: impl FnMut(usize)) {
-    for i in 0..warmup {
+/// Allocation calls of one warm call of `step`, the most over five measured calls
+/// (`i` = 3..8, after three warm-up calls), each of which must leave the heap where
+/// it found it. A one-time lazy allocation elsewhere in the process (runtime
+/// machinery, a pool-map rehash) can land inside one measurement window, so a call
+/// that grows the heap is retried at the same `i`, up to three times, and the calls of
+/// its zero-growth attempt count — a *per-call* leak grows the heap on every attempt
+/// and still fails.
+fn warm_alloc_calls(what: &str, mut step: impl FnMut(usize)) -> usize {
+    for i in 0..3 {
         step(i);
     }
-    for i in warmup..warmup + measured {
-        let mut growth = 0;
-        let zero_attempt = (0..3).any(|_| {
-            let before = net();
-            step(i);
-            growth = net() - before;
-            growth == 0
+    (3..8)
+        .map(|i| {
+            let mut attempts = Vec::new();
+            for _ in 0..3 {
+                let before = net();
+                let calls = alloc_calls_of(|| step(i));
+                let growth = net() - before;
+                if growth == 0 {
+                    return calls;
+                }
+                attempts.push((calls, growth));
+            }
+            panic!("{what}: call {i} grew the heap on every attempt (calls, bytes): {attempts:?}")
+        })
+        .max()
+        .expect("five measured calls")
+}
+
+/// Allocation calls of a warm `step` on a fresh `from_vec(data)` per call, net of the
+/// calls of such a `from_vec` whose result is dropped. That one builds a fresh chunk
+/// per machine every time; a primitive that consumes its input hands those chunks
+/// back for the next `from_vec` to take.
+fn calls_on_fresh_input<T: Clone + Send + 'static>(
+    what: &str,
+    ctx: &mut MpcContext,
+    data: &[T],
+    mut step: impl FnMut(&mut MpcContext, DistVec<T>, usize),
+) -> usize {
+    let mut empty_pool = MpcContext::new(*ctx.config());
+    let input = warm_alloc_calls("from_vec", |_| drop(empty_pool.from_vec(data.to_vec())));
+    let calls = warm_alloc_calls(what, |i| {
+        let dv = ctx.from_vec(data.to_vec());
+        step(ctx, dv, i)
+    });
+    calls.saturating_sub(input)
+}
+
+/// `(primitive, allocation calls per warm call, bound)` at `records` records on
+/// `MpcConfig::new(2 · records, 0.5)`. `sort_by_key` and `rebalance` chain their output
+/// into the next call; the others run on a fresh input each ([`calls_on_fresh_input`]).
+fn primitive_alloc_calls(records: usize) -> Vec<(&'static str, usize, usize)> {
+    let cfg = MpcConfig::new(2 * records, 0.5);
+    let groups = records / 4;
+    let data: Vec<u64> = (0..records as u64)
+        .map(|i| i.wrapping_mul(0x9e3779b97f4a7c15))
+        .collect();
+    let grouped: Vec<(u64, u64)> = (0..records as u64)
+        .map(|i| (i % groups as u64, i))
+        .collect();
+    // Duplicate-heavy keys: 32-record groups, each vector grown through four doublings.
+    let wide_groups = records / 32;
+    let wide: Vec<(u64, u64)> = (0..records as u64)
+        .map(|i| (i % wide_groups as u64, i))
+        .collect();
+    let requests: Vec<u64> = (0..records as u64)
+        .map(|i| 7 * i % (3 * records as u64))
+        .collect();
+    // Alternating the key direction forces real movement every call.
+    let flip = |i: usize| if i % 2 == 0 { 0 } else { u64::MAX };
+    let (pooled, per_machine, per_group) = (8, cfg.num_machines() + 8, 3 * groups + 8);
+    let per_wide_group = 6 * wide_groups + 8;
+    assert!(cfg.num_machines() > 16, "multi-machine layout expected");
+    let mut ctx = MpcContext::new(cfg);
+
+    let mut chained = Some(ctx.from_vec(data.clone()));
+    let sort_by_key = warm_alloc_calls("sort_by_key", |i| {
+        let dv = chained.take().expect("chained input");
+        chained = Some(ctx.sort_by_key(dv, |x| *x ^ flip(i)));
+    });
+    let rebalance = warm_alloc_calls("rebalance", |_| {
+        let dv = chained.take().expect("chained input");
+        chained = Some(ctx.rebalance(dv));
+    });
+    let ctx = &mut ctx;
+    let sort_with_index = calls_on_fresh_input("sort_with_index", ctx, &data, |c, dv, i| {
+        drop(c.sort_with_index(dv, |x| *x ^ flip(i)))
+    });
+    let with_index =
+        calls_on_fresh_input("with_index", ctx, &data, |c, dv, _| drop(c.with_index(dv)));
+    let prefix_sums = calls_on_fresh_input("prefix_sums", ctx, &data, |c, dv, _| {
+        drop(c.prefix_sums(dv, |x| *x & 0xff))
+    });
+    let table = ctx.from_vec((0..records as u64).map(|i| (3 * i, i)).collect());
+    let sorted = ctx.sort_table(&table, |t| t.0);
+    let join_lookup = calls_on_fresh_input("join_lookup", ctx, &requests, |c, dv, _| {
+        drop(c.join_lookup(dv, |r| *r, &table, |t| t.0))
+    });
+    let join_lookup_sorted =
+        calls_on_fresh_input("join_lookup_sorted", ctx, &requests, |c, dv, _| {
+            drop(c.join_lookup_sorted(dv, |r| *r, &table, &sorted))
         });
-        assert!(
-            zero_attempt,
-            "{what}: call {i} repeatedly grew the heap ({growth} bytes) in steady state"
-        );
-    }
+    let gather_groups = calls_on_fresh_input("gather_groups", ctx, &grouped, |c, dv, _| {
+        drop(c.gather_groups(dv, |r| r.0))
+    });
+    let gather_wide = calls_on_fresh_input("gather_groups/32", ctx, &wide, |c, dv, _| {
+        drop(c.gather_groups(dv, |r| r.0))
+    });
+    let half = groups as u64 / 2;
+    let gather_group_runs = calls_on_fresh_input("gather_group_runs", ctx, &grouped, |c, dv, _| {
+        drop(c.gather_group_runs(dv, |r| r.0, |r| u32::from(r.0 >= half)))
+    });
+    // The primitives above really ran: rounds and volume accumulated.
+    assert!(ctx.metrics().rounds > 0);
+    assert!(ctx.metrics().total_words_sent > 0);
+    vec![
+        ("sort_by_key", sort_by_key, pooled),
+        ("rebalance", rebalance, pooled),
+        ("sort_with_index", sort_with_index, pooled),
+        ("with_index", with_index, per_machine),
+        ("prefix_sums", prefix_sums, per_machine),
+        ("join_lookup", join_lookup, pooled),
+        ("join_lookup_sorted", join_lookup_sorted, pooled),
+        ("gather_groups", gather_groups, per_group),
+        ("gather_groups/32", gather_wide, per_wide_group),
+        ("gather_group_runs", gather_group_runs, per_group),
+    ]
 }
 
 #[test]
 fn warm_primitive_calls_have_zero_net_heap_growth() {
-    let cfg = MpcConfig::new(2048, 0.5);
-    let mut ctx = MpcContext::new(cfg);
-    let data: Vec<u64> = (0..1500u64)
-        .map(|i| i.wrapping_mul(0x9e3779b97f4a7c15))
-        .collect();
-
-    // --- sort_by_key: the output of one call is the input of the next, so consumed
-    // input buffers cycle through the pool back into use. Alternating the key
-    // direction forces real movement every call.
-    let mut dv: Option<DistVec<u64>> = Some(ctx.from_vec(data.clone()));
-    assert_steady_state("sort_by_key", 3, 5, |i| {
-        let input = dv.take().expect("chained sort input");
-        let flip = if i % 2 == 0 { 0 } else { u64::MAX };
-        dv = Some(ctx.sort_by_key(input, |x| *x ^ flip));
-    });
-
-    // --- rebalance: the output of one call is the input of the next; whole runs
-    // move through pooled buckets (the run-moving skeleton every monotone
-    // placement shares).
-    let machines = ctx.config().num_machines();
-    assert!(machines > 16, "multi-machine layout expected");
-    let mut dv: Option<DistVec<u64>> = Some(ctx.from_vec((0..1500u64).collect()));
-    assert_steady_state("rebalance", 3, 5, |_| {
-        let input = dv.take().expect("chained rebalance input");
-        dv = Some(ctx.rebalance(input));
-    });
-
-    // --- sort_with_index: output type differs from the input's, so the result is
-    // dropped each call; its buffers return to the pool through the drop + the
-    // consumed input cycle.
-    assert_steady_state("sort_with_index", 3, 5, |i| {
-        let input = ctx.from_vec(data.clone());
-        let flip = if i % 2 == 0 { 0 } else { u64::MAX };
-        let indexed = ctx.sort_with_index(input, |x| *x ^ flip);
-        drop(indexed);
-    });
-
-    // --- gather_groups: duplicate-heavy keys, fresh arena-backed input per call
-    // (the source clone is freed within the call, the consumed chunks recycle).
-    let grouped_src: Vec<(u64, u64)> = (0..1200).map(|i| (i % 37, i)).collect();
-    assert_steady_state("gather_groups", 3, 5, |_| {
-        let input = ctx.from_vec(grouped_src.clone());
-        let groups = ctx.gather_groups(input, |r| r.0);
-        drop(groups);
-    });
-
-    // --- join_lookup (fused) and join_lookup_sorted (pre-sorted table): the fused
-    // join's table index is pooled; the sorted table is built once outside the loop.
-    let table: Vec<(u64, u64)> = (0..800).map(|i| (i * 3, i)).collect();
-    let table_dv = ctx.from_vec(table);
-    let sorted = ctx.sort_table(&table_dv, |t| t.0);
-    let requests: Vec<u64> = (0..1000u64).map(|i| (i * 7) % 2600).collect();
-    assert_steady_state("join_lookup", 3, 5, |_| {
-        let reqs = ctx.from_vec(requests.clone());
-        let joined = ctx.join_lookup(reqs, |r| *r, &table_dv, |t| t.0);
-        drop(joined);
-    });
-    assert_steady_state("join_lookup_sorted", 3, 5, |_| {
-        let reqs = ctx.from_vec(requests.clone());
-        let joined = ctx.join_lookup_sorted(reqs, |r| *r, &table_dv, &sorted);
-        drop(joined);
-    });
-
-    // The primitives above really ran: rounds and volume accumulated.
-    assert!(ctx.metrics().rounds > 0);
-    assert!(ctx.metrics().total_words_sent > 0);
+    // --- allocation calls per warm primitive call, at two sizes.
+    let mut table = String::new();
+    let mut over = Vec::new();
+    for records in [1500, 24000] {
+        for (what, calls, bound) in primitive_alloc_calls(records) {
+            table += &format!("{records:>6} {what:<18} {calls:>5} (bound {bound})\n");
+            if calls > bound {
+                over.push(format!("{what} at {records} records"));
+            }
+        }
+    }
+    assert!(
+        over.is_empty(),
+        "allocation calls over bound: {}\nmeasured:\n{table}",
+        over.join(", ")
+    );
 
     // --- solve-plan evaluation: with the plan (problem-independent view assembly)
     // built once, every warm `plan.solve` call must also leave the heap where it
@@ -335,7 +402,7 @@ fn warm_primitive_calls_have_zero_net_heap_growth() {
     );
     let no_edges = ctx.from_vec(Vec::<(u64, ())>::new());
     let mut optimum = None;
-    assert_steady_state("plan.solve", 3, 5, |_| {
+    warm_alloc_calls("plan.solve", |_| {
         let sol = plan.solve(&mut ctx, &engine, &inputs, 0, &no_edges);
         let best = sol.root_summary.best(engine.problem());
         assert!(

@@ -211,11 +211,18 @@ pub fn match_parentheses_mpc(
         // Communication cost of one level: every group gathers the (c, o) summaries of
         // its sub-chunks into one machine and sends back one resolution answer per
         // pending open; 2 rounds and O(group_size) words per machine.
-        // mpc-lint: allow(round-blowup) — level loop runs ⌈log₂ n⌉ times (chunk count halves per level), so this charge totals O(log n) rounds
         ctx.charge_rounds(2);
-        // mpc-lint: allow(round-blowup) — level loop runs ⌈log₂ n⌉ times (chunk count halves per level), so this charge totals O(log n) rounds
         ctx.record_uniform_comm(2 * group_size.min(prev.len()), "paren-resolution-level");
     }
+    // Every level divides the chunk count by `group_size`, so the loop charged its 2
+    // rounds ⌈log_{group_size}(chunks)⌉ times: `O(1)` levels for a fixed δ.
+    debug_assert!(
+        levels.len() - 1
+            <= std::iter::successors(Some(1usize), |p| Some(p.saturating_mul(group_size)))
+                .take_while(|&p| p < levels[0].len())
+                .count(),
+        "parentheses resolution ran more levels than the group size allows"
+    );
 
     // Validity: the fully reduced string must be empty and exactly one open (the root)
     // must have remained unresolved.

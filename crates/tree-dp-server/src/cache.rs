@@ -56,7 +56,6 @@ pub struct PlanCache {
 
 impl PlanCache {
     /// An empty cache holding at most `budget_words` words of resident plans.
-    // mpc-cost: rounds(const)
     pub fn new(budget_words: usize) -> Self {
         Self {
             budget_words,
@@ -70,13 +69,11 @@ impl PlanCache {
     }
 
     /// Words currently held by resident plans.
-    // mpc-cost: rounds(const)
     pub fn resident_words(&self) -> usize {
         self.entries.values().map(|e| e.words).sum()
     }
 
     /// Number of resident plans.
-    // mpc-cost: rounds(const)
     fn resident_plans(&self) -> usize {
         self.entries.len()
     }
@@ -84,7 +81,6 @@ impl PlanCache {
     /// Record one lookup for `id`: `true` (and an LRU touch + hit) when the plan is
     /// resident, `false` (and a miss) when the caller must rebuild and
     /// [`insert`](Self::insert) it.
-    // mpc-cost: rounds(const)
     pub fn lookup(&mut self, id: &str) -> bool {
         self.clock += 1;
         match self.entries.get_mut(id) {
@@ -101,7 +97,6 @@ impl PlanCache {
     }
 
     /// The resident plan of `id`, without touching LRU state or counters.
-    // mpc-cost: rounds(const)
     pub fn plan(&self, id: &str) -> Option<&SolvePlan> {
         self.entries.get(id).map(|e| &e.plan)
     }
@@ -109,7 +104,6 @@ impl PlanCache {
     /// Insert a freshly built plan that cost `build_rounds` rounds, evicting
     /// lower-value entries until the budget holds (see module docs for the policy).
     /// Returns the evicted tenant ids so the server can bump their counters.
-    // mpc-cost: rounds(const)
     pub fn insert(&mut self, id: TenantId, plan: SolvePlan, build_rounds: u64) -> Vec<TenantId> {
         self.clock += 1;
         self.build_rounds += build_rounds;
@@ -129,7 +123,6 @@ impl PlanCache {
     fn evict_to_budget(&mut self, protect: &str) -> Vec<TenantId> {
         let mut evicted = Vec::new();
         while self.resident_words() > self.budget_words && self.entries.len() > 1 {
-            // mpc-lint: allow(round-blowup) — host-side cache bookkeeping: each iteration removes one resident plan, so the loop is bounded by the cache occupancy and charges no exchanges itself
             match self.pick_victim(protect) {
                 Some(victim) => {
                     self.entries.remove(&victim);
@@ -143,7 +136,6 @@ impl PlanCache {
     }
 
     /// Drop the resident plan of `id`, if any (tenant removal).
-    // mpc-cost: rounds(const)
     pub fn remove(&mut self, id: &str) {
         self.entries.remove(id);
     }
@@ -153,7 +145,6 @@ impl PlanCache {
     /// no counter moves. The caller is expected to hand the plan back through
     /// [`put_entry`](Self::put_entry) (structural-repair handshake) — or drop it, if
     /// the repair degraded and the plan is stale.
-    // mpc-cost: rounds(const)
     pub fn take_entry(&mut self, id: &str) -> Option<(SolvePlan, u64)> {
         self.entries.remove(id).map(|e| (e.plan, e.build_rounds))
     }
@@ -163,7 +154,6 @@ impl PlanCache {
     /// like [`insert`](Self::insert) but does **not** add `build_rounds` to the
     /// cumulative miss cost — those rounds were charged when the plan was first
     /// built, and a splice is not a rebuild.
-    // mpc-cost: rounds(const)
     pub fn put_entry(&mut self, id: TenantId, plan: SolvePlan, build_rounds: u64) -> Vec<TenantId> {
         self.clock += 1;
         let entry = CacheEntry {
@@ -201,7 +191,6 @@ impl PlanCache {
     }
 
     /// A point-in-time snapshot of the cache counters.
-    // mpc-cost: rounds(const)
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits,

@@ -85,7 +85,6 @@ pub struct CacheStats {
 
 impl CacheStats {
     /// Hit rate over the query traffic seen so far (`1.0` when no lookups yet).
-    // mpc-cost: rounds(const)
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {

@@ -248,7 +248,6 @@ where
     P::Label: PartialEq,
 {
     /// An empty server with the given plan-cache budget.
-    // mpc-cost: rounds(const)
     pub fn new(config: ServerConfig) -> Self {
         Self {
             cache: PlanCache::new(config.plan_budget_words),
@@ -259,7 +258,6 @@ where
 
     /// Admit a new tenant: prepare its tree, build and cache its plan, run the
     /// initial solve, and stand up its incremental solver (see module docs).
-    // mpc-cost: rounds(prepare)
     pub fn admit(
         &mut self,
         id: impl Into<TenantId>,
@@ -321,13 +319,11 @@ where
     }
 
     /// Queue one request against `id`; it runs at the next [`flush`](Self::flush).
-    // mpc-cost: rounds(const)
     pub fn submit(&mut self, id: impl Into<TenantId>, request: Request<P>) {
         self.queue.push((id.into(), request));
     }
 
     /// Number of requests waiting for the next flush.
-    // mpc-cost: rounds(const)
     pub fn pending_requests(&self) -> usize {
         self.queue.len()
     }
@@ -335,7 +331,6 @@ where
     /// Serve every queued request and return the responses in submission order
     /// (admission batching: per tenant, one folded update batch then one
     /// `solve_many` over all queries — see module docs).
-    // mpc-cost: rounds(layers)
     pub fn flush(&mut self) -> Vec<(TenantId, Response<P>)> {
         let queue = std::mem::take(&mut self.queue);
         let cache = &mut self.cache;
@@ -574,20 +569,17 @@ where
     }
 
     /// Number of admitted tenants.
-    // mpc-cost: rounds(const)
     pub fn num_tenants(&self) -> usize {
         self.tenants.len()
     }
 
     /// The ids of all admitted tenants, in order.
-    // mpc-cost: rounds(const)
     pub fn tenant_ids(&self) -> Vec<TenantId> {
         self.tenants.keys().cloned().collect()
     }
 
     /// This tenant's serving counters, with `resident_bytes` computed now (prepared
     /// tree + solver store + cached plan when resident, at 8 bytes per word).
-    // mpc-cost: rounds(const)
     pub fn tenant_metrics(&self, id: &str) -> Option<TenantMetrics> {
         let tenant = self.tenants.get(id)?;
         let plan_words = self
@@ -602,32 +594,27 @@ where
     }
 
     /// A point-in-time snapshot of the shared plan cache's counters.
-    // mpc-cost: rounds(const)
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
     }
 
     /// The tenant's MPC context (e.g. to assert strict-mode compliance in tests).
-    // mpc-cost: rounds(const)
     pub fn context(&self, id: &str) -> Option<&MpcContext> {
         self.tenants.get(id).map(|t| &t.ctx)
     }
 
     /// The tenant's current root summary (of the incremental state).
-    // mpc-cost: rounds(const)
     pub fn root_summary(&self, id: &str) -> Option<&P::Summary> {
         self.tenants.get(id).map(|t| t.solver.root_summary())
     }
 
     /// The tenant's current incremental labels, keyed by edge child endpoint.
-    // mpc-cost: rounds(const)
     pub fn labels(&self, id: &str) -> Option<&BTreeMap<NodeId, P::Label>> {
         self.tenants.get(id).map(|t| t.solver.labels())
     }
 
     /// Drop a tenant, its cached plan, and any of its queued requests. Returns
     /// `true` when the tenant existed.
-    // mpc-cost: rounds(const)
     pub fn remove_tenant(&mut self, id: &str) -> bool {
         self.cache.remove(id);
         self.queue.retain(|(qid, _)| qid != id);
@@ -649,7 +636,6 @@ where
     /// input, and metrics. The plan cache's entry deliberately does *not* travel —
     /// a restored tenant's first query is an honest cache miss that rebuilds it
     /// (plans are a pure function of the clustering).
-    // mpc-cost: rounds(const)
     pub fn snapshot_tenant(&self, id: &str) -> Result<Vec<u8>, ServerError> {
         let tenant = self
             .tenants
@@ -669,7 +655,6 @@ where
     /// this server (typically a freshly started one), re-creating its context from
     /// the persisted config and its incremental solver from the persisted store.
     /// Returns the restored tenant's id.
-    // mpc-cost: rounds(const)
     pub fn restore_tenant(&mut self, bytes: &[u8], problem: P) -> Result<TenantId, ServerError> {
         let mut r = open(bytes, KIND_TENANT)?;
         let id = TenantId::decode(&mut r)?;

@@ -3,9 +3,11 @@
 //! tree and its labelling must be a feasible solution of exactly that value; an
 //! evaluation pass must charge strictly fewer rounds than the plan build; a batch of
 //! four problems over one plan must cost at most 60% of four cold solves; the charged
-//! rounds of the n = 4096 standard suite must equal `rounds-baseline-n4096.txt`; and
-//! the skeleton layout is pinned byte for byte.
+//! rounds of the n = 4096 standard suite must equal `rounds-baseline-n4096.txt`; every
+//! public entry point that can reach an `MpcContext` must charge within its measured
+//! round class; and the skeleton layout is pinned byte for byte.
 
+use mpc_tree_dp::clustering::subroutines::{count_subtree_sizes, path_distances, PathNode};
 use mpc_tree_dp::clustering::EdgeKind;
 use mpc_tree_dp::core::{solve_sequential, StateDp};
 use mpc_tree_dp::gen::{
@@ -16,11 +18,11 @@ use mpc_tree_dp::problems::{
     MaxWeightIndependentSet, MaxWeightMatching, MinWeightDominatingSet, MinWeightVertexCover,
 };
 use mpc_tree_dp::{
-    prepare, DistVec, IncrementalSolver, ListOfEdges, MpcConfig, MpcContext, PreparedTree,
-    StateEngine, StructuralBatch, TreeInput,
+    prepare, DistVec, IncrementalSolver, ListOfEdges, MpcConfig, MpcContext, PreparedTree, Request,
+    ServerConfig, StateEngine, StructuralBatch, TenantSpec, TreeDpServer, TreeInput,
 };
 use std::collections::BTreeMap;
-use tree_repr::{NodeId, Tree};
+use tree_repr::{DirectedEdge, NodeId, Tree};
 
 fn ctx_for(n: usize) -> MpcContext {
     MpcContext::new(
@@ -540,6 +542,326 @@ fn suite_rounds_equal_the_committed_baseline() {
     assert!(
         errors.is_empty(),
         "charged rounds differ from {path}:\n  {}\nmeasured (the file's format):\n{table}",
+        errors.join("\n  ")
+    );
+}
+
+/// The round class of a public entry point that can reach an `MpcContext` mutably.
+enum Class {
+    /// The same rounds on every config.
+    Const,
+    /// Star rounds equal across sizes; on the path, `LOG_ROUNDS` more per doubling of D.
+    Log,
+    /// At most `2 · num_layers + 1`: one scatter of the inputs or the batch, then one
+    /// round per layer up and one per layer down.
+    Layers,
+    /// At most a fresh prepare → plan → solve of the tree the call leaves, which is
+    /// carried here.
+    Prepare(u64),
+}
+
+/// Rounds a `log`-class entry point may add per doubling of the diameter: one probe
+/// exchange (`lookup_rounds`).
+const LOG_ROUNDS: u64 = 2;
+
+/// What one config charges: its layers and `agg_rounds`, and per entry point its class
+/// and the rounds of each scenario it runs (1- and 256-element batches where it takes
+/// one).
+struct ClassRun {
+    name: String,
+    layers: u64,
+    agg_rounds: u64,
+    rows: Vec<(&'static str, Class, Vec<u64>)>,
+}
+
+/// Rounds of a fresh prepare → plan → MaxIS solve of `tree`.
+fn fresh_pipeline_rounds(tree: &Tree, threshold: Option<usize>) -> u64 {
+    let mut ctx = MpcContext::new(MpcConfig::new(2 * tree.len(), 0.5));
+    let input = TreeInput::ListOfEdges(ListOfEdges::from_tree(tree));
+    let prepared = prepare(&mut ctx, input, threshold).unwrap();
+    let weights = ctx.from_vec(
+        (0..tree.len() as u64)
+            .map(|v| (v, 1 + (v % 30) as i64))
+            .collect(),
+    );
+    let no_edges = ctx.from_vec(Vec::<(u64, ())>::new());
+    let engine = StateEngine::new(MaxWeightIndependentSet);
+    drop(prepared.solve(&mut ctx, &engine, &weights, 0, &no_edges));
+    ctx.metrics().rounds
+}
+
+type MaxIsServer = TreeDpServer<StateEngine<MaxWeightIndependentSet>>;
+
+/// Rounds each tenant's context charges during `f`, summed over the tenants left after.
+fn server_rounds<R>(server: &mut MaxIsServer, f: impl FnOnce(&mut MaxIsServer) -> R) -> u64 {
+    let rounds = |s: &MaxIsServer| -> BTreeMap<String, u64> {
+        s.tenant_ids()
+            .into_iter()
+            .map(|id| {
+                let r = s.context(&id).unwrap().metrics().rounds;
+                (id, r)
+            })
+            .collect()
+    };
+    let before = rounds(server);
+    f(server);
+    rounds(server)
+        .into_iter()
+        .map(|(id, r)| r - before.get(&id).copied().unwrap_or(0))
+        .sum()
+}
+
+/// Measure every entry point of [`cost_classes_hold_on_measured_rounds`] on `tree`.
+fn class_run(name: &str, tree: &Tree, threshold: Option<usize>) -> ClassRun {
+    let n = tree.len();
+    let cfg = MpcConfig::new(2 * n, 0.5);
+    let mut ctx = MpcContext::new(cfg);
+    let input = || TreeInput::ListOfEdges(ListOfEdges::from_tree(tree));
+    let mut prepared = prepare(&mut ctx, input(), threshold).unwrap();
+    let plan = prepared.plan(&mut ctx).clone();
+    let weights: Vec<(NodeId, i64)> = (0..n as u64).map(|v| (v, 1 + (v % 30) as i64)).collect();
+    let node_w = ctx.from_vec(weights.clone());
+    let unit = ctx.from_vec((0..n as u64).map(|v| (v, ())).collect());
+    let edge_w = ctx.from_vec((1..n as u64).map(|v| (v, (v % 7 + 1) as i64)).collect());
+    let no_edges = ctx.from_vec(Vec::<(u64, ())>::new());
+    let is = || StateEngine::new(MaxWeightIndependentSet);
+    let spread =
+        |k: usize| -> Vec<NodeId> { (0..k).map(|i| (1 + i * (n - 1) / k) as u64).collect() };
+    // Prepare, plan build and one solve so far: the reference `admit` is held to.
+    let fresh =
+        ctx.metrics().rounds + rounds_of(&mut ctx, |c| plan.solve(c, &is(), &node_w, 0, &no_edges));
+
+    let keys: Vec<u64> = (0..n as u64).collect();
+    let table = ctx.from_vec(keys.iter().map(|&v| (v, v)).collect());
+    let reqs = ctx.from_vec(keys.clone());
+    let join2 = rounds_of(&mut ctx, |c| {
+        c.join_lookup2(reqs, |r| *r, |r| (*r + 1) % n as u64, &table, |t| t.0)
+    });
+    let grouped = ctx.from_vec(keys.iter().map(|&v| (v / 4, v)).collect());
+    let runs = rounds_of(&mut ctx, |c| {
+        c.gather_group_runs(grouped, |r| r.0, |r| u32::from(r.0 >= n as u64 / 8))
+    });
+
+    // Pointer jumping to the root: one doubling step per charged exchange.
+    let parent = |v: usize| tree.parent(v).unwrap_or(v) as u64;
+    let mut states = ctx.from_vec(
+        keys.iter()
+            .map(|&v| (v, parent(v as usize), v == parent(v as usize)))
+            .collect(),
+    );
+    let converge = rounds_of(&mut ctx, |c| {
+        let update = |s: &mut (u64, u64, bool), answers: &[(u64, Option<(u64, bool)>)]| {
+            if let Some((_, Some(next))) = answers.first() {
+                (s.1, s.2) = *next;
+            }
+        };
+        let requests = |s: &(u64, u64, bool), out: &mut Vec<u64>| out.extend((!s.2).then_some(s.1));
+        c.try_converge(
+            &mut states,
+            |s| s.0,
+            requests,
+            |s| (s.1, s.2),
+            update,
+            "jump",
+        )
+        .unwrap()
+    });
+    let children = |v: usize| tree.children(v).iter().map(|&c| c as u64).collect();
+    let adjacency = ctx.from_vec(keys.iter().map(|&v| (v, children(v as usize))).collect());
+    let sizes = rounds_of(&mut ctx, |c| count_subtree_sizes(c, adjacency, 64).unwrap());
+    let is_path = |v: usize| tree.parent(v).is_some() && tree.children(v).len() == 1;
+    let path_node = |v: usize| {
+        let (up, down) = (tree.parent(v).unwrap(), tree.children(v)[0]);
+        PathNode {
+            id: v as u64,
+            up: up as u64,
+            up_is_path: is_path(up),
+            down: down as u64,
+            down_is_path: is_path(down),
+            out_edge: DirectedEdge::new(v as u64, up as u64),
+            child_edge: DirectedEdge::new(down as u64, v as u64),
+        }
+    };
+    let path_nodes = ctx.from_vec((0..n).filter(|&v| is_path(v)).map(path_node).collect());
+    let distances = rounds_of(&mut ctx, |c| path_distances(c, path_nodes).unwrap());
+
+    let solve = rounds_of(&mut ctx, |c| plan.solve(c, &is(), &node_w, 0, &no_edges));
+    let with_store = rounds_of(&mut ctx, |c| {
+        plan.solve_with_store(c, &is(), &node_w, 0, &no_edges)
+    });
+    let engine = is();
+    let many = rounds_of(&mut ctx, |c| {
+        plan.solve_many(c, &[(&engine, &node_w, 0, &no_edges)])
+    });
+
+    let before = ctx.metrics().rounds;
+    let mut solver = IncrementalSolver::new(&mut ctx, &prepared, is(), &node_w, 0, &no_edges);
+    let new = ctx.metrics().rounds - before;
+    let mm = StateEngine::new(MaxWeightMatching);
+    let mut matching = IncrementalSolver::new(&mut ctx, &prepared, mm, &unit, (), &edge_w);
+    let [node, edge, mixed] = [0, 1, 2].map(|what| {
+        Vec::from([1, 256].map(|k| {
+            let ids = spread(k);
+            let updates: Vec<(NodeId, i64)> =
+                ids.iter().map(|&v| (v, 1000 + v as i64 + what)).collect();
+            let units: Vec<(NodeId, ())> = ids.iter().map(|&v| (v, ())).collect();
+            rounds_of(&mut ctx, |c| match what {
+                0 => solver.update_node_inputs(c, &updates),
+                1 => matching.update_edge_inputs(c, &updates),
+                _ => solver.apply_batch(c, &updates, &units),
+            })
+        }))
+    });
+    let solution = rounds_of(&mut ctx, |c| solver.solution(c));
+    let link = StructuralBatch::new().link(n as u64 / 2, n as u64, 1, ());
+    let structural = rounds_of(&mut ctx, |c| {
+        solver.apply_structural(c, &mut prepared, &link).unwrap()
+    });
+    let linked = (0..n)
+        .map(|v| tree.parent(v))
+        .chain([Some(n / 2)])
+        .collect();
+    let linked = fresh_pipeline_rounds(&Tree::from_parents(linked), threshold);
+
+    let mut server = TreeDpServer::new(ServerConfig {
+        plan_budget_words: usize::MAX,
+    });
+    let spec = TenantSpec {
+        config: cfg,
+        input: input(),
+        threshold,
+        problem: is(),
+        node_inputs: weights.clone(),
+        aux_input: 0,
+        edge_inputs: Vec::new(),
+    };
+    let admit = server_rounds(&mut server, |s| s.admit("t", spec).unwrap());
+    let (node_inputs, edge_inputs) = (weights, Vec::new());
+    let query = Request::Query {
+        node_inputs,
+        edge_inputs,
+    };
+    let submit = server_rounds(&mut server, |s| s.submit("t", query));
+    let mut flush = vec![server_rounds(&mut server, TreeDpServer::flush)];
+    for k in [1, 256] {
+        let (node_updates, edge_updates) = (spread(k).iter().map(|&v| (v, 7)).collect(), vec![]);
+        server.submit(
+            "t",
+            Request::Update {
+                node_updates,
+                edge_updates,
+            },
+        );
+        flush.push(server_rounds(&mut server, TreeDpServer::flush));
+    }
+    let bytes = server.snapshot_tenant("t").unwrap();
+    assert!(server.remove_tenant("t"));
+    // The restored tenant's context is new, so this is everything the restore charged
+    // to it.
+    let restore = server_rounds(&mut server, |s| s.restore_tenant(&bytes, is()).unwrap());
+
+    use Class::{Const, Layers, Log, Prepare};
+    let rows = vec![
+        ("MpcContext::join_lookup2", Const, vec![join2]),
+        ("MpcContext::gather_group_runs", Const, vec![runs]),
+        ("MpcContext::try_converge", Log, vec![converge]),
+        ("count_subtree_sizes", Log, vec![sizes]),
+        ("path_distances", Log, vec![distances]),
+        ("SolvePlan::solve", Layers, vec![solve]),
+        ("SolvePlan::solve_with_store", Layers, vec![with_store]),
+        ("SolvePlan::solve_many", Layers, vec![many]),
+        ("IncrementalSolver::new", Layers, vec![new]),
+        ("IncrementalSolver::update_node_inputs", Layers, node),
+        ("IncrementalSolver::update_edge_inputs", Layers, edge),
+        ("IncrementalSolver::apply_batch", Layers, mixed),
+        ("IncrementalSolver::solution", Const, vec![solution]),
+        (
+            "IncrementalSolver::apply_structural",
+            Prepare(linked),
+            vec![structural],
+        ),
+        ("TreeDpServer::admit", Prepare(fresh), vec![admit]),
+        ("TreeDpServer::submit", Const, vec![submit]),
+        ("TreeDpServer::flush", Layers, flush),
+        ("TreeDpServer::restore_tenant", Const, vec![restore]),
+    ];
+    ClassRun {
+        name: name.to_string(),
+        layers: u64::from(plan.num_layers()),
+        agg_rounds: ctx.agg_rounds(),
+        rows,
+    }
+}
+
+/// The round class of every public entry point that can reach an `MpcContext`
+/// mutably, measured rather than declared: path and star at n = 2^10 and 2^14 (both
+/// with `agg_rounds` = 1; the sizes between sit on the cliff), each at the default
+/// cluster threshold and at 4, so the layer counts differ at equal sizes. Incremental
+/// batches and server flushes run at 1 and 256 elements, so an exchange inside a
+/// data-dependent loop on any reached path breaks its row. On failure the measured
+/// table is printed. `TreeDpServer::remove_tenant` has no row: it drops the tenant's
+/// context with its state, a host-side operation that no remaining context can see.
+#[test]
+fn cost_classes_hold_on_measured_rounds() {
+    let mut runs = Vec::new();
+    for n in [1 << 10, 1 << 14] {
+        for (shape, tree) in [("path", shapes::path(n)), ("star", shapes::star(n))] {
+            for (t, threshold) in [("default", None), ("4", Some(4))] {
+                runs.push(class_run(&format!("{shape}-{n}/{t}"), &tree, threshold));
+            }
+        }
+    }
+    let mut errors = Vec::new();
+    let mut table = format!("{:<38}", "layers / agg_rounds");
+    for run in &runs {
+        table += &format!(" {:>16}", format!("{}/{}", run.layers, run.agg_rounds));
+    }
+    if runs.iter().any(|r| r.agg_rounds != runs[0].agg_rounds) {
+        errors.push("agg_rounds differs across configs".to_string());
+    }
+    for (i, (name, class, first)) in runs[0].rows.iter().enumerate() {
+        table += &format!("\n{name:<38}");
+        for run in &runs {
+            let (_, class, rounds) = &run.rows[i];
+            let cell: Vec<String> = rounds.iter().map(u64::to_string).collect();
+            table += &format!(" {:>16}", cell.join("/"));
+            let bound = match class {
+                Class::Layers => 2 * run.layers + 1,
+                Class::Prepare(fresh) => *fresh,
+                Class::Const | Class::Log => u64::MAX,
+            };
+            if rounds.iter().any(|&r| r > bound) {
+                errors.push(format!("{name} on {}: {cell:?} over {bound}", run.name));
+            }
+            if matches!(class, Class::Const) && rounds != first {
+                errors.push(format!("{name} on {}: {cell:?}, not const", run.name));
+            }
+        }
+        if !matches!(class, Class::Log) {
+            continue;
+        }
+        // Runs are ordered size, shape, threshold: the 2^14 run of config `j` is `j + 4`.
+        for j in 0..4 {
+            let (small, large) = (&runs[j].rows[i].2, &runs[j + 4].rows[i].2);
+            let star = runs[j].name.starts_with("star");
+            let grew = large.iter().zip(small).any(|(l, s)| {
+                if star {
+                    l != s
+                } else {
+                    *l > s + LOG_ROUNDS * 4
+                }
+            });
+            if grew {
+                errors.push(format!(
+                    "{name}: {small:?} at 2^10 vs {large:?} at 2^14 on {}",
+                    runs[j].name
+                ));
+            }
+        }
+    }
+    assert!(
+        errors.is_empty(),
+        "cost classes broken:\n  {}\nmeasured rounds:\n{table}",
         errors.join("\n  ")
     );
 }

@@ -2,9 +2,10 @@
 //! `solve_many` → store export → incremental `apply_batch` — runs under strict
 //! accounting without a single recorded model violation.
 //!
-//! This suite is the dynamic counterpart of the `mpc-lint` static rules: what the
-//! linter cannot prove about round/volume/memory accounting, these runs observe (and
-//! strict mode turns any violation into an immediate panic at the offending call).
+//! This suite is the memory and bandwidth half of the model checks; the round classes
+//! are measured by `cost_classes_hold_on_measured_rounds` (`integration_plan.rs`) and
+//! hot-path allocation by `crates/mpc/tests/alloc_steady_state.rs`. Strict mode turns
+//! any violation into an immediate panic at the offending call.
 
 use mpc_tree_dp::clustering::EdgeKind;
 use mpc_tree_dp::core::solve_sequential;
