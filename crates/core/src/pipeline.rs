@@ -145,10 +145,9 @@ impl PreparedTree {
     }
 
     /// Build a fresh [`SolvePlan`] for this tree, bypassing (and not touching) the
-    /// [`plan`](Self::plan) cache. Every call re-charges the full `plan-build` phase —
-    /// this is the primitive an external plan cache (e.g. the serving layer's
-    /// memory-budgeted cache) uses to make eviction a *real* cost: after dropping a
-    /// tenant's plan, the rebuild goes through here and the miss shows up in rounds.
+    /// [`plan`](Self::plan) cache. Every call re-charges the full `plan-build` phase.
+    /// It serves callers that keep the plan elsewhere: the serving layer builds each
+    /// tenant's plan here once and keeps it only in the tenant's solver store.
     pub fn plan_uncached(&self, ctx: &mut MpcContext) -> SolvePlan {
         build_plan(ctx, &self.clustering, &self.edges, &self.aux_to_original)
     }
@@ -238,20 +237,10 @@ impl PreparedTree {
         }
     }
 
-    /// Install an externally held [`SolvePlan`] as this tree's cached plan (replacing
-    /// any cached one). The serving layer uses this handshake to let a structural
-    /// repair splice the plan it keeps in its memory-budgeted cache: take the plan out
-    /// of the cache, install it here, run the repair, then [`take_plan`](Self::take_plan)
-    /// it back.
-    pub fn install_plan(&mut self, plan: SolvePlan) {
-        self.plan.take();
-        let _ = self.plan.set(plan);
-    }
-
     /// Remove and return the cached [`SolvePlan`], leaving the tree plan-less (the
-    /// next [`plan`](Self::plan) call re-charges a full `plan-build`). This is also
-    /// the plan-invalidation primitive: a caller that mutated the tree in a way the
-    /// splice cannot follow (e.g. a degraded re-prepare) drops the stale plan here.
+    /// next [`plan`](Self::plan) call re-charges a full `plan-build`). The serving
+    /// layer drops the plan a degraded re-prepare caches here, since the tenant's
+    /// solver store already holds a copy.
     pub fn take_plan(&mut self) -> Option<SolvePlan> {
         self.plan.take()
     }

@@ -942,7 +942,7 @@ impl SolvePlan {
     /// Approximate resident size of the plan in machine words: the skeleton views
     /// plus the routing indexes, counting one key word per entry and one word per slot
     /// coordinate (four for a member slot, three for a view slot). This
-    /// is the charge a plan cache levies against its memory budget — an estimate of
+    /// is what the serving layer counts in a tenant's resident bytes — an estimate of
     /// what keeping the plan warm costs, not an exact allocator measurement.
     pub fn resident_words(&self) -> usize {
         let skeletons: usize = self

@@ -6,8 +6,9 @@
 //! pushes that reuse one step further. It holds
 //!
 //! * a [`SolvePlan`] — the same type, spliced by the same code, as the plan a
-//!   [`PreparedTree`](crate::PreparedTree) caches; the store owns its own value
-//!   because a cache may evict the tree's plan while the store keeps serving updates,
+//!   [`PreparedTree`](crate::PreparedTree) caches; the store owns its own value, so a
+//!   caller may keep the plan in the store alone (the serving layer holds each
+//!   tenant's one plan here and none on the tree),
 //! * the [`SlotState`](crate::SlotState) of every view, aligned slot for slot with that
 //!   plan's skeletons (`state[layer - 1][machine][view]`): the payloads and edge inputs
 //!   [`SolvePlan::solve`] routes into place and then drops, and
@@ -290,6 +291,7 @@ mod tests {
         KIND_PREPARED_TREE, KIND_STORE,
     };
     use mpc_engine::MpcConfig;
+    use std::cell::OnceCell;
     use tree_gen::shapes;
     use tree_repr::{ListOfEdges, TreeInput};
 
@@ -432,7 +434,7 @@ mod tests {
             );
 
             let mut tree = prepared.clone();
-            tree.install_plan(bad.clone());
+            tree.plan = OnceCell::from(bad.clone());
             let decoded = decode_resealed(KIND_PREPARED_TREE, &tree).map(|_| ());
             assert_eq!(decoded, refused, "prepared tree");
 
@@ -461,7 +463,7 @@ mod tests {
         let mut foreign = prepared.clone();
         let mut other = plan.clone();
         other.root += 1;
-        foreign.install_plan(other);
+        foreign.plan = OnceCell::from(other);
         assert!(matches!(
             decode_resealed(KIND_PREPARED_TREE, &foreign).map(|_| ()),
             Err(SnapshotError::Malformed(_))

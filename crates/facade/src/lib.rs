@@ -9,8 +9,8 @@
 //! * [`core`] — the DP framework and solver (Definition 1, Section 5),
 //! * [`incremental`] — batched input *and* structural (link/cut) updates re-solved
 //!   on the cached clustering,
-//! * [`server`] — the multi-tenant serving layer (snapshot persistence,
-//!   memory-budgeted plan cache, admission batching, per-tenant metrics),
+//! * [`server`] — the multi-tenant serving layer (snapshot persistence, one plan
+//!   per tenant, admission batching, per-tenant metrics),
 //! * [`problems`] — the Table-1 problem library,
 //! * [`gen`] — synthetic workload generators.
 //!

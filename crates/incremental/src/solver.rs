@@ -74,8 +74,8 @@ where
     /// already-planned tree charges only the cheap evaluation pass (and building
     /// several solvers — or mixing incremental updates with
     /// [`SolvePlan::solve`](tree_dp_core::SolvePlan::solve) calls for other problems —
-    /// shares one assembly). The solver keeps its own copy of that plan: whoever holds
-    /// the tree's plan may drop it (a plan cache evicting it) and the solver still
+    /// shares one assembly). The solver keeps its own copy of that plan in its store,
+    /// so the tree's may be dropped ([`PreparedTree::take_plan`]) and the solver still
     /// serves updates at zero rebuild rounds.
     ///
     /// * `node_inputs` — inputs of the *original* nodes.

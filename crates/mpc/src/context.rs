@@ -64,12 +64,13 @@ struct ConvergeBuf<K, A> {
     hit_words: usize,
 }
 
-impl<K, A> Default for ConvergeBuf<K, A> {
-    fn default() -> Self {
+impl<K, A> ConvergeBuf<K, A> {
+    /// Buffers for a machine holding `states` states.
+    fn with_capacity(states: usize) -> Self {
         Self {
-            emitted: Vec::new(),
-            counts: Vec::new(),
-            answers: Vec::new(),
+            emitted: Vec::with_capacity(states),
+            counts: Vec::with_capacity(states),
+            answers: Vec::with_capacity(states),
             req_words: 0,
             hit_words: 0,
         }
@@ -599,8 +600,11 @@ impl MpcContext {
         // sort; the first charge below prices it.
         let index = self.build_sorted_index(&*states, &|t: &T| state_key(t));
         let state_words = states.total_words();
-        let mut bufs: Vec<ConvergeBuf<K, A>> = (0..states.num_chunks())
-            .map(|_| ConvergeBuf::default())
+        // Sized for one request per state up front, so no machine regrows them.
+        let mut bufs: Vec<ConvergeBuf<K, A>> = states
+            .chunks()
+            .iter()
+            .map(|chunk| ConvergeBuf::with_capacity(chunk.len()))
             .collect();
         let mut active_machines: Vec<usize> = Vec::new();
         let step_bound = 2 * u64::from(states.len().max(2).next_power_of_two().ilog2()) + 8;

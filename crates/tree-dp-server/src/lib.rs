@@ -5,21 +5,21 @@
 //! traffic, which is exactly the shape the cost split invites — on `path-65536` the
 //! prepare charges ~900 rounds while four batched problem evals cost ~170.
 //!
-//! * [`TreeDpServer`] — the engine: tenant registry, request queue, flush loop.
-//! * [`PlanCache`] — memory-budgeted cache of [`SolvePlan`](tree_dp_core::SolvePlan)s
-//!   with cost-aware LRU eviction; a miss re-charges the full plan-build rounds,
-//!   making the memory/latency trade measurable ([`CacheStats::build_rounds`]).
+//! * [`TreeDpServer`] — the engine: tenant registry, request queue, flush loop. Each
+//!   tenant's incremental solver holds the tenant's one
+//!   [`SolvePlan`](tree_dp_core::SolvePlan), built at admission and spliced in place
+//!   by structural batches; queries evaluate it, and no request rebuilds it.
 //! * [`Request`]/[`Response`] — admission batching: per flush and tenant, all weight
 //!   updates fold into one incremental `apply_batch`, all structural link/cut
-//!   requests into one `apply_structural` (the cached plan is spliced in place and
-//!   re-admitted under the budget), all queries into one `solve_many` over the
-//!   cached plan.
+//!   requests into one `apply_structural`, all queries into one `solve_many` over the
+//!   solver's plan.
 //! * [`TreeDpServer::snapshot_tenant`] / [`TreeDpServer::restore_tenant`] — tenant
 //!   persistence on the hand-rolled binary codec of
 //!   [`tree_dp_core::snapshot`]: kill a server, restore the bytes elsewhere, and
 //!   serving resumes with bit-identical labels and optima.
-//! * [`TenantMetrics`] / [`CacheStats`] — per-tenant and cache-wide counters in
-//!   MPC-model terms (rounds, words, hits/misses/evictions, resident bytes).
+//! * [`TenantMetrics`] — per-tenant counters in MPC-model terms (rounds, words,
+//!   requests, resident bytes); [`CacheStats`] — server-wide plan counters derived
+//!   from the tenants.
 //!
 //! The serving layer never reads a clock and keeps all state in ordered maps, so a
 //! server run is fully deterministic; wall-clock percentiles are measured from the
@@ -28,11 +28,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cache;
 mod metrics;
 mod server;
 
-pub use cache::{PlanCache, LRU_WINDOW};
 pub use metrics::{CacheStats, TenantMetrics};
 pub use server::{
     AdmitReport, Request, Response, ServerConfig, ServerError, TenantId, TenantSpec, TreeDpServer,

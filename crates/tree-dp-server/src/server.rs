@@ -1,26 +1,24 @@
-//! The multi-tenant serving engine: tenant registry, admission batching, plan-cache
-//! routing, and snapshot persistence.
+//! The multi-tenant serving engine: tenant registry, admission batching, and
+//! snapshot persistence.
 //!
 //! ## Tenant lifecycle
 //!
 //! 1. **Admit** ([`TreeDpServer::admit`]): prepare the tenant's tree on its own
-//!    [`MpcContext`], build its [`SolvePlan`] (into the shared cache), run the
-//!    initial solve, and stand up an [`IncrementalSolver`] over the solve's store —
-//!    a copy of that plan with the problem's slot state over it. The solver's copy
-//!    is the tenant's own: evicting the cached plan takes nothing from it, so weight
-//!    and structural updates never wait for a rebuild.
+//!    [`MpcContext`], build its [`SolvePlan`] once, run the initial solve, and stand up
+//!    an [`IncrementalSolver`] over the solve's store — the plan with the problem's
+//!    slot state over it. That store holds the tenant's one plan: queries, weight
+//!    updates and structural batches all run on it, so no request ever rebuilds it.
 //! 2. **Serve** ([`TreeDpServer::submit`] + [`TreeDpServer::flush`]): queued
 //!    requests are coalesced per tenant — all weight updates of a flush fold into
 //!    *one* `apply_batch` call, all structural (link/cut) requests into *one*
 //!    [`IncrementalSolver::apply_structural`] call, and all queries into *one*
-//!    [`SolvePlan::solve_many`] call over the cached plan. Each structural request is
+//!    [`SolvePlan::solve_many`] call over the solver's plan. Each structural request is
 //!    first dry-run against the tree as the requests accepted before it leave it
 //!    ([`IncrementalSolver::validate_structural`]); one with an invalid op is rejected
-//!    on its own and the rest of the flush proceeds. The folded batch takes
-//!    the resident plan out of the cache, splices it in place — the same splice the
-//!    solver runs on its own plan — and re-admits it under the budget (a degrade
-//!    re-admits the freshly rebuilt plan instead). A flush that finds the tenant's plan evicted
-//!    transparently rebuilds it first (re-charging the full `plan-build` rounds).
+//!    on its own and the rest of the flush proceeds. The folded batch splices the
+//!    solver's plan in place; a batch that degrades re-prepares the tree and re-solves
+//!    into a fresh store, and the plan the re-prepared tree caches on the way is
+//!    dropped, so the tenant still holds one.
 //! 3. **Persist** ([`TreeDpServer::snapshot_tenant`] /
 //!    [`TreeDpServer::restore_tenant`]): a tenant serializes to a self-contained
 //!    [`KIND_TENANT`] snapshot (config, prepared tree, solver store, aux input,
@@ -29,17 +27,17 @@
 //!    carry, that store, tree and config belong together (the tree's tables span
 //!    the config's machines), and that the tree travels without a cached plan, as
 //!    the server writes it; anything else is a typed [`ServerError::Snapshot`].
-//!    Restored tenants re-enter with a cold plan cache; their first query is an
-//!    honest miss.
+//!    A restored tenant's first query charges exactly the plan-evaluation rounds.
 //!
 //! Within one flush, a tenant's weight updates apply first, then its structural
 //! batch, then its queries (the queries see the updated *and* repaired state);
 //! across tenants, groups are processed in first-submission order. Responses
 //! always come back in submission order.
+//!
+//! [`SolvePlan`]: tree_dp_core::SolvePlan
+//! [`SolvePlan::solve_many`]: tree_dp_core::SolvePlan::solve_many
 
-use crate::cache::PlanCache;
-use crate::metrics::TenantMetrics;
-use crate::CacheStats;
+use crate::metrics::{CacheStats, TenantMetrics};
 use mpc_engine::{DistVec, MpcConfig, MpcContext};
 use std::collections::BTreeMap;
 use tree_clustering::TopologyOp;
@@ -60,8 +58,9 @@ pub type TenantId = String;
 /// [`TenantMetrics`] grew its `structural` counter, 101 → 102 when the solver
 /// store inside it became a plan plus slot state, 102 → 103 when plans stopped
 /// carrying their routing indexes and the config lost its reserved byte, 103 → 104
-/// when the config lost its radix switch.
-pub const KIND_TENANT: u32 = 104;
+/// when the config lost its radix switch, 104 → 105 when [`TenantMetrics`] lost its
+/// plan-cache counters (`plan_hits`, `plan_misses`, `evictions`).
+pub const KIND_TENANT: u32 = 105;
 
 /// Why a serving-layer operation failed.
 #[derive(Debug, Clone, PartialEq)]
@@ -120,7 +119,8 @@ impl From<PipelineError> for ServerError {
 /// Server-wide configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// Memory budget of the shared plan cache, in machine words.
+    /// Read by nothing: every tenant holds its one plan in its solver's store, so no
+    /// plan budget applies. [`CacheStats::budget_words`] reports the value back.
     pub plan_budget_words: usize,
 }
 
@@ -155,7 +155,7 @@ pub struct AdmitReport {
 
 /// One queued request against a tenant.
 pub enum Request<P: ClusterDp> {
-    /// Solve one ad-hoc problem instance over the tenant's cached plan. Queries in
+    /// Solve one ad-hoc problem instance over the tenant's plan. Queries in
     /// the same flush batch into a single
     /// [`SolvePlan::solve_many`](tree_dp_core::SolvePlan::solve_many) call. A query
     /// that leaves an original
@@ -227,17 +227,144 @@ where
     metrics: TenantMetrics,
 }
 
+impl<P: ClusterDp> Tenant<P>
+where
+    P::Summary: PartialEq,
+    P::Label: PartialEq,
+{
+    /// Serve this tenant's share of a flush: fold updates, apply the folded
+    /// structural batch, batch-evaluate queries on the solver's plan, account metrics.
+    fn serve(&mut self, items: IndexedRequests<P>, responses: &mut [Option<Response<P>>]) {
+        let mut node_updates: BTreeMap<NodeId, P::NodeInput> = BTreeMap::new();
+        let mut edge_updates: BTreeMap<NodeId, P::EdgeInput> = BTreeMap::new();
+        let mut update_positions: Vec<usize> = Vec::new();
+        let mut structural_requests: Vec<(usize, StructuralBatch<P>)> = Vec::new();
+        let mut queries: Vec<QueryItem<P>> = Vec::new();
+        for (pos, req) in items {
+            match req {
+                Request::Update {
+                    node_updates: nu,
+                    edge_updates: eu,
+                } => {
+                    node_updates.extend(nu);
+                    edge_updates.extend(eu);
+                    update_positions.push(pos);
+                }
+                Request::Structural(batch) => structural_requests.push((pos, batch)),
+                Request::Query {
+                    node_inputs,
+                    edge_inputs,
+                } => queries.push((pos, node_inputs, edge_inputs)),
+            }
+        }
+        let rounds_before = self.ctx.metrics().rounds;
+        let words_before = self.ctx.metrics().total_words_sent;
+
+        // Stage 1: one folded update batch through the incremental solver.
+        if !update_positions.is_empty() {
+            let nu: Vec<(NodeId, P::NodeInput)> = node_updates.into_iter().collect();
+            let eu: Vec<(NodeId, P::EdgeInput)> = edge_updates.into_iter().collect();
+            let stats = self.solver.apply_batch(&mut self.ctx, &nu, &eu);
+            self.metrics.updates += update_positions.len() as u64;
+            for pos in update_positions {
+                responses[pos] = Some(Response::Update(stats));
+            }
+        }
+
+        // Stage 2: one folded structural batch of the requests that pass a dry run
+        // against the tree as the ones accepted before them leave it (planning costs
+        // only the records the ops address, so re-planning the accepted prefix per
+        // request is cheap).
+        let mut structural: StructuralBatch<P> = StructuralBatch::new();
+        let mut structural_positions: Vec<usize> = Vec::new();
+        let mut accepted: Vec<TopologyOp> = Vec::new();
+        for (pos, batch) in structural_requests {
+            let prefix = accepted.len();
+            accepted.extend(batch.ops().iter().map(|op| op.topology()));
+            match self.solver.validate_structural(&self.prepared, &accepted) {
+                Ok(()) => {
+                    for op in batch.into_ops() {
+                        structural.push(op);
+                    }
+                    structural_positions.push(pos);
+                }
+                Err(e) => {
+                    accepted.truncate(prefix);
+                    responses[pos] = Some(Response::Rejected(ServerError::Structural(e)));
+                }
+            }
+        }
+        if !structural_positions.is_empty() {
+            let outcome =
+                self.solver
+                    .apply_structural(&mut self.ctx, &mut self.prepared, &structural);
+            // A degrade re-prepares the tree and caches the plan it re-solves on; the
+            // new store holds a copy, so the tree's goes and the tenant keeps one.
+            self.prepared.take_plan();
+            match outcome {
+                Ok(stats) => {
+                    self.metrics.structural += structural_positions.len() as u64;
+                    for pos in structural_positions {
+                        responses[pos] = Some(Response::Structural(stats));
+                    }
+                }
+                Err(e) => {
+                    for pos in structural_positions {
+                        responses[pos] =
+                            Some(Response::Rejected(ServerError::Structural(e.clone())));
+                    }
+                }
+            }
+        }
+
+        // Stage 3: the queries, batched over the solver's plan.
+        if !queries.is_empty() {
+            let plan = self.solver.store().plan();
+            // An incomplete query would panic the evaluation pass and take the whole
+            // flush with it: reject it alone.
+            let original_nodes = self.prepared.original_nodes;
+            queries.retain(
+                |(pos, ni, _)| match plan.missing_node_input(ni, original_nodes) {
+                    Some(missing) => {
+                        responses[*pos] =
+                            Some(Response::Rejected(ServerError::InvalidQuery { missing }));
+                        false
+                    }
+                    None => true,
+                },
+            );
+            let mut tables: Vec<InputTables<P>> = Vec::with_capacity(queries.len());
+            for (_, ni, ei) in &queries {
+                let n = self.ctx.from_vec(ni.clone());
+                let e = self.ctx.from_vec(ei.clone());
+                tables.push((n, e));
+            }
+            let jobs: Vec<_> = tables
+                .iter()
+                .map(|(n, e)| (self.solver.problem(), n, self.aux_input.clone(), e))
+                .collect();
+            let sols = plan.solve_many(&mut self.ctx, &jobs);
+            self.metrics.queries += queries.len() as u64;
+            for ((pos, _, _), sol) in queries.into_iter().zip(sols) {
+                responses[pos] = Some(Response::Solution(sol));
+            }
+        }
+
+        self.metrics.rounds_charged += self.ctx.metrics().rounds - rounds_before;
+        self.metrics.words_sent += self.ctx.metrics().total_words_sent - words_before;
+    }
+}
+
 /// A long-lived, multi-tenant tree-DP serving engine (see module docs).
 ///
 /// One server instance serves one problem type `P`; each tenant owns its tree, its
-/// [`MpcContext`], and its incremental solver state, while all tenants share the
-/// memory-budgeted plan cache.
+/// [`MpcContext`], and its incremental solver, whose store holds the tenant's plan.
 pub struct TreeDpServer<P: ClusterDp>
 where
     P::Summary: PartialEq,
     P::Label: PartialEq,
 {
-    cache: PlanCache,
+    config: ServerConfig,
     tenants: BTreeMap<TenantId, Tenant<P>>,
     queue: Vec<(TenantId, Request<P>)>,
 }
@@ -247,17 +374,17 @@ where
     P::Summary: PartialEq,
     P::Label: PartialEq,
 {
-    /// An empty server with the given plan-cache budget.
+    /// An empty server.
     pub fn new(config: ServerConfig) -> Self {
         Self {
-            cache: PlanCache::new(config.plan_budget_words),
+            config,
             tenants: BTreeMap::new(),
             queue: Vec::new(),
         }
     }
 
-    /// Admit a new tenant: prepare its tree, build and cache its plan, run the
-    /// initial solve, and stand up its incremental solver (see module docs).
+    /// Admit a new tenant: prepare its tree, build its plan, run the initial solve,
+    /// and stand up its incremental solver over the solve's store (see module docs).
     pub fn admit(
         &mut self,
         id: impl Into<TenantId>,
@@ -271,9 +398,8 @@ where
         let r0 = ctx.metrics().rounds;
         let prepared = prepare(&mut ctx, spec.input, spec.threshold)?;
         let r1 = ctx.metrics().rounds;
-        // Build the plan through the cache path (never the tree's own OnceCell):
-        // eviction must leave the tenant plan-less so a later flush genuinely
-        // re-charges the build.
+        // Built beside the tree, not cached on it: the store the solve fills keeps the
+        // tenant's only copy.
         let plan = prepared.plan_uncached(&mut ctx);
         let r2 = ctx.metrics().rounds;
 
@@ -289,12 +415,6 @@ where
         let r3 = ctx.metrics().rounds;
         let solver = IncrementalSolver::restore(spec.problem, store, spec.aux_input.clone());
 
-        let evicted = self.cache.insert(id.clone(), plan, r2 - r1);
-        for ev in &evicted {
-            if let Some(t) = self.tenants.get_mut(ev) {
-                t.metrics.evictions += 1;
-            }
-        }
         let metrics = TenantMetrics {
             rounds_charged: r3 - r0,
             words_sent: ctx.metrics().total_words_sent,
@@ -333,8 +453,6 @@ where
     /// `solve_many` over all queries — see module docs).
     pub fn flush(&mut self) -> Vec<(TenantId, Response<P>)> {
         let queue = std::mem::take(&mut self.queue);
-        let cache = &mut self.cache;
-        let tenants = &mut self.tenants;
 
         // Group requests by tenant, keeping first-submission order of the groups.
         let mut group_index: BTreeMap<TenantId, usize> = BTreeMap::new();
@@ -351,14 +469,15 @@ where
 
         let mut responses: Vec<Option<Response<P>>> = ids.iter().map(|_| None).collect();
         for (id, items) in groups {
-            if !tenants.contains_key(&id) {
-                for (pos, _) in items {
-                    responses[pos] =
-                        Some(Response::Rejected(ServerError::UnknownTenant(id.clone())));
+            match self.tenants.get_mut(&id) {
+                Some(tenant) => tenant.serve(items, &mut responses),
+                None => {
+                    for (pos, _) in items {
+                        responses[pos] =
+                            Some(Response::Rejected(ServerError::UnknownTenant(id.clone())));
+                    }
                 }
-                continue;
             }
-            Self::serve_group(cache, tenants, &id, items, &mut responses);
         }
 
         ids.into_iter()
@@ -369,203 +488,6 @@ where
                 (id, resp)
             })
             .collect()
-    }
-
-    /// Serve one tenant's share of a flush: fold updates, apply the folded
-    /// structural batch (plan handshake with the cache), ensure the plan is
-    /// resident, batch-evaluate queries, account metrics.
-    fn serve_group(
-        cache: &mut PlanCache,
-        tenants: &mut BTreeMap<TenantId, Tenant<P>>,
-        id: &str,
-        items: IndexedRequests<P>,
-        responses: &mut [Option<Response<P>>],
-    ) {
-        let mut node_updates: BTreeMap<NodeId, P::NodeInput> = BTreeMap::new();
-        let mut edge_updates: BTreeMap<NodeId, P::EdgeInput> = BTreeMap::new();
-        let mut update_positions: Vec<usize> = Vec::new();
-        let mut structural_requests: Vec<(usize, StructuralBatch<P>)> = Vec::new();
-        let mut queries: Vec<QueryItem<P>> = Vec::new();
-        for (pos, req) in items {
-            match req {
-                Request::Update {
-                    node_updates: nu,
-                    edge_updates: eu,
-                } => {
-                    node_updates.extend(nu);
-                    edge_updates.extend(eu);
-                    update_positions.push(pos);
-                }
-                Request::Structural(batch) => structural_requests.push((pos, batch)),
-                Request::Query {
-                    node_inputs,
-                    edge_inputs,
-                } => queries.push((pos, node_inputs, edge_inputs)),
-            }
-        }
-
-        let (rounds_before, words_before) = match tenants.get(id) {
-            Some(t) => (t.ctx.metrics().rounds, t.ctx.metrics().total_words_sent),
-            None => return,
-        };
-
-        // Stage 1: one folded update batch through the incremental solver.
-        if !update_positions.is_empty() {
-            if let Some(tenant) = tenants.get_mut(id) {
-                let nu: Vec<(NodeId, P::NodeInput)> = node_updates.into_iter().collect();
-                let eu: Vec<(NodeId, P::EdgeInput)> = edge_updates.into_iter().collect();
-                let stats = tenant.solver.apply_batch(&mut tenant.ctx, &nu, &eu);
-                tenant.metrics.updates += update_positions.len() as u64;
-                for pos in update_positions {
-                    responses[pos] = Some(Response::Update(stats));
-                }
-            }
-        }
-
-        // Stage 2: one folded structural batch of the requests that pass a dry run
-        // against the tree as the ones accepted before them leave it (planning costs
-        // only the records the ops address, so re-planning the accepted prefix per
-        // request is cheap). The resident plan (if any) is taken *out* of the cache and
-        // installed on the prepared tree so the repair can splice its skeleton in
-        // place; afterwards the plan — spliced on a local repair, freshly rebuilt on a
-        // degrade, untouched when nothing applied — goes back through `put_entry`,
-        // which re-applies the budget.
-        let mut structural: StructuralBatch<P> = StructuralBatch::new();
-        let mut structural_positions: Vec<usize> = Vec::new();
-        if let Some(tenant) = tenants.get_mut(id) {
-            let mut accepted: Vec<TopologyOp> = Vec::new();
-            for (pos, batch) in structural_requests {
-                let prefix = accepted.len();
-                accepted.extend(batch.ops().iter().map(|op| op.topology()));
-                match tenant
-                    .solver
-                    .validate_structural(&tenant.prepared, &accepted)
-                {
-                    Ok(()) => {
-                        for op in batch.into_ops() {
-                            structural.push(op);
-                        }
-                        structural_positions.push(pos);
-                    }
-                    Err(e) => {
-                        accepted.truncate(prefix);
-                        responses[pos] = Some(Response::Rejected(ServerError::Structural(e)));
-                    }
-                }
-            }
-        }
-        if !structural_positions.is_empty() {
-            let evicted = if let Some(tenant) = tenants.get_mut(id) {
-                let taken = cache.take_entry(id);
-                let build_rounds = taken.as_ref().map_or(0, |(_, r)| *r);
-                if let Some((plan, _)) = taken {
-                    tenant.prepared.install_plan(plan);
-                }
-                match tenant.solver.apply_structural(
-                    &mut tenant.ctx,
-                    &mut tenant.prepared,
-                    &structural,
-                ) {
-                    Ok(stats) => {
-                        tenant.metrics.structural += structural_positions.len() as u64;
-                        for pos in structural_positions {
-                            responses[pos] = Some(Response::Structural(stats));
-                        }
-                    }
-                    Err(e) => {
-                        for pos in structural_positions {
-                            responses[pos] =
-                                Some(Response::Rejected(ServerError::Structural(e.clone())));
-                        }
-                    }
-                }
-                match tenant.prepared.take_plan() {
-                    Some(plan) => cache.put_entry(id.to_string(), plan, build_rounds),
-                    None => Vec::new(),
-                }
-            } else {
-                Vec::new()
-            };
-            for ev in &evicted {
-                if let Some(t) = tenants.get_mut(ev) {
-                    t.metrics.evictions += 1;
-                }
-            }
-        }
-
-        // Stage 3: queries over the cached plan, rebuilding on a miss.
-        if !queries.is_empty() {
-            let evicted = if cache.lookup(id) {
-                if let Some(tenant) = tenants.get_mut(id) {
-                    tenant.metrics.plan_hits += 1;
-                }
-                Vec::new()
-            } else if let Some(tenant) = tenants.get_mut(id) {
-                let before = tenant.ctx.metrics().rounds;
-                let plan = tenant.prepared.plan_uncached(&mut tenant.ctx);
-                let build_rounds = tenant.ctx.metrics().rounds - before;
-                tenant.metrics.plan_misses += 1;
-                cache.insert(id.to_string(), plan, build_rounds)
-            } else {
-                Vec::new()
-            };
-            for ev in &evicted {
-                if let Some(t) = tenants.get_mut(ev) {
-                    t.metrics.evictions += 1;
-                }
-            }
-
-            if let Some(tenant) = tenants.get_mut(id) {
-                match cache.plan(id) {
-                    Some(plan) => {
-                        // An incomplete query would panic the evaluation pass and
-                        // take the whole flush with it: reject it alone.
-                        let original_nodes = tenant.prepared.original_nodes;
-                        queries.retain(|(pos, ni, _)| {
-                            match plan.missing_node_input(ni, original_nodes) {
-                                Some(missing) => {
-                                    responses[*pos] =
-                                        Some(Response::Rejected(ServerError::InvalidQuery {
-                                            missing,
-                                        }));
-                                    false
-                                }
-                                None => true,
-                            }
-                        });
-                        let solver = &tenant.solver;
-                        let ctx = &mut tenant.ctx;
-                        let mut tables: Vec<InputTables<P>> = Vec::with_capacity(queries.len());
-                        for (_, ni, ei) in &queries {
-                            let n = ctx.from_vec(ni.clone());
-                            let e = ctx.from_vec(ei.clone());
-                            tables.push((n, e));
-                        }
-                        let jobs: Vec<_> = tables
-                            .iter()
-                            .map(|(n, e)| (solver.problem(), n, tenant.aux_input.clone(), e))
-                            .collect();
-                        let sols = plan.solve_many(ctx, &jobs);
-                        tenant.metrics.queries += queries.len() as u64;
-                        for ((pos, _, _), sol) in queries.into_iter().zip(sols) {
-                            responses[pos] = Some(Response::Solution(sol));
-                        }
-                    }
-                    None => {
-                        for (pos, _, _) in queries {
-                            responses[pos] = Some(Response::Rejected(ServerError::Internal(
-                                "plan not resident",
-                            )));
-                        }
-                    }
-                }
-            }
-        }
-
-        if let Some(tenant) = tenants.get_mut(id) {
-            tenant.metrics.rounds_charged += tenant.ctx.metrics().rounds - rounds_before;
-            tenant.metrics.words_sent += tenant.ctx.metrics().total_words_sent - words_before;
-        }
     }
 
     /// Number of admitted tenants.
@@ -579,23 +501,32 @@ where
     }
 
     /// This tenant's serving counters, with `resident_bytes` computed now (prepared
-    /// tree + solver store + cached plan when resident, at 8 bytes per word).
+    /// tree + solver store, plan included, at 8 bytes per word).
     pub fn tenant_metrics(&self, id: &str) -> Option<TenantMetrics> {
         let tenant = self.tenants.get(id)?;
-        let plan_words = self
-            .cache
-            .plan(id)
-            .map_or(0, tree_dp_core::SolvePlan::resident_words);
-        let words =
-            tenant.prepared.resident_words() + tenant.solver.store().resident_words() + plan_words;
+        let words = tenant.prepared.resident_words() + tenant.solver.store().resident_words();
         let mut m = tenant.metrics;
         m.resident_bytes = words * 8;
         Some(m)
     }
 
-    /// A point-in-time snapshot of the shared plan cache's counters.
+    /// The plan counters of the server, derived from its tenants: each holds its
+    /// plan, so every query is answered from a resident plan and none is evicted or
+    /// rebuilt (see [`CacheStats`]).
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        CacheStats {
+            hits: self.tenants.values().map(|t| t.metrics.queries).sum(),
+            misses: 0,
+            evictions: 0,
+            build_rounds: 0,
+            resident_words: self
+                .tenants
+                .values()
+                .map(|t| t.solver.store().plan().resident_words())
+                .sum(),
+            resident_plans: self.tenants.len(),
+            budget_words: self.config.plan_budget_words,
+        }
     }
 
     /// The tenant's MPC context (e.g. to assert strict-mode compliance in tests).
@@ -613,10 +544,9 @@ where
         self.tenants.get(id).map(|t| t.solver.labels())
     }
 
-    /// Drop a tenant, its cached plan, and any of its queued requests. Returns
-    /// `true` when the tenant existed.
+    /// Drop a tenant and any of its queued requests. Returns `true` when the tenant
+    /// existed.
     pub fn remove_tenant(&mut self, id: &str) -> bool {
-        self.cache.remove(id);
         self.queue.retain(|(qid, _)| qid != id);
         self.tenants.remove(id).is_some()
     }
@@ -632,10 +562,8 @@ where
     P::Label: Snapshot,
 {
     /// Serialize `id` as a self-contained [`KIND_TENANT`] snapshot: config,
-    /// prepared tree, solver store (the solver's own plan and slot state), aux
-    /// input, and metrics. The plan cache's entry deliberately does *not* travel —
-    /// a restored tenant's first query is an honest cache miss that rebuilds it
-    /// (plans are a pure function of the clustering).
+    /// prepared tree (without a cached plan), solver store (the tenant's plan and
+    /// slot state), aux input, and metrics.
     pub fn snapshot_tenant(&self, id: &str) -> Result<Vec<u8>, ServerError> {
         let tenant = self
             .tenants
@@ -665,9 +593,9 @@ where
         let metrics = TenantMetrics::decode(&mut r)?;
         r.finish().map_err(ServerError::from)?;
         // Each part decoded sound on its own; they must also be parts of one tenant.
-        // A tenant's tree travels plan-less: the flush moves a cached plan into the
-        // plan cache and evaluates it on this tenant's machines, whatever it was
-        // built for.
+        // A tenant's tree travels plan-less: its one plan is the store's, and a tree
+        // carrying another — built for whatever machines — is not what the server
+        // writes.
         if prepared.has_plan() {
             return Err(SnapshotError::Malformed("tenant tree with a cached plan").into());
         }
@@ -685,8 +613,8 @@ where
         if plan.num_machines() != config.num_machines() {
             return Err(SnapshotError::Malformed("solver store of another machine count").into());
         }
-        // A query that misses the plan cache rebuilds the plan from the tree's tables
-        // on this tenant's machines, so they must be laid out on exactly those.
+        // Local structural repairs splice the tree's tables in place on this tenant's
+        // machines, so they must be laid out on exactly those.
         let chunks = [
             clustering.elements.num_chunks(),
             prepared.edges.num_chunks(),

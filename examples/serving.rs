@@ -1,11 +1,11 @@
 //! Tree-DP-as-a-service: a multi-tenant server under a mixed query/update workload.
 //!
-//! Several tenants — each with its own tree, weights, and MPC context — share one
-//! memory-budgeted plan cache. Queries batch into a single `solve_many` per tenant
-//! and flush, updates fold into one incremental `apply_batch`; a tenant whose plan
-//! was evicted is served transparently, re-charging the plan-build rounds. At the
-//! end, one tenant is snapshotted, "killed", and restored onto a fresh server to
-//! show that serving resumes bit-identically.
+//! Several tenants — each with its own tree, weights, MPC context and solve plan —
+//! share one server. Queries batch into a single `solve_many` per tenant and flush,
+//! updates fold into one incremental `apply_batch`; every tenant answers from the
+//! plan its solver holds, so no flush rebuilds one. At the end, one tenant is
+//! snapshotted, "killed", and restored onto a fresh server to show that serving
+//! resumes bit-identically, its first query at exactly the plan-evaluation rounds.
 //!
 //! Run with: `cargo run --release --example serving`
 
@@ -38,9 +38,28 @@ fn spec(tree: &tree_repr::Tree, seed: u64) -> TenantSpec<MaxIs> {
     }
 }
 
+/// Rounds charged on `id`'s context by one flush of a single query.
+fn query_rounds(server: &mut TreeDpServer<MaxIs>, id: &str, n: usize) -> (u64, i64) {
+    let before = server.context(id).expect("tenant exists").metrics().rounds;
+    server.submit(
+        id,
+        Request::Query {
+            node_inputs: weights(n, 9999),
+            edge_inputs: Vec::new(),
+        },
+    );
+    let optimum = match &server.flush()[0].1 {
+        Response::Solution(sol) => sol
+            .root_summary
+            .best(&MaxWeightIndependentSet)
+            .expect("optimum"),
+        _ => panic!("expected a solution"),
+    };
+    let rounds = server.context(id).expect("tenant exists").metrics().rounds - before;
+    (rounds, optimum)
+}
+
 fn main() {
-    // A deliberately tight plan budget: enough for roughly half the fleet, so the
-    // example exercises eviction and transparent rebuild, not just warm hits.
     let trees: Vec<(String, tree_repr::Tree)> = (0..6)
         .map(|i| {
             let tree = match i % 3 {
@@ -52,21 +71,12 @@ fn main() {
         })
         .collect();
 
-    let probe_words = {
-        let mut ctx = mpc_tree_dp::MpcContext::new(MpcConfig::new(2 * trees[0].1.len(), 0.5));
-        let prepared = mpc_tree_dp::prepare(
-            &mut ctx,
-            TreeInput::ListOfEdges(ListOfEdges::from_tree(&trees[0].1)),
-            None,
-        )
-        .expect("well-formed tree");
-        prepared.plan_uncached(&mut ctx).resident_words()
+    let config = ServerConfig {
+        plan_budget_words: 0,
     };
-    let mut server: TreeDpServer<MaxIs> = TreeDpServer::new(ServerConfig {
-        plan_budget_words: probe_words * 4,
-    });
+    let mut server: TreeDpServer<MaxIs> = TreeDpServer::new(config);
 
-    println!("admitting {} tenants (budget ~4 small plans):", trees.len());
+    println!("admitting {} tenants:", trees.len());
     for (i, (id, tree)) in trees.iter().enumerate() {
         let t0 = Instant::now();
         let report = server
@@ -82,14 +92,20 @@ fn main() {
         );
     }
 
-    // Skewed workload: two hot tenants are hit every flush (their plans stay
-    // resident and serve at plan-eval cost), the cold tail rotates through and
-    // periodically re-charges a plan build.
+    // Skewed workload: two hot tenants are hit every flush, the cold tail rotates
+    // through; every tenant serves from its own plan at plan-eval cost.
     println!("\nskewed workload, 8 flushes of 2 hot + 1 rotating cold tenant:");
     println!(
-        "{:>8} {:>10} {:>10} {:>10} {:>10} {:>10}",
-        "flush", "queries", "updates", "hits", "misses", "wall ms"
+        "{:>8} {:>10} {:>10} {:>10} {:>10}",
+        "flush", "queries", "updates", "rounds", "wall ms"
     );
+    let rounds_of = |server: &TreeDpServer<MaxIs>| -> u64 {
+        trees
+            .iter()
+            .filter_map(|(id, _)| server.tenant_metrics(id))
+            .map(|m| m.rounds_charged)
+            .sum()
+    };
     for round in 0..8u64 {
         let active = [0usize, 1, 2 + (round as usize % (trees.len() - 2))];
         for &i in &active {
@@ -113,11 +129,10 @@ fn main() {
                 },
             );
         }
-        let before = server.cache_stats();
+        let before = rounds_of(&server);
         let t0 = Instant::now();
         let responses = server.flush();
         let wall = t0.elapsed().as_secs_f64() * 1e3;
-        let after = server.cache_stats();
         let (mut queries, mut updates) = (0u64, 0u64);
         for (_, resp) in &responses {
             match resp {
@@ -128,50 +143,36 @@ fn main() {
             }
         }
         println!(
-            "{:>8} {:>10} {:>10} {:>10} {:>10} {:>10.1}",
+            "{:>8} {:>10} {:>10} {:>10} {:>10.1}",
             round,
             queries,
             updates,
-            after.hits - before.hits,
-            after.misses - before.misses,
+            rounds_of(&server) - before,
             wall,
         );
     }
 
     println!("\nper-tenant serving metrics:");
     println!(
-        "{:>10} {:>8} {:>8} {:>8} {:>8} {:>8} {:>10} {:>12}",
-        "tenant", "queries", "updates", "hits", "misses", "evicted", "rounds", "resident KiB"
+        "{:>10} {:>8} {:>8} {:>10} {:>12}",
+        "tenant", "queries", "updates", "rounds", "resident KiB"
     );
     for (id, _) in &trees {
         let m = server.tenant_metrics(id).expect("tenant exists");
         println!(
-            "{:>10} {:>8} {:>8} {:>8} {:>8} {:>8} {:>10} {:>12.1}",
+            "{:>10} {:>8} {:>8} {:>10} {:>12.1}",
             id,
             m.queries,
             m.updates,
-            m.plan_hits,
-            m.plan_misses,
-            m.evictions,
             m.rounds_charged,
             m.resident_bytes as f64 / 1024.0,
         );
     }
-    let cs = server.cache_stats();
-    println!(
-        "\nplan cache: {}/{} words resident over {} plans, hit rate {:.2}, \
-         {} evictions, {} build rounds re-charged",
-        cs.resident_words,
-        cs.budget_words,
-        cs.resident_plans,
-        cs.hit_rate(),
-        cs.evictions,
-        cs.build_rounds,
-    );
 
     // Snapshot → kill → restore: tenant-0 moves to a brand-new server and keeps
     // serving with bit-identical state.
-    let victim = &trees[0].0;
+    let (victim, tree) = &trees[0];
+    let (eval_rounds, optimum) = query_rounds(&mut server, victim, tree.len());
     let summary_before = server
         .root_summary(victim)
         .expect("tenant exists")
@@ -179,9 +180,7 @@ fn main() {
     let bytes = server.snapshot_tenant(victim).expect("snapshot");
     drop(server); // the "kill"
 
-    let mut revived: TreeDpServer<MaxIs> = TreeDpServer::new(ServerConfig {
-        plan_budget_words: probe_words * 3,
-    });
+    let mut revived: TreeDpServer<MaxIs> = TreeDpServer::new(config);
     let id = revived
         .restore_tenant(&bytes, MaxIs::new(MaxWeightIndependentSet))
         .expect("restore");
@@ -197,27 +196,8 @@ fn main() {
         summary_after.expect("optimum"),
     );
 
-    let misses_restored = revived
-        .tenant_metrics(&id)
-        .expect("tenant exists")
-        .plan_misses;
-    revived.submit(
-        id.clone(),
-        Request::Query {
-            node_inputs: weights(trees[0].1.len(), 9999),
-            edge_inputs: Vec::new(),
-        },
-    );
-    let responses = revived.flush();
-    match &responses[0].1 {
-        Response::Solution(sol) => println!(
-            "first post-restore query (an honest cache miss): optimum {}",
-            sol.root_summary
-                .best(&MaxWeightIndependentSet)
-                .expect("optimum")
-        ),
-        _ => panic!("expected a solution"),
-    }
-    let m = revived.tenant_metrics(&id).expect("tenant exists");
-    assert_eq!(m.plan_misses, misses_restored + 1);
+    let (rounds, answer) = query_rounds(&mut revived, &id, tree.len());
+    println!("first post-restore query: optimum {answer} in {rounds} rounds");
+    assert_eq!(answer, optimum);
+    assert_eq!(rounds, eval_rounds, "exactly the plan-evaluation rounds");
 }

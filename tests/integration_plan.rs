@@ -878,7 +878,7 @@ fn fnv1a_64(bytes: &[u8]) -> u64 {
 /// digests were re-taken once when plans stopped carrying their routing indexes,
 /// after checking that the plans still encode to the earlier digests in the earlier
 /// layout. Skeleton placement decides every `plan-solve` send/recv volume and the
-/// resident-words figure plan caches budget on, so a change here is a change to all
+/// resident-words figure tenants' resident bytes count, so a change here is a change to all
 /// of those.
 #[test]
 fn plan_layout_is_pinned() {

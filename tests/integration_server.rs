@@ -1,19 +1,21 @@
 //! Serving-layer integration gate, run entirely under `MpcConfig` strict accounting:
-//! eight-plus tenants behind one memory-budgeted plan cache, with the three
-//! acceptance properties asserted end to end —
+//! eight-plus tenants, each answering from the one plan its solver holds, with the
+//! three acceptance properties asserted end to end —
 //!
-//! 1. a warm cache hit charges exactly the plan-evaluation rounds (equal to a bare
+//! 1. a query charges exactly the plan-evaluation rounds (equal to a bare
 //!    `SolvePlan::solve` on a fresh plan, asserted round-for-round),
-//! 2. evicted tenants are served transparently, re-charging exactly the plan-build
-//!    rounds on top of the warm cost (the measurable miss-cost curve),
+//! 2. no flush after admission charges a `plan-build` round unless its structural
+//!    batch degrades,
 //! 3. snapshot → kill → restore → serve is bit-identical to a server that never
-//!    stopped.
+//!    stopped, and the restored tenant's first query charges no more than it would
+//!    have on the unbroken server.
 
 use mpc_tree_dp::problems::MaxWeightIndependentSet;
 use mpc_tree_dp::server::KIND_TENANT;
 use mpc_tree_dp::{
-    prepare, ListOfEdges, MpcConfig, MpcContext, Request, Response, ServerConfig, ServerError,
-    SnapshotError, StateEngine, TenantSpec, TreeDpServer, TreeInput,
+    prepare, ListOfEdges, MpcConfig, MpcContext, PreparedTree, Request, Response, ServerConfig,
+    ServerError, Snapshot, SnapshotError, SolverStore, StateEngine, TenantSpec, TreeDpServer,
+    TreeInput,
 };
 use std::collections::BTreeMap;
 use tree_gen::shapes::{balanced_kary, heavy_caterpillar, spider, star};
@@ -99,6 +101,17 @@ fn expect_solution(resp: &Response<MaxIs>) -> (i64, BTreeMap<u64, usize>) {
     }
 }
 
+/// The tenant's tree and solver store, as its snapshot carries them.
+fn tenant_parts(server: &Server, id: &str) -> (PreparedTree, SolverStore<MaxIs>) {
+    let bytes = server.snapshot_tenant(id).expect("snapshot");
+    let mut r = mpc_tree_dp::core::open(&bytes, KIND_TENANT).expect("tenant snapshot");
+    String::decode(&mut r).expect("id");
+    MpcConfig::decode(&mut r).expect("config");
+    let tree = PreparedTree::decode(&mut r).expect("tree");
+    let store = SolverStore::decode(&mut r).expect("store");
+    (tree, store)
+}
+
 fn expect_update(resp: &Response<MaxIs>) -> mpc_tree_dp::UpdateStats {
     match resp {
         Response::Update(stats) => *stats,
@@ -108,9 +121,9 @@ fn expect_update(resp: &Response<MaxIs>) -> mpc_tree_dp::UpdateStats {
     }
 }
 
-/// Acceptance property: ≥8 tenants behind one budgeted cache, mixed query/update
-/// traffic batched per flush, every answer bit-identical to an isolated mirror
-/// solve, and every tenant context strict-compliant at the end.
+/// Acceptance property: ≥8 tenants, mixed query/update traffic batched per flush,
+/// every answer bit-identical to an isolated mirror solve, every tenant context
+/// strict-compliant at the end, and every tenant resident with exactly one plan.
 #[test]
 fn eight_tenants_serve_under_strict_accounting() {
     const TENANTS: usize = 8;
@@ -197,27 +210,31 @@ fn eight_tenants_serve_under_strict_accounting() {
         let m = server.tenant_metrics(&id).expect("tenant exists");
         assert_eq!(m.queries, 1);
         assert_eq!(m.updates, 1);
-        assert_eq!(m.plan_hits, 1, "{id}: warm cache, no rebuild");
-        assert_eq!(m.plan_misses, 0);
         assert!(m.rounds_charged > 0);
         assert!(m.words_sent > 0);
-        assert!(m.resident_bytes > 0);
+
+        // Resident: the tree, without a cached plan, and the store with the plan.
+        let (tree, store) = tenant_parts(&server, &id);
+        assert!(!tree.has_plan(), "{id}: the tree holds no second plan");
+        assert!(store.plan().resident_words() > 0);
+        assert_eq!(
+            m.resident_bytes,
+            8 * (tree.resident_words() + store.resident_words()),
+            "{id}: resident bytes count one plan"
+        );
     }
 
-    // Cache-wide view: all eight plans resident, all lookups were hits, under budget.
+    // Server-wide view: one plan per tenant, every query answered from it.
     let cs = server.cache_stats();
     assert_eq!(cs.resident_plans, TENANTS);
     assert_eq!(cs.hits, TENANTS as u64);
-    assert_eq!(cs.misses, 0);
-    assert_eq!(cs.evictions, 0);
-    assert!((cs.hit_rate() - 1.0).abs() < 1e-12);
-    assert!(cs.resident_words <= cs.budget_words);
-    assert!(cs.build_rounds > 0, "admissions recorded their build cost");
+    assert_eq!((cs.misses, cs.evictions, cs.build_rounds), (0, 0, 0));
+    assert_eq!(cs.budget_words, 4 << 20);
 }
 
-/// Acceptance property (a): serving a query from a warm cache charges exactly the
-/// rounds of a bare `SolvePlan::solve` over an already-built plan — the assembly
-/// paid at admission is never re-charged on the hit path.
+/// Acceptance property (a): serving a query charges exactly the rounds of a bare
+/// `SolvePlan::solve` over an already-built plan — the assembly paid at admission
+/// is never re-charged.
 #[test]
 fn warm_hit_charges_exactly_plan_eval_rounds() {
     let tree = heavy_caterpillar(16, 8);
@@ -239,7 +256,7 @@ fn warm_hit_charges_exactly_plan_eval_rounds() {
     let _ = plan.solve(&mut ctx, &engine, &inputs, 0, &no_edges);
     let bare_eval_rounds = ctx.metrics().rounds - before;
 
-    // Server path: admit (warms the cache), then flush one identical query.
+    // Server path: admit (builds the plan), then flush one identical query.
     let mut server = Server::new(ServerConfig {
         plan_budget_words: 1 << 20,
     });
@@ -264,128 +281,15 @@ fn warm_hit_charges_exactly_plan_eval_rounds() {
     assert_eq!(best, mirror_solve(&tree, &weights_for(n, 42)).0);
     assert_eq!(
         served_rounds, bare_eval_rounds,
-        "a warm hit must cost exactly the bare plan-eval rounds"
+        "a query must cost exactly the bare plan-eval rounds"
     );
-    let m = server.tenant_metrics("hot").expect("tenant");
-    assert_eq!((m.plan_hits, m.plan_misses), (1, 0));
-}
-
-/// Acceptance property (b): with a budget that holds only some of the plans, later
-/// admissions evict earlier tenants; querying an evicted tenant transparently
-/// rebuilds its plan, and the extra charge is exactly the plan-build rounds on top
-/// of the warm-hit cost (the miss-cost curve, measured not modeled).
-#[test]
-fn evicted_tenants_rebuild_transparently_with_recorded_miss_cost() {
-    const TENANTS: usize = 4;
-    // All tenants share one tree shape so their plans (and build costs) are equal.
-    let tree = heavy_caterpillar(14, 7);
-    let n = tree.len();
-    let make_spec = |seed: u64| TenantSpec {
-        config: strict_cfg(4 * n),
-        input: TreeInput::ListOfEdges(ListOfEdges::from_tree(&tree)),
-        threshold: Some(4),
-        problem: MaxIs::new(MaxWeightIndependentSet),
-        node_inputs: weights_for(n, seed),
-        aux_input: 0,
-        edge_inputs: Vec::new(),
-    };
-
-    // Size the budget off a real plan: room for two, not four.
-    let plan_words = {
-        let mut ctx = MpcContext::new(strict_cfg(4 * n));
-        let prepared = prepare(
-            &mut ctx,
-            TreeInput::ListOfEdges(ListOfEdges::from_tree(&tree)),
-            Some(4),
-        )
-        .expect("well-formed tree");
-        prepared.plan_uncached(&mut ctx).resident_words()
-    };
-    let mut server = Server::new(ServerConfig {
-        plan_budget_words: plan_words * 5 / 2,
-    });
-
-    let mut build_rounds = 0;
-    for i in 0..TENANTS {
-        let report = server
-            .admit(format!("t{i}"), make_spec(i as u64))
-            .expect("admission succeeds");
-        build_rounds = report.plan_build_rounds;
-    }
-    let cs = server.cache_stats();
-    assert_eq!(cs.resident_plans, 2, "budget holds exactly two plans");
-    assert_eq!(cs.evictions, 2, "two admissions had to evict");
-    let evicted_total: u64 = (0..TENANTS)
-        .map(|i| server.tenant_metrics(&format!("t{i}")).expect("tenant"))
-        .map(|m| m.evictions)
-        .sum();
-    assert_eq!(evicted_total, 2, "evictions are charged to tenants");
-
-    // Warm-hit baseline: the most recently admitted tenant is surely resident.
-    let warm_id = format!("t{}", TENANTS - 1);
-    let before = server.context(&warm_id).expect("tenant").metrics().rounds;
-    server.submit(
-        &warm_id,
-        Request::Query {
-            node_inputs: weights_for(n, 77),
-            edge_inputs: Vec::new(),
-        },
-    );
-    let warm_resp = server.flush();
-    let warm_rounds = server.context(&warm_id).expect("tenant").metrics().rounds - before;
-    assert_eq!(
-        server.tenant_metrics(&warm_id).expect("tenant").plan_misses,
-        0
-    );
-
-    // Miss path: tenant t0 was evicted long ago; the same query transparently
-    // rebuilds and costs exactly `plan-build + warm` rounds.
-    let before = server.context("t0").expect("tenant").metrics().rounds;
-    server.submit(
-        "t0",
-        Request::Query {
-            node_inputs: weights_for(n, 77),
-            edge_inputs: Vec::new(),
-        },
-    );
-    let miss_resp = server.flush();
-    let miss_rounds = server.context("t0").expect("tenant").metrics().rounds - before;
-    let m0 = server.tenant_metrics("t0").expect("tenant");
-    assert_eq!(m0.plan_misses, 1, "the rebuild is recorded as a miss");
-    assert_eq!(
-        miss_rounds,
-        build_rounds + warm_rounds,
-        "miss cost = plan-build + plan-eval rounds"
-    );
-
-    // Transparency: hit and miss return bit-identical answers.
-    let (warm_best, warm_labels) = expect_solution(&warm_resp[0].1);
-    let (miss_best, miss_labels) = expect_solution(&miss_resp[0].1);
-    assert_eq!(warm_best, miss_best);
-    assert_eq!(warm_labels, miss_labels);
-    assert_eq!((warm_best, &warm_labels), {
-        let (b, l) = mirror_solve(&tree, &weights_for(n, 77));
-        assert_eq!(l, warm_labels);
-        (b, &warm_labels)
-    });
-
-    for i in 0..TENANTS {
-        let id = format!("t{i}");
-        server
-            .context(&id)
-            .expect("tenant")
-            .check_compliance()
-            .unwrap_or_else(|v| panic!("{id}: strict violation: {v}"));
-    }
-    let cs = server.cache_stats();
-    assert!(cs.misses >= 1);
-    assert!(cs.resident_words <= cs.budget_words);
-    assert!(cs.hit_rate() < 1.0);
+    assert_eq!(server.tenant_metrics("hot").expect("tenant").queries, 1);
 }
 
 /// Acceptance property (c): snapshot → kill → restore → serve produces bit-identical
-/// responses to a server that never stopped, and the restored tenant's first query
-/// is an honest cache miss.
+/// responses to a server that never stopped, and the restored tenant's first flush
+/// charges exactly what the unbroken server's does: plan evaluation and the update,
+/// no plan build.
 #[test]
 fn snapshot_kill_restore_serves_bit_identically() {
     let tree = spider(5, 9);
@@ -461,8 +365,12 @@ fn snapshot_kill_restore_serves_bit_identically() {
             },
         );
     }
+    let rounds = |server: &Server| server.context("alpha").expect("tenant").metrics().rounds;
+    let steady_before = rounds(&steady);
     let steady_resp = steady.flush();
+    let steady_rounds = rounds(&steady) - steady_before;
     let revived_resp = revived.flush();
+    let revived_rounds = rounds(&revived);
     assert_eq!(
         expect_solution(&steady_resp[0].1),
         expect_solution(&revived_resp[0].1)
@@ -481,16 +389,11 @@ fn snapshot_kill_restore_serves_bit_identically() {
     assert_eq!(steady.root_summary("alpha"), revived.root_summary("alpha"));
     assert_eq!(steady.labels("alpha"), revived.labels("alpha"));
 
-    // The restored tenant came back with a cold cache: its first query was an
-    // honest miss, while the unbroken server kept its warm plan.
-    assert_eq!(
-        steady.tenant_metrics("alpha").expect("tenant").plan_misses,
-        0
-    );
-    assert_eq!(
-        revived.tenant_metrics("alpha").expect("tenant").plan_misses,
-        1
-    );
+    // The restored tenant came back with its plan: its context is new, so these are
+    // all the rounds it has charged.
+    assert_eq!(revived_rounds, steady_rounds);
+    let revived_ctx = revived.context("alpha").expect("tenant");
+    assert_eq!(revived_ctx.metrics().phase_rounds("plan-build"), 0);
     revived
         .context("alpha")
         .expect("tenant")
@@ -512,7 +415,7 @@ fn snapshot_kill_restore_serves_bit_identically() {
 }
 
 /// Request-routing edges: unknown tenants are rejected per request, and removing a
-/// tenant drops its queued traffic along with its cache entry.
+/// tenant drops its queued traffic along with its plan.
 #[test]
 fn unknown_and_removed_tenants_are_rejected_cleanly() {
     let mut server = Server::new(ServerConfig {
@@ -714,7 +617,7 @@ fn incomplete_query_is_rejected_alone() {
                 let m = server
                     .tenant_metrics(&format!("tenant-{i}"))
                     .expect("tenant");
-                (m.queries, m.plan_hits, m.plan_misses, m.rounds_charged)
+                (m.queries, m.rounds_charged)
             })
             .collect();
         (responses, metrics, n0)
@@ -837,9 +740,10 @@ fn resealed_tenant_snapshots_with_one_field_out_of_place_are_refused() {
         1 << 20
     ))));
     // The payload kinds tenants were written under before the store changed shape
-    // (101), before plans stopped carrying their routing indexes (102), and before
-    // the config lost its radix switch (103).
-    for old in [101, 102, 103] {
+    // (101), before plans stopped carrying their routing indexes (102), before the
+    // config lost its radix switch (103), and before the metrics lost their
+    // plan-cache counters (104).
+    for old in [101, 102, 103, 104] {
         assert_eq!(
             restore(&reseal(old, &|_| ())),
             Some(ServerError::Snapshot(SnapshotError::WrongKind {
@@ -850,10 +754,9 @@ fn resealed_tenant_snapshots_with_one_field_out_of_place_are_refused() {
     }
 }
 
-/// The server writes a tenant's tree without a cached plan: its queries evaluate the
-/// plan cache's copy, built for the tenant's own machines. A snapshot whose tree does
-/// carry one — here built for another machine count, which the next flush would move
-/// into the plan cache and evaluate — is refused, not restored.
+/// The server writes a tenant's tree without a cached plan: the tenant's one plan is
+/// its solver store's. A snapshot whose tree does carry one — here built for another
+/// machine count — is refused, not restored as a tenant holding a second plan.
 #[test]
 fn tenant_snapshot_whose_tree_carries_a_plan_is_refused() {
     use mpc_tree_dp::core::{seal, SnapshotWriter};
@@ -882,7 +785,7 @@ fn tenant_snapshot_whose_tree_carries_a_plan_is_refused() {
 
     // The tenant's tree as admission prepared it, then with a plan of its own.
     let mut ctx = MpcContext::new(strict_cfg(4 * n));
-    let mut prepared = prepare(
+    let prepared = prepare(
         &mut ctx,
         TreeInput::ListOfEdges(ListOfEdges::from_tree(&tree)),
         Some(4),
@@ -891,8 +794,7 @@ fn tenant_snapshot_whose_tree_carries_a_plan_is_refused() {
     let plan_less = prepared.to_snapshot()[32..].to_vec();
     let mut wide = MpcContext::new(strict_cfg(64 * n));
     assert_ne!(wide.config().num_machines(), ctx.config().num_machines());
-    let foreign = prepared.plan_uncached(&mut wide);
-    prepared.install_plan(foreign);
+    prepared.plan(&mut wide);
     let mut payload = good[32..].to_vec();
     let at = payload
         .windows(plan_less.len())
@@ -914,12 +816,11 @@ fn tenant_snapshot_whose_tree_carries_a_plan_is_refused() {
     );
 }
 
-/// A tenant's tree is laid out on the tenant's own machines: a query that misses the
-/// plan cache rebuilds the plan from it, on the tenant's context. A snapshot whose
-/// plan-less tree was prepared for another machine count — its auxiliary nodes name
-/// chunks past the tenant's last machine — is refused, not restored to panic on that
-/// rebuild. (Non-strict configs: under strict accounting admitting `star(200)` on 29
-/// machines already trips the memory cap.)
+/// A tenant's tree is laid out on the tenant's own machines: local structural repairs
+/// splice its tables in place there. A snapshot whose plan-less tree was prepared for
+/// another machine count — its auxiliary nodes name chunks past the tenant's last
+/// machine — is refused, not restored. (Non-strict configs: under strict accounting
+/// admitting `star(200)` on 29 machines already trips the memory cap.)
 #[test]
 fn tenant_snapshot_whose_tree_spans_another_machine_count_is_refused() {
     use mpc_tree_dp::core::{seal, SnapshotWriter};
@@ -980,130 +881,113 @@ fn tenant_snapshot_whose_tree_spans_another_machine_count_is_refused() {
     );
 }
 
-/// The solver owns its plan: a tenant whose cached plan was evicted serves weight
-/// updates and a structural batch without a single `plan-build` round, at exactly the
-/// cost and with exactly the counters of a tenant whose plan is resident.
+/// The solver's store holds the tenant's plan: after admission, no flush of queries,
+/// weight updates or locally repaired structural batches charges a `plan-build`
+/// round. Only a batch that degrades does — its re-prepare builds the plan of the new
+/// tree — and the flushes after it are back to none.
 #[test]
-fn evicted_tenant_serves_updates_and_structural_batches_without_a_rebuild() {
+fn no_flush_after_admission_rebuilds_the_plan_unless_it_degrades() {
     use mpc_tree_dp::StructuralBatch;
 
     let tree = heavy_caterpillar(14, 7);
     let n = tree.len();
-    let make_spec = || TenantSpec {
-        config: strict_cfg(4 * n),
-        input: TreeInput::ListOfEdges(ListOfEdges::from_tree(&tree)),
-        threshold: Some(4),
-        problem: MaxIs::new(MaxWeightIndependentSet),
-        node_inputs: weights_for(n, 5),
-        aux_input: 0,
-        edge_inputs: Vec::new(),
-    };
-    let plan_words = fresh_plan(&tree).resident_words();
-    // Room for one plan: admitting `resident` evicts `evicted`.
     let mut server = Server::new(ServerConfig {
-        plan_budget_words: plan_words * 3 / 2,
+        plan_budget_words: 0,
     });
-    server.admit("evicted", make_spec()).expect("admission");
-    server.admit("resident", make_spec()).expect("admission");
-    let cs = server.cache_stats();
-    assert_eq!((cs.resident_plans, cs.evictions), (1, 1));
-    assert_eq!(
-        server.tenant_metrics("evicted").expect("tenant").evictions,
-        1
-    );
-
-    let build_rounds = |server: &Server, id: &str| {
-        let metrics = server.context(id).expect("tenant").metrics();
+    server
+        .admit(
+            "t",
+            TenantSpec {
+                config: strict_cfg(4 * n),
+                input: TreeInput::ListOfEdges(ListOfEdges::from_tree(&tree)),
+                threshold: Some(4),
+                problem: MaxIs::new(MaxWeightIndependentSet),
+                node_inputs: weights_for(n, 5),
+                aux_input: 0,
+                edge_inputs: Vec::new(),
+            },
+        )
+        .expect("admission");
+    let build_rounds = |server: &Server| {
+        let metrics = server.context("t").expect("tenant").metrics();
         metrics.phase_rounds("plan-build")
     };
-    let built_before = build_rounds(&server, "evicted");
-    for id in ["evicted", "resident"] {
-        server.submit(
-            id,
-            Request::Update {
-                node_updates: vec![(1, 400), (5, 0), (n as u64 - 2, 63)],
-                edge_updates: Vec::new(),
-            },
-        );
-        server.submit(
-            id,
-            Request::Structural(
-                StructuralBatch::new()
-                    .cut(n as u64 - 1)
-                    .link(3, 10_000, 21, ())
-                    .link(10_000, 10_001, 8, ()),
-            ),
-        );
-    }
-    let responses = server.flush();
-    assert_eq!(
-        build_rounds(&server, "evicted"),
-        built_before,
-        "no plan-build round on the evicted tenant"
-    );
-    assert_eq!(server.cache_stats().resident_plans, 1, "still evicted");
+    let admitted = build_rounds(&server);
+    assert!(admitted > 0, "admission builds the plan");
 
-    let (u_evicted, u_resident) = (
-        expect_update(&responses[0].1),
-        expect_update(&responses[2].1),
+    // One flush: updates, a locally repaired structural batch, and a query on it.
+    let query = || Request::Query {
+        node_inputs: (0..n as u64)
+            .map(|v| (v, 1 + v as i64 % 9))
+            .chain([(10_000, 4), (10_001, 2)])
+            .collect(),
+        edge_inputs: Vec::new(),
+    };
+    server.submit(
+        "t",
+        Request::Update {
+            node_updates: vec![(1, 400), (5, 0), (n as u64 - 2, 63)],
+            edge_updates: Vec::new(),
+        },
     );
-    assert_eq!(
-        (
-            u_evicted.batch_size,
-            u_evicted.resummarized,
-            u_evicted.summaries_changed,
-            u_evicted.relabeled,
-            u_evicted.labels_changed,
-            u_evicted.rounds,
-            u_evicted.words_sent
+    server.submit(
+        "t",
+        Request::Structural(
+            StructuralBatch::new()
+                .cut(n as u64 - 1)
+                .link(3, 10_000, 21, ())
+                .link(10_000, 10_001, 8, ()),
         ),
-        (
-            u_resident.batch_size,
-            u_resident.resummarized,
-            u_resident.summaries_changed,
-            u_resident.relabeled,
-            u_resident.labels_changed,
-            u_resident.rounds,
-            u_resident.words_sent
-        )
     );
-    assert!(u_evicted.rounds > 0);
-    let structural = |resp: &Response<MaxIs>| match resp {
-        Response::Structural(stats) => *stats,
+    server.submit("t", query());
+    let responses = server.flush();
+    match &responses[1].1 {
+        Response::Structural(stats) => assert!(!stats.degraded, "a local repair"),
+        _ => panic!("expected structural stats"),
+    }
+    expect_solution(&responses[2].1);
+    assert_eq!(build_rounds(&server), admitted, "no plan-build round");
+
+    // Five leaves under one leaf overflow the threshold-4 degree bound.
+    let mut batch = StructuralBatch::new();
+    for leaf in 20_000..20_005 {
+        batch = batch.link(10_001, leaf, 1, ());
+    }
+    server.submit("t", Request::Structural(batch));
+    let degraded = match &server.flush()[0].1 {
+        Response::Structural(stats) => stats.degraded,
         _ => panic!("expected structural stats"),
     };
-    let (s_evicted, s_resident) = (structural(&responses[1].1), structural(&responses[3].1));
-    assert!(!s_evicted.degraded && !s_resident.degraded);
-    assert_eq!(
-        (
-            s_evicted.removed_nodes,
-            s_evicted.added_leaves,
-            s_evicted.patched_clusters,
-            s_evicted.resummarized,
-            s_evicted.relabeled,
-            s_evicted.rounds,
-            s_evicted.words_sent
-        ),
-        (
-            s_resident.removed_nodes,
-            s_resident.added_leaves,
-            s_resident.patched_clusters,
-            s_resident.resummarized,
-            s_resident.relabeled,
-            s_resident.rounds,
-            s_resident.words_sent
-        )
+    assert!(degraded, "this batch must take the degrade path");
+    let rebuilt = build_rounds(&server);
+    assert!(
+        rebuilt > admitted,
+        "the re-prepare builds the new tree's plan"
     );
-    assert_eq!(server.labels("evicted"), server.labels("resident"));
-    assert_eq!(
-        server.root_summary("evicted"),
-        server.root_summary("resident")
+
+    server.submit(
+        "t",
+        Request::Update {
+            node_updates: vec![(20_000, 9)],
+            edge_updates: Vec::new(),
+        },
     );
-    for id in ["evicted", "resident"] {
-        server
-            .context(id)
-            .expect("tenant")
-            .check_compliance()
-            .unwrap_or_else(|v| panic!("{id}: strict violation: {v}"));
+    let mut query = query();
+    if let Request::Query { node_inputs, .. } = &mut query {
+        node_inputs.extend((20_000..20_005).map(|leaf| (leaf, 3)));
     }
+    server.submit("t", query);
+    let responses = server.flush();
+    expect_update(&responses[0].1);
+    expect_solution(&responses[1].1);
+    assert_eq!(
+        build_rounds(&server),
+        rebuilt,
+        "no plan-build round after it"
+    );
+    server
+        .context("t")
+        .expect("tenant")
+        .check_compliance()
+        .unwrap_or_else(|v| panic!("strict violation: {v}"));
 }

@@ -453,7 +453,7 @@ const GOLDEN_PINS: [(u32, u32, u64); 4] = [
     (1, 5, 0x2aeff05c631454de),
     (1, 6, 0x9c6dabd047b13977),
     (1, 7, 0x59d77b0889872ce9),
-    (1, 104, 0x7358f8e716368099),
+    (1, 105, 0x2da1da06428b58a9),
 ];
 
 /// The golden fixture: the smallest tree whose snapshots carry every tag value —

@@ -2,19 +2,20 @@
 //! through [`IncrementalSolver::apply_structural`] must leave clustering, plan,
 //! and labels *bit-identical* to a fresh `prepare` + solve of the mutated tree —
 //! for every Table-1 problem, on locally-repaired and degraded batches alike, and
-//! interleaved with ordinary weight-update batches. The serving-layer test drives
-//! the same guarantee through `submit`/`flush` (plan-cache splice handshake) and
-//! through snapshot → restore.
+//! interleaved with ordinary weight-update batches. The serving-layer tests drive
+//! the same guarantee through `submit`/`flush` (the solver splices the tenant's one
+//! plan, or re-prepares on a degrade) and through snapshot → restore.
 
-use mpc_tree_dp::clustering::{plan_repair, EdgeKind, TopologyOp};
-use mpc_tree_dp::core::{solve_sequential, StateDp};
+use mpc_tree_dp::clustering::{is_aux_node, plan_repair, EdgeKind, TopologyOp};
+use mpc_tree_dp::core::{open, solve_sequential, StateDp};
 use mpc_tree_dp::problems::{
     MaxWeightIndependentSet, MaxWeightMatching, MinWeightDominatingSet, MinWeightVertexCover,
 };
+use mpc_tree_dp::server::KIND_TENANT;
 use mpc_tree_dp::{
     prepare, ClusterDp, IncrementalSolver, ListOfEdges, MpcConfig, MpcContext, PreparedTree,
-    Request, Response, ServerConfig, SolverStore, StateEngine, StructuralBatch, StructuralStats,
-    TenantSpec, TreeDpServer, TreeInput,
+    Request, Response, ServerConfig, Snapshot, SolverStore, StateEngine, StructuralBatch,
+    StructuralStats, TenantSpec, TreeDpServer, TreeInput,
 };
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -800,9 +801,9 @@ proptest! {
     }
 }
 
-/// The serving layer: structural requests fold per flush, splice the cached plan
-/// through the cache handshake, serve queries on the repaired tree in the same
-/// flush, and tenant snapshots taken after a repair restore bit-identically.
+/// The serving layer: structural requests fold per flush, splice the solver's plan,
+/// serve queries on the repaired tree in the same flush, and tenant snapshots taken
+/// after a repair restore bit-identically.
 #[test]
 fn server_structural_requests_fold_splice_and_restore() {
     let tree = tree_gen::shapes::caterpillar(20, 2);
@@ -958,4 +959,97 @@ fn server_structural_requests_fold_splice_and_restore() {
     assert_eq!(server.labels("alpha"), revived.labels("alpha"));
     let (want_labels, _, _) = fresh_node_solve(&mut mirror_ctx, &model, MaxWeightIndependentSet);
     assert_eq!(server.labels("alpha").expect("tenant"), &want_labels);
+}
+
+/// `degrading_batch_matches_fresh_prepare`'s batch, sent through the server: the
+/// tenant re-prepares and re-solves, keeps exactly one plan — its store's, none on
+/// the re-prepared tree — and its snapshot restores on a fresh server that answers
+/// with a fresh solve's optimum and labels.
+#[test]
+fn server_degrading_batch_keeps_one_plan_and_restores() {
+    let tree = tree_gen::shapes::path(20);
+    let mut model = Model::from_tree(&tree, 1);
+    let cfg = ServerConfig {
+        plan_budget_words: 1 << 20,
+    };
+    let spec = TenantSpec {
+        config: cfg_for(4 * tree.len()),
+        input: TreeInput::ListOfEdges(ListOfEdges::from_tree(&tree)),
+        threshold: Some(2),
+        problem: MaxIs::new(MaxWeightIndependentSet),
+        node_inputs: model.weights.iter().map(|(&v, &w)| (v, w)).collect(),
+        aux_input: 0,
+        edge_inputs: Vec::new(),
+    };
+    let mut server: TreeDpServer<MaxIs> = TreeDpServer::new(cfg);
+    server.admit("alpha", spec).expect("admission");
+
+    // Two links under one interior node overflow the threshold-2 degree bound.
+    server.submit(
+        "alpha",
+        Request::Structural(
+            StructuralBatch::new()
+                .link(5, 700, 30, ())
+                .link(5, 701, 31, ()),
+        ),
+    );
+    model.link(5, 700, 30, 1);
+    model.link(5, 701, 31, 1);
+    match &server.flush()[0].1 {
+        Response::Structural(stats) => assert!(stats.degraded, "this batch must degrade"),
+        Response::Rejected(e) => panic!("structural request rejected: {e}"),
+        _ => panic!("expected structural stats"),
+    }
+
+    // The tenant's parts as its snapshot carries them.
+    let bytes = server.snapshot_tenant("alpha").expect("snapshot");
+    let mut r = open(&bytes, KIND_TENANT).expect("tenant snapshot");
+    String::decode(&mut r).expect("id");
+    MpcConfig::decode(&mut r).expect("config");
+    let prepared = PreparedTree::decode(&mut r).expect("tree");
+    let store = SolverStore::<MaxIs>::decode(&mut r).expect("store");
+    assert!(!prepared.has_plan(), "the re-prepared tree carries no plan");
+    assert_eq!(
+        server
+            .tenant_metrics("alpha")
+            .expect("tenant")
+            .resident_bytes,
+        8 * (prepared.resident_words() + store.resident_words())
+    );
+
+    let mut mirror_ctx = MpcContext::new(cfg_for(4 * tree.len()));
+    let (want_labels, _, want_best) =
+        fresh_node_solve(&mut mirror_ctx, &model, MaxWeightIndependentSet);
+    // Labels of the original edges (the degree reduction's auxiliary edges aside).
+    let originals = |labels: &BTreeMap<u64, usize>| -> BTreeMap<u64, usize> {
+        labels
+            .iter()
+            .filter(|(v, _)| !is_aux_node(**v))
+            .map(|(&v, &l)| (v, l))
+            .collect()
+    };
+    let mut revived: TreeDpServer<MaxIs> = TreeDpServer::new(cfg);
+    revived
+        .restore_tenant(&bytes, MaxIs::new(MaxWeightIndependentSet))
+        .expect("restore");
+    assert_eq!(
+        originals(revived.labels("alpha").expect("tenant")),
+        want_labels
+    );
+    revived.submit(
+        "alpha",
+        Request::Query {
+            node_inputs: model.weights.iter().map(|(&v, &w)| (v, w)).collect(),
+            edge_inputs: Vec::new(),
+        },
+    );
+    match &revived.flush()[0].1 {
+        Response::Solution(sol) => {
+            let labels: BTreeMap<u64, usize> = sol.labels.iter().cloned().collect();
+            assert_eq!(originals(&labels), want_labels);
+            assert_eq!(sol.root_summary.best(&MaxWeightIndependentSet), want_best);
+        }
+        Response::Rejected(e) => panic!("query rejected: {e}"),
+        _ => panic!("expected a solution"),
+    }
 }
