@@ -58,6 +58,7 @@
 mod pipeline;
 pub mod plan;
 pub mod problem;
+mod routing;
 mod sequential;
 pub mod snapshot;
 mod state_dp;

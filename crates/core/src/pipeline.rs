@@ -351,13 +351,15 @@ mod tests {
     const FIRST_LINKED: NodeId = 10_000;
 
     /// Runs `steps` generated batches; returns how many (demotions, removed auxiliary
-    /// nodes) the repairs covered.
+    /// nodes) the repairs covered, and how often the splice rebuilt each routing index
+    /// (node and cluster payloads, out-edge lists, label readers) after its tombstones
+    /// and overflow piled up.
     fn check_repairs_patch_like_a_rebuild(
         tree: &Tree,
         threshold: usize,
         steps: u64,
         cut_among: usize,
-    ) -> (usize, usize) {
+    ) -> (usize, usize, [usize; 4]) {
         let mut ctx = MpcContext::new(
             MpcConfig::new(2 * tree.len(), 0.5)
                 .with_memory_slack(512.0)
@@ -373,6 +375,7 @@ mod tests {
         let mut index = RepairIndex::build(&prepared.clustering, prepared.edges.iter());
         let mut next_id = FIRST_LINKED;
         let (mut repaired, mut demoted, mut removed_aux) = (0, 0, 0);
+        let mut rebuilds = [0; 4];
         for step in 0..steps {
             let mut live: Vec<NodeId> = prepared
                 .clustering
@@ -394,7 +397,15 @@ mod tests {
             removed_aux += repair.removed_aux.len();
 
             let rebuilt = with_rebuilt_tables(&mut ctx, &prepared, &repair);
+            let entries = |p: &PreparedTree| {
+                let plan = p.plan.get().expect("plan was built");
+                plan.routing.entry_addresses()
+            };
+            let before = entries(&prepared);
             prepared.apply_structural_repair(&repair);
+            for ((count, was), now) in rebuilds.iter_mut().zip(before).zip(entries(&prepared)) {
+                *count += usize::from(now != was);
+            }
             index.apply(&repair);
 
             assert_eq!(
@@ -441,16 +452,24 @@ mod tests {
             repaired * 2 > steps,
             "most generated batches repair locally"
         );
-        (demoted, removed_aux)
+        (demoted, removed_aux, rebuilds)
     }
 
     #[test]
     fn structural_repairs_patch_tables_and_plan_like_a_rebuild() {
-        let (demoted, _) =
+        let (demoted, _, mut rebuilds) =
             check_repairs_patch_like_a_rebuild(&shapes::path(300), 4, 40, usize::MAX);
         assert!(demoted > 0, "mid-path cuts demote indegree-1 clusters");
-        check_repairs_patch_like_a_rebuild(&shapes::balanced_kary(121, 3), 4, 40, usize::MAX);
-        check_repairs_patch_like_a_rebuild(&shapes::random_recursive(400, 7), 3, 40, usize::MAX);
+        for (tree, threshold) in [
+            (shapes::balanced_kary(121, 3), 4),
+            (shapes::random_recursive(400, 7), 3),
+        ] {
+            let (_, _, more) = check_repairs_patch_like_a_rebuild(&tree, threshold, 40, usize::MAX);
+            rebuilds.iter_mut().zip(more).for_each(|(r, m)| *r += m);
+        }
+        // Every routing index — node and cluster payloads, out-edge lists, label
+        // readers — went through tombstones or overflow and was rebuilt from them.
+        assert!(rebuilds.iter().all(|&r| r > 0), "rebuilds {rebuilds:?}");
         // Six hubs of ten leaves below the root: every node above the leaves is
         // degree-reduced, and cutting a hub removes its auxiliary fan-out.
         let hubs = Tree::from_parents(
@@ -459,7 +478,7 @@ mod tests {
                 .chain((0..60).map(|leaf| Some(1 + leaf / 10)))
                 .collect(),
         );
-        let (_, removed_aux) = check_repairs_patch_like_a_rebuild(&hubs, 3, 40, 6);
+        let (_, removed_aux, _) = check_repairs_patch_like_a_rebuild(&hubs, 3, 40, 6);
         assert!(
             removed_aux > 0,
             "cut hubs take their auxiliary nodes with them"

@@ -19,7 +19,8 @@
 //! * **routing indexes** mapping every element to its member slot, every edge to the
 //!   slots reading its input, and every label key to the views reading it — a pure
 //!   function of the skeletons, derived by one function at plan build and at
-//!   decode, so a snapshot carries only the skeletons.
+//!   decode, so a snapshot carries only the skeletons. They are flat key-sorted runs
+//!   probed through a bucket directory, not trees.
 //!
 //! [`SolvePlan::solve`] then runs any [`ClusterDp`] over the cached skeletons,
 //! charging only the exchanges that genuinely depend on the problem: one scatter of
@@ -36,12 +37,11 @@
 //! and [`SolvePlan::validate`] is the one place a plan read from bytes is checked.
 
 use crate::problem::{ClusterDp, ClusterView, Payload, SlotState};
+use crate::routing::Routing;
 use crate::store::SolverStore;
 use mpc_engine::{unmetered, DistVec, MpcContext, Words};
 use std::collections::{BTreeMap, BTreeSet};
-use tree_clustering::{
-    Clustering, EdgeKind, Element, ElementId, ElementKind, AUX_BASE, VIRTUAL_NODE,
-};
+use tree_clustering::{Clustering, EdgeKind, Element, ElementId, ElementKind, AUX_BASE};
 use tree_repr::{DirectedEdge, NodeId};
 
 /// The solution of a DP problem.
@@ -104,18 +104,20 @@ impl Words for PlanView {
     fn words(&self) -> usize {
         let members: usize = self.members.iter().map(Words::words).sum();
         // The header — cluster, kind, top, out_edge (2), in_edge (1+2), attach,
-        // in_kind — at its established 10-word width, which skeleton placement and
-        // plan-cache budgets are pinned to, plus the member list.
+        // in_kind — at its established 10-word width, which the memory checks of plan
+        // build and evaluation and a tenant's resident size are pinned to, plus the
+        // member list.
         10 + members
     }
 }
 
-/// Where an element's payload (input or summary) lives: its member slot inside the
-/// absorbing cluster's skeleton view.
+/// Where an element's payload (input or summary) or an edge's input lives: a member
+/// slot inside a skeleton view, as the routing indexes file it.
 ///
-/// Every per-key slot list of the plan is kept in `(layer, machine, view, member)`
-/// order — the order [`Routing::of`] derives — so a plan that was spliced in place is
-/// equal to one re-indexed from scratch.
+/// Ordered `(layer, machine, view, member)`, the order the views lie in: every
+/// per-key slot list of the routing indexes is kept in it, so a plan that was spliced
+/// in place is equal to one re-indexed from scratch ([`Routing::of`]). Layers count
+/// from 1; a slot at layer 0 is the tombstone of a removed key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct MemberSlot {
     pub(crate) layer: u32,
@@ -143,9 +145,8 @@ pub struct ViewSlot {
 pub struct PlanRouting {
     payload: BTreeMap<ElementId, (ElementId, ElementId)>,
     out_edge: BTreeMap<NodeId, BTreeSet<(ElementId, ElementId)>>,
-    in_edge: BTreeMap<NodeId, BTreeSet<ElementId>>,
-    out_label_readers: BTreeMap<NodeId, BTreeSet<ElementId>>,
-    in_label_readers: BTreeMap<NodeId, BTreeSet<ElementId>>,
+    /// Reading cluster and whether it reads the label as its out-label.
+    label_readers: BTreeMap<NodeId, BTreeSet<(ElementId, bool)>>,
     views: BTreeMap<ElementId, ViewById>,
     aux_nodes: BTreeSet<NodeId>,
 }
@@ -176,7 +177,7 @@ impl ViewSlot {
     }
 
     /// The slot of member `member` of this view.
-    fn member_slot(self, member: usize) -> MemberSlot {
+    pub(crate) fn member_slot(self, member: usize) -> MemberSlot {
         MemberSlot {
             layer: self.layer,
             machine: self.machine,
@@ -208,27 +209,6 @@ pub struct SolvePlan {
     /// The routing indexes over `layers`: derived from them ([`Routing::of`]) at build
     /// and decode, patched in place by the splice.
     pub(crate) routing: Routing,
-}
-
-/// The five routing indexes of a plan — a pure function of its skeleton views
-/// ([`Routing::of`]), kept beside them so that an evaluation pass and a splice find
-/// every slot by key.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub(crate) struct Routing {
-    /// Element id → the member slot its payload must reach (absent only for the top
-    /// cluster, whose summary becomes the root summary).
-    pub(crate) payload_slot: BTreeMap<ElementId, MemberSlot>,
-    /// Edge child → member slots whose `out_input` carries that edge's input.
-    pub(crate) out_edge_slots: BTreeMap<NodeId, Vec<MemberSlot>>,
-    /// Edge child → views whose `in_input` carries that edge's input.
-    pub(crate) in_edge_slots: BTreeMap<NodeId, Vec<ViewSlot>>,
-    /// Label key → views reading it as their out-label.
-    pub(crate) out_label_readers: BTreeMap<NodeId, Vec<ViewSlot>>,
-    /// Label key → views reading it as their in-label. Unlike out-labels, an in-label
-    /// may be produced at a layer *below* its reader, after that reader was labeled;
-    /// the reader then sees `None`, so deliveries are filtered to readers strictly
-    /// below the producer.
-    pub(crate) in_label_readers: BTreeMap<NodeId, Vec<ViewSlot>>,
 }
 
 /// One member on its way into a skeleton view: the clustering element and the kind of
@@ -407,24 +387,6 @@ fn link_members(
     (cluster.formed_at, view)
 }
 
-/// Group `(key, slot)` pairs into the per-key slot lists of a routing index, every
-/// list in slot order — `(layer, machine, view, member)`, the order the views lie in.
-fn slots_by_key<S: Ord + Copy>(mut pairs: Vec<(NodeId, S)>) -> BTreeMap<NodeId, Vec<S>> {
-    pairs.sort_unstable();
-    let mut bounds: Vec<usize> = (0..pairs.len())
-        .filter(|&i| i == 0 || pairs[i - 1].0 != pairs[i].0)
-        .collect();
-    bounds.push(pairs.len());
-    // Sorted input: the map is bulk-built, not inserted into key by key.
-    bounds
-        .windows(2)
-        .map(|w| {
-            let run = &pairs[w[0]..w[1]];
-            (run[0].0, run.iter().map(|&(_, slot)| slot).collect())
-        })
-        .collect()
-}
-
 /// Drop the items whose old index `keep` rejects, the rest staying in order: the one
 /// compaction every spliced vector goes through — a member list or a `(layer, machine)`
 /// view bucket, and whatever is [`Aligned`] with it.
@@ -460,61 +422,6 @@ impl<P: ClusterDp> Aligned for PlanState<P> {
 
     fn views_compacted(&mut self, layer: u32, machine: u32, keep: &[bool]) {
         compact(&mut self[layer as usize - 1][machine as usize], keep);
-    }
-}
-
-impl Routing {
-    /// The routing indexes of `layers`, derived from the skeleton views alone — the one
-    /// derivation plan build, snapshot decode and the drift audit share. Every member
-    /// takes a payload slot and, unless it leaves by the virtual root edge, an out-edge
-    /// input slot; every view reads its outgoing edge's label, and a view with an
-    /// incoming edge reads that edge's input and label. The pairs are grouped by one
-    /// sort, so every per-key list comes out in slot order.
-    pub(crate) fn of(layers: &[Vec<Vec<PlanView>>]) -> Routing {
-        let members: usize = layers
-            .iter()
-            .flatten()
-            .flatten()
-            .map(|v| v.members.len())
-            .sum();
-        let mut payload: Vec<(ElementId, MemberSlot)> = Vec::with_capacity(members);
-        let mut out_edge: Vec<(NodeId, MemberSlot)> = Vec::with_capacity(members);
-        let mut out_readers: Vec<(NodeId, ViewSlot)> = Vec::new();
-        let mut in_readers: Vec<(NodeId, ViewSlot)> = Vec::new();
-        for (li, layer) in layers.iter().enumerate() {
-            for (machine, views) in layer.iter().enumerate() {
-                for (index, view) in views.iter().enumerate() {
-                    let vslot = ViewSlot {
-                        layer: li as u32 + 1,
-                        machine: machine as u32,
-                        view: index as u32,
-                    };
-                    out_readers.push((view.out_edge.child, vslot));
-                    if let Some(e) = view.in_edge {
-                        in_readers.push((e.child, vslot));
-                    }
-                    for (idx, member) in view.members.iter().enumerate() {
-                        let slot = vslot.member_slot(idx);
-                        payload.push((member.element.id, slot));
-                        if member.element.out_edge.parent != VIRTUAL_NODE {
-                            out_edge.push((member.element.out_edge.child, slot));
-                        }
-                    }
-                }
-            }
-        }
-        // Sorted by key (then slot), the maps below are bulk-built.
-        payload.sort_unstable();
-        let in_label_readers = slots_by_key(in_readers);
-        Routing {
-            payload_slot: payload.into_iter().collect(),
-            out_edge_slots: slots_by_key(out_edge),
-            // Every incoming edge is an edge of the degree-reduced tree, so its input
-            // reaches exactly the views that read its label.
-            in_edge_slots: in_label_readers.clone(),
-            out_label_readers: slots_by_key(out_readers),
-            in_label_readers,
-        }
     }
 }
 
@@ -579,15 +486,12 @@ impl SolvePlan {
         let out_child = if cluster == self.top_cluster {
             self.root
         } else {
-            let slot = self.routing.payload_slot.get(&cluster)?;
+            let slot = self.routing.payload(cluster)?;
             let holder = self.view_at(slot.view_slot());
             holder.members[slot.member as usize].element.out_edge.child
         };
         self.routing
-            .out_label_readers
-            .get(&out_child)?
-            .iter()
-            .copied()
+            .readers_as(out_child, true)
             .find(|at| self.view_at(*at).cluster == cluster)
     }
 
@@ -597,12 +501,14 @@ impl SolvePlan {
     /// and append the new leaf members.
     ///
     /// Every view the repair touches is addressed through the routing indexes
-    /// themselves — a removed or demoted element's `payload_slot` names the view that
-    /// holds it, a cut edge's `in_label_readers` name the views it entered — and the
-    /// indexes are patched entry by entry: keys of removed elements and edges vanish,
-    /// and only the views behind a deleted one in its `(layer, machine)` bucket are
-    /// re-addressed. The result equals a from-scratch re-index of the spliced
-    /// skeletons, at a cost confined to the touched buckets.
+    /// themselves — a removed or demoted element's payload slot names the view that
+    /// holds it, a cut edge's in-label readers name the views it entered — and the
+    /// indexes are patched entry by entry: keys of removed elements and edges become
+    /// tombstones, new leaves go to the overflow runs, and only the views behind a
+    /// deleted one in its `(layer, machine)` bucket are re-addressed. An index whose
+    /// patches pass an eighth of its entries is rebuilt from its live entries. The
+    /// result equals a from-scratch re-index of the spliced skeletons, at a cost
+    /// confined to the touched buckets (amortized over the rebuilds).
     ///
     /// This is the only splice there is: a prepared tree's cached plan goes through it
     /// bare, an incremental solver's own plan through
@@ -629,8 +535,7 @@ impl SolvePlan {
         // view reading a cut edge's label as its in-label is either removed or demoted;
         // the member copy of a demoted cluster sits in its parent's view.
         for child in &repair.removed_nodes {
-            let readers = self.routing.in_label_readers.get(child);
-            for &slot in readers.into_iter().flatten() {
+            for slot in self.routing.readers_as(*child, false) {
                 let view = &mut self.layers[slot.layer as usize - 1][slot.machine as usize]
                     [slot.view as usize];
                 if repair.demoted.contains(&view.cluster) {
@@ -642,7 +547,7 @@ impl SolvePlan {
             }
         }
         for cluster in &repair.demoted {
-            if let Some(slot) = self.routing.payload_slot.get(cluster) {
+            if let Some(slot) = self.routing.payload(*cluster) {
                 let view = &mut self.layers[slot.layer as usize - 1][slot.machine as usize]
                     [slot.view as usize];
                 repair.retain_element(&mut view.members[slot.member as usize].element);
@@ -654,7 +559,8 @@ impl SolvePlan {
             if let Some(slot) = patch
                 .removed_members
                 .first()
-                .and_then(|m| self.routing.payload_slot.get(m))
+                .and_then(|m| self.routing.payload(*m))
+                .copied()
             {
                 self.remove_members(slot.view_slot(), &patch.removed_members, carried);
             }
@@ -665,7 +571,7 @@ impl SolvePlan {
         // (all of its entries belong to removed or just-demoted views).
         let mut doomed: BTreeSet<ViewSlot> = BTreeSet::new();
         for id in &repair.removed_elements {
-            if let Some(slot) = self.routing.payload_slot.remove(id) {
+            if let Some(slot) = self.routing.remove_payload(*id) {
                 let holder = slot.view_slot();
                 if repair
                     .removed_elements
@@ -675,12 +581,8 @@ impl SolvePlan {
                 }
             }
         }
-        let routing = &mut self.routing;
         for child in &repair.removed_nodes {
-            routing.out_edge_slots.remove(child);
-            routing.in_edge_slots.remove(child);
-            routing.out_label_readers.remove(child);
-            routing.in_label_readers.remove(child);
+            self.routing.remove_edge(*child);
         }
         self.remove_views(&doomed, carried);
 
@@ -689,8 +591,7 @@ impl SolvePlan {
         for leaf in repair.patches.values().flat_map(|p| &p.added) {
             let parent = *self
                 .routing
-                .payload_slot
-                .get(&leaf.out_edge.parent)
+                .payload(leaf.out_edge.parent)
                 .expect("link parent is a member of the absorbing cluster");
             let view = self.view_at_mut(parent.view_slot());
             let idx = view.members.len();
@@ -705,10 +606,9 @@ impl SolvePlan {
                 member: idx as u32,
                 ..parent
             };
-            self.routing.payload_slot.insert(leaf.id, slot);
-            // A fresh leaf tops no cluster, so it is the only element leaving by its edge.
-            self.routing.out_edge_slots.insert(leaf.id, vec![slot]);
+            self.routing.add_leaf(leaf.id, slot);
         }
+        self.routing.rebuild_due();
 
         if !repair.removed_aux.is_empty() {
             self.aux_nodes
@@ -736,18 +636,8 @@ impl SolvePlan {
                 continue;
             }
             if kept != old {
-                let from = at.member_slot(old);
-                if let Some(slot) = self.routing.payload_slot.get_mut(&m.element.id) {
-                    slot.member = kept as u32;
-                }
-                if let Some(slot) = self
-                    .routing
-                    .out_edge_slots
-                    .get_mut(&m.element.out_edge.child)
-                    .and_then(|slots| slots.iter_mut().find(|s| **s == from))
-                {
-                    slot.member = kept as u32;
-                }
+                self.routing
+                    .move_member(m, at.member_slot(old), at.member_slot(kept));
             }
             remap.push(Some(kept));
             kept += 1;
@@ -812,39 +702,6 @@ impl SolvePlan {
     }
 }
 
-impl Routing {
-    /// Point every index entry of `view` (registered at `from`) at view index `to` of
-    /// the same bucket.
-    fn readdress_view(&mut self, view: &PlanView, from: ViewSlot, to: u32) {
-        let readdress = |readers: &mut BTreeMap<NodeId, Vec<ViewSlot>>, key: NodeId| {
-            if let Some(slot) = readers
-                .get_mut(&key)
-                .and_then(|slots| slots.iter_mut().find(|s| **s == from))
-            {
-                slot.view = to;
-            }
-        };
-        readdress(&mut self.out_label_readers, view.out_edge.child);
-        if let Some(in_edge) = view.in_edge {
-            readdress(&mut self.in_label_readers, in_edge.child);
-            readdress(&mut self.in_edge_slots, in_edge.child);
-        }
-        for (idx, member) in view.members.iter().enumerate() {
-            if let Some(slot) = self.payload_slot.get_mut(&member.element.id) {
-                slot.view = to;
-            }
-            let from = from.member_slot(idx);
-            if let Some(slot) = self
-                .out_edge_slots
-                .get_mut(&member.element.out_edge.child)
-                .and_then(|slots| slots.iter_mut().find(|s| **s == from))
-            {
-                slot.view = to;
-            }
-        }
-    }
-}
-
 impl SolvePlan {
     /// The plan's skeletons and routing indexes with every slot resolved to the ids it
     /// addresses (see [`PlanRouting`]). Two plans of one clustering — say one spliced
@@ -858,27 +715,27 @@ impl SolvePlan {
             let view = view_of(&s.view_slot());
             (view.cluster, view.members[s.member as usize].element.id)
         };
-        let clusters = |readers: &BTreeMap<NodeId, Vec<ViewSlot>>| {
-            readers
-                .iter()
-                .map(|(&key, slots)| (key, slots.iter().map(|s| view_of(s).cluster).collect()))
-                .collect()
-        };
         let routing = &self.routing;
         PlanRouting {
             payload: routing
-                .payload_slot
+                .nodes
                 .iter()
-                .map(|(&id, slot)| (id, member_of(slot)))
+                .chain(routing.clusters.iter())
+                .map(|(id, slot)| (id, member_of(slot)))
                 .collect(),
             out_edge: routing
-                .out_edge_slots
+                .out_edges
                 .iter()
-                .map(|(&key, slots)| (key, slots.iter().map(member_of).collect()))
+                .map(|(key, slots)| (key, slots.iter().map(member_of).collect()))
                 .collect(),
-            in_edge: clusters(&routing.in_edge_slots),
-            out_label_readers: clusters(&routing.out_label_readers),
-            in_label_readers: clusters(&routing.in_label_readers),
+            label_readers: routing
+                .readers
+                .iter()
+                .map(|(key, readers)| {
+                    let by_id = readers.iter().map(|r| (view_of(&r.view).cluster, r.as_out));
+                    (key, by_id.collect())
+                })
+                .collect(),
             views: self
                 .layers
                 .iter()
@@ -939,11 +796,12 @@ impl SolvePlan {
             .sum()
     }
 
-    /// Approximate resident size of the plan in machine words: the skeleton views
-    /// plus the routing indexes, counting one key word per entry and one word per slot
-    /// coordinate (four for a member slot, three for a view slot). This
-    /// is what the serving layer counts in a tenant's resident bytes — an estimate of
-    /// what keeping the plan warm costs, not an exact allocator measurement.
+    /// Approximate resident size of the plan in machine words: the skeleton views,
+    /// plus the routing indexes at one word per key, per slot coordinate (four for a
+    /// member slot; a reading view's three and its as-out flag), per list span and
+    /// per two directory offsets. This is what the serving layer counts in a tenant's
+    /// resident bytes — an estimate of what keeping the plan warm costs, not an exact
+    /// allocator measurement.
     pub fn resident_words(&self) -> usize {
         let skeletons: usize = self
             .layers
@@ -952,24 +810,8 @@ impl SolvePlan {
             .flat_map(|views| views.iter())
             .map(Words::words)
             .sum();
-        let routing = &self.routing;
-        // A payload entry is a key and a 4-word member slot; a slot list is a key, a
-        // length and 4 (member) or 3 (view) words per slot.
-        let payload_idx = routing.payload_slot.len() * 5;
-        let member_vecs: usize = routing
-            .out_edge_slots
-            .values()
-            .map(|slots| 2 + slots.len() * 4)
-            .sum();
-        let view_vecs: usize = routing
-            .in_edge_slots
-            .values()
-            .chain(routing.in_label_readers.values())
-            .chain(routing.out_label_readers.values())
-            .map(|slots| 2 + slots.len() * 3)
-            .sum();
         let aux = self.aux_nodes.len() * 2;
-        8 + skeletons + payload_idx + member_vecs + view_vecs + aux
+        8 + skeletons + self.routing.resident_words() + aux
     }
 
     /// The lowest-numbered original node `node_inputs` holds no record for, if any:
@@ -985,7 +827,7 @@ impl SolvePlan {
         let mut covered: Vec<NodeId> = node_inputs
             .iter()
             .map(|(node, _)| *node)
-            .filter(|node| *node < AUX_BASE && self.routing.payload_slot.contains_key(node))
+            .filter(|node| *node < AUX_BASE && self.routing.nodes.get(*node).is_some())
             .collect();
         covered.sort_unstable();
         covered.dedup();
@@ -993,11 +835,11 @@ impl SolvePlan {
             return None;
         }
         self.routing
-            .payload_slot
-            .keys()
-            .take_while(|node| **node < AUX_BASE)
+            .nodes
+            .iter()
+            .map(|(node, _)| node)
+            .take_while(|node| *node < AUX_BASE)
             .find(|node| covered.binary_search(node).is_err())
-            .copied()
     }
 
     /// Solve one DP problem over the cached plan (same contract as
@@ -1192,7 +1034,7 @@ impl SolvePlan {
                              state: &mut PlanState<P>,
                              sends: &mut [usize],
                              recvs: &mut [usize]| {
-            let Some(slot) = self.routing.payload_slot.get(&node) else {
+            let Some(slot) = self.routing.payload(node) else {
                 return;
             };
             let cell =
@@ -1217,7 +1059,7 @@ impl SolvePlan {
         }
         for (src, chunk) in edge_inputs.chunks().iter().enumerate() {
             for (child, input) in chunk {
-                for slot in self.routing.out_edge_slots.get(child).into_iter().flatten() {
+                for slot in self.routing.out_edges.get(*child) {
                     let cell = &mut state[slot.layer as usize - 1][slot.machine as usize]
                         [slot.view as usize];
                     if cell.out_inputs[slot.member as usize].is_some() {
@@ -1230,7 +1072,7 @@ impl SolvePlan {
                     }
                     cell.out_inputs[slot.member as usize] = Some(input.clone());
                 }
-                for vslot in self.routing.in_edge_slots.get(child).into_iter().flatten() {
+                for vslot in self.routing.readers_as(*child, false) {
                     let cell = &mut state[vslot.layer as usize - 1][vslot.machine as usize]
                         [vslot.view as usize];
                     if cell.in_input.is_some() {
@@ -1293,8 +1135,7 @@ impl SolvePlan {
             any_forwarded = true;
             let slot = self
                 .routing
-                .payload_slot
-                .get(&cluster)
+                .payload(cluster)
                 .expect("every non-top cluster is absorbed somewhere");
             if slot.machine as usize != src {
                 // The summary record `(cluster, Payload::Summary)` moves.
@@ -1405,10 +1246,11 @@ impl SolvePlan {
         recvs: &mut [usize],
     ) -> bool {
         let mut delivered = false;
-        let mut place = |vslot: &ViewSlot, as_out: bool| {
+        for reader in self.routing.readers.get(key) {
+            let vslot = reader.view;
             if vslot.layer >= producer_layer {
                 // That view was labeled before this key was produced: it read `None`.
-                return;
+                continue;
             }
             delivered = true;
             if vslot.machine as usize != src {
@@ -1418,18 +1260,11 @@ impl SolvePlan {
             }
             let cell = &mut boundary[vslot.layer as usize - 1][vslot.machine as usize]
                 [vslot.view as usize];
-            if as_out {
+            if reader.as_out {
                 cell.0 = Some(label.clone());
             } else {
                 cell.1 = Some(label.clone());
             }
-        };
-        let routing = &self.routing;
-        for vslot in routing.out_label_readers.get(&key).into_iter().flatten() {
-            place(vslot, true);
-        }
-        for vslot in routing.in_label_readers.get(&key).into_iter().flatten() {
-            place(vslot, false);
         }
         delivered
     }
@@ -1448,33 +1283,30 @@ pub(crate) fn slots_at<P: ClusterDp>(state: &mut PlanState<P>, at: ViewSlot) -> 
 type BoundaryLabels<L> = (Option<L>, Option<L>);
 
 impl SolvePlan {
-    /// Name the first routing index that differs from a re-derivation over the
+    /// Name the first routing index — `payload_slot`, `out_edge_slots` or
+    /// `label_readers` — whose live entries differ from a re-derivation over the
     /// skeleton views ([`Routing::of`]), or `out_edge_slots` when its keys are not
     /// exactly `edge_children` — the edge children of the degree-reduced edge list the
     /// plan takes edge inputs from: the zero-round drift alarm for a plan that has been
     /// spliced in place.
     pub(crate) fn audit_routing(&self, edge_children: &BTreeSet<NodeId>) -> Result<(), String> {
-        let (held, fresh) = (&self.routing, Routing::of(&self.layers));
-        let drifted = if held.payload_slot != fresh.payload_slot {
-            "payload_slot"
-        } else if held.out_edge_slots != fresh.out_edge_slots {
-            "out_edge_slots"
-        } else if held.in_edge_slots != fresh.in_edge_slots {
-            "in_edge_slots"
-        } else if held.out_label_readers != fresh.out_label_readers {
-            "out_label_readers"
-        } else if held.in_label_readers != fresh.in_label_readers {
-            "in_label_readers"
-        } else if !held.out_edge_slots.keys().eq(edge_children) {
+        let held = &self.routing;
+        if let Some(drifted) = held.drift_from(&Routing::of(&self.layers)) {
+            return Err(format!(
+                "routing index {drifted} differs from a re-index of the skeleton views"
+            ));
+        }
+        if !held
+            .out_edges
+            .iter()
+            .map(|(key, _)| key)
+            .eq(edge_children.iter().copied())
+        {
             return Err(
                 "routing index out_edge_slots routes other edges than the edge list".into(),
             );
-        } else {
-            return Ok(());
-        };
-        Err(format!(
-            "routing index {drifted} differs from a re-index of the skeleton views"
-        ))
+        }
+        Ok(())
     }
 
     /// Check that the plan is safe to evaluate and splice — what a decoder must know
@@ -1496,17 +1328,15 @@ impl SolvePlan {
         {
             return Err("plan machine index");
         }
-        let mut members = 0usize;
         let mut top_found = false;
         for (li, layer) in self.layers.iter().enumerate() {
             for (machine, views) in layer.iter().enumerate() {
                 for v in views {
                     v.validate()?;
-                    members += v.members.len();
                     if v.cluster == self.top_cluster {
                         top_found |= machine == self.top_machine;
                     } else {
-                        match self.routing.payload_slot.get(&v.cluster) {
+                        match self.routing.payload(v.cluster) {
                             Some(s) if s.layer as usize > li + 1 => {}
                             _ => return Err("plan summary slot"),
                         }
@@ -1517,7 +1347,9 @@ impl SolvePlan {
         if !top_found {
             return Err("plan top cluster view");
         }
-        if self.routing.payload_slot.len() != members {
+        // A run keeps every member's entry, so one element on two members shows as
+        // a repeated key.
+        if self.routing.repeats_a_payload() {
             return Err("plan payload slot");
         }
         Ok(())
@@ -1747,8 +1579,9 @@ mod tests {
         assert_eq!(plan, reference);
         let edge_children: BTreeSet<NodeId> = prepared.edges.iter().map(|(e, _)| e.child).collect();
         assert_eq!(plan.audit_routing(&edge_children), Ok(()));
-        let in_edges = &plan.routing.in_edge_slots;
-        assert!(in_edges.keys().all(|c| edge_children.contains(c)));
+        let readers = plan.routing.readers.iter();
+        let mut in_edges = readers.filter(|(_, rs)| rs.iter().any(|r| !r.as_out));
+        assert!(in_edges.all(|(c, _)| edge_children.contains(&c)));
         !plan.aux_nodes.is_empty()
     }
 

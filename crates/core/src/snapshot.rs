@@ -38,8 +38,9 @@
 //! [`seal`] / [`open`].
 
 use crate::pipeline::PreparedTree;
-use crate::plan::{PlanMember, PlanView, Routing, SolvePlan};
+use crate::plan::{PlanMember, PlanView, SolvePlan};
 use crate::problem::{ClusterDp, Payload, SlotState};
+use crate::routing::Routing;
 use crate::state_dp::StateSummary;
 use crate::store::SolverStore;
 use mpc_engine::{unmetered, DistVec, MpcConfig};
@@ -711,17 +712,20 @@ impl Snapshot for SolvePlan {
         self.layers.encode(w);
     }
     fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let mut plan = SolvePlan {
-            num_layers: r.take_u32()?,
-            num_machines: r.take_usize()?,
-            root: r.take_u64()?,
-            top_cluster: r.take_u64()?,
-            top_machine: r.take_usize()?,
-            aux_nodes: Vec::decode(r)?,
-            layers: Vec::decode(r)?,
-            routing: Routing::default(),
+        let (num_layers, num_machines) = (r.take_u32()?, r.take_usize()?);
+        let (root, top_cluster, top_machine) = (r.take_u64()?, r.take_u64()?, r.take_usize()?);
+        let aux_nodes = Vec::decode(r)?;
+        let layers: Vec<Vec<Vec<PlanView>>> = Vec::decode(r)?;
+        let plan = SolvePlan {
+            num_layers,
+            num_machines,
+            root,
+            top_cluster,
+            top_machine,
+            aux_nodes,
+            routing: Routing::of(&layers),
+            layers,
         };
-        plan.routing = Routing::of(&plan.layers);
         // What the evaluation pass and the splice rely on is checked here, once, for
         // everything that carries a plan (tree, store, tenant).
         plan.validate().map_err(SnapshotError::Malformed)?;

@@ -72,7 +72,7 @@ impl<P: ClusterDp> SolverStore<P> {
     /// Write `input` into the payload slot of `node`; the view holding the slot, or
     /// `None` when the plan routes no such element.
     pub fn set_node_input(&mut self, node: NodeId, input: P::NodeInput) -> Option<ViewSlot> {
-        let slot = *self.plan.routing.payload_slot.get(&node)?;
+        let slot = *self.plan.routing.payload(node)?;
         let at = slot.view_slot();
         slots_at(&mut self.state, at).payloads[slot.member as usize] = Some(Payload::Input(input));
         Some(at)
@@ -83,17 +83,15 @@ impl<P: ClusterDp> SolverStore<P> {
     /// slot of the view it enters); the views written to.
     pub fn set_edge_input(&mut self, child: NodeId, input: &P::EdgeInput) -> Vec<ViewSlot> {
         let routing = &self.plan.routing;
-        let out_slots = routing.out_edge_slots.get(&child).into_iter().flatten();
-        let in_slots = routing.in_edge_slots.get(&child).into_iter().flatten();
         let mut touched = Vec::new();
-        for slot in out_slots {
+        for slot in routing.out_edges.get(child) {
             slots_at(&mut self.state, slot.view_slot()).out_inputs[slot.member as usize] =
                 Some(input.clone());
             touched.push(slot.view_slot());
         }
-        for at in in_slots {
-            slots_at(&mut self.state, *at).in_input = Some(input.clone());
-            touched.push(*at);
+        for at in routing.readers_as(child, false) {
+            slots_at(&mut self.state, at).in_input = Some(input.clone());
+            touched.push(at);
         }
         touched
     }
@@ -104,7 +102,7 @@ impl<P: ClusterDp> SolverStore<P> {
         if cluster == self.plan.top_cluster {
             return Some(&self.root_summary);
         }
-        let slot = self.plan.routing.payload_slot.get(&cluster)?;
+        let slot = self.plan.routing.payload(cluster)?;
         let at = slot.view_slot();
         match &self.state[at.layer as usize - 1][at.machine as usize][at.view as usize].payloads
             [slot.member as usize]
@@ -121,7 +119,7 @@ impl<P: ClusterDp> SolverStore<P> {
             self.root_summary = summary;
             return None;
         }
-        let slot = *self.plan.routing.payload_slot.get(&cluster)?;
+        let slot = *self.plan.routing.payload(cluster)?;
         let at = slot.view_slot();
         slots_at(&mut self.state, at).payloads[slot.member as usize] =
             Some(Payload::Summary(summary));
@@ -148,9 +146,7 @@ impl<P: ClusterDp> SolverStore<P> {
     /// The views that read the label of the edge whose child endpoint is `child` as a
     /// boundary label (out-label or in-label) in their top-down step.
     pub fn label_readers(&self, child: NodeId) -> impl Iterator<Item = ViewSlot> + '_ {
-        let out = self.plan.routing.out_label_readers.get(&child);
-        let into = self.plan.routing.in_label_readers.get(&child);
-        out.into_iter().chain(into).flatten().copied()
+        self.plan.routing.readers.get(child).iter().map(|r| r.view)
     }
 
     /// The label of the virtual root edge.
@@ -193,7 +189,11 @@ impl<P: ClusterDp> SolverStore<P> {
                 .get(&leaf.id)
                 .expect("every added leaf came from a link op")
                 .clone();
-            let slot = self.plan.routing.payload_slot[&leaf.id];
+            let slot = *self
+                .plan
+                .routing
+                .payload(leaf.id)
+                .expect("the splice filed every added leaf");
             let slots = slots_at(&mut self.state, slot.view_slot());
             debug_assert_eq!(slots.payloads.len(), slot.member as usize);
             slots.payloads.push(Some(Payload::Input(node_input)));
@@ -354,18 +354,20 @@ mod tests {
     /// The first view with an incoming edge and a member that has both a parent and a
     /// child: every skeleton field a corruption below touches is present in it.
     fn rich_view(plan: &SolvePlan) -> ViewSlot {
-        let readers = plan.routing.in_label_readers.values().flatten();
-        *readers
-            .clone()
-            .find(|at| {
-                let view = plan.view_at(**at);
-                view.attach.is_some()
-                    && view
-                        .members
-                        .iter()
-                        .any(|m| m.parent.is_some() && !m.children.is_empty())
+        let mut readers = plan.routing.readers.iter().flat_map(|(_, rs)| rs);
+        readers
+            .find(|r| {
+                !r.as_out && {
+                    let view = plan.view_at(r.view);
+                    view.attach.is_some()
+                        && view
+                            .members
+                            .iter()
+                            .any(|m| m.parent.is_some() && !m.children.is_empty())
+                }
             })
             .expect("a caterpillar has an indegree-1 cluster with an inner member")
+            .view
     }
 
     fn decode_resealed<T: Snapshot>(kind: u32, value: &T) -> Result<T, SnapshotError> {
@@ -504,29 +506,19 @@ mod tests {
         let reread = || decode_resealed(KIND_STORE, &store).expect("valid store");
 
         let mut drifted = reread();
-        let slot = drifted
-            .plan
-            .routing
-            .payload_slot
-            .values_mut()
-            .next()
-            .expect("non-empty");
-        slot.member += 1;
+        let routing = &mut drifted.plan.routing;
+        let (first, _) = routing.nodes.iter().next().expect("non-empty");
+        routing.nodes.get_mut(first).expect("live").member += 1;
         let err = drifted.audit(prepared.edges.iter()).expect_err("planted");
         assert!(err.contains("payload_slot"), "{err}");
 
         let mut drifted = reread();
-        let readers = drifted
-            .plan
-            .routing
-            .out_label_readers
-            .values_mut()
-            .next()
-            .expect("non-empty");
-        readers.reverse();
-        readers.push(readers[0]);
+        let routing = &mut drifted.plan.routing;
+        let (first, _) = routing.readers.iter().next().expect("non-empty");
+        let reader = &mut routing.readers.get_mut(first)[0];
+        reader.as_out = !reader.as_out;
         let err = drifted.audit(prepared.edges.iter()).expect_err("planted");
-        assert!(err.contains("out_label_readers"), "{err}");
+        assert!(err.contains("label_readers"), "{err}");
 
         let mut drifted = reread();
         let at = rich_view(&drifted.plan);

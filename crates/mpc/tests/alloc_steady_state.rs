@@ -34,10 +34,11 @@
 //! since the state engine runs every view's local DP in one reused arena.
 //!
 //! The same allocator also counts *gross* allocated bytes, which pins the structural
-//! update path without a clock: a warm one-op `link` and a one-op leaf `cut` on a path
-//! allocate the same (within 2×) at `n = 4096` and `n = 65536`, and a 16-op batch no
-//! more than twice what 16 one-op batches do — i.e. nothing on that path builds a host
-//! structure proportional to the tree.
+//! update path without a clock: a warm one-op `link`, a one-op leaf `cut` and a
+//! one-op `link` of a leaf id far above `n` (`1 << 40`) on a path allocate the same
+//! (within 2×) at `n = 4096` and `n = 65536`, and a 16-op batch no more than twice what
+//! 16 one-op batches do — i.e. nothing on that path builds a host structure
+//! proportional to the tree or to the largest id.
 //!
 //! The whole check lives in one `#[test]` so no concurrent test pollutes the global
 //! counters; the contexts are `MpcConfig::new`'s default, so the pin holds for what
@@ -107,6 +108,8 @@ struct StructuralBytes {
     link: usize,
     /// One batch cutting that leaf again.
     cut: usize,
+    /// One batch linking a leaf with an id far above `n`.
+    far_link: usize,
     /// Sixteen one-op batches: eight links, eight cuts of older leaves.
     sixteen_singles: usize,
     /// The same eight links and eight cuts as one batch.
@@ -198,6 +201,9 @@ fn structural_bytes(n: usize) -> StructuralBytes {
     let leaf = fresh();
     let link = apply(StructuralBatch::new().link(site(8), leaf, 5, ()));
     let cut = apply(StructuralBatch::new().cut(leaf));
+    let far = 1 << 40;
+    let far_link = apply(StructuralBatch::new().link(site(8), far, 5, ()));
+    apply(StructuralBatch::new().cut(far));
 
     let mut sixteen_singles = 0;
     let mut newer = Vec::new();
@@ -220,6 +226,7 @@ fn structural_bytes(n: usize) -> StructuralBytes {
     StructuralBytes {
         link,
         cut,
+        far_link,
         sixteen_singles,
         sixteen_batched,
         solve_calls,
@@ -458,6 +465,7 @@ fn warm_primitive_calls_have_zero_net_heap_growth() {
     for (what, at_small, at_large) in [
         ("1-op link", small.link, large.link),
         ("1-op leaf cut", small.cut, large.cut),
+        ("1-op link of a far-off id", small.far_link, large.far_link),
     ] {
         assert!(
             at_large <= 2 * at_small && at_small <= 2 * at_large,

@@ -6,7 +6,7 @@
 //! the same guarantee through `submit`/`flush` (the solver splices the tenant's one
 //! plan, or re-prepares on a degrade) and through snapshot → restore.
 
-use mpc_tree_dp::clustering::{is_aux_node, plan_repair, EdgeKind, TopologyOp};
+use mpc_tree_dp::clustering::{is_aux_node, plan_repair, EdgeKind, TopologyOp, AUX_BASE};
 use mpc_tree_dp::core::{open, solve_sequential, StateDp};
 use mpc_tree_dp::problems::{
     MaxWeightIndependentSet, MaxWeightMatching, MinWeightDominatingSet, MinWeightVertexCover,
@@ -78,11 +78,39 @@ impl Model {
         self.edge_weights.insert(child, ew);
     }
 
-    fn cut(&mut self, child: u64) {
+    fn children(&self) -> BTreeMap<u64, Vec<u64>> {
         let mut children: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
         for &(c, p) in &self.edges {
             children.entry(p).or_default().push(c);
         }
+        children
+    }
+
+    /// Node count of every live node's subtree.
+    fn subtree_sizes(&self) -> BTreeMap<u64, usize> {
+        let children = self.children();
+        // Parents before children; summed in reverse.
+        let mut order = vec![self.root];
+        let mut at = 0;
+        while at < order.len() {
+            order.extend(children.get(&order[at]).into_iter().flatten().copied());
+            at += 1;
+        }
+        let mut sizes: BTreeMap<u64, usize> = BTreeMap::new();
+        for &v in order.iter().rev() {
+            let below: usize = children
+                .get(&v)
+                .into_iter()
+                .flatten()
+                .map(|c| sizes[c])
+                .sum();
+            sizes.insert(v, 1 + below);
+        }
+        sizes
+    }
+
+    fn cut(&mut self, child: u64) {
+        let children = self.children();
         let mut removed: BTreeSet<u64> = BTreeSet::new();
         let mut frontier = vec![child];
         while let Some(v) = frontier.pop() {
@@ -799,6 +827,158 @@ proptest! {
     ) {
         check_long_sequence(&tree, seed, 32);
     }
+}
+
+/// A solver over a fresh prepare of `tree` (cluster threshold `threshold`) with the
+/// model's node weights as MaxIS inputs.
+fn max_is_solver(
+    ctx: &mut MpcContext,
+    tree: &Tree,
+    model: &Model,
+    threshold: usize,
+) -> (PreparedTree, IncrementalSolver<MaxIs>) {
+    let prepared = prepare(
+        ctx,
+        TreeInput::ListOfEdges(ListOfEdges::from_tree(tree)),
+        Some(threshold),
+    )
+    .expect("well-formed tree");
+    let inputs = ctx.from_vec(
+        model
+            .weights
+            .iter()
+            .map(|(&v, &w)| (v, w))
+            .collect::<Vec<_>>(),
+    );
+    let no_edges = ctx.from_vec(Vec::<(u64, ())>::new());
+    let inc = IncrementalSolver::new(
+        ctx,
+        &prepared,
+        MaxIs::new(MaxWeightIndependentSet),
+        &inputs,
+        0,
+        &no_edges,
+    );
+    (prepared, inc)
+}
+
+/// Leaves linked with ids far above `n` — `1 << 40`, and `AUX_BASE - 1`, the highest
+/// id a link may take — splice like the sequential ids every other test links: the
+/// answers match a fresh prepare and the spliced routing a fresh plan's, before and
+/// after a leaf is hung below one of them and the other is cut. An index sized by id
+/// magnitude would not survive the first batch.
+#[test]
+fn far_off_leaf_ids_splice_like_sequential_ones() {
+    let tree = tree_gen::shapes::path(4096);
+    let mut ctx = MpcContext::new(cfg_for(2 * tree.len()));
+    let mut model = Model::from_tree(&tree, 3);
+    let (mut prepared, mut inc) = max_is_solver(&mut ctx, &tree, &model, 4);
+    let far = [1u64 << 40, AUX_BASE - 1];
+
+    let batch = StructuralBatch::new()
+        .link(17, far[0], 25, ())
+        .link(3001, far[1], 19, ());
+    model.link(17, far[0], 25, 1);
+    model.link(3001, far[1], 19, 1);
+    apply_checked(&mut ctx, &mut inc, &mut prepared, &batch, "far-off links");
+    assert_node_equiv(
+        &mut ctx,
+        &inc,
+        &model,
+        MaxWeightIndependentSet,
+        "far-off links",
+    );
+
+    let batch = StructuralBatch::new()
+        .link(far[0], far[0] + 1, 7, ())
+        .cut(far[1]);
+    model.link(far[0], far[0] + 1, 7, 1);
+    model.cut(far[1]);
+    apply_checked(&mut ctx, &mut inc, &mut prepared, &batch, "below and cut");
+    assert_node_equiv(
+        &mut ctx,
+        &inc,
+        &model,
+        MaxWeightIndependentSet,
+        "below and cut",
+    );
+
+    inc.update_node_inputs(&mut ctx, &[(far[0], 40), (far[0] + 1, 2)]);
+    model.weights.insert(far[0], 40);
+    model.weights.insert(far[0] + 1, 2);
+    assert_node_equiv(
+        &mut ctx,
+        &inc,
+        &model,
+        MaxWeightIndependentSet,
+        "far-off weights",
+    );
+}
+
+/// One churn batch against `model`: one to three ops, each the cut of a random subtree
+/// of at most eight nodes or a link below a random live node — mostly cuts while the
+/// tree has at least `size` nodes, mostly links below that — so the tree keeps its size
+/// while leaves and inner clusters come and go.
+fn churn_batch(
+    model: &mut Model,
+    size: usize,
+    step: u64,
+    next_id: &mut u64,
+) -> StructuralBatch<MaxIs> {
+    let mut batch = StructuralBatch::new();
+    for i in 0..1 + mix(29, step, 99) % 3 {
+        let m = mix(29, step, i);
+        let small: Vec<u64> = model
+            .subtree_sizes()
+            .into_iter()
+            .filter(|&(v, size)| v != model.root && size <= 8)
+            .map(|(v, _)| v)
+            .collect();
+        let cut = (m % 4 == 0) != (model.live_nodes().len() >= size);
+        if cut && !small.is_empty() {
+            let victim = small[(m / 2) as usize % small.len()];
+            model.cut(victim);
+            batch = batch.cut(victim);
+        } else {
+            let live = model.live_nodes();
+            let parent = live[(m / 2) as usize % live.len()];
+            let w = ((m >> 32) % 23) as i64;
+            model.link(parent, *next_id, w, 1);
+            batch = batch.link(parent, *next_id, w, ());
+            *next_id += 1;
+        }
+    }
+    batch
+}
+
+/// Long churn on one solver: 240 link/cut batches that keep the tree near its size.
+/// After every batch the drift audit holds — each spliced routing index equals
+/// `Routing::of` over the spliced skeletons — and the spliced routing equals a fresh
+/// plan's of the repaired tree; every 40 batches the answers match a fresh prepare. On
+/// the way every index runs through its tombstones and overflow and is rebuilt from
+/// them many times (the splice rebuilds an index once its patches pass an eighth of
+/// its entries).
+#[test]
+fn long_churn_keeps_spliced_routing_equal_to_a_fresh_derivation() {
+    let tree = tree_gen::shapes::random_recursive(300, 11);
+    let mut ctx = MpcContext::new(cfg_for(4 * tree.len()));
+    let mut model = Model::from_tree(&tree, 13);
+    let (mut prepared, mut inc) = max_is_solver(&mut ctx, &tree, &model, 8);
+    let (steps, mut repaired) = (240u64, 0u64);
+    let mut next_id = 10_000;
+    for step in 0..steps {
+        let what = format!("churn step {step}");
+        let batch = churn_batch(&mut model, tree.len(), step, &mut next_id);
+        let stats = apply_checked(&mut ctx, &mut inc, &mut prepared, &batch, &what);
+        repaired += u64::from(!stats.degraded);
+        if step % 40 == 39 {
+            assert_node_equiv(&mut ctx, &inc, &model, MaxWeightIndependentSet, &what);
+        }
+    }
+    assert!(
+        repaired * 4 > steps * 3,
+        "{repaired} of {steps} batches spliced locally"
+    );
 }
 
 /// The serving layer: structural requests fold per flush, splice the solver's plan,
