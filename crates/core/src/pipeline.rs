@@ -62,7 +62,8 @@ pub struct PreparedTree {
     /// For every auxiliary node, the original node it stands in for.
     pub aux_to_original: DistVec<(NodeId, NodeId)>,
     /// The lazily built, cached [`SolvePlan`] (see [`plan`](Self::plan)): the
-    /// problem-independent view assembly is charged at most once per prepared tree.
+    /// problem-independent view assembly is charged once per topology — a structural
+    /// repair drops it.
     pub(crate) plan: OnceCell<SolvePlan>,
 }
 
@@ -136,9 +137,11 @@ impl PreparedTree {
     /// The shared [`SolvePlan`] of this prepared tree: the problem-independent view
     /// assembly (per-layer member groupings, member-tree links, boundary edges,
     /// routing indexes), built **once** on first call (charged under `plan-build`)
-    /// and cached — subsequent calls return the cached plan for free. Any number of
-    /// DP problems can then be solved over it with [`SolvePlan::solve`], each
-    /// charging only its problem-dependent payload/summary/label exchanges.
+    /// and cached — subsequent calls return the cached plan for free until a
+    /// structural repair ([`apply_structural_repair`](Self::apply_structural_repair))
+    /// drops it. Any number of DP problems can then be solved over it with
+    /// [`SolvePlan::solve`], each charging only its problem-dependent
+    /// payload/summary/label exchanges.
     pub fn plan(&self, ctx: &mut MpcContext) -> &SolvePlan {
         self.plan
             .get_or_init(|| build_plan(ctx, &self.clustering, &self.edges, &self.aux_to_original))
@@ -146,8 +149,8 @@ impl PreparedTree {
 
     /// Build a fresh [`SolvePlan`] for this tree, bypassing (and not touching) the
     /// [`plan`](Self::plan) cache. Every call re-charges the full `plan-build` phase.
-    /// It serves callers that keep the plan elsewhere: the serving layer builds each
-    /// tenant's plan here once and keeps it only in the tenant's solver store.
+    /// It serves callers that keep the plan elsewhere: a plan built here and moved
+    /// into a solver store ([`SolvePlan::solve_with_store`]) is the only copy.
     pub fn plan_uncached(&self, ctx: &mut MpcContext) -> SolvePlan {
         build_plan(ctx, &self.clustering, &self.edges, &self.aux_to_original)
     }
@@ -170,9 +173,11 @@ impl PreparedTree {
     }
 
     /// Splice a planned structural repair (see [`tree_clustering::RepairIndex::plan`])
-    /// into every cached representation of this tree: the clustering's element list,
-    /// the degree-reduced edge list, the aux-node map, the node counts, and — when one
-    /// is cached — the [`SolvePlan`] skeletons and routing indexes.
+    /// into this tree: the clustering's element list, the degree-reduced edge list,
+    /// the aux-node map and the node counts. A cached [`SolvePlan`] is dropped, not
+    /// spliced — the plan a repair maintains is the solver store's
+    /// ([`SolverStore::apply_repair`](crate::SolverStore::apply_repair)) — so the
+    /// next [`plan`](Self::plan) call rebuilds it under `plan-build`.
     ///
     /// The three flat tables are patched where they lie, with no host-side copy: edges
     /// and aux records are dropped from their chunks and the new leaf edges land where
@@ -180,7 +185,7 @@ impl PreparedTree {
     /// drops, demotes and appends, and is then shifted back into the balanced layout
     /// (a later `plan_uncached` reads all three under charged primitives, so their
     /// chunking is part of the charged model). These passes are the only work here
-    /// that is linear in the tree; the plan splice is confined to the touched views.
+    /// that is linear in the tree.
     ///
     /// Host-side surgery, zero rounds (the incremental solver's `inc-struct` phase
     /// meters the moved words). The repair must have been planned against this tree's
@@ -231,18 +236,7 @@ impl PreparedTree {
         let removed_originals = repair.removed_nodes.len() - repair.removed_aux.len();
         self.original_nodes = self.original_nodes - removed_originals + repair.added_leaves.len();
         self.num_nodes = repair.new_num_nodes;
-
-        if let Some(plan) = self.plan.get_mut() {
-            plan.apply_repair(repair);
-        }
-    }
-
-    /// Remove and return the cached [`SolvePlan`], leaving the tree plan-less (the
-    /// next [`plan`](Self::plan) call re-charges a full `plan-build`). The serving
-    /// layer drops the plan a degraded re-prepare caches here, since the tenant's
-    /// solver store already holds a copy.
-    pub fn take_plan(&mut self) -> Option<SolvePlan> {
-        self.plan.take()
+        self.plan.take();
     }
 
     /// Reconstruct the *original* (pre-degree-reduction) child→parent edge list,
@@ -272,7 +266,9 @@ impl PreparedTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::tests::Count;
     use mpc_engine::MpcConfig;
+    use std::collections::BTreeMap;
     use tree_clustering::{is_aux_node, ElementKind, RepairIndex, RepairOutcome, TopologyOp};
     use tree_gen::shapes;
     use tree_repr::{ListOfEdges, Tree};
@@ -350,10 +346,11 @@ mod tests {
     /// Ids of the leaves the generated batches link.
     const FIRST_LINKED: NodeId = 10_000;
 
-    /// Runs `steps` generated batches; returns how many (demotions, removed auxiliary
-    /// nodes) the repairs covered, and how often the splice rebuilt each routing index
-    /// (node and cluster payloads, out-edge lists, label readers) after its tombstones
-    /// and overflow piled up.
+    /// Runs `steps` generated batches, each patched into the tree's tables and spliced
+    /// into the plan of a solver store over the tree; returns how many (demotions,
+    /// removed auxiliary nodes) the repairs covered, and how often the splice rebuilt
+    /// each routing index (node and cluster payloads, out-edge lists, label readers)
+    /// after its tombstones and overflow piled up.
     fn check_repairs_patch_like_a_rebuild(
         tree: &Tree,
         threshold: usize,
@@ -371,7 +368,12 @@ mod tests {
             Some(threshold),
         )
         .expect("well-formed tree");
-        prepared.plan(&mut ctx);
+        let ones = ctx.from_vec((0..tree.len() as u64).map(|v| (v, 1)).collect::<Vec<_>>());
+        let no_edges = ctx.from_vec(Vec::<(u64, ())>::new());
+        let (_, mut store) = prepared
+            .plan(&mut ctx)
+            .clone()
+            .solve_with_store(&mut ctx, &Count, &ones, 1, &no_edges);
         let mut index = RepairIndex::build(&prepared.clustering, prepared.edges.iter());
         let mut next_id = FIRST_LINKED;
         let (mut repaired, mut demoted, mut removed_aux) = (0, 0, 0);
@@ -397,16 +399,23 @@ mod tests {
             removed_aux += repair.removed_aux.len();
 
             let rebuilt = with_rebuilt_tables(&mut ctx, &prepared, &repair);
-            let entries = |p: &PreparedTree| {
-                let plan = p.plan.get().expect("plan was built");
-                plan.routing.entry_addresses()
-            };
-            let before = entries(&prepared);
+            let leaf_inputs: BTreeMap<NodeId, (u64, ())> = repair
+                .added_leaves
+                .iter()
+                .map(|leaf| (leaf.id, (1, ())))
+                .collect();
+            let before = store.plan().routing.entry_addresses();
             prepared.apply_structural_repair(&repair);
-            for ((count, was), now) in rebuilds.iter_mut().zip(before).zip(entries(&prepared)) {
+            store.apply_repair(&repair, &leaf_inputs);
+            let after = store.plan().routing.entry_addresses();
+            for ((count, was), now) in rebuilds.iter_mut().zip(before).zip(after) {
                 *count += usize::from(now != was);
             }
             index.apply(&repair);
+            assert!(
+                !prepared.has_plan(),
+                "step {step}: the repair drops the tree's plan"
+            );
 
             assert_eq!(
                 prepared.edges.chunks(),
@@ -436,7 +445,8 @@ mod tests {
             );
 
             // The splice's in-place index patches equal the derivation decode runs.
-            let plan = prepared.plan.get().expect("plan was built");
+            assert_eq!(store.audit(prepared.edges.iter()), Ok(()), "step {step}");
+            let plan = store.plan();
             assert_eq!(
                 SolvePlan::from_snapshot(&plan.to_snapshot()).as_ref(),
                 Ok(plan),

@@ -32,9 +32,11 @@
 //! The skeletons are the one representation of a cluster's local view. An evaluation
 //! pass fills a [`SlotState`] beside every skeleton and hands problems a
 //! [`ClusterView`] that borrows the pair — no view is ever copied out. A
-//! [`SolverStore`] is that slot state kept, with a plan value of its own; a structural
-//! repair goes through one splice ([`SolvePlan::apply_repair`]) whoever owns the plan,
-//! and [`SolvePlan::validate`] is the one place a plan read from bytes is checked.
+//! [`SolverStore`] is that slot state kept, together with the plan it is aligned
+//! with: the one plan of a tree that is maintained. A structural repair is spliced
+//! into that plan and nowhere else ([`SolverStore::apply_repair`]); a prepared tree
+//! that cached a plan drops it and rebuilds on its next solve. [`SolvePlan::validate`]
+//! is the one place a plan read from bytes is checked.
 
 use crate::problem::{ClusterDp, ClusterView, Payload, SlotState};
 use crate::routing::Routing;
@@ -129,7 +131,7 @@ pub(crate) struct MemberSlot {
 /// One skeleton view, addressed by layer/machine/index (and ordered that way). The
 /// address of a view in its plan and of its [`SlotState`] in a [`SolverStore`]; a
 /// structural splice may move the views behind a deleted one, so an address is good
-/// until the next [`SolvePlan::apply_repair`].
+/// until the next [`SolverStore::apply_repair`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ViewSlot {
     pub(crate) layer: u32,
@@ -389,40 +391,13 @@ fn link_members(
 
 /// Drop the items whose old index `keep` rejects, the rest staying in order: the one
 /// compaction every spliced vector goes through — a member list or a `(layer, machine)`
-/// view bucket, and whatever is [`Aligned`] with it.
+/// view bucket, and the slot state aligned with it.
 fn compact<T>(items: &mut Vec<T>, keep: &[bool]) {
     let mut old = 0;
     items.retain(|_| {
         old += 1;
         keep[old - 1]
     });
-}
-
-/// Vectors aligned slot for slot with a plan's skeletons — a [`SolverStore`]'s slot
-/// state; nothing, `()`, for a bare plan. [`SolvePlan::splice`] reports every
-/// compaction of the skeletons so that what is aligned is compacted the same way.
-pub(crate) trait Aligned {
-    /// The member list of the view at `at` went through [`compact`] with `keep`.
-    fn members_compacted(&mut self, at: ViewSlot, keep: &[bool]);
-    /// The view bucket `(layer, machine)` went through [`compact`] with `keep`.
-    fn views_compacted(&mut self, layer: u32, machine: u32, keep: &[bool]);
-}
-
-impl Aligned for () {
-    fn members_compacted(&mut self, _: ViewSlot, _: &[bool]) {}
-    fn views_compacted(&mut self, _: u32, _: u32, _: &[bool]) {}
-}
-
-impl<P: ClusterDp> Aligned for PlanState<P> {
-    fn members_compacted(&mut self, at: ViewSlot, keep: &[bool]) {
-        let slots = slots_at(self, at);
-        compact(&mut slots.payloads, keep);
-        compact(&mut slots.out_inputs, keep);
-    }
-
-    fn views_compacted(&mut self, layer: u32, machine: u32, keep: &[bool]) {
-        compact(&mut self[layer as usize - 1][machine as usize], keep);
-    }
 }
 
 impl SolvePlan {
@@ -452,6 +427,8 @@ impl SolvePlan {
                 layers[layer as usize - 1][machine].push(view);
             }
         }
+        // The plan is kept as built (a solver store takes it by value): no growth slack.
+        layers.iter_mut().flatten().for_each(Vec::shrink_to_fit);
         ctx.check_memory_words(&resident, "plan/skeletons");
         SolvePlan {
             num_layers: clustering.num_layers,
@@ -510,26 +487,20 @@ impl SolvePlan {
     /// result equals a from-scratch re-index of the spliced skeletons, at a cost
     /// confined to the touched buckets (amortized over the rebuilds).
     ///
-    /// This is the only splice there is: a prepared tree's cached plan goes through it
-    /// bare, an incremental solver's own plan through
-    /// [`SolverStore::apply_repair`], which carries the slot state along.
+    /// The slot state `state` (aligned slot for slot with the skeletons) is compacted
+    /// by the same remaps. What a repair adds or clears (a new leaf's member, a demoted
+    /// view's in-edge) has no counterpart to move: the caller writes those itself, at
+    /// the addresses the spliced indexes give. This is the only splice there is, and
+    /// its one caller is [`SolverStore::apply_repair`]: a repair splices the plan a
+    /// solver store maintains, while a prepared tree drops the plan it cached.
     ///
     /// Host-side surgery on cached state — zero rounds; the caller (the incremental
     /// solver's `inc-struct` phase) meters the moved words. Panics if the repair does
     /// not match this plan's clustering (same-generation repair objects only).
-    pub fn apply_repair(&mut self, repair: &tree_clustering::ClusteringRepair) {
-        self.splice(repair, &mut ());
-    }
-
-    /// [`apply_repair`](Self::apply_repair) with `carried` — vectors aligned slot for
-    /// slot with the skeletons — compacted by the same remaps. What a repair adds or
-    /// clears (a new leaf's member, a demoted view's in-edge) has no counterpart to
-    /// move: the owner of `carried` writes those itself, at the addresses the spliced
-    /// indexes give.
-    pub(crate) fn splice(
+    pub(crate) fn splice<P: ClusterDp>(
         &mut self,
         repair: &tree_clustering::ClusteringRepair,
-        carried: &mut impl Aligned,
+        state: &mut PlanState<P>,
     ) {
         // Demotions first, while every slot still addresses the pre-repair layout. A
         // view reading a cut edge's label as its in-label is either removed or demoted;
@@ -562,7 +533,7 @@ impl SolvePlan {
                 .and_then(|m| self.routing.payload(*m))
                 .copied()
             {
-                self.remove_members(slot.view_slot(), &patch.removed_members, carried);
+                self.remove_members(slot.view_slot(), &patch.removed_members, state);
             }
         }
 
@@ -584,7 +555,7 @@ impl SolvePlan {
         for child in &repair.removed_nodes {
             self.routing.remove_edge(*child);
         }
-        self.remove_views(&doomed, carried);
+        self.remove_views(&doomed, state);
 
         // New leaves: appended to the absorbing cluster's view (the view holding the
         // link parent; a parent linked earlier in the batch is registered by then).
@@ -621,11 +592,11 @@ impl SolvePlan {
     /// the surviving members' slots along. The removed set is downward-closed in the
     /// member tree (a removed member's descendants are removed too), so every
     /// survivor's parent survives and the top member always survives.
-    fn remove_members(
+    fn remove_members<P: ClusterDp>(
         &mut self,
         at: ViewSlot,
         removed: &BTreeSet<ElementId>,
-        carried: &mut impl Aligned,
+        state: &mut PlanState<P>,
     ) {
         let view = &mut self.layers[at.layer as usize - 1][at.machine as usize][at.view as usize];
         let mut remap: Vec<Option<usize>> = Vec::with_capacity(view.members.len());
@@ -662,12 +633,18 @@ impl SolvePlan {
         compact(&mut view.members, &keep);
         view.top = remap[view.top].expect("the top member never lies in the removed span");
         view.attach = view.attach.and_then(|a| remap[a]);
-        carried.members_compacted(at, &keep);
+        let slots = slots_at(state, at);
+        compact(&mut slots.payloads, &keep);
+        compact(&mut slots.out_inputs, &keep);
     }
 
     /// Delete the views at `doomed` (whose index entries are already gone) and
     /// re-address the views behind them in the same `(layer, machine)` bucket.
-    fn remove_views(&mut self, doomed: &BTreeSet<ViewSlot>, carried: &mut impl Aligned) {
+    fn remove_views<P: ClusterDp>(
+        &mut self,
+        doomed: &BTreeSet<ViewSlot>,
+        state: &mut PlanState<P>,
+    ) {
         let mut rest = doomed.iter().copied().peekable();
         let mut keep: Vec<bool> = Vec::new();
         while let Some(first) = rest.next() {
@@ -697,15 +674,18 @@ impl SolvePlan {
             }
             compact(&mut bucket, &keep);
             self.layers[first.layer as usize - 1][first.machine as usize] = bucket;
-            carried.views_compacted(first.layer, first.machine, &keep);
+            compact(
+                &mut state[first.layer as usize - 1][first.machine as usize],
+                &keep,
+            );
         }
     }
 }
 
 impl SolvePlan {
     /// The plan's skeletons and routing indexes with every slot resolved to the ids it
-    /// addresses (see [`PlanRouting`]). Two plans of one clustering — say one spliced
-    /// through [`apply_repair`](Self::apply_repair) and one freshly built on the
+    /// addresses (see [`PlanRouting`]). Two plans of one clustering — say a store's,
+    /// spliced through [`SolverStore::apply_repair`], and one freshly built on the
     /// repaired tree — agree on it even though they place views on different machines
     /// and order members differently. `O(n log n)` host work; for tests and audits.
     pub fn routing_by_id(&self) -> PlanRouting {
@@ -860,12 +840,13 @@ impl SolvePlan {
     }
 
     /// Like [`solve`](Self::solve), but keep what the pass built instead of dropping
-    /// it: the returned [`SolverStore`] owns a copy of this plan, the slot state the
-    /// pass filled over its skeletons, and the labels — what an
-    /// [`IncrementalSolver`](../../tree_dp_incremental/struct.IncrementalSolver.html)
-    /// needs for batched re-solves.
+    /// it: the returned [`SolverStore`] owns this plan, the slot state the pass filled
+    /// over its skeletons, and the labels — what a `tree_dp_incremental`
+    /// `IncrementalSolver` needs for batched re-solves. The store's plan is the one
+    /// that structural repairs splice; a caller that still needs the plan elsewhere
+    /// passes a clone.
     pub fn solve_with_store<P: ClusterDp>(
-        &self,
+        self,
         ctx: &mut MpcContext,
         problem: &P,
         node_inputs: &DistVec<(NodeId, P::NodeInput)>,
@@ -874,7 +855,7 @@ impl SolvePlan {
     ) -> (DpSolution<P>, SolverStore<P>) {
         let (solution, state) = self.evaluate(ctx, problem, node_inputs, aux_input, edge_inputs);
         let store = SolverStore {
-            plan: self.clone(),
+            plan: self,
             state,
             labels: solution.labels.iter().cloned().collect(),
             root_label: solution.root_label.clone(),

@@ -5,9 +5,9 @@
 //! view is assembled on one machine once and every pass reuses it. [`SolverStore`]
 //! pushes that reuse one step further. It holds
 //!
-//! * a [`SolvePlan`] — the same type, spliced by the same code, as the plan a
-//!   [`PreparedTree`](crate::PreparedTree) caches; the store owns its own value, so a
-//!   caller may keep the plan in the store alone (the serving layer holds each
+//! * a [`SolvePlan`] — the tree's one maintained plan: structural repairs splice it
+//!   here and nowhere else, while a plan a [`PreparedTree`](crate::PreparedTree)
+//!   caches is dropped by a repair and rebuilt on demand (the serving layer holds each
 //!   tenant's one plan here and none on the tree),
 //! * the [`SlotState`](crate::SlotState) of every view, aligned slot for slot with that
 //!   plan's skeletons (`state[layer - 1][machine][view]`): the payloads and edge inputs
@@ -17,8 +17,8 @@
 //! A view is never copied out of these ([`view`](SolverStore::view) borrows a skeleton
 //! and its slots). `tree-dp-incremental` writes changed inputs into their slots through
 //! the plan's routing indexes and re-processes only the dirty views; a structural repair
-//! is [`SolvePlan::apply_repair`]'s splice run on the store's plan with the slot state
-//! carried along by the same compactions ([`apply_repair`](SolverStore::apply_repair)).
+//! is spliced into the store's plan with the slot state carried along by the same
+//! compactions ([`apply_repair`](SolverStore::apply_repair)).
 
 use crate::plan::{slots_at, DpSolution, PlanState, SolvePlan, ViewSlot};
 use crate::problem::{ClusterDp, ClusterView, Payload};
@@ -167,10 +167,11 @@ impl<P: ClusterDp> SolverStore<P> {
 
     // ----- structural splicing (batched link/cut repair) ----------------------------
 
-    /// Splice a structural repair into the store: [`SolvePlan::apply_repair`]'s splice
-    /// on the store's plan, the slot state moved along by the same compactions, the
-    /// labels of removed edges dropped. `leaf_inputs` holds the node and edge input of
-    /// every leaf the repair adds. Zero rounds (the caller meters the spliced words).
+    /// Splice a structural repair into the store: the plan's skeletons and routing
+    /// indexes patched in place — the only splice of a plan there is — the slot state
+    /// moved along by the same compactions, the labels of removed edges dropped.
+    /// `leaf_inputs` holds the node and edge input of every leaf the repair adds. Zero
+    /// rounds (the caller meters the spliced words).
     pub fn apply_repair(
         &mut self,
         repair: &ClusteringRepair,
@@ -283,7 +284,7 @@ impl<P: ClusterDp> SolverStore<P> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::pipeline::{prepare, PreparedTree};
     use crate::snapshot::{
@@ -296,7 +297,7 @@ mod tests {
     use tree_repr::{ListOfEdges, TreeInput};
 
     /// Subtree sizes: a cluster is summarized by its node count.
-    struct Count;
+    pub(crate) struct Count;
 
     impl ClusterDp for Count {
         type NodeInput = u64;
@@ -346,6 +347,7 @@ mod tests {
         let no_edges = ctx.from_vec(Vec::<(u64, ())>::new());
         let (solution, store) = prepared
             .plan(&mut ctx)
+            .clone()
             .solve_with_store(&mut ctx, &Count, &ones, 1, &no_edges);
         assert_eq!(solution.root_summary, prepared.num_nodes as u64);
         (prepared, store)

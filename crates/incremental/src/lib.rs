@@ -4,10 +4,10 @@
 //! problem in `O(1)` extra rounds (Section 1.4 / Section 5). This crate closes the
 //! remaining gap for dynamic workloads: after an initial solve, a batch of node- or
 //! edge-input changes does not have to pay for a full re-solve. [`IncrementalSolver`]
-//! keeps what the last solve built — its own [`SolvePlan`](tree_dp_core::SolvePlan),
-//! the slot state filled over that plan's skeletons, and the labels (the
-//! [`SolverStore`](tree_dp_core::SolverStore) of `tree-dp-core`) — and re-solves a
-//! batch by
+//! keeps what the last solve built — the tree's one maintained
+//! [`SolvePlan`](tree_dp_core::SolvePlan), the slot state filled over that plan's
+//! skeletons, and the labels (the [`SolverStore`](tree_dp_core::SolverStore) of
+//! `tree-dp-core`) — and re-solves a batch by
 //!
 //! 1. **`inc-dirty`** — routing the batched updates to the machines holding the
 //!    affected cluster views and writing them into their slots (one round; the
@@ -35,10 +35,11 @@
 //! Beyond input changes, [`IncrementalSolver::apply_structural`] accepts batched
 //! **structural** updates — `link(parent, child)` adds a new leaf, `cut(child)` removes
 //! a whole subtree. A batch that stays within the clustering's degree and cluster-size
-//! bounds is repaired *locally*: a fourth phase, **`inc-struct`**, routes the batch and
-//! splices the solver's plan — its slot state carried along — and the prepared tree in
-//! place (two routing rounds), after which the same dirty-root-path machinery re-solves
-//! only the patched clusters. Batches that would overflow a bound degrade to an honest full re-prepare
+//! bounds is repaired *locally*: a fourth phase, **`inc-struct`**, routes the batch,
+//! splices the solver's plan — its slot state carried along — and patches the prepared
+//! tree's tables in place (two routing rounds; a plan the tree cached is dropped, not
+//! spliced), after which the same dirty-root-path machinery re-solves only the patched
+//! clusters. Batches that would overflow a bound degrade to an honest full re-prepare
 //! and re-solve (`stats.degraded` reports which path ran). The host work follows the
 //! charge: the batch is planned against a persistent repair index and the plan's routing
 //! indexes are patched in place, so a repaired batch costs what it touches

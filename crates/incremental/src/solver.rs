@@ -35,8 +35,8 @@ type DirtyViews = Vec<BTreeSet<ViewSlot>>;
 
 /// An incremental DP solver over a prepared (clustered) tree.
 ///
-/// Construction performs one full solve and keeps what it built — a
-/// [`SolvePlan`](tree_dp_core::SolvePlan) of its own, the slot state filled over that
+/// Construction performs one full solve and keeps what it built — the tree's one
+/// maintained [`SolvePlan`](tree_dp_core::SolvePlan), the slot state filled over that
 /// plan's skeletons, and the labels (a [`SolverStore`]);
 /// [`update_node_inputs`](Self::update_node_inputs) and
 /// [`update_edge_inputs`](Self::update_edge_inputs) then re-solve batched input
@@ -74,9 +74,9 @@ where
     /// already-planned tree charges only the cheap evaluation pass (and building
     /// several solvers — or mixing incremental updates with
     /// [`SolvePlan::solve`](tree_dp_core::SolvePlan::solve) calls for other problems —
-    /// shares one assembly). The solver keeps its own copy of that plan in its store,
-    /// so the tree's may be dropped ([`PreparedTree::take_plan`]) and the solver still
-    /// serves updates at zero rebuild rounds.
+    /// shares one assembly). The solver's store takes a clone of that plan, and it is
+    /// the clone that structural batches maintain: a locally repaired batch drops the
+    /// tree's cached plan, and the solver still serves updates at zero rebuild rounds.
     ///
     /// * `node_inputs` — inputs of the *original* nodes.
     /// * `aux_input` — the input of every auxiliary node introduced by degree
@@ -90,7 +90,7 @@ where
         aux_input: P::NodeInput,
         edge_inputs: &DistVec<(NodeId, P::EdgeInput)>,
     ) -> Self {
-        let (_, store) = prepared.plan(ctx).solve_with_store(
+        let (_, store) = prepared.plan(ctx).clone().solve_with_store(
             ctx,
             &problem,
             node_inputs,
@@ -328,13 +328,14 @@ where
     /// cached clustering (host-side, 0 rounds, reading only the records the batch
     /// addresses). When the repair stays within the clustering bounds, the `inc-struct`
     /// phase charges one routing round for the batch broadcast and one for the spliced
-    /// records, the one repair is spliced into the solver's store and into `prepared`
-    /// (its flat tables and, when one is cached, its [`SolvePlan`] — through the same
-    /// splice as the store's plan), and the existing dirty-root-path machinery
-    /// re-solves the affected clusters — `O(1)` rounds total. When a link would
-    /// overflow a degree or cluster-size bound, the batch *degrades*: the original tree
-    /// is reconstructed, mutated, fully re-prepared, and re-solved (the honest
-    /// `O(log D)` price), with `stats.degraded = true`.
+    /// records, the one repair is spliced into the solver's store — its plan is the one
+    /// the batch maintains — and patched into `prepared`'s flat tables (a
+    /// [`SolvePlan`] cached on `prepared` is dropped, and its next
+    /// [`plan`](PreparedTree::plan) call rebuilds it), and the existing
+    /// dirty-root-path machinery re-solves the affected clusters — `O(1)` rounds
+    /// total. When a link would overflow a degree or cluster-size bound, the batch
+    /// *degrades*: the original tree is reconstructed, mutated, fully re-prepared, and
+    /// re-solved (the honest `O(log D)` price), with `stats.degraded = true`.
     ///
     /// `prepared` must be the tree this solver was built on (as left by the solver's
     /// earlier structural batches). The batch is atomic: an invalid op rejects the
@@ -388,7 +389,7 @@ where
             }
         }
 
-        // ---- inc-struct: route the batch, splice the store and the tree -------------
+        // ---- inc-struct: route the batch, splice the store, patch the tree ----------
         ctx.phase("inc-struct", |ctx| {
             // The batch travels to the machines holding the affected views (the
             // addresses are known from the cached clustering, exactly like inc-dirty).
@@ -439,8 +440,9 @@ where
 
     /// The degraded structural path: reconstruct the original tree, apply the batch
     /// host-side, fully re-prepare, and re-solve with the inputs recovered from the
-    /// cached records. Replaces `prepared` and the solver's state wholesale; the
-    /// stale cached plan is superseded by the fresh one built during the re-solve.
+    /// cached records. Replaces `prepared` and the solver's state wholesale: the fresh
+    /// plan the re-solve runs on moves into the new store, and the re-prepared tree
+    /// caches none.
     fn degrade_rebuild(
         &mut self,
         ctx: &mut MpcContext,
@@ -501,7 +503,7 @@ where
         .map_err(|e| StructuralError::Prepare(e.to_string()))?;
         let node_dv = ctx.from_vec(node_inputs);
         let edge_dv = ctx.from_vec(edge_inputs);
-        let (_, store) = new_prepared.plan(ctx).solve_with_store(
+        let (_, store) = new_prepared.plan_uncached(ctx).solve_with_store(
             ctx,
             &self.problem,
             &node_dv,
@@ -1059,6 +1061,36 @@ mod tests {
             weight_of,
             "after follow-up update",
         );
+
+        // The repair spliced the solver's plan and dropped the tree's: the tree's next
+        // solve rebuilds a plan once (`plan_build + plan_eval`), then only evaluates,
+        // and agrees with the solver.
+        assert!(
+            !prepared.has_plan(),
+            "the repair drops the tree's cached plan"
+        );
+        let mut ids: BTreeSet<u64> = mutated.iter().map(|e| e.child).collect();
+        ids.insert(prepared.root);
+        let current = ctx.from_vec(ids.iter().map(|&v| (v, weight_of(v))).collect::<Vec<_>>());
+        let engine = StateEngine::new(MaxWeightIndependentSet);
+        let mut rounds = vec![ctx.metrics().rounds];
+        let mut solutions = Vec::new();
+        for _ in 0..2 {
+            solutions.push(prepared.solve(&mut ctx, &engine, &current, 0, &no_edges));
+            rounds.push(ctx.metrics().rounds);
+        }
+        let fresh = prepared.plan_uncached(&mut ctx);
+        rounds.push(ctx.metrics().rounds);
+        fresh.solve(&mut ctx, &engine, &current, 0, &no_edges);
+        rounds.push(ctx.metrics().rounds);
+        let charged: Vec<u64> = rounds.windows(2).map(|w| w[1] - w[0]).collect();
+        let (build, eval) = (charged[2], charged[3]);
+        assert_eq!(charged[..2], [build + eval, eval], "plan_build + plan_eval");
+        for solution in &solutions {
+            assert_eq!(&solution.root_summary, inc.root_summary());
+            let labels: BTreeMap<u64, usize> = solution.labels.iter().cloned().collect();
+            assert_eq!(&labels, inc.labels());
+        }
     }
 
     #[test]
@@ -1104,6 +1136,10 @@ mod tests {
             .apply_structural(&mut ctx, &mut prepared, &batch)
             .unwrap();
         assert!(stats.degraded);
+        assert!(
+            !prepared.has_plan(),
+            "the re-prepared tree carries no plan: its plan moved into the solver's store"
+        );
         let weight_of = |v: u64| -> i64 {
             match v {
                 100 => 5,

@@ -16,9 +16,9 @@
 //!    first dry-run against the tree as the requests accepted before it leave it
 //!    ([`IncrementalSolver::validate_structural`]); one with an invalid op is rejected
 //!    on its own and the rest of the flush proceeds. The folded batch splices the
-//!    solver's plan in place; a batch that degrades re-prepares the tree and re-solves
-//!    into a fresh store, and the plan the re-prepared tree caches on the way is
-//!    dropped, so the tenant still holds one.
+//!    solver's plan in place; a batch that degrades re-prepares the tree and moves
+//!    the plan it re-solves on into a fresh store. Either way the tree caches no plan,
+//!    so the tenant still holds one.
 //! 3. **Persist** ([`TreeDpServer::snapshot_tenant`] /
 //!    [`TreeDpServer::restore_tenant`]): a tenant serializes to a self-contained
 //!    [`KIND_TENANT`] snapshot (config, prepared tree, solver store, aux input,
@@ -295,13 +295,10 @@ where
             }
         }
         if !structural_positions.is_empty() {
-            let outcome =
-                self.solver
-                    .apply_structural(&mut self.ctx, &mut self.prepared, &structural);
-            // A degrade re-prepares the tree and caches the plan it re-solves on; the
-            // new store holds a copy, so the tree's goes and the tenant keeps one.
-            self.prepared.take_plan();
-            match outcome {
+            match self
+                .solver
+                .apply_structural(&mut self.ctx, &mut self.prepared, &structural)
+            {
                 Ok(stats) => {
                     self.metrics.structural += structural_positions.len() as u64;
                     for pos in structural_positions {
@@ -398,8 +395,8 @@ where
         let r0 = ctx.metrics().rounds;
         let prepared = prepare(&mut ctx, spec.input, spec.threshold)?;
         let r1 = ctx.metrics().rounds;
-        // Built beside the tree, not cached on it: the store the solve fills keeps the
-        // tenant's only copy.
+        // Built beside the tree, not cached on it, and moved into the store the solve
+        // fills: the tenant's only copy.
         let plan = prepared.plan_uncached(&mut ctx);
         let r2 = ctx.metrics().rounds;
 

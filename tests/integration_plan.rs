@@ -687,7 +687,8 @@ fn class_run(name: &str, tree: &Tree, threshold: Option<usize>) -> ClassRun {
 
     let solve = rounds_of(&mut ctx, |c| plan.solve(c, &is(), &node_w, 0, &no_edges));
     let with_store = rounds_of(&mut ctx, |c| {
-        plan.solve_with_store(c, &is(), &node_w, 0, &no_edges)
+        plan.clone()
+            .solve_with_store(c, &is(), &node_w, 0, &no_edges)
     });
     let engine = is();
     let many = rounds_of(&mut ctx, |c| {

@@ -408,6 +408,7 @@ fn check_random_tree_round_trip(tree: &Tree, seed: u64) {
     let no_edges = ctx.from_vec(Vec::<(u64, ())>::new());
     let (sol, store) = prepared
         .plan(&mut ctx)
+        .clone()
         .solve_with_store(&mut ctx, &engine, &inputs, 0, &no_edges);
 
     // Tree round trip, then solve on a fresh context.
@@ -530,7 +531,9 @@ fn golden_fixture() -> [Golden; 4] {
     let inputs = ctx.from_vec(weights.clone());
     let no_edges = ctx.from_vec(Vec::<(u64, ())>::new());
     let plan = prepared.plan(&mut ctx).clone();
-    let (_, store) = plan.solve_with_store(&mut ctx, &engine, &inputs, 0, &no_edges);
+    let (_, store) = plan
+        .clone()
+        .solve_with_store(&mut ctx, &engine, &inputs, 0, &no_edges);
 
     let mut server = golden_server();
     let spec = TenantSpec {

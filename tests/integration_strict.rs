@@ -151,6 +151,7 @@ fn strict_pipeline_is_violation_free() {
     // The solver store snapshot equals the distributed label table.
     let (sol_store, store) = prepared
         .plan(&mut ctx)
+        .clone()
         .solve_with_store(&mut ctx, &engine, &inputs, 0, &no_edges);
     let mut exported = store.export_labels();
     exported.sort_unstable();

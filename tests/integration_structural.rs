@@ -203,8 +203,8 @@ fn assert_node_equiv<P>(
 /// Apply `batch` through the solver with the "patched == rebuilt" gate around it:
 /// beforehand, the persistent repair index (once built) must plan exactly what the
 /// standalone from-scratch `plan_repair` plans; afterwards, every index the batch
-/// patched in place — the solver's topology and repair index, the cached plan's
-/// routing — must equal a from-scratch build over the repaired tree, and the repaired
+/// patched in place — the solver's topology and repair index, its plan's routing —
+/// must equal a from-scratch build over the repaired tree, and the repaired
 /// clustering must validate clean.
 fn apply_checked<P>(
     ctx: &mut MpcContext,
@@ -254,15 +254,13 @@ fn assert_patched_equals_rebuilt<P>(
         Vec::new(),
         "{what}: repaired clustering"
     );
-    if prepared.has_plan() {
-        // Plan builds charge rounds: keep them off the solver's context.
-        let mut scratch = MpcContext::new(*ctx.config());
-        assert_eq!(
-            prepared.plan(&mut scratch).routing_by_id(),
-            prepared.plan_uncached(&mut scratch).routing_by_id(),
-            "{what}: spliced plan vs a fresh plan of the repaired tree"
-        );
-    }
+    // Plan builds charge rounds: keep them off the solver's context.
+    let mut scratch = MpcContext::new(*ctx.config());
+    assert_eq!(
+        inc.store().plan().routing_by_id(),
+        prepared.plan_uncached(&mut scratch).routing_by_id(),
+        "{what}: the solver's spliced plan vs a fresh plan of the repaired tree"
+    );
 }
 
 /// Deterministic mixer shared by the op and weight-batch generators.
