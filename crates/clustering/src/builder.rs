@@ -38,11 +38,12 @@
 //!   replacing the former three-join sequence.
 
 use crate::clustering::Clustering;
+use crate::degree::DegreeReduced;
 use crate::element::{make_cluster_id, Element, ElementId, ElementKind, UNABSORBED, VIRTUAL_NODE};
 use crate::subroutines::{count_subtree_sizes, path_distances, PathNode, PathPosition};
 use mpc_engine::{ConvergeError, DistVec, MpcContext, Words};
 use std::fmt;
-use tree_repr::{DirectedEdge, NodeId};
+use tree_repr::DirectedEdge;
 
 /// Error produced when the clustering cannot be built.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -121,48 +122,25 @@ impl Words for FlagRec {
     }
 }
 
-/// Build the hierarchical clustering of a rooted tree given as a distributed list of
-/// child→parent edges.
+/// Build the hierarchical clustering of a degree-reduced tree.
 ///
-/// `threshold` overrides the cluster-size / degree threshold `n^{δ/2}` (useful for
-/// tests that want several layers on a small tree); by default it is taken from the
-/// MPC configuration.
-/// The input tree must have maximum number of children at most the threshold — apply
-/// [`crate::degree::reduce_degrees`] first otherwise.
+/// The cluster-size threshold `n^{δ/2}` is the degree bound the reduction established,
+/// so Section 4.2's precondition (no node has more children) holds by construction.
 pub fn build_clustering(
     ctx: &mut MpcContext,
-    edges: &DistVec<DirectedEdge>,
-    root: NodeId,
-    num_nodes: usize,
-    threshold: Option<usize>,
+    reduced: &DegreeReduced,
 ) -> Result<Clustering, ClusterError> {
-    let threshold = threshold
-        .unwrap_or_else(|| ctx.config().n_half_delta())
-        .max(2);
+    let (root, num_nodes, threshold) = (reduced.root, reduced.num_nodes, reduced.max_children);
     if num_nodes == 0 {
         return Err(ClusterError("empty tree".to_string()));
     }
 
-    // Degree precondition (Section 4.2 assumes max degree n^{δ/2}).
-    let by_parent = ctx.gather_groups(edges.clone(), |e| e.parent);
-    let max_children = ctx.all_reduce(
-        &by_parent,
-        0u64,
-        |acc, (_, group)| acc.max(group.len() as u64),
-        |a, b| a.max(b),
-    );
-    if max_children > threshold as u64 {
-        return Err(ClusterError(format!(
-            "maximum number of children {max_children} exceeds the threshold {threshold}; \
-             apply degree reduction first (Section 4.4)"
-        )));
-    }
-
     // Initial active elements: every original node, with the root pointing at the
     // virtual node through the virtual edge (Section 1.5).
-    let mut initial: Vec<Active> = edges
+    let mut initial: Vec<Active> = reduced
+        .edges
         .iter()
-        .map(|e| Active {
+        .map(|(e, _)| Active {
             id: e.child,
             kind: ElementKind::Node,
             colored: false,
@@ -483,26 +461,38 @@ fn absorb_and_retarget(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::degree::reduce_degrees;
     use mpc_engine::MpcConfig;
     use tree_gen::shapes;
     use tree_repr::Tree;
 
-    fn cluster_tree(tree: &Tree, delta: f64, threshold: Option<usize>) -> (Clustering, u64) {
+    /// Degree-reduce `tree` and cluster it; returns the clustering, the reduced edge
+    /// list it clusters, and the rounds the construction alone charged.
+    fn cluster_tree(
+        tree: &Tree,
+        delta: f64,
+        threshold: Option<usize>,
+    ) -> (Clustering, Vec<DirectedEdge>, u64) {
         let n = tree.len().max(16);
         let mut ctx = MpcContext::new(MpcConfig::new(n, delta));
         let edges = ctx.from_vec(tree.edges());
-        let clustering =
-            build_clustering(&mut ctx, &edges, tree.root() as u64, tree.len(), threshold)
-                .expect("clustering succeeds");
-        (clustering, ctx.metrics().rounds)
+        let threshold = threshold
+            .unwrap_or_else(|| ctx.config().n_half_delta())
+            .max(2);
+        let reduced =
+            reduce_degrees(&mut ctx, &edges, tree.root() as u64, tree.len(), threshold).unwrap();
+        let before = ctx.metrics().rounds;
+        let clustering = build_clustering(&mut ctx, &reduced).expect("clustering succeeds");
+        let edges = reduced.edges.iter().map(|(e, _)| *e).collect();
+        (clustering, edges, ctx.metrics().rounds - before)
     }
 
-    fn assert_valid(tree: &Tree, clustering: &Clustering) {
-        let violations = clustering.validate(&tree.edges());
+    fn assert_valid(clustering: &Clustering, edges: &[DirectedEdge]) {
+        let violations = clustering.validate(edges);
         assert!(
             violations.is_empty(),
             "clustering violations on a {}-node tree: {:?}",
-            tree.len(),
+            clustering.num_nodes,
             &violations[..violations.len().min(5)]
         );
     }
@@ -510,61 +500,49 @@ mod tests {
     #[test]
     fn clusters_a_path() {
         let tree = shapes::path(200);
-        let (clustering, _) = cluster_tree(&tree, 0.5, Some(6));
-        assert_valid(&tree, &clustering);
+        let (clustering, edges, _) = cluster_tree(&tree, 0.5, Some(6));
+        assert_valid(&clustering, &edges);
         assert!(clustering.num_clusters() > 1);
         assert!(clustering.max_cluster_size() <= 6 * 7);
     }
 
     #[test]
     fn clusters_a_star_within_threshold() {
-        // Degree must stay within the threshold, so use a star of 6 leaves.
         let tree = shapes::star(7);
-        let (clustering, _) = cluster_tree(&tree, 0.5, Some(8));
-        assert_valid(&tree, &clustering);
-    }
-
-    #[test]
-    fn rejects_high_degree_input() {
-        let tree = shapes::star(100);
-        let mut ctx = MpcContext::new(MpcConfig::new(128, 0.5));
-        let edges = ctx.from_vec(tree.edges());
-        let err = build_clustering(&mut ctx, &edges, 0, tree.len(), Some(8));
-        assert!(err.is_err());
-        assert!(err.unwrap_err().0.contains("degree"));
+        let (clustering, edges, _) = cluster_tree(&tree, 0.5, Some(8));
+        assert_valid(&clustering, &edges);
     }
 
     #[test]
     fn clusters_balanced_binary() {
         let tree = shapes::balanced_kary(511, 2);
-        let (clustering, _) = cluster_tree(&tree, 0.5, None);
-        assert_valid(&tree, &clustering);
+        let (clustering, edges, _) = cluster_tree(&tree, 0.5, None);
+        assert_valid(&clustering, &edges);
     }
 
     #[test]
     fn clusters_caterpillar() {
         let tree = shapes::caterpillar(80, 3);
-        let (clustering, _) = cluster_tree(&tree, 0.5, Some(5));
-        assert_valid(&tree, &clustering);
+        let (clustering, edges, _) = cluster_tree(&tree, 0.5, Some(5));
+        assert_valid(&clustering, &edges);
     }
 
     #[test]
     fn clusters_random_trees() {
-        for seed in 0..5 {
-            let tree = shapes::random_recursive(300, seed);
-            if tree.max_degree() > 8 {
-                continue;
-            }
-            let (clustering, _) = cluster_tree(&tree, 0.5, Some(8));
-            assert_valid(&tree, &clustering);
+        // The star, like some of the random trees, is wider than the threshold, so
+        // degree reduction adds auxiliary nodes before the construction runs.
+        let trees = (0..5).map(|seed| shapes::random_recursive(300, seed));
+        for tree in trees.chain([shapes::star(100)]) {
+            let (clustering, edges, _) = cluster_tree(&tree, 0.5, Some(8));
+            assert_valid(&clustering, &edges);
         }
     }
 
     #[test]
     fn single_node_tree() {
         let tree = Tree::singleton();
-        let (clustering, _) = cluster_tree(&tree, 0.5, None);
-        assert_valid(&tree, &clustering);
+        let (clustering, edges, _) = cluster_tree(&tree, 0.5, None);
+        assert_valid(&clustering, &edges);
         assert_eq!(clustering.num_clusters(), 1);
     }
 
@@ -577,13 +555,13 @@ mod tests {
             shapes::balanced_kary(400, 2),
             shapes::spider(4, 100),
         ] {
-            let (clustering, _) = cluster_tree(&shape, 0.5, Some(5));
+            let (clustering, edges, _) = cluster_tree(&shape, 0.5, Some(5));
             assert!(
                 clustering.num_layers <= 20,
                 "too many layers: {}",
                 clustering.num_layers
             );
-            assert_valid(&shape, &clustering);
+            assert_valid(&clustering, &edges);
         }
     }
 
@@ -592,8 +570,8 @@ mod tests {
         // Same node count, very different diameters: the deep tree must use more rounds.
         let deep = shapes::path(512);
         let shallow = shapes::balanced_kary(512, 4);
-        let (_, rounds_deep) = cluster_tree(&deep, 0.5, Some(11));
-        let (_, rounds_shallow) = cluster_tree(&shallow, 0.5, Some(11));
+        let (_, _, rounds_deep) = cluster_tree(&deep, 0.5, Some(11));
+        let (_, _, rounds_shallow) = cluster_tree(&shallow, 0.5, Some(11));
         assert!(
             rounds_shallow < rounds_deep,
             "shallow {rounds_shallow} vs deep {rounds_deep}"

@@ -9,11 +9,12 @@
 //! The clustering has `O(1)` layers; every cluster has at most `n^δ`-many member
 //! elements, exactly one outgoing original edge and at most one incoming original edge.
 //!
-//! * [`build_clustering`] — the construction (Section 4.2), alternating indegree-0 and
-//!   indegree-1 contraction steps.
+//! * [`reduce_degrees`] — the high-degree-node transformation of Section 4.4; its
+//!   [`DegreeReduced`] result records the degree bound it established.
+//! * [`build_clustering`] — the construction (Section 4.2) on a [`DegreeReduced`] tree,
+//!   alternating indegree-0 and indegree-1 contraction steps.
 //! * [`subroutines`] — re-implementations of the `CountSubtreeSizes` / `CountDistances`
 //!   primitives the paper cites from Balliu et al. (SODA 2023).
-//! * [`reduce_degrees`] — the high-degree-node transformation of Section 4.4.
 //! * [`Clustering`] — the output, with a structural validator used by the test suite.
 //! * [`repair`] — host-side local repair of an existing clustering under batched
 //!   link/cut structural updates (degrading to a full rebuild only when a clustering

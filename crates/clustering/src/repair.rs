@@ -532,6 +532,7 @@ impl ClusteringRepair {
 mod tests {
     use super::*;
     use crate::builder::build_clustering;
+    use crate::degree::reduce_degrees;
     use crate::element::EdgeKind;
     use mpc_engine::{MpcConfig, MpcContext};
     use tree_gen::shapes;
@@ -548,19 +549,10 @@ mod tests {
                 .with_bandwidth_slack(512.0),
         );
         let dist = ctx.from_vec(tree.edges());
-        let clustering = build_clustering(
-            &mut ctx,
-            &dist,
-            tree.root() as u64,
-            tree.len(),
-            Some(threshold),
-        )
-        .expect("clustering succeeds");
-        let edges: Vec<(DirectedEdge, EdgeKind)> = tree
-            .edges()
-            .into_iter()
-            .map(|e| (e, EdgeKind::Original))
-            .collect();
+        let reduced = reduce_degrees(&mut ctx, &dist, tree.root() as u64, tree.len(), threshold)
+            .expect("valid bound");
+        let clustering = build_clustering(&mut ctx, &reduced).expect("clustering succeeds");
+        let edges = reduced.edges.to_vec();
         (ctx, clustering, edges)
     }
 

@@ -4,8 +4,9 @@
 //! 1. **Normalize** the input representation into the standard rooted edge list
 //!    (`O(log D)` rounds, Section 3 — only `O(1)` for already-rooted representations).
 //! 2. **Degree-reduce and cluster**: replace high-degree nodes by `O(1)`-depth auxiliary
-//!    trees (Section 4.4) and build the hierarchical clustering (`O(log D)` rounds,
-//!    Section 4).
+//!    trees (Section 4.4), which establishes the degree bound `n^{δ/2}` once, and build
+//!    the hierarchical clustering on the reduced tree under that bound (`O(log D)`
+//!    rounds, Section 4).
 //! 3. **Solve** any number of DP problems on the same clustering, each in `O(1)` rounds
 //!    (Section 5), through the [`SolvePlan`] built once per prepared tree. The
 //!    clustering is computed once per input topology and reused — this is the headline
@@ -92,23 +93,15 @@ pub fn prepare(
             )
         })
         .ok_or(PipelineError::MalformedInput)?;
-    let plain_edges: DistVec<DirectedEdge> = reduced.edges.clone().map_local(|(e, _)| *e);
-    let clustering = ctx.phase("clustering", |ctx| {
-        build_clustering(
-            ctx,
-            &plain_edges,
-            reduced.root,
-            reduced.num_nodes,
-            Some(threshold),
-        )
-    })?;
+    let clustering = ctx.phase("clustering", |ctx| build_clustering(ctx, &reduced))?;
+    let (edges, root, num_nodes, original_nodes, aux_to_original) = reduced.into_parts();
     Ok(PreparedTree {
         clustering,
-        edges: reduced.edges,
-        root: reduced.root,
-        num_nodes: reduced.num_nodes,
-        original_nodes: reduced.original_nodes,
-        aux_to_original: reduced.aux_to_original,
+        edges,
+        root,
+        num_nodes,
+        original_nodes,
+        aux_to_original,
         plan: OnceCell::new(),
     })
 }

@@ -402,6 +402,10 @@ impl StateDp for SumColoring {
 /// document is valid when every parent/child tag pair is allowed. A score of `0` means
 /// valid; every violation costs `1` (so the optimum equals minus the number of
 /// violations and never becomes infeasible).
+///
+/// The node input is the tag: the original node's own tag, and
+/// [`ANY_TAG`](Self::ANY_TAG) for the auxiliary copies introduced by degree reduction
+/// (the auxiliary edges then give each copy the tag of the node it stands in for).
 #[derive(Debug, Clone)]
 pub struct XmlValidation {
     /// Number of distinct tags.
@@ -411,6 +415,9 @@ pub struct XmlValidation {
 }
 
 impl XmlValidation {
+    /// The wildcard tag for auxiliary copies: `init` accepts every state at score 0.
+    pub const ANY_TAG: u64 = u64::MAX;
+
     /// A schema where a child tag is allowed below a parent tag iff
     /// `child == parent || child == parent + 1 (mod tags)`.
     pub fn chain_schema(tags: usize) -> Self {
@@ -433,11 +440,7 @@ impl StateDp for XmlValidation {
     }
 
     fn init(&self, tag: &u64, state: usize) -> Option<Score> {
-        if state == *tag as usize {
-            Some(0)
-        } else {
-            None
-        }
+        (*tag == Self::ANY_TAG || state == *tag as usize).then_some(0)
     }
 
     fn absorb_child(

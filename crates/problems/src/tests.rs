@@ -277,12 +277,53 @@ fn xml_validation_counts_violations() {
             .enumerate()
             .map(|(v, &t)| (v as u64, t))
             .collect();
-        // Auxiliary nodes would need to inherit the tag of the node they stand in for;
-        // run without degree reduction instead.
+        // Without degree reduction: `xml_validation_wildcards_auxiliary_copies` covers
+        // the auxiliary copies.
         let threshold = tree.max_degree().max(4);
         let (sol, _) = solve_mpc(&tree, &engine, node_inputs, 0, vec![], threshold);
         let got = -sol.root_summary.best(engine.problem()).unwrap();
         assert_eq!(got, violations, "violation count mismatch on tree {i}");
+    }
+}
+
+#[test]
+fn xml_validation_wildcards_auxiliary_copies() {
+    // Trees wider than the threshold, so degree reduction adds auxiliary copies; they
+    // take the wildcard tag and inherit their original's tag through the auxiliary edges.
+    let engine = StateEngine::new(XmlValidation::chain_schema(3));
+    let trees = [
+        shapes::star(40),
+        shapes::broom(5, 30),
+        shapes::random_recursive(200, 9),
+    ];
+    for (i, tree) in trees.iter().enumerate() {
+        assert!(tree.max_degree() > 4);
+        let tags = labels::random_labels(tree.len(), 3, 900 + i as u64);
+        let node_inputs: Vec<(u64, u64)> = tags
+            .iter()
+            .enumerate()
+            .map(|(v, &t)| (v as u64, t))
+            .collect();
+        let (sol, _) = solve_mpc(
+            tree,
+            &engine,
+            node_inputs,
+            XmlValidation::ANY_TAG,
+            vec![],
+            4,
+        );
+        let seq = solve_sequential(
+            &engine,
+            &tree.edges(),
+            tree.root() as u64,
+            |v| tags[v as usize],
+            |_| (EdgeKind::Original, ()),
+        );
+        assert_eq!(
+            sol.root_summary.best(engine.problem()),
+            seq.root_summary.best(engine.problem()),
+            "violation count mismatch on tree {i}"
+        );
     }
 }
 
