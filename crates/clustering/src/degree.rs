@@ -45,25 +45,18 @@ pub struct DegreeReduced {
 }
 
 impl DegreeReduced {
-    /// Move the reduced tree out: its edge list, root, node count (original +
-    /// auxiliary), original node count, and the auxiliary-to-original map.
+    /// Move the reduced tree out: its edge list, original node count, and the
+    /// auxiliary-to-original map. Its root and node count (original + auxiliary) are
+    /// the clustering's, which [`build_clustering`](crate::build_clustering) records.
     #[allow(clippy::type_complexity)]
     pub fn into_parts(
         self,
     ) -> (
         DistVec<(DirectedEdge, EdgeKind)>,
-        NodeId,
-        usize,
         usize,
         DistVec<(NodeId, NodeId)>,
     ) {
-        (
-            self.edges,
-            self.root,
-            self.num_nodes,
-            self.original_nodes,
-            self.aux_to_original,
-        )
+        (self.edges, self.original_nodes, self.aux_to_original)
     }
 }
 

@@ -54,10 +54,6 @@ pub struct PreparedTree {
     pub clustering: Clustering,
     /// Edges of the degree-reduced tree with their kinds.
     pub edges: DistVec<(DirectedEdge, EdgeKind)>,
-    /// The root node.
-    pub root: NodeId,
-    /// Number of nodes after degree reduction (original + auxiliary).
-    pub num_nodes: usize,
     /// Number of original nodes.
     pub original_nodes: usize,
     /// For every auxiliary node, the original node it stands in for.
@@ -94,12 +90,10 @@ pub fn prepare(
         })
         .ok_or(PipelineError::MalformedInput)?;
     let clustering = ctx.phase("clustering", |ctx| build_clustering(ctx, &reduced))?;
-    let (edges, root, num_nodes, original_nodes, aux_to_original) = reduced.into_parts();
+    let (edges, original_nodes, aux_to_original) = reduced.into_parts();
     Ok(PreparedTree {
         clustering,
         edges,
-        root,
-        num_nodes,
         original_nodes,
         aux_to_original,
         plan: OnceCell::new(),
@@ -228,7 +222,6 @@ impl PreparedTree {
         }
         let removed_originals = repair.removed_nodes.len() - repair.removed_aux.len();
         self.original_nodes = self.original_nodes - removed_originals + repair.added_leaves.len();
-        self.num_nodes = repair.new_num_nodes;
         self.plan.take();
     }
 
@@ -349,7 +342,7 @@ mod tests {
         threshold: usize,
         steps: u64,
         cut_among: usize,
-    ) -> (usize, usize, [usize; 4]) {
+    ) -> (usize, usize, [usize; 3]) {
         let mut ctx = MpcContext::new(
             MpcConfig::new(2 * tree.len(), 0.5)
                 .with_memory_slack(512.0)
@@ -370,7 +363,7 @@ mod tests {
         let mut index = RepairIndex::build(&prepared.clustering, prepared.edges.iter());
         let mut next_id = FIRST_LINKED;
         let (mut repaired, mut demoted, mut removed_aux) = (0, 0, 0);
-        let mut rebuilds = [0; 4];
+        let mut rebuilds = [0; 3];
         for step in 0..steps {
             let mut live: Vec<NodeId> = prepared
                 .clustering
@@ -380,7 +373,7 @@ mod tests {
                 .map(|e| e.id)
                 .collect();
             live.sort_unstable();
-            assert_eq!(live[0], prepared.root);
+            assert_eq!(live[0], prepared.clustering.root);
             let ops = batch(&live, step, &mut next_id, cut_among);
             let repair = match index.plan(&ops).expect("generated batches are valid") {
                 RepairOutcome::Repaired(repair) => repair,
@@ -470,8 +463,8 @@ mod tests {
             let (_, _, more) = check_repairs_patch_like_a_rebuild(&tree, threshold, 40, usize::MAX);
             rebuilds.iter_mut().zip(more).for_each(|(r, m)| *r += m);
         }
-        // Every routing index — node and cluster payloads, out-edge lists, label
-        // readers — went through tombstones or overflow and was rebuilt from them.
+        // Every routing index — payloads, out-edge lists, label readers — went
+        // through tombstones or overflow and was rebuilt from them.
         assert!(rebuilds.iter().all(|&r| r > 0), "rebuilds {rebuilds:?}");
         // Six hubs of ten leaves below the root: every node above the leaves is
         // degree-reduced, and cutting a hub removes its auxiliary fan-out.

@@ -20,7 +20,8 @@
 //!   slots reading its input, and every label key to the views reading it — a pure
 //!   function of the skeletons, derived by one function at plan build and at
 //!   decode, so a snapshot carries only the skeletons. They are flat key-sorted runs
-//!   probed through a bucket directory, not trees.
+//!   probed through the engine's segmented bucket [`Directory`](mpc_engine::Directory),
+//!   not trees.
 //!
 //! [`SolvePlan::solve`] then runs any [`ClusterDp`] over the cached skeletons,
 //! charging only the exchanges that genuinely depend on the problem: one scatter of
@@ -698,9 +699,8 @@ impl SolvePlan {
         let routing = &self.routing;
         PlanRouting {
             payload: routing
-                .nodes
+                .payloads
                 .iter()
-                .chain(routing.clusters.iter())
                 .map(|(id, slot)| (id, member_of(slot)))
                 .collect(),
             out_edge: routing
@@ -807,7 +807,7 @@ impl SolvePlan {
         let mut covered: Vec<NodeId> = node_inputs
             .iter()
             .map(|(node, _)| *node)
-            .filter(|node| *node < AUX_BASE && self.routing.nodes.get(*node).is_some())
+            .filter(|node| *node < AUX_BASE && self.routing.payloads.get(*node).is_some())
             .collect();
         covered.sort_unstable();
         covered.dedup();
@@ -815,7 +815,7 @@ impl SolvePlan {
             return None;
         }
         self.routing
-            .nodes
+            .payloads
             .iter()
             .map(|(node, _)| node)
             .take_while(|node| *node < AUX_BASE)

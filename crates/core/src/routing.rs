@@ -5,107 +5,20 @@
 //! evaluation pass and a splice find every slot by key.
 //!
 //! Every index is a [`Run`]: one key-sorted vector of `(key, value)` entries, probed
-//! through a bucket [`Directory`] (a shift, two offset loads and a search inside one
-//! bucket), never a tree walk. A key with several slots maps to a [`Span`] of one flat
-//! slot vector ([`Lists`]). A structural splice patches a run in place, in
+//! through the engine's segmented bucket [`Directory`] — the one the engine's table
+//! indexes use — never a tree walk. A key with several slots maps to a [`Span`] of one
+//! flat slot vector ([`Lists`]). A structural splice patches a run in place, in
 //! `O(touched)`: a removed key keeps its place with a vacant value (a tombstone), a new
 //! key goes to a small sorted overflow run, and once the patches since the last rebuild
 //! pass an eighth of the run it is rebuilt from its live entries — `O(run)` every
-//! `run / 8` patches. Nothing is sized by key magnitude: an id linked anywhere below
-//! `AUX_BASE` costs one entry, and a far-off id opens a directory segment of its own.
+//! `run / 8` patches. Nothing is sized by key magnitude: an id linked anywhere costs
+//! one entry, and node, auxiliary and cluster ids share one payload run because the
+//! directory gives each id range segments of its own.
 
 use crate::plan::{MemberSlot, PlanMember, PlanView, ViewSlot};
-use tree_clustering::{is_cluster_id, ElementId, VIRTUAL_NODE};
+use mpc_engine::Directory;
+use tree_clustering::{ElementId, VIRTUAL_NODE};
 use tree_repr::NodeId;
-
-/// Keys further apart than this start a new directory segment, so that a few outlying
-/// keys — the auxiliary nodes at `AUX_BASE`, a leaf linked with a far-off id, the
-/// clusters of another layer — do not stretch the buckets of the dense ones.
-const SEGMENT_GAP: u64 = 1 << 16;
-
-/// A bucket directory over the keys of a sorted run — `SortedIndex`'s directory in the
-/// engine, one per segment: a segment is a maximal stretch of keys with no gap wider
-/// than [`SEGMENT_GAP`], and its buckets split its key range evenly, between half and
-/// twice as many buckets as it has keys.
-#[derive(Debug, Clone, Default)]
-struct Directory {
-    /// The segments, in key order.
-    segments: Vec<Segment>,
-    /// Bucket `b` holds `entries[buckets[b]..buckets[b + 1]]`; a segment's buckets are
-    /// consecutive, and the last offset is the entry count.
-    buckets: Vec<u32>,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Segment {
-    /// The segment's smallest key.
-    first: u64,
-    /// The segment's first bucket.
-    bucket: u32,
-    /// Right shift that maps `key - first` to a bucket of the segment.
-    shift: u32,
-}
-
-impl Directory {
-    /// The directory of `entries`, which are sorted by key.
-    fn over<V>(entries: &[(u64, V)]) -> Directory {
-        let offset = |i: usize| u32::try_from(i).expect("a routing index fits u32 offsets");
-        let mut dir = Directory::default();
-        let mut start = 0;
-        while start < entries.len() {
-            let first = entries[start].0;
-            let mut end = start + 1;
-            while end < entries.len() && entries[end].0 - entries[end - 1].0 <= SEGMENT_GAP {
-                end += 1;
-            }
-            let range = entries[end - 1].0 - first;
-            // The smallest shift that leaves at most `keys.next_power_of_two()` buckets.
-            let cap_bits = (end - start).next_power_of_two().trailing_zeros();
-            let shift = (u64::BITS - range.leading_zeros()).saturating_sub(cap_bits);
-            let bucket = dir.buckets.len();
-            dir.segments.push(Segment {
-                first,
-                bucket: offset(bucket),
-                shift,
-            });
-            for (i, (key, _)) in entries.iter().enumerate().take(end).skip(start) {
-                let b = bucket + ((key - first) >> shift) as usize;
-                if dir.buckets.len() <= b {
-                    dir.buckets.resize(b + 1, offset(i));
-                }
-            }
-            start = end;
-        }
-        dir.buckets.push(offset(entries.len()));
-        dir.buckets.shrink_to_fit();
-        dir
-    }
-
-    /// The entries `key` can lie among: its segment's bucket for it (empty when no
-    /// segment covers `key`).
-    #[inline]
-    fn bucket(&self, key: u64) -> std::ops::Range<usize> {
-        let s = self.segments.partition_point(|seg| seg.first <= key);
-        let Some(seg) = s.checked_sub(1).map(|s| self.segments[s]) else {
-            return 0..0;
-        };
-        // A segment's buckets end where the next segment's begin.
-        let end = self
-            .segments
-            .get(s)
-            .map_or(self.buckets.len() - 1, |next| next.bucket as usize);
-        let b = ((key - seg.first) >> seg.shift).saturating_add(u64::from(seg.bucket));
-        match usize::try_from(b) {
-            Ok(b) if b < end => self.buckets[b] as usize..self.buckets[b + 1] as usize,
-            _ => 0..0,
-        }
-    }
-
-    /// Resident size in words: two per segment, half a word per `u32` offset.
-    fn words(&self) -> usize {
-        2 * self.segments.len() + self.buckets.len().div_ceil(2)
-    }
-}
 
 /// A value of a [`Run`] that can mark its key as removed.
 pub(crate) trait Value: Copy + PartialEq {
@@ -164,7 +77,7 @@ impl<V: Value> Run<V> {
     fn from_sorted(mut entries: Vec<(u64, V)>) -> Self {
         entries.shrink_to_fit();
         Run {
-            directory: Directory::over(&entries),
+            directory: Directory::over(&entries, |e| e.0),
             entries,
             overflow: Vec::new(),
             patches: 0,
@@ -377,12 +290,10 @@ pub(crate) struct Reader {
 /// The routing indexes of a plan (see the module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Routing {
-    /// Node id (original or auxiliary) → the member slot its input must reach.
-    pub(crate) nodes: Run<MemberSlot>,
-    /// Cluster id → the member slot its summary must reach (absent only for the top
-    /// cluster, whose summary becomes the root summary). Apart from the node ids, so
-    /// that neither directory is stretched over the other's id range.
-    pub(crate) clusters: Run<MemberSlot>,
+    /// Element id (original node, auxiliary node or cluster) → the member slot its
+    /// payload must reach: a node's input, a cluster's summary. Only the top cluster
+    /// is absent; its summary becomes the root summary.
+    pub(crate) payloads: Run<MemberSlot>,
     /// Edge child → member slots whose `out_input` carries that edge's input.
     pub(crate) out_edges: Lists<MemberSlot>,
     /// Label key → the views reading it. A view reading an edge's label as its in-label
@@ -421,11 +332,8 @@ impl Routing {
                 view.members.iter().map(|m| m.element).zip(slots)
             })
         };
-        let (mut clusters, mut nodes): (Vec<_>, Vec<_>) = members()
-            .map(|(element, slot)| (element.id, slot))
-            .partition(|(id, _)| is_cluster_id(*id));
-        nodes.sort_unstable();
-        clusters.sort_unstable();
+        let mut payloads: Vec<_> = members().map(|(e, slot)| (e.id, slot)).collect();
+        payloads.sort_unstable();
         let out_edges = {
             let mut pairs: Vec<(NodeId, MemberSlot)> = members()
                 .filter(|(element, _)| element.out_edge.parent != VIRTUAL_NODE)
@@ -447,40 +355,26 @@ impl Routing {
             Lists::from_sorted(&pairs)
         };
         Routing {
-            nodes: Run::from_sorted(nodes),
-            clusters: Run::from_sorted(clusters),
+            payloads: Run::from_sorted(payloads),
             out_edges,
             readers,
-        }
-    }
-
-    /// The payload index `id` belongs to.
-    fn payload_run(&mut self, id: ElementId) -> &mut Run<MemberSlot> {
-        if is_cluster_id(id) {
-            &mut self.clusters
-        } else {
-            &mut self.nodes
         }
     }
 
     /// The member slot the payload of element `id` must reach.
     #[inline]
     pub(crate) fn payload(&self, id: ElementId) -> Option<&MemberSlot> {
-        if is_cluster_id(id) {
-            self.clusters.get(id)
-        } else {
-            self.nodes.get(id)
-        }
+        self.payloads.get(id)
     }
 
     /// The member slot of element `id`, to patch in place.
     pub(crate) fn payload_mut(&mut self, id: ElementId) -> Option<&mut MemberSlot> {
-        self.payload_run(id).get_mut(id)
+        self.payloads.get_mut(id)
     }
 
     /// Forget element `id`'s payload slot, returning it.
     pub(crate) fn remove_payload(&mut self, id: ElementId) -> Option<MemberSlot> {
-        self.payload_run(id).remove(id)
+        self.payloads.remove(id)
     }
 
     /// Forget every entry keyed by the edge whose child endpoint is `child`.
@@ -493,7 +387,7 @@ impl Routing {
     /// (a fresh leaf tops no cluster, so it is the only element leaving by its edge, and
     /// no view reads its label as a boundary label).
     pub(crate) fn add_leaf(&mut self, leaf: NodeId, slot: MemberSlot) {
-        self.payload_run(leaf).insert(leaf, slot);
+        self.payloads.insert(leaf, slot);
         self.out_edges.insert(leaf, &[slot]);
     }
 
@@ -513,19 +407,17 @@ impl Routing {
 
     /// Rebuild every index whose patches are due.
     pub(crate) fn rebuild_due(&mut self) {
-        self.nodes.rebuild_if_due();
-        self.clusters.rebuild_if_due();
+        self.payloads.rebuild_if_due();
         self.out_edges.rebuild_if_due();
         self.readers.rebuild_if_due();
     }
 
-    /// Where the entries of the node, cluster, out-edge and reader indexes lie: a patch
+    /// Where the entries of the payload, out-edge and reader indexes lie: a patch
     /// leaves them where they are, a rebuild moves them.
     #[cfg(test)]
-    pub(crate) fn entry_addresses(&self) -> [usize; 4] {
+    pub(crate) fn entry_addresses(&self) -> [usize; 3] {
         [
-            self.nodes.entries.as_ptr() as usize,
-            self.clusters.entries.as_ptr() as usize,
+            self.payloads.entries.as_ptr() as usize,
             self.out_edges.run.entries.as_ptr() as usize,
             self.readers.run.entries.as_ptr() as usize,
         ]
@@ -568,7 +460,7 @@ impl Routing {
 
     /// The name of the first index that differs from `fresh`'s, if any.
     pub(crate) fn drift_from(&self, fresh: &Routing) -> Option<&'static str> {
-        if self.nodes != fresh.nodes || self.clusters != fresh.clusters {
+        if self.payloads != fresh.payloads {
             Some("payload_slot")
         } else if self.out_edges != fresh.out_edges {
             Some("out_edge_slots")
@@ -581,17 +473,14 @@ impl Routing {
 
     /// `true` when some element has two payload slots — one element on two members.
     pub(crate) fn repeats_a_payload(&self) -> bool {
-        self.nodes.repeats_a_key() || self.clusters.repeats_a_key()
+        self.payloads.repeats_a_key()
     }
 
     /// Approximate resident size in words: a key word per entry, a word per slot
     /// coordinate (four for a member slot; three and the as-out flag for a reader), one
     /// per span, and the directories.
     pub(crate) fn resident_words(&self) -> usize {
-        self.nodes.words(4)
-            + self.clusters.words(4)
-            + self.out_edges.words(4)
-            + self.readers.words(4)
+        self.payloads.words(4) + self.out_edges.words(4) + self.readers.words(4)
     }
 }
 
@@ -616,29 +505,6 @@ mod tests {
         keys.extend((0..40).map(|k| (1 << 44) + k));
         keys.push(u64::MAX - 1);
         keys
-    }
-
-    #[test]
-    fn the_directory_finds_every_key_and_nothing_else() {
-        let keys = spread_keys();
-        let run = Run::from_sorted(keys.iter().map(|&k| (k, slot(k as u32))).collect());
-        assert_eq!(
-            run.directory.segments.len(),
-            4,
-            "{:?}",
-            run.directory.segments
-        );
-        for &k in &keys {
-            assert_eq!(run.get(k), Some(&slot(k as u32)), "key {k}");
-            for absent in [k.wrapping_add(1), k.wrapping_sub(1)] {
-                if !keys.contains(&absent) {
-                    assert_eq!(run.get(absent), None, "key {absent}");
-                }
-            }
-        }
-        assert_eq!(run.get(u64::MAX), None);
-        // Buckets stay within twice the keys: no index is sized by key magnitude.
-        assert!(run.directory.buckets.len() <= 2 * keys.len() + run.directory.segments.len());
     }
 
     #[test]

@@ -28,8 +28,9 @@
 //! plan travels as its skeleton views only: decoding derives the routing indexes from
 //! them, as a plan build does. A checksum only vouches for the bytes, so a decoded
 //! [`SolvePlan`] is also checked for what the evaluation pass relies on
-//! ([`SolvePlan::validate`]) and a decoded [`SolverStore`] for slot state that matches
-//! its plan: a re-sealed payload with one index out of place is
+//! ([`SolvePlan::validate`]), a decoded [`SolverStore`] for slot state that matches
+//! its plan, and a decoded [`PreparedTree`] for root and node-count slots that repeat
+//! its clustering's: a re-sealed payload with one index out of place is
 //! [`SnapshotError::Malformed`], not a panic on the next solve.
 //!
 //! The codec is versioned through [`SNAPSHOT_VERSION`]: a reader refuses payloads
@@ -737,8 +738,10 @@ impl Snapshot for PreparedTree {
     fn encode(&self, w: &mut SnapshotWriter) {
         self.clustering.encode(w);
         self.edges.encode(w);
-        w.put_u64(self.root);
-        w.put_usize(self.num_nodes);
+        // The clustering's root and node count a second time: the layout keeps these
+        // slots (so the kind stays), and decode checks them against the clustering.
+        w.put_u64(self.clustering.root);
+        w.put_usize(self.clustering.num_nodes);
         w.put_usize(self.original_nodes);
         self.aux_to_original.encode(w);
         // The cached plan travels with the tree when built; a tree snapshotted before
@@ -748,8 +751,11 @@ impl Snapshot for PreparedTree {
     fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
         let clustering = Clustering::decode(r)?;
         let edges = DistVec::decode(r)?;
-        let root = r.take_u64()?;
-        let num_nodes = r.take_usize()?;
+        if (r.take_u64()?, r.take_usize()?) != (clustering.root, clustering.num_nodes) {
+            return Err(SnapshotError::Malformed(
+                "tree root or node count differs from its clustering's",
+            ));
+        }
         let original_nodes = r.take_usize()?;
         let aux_to_original = DistVec::decode(r)?;
         let plan_value: Option<SolvePlan> = Option::decode(r)?;
@@ -772,8 +778,6 @@ impl Snapshot for PreparedTree {
         Ok(PreparedTree {
             clustering,
             edges,
-            root,
-            num_nodes,
             original_nodes,
             aux_to_original,
             plan,

@@ -349,7 +349,7 @@ pub(crate) mod tests {
             .plan(&mut ctx)
             .clone()
             .solve_with_store(&mut ctx, &Count, &ones, 1, &no_edges);
-        assert_eq!(solution.root_summary, prepared.num_nodes as u64);
+        assert_eq!(solution.root_summary, prepared.clustering.num_nodes as u64);
         (prepared, store)
     }
 
@@ -509,8 +509,8 @@ pub(crate) mod tests {
 
         let mut drifted = reread();
         let routing = &mut drifted.plan.routing;
-        let (first, _) = routing.nodes.iter().next().expect("non-empty");
-        routing.nodes.get_mut(first).expect("live").member += 1;
+        let (first, _) = routing.payloads.iter().next().expect("non-empty");
+        routing.payloads.get_mut(first).expect("live").member += 1;
         let err = drifted.audit(prepared.edges.iter()).expect_err("planted");
         assert!(err.contains("payload_slot"), "{err}");
 

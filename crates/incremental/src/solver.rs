@@ -970,7 +970,7 @@ mod tests {
             sequential_optimum(
                 MaxWeightIndependentSet,
                 mutated_edges,
-                fresh_prepared.root,
+                fresh_prepared.clustering.root,
                 &weight_of,
                 |_| (),
             ),
@@ -1070,7 +1070,7 @@ mod tests {
             "the repair drops the tree's cached plan"
         );
         let mut ids: BTreeSet<u64> = mutated.iter().map(|e| e.child).collect();
-        ids.insert(prepared.root);
+        ids.insert(prepared.clustering.root);
         let current = ctx.from_vec(ids.iter().map(|&v| (v, weight_of(v))).collect::<Vec<_>>());
         let engine = StateEngine::new(MaxWeightIndependentSet);
         let mut rounds = vec![ctx.metrics().rounds];

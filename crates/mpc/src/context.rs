@@ -206,63 +206,20 @@ impl MpcContext {
         recvs: impl Iterator<Item = usize>,
         what: &str,
     ) {
-        let limit = self.cfg.bandwidth_capacity();
-        let ctx_name = self.current_context(what);
-        let round = self.metrics.rounds;
-        for (machine, s) in sends.enumerate() {
-            self.metrics.total_words_sent += s as u64;
-            if s > self.metrics.max_words_sent_per_round {
-                self.metrics.max_words_sent_per_round = s;
-            }
-            if s > limit {
-                self.push_violation(Violation {
-                    kind: ViolationKind::SendBandwidth,
-                    machine,
-                    round,
-                    observed: s,
-                    limit,
-                    context: ctx_name.clone(),
-                });
-            }
-        }
-        for (machine, r) in recvs.enumerate() {
-            if r > self.metrics.max_words_received_per_round {
-                self.metrics.max_words_received_per_round = r;
-            }
-            if r > limit {
-                self.push_violation(Violation {
-                    kind: ViolationKind::ReceiveBandwidth,
-                    machine,
-                    round,
-                    observed: r,
-                    limit,
-                    context: ctx_name.clone(),
-                });
-            }
-        }
+        let mut sent = 0;
+        self.check_loads(
+            ViolationKind::SendBandwidth,
+            sends.inspect(|s| sent += s),
+            what,
+        );
+        self.metrics.total_words_sent += sent as u64;
+        self.check_loads(ViolationKind::ReceiveBandwidth, recvs, what);
     }
 
     /// Check the memory footprint of a distributed vector against the local-memory cap.
     pub fn check_memory<T: Words>(&mut self, dv: &DistVec<T>, what: &str) {
-        let limit = self.cfg.local_capacity();
-        let ctx_name = self.current_context(what);
-        let round = self.metrics.rounds;
-        for (machine, chunk) in dv.chunks().iter().enumerate() {
-            let w = slice_words(chunk);
-            if w > self.metrics.peak_local_memory {
-                self.metrics.peak_local_memory = w;
-            }
-            if w > limit {
-                self.push_violation(Violation {
-                    kind: ViolationKind::LocalMemory,
-                    machine,
-                    round,
-                    observed: w,
-                    limit,
-                    context: ctx_name.clone(),
-                });
-            }
-        }
+        let loads = dv.chunks().iter().map(|chunk| slice_words(chunk));
+        self.check_loads(ViolationKind::LocalMemory, loads, what);
     }
 
     /// Check explicit per-machine word counts against the local-memory cap.
@@ -273,24 +230,41 @@ impl MpcContext {
     /// until its top-down pass finishes) account their cumulative per-machine
     /// residency themselves and check the totals here.
     pub fn check_memory_words(&mut self, words: &[usize], what: &str) {
-        let limit = self.cfg.local_capacity();
-        let ctx_name = self.current_context(what);
-        let round = self.metrics.rounds;
-        for (machine, &w) in words.iter().enumerate() {
-            if w > self.metrics.peak_local_memory {
-                self.metrics.peak_local_memory = w;
+        self.check_loads(ViolationKind::LocalMemory, words.iter().copied(), what);
+    }
+
+    /// The one check behind the memory and bandwidth accounting: record a `kind`
+    /// violation for every machine whose load (in machine order) exceeds the cap of
+    /// `kind`, and raise the peak the metrics keep for `kind` to the largest load.
+    fn check_loads(&mut self, kind: ViolationKind, loads: impl Iterator<Item = usize>, what: &str) {
+        let limit = match kind {
+            ViolationKind::LocalMemory => self.cfg.local_capacity(),
+            ViolationKind::SendBandwidth | ViolationKind::ReceiveBandwidth => {
+                self.cfg.bandwidth_capacity()
             }
-            if w > limit {
+        };
+        let round = self.metrics.rounds;
+        let mut largest = 0;
+        for (machine, observed) in loads.enumerate() {
+            largest = largest.max(observed);
+            if observed > limit {
                 self.push_violation(Violation {
-                    kind: ViolationKind::LocalMemory,
+                    kind,
                     machine,
                     round,
-                    observed: w,
+                    observed,
                     limit,
-                    context: ctx_name.clone(),
+                    context: self.current_context(what),
                 });
             }
         }
+        let m = &mut self.metrics;
+        let peak = match kind {
+            ViolationKind::LocalMemory => &mut m.peak_local_memory,
+            ViolationKind::SendBandwidth => &mut m.max_words_sent_per_round,
+            ViolationKind::ReceiveBandwidth => &mut m.max_words_received_per_round,
+        };
+        *peak = (*peak).max(largest);
     }
 
     fn push_violation(&mut self, v: Violation) {

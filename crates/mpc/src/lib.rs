@@ -56,13 +56,16 @@
 //!   and the Euler-tour rooting, step-bounded and failing with a typed
 //!   [`ConvergeError`], whose per-machine participation lands in
 //!   [`Metrics::convergence`] as [`ConvergenceTrace`]s.
+//! * [`Directory`] — the segmented bucket directory over a key-sorted run that every
+//!   word-keyed probe goes through.
 //!
 //! ## Sorting fast path and scratch reuse
 //!
 //! Sort keys implement [`SortKey`]; keys with a monotone `u64` embedding take a
 //! linear-time LSD radix path whose output, labels, and metrics are bit-identical to
 //! the comparison path composite keys take; on the same condition join and
-//! `converge` probes go through a bucket directory.
+//! `converge` probes go through a segmented bucket [`Directory`] — the one directory
+//! behind every word-keyed probe, the solve plan's routing runs included.
 //! Each context owns a scratch arena (radix buffers, merge heap, counters, and a
 //! record-buffer pool fed by consumed inputs and [`MpcContext::from_vec`]), so warm
 //! primitive calls perform zero net heap growth.
@@ -87,6 +90,7 @@
 
 pub mod config;
 pub mod context;
+pub(crate) mod directory;
 pub mod distvec;
 pub mod error;
 pub mod metrics;
@@ -98,6 +102,7 @@ pub mod words;
 
 pub use config::MpcConfig;
 pub use context::{MpcContext, Outbox};
+pub use directory::Directory;
 pub use distvec::DistVec;
 pub use error::{ConvergeError, MpcError, MpcResult, Violation, ViolationKind};
 pub use metrics::{ConvergenceTrace, Metrics, PhaseMetrics};

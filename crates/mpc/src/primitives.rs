@@ -36,10 +36,12 @@
 //! `join_lookup`/`sort_table` instead use an allocation-free unstable lexicographic
 //! sort on both key paths — measured faster than LSD-plus-permutation at realistic
 //! table sizes, and identical in order. On the fast path every such index also
-//! carries a bucket directory, so a probe searches one bucket instead of the whole
-//! index (see [`SortedIndex`]).
+//! carries the segmented bucket [`Directory`] the solve plan's routing runs use, so a
+//! probe searches one bucket of a few entries instead of the whole index, however
+//! node, auxiliary and cluster ids mix in the table (see [`SortedIndex`]).
 
 use crate::context::MpcContext;
+use crate::directory::Directory;
 use crate::distvec::DistVec;
 use crate::scratch::{BufferPool, Scratch};
 use crate::sortkey::SortKey;
@@ -128,51 +130,38 @@ fn merge_word_runs(
 /// [`MpcContext::build_sorted_index`]; holds references into the table it was built
 /// from, never cloned records.
 ///
-/// For word keys (the radix fast path) it also carries a **bucket directory** over
-/// the keys' word range, about one bucket per entry, so a probe is a shift, two
-/// offset loads and a search inside one bucket instead of a binary search over the
-/// whole index. Without the directory the probe is that binary search; both return
-/// the same entry.
+/// Word keys (the radix fast path) are probed through the shared segmented
+/// [`Directory`], so a probe searches one bucket; composite keys binary-search the
+/// whole index. Both return the first entry with the key.
 #[derive(Debug, Clone)]
 pub(crate) struct SortedIndex<K> {
     /// `(key, source chunk, position within chunk)` in ascending key order; ties keep
     /// table order, so "first record with a key" is by construction the first hit.
     entries: Vec<(K, u32, u32)>,
-    /// Bucket `b` holds the keys whose word lies in
-    /// `base + (b << shift) .. base + ((b + 1) << shift)`, which are
-    /// `entries[dir[b]..dir[b + 1]]`. Empty when there is no directory.
-    dir: Vec<u32>,
-    /// Word of the smallest key.
-    base: u64,
-    /// Right shift that maps `word - base` to its bucket.
-    shift: u32,
+    /// The directory over the entries' key words; empty for composite keys.
+    dir: Directory,
 }
 
 impl<K: SortKey> SortedIndex<K> {
     /// The first entry (in table order) whose key equals `k`.
     #[inline]
     pub(crate) fn get(&self, k: &K) -> Option<&(K, u32, u32)> {
-        let bucket = if self.dir.is_empty() {
-            &self.entries[..]
+        let bucket = if K::IS_WORD {
+            &self.entries[self.dir.bucket(k.to_word())]
         } else {
-            let b = usize::try_from(k.to_word().checked_sub(self.base)? >> self.shift).ok()?;
-            // A directory has at least two offsets; `b` may be `usize::MAX`.
-            if b >= self.dir.len() - 1 {
-                return None;
-            }
-            &self.entries[self.dir[b] as usize..self.dir[b + 1] as usize]
+            &self.entries[..]
         };
         let first = bucket.partition_point(|e| e.0 < *k);
         bucket.get(first).filter(|e| e.0 == *k)
     }
 
-    /// Hand both buffers back to the pool they were drawn from.
+    /// Hand the entries and the directory back to the pool they were drawn from.
     pub(crate) fn recycle(self, pool: &mut BufferPool)
     where
         K: 'static,
     {
         pool.recycle_buf(self.entries);
-        pool.recycle_buf(self.dir);
+        self.dir.recycle(pool);
     }
 }
 
@@ -417,8 +406,8 @@ impl MpcContext {
     }
 
     /// Build the [`SortedIndex`] of a table — the machine-local share of a table
-    /// sort; charges nothing (callers account for the rounds). Both buffers come
-    /// from the scratch pool; [`SortedIndex::recycle`] returns them. `pub(crate)` so
+    /// sort; charges nothing (callers account for the rounds). Its buffers come from
+    /// the scratch pool; [`SortedIndex::recycle`] returns them. `pub(crate)` so
     /// the fused convergence loop ([`Self::try_converge`], `context.rs`) builds its
     /// state index with the same machinery.
     pub(crate) fn build_sorted_index<V, K, FV>(
@@ -446,33 +435,11 @@ impl MpcContext {
         // (no temporary buffer, unlike `sort_by`) is safe on both key paths.
         entries.sort_unstable();
 
-        let mut dir: Vec<u32> = self.scratch.pool.take_buf();
-        let (mut base, mut shift) = (0u64, 0u32);
-        // The offsets are `u32`: an index too long for them keeps the plain search,
-        // like an empty one.
-        let len = u32::try_from(entries.len()).unwrap_or(0);
-        if K::IS_WORD && len > 0 {
-            base = entries[0].0.to_word();
-            let range = entries[len as usize - 1].0.to_word() - base;
-            // The smallest shift that leaves at most `len.next_power_of_two()`
-            // buckets: between half and twice as many buckets as entries.
-            let cap_bits = u64::from(len).next_power_of_two().trailing_zeros();
-            shift = (u64::BITS - range.leading_zeros()).saturating_sub(cap_bits);
-            dir.reserve((range >> shift) as usize + 2);
-            for (i, e) in entries.iter().enumerate() {
-                let bucket = ((e.0.to_word() - base) >> shift) as usize;
-                while dir.len() <= bucket {
-                    dir.push(i as u32);
-                }
-            }
-            dir.push(len);
+        let mut dir = Directory::pooled(&mut self.scratch.pool);
+        if K::IS_WORD {
+            dir.fill(&entries, |e| e.0.to_word());
         }
-        SortedIndex {
-            entries,
-            dir,
-            base,
-            shift,
-        }
+        SortedIndex { entries, dir }
     }
 
     /// Sort a table once for any number of
@@ -1040,9 +1007,9 @@ mod tests {
             (0u64..300).map(|i| i * 7 + 3).collect(),
             &[0, 4, 11, 2097, 2104],
         );
-        // Base 0 and shift 0: the bucket of `u64::MAX` is `usize::MAX`.
+        // First key 0 and shift 0: the bucket of `u64::MAX` lies past the last one.
         check_index((0u64..64).collect(), &[64, u64::MAX]);
-        // Huge gaps: the shift leaves almost every key in the first bucket.
+        // Huge gaps: every far-off key opens a segment of its own.
         check_index(
             vec![0u64, 1, u64::MAX - 1],
             &[2, 1 << 40, u64::MAX - 2, u64::MAX],
@@ -1067,6 +1034,31 @@ mod tests {
             vec![(1u64, 2u64), (1, 1), (0, 9)],
             &[(0, 0), (1, 0), (2, 2)],
         );
+    }
+
+    #[test]
+    fn mixed_id_spaces_keep_every_bucket_small() {
+        // One table holding the three id spaces of a clustering's element table: node
+        // ids below 2^16, auxiliary ids from 2^44 (`AUX_BASE` in `tree-clustering`)
+        // and cluster ids from 2^62 (its `CLUSTER_FLAG`, with the layer at bit 48).
+        let mut keys: Vec<u64> = (0..3000).collect();
+        keys.extend((0..200).map(|k| (1 << 44) + k));
+        for layer in 1..=3u64 {
+            keys.extend((0..1000 >> layer).map(|k| (1 << 62) | (layer << 48) | (3 * k)));
+        }
+        let probes: Vec<u64> = keys.iter().map(|k| k + 1).collect();
+        check_index(keys.clone(), &probes);
+        let mut c = ctx(1 << 14);
+        let table = c.from_vec(keys.clone());
+        let index = c.build_sorted_index(&table, &|k: &u64| *k);
+        for k in keys.iter().chain(&probes) {
+            let bucket = index.dir.bucket(*k);
+            assert!(
+                bucket.len() <= 4,
+                "key {k:#x}: a bucket of {}",
+                bucket.len()
+            );
+        }
     }
 
     #[test]

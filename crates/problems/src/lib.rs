@@ -14,10 +14,11 @@
 //! * the tree median problem of Section 6.1 — see [`median`];
 //! * brute-force oracles for differential testing — see [`brute`].
 //!
-//! Not implemented (documented substitutions, see `DESIGN.md`): the Gaussian
-//! belief-propagation application of Section 6.2 (the workload generator exists in
-//! `tree-gen`), counting matchings modulo `k`, the longest-path problem, and edge
-//! coloring (which needs a child-set state not expressible in the finite-state engine).
+//! Not implemented: the Gaussian belief-propagation application of Section 6.2 (the
+//! workload generator exists in `tree-gen`, and `examples/bayesian_inference.rs` runs
+//! the subtree accumulation that shares its communication pattern in its place),
+//! counting matchings modulo `k`, the longest-path problem, and edge coloring (which
+//! needs a child-set state not expressible in the finite-state engine).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

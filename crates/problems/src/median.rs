@@ -7,9 +7,10 @@
 //! `x` is the value of the subtree below its incoming edge; path compression composes
 //! these pairs with the rule of Lemma 11.
 //!
-//! This implementation covers trees whose degree is within the clustering threshold
-//! (the high-degree don't-care-node extension of Section 6.1.1 is not implemented; see
-//! DESIGN.md).
+//! This implementation covers trees whose degree is within the clustering threshold.
+//! The high-degree don't-care-node extension of Section 6.1.1 is not implemented in
+//! its place: callers pass a threshold of at least the tree's maximum degree (as
+//! `examples/tree_median.rs` does), so that degree reduction adds no auxiliary node.
 
 use tree_dp_core::{ClusterDp, ClusterView, Payload};
 

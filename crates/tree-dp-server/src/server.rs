@@ -220,7 +220,6 @@ where
     P::Label: PartialEq,
 {
     ctx: MpcContext,
-    config: MpcConfig,
     prepared: PreparedTree,
     solver: IncrementalSolver<P>,
     aux_input: P::NodeInput,
@@ -421,7 +420,6 @@ where
             id,
             Tenant {
                 ctx,
-                config: spec.config,
                 prepared,
                 solver,
                 aux_input: spec.aux_input,
@@ -568,7 +566,7 @@ where
             .ok_or_else(|| ServerError::UnknownTenant(id.to_string()))?;
         let mut w = tree_dp_core::SnapshotWriter::new();
         id.to_string().encode(&mut w);
-        tenant.config.encode(&mut w);
+        tenant.ctx.config().encode(&mut w);
         tenant.prepared.encode(&mut w);
         tenant.solver.store().encode(&mut w);
         tenant.aux_input.encode(&mut w);
@@ -629,7 +627,6 @@ where
             id.clone(),
             Tenant {
                 ctx,
-                config,
                 prepared,
                 solver,
                 aux_input,

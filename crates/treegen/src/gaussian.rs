@@ -2,9 +2,10 @@
 //!
 //! The paper's Section 6.2 formulates inference in a linear Gaussian tree model with
 //! per-node parameters `F_j`, `c_i`, `Q_i`, `H_i`, `d_i`, `R_i` and observations `y_i`.
-//! As documented in `DESIGN.md` we instantiate the scalar case (`d_x = d_y = 1`): the
-//! message-passing algebra (leaf elimination, path compression, information-form fusion)
-//! is identical, only the matrix inversions degenerate to scalar divisions.
+//! This module instantiates the scalar case (`d_x = d_y = 1`), a substitution for the
+//! paper's matrix-valued model: the message-passing algebra (leaf elimination, path
+//! compression, information-form fusion) is identical, only the matrix inversions
+//! degenerate to scalar divisions.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -1,7 +1,7 @@
 //! Tree-structured Bayesian model workload (Section 6.2 of the paper).
 //!
-//! The full Gaussian belief-propagation DP is not implemented in this reproduction (see
-//! DESIGN.md); this example generates the scalar linear-Gaussian tree model the paper
+//! The full Gaussian belief-propagation DP is not implemented in this reproduction. In
+//! its place, this example generates the scalar linear-Gaussian tree model the paper
 //! describes and runs the *expectation-style accumulation* that shares its communication
 //! pattern (subtree aggregation of observation statistics), to show the data flow the
 //! BP application would use.

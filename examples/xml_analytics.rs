@@ -66,7 +66,7 @@ fn main() {
     let expected = solve_sequential(
         &schema,
         &parsed,
-        prepared.root,
+        prepared.clustering.root,
         |v| tag_of[&v],
         |_| (EdgeKind::Original, ()),
     );

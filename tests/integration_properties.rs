@@ -64,7 +64,11 @@ fn clustering_respects_size_threshold_and_layer_bound_on_all_shapes() {
                 )
                 .unwrap();
                 let what = format!("{}-seed{seed}-d{delta}", shape.name());
-                assert_clustering_invariants(&prepared.clustering, prepared.num_nodes, &what);
+                assert_clustering_invariants(
+                    &prepared.clustering,
+                    prepared.clustering.num_nodes,
+                    &what,
+                );
                 // The full structural validator must agree.
                 let edges: Vec<_> = prepared.edges.iter().map(|(e, _)| *e).collect();
                 assert!(
@@ -233,7 +237,7 @@ proptest! {
         // The clustering must validate and respect the size/layer invariants.
         let edges: Vec<_> = prepared.edges.iter().map(|(e, _)| *e).collect();
         prop_assert!(prepared.clustering.validate(&edges).is_empty());
-        assert_clustering_invariants(&prepared.clustering, prepared.num_nodes, "random-tree");
+        assert_clustering_invariants(&prepared.clustering, prepared.clustering.num_nodes, "random-tree");
     }
 }
 

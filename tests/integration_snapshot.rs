@@ -76,8 +76,8 @@ fn prepared_tree_round_trips_with_cached_plan() {
     let bytes = prepared.to_snapshot();
     let restored = PreparedTree::from_snapshot(&bytes).expect("round trip");
     assert!(restored.has_plan(), "cached plan travels with the tree");
-    assert_eq!(restored.root, prepared.root);
-    assert_eq!(restored.num_nodes, prepared.num_nodes);
+    assert_eq!(restored.clustering.root, prepared.clustering.root);
+    assert_eq!(restored.clustering.num_nodes, prepared.clustering.num_nodes);
     assert_eq!(restored.original_nodes, prepared.original_nodes);
     assert_eq!(
         restored.clustering.top_cluster,
@@ -272,6 +272,44 @@ fn corrupted_snapshots_return_errors() {
 
     // Sanity: the magic constant is what the header starts with.
     assert_eq!(&good[..8], SNAPSHOT_MAGIC.as_slice());
+}
+
+/// A prepared tree's root and node-count slots repeat its clustering's values: a
+/// checksum-valid snapshot whose slot disagrees is refused as malformed, not restored.
+#[test]
+fn resealed_tree_whose_root_or_node_count_differs_from_its_clustering_is_refused() {
+    use mpc_tree_dp::core::{seal, SnapshotWriter};
+    use mpc_tree_dp::Snapshot;
+
+    let tree = spider(4, 6);
+    let weights: Vec<i64> = (0..tree.len()).map(|_| 1).collect();
+    let (_, prepared, _) = prepared_with_plan(&tree, &weights);
+    // The payload follows the 32-byte header; the root slot follows the clustering and
+    // the edge list, and the node-count slot follows the root.
+    let mut w = SnapshotWriter::new();
+    prepared.clustering.encode(&mut w);
+    prepared.edges.encode(&mut w);
+    let root_at = w.into_bytes().len();
+    let payload = prepared.to_snapshot()[32..].to_vec();
+    let reseal = |slot: Option<usize>| {
+        let mut payload = payload.clone();
+        if let Some(slot) = slot {
+            payload[slot] ^= 1;
+        }
+        let mut w = SnapshotWriter::new();
+        w.put_bytes(&payload);
+        seal(KIND_PREPARED_TREE, w)
+    };
+    assert!(PreparedTree::from_snapshot(&reseal(None)).is_ok());
+    for slot in [root_at, root_at + 8] {
+        assert!(
+            matches!(
+                PreparedTree::from_snapshot(&reseal(Some(slot))),
+                Err(SnapshotError::Malformed(_))
+            ),
+            "slot at payload byte {slot}"
+        );
+    }
 }
 
 /// The full primitive put/take surface of the codec round-trips, and every reader
