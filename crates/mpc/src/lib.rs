@@ -23,7 +23,8 @@
 //! step, or a group gathering leaves on the machine it already occupies never touches
 //! the (simulated) network and contributes nothing to `total_words_sent` or the
 //! per-round bandwidth peaks — matching what a real MPC deployment would pay.
-//! Aggregation-tree primitives ([`all_reduce`](MpcContext::all_reduce), prefix sums,
+//! Aggregation-tree primitives ([`all_reduce`](MpcContext::all_reduce),
+//! [`scan`](MpcContext::scan) and its prefix sums,
 //! the offset exchange of [`with_index`](MpcContext::with_index)) record the
 //! per-machine control words they exchange through the tree.
 //!
@@ -43,7 +44,7 @@
 //! * [`DistVec`] — a vector of records partitioned contiguously across machines; the
 //!   unit of data that primitives operate on.
 //! * Deterministic `O(1)`-round primitives from Section 2 of the paper:
-//!   [`MpcContext::sort_by_key`], [`MpcContext::prefix_sums`],
+//!   [`MpcContext::sort_by_key`], [`MpcContext::scan`] / [`MpcContext::prefix_sums`],
 //!   [`MpcContext::all_reduce`], [`MpcContext::join_lookup`],
 //!   [`MpcContext::route`], [`MpcContext::rebalance`],
 //!   [`MpcContext::gather_groups`] — plus the fused variants

@@ -16,7 +16,7 @@
 //! - at most 8 for `sort_by_key`, `sort_with_index`, `rebalance`, `join_lookup` and
 //!   `join_lookup_sorted`, whose output chunks are pooled or pre-sized;
 //! - at most `machines + 8` for `with_index` and `prefix_sums`, which build one fresh
-//!   chunk per machine;
+//!   chunk per machine, and for `scan`, which returns one entry per machine;
 //! - at most `3 · groups + 8` for `gather_groups` and `gather_group_runs` over
 //!   4-record groups: one vector per group, grown once, plus the machines' chunks;
 //! - at most `6 · groups + 8` for `gather_groups` over 32-record groups: one more per
@@ -334,6 +334,9 @@ fn primitive_alloc_calls(records: usize) -> Vec<(&'static str, usize, usize)> {
     let prefix_sums = calls_on_fresh_input("prefix_sums", ctx, &data, |c, dv, _| {
         drop(c.prefix_sums(dv, |x| *x & 0xff))
     });
+    let scan = calls_on_fresh_input("scan", ctx, &data, |c, dv, _| {
+        drop(c.scan(&dv, 0u64, |sum, x| sum + (*x & 0xff), |a, b| a + b))
+    });
     let table = ctx.from_vec((0..records as u64).map(|i| (3 * i, i)).collect());
     let sorted = ctx.sort_table(&table, |t| t.0);
     let join_lookup = calls_on_fresh_input("join_lookup", ctx, &requests, |c, dv, _| {
@@ -388,6 +391,7 @@ fn primitive_alloc_calls(records: usize) -> Vec<(&'static str, usize, usize)> {
         ("sort_with_index", sort_with_index, pooled),
         ("with_index", with_index, per_machine),
         ("prefix_sums", prefix_sums, per_machine),
+        ("scan", scan, per_machine),
         ("join_lookup", join_lookup, pooled),
         ("join_lookup_sorted", join_lookup_sorted, pooled),
         ("gather_groups", gather_groups, per_group),

@@ -1,0 +1,121 @@
+//! Peak local memory of a cold solve, shape by shape: which primitive, in which phase,
+//! puts the most words on one machine.
+//!
+//! Every shape is solved as the cold benchmark workloads solve it: n = 2^16 nodes,
+//! `MpcConfig::new(2n, 0.5)`, prepare → plan → MaxIS, each tree in the representation
+//! the workload feeds it. For each shape the example prints the degree reduction's
+//! rounds and moved words, the peak local memory against the `Θ(n^δ)` capacity, and
+//! the phases whose local-memory breaches are largest.
+//!
+//! Run with: `cargo run --release --example memory_peaks`
+
+use mpc_tree_dp::gen::shapes;
+use mpc_tree_dp::mpc::ViolationKind;
+use mpc_tree_dp::problems::MaxWeightIndependentSet;
+use mpc_tree_dp::repr::{DirectedEdge, UndirectedEdges};
+use mpc_tree_dp::{
+    prepare, ListOfEdges, MpcConfig, MpcContext, StateEngine, StringOfParentheses, Tree, TreeInput,
+};
+use std::collections::BTreeMap;
+
+const N: usize = 1 << 16;
+const SEED: u64 = 7;
+
+/// The representation a cold workload feeds a shape in.
+#[derive(Clone, Copy)]
+enum Given {
+    RootedEdges,
+    Parentheses,
+    Undirected,
+}
+
+/// The input a shape is solved from and its node ids.
+fn represent(tree: &Tree, given: Given) -> (TreeInput, Vec<u64>) {
+    let ids = |edges: Vec<DirectedEdge>, root: u64| {
+        let mut ids: Vec<u64> = edges.iter().map(|e| e.child).collect();
+        ids.push(root);
+        ids.sort_unstable();
+        ids
+    };
+    let root = tree.root() as u64;
+    match given {
+        Given::Parentheses => {
+            let string = StringOfParentheses::from_tree(tree);
+            let (edges, root) = string.to_edges_sequential().expect("balanced");
+            (TreeInput::StringOfParentheses(string), ids(edges, root))
+        }
+        Given::Undirected => (
+            TreeInput::UndirectedEdges(UndirectedEdges::from_tree(tree)),
+            ids(tree.edges(), root),
+        ),
+        Given::RootedEdges => (
+            TreeInput::ListOfEdges(ListOfEdges::from_tree(tree)),
+            ids(tree.edges(), root),
+        ),
+    }
+}
+
+fn main() {
+    use Given::{Parentheses, RootedEdges, Undirected};
+    let trees: [(&str, Tree, Given); 7] = [
+        ("path", shapes::path(N), RootedEdges),
+        ("broom", shapes::broom(N / 2, N / 2), RootedEdges),
+        ("caterpillar", shapes::caterpillar(N / 4, 3), RootedEdges),
+        ("star", shapes::star(N), RootedEdges),
+        ("balanced-binary", shapes::balanced_kary(N, 2), Parentheses),
+        ("diameter-8", shapes::with_diameter(N, 8, SEED), Undirected),
+        (
+            "random-recursive",
+            shapes::random_recursive(N, SEED),
+            RootedEdges,
+        ),
+    ];
+    println!(
+        "{:<17} {:>15} {:>10} {:>9} {:>7}  worst breaches (phase/primitive: words)",
+        "shape", "degree rnd/words", "peak", "capacity", "ratio"
+    );
+    for (name, tree, given) in &trees {
+        let (input, ids) = represent(tree, *given);
+        let mut ctx = MpcContext::new(MpcConfig::new(2 * tree.len(), 0.5));
+        let prepared = prepare(&mut ctx, input, None).expect("generated trees are well-formed");
+        let degree = ctx
+            .metrics()
+            .phases
+            .iter()
+            .find(|p| p.name == "degree-reduction")
+            .map_or((0, 0), |p| (p.rounds, p.words_sent));
+        let weights = ctx.from_vec(ids.iter().map(|&v| (v, 1 + (v % 30) as i64)).collect());
+        let no_edges = ctx.from_vec(Vec::<(u64, ())>::new());
+        let plan = prepared.plan_uncached(&mut ctx);
+        let engine = StateEngine::new(MaxWeightIndependentSet);
+        let solution = plan.solve(&mut ctx, &engine, &weights, 0, &no_edges);
+        assert!(solution.root_summary.best(engine.problem()).is_some());
+
+        let metrics = ctx.metrics();
+        let capacity = ctx.config().local_capacity();
+        let mut worst: BTreeMap<&str, usize> = BTreeMap::new();
+        for v in &metrics.violations {
+            if v.kind == ViolationKind::LocalMemory {
+                let peak = worst.entry(v.context.as_str()).or_default();
+                *peak = (*peak).max(v.observed);
+            }
+        }
+        let mut worst: Vec<(&str, usize)> = worst.into_iter().collect();
+        worst.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
+        let breaches: Vec<String> = worst
+            .iter()
+            .take(3)
+            .map(|(context, words)| format!("{context}: {words}"))
+            .collect();
+        println!(
+            "{name:<17} {:>15} {:>10} {capacity:>9} {:>7.2}  {}",
+            format!("{}/{}", degree.0, degree.1),
+            metrics.peak_local_memory,
+            metrics.memory_headroom(capacity),
+            match breaches.is_empty() {
+                true => "none".to_string(),
+                false => breaches.join(", "),
+            }
+        );
+    }
+}

@@ -618,6 +618,7 @@ fn class_run(name: &str, tree: &Tree, threshold: Option<usize>) -> ClassRun {
     let mut ctx = MpcContext::new(cfg);
     let input = || TreeInput::ListOfEdges(ListOfEdges::from_tree(tree));
     let mut prepared = prepare(&mut ctx, input(), threshold).unwrap();
+    let degree = ctx.metrics().phase_rounds("degree-reduction");
     let plan = prepared.plan(&mut ctx).clone();
     let weights: Vec<(NodeId, i64)> = (0..n as u64).map(|v| (v, 1 + (v % 30) as i64)).collect();
     let node_w = ctx.from_vec(weights.clone());
@@ -763,6 +764,7 @@ fn class_run(name: &str, tree: &Tree, threshold: Option<usize>) -> ClassRun {
 
     use Class::{Const, Layers, Log, Prepare};
     let rows = vec![
+        ("reduce_degrees (prepare)", Log, vec![degree]),
         ("MpcContext::join_lookup2", Const, vec![join2]),
         ("MpcContext::gather_group_runs", Const, vec![runs]),
         ("MpcContext::try_converge", Log, vec![converge]),
@@ -800,8 +802,11 @@ fn class_run(name: &str, tree: &Tree, threshold: Option<usize>) -> ClassRun {
 /// cluster threshold and at 4, so the layer counts differ at equal sizes. Incremental
 /// batches and server flushes run at 1 and 256 elements, so an exchange inside a
 /// data-dependent loop on any reached path breaks its row. On failure the measured
-/// table is printed. `TreeDpServer::remove_tenant` has no row: it drops the tenant's
-/// context with its state, a host-side operation that no remaining context can see.
+/// table is printed. `reduce_degrees` is read out of `prepare`'s `degree-reduction`
+/// phase: the star's family needs more auxiliary levels at 2^14 than at 2^10, which a
+/// `Log` row must not pay for. `TreeDpServer::remove_tenant` has no row: it drops the
+/// tenant's context with its state, a host-side operation that no remaining context can
+/// see.
 #[test]
 fn cost_classes_hold_on_measured_rounds() {
     let mut runs = Vec::new();
