@@ -23,7 +23,7 @@
 //! original node (Section 5.3).
 
 use crate::element::EdgeKind;
-use mpc_engine::{DistVec, MpcContext, Words};
+use mpc_engine::{Deal, DistVec, MpcContext, Words};
 use tree_repr::{DirectedEdge, NodeId};
 
 /// Base for auxiliary node ids (far above any original node id used in this workspace,
@@ -339,7 +339,7 @@ fn in_position_order<T>(placed: DistVec<(u64, T)>) -> DistVec<T> {
 /// when some family is wider than the bound, one routing round that places every edge
 /// and auxiliary record where the level-by-level construction puts it (edges in parent
 /// order with each chunk before its auxiliary node, then the edges below auxiliary
-/// nodes in id order; both tables dealt like [`MpcContext::from_vec`]). The rounds do
+/// nodes in id order; both tables dealt by [`Deal`], as `from_vec` deals). The rounds do
 /// not depend on the number of levels, and no machine holds more than its share of
 /// the sorted edges and of the records they emit. A tree within the bound keeps its
 /// input layout.
@@ -416,14 +416,14 @@ pub fn reduce_degrees(
         }
         out
     });
-    let machines = ctx.config().num_machines() as u64;
-    let (edge_share, aux_share) = (
-        layout.edges.div_ceil(machines).max(1),
-        layout.aux.div_ceil(machines).max(1),
+    let machines = ctx.config().num_machines();
+    let (edge_deal, aux_deal) = (
+        Deal::over(layout.edges as usize, machines),
+        Deal::over(layout.aux as usize, machines),
     );
     let placed = ctx.route(placed, |&(pos, ..)| match pos & AUX_RECORD {
-        0 => (pos / edge_share) as usize,
-        _ => ((pos ^ AUX_RECORD) / aux_share) as usize,
+        0 => edge_deal.machine(pos as usize),
+        _ => aux_deal.machine((pos ^ AUX_RECORD) as usize),
     });
     let reduced = placed.filter_map_local(|&(pos, child, parent)| {
         let kind = match is_aux_node(child) {

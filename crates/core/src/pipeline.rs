@@ -14,7 +14,7 @@
 
 use crate::plan::{build_plan, DpSolution, SolvePlan};
 use crate::problem::ClusterDp;
-use mpc_engine::{unmetered, DistVec, MpcContext};
+use mpc_engine::{unmetered, Deal, DistVec, MpcContext};
 use std::cell::OnceCell;
 use tree_clustering::{build_clustering, reduce_degrees, ClusterError, Clustering, EdgeKind};
 use tree_repr::{normalize, DirectedEdge, NodeId, TreeInput};
@@ -181,12 +181,8 @@ impl PreparedTree {
         // Edge list: drop every edge out of the removed set (all such edges have their
         // child endpoint in it), append the new leaf edges (always Original: links
         // attach original-id leaves below original nodes) spread over the front chunks.
-        let per_chunk = repair
-            .added_leaves
-            .len()
-            .div_ceil(self.edges.num_chunks().max(1))
-            .max(1);
-        let mut new_edges = repair.added_leaves.chunks(per_chunk);
+        let deal = Deal::over(repair.added_leaves.len(), self.edges.num_chunks());
+        let mut new_edges = repair.added_leaves.chunks(deal.share());
         // Drops records where they lie and places the new leaf edges like `from_vec`
         // places an input; the caller's inc-struct/splice round meters the spliced
         // records.

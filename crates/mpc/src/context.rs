@@ -2,6 +2,7 @@
 //! basic communication primitives (routing, all-reduce, rebalancing).
 
 use crate::config::MpcConfig;
+use crate::deal::Deal;
 use crate::distvec::DistVec;
 use crate::error::{ConvergeError, MpcError, MpcResult, Violation, ViolationKind};
 use crate::metrics::{ConvergenceTrace, Metrics, PhaseMetrics, PhaseTimer};
@@ -424,18 +425,18 @@ impl MpcContext {
     }
 
     /// Rebalance records into evenly sized contiguous chunks, preserving global order
-    /// (1 round plus the prefix-sum style offset exchange). The destination of a
+    /// (1 round plus the prefix-sum style offset exchange): record `i` goes where
+    /// [`Deal`] puts it. The destination of a
     /// record depends only on its global index, which is monotone — so whole runs
     /// move at once through the `route_monotone` skeleton.
     pub fn rebalance<T>(&mut self, dv: DistVec<T>) -> DistVec<T>
     where
         T: Words + Send + 'static,
     {
-        let machines = self.cfg.num_machines();
-        let per = dv.len().div_ceil(machines).max(1);
+        let deal = Deal::over(dv.len(), self.cfg.num_machines());
         let rounds = 1 + self.agg_rounds();
         self.route_monotone(dv, rounds, "rebalance", |idx, _rest| {
-            (idx / per, per - idx % per)
+            (deal.machine(idx), deal.share() - idx % deal.share())
         })
     }
 

@@ -1,6 +1,7 @@
 //! Distributed vectors: the unit of data the simulated machines operate on.
 
 use crate::config::MpcConfig;
+use crate::deal::Deal;
 use crate::words::{slice_words, Words};
 
 /// A vector of records partitioned across the simulated machines.
@@ -22,17 +23,15 @@ impl<T> DistVec<T> {
         Self { chunks }
     }
 
-    /// The one balanced input layout rule, that of
-    /// [`MpcContext::from_vec`](crate::MpcContext::from_vec): split `data` into
-    /// `chunks.len()` evenly sized contiguous runs (ceiling division, remainder in the
-    /// front chunks), appended to the given (empty) buffers in order. There is at
-    /// least one machine, so the runs hold all of `data`.
+    /// The balanced input layout of
+    /// [`MpcContext::from_vec`](crate::MpcContext::from_vec): `data` dealt to the
+    /// `chunks.len()` machines by [`Deal`], appended to the given (empty) buffers in
+    /// order. There is at least one machine, so the runs hold all of `data`.
     pub(crate) fn fill_balanced(data: Vec<T>, chunks: &mut [Vec<T>]) {
-        let machines = chunks.len();
-        let per = data.len().div_ceil(machines.max(1)).max(1);
+        let deal = Deal::over(data.len(), chunks.len());
         let mut it = data.into_iter();
         for chunk in chunks.iter_mut() {
-            chunk.extend(it.by_ref().take(per));
+            chunk.extend(it.by_ref().take(deal.share()));
         }
     }
 
@@ -51,14 +50,12 @@ impl<T> DistVec<T> {
     /// their capacity. A vector that is already balanced is left untouched.
     pub fn relayout_balanced(&mut self) {
         let machines = self.chunks.len();
-        let mut remaining = self.len();
-        let per = remaining.div_ceil(machines.max(1)).max(1);
+        let deal = Deal::over(self.len(), machines);
         // Records displaced from earlier chunks, in global order: they precede the
         // current chunk's own records.
         let mut displaced: std::collections::VecDeque<T> = std::collections::VecDeque::new();
         for i in 0..machines {
-            let want = per.min(remaining);
-            remaining -= want;
+            let want = deal.count(i);
             let (head, tail) = self.chunks.split_at_mut(i + 1);
             let chunk = &mut head[i];
             let from_displaced = displaced.len().min(want);

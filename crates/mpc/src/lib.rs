@@ -57,6 +57,8 @@
 //!   and the Euler-tour rooting, step-bounded and failing with a typed
 //!   [`ConvergeError`], whose per-machine participation lands in
 //!   [`Metrics::convergence`] as [`ConvergenceTrace`]s.
+//! * [`Deal`] — the one placement rule: a layout of records, or of whole groups by
+//!   their first word, dealt to the machines in shares of `⌈total ÷ machines⌉`.
 //! * [`Directory`] — the segmented bucket directory over a key-sorted run that every
 //!   word-keyed probe goes through.
 //!
@@ -91,6 +93,7 @@
 
 pub mod config;
 pub mod context;
+pub(crate) mod deal;
 pub(crate) mod directory;
 pub mod distvec;
 pub mod error;
@@ -103,6 +106,7 @@ pub mod words;
 
 pub use config::MpcConfig;
 pub use context::{MpcContext, Outbox};
+pub use deal::Deal;
 pub use directory::Directory;
 pub use distvec::DistVec;
 pub use error::{ConvergeError, MpcError, MpcResult, Violation, ViolationKind};

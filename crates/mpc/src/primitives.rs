@@ -41,6 +41,7 @@
 //! node, auxiliary and cluster ids mix in the table (see [`SortedIndex`]).
 
 use crate::context::MpcContext;
+use crate::deal::Deal;
 use crate::directory::Directory;
 use crate::distvec::DistVec;
 use crate::scratch::{BufferPool, Scratch};
@@ -283,12 +284,12 @@ impl MpcContext {
         let machines = self.config().num_machines();
         let srcs = dv.num_chunks();
         let total = dv.len();
-        let per = total.div_ceil(machines).max(1);
+        let deal = Deal::over(total, machines);
         self.scratch.reset_counters(machines.max(srcs), machines);
         let mut out: Vec<Vec<O>> = self.scratch.pool.take_bufs(machines);
         // Every destination's share is known up front; pre-sized, no push below regrows.
         for (d, buf) in out.iter_mut().enumerate() {
-            buf.reserve(per.min(total.saturating_sub(d * per)));
+            buf.reserve(deal.count(d));
         }
 
         if K::IS_WORD {
@@ -306,7 +307,7 @@ impl MpcContext {
             let mut drains: Vec<_> = chunks.iter_mut().map(|c| c.drain(..)).collect();
             merge_word_runs(words, bounds, pos, heap, |i, _w, src| {
                 let item = drains[src].next().expect("run length matches drain");
-                let d = (i / per).min(machines - 1);
+                let d = deal.machine(i);
                 if d != src {
                     let w = item.words();
                     sends[src] += w;
@@ -320,7 +321,7 @@ impl MpcContext {
             let sorted = global_sort(dv.into_chunks(), &key);
             let Scratch { sends, recvs, .. } = &mut self.scratch;
             for (i, (_key, item, src)) in sorted.into_iter().enumerate() {
-                let d = (i / per).min(machines - 1);
+                let d = deal.machine(i);
                 if d != src {
                     let w = item.words();
                     sends[src] += w;
@@ -636,8 +637,10 @@ impl MpcContext {
     /// radix path; grouping by equal key words equals grouping by equal keys because
     /// the [`SortKey`] embedding is injective.
     ///
-    /// Whole groups are dealt to the machines in key order, a machine closing once the
-    /// next group would take it past `total words / machines` — the single-run case of
+    /// Whole groups are placed in key order by their first word: a group goes to the
+    /// machine on which a [`Deal`] of the total words over all machines puts its first
+    /// word. No machine holds more than `⌈total words ÷ machines⌉` words plus one
+    /// group. This is the single-run case of
     /// [`gather_group_runs`](Self::gather_group_runs).
     pub fn gather_groups<T, K, F>(&mut self, dv: DistVec<T>, key: F) -> DistVec<(K, Vec<T>)>
     where
@@ -652,8 +655,10 @@ impl MpcContext {
     /// **runs** — contiguous key ranges, `run_of` naming the run of a record — in one
     /// sort: every run's groups are spread over **all** machines exactly as a
     /// `gather_groups` call on that run alone would place them, instead of the runs
-    /// lying side by side on one machine range each. Machine `i` receives its groups
-    /// run by run, in key order. This is how one exchange assembles the clusters of
+    /// lying side by side on one machine range each. A group goes to the machine its
+    /// first word falls on in its own run's [`Deal`], so a machine holds at most one
+    /// share and one group per run. Machine `i` receives its groups run by run, in key
+    /// order. This is how one exchange assembles the clusters of
     /// every layer of a clustering while each layer's evaluation still uses every
     /// machine.
     ///
@@ -683,8 +688,9 @@ impl MpcContext {
     }
 
     /// The one gather: sort by key, cut the sorted order into groups and the groups
-    /// into runs, and deal every run's groups to the machines against that run's own
-    /// `run words / machines` target. Charges the sort and the routing round; returns
+    /// into runs, and place every group on the machine on which its run's [`Deal`] of
+    /// the run's words over the machines puts its first word. Charges the sort and the
+    /// routing round; returns
     /// the number of runs beside the placed groups so that
     /// [`gather_group_runs`](Self::gather_group_runs) can price the aggregate of their
     /// word totals.
@@ -769,22 +775,19 @@ impl MpcContext {
                 }
             }
         }
-        // Deal whole groups to the machines run by run, keeping every run balanced by
-        // word count over all of them.
+        // Place whole groups run by run: a group goes where its run's deal over all
+        // machines puts its first word.
         self.scratch.reset_counters(machines.max(srcs), machines);
         let mut chunks: Vec<Vec<(K, Vec<T>)>> = (0..machines).map(|_| Vec::new()).collect();
         {
             let Scratch { sends, recvs, .. } = &mut self.scratch;
             let mut groups = groups.into_iter().zip(group_words);
             for &(_, len, total) in &runs {
-                let target = total.div_ceil(machines).max(1);
-                let (mut machine, mut filled) = (0usize, 0usize);
+                let deal = Deal::over(total, machines);
+                let mut before = 0usize;
                 for ((k, items), w) in groups.by_ref().take(len) {
-                    if filled + w > target && filled > 0 && machine + 1 < machines {
-                        machine += 1;
-                        filled = 0;
-                    }
-                    filled += w;
+                    let machine = deal.machine(before);
+                    before += w;
                     let members: Vec<T> = items
                         .into_iter()
                         .map(|(item, src)| {
@@ -816,6 +819,7 @@ impl MpcContext {
 mod tests {
     use super::*;
     use crate::config::MpcConfig;
+    use std::collections::BTreeMap;
 
     fn ctx(n: usize) -> MpcContext {
         MpcContext::new(MpcConfig::new(n, 0.5))
@@ -1344,6 +1348,103 @@ mod tests {
         assert!(groups.is_empty());
         assert_eq!(groups.num_chunks(), c.config().num_machines());
         assert_eq!(c.metrics().total_words_sent, 0);
+    }
+
+    /// Equal groups whose word size does not divide the per-machine target: a machine
+    /// that closed one group short of its target would push every machine's
+    /// shortfall onto the last one.
+    #[test]
+    fn gather_groups_does_not_pile_shortfalls_on_the_last_machine() {
+        let mut c = ctx(4096);
+        let machines = c.config().num_machines();
+        // Two `(key, payload)` members per group: 1 key word, 1 vector word, 4 member
+        // words. Just under 65 / 6 groups per machine leaves the target at 65 words.
+        let group = 6;
+        let groups = 65 * machines / group;
+        let target = (group * groups).div_ceil(machines);
+        assert_ne!(
+            target % group,
+            0,
+            "the target must not be a multiple of a group"
+        );
+        let data: Vec<(u64, u64)> = (0..2 * groups as u64)
+            .map(|i| (i % groups as u64, i))
+            .collect();
+        let dv = c.from_vec(data);
+        let placed = c.gather_groups(dv, |r| r.0);
+        let loads = placed.chunk_words();
+        assert_eq!(loads.iter().sum::<usize>(), group * groups);
+        let last = loads[machines - 1];
+        assert!(
+            last <= target + group,
+            "last machine holds {last} words against a target of {target}"
+        );
+        assert!(loads.iter().all(|&w| w <= target + group), "{loads:?}");
+    }
+
+    /// Random group sizes in one to three runs: every group lands on machine
+    /// `⌊words before it in its run ÷ ⌈run words ÷ machines⌉⌋`, so no machine holds
+    /// more than one target and one largest group per run.
+    #[test]
+    fn gather_group_runs_places_every_group_by_its_first_word() {
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move |bound: u64| {
+            // splitmix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % bound
+        };
+        for case in 0..48 {
+            let mut c = ctx([256, 1024, 4096][case % 3]);
+            let machines = c.config().num_machines();
+            let runs = 1 + next(3);
+            let mut data: Vec<(u64, u64)> = Vec::new();
+            for run in 0..runs {
+                let widest = [1, 4, 40, 400][next(4) as usize];
+                for g in 0..next(6 * machines as u64) {
+                    let key = run * 1_000_000 + g;
+                    data.extend((0..1 + next(widest)).map(|i| (key, i)));
+                }
+            }
+            // Shuffle the input order so that members start on many machines.
+            for i in (1..data.len()).rev() {
+                data.swap(i, next(i as u64 + 1) as usize);
+            }
+            let dv = c.from_vec(data.clone());
+            let placed = c.gather_group_runs(dv, |r| r.0, |r| (r.0 / 1_000_000) as u32);
+
+            // The reference: group sizes in key order, dealt per run by prefix.
+            let mut sizes: BTreeMap<u64, usize> = BTreeMap::new();
+            for (key, _) in &data {
+                *sizes.entry(*key).or_default() += 1;
+            }
+            let mut expected: Vec<Vec<u64>> = vec![Vec::new(); machines];
+            let mut bound = 0;
+            for run in 0..runs {
+                let groups: Vec<(u64, usize)> = sizes
+                    .range(run * 1_000_000..(run + 1) * 1_000_000)
+                    .map(|(&key, &len)| (key, 2 + 2 * len))
+                    .collect();
+                let total: usize = groups.iter().map(|g| g.1).sum();
+                let target = total.div_ceil(machines).max(1);
+                bound += target + groups.iter().map(|g| g.1).max().unwrap_or(0);
+                let mut before = 0;
+                for (key, w) in groups {
+                    expected[before / target].push(key);
+                    before += w;
+                }
+            }
+            let keys: Vec<Vec<u64>> = placed
+                .chunks()
+                .iter()
+                .map(|chunk| chunk.iter().map(|g| g.0).collect())
+                .collect();
+            assert_eq!(keys, expected, "case {case}");
+            let loads = placed.chunk_words();
+            assert!(loads.iter().all(|&w| w <= bound), "case {case}: {loads:?}");
+        }
     }
 
     #[test]

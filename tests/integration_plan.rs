@@ -885,16 +885,18 @@ fn fnv1a_64(bytes: &[u8]) -> u64 {
 /// after checking that the plans still encode to the earlier digests in the earlier
 /// layout. Skeleton placement decides every `plan-solve` send/recv volume and the
 /// resident-words figure tenants' resident bytes count, so a change here is a change to all
-/// of those.
+/// of those. They were re-taken once more when the gather stopped closing a machine one
+/// group short of its word target and began placing each group on the machine its first
+/// word falls on, which moves skeletons off the last machine of every layer.
 #[test]
 fn plan_layout_is_pinned() {
     for (name, tree, digest) in [
-        ("path-257", shapes::path(257), 0xb38e_3a88_06a4_3d23_u64),
-        ("star-64", shapes::star(64), 0xc0ea_7926_62ed_5075),
+        ("path-257", shapes::path(257), 0xc03f_4f7d_b788_a473_u64),
+        ("star-64", shapes::star(64), 0x2252_e493_c465_774d),
         (
             "random-recursive-300/7",
             shapes::random_recursive(300, 7),
-            0x2e2e_860a_25e2_af55,
+            0x58fd_17c6_d659_b51e,
         ),
     ] {
         let mut ctx = ctx_for(tree.len());
