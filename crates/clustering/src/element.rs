@@ -1,7 +1,7 @@
 //! Elements of the hierarchical clustering: original nodes and contracted clusters.
 
 use mpc_engine::Words;
-use tree_repr::DirectedEdge;
+use tree_repr::{DirectedEdge, NodeId};
 
 /// Identifier of an element: either an original node id or a cluster id.
 ///
@@ -39,7 +39,23 @@ pub const UNABSORBED: u32 = u32::MAX;
 /// because at any point in the construction at most one active element carries a given
 /// low-48-bit pattern (original node ids must stay below 2^48).
 pub fn make_cluster_id(layer: u32, defining: ElementId) -> ElementId {
-    CLUSTER_FLAG | ((layer as u64) << 48) | (defining & ((1 << 48) - 1))
+    CLUSTER_FLAG | ((layer as u64) << 48) | (defining & DEFINING_MASK)
+}
+
+/// The low 48 bits of an id: what [`make_cluster_id`] keeps of the defining element.
+const DEFINING_MASK: u64 = (1 << 48) - 1;
+
+/// The layer a cluster id was formed at (see [`make_cluster_id`]).
+pub fn cluster_layer(cluster: ElementId) -> u32 {
+    ((cluster & !CLUSTER_FLAG) >> 48) as u32
+}
+
+/// The original node a cluster id names: the low 48 bits of its defining element's
+/// id, which for a cluster id are its own defining element's in turn. The defining
+/// element is the cluster's top element, whose outgoing edge is the cluster's, so this
+/// is the child endpoint of the cluster's outgoing edge.
+pub fn defining_node(cluster: ElementId) -> NodeId {
+    cluster & DEFINING_MASK
 }
 
 /// What an element is.
@@ -144,6 +160,8 @@ mod tests {
         assert!(!is_cluster_id(VIRTUAL_NODE));
         assert_ne!(a, b);
         assert_ne!(a, c);
+        assert_eq!((cluster_layer(b), defining_node(b)), (2, 42));
+        assert_eq!(defining_node(make_cluster_id(3, b)), 42);
     }
 
     #[test]

@@ -34,8 +34,8 @@ pub use builder::{build_clustering, ClusterError};
 pub use clustering::{Clustering, ClusteringViolation};
 pub use degree::{is_aux_node, reduce_degrees, DegreeReduced, AUX_BASE};
 pub use element::{
-    is_cluster_id, make_cluster_id, EdgeKind, Element, ElementId, ElementKind, CLUSTER_FLAG,
-    UNABSORBED, VIRTUAL_NODE,
+    cluster_layer, defining_node, is_cluster_id, make_cluster_id, EdgeKind, Element, ElementId,
+    ElementKind, CLUSTER_FLAG, UNABSORBED, VIRTUAL_NODE,
 };
 pub use repair::{
     plan_repair, ClusterPatch, ClusteringRepair, DegradeReason, RepairError, RepairIndex,

@@ -60,6 +60,7 @@ pub mod plan;
 pub mod problem;
 mod routing;
 mod sequential;
+pub mod skeleton;
 pub mod snapshot;
 mod state_dp;
 pub mod store;

@@ -15,7 +15,9 @@
 //!
 //! * per layer and per machine, the **skeleton view** of every cluster formed there
 //!   ([`PlanView`]: members in their assembled order, parent/children links, top and
-//!   attach indexes, boundary edges, edge kinds), and
+//!   attach indexes, boundary edges, edge kinds) in a compact layout of a few words
+//!   per member — each member its id and one packed word, everything a view can
+//!   derive left out ([`skeleton`](crate::skeleton)) — and
 //! * **routing indexes** mapping every element to its member slot, every edge to the
 //!   slots reading its input, and every label key to the views reading it — a pure
 //!   function of the skeletons, derived by one function at plan build and at
@@ -37,14 +39,16 @@
 //! with: the one plan of a tree that is maintained. A structural repair is spliced
 //! into that plan and nowhere else ([`SolverStore::apply_repair`]); a prepared tree
 //! that cached a plan drops it and rebuilds on its next solve. [`SolvePlan::validate`]
-//! is the one place a plan read from bytes is checked.
+//! holds the plan-wide checks a plan read from bytes passes.
 
 use crate::problem::{ClusterDp, ClusterView, Payload, SlotState};
 use crate::routing::Routing;
 use crate::store::SolverStore;
 use mpc_engine::{unmetered, DistVec, MpcContext, Words};
 use std::collections::{BTreeMap, BTreeSet};
-use tree_clustering::{Clustering, EdgeKind, Element, ElementId, ElementKind, AUX_BASE};
+use tree_clustering::{
+    cluster_layer, defining_node, Clustering, EdgeKind, Element, ElementId, ElementKind, AUX_BASE,
+};
 use tree_repr::{DirectedEdge, NodeId};
 
 /// The solution of a DP problem.
@@ -59,60 +63,8 @@ pub struct DpSolution<P: ClusterDp> {
     pub root_summary: P::Summary,
 }
 
-/// The problem-independent skeleton of one cluster view: everything a
-/// [`ClusterView`] shows a problem except the payloads and edge inputs, which lie in
-/// the [`SlotState`] aligned with it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlanView {
-    /// The cluster's id.
-    pub cluster: ElementId,
-    /// The cluster's kind.
-    pub kind: ElementKind,
-    /// Member skeletons, in the order the group gathering delivered them.
-    pub members: Vec<PlanMember>,
-    /// Index of the top member.
-    pub top: usize,
-    /// The cluster's outgoing original edge.
-    pub out_edge: DirectedEdge,
-    /// The cluster's incoming original edge (indegree-1 clusters).
-    pub in_edge: Option<DirectedEdge>,
-    /// Index of the member the incoming edge attaches to.
-    pub attach: Option<usize>,
-    /// Kind of the incoming edge.
-    pub in_kind: EdgeKind,
-}
-
-/// One member of a cluster: the clustering element, the kind of its outgoing original
-/// edge, and its position in the member tree.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlanMember {
-    /// The clustering element.
-    pub element: Element,
-    /// Kind of the member's outgoing original edge.
-    pub out_kind: EdgeKind,
-    /// Index of the parent member.
-    pub parent: Option<usize>,
-    /// Indices of the child members.
-    pub children: Vec<usize>,
-}
-
-impl Words for PlanMember {
-    fn words(&self) -> usize {
-        // element (10) + out_kind + parent + children vec header/entries.
-        10 + 1 + 1 + 1 + self.children.len()
-    }
-}
-
-impl Words for PlanView {
-    fn words(&self) -> usize {
-        let members: usize = self.members.iter().map(Words::words).sum();
-        // The header — cluster, kind, top, out_edge (2), in_edge (1+2), attach,
-        // in_kind — at its established 10-word width, which the memory checks of plan
-        // build and evaluation and a tenant's resident size are pinned to, plus the
-        // member list.
-        10 + members
-    }
-}
+use crate::skeleton::{Linked, Skeletons};
+pub use crate::skeleton::{PlanMember, PlanView};
 
 /// Where an element's payload (input or summary) or an edge's input lives: a member
 /// slot inside a skeleton view, as the routing indexes file it.
@@ -154,10 +106,11 @@ pub struct PlanRouting {
     aux_nodes: BTreeSet<NodeId>,
 }
 
-/// One view of a [`PlanRouting`]: the member-less header, the ids of the top and
-/// attach members, and every member with its edge kind and its parent's id.
+/// One view of a [`PlanRouting`]: the header (kind, outgoing and incoming edge, the
+/// incoming edge's kind), the ids of the top and attach members, and every member
+/// with its element, edge kind and parent's id.
 type ViewById = (
-    PlanView,
+    (ElementKind, DirectedEdge, Option<DirectedEdge>, EdgeKind),
     (ElementId, Option<ElementId>),
     BTreeMap<ElementId, (Element, EdgeKind, Option<ElementId>)>,
 );
@@ -206,11 +159,11 @@ pub struct SolvePlan {
     /// Auxiliary nodes introduced by degree reduction, with the machine holding their
     /// `aux_to_original` record (the source of their `aux_input` payload).
     pub(crate) aux_nodes: Vec<(NodeId, usize)>,
-    /// `layers[layer - 1][machine]` — the skeleton views grouped onto `machine` at
-    /// `layer`, in assembly order.
-    pub(crate) layers: Vec<Vec<Vec<PlanView>>>,
-    /// The routing indexes over `layers`: derived from them ([`Routing::of`]) at build
-    /// and decode, patched in place by the splice.
+    /// `skeletons[machine]` — the skeleton views the gather assembled on `machine`,
+    /// layer by layer, in assembly order within a layer.
+    pub(crate) skeletons: Vec<Skeletons>,
+    /// The routing indexes over the skeletons: derived from them ([`Routing::of`]) at
+    /// build and decode, patched in place by the splice.
     pub(crate) routing: Routing,
 }
 
@@ -258,7 +211,7 @@ fn build_skeletons(
     ctx: &mut MpcContext,
     clustering: &Clustering,
     edges: &DistVec<(DirectedEdge, EdgeKind)>,
-) -> DistVec<(u32, PlanView)> {
+) -> DistVec<(u32, Linked)> {
     // Edge kinds keyed by the edge's child endpoint, and the element table: each is
     // sorted once and probed for all layers at a time.
     let edge_kinds: DistVec<(NodeId, EdgeKind)> =
@@ -329,7 +282,7 @@ fn link_members(
     cluster: &Element,
     members: &[MemberRec],
     in_kind: Option<EdgeKind>,
-) -> (u32, PlanView) {
+) -> (u32, Linked) {
     // Member `b` hangs below member `a` when `a` accepts `b`'s outgoing edge: original
     // nodes accept every edge pointing at them, contracted clusters accept exactly
     // their recorded incoming edge. Index the members by what they accept — nodes by
@@ -355,44 +308,64 @@ fn link_members(
             (a, b) => a.or(b),
         }
     };
-    let mut skeletons: Vec<PlanMember> = members
+    let linked = members
         .iter()
-        .map(|m| PlanMember {
-            element: m.element,
-            out_kind: m.out_kind,
-            parent: None,
-            children: Vec::new(),
+        .enumerate()
+        .map(|(b, member)| {
+            let edge = member.element.out_edge;
+            let parent = (edge != cluster.out_edge)
+                .then(|| acceptor(&edge))
+                .flatten()
+                .filter(|&a| a != b);
+            // A contracted parent accepted this member's edge as its incoming edge.
+            let enters = parent.is_some_and(|a| members[a].element.kind != ElementKind::Node);
+            let e = &member.element;
+            PlanMember::new(e.id, e.kind, member.out_kind, parent, enters)
         })
         .collect();
-    for (b, member) in members.iter().enumerate() {
-        let edge = member.element.out_edge;
-        if edge == cluster.out_edge {
-            continue;
-        }
-        if let Some(a) = acceptor(&edge).filter(|&a| a != b) {
-            skeletons[b].parent = Some(a);
-            skeletons[a].children.push(b);
-        }
-    }
-    let view = PlanView {
-        cluster: cluster.id,
+    let top = members
+        .iter()
+        .position(|m| m.element.out_edge == cluster.out_edge)
+        .expect("the top member carries the cluster's outgoing edge");
+    let view = Linked {
+        members: linked,
+        top,
         kind: cluster.kind,
-        members: skeletons,
-        top: members
-            .iter()
-            .position(|m| m.element.out_edge == cluster.out_edge)
-            .expect("the top member carries the cluster's outgoing edge"),
-        out_edge: cluster.out_edge,
-        in_edge: cluster.in_edge,
-        attach: cluster.in_edge.and_then(|e| acceptor(&e)),
-        in_kind: in_kind.unwrap_or(EdgeKind::Original),
+        out_parent: cluster.out_edge.parent,
+        in_edge: cluster.in_edge.map(|e| {
+            let attach = acceptor(&e);
+            (e, attach, in_kind.unwrap_or(EdgeKind::Original))
+        }),
     };
     (cluster.formed_at, view)
 }
 
+/// Every view of `skeletons` (one per machine, `num_layers` layers each) with its
+/// address, layer by layer, machine by machine.
+pub(crate) fn all_views(
+    skeletons: &[Skeletons],
+    num_layers: u32,
+) -> impl Iterator<Item = (ViewSlot, PlanView<'_>)> + '_ {
+    (1..=num_layers).flat_map(move |layer| {
+        skeletons
+            .iter()
+            .zip(0u32..)
+            .flat_map(move |(held, machine)| {
+                held.views(layer).zip(0u32..).map(move |(view, index)| {
+                    let at = ViewSlot {
+                        layer,
+                        machine,
+                        view: index,
+                    };
+                    (at, view)
+                })
+            })
+    })
+}
+
 /// Drop the items whose old index `keep` rejects, the rest staying in order: the one
-/// compaction every spliced vector goes through — a member list or a `(layer, machine)`
-/// view bucket, and the slot state aligned with it.
+/// compaction the spliced slot state goes through — a view's member slots, or the
+/// slots of a `(layer, machine)` bucket of views.
 fn compact<T>(items: &mut Vec<T>, keep: &[bool]) {
     let mut old = 0;
     items.retain(|_| {
@@ -402,34 +375,37 @@ fn compact<T>(items: &mut Vec<T>, keep: &[bool]) {
 }
 
 impl SolvePlan {
-    /// Split every machine's linked views into the per-layer skeleton layout and
-    /// derive the routing indexes from it.
+    /// File every machine's linked views in its skeletons, layer by layer, and derive
+    /// the routing indexes from them.
     fn from_views(
         ctx: &mut MpcContext,
         clustering: &Clustering,
         aux_to_original: &DistVec<(NodeId, NodeId)>,
-        views: DistVec<(u32, PlanView)>,
+        views: DistVec<(u32, Linked)>,
     ) -> SolvePlan {
         let machines = ctx.config().num_machines();
-        let num_layers = clustering.num_layers as usize;
-        let mut layers: Vec<Vec<Vec<PlanView>>> = (0..num_layers)
-            .map(|_| (0..machines).map(|_| Vec::new()).collect())
-            .collect();
-        let mut resident = vec![0usize; machines];
         let mut top_machine = 0usize;
         // Machine i's views stay on machine i, where the gather assembled them; they
-        // are only filed under their layer.
-        for (machine, chunk) in views.into_chunks().into_iter().enumerate() {
-            for (layer, view) in chunk {
-                resident[machine] += view.words();
-                if view.cluster == clustering.top_cluster {
-                    top_machine = machine;
+        // come layer by layer (cluster ids are layer-major) and are only packed.
+        let skeletons: Vec<Skeletons> = views
+            .into_chunks()
+            .into_iter()
+            .enumerate()
+            .map(|(machine, chunk)| {
+                let mut held = Skeletons::new(clustering.num_layers);
+                for (layer, view) in chunk {
+                    if view.kind == ElementKind::TopCluster {
+                        top_machine = machine;
+                    }
+                    held.push(layer, view);
                 }
-                layers[layer as usize - 1][machine].push(view);
-            }
-        }
-        // The plan is kept as built (a solver store takes it by value): no growth slack.
-        layers.iter_mut().flatten().for_each(Vec::shrink_to_fit);
+                // The plan is kept as built (a solver store takes it by value): no
+                // growth slack.
+                held.shrink_to_fit();
+                held
+            })
+            .collect();
+        let resident: Vec<usize> = skeletons.iter().map(Skeletons::words).collect();
         ctx.check_memory_words(&resident, "plan/skeletons");
         SolvePlan {
             num_layers: clustering.num_layers,
@@ -443,34 +419,81 @@ impl SolvePlan {
                 .enumerate()
                 .flat_map(|(m, chunk)| chunk.iter().map(move |(aux, _)| (*aux, m)))
                 .collect(),
-            routing: Routing::of(&layers),
-            layers,
+            routing: Routing::of(&skeletons, clustering.num_layers),
+            skeletons,
         }
     }
 
     /// The skeleton view at `slot`.
-    pub(crate) fn view_at(&self, slot: ViewSlot) -> &PlanView {
-        &self.layers[slot.layer as usize - 1][slot.machine as usize][slot.view as usize]
+    pub(crate) fn view_at(&self, slot: ViewSlot) -> PlanView<'_> {
+        self.skeletons[slot.machine as usize].view(slot.layer, slot.view as usize)
     }
 
-    pub(crate) fn view_at_mut(&mut self, slot: ViewSlot) -> &mut PlanView {
-        &mut self.layers[slot.layer as usize - 1][slot.machine as usize][slot.view as usize]
+    /// The views `machine` holds at `layer`, in order.
+    pub(crate) fn views_at(
+        &self,
+        layer: u32,
+        machine: usize,
+    ) -> impl Iterator<Item = PlanView<'_>> + '_ {
+        self.skeletons[machine].views(layer)
+    }
+
+    /// Every view with its address, layer by layer, machine by machine.
+    pub(crate) fn views(&self) -> impl Iterator<Item = (ViewSlot, PlanView<'_>)> + '_ {
+        all_views(&self.skeletons, self.num_layers)
+    }
+
+    /// `true` when no machine holds a view at `layer`.
+    fn layer_is_empty(&self, layer: u32) -> bool {
+        self.skeletons.iter().all(|held| held.len_at(layer) == 0)
     }
 
     /// The address of `cluster`'s own view, through the routing indexes: the cluster's
-    /// member copy names its outgoing edge, and the view reads that edge's label as its
-    /// out-label. `None` when the plan holds no such cluster.
+    /// id names the child endpoint of its outgoing edge (its defining node), and the
+    /// view reads that edge's label as its out-label. `None` when the plan holds no
+    /// such cluster.
     pub fn view_slot_of(&self, cluster: ElementId) -> Option<ViewSlot> {
-        let out_child = if cluster == self.top_cluster {
-            self.root
-        } else {
-            let slot = self.routing.payload(cluster)?;
-            let holder = self.view_at(slot.view_slot());
-            holder.members[slot.member as usize].element.out_edge.child
-        };
         self.routing
-            .readers_as(out_child, true)
-            .find(|at| self.view_at(*at).cluster == cluster)
+            .readers_as(defining_node(cluster), true)
+            .find(|at| self.view_at(*at).cluster() == cluster)
+    }
+
+    /// The incoming edge `cluster`'s own view records, if the plan holds that view.
+    fn cluster_in_edge(&self, cluster: ElementId) -> Option<DirectedEdge> {
+        self.view_slot_of(cluster)
+            .and_then(|at| self.view_at(at).in_edge())
+    }
+
+    /// The clustering element of member `i` of `view`, re-derived from the compact
+    /// layout (see the [`skeleton`](crate::skeleton) module docs); `None` when the view
+    /// a derivation reads is missing — only a malformed plan misses one.
+    pub(crate) fn element(&self, view: &PlanView<'_>, i: usize) -> Option<Element> {
+        let member = view.member(i);
+        let is_cluster = member.kind() != ElementKind::Node;
+        let out_parent = match view.out_parent(i) {
+            Some(parent) => parent,
+            None => {
+                let parent = view.member(member.parent()?).id();
+                self.cluster_in_edge(parent)?.parent
+            }
+        };
+        let in_edge = match member.kind() {
+            ElementKind::ClusterIndeg1 => Some(self.cluster_in_edge(member.id())?),
+            _ => None,
+        };
+        Some(Element {
+            id: member.id(),
+            kind: member.kind(),
+            formed_at: if is_cluster {
+                cluster_layer(member.id())
+            } else {
+                0
+            },
+            absorbed_into: view.cluster(),
+            absorbed_at: view.layer(),
+            out_edge: DirectedEdge::new(member.out_child(), out_parent),
+            in_edge,
+        })
     }
 
     /// Splice a structural repair into the skeletons and routing indexes: drop the
@@ -508,21 +531,21 @@ impl SolvePlan {
         // the member copy of a demoted cluster sits in its parent's view.
         for child in &repair.removed_nodes {
             for slot in self.routing.readers_as(*child, false) {
-                let view = &mut self.layers[slot.layer as usize - 1][slot.machine as usize]
-                    [slot.view as usize];
-                if repair.demoted.contains(&view.cluster) {
-                    view.kind = ElementKind::ClusterIndeg0;
-                    view.in_edge = None;
-                    view.attach = None;
-                    view.in_kind = EdgeKind::Original;
+                let held = &mut self.skeletons[slot.machine as usize];
+                let cluster = held.view(slot.layer, slot.view as usize).cluster();
+                if repair.demoted.contains(&cluster) {
+                    held.demote_view(slot.layer, slot.view as usize);
                 }
             }
         }
         for cluster in &repair.demoted {
             if let Some(slot) = self.routing.payload(*cluster) {
-                let view = &mut self.layers[slot.layer as usize - 1][slot.machine as usize]
-                    [slot.view as usize];
-                repair.retain_element(&mut view.members[slot.member as usize].element);
+                self.skeletons[slot.machine as usize].set_member_kind(
+                    slot.layer,
+                    slot.view as usize,
+                    slot.member as usize,
+                    ElementKind::ClusterIndeg0,
+                );
             }
         }
 
@@ -547,7 +570,7 @@ impl SolvePlan {
                 let holder = slot.view_slot();
                 if repair
                     .removed_elements
-                    .contains(&self.view_at(holder).cluster)
+                    .contains(&self.view_at(holder).cluster())
                 {
                     doomed.insert(holder);
                 }
@@ -559,21 +582,19 @@ impl SolvePlan {
         self.remove_views(&doomed, state);
 
         // New leaves: appended to the absorbing cluster's view (the view holding the
-        // link parent; a parent linked earlier in the batch is registered by then).
+        // link parent, a node; a parent linked earlier in the batch is registered by
+        // then).
         for leaf in repair.patches.values().flat_map(|p| &p.added) {
             let parent = *self
                 .routing
                 .payload(leaf.out_edge.parent)
                 .expect("link parent is a member of the absorbing cluster");
-            let view = self.view_at_mut(parent.view_slot());
-            let idx = view.members.len();
-            view.members.push(PlanMember {
-                element: *leaf,
-                out_kind: EdgeKind::Original,
-                parent: Some(parent.member as usize),
-                children: Vec::new(),
-            });
-            view.members[parent.member as usize].children.push(idx);
+            let idx = self.skeletons[parent.machine as usize].append_leaf(
+                parent.layer,
+                parent.view as usize,
+                parent.member as usize,
+                leaf.id,
+            );
             let slot = MemberSlot {
                 member: idx as u32,
                 ..parent
@@ -599,41 +620,24 @@ impl SolvePlan {
         removed: &BTreeSet<ElementId>,
         state: &mut PlanState<P>,
     ) {
-        let view = &mut self.layers[at.layer as usize - 1][at.machine as usize][at.view as usize];
-        let mut remap: Vec<Option<usize>> = Vec::with_capacity(view.members.len());
+        let held = &mut self.skeletons[at.machine as usize];
+        let view = held.view(at.layer, at.view as usize);
+        let mut remap: Vec<Option<usize>> = Vec::with_capacity(view.members().len());
         let mut kept = 0usize;
-        for (old, m) in view.members.iter().enumerate() {
-            if removed.contains(&m.element.id) {
+        for (old, m) in view.members().iter().enumerate() {
+            if removed.contains(&m.id()) {
                 remap.push(None);
                 continue;
             }
             if kept != old {
                 self.routing
-                    .move_member(m, at.member_slot(old), at.member_slot(kept));
+                    .move_member(*m, at.member_slot(old), at.member_slot(kept));
             }
             remap.push(Some(kept));
             kept += 1;
         }
-        for (old, m) in view.members.iter_mut().enumerate() {
-            if remap[old].is_none() {
-                continue;
-            }
-            m.parent = m.parent.map(|p| {
-                remap[p]
-                    .expect("parent of a surviving member survives (removal is downward-closed)")
-            });
-            m.children.retain_mut(|c| match remap[*c] {
-                Some(new) => {
-                    *c = new;
-                    true
-                }
-                None => false,
-            });
-        }
+        held.retain_members(at.layer, at.view as usize, &remap);
         let keep: Vec<bool> = remap.iter().map(Option::is_some).collect();
-        compact(&mut view.members, &keep);
-        view.top = remap[view.top].expect("the top member never lies in the removed span");
-        view.attach = view.attach.and_then(|a| remap[a]);
         let slots = slots_at(state, at);
         compact(&mut slots.payloads, &keep);
         compact(&mut slots.out_inputs, &keep);
@@ -649,10 +653,9 @@ impl SolvePlan {
         let mut rest = doomed.iter().copied().peekable();
         let mut keep: Vec<bool> = Vec::new();
         while let Some(first) = rest.next() {
-            let mut bucket =
-                std::mem::take(&mut self.layers[first.layer as usize - 1][first.machine as usize]);
+            let held = &mut self.skeletons[first.machine as usize];
             keep.clear();
-            keep.resize(bucket.len(), true);
+            keep.resize(held.len_at(first.layer), true);
             keep[first.view as usize] = false;
             while let Some(next) =
                 rest.next_if(|s| (s.layer, s.machine) == (first.layer, first.machine))
@@ -660,7 +663,7 @@ impl SolvePlan {
                 keep[next.view as usize] = false;
             }
             let mut to = 0u32;
-            for (old, view) in bucket.iter().enumerate() {
+            for (old, view) in held.views(first.layer).enumerate() {
                 if !keep[old] {
                     continue;
                 }
@@ -669,12 +672,11 @@ impl SolvePlan {
                         view: old as u32,
                         ..first
                     };
-                    self.routing.readdress_view(view, from, to);
+                    self.routing.readdress_view(&view, from, to);
                 }
                 to += 1;
             }
-            compact(&mut bucket, &keep);
-            self.layers[first.layer as usize - 1][first.machine as usize] = bucket;
+            held.retain_views(first.layer, &keep);
             compact(
                 &mut state[first.layer as usize - 1][first.machine as usize],
                 &keep,
@@ -690,11 +692,9 @@ impl SolvePlan {
     /// repaired tree — agree on it even though they place views on different machines
     /// and order members differently. `O(n log n)` host work; for tests and audits.
     pub fn routing_by_id(&self) -> PlanRouting {
-        let view_of =
-            |s: &ViewSlot| &self.layers[s.layer as usize - 1][s.machine as usize][s.view as usize];
         let member_of = |s: &MemberSlot| {
-            let view = view_of(&s.view_slot());
-            (view.cluster, view.members[s.member as usize].element.id)
+            let view = self.view_at(s.view_slot());
+            (view.cluster(), view.member(s.member as usize).id())
         };
         let routing = &self.routing;
         PlanRouting {
@@ -712,34 +712,28 @@ impl SolvePlan {
                 .readers
                 .iter()
                 .map(|(key, readers)| {
-                    let by_id = readers.iter().map(|r| (view_of(&r.view).cluster, r.as_out));
+                    let by_id = readers
+                        .iter()
+                        .map(|r| (self.view_at(r.view).cluster(), r.as_out));
                     (key, by_id.collect())
                 })
                 .collect(),
             views: self
-                .layers
-                .iter()
-                .flatten()
-                .flatten()
-                .map(|view| {
-                    let id_at = |idx: usize| view.members[idx].element.id;
-                    let members = view
-                        .members
-                        .iter()
-                        .map(|m| (m.element.id, (m.element, m.out_kind, m.parent.map(id_at))))
+                .views()
+                .map(|(_, view)| {
+                    let id_at = |idx: usize| view.member(idx).id();
+                    let members = (0..view.members().len())
+                        .map(|i| {
+                            let m = view.member(i);
+                            let element = self
+                                .element(&view, i)
+                                .expect("a plan derives every element");
+                            (m.id(), (element, m.out_kind(), m.parent().map(id_at)))
+                        })
                         .collect();
-                    let header = PlanView {
-                        cluster: view.cluster,
-                        kind: view.kind,
-                        members: Vec::new(),
-                        top: 0,
-                        out_edge: view.out_edge,
-                        in_edge: view.in_edge,
-                        attach: None,
-                        in_kind: view.in_kind,
-                    };
-                    let ends = (id_at(view.top), view.attach.map(id_at));
-                    (view.cluster, (header, ends, members))
+                    let header = (view.kind(), view.out_edge(), view.in_edge(), view.in_kind());
+                    let ends = (id_at(view.top()), view.attach().map(id_at));
+                    (view.cluster(), (header, ends, members))
                 })
                 .collect(),
             aux_nodes: self.aux_nodes.iter().map(|&(aux, _)| aux).collect(),
@@ -769,11 +763,15 @@ impl SolvePlan {
 
     /// Total number of cached skeleton views across all layers.
     pub fn num_views(&self) -> usize {
-        self.layers
-            .iter()
-            .flat_map(|layer| layer.iter())
-            .map(Vec::len)
-            .sum()
+        self.skeletons.iter().map(Skeletons::num_views).sum()
+    }
+
+    /// Resident size of the skeleton views in machine words, over all machines: the
+    /// compact layout's records at their [`Words`] widths (see the
+    /// [`skeleton`](crate::skeleton) module docs) — the part of a plan that grows with
+    /// the tree, without its routing indexes.
+    pub fn skeleton_words(&self) -> usize {
+        self.skeletons.iter().map(Skeletons::words).sum()
     }
 
     /// Approximate resident size of the plan in machine words: the skeleton views,
@@ -783,15 +781,8 @@ impl SolvePlan {
     /// resident bytes — an estimate of what keeping the plan warm costs, not an exact
     /// allocator measurement.
     pub fn resident_words(&self) -> usize {
-        let skeletons: usize = self
-            .layers
-            .iter()
-            .flat_map(|layer| layer.iter())
-            .flat_map(|views| views.iter())
-            .map(Words::words)
-            .sum();
         let aux = self.aux_nodes.len() * 2;
-        8 + skeletons + self.routing.resident_words() + aux
+        8 + self.skeleton_words() + self.routing.resident_words() + aux
     }
 
     /// The lowest-numbered original node `node_inputs` holds no record for, if any:
@@ -886,11 +877,16 @@ impl SolvePlan {
             .collect()
     }
 
-    /// One `init(skeleton)` per view, laid out like [`layers`](Self::layers).
-    fn per_view<T>(&self, init: impl Fn(&PlanView) -> T) -> Vec<Vec<Vec<T>>> {
-        let per_bucket = |views: &Vec<PlanView>| views.iter().map(&init).collect();
-        let per_layer = |layer: &Vec<Vec<PlanView>>| layer.iter().map(per_bucket).collect();
-        self.layers.iter().map(per_layer).collect()
+    /// One `init(skeleton)` per view, laid out like [`PlanState`]: by layer, machine
+    /// and view.
+    fn per_view<T>(&self, init: impl Fn(&PlanView<'_>) -> T) -> Vec<Vec<Vec<T>>> {
+        let per_machine = |layer| {
+            let init = &init;
+            (0..self.num_machines)
+                .map(move |machine| self.views_at(layer, machine).map(|v| init(&v)).collect())
+                .collect()
+        };
+        (1..=self.num_layers).map(per_machine).collect()
     }
 
     /// One evaluation pass: the solution, and the slot state the pass filled (every
@@ -927,7 +923,7 @@ impl SolvePlan {
             let mut resident = vec![0usize; machines];
             let mut root_summary: Option<P::Summary> = None;
             for layer in 1..=self.num_layers {
-                if self.layers[layer as usize - 1].iter().all(Vec::is_empty) {
+                if self.layer_is_empty(layer) {
                     continue;
                 }
                 ctx.phase("plan-up", |ctx| {
@@ -962,7 +958,7 @@ impl SolvePlan {
                     &mut boundary,
                 );
                 for layer in (1..=self.num_layers).rev() {
-                    if self.layers[layer as usize - 1].iter().all(Vec::is_empty) {
+                    if self.layer_is_empty(layer) {
                         continue;
                     }
                     self.label_plan_layer(
@@ -1087,8 +1083,7 @@ impl SolvePlan {
         let li = (layer - 1) as usize;
         let machines = self.num_machines;
         let views_of = |machine: usize| {
-            self.layers[li][machine]
-                .iter()
+            self.views_at(layer, machine)
                 .zip(&state[li][machine])
                 .map(|(skeleton, slots)| ClusterView { skeleton, slots })
         };
@@ -1102,7 +1097,7 @@ impl SolvePlan {
         let summaries: Vec<(usize, ElementId, P::Summary)> = (0..machines)
             .flat_map(|src| {
                 views_of(src)
-                    .map(move |view| (src, view.skeleton.cluster, problem.summarize(&view)))
+                    .map(move |view| (src, view.skeleton.cluster(), problem.summarize(&view)))
             })
             .collect();
         let mut sends = vec![0usize; machines];
@@ -1154,7 +1149,7 @@ impl SolvePlan {
             // Labels go straight into the machine's output and are forwarded from there;
             // their readers sit at lower layers, so this layer's boundary labels stay put.
             let start = output.len();
-            let views = self.layers[li][src].iter().zip(&state[li][src]);
+            let views = self.views_at(layer, src).zip(&state[li][src]);
             for ((skeleton, slots), (out_label, in_label)) in views.zip(&boundary[li][src]) {
                 let out_label = out_label.as_ref().expect("boundary out-label present");
                 let member_labels = problem.label_members(
@@ -1162,14 +1157,15 @@ impl SolvePlan {
                     out_label,
                     in_label.as_ref(),
                 );
+                let top = skeleton.top();
                 output.extend(
                     skeleton
-                        .members
+                        .members()
                         .iter()
                         .zip(member_labels)
                         .enumerate()
-                        .filter(|(i, _)| *i != skeleton.top)
-                        .map(|(_, (m, label))| (m.element.out_edge.child, label)),
+                        .filter(|(i, _)| *i != top)
+                        .map(|(_, (m, label))| (m.out_child(), label)),
                 );
             }
             for (key, label) in &output[start..] {
@@ -1251,7 +1247,7 @@ impl SolvePlan {
     }
 }
 
-/// The slot state of every view of a plan, aligned with [`SolvePlan::layers`]:
+/// The slot state of every view of a plan, aligned with its skeletons:
 /// `state[layer - 1][machine][view]`.
 pub(crate) type PlanState<P> = Vec<Vec<Vec<SlotState<P>>>>;
 
@@ -1272,7 +1268,7 @@ impl SolvePlan {
     /// spliced in place.
     pub(crate) fn audit_routing(&self, edge_children: &BTreeSet<NodeId>) -> Result<(), String> {
         let held = &self.routing;
-        if let Some(drifted) = held.drift_from(&Routing::of(&self.layers)) {
+        if let Some(drifted) = held.drift_from(&Routing::of(&self.skeletons, self.num_layers)) {
             return Err(format!(
                 "routing index {drifted} differs from a re-index of the skeleton views"
             ));
@@ -1291,17 +1287,13 @@ impl SolvePlan {
     }
 
     /// Check that the plan is safe to evaluate and splice — what a decoder must know
-    /// before it hands out a plan read from bytes: the layer/machine layout has the
-    /// declared shape, machine indexes are in range, every view's member tree is one
-    /// tree rooted at its top member (indexes in range, parent and child links mutual),
-    /// every non-top cluster's summary flows to a member slot at a higher layer, the
-    /// top cluster's view lies on `top_machine`, and no element has two member slots.
-    /// `Err` names the first defect. `O(n log n)`.
+    /// before it hands out a plan read from bytes, on top of the member trees the
+    /// compact layout is packed from: one skeleton set per machine, machine indexes
+    /// in range, every non-top cluster's summary flows to a member slot at a higher
+    /// layer, the top cluster's view lies on `top_machine`, and no element has two
+    /// member slots. `Err` names the first defect. `O(n log n)`.
     pub fn validate(&self) -> Result<(), &'static str> {
-        if self.layers.len() != self.num_layers as usize
-            || self.num_machines == 0
-            || self.layers.iter().any(|l| l.len() != self.num_machines)
-        {
+        if self.num_machines == 0 || self.skeletons.len() != self.num_machines {
             return Err("plan layer/machine layout");
         }
         if self.top_machine >= self.num_machines
@@ -1310,18 +1302,14 @@ impl SolvePlan {
             return Err("plan machine index");
         }
         let mut top_found = false;
-        for (li, layer) in self.layers.iter().enumerate() {
-            for (machine, views) in layer.iter().enumerate() {
-                for v in views {
-                    v.validate()?;
-                    if v.cluster == self.top_cluster {
-                        top_found |= machine == self.top_machine;
-                    } else {
-                        match self.routing.payload(v.cluster) {
-                            Some(s) if s.layer as usize > li + 1 => {}
-                            _ => return Err("plan summary slot"),
-                        }
-                    }
+        for (at, view) in self.views() {
+            let cluster = view.cluster();
+            if cluster == self.top_cluster {
+                top_found |= at.machine as usize == self.top_machine;
+            } else {
+                match self.routing.payload(cluster) {
+                    Some(s) if s.layer > at.layer => {}
+                    _ => return Err("plan summary slot"),
                 }
             }
         }
@@ -1332,38 +1320,6 @@ impl SolvePlan {
         // a repeated key.
         if self.routing.repeats_a_payload() {
             return Err("plan payload slot");
-        }
-        Ok(())
-    }
-}
-
-impl PlanView {
-    /// Check that the member tree is one tree rooted at `top`: `top`, `attach` and
-    /// every parent/child index in range, parent and child links mutual, and every
-    /// member reached exactly once from the top member.
-    fn validate(&self) -> Result<(), &'static str> {
-        let n = self.members.len();
-        if self.top >= n || self.attach.is_some_and(|a| a >= n) {
-            return Err("view top/attach index");
-        }
-        if self.members[self.top].parent.is_some() {
-            return Err("view top member has a parent");
-        }
-        let mut reached = vec![false; n];
-        let mut stack = vec![self.top];
-        while let Some(i) = stack.pop() {
-            if std::mem::replace(&mut reached[i], true) {
-                return Err("view member tree");
-            }
-            for &c in &self.members[i].children {
-                if self.members.get(c).map(|m| m.parent) != Some(Some(i)) {
-                    return Err("view parent/child link");
-                }
-                stack.push(c);
-            }
-        }
-        if reached.contains(&false) {
-            return Err("view member tree");
         }
         Ok(())
     }
@@ -1391,31 +1347,35 @@ mod tests {
                 .map_local(|(e, kind)| (e.child, *kind));
             let edges_sorted = ctx.sort_table(&edge_kinds, |d| d.0);
             let elements_sorted = ctx.sort_table(&clustering.elements, |e| e.id);
-            let layers: Vec<Vec<Vec<PlanView>>> = (1..=clustering.num_layers)
-                .map(|layer| {
-                    skeletons_of_layer(
-                        ctx,
-                        clustering,
-                        layer,
-                        &edge_kinds,
-                        &edges_sorted,
-                        &elements_sorted,
-                    )
-                    .into_chunks()
-                })
+            let machines = ctx.config().num_machines();
+            let mut skeletons: Vec<Skeletons> = (0..machines)
+                .map(|_| Skeletons::new(clustering.num_layers))
                 .collect();
-            let top_machine = layers
-                .iter()
-                .flatten()
-                .position(|views| views.iter().any(|v| v.cluster == clustering.top_cluster))
-                .expect("the top cluster has a view")
-                % ctx.config().num_machines();
+            let mut top_machine = None;
+            for layer in 1..=clustering.num_layers {
+                let views = skeletons_of_layer(
+                    ctx,
+                    clustering,
+                    layer,
+                    &edge_kinds,
+                    &edges_sorted,
+                    &elements_sorted,
+                );
+                for (machine, chunk) in views.into_chunks().into_iter().enumerate() {
+                    for view in chunk {
+                        if view.kind == ElementKind::TopCluster {
+                            top_machine = Some(machine);
+                        }
+                        skeletons[machine].push(layer, view);
+                    }
+                }
+            }
             SolvePlan {
                 num_layers: clustering.num_layers,
-                num_machines: ctx.config().num_machines(),
+                num_machines: machines,
                 root: clustering.root,
                 top_cluster: clustering.top_cluster,
-                top_machine,
+                top_machine: top_machine.expect("the top cluster has a view"),
                 aux_nodes: prepared
                     .aux_to_original
                     .chunks()
@@ -1423,8 +1383,8 @@ mod tests {
                     .enumerate()
                     .flat_map(|(m, chunk)| chunk.iter().map(move |(aux, _)| (*aux, m)))
                     .collect(),
-                routing: Routing::of(&layers),
-                layers,
+                routing: Routing::of(&skeletons, clustering.num_layers),
+                skeletons,
             }
         })
     }
@@ -1436,7 +1396,7 @@ mod tests {
         edge_kinds: &DistVec<(NodeId, EdgeKind)>,
         edges_sorted: &SortedTable<NodeId>,
         elements_sorted: &SortedTable<ElementId>,
-    ) -> DistVec<PlanView> {
+    ) -> DistVec<Linked> {
         let members_at_layer = clustering
             .elements
             .clone()
@@ -1477,7 +1437,6 @@ mod tests {
             let cluster = cluster.as_ref().expect("cluster element exists");
             link_members_by_scan(cluster, members, in_edge.map(|(_, kind)| kind))
         });
-        ctx.check_memory(&views, "plan/skeletons");
         views
     }
 
@@ -1485,7 +1444,7 @@ mod tests {
         cluster: &Element,
         members: &[MemberRec],
         in_kind: Option<EdgeKind>,
-    ) -> PlanView {
+    ) -> Linked {
         let accepts = |a: &MemberRec, edge: &DirectedEdge| -> bool {
             if a.element.kind == ElementKind::Node {
                 a.element.id == edge.parent
@@ -1493,39 +1452,31 @@ mod tests {
                 a.element.in_edge == Some(*edge)
             }
         };
-        let mut skeletons: Vec<PlanMember> = members
+        let linked = members
             .iter()
-            .map(|m| PlanMember {
-                element: m.element,
-                out_kind: m.out_kind,
-                parent: None,
-                children: Vec::new(),
+            .enumerate()
+            .map(|(b, member)| {
+                let edge = member.element.out_edge;
+                let parent = (edge != cluster.out_edge)
+                    .then(|| (0..members.len()).find(|&a| a != b && accepts(&members[a], &edge)))
+                    .flatten();
+                let enters = parent.is_some_and(|a| members[a].element.in_edge == Some(edge));
+                let e = &member.element;
+                PlanMember::new(e.id, e.kind, member.out_kind, parent, enters)
             })
             .collect();
-        for (b, member) in members.iter().enumerate() {
-            let edge = member.element.out_edge;
-            if edge == cluster.out_edge {
-                continue;
-            }
-            if let Some(a) = (0..members.len()).find(|&a| a != b && accepts(&members[a], &edge)) {
-                skeletons[b].parent = Some(a);
-                skeletons[a].children.push(b);
-            }
-        }
-        PlanView {
-            cluster: cluster.id,
-            kind: cluster.kind,
-            members: skeletons,
+        Linked {
+            members: linked,
             top: members
                 .iter()
                 .position(|m| m.element.out_edge == cluster.out_edge)
                 .expect("the top member carries the cluster's outgoing edge"),
-            out_edge: cluster.out_edge,
-            in_edge: cluster.in_edge,
-            attach: cluster
-                .in_edge
-                .and_then(|e| members.iter().position(|m| accepts(m, &e))),
-            in_kind: in_kind.unwrap_or(EdgeKind::Original),
+            kind: cluster.kind,
+            out_parent: cluster.out_edge.parent,
+            in_edge: cluster.in_edge.map(|e| {
+                let attach = members.iter().position(|m| accepts(m, &e));
+                (e, attach, in_kind.unwrap_or(EdgeKind::Original))
+            }),
         }
     }
 
@@ -1556,7 +1507,7 @@ mod tests {
         let (mut ctx, prepared) = prepared(tree, delta);
         let reference = build_plan_per_layer(&mut ctx, &prepared);
         let plan = prepared.plan_uncached(&mut ctx);
-        assert_eq!(plan.layers, reference.layers, "skeleton placement");
+        assert_eq!(plan.skeletons, reference.skeletons, "skeleton placement");
         assert_eq!(plan, reference);
         let edge_children: BTreeSet<NodeId> = prepared.edges.iter().map(|(e, _)| e.child).collect();
         assert_eq!(plan.audit_routing(&edge_children), Ok(()));
@@ -1629,9 +1580,8 @@ mod tests {
             let (plan, rounds, words) = charged(&mut ctx, |ctx| prepared.plan_uncached(ctx));
             // Layers at which a cluster forms: each cost the per-layer build a gather.
             layer_counts.insert(
-                plan.layers
-                    .iter()
-                    .filter(|layer| layer.iter().any(|views| !views.is_empty()))
+                (1..=plan.num_layers)
+                    .filter(|&layer| !plan.layer_is_empty(layer))
                     .count(),
             );
             // Two table sorts, the run-placed gather, three 2-round probes.

@@ -42,12 +42,19 @@ pub struct SlotState<P: ClusterDp + ?Sized> {
 
 impl<P: ClusterDp + ?Sized> SlotState<P> {
     /// Empty slots for every member of `skeleton`.
-    pub(crate) fn for_view(skeleton: &PlanView) -> Self {
+    pub(crate) fn for_view(skeleton: &PlanView<'_>) -> Self {
+        let members = skeleton.members().len();
         Self {
-            payloads: skeleton.members.iter().map(|_| None).collect(),
-            out_inputs: skeleton.members.iter().map(|_| None).collect(),
+            payloads: (0..members).map(|_| None).collect(),
+            out_inputs: (0..members).map(|_| None).collect(),
             in_input: None,
         }
+    }
+}
+
+impl<P: ClusterDp + ?Sized> Words for SlotState<P> {
+    fn words(&self) -> usize {
+        self.payloads.words() + self.out_inputs.words() + self.in_input.words()
     }
 }
 
@@ -58,29 +65,16 @@ impl<P: ClusterDp + ?Sized> SlotState<P> {
 /// Nothing is copied to form a view; every pass reads the same two records.
 pub struct ClusterView<'a, P: ClusterDp + ?Sized> {
     /// The cluster's kind, boundary edges and member tree (member `i` of the view is
-    /// `skeleton.members[i]`).
-    pub skeleton: &'a PlanView,
-    /// The slots aligned with `skeleton.members`.
+    /// `skeleton.member(i)`).
+    pub skeleton: PlanView<'a>,
+    /// The slots aligned with `skeleton.members()`.
     pub slots: &'a SlotState<P>,
 }
 
 impl<P: ClusterDp> Words for ClusterView<'_, P> {
+    /// The skeleton's words in its compact layout and the slots' words.
     fn words(&self) -> usize {
-        let unset = P::EdgeInput::default().words();
-        4 + self
-            .skeleton
-            .members
-            .iter()
-            .zip(&self.slots.payloads)
-            .zip(&self.slots.out_inputs)
-            .map(|((m, payload), out_input)| {
-                m.element.words()
-                    + payload.as_ref().map_or(0, Words::words)
-                    + 2
-                    + out_input.as_ref().map_or(unset, Words::words)
-                    + m.children.len()
-            })
-            .sum::<usize>()
+        self.skeleton.words() + self.slots.words()
     }
 }
 
@@ -101,19 +95,19 @@ impl<'a, P: ClusterDp + ?Sized> ClusterView<'a, P> {
     /// one.
     pub fn in_input(&self) -> Option<P::EdgeInput> {
         self.skeleton
-            .in_edge
+            .in_edge()
             .map(|_| self.slots.in_input.clone().unwrap_or_default())
     }
 
     /// Members in an order where every member appears after all of its children
     /// (bottom-up processing order).
     pub fn bottom_up_order(&self) -> Vec<usize> {
-        let members = &self.skeleton.members;
-        let mut order = Vec::with_capacity(members.len());
-        let mut stack = vec![self.skeleton.top];
+        let skeleton = &self.skeleton;
+        let mut order = Vec::with_capacity(skeleton.members().len());
+        let mut stack = vec![skeleton.top()];
         while let Some(i) = stack.pop() {
             order.push(i);
-            stack.extend(members[i].children.iter().copied());
+            stack.extend(skeleton.children(i).iter().map(|&c| c as usize));
         }
         order.reverse();
         order
@@ -172,9 +166,8 @@ pub trait ClusterDp: 'static {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::PlanMember;
-    use tree_clustering::{EdgeKind, Element, ElementKind, VIRTUAL_NODE};
-    use tree_repr::DirectedEdge;
+    use crate::skeleton::{Linked, PlanMember, Skeletons};
+    use tree_clustering::{EdgeKind, ElementKind, VIRTUAL_NODE};
 
     /// A trivial problem used to exercise the view plumbing: count nodes in each subtree.
     struct CountNodes;
@@ -186,7 +179,7 @@ mod tests {
         type Label = u64;
 
         fn summarize(&self, view: &ClusterView<'_, Self>) -> u64 {
-            (0..view.skeleton.members.len())
+            (0..view.skeleton.members().len())
                 .map(|i| match view.payload(i) {
                     Payload::Input(_) => 1,
                     Payload::Summary(s) => *s,
@@ -204,47 +197,37 @@ mod tests {
             _: &u64,
             _: Option<&u64>,
         ) -> Vec<u64> {
-            vec![0; view.skeleton.members.len()]
+            vec![0; view.skeleton.members().len()]
         }
     }
 
-    fn leaf_member(id: u64, parent: Option<usize>) -> PlanMember {
-        PlanMember {
-            element: Element {
-                id,
-                kind: ElementKind::Node,
-                formed_at: 0,
-                absorbed_into: VIRTUAL_NODE,
-                absorbed_at: 1,
-                out_edge: DirectedEdge::new(id, id + 100),
-                in_edge: None,
-            },
-            out_kind: EdgeKind::Original,
-            parent,
-            children: Vec::new(),
-        }
+    fn member(id: u64, parent: Option<usize>) -> PlanMember {
+        PlanMember::new(id, ElementKind::Node, EdgeKind::Original, parent, false)
     }
 
     #[test]
     fn orders_respect_parenthood() {
-        let mut top = leaf_member(0, None);
-        top.children = vec![1, 2];
-        let mut mid = leaf_member(1, Some(0));
-        mid.children = vec![3];
-        let skeleton = PlanView {
-            cluster: 99,
-            kind: ElementKind::TopCluster,
-            members: vec![top, mid, leaf_member(2, Some(0)), leaf_member(3, Some(1))],
-            top: 0,
-            out_edge: DirectedEdge::new(0, VIRTUAL_NODE),
-            in_edge: None,
-            attach: None,
-            in_kind: EdgeKind::Original,
-        };
+        let mut held = Skeletons::new(1);
+        held.push(
+            1,
+            Linked {
+                members: vec![
+                    member(0, None),
+                    member(1, Some(0)),
+                    member(2, Some(0)),
+                    member(3, Some(1)),
+                ],
+                top: 0,
+                kind: ElementKind::TopCluster,
+                out_parent: VIRTUAL_NODE,
+                in_edge: None,
+            },
+        );
+        let skeleton = held.view(1, 0);
         let mut slots: SlotState<CountNodes> = SlotState::for_view(&skeleton);
         slots.payloads.fill(Some(Payload::Input(1)));
         let view = ClusterView {
-            skeleton: &skeleton,
+            skeleton,
             slots: &slots,
         };
         let up = view.bottom_up_order();
@@ -255,11 +238,12 @@ mod tests {
             }
             p
         };
-        for (i, m) in skeleton.members.iter().enumerate() {
-            for &c in &m.children {
-                assert!(pos[c] < pos[i]);
+        for i in 0..4 {
+            for &c in skeleton.children(i) {
+                assert!(pos[c as usize] < pos[i]);
             }
         }
+        assert_eq!(skeleton.children(0), [1, 2]);
         assert_eq!(up.last(), Some(&0), "the top member comes last");
         let summary = CountNodes.summarize(&view);
         assert_eq!(summary, 4);

@@ -15,9 +15,10 @@
 //! one entry, and node, auxiliary and cluster ids share one payload run because the
 //! directory gives each id range segments of its own.
 
-use crate::plan::{MemberSlot, PlanMember, PlanView, ViewSlot};
+use crate::plan::{all_views, MemberSlot, PlanMember, PlanView, ViewSlot};
+use crate::skeleton::Skeletons;
 use mpc_engine::Directory;
-use tree_clustering::{ElementId, VIRTUAL_NODE};
+use tree_clustering::ElementId;
 use tree_repr::NodeId;
 
 /// A value of a [`Run`] that can mark its key as removed.
@@ -305,39 +306,27 @@ pub(crate) struct Routing {
 }
 
 impl Routing {
-    /// The routing indexes of `layers`, derived from the skeleton views alone. Every
+    /// The routing indexes of `skeletons`, derived from the skeleton views alone. Every
     /// member takes a payload slot and, unless it leaves by the virtual root edge, an
     /// out-edge input slot; every view reads its outgoing edge's label, and a view with
     /// an incoming edge reads that edge's input and label. Each index is one sort of
     /// its `(key, slot)` pairs, so every per-key list comes out in slot order; the pairs
     /// of one index are dropped before the next one's are collected.
-    pub(crate) fn of(layers: &[Vec<Vec<PlanView>>]) -> Routing {
-        let views = || {
-            layers.iter().zip(1u32..).flat_map(|(layer, li)| {
-                layer.iter().zip(0u32..).flat_map(move |(views, machine)| {
-                    views.iter().zip(0u32..).map(move |(view, index)| {
-                        let at = ViewSlot {
-                            layer: li,
-                            machine,
-                            view: index,
-                        };
-                        (at, view)
-                    })
-                })
-            })
-        };
+    pub(crate) fn of(skeletons: &[Skeletons], num_layers: u32) -> Routing {
+        let views = || all_views(skeletons, num_layers);
         let members = || {
             views().flat_map(|(at, view)| {
-                let slots = (0..).map(move |idx| at.member_slot(idx));
-                view.members.iter().map(|m| m.element).zip(slots)
+                (0..view.members().len()).map(move |idx| (view, idx, at.member_slot(idx)))
             })
         };
-        let mut payloads: Vec<_> = members().map(|(e, slot)| (e.id, slot)).collect();
+        let mut payloads: Vec<_> = members()
+            .map(|(view, idx, slot)| (view.member(idx).id(), slot))
+            .collect();
         payloads.sort_unstable();
         let out_edges = {
             let mut pairs: Vec<(NodeId, MemberSlot)> = members()
-                .filter(|(element, _)| element.out_edge.parent != VIRTUAL_NODE)
-                .map(|(element, slot)| (element.out_edge.child, slot))
+                .filter(|(view, idx, _)| !view.leaves_tree(*idx))
+                .map(|(view, idx, slot)| (view.member(idx).out_child(), slot))
                 .collect();
             pairs.sort_unstable();
             Lists::from_sorted(&pairs)
@@ -346,8 +335,8 @@ impl Routing {
             let mut pairs: Vec<(NodeId, Reader)> = Vec::new();
             for (at, view) in views() {
                 let read = |as_out| Reader { view: at, as_out };
-                pairs.push((view.out_edge.child, read(true)));
-                if let Some(e) = view.in_edge {
+                pairs.push((view.out_edge().child, read(true)));
+                if let Some(e) = view.in_edge() {
                     pairs.push((e.child, read(false)));
                 }
             }
@@ -425,13 +414,13 @@ impl Routing {
 
     /// Point the entries of `member`, registered at `from`, at `to`: its payload slot
     /// and its outgoing edge's input slot.
-    pub(crate) fn move_member(&mut self, member: &PlanMember, from: MemberSlot, to: MemberSlot) {
-        if let Some(slot) = self.payload_mut(member.element.id) {
+    pub(crate) fn move_member(&mut self, member: PlanMember, from: MemberSlot, to: MemberSlot) {
+        if let Some(slot) = self.payload_mut(member.id()) {
             *slot = to;
         }
         if let Some(slot) = self
             .out_edges
-            .get_mut(member.element.out_edge.child)
+            .get_mut(member.out_child())
             .iter_mut()
             .find(|s| **s == from)
         {
@@ -441,20 +430,20 @@ impl Routing {
 
     /// Point every index entry of `view` (registered at `from`) at view index `to` of
     /// the same bucket.
-    pub(crate) fn readdress_view(&mut self, view: &PlanView, from: ViewSlot, to: u32) {
+    pub(crate) fn readdress_view(&mut self, view: &PlanView<'_>, from: ViewSlot, to: u32) {
         let mut readdress = |key: NodeId, as_out: bool| {
             let was = Reader { view: from, as_out };
             if let Some(r) = self.readers.get_mut(key).iter_mut().find(|r| **r == was) {
                 r.view.view = to;
             }
         };
-        readdress(view.out_edge.child, true);
-        if let Some(in_edge) = view.in_edge {
+        readdress(view.out_edge().child, true);
+        if let Some(in_edge) = view.in_edge() {
             readdress(in_edge.child, false);
         }
         let moved = ViewSlot { view: to, ..from };
-        for (idx, member) in view.members.iter().enumerate() {
-            self.move_member(member, from.member_slot(idx), moved.member_slot(idx));
+        for (idx, member) in view.members().iter().enumerate() {
+            self.move_member(*member, from.member_slot(idx), moved.member_slot(idx));
         }
     }
 

@@ -8,10 +8,10 @@
 //! why tests compare solution *values*, not raw label vectors, for optimization
 //! problems).
 
-use crate::plan::{PlanMember, PlanView};
 use crate::problem::{ClusterDp, ClusterView, Payload, SlotState};
+use crate::skeleton::{Linked, PlanMember, Skeletons};
 use std::collections::BTreeMap;
-use tree_clustering::{EdgeKind, Element, ElementKind, VIRTUAL_NODE};
+use tree_clustering::{EdgeKind, ElementKind, VIRTUAL_NODE};
 use tree_repr::{DirectedEdge, NodeId};
 
 /// Solution produced by [`solve_sequential`].
@@ -51,46 +51,30 @@ pub fn solve_sequential<P: ClusterDp>(
         out_inputs: Vec::with_capacity(nodes.len()),
         in_input: None,
     };
-    let mut members: Vec<PlanMember> = nodes
+    let members: Vec<PlanMember> = nodes
         .iter()
         .map(|&v| {
-            let parent = parent_of.get(&v).copied();
             let (kind, input) = edge_info(v);
             slots.payloads.push(Some(Payload::Input(node_input(v))));
             slots.out_inputs.push(Some(input));
-            PlanMember {
-                element: Element {
-                    id: v,
-                    kind: ElementKind::Node,
-                    formed_at: 0,
-                    absorbed_into: VIRTUAL_NODE,
-                    absorbed_at: 1,
-                    out_edge: DirectedEdge::new(v, parent.unwrap_or(VIRTUAL_NODE)),
-                    in_edge: None,
-                },
-                out_kind: kind,
-                parent: parent.map(|p| index_of[&p]),
-                children: Vec::new(),
-            }
+            let parent = parent_of.get(&v).map(|p| index_of[p]);
+            PlanMember::new(v, ElementKind::Node, kind, parent, false)
         })
         .collect();
-    for i in 0..members.len() {
-        if let Some(p) = members[i].parent {
-            members[p].children.push(i);
-        }
-    }
-    let skeleton = PlanView {
-        cluster: VIRTUAL_NODE,
-        kind: ElementKind::TopCluster,
-        members,
-        top: index_of[&root],
-        out_edge: DirectedEdge::new(root, VIRTUAL_NODE),
-        in_edge: None,
-        attach: None,
-        in_kind: EdgeKind::Original,
-    };
+    let mut held = Skeletons::new(1);
+    held.push(
+        1,
+        Linked {
+            members,
+            top: index_of[&root],
+            kind: ElementKind::TopCluster,
+            out_parent: VIRTUAL_NODE,
+            in_edge: None,
+        },
+    );
+    let skeleton = held.view(1, 0);
     let view = ClusterView {
-        skeleton: &skeleton,
+        skeleton,
         slots: &slots,
     };
 
@@ -98,11 +82,11 @@ pub fn solve_sequential<P: ClusterDp>(
     let root_label = problem.label_root(&root_summary);
     let member_labels = problem.label_members(&view, &root_label, None);
     let mut labels: BTreeMap<NodeId, P::Label> = BTreeMap::new();
-    for (i, m) in skeleton.members.iter().enumerate() {
-        if i == skeleton.top {
-            labels.insert(m.element.id, root_label.clone());
+    for (i, (&v, label)) in nodes.iter().zip(member_labels).enumerate() {
+        if i == skeleton.top() {
+            labels.insert(v, root_label.clone());
         } else {
-            labels.insert(m.element.id, member_labels[i].clone());
+            labels.insert(v, label);
         }
     }
     SequentialSolution {

@@ -193,17 +193,18 @@ struct LocalDp {
 
 impl LocalDp {
     /// Empty the arena and lay out the members of `skeleton` for a new pass.
-    fn start(&mut self, states: usize, skeleton: &PlanView) {
+    fn start(&mut self, states: usize, skeleton: &PlanView<'_>) {
         self.states = states;
         self.scores.clear();
         self.members.clear();
         self.members
-            .resize(skeleton.members.len(), MemberDp::default());
+            .resize(skeleton.members().len(), MemberDp::default());
         self.order.clear();
-        self.order.push(skeleton.top);
+        self.order.push(skeleton.top());
         let mut next = 0;
         while let Some(&m) = self.order.get(next) {
-            self.order.extend_from_slice(&skeleton.members[m].children);
+            let children = skeleton.children(m).iter().map(|&c| c as usize);
+            self.order.extend(children);
             next += 1;
         }
     }
@@ -237,7 +238,7 @@ impl<P: StateDp> StateEngine<P> {
     /// dimension is private.
     fn base_table(&self, view: &ClusterView<'_, Self>, i: usize, dp: &mut LocalDp) -> (Tab, bool) {
         let s = dp.states;
-        let is_attach = view.skeleton.attach == Some(i);
+        let is_attach = view.skeleton.attach() == Some(i);
         let off = dp.scores.len();
         match view.payload(i) {
             Payload::Input(input) => {
@@ -260,20 +261,19 @@ impl<P: StateDp> StateEngine<P> {
         }
     }
 
-    /// The edge member `child` hangs from member `parent` by; `private_attach` is the
-    /// parent's flag.
+    /// The edge member `child` hangs from its parent by; `private_attach` is the
+    /// parent's flag. The edge enters the private dimension exactly when it is the
+    /// parent's incoming edge, which the member's packed flag records.
     fn edge(
         view: &ClusterView<'_, Self>,
         private_attach: bool,
-        parent: usize,
         child: usize,
     ) -> Edge<P::EdgeInput> {
-        let members = &view.skeleton.members;
+        let member = view.skeleton.member(child);
         Edge {
-            kind: members[child].out_kind,
+            kind: member.out_kind(),
             input: view.out_input(child),
-            into_private: private_attach
-                && members[parent].element.in_edge == Some(members[child].element.out_edge),
+            into_private: private_attach && member.enters_parent(),
         }
     }
 
@@ -374,19 +374,20 @@ impl<P: StateDp> StateEngine<P> {
     fn run_local(&self, view: &ClusterView<'_, Self>, dp: &mut LocalDp) {
         let s = self.problem.num_states();
         let skeleton = view.skeleton;
-        dp.start(s, skeleton);
+        dp.start(s, &skeleton);
         for k in (0..dp.order.len()).rev() {
             let idx = dp.order[k];
             let (mut current, private_attach) = self.base_table(view, idx, dp);
-            for &c in &skeleton.members[idx].children {
+            for &c in skeleton.children(idx) {
+                let c = c as usize;
                 dp.members[c].before = current;
-                let edge = Self::edge(view, private_attach, idx, c);
+                let edge = Self::edge(view, private_attach, c);
                 current = self.merge(dp, current, dp.members[c].exposed, &edge);
             }
             // Attach lifting for original-node attach members: tie the external
             // dimension to the node's own final state.
             let pre_lift = current;
-            if skeleton.attach == Some(idx) && matches!(view.payload(idx), Payload::Input(_)) {
+            if skeleton.attach() == Some(idx) && matches!(view.payload(idx), Payload::Input(_)) {
                 current = dp.push_table(s);
                 for st in 0..s {
                     dp.scores[current.at(st, st)] = dp.scores[pre_lift.at(st, 0)];
@@ -411,8 +412,9 @@ impl<P: StateDp> ClusterDp for StateEngine<P> {
         self.run_local(view, dp);
         let s = dp.states;
         let skeleton = view.skeleton;
-        let top = dp.members[skeleton.top].exposed;
-        let has_attach = skeleton.attach.is_some() && skeleton.kind == ElementKind::ClusterIndeg1;
+        let top = dp.members[skeleton.top()].exposed;
+        let has_attach =
+            skeleton.attach().is_some() && skeleton.kind() == ElementKind::ClusterIndeg1;
         let ext = if has_attach { s } else { 1 };
         let mut values = vec![None; s * ext];
         for st in 0..s {
@@ -446,13 +448,14 @@ impl<P: StateDp> ClusterDp for StateEngine<P> {
         let dp = &mut *self.scratch.borrow_mut();
         self.run_local(view, dp);
         let skeleton = view.skeleton;
-        let mut chosen_state = vec![usize::MAX; skeleton.members.len()];
+        let mut chosen_state = vec![usize::MAX; skeleton.members().len()];
 
         // Fix the top member: its interface state is the label of the cluster's outgoing
         // edge; the external (attach) dimension is re-derived from the incoming edge's
         // label, reproducing the choice the parent layer's merge implied.
-        chosen_state[skeleton.top] = *out_label;
-        let top_table = dp.members[skeleton.top].exposed;
+        let top = skeleton.top();
+        chosen_state[top] = *out_label;
+        let top_table = dp.members[top].exposed;
         if top_table.ext > 1 {
             let ext_child_state = in_label.copied().unwrap_or(0);
             let in_input = view.in_input().unwrap_or_default();
@@ -460,12 +463,12 @@ impl<P: StateDp> ClusterDp for StateEngine<P> {
             let best = (0..top_table.ext)
                 .filter_map(|e| {
                     let v = dp.scores[top_table.at(*out_label, e)]?;
-                    let kind = skeleton.in_kind;
+                    let kind = skeleton.in_kind();
                     let score = self.absorb_into_attach(e, kind, &in_input, ext_child_state)?;
                     Some((std::cmp::Reverse(v + score), e))
                 })
                 .min();
-            dp.members[skeleton.top].chosen_ext = best.map_or(0, |(_, e)| e);
+            dp.members[top].chosen_ext = best.map_or(0, |(_, e)| e);
         }
 
         // Walk top-down, re-deriving each member's children's states by replaying the
@@ -479,9 +482,10 @@ impl<P: StateDp> ClusterDp for StateEngine<P> {
             let mut target_state = chosen_state[idx];
             let mut target_ext = if lifted { 0 } else { rec.chosen_ext };
             let mut current = rec.pre_lift;
-            for &c in skeleton.members[idx].children.iter().rev() {
+            for &c in skeleton.children(idx).iter().rev() {
+                let c = c as usize;
                 let before = dp.members[c].before;
-                let edge = Self::edge(view, rec.private_attach, idx, c);
+                let edge = Self::edge(view, rec.private_attach, c);
                 let te = target_ext.min(current.ext - 1);
                 let target_value =
                     dp.scores[current.at(target_state, te)].expect("fixed state is feasible");

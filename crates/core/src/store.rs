@@ -61,7 +61,7 @@ impl<P: ClusterDp> SolverStore<P> {
 
     /// Every view, layer by layer.
     pub fn views(&self) -> impl Iterator<Item = ClusterView<'_, P>> {
-        let skeletons = self.plan.layers.iter().flatten().flatten();
+        let skeletons = self.plan.views().map(|(_, skeleton)| skeleton);
         skeletons
             .zip(self.state.iter().flatten().flatten())
             .map(|(skeleton, slots)| ClusterView { skeleton, slots })
@@ -223,20 +223,20 @@ impl<P: ClusterDp> SolverStore<P> {
 
     /// What keeps the slot state from matching the plan's skeletons, if anything.
     pub(crate) fn state_mismatch(&self) -> Option<&'static str> {
-        let layers = &self.plan.layers;
-        let buckets = || self.state.iter().flatten().zip(layers.iter().flatten());
-        if self.state.len() != layers.len()
-            || self
-                .state
-                .iter()
-                .zip(layers)
-                .any(|(s, l)| s.len() != l.len())
-            || buckets().any(|(s, l)| s.len() != l.len())
+        let plan = &self.plan;
+        if self.state.len() != plan.num_layers as usize
+            || self.state.iter().any(|s| s.len() != plan.num_machines)
+            || (1..=plan.num_layers).zip(&self.state).any(|(layer, s)| {
+                let held = |machine: usize| plan.skeletons[machine].len_at(layer);
+                s.iter()
+                    .enumerate()
+                    .any(|(machine, s)| s.len() != held(machine))
+            })
         {
             return Some("slot state layout differs from the plan's layer/machine/view layout");
         }
         for view in self.views() {
-            let members = view.skeleton.members.len();
+            let members = view.skeleton.members().len();
             if view.slots.payloads.len() != members || view.slots.out_inputs.len() != members {
                 return Some("slot state vectors differ in length from the member list");
             }
@@ -288,8 +288,8 @@ pub(crate) mod tests {
     use super::*;
     use crate::pipeline::{prepare, PreparedTree};
     use crate::snapshot::{
-        snapshot_from_bytes, snapshot_to_bytes, Snapshot, SnapshotError, KIND_PLAN,
-        KIND_PREPARED_TREE, KIND_STORE,
+        seal, snapshot_from_bytes, snapshot_to_bytes, Snapshot, SnapshotError, SnapshotWriter,
+        WirePlan, WireView, KIND_PLAN, KIND_PREPARED_TREE, KIND_STORE,
     };
     use mpc_engine::MpcConfig;
     use std::cell::OnceCell;
@@ -306,7 +306,7 @@ pub(crate) mod tests {
         type Label = u64;
 
         fn summarize(&self, view: &ClusterView<'_, Self>) -> u64 {
-            (0..view.skeleton.members.len())
+            (0..view.skeleton.members().len())
                 .map(|i| match view.payload(i) {
                     Payload::Input(_) => 1,
                     Payload::Summary(s) => *s,
@@ -324,7 +324,7 @@ pub(crate) mod tests {
             _: &u64,
             _: Option<&u64>,
         ) -> Vec<u64> {
-            vec![0; view.skeleton.members.len()]
+            vec![0; view.skeleton.members().len()]
         }
     }
 
@@ -361,11 +361,10 @@ pub(crate) mod tests {
             .find(|r| {
                 !r.as_out && {
                     let view = plan.view_at(r.view);
-                    view.attach.is_some()
-                        && view
-                            .members
-                            .iter()
-                            .any(|m| m.parent.is_some() && !m.children.is_empty())
+                    view.attach().is_some()
+                        && (0..view.members().len()).any(|i| {
+                            view.member(i).parent().is_some() && !view.children(i).is_empty()
+                        })
                 }
             })
             .expect("a caterpillar has an indegree-1 cluster with an inner member")
@@ -378,74 +377,124 @@ pub(crate) mod tests {
 
     /// A checksum-valid payload with one skeleton field out of place must come back as
     /// a typed error, naming the check it fails, from every decoder that carries a
-    /// plan — not as a value that panics on the next solve or update.
+    /// plan — not as a value that panics on the next solve or update. The corruptions
+    /// are made on the plan as its snapshot spells it out, every derived field
+    /// included.
     #[test]
     fn resealed_payloads_with_one_index_out_of_place_decode_to_malformed() {
         let (prepared, store) = solved();
         let plan = store.plan().clone();
         assert_eq!(decode_resealed(KIND_PLAN, &plan).as_ref(), Ok(&plan));
+        let wire = WirePlan::of(&plan);
+        assert_eq!(snapshot_to_bytes(KIND_PLAN, &wire), plan.to_snapshot());
         let at = rich_view(&plan);
         let inner = {
-            let members = &plan.view_at(at).members;
-            members
-                .iter()
-                .position(|m| m.parent.is_some() && !m.children.is_empty())
+            let view = plan.view_at(at);
+            (0..view.members().len())
+                .position(|i| view.member(i).parent().is_some() && !view.children(i).is_empty())
                 .expect("rich view")
         };
 
-        type Corruption = (&'static str, fn(&mut SolvePlan, ViewSlot, usize));
-        let corruptions: [Corruption; 7] = [
+        type Corruption = (&'static str, fn(&mut WirePlan, ViewSlot, usize));
+        fn view(p: &mut WirePlan, at: ViewSlot) -> &mut WireView {
+            &mut p.layers[at.layer as usize - 1][at.machine as usize][at.view as usize]
+        }
+        let corruptions: [Corruption; 11] = [
             ("view top/attach index", |p, at, _| {
-                p.view_at_mut(at).top = usize::MAX
+                view(p, at).top = usize::MAX
             }),
             ("view top/attach index", |p, at, _| {
-                let view = p.view_at_mut(at);
+                let view = view(p, at);
                 view.attach = Some(view.members.len());
             }),
             ("view parent/child link", |p, at, inner| {
-                let view = p.view_at_mut(at);
+                let view = view(p, at);
                 view.members[inner].parent = Some(view.members.len() + 7);
             }),
             ("view parent/child link", |p, at, inner| {
-                p.view_at_mut(at).members[inner].children[0] = 1 << 40;
+                view(p, at).members[inner].children[0] = 1 << 40;
             }),
-            // One element id on members of two views (layer-1 members are all nodes).
+            // One element id on members of two views: a layer-1 member below the top
+            // takes another layer-1 view's member id.
             ("plan payload slot", |p, _, _| {
-                let mut views = p.layers[0].iter().flatten();
-                let other = views.nth(1).expect("two layer-1 views").members[0]
-                    .element
-                    .id;
-                let mut views = p.layers[0].iter_mut().flatten();
-                views.next().expect("a layer-1 view").members[0].element.id = other;
+                let layer = &mut p.layers[0];
+                let views: Vec<(usize, usize)> = (0..layer.len())
+                    .flat_map(|m| (0..layer[m].len()).map(move |v| (m, v)))
+                    .collect();
+                let (m, v) = *views
+                    .iter()
+                    .find(|&&(m, v)| layer[m][v].members.len() > 1)
+                    .expect("a layer-1 view with two members");
+                let (om, ov) = *views.iter().find(|&&o| o != (m, v)).expect("two views");
+                let other = layer[om][ov].members[0].element.id;
+                let first = &mut layer[m][v];
+                let below_top = (first.top + 1) % first.members.len();
+                first.members[below_top].element.id = other;
             }),
-            // A non-top cluster whose only member slot lies in its own layer.
+            // A cluster whose top member names no absorbed cluster: no summary slot.
             ("plan summary slot", |p, at, _| {
-                let view = p.view_at_mut(at);
-                view.cluster = view.members[view.top].element.id;
+                let view = view(p, at);
+                view.members[view.top].element.id ^= 1 << 40;
             }),
             ("plan machine index", |p, _, _| {
                 p.top_machine = p.num_machines
             }),
+            (
+                "member absorbed_into/absorbed_at differs from its view",
+                |p, at, inner| {
+                    view(p, at).members[inner].element.absorbed_into ^= 1;
+                },
+            ),
+            (
+                "member absorbed_into/absorbed_at differs from its view",
+                |p, at, inner| {
+                    view(p, at).members[inner].element.absorbed_at += 1;
+                },
+            ),
+            (
+                "view field differs from what its skeleton derives",
+                |p, at, _| {
+                    view(p, at).cluster ^= 1;
+                },
+            ),
+            (
+                "view field differs from what its skeleton derives",
+                |p, at, inner| {
+                    view(p, at).members[inner].element.out_edge.parent ^= 1;
+                },
+            ),
         ];
+        // The store and the tree carry the plan's bytes: the tree as its last field
+        // (after a `Some` tag), the store as its first.
+        let plan_bytes = |p: &WirePlan| snapshot_to_bytes(KIND_PLAN, p)[32..].to_vec();
+        let good = plan_bytes(&wire);
+        let resealed = |kind: u32, payload: Vec<u8>| {
+            let mut w = SnapshotWriter::new();
+            w.put_bytes(&payload);
+            seal(kind, w)
+        };
+        let tree_head = {
+            let mut planless = prepared.clone();
+            planless.plan = OnceCell::new();
+            let bytes = planless.to_snapshot()[32..].to_vec();
+            bytes[..bytes.len() - 1].to_vec()
+        };
+        let store_tail = store.to_snapshot()[32 + good.len()..].to_vec();
         for (check, corrupt) in corruptions {
-            let mut bad = plan.clone();
+            let mut bad = wire.clone();
             corrupt(&mut bad, at, inner);
             let refused = Err(SnapshotError::Malformed(check));
-            assert_eq!(
-                decode_resealed(KIND_PLAN, &bad).map(|_| ()),
-                refused,
-                "plan"
-            );
+            let bad = plan_bytes(&bad);
+            let decoded = SolvePlan::from_snapshot(&resealed(KIND_PLAN, bad.clone()));
+            assert_eq!(decoded.map(|_| ()), refused, "plan");
 
-            let mut tree = prepared.clone();
-            tree.plan = OnceCell::from(bad.clone());
-            let decoded = decode_resealed(KIND_PREPARED_TREE, &tree).map(|_| ());
-            assert_eq!(decoded, refused, "prepared tree");
+            let tree = [&tree_head[..], &[1], &bad].concat();
+            let decoded = PreparedTree::from_snapshot(&resealed(KIND_PREPARED_TREE, tree));
+            assert_eq!(decoded.map(|_| ()), refused, "prepared tree");
 
-            let mut bad_store = decode_resealed(KIND_STORE, &store).expect("valid store");
-            bad_store.plan = bad;
-            let decoded = decode_resealed(KIND_STORE, &bad_store).map(|_| ());
-            assert_eq!(decoded, refused, "store");
+            let bad_store = [&bad[..], &store_tail].concat();
+            let decoded = SolverStore::<Count>::from_snapshot(&resealed(KIND_STORE, bad_store));
+            assert_eq!(decoded.map(|_| ()), refused, "store");
         }
 
         // The store's own part: slot state that does not match the skeletons.

@@ -4,9 +4,7 @@
 use crate::structural::{StructuralBatch, StructuralError, StructuralOp, StructuralStats};
 use mpc_engine::{DistVec, MpcContext, Words};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use tree_clustering::{
-    is_aux_node, EdgeKind, ElementKind, RepairIndex, RepairOutcome, TopologyOp, VIRTUAL_NODE,
-};
+use tree_clustering::{is_aux_node, EdgeKind, ElementKind, RepairIndex, RepairOutcome, TopologyOp};
 use tree_dp_core::{prepare, ClusterDp, DpSolution, Payload, PreparedTree, SolverStore, ViewSlot};
 use tree_repr::{DirectedEdge, ListOfEdges, NodeId, TreeInput};
 
@@ -217,7 +215,7 @@ where
                 let layer_dirty = std::mem::take(&mut dirty[layer]);
                 for &at in &layer_dirty {
                     let view = self.store.view(at);
-                    let cluster = view.skeleton.cluster;
+                    let cluster = view.skeleton.cluster();
                     let new_summary = self.problem.summarize(&view);
                     stats.resummarized += 1;
                     if self.store.summary(cluster) == Some(&new_summary) {
@@ -270,17 +268,18 @@ where
                     let view = store.view(at);
                     let skeleton = view.skeleton;
                     let out_label = store
-                        .label(skeleton.out_edge.child)
+                        .label(skeleton.out_edge().child)
                         .expect("boundary out-label cached");
-                    let in_label = skeleton.in_edge.and_then(|e| store.label(e.child));
+                    let in_label = skeleton.in_edge().and_then(|e| store.label(e.child));
                     let member_labels = self.problem.label_members(&view, out_label, in_label);
+                    let top = skeleton.top();
                     let changed: Vec<(NodeId, P::Label)> = skeleton
-                        .members
+                        .members()
                         .iter()
                         .zip(member_labels)
                         .enumerate()
-                        .filter(|(i, _)| *i != skeleton.top)
-                        .map(|(_, (member, label))| (member.element.out_edge.child, label))
+                        .filter(|(i, _)| *i != top)
+                        .map(|(_, (member, label))| (member.out_child(), label))
                         .filter(|(child, label)| store.label(*child) != Some(label))
                         .collect();
                     for (child, label) in changed {
@@ -461,15 +460,15 @@ where
         let mut node_inputs: Vec<(NodeId, P::NodeInput)> = Vec::new();
         let mut edge_inputs: Vec<(NodeId, P::EdgeInput)> = Vec::new();
         for view in self.store.views() {
-            for (i, m) in view.skeleton.members.iter().enumerate() {
-                if m.element.kind != ElementKind::Node || is_aux_node(m.element.id) {
+            for (i, m) in view.skeleton.members().iter().enumerate() {
+                if m.kind() != ElementKind::Node || is_aux_node(m.id()) {
                     continue;
                 }
                 if let Payload::Input(input) = view.payload(i) {
-                    node_inputs.push((m.element.id, input.clone()));
+                    node_inputs.push((m.id(), input.clone()));
                 }
-                if m.out_kind == EdgeKind::Original && m.element.out_edge.parent != VIRTUAL_NODE {
-                    edge_inputs.push((m.element.out_edge.child, view.out_input(i)));
+                if m.out_kind() == EdgeKind::Original && !view.skeleton.leaves_tree(i) {
+                    edge_inputs.push((m.out_child(), view.out_input(i)));
                 }
             }
         }

@@ -78,7 +78,7 @@ impl ClusterDp for SubtreeAggregate {
     type Label = i64;
 
     fn summarize(&self, view: &ClusterView<'_, Self>) -> i64 {
-        (0..view.skeleton.members.len()).fold(self.op.identity(), |acc, idx| {
+        (0..view.skeleton.members().len()).fold(self.op.identity(), |acc, idx| {
             let v = match view.payload(idx) {
                 Payload::Input(x) => *x,
                 Payload::Summary(s) => *s,
@@ -97,18 +97,18 @@ impl ClusterDp for SubtreeAggregate {
         _out_label: &i64,
         in_label: Option<&i64>,
     ) -> Vec<i64> {
-        let members = &view.skeleton.members;
-        let mut sub = vec![self.op.identity(); members.len()];
+        let skeleton = &view.skeleton;
+        let mut sub = vec![self.op.identity(); skeleton.members().len()];
         for idx in view.bottom_up_order() {
             let own = match view.payload(idx) {
                 Payload::Input(x) => *x,
                 Payload::Summary(s) => *s,
             };
             let mut acc = own;
-            for &c in &members[idx].children {
-                acc = self.op.combine(acc, sub[c]);
+            for &c in skeleton.children(idx) {
+                acc = self.op.combine(acc, sub[c as usize]);
             }
-            if view.skeleton.attach == Some(idx) {
+            if skeleton.attach() == Some(idx) {
                 if let Some(external) = in_label {
                     acc = self.op.combine(acc, *external);
                 }
@@ -217,12 +217,15 @@ impl ExpressionEval {
     }
 
     fn member_forms(view: &ClusterView<'_, Self>, hole: Option<i64>) -> Vec<Linear> {
-        let members = &view.skeleton.members;
-        let mut forms = vec![Linear::constant(0); members.len()];
+        let skeleton = &view.skeleton;
+        let mut forms = vec![Linear::constant(0); skeleton.members().len()];
         for idx in view.bottom_up_order() {
-            let mut child_forms: Vec<Linear> =
-                members[idx].children.iter().map(|&c| forms[c]).collect();
-            if view.skeleton.attach == Some(idx) {
+            let mut child_forms: Vec<Linear> = skeleton
+                .children(idx)
+                .iter()
+                .map(|&c| forms[c as usize])
+                .collect();
+            if skeleton.attach() == Some(idx) {
                 // The external subtree below the incoming edge is one more child.
                 child_forms.push(match hole {
                     Some(x) => Linear::constant(x),
@@ -257,7 +260,7 @@ impl ClusterDp for ExpressionEval {
     type Label = i64;
 
     fn summarize(&self, view: &ClusterView<'_, Self>) -> Linear {
-        Self::member_forms(view, None)[view.skeleton.top]
+        Self::member_forms(view, None)[view.skeleton.top()]
     }
 
     fn label_root(&self, summary: &Linear) -> i64 {

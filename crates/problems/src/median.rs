@@ -97,18 +97,18 @@ enum Form {
 
 impl TreeMedian {
     fn member_forms(view: &ClusterView<'_, Self>, hole: Option<i64>) -> Vec<Form> {
-        let members = &view.skeleton.members;
-        let mut forms = vec![Form::Fixed(0); members.len()];
+        let skeleton = &view.skeleton;
+        let mut forms = vec![Form::Fixed(0); skeleton.members().len()];
         for idx in view.bottom_up_order() {
             let mut fixed: Vec<i64> = Vec::new();
             let mut pending: Option<(i64, i64)> = None;
-            for &c in &members[idx].children {
-                match forms[c] {
+            for &c in skeleton.children(idx) {
+                match forms[c as usize] {
                     Form::Fixed(v) => fixed.push(v),
                     Form::Pending(a, b) => pending = Some((a, b)),
                 }
             }
-            if view.skeleton.attach == Some(idx) {
+            if skeleton.attach() == Some(idx) {
                 match hole {
                     Some(x) => fixed.push(x),
                     None => pending = Some((i64::MIN, i64::MAX)),
@@ -154,7 +154,7 @@ impl ClusterDp for TreeMedian {
     type Label = i64;
 
     fn summarize(&self, view: &ClusterView<'_, Self>) -> MedianSummary {
-        match Self::member_forms(view, None)[view.skeleton.top] {
+        match Self::member_forms(view, None)[view.skeleton.top()] {
             Form::Fixed(v) => MedianSummary::Fixed(v),
             Form::Pending(a, b) => MedianSummary::Pending { a, b },
         }

@@ -4,11 +4,13 @@
 //! Every shape is solved as the cold benchmark workloads solve it: n = 2^16 nodes,
 //! `MpcConfig::new(2n, δ)` (32× memory slack), prepare → plan → MaxIS, each tree in
 //! the representation the workload feeds it. For each shape the example prints the
-//! degree reduction's rounds and moved words, the peak local memory against the
-//! `Θ(n^δ)` capacity, and the phases whose local-memory breaches are largest.
+//! degree reduction's rounds and moved words, the plan's skeleton words per tree node,
+//! the peak local memory against the `Θ(n^δ)` capacity, and the phases whose
+//! local-memory breaches are largest.
 //!
-//! Two sections: δ = 1/2, the cold workloads' setting, is a gate — the example fails
-//! unless every shape stays within capacity with no local-memory breach; δ = 1/4 is
+//! Three sections: δ = 1/2, the cold workloads' setting, is a gate — the example fails
+//! unless every shape stays within capacity with no local-memory breach and its plan
+//! skeletons take at most 8 words per tree node; δ = 1/2 at 8× slack and δ = 1/4 are
 //! reported only.
 //!
 //! Run with: `cargo run --release --example memory_peaks`
@@ -63,15 +65,18 @@ fn represent(tree: &Tree, given: Given) -> (TreeInput, Vec<u64>) {
 struct Peaks {
     /// The degree reduction's rounds and moved words.
     degree: (u64, u64),
+    /// The plan's skeleton words per tree node.
+    skeleton_per_node: f64,
     peak: usize,
     capacity: usize,
     /// The largest local-memory breach per context, largest first.
     breaches: Vec<(String, usize)>,
 }
 
-fn measure(tree: &Tree, given: Given, delta: f64) -> Peaks {
+fn measure(tree: &Tree, given: Given, delta: f64, slack: f64) -> Peaks {
     let (input, ids) = represent(tree, given);
-    let mut ctx = MpcContext::new(MpcConfig::new(2 * tree.len(), delta));
+    let config = MpcConfig::new(2 * tree.len(), delta).with_memory_slack(slack);
+    let mut ctx = MpcContext::new(config);
     let prepared = prepare(&mut ctx, input, None).expect("generated trees are well-formed");
     let degree = ctx
         .metrics()
@@ -82,6 +87,7 @@ fn measure(tree: &Tree, given: Given, delta: f64) -> Peaks {
     let weights = ctx.from_vec(ids.iter().map(|&v| (v, 1 + (v % 30) as i64)).collect());
     let no_edges = ctx.from_vec(Vec::<(u64, ())>::new());
     let plan = prepared.plan_uncached(&mut ctx);
+    let skeleton_per_node = plan.skeleton_words() as f64 / tree.len() as f64;
     let engine = StateEngine::new(MaxWeightIndependentSet);
     let solution = plan.solve(&mut ctx, &engine, &weights, 0, &no_edges);
     assert!(solution.root_summary.best(engine.problem()).is_some());
@@ -101,6 +107,7 @@ fn measure(tree: &Tree, given: Given, delta: f64) -> Peaks {
     breaches.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     Peaks {
         degree,
+        skeleton_per_node,
         peak: metrics.peak_local_memory,
         capacity: ctx.config().local_capacity(),
         breaches,
@@ -123,14 +130,20 @@ fn main() {
         ),
     ];
     let mut over: Vec<String> = Vec::new();
-    for (delta, section) in [(0.5, "δ = 1/2 (gated)"), (0.25, "δ = 1/4 (report)")] {
+    let sections = [
+        (0.5, 32.0, "δ = 1/2, 32× slack (gated)"),
+        (0.5, 8.0, "δ = 1/2, 8× slack (report)"),
+        (0.25, 32.0, "δ = 1/4, 32× slack (report)"),
+    ];
+    for (delta, slack, section) in sections {
+        let gated = delta == 0.5 && slack == 32.0;
         println!("{section}");
         println!(
-            "{:<17} {:>15} {:>10} {:>9} {:>7}  worst breaches (phase/primitive: words)",
-            "shape", "degree rnd/words", "peak", "capacity", "ratio"
+            "{:<17} {:>15} {:>9} {:>10} {:>9} {:>7}  worst breaches (phase/primitive: words)",
+            "shape", "degree rnd/words", "plan w/n", "peak", "capacity", "ratio"
         );
         for (name, tree, given) in &trees {
-            let peaks = measure(tree, *given, delta);
+            let peaks = measure(tree, *given, delta, slack);
             let worst: Vec<String> = peaks
                 .breaches
                 .iter()
@@ -138,8 +151,9 @@ fn main() {
                 .map(|(context, words)| format!("{context}: {words}"))
                 .collect();
             println!(
-                "{name:<17} {:>15} {:>10} {:>9} {:>7.2}  {}",
+                "{name:<17} {:>15} {:>9.2} {:>10} {:>9} {:>7.2}  {}",
                 format!("{}/{}", peaks.degree.0, peaks.degree.1),
+                peaks.skeleton_per_node,
                 peaks.peak,
                 peaks.capacity,
                 peaks.peak as f64 / peaks.capacity as f64,
@@ -148,14 +162,16 @@ fn main() {
                     false => worst.join(", "),
                 }
             );
-            if delta == 0.5 && (peaks.peak > peaks.capacity || !peaks.breaches.is_empty()) {
+            if gated && (peaks.peak > peaks.capacity || !peaks.breaches.is_empty()) {
                 over.push(format!("{name}: peak {} of {}", peaks.peak, peaks.capacity));
+            }
+            if gated && peaks.skeleton_per_node > 8.0 {
+                over.push(format!(
+                    "{name}: {:.2} skeleton words per tree node",
+                    peaks.skeleton_per_node
+                ));
             }
         }
     }
-    assert!(
-        over.is_empty(),
-        "local memory exceeded at δ = 1/2: {}",
-        over.join("; ")
-    );
+    assert!(over.is_empty(), "δ = 1/2 gate failed: {}", over.join("; "));
 }

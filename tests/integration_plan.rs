@@ -878,6 +878,34 @@ fn fnv1a_64(bytes: &[u8]) -> u64 {
     })
 }
 
+/// The skeleton views a plan keeps are a few words per tree node: a member is its id
+/// and one packed word, a view's head is two words (three more with an incoming edge),
+/// a child link half a word. The layout of one whole element per member, a child
+/// vector per member and a ten-word view header read 15–39 words per node here.
+#[test]
+fn plan_skeletons_take_at_most_eight_words_per_tree_node() {
+    let mut trees: Vec<(String, Tree)> = standard_suite(4096, 7)
+        .into_iter()
+        .map(|entry| (entry.name, entry.tree))
+        .collect();
+    trees.push(("star-4096".to_string(), shapes::star(4096)));
+    for (name, tree) in trees {
+        let mut ctx = ctx_for(tree.len());
+        let prepared = prepare(
+            &mut ctx,
+            TreeInput::ListOfEdges(ListOfEdges::from_tree(&tree)),
+            None,
+        )
+        .unwrap();
+        let plan = prepared.plan_uncached(&mut ctx);
+        let per_node = plan.skeleton_words() as f64 / tree.len() as f64;
+        assert!(
+            per_node <= 8.0,
+            "{name}: {per_node:.2} skeleton words per tree node"
+        );
+    }
+}
+
 /// Layout pin: the `KIND_PLAN` snapshot bytes — every skeleton, its machine, its
 /// member order — hash to fixed digests. The skeletons are the placement the commit
 /// before `build_plan` stopped assembling full cluster views (ec9efe6) produced; the

@@ -7,7 +7,7 @@
 // The proptest block below expands past the default macro recursion limit.
 #![recursion_limit = "512"]
 
-use mpc_tree_dp::clustering::EdgeKind;
+use mpc_tree_dp::clustering::{EdgeKind, ElementKind};
 use mpc_tree_dp::core::{
     solve_sequential, Payload, KIND_PLAN, KIND_PREPARED_TREE, KIND_STORE, SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,
@@ -308,6 +308,68 @@ fn resealed_tree_whose_root_or_node_count_differs_from_its_clustering_is_refused
                 Err(SnapshotError::Malformed(_))
             ),
             "slot at payload byte {slot}"
+        );
+    }
+}
+
+/// A plan snapshot spells out every member's whole clustering element, but the plan
+/// keeps neither `absorbed_into` nor `absorbed_at`: they are the cluster and the layer
+/// of the view the member is filed in. A checksum-valid snapshot in which one of them
+/// disagrees with that view is refused as malformed, not restored.
+#[test]
+fn resealed_plan_whose_member_disagrees_with_its_view_is_refused() {
+    use mpc_tree_dp::core::{seal, SnapshotWriter};
+
+    let tree = spider(4, 6);
+    let weights: Vec<i64> = (0..tree.len()).map(|_| 1).collect();
+    let (mut ctx, prepared, _) = prepared_with_plan(&tree, &weights);
+    let plan = prepared.plan(&mut ctx).clone();
+    let payload = plan.to_snapshot()[32..].to_vec();
+    // A node member's element as the snapshot writes it: id, kind (node), formed_at
+    // (0), absorbed_into (its view's cluster), absorbed_at (its view's layer).
+    let engine = MaxIs::new(MaxWeightIndependentSet);
+    let inputs = weight_table(&mut ctx, &weights);
+    let no_edges = ctx.from_vec(Vec::<(u64, ())>::new());
+    let (_, store) = plan
+        .clone()
+        .solve_with_store(&mut ctx, &engine, &inputs, 0, &no_edges);
+    let view = store
+        .views()
+        .map(|view| view.skeleton)
+        .find(|s| s.members().len() > 1)
+        .expect("a view with two members");
+    let member = view.members()[(view.top() + 1) % view.members().len()];
+    assert_eq!(member.kind(), ElementKind::Node);
+    let element = [
+        &member.id().to_le_bytes()[..],
+        &[0],
+        &0u32.to_le_bytes(),
+        &view.cluster().to_le_bytes(),
+        &view.layer().to_le_bytes(),
+    ]
+    .concat();
+    let at = payload
+        .windows(element.len())
+        .position(|w| w == element)
+        .expect("the snapshot writes the member's element");
+    let (absorbed_into, absorbed_at) = (at + 13, at + 21);
+    let reseal = |byte: Option<usize>| {
+        let mut payload = payload.clone();
+        if let Some(byte) = byte {
+            payload[byte] ^= 1;
+        }
+        let mut w = SnapshotWriter::new();
+        w.put_bytes(&payload);
+        seal(KIND_PLAN, w)
+    };
+    assert_eq!(SolvePlan::from_snapshot(&reseal(None)).as_ref(), Ok(&plan));
+    for byte in [absorbed_into, absorbed_at] {
+        assert_eq!(
+            SolvePlan::from_snapshot(&reseal(Some(byte))).map(|_| ()),
+            Err(SnapshotError::Malformed(
+                "member absorbed_into/absorbed_at differs from its view"
+            )),
+            "flipped payload byte {byte}"
         );
     }
 }
@@ -795,13 +857,15 @@ fn golden_snapshots_decode_and_re_encode_byte_for_byte() {
     assert!(tree.has_plan(), "the tree golden carries its plan (Some)");
     let mut seen = std::collections::BTreeSet::new();
     for view in store.views() {
-        seen.insert(format!("{:?}", view.skeleton.kind));
-        seen.insert(format!("attach {}", view.skeleton.attach.is_some()));
-        for (member, payload) in view.skeleton.members.iter().zip(&view.slots.payloads) {
-            seen.insert(format!("{:?}", member.element.kind));
-            seen.insert(format!("{:?}", member.out_kind));
-            seen.insert(format!("parent {}", member.parent.is_some()));
-            seen.insert(format!("in_edge {}", member.element.in_edge.is_some()));
+        seen.insert(format!("{:?}", view.skeleton.kind()));
+        seen.insert(format!("attach {}", view.skeleton.attach().is_some()));
+        for (member, payload) in view.skeleton.members().iter().zip(&view.slots.payloads) {
+            seen.insert(format!("{:?}", member.kind()));
+            seen.insert(format!("{:?}", member.out_kind()));
+            seen.insert(format!("parent {}", member.parent().is_some()));
+            // A member has an incoming edge exactly when it is an indegree-1 cluster.
+            let in_edge = member.kind() == ElementKind::ClusterIndeg1;
+            seen.insert(format!("in_edge {in_edge}"));
             seen.insert(
                 match payload {
                     Some(Payload::Input(_)) => "Input",
