@@ -26,9 +26,9 @@
 //! and bookkeeping around the two subroutine calls. Those are now absorbed into a
 //! constant number of fused passes per level:
 //!
-//! * both size probes (own size, parent's size) and both path-flag probes (parent's
-//!   flag, child's flag) are single [`MpcContext::join_lookup2`] calls instead of a
-//!   `sort_table` plus two probe rounds each;
+//! * both size probes (own size, parent's size) are one [`MpcContext::join_lookup2`]
+//!   call instead of a `sort_table` plus two probe rounds, and the path-flag probe
+//!   (the child's flag) is one [`MpcContext::join_lookup`];
 //! * the indegree-1 adjacency carries each node's parent, outgoing edge, and per-child
 //!   attachment edge, so degree-2 flags and fragment assembly need no further joins —
 //!   the path payload rides through [`path_distances`] and the incoming edge of every
@@ -281,13 +281,12 @@ pub fn build_clustering(
             parent: r.parent,
             out_edge: r.out_edge,
         });
-        // Both neighbor flags (parent's, child's) in one fused two-column probe.
+        // The child's flag in one probe: the downward walk needs nothing of the parent.
         let path_candidates = flags.clone().filter_local(|f| f.is_path);
-        let probed = ctx.join_lookup2(path_candidates, |f| f.parent, |f| f.child, &flags, |x| x.id);
-        let path_nodes: DistVec<PathNode> = probed.map_local(|(f, up, down)| PathNode {
+        let probed = ctx.join_lookup(path_candidates, |f| f.child, &flags, |x| x.id);
+        let path_nodes: DistVec<PathNode> = probed.map_local(|(f, down)| PathNode {
             id: f.id,
             up: f.parent,
-            up_is_path: up.as_ref().map(|u| u.is_path).unwrap_or(false),
             down: f.child,
             down_is_path: down.as_ref().map(|d| d.is_path).unwrap_or(false),
             out_edge: f.out_edge,

@@ -20,8 +20,10 @@
 //!   (and `⌈log₂ h⌉` for uncolored height `h ≤ D`) every node knows its subtree
 //!   exactly or knows that it is heavy — which is all `CountSubtreeSizes`
 //!   (Lemma 6.13 of Balliu et al.) has to tell the builder — within `cap + 4` words per node.
-//! * [`path_distances`] — pointer doubling along degree-2 paths (Lemma 6.17 of Balliu et al.).
-//!   Any path in a tree has length at most `D`, so `⌈log₂ D⌉` jump rounds suffice.
+//! * [`path_distances`] — pointer doubling down degree-2 paths (Lemma 6.17 of Balliu et
+//!   al.). Each node learns the path's bottom anchor and its distance to it, which is
+//!   all the builder's fragments are cut by. Any path in a tree has length at most `D`,
+//!   so `⌈log₂ D⌉` jump rounds suffice.
 //!
 //! `GatherSubtrees` (Lemma 6.14) needs no separate routine here: once a light node knows
 //! its exact descendant set, membership assignments are distributed with one join.
@@ -32,10 +34,9 @@
 //! indexed once, each doubling step is one fused emit/probe/update exchange (priced as
 //! a join on the first step and a lookup afterwards), converged elements stop emitting
 //! requests — so machines whose records have all settled drop out of later exchanges —
-//! and the final "nothing left to ask" step costs no rounds at all. Both directions of
-//! the path pointer-doubling advance in the *same* exchange instead of two sequential
-//! jump loops. The loops this replaced live on in this module's tests as reference
-//! implementations: bit-identical outputs, never fewer rounds or words.
+//! and the final "nothing left to ask" step costs no rounds at all. The loops this
+//! replaced live on in this module's tests as reference implementations: bit-identical
+//! outputs, never fewer rounds or words.
 
 use crate::element::ElementId;
 use mpc_engine::{ConvergeError, DistVec, MpcContext, Words};
@@ -195,18 +196,16 @@ pub fn count_subtree_sizes(
     }))
 }
 
-/// Input record for [`path_distances`]: one node of a degree-2 path, with its neighbor
-/// above and below, each tagged with whether that neighbor is itself a path node, plus
-/// the two original-tree edges the node attaches through (carried as inert payload so
-/// the caller can assemble path fragments join-free from the output).
+/// Input record for [`path_distances`]: one node of a degree-2 path, with its parent,
+/// its child and whether that child is itself a path node, plus the two original-tree
+/// edges the node attaches through (carried as inert payload so the caller can
+/// assemble path fragments join-free from the output).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PathNode {
     /// The path node.
     pub id: ElementId,
     /// Its parent (always exists; a path node is never the root).
     pub up: ElementId,
-    /// Whether the parent is also a degree-2 path node.
-    pub up_is_path: bool,
     /// Its unique uncolored child.
     pub down: ElementId,
     /// Whether that child is also a degree-2 path node.
@@ -219,7 +218,7 @@ pub struct PathNode {
 
 impl Words for PathNode {
     fn words(&self) -> usize {
-        9
+        8
     }
 }
 
@@ -228,10 +227,6 @@ impl Words for PathNode {
 pub struct PathPosition {
     /// The path node.
     pub id: ElementId,
-    /// First non-path ancestor (the node the topmost path node hangs from).
-    pub top_anchor: ElementId,
-    /// Distance (in edges) to `top_anchor` — the paper's "upwards position".
-    pub dist_up: u64,
     /// First non-path descendant below the path — unique per path, used as the path id.
     pub bottom_anchor: ElementId,
     /// Distance (in edges) to `bottom_anchor` — the paper's "downwards position".
@@ -246,19 +241,15 @@ pub struct PathPosition {
 
 impl Words for PathPosition {
     fn words(&self) -> usize {
-        10
+        8
     }
 }
 
-/// Fused per-node state: both pointer-doubling directions advance in the same
-/// exchange. A direction is done when its pointer is `None`; a node with both
-/// directions done emits nothing, and a machine whose nodes are all done drops out.
+/// Per-node doubling state: the pointer is `None` once the node knows its bottom
+/// anchor; such a node emits nothing, and a machine whose nodes are all done drops out.
 #[derive(Debug, Clone, Copy)]
 struct PathState {
     node: PathNode,
-    up_ptr: Option<ElementId>,
-    dist_up: u64,
-    top_anchor: ElementId,
     down_ptr: Option<ElementId>,
     dist_down: u64,
     bottom_anchor: ElementId,
@@ -266,17 +257,13 @@ struct PathState {
 
 impl Words for PathState {
     fn words(&self) -> usize {
-        self.node.words() + self.up_ptr.words() + self.down_ptr.words() + 4
+        self.node.words() + self.down_ptr.words() + 2
     }
 }
 
-/// One jump answer: the probed node's pre-step pointers, distances and anchors for
-/// both directions (the prober consumes the half matching the direction it asked for).
+/// One jump answer: the probed node's pre-step pointer, distance and anchor.
 #[derive(Debug, Clone, Copy)]
 struct JumpAnswer {
-    up_ptr: Option<ElementId>,
-    dist_up: u64,
-    top_anchor: ElementId,
     down_ptr: Option<ElementId>,
     dist_down: u64,
     bottom_anchor: ElementId,
@@ -284,48 +271,21 @@ struct JumpAnswer {
 
 impl Words for JumpAnswer {
     fn words(&self) -> usize {
-        self.up_ptr.words() + self.down_ptr.words() + 4
+        self.down_ptr.words() + 2
     }
 }
 
-fn seed_path_state(n: &PathNode) -> PathState {
-    PathState {
-        node: *n,
-        up_ptr: if n.up_is_path { Some(n.up) } else { None },
-        dist_up: 1,
-        top_anchor: n.up,
-        down_ptr: if n.down_is_path { Some(n.down) } else { None },
-        dist_down: 1,
-        bottom_anchor: n.down,
-    }
-}
-
-/// Merge one probed answer into one direction of a state: follow the target's pointer,
-/// accumulate its distance, adopt its anchor. A miss leaves the direction untouched
-/// (by the path invariant every live pointer resolves).
-fn merge_jump(
-    ptr: &mut Option<ElementId>,
-    dist: &mut u64,
-    anchor: &mut ElementId,
-    next: Option<(Option<ElementId>, u64, ElementId)>,
-) {
-    if let Some((t_ptr, t_dist, t_anchor)) = next {
-        *ptr = t_ptr;
-        *dist += t_dist;
-        *anchor = t_anchor;
-    }
-}
-
-/// Compute, for every degree-2 path node, its distance to both endpoints of its maximal
-/// path (the paper's `CountDistances`). `O(log D)` rounds: one
-/// [`MpcContext::try_converge`] call doubles both directions in the same exchange, so the
-/// loop costs `join + (steps − 1) · lookup` rounds. Probes observe pre-step states (the
-/// exchange probes before any update).
+/// Compute, for every degree-2 path node, its distance to the bottom end of its
+/// maximal path (the paper's `CountDistances`, downward half: a fragment is fixed by
+/// the bottom anchor and the downward position alone). `O(log D)` rounds: one
+/// [`MpcContext::try_converge`] call follows the pointers down, so the loop costs
+/// `join + (steps − 1) · lookup` rounds. Probes observe pre-step states (the exchange
+/// probes before any update).
 ///
 /// # Errors
 ///
-/// [`ConvergeError::StepBound`] when the `up`/`down` pointers do not describe
-/// disjoint paths (a pointer cycle never settles).
+/// [`ConvergeError::StepBound`] when the `down` pointers do not describe disjoint
+/// paths (a pointer cycle never settles).
 pub fn path_distances(
     ctx: &mut MpcContext,
     nodes: DistVec<PathNode>,
@@ -333,57 +293,34 @@ pub fn path_distances(
     if nodes.is_empty() {
         return Ok(ctx.empty());
     }
-    let mut states: DistVec<PathState> = nodes.map_local(seed_path_state);
+    let mut states: DistVec<PathState> = nodes.map_local(|n| PathState {
+        node: *n,
+        down_ptr: n.down_is_path.then_some(n.down),
+        dist_down: 1,
+        bottom_anchor: n.down,
+    });
     ctx.try_converge(
         &mut states,
         |s| s.node.id,
-        |s, out| {
-            // Up before down: the update pass consumes answers positionally.
-            if let Some(p) = s.up_ptr {
-                out.push(p);
-            }
-            if let Some(p) = s.down_ptr {
-                out.push(p);
-            }
-        },
+        |s, out| out.extend(s.down_ptr),
         |s| JumpAnswer {
-            up_ptr: s.up_ptr,
-            dist_up: s.dist_up,
-            top_anchor: s.top_anchor,
             down_ptr: s.down_ptr,
             dist_down: s.dist_down,
             bottom_anchor: s.bottom_anchor,
         },
         |s, answers| {
-            let mut next = answers.iter();
-            if s.up_ptr.is_some() {
-                let (_, found) = next.next().expect("answer per live direction");
-                merge_jump(
-                    &mut s.up_ptr,
-                    &mut s.dist_up,
-                    &mut s.top_anchor,
-                    found.as_ref().map(|t| (t.up_ptr, t.dist_up, t.top_anchor)),
-                );
+            // A miss leaves the state untouched (by the path invariant every live
+            // pointer resolves).
+            if let Some((_, Some(t))) = answers.first() {
+                s.down_ptr = t.down_ptr;
+                s.dist_down += t.dist_down;
+                s.bottom_anchor = t.bottom_anchor;
             }
-            if s.down_ptr.is_some() {
-                let (_, found) = next.next().expect("answer per live direction");
-                merge_jump(
-                    &mut s.down_ptr,
-                    &mut s.dist_down,
-                    &mut s.bottom_anchor,
-                    found
-                        .as_ref()
-                        .map(|t| (t.down_ptr, t.dist_down, t.bottom_anchor)),
-                );
-            }
-            debug_assert!(next.next().is_none(), "all answers consumed");
         },
         "path_distances",
     )?;
     Ok(states.map_local(|s| PathPosition {
         id: s.node.id,
-        top_anchor: s.top_anchor,
-        dist_up: s.dist_up,
         bottom_anchor: s.bottom_anchor,
         dist_down: s.dist_down,
         up: s.node.up,
@@ -662,22 +599,13 @@ mod tests {
         states.iter().map(|s| (s.id, s.anchor, s.dist)).collect()
     }
 
-    /// Reference for [`path_distances`], the loops it replaced: two sequential jump
-    /// loops, one per direction, each a full `all_reduce` + `join_lookup` per doubling step.
+    /// Reference for [`path_distances`], the loop it replaced: a full `all_reduce` +
+    /// `join_lookup` per doubling step.
     fn path_distances_legacy(
         ctx: &mut MpcContext,
         nodes: DistVec<PathNode>,
     ) -> DistVec<PathPosition> {
         let payload: Vec<PathNode> = nodes.iter().copied().collect();
-        let up_init: Vec<JumpState> = payload
-            .iter()
-            .map(|n| JumpState {
-                id: n.id,
-                ptr: if n.up_is_path { Some(n.up) } else { None },
-                dist: 1,
-                anchor: n.up,
-            })
-            .collect();
         let down_init: Vec<JumpState> = payload
             .iter()
             .map(|n| JumpState {
@@ -687,22 +615,17 @@ mod tests {
                 anchor: n.down,
             })
             .collect();
-        let ups = jump(ctx, up_init);
         let downs = jump(ctx, down_init);
-        // Both jump passes preserve the input record order (their states only ever act
-        // as join *requests*), so the two result lists are aligned with the input: the
-        // combination is a machine-local zip, not another join.
-        let positions: Vec<PathPosition> = ups
+        // The jump pass preserves the input record order (its states only ever act as
+        // join *requests*), so the result list is aligned with the input: attaching the
+        // payload is a machine-local zip, not another join.
+        let positions: Vec<PathPosition> = downs
             .into_iter()
-            .zip(downs)
             .zip(payload)
-            .map(|((up, down), node)| {
-                debug_assert_eq!(up.0, down.0, "jump passes stay aligned");
-                debug_assert_eq!(up.0, node.id, "jump passes stay aligned with the input");
+            .map(|(down, node)| {
+                debug_assert_eq!(down.0, node.id, "jump pass stays aligned with the input");
                 PathPosition {
-                    id: up.0,
-                    top_anchor: up.1,
-                    dist_up: up.2,
+                    id: down.0,
                     bottom_anchor: down.1,
                     dist_down: down.2,
                     up: node.up,
@@ -737,7 +660,6 @@ mod tests {
             path_nodes.push(PathNode {
                 id: v as u64,
                 up: up as u64,
-                up_is_path: tree.children(up).len() == 1 && tree.parent(up).is_some(),
                 down: down as u64,
                 down_is_path: tree.children(down).len() == 1,
                 out_edge: DirectedEdge::new(v as u64, up as u64),
@@ -930,13 +852,12 @@ mod tests {
     #[test]
     fn path_distances_on_pure_path() {
         // Path 0→1→…→9 rooted at 0; nodes 1..=8 are degree-2 (node 9 is a leaf, node 0
-        // is the root). Path nodes: 1..=8, top anchor 0, bottom anchor 9.
+        // is the root). Path nodes: 1..=8, bottom anchor 9.
         let mut c = ctx(32);
         let nodes: Vec<PathNode> = (1..=8u64)
             .map(|v| PathNode {
                 id: v,
                 up: v - 1,
-                up_is_path: v > 1,
                 down: v + 1,
                 down_is_path: v < 8,
                 out_edge: DirectedEdge::new(v, v - 1),
@@ -946,9 +867,7 @@ mod tests {
         let dv = c.from_vec(nodes);
         let out = path_distances(&mut c, dv).unwrap().into_vec();
         for p in out {
-            assert_eq!(p.top_anchor, 0, "node {}", p.id);
             assert_eq!(p.bottom_anchor, 9, "node {}", p.id);
-            assert_eq!(p.dist_up, p.id, "node {}", p.id);
             assert_eq!(p.dist_down, 9 - p.id, "node {}", p.id);
             // Payload fields ride through untouched.
             assert_eq!(p.up, p.id - 1, "node {}", p.id);
@@ -960,7 +879,7 @@ mod tests {
     #[test]
     fn path_distances_multiple_paths() {
         // A spider with 3 legs of length 6: each leg's internal nodes form a separate
-        // degree-2 path with the center as top anchor and the leaf as bottom anchor.
+        // degree-2 path with the leaf as bottom anchor.
         let tree = shapes::spider(3, 6);
         let mut c = ctx(64);
         let depths = tree.depths();
@@ -969,9 +888,7 @@ mod tests {
         let out = path_distances(&mut c, dv).unwrap().into_vec();
         assert_eq!(out.len(), path_nodes.len());
         for p in &out {
-            assert_eq!(p.top_anchor, 0);
-            assert_eq!(p.dist_up, depths[p.id as usize] as u64);
-            assert_eq!(p.dist_up + p.dist_down, 6);
+            assert_eq!(depths[p.id as usize] as u64 + p.dist_down, 6);
             // Bottom anchor must be the leg's leaf.
             assert!(tree.children(p.bottom_anchor as usize).is_empty());
         }
@@ -995,13 +912,42 @@ mod tests {
             let legacy = path_distances_legacy(&mut legacy_ctx, dv).into_vec();
 
             assert_eq!(fused, legacy, "{}-node tree", tree.len());
+            let (fused_m, legacy_m) = (fused_ctx.metrics(), legacy_ctx.metrics());
             assert!(
-                fused_ctx.metrics().rounds <= legacy_ctx.metrics().rounds,
+                fused_m.rounds <= legacy_m.rounds,
                 "fused {} vs legacy {} rounds",
-                fused_ctx.metrics().rounds,
-                legacy_ctx.metrics().rounds
+                fused_m.rounds,
+                legacy_m.rounds
+            );
+            assert!(
+                fused_m.total_words_sent <= legacy_m.total_words_sent,
+                "fused {} vs legacy {} words",
+                fused_m.total_words_sent,
+                legacy_m.total_words_sent
             );
         }
+    }
+
+    #[test]
+    fn path_distances_walk_down_only() {
+        // A 4096-node pure path at n = 8192: the downward walk alone pays the rounds the
+        // two-direction walk paid (the longest path fixes the step count) and well
+        // under half its words (889 088 when both directions doubled).
+        let tree = shapes::path(4096);
+        let mut c = MpcContext::new(MpcConfig::new(8192, 0.5));
+        let dv = c.from_vec(path_nodes_of(&tree));
+        let out = path_distances(&mut c, dv).unwrap().into_vec();
+        for p in &out {
+            assert_eq!(p.bottom_anchor, 4095);
+            assert_eq!(p.id + p.dist_down, 4095);
+        }
+        let m = c.metrics();
+        assert_eq!(m.rounds, 29);
+        assert!(
+            m.total_words_sent * 10 <= 889_088 * 4,
+            "{} words",
+            m.total_words_sent
+        );
     }
 
     #[test]

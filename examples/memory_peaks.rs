@@ -4,14 +4,16 @@
 //! Every shape is solved as the cold benchmark workloads solve it: n = 2^16 nodes,
 //! `MpcConfig::new(2n, δ)` (32× memory slack), prepare → plan → MaxIS, each tree in
 //! the representation the workload feeds it. For each shape the example prints the
-//! degree reduction's rounds and moved words, the plan's skeleton words per tree node,
-//! the peak local memory against the `Θ(n^δ)` capacity, and the phases whose
+//! degree reduction's rounds and moved words, the words the clustering's path
+//! subroutine (`cluster-paths`) moves per tree node, the plan's skeleton words per tree
+//! node, the peak local memory against the `Θ(n^δ)` capacity, and the phases whose
 //! local-memory breaches are largest.
 //!
 //! Three sections: δ = 1/2, the cold workloads' setting, is a gate — the example fails
 //! unless every shape stays within capacity with no local-memory breach and its plan
-//! skeletons take at most 8 words per tree node; δ = 1/2 at 8× slack and δ = 1/4 are
-//! reported only.
+//! skeletons take at most 8 words per tree node; δ = 1/2 at 8× slack is reported only,
+//! save that at δ = 1/2 `cluster-paths` may move at most 128 words per tree node in
+//! either section; δ = 1/4 is reported only.
 //!
 //! Run with: `cargo run --release --example memory_peaks`
 
@@ -65,6 +67,8 @@ fn represent(tree: &Tree, given: Given) -> (TreeInput, Vec<u64>) {
 struct Peaks {
     /// The degree reduction's rounds and moved words.
     degree: (u64, u64),
+    /// The words the `cluster-paths` phases move, per tree node.
+    paths_per_node: f64,
     /// The plan's skeleton words per tree node.
     skeleton_per_node: f64,
     peak: usize,
@@ -84,6 +88,14 @@ fn measure(tree: &Tree, given: Given, delta: f64, slack: f64) -> Peaks {
         .iter()
         .find(|p| p.name == "degree-reduction")
         .map_or((0, 0), |p| (p.rounds, p.words_sent));
+    let paths_words: u64 = ctx
+        .metrics()
+        .phases
+        .iter()
+        .filter(|p| p.name == "cluster-paths")
+        .map(|p| p.words_sent)
+        .sum();
+    let paths_per_node = paths_words as f64 / tree.len() as f64;
     let weights = ctx.from_vec(ids.iter().map(|&v| (v, 1 + (v % 30) as i64)).collect());
     let no_edges = ctx.from_vec(Vec::<(u64, ())>::new());
     let plan = prepared.plan_uncached(&mut ctx);
@@ -107,6 +119,7 @@ fn measure(tree: &Tree, given: Given, delta: f64, slack: f64) -> Peaks {
     breaches.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     Peaks {
         degree,
+        paths_per_node,
         skeleton_per_node,
         peak: metrics.peak_local_memory,
         capacity: ctx.config().local_capacity(),
@@ -139,8 +152,8 @@ fn main() {
         let gated = delta == 0.5 && slack == 32.0;
         println!("{section}");
         println!(
-            "{:<17} {:>15} {:>9} {:>10} {:>9} {:>7}  worst breaches (phase/primitive: words)",
-            "shape", "degree rnd/words", "plan w/n", "peak", "capacity", "ratio"
+            "{:<17} {:>15} {:>9} {:>9} {:>10} {:>9} {:>7}  worst breaches (phase/primitive: words)",
+            "shape", "degree rnd/words", "paths w/n", "plan w/n", "peak", "capacity", "ratio"
         );
         for (name, tree, given) in &trees {
             let peaks = measure(tree, *given, delta, slack);
@@ -151,8 +164,9 @@ fn main() {
                 .map(|(context, words)| format!("{context}: {words}"))
                 .collect();
             println!(
-                "{name:<17} {:>15} {:>9.2} {:>10} {:>9} {:>7.2}  {}",
+                "{name:<17} {:>15} {:>9.2} {:>9.2} {:>10} {:>9} {:>7.2}  {}",
                 format!("{}/{}", peaks.degree.0, peaks.degree.1),
+                peaks.paths_per_node,
                 peaks.skeleton_per_node,
                 peaks.peak,
                 peaks.capacity,
@@ -169,6 +183,12 @@ fn main() {
                 over.push(format!(
                     "{name}: {:.2} skeleton words per tree node",
                     peaks.skeleton_per_node
+                ));
+            }
+            if delta == 0.5 && peaks.paths_per_node > 128.0 {
+                over.push(format!(
+                    "{name} at {slack}× slack: cluster-paths moves {:.2} words per tree node",
+                    peaks.paths_per_node
                 ));
             }
         }

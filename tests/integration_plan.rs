@@ -239,6 +239,44 @@ fn plan_solves_match_fresh_solves_on_random_trees() {
 }
 
 #[test]
+fn matching_matches_the_sequential_optimum_on_degree_reduced_trees() {
+    // Random-recursive trees wider than the default threshold, so the plan runs over
+    // auxiliary nodes and edges the degree reduction added. Two edge-weight vectors
+    // each, one of them heavy-tailed, against the sequential solver on the original tree.
+    for (n, seed) in [(2048, 1), (4096, 3), (8192, 6), (8192, 11)] {
+        let tree = shapes::random_recursive(n, seed);
+        let mut ctx = ctx_for(n);
+        let threshold = ctx.config().n_half_delta();
+        let widest = (0..n).map(|v| tree.children(v).len()).max().unwrap();
+        assert!(
+            widest > threshold,
+            "random-recursive({n}, {seed}): {widest} children, threshold {threshold}"
+        );
+        let prepared = prepare(
+            &mut ctx,
+            TreeInput::ListOfEdges(ListOfEdges::from_tree(&tree)),
+            None,
+        )
+        .unwrap();
+        let what = format!("random-recursive({n}, {seed})");
+        let mut case = Case {
+            ctx,
+            prepared,
+            tree: &tree,
+            what: &what,
+        };
+        let mut state = seed;
+        let uniform: Vec<i64> = (0..n).map(|v| 1 + (v % 9) as i64).collect();
+        let skewed: Vec<i64> = (0..n)
+            .map(|_| 1 + (splitmix(&mut state) % 1000).pow(2) as i64)
+            .collect();
+        for edge_w in [uniform, skewed] {
+            case.check(MaxWeightMatching, &vec![(); n], (), &edge_w);
+        }
+    }
+}
+
+#[test]
 fn solve_many_matches_individual_plan_solves() {
     let tree = shapes::caterpillar(24, 3);
     let mut ctx = ctx_for(tree.len());
@@ -676,7 +714,6 @@ fn class_run(name: &str, tree: &Tree, threshold: Option<usize>) -> ClassRun {
         PathNode {
             id: v as u64,
             up: up as u64,
-            up_is_path: is_path(up),
             down: down as u64,
             down_is_path: is_path(down),
             out_edge: DirectedEdge::new(v as u64, up as u64),
