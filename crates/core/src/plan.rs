@@ -1289,9 +1289,10 @@ impl SolvePlan {
     /// Check that the plan is safe to evaluate and splice — what a decoder must know
     /// before it hands out a plan read from bytes, on top of the member trees the
     /// compact layout is packed from: one skeleton set per machine, machine indexes
-    /// in range, every non-top cluster's summary flows to a member slot at a higher
-    /// layer, the top cluster's view lies on `top_machine`, and no element has two
-    /// member slots. `Err` names the first defect. `O(n log n)`.
+    /// in range, an incoming edge on exactly the indegree-1 views, every non-top
+    /// cluster's summary flows to a member slot of its own kind at a higher layer,
+    /// no other member is a cluster, the top cluster's view lies on `top_machine`, and
+    /// no element has two member slots. `Err` names the first defect. `O(n log n)`.
     pub fn validate(&self) -> Result<(), &'static str> {
         if self.num_machines == 0 || self.skeletons.len() != self.num_machines {
             return Err("plan layer/machine layout");
@@ -1302,13 +1303,24 @@ impl SolvePlan {
             return Err("plan machine index");
         }
         let mut top_found = false;
+        let mut cluster_members = 0;
         for (at, view) in self.views() {
+            if view.in_edge().is_some() != (view.kind() == ElementKind::ClusterIndeg1) {
+                return Err("plan view in-edge");
+            }
+            let members = view.members().iter();
+            cluster_members += members.filter(|m| m.kind() != ElementKind::Node).count();
             let cluster = view.cluster();
             if cluster == self.top_cluster {
                 top_found |= at.machine as usize == self.top_machine;
             } else {
                 match self.routing.payload(cluster) {
-                    Some(s) if s.layer > at.layer => {}
+                    Some(s) if s.layer > at.layer => {
+                        let slot = self.view_at(s.view_slot()).member(s.member as usize);
+                        if slot.kind() != view.kind() {
+                            return Err("plan member kind");
+                        }
+                    }
                     _ => return Err("plan summary slot"),
                 }
             }
@@ -1320,6 +1332,11 @@ impl SolvePlan {
         // a repeated key.
         if self.routing.repeats_a_payload() {
             return Err("plan payload slot");
+        }
+        // Each non-top view matched one cluster member above, a distinct one: any
+        // further cluster member claims a cluster no view summarizes.
+        if cluster_members + 1 != self.num_views() {
+            return Err("plan member kind");
         }
         Ok(())
     }

@@ -626,6 +626,17 @@ impl<'a> PlanView<'a> {
         self.head.in_kind()
     }
 
+    /// The view as [`Skeletons::push`] takes it.
+    pub(crate) fn linked(&self) -> Linked {
+        Linked {
+            members: self.members.to_vec(),
+            top: self.top(),
+            kind: self.kind(),
+            out_parent: self.head.out_parent,
+            in_edge: self.in_edge().map(|e| (e, self.attach(), self.in_kind())),
+        }
+    }
+
     /// `true` when member `i` leaves by the virtual edge above the root.
     pub fn leaves_tree(&self, i: usize) -> bool {
         i == self.top() && self.head.out_parent == VIRTUAL_NODE

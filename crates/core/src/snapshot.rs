@@ -25,17 +25,17 @@
 //! Decoding is total: corrupted headers, truncated payloads, unknown versions, wrong
 //! kinds, and checksum mismatches all surface as [`SnapshotError`] values — never
 //! panics (the workspace's `clippy::unwrap_used` deny applies here like anywhere). A
-//! plan travels as its skeleton views only: decoding derives the routing indexes from
-//! them, as a plan build does. The views are spelled out in full — every member's
-//! whole clustering element, parent and child list — although a plan keeps only a
-//! few words per member ([`crate::skeleton`]): the encoder derives the rest, and the
-//! decoder packs the views and refuses them unless every field it derives back reads
-//! as written. A checksum only vouches for the bytes, so a decoded [`SolvePlan`] is
-//! also checked for member trees it can pack and for what the evaluation pass relies
-//! on ([`SolvePlan::validate`]), a decoded [`SolverStore`] for slot state that matches
-//! its plan, and a decoded [`PreparedTree`] for root and node-count slots that repeat
-//! its clustering's: a re-sealed payload with one index or one derived field out of
-//! place is [`SnapshotError::Malformed`], not a panic on the next solve.
+//! plan travels as what its skeletons store ([`crate::skeleton`]) and nothing they
+//! derive: per layer and machine the number of views, per view its kind, the parent
+//! end of its outgoing edge, its top index and its incoming-edge record, per member
+//! its id, kind, outgoing-edge kind and parent index. Decoding derives the rest — child
+//! runs, enters-parent flags, routing indexes — as a plan build does. A checksum only
+//! vouches for the bytes, so a decoded [`SolvePlan`] is also checked for member trees
+//! its skeletons can hold and for what the evaluation pass relies on
+//! ([`SolvePlan::validate`]), a decoded [`SolverStore`] for slot state that matches
+//! its plan, and a decoded [`PreparedTree`] for a cached plan of its own clustering: a
+//! re-sealed payload with one index out of place is [`SnapshotError::Malformed`], not a
+//! panic on the next solve.
 //!
 //! The codec is versioned through [`SNAPSHOT_VERSION`]: a reader refuses payloads
 //! written by a future version instead of misinterpreting them. Downstream users (the
@@ -43,7 +43,7 @@
 //! [`seal`] / [`open`].
 
 use crate::pipeline::PreparedTree;
-use crate::plan::{PlanMember, PlanView, SolvePlan};
+use crate::plan::{PlanMember, SolvePlan};
 use crate::problem::{ClusterDp, Payload, SlotState};
 use crate::routing::Routing;
 use crate::skeleton::{Linked, Skeletons, MAX_MEMBERS};
@@ -52,8 +52,8 @@ use crate::store::SolverStore;
 use mpc_engine::{unmetered, DistVec, MpcConfig};
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
-use tree_clustering::{Clustering, EdgeKind, Element, ElementId, ElementKind};
-use tree_repr::{DirectedEdge, NodeId};
+use tree_clustering::{Clustering, EdgeKind, Element, ElementKind};
+use tree_repr::DirectedEdge;
 
 /// Magic bytes opening every snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"TREEDPSS";
@@ -62,15 +62,17 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"TREEDPSS";
 pub const SNAPSHOT_VERSION: u32 = 1;
 
 /// Payload kind: a [`PreparedTree`] (with its cached plan, if built). Bumped 1 → 5
-/// when plans stopped carrying their routing indexes.
-pub const KIND_PREPARED_TREE: u32 = 5;
+/// when plans stopped carrying their routing indexes, 5 → 8 when plans began to travel
+/// as their compact skeletons and the tree lost its second root and node count.
+pub const KIND_PREPARED_TREE: u32 = 8;
 /// Payload kind: a bare [`SolvePlan`]. Bumped 2 → 6 when plans stopped carrying their
-/// routing indexes.
-pub const KIND_PLAN: u32 = 6;
+/// routing indexes, 6 → 9 when they began to travel as their compact skeletons.
+pub const KIND_PLAN: u32 = 9;
 /// Payload kind: a [`SolverStore`]. Bumped 3 → 4 when the store became a plan plus
 /// slot state (kind 3 held a cloned view per cluster and a payload map), 4 → 7 when
-/// plans stopped carrying their routing indexes.
-pub const KIND_STORE: u32 = 7;
+/// plans stopped carrying their routing indexes, 7 → 10 when they began to travel as
+/// their compact skeletons.
+pub const KIND_STORE: u32 = 10;
 
 /// Why a snapshot failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -464,6 +466,17 @@ impl<A: Snapshot, B: Snapshot> Snapshot for (A, B) {
     }
 }
 
+impl<A: Snapshot, B: Snapshot, C: Snapshot> Snapshot for (A, B, C) {
+    fn encode(&self, w: &mut SnapshotWriter) {
+        self.0.encode(w);
+        self.1.encode(w);
+        self.2.encode(w);
+    }
+    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Ok((A::decode(r)?, B::decode(r)?, C::decode(r)?))
+    }
+}
+
 impl<T: Snapshot> Snapshot for Option<T> {
     fn encode(&self, w: &mut SnapshotWriter) {
         match self {
@@ -665,335 +678,167 @@ impl Snapshot for Clustering {
 
 // ----- plan impls -------------------------------------------------------------------
 
-/// One member of a [`WireView`]: the clustering element, the kind of its outgoing
-/// edge and its place in the member tree — the plan snapshot's member layout.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct WireMember {
-    pub(crate) element: Element,
-    pub(crate) out_kind: EdgeKind,
-    pub(crate) parent: Option<usize>,
-    pub(crate) children: Vec<usize>,
-}
-
-/// A skeleton view as a plan snapshot spells it out: every field the compact layout
-/// derives written in full ([`crate::skeleton`]). The encoder derives the fields from
-/// the plan; the decoder packs them and refuses them unless they agree with what it
-/// derives back.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct WireView {
-    pub(crate) cluster: ElementId,
-    pub(crate) kind: ElementKind,
-    pub(crate) members: Vec<WireMember>,
-    pub(crate) top: usize,
-    pub(crate) out_edge: DirectedEdge,
-    pub(crate) in_edge: Option<DirectedEdge>,
-    pub(crate) attach: Option<usize>,
-    pub(crate) in_kind: EdgeKind,
-}
-
-/// A plan as its snapshot spells it out: the header fields and every view in full,
-/// `layers[layer - 1][machine][view]`.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct WirePlan {
-    pub(crate) num_layers: u32,
-    pub(crate) num_machines: usize,
-    pub(crate) root: NodeId,
-    pub(crate) top_cluster: ElementId,
-    pub(crate) top_machine: usize,
-    pub(crate) aux_nodes: Vec<(NodeId, usize)>,
-    pub(crate) layers: Vec<Vec<Vec<WireView>>>,
-}
-
-impl Snapshot for WireMember {
-    fn encode(&self, w: &mut SnapshotWriter) {
-        self.element.encode(w);
-        self.out_kind.encode(w);
-        self.parent.encode(w);
-        self.children.encode(w);
-    }
-    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(WireMember {
-            element: Element::decode(r)?,
-            out_kind: EdgeKind::decode(r)?,
-            parent: Option::decode(r)?,
-            children: Vec::decode(r)?,
-        })
+/// Write a plan in its snapshot layout: `plan`'s header fields and auxiliary nodes,
+/// then, layer by layer and machine by machine, the number of views and each view
+/// ([`write_view`]). `views` yields one `(layer, machine)` bucket after another — the
+/// plan's own views when it is encoded.
+pub(crate) fn write_plan(
+    plan: &SolvePlan,
+    views: impl Iterator<Item = Vec<Linked>>,
+    w: &mut SnapshotWriter,
+) {
+    w.put_u32(plan.num_layers);
+    w.put_usize(plan.num_machines);
+    w.put_u64(plan.root);
+    w.put_u64(plan.top_cluster);
+    w.put_usize(plan.top_machine);
+    plan.aux_nodes.encode(w);
+    for bucket in views {
+        w.put_usize(bucket.len());
+        bucket.iter().for_each(|view| write_view(view, w));
     }
 }
 
-impl Snapshot for WireView {
-    fn encode(&self, w: &mut SnapshotWriter) {
-        w.put_u64(self.cluster);
-        self.kind.encode(w);
-        self.members.encode(w);
-        w.put_usize(self.top);
-        self.out_edge.encode(w);
-        self.in_edge.encode(w);
-        self.attach.encode(w);
-        self.in_kind.encode(w);
-    }
-    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(WireView {
-            cluster: r.take_u64()?,
-            kind: ElementKind::decode(r)?,
-            members: Vec::decode(r)?,
-            top: r.take_usize()?,
-            out_edge: DirectedEdge::decode(r)?,
-            in_edge: Option::decode(r)?,
-            attach: Option::decode(r)?,
-            in_kind: EdgeKind::decode(r)?,
-        })
-    }
-}
-
-impl Snapshot for WirePlan {
-    fn encode(&self, w: &mut SnapshotWriter) {
-        w.put_u32(self.num_layers);
-        w.put_usize(self.num_machines);
-        w.put_u64(self.root);
-        w.put_u64(self.top_cluster);
-        w.put_usize(self.top_machine);
-        self.aux_nodes.encode(w);
-        self.layers.encode(w);
-    }
-    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(WirePlan {
-            num_layers: r.take_u32()?,
-            num_machines: r.take_usize()?,
-            root: r.take_u64()?,
-            top_cluster: r.take_u64()?,
-            top_machine: r.take_usize()?,
-            aux_nodes: Vec::decode(r)?,
-            layers: Vec::decode(r)?,
-        })
-    }
-}
-
-/// Write `view` of `plan` as a [`WireView`] would encode it, every derived field
-/// spelled out.
-fn encode_view(plan: &SolvePlan, view: &PlanView<'_>, w: &mut SnapshotWriter) {
-    w.put_u64(view.cluster());
-    view.kind().encode(w);
-    w.put_usize(view.members().len());
-    for (i, member) in view.members().iter().enumerate() {
-        plan.element(view, i)
-            .expect("a plan derives every element")
-            .encode(w);
+/// Write one view as its skeleton stores it and nothing it derives: its kind, the
+/// parent end of its outgoing edge, its top index and its incoming-edge record, then
+/// each member's id, kind, outgoing-edge kind and parent index.
+fn write_view(view: &Linked, w: &mut SnapshotWriter) {
+    view.kind.encode(w);
+    w.put_u64(view.out_parent);
+    w.put_usize(view.top);
+    view.in_edge.encode(w);
+    w.put_usize(view.members.len());
+    for member in &view.members {
+        w.put_u64(member.id());
+        member.kind().encode(w);
         member.out_kind().encode(w);
         member.parent().encode(w);
-        let children = view.children(i);
-        w.put_usize(children.len());
-        for &c in children {
-            w.put_usize(c as usize);
-        }
     }
-    w.put_usize(view.top());
-    view.out_edge().encode(w);
-    view.in_edge().encode(w);
-    view.attach().encode(w);
-    view.in_kind().encode(w);
 }
 
-impl WireView {
-    /// `view` of `plan` with every field spelled out.
-    #[cfg(test)]
-    fn of(plan: &SolvePlan, view: &PlanView<'_>) -> WireView {
-        let members = view
-            .members()
-            .iter()
-            .enumerate()
-            .map(|(i, member)| WireMember {
-                element: plan.element(view, i).expect("a plan derives every element"),
-                out_kind: member.out_kind(),
-                parent: member.parent(),
-                children: view.children(i).iter().map(|&c| c as usize).collect(),
-            });
-        WireView {
-            cluster: view.cluster(),
-            kind: view.kind(),
-            members: members.collect(),
-            top: view.top(),
-            out_edge: view.out_edge(),
-            in_edge: view.in_edge(),
-            attach: view.attach(),
-            in_kind: view.in_kind(),
-        }
+/// Read one view written by [`write_view`] and check its member tree, which
+/// [`Skeletons::push`] relies on; an edge into a contracted parent is that parent's
+/// incoming edge, as a plan build links them.
+fn read_view(r: &mut SnapshotReader<'_>) -> Result<Linked, SnapshotError> {
+    let kind = ElementKind::decode(r)?;
+    let out_parent = r.take_u64()?;
+    let top = r.take_usize()?;
+    let in_edge: Option<(DirectedEdge, Option<usize>, EdgeKind)> = Option::decode(r)?;
+    let len = r.take_len()?;
+    let (mut written, mut parents) = (Vec::with_capacity(len), Vec::with_capacity(len));
+    for _ in 0..len {
+        written.push((r.take_u64()?, ElementKind::decode(r)?, EdgeKind::decode(r)?));
+        parents.push(Option::<usize>::decode(r)?);
     }
+    check_member_tree(&parents, top, in_edge.and_then(|(_, attach, _)| attach))
+        .map_err(SnapshotError::Malformed)?;
+    let members = written
+        .iter()
+        .zip(&parents)
+        .map(|(&(id, kind, out_kind), &parent)| {
+            let enters = parent.is_some_and(|p| written[p].1 != ElementKind::Node);
+            PlanMember::new(id, kind, out_kind, parent, enters)
+        });
+    Ok(Linked {
+        members: members.collect(),
+        top,
+        kind,
+        out_parent,
+        in_edge,
+    })
+}
 
-    /// Check that every field of this written view reads as `plan` derives it for
-    /// `view`, the view it was packed into.
-    fn agrees_with(&self, plan: &SolvePlan, view: &PlanView<'_>) -> Result<(), &'static str> {
-        let absorbed = (view.cluster(), view.layer());
-        if self
-            .members
-            .iter()
-            .any(|m| (m.element.absorbed_into, m.element.absorbed_at) != absorbed)
-        {
-            return Err("member absorbed_into/absorbed_at differs from its view");
-        }
-        let member_agrees = |(i, (written, member)): (usize, (&WireMember, &PlanMember))| {
-            plan.element(view, i) == Some(written.element)
-                && written.out_kind == member.out_kind()
-                && written.parent == member.parent()
-                && (written.children.iter().copied())
-                    .eq(view.children(i).iter().map(|&c| c as usize))
-        };
-        let header = (self.cluster, self.kind, self.top, self.out_edge)
-            == (view.cluster(), view.kind(), view.top(), view.out_edge())
-            && (self.in_edge, self.attach, self.in_kind)
-                == (view.in_edge(), view.attach(), view.in_kind());
-        let members = self.members.len() == view.members().len()
-            && (self.members.iter().zip(view.members()).enumerate()).all(member_agrees);
-        if header && members {
-            Ok(())
-        } else {
-            Err("view field differs from what its skeleton derives")
-        }
+/// Check that `parents` links one tree hanging from member `top`: `top`, `attach` and
+/// every parent index in range, fewer than [`MAX_MEMBERS`] members, the top member
+/// without a parent, and every member reached once from it — walking up from any
+/// member ends at the top, not at a second root or in a cycle.
+fn check_member_tree(
+    parents: &[Option<usize>],
+    top: usize,
+    attach: Option<usize>,
+) -> Result<(), &'static str> {
+    let n = parents.len();
+    if top >= n || attach.is_some_and(|a| a >= n) {
+        return Err("view top/attach index");
     }
-
-    /// Check that the member tree is one tree rooted at `top`: `top`, `attach` and
-    /// every parent/child index in range, parent and child links mutual, and every
-    /// member reached exactly once from the top member — what packing relies on.
-    fn validate(&self) -> Result<(), &'static str> {
-        let n = self.members.len();
-        if self.top >= n || self.attach.is_some_and(|a| a >= n) {
-            return Err("view top/attach index");
-        }
-        if n >= MAX_MEMBERS {
-            return Err("view member count");
-        }
-        if self.members[self.top].parent.is_some() {
-            return Err("view top member has a parent");
-        }
-        let mut reached = vec![false; n];
-        let mut stack = vec![self.top];
-        while let Some(i) = stack.pop() {
-            if std::mem::replace(&mut reached[i], true) {
+    if n >= MAX_MEMBERS {
+        return Err("view member count");
+    }
+    if parents.iter().flatten().any(|&p| p >= n) {
+        return Err("view parent index");
+    }
+    if parents[top].is_some() {
+        return Err("view top member has a parent");
+    }
+    let mut hangs = vec![false; n];
+    hangs[top] = true;
+    let mut walk = Vec::new();
+    for start in 0..n {
+        let mut i = start;
+        while !hangs[i] {
+            // A walk through more than `n` members has gone round a cycle.
+            if walk.len() == n {
                 return Err("view member tree");
             }
-            for &c in &self.members[i].children {
-                if self.members.get(c).map(|m| m.parent) != Some(Some(i)) {
-                    return Err("view parent/child link");
-                }
-                stack.push(c);
-            }
+            walk.push(i);
+            i = parents[i].ok_or("view member tree")?;
         }
-        if reached.contains(&false) {
-            return Err("view member tree");
-        }
-        Ok(())
+        walk.drain(..).for_each(|j| hangs[j] = true);
     }
-
-    /// The view packed for a machine's skeletons (after [`validate`](Self::validate)).
-    fn linked(&self) -> Linked {
-        let members = self.members.iter().map(|m| {
-            // Packing records whether the edge enters the parent as its incoming edge;
-            // the agreement check below refuses a snapshot where it does not.
-            let enters = m
-                .parent
-                .is_some_and(|p| self.members[p].element.kind != ElementKind::Node);
-            let e = &m.element;
-            PlanMember::new(e.id, e.kind, m.out_kind, m.parent, enters)
-        });
-        Linked {
-            members: members.collect(),
-            top: self.top,
-            kind: self.kind,
-            out_parent: self.out_edge.parent,
-            in_edge: self.in_edge.map(|e| (e, self.attach, self.in_kind)),
-        }
-    }
+    Ok(())
 }
 
-impl WirePlan {
-    /// The plan spelled out.
-    #[cfg(test)]
-    pub(crate) fn of(plan: &SolvePlan) -> WirePlan {
-        let mut layers: Vec<Vec<Vec<WireView>>> = (0..plan.num_layers)
-            .map(|_| (0..plan.num_machines).map(|_| Vec::new()).collect())
-            .collect();
-        for (at, view) in plan.views() {
-            layers[at.layer() as usize - 1][at.machine as usize].push(WireView::of(plan, &view));
-        }
-        WirePlan {
-            num_layers: plan.num_layers,
-            num_machines: plan.num_machines,
-            root: plan.root,
-            top_cluster: plan.top_cluster,
-            top_machine: plan.top_machine,
-            aux_nodes: plan.aux_nodes.clone(),
-            layers,
-        }
+impl Snapshot for SolvePlan {
+    fn encode(&self, w: &mut SnapshotWriter) {
+        let buckets = (1..=self.num_layers).flat_map(|layer| {
+            (0..self.num_machines).map(move |machine| {
+                self.views_at(layer, machine)
+                    .map(|v| v.linked())
+                    .collect::<Vec<_>>()
+            })
+        });
+        write_plan(self, buckets, w);
     }
-
-    /// Pack the views into a plan, derive its routing indexes, and check it: the
-    /// layer/machine shape and every member tree before packing, the plan's own
-    /// invariants ([`SolvePlan::validate`]) after, and last that every field the
-    /// compact layout derives reads back as the snapshot wrote it.
-    fn into_plan(self) -> Result<SolvePlan, &'static str> {
-        if self.num_machines == 0
-            || self.layers.len() != self.num_layers as usize
-            || self.layers.iter().any(|l| l.len() != self.num_machines)
-        {
-            return Err("plan layer/machine layout");
+    /// Read the views into skeletons, derive the routing indexes from them, as a plan
+    /// build does, and check what the evaluation pass relies on
+    /// ([`SolvePlan::validate`]) — here, once, for everything that carries a plan
+    /// (tree, store, tenant).
+    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        let num_layers = r.take_u32()?;
+        let num_machines = r.take_usize()?;
+        let root = r.take_u64()?;
+        let top_cluster = r.take_u64()?;
+        let top_machine = r.take_usize()?;
+        let aux_nodes = Vec::decode(r)?;
+        // Eight bytes of view count per layer and machine follow: a payload too short
+        // to hold them is refused before any machine's skeletons are allocated.
+        let buckets = (num_layers as usize).checked_mul(num_machines);
+        if !buckets.is_some_and(|b| b > 0 && b <= r.remaining() / 8) {
+            return Err(SnapshotError::Malformed("plan layer/machine layout"));
         }
-        let mut skeletons: Vec<Skeletons> = (0..self.num_machines)
-            .map(|_| Skeletons::new(self.num_layers))
+        let mut skeletons: Vec<Skeletons> = (0..num_machines)
+            .map(|_| Skeletons::new(num_layers))
             .collect();
-        for (layer, machines) in (1u32..).zip(&self.layers) {
-            for (held, views) in skeletons.iter_mut().zip(machines) {
-                for view in views {
-                    view.validate()?;
-                    held.push(layer, view.linked());
+        for layer in 1..=num_layers {
+            for held in &mut skeletons {
+                for _ in 0..r.take_len()? {
+                    held.push(layer, read_view(r)?);
                 }
             }
         }
         skeletons.iter_mut().for_each(Skeletons::shrink_to_fit);
         let plan = SolvePlan {
-            num_layers: self.num_layers,
-            num_machines: self.num_machines,
-            root: self.root,
-            top_cluster: self.top_cluster,
-            top_machine: self.top_machine,
-            aux_nodes: self.aux_nodes,
-            routing: Routing::of(&skeletons, self.num_layers),
+            num_layers,
+            num_machines,
+            root,
+            top_cluster,
+            top_machine,
+            aux_nodes,
+            routing: Routing::of(&skeletons, num_layers),
             skeletons,
         };
-        // What the evaluation pass and the splice rely on.
-        plan.validate()?;
-        for (at, view) in plan.views() {
-            let li = at.layer() as usize - 1;
-            self.layers[li][at.machine as usize][at.view as usize].agrees_with(&plan, &view)?;
-        }
+        plan.validate().map_err(SnapshotError::Malformed)?;
         Ok(plan)
-    }
-}
-
-impl Snapshot for SolvePlan {
-    fn encode(&self, w: &mut SnapshotWriter) {
-        // The layout of `WirePlan`, written straight from the compact views.
-        w.put_u32(self.num_layers);
-        w.put_usize(self.num_machines);
-        w.put_u64(self.root);
-        w.put_u64(self.top_cluster);
-        w.put_usize(self.top_machine);
-        self.aux_nodes.encode(w);
-        w.put_usize(self.num_layers as usize);
-        for layer in 1..=self.num_layers {
-            w.put_usize(self.num_machines);
-            for machine in 0..self.num_machines {
-                w.put_usize(self.skeletons[machine].len_at(layer));
-                for view in self.views_at(layer, machine) {
-                    encode_view(self, &view, w);
-                }
-            }
-        }
-    }
-    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        // Checked here, once, for everything that carries a plan (tree, store, tenant).
-        WirePlan::decode(r)?
-            .into_plan()
-            .map_err(SnapshotError::Malformed)
     }
 }
 
@@ -1001,10 +846,6 @@ impl Snapshot for PreparedTree {
     fn encode(&self, w: &mut SnapshotWriter) {
         self.clustering.encode(w);
         self.edges.encode(w);
-        // The clustering's root and node count a second time: the layout keeps these
-        // slots (so the kind stays), and decode checks them against the clustering.
-        w.put_u64(self.clustering.root);
-        w.put_usize(self.clustering.num_nodes);
         w.put_usize(self.original_nodes);
         self.aux_to_original.encode(w);
         // The cached plan travels with the tree when built; a tree snapshotted before
@@ -1014,11 +855,6 @@ impl Snapshot for PreparedTree {
     fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
         let clustering = Clustering::decode(r)?;
         let edges = DistVec::decode(r)?;
-        if (r.take_u64()?, r.take_usize()?) != (clustering.root, clustering.num_nodes) {
-            return Err(SnapshotError::Malformed(
-                "tree root or node count differs from its clustering's",
-            ));
-        }
         let original_nodes = r.take_usize()?;
         let aux_to_original = DistVec::decode(r)?;
         let plan_value: Option<SolvePlan> = Option::decode(r)?;

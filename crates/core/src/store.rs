@@ -287,12 +287,14 @@ impl<P: ClusterDp> SolverStore<P> {
 pub(crate) mod tests {
     use super::*;
     use crate::pipeline::{prepare, PreparedTree};
+    use crate::skeleton::{Linked, PlanMember};
     use crate::snapshot::{
-        seal, snapshot_from_bytes, snapshot_to_bytes, Snapshot, SnapshotError, SnapshotWriter,
-        WirePlan, WireView, KIND_PLAN, KIND_PREPARED_TREE, KIND_STORE,
+        seal, snapshot_from_bytes, snapshot_to_bytes, write_plan, Snapshot, SnapshotError,
+        SnapshotWriter, KIND_PLAN, KIND_PREPARED_TREE, KIND_STORE,
     };
     use mpc_engine::MpcConfig;
     use std::cell::OnceCell;
+    use tree_clustering::ElementKind;
     use tree_gen::shapes;
     use tree_repr::{ListOfEdges, TreeInput};
 
@@ -375,18 +377,42 @@ pub(crate) mod tests {
         snapshot_from_bytes(kind, &snapshot_to_bytes(kind, value))
     }
 
+    /// The plan's views as its snapshot writes them, `[layer - 1][machine][view]`.
+    fn linked_views(plan: &SolvePlan) -> Vec<Vec<Vec<Linked>>> {
+        (1..=plan.num_layers)
+            .map(|layer| {
+                (0..plan.num_machines)
+                    .map(|machine| plan.views_at(layer, machine).map(|v| v.linked()).collect())
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The payload of a plan snapshot of `plan`'s header with `views` in place of its
+    /// own.
+    fn plan_payload(plan: &SolvePlan, views: Vec<Vec<Vec<Linked>>>) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        write_plan(plan, views.into_iter().flatten(), &mut w);
+        w.into_bytes()
+    }
+
+    /// `member` with another id and parent.
+    fn remade(member: PlanMember, id: u64, parent: Option<usize>) -> PlanMember {
+        let (kind, out_kind) = (member.kind(), member.out_kind());
+        PlanMember::new(id, kind, out_kind, parent, member.enters_parent())
+    }
+
     /// A checksum-valid payload with one skeleton field out of place must come back as
     /// a typed error, naming the check it fails, from every decoder that carries a
     /// plan — not as a value that panics on the next solve or update. The corruptions
-    /// are made on the plan as its snapshot spells it out, every derived field
-    /// included.
+    /// are made on the views as the snapshot writes them.
     #[test]
     fn resealed_payloads_with_one_index_out_of_place_decode_to_malformed() {
         let (prepared, store) = solved();
         let plan = store.plan().clone();
         assert_eq!(decode_resealed(KIND_PLAN, &plan).as_ref(), Ok(&plan));
-        let wire = WirePlan::of(&plan);
-        assert_eq!(snapshot_to_bytes(KIND_PLAN, &wire), plan.to_snapshot());
+        let good = plan_payload(&plan, linked_views(&plan));
+        assert_eq!(good, plan.to_snapshot()[32..]);
         let at = rich_view(&plan);
         let inner = {
             let view = plan.view_at(at);
@@ -395,29 +421,47 @@ pub(crate) mod tests {
                 .expect("rich view")
         };
 
-        type Corruption = (&'static str, fn(&mut WirePlan, ViewSlot, usize));
-        fn view(p: &mut WirePlan, at: ViewSlot) -> &mut WireView {
-            &mut p.layers[at.layer as usize - 1][at.machine as usize][at.view as usize]
+        type Views = Vec<Vec<Vec<Linked>>>;
+        type Corruption = (
+            &'static str,
+            fn(&mut SolvePlan, &mut Views, ViewSlot, usize),
+        );
+        fn view(views: &mut Views, at: ViewSlot) -> &mut Linked {
+            &mut views[at.layer as usize - 1][at.machine as usize][at.view as usize]
         }
-        let corruptions: [Corruption; 11] = [
-            ("view top/attach index", |p, at, _| {
-                view(p, at).top = usize::MAX
+        fn reparent(view: &mut Linked, i: usize, parent: usize) {
+            view.members[i] = remade(view.members[i], view.members[i].id(), Some(parent));
+        }
+        let corruptions: [Corruption; 10] = [
+            ("view top/attach index", |_, v, at, _| {
+                view(v, at).top = usize::MAX
             }),
-            ("view top/attach index", |p, at, _| {
-                let view = view(p, at);
-                view.attach = Some(view.members.len());
+            ("view top/attach index", |_, v, at, _| {
+                let view = view(v, at);
+                let len = view.members.len();
+                let (_, attach, _) = view.in_edge.as_mut().expect("rich view");
+                *attach = Some(len);
             }),
-            ("view parent/child link", |p, at, inner| {
-                let view = view(p, at);
-                view.members[inner].parent = Some(view.members.len() + 7);
+            ("view parent index", |_, v, at, inner| {
+                let view = view(v, at);
+                reparent(view, inner, view.members.len() + 7);
             }),
-            ("view parent/child link", |p, at, inner| {
-                view(p, at).members[inner].children[0] = 1 << 40;
+            // Two members each other's parent: the top does not reach them.
+            ("view member tree", |_, v, at, inner| {
+                let view = view(v, at);
+                let below = (0..view.members.len())
+                    .find(|&i| view.members[i].parent() == Some(inner))
+                    .expect("the inner member has a child");
+                reparent(view, inner, below);
+            }),
+            ("view top member has a parent", |_, v, at, inner| {
+                let view = view(v, at);
+                reparent(view, view.top, inner);
             }),
             // One element id on members of two views: a layer-1 member below the top
             // takes another layer-1 view's member id.
-            ("plan payload slot", |p, _, _| {
-                let layer = &mut p.layers[0];
+            ("plan payload slot", |_, v, _, _| {
+                let layer = &mut v[0];
                 let views: Vec<(usize, usize)> = (0..layer.len())
                     .flat_map(|m| (0..layer[m].len()).map(move |v| (m, v)))
                     .collect();
@@ -426,48 +470,37 @@ pub(crate) mod tests {
                     .find(|&&(m, v)| layer[m][v].members.len() > 1)
                     .expect("a layer-1 view with two members");
                 let (om, ov) = *views.iter().find(|&&o| o != (m, v)).expect("two views");
-                let other = layer[om][ov].members[0].element.id;
+                let other = layer[om][ov].members[0].id();
                 let first = &mut layer[m][v];
                 let below_top = (first.top + 1) % first.members.len();
-                first.members[below_top].element.id = other;
+                let member = first.members[below_top];
+                first.members[below_top] = remade(member, other, member.parent());
             }),
             // A cluster whose top member names no absorbed cluster: no summary slot.
-            ("plan summary slot", |p, at, _| {
-                let view = view(p, at);
-                view.members[view.top].element.id ^= 1 << 40;
+            ("plan summary slot", |_, v, at, _| {
+                let view = view(v, at);
+                let top = view.members[view.top];
+                view.members[view.top] = remade(top, top.id() ^ 1 << 40, None);
             }),
-            ("plan machine index", |p, _, _| {
+            ("plan machine index", |p, _, _, _| {
                 p.top_machine = p.num_machines
             }),
-            (
-                "member absorbed_into/absorbed_at differs from its view",
-                |p, at, inner| {
-                    view(p, at).members[inner].element.absorbed_into ^= 1;
-                },
-            ),
-            (
-                "member absorbed_into/absorbed_at differs from its view",
-                |p, at, inner| {
-                    view(p, at).members[inner].element.absorbed_at += 1;
-                },
-            ),
-            (
-                "view field differs from what its skeleton derives",
-                |p, at, _| {
-                    view(p, at).cluster ^= 1;
-                },
-            ),
-            (
-                "view field differs from what its skeleton derives",
-                |p, at, inner| {
-                    view(p, at).members[inner].element.out_edge.parent ^= 1;
-                },
-            ),
+            ("plan view in-edge", |_, v, at, _| {
+                view(v, at).in_edge = None
+            }),
+            // A cluster member that claims to be a node.
+            ("plan member kind", |_, v, _, _| {
+                let views = v.iter_mut().flatten().flatten();
+                let member = views
+                    .flat_map(|view| view.members.iter_mut())
+                    .find(|m| m.kind() != ElementKind::Node)
+                    .expect("a cluster member");
+                let (out_kind, parent) = (member.out_kind(), member.parent());
+                *member = PlanMember::new(member.id(), ElementKind::Node, out_kind, parent, false);
+            }),
         ];
         // The store and the tree carry the plan's bytes: the tree as its last field
         // (after a `Some` tag), the store as its first.
-        let plan_bytes = |p: &WirePlan| snapshot_to_bytes(KIND_PLAN, p)[32..].to_vec();
-        let good = plan_bytes(&wire);
         let resealed = |kind: u32, payload: Vec<u8>| {
             let mut w = SnapshotWriter::new();
             w.put_bytes(&payload);
@@ -481,10 +514,10 @@ pub(crate) mod tests {
         };
         let store_tail = store.to_snapshot()[32 + good.len()..].to_vec();
         for (check, corrupt) in corruptions {
-            let mut bad = wire.clone();
-            corrupt(&mut bad, at, inner);
+            let (mut header, mut views) = (plan.clone(), linked_views(&plan));
+            corrupt(&mut header, &mut views, at, inner);
             let refused = Err(SnapshotError::Malformed(check));
-            let bad = plan_bytes(&bad);
+            let bad = plan_payload(&header, views);
             let decoded = SolvePlan::from_snapshot(&resealed(KIND_PLAN, bad.clone()));
             assert_eq!(decoded.map(|_| ()), refused, "plan");
 
@@ -524,8 +557,9 @@ pub(crate) mod tests {
     }
 
     /// Every kind a payload was written under before its layout changed is refused by
-    /// kind, before any byte is read as the new layout: tree 1, plan 2, and store 3 (the
-    /// store of cloned views and a payload map) and 4 (plans with routing indexes).
+    /// kind, before any byte is read as the new layout: tree 1 and 5, plan 2 and 6, and
+    /// store 3 (the store of cloned views and a payload map), 4 (plans with routing
+    /// indexes) and 7 (plans with every view spelled out).
     #[test]
     fn superseded_store_kind_is_rejected() {
         let (prepared, store) = solved();
@@ -535,17 +569,21 @@ pub(crate) mod tests {
             bytes
         };
         let wrong = |found, expected| Err(SnapshotError::WrongKind { found, expected });
-        for old in [3, 4] {
+        for old in [3, 4, 7] {
             let bytes = with_kind(store.to_snapshot(), old);
             let decoded = SolverStore::<Count>::from_snapshot(&bytes).map(|_| ());
             assert_eq!(decoded, wrong(old, KIND_STORE));
         }
-        let bytes = with_kind(store.plan().to_snapshot(), 2);
-        let decoded = SolvePlan::from_snapshot(&bytes).map(|_| ());
-        assert_eq!(decoded, wrong(2, KIND_PLAN));
-        let bytes = with_kind(prepared.to_snapshot(), 1);
-        let decoded = PreparedTree::from_snapshot(&bytes).map(|_| ());
-        assert_eq!(decoded, wrong(1, KIND_PREPARED_TREE));
+        for old in [2, 6] {
+            let bytes = with_kind(store.plan().to_snapshot(), old);
+            let decoded = SolvePlan::from_snapshot(&bytes).map(|_| ());
+            assert_eq!(decoded, wrong(old, KIND_PLAN));
+        }
+        for old in [1, 5] {
+            let bytes = with_kind(prepared.to_snapshot(), old);
+            let decoded = PreparedTree::from_snapshot(&bytes).map(|_| ());
+            assert_eq!(decoded, wrong(old, KIND_PREPARED_TREE));
+        }
     }
 
     /// The audit is silent on a fresh store and names what drifted when one routing

@@ -59,8 +59,10 @@ pub type TenantId = String;
 /// store inside it became a plan plus slot state, 102 → 103 when plans stopped
 /// carrying their routing indexes and the config lost its reserved byte, 103 → 104
 /// when the config lost its radix switch, 104 → 105 when [`TenantMetrics`] lost its
-/// plan-cache counters (`plan_hits`, `plan_misses`, `evictions`).
-pub const KIND_TENANT: u32 = 105;
+/// plan-cache counters (`plan_hits`, `plan_misses`, `evictions`), 105 → 106 when
+/// plans began to travel as their compact skeletons and the tree lost its second
+/// root and node count.
+pub const KIND_TENANT: u32 = 106;
 
 /// Why a serving-layer operation failed.
 #[derive(Debug, Clone, PartialEq)]

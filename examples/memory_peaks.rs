@@ -6,8 +6,9 @@
 //! the representation the workload feeds it. For each shape the example prints the
 //! degree reduction's rounds and moved words, the words the clustering's path
 //! subroutine (`cluster-paths`) moves per tree node, the plan's skeleton words per tree
-//! node, the peak local memory against the `Θ(n^δ)` capacity, and the phases whose
-//! local-memory breaches are largest.
+//! node, the plan's snapshot bytes per tree node (`snap B/n`, a report), the peak local
+//! memory against the `Θ(n^δ)` capacity, and the phases whose local-memory breaches
+//! are largest.
 //!
 //! Three sections: δ = 1/2, the cold workloads' setting, is a gate — the example fails
 //! unless every shape stays within capacity with no local-memory breach and its plan
@@ -71,6 +72,8 @@ struct Peaks {
     paths_per_node: f64,
     /// The plan's skeleton words per tree node.
     skeleton_per_node: f64,
+    /// The plan's snapshot bytes per tree node.
+    snapshot_per_node: f64,
     peak: usize,
     capacity: usize,
     /// The largest local-memory breach per context, largest first.
@@ -100,6 +103,7 @@ fn measure(tree: &Tree, given: Given, delta: f64, slack: f64) -> Peaks {
     let no_edges = ctx.from_vec(Vec::<(u64, ())>::new());
     let plan = prepared.plan_uncached(&mut ctx);
     let skeleton_per_node = plan.skeleton_words() as f64 / tree.len() as f64;
+    let snapshot_per_node = plan.to_snapshot().len() as f64 / tree.len() as f64;
     let engine = StateEngine::new(MaxWeightIndependentSet);
     let solution = plan.solve(&mut ctx, &engine, &weights, 0, &no_edges);
     assert!(solution.root_summary.best(engine.problem()).is_some());
@@ -121,6 +125,7 @@ fn measure(tree: &Tree, given: Given, delta: f64, slack: f64) -> Peaks {
         degree,
         paths_per_node,
         skeleton_per_node,
+        snapshot_per_node,
         peak: metrics.peak_local_memory,
         capacity: ctx.config().local_capacity(),
         breaches,
@@ -152,8 +157,8 @@ fn main() {
         let gated = delta == 0.5 && slack == 32.0;
         println!("{section}");
         println!(
-            "{:<17} {:>15} {:>9} {:>9} {:>10} {:>9} {:>7}  worst breaches (phase/primitive: words)",
-            "shape", "degree rnd/words", "paths w/n", "plan w/n", "peak", "capacity", "ratio"
+            "{:<17} {:>15} {:>9} {:>9} {:>9} {:>10} {:>9} {:>7}  worst breaches (phase/primitive: words)",
+            "shape", "degree rnd/words", "paths w/n", "plan w/n", "snap B/n", "peak", "capacity", "ratio"
         );
         for (name, tree, given) in &trees {
             let peaks = measure(tree, *given, delta, slack);
@@ -164,10 +169,11 @@ fn main() {
                 .map(|(context, words)| format!("{context}: {words}"))
                 .collect();
             println!(
-                "{name:<17} {:>15} {:>9.2} {:>9.2} {:>10} {:>9} {:>7.2}  {}",
+                "{name:<17} {:>15} {:>9.2} {:>9.2} {:>9.1} {:>10} {:>9} {:>7.2}  {}",
                 format!("{}/{}", peaks.degree.0, peaks.degree.1),
                 peaks.paths_per_node,
                 peaks.skeleton_per_node,
+                peaks.snapshot_per_node,
                 peaks.peak,
                 peaks.capacity,
                 peaks.peak as f64 / peaks.capacity as f64,

@@ -741,9 +741,9 @@ fn resealed_tenant_snapshots_with_one_field_out_of_place_are_refused() {
     ))));
     // The payload kinds tenants were written under before the store changed shape
     // (101), before plans stopped carrying their routing indexes (102), before the
-    // config lost its radix switch (103), and before the metrics lost their
-    // plan-cache counters (104).
-    for old in [101, 102, 103, 104] {
+    // config lost its radix switch (103), before the metrics lost their plan-cache
+    // counters (104), and before plans travelled as their compact skeletons (105).
+    for old in [101, 102, 103, 104, 105] {
         assert_eq!(
             restore(&reseal(old, &|_| ())),
             Some(ServerError::Snapshot(SnapshotError::WrongKind {

@@ -22,7 +22,7 @@ use mpc_tree_dp::{
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use tree_gen::labels::uniform_values;
-use tree_gen::shapes::{balanced_kary, heavy_caterpillar, spider};
+use tree_gen::shapes::{self, balanced_kary, heavy_caterpillar, spider};
 use tree_repr::Tree;
 
 type MaxIs = StateEngine<MaxWeightIndependentSet>;
@@ -274,102 +274,60 @@ fn corrupted_snapshots_return_errors() {
     assert_eq!(&good[..8], SNAPSHOT_MAGIC.as_slice());
 }
 
-/// A prepared tree's root and node-count slots repeat its clustering's values: a
-/// checksum-valid snapshot whose slot disagrees is refused as malformed, not restored.
+/// A plan payload claiming `u32::MAX` layers on 2^40 machines is refused as malformed
+/// by every decoder that reads a plan first, before it allocates a machine's
+/// skeletons: the payload is far too short to hold a view count per layer and
+/// machine.
 #[test]
-fn resealed_tree_whose_root_or_node_count_differs_from_its_clustering_is_refused() {
+fn plan_payload_claiming_a_huge_layout_is_malformed_before_allocating() {
     use mpc_tree_dp::core::{seal, SnapshotWriter};
-    use mpc_tree_dp::Snapshot;
 
-    let tree = spider(4, 6);
-    let weights: Vec<i64> = (0..tree.len()).map(|_| 1).collect();
-    let (_, prepared, _) = prepared_with_plan(&tree, &weights);
-    // The payload follows the 32-byte header; the root slot follows the clustering and
-    // the edge list, and the node-count slot follows the root.
-    let mut w = SnapshotWriter::new();
-    prepared.clustering.encode(&mut w);
-    prepared.edges.encode(&mut w);
-    let root_at = w.into_bytes().len();
-    let payload = prepared.to_snapshot()[32..].to_vec();
-    let reseal = |slot: Option<usize>| {
-        let mut payload = payload.clone();
-        if let Some(slot) = slot {
-            payload[slot] ^= 1;
-        }
+    let payload = || {
         let mut w = SnapshotWriter::new();
-        w.put_bytes(&payload);
-        seal(KIND_PREPARED_TREE, w)
+        w.put_u32(u32::MAX); // num_layers
+        w.put_usize(1 << 40); // num_machines
+        w.put_u64(0); // root
+        w.put_u64(0); // top_cluster
+        w.put_usize(0); // top_machine
+        w.put_usize(0); // no auxiliary nodes
+        w.put_usize(1); // one view count, then nothing
+        w
     };
-    assert!(PreparedTree::from_snapshot(&reseal(None)).is_ok());
-    for slot in [root_at, root_at + 8] {
-        assert!(
-            matches!(
-                PreparedTree::from_snapshot(&reseal(Some(slot))),
-                Err(SnapshotError::Malformed(_))
-            ),
-            "slot at payload byte {slot}"
-        );
-    }
+    let layout = SnapshotError::Malformed("plan layer/machine layout");
+    assert_eq!(
+        SolvePlan::from_snapshot(&seal(KIND_PLAN, payload())).map(|_| ()),
+        Err(layout.clone())
+    );
+    assert_eq!(
+        SolverStore::<MaxIs>::from_snapshot(&seal(KIND_STORE, payload())).map(|_| ()),
+        Err(layout)
+    );
 }
 
-/// A plan snapshot spells out every member's whole clustering element, but the plan
-/// keeps neither `absorbed_into` nor `absorbed_at`: they are the cluster and the layer
-/// of the view the member is filed in. A checksum-valid snapshot in which one of them
-/// disagrees with that view is refused as malformed, not restored.
+/// A plan snapshot writes what the plan's compact skeletons store, a few words per
+/// member: the bytes per tree node stay below the bounds on the shapes with the most
+/// members per node (a star's auxiliary nodes, a caterpillar's clusters) and on a path.
 #[test]
-fn resealed_plan_whose_member_disagrees_with_its_view_is_refused() {
-    use mpc_tree_dp::core::{seal, SnapshotWriter};
-
-    let tree = spider(4, 6);
-    let weights: Vec<i64> = (0..tree.len()).map(|_| 1).collect();
-    let (mut ctx, prepared, _) = prepared_with_plan(&tree, &weights);
-    let plan = prepared.plan(&mut ctx).clone();
-    let payload = plan.to_snapshot()[32..].to_vec();
-    // A node member's element as the snapshot writes it: id, kind (node), formed_at
-    // (0), absorbed_into (its view's cluster), absorbed_at (its view's layer).
-    let engine = MaxIs::new(MaxWeightIndependentSet);
-    let inputs = weight_table(&mut ctx, &weights);
-    let no_edges = ctx.from_vec(Vec::<(u64, ())>::new());
-    let (_, store) = plan
-        .clone()
-        .solve_with_store(&mut ctx, &engine, &inputs, 0, &no_edges);
-    let view = store
-        .views()
-        .map(|view| view.skeleton)
-        .find(|s| s.members().len() > 1)
-        .expect("a view with two members");
-    let member = view.members()[(view.top() + 1) % view.members().len()];
-    assert_eq!(member.kind(), ElementKind::Node);
-    let element = [
-        &member.id().to_le_bytes()[..],
-        &[0],
-        &0u32.to_le_bytes(),
-        &view.cluster().to_le_bytes(),
-        &view.layer().to_le_bytes(),
-    ]
-    .concat();
-    let at = payload
-        .windows(element.len())
-        .position(|w| w == element)
-        .expect("the snapshot writes the member's element");
-    let (absorbed_into, absorbed_at) = (at + 13, at + 21);
-    let reseal = |byte: Option<usize>| {
-        let mut payload = payload.clone();
-        if let Some(byte) = byte {
-            payload[byte] ^= 1;
-        }
-        let mut w = SnapshotWriter::new();
-        w.put_bytes(&payload);
-        seal(KIND_PLAN, w)
-    };
-    assert_eq!(SolvePlan::from_snapshot(&reseal(None)).as_ref(), Ok(&plan));
-    for byte in [absorbed_into, absorbed_at] {
-        assert_eq!(
-            SolvePlan::from_snapshot(&reseal(Some(byte))).map(|_| ()),
-            Err(SnapshotError::Malformed(
-                "member absorbed_into/absorbed_at differs from its view"
-            )),
-            "flipped payload byte {byte}"
+fn plan_snapshots_stay_compact() {
+    let n = 4096;
+    for (name, tree, bound) in [
+        ("star", shapes::star(n), 80.0),
+        ("path", shapes::path(n), 34.0),
+        ("caterpillar", shapes::caterpillar(n / 4, 3), 62.0),
+    ] {
+        let mut ctx = MpcContext::new(MpcConfig::new(2 * n, 0.5));
+        let prepared = prepare(
+            &mut ctx,
+            TreeInput::ListOfEdges(ListOfEdges::from_tree(&tree)),
+            None,
+        )
+        .expect("well-formed tree");
+        let plan = prepared.plan_uncached(&mut ctx);
+        let per_node = plan.to_snapshot().len() as f64 / tree.len() as f64;
+        println!("{name}: {per_node:.1} plan snapshot bytes per tree node");
+        assert!(
+            per_node <= bound,
+            "{name}: {per_node:.1} plan snapshot bytes per tree node, over {bound}"
         );
     }
 }
@@ -551,10 +509,10 @@ proptest! {
 /// exactly these bytes, so a golden is never rewritten in place: a codec change that
 /// breaks one bumps the kind and commits a new golden and pin.
 const GOLDEN_PINS: [(u32, u32, u64); 4] = [
-    (1, 5, 0x2aeff05c631454de),
-    (1, 6, 0x9c6dabd047b13977),
-    (1, 7, 0x59d77b0889872ce9),
-    (1, 105, 0x2da1da06428b58a9),
+    (1, 8, 0x20cd862951b5d91d),
+    (1, 9, 0x86cd18ca8dfa0240),
+    (1, 10, 0x6da548379967894c),
+    (1, 106, 0x9900b64843557646),
 ];
 
 /// The golden fixture: the smallest tree whose snapshots carry every tag value —
