@@ -29,6 +29,10 @@
 //! * both size probes (own size, parent's size) are one [`MpcContext::join_lookup2`]
 //!   call instead of a `sort_table` plus two probe rounds, and the path-flag probe
 //!   (the child's flag) is one [`MpcContext::join_lookup`];
+//! * every probe ships keys, not records: the size and absorption probes send
+//!   `(id, parent)` pairs, the path-flag probe the child's id against a table of
+//!   `(id, degree-2 flag)` pairs, and the answers — which come back in request order —
+//!   rejoin their records with [`DistVec::zip_local`] on the machine that holds them;
 //! * the indegree-1 adjacency carries each node's parent, outgoing edge, and per-child
 //!   attachment edge, so degree-2 flags and fragment assembly need no further joins —
 //!   the path payload rides through [`path_distances`] and the incoming edge of every
@@ -100,25 +104,6 @@ struct AdjRec {
 impl Words for AdjRec {
     fn words(&self) -> usize {
         4 + 3 * self.children.len()
-    }
-}
-
-/// Degree-2 path flag for one uncolored element, carrying everything the path
-/// subroutine's payload needs: the unique child and its attachment edge, the parent,
-/// and the element's own outgoing edge.
-#[derive(Debug, Clone, Copy)]
-struct FlagRec {
-    id: ElementId,
-    is_path: bool,
-    child: ElementId,
-    child_edge: DirectedEdge,
-    parent: ElementId,
-    out_edge: DirectedEdge,
-}
-
-impl Words for FlagRec {
-    fn words(&self) -> usize {
-        8
     }
 }
 
@@ -225,9 +210,12 @@ pub fn build_clustering(
             count_subtree_sizes(ctx, adjacency, threshold)
         })?;
         // One fused two-column probe answers both size questions (own size, parent's
-        // size) in a single join round.
-        let uncolored = actives.clone().filter_local(|a| !a.colored);
-        let probed = ctx.join_lookup2(uncolored, |a| a.id, |a| a.parent, &sizes, |s| s.id);
+        // size) in a single join round. It ships the `(id, parent)` keys alone; the
+        // answers come back in request order and rejoin their records locally.
+        let uncolored = actives.filter_map_local(|a| (!a.colored).then_some(*a));
+        let keys = uncolored.filter_map_local(|a| Some((a.id, a.parent)));
+        let answers = ctx.join_lookup2(keys, |k| k.0, |k| k.1, &sizes, |s| s.id);
+        let probed = uncolored.zip_local(answers, |a, (_, own, parent)| (a, own, parent));
         let selected = probed.filter_local(|(a, own, parent)| {
             let light = own.as_ref().map(|o| !o.heavy).unwrap_or(false);
             let parent_heavy = parent.as_ref().map(|p| p.heavy).unwrap_or(false);
@@ -269,29 +257,23 @@ pub fn build_clustering(
         let adjacency = uncolored_adjacency(ctx, &actives);
         // Degree-2 flags: exactly one uncolored child and a real (non-virtual) parent.
         // The enriched adjacency already carries parent and edges, so this is local.
-        let flags: DistVec<FlagRec> = adjacency.map_local(|r| FlagRec {
-            id: r.id,
-            is_path: r.children.len() == 1 && r.parent != VIRTUAL_NODE,
-            child: r.children.first().map(|c| c.0).unwrap_or(VIRTUAL_NODE),
-            child_edge: r
-                .children
-                .first()
-                .map(|c| c.1)
-                .unwrap_or(DirectedEdge::new(r.id, VIRTUAL_NODE)),
-            parent: r.parent,
-            out_edge: r.out_edge,
-        });
+        let on_path = |r: &AdjRec| r.children.len() == 1 && r.parent != VIRTUAL_NODE;
+        let flags: DistVec<(ElementId, bool)> =
+            adjacency.filter_map_local(|r| Some((r.id, on_path(r))));
         // The child's flag in one probe: the downward walk needs nothing of the parent.
-        let path_candidates = flags.clone().filter_local(|f| f.is_path);
-        let probed = ctx.join_lookup(path_candidates, |f| f.child, &flags, |x| x.id);
-        let path_nodes: DistVec<PathNode> = probed.map_local(|(f, down)| PathNode {
-            id: f.id,
-            up: f.parent,
-            down: f.child,
-            down_is_path: down.as_ref().map(|d| d.is_path).unwrap_or(false),
-            out_edge: f.out_edge,
-            child_edge: f.child_edge,
-        });
+        // The request is the child's id alone.
+        let path_candidates = adjacency.filter_local(on_path);
+        let children = path_candidates.filter_map_local(|r| Some(r.children[0].0));
+        let down = ctx.join_lookup(children, |child| *child, &flags, |f| f.0);
+        let path_nodes: DistVec<PathNode> =
+            path_candidates.zip_local(down, |r, (_, down)| PathNode {
+                id: r.id,
+                up: r.parent,
+                down: r.children[0].0,
+                down_is_path: down.is_some_and(|(_, is_path)| is_path),
+                out_edge: r.out_edge,
+                child_edge: r.children[0].1,
+            });
         let positions = ctx.phase("cluster-paths", |ctx| path_distances(ctx, path_nodes))?;
 
         // Fragments of at most `threshold` consecutive path nodes; the bottom anchor of
@@ -417,9 +399,11 @@ fn uncolored_adjacency(ctx: &mut MpcContext, actives: &DistVec<Active>) -> DistV
 
 /// Remove absorbed elements from the active set in one fused two-column probe of the
 /// assignment table: the first column resolves each element's own absorption, the
-/// second its parent's. A colored element whose parent was absorbed follows it into
-/// the same cluster (colored elements always ride along); when `retarget` is set, a
-/// surviving element whose parent was absorbed re-points at the absorbing cluster.
+/// second its parent's. The probe ships each element's `(id, parent)` key pair, not
+/// the element, and the answers rejoin the elements where they already lie. A colored
+/// element whose parent was absorbed follows it into the same cluster (colored
+/// elements always ride along); when `retarget` is set, a surviving element whose
+/// parent was absorbed re-points at the absorbing cluster.
 /// Absorbed elements are recorded in `finished`; the iteration over the probe results
 /// models the machine-local write-out of finalized elements.
 fn absorb_and_retarget(
@@ -430,7 +414,9 @@ fn absorb_and_retarget(
     layer: u32,
     finished: &mut Vec<Element>,
 ) -> DistVec<Active> {
-    let tagged = ctx.join_lookup2(actives, |a| a.id, |a| a.parent, assignments, |x| x.0);
+    let keys = actives.filter_map_local(|a| Some((a.id, a.parent)));
+    let answers = ctx.join_lookup2(keys, |k| k.0, |k| k.1, assignments, |x| x.0);
+    let tagged = actives.zip_local(answers, |a, (_, own, parent)| (a, own, parent));
     for (a, own, parent_hit) in tagged.iter() {
         let absorbed_into = match (own, parent_hit) {
             (Some((_, cid)), _) => Some(*cid),
@@ -561,6 +547,36 @@ mod tests {
                 clustering.num_layers
             );
             assert_valid(&clustering, &edges);
+        }
+    }
+
+    /// Words the builder moves itself — the `clustering` phase less its
+    /// `cluster-sizes` and `cluster-paths` subroutines — per tree node.
+    fn builder_words_per_node(tree: &Tree) -> f64 {
+        let mut ctx = MpcContext::new(MpcConfig::new(8192, 0.5));
+        let edges = ctx.from_vec(tree.edges());
+        let threshold = ctx.config().n_half_delta().max(2);
+        let reduced =
+            reduce_degrees(&mut ctx, &edges, tree.root() as u64, tree.len(), threshold).unwrap();
+        ctx.phase("clustering", |ctx| build_clustering(ctx, &reduced))
+            .expect("clustering succeeds");
+        let words = |name: &str| -> u64 {
+            let phases = ctx.metrics().phases.iter().filter(|p| p.name == name);
+            phases.map(|p| p.words_sent).sum()
+        };
+        let own = words("clustering") - words("cluster-sizes") - words("cluster-paths");
+        own as f64 / tree.len() as f64
+    }
+
+    #[test]
+    fn probes_ship_keys_not_records() {
+        // Shipping whole records (a 12-word `Active` per key column of the two-column
+        // probes, an 8-word flag record each way) the builder moved 121.6 words per
+        // node on the path and 125.3 on the broom; with key-only probes it moves 38.6
+        // and 35.4.
+        for tree in [shapes::path(4096), shapes::broom(2048, 2048)] {
+            let per_node = builder_words_per_node(&tree);
+            assert!(per_node < 64.0, "{per_node:.1} builder words per node");
         }
     }
 

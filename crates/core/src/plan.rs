@@ -202,22 +202,26 @@ pub(crate) fn build_plan(
 /// Assemble the linked view of every cluster, each fully contained in one machine and
 /// every layer's views spread over all machines: fetch every member's edge kind,
 /// gather the members by absorbing cluster — once, for all layers — attach the
-/// cluster's own element record and the kind of its incoming edge, and link the member
-/// tree locally. Every probe sends the bare key and rejoins the answer with the record
-/// it belongs to where that record already lies. Machine `i`'s views come layer by
-/// layer, in cluster-id order within a layer, each with the layer its cluster was
+/// cluster's own element record (probed in a table of the cluster elements alone, the
+/// only ones a cluster id can name) and the kind of its incoming edge, and link the
+/// member tree locally. Every probe sends the bare key and rejoins the answer with the
+/// record it belongs to where that record already lies. Machine `i`'s views come layer
+/// by layer, in cluster-id order within a layer, each with the layer its cluster was
 /// formed at.
 fn build_skeletons(
     ctx: &mut MpcContext,
     clustering: &Clustering,
     edges: &DistVec<(DirectedEdge, EdgeKind)>,
 ) -> DistVec<(u32, Linked)> {
-    // Edge kinds keyed by the edge's child endpoint, and the element table: each is
+    // Edge kinds keyed by the edge's child endpoint, and the cluster elements: each is
     // sorted once and probed for all layers at a time.
     let edge_kinds: DistVec<(NodeId, EdgeKind)> =
         edges.filter_map_local(|(e, kind)| Some((e.child, *kind)));
     let edges_sorted = ctx.sort_table(&edge_kinds, |d| d.0);
-    let elements_sorted = ctx.sort_table(&clustering.elements, |e| e.id);
+    let cluster_elements = clustering
+        .elements
+        .filter_map_local(|e| e.kind.is_cluster().then_some(*e));
+    let clusters_sorted = ctx.sort_table(&cluster_elements, |e| e.id);
 
     let members = clustering
         .elements
@@ -238,12 +242,8 @@ fn build_skeletons(
     );
 
     let cluster_ids = grouped.filter_map_local(|(cid, _)| Some(*cid));
-    let clusters = ctx.join_lookup_sorted(
-        cluster_ids,
-        |cid| *cid,
-        &clustering.elements,
-        &elements_sorted,
-    );
+    let clusters =
+        ctx.join_lookup_sorted(cluster_ids, |cid| *cid, &cluster_elements, &clusters_sorted);
     let with_cluster = grouped.zip_local(clusters, |(_, members), (_, cluster)| {
         (cluster.expect("cluster element exists"), members)
     });
@@ -783,6 +783,22 @@ impl SolvePlan {
     pub fn resident_words(&self) -> usize {
         let aux = self.aux_nodes.len() * 2;
         8 + self.skeleton_words() + self.routing.resident_words() + aux
+    }
+
+    /// The child endpoint of the first edge in `edges` that some member takes as its
+    /// outgoing edge under another [`EdgeKind`] than the one recorded there, if any.
+    /// A member's out-edge kind decides how its state step merges it into its parent,
+    /// so it must be the kind of the degree-reduced edge list the plan was built over.
+    /// One pass over `edges`, each looking up that edge's out-edge slots.
+    pub fn out_kind_mismatch<'a>(
+        &self,
+        edges: impl IntoIterator<Item = &'a (DirectedEdge, EdgeKind)>,
+    ) -> Option<NodeId> {
+        edges.into_iter().find_map(|(e, kind)| {
+            let slots = self.routing.out_edges.get(e.child).iter();
+            let mut members = slots.map(|s| self.view_at(s.view_slot()).member(s.member as usize));
+            members.any(|m| m.out_kind() != *kind).then_some(e.child)
+        })
     }
 
     /// The lowest-numbered original node `node_inputs` holds no record for, if any:

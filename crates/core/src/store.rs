@@ -207,16 +207,23 @@ impl<P: ClusterDp> SolverStore<P> {
 
     /// Check the store against from-scratch derivations: every routing index of the
     /// plan against a re-index of its skeleton views, the edges the plan takes inputs
-    /// for against `edges` (the degree-reduced edge list the plan was built over), and
-    /// the slot state against the skeletons' shape. `Err` names the first index or
-    /// view that drifted. Zero rounds,
-    /// `O(n log n)` host work — the alarm for long sequences of in-place splices.
+    /// for and their kinds against `edges` (the degree-reduced edge list the plan was
+    /// built over; see [`SolvePlan::out_kind_mismatch`]), and the slot state against
+    /// the skeletons' shape. `Err` names the first index, edge or view that drifted.
+    /// Zero rounds, `O(n log n)` host work — the alarm for long sequences of in-place
+    /// splices.
     pub fn audit<'a>(
         &self,
         edges: impl IntoIterator<Item = &'a (DirectedEdge, EdgeKind)>,
     ) -> Result<(), String> {
-        let edge_children: BTreeSet<NodeId> = edges.into_iter().map(|(e, _)| e.child).collect();
+        let edges: Vec<&(DirectedEdge, EdgeKind)> = edges.into_iter().collect();
+        let edge_children: BTreeSet<NodeId> = edges.iter().map(|(e, _)| e.child).collect();
         self.plan.audit_routing(&edge_children)?;
+        if let Some(child) = self.plan.out_kind_mismatch(edges) {
+            return Err(format!(
+                "a member leaves by edge {child} under another kind than the edge list's"
+            ));
+        }
         self.state_mismatch()
             .map_or(Ok(()), |what| Err(what.into()))
     }
@@ -621,5 +628,20 @@ pub(crate) mod tests {
         fewer.edges = fewer.edges.clone().filter_local(|(e, _)| e.child % 5 != 0);
         let err = store.audit(fewer.edges.iter()).expect_err("planted");
         assert!(err.contains("out_edge_slots"), "{err}");
+
+        // The same edges, one of them under the other kind: the member leaving by it
+        // would merge into its parent the wrong way.
+        let mut flipped = prepared.clone();
+        let child = prepared.edges.iter().next().expect("an edge").0.child;
+        flipped.edges = flipped.edges.clone().map_local(|&(e, kind)| match kind {
+            _ if e.child != child => (e, kind),
+            EdgeKind::Original => (e, EdgeKind::Auxiliary),
+            EdgeKind::Auxiliary => (e, EdgeKind::Original),
+        });
+        let err = store.audit(flipped.edges.iter()).expect_err("planted");
+        assert!(
+            err.contains(&format!("edge {child} under another kind")),
+            "{err}"
+        );
     }
 }

@@ -209,6 +209,8 @@ impl<T> DistVec<T> {
     /// Pair this vector with `other` record by record (no communication, 0 rounds):
     /// machine `i` combines its `j`-th record of each through `f`. The way to rejoin
     /// the answers of an order-preserving primitive (a key-only
+    /// [`join_lookup`](crate::MpcContext::join_lookup),
+    /// [`join_lookup2`](crate::MpcContext::join_lookup2) or
     /// [`join_lookup_sorted`](crate::MpcContext::join_lookup_sorted) probe) with the
     /// records the requests were derived from.
     ///

@@ -480,6 +480,12 @@ impl MpcContext {
     /// Re-joining against the same table sorts it again; when a table is probed more
     /// than once, build a [`SortedTable`] with [`sort_table`](Self::sort_table) and
     /// use [`join_lookup_sorted`](Self::join_lookup_sorted) instead.
+    ///
+    /// Requests are billed at the width they are passed: volume per machine is
+    /// `⌈(table words + request words) / machines⌉`. The answers come back in request
+    /// order, machine by machine, so send the bare key and rejoin each answer with
+    /// the record it belongs to through [`DistVec::zip_local`], on the machine that
+    /// already holds that record.
     #[allow(clippy::type_complexity)]
     pub fn join_lookup<T, V, K, FT, FV>(
         &mut self,
@@ -577,6 +583,9 @@ impl MpcContext {
     /// one moved copy of the requests per probed column. Replaces the
     /// `sort_table` + two `join_lookup_sorted` sequence (`sort_rounds + agg_rounds +
     /// 4` rounds) with `sort_rounds + 1` whenever the table is probed exactly twice.
+    /// As with `join_lookup`, a request is billed twice at its full width: send the
+    /// key pair alone and rejoin the answers, which keep request order, with
+    /// [`DistVec::zip_local`].
     #[allow(clippy::type_complexity)]
     pub fn join_lookup2<T, V, K, F1, F2, FV>(
         &mut self,
@@ -963,6 +972,56 @@ mod tests {
         let _ = c.join_lookup(requests, |r| *r, &table, |t| t.0);
         assert_eq!(c.metrics().rounds, c.join_rounds());
         assert_eq!(c.join_rounds(), c.sort_rounds() + 1);
+    }
+
+    /// Probe a 300-row, 600-word table with `requests` through `join_lookup` (`k = 1`)
+    /// or `join_lookup2` (`k = 2`, the second column one key further); returns the
+    /// request words and the per-machine charge, after checking that every machine
+    /// was billed alike.
+    fn join_charge<T>(requests: Vec<T>, key: fn(&T) -> u64, k: usize) -> (usize, usize)
+    where
+        T: Words + Send + 'static,
+    {
+        let mut c = ctx(1024);
+        let machines = c.config().num_machines();
+        let table = c.from_vec((0u64..300).map(|i| (i, i)).collect::<Vec<_>>());
+        let requests = c.from_vec(requests);
+        let request_words = requests.total_words();
+        if k == 1 {
+            c.join_lookup(requests, key, &table, |t| t.0);
+        } else {
+            c.join_lookup2(requests, key, |r| key(r) + 1, &table, |t| t.0);
+        }
+        let per_machine = c.metrics().max_words_sent_per_round;
+        assert_eq!(
+            c.metrics().total_words_sent,
+            (machines * per_machine) as u64
+        );
+        (request_words, per_machine)
+    }
+
+    #[test]
+    fn join_lookups_bill_requests_at_the_width_they_are_passed() {
+        // Every machine is billed `⌈(table + k · requests) / machines⌉` words, `k` the
+        // number of probed key columns: a caller that ships whole records where a key
+        // would do pays for every word of them.
+        let machines = ctx(1024).config().num_machines();
+        let keys: Vec<u64> = (0u64..100).map(|i| i * 3).collect();
+        let records: Vec<[u64; 12]> = keys.iter().map(|&key| [key; 12]).collect();
+        for k in [1, 2] {
+            let charges = [
+                join_charge(keys.clone(), |r| *r, k),
+                join_charge(records.clone(), |r| r[0], k),
+            ];
+            for ((request_words, per_machine), width) in charges.into_iter().zip([1, 12]) {
+                assert_eq!(request_words, width * keys.len());
+                let billed = (600 + k * request_words).div_ceil(machines);
+                assert_eq!(
+                    per_machine, billed,
+                    "{width}-word requests, {k} key columns"
+                );
+            }
+        }
     }
 
     #[test]

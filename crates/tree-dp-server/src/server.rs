@@ -610,6 +610,11 @@ where
         if plan.num_machines() != config.num_machines() {
             return Err(SnapshotError::Malformed("solver store of another machine count").into());
         }
+        // Nothing inside the store binds a member's out-edge kind: the tree's edge list
+        // does, and a flipped kind would change every answer silently.
+        if plan.out_kind_mismatch(prepared.edges.iter()).is_some() {
+            return Err(SnapshotError::Malformed("solver store out-edge kind").into());
+        }
         // Local structural repairs splice the tree's tables in place on this tenant's
         // machines, so they must be laid out on exactly those.
         let chunks = [

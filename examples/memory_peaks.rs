@@ -5,7 +5,9 @@
 //! `MpcConfig::new(2n, δ)` (32× memory slack), prepare → plan → MaxIS, each tree in
 //! the representation the workload feeds it. For each shape the example prints the
 //! degree reduction's rounds and moved words, the words the clustering's path
-//! subroutine (`cluster-paths`) moves per tree node, the plan's skeleton words per tree
+//! subroutine (`cluster-paths`) moves per tree node, the words the clustering builder
+//! moves itself per tree node (`build w/n`: the `clustering` phase less its
+//! `cluster-sizes` and `cluster-paths` subroutines), the plan's skeleton words per tree
 //! node, the plan's snapshot bytes per tree node (`snap B/n`, a report), the peak local
 //! memory against the `Θ(n^δ)` capacity, and the phases whose local-memory breaches
 //! are largest.
@@ -13,8 +15,8 @@
 //! Three sections: δ = 1/2, the cold workloads' setting, is a gate — the example fails
 //! unless every shape stays within capacity with no local-memory breach and its plan
 //! skeletons take at most 8 words per tree node; δ = 1/2 at 8× slack is reported only,
-//! save that at δ = 1/2 `cluster-paths` may move at most 128 words per tree node in
-//! either section; δ = 1/4 is reported only.
+//! save that at δ = 1/2 `cluster-paths` may move at most 128 and the builder at most 48
+//! words per tree node in either section; δ = 1/4 is reported only.
 //!
 //! Run with: `cargo run --release --example memory_peaks`
 
@@ -70,6 +72,9 @@ struct Peaks {
     degree: (u64, u64),
     /// The words the `cluster-paths` phases move, per tree node.
     paths_per_node: f64,
+    /// The words the clustering builder moves outside its two subroutines, per tree
+    /// node.
+    build_per_node: f64,
     /// The plan's skeleton words per tree node.
     skeleton_per_node: f64,
     /// The plan's snapshot bytes per tree node.
@@ -91,14 +96,12 @@ fn measure(tree: &Tree, given: Given, delta: f64, slack: f64) -> Peaks {
         .iter()
         .find(|p| p.name == "degree-reduction")
         .map_or((0, 0), |p| (p.rounds, p.words_sent));
-    let paths_words: u64 = ctx
-        .metrics()
-        .phases
-        .iter()
-        .filter(|p| p.name == "cluster-paths")
-        .map(|p| p.words_sent)
-        .sum();
-    let paths_per_node = paths_words as f64 / tree.len() as f64;
+    let per_node = |name: &str| -> f64 {
+        let phases = ctx.metrics().phases.iter().filter(|p| p.name == name);
+        phases.map(|p| p.words_sent).sum::<u64>() as f64 / tree.len() as f64
+    };
+    let paths_per_node = per_node("cluster-paths");
+    let build_per_node = per_node("clustering") - per_node("cluster-sizes") - paths_per_node;
     let weights = ctx.from_vec(ids.iter().map(|&v| (v, 1 + (v % 30) as i64)).collect());
     let no_edges = ctx.from_vec(Vec::<(u64, ())>::new());
     let plan = prepared.plan_uncached(&mut ctx);
@@ -124,6 +127,7 @@ fn measure(tree: &Tree, given: Given, delta: f64, slack: f64) -> Peaks {
     Peaks {
         degree,
         paths_per_node,
+        build_per_node,
         skeleton_per_node,
         snapshot_per_node,
         peak: metrics.peak_local_memory,
@@ -157,8 +161,8 @@ fn main() {
         let gated = delta == 0.5 && slack == 32.0;
         println!("{section}");
         println!(
-            "{:<17} {:>15} {:>9} {:>9} {:>9} {:>10} {:>9} {:>7}  worst breaches (phase/primitive: words)",
-            "shape", "degree rnd/words", "paths w/n", "plan w/n", "snap B/n", "peak", "capacity", "ratio"
+            "{:<17} {:>15} {:>9} {:>9} {:>9} {:>9} {:>10} {:>9} {:>7}  worst breaches (phase/primitive: words)",
+            "shape", "degree rnd/words", "paths w/n", "build w/n", "plan w/n", "snap B/n", "peak", "capacity", "ratio"
         );
         for (name, tree, given) in &trees {
             let peaks = measure(tree, *given, delta, slack);
@@ -169,9 +173,10 @@ fn main() {
                 .map(|(context, words)| format!("{context}: {words}"))
                 .collect();
             println!(
-                "{name:<17} {:>15} {:>9.2} {:>9.2} {:>9.1} {:>10} {:>9} {:>7.2}  {}",
+                "{name:<17} {:>15} {:>9.2} {:>9.2} {:>9.2} {:>9.1} {:>10} {:>9} {:>7.2}  {}",
                 format!("{}/{}", peaks.degree.0, peaks.degree.1),
                 peaks.paths_per_node,
+                peaks.build_per_node,
                 peaks.skeleton_per_node,
                 peaks.snapshot_per_node,
                 peaks.peak,
@@ -195,6 +200,12 @@ fn main() {
                 over.push(format!(
                     "{name} at {slack}× slack: cluster-paths moves {:.2} words per tree node",
                     peaks.paths_per_node
+                ));
+            }
+            if delta == 0.5 && peaks.build_per_node > 48.0 {
+                over.push(format!(
+                    "{name} at {slack}× slack: the clustering builder moves {:.2} words per tree node",
+                    peaks.build_per_node
                 ));
             }
         }
