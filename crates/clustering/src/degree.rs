@@ -32,7 +32,10 @@ use tree_repr::{DirectedEdge, NodeId};
 /// user-supplied ids that would collide with the auxiliary range.
 pub const AUX_BASE: NodeId = 1 << 44;
 
-/// `true` if `id` denotes an auxiliary node introduced by [`reduce_degrees`].
+/// `true` if `id` denotes an auxiliary node introduced by [`reduce_degrees`]. It also
+/// decides every edge kind: the edge leaving an auxiliary node is
+/// [`EdgeKind::Auxiliary`], every other edge [`EdgeKind::Original`]
+/// ([`EdgeKind::leaving`]).
 pub fn is_aux_node(id: NodeId) -> bool {
     id >= AUX_BASE && id != tree_repr::NodeId::MAX
 }
@@ -426,11 +429,8 @@ pub fn reduce_degrees(
         _ => aux_deal.machine((pos ^ AUX_RECORD) as usize),
     });
     let reduced = placed.filter_map_local(|&(pos, child, parent)| {
-        let kind = match is_aux_node(child) {
-            false => EdgeKind::Original,
-            true => EdgeKind::Auxiliary,
-        };
-        (pos & AUX_RECORD == 0).then_some((pos, (DirectedEdge::new(child, parent), kind)))
+        let edge = (DirectedEdge::new(child, parent), EdgeKind::leaving(child));
+        (pos & AUX_RECORD == 0).then_some((pos, edge))
     });
     let aux_to_original = placed.filter_map_local(|&(pos, aux, original)| {
         (pos & AUX_RECORD != 0).then_some((pos, (aux, original)))

@@ -1,5 +1,6 @@
 //! Elements of the hierarchical clustering: original nodes and contracted clusters.
 
+use crate::degree::is_aux_node;
 use mpc_engine::Words;
 use tree_repr::{DirectedEdge, NodeId};
 
@@ -129,6 +130,12 @@ impl Words for Element {
 }
 
 /// Kind of an edge after degree reduction (Sections 4.4 and 5.3).
+///
+/// Invariant: an edge's kind is decided by its child endpoint alone — it is
+/// [`Auxiliary`](Self::Auxiliary) exactly when that child is an auxiliary node
+/// ([`is_aux_node`]), see [`EdgeKind::leaving`]. Degree reduction writes every kind by
+/// this rule, plan build reads kinds off the ids instead of the edge list, and a
+/// decoded prepared tree whose edge list breaks it is refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EdgeKind {
     /// An edge of the original input tree (possibly re-targeted at an auxiliary node
@@ -138,6 +145,18 @@ pub enum EdgeKind {
     /// auxiliary copy or the original node); DP rules must treat both endpoints as the
     /// same original node.
     Auxiliary,
+}
+
+impl EdgeKind {
+    /// The kind of the edge leaving `child`: [`Auxiliary`](Self::Auxiliary) when
+    /// `child` is an auxiliary node, [`Original`](Self::Original) otherwise (the
+    /// root's virtual edge included).
+    pub fn leaving(child: NodeId) -> EdgeKind {
+        match is_aux_node(child) {
+            true => EdgeKind::Auxiliary,
+            false => EdgeKind::Original,
+        }
+    }
 }
 
 impl Words for EdgeKind {

@@ -52,7 +52,8 @@ impl From<ClusterError> for PipelineError {
 pub struct PreparedTree {
     /// The hierarchical clustering (reusable across problems and input labellings).
     pub clustering: Clustering,
-    /// Edges of the degree-reduced tree with their kinds.
+    /// Edges of the degree-reduced tree with their kinds, each the kind its child id
+    /// decides ([`EdgeKind::leaving`]); a snapshot that breaks this is refused.
     pub edges: DistVec<(DirectedEdge, EdgeKind)>,
     /// Number of original nodes.
     pub original_nodes: usize,
@@ -131,7 +132,7 @@ impl PreparedTree {
     /// payload/summary/label exchanges.
     pub fn plan(&self, ctx: &mut MpcContext) -> &SolvePlan {
         self.plan
-            .get_or_init(|| build_plan(ctx, &self.clustering, &self.edges, &self.aux_to_original))
+            .get_or_init(|| build_plan(ctx, &self.clustering, &self.aux_to_original))
     }
 
     /// Build a fresh [`SolvePlan`] for this tree, bypassing (and not touching) the
@@ -139,7 +140,7 @@ impl PreparedTree {
     /// It serves callers that keep the plan elsewhere: a plan built here and moved
     /// into a solver store ([`SolvePlan::solve_with_store`]) is the only copy.
     pub fn plan_uncached(&self, ctx: &mut MpcContext) -> SolvePlan {
-        build_plan(ctx, &self.clustering, &self.edges, &self.aux_to_original)
+        build_plan(ctx, &self.clustering, &self.aux_to_original)
     }
 
     /// Whether a [`SolvePlan`] is currently cached on this tree (built by a prior

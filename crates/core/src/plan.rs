@@ -9,9 +9,11 @@
 //! only on the clustering — never on the problem's inputs, summaries, or labels.
 //!
 //! A [`SolvePlan`] factors that out. Building the plan brings the members of every
-//! cluster of every layer onto one machine in **one** group gathering — two table
-//! sorts, three key-only probes and the gather, a number of rounds that does not
-//! depend on the layer count (charged under `plan-build`) — and retains
+//! cluster of every layer onto one machine in **one** group gathering and attaches
+//! every cluster's header in **one** probe of bare cluster ids — a number of rounds
+//! that does not depend on the layer count (charged under `plan-build`). Nothing else
+//! is fetched: an edge's kind is read off its child id ([`EdgeKind::leaving`]), a
+//! cluster's layer and outgoing edge's child off its id. The plan retains
 //!
 //! * per layer and per machine, the **skeleton view** of every cluster formed there
 //!   ([`PlanView`]: members in their assembled order, parent/children links, top and
@@ -185,54 +187,53 @@ impl Words for MemberRec {
 
 /// Build the solve plan of a clustering: assemble the skeleton view of every cluster
 /// of every layer — each fully contained in one machine — and record the skeletons
-/// and routing indexes. Two table sorts, three probes and one group gathering,
-/// whatever the number of layers. Charged under the `plan-build` phase.
+/// and routing indexes. One group gathering and one probe, whatever the number of
+/// layers. Charged under the `plan-build` phase.
 pub(crate) fn build_plan(
     ctx: &mut MpcContext,
     clustering: &Clustering,
-    edges: &DistVec<(DirectedEdge, EdgeKind)>,
     aux_to_original: &DistVec<(NodeId, NodeId)>,
 ) -> SolvePlan {
     ctx.phase("plan-build", |ctx| {
-        let views = build_skeletons(ctx, clustering, edges);
+        let views = build_skeletons(ctx, clustering);
         SolvePlan::from_views(ctx, clustering, aux_to_original, views)
     })
 }
 
+/// What a view keeps of its cluster's element beyond what the id encodes: the id
+/// names the layer the cluster is formed at ([`cluster_layer`]) and the child
+/// endpoint of its outgoing edge ([`defining_node`]).
+#[derive(Clone, Copy)]
+struct ClusterHeader {
+    id: ElementId,
+    kind: ElementKind,
+    out_parent: NodeId,
+    in_edge: Option<DirectedEdge>,
+}
+
+impl Words for ClusterHeader {
+    fn words(&self) -> usize {
+        // Id, kind (with a flag for the incoming edge), outgoing edge's parent, and
+        // the incoming edge when there is one.
+        3 + self.in_edge.map_or(0, |e| e.words())
+    }
+}
+
 /// Assemble the linked view of every cluster, each fully contained in one machine and
-/// every layer's views spread over all machines: fetch every member's edge kind,
-/// gather the members by absorbing cluster — once, for all layers — attach the
-/// cluster's own element record (probed in a table of the cluster elements alone, the
-/// only ones a cluster id can name) and the kind of its incoming edge, and link the
-/// member tree locally. Every probe sends the bare key and rejoins the answer with the
-/// record it belongs to where that record already lies. Machine `i`'s views come layer
-/// by layer, in cluster-id order within a layer, each with the layer its cluster was
-/// formed at.
-fn build_skeletons(
-    ctx: &mut MpcContext,
-    clustering: &Clustering,
-    edges: &DistVec<(DirectedEdge, EdgeKind)>,
-) -> DistVec<(u32, Linked)> {
-    // Edge kinds keyed by the edge's child endpoint, and the cluster elements: each is
-    // sorted once and probed for all layers at a time.
-    let edge_kinds: DistVec<(NodeId, EdgeKind)> =
-        edges.filter_map_local(|(e, kind)| Some((e.child, *kind)));
-    let edges_sorted = ctx.sort_table(&edge_kinds, |d| d.0);
-    let cluster_elements = clustering
-        .elements
-        .filter_map_local(|e| e.kind.is_cluster().then_some(*e));
-    let clusters_sorted = ctx.sort_table(&cluster_elements, |e| e.id);
-
-    let members = clustering
-        .elements
-        .filter_map_local(|e| (e.kind != ElementKind::TopCluster).then_some(*e));
-    let out_edges = members.filter_map_local(|e| Some(e.out_edge.child));
-    let out_kinds = ctx.join_lookup_sorted(out_edges, |child| *child, &edge_kinds, &edges_sorted);
-    let member_recs = members.zip_local(out_kinds, |element, (_, edge)| MemberRec {
-        element,
-        out_kind: edge.map_or(EdgeKind::Original, |(_, kind)| kind),
+/// every layer's views spread over all machines: gather the members by absorbing
+/// cluster — once, for all layers — attach the cluster's header (probed in a table of
+/// the cluster elements alone, the only ones a cluster id can name; the bare id is
+/// sent and the answer rejoins its group where the group lies), and link the member
+/// tree locally. Edge kinds are read off the ids ([`EdgeKind::leaving`]). Machine
+/// `i`'s views come layer by layer, in cluster-id order within a layer, each with the
+/// layer its cluster was formed at.
+fn build_skeletons(ctx: &mut MpcContext, clustering: &Clustering) -> DistVec<(u32, Linked)> {
+    let member_recs = clustering.elements.filter_map_local(|e| {
+        (e.kind != ElementKind::TopCluster).then(|| MemberRec {
+            element: *e,
+            out_kind: EdgeKind::leaving(e.out_edge.child),
+        })
     });
-
     // A cluster id carries the layer the cluster is formed at above the defining
     // element's id, so the key order is layer-major and every layer is one run.
     let grouped = ctx.gather_group_runs(
@@ -241,31 +242,19 @@ fn build_skeletons(
         |m| m.element.absorbed_at,
     );
 
+    let headers = clustering.elements.filter_map_local(|e| {
+        e.kind.is_cluster().then_some(ClusterHeader {
+            id: e.id,
+            kind: e.kind,
+            out_parent: e.out_edge.parent,
+            in_edge: e.in_edge,
+        })
+    });
     let cluster_ids = grouped.filter_map_local(|(cid, _)| Some(*cid));
-    let clusters =
-        ctx.join_lookup_sorted(cluster_ids, |cid| *cid, &cluster_elements, &clusters_sorted);
-    let with_cluster = grouped.zip_local(clusters, |(_, members), (_, cluster)| {
-        (cluster.expect("cluster element exists"), members)
-    });
-
-    // Only clusters that have an incoming edge ask for its kind; the answers come
-    // back in request order, one per such cluster.
-    let in_edges = with_cluster.filter_map_local(|(cluster, _)| cluster.in_edge.map(|e| e.child));
-    let in_kinds = ctx.join_lookup_sorted(in_edges, |child| *child, &edge_kinds, &edges_sorted);
-    let with_in_kind = with_cluster.map_chunks_local(|machine, chunk| {
-        let mut answers = in_kinds.chunks()[machine].iter();
-        chunk
-            .into_iter()
-            .map(|(cluster, members)| {
-                let in_kind = cluster.in_edge.and_then(|_| {
-                    let (_, edge) = answers.next().expect("one answer per incoming edge");
-                    edge.map(|(_, kind)| kind)
-                });
-                (cluster, members, in_kind)
-            })
-            .collect()
-    });
-    with_in_kind.map_local(|(cluster, members, in_kind)| link_members(cluster, members, *in_kind))
+    let found = ctx.join_lookup(cluster_ids, |cid| *cid, &headers, |h| h.id);
+    grouped.zip_local(found, |(_, members), (_, header)| {
+        link_members(&header.expect("cluster header exists"), &members)
+    })
 }
 
 /// The first member (lowest index) filed under `key` in a sorted `(key, member)` index.
@@ -275,19 +264,15 @@ fn first_under<K: Ord>(index: &[(K, usize)], key: &K) -> Option<usize> {
 }
 
 /// Link the members of one cluster into the small member tree (machine-local: one
-/// sort of the members, then a search per member). `in_kind` is the kind of the
-/// cluster's incoming edge when that edge exists in the degree-reduced edge list.
-/// Returns the view with the layer its cluster was formed at.
-fn link_members(
-    cluster: &Element,
-    members: &[MemberRec],
-    in_kind: Option<EdgeKind>,
-) -> (u32, Linked) {
+/// sort of the members, then a search per member). Returns the view with the layer
+/// its cluster was formed at.
+fn link_members(cluster: &ClusterHeader, members: &[MemberRec]) -> (u32, Linked) {
     // Member `b` hangs below member `a` when `a` accepts `b`'s outgoing edge: original
     // nodes accept every edge pointing at them, contracted clusters accept exactly
     // their recorded incoming edge. Index the members by what they accept — nodes by
     // id, contracted clusters by incoming edge; the first acceptor in member order
     // wins, as a scan over the members would have it.
+    let out_edge = DirectedEdge::new(defining_node(cluster.id), cluster.out_parent);
     let mut nodes: Vec<(ElementId, usize)> = Vec::with_capacity(members.len());
     let mut contracted: Vec<(DirectedEdge, usize)> = Vec::new();
     for (idx, m) in members.iter().enumerate() {
@@ -313,7 +298,7 @@ fn link_members(
         .enumerate()
         .map(|(b, member)| {
             let edge = member.element.out_edge;
-            let parent = (edge != cluster.out_edge)
+            let parent = (edge != out_edge)
                 .then(|| acceptor(&edge))
                 .flatten()
                 .filter(|&a| a != b);
@@ -325,19 +310,19 @@ fn link_members(
         .collect();
     let top = members
         .iter()
-        .position(|m| m.element.out_edge == cluster.out_edge)
+        .position(|m| m.element.out_edge == out_edge)
         .expect("the top member carries the cluster's outgoing edge");
     let view = Linked {
         members: linked,
         top,
         kind: cluster.kind,
-        out_parent: cluster.out_edge.parent,
+        out_parent: cluster.out_parent,
         in_edge: cluster.in_edge.map(|e| {
             let attach = acceptor(&e);
-            (e, attach, in_kind.unwrap_or(EdgeKind::Original))
+            (e, attach, EdgeKind::leaving(e.child))
         }),
     };
-    (cluster.formed_at, view)
+    (cluster_layer(cluster.id), view)
 }
 
 /// Every view of `skeletons` (one per machine, `num_layers` layers each) with its
@@ -1617,8 +1602,8 @@ mod tests {
                     .filter(|&layer| !plan.layer_is_empty(layer))
                     .count(),
             );
-            // Two table sorts, the run-placed gather, three 2-round probes.
-            assert_eq!(rounds, 2 * (sort + agg) + (sort + 1 + agg) + 6);
+            // The run-placed gather and one fused probe.
+            assert_eq!(rounds, (sort + 1 + agg) + (sort + 1));
             let (_, old_rounds, old_words) =
                 charged(&mut ctx, |ctx| build_plan_per_layer(ctx, &prepared));
             assert!(rounds < old_rounds);
@@ -1628,5 +1613,28 @@ mod tests {
             );
         }
         assert_eq!(layer_counts.len(), 2, "the two trees differ in layer count");
+    }
+
+    /// Plan build's words per tree node at δ = 1/2: one gather of 12-word members and
+    /// one probe of bare cluster ids against compact headers. The build that also
+    /// sorted and probed the edge kinds and sorted the 10-word cluster elements read
+    /// 21.9 on the path and 61.9 on the degree-reduced star; this one reads 13.2 and
+    /// 30.8.
+    #[test]
+    fn plan_build_words_per_tree_node() {
+        let shapes = [
+            (shapes::path(4096), 16.0, false),
+            (shapes::star(4096), 36.0, true),
+        ];
+        for (tree, bound, degree_reduced) in shapes {
+            let (mut ctx, prepared) = prepared(&tree, 0.5);
+            assert_eq!(!prepared.aux_to_original.is_empty(), degree_reduced);
+            let (_, _, words) = charged(&mut ctx, |ctx| prepared.plan_uncached(ctx));
+            let per_node = words as f64 / tree.len() as f64;
+            assert!(
+                per_node < bound,
+                "{per_node:.1} plan-build words per node, bound {bound}"
+            );
+        }
     }
 }

@@ -854,7 +854,16 @@ impl Snapshot for PreparedTree {
     }
     fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
         let clustering = Clustering::decode(r)?;
-        let edges = DistVec::decode(r)?;
+        let edges: DistVec<(DirectedEdge, EdgeKind)> = DistVec::decode(r)?;
+        // Plan build reads every edge kind off the child id, never off this list.
+        if edges
+            .iter()
+            .any(|(e, kind)| *kind != EdgeKind::leaving(e.child))
+        {
+            return Err(SnapshotError::Malformed(
+                "edge kind other than its child id decides",
+            ));
+        }
         let original_nodes = r.take_usize()?;
         let aux_to_original = DistVec::decode(r)?;
         let plan_value: Option<SolvePlan> = Option::decode(r)?;

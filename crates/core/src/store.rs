@@ -563,6 +563,43 @@ pub(crate) mod tests {
         ));
     }
 
+    /// Plan build reads an edge's kind off its child id, so a tree snapshot whose edge
+    /// list states another kind for one edge — either way round — is refused rather
+    /// than restored with a list the plan disagrees with.
+    #[test]
+    fn resealed_tree_with_one_edge_kind_flipped_is_refused() {
+        let tree = shapes::star(64);
+        let mut ctx = MpcContext::new(MpcConfig::new(2 * tree.len(), 0.5));
+        let prepared = prepare(
+            &mut ctx,
+            TreeInput::ListOfEdges(ListOfEdges::from_tree(&tree)),
+            Some(4),
+        )
+        .expect("well-formed tree");
+        let decoded = decode_resealed(KIND_PREPARED_TREE, &prepared).map(|t| t.edges);
+        assert_eq!(decoded.map(|e| e.to_vec()), Ok(prepared.edges.to_vec()));
+        for flip_from in [EdgeKind::Auxiliary, EdgeKind::Original] {
+            let (child, _) = prepared
+                .edges
+                .iter()
+                .map(|(e, kind)| (e.child, *kind))
+                .find(|(_, kind)| *kind == flip_from)
+                .expect("the star is degree-reduced: it has edges of both kinds");
+            let mut flipped = prepared.clone();
+            flipped.edges = flipped.edges.clone().map_local(|&(e, kind)| match kind {
+                _ if e.child != child => (e, kind),
+                EdgeKind::Original => (e, EdgeKind::Auxiliary),
+                EdgeKind::Auxiliary => (e, EdgeKind::Original),
+            });
+            assert_eq!(
+                decode_resealed(KIND_PREPARED_TREE, &flipped).map(|_| ()),
+                Err(SnapshotError::Malformed(
+                    "edge kind other than its child id decides"
+                ))
+            );
+        }
+    }
+
     /// Every kind a payload was written under before its layout changed is refused by
     /// kind, before any byte is read as the new layout: tree 1 and 5, plan 2 and 6, and
     /// store 3 (the store of cloned views and a payload map), 4 (plans with routing

@@ -7,7 +7,8 @@
 //! degree reduction's rounds and moved words, the words the clustering's path
 //! subroutine (`cluster-paths`) moves per tree node, the words the clustering builder
 //! moves itself per tree node (`build w/n`: the `clustering` phase less its
-//! `cluster-sizes` and `cluster-paths` subroutines), the plan's skeleton words per tree
+//! `cluster-sizes` and `cluster-paths` subroutines), the words the plan build moves per
+//! tree node (`pbuild w/n`: the `plan-build` phase), the plan's skeleton words per tree
 //! node, the plan's snapshot bytes per tree node (`snap B/n`, a report), the peak local
 //! memory against the `Θ(n^δ)` capacity, and the phases whose local-memory breaches
 //! are largest.
@@ -15,8 +16,9 @@
 //! Three sections: δ = 1/2, the cold workloads' setting, is a gate — the example fails
 //! unless every shape stays within capacity with no local-memory breach and its plan
 //! skeletons take at most 8 words per tree node; δ = 1/2 at 8× slack is reported only,
-//! save that at δ = 1/2 `cluster-paths` may move at most 128 and the builder at most 48
-//! words per tree node in either section; δ = 1/4 is reported only.
+//! save that at δ = 1/2 `cluster-paths` may move at most 128, the builder at most 48
+//! and the plan build at most 32 words per tree node in either section; δ = 1/4 is
+//! reported only.
 //!
 //! Run with: `cargo run --release --example memory_peaks`
 
@@ -31,6 +33,10 @@ use std::collections::BTreeMap;
 
 const N: usize = 1 << 16;
 const SEED: u64 = 7;
+/// The most words the plan build may move per tree node at δ = 1/2. It read 19.9–58.9
+/// (star) while it also sorted and probed the edge kinds and sorted whole cluster
+/// elements, and reads 12.6–29.4 (star) as one gather and one probe.
+const PBUILD_MAX: f64 = 32.0;
 
 /// The representation a cold workload feeds a shape in.
 #[derive(Clone, Copy)]
@@ -75,6 +81,8 @@ struct Peaks {
     /// The words the clustering builder moves outside its two subroutines, per tree
     /// node.
     build_per_node: f64,
+    /// The words the plan build moves, per tree node.
+    pbuild_per_node: f64,
     /// The plan's skeleton words per tree node.
     skeleton_per_node: f64,
     /// The plan's snapshot bytes per tree node.
@@ -96,15 +104,17 @@ fn measure(tree: &Tree, given: Given, delta: f64, slack: f64) -> Peaks {
         .iter()
         .find(|p| p.name == "degree-reduction")
         .map_or((0, 0), |p| (p.rounds, p.words_sent));
-    let per_node = |name: &str| -> f64 {
+    let per_node = |ctx: &MpcContext, name: &str| -> f64 {
         let phases = ctx.metrics().phases.iter().filter(|p| p.name == name);
         phases.map(|p| p.words_sent).sum::<u64>() as f64 / tree.len() as f64
     };
-    let paths_per_node = per_node("cluster-paths");
-    let build_per_node = per_node("clustering") - per_node("cluster-sizes") - paths_per_node;
+    let paths_per_node = per_node(&ctx, "cluster-paths");
+    let build_per_node =
+        per_node(&ctx, "clustering") - per_node(&ctx, "cluster-sizes") - paths_per_node;
     let weights = ctx.from_vec(ids.iter().map(|&v| (v, 1 + (v % 30) as i64)).collect());
     let no_edges = ctx.from_vec(Vec::<(u64, ())>::new());
     let plan = prepared.plan_uncached(&mut ctx);
+    let pbuild_per_node = per_node(&ctx, "plan-build");
     let skeleton_per_node = plan.skeleton_words() as f64 / tree.len() as f64;
     let snapshot_per_node = plan.to_snapshot().len() as f64 / tree.len() as f64;
     let engine = StateEngine::new(MaxWeightIndependentSet);
@@ -128,6 +138,7 @@ fn measure(tree: &Tree, given: Given, delta: f64, slack: f64) -> Peaks {
         degree,
         paths_per_node,
         build_per_node,
+        pbuild_per_node,
         skeleton_per_node,
         snapshot_per_node,
         peak: metrics.peak_local_memory,
@@ -161,8 +172,8 @@ fn main() {
         let gated = delta == 0.5 && slack == 32.0;
         println!("{section}");
         println!(
-            "{:<17} {:>15} {:>9} {:>9} {:>9} {:>9} {:>10} {:>9} {:>7}  worst breaches (phase/primitive: words)",
-            "shape", "degree rnd/words", "paths w/n", "build w/n", "plan w/n", "snap B/n", "peak", "capacity", "ratio"
+            "{:<17} {:>15} {:>9} {:>9} {:>10} {:>9} {:>9} {:>10} {:>9} {:>7}  worst breaches (phase/primitive: words)",
+            "shape", "degree rnd/words", "paths w/n", "build w/n", "pbuild w/n", "plan w/n", "snap B/n", "peak", "capacity", "ratio"
         );
         for (name, tree, given) in &trees {
             let peaks = measure(tree, *given, delta, slack);
@@ -173,10 +184,11 @@ fn main() {
                 .map(|(context, words)| format!("{context}: {words}"))
                 .collect();
             println!(
-                "{name:<17} {:>15} {:>9.2} {:>9.2} {:>9.2} {:>9.1} {:>10} {:>9} {:>7.2}  {}",
+                "{name:<17} {:>15} {:>9.2} {:>9.2} {:>10.2} {:>9.2} {:>9.1} {:>10} {:>9} {:>7.2}  {}",
                 format!("{}/{}", peaks.degree.0, peaks.degree.1),
                 peaks.paths_per_node,
                 peaks.build_per_node,
+                peaks.pbuild_per_node,
                 peaks.skeleton_per_node,
                 peaks.snapshot_per_node,
                 peaks.peak,
@@ -206,6 +218,12 @@ fn main() {
                 over.push(format!(
                     "{name} at {slack}× slack: the clustering builder moves {:.2} words per tree node",
                     peaks.build_per_node
+                ));
+            }
+            if delta == 0.5 && peaks.pbuild_per_node > PBUILD_MAX {
+                over.push(format!(
+                    "{name} at {slack}× slack: the plan build moves {:.2} words per tree node",
+                    peaks.pbuild_per_node
                 ));
             }
         }
