@@ -125,7 +125,7 @@ pub fn build_clustering(
     let mut initial: Vec<Active> = reduced
         .edges
         .iter()
-        .map(|(e, _)| Active {
+        .map(|e| Active {
             id: e.child,
             kind: ElementKind::Node,
             colored: false,
@@ -468,7 +468,7 @@ mod tests {
             reduce_degrees(&mut ctx, &edges, tree.root() as u64, tree.len(), threshold).unwrap();
         let before = ctx.metrics().rounds;
         let clustering = build_clustering(&mut ctx, &reduced).expect("clustering succeeds");
-        let edges = reduced.edges.iter().map(|(e, _)| *e).collect();
+        let edges = reduced.edges.to_vec();
         (clustering, edges, ctx.metrics().rounds - before)
     }
 

@@ -17,11 +17,13 @@
 //! edges and the auxiliary-to-original records. The result is exactly what repeating
 //! "gather by parent, chunk every oversized family" level by level produces.
 //!
-//! Edges from an original child to its (possibly auxiliary) parent keep the kind
+//! Edges from an original child to its (possibly auxiliary) parent are of the kind
 //! [`EdgeKind::Original`]; edges out of auxiliary nodes are [`EdgeKind::Auxiliary`],
 //! and DP rules must force both endpoints of an auxiliary edge to represent the same
-//! original node (Section 5.3).
+//! original node (Section 5.3). The child id decides the kind
+//! ([`EdgeKind::leaving`]), so the edge list does not carry it.
 
+#[cfg(doc)]
 use crate::element::EdgeKind;
 use mpc_engine::{Deal, DistVec, MpcContext, Words};
 use tree_repr::{DirectedEdge, NodeId};
@@ -44,8 +46,8 @@ pub fn is_aux_node(id: NodeId) -> bool {
 /// bound it records, the input [`build_clustering`](crate::build_clustering) takes.
 #[derive(Debug, Clone)]
 pub struct DegreeReduced {
-    /// The transformed edge list, each edge tagged original/auxiliary.
-    pub(crate) edges: DistVec<(DirectedEdge, EdgeKind)>,
+    /// The transformed edge list; an edge is auxiliary exactly when its child is.
+    pub(crate) edges: DistVec<DirectedEdge>,
     /// The root (unchanged).
     pub(crate) root: NodeId,
     /// Total number of nodes after the transformation (original + auxiliary).
@@ -62,14 +64,7 @@ impl DegreeReduced {
     /// Move the reduced tree out: its edge list, original node count, and the
     /// auxiliary-to-original map. Its root and node count (original + auxiliary) are
     /// the clustering's, which [`build_clustering`](crate::build_clustering) records.
-    #[allow(clippy::type_complexity)]
-    pub fn into_parts(
-        self,
-    ) -> (
-        DistVec<(DirectedEdge, EdgeKind)>,
-        usize,
-        DistVec<(NodeId, NodeId)>,
-    ) {
+    pub fn into_parts(self) -> (DistVec<DirectedEdge>, usize, DistVec<(NodeId, NodeId)>) {
         (self.edges, self.original_nodes, self.aux_to_original)
     }
 }
@@ -271,8 +266,7 @@ impl Layout {
 /// One record of the result on its way to its machine: its position in its table and
 /// two ids — an edge's child and parent, or an auxiliary node and the original node it
 /// stands in for. The table is the top bit of the position ([`AUX_RECORD`]); an edge's
-/// kind follows from its child, since exactly the edges out of auxiliary nodes are
-/// auxiliary.
+/// kind is its child's ([`EdgeKind::leaving`]), so nothing records it.
 type Placed = (u64, NodeId, NodeId);
 
 /// Position bit marking an auxiliary-to-original record.
@@ -368,7 +362,7 @@ pub fn reduce_degrees(
     let layout = Layout::new(&total, m);
     if layout.levels == 0 {
         return Some(DegreeReduced {
-            edges: edges.clone().map_local(|e| (*e, EdgeKind::Original)),
+            edges: edges.clone(),
             root,
             num_nodes,
             original_nodes: num_nodes,
@@ -429,8 +423,7 @@ pub fn reduce_degrees(
         _ => aux_deal.machine((pos ^ AUX_RECORD) as usize),
     });
     let reduced = placed.filter_map_local(|&(pos, child, parent)| {
-        let edge = (DirectedEdge::new(child, parent), EdgeKind::leaving(child));
-        (pos & AUX_RECORD == 0).then_some((pos, edge))
+        (pos & AUX_RECORD == 0).then_some((pos, DirectedEdge::new(child, parent)))
     });
     let aux_to_original = placed.filter_map_local(|&(pos, aux, original)| {
         (pos & AUX_RECORD != 0).then_some((pos, (aux, original)))
@@ -476,13 +469,12 @@ mod tests {
         num_nodes: usize,
         max_children: usize,
     ) -> DegreeReduced {
-        let mut current: DistVec<(DirectedEdge, EdgeKind)> =
-            edges.clone().map_local(|e| (*e, EdgeKind::Original));
+        let mut current: DistVec<DirectedEdge> = edges.clone();
         let mut aux_map: Vec<(NodeId, NodeId)> = Vec::new();
         let mut next_aux = AUX_BASE;
         let mut total_nodes = num_nodes;
         for _ in 0..64 {
-            let grouped = ctx.gather_groups(current.clone(), |(e, _)| e.parent);
+            let grouped = ctx.gather_groups(current.clone(), |e| e.parent);
             let oversized = ctx.all_reduce(
                 &grouped,
                 0u64,
@@ -492,7 +484,7 @@ mod tests {
             if oversized <= max_children as u64 {
                 break;
             }
-            let mut rewritten: Vec<(DirectedEdge, EdgeKind)> = Vec::new();
+            let mut rewritten: Vec<DirectedEdge> = Vec::new();
             for (parent, family) in grouped.iter() {
                 if family.len() <= max_children {
                     rewritten.extend(family.iter().copied());
@@ -508,10 +500,10 @@ mod tests {
                     next_aux += 1;
                     total_nodes += 1;
                     aux_map.push((aux, represented));
-                    for (edge, kind) in chunk {
-                        rewritten.push((DirectedEdge::new(edge.child, aux), *kind));
+                    for edge in chunk {
+                        rewritten.push(DirectedEdge::new(edge.child, aux));
                     }
-                    rewritten.push((DirectedEdge::new(aux, *parent), EdgeKind::Auxiliary));
+                    rewritten.push(DirectedEdge::new(aux, *parent));
                 }
             }
             current = ctx.from_vec(rewritten);
@@ -662,7 +654,7 @@ mod tests {
 
     /// Rebuild a host-side tree over remapped contiguous ids for structural checks.
     fn rebuild(reduced: &DegreeReduced) -> (Tree, Vec<u64>) {
-        let edges: Vec<DirectedEdge> = reduced.edges.iter().map(|(e, _)| *e).collect();
+        let edges = reduced.edges.to_vec();
         let mut ids: Vec<u64> = edges.iter().flat_map(|e| [e.child, e.parent]).collect();
         ids.push(reduced.root);
         ids.sort();
@@ -704,10 +696,9 @@ mod tests {
         let reduced = reduce(&tree, 4);
         assert_eq!(reduced.num_nodes, 127);
         assert!(reduced.aux_to_original.is_empty());
-        assert!(reduced
-            .edges
-            .iter()
-            .all(|(_, kind)| *kind == EdgeKind::Original));
+        // Every edge is original: no child is an auxiliary node.
+        assert!(reduced.edges.iter().all(|e| !is_aux_node(e.child)));
+        assert_eq!(reduced.edges.to_vec(), tree.edges());
     }
 
     #[test]
@@ -717,7 +708,7 @@ mod tests {
         let aux_edges: Vec<_> = reduced
             .edges
             .iter()
-            .filter(|(_, kind)| *kind == EdgeKind::Auxiliary)
+            .filter(|e| is_aux_node(e.child))
             .collect();
         assert!(!aux_edges.is_empty());
         // Every auxiliary node maps back to the star's center (node 0).
@@ -725,13 +716,12 @@ mod tests {
             assert!(*aux >= AUX_BASE);
             assert_eq!(*orig, 0);
         }
-        // Original edges always have an original child.
-        for (e, kind) in reduced.edges.iter() {
-            if *kind == EdgeKind::Original {
-                assert!(e.child < AUX_BASE);
-            } else {
-                assert!(e.child >= AUX_BASE);
-            }
+        // Original edges always have an original child, auxiliary ones a mapped
+        // auxiliary child.
+        let mapped: Vec<NodeId> = reduced.aux_to_original.iter().map(|(a, _)| *a).collect();
+        for e in reduced.edges.iter() {
+            assert_eq!(is_aux_node(e.child), e.child >= AUX_BASE);
+            assert_eq!(is_aux_node(e.child), mapped.contains(&e.child));
         }
     }
 

@@ -131,11 +131,11 @@ impl Words for Element {
 
 /// Kind of an edge after degree reduction (Sections 4.4 and 5.3).
 ///
-/// Invariant: an edge's kind is decided by its child endpoint alone — it is
+/// An edge's kind is decided by its child endpoint alone — it is
 /// [`Auxiliary`](Self::Auxiliary) exactly when that child is an auxiliary node
-/// ([`is_aux_node`]), see [`EdgeKind::leaving`]. Degree reduction writes every kind by
-/// this rule, plan build reads kinds off the ids instead of the edge list, and a
-/// decoded prepared tree whose edge list breaks it is refused.
+/// ([`is_aux_node`]), see [`EdgeKind::leaving`]. A kind is therefore computed wherever
+/// it is read and never stored: not in the degree-reduced edge list, not in a plan's
+/// skeletons, not in a snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EdgeKind {
     /// An edge of the original input tree (possibly re-targeted at an auxiliary node
@@ -156,12 +156,6 @@ impl EdgeKind {
             true => EdgeKind::Auxiliary,
             false => EdgeKind::Original,
         }
-    }
-}
-
-impl Words for EdgeKind {
-    fn words(&self) -> usize {
-        1
     }
 }
 

@@ -176,7 +176,7 @@ pub enum RepairOutcome {
 /// keep one index and patch it with [`RepairIndex::apply`] instead.
 pub fn plan_repair(
     clustering: &Clustering,
-    edges: &[(DirectedEdge, crate::element::EdgeKind)],
+    edges: &[DirectedEdge],
     ops: &[TopologyOp],
 ) -> Result<RepairOutcome, RepairError> {
     RepairIndex::build(clustering, edges).plan(ops)
@@ -225,7 +225,7 @@ impl RepairIndex {
     /// Index `clustering`, built over the reduced-tree `edges`.
     pub fn build<'a>(
         clustering: &Clustering,
-        edges: impl IntoIterator<Item = &'a (DirectedEdge, crate::element::EdgeKind)>,
+        edges: impl IntoIterator<Item = &'a DirectedEdge>,
     ) -> Self {
         let elements: BTreeMap<ElementId, Element> =
             clustering.elements.iter().map(|e| (e.id, *e)).collect();
@@ -244,10 +244,7 @@ impl RepairIndex {
             root: clustering.root,
             threshold: clustering.threshold,
             elements,
-            child_edges: edges
-                .into_iter()
-                .map(|(e, _)| (e.parent, e.child))
-                .collect(),
+            child_edges: edges.into_iter().map(|e| (e.parent, e.child)).collect(),
             member_count,
             in_edge_clusters,
         }
@@ -533,15 +530,11 @@ mod tests {
     use super::*;
     use crate::builder::build_clustering;
     use crate::degree::reduce_degrees;
-    use crate::element::EdgeKind;
     use mpc_engine::{MpcConfig, MpcContext};
     use tree_gen::shapes;
     use tree_repr::Tree;
 
-    fn clustered(
-        tree: &Tree,
-        threshold: usize,
-    ) -> (MpcContext, Clustering, Vec<(DirectedEdge, EdgeKind)>) {
+    fn clustered(tree: &Tree, threshold: usize) -> (MpcContext, Clustering, Vec<DirectedEdge>) {
         let n = tree.len().max(16);
         let mut ctx = MpcContext::new(
             MpcConfig::new(n, 0.5)
@@ -562,7 +555,7 @@ mod tests {
     fn apply_and_validate(
         ctx: &mut MpcContext,
         clustering: &Clustering,
-        edges: &[(DirectedEdge, EdgeKind)],
+        edges: &[DirectedEdge],
         repair: &ClusteringRepair,
     ) {
         let mut els = clustering.elements.to_vec();
@@ -578,8 +571,8 @@ mod tests {
         };
         let mutated: Vec<DirectedEdge> = edges
             .iter()
-            .filter(|(e, _)| !repair.removed_nodes.contains(&e.child))
-            .map(|(e, _)| *e)
+            .filter(|e| !repair.removed_nodes.contains(&e.child))
+            .copied()
             .chain(repair.added_leaves.iter().map(|l| l.out_edge))
             .collect();
         let violations = patched.validate(&mutated);
@@ -590,16 +583,12 @@ mod tests {
         );
         let mut index = RepairIndex::build(clustering, edges);
         index.apply(repair);
-        let mutated: Vec<(DirectedEdge, EdgeKind)> = mutated
-            .into_iter()
-            .map(|e| (e, EdgeKind::Original))
-            .collect();
         assert_eq!(index, RepairIndex::build(&patched, &mutated));
     }
 
     fn repaired(
         clustering: &Clustering,
-        edges: &[(DirectedEdge, EdgeKind)],
+        edges: &[DirectedEdge],
         ops: &[TopologyOp],
     ) -> ClusteringRepair {
         match plan_repair(clustering, edges, ops).expect("valid batch") {
@@ -762,13 +751,8 @@ mod tests {
             els.extend(repair.added_leaves.iter().copied());
             clustering.elements = ctx.from_vec(els);
             clustering.num_nodes = repair.new_num_nodes;
-            edges.retain(|(e, _)| !repair.removed_nodes.contains(&e.child));
-            edges.extend(
-                repair
-                    .added_leaves
-                    .iter()
-                    .map(|l| (l.out_edge, EdgeKind::Original)),
-            );
+            edges.retain(|e| !repair.removed_nodes.contains(&e.child));
+            edges.extend(repair.added_leaves.iter().map(|l| l.out_edge));
             assert_eq!(index, RepairIndex::build(&clustering, &edges));
         }
     }

@@ -16,7 +16,7 @@ use crate::plan::{build_plan, DpSolution, SolvePlan};
 use crate::problem::ClusterDp;
 use mpc_engine::{unmetered, Deal, DistVec, MpcContext};
 use std::cell::OnceCell;
-use tree_clustering::{build_clustering, reduce_degrees, ClusterError, Clustering, EdgeKind};
+use tree_clustering::{build_clustering, is_aux_node, reduce_degrees, ClusterError, Clustering};
 use tree_repr::{normalize, DirectedEdge, NodeId, TreeInput};
 
 /// Errors of the end-to-end pipeline.
@@ -52,9 +52,9 @@ impl From<ClusterError> for PipelineError {
 pub struct PreparedTree {
     /// The hierarchical clustering (reusable across problems and input labellings).
     pub clustering: Clustering,
-    /// Edges of the degree-reduced tree with their kinds, each the kind its child id
-    /// decides ([`EdgeKind::leaving`]); a snapshot that breaks this is refused.
-    pub edges: DistVec<(DirectedEdge, EdgeKind)>,
+    /// Edges of the degree-reduced tree. An edge's kind is never stored: its child id
+    /// decides it ([`EdgeKind::leaving`](tree_clustering::EdgeKind::leaving)).
+    pub edges: DistVec<DirectedEdge>,
     /// Number of original nodes.
     pub original_nodes: usize,
     /// For every auxiliary node, the original node it stands in for.
@@ -180,8 +180,7 @@ impl PreparedTree {
     /// current clustering; applying a stale repair corrupts the state.
     pub fn apply_structural_repair(&mut self, repair: &tree_clustering::ClusteringRepair) {
         // Edge list: drop every edge out of the removed set (all such edges have their
-        // child endpoint in it), append the new leaf edges (always Original: links
-        // attach original-id leaves below original nodes) spread over the front chunks.
+        // child endpoint in it), append the new leaf edges spread over the front chunks.
         let deal = Deal::over(repair.added_leaves.len(), self.edges.num_chunks());
         let mut new_edges = repair.added_leaves.chunks(deal.share());
         // Drops records where they lie and places the new leaf edges like `from_vec`
@@ -189,10 +188,10 @@ impl PreparedTree {
         // records.
         for chunk in unmetered::chunks_mut(&mut self.edges) {
             if !repair.removed_nodes.is_empty() {
-                chunk.retain(|(e, _)| !repair.removed_nodes.contains(&e.child));
+                chunk.retain(|e| !repair.removed_nodes.contains(&e.child));
             }
             let leaves = new_edges.next().unwrap_or_default();
-            chunk.extend(leaves.iter().map(|l| (l.out_edge, EdgeKind::Original)));
+            chunk.extend(leaves.iter().map(|l| l.out_edge));
         }
 
         // Clustering elements: drop, demote, append, rebalance.
@@ -232,8 +231,8 @@ impl PreparedTree {
             self.aux_to_original.iter().copied().collect();
         self.edges
             .iter()
-            .filter(|(_, kind)| *kind == EdgeKind::Original)
-            .map(|(e, _)| {
+            .filter(|e| !is_aux_node(e.child))
+            .map(|e| {
                 let parent = aux_map.get(&e.parent).copied().unwrap_or(e.parent);
                 DirectedEdge::new(e.child, parent)
             })
@@ -268,7 +267,7 @@ mod tests {
             repair
                 .added_leaves
                 .iter()
-                .map(|l| (l.out_edge, EdgeKind::Original))
+                .map(|l| l.out_edge)
                 .collect::<Vec<_>>(),
         );
         let mut elements = before.clustering.elements.to_vec();
@@ -278,7 +277,7 @@ mod tests {
         rebuilt.edges = before
             .edges
             .clone()
-            .filter_local(|(e, _)| !repair.removed_nodes.contains(&e.child))
+            .filter_local(|e| !repair.removed_nodes.contains(&e.child))
             .concat_local(added);
         rebuilt.clustering.elements = ctx.from_vec(elements);
         rebuilt.aux_to_original = before
@@ -415,9 +414,8 @@ mod tests {
                 rebuilt.aux_to_original.chunks(),
                 "step {step}: aux map"
             );
-            let plain: Vec<DirectedEdge> = prepared.edges.iter().map(|(e, _)| *e).collect();
             assert_eq!(
-                prepared.clustering.validate(&plain),
+                prepared.clustering.validate(&prepared.edges.to_vec()),
                 Vec::new(),
                 "step {step}"
             );

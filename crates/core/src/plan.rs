@@ -17,9 +17,9 @@
 //!
 //! * per layer and per machine, the **skeleton view** of every cluster formed there
 //!   ([`PlanView`]: members in their assembled order, parent/children links, top and
-//!   attach indexes, boundary edges, edge kinds) in a compact layout of a few words
-//!   per member — each member its id and one packed word, everything a view can
-//!   derive left out ([`skeleton`](crate::skeleton)) — and
+//!   attach indexes, boundary edges) in a compact layout of a few words per member —
+//!   each member its id and one packed word, everything a view can derive left out,
+//!   edge kinds included ([`skeleton`](crate::skeleton)) — and
 //! * **routing indexes** mapping every element to its member slot, every edge to the
 //!   slots reading its input, and every label key to the views reading it — a pure
 //!   function of the skeletons, derived by one function at plan build and at
@@ -48,8 +48,10 @@ use crate::routing::Routing;
 use crate::store::SolverStore;
 use mpc_engine::{unmetered, DistVec, MpcContext, Words};
 use std::collections::{BTreeMap, BTreeSet};
+#[cfg(doc)]
+use tree_clustering::EdgeKind;
 use tree_clustering::{
-    cluster_layer, defining_node, Clustering, EdgeKind, Element, ElementId, ElementKind, AUX_BASE,
+    cluster_layer, defining_node, Clustering, Element, ElementId, ElementKind, AUX_BASE,
 };
 use tree_repr::{DirectedEdge, NodeId};
 
@@ -108,13 +110,13 @@ pub struct PlanRouting {
     aux_nodes: BTreeSet<NodeId>,
 }
 
-/// One view of a [`PlanRouting`]: the header (kind, outgoing and incoming edge, the
-/// incoming edge's kind), the ids of the top and attach members, and every member
-/// with its element, edge kind and parent's id.
+/// One view of a [`PlanRouting`]: the header (kind, outgoing and incoming edge), the
+/// ids of the top and attach members, and every member with its element and parent's
+/// id.
 type ViewById = (
-    (ElementKind, DirectedEdge, Option<DirectedEdge>, EdgeKind),
+    (ElementKind, DirectedEdge, Option<DirectedEdge>),
     (ElementId, Option<ElementId>),
-    BTreeMap<ElementId, (Element, EdgeKind, Option<ElementId>)>,
+    BTreeMap<ElementId, (Element, Option<ElementId>)>,
 );
 
 impl MemberSlot {
@@ -169,18 +171,16 @@ pub struct SolvePlan {
     pub(crate) routing: Routing,
 }
 
-/// One member on its way into a skeleton view: the clustering element and the kind of
-/// its outgoing original edge.
+/// One member on its way into a skeleton view: the clustering element.
 struct MemberRec {
     element: Element,
-    out_kind: EdgeKind,
 }
 
 impl Words for MemberRec {
     fn words(&self) -> usize {
-        // The element, its edge kind, and the tag word of the payload the member holds
-        // during a solve: the group gathering balances groups over machines by word
-        // count, so this width decides which machine every skeleton lives on.
+        // The element plus two words: the group gathering balances groups over
+        // machines by word count, so this width decides which machine every skeleton
+        // lives on, and every plan-solve volume with it — narrowing it moves them all.
         self.element.words() + 2
     }
 }
@@ -224,15 +224,12 @@ impl Words for ClusterHeader {
 /// cluster — once, for all layers — attach the cluster's header (probed in a table of
 /// the cluster elements alone, the only ones a cluster id can name; the bare id is
 /// sent and the answer rejoins its group where the group lies), and link the member
-/// tree locally. Edge kinds are read off the ids ([`EdgeKind::leaving`]). Machine
-/// `i`'s views come layer by layer, in cluster-id order within a layer, each with the
-/// layer its cluster was formed at.
+/// tree locally. No edge kind is fetched: a view reads kinds off the ids
+/// ([`EdgeKind::leaving`]). Machine `i`'s views come layer by layer, in cluster-id
+/// order within a layer, each with the layer its cluster was formed at.
 fn build_skeletons(ctx: &mut MpcContext, clustering: &Clustering) -> DistVec<(u32, Linked)> {
     let member_recs = clustering.elements.filter_map_local(|e| {
-        (e.kind != ElementKind::TopCluster).then(|| MemberRec {
-            element: *e,
-            out_kind: EdgeKind::leaving(e.out_edge.child),
-        })
+        (e.kind != ElementKind::TopCluster).then_some(MemberRec { element: *e })
     });
     // A cluster id carries the layer the cluster is formed at above the defining
     // element's id, so the key order is layer-major and every layer is one run.
@@ -304,8 +301,7 @@ fn link_members(cluster: &ClusterHeader, members: &[MemberRec]) -> (u32, Linked)
                 .filter(|&a| a != b);
             // A contracted parent accepted this member's edge as its incoming edge.
             let enters = parent.is_some_and(|a| members[a].element.kind != ElementKind::Node);
-            let e = &member.element;
-            PlanMember::new(e.id, e.kind, member.out_kind, parent, enters)
+            PlanMember::new(member.element.id, member.element.kind, parent, enters)
         })
         .collect();
     let top = members
@@ -317,10 +313,7 @@ fn link_members(cluster: &ClusterHeader, members: &[MemberRec]) -> (u32, Linked)
         top,
         kind: cluster.kind,
         out_parent: cluster.out_parent,
-        in_edge: cluster.in_edge.map(|e| {
-            let attach = acceptor(&e);
-            (e, attach, EdgeKind::leaving(e.child))
-        }),
+        in_edge: cluster.in_edge.map(|e| (e, acceptor(&e))),
     };
     (cluster_layer(cluster.id), view)
 }
@@ -713,10 +706,10 @@ impl SolvePlan {
                             let element = self
                                 .element(&view, i)
                                 .expect("a plan derives every element");
-                            (m.id(), (element, m.out_kind(), m.parent().map(id_at)))
+                            (m.id(), (element, m.parent().map(id_at)))
                         })
                         .collect();
-                    let header = (view.kind(), view.out_edge(), view.in_edge(), view.in_kind());
+                    let header = (view.kind(), view.out_edge(), view.in_edge());
                     let ends = (id_at(view.top()), view.attach().map(id_at));
                     (view.cluster(), (header, ends, members))
                 })
@@ -768,22 +761,6 @@ impl SolvePlan {
     pub fn resident_words(&self) -> usize {
         let aux = self.aux_nodes.len() * 2;
         8 + self.skeleton_words() + self.routing.resident_words() + aux
-    }
-
-    /// The child endpoint of the first edge in `edges` that some member takes as its
-    /// outgoing edge under another [`EdgeKind`] than the one recorded there, if any.
-    /// A member's out-edge kind decides how its state step merges it into its parent,
-    /// so it must be the kind of the degree-reduced edge list the plan was built over.
-    /// One pass over `edges`, each looking up that edge's out-edge slots.
-    pub fn out_kind_mismatch<'a>(
-        &self,
-        edges: impl IntoIterator<Item = &'a (DirectedEdge, EdgeKind)>,
-    ) -> Option<NodeId> {
-        edges.into_iter().find_map(|(e, kind)| {
-            let slots = self.routing.out_edges.get(e.child).iter();
-            let mut members = slots.map(|s| self.view_at(s.view_slot()).member(s.member as usize));
-            members.any(|m| m.out_kind() != *kind).then_some(e.child)
-        })
     }
 
     /// The lowest-numbered original node `node_inputs` holds no record for, if any:
@@ -1349,21 +1326,22 @@ mod tests {
     use crate::pipeline::{prepare, PreparedTree};
     use mpc_engine::{MpcConfig, SortedTable};
     use proptest::prelude::*;
+    use tree_clustering::VIRTUAL_NODE;
     use tree_gen::{shapes, standard_suite};
     use tree_repr::{ListOfEdges, Tree, TreeInput};
 
     /// The plan build this module had before it gathered all layers at once, kept as
     /// the reference: per layer three probes that ship the whole member record (then
     /// the whole gathered group) as the request, one `gather_groups`, and a member
-    /// tree linked by scanning for the acceptor.
+    /// tree linked by scanning for the acceptor. Its two edge-list probes fetch every
+    /// member's outgoing edge and every cluster's incoming edge, two-word records as
+    /// that build's were, and check them against the elements.
     fn build_plan_per_layer(ctx: &mut MpcContext, prepared: &PreparedTree) -> SolvePlan {
         let clustering = &prepared.clustering;
         ctx.phase("plan-build", |ctx| {
-            let edge_kinds: DistVec<(NodeId, EdgeKind)> = prepared
-                .edges
-                .clone()
-                .map_local(|(e, kind)| (e.child, *kind));
-            let edges_sorted = ctx.sort_table(&edge_kinds, |d| d.0);
+            let edge_list: DistVec<(NodeId, NodeId)> =
+                prepared.edges.clone().map_local(|e| (e.child, e.parent));
+            let edges_sorted = ctx.sort_table(&edge_list, |d| d.0);
             let elements_sorted = ctx.sort_table(&clustering.elements, |e| e.id);
             let machines = ctx.config().num_machines();
             let mut skeletons: Vec<Skeletons> = (0..machines)
@@ -1375,7 +1353,7 @@ mod tests {
                     ctx,
                     clustering,
                     layer,
-                    &edge_kinds,
+                    &edge_list,
                     &edges_sorted,
                     &elements_sorted,
                 );
@@ -1411,7 +1389,7 @@ mod tests {
         ctx: &mut MpcContext,
         clustering: &Clustering,
         layer: u32,
-        edge_kinds: &DistVec<(NodeId, EdgeKind)>,
+        edge_list: &DistVec<(NodeId, NodeId)>,
         edges_sorted: &SortedTable<NodeId>,
         elements_sorted: &SortedTable<ElementId>,
     ) -> DistVec<Linked> {
@@ -1422,16 +1400,19 @@ mod tests {
         if members_at_layer.is_empty() {
             return ctx.empty();
         }
+        // Every edge a member leaves by or a cluster is entered by is in the edge list,
+        // but the virtual edge above the root.
+        let listed = |e: DirectedEdge| (e.parent != VIRTUAL_NODE).then_some((e.child, e.parent));
         let member_recs = ctx
             .join_lookup_sorted(
                 members_at_layer,
                 |e| e.out_edge.child,
-                edge_kinds,
+                edge_list,
                 edges_sorted,
             )
-            .map_local(|(element, edge)| MemberRec {
-                element: *element,
-                out_kind: edge.map_or(EdgeKind::Original, |(_, kind)| kind),
+            .map_local(|(element, edge)| {
+                assert_eq!(*edge, listed(element.out_edge));
+                MemberRec { element: *element }
             });
         let grouped = ctx.gather_groups(member_recs, |m| m.element.absorbed_into);
         let with_cluster = ctx.join_lookup_sorted(
@@ -1448,21 +1429,18 @@ mod tests {
                     .and_then(|c| c.in_edge)
                     .map_or(u64::MAX, |e| e.child)
             },
-            edge_kinds,
+            edge_list,
             edges_sorted,
         );
         let views = with_in_edge.map_local(|(((_, members), cluster), in_edge)| {
             let cluster = cluster.as_ref().expect("cluster element exists");
-            link_members_by_scan(cluster, members, in_edge.map(|(_, kind)| kind))
+            assert_eq!(*in_edge, cluster.in_edge.and_then(listed));
+            link_members_by_scan(cluster, members)
         });
         views
     }
 
-    fn link_members_by_scan(
-        cluster: &Element,
-        members: &[MemberRec],
-        in_kind: Option<EdgeKind>,
-    ) -> Linked {
+    fn link_members_by_scan(cluster: &Element, members: &[MemberRec]) -> Linked {
         let accepts = |a: &MemberRec, edge: &DirectedEdge| -> bool {
             if a.element.kind == ElementKind::Node {
                 a.element.id == edge.parent
@@ -1479,8 +1457,7 @@ mod tests {
                     .then(|| (0..members.len()).find(|&a| a != b && accepts(&members[a], &edge)))
                     .flatten();
                 let enters = parent.is_some_and(|a| members[a].element.in_edge == Some(edge));
-                let e = &member.element;
-                PlanMember::new(e.id, e.kind, member.out_kind, parent, enters)
+                PlanMember::new(member.element.id, member.element.kind, parent, enters)
             })
             .collect();
         Linked {
@@ -1491,10 +1468,9 @@ mod tests {
                 .expect("the top member carries the cluster's outgoing edge"),
             kind: cluster.kind,
             out_parent: cluster.out_edge.parent,
-            in_edge: cluster.in_edge.map(|e| {
-                let attach = members.iter().position(|m| accepts(m, &e));
-                (e, attach, in_kind.unwrap_or(EdgeKind::Original))
-            }),
+            in_edge: cluster
+                .in_edge
+                .map(|e| (e, members.iter().position(|m| accepts(m, &e)))),
         }
     }
 
@@ -1527,7 +1503,7 @@ mod tests {
         let plan = prepared.plan_uncached(&mut ctx);
         assert_eq!(plan.skeletons, reference.skeletons, "skeleton placement");
         assert_eq!(plan, reference);
-        let edge_children: BTreeSet<NodeId> = prepared.edges.iter().map(|(e, _)| e.child).collect();
+        let edge_children: BTreeSet<NodeId> = prepared.edges.iter().map(|e| e.child).collect();
         assert_eq!(plan.audit_routing(&edge_children), Ok(()));
         let readers = plan.routing.readers.iter();
         let mut in_edges = readers.filter(|(_, rs)| rs.iter().any(|r| !r.as_out));

@@ -167,7 +167,7 @@ pub trait ClusterDp: 'static {
 mod tests {
     use super::*;
     use crate::skeleton::{Linked, PlanMember, Skeletons};
-    use tree_clustering::{EdgeKind, ElementKind, VIRTUAL_NODE};
+    use tree_clustering::{ElementKind, VIRTUAL_NODE};
 
     /// A trivial problem used to exercise the view plumbing: count nodes in each subtree.
     struct CountNodes;
@@ -202,7 +202,7 @@ mod tests {
     }
 
     fn member(id: u64, parent: Option<usize>) -> PlanMember {
-        PlanMember::new(id, ElementKind::Node, EdgeKind::Original, parent, false)
+        PlanMember::new(id, ElementKind::Node, parent, false)
     }
 
     #[test]

@@ -30,6 +30,11 @@ pub struct SequentialSolution<P: ClusterDp> {
 ///
 /// `node_input(v)` supplies the input of node `v`; `edge_info(c)` supplies the kind and
 /// edge input of the edge whose child endpoint is `c`.
+///
+/// # Panics
+///
+/// When `edge_info(c)` states another kind than `c` decides ([`EdgeKind::leaving`]):
+/// the solve reads every kind off the child id, as a plan does.
 pub fn solve_sequential<P: ClusterDp>(
     problem: &P,
     edges: &[DirectedEdge],
@@ -55,10 +60,11 @@ pub fn solve_sequential<P: ClusterDp>(
         .iter()
         .map(|&v| {
             let (kind, input) = edge_info(v);
+            assert_eq!(kind, EdgeKind::leaving(v), "kind of the edge leaving {v}");
             slots.payloads.push(Some(Payload::Input(node_input(v))));
             slots.out_inputs.push(Some(input));
             let parent = parent_of.get(&v).map(|p| index_of[p]);
-            PlanMember::new(v, ElementKind::Node, kind, parent, false)
+            PlanMember::new(v, ElementKind::Node, parent, false)
         })
         .collect();
     let mut held = Skeletons::new(1);

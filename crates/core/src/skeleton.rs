@@ -14,7 +14,10 @@
 //!   layer, and a cluster member's `formed_at` the layer in its id;
 //! * a member's outgoing edge is the view's (top member), points at its parent (a node
 //!   member), or is its parent's incoming edge (a cluster member, flagged);
-//! * a cluster member's incoming edge is the one its own view records.
+//! * a cluster member's incoming edge is the one its own view records;
+//! * an edge's kind is its child's ([`EdgeKind::leaving`]): a member's outgoing edge
+//!   leaves [`defining_node`] of its id, a view's incoming edge leaves its recorded
+//!   child.
 //!
 //! One machine's views lie in struct-of-arrays form, layer by layer (`Skeletons`);
 //! a [`PlanView`] is a borrowed view into them.
@@ -52,14 +55,6 @@ fn kind_of(code: u64) -> ElementKind {
     }
 }
 
-fn edge_kind_of(auxiliary: bool) -> EdgeKind {
-    if auxiliary {
-        EdgeKind::Auxiliary
-    } else {
-        EdgeKind::Original
-    }
-}
-
 /// `bit` when `set`, else no bit.
 fn flag(set: bool, bit: u64) -> u64 {
     if set {
@@ -79,9 +74,9 @@ fn offset(i: usize) -> u32 {
 }
 
 /// One member of a cluster view: its element id and one packed word — the element's
-/// kind (bits 0–1), the kind of its outgoing edge (bit 2), whether that edge is its
-/// parent's incoming edge (bit 3), where its children start in the view's child run
-/// (bits 4–31) and its parent's index (bits 32–63, all ones for the top member).
+/// kind (bits 0–1), whether its outgoing edge is its parent's incoming edge (bit 3),
+/// where its children start in the view's child run (bits 4–31) and its parent's
+/// index (bits 32–63, all ones for the top member). Bit 2 is unused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanMember {
     id: ElementId,
@@ -91,7 +86,6 @@ pub struct PlanMember {
 impl Words for PlanMember {}
 
 impl PlanMember {
-    const AUX_OUT: u64 = 1 << 2;
     const ENTERS_PARENT: u64 = 1 << 3;
     const KIDS_SHIFT: u32 = 4;
     const PARENT_SHIFT: u32 = 32;
@@ -100,15 +94,12 @@ impl PlanMember {
     pub(crate) fn new(
         id: ElementId,
         kind: ElementKind,
-        out_kind: EdgeKind,
         parent: Option<usize>,
         enters_parent: bool,
     ) -> Self {
         let member = PlanMember {
             id,
-            packed: kind_code(kind)
-                | flag(out_kind == EdgeKind::Auxiliary, Self::AUX_OUT)
-                | flag(enters_parent, Self::ENTERS_PARENT),
+            packed: kind_code(kind) | flag(enters_parent, Self::ENTERS_PARENT),
         };
         member.with_parent(parent)
     }
@@ -123,9 +114,11 @@ impl PlanMember {
         kind_of(self.packed)
     }
 
-    /// Kind of the member's outgoing original edge.
+    /// Kind of the member's outgoing original edge: the kind of the edge leaving
+    /// [`defining_node`] of the id — the node itself, or a cluster's outgoing edge's
+    /// child.
     pub fn out_kind(self) -> EdgeKind {
-        edge_kind_of(self.packed & Self::AUX_OUT != 0)
+        EdgeKind::leaving(defining_node(self.id))
     }
 
     /// Index of the parent member; `None` for the top member.
@@ -181,8 +174,8 @@ impl PlanMember {
 
 /// The fixed part of a view: the parent endpoint of its outgoing edge, and one packed
 /// word — the machine offset of its first member (bits 0–31), its kind (bits 32–33),
-/// the kind of its incoming edge (bit 34), whether it has one (bit 35) and its top
-/// member's index (bits 36–63).
+/// whether it has an incoming edge (bit 35) and its top member's index (bits 36–63).
+/// Bit 34 is unused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ViewHead {
     out_parent: NodeId,
@@ -193,7 +186,6 @@ impl Words for ViewHead {}
 
 impl ViewHead {
     const KIND_SHIFT: u32 = 32;
-    const AUX_IN: u64 = 1 << 34;
     const HAS_IN: u64 = 1 << 35;
     const TOP_SHIFT: u32 = 36;
 
@@ -210,10 +202,6 @@ impl ViewHead {
 
     fn kind(self) -> ElementKind {
         kind_of(self.packed >> Self::KIND_SHIFT)
-    }
-
-    fn in_kind(self) -> EdgeKind {
-        edge_kind_of(self.packed & Self::AUX_IN != 0)
     }
 
     fn has_in(self) -> bool {
@@ -246,13 +234,13 @@ impl Words for InEdge {}
 
 /// A view on its way into a machine's [`Skeletons`]: its members (parents set,
 /// children not yet), top member, kind, the parent endpoint of its outgoing edge, and
-/// its incoming edge with the attach member and the edge's kind.
+/// its incoming edge with the attach member.
 pub(crate) struct Linked {
     pub(crate) members: Vec<PlanMember>,
     pub(crate) top: usize,
     pub(crate) kind: ElementKind,
     pub(crate) out_parent: NodeId,
-    pub(crate) in_edge: Option<(DirectedEdge, Option<usize>, EdgeKind)>,
+    pub(crate) in_edge: Option<(DirectedEdge, Option<usize>)>,
 }
 
 /// Give every member of one view its child range, children in index order (the order
@@ -328,17 +316,15 @@ impl Skeletons {
             "the top member is the root"
         );
         self.kids.extend(link_children(&mut members));
-        let in_kind = view.in_edge.map_or(EdgeKind::Original, |(_, _, kind)| kind);
         let head = ViewHead {
             out_parent: view.out_parent,
             packed: kind_code(view.kind) << ViewHead::KIND_SHIFT
-                | flag(in_kind == EdgeKind::Auxiliary, ViewHead::AUX_IN)
                 | flag(view.in_edge.is_some(), ViewHead::HAS_IN),
         };
         self.heads
             .push(head.with_start(self.members.len()).with_top(view.top));
         self.members.extend(members);
-        if let Some((edge, attach, _)) = view.in_edge {
+        if let Some((edge, attach)) = view.in_edge {
             self.in_edges.push(InEdge {
                 view: offset(v),
                 attach: attach.map_or(NONE, offset),
@@ -432,7 +418,7 @@ impl Skeletons {
         if head.has_in() {
             self.in_edges.retain(|e| e.view as usize != v);
         }
-        head.packed &= !(0b11 << ViewHead::KIND_SHIFT | ViewHead::AUX_IN | ViewHead::HAS_IN);
+        head.packed &= !(0b11 << ViewHead::KIND_SHIFT | ViewHead::HAS_IN);
         head.packed |= kind_code(ElementKind::ClusterIndeg0) << ViewHead::KIND_SHIFT;
     }
 
@@ -508,7 +494,6 @@ impl Skeletons {
         members.push(PlanMember::new(
             leaf,
             ElementKind::Node,
-            EdgeKind::Original,
             Some(parent),
             false,
         ));
@@ -621,9 +606,11 @@ impl<'a> PlanView<'a> {
         self.in_edge.map(|e| e.edge)
     }
 
-    /// Kind of the incoming edge.
+    /// Kind of the incoming edge: the kind of the edge leaving its child
+    /// ([`EdgeKind::Original`] when the view has none).
     pub fn in_kind(&self) -> EdgeKind {
-        self.head.in_kind()
+        self.in_edge
+            .map_or(EdgeKind::Original, |e| EdgeKind::leaving(e.edge.child))
     }
 
     /// The view as [`Skeletons::push`] takes it.
@@ -633,7 +620,7 @@ impl<'a> PlanView<'a> {
             top: self.top(),
             kind: self.kind(),
             out_parent: self.head.out_parent,
-            in_edge: self.in_edge().map(|e| (e, self.attach(), self.in_kind())),
+            in_edge: self.in_edge().map(|e| (e, self.attach())),
         }
     }
 
@@ -662,7 +649,7 @@ mod tests {
 
     #[test]
     fn records_are_as_wide_as_their_words_say() {
-        let member = PlanMember::new(7, ElementKind::Node, EdgeKind::Original, None, false);
+        let member = PlanMember::new(7, ElementKind::Node, None, false);
         let head = ViewHead {
             out_parent: 0,
             packed: 0,
@@ -686,18 +673,31 @@ mod tests {
             ElementKind::ClusterIndeg1,
             ElementKind::TopCluster,
         ] {
-            for out_kind in [EdgeKind::Original, EdgeKind::Auxiliary] {
-                for parent in [None, Some(0), Some(MAX_MEMBERS - 1)] {
-                    for enters in [false, true] {
-                        let m = PlanMember::new(3, kind, out_kind, parent, enters)
-                            .with_first_kid(MAX_MEMBERS - 2);
-                        assert_eq!(
-                            (m.kind(), m.out_kind(), m.parent(), m.enters_parent()),
-                            (kind, out_kind, parent, enters)
-                        );
-                        assert_eq!(m.first_kid(), MAX_MEMBERS - 2);
-                    }
+            for parent in [None, Some(0), Some(MAX_MEMBERS - 1)] {
+                for enters in [false, true] {
+                    let m =
+                        PlanMember::new(3, kind, parent, enters).with_first_kid(MAX_MEMBERS - 2);
+                    assert_eq!(
+                        (m.kind(), m.parent(), m.enters_parent()),
+                        (kind, parent, enters)
+                    );
+                    assert_eq!(m.first_kid(), MAX_MEMBERS - 2);
                 }
+            }
+        }
+    }
+
+    /// A member's out-kind is read off its id: a node's own, a cluster's defining
+    /// node, whatever layer the cluster formed at.
+    #[test]
+    fn out_kind_is_read_off_the_id() {
+        use tree_clustering::AUX_BASE;
+        for (node, kind) in [(3, EdgeKind::Original), (AUX_BASE + 3, EdgeKind::Auxiliary)] {
+            let member = |id| PlanMember::new(id, ElementKind::ClusterIndeg0, None, false);
+            assert_eq!(member(node).out_kind(), kind);
+            for layer in [1, 7] {
+                let cluster = make_cluster_id(layer, make_cluster_id(1, node));
+                assert_eq!(member(cluster).out_kind(), kind);
             }
         }
     }

@@ -28,14 +28,16 @@
 //! plan travels as what its skeletons store ([`crate::skeleton`]) and nothing they
 //! derive: per layer and machine the number of views, per view its kind, the parent
 //! end of its outgoing edge, its top index and its incoming-edge record, per member
-//! its id, kind, outgoing-edge kind and parent index. Decoding derives the rest — child
-//! runs, enters-parent flags, routing indexes — as a plan build does. A checksum only
-//! vouches for the bytes, so a decoded [`SolvePlan`] is also checked for member trees
-//! its skeletons can hold and for what the evaluation pass relies on
-//! ([`SolvePlan::validate`]), a decoded [`SolverStore`] for slot state that matches
-//! its plan, and a decoded [`PreparedTree`] for a cached plan of its own clustering: a
-//! re-sealed payload with one index out of place is [`SnapshotError::Malformed`], not a
-//! panic on the next solve.
+//! its id, kind and parent index. Decoding derives the rest — child runs,
+//! enters-parent flags, routing indexes — as a plan build does. No snapshot holds an
+//! edge kind: every kind is read off the edge's child id
+//! ([`EdgeKind::leaving`](tree_clustering::EdgeKind::leaving)), so none can be
+//! written wrong. A checksum only vouches for the bytes, so a decoded [`SolvePlan`] is
+//! also checked for member trees its skeletons can hold and for what the evaluation
+//! pass relies on ([`SolvePlan::validate`]), a decoded [`SolverStore`] for slot state
+//! that matches its plan, and a decoded [`PreparedTree`] for a cached plan of its own
+//! clustering: a re-sealed payload with one index out of place is
+//! [`SnapshotError::Malformed`], not a panic on the next solve.
 //!
 //! The codec is versioned through [`SNAPSHOT_VERSION`]: a reader refuses payloads
 //! written by a future version instead of misinterpreting them. Downstream users (the
@@ -52,7 +54,7 @@ use crate::store::SolverStore;
 use mpc_engine::{unmetered, DistVec, MpcConfig};
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
-use tree_clustering::{Clustering, EdgeKind, Element, ElementKind};
+use tree_clustering::{Clustering, Element, ElementKind};
 use tree_repr::DirectedEdge;
 
 /// Magic bytes opening every snapshot.
@@ -63,16 +65,18 @@ pub const SNAPSHOT_VERSION: u32 = 1;
 
 /// Payload kind: a [`PreparedTree`] (with its cached plan, if built). Bumped 1 → 5
 /// when plans stopped carrying their routing indexes, 5 → 8 when plans began to travel
-/// as their compact skeletons and the tree lost its second root and node count.
-pub const KIND_PREPARED_TREE: u32 = 8;
+/// as their compact skeletons and the tree lost its second root and node count, 8 → 9
+/// when the edge list and the plan stopped carrying edge kinds.
+pub const KIND_PREPARED_TREE: u32 = 9;
 /// Payload kind: a bare [`SolvePlan`]. Bumped 2 → 6 when plans stopped carrying their
-/// routing indexes, 6 → 9 when they began to travel as their compact skeletons.
-pub const KIND_PLAN: u32 = 9;
+/// routing indexes, 6 → 9 when they began to travel as their compact skeletons, 9 → 10
+/// when they stopped carrying edge kinds.
+pub const KIND_PLAN: u32 = 10;
 /// Payload kind: a [`SolverStore`]. Bumped 3 → 4 when the store became a plan plus
 /// slot state (kind 3 held a cloned view per cluster and a payload map), 4 → 7 when
 /// plans stopped carrying their routing indexes, 7 → 10 when they began to travel as
-/// their compact skeletons.
-pub const KIND_STORE: u32 = 10;
+/// their compact skeletons, 10 → 11 when they stopped carrying edge kinds.
+pub const KIND_STORE: u32 = 11;
 
 /// Why a snapshot failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -596,22 +600,6 @@ impl Snapshot for DirectedEdge {
     }
 }
 
-impl Snapshot for EdgeKind {
-    fn encode(&self, w: &mut SnapshotWriter) {
-        w.put_u8(match self {
-            EdgeKind::Original => 0,
-            EdgeKind::Auxiliary => 1,
-        });
-    }
-    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        match r.take_u8()? {
-            0 => Ok(EdgeKind::Original),
-            1 => Ok(EdgeKind::Auxiliary),
-            _ => Err(SnapshotError::Malformed("EdgeKind tag")),
-        }
-    }
-}
-
 impl Snapshot for ElementKind {
     fn encode(&self, w: &mut SnapshotWriter) {
         w.put_u8(match self {
@@ -701,7 +689,7 @@ pub(crate) fn write_plan(
 
 /// Write one view as its skeleton stores it and nothing it derives: its kind, the
 /// parent end of its outgoing edge, its top index and its incoming-edge record, then
-/// each member's id, kind, outgoing-edge kind and parent index.
+/// each member's id, kind and parent index.
 fn write_view(view: &Linked, w: &mut SnapshotWriter) {
     view.kind.encode(w);
     w.put_u64(view.out_parent);
@@ -711,7 +699,6 @@ fn write_view(view: &Linked, w: &mut SnapshotWriter) {
     for member in &view.members {
         w.put_u64(member.id());
         member.kind().encode(w);
-        member.out_kind().encode(w);
         member.parent().encode(w);
     }
 }
@@ -723,22 +710,19 @@ fn read_view(r: &mut SnapshotReader<'_>) -> Result<Linked, SnapshotError> {
     let kind = ElementKind::decode(r)?;
     let out_parent = r.take_u64()?;
     let top = r.take_usize()?;
-    let in_edge: Option<(DirectedEdge, Option<usize>, EdgeKind)> = Option::decode(r)?;
+    let in_edge: Option<(DirectedEdge, Option<usize>)> = Option::decode(r)?;
     let len = r.take_len()?;
     let (mut written, mut parents) = (Vec::with_capacity(len), Vec::with_capacity(len));
     for _ in 0..len {
-        written.push((r.take_u64()?, ElementKind::decode(r)?, EdgeKind::decode(r)?));
+        written.push((r.take_u64()?, ElementKind::decode(r)?));
         parents.push(Option::<usize>::decode(r)?);
     }
-    check_member_tree(&parents, top, in_edge.and_then(|(_, attach, _)| attach))
+    check_member_tree(&parents, top, in_edge.and_then(|(_, attach)| attach))
         .map_err(SnapshotError::Malformed)?;
-    let members = written
-        .iter()
-        .zip(&parents)
-        .map(|(&(id, kind, out_kind), &parent)| {
-            let enters = parent.is_some_and(|p| written[p].1 != ElementKind::Node);
-            PlanMember::new(id, kind, out_kind, parent, enters)
-        });
+    let members = written.iter().zip(&parents).map(|(&(id, kind), &parent)| {
+        let enters = parent.is_some_and(|p| written[p].1 != ElementKind::Node);
+        PlanMember::new(id, kind, parent, enters)
+    });
     Ok(Linked {
         members: members.collect(),
         top,
@@ -854,16 +838,7 @@ impl Snapshot for PreparedTree {
     }
     fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
         let clustering = Clustering::decode(r)?;
-        let edges: DistVec<(DirectedEdge, EdgeKind)> = DistVec::decode(r)?;
-        // Plan build reads every edge kind off the child id, never off this list.
-        if edges
-            .iter()
-            .any(|(e, kind)| *kind != EdgeKind::leaving(e.child))
-        {
-            return Err(SnapshotError::Malformed(
-                "edge kind other than its child id decides",
-            ));
-        }
+        let edges = DistVec::decode(r)?;
         let original_nodes = r.take_usize()?;
         let aux_to_original = DistVec::decode(r)?;
         let plan_value: Option<SolvePlan> = Option::decode(r)?;

@@ -24,7 +24,7 @@ use crate::plan::{slots_at, DpSolution, PlanState, SolvePlan, ViewSlot};
 use crate::problem::{ClusterDp, ClusterView, Payload};
 use mpc_engine::{MpcContext, Words};
 use std::collections::{BTreeMap, BTreeSet};
-use tree_clustering::{ClusteringRepair, EdgeKind, ElementId};
+use tree_clustering::{ClusteringRepair, ElementId};
 use tree_repr::{DirectedEdge, NodeId};
 
 /// A plan, the slot state of one problem over it, and that problem's labels (see the
@@ -207,23 +207,16 @@ impl<P: ClusterDp> SolverStore<P> {
 
     /// Check the store against from-scratch derivations: every routing index of the
     /// plan against a re-index of its skeleton views, the edges the plan takes inputs
-    /// for and their kinds against `edges` (the degree-reduced edge list the plan was
-    /// built over; see [`SolvePlan::out_kind_mismatch`]), and the slot state against
-    /// the skeletons' shape. `Err` names the first index, edge or view that drifted.
-    /// Zero rounds, `O(n log n)` host work — the alarm for long sequences of in-place
-    /// splices.
+    /// for against `edges` (the degree-reduced edge list the plan was built over), and
+    /// the slot state against the skeletons' shape. `Err` names the first index or
+    /// view that drifted. Zero rounds, `O(n log n)` host work — the alarm for long
+    /// sequences of in-place splices.
     pub fn audit<'a>(
         &self,
-        edges: impl IntoIterator<Item = &'a (DirectedEdge, EdgeKind)>,
+        edges: impl IntoIterator<Item = &'a DirectedEdge>,
     ) -> Result<(), String> {
-        let edges: Vec<&(DirectedEdge, EdgeKind)> = edges.into_iter().collect();
-        let edge_children: BTreeSet<NodeId> = edges.iter().map(|(e, _)| e.child).collect();
+        let edge_children: BTreeSet<NodeId> = edges.into_iter().map(|e| e.child).collect();
         self.plan.audit_routing(&edge_children)?;
-        if let Some(child) = self.plan.out_kind_mismatch(edges) {
-            return Err(format!(
-                "a member leaves by edge {child} under another kind than the edge list's"
-            ));
-        }
         self.state_mismatch()
             .map_or(Ok(()), |what| Err(what.into()))
     }
@@ -405,8 +398,7 @@ pub(crate) mod tests {
 
     /// `member` with another id and parent.
     fn remade(member: PlanMember, id: u64, parent: Option<usize>) -> PlanMember {
-        let (kind, out_kind) = (member.kind(), member.out_kind());
-        PlanMember::new(id, kind, out_kind, parent, member.enters_parent())
+        PlanMember::new(id, member.kind(), parent, member.enters_parent())
     }
 
     /// A checksum-valid payload with one skeleton field out of place must come back as
@@ -446,7 +438,7 @@ pub(crate) mod tests {
             ("view top/attach index", |_, v, at, _| {
                 let view = view(v, at);
                 let len = view.members.len();
-                let (_, attach, _) = view.in_edge.as_mut().expect("rich view");
+                let (_, attach) = view.in_edge.as_mut().expect("rich view");
                 *attach = Some(len);
             }),
             ("view parent index", |_, v, at, inner| {
@@ -502,8 +494,7 @@ pub(crate) mod tests {
                     .flat_map(|view| view.members.iter_mut())
                     .find(|m| m.kind() != ElementKind::Node)
                     .expect("a cluster member");
-                let (out_kind, parent) = (member.out_kind(), member.parent());
-                *member = PlanMember::new(member.id(), ElementKind::Node, out_kind, parent, false);
+                *member = PlanMember::new(member.id(), ElementKind::Node, member.parent(), false);
             }),
         ];
         // The store and the tree carry the plan's bytes: the tree as its last field
@@ -563,47 +554,11 @@ pub(crate) mod tests {
         ));
     }
 
-    /// Plan build reads an edge's kind off its child id, so a tree snapshot whose edge
-    /// list states another kind for one edge — either way round — is refused rather
-    /// than restored with a list the plan disagrees with.
-    #[test]
-    fn resealed_tree_with_one_edge_kind_flipped_is_refused() {
-        let tree = shapes::star(64);
-        let mut ctx = MpcContext::new(MpcConfig::new(2 * tree.len(), 0.5));
-        let prepared = prepare(
-            &mut ctx,
-            TreeInput::ListOfEdges(ListOfEdges::from_tree(&tree)),
-            Some(4),
-        )
-        .expect("well-formed tree");
-        let decoded = decode_resealed(KIND_PREPARED_TREE, &prepared).map(|t| t.edges);
-        assert_eq!(decoded.map(|e| e.to_vec()), Ok(prepared.edges.to_vec()));
-        for flip_from in [EdgeKind::Auxiliary, EdgeKind::Original] {
-            let (child, _) = prepared
-                .edges
-                .iter()
-                .map(|(e, kind)| (e.child, *kind))
-                .find(|(_, kind)| *kind == flip_from)
-                .expect("the star is degree-reduced: it has edges of both kinds");
-            let mut flipped = prepared.clone();
-            flipped.edges = flipped.edges.clone().map_local(|&(e, kind)| match kind {
-                _ if e.child != child => (e, kind),
-                EdgeKind::Original => (e, EdgeKind::Auxiliary),
-                EdgeKind::Auxiliary => (e, EdgeKind::Original),
-            });
-            assert_eq!(
-                decode_resealed(KIND_PREPARED_TREE, &flipped).map(|_| ()),
-                Err(SnapshotError::Malformed(
-                    "edge kind other than its child id decides"
-                ))
-            );
-        }
-    }
-
     /// Every kind a payload was written under before its layout changed is refused by
-    /// kind, before any byte is read as the new layout: tree 1 and 5, plan 2 and 6, and
-    /// store 3 (the store of cloned views and a payload map), 4 (plans with routing
-    /// indexes) and 7 (plans with every view spelled out).
+    /// kind, before any byte is read as the new layout: tree 1, 5 and 8, plan 2, 6 and
+    /// 9, and store 3 (the store of cloned views and a payload map), 4 (plans with
+    /// routing indexes), 7 (plans with every view spelled out) and 10 (plans and edge
+    /// lists with edge kinds).
     #[test]
     fn superseded_store_kind_is_rejected() {
         let (prepared, store) = solved();
@@ -613,17 +568,17 @@ pub(crate) mod tests {
             bytes
         };
         let wrong = |found, expected| Err(SnapshotError::WrongKind { found, expected });
-        for old in [3, 4, 7] {
+        for old in [3, 4, 7, 10] {
             let bytes = with_kind(store.to_snapshot(), old);
             let decoded = SolverStore::<Count>::from_snapshot(&bytes).map(|_| ());
             assert_eq!(decoded, wrong(old, KIND_STORE));
         }
-        for old in [2, 6] {
+        for old in [2, 6, 9] {
             let bytes = with_kind(store.plan().to_snapshot(), old);
             let decoded = SolvePlan::from_snapshot(&bytes).map(|_| ());
             assert_eq!(decoded, wrong(old, KIND_PLAN));
         }
-        for old in [1, 5] {
+        for old in [1, 5, 8] {
             let bytes = with_kind(prepared.to_snapshot(), old);
             let decoded = PreparedTree::from_snapshot(&bytes).map(|_| ());
             assert_eq!(decoded, wrong(old, KIND_PREPARED_TREE));
@@ -662,23 +617,8 @@ pub(crate) mod tests {
         // A tree that moved on without the store: its edge list no longer has the
         // edges the store's plan routes inputs to.
         let mut fewer = prepared.clone();
-        fewer.edges = fewer.edges.clone().filter_local(|(e, _)| e.child % 5 != 0);
+        fewer.edges = fewer.edges.clone().filter_local(|e| e.child % 5 != 0);
         let err = store.audit(fewer.edges.iter()).expect_err("planted");
         assert!(err.contains("out_edge_slots"), "{err}");
-
-        // The same edges, one of them under the other kind: the member leaving by it
-        // would merge into its parent the wrong way.
-        let mut flipped = prepared.clone();
-        let child = prepared.edges.iter().next().expect("an edge").0.child;
-        flipped.edges = flipped.edges.clone().map_local(|&(e, kind)| match kind {
-            _ if e.child != child => (e, kind),
-            EdgeKind::Original => (e, EdgeKind::Auxiliary),
-            EdgeKind::Auxiliary => (e, EdgeKind::Original),
-        });
-        let err = store.audit(flipped.edges.iter()).expect_err("planted");
-        assert!(
-            err.contains(&format!("edge {child} under another kind")),
-            "{err}"
-        );
     }
 }

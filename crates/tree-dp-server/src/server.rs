@@ -61,8 +61,9 @@ pub type TenantId = String;
 /// when the config lost its radix switch, 104 → 105 when [`TenantMetrics`] lost its
 /// plan-cache counters (`plan_hits`, `plan_misses`, `evictions`), 105 → 106 when
 /// plans began to travel as their compact skeletons and the tree lost its second
-/// root and node count.
-pub const KIND_TENANT: u32 = 106;
+/// root and node count, 106 → 107 when the tree's edge list and the store's plan
+/// stopped carrying edge kinds.
+pub const KIND_TENANT: u32 = 107;
 
 /// Why a serving-layer operation failed.
 #[derive(Debug, Clone, PartialEq)]
@@ -609,11 +610,6 @@ where
         }
         if plan.num_machines() != config.num_machines() {
             return Err(SnapshotError::Malformed("solver store of another machine count").into());
-        }
-        // Nothing inside the store binds a member's out-edge kind: the tree's edge list
-        // does, and a flipped kind would change every answer silently.
-        if plan.out_kind_mismatch(prepared.edges.iter()).is_some() {
-            return Err(SnapshotError::Malformed("solver store out-edge kind").into());
         }
         // Local structural repairs splice the tree's tables in place on this tenant's
         // machines, so they must be laid out on exactly those.

@@ -8,7 +8,7 @@ use mpc_tree_dp::gen::{labels, shapes};
 use mpc_tree_dp::problems::{SubtreeAggregate, XmlValidation};
 use mpc_tree_dp::{prepare, MpcConfig, MpcContext, StateEngine, StringOfParentheses, TreeInput};
 use std::collections::BTreeMap;
-use tree_repr::{DirectedEdge, Tree};
+use tree_repr::Tree;
 
 fn main() {
     // Generate a random document with 3000 elements and render it as tags/parentheses.
@@ -56,13 +56,7 @@ fn main() {
 
     // The same count, sequentially, on the parsed document: every element below its
     // parent element (an auxiliary parent replaced by the element it stands in for).
-    let original_of: BTreeMap<u64, u64> = prepared.aux_to_original.iter().copied().collect();
-    let parsed: Vec<DirectedEdge> = prepared
-        .edges
-        .iter()
-        .filter(|(e, _)| !is_aux_node(e.child))
-        .map(|(e, _)| DirectedEdge::new(e.child, *original_of.get(&e.parent).unwrap_or(&e.parent)))
-        .collect();
+    let parsed = prepared.original_edge_list();
     let expected = solve_sequential(
         &schema,
         &parsed,

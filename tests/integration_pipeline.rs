@@ -55,7 +55,7 @@ fn end_to_end_max_is_on_medium_trees() {
         // The clustering must be structurally valid.
         assert!(prepared
             .clustering
-            .validate(&prepared.edges.iter().map(|(e, _)| *e).collect::<Vec<_>>())
+            .validate(&prepared.edges.to_vec())
             .is_empty());
     }
 }

@@ -70,7 +70,7 @@ fn clustering_respects_size_threshold_and_layer_bound_on_all_shapes() {
                     &what,
                 );
                 // The full structural validator must agree.
-                let edges: Vec<_> = prepared.edges.iter().map(|(e, _)| *e).collect();
+                let edges = prepared.edges.to_vec();
                 assert!(
                     prepared.clustering.validate(&edges).is_empty(),
                     "{what}: clustering validator found violations"
@@ -235,7 +235,7 @@ proptest! {
         prop_assert!(value as usize >= tree.leaves().len().max(tree.len() - tree.leaves().len())
             || value as usize >= tree.len() / 2);
         // The clustering must validate and respect the size/layer invariants.
-        let edges: Vec<_> = prepared.edges.iter().map(|(e, _)| *e).collect();
+        let edges = prepared.edges.to_vec();
         prop_assert!(prepared.clustering.validate(&edges).is_empty());
         assert_clustering_invariants(&prepared.clustering, prepared.clustering.num_nodes, "random-tree");
     }

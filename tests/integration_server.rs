@@ -732,25 +732,6 @@ fn resealed_tenant_snapshots_with_one_field_out_of_place_are_refused() {
         plan_at + 12,
         1
     ))));
-    // One member's out-edge kind flipped: a leg's tip (node n - 1, a leaf) is written
-    // as its id, then `Node` (0) and `Original` (0). Without the tree's edge list to
-    // bind it, the store decodes sound and the tenant's answers change silently.
-    let tip = (n as u64 - 1)
-        .to_le_bytes()
-        .into_iter()
-        .chain([0, 0])
-        .collect::<Vec<u8>>();
-    let tip_at = plan_at
-        + good[32 + plan_at..]
-            .windows(tip.len())
-            .position(|w| w == tip)
-            .expect("the tip's member is in the store's plan");
-    assert_eq!(
-        restore(&reseal(KIND_TENANT, &|p| p[tip_at + 9] = 1)),
-        Some(ServerError::Snapshot(SnapshotError::Malformed(
-            "solver store out-edge kind"
-        )))
-    );
     // A config for another machine count: `n` is the config's first field, right
     // behind the id string (length prefix + "alpha").
     assert!(malformed(&reseal(KIND_TENANT, &|p| bump(
@@ -761,8 +742,9 @@ fn resealed_tenant_snapshots_with_one_field_out_of_place_are_refused() {
     // The payload kinds tenants were written under before the store changed shape
     // (101), before plans stopped carrying their routing indexes (102), before the
     // config lost its radix switch (103), before the metrics lost their plan-cache
-    // counters (104), and before plans travelled as their compact skeletons (105).
-    for old in [101, 102, 103, 104, 105] {
+    // counters (104), before plans travelled as their compact skeletons (105), and
+    // before the tree and the plan stopped carrying edge kinds (106).
+    for old in [101, 102, 103, 104, 105, 106] {
         assert_eq!(
             restore(&reseal(old, &|_| ())),
             Some(ServerError::Snapshot(SnapshotError::WrongKind {

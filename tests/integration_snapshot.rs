@@ -7,10 +7,10 @@
 // The proptest block below expands past the default macro recursion limit.
 #![recursion_limit = "512"]
 
-use mpc_tree_dp::clustering::{EdgeKind, ElementKind};
+use mpc_tree_dp::clustering::{EdgeKind, Element, ElementKind};
 use mpc_tree_dp::core::{
-    solve_sequential, Payload, KIND_PLAN, KIND_PREPARED_TREE, KIND_STORE, SNAPSHOT_MAGIC,
-    SNAPSHOT_VERSION,
+    open, solve_sequential, Payload, Snapshot, KIND_PLAN, KIND_PREPARED_TREE, KIND_STORE,
+    SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 use mpc_tree_dp::problems::MaxWeightIndependentSet;
 use mpc_tree_dp::server::KIND_TENANT;
@@ -23,6 +23,7 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 use tree_gen::labels::uniform_values;
 use tree_gen::shapes::{self, balanced_kary, heavy_caterpillar, spider};
+use tree_gen::standard_suite;
 use tree_repr::Tree;
 
 type MaxIs = StateEngine<MaxWeightIndependentSet>;
@@ -332,6 +333,106 @@ fn plan_snapshots_stay_compact() {
     }
 }
 
+/// No snapshot writes an edge kind, yet every kind a plan shows after a round trip is
+/// the one the clustering's element table gives: each member's out-kind the kind of
+/// the edge its own element leaves by, each indegree-1 view's in-kind that of its
+/// cluster element's incoming edge. Checked on plan, store and tenant round trips over
+/// the n = 4096 standard suite and a degree-reduced star and broom; a tree shows
+/// auxiliary members exactly when degree reduction added auxiliary nodes.
+#[test]
+fn derived_edge_kinds_match_the_element_table_after_round_trips() {
+    let n = 4096;
+    let mut trees: Vec<(String, Tree, bool)> = standard_suite(n, 7)
+        .into_iter()
+        .map(|entry| (entry.name, entry.tree, false))
+        .collect();
+    trees.push(("star".to_string(), shapes::star(n), true));
+    trees.push(("broom".to_string(), shapes::broom(n / 2, n / 2), true));
+    let engine = MaxIs::new(MaxWeightIndependentSet);
+    for (name, tree, degree_reduced) in trees {
+        let config = cfg_for(tree.len());
+        let input = || TreeInput::ListOfEdges(ListOfEdges::from_tree(&tree));
+        let weights: Vec<(u64, i64)> = (0..tree.len() as u64).map(|v| (v, 1)).collect();
+        let mut ctx = MpcContext::new(config);
+        let prepared = prepare(&mut ctx, input(), None).expect("well-formed tree");
+        let has_aux = !prepared.aux_to_original.is_empty();
+        assert!(has_aux || !degree_reduced, "{name}: nothing reduced");
+        let inputs = ctx.from_vec(weights.clone());
+        let no_edges = ctx.from_vec(Vec::<(u64, ())>::new());
+
+        // Plan round trip, then a store over the decoded plan.
+        let plan_bytes = prepared.plan_uncached(&mut ctx).to_snapshot();
+        let plan = SolvePlan::from_snapshot(&plan_bytes).expect("plan decodes");
+        let (_, store) = plan.solve_with_store(&mut ctx, &engine, &inputs, 0, &no_edges);
+        let aux_members = kinds_against_elements(&prepared, &store, &format!("{name} plan"));
+        assert_eq!(aux_members > 0, has_aux, "{name}");
+
+        // Store round trip.
+        let store = SolverStore::<MaxIs>::from_snapshot(&store.to_snapshot()).expect("store");
+        kinds_against_elements(&prepared, &store, &format!("{name} store"));
+
+        // Tenant round trip: restored on a fresh server, snapshotted again, and read
+        // back with the tree that travelled with it.
+        let mut server = golden_server();
+        let spec = TenantSpec {
+            config,
+            input: input(),
+            threshold: None,
+            problem: MaxIs::new(MaxWeightIndependentSet),
+            node_inputs: weights,
+            aux_input: 0,
+            edge_inputs: Vec::new(),
+        };
+        server.admit("t", spec).expect("admission");
+        let bytes = server.snapshot_tenant("t").expect("snapshot");
+        let mut restored = golden_server();
+        let id = restored
+            .restore_tenant(&bytes, MaxIs::new(MaxWeightIndependentSet))
+            .expect("restore");
+        let bytes = restored.snapshot_tenant(&id).expect("snapshot");
+        let mut r = open(&bytes, KIND_TENANT).expect("tenant snapshot");
+        String::decode(&mut r).expect("id");
+        MpcConfig::decode(&mut r).expect("config");
+        let tenant_tree = PreparedTree::decode(&mut r).expect("tree");
+        let store = SolverStore::<MaxIs>::decode(&mut r).expect("store");
+        kinds_against_elements(&tenant_tree, &store, &format!("{name} tenant"));
+    }
+}
+
+/// Check the kinds `store`'s plan shows against `prepared`'s element table (see
+/// [`derived_edge_kinds_match_the_element_table_after_round_trips`]); the number of
+/// members that leave by an auxiliary edge.
+fn kinds_against_elements(
+    prepared: &PreparedTree,
+    store: &SolverStore<MaxIs>,
+    case: &str,
+) -> usize {
+    let elements: BTreeMap<u64, Element> = prepared
+        .clustering
+        .elements
+        .iter()
+        .map(|e| (e.id, *e))
+        .collect();
+    let mut auxiliary = 0;
+    for view in store.views() {
+        let view = view.skeleton;
+        for member in view.members() {
+            let element = elements[&member.id()];
+            let kind = EdgeKind::leaving(element.out_edge.child);
+            assert_eq!(member.out_kind(), kind, "{case}: member {}", member.id());
+            auxiliary += usize::from(kind == EdgeKind::Auxiliary);
+        }
+        if view.kind() == ElementKind::ClusterIndeg1 {
+            let in_edge = elements[&view.cluster()]
+                .in_edge
+                .expect("indegree-1 cluster");
+            let kind = EdgeKind::leaving(in_edge.child);
+            assert_eq!(view.in_kind(), kind, "{case}: view {}", view.cluster());
+        }
+    }
+    auxiliary
+}
+
 /// The full primitive put/take surface of the codec round-trips, and every reader
 /// failure mode (exhaustion, bad bool tag) is a typed error — never a panic.
 #[test]
@@ -509,14 +610,15 @@ proptest! {
 /// exactly these bytes, so a golden is never rewritten in place: a codec change that
 /// breaks one bumps the kind and commits a new golden and pin.
 const GOLDEN_PINS: [(u32, u32, u64); 4] = [
-    (1, 8, 0x20cd862951b5d91d),
-    (1, 9, 0x86cd18ca8dfa0240),
-    (1, 10, 0x6da548379967894c),
-    (1, 106, 0x9900b64843557646),
+    (1, 9, 0x3181344724021243),
+    (1, 10, 0x372227c56948ecd0),
+    (1, 11, 0x15f12f675fd17f3a),
+    (1, 107, 0x47370b0fb44536aa),
 ];
 
 /// The golden fixture: the smallest tree whose snapshots carry every tag value —
-/// each `ElementKind`, both `EdgeKind`s, both `Payload` variants, `None` and `Some`.
+/// each `ElementKind`, both `Payload` variants, `None` and `Some` — and members that
+/// leave by edges of both `EdgeKind`s (an auxiliary node among them).
 fn golden_tree() -> Tree {
     spider(3, 3)
 }
@@ -811,7 +913,8 @@ fn golden_snapshots_decode_and_re_encode_byte_for_byte() {
         ))
     );
 
-    // Coverage: the goldens carry every tag value the codec writes.
+    // Coverage: the goldens carry every tag value the codec writes, and edges of both
+    // kinds.
     assert!(tree.has_plan(), "the tree golden carries its plan (Some)");
     let mut seen = std::collections::BTreeSet::new();
     for view in store.views() {

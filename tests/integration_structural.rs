@@ -248,7 +248,7 @@ fn assert_patched_equals_rebuilt<P>(
 {
     inc.audit_indexes(prepared)
         .unwrap_or_else(|e| panic!("{what}: {e}"));
-    let plain: Vec<DirectedEdge> = prepared.edges.iter().map(|(e, _)| *e).collect();
+    let plain = prepared.edges.to_vec();
     assert_eq!(
         prepared.clustering.validate(&plain),
         Vec::new(),
