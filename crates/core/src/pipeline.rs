@@ -124,7 +124,7 @@ impl PreparedTree {
 
     /// The shared [`SolvePlan`] of this prepared tree: the problem-independent view
     /// assembly (per-layer member groupings, member-tree links, boundary edges,
-    /// routing indexes), built **once** on first call (charged under `plan-build`)
+    /// routing), built **once** on first call (charged under `plan-build`)
     /// and cached — subsequent calls return the cached plan for free until a
     /// structural repair ([`apply_structural_repair`](Self::apply_structural_repair))
     /// drops it. Any number of DP problems can then be solved over it with
@@ -248,6 +248,7 @@ impl PreparedTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::routing::tests::assert_climbs_match_a_scan;
     use crate::store::tests::Count;
     use mpc_engine::MpcConfig;
     use std::collections::BTreeMap;
@@ -331,14 +332,15 @@ mod tests {
     /// Runs `steps` generated batches, each patched into the tree's tables and spliced
     /// into the plan of a solver store over the tree; returns how many (demotions,
     /// removed auxiliary nodes) the repairs covered, and how often the splice rebuilt
-    /// each routing index (node and cluster payloads, out-edge lists, label readers)
-    /// after its tombstones and overflow piled up.
+    /// each routing run (node and cluster payloads, in-edge readers) after its
+    /// tombstones and overflow piled up. After every batch the store's climbs equal a
+    /// scan over its views.
     fn check_repairs_patch_like_a_rebuild(
         tree: &Tree,
         threshold: usize,
         steps: u64,
         cut_among: usize,
-    ) -> (usize, usize, [usize; 3]) {
+    ) -> (usize, usize, [usize; 2]) {
         let mut ctx = MpcContext::new(
             MpcConfig::new(2 * tree.len(), 0.5)
                 .with_memory_slack(512.0)
@@ -359,7 +361,7 @@ mod tests {
         let mut index = RepairIndex::build(&prepared.clustering, prepared.edges.iter());
         let mut next_id = FIRST_LINKED;
         let (mut repaired, mut demoted, mut removed_aux) = (0, 0, 0);
-        let mut rebuilds = [0; 3];
+        let mut rebuilds = [0; 2];
         for step in 0..steps {
             let mut live: Vec<NodeId> = prepared
                 .clustering
@@ -428,6 +430,7 @@ mod tests {
             // The splice's in-place index patches equal the derivation decode runs.
             assert_eq!(store.audit(prepared.edges.iter()), Ok(()), "step {step}");
             let plan = store.plan();
+            assert_climbs_match_a_scan(plan);
             assert_eq!(
                 SolvePlan::from_snapshot(&plan.to_snapshot()).as_ref(),
                 Ok(plan),
@@ -451,15 +454,20 @@ mod tests {
         let (demoted, _, mut rebuilds) =
             check_repairs_patch_like_a_rebuild(&shapes::path(300), 4, 40, usize::MAX);
         assert!(demoted > 0, "mid-path cuts demote indegree-1 clusters");
-        for (tree, threshold) in [
-            (shapes::balanced_kary(121, 3), 4),
-            (shapes::random_recursive(400, 7), 3),
+        // On the larger random tree some batch deletes a view in front of the lowest
+        // view an edge enters, in one `(layer, machine)` bucket, so that edge's
+        // in-reader entry moves.
+        for (tree, threshold, steps) in [
+            (shapes::balanced_kary(121, 3), 4, 40),
+            (shapes::random_recursive(400, 7), 3, 40),
+            (shapes::random_recursive(600, 0), 3, 60),
         ] {
-            let (_, _, more) = check_repairs_patch_like_a_rebuild(&tree, threshold, 40, usize::MAX);
+            let (_, _, more) =
+                check_repairs_patch_like_a_rebuild(&tree, threshold, steps, usize::MAX);
             rebuilds.iter_mut().zip(more).for_each(|(r, m)| *r += m);
         }
-        // Every routing index — payloads, out-edge lists, label readers — went
-        // through tombstones or overflow and was rebuilt from them.
+        // Both routing runs — payloads and in-edge readers — went through tombstones
+        // or overflow and were rebuilt from them.
         assert!(rebuilds.iter().all(|&r| r > 0), "rebuilds {rebuilds:?}");
         // Six hubs of ten leaves below the root: every node above the leaves is
         // degree-reduced, and cutting a hub removes its auxiliary fan-out.

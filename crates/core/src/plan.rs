@@ -20,12 +20,13 @@
 //!   attach indexes, boundary edges) in a compact layout of a few words per member —
 //!   each member its id and one packed word, everything a view can derive left out,
 //!   edge kinds included ([`skeleton`](crate::skeleton)) — and
-//! * **routing indexes** mapping every element to its member slot, every edge to the
-//!   slots reading its input, and every label key to the views reading it — a pure
-//!   function of the skeletons, derived by one function at plan build and at
-//!   decode, so a snapshot carries only the skeletons. They are flat key-sorted runs
-//!   probed through the engine's segmented bucket [`Directory`](mpc_engine::Directory),
-//!   not trees.
+//! * the **routing** of payloads and labels: every element's member slot, and every
+//!   incoming edge's lowest entered view — a pure function of the skeletons, derived
+//!   by one function at plan build and at decode, so a snapshot carries only the
+//!   skeletons. Two flat key-sorted runs probed through the engine's segmented bucket
+//!   [`Directory`](mpc_engine::Directory); the slots an edge's input reaches and the
+//!   views reading a label are climbed from them, one layer a step (see the crate's
+//!   `routing` module).
 //!
 //! [`SolvePlan::solve`] then runs any [`ClusterDp`] over the cached skeletons,
 //! charging only the exchanges that genuinely depend on the problem: one scatter of
@@ -51,7 +52,8 @@ use std::collections::{BTreeMap, BTreeSet};
 #[cfg(doc)]
 use tree_clustering::EdgeKind;
 use tree_clustering::{
-    cluster_layer, defining_node, Clustering, Element, ElementId, ElementKind, AUX_BASE,
+    cluster_layer, defining_node, is_cluster_id, Clustering, Element, ElementId, ElementKind,
+    AUX_BASE,
 };
 use tree_repr::{DirectedEdge, NodeId};
 
@@ -71,12 +73,11 @@ use crate::skeleton::{Linked, Skeletons};
 pub use crate::skeleton::{PlanMember, PlanView};
 
 /// Where an element's payload (input or summary) or an edge's input lives: a member
-/// slot inside a skeleton view, as the routing indexes file it.
+/// slot inside a skeleton view.
 ///
-/// Ordered `(layer, machine, view, member)`, the order the views lie in: every
-/// per-key slot list of the routing indexes is kept in it, so a plan that was spliced
-/// in place is equal to one re-indexed from scratch ([`Routing::of`]). Layers count
-/// from 1; a slot at layer 0 is the tombstone of a removed key.
+/// Ordered `(layer, machine, view, member)`, the order the views lie in and the order
+/// every routing climb runs in. Layers count from 1; a slot at layer 0 is the
+/// tombstone of a removed key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct MemberSlot {
     pub(crate) layer: u32,
@@ -96,16 +97,15 @@ pub struct ViewSlot {
     pub(crate) view: u32,
 }
 
-/// What a [`SolvePlan`] routes where, by id instead of by slot: for every index entry
-/// the cluster (and member element) it addresses, and for every view its header, its
-/// top and attach elements and its member tree as parent ids. Independent of machine
-/// placement and member order; see [`SolvePlan::routing_by_id`].
+/// What a [`SolvePlan`] routes where, by id instead of by slot: for every payload the
+/// cluster and member element it reaches, for every incoming edge the cluster of the
+/// lowest view it enters, and for every view its header, its top and attach elements
+/// and its member tree as parent ids. Independent of machine placement and member
+/// order; see [`SolvePlan::routing_by_id`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanRouting {
     payload: BTreeMap<ElementId, (ElementId, ElementId)>,
-    out_edge: BTreeMap<NodeId, BTreeSet<(ElementId, ElementId)>>,
-    /// Reading cluster and whether it reads the label as its out-label.
-    label_readers: BTreeMap<NodeId, BTreeSet<(ElementId, bool)>>,
+    in_reader: BTreeMap<NodeId, ElementId>,
     views: BTreeMap<ElementId, ViewById>,
     aux_nodes: BTreeSet<NodeId>,
 }
@@ -166,8 +166,8 @@ pub struct SolvePlan {
     /// `skeletons[machine]` — the skeleton views the gather assembled on `machine`,
     /// layer by layer, in assembly order within a layer.
     pub(crate) skeletons: Vec<Skeletons>,
-    /// The routing indexes over the skeletons: derived from them ([`Routing::of`]) at
-    /// build and decode, patched in place by the splice.
+    /// The routing over the skeletons: derived from them ([`Routing::of`]) at build
+    /// and decode, patched in place by the splice.
     pub(crate) routing: Routing,
 }
 
@@ -187,7 +187,7 @@ impl Words for MemberRec {
 
 /// Build the solve plan of a clustering: assemble the skeleton view of every cluster
 /// of every layer — each fully contained in one machine — and record the skeletons
-/// and routing indexes. One group gathering and one probe, whatever the number of
+/// and their routing. One group gathering and one probe, whatever the number of
 /// layers. Charged under the `plan-build` phase.
 pub(crate) fn build_plan(
     ctx: &mut MpcContext,
@@ -354,7 +354,7 @@ fn compact<T>(items: &mut Vec<T>, keep: &[bool]) {
 
 impl SolvePlan {
     /// File every machine's linked views in its skeletons, layer by layer, and derive
-    /// the routing indexes from them.
+    /// the routing from them.
     fn from_views(
         ctx: &mut MpcContext,
         clustering: &Clustering,
@@ -426,13 +426,12 @@ impl SolvePlan {
         self.skeletons.iter().all(|held| held.len_at(layer) == 0)
     }
 
-    /// The address of `cluster`'s own view, through the routing indexes: the cluster's
+    /// The address of `cluster`'s own view, climbed through the routing: the cluster's
     /// id names the child endpoint of its outgoing edge (its defining node), and the
     /// view reads that edge's label as its out-label. `None` when the plan holds no
     /// such cluster.
     pub fn view_slot_of(&self, cluster: ElementId) -> Option<ViewSlot> {
-        self.routing
-            .readers_as(defining_node(cluster), true)
+        self.out_readers(defining_node(cluster), cluster)
             .find(|at| self.view_at(*at).cluster() == cluster)
     }
 
@@ -474,25 +473,25 @@ impl SolvePlan {
         })
     }
 
-    /// Splice a structural repair into the skeletons and routing indexes: drop the
+    /// Splice a structural repair into the skeletons and their routing: drop the
     /// views of removed clusters, drop removed members (remapping
     /// parent/child/top/attach indexes), demote clusters whose incoming edge was cut,
     /// and append the new leaf members.
     ///
-    /// Every view the repair touches is addressed through the routing indexes
-    /// themselves — a removed or demoted element's payload slot names the view that
-    /// holds it, a cut edge's in-label readers name the views it entered — and the
-    /// indexes are patched entry by entry: keys of removed elements and edges become
-    /// tombstones, new leaves go to the overflow runs, and only the views behind a
-    /// deleted one in its `(layer, machine)` bucket are re-addressed. An index whose
-    /// patches pass an eighth of its entries is rebuilt from its live entries. The
-    /// result equals a from-scratch re-index of the spliced skeletons, at a cost
-    /// confined to the touched buckets (amortized over the rebuilds).
+    /// Every view the repair touches is addressed through the routing itself — a
+    /// removed or demoted element's payload slot names the view that holds it, a cut
+    /// edge's in-label readers name the views it entered — and the runs are patched
+    /// entry by entry: keys of removed elements and edges become tombstones, new
+    /// leaves go to the overflow run, and only the views behind a deleted one in its
+    /// `(layer, machine)` bucket are re-addressed. A run whose patches pass an eighth
+    /// of its entries is rebuilt from its live entries. The result equals a
+    /// from-scratch derivation over the spliced skeletons, at a cost confined to the
+    /// touched buckets (amortized over the rebuilds).
     ///
     /// The slot state `state` (aligned slot for slot with the skeletons) is compacted
     /// by the same remaps. What a repair adds or clears (a new leaf's member, a demoted
     /// view's in-edge) has no counterpart to move: the caller writes those itself, at
-    /// the addresses the spliced indexes give. This is the only splice there is, and
+    /// the addresses the spliced routing gives. This is the only splice there is, and
     /// its one caller is [`SolverStore::apply_repair`]: a repair splices the plan a
     /// solver store maintains, while a prepared tree drops the plan it cached.
     ///
@@ -507,13 +506,14 @@ impl SolvePlan {
         // Demotions first, while every slot still addresses the pre-repair layout. A
         // view reading a cut edge's label as its in-label is either removed or demoted;
         // the member copy of a demoted cluster sits in its parent's view.
-        for child in &repair.removed_nodes {
-            for slot in self.routing.readers_as(*child, false) {
-                let held = &mut self.skeletons[slot.machine as usize];
-                let cluster = held.view(slot.layer, slot.view as usize).cluster();
-                if repair.demoted.contains(&cluster) {
-                    held.demote_view(slot.layer, slot.view as usize);
-                }
+        let entered: Vec<ViewSlot> = (repair.removed_nodes.iter())
+            .flat_map(|child| self.in_readers(*child))
+            .collect();
+        for slot in entered {
+            let held = &mut self.skeletons[slot.machine as usize];
+            let cluster = held.view(slot.layer, slot.view as usize).cluster();
+            if repair.demoted.contains(&cluster) {
+                held.demote_view(slot.layer, slot.view as usize);
             }
         }
         for cluster in &repair.demoted {
@@ -540,8 +540,8 @@ impl SolvePlan {
         }
 
         // Forget the removed span: a removed element held by a removed cluster dooms
-        // that cluster's view, and every index keyed by a removed edge loses the key
-        // (all of its entries belong to removed or just-demoted views).
+        // that cluster's view, and a removed edge loses its in-reader entry (every view
+        // it entered is removed or just demoted).
         let mut doomed: BTreeSet<ViewSlot> = BTreeSet::new();
         for id in &repair.removed_elements {
             if let Some(slot) = self.routing.remove_payload(*id) {
@@ -608,8 +608,7 @@ impl SolvePlan {
                 continue;
             }
             if kept != old {
-                self.routing
-                    .move_member(*m, at.member_slot(old), at.member_slot(kept));
+                self.routing.move_member(*m, at.member_slot(kept));
             }
             remap.push(Some(kept));
             kept += 1;
@@ -621,7 +620,7 @@ impl SolvePlan {
         compact(&mut slots.out_inputs, &keep);
     }
 
-    /// Delete the views at `doomed` (whose index entries are already gone) and
+    /// Delete the views at `doomed` (whose routing entries are already gone) and
     /// re-address the views behind them in the same `(layer, machine)` bucket.
     fn remove_views<P: ClusterDp>(
         &mut self,
@@ -664,7 +663,7 @@ impl SolvePlan {
 }
 
 impl SolvePlan {
-    /// The plan's skeletons and routing indexes with every slot resolved to the ids it
+    /// The plan's skeletons and routing with every slot resolved to the ids it
     /// addresses (see [`PlanRouting`]). Two plans of one clustering — say a store's,
     /// spliced through [`SolverStore::apply_repair`], and one freshly built on the
     /// repaired tree — agree on it even though they place views on different machines
@@ -681,20 +680,10 @@ impl SolvePlan {
                 .iter()
                 .map(|(id, slot)| (id, member_of(slot)))
                 .collect(),
-            out_edge: routing
-                .out_edges
+            in_reader: routing
+                .in_readers
                 .iter()
-                .map(|(key, slots)| (key, slots.iter().map(member_of).collect()))
-                .collect(),
-            label_readers: routing
-                .readers
-                .iter()
-                .map(|(key, readers)| {
-                    let by_id = readers
-                        .iter()
-                        .map(|r| (self.view_at(r.view).cluster(), r.as_out));
-                    (key, by_id.collect())
-                })
+                .map(|(key, at)| (key, self.view_at(*at).cluster()))
                 .collect(),
             views: self
                 .views()
@@ -747,17 +736,16 @@ impl SolvePlan {
     /// Resident size of the skeleton views in machine words, over all machines: the
     /// compact layout's records at their [`Words`] widths (see the
     /// [`skeleton`](crate::skeleton) module docs) — the part of a plan that grows with
-    /// the tree, without its routing indexes.
+    /// the tree, without its routing.
     pub fn skeleton_words(&self) -> usize {
         self.skeletons.iter().map(Skeletons::words).sum()
     }
 
     /// Approximate resident size of the plan in machine words: the skeleton views,
-    /// plus the routing indexes at one word per key, per slot coordinate (four for a
-    /// member slot; a reading view's three and its as-out flag), per list span and
-    /// per two directory offsets. This is what the serving layer counts in a tenant's
-    /// resident bytes — an estimate of what keeping the plan warm costs, not an exact
-    /// allocator measurement.
+    /// plus the routing runs at one word per key, per slot coordinate (four for a
+    /// member slot, three for a view slot) and per two directory offsets. This is what
+    /// the serving layer counts in a tenant's resident bytes — an estimate of what
+    /// keeping the plan warm costs, not an exact allocator measurement.
     pub fn resident_words(&self) -> usize {
         let aux = self.aux_nodes.len() * 2;
         8 + self.skeleton_words() + self.routing.resident_words() + aux
@@ -965,9 +953,9 @@ impl SolvePlan {
     /// The input scatter: route node inputs, auxiliary inputs, and edge inputs to
     /// their recorded slots, charging one round with exact moved-word volumes — a
     /// moved payload record is a `(key, Payload)` pair (`2 + input` words, matching
-    /// the summary-forwarding charge) and a moved edge record a
-    /// `(child, kind, input)` triple (`2 + input` words). On duplicate records the
-    /// first one wins the slot (join semantics).
+    /// the summary-forwarding charge) and a moved edge record is billed `2 + input`
+    /// words, though it is a `(child, input)` pair. On duplicate records the first one
+    /// wins the slot (join semantics).
     fn scatter_inputs<P: ClusterDp>(
         &self,
         ctx: &mut MpcContext,
@@ -1014,7 +1002,7 @@ impl SolvePlan {
         }
         for (src, chunk) in edge_inputs.chunks().iter().enumerate() {
             for (child, input) in chunk {
-                for slot in self.routing.out_edges.get(*child) {
+                for slot in self.out_slots(*child) {
                     let cell = &mut state[slot.layer as usize - 1][slot.machine as usize]
                         [slot.view as usize];
                     if cell.out_inputs[slot.member as usize].is_some() {
@@ -1027,7 +1015,7 @@ impl SolvePlan {
                     }
                     cell.out_inputs[slot.member as usize] = Some(input.clone());
                 }
-                for vslot in self.routing.readers_as(*child, false) {
+                for vslot in self.in_readers(*child) {
                     let cell = &mut state[vslot.layer as usize - 1][vslot.machine as usize]
                         [vslot.view as usize];
                     if cell.in_input.is_some() {
@@ -1123,32 +1111,35 @@ impl SolvePlan {
         let mut sends = vec![0usize; machines];
         let mut recvs = vec![0usize; machines];
         let mut any_delivered = false;
+        // Labels are forwarded to their readers, which sit at lower layers, and go
+        // into the machine's output; this layer's boundary labels stay put.
+        let (below, here) = boundary.split_at_mut(li);
         for (src, output) in label_chunks.iter_mut().enumerate() {
-            // Labels go straight into the machine's output and are forwarded from there;
-            // their readers sit at lower layers, so this layer's boundary labels stay put.
-            let start = output.len();
             let views = self.views_at(layer, src).zip(&state[li][src]);
-            for ((skeleton, slots), (out_label, in_label)) in views.zip(&boundary[li][src]) {
+            for ((skeleton, slots), (out_label, in_label)) in views.zip(&here[0][src]) {
                 let out_label = out_label.as_ref().expect("boundary out-label present");
                 let member_labels = problem.label_members(
                     &ClusterView { skeleton, slots },
                     out_label,
                     in_label.as_ref(),
                 );
-                let top = skeleton.top();
-                output.extend(
-                    skeleton
-                        .members()
-                        .iter()
-                        .zip(member_labels)
-                        .enumerate()
-                        .filter(|(i, _)| *i != top)
-                        .map(|(_, (m, label))| (m.out_child(), label)),
-                );
-            }
-            for (key, label) in &output[start..] {
-                any_delivered |=
-                    self.place_label(*key, label, src, layer, boundary, &mut sends, &mut recvs);
+                let members = skeleton.members().iter().zip(member_labels).enumerate();
+                for (_, (m, label)) in members.filter(|(i, _)| *i != skeleton.top()) {
+                    // A node member tops no view: only a cluster member's edge has
+                    // out-label readers, its own view and those below on its climb.
+                    let out_through = (m.kind() != ElementKind::Node).then_some(m.id());
+                    any_delivered |= self.place_label(
+                        m.out_child(),
+                        &label,
+                        out_through,
+                        src,
+                        layer,
+                        below,
+                        &mut sends,
+                        &mut recvs,
+                    );
+                    output.push((m.out_child(), label));
+                }
             }
         }
         if any_delivered {
@@ -1174,6 +1165,7 @@ impl SolvePlan {
         let delivered = self.place_label(
             key,
             label,
+            Some(self.top_cluster),
             src,
             producer_layer,
             boundary,
@@ -1186,27 +1178,35 @@ impl SolvePlan {
         }
     }
 
-    /// Write `label` into every reader slot below `producer_layer`, accumulating the
-    /// moved words. Returns `true` when at least one reader received it (whether or
-    /// not any words crossed machines — the forwarding round still happens).
+    /// Write `label`, produced on machine `src` at `producer_layer`, into every reader
+    /// slot below that layer — the out-label readers through the view of cluster
+    /// `out_through`, none when it is `None` — and add the moved words to
+    /// `(sends, recvs)`. Returns `true` when at least one reader
+    /// received it (whether or not any words crossed machines — the forwarding round
+    /// still happens).
     #[allow(clippy::too_many_arguments)]
     fn place_label<L: Clone + Words>(
         &self,
         key: NodeId,
         label: &L,
+        out_through: Option<ElementId>,
         src: usize,
         producer_layer: u32,
         boundary: &mut [Vec<Vec<BoundaryLabels<L>>>],
         sends: &mut [usize],
         recvs: &mut [usize],
     ) -> bool {
+        // The out-label readers end at the producing member's own view, below it. An
+        // in-label reader at or above the producer was labeled before this key was
+        // produced and read `None`; the climb runs bottom up, so it stops at the first.
+        let out_readers = out_through.map(|through| self.out_readers(key, through));
+        let in_readers = self
+            .in_readers(key)
+            .take_while(|at| at.layer < producer_layer);
+        let readers = (out_readers.into_iter().flatten().map(|at| (at, true)))
+            .chain(in_readers.map(|at| (at, false)));
         let mut delivered = false;
-        for reader in self.routing.readers.get(key) {
-            let vslot = reader.view;
-            if vslot.layer >= producer_layer {
-                // That view was labeled before this key was produced: it read `None`.
-                continue;
-            }
+        for (vslot, as_out) in readers {
             delivered = true;
             if vslot.machine as usize != src {
                 let w = 1 + label.words();
@@ -1215,7 +1215,7 @@ impl SolvePlan {
             }
             let cell = &mut boundary[vslot.layer as usize - 1][vslot.machine as usize]
                 [vslot.view as usize];
-            if reader.as_out {
+            if as_out {
                 cell.0 = Some(label.clone());
             } else {
                 cell.1 = Some(label.clone());
@@ -1238,28 +1238,25 @@ pub(crate) fn slots_at<P: ClusterDp>(state: &mut PlanState<P>, at: ViewSlot) -> 
 type BoundaryLabels<L> = (Option<L>, Option<L>);
 
 impl SolvePlan {
-    /// Name the first routing index — `payload_slot`, `out_edge_slots` or
-    /// `label_readers` — whose live entries differ from a re-derivation over the
-    /// skeleton views ([`Routing::of`]), or `out_edge_slots` when its keys are not
-    /// exactly `edge_children` — the edge children of the degree-reduced edge list the
-    /// plan takes edge inputs from: the zero-round drift alarm for a plan that has been
-    /// spliced in place.
+    /// Name the first routing run — `payload_slot` or `in_readers` — whose live
+    /// entries differ from a re-derivation over the skeleton views ([`Routing::of`]),
+    /// or `payload_slot` when its node keys other than the root are not exactly
+    /// `edge_children` — the edge children of the degree-reduced edge list the plan
+    /// takes edge inputs from, each climbing to its input slots from its node's own:
+    /// the zero-round drift alarm for a plan that has been spliced in place.
     pub(crate) fn audit_routing(&self, edge_children: &BTreeSet<NodeId>) -> Result<(), String> {
         let held = &self.routing;
         if let Some(drifted) = held.drift_from(&Routing::of(&self.skeletons, self.num_layers)) {
             return Err(format!(
-                "routing index {drifted} differs from a re-index of the skeleton views"
+                "routing run {drifted} differs from a re-derivation over the skeleton views"
             ));
         }
-        if !held
-            .out_edges
-            .iter()
-            .map(|(key, _)| key)
-            .eq(edge_children.iter().copied())
-        {
-            return Err(
-                "routing index out_edge_slots routes other edges than the edge list".into(),
-            );
+        // Keys are sorted and cluster ids flagged high: the node keys come first.
+        let nodes = (held.payloads.iter().map(|(key, _)| key))
+            .take_while(|key| !is_cluster_id(*key))
+            .filter(|key| *key != self.root);
+        if !nodes.eq(edge_children.iter().copied()) {
+            return Err("routing run payload_slot holds other nodes than the edge list".into());
         }
         Ok(())
     }
@@ -1269,8 +1266,9 @@ impl SolvePlan {
     /// compact layout is packed from: one skeleton set per machine, machine indexes
     /// in range, an incoming edge on exactly the indegree-1 views, every non-top
     /// cluster's summary flows to a member slot of its own kind at a higher layer,
-    /// no other member is a cluster, the top cluster's view lies on `top_machine`, and
-    /// no element has two member slots. `Err` names the first defect. `O(n log n)`.
+    /// no other member is a cluster, the top cluster's view lies on `top_machine`, no
+    /// element has two member slots, and every view an edge enters lies on that edge's
+    /// in-reader climb. `Err` names the first defect. `O(n log n)`.
     pub fn validate(&self) -> Result<(), &'static str> {
         if self.num_machines == 0 || self.skeletons.len() != self.num_machines {
             return Err("plan layer/machine layout");
@@ -1315,6 +1313,22 @@ impl SolvePlan {
         // further cluster member claims a cluster no view summarizes.
         if cluster_members + 1 != self.num_views() {
             return Err("plan member kind");
+        }
+        // An entered view above the lowest one its edge enters is reached from the
+        // view below — its attach member's own, entered by the same edge — so the
+        // climb from the lowest reaches every view the edge enters.
+        for (at, view) in self.views() {
+            let Some(in_edge) = view.in_edge() else {
+                continue;
+            };
+            let reached = self.routing.in_readers.get(in_edge.child) == Some(&at)
+                || view.attach().map(|a| view.member(a)).is_some_and(|m| {
+                    m.kind() == ElementKind::ClusterIndeg1
+                        && self.cluster_in_edge(m.id()) == Some(in_edge)
+                });
+            if !reached {
+                return Err("plan in-edge reader");
+            }
         }
         Ok(())
     }
@@ -1505,8 +1519,7 @@ mod tests {
         assert_eq!(plan, reference);
         let edge_children: BTreeSet<NodeId> = prepared.edges.iter().map(|e| e.child).collect();
         assert_eq!(plan.audit_routing(&edge_children), Ok(()));
-        let readers = plan.routing.readers.iter();
-        let mut in_edges = readers.filter(|(_, rs)| rs.iter().any(|r| !r.as_out));
+        let mut in_edges = plan.routing.in_readers.iter();
         assert!(in_edges.all(|(c, _)| edge_children.contains(&c)));
         !plan.aux_nodes.is_empty()
     }

@@ -1,24 +1,38 @@
-//! The routing indexes of a solve plan: which member slot every payload reaches, which
-//! slots carry every edge's input, and which views read every label. They are a pure
-//! function of the plan's skeleton views ([`Routing::of`]) — the one derivation plan
-//! build, snapshot decode and the drift audit share — kept flat beside them so that an
-//! evaluation pass and a splice find every slot by key.
+//! The routing of a solve plan: which member slot every payload reaches, which slots
+//! carry every edge's input, and which views read every label. Only what the skeleton
+//! views cannot derive is stored — two key-sorted runs, a pure function of the views
+//! ([`Routing::of`]), derived by one function at plan build and snapshot decode and
+//! compared against by the drift audit:
 //!
-//! Every index is a [`Run`]: one key-sorted vector of `(key, value)` entries, probed
-//! through the engine's segmented bucket [`Directory`] — the one the engine's table
-//! indexes use — never a tree walk. A key with several slots maps to a [`Span`] of one
-//! flat slot vector ([`Lists`]). A structural splice patches a run in place, in
-//! `O(touched)`: a removed key keeps its place with a vacant value (a tombstone), a new
-//! key goes to a small sorted overflow run, and once the patches since the last rebuild
-//! pass an eighth of the run it is rebuilt from its live entries — `O(run)` every
-//! `run / 8` patches. Nothing is sized by key magnitude: an id linked anywhere costs
-//! one entry, and node, auxiliary and cluster ids share one payload run because the
-//! directory gives each id range segments of its own.
+//! * `payloads`: element → the member slot it is (a node's input, a cluster's summary);
+//! * `in_readers`: in-edge child → the lowest view that edge enters.
+//!
+//! Everything else is climbed from these (Sections 5.1–5.2: a cluster's outgoing edge
+//! is its top element's). The slots carrying edge `c`'s input lie on one chain: node
+//! `c`'s payload slot, then — while the member there tops its view — the payload slot
+//! of that view's cluster, and so on up ([`SolvePlan::out_slots`]); the views reading
+//! `c`'s label as their out-label are the views on that chain the member tops
+//! ([`SolvePlan::out_readers`]). The views entered by edge `c` lie on the chain from
+//! its `in_readers` view up through the payload slots of their clusters, as long as the
+//! view there is still entered by `c` ([`SolvePlan::in_readers`]; [`SolvePlan::validate`]
+//! refuses a plan with an entered view off that chain). Every climb runs bottom up, in
+//! the `(layer, machine, view, member)` order the views lie in, and is at most a few
+//! probes long — one per layer.
+//!
+//! A run is one key-sorted vector of `(key, value)` entries, probed through the
+//! engine's segmented bucket [`Directory`] — the one the engine's table indexes use —
+//! never a tree walk. A structural splice patches a run in place, in `O(touched)`: a
+//! removed key keeps its place with a vacant value (a tombstone), a new key goes to a
+//! small sorted overflow run, and once the patches since the last rebuild pass an
+//! eighth of the run it is rebuilt from its live entries — `O(run)` every `run / 8`
+//! patches. Nothing is sized by key magnitude: an id linked anywhere costs one entry,
+//! and node, auxiliary and cluster ids share one payload run because the directory
+//! gives each id range segments of its own.
 
-use crate::plan::{all_views, MemberSlot, PlanMember, PlanView, ViewSlot};
+use crate::plan::{all_views, MemberSlot, PlanMember, PlanView, SolvePlan, ViewSlot};
 use crate::skeleton::Skeletons;
 use mpc_engine::Directory;
-use tree_clustering::ElementId;
+use tree_clustering::{make_cluster_id, ElementId};
 use tree_repr::NodeId;
 
 /// A value of a [`Run`] that can mark its key as removed.
@@ -29,8 +43,8 @@ pub(crate) trait Value: Copy + PartialEq {
     fn is_vacant(&self) -> bool;
 }
 
+// Layers count from 1: no member or view lies at layer 0.
 impl Value for MemberSlot {
-    // Layers count from 1: no member lies at layer 0.
     const VACANT: Self = MemberSlot {
         layer: 0,
         machine: 0,
@@ -43,18 +57,15 @@ impl Value for MemberSlot {
     }
 }
 
-/// A key's slots in a [`Lists`]: `slots[start..end]`. A removed key keeps an empty span.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct Span {
-    start: u32,
-    end: u32,
-}
-
-impl Value for Span {
-    const VACANT: Self = Span { start: 0, end: 0 };
+impl Value for ViewSlot {
+    const VACANT: Self = ViewSlot {
+        layer: 0,
+        machine: 0,
+        view: 0,
+    };
 
     fn is_vacant(&self) -> bool {
-        self.start == self.end
+        self.layer == 0
     }
 }
 
@@ -157,14 +168,10 @@ impl<V: Value> Run<V> {
         })
     }
 
-    /// `true` once the patches since the last rebuild pass an eighth of the entries.
-    fn rebuild_due(&self) -> bool {
-        self.patches > self.entries.len() / 8
-    }
-
-    /// Rebuild from the live entries when [due](Self::rebuild_due).
+    /// Rebuild from the live entries once the patches since the last rebuild pass an
+    /// eighth of the entries.
     fn rebuild_if_due(&mut self) {
-        if self.rebuild_due() {
+        if self.patches > self.entries.len() / 8 {
             *self = Run::from_sorted(self.iter().map(|(key, v)| (key, *v)).collect());
         }
     }
@@ -188,165 +195,38 @@ impl<V: Value> PartialEq for Run<V> {
     }
 }
 
-/// Keys with a list of slots each: a [`Run`] of spans over one flat slot vector (the
-/// CSR layout). A key's list is in slot order — `(layer, machine, view, member)`, the
-/// order the views lie in — so a spliced index equals one derived afresh.
-#[derive(Debug, Clone)]
-pub(crate) struct Lists<S> {
-    run: Run<Span>,
-    slots: Vec<S>,
-}
-
-impl<S: Copy + PartialEq> Lists<S> {
-    /// The lists of `pairs`, which are sorted by key.
-    fn from_sorted(pairs: &[(u64, S)]) -> Self {
-        let offset = |i: usize| u32::try_from(i).expect("a routing index fits u32 offsets");
-        let mut entries: Vec<(u64, Span)> = Vec::new();
-        for (i, &(key, _)) in pairs.iter().enumerate() {
-            match entries.last_mut() {
-                Some((last, span)) if *last == key => span.end = offset(i + 1),
-                _ => entries.push((
-                    key,
-                    Span {
-                        start: offset(i),
-                        end: offset(i + 1),
-                    },
-                )),
-            }
-        }
-        Lists {
-            run: Run::from_sorted(entries),
-            slots: pairs.iter().map(|&(_, slot)| slot).collect(),
-        }
-    }
-
-    /// The slots filed under `key` (none for an absent key).
-    #[inline]
-    pub(crate) fn get(&self, key: u64) -> &[S] {
-        self.run
-            .get(key)
-            .map_or(&[], |s| &self.slots[s.start as usize..s.end as usize])
-    }
-
-    /// The slots filed under `key`, to patch in place.
-    pub(crate) fn get_mut(&mut self, key: u64) -> &mut [S] {
-        match self.run.get(key).copied() {
-            Some(s) => &mut self.slots[s.start as usize..s.end as usize],
-            None => &mut [],
-        }
-    }
-
-    /// Remove `key` and its slots.
-    fn remove(&mut self, key: u64) {
-        self.run.remove(key);
-    }
-
-    /// File `slots` under `key`, which holds none.
-    fn insert(&mut self, key: u64, slots: &[S]) {
-        let offset = |i: usize| u32::try_from(i).expect("a routing index fits u32 offsets");
-        let start = offset(self.slots.len());
-        self.slots.extend_from_slice(slots);
-        let end = offset(self.slots.len());
-        self.run.insert(key, Span { start, end });
-    }
-
-    /// Every live key with its slots, in key order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &[S])> + '_ {
-        self.run
-            .iter()
-            .map(|(key, s)| (key, &self.slots[s.start as usize..s.end as usize]))
-    }
-
-    /// Rebuild keys and slots from the live lists when the run is due.
-    fn rebuild_if_due(&mut self) {
-        if self.run.rebuild_due() {
-            let pairs: Vec<(u64, S)> = self
-                .iter()
-                .flat_map(|(key, slots)| slots.iter().map(move |&s| (key, s)))
-                .collect();
-            *self = Lists::from_sorted(&pairs);
-        }
-    }
-
-    /// Resident size in words: the run (one word per span) and `slot_words` per slot.
-    fn words(&self, slot_words: usize) -> usize {
-        self.run.words(1) + self.slots.len() * slot_words
-    }
-}
-
-impl<S: Copy + PartialEq> PartialEq for Lists<S> {
-    fn eq(&self, other: &Self) -> bool {
-        self.iter().eq(other.iter())
-    }
-}
-
-/// A view reading a label: as its out-label (the label of its outgoing edge) or as its
-/// in-label.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct Reader {
-    pub(crate) view: ViewSlot,
-    pub(crate) as_out: bool,
-}
-
-/// The routing indexes of a plan (see the module docs).
+/// The routing of a plan (see the module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Routing {
     /// Element id (original node, auxiliary node or cluster) → the member slot its
     /// payload must reach: a node's input, a cluster's summary. Only the top cluster
     /// is absent; its summary becomes the root summary.
     pub(crate) payloads: Run<MemberSlot>,
-    /// Edge child → member slots whose `out_input` carries that edge's input.
-    pub(crate) out_edges: Lists<MemberSlot>,
-    /// Label key → the views reading it. A view reading an edge's label as its in-label
-    /// also takes the edge's input as its `in_input` (every incoming edge is an edge of
-    /// the degree-reduced tree). Unlike out-labels, an in-label may be produced at a
-    /// layer *below* its reader, after that reader was labeled; the reader then sees
-    /// `None`, so deliveries are filtered to readers strictly below the producer.
-    pub(crate) readers: Lists<Reader>,
+    /// In-edge child → the lowest view with that incoming edge, where the climb to
+    /// the others starts.
+    pub(crate) in_readers: Run<ViewSlot>,
 }
 
 impl Routing {
-    /// The routing indexes of `skeletons`, derived from the skeleton views alone. Every
-    /// member takes a payload slot and, unless it leaves by the virtual root edge, an
-    /// out-edge input slot; every view reads its outgoing edge's label, and a view with
-    /// an incoming edge reads that edge's input and label. Each index is one sort of
-    /// its `(key, slot)` pairs, so every per-key list comes out in slot order; the pairs
-    /// of one index are dropped before the next one's are collected.
+    /// The routing of `skeletons`, derived from the skeleton views alone: every
+    /// member's payload slot, and per incoming edge the first view it enters in slot
+    /// order — the lowest, as views lie layer by layer.
     pub(crate) fn of(skeletons: &[Skeletons], num_layers: u32) -> Routing {
-        let views = || all_views(skeletons, num_layers);
-        let members = || {
-            views().flat_map(|(at, view)| {
-                (0..view.members().len()).map(move |idx| (view, idx, at.member_slot(idx)))
-            })
-        };
-        let mut payloads: Vec<_> = members()
-            .map(|(view, idx, slot)| (view.member(idx).id(), slot))
-            .collect();
-        payloads.sort_unstable();
-        let out_edges = {
-            let mut pairs: Vec<(NodeId, MemberSlot)> = members()
-                .filter(|(view, idx, _)| !view.leaves_tree(*idx))
-                .map(|(view, idx, slot)| (view.member(idx).out_child(), slot))
-                .collect();
-            pairs.sort_unstable();
-            Lists::from_sorted(&pairs)
-        };
-        let readers = {
-            let mut pairs: Vec<(NodeId, Reader)> = Vec::new();
-            for (at, view) in views() {
-                let read = |as_out| Reader { view: at, as_out };
-                pairs.push((view.out_edge().child, read(true)));
-                if let Some(e) = view.in_edge() {
-                    pairs.push((e.child, read(false)));
-                }
+        let mut payloads = Vec::new();
+        let mut in_readers = Vec::new();
+        for (at, view) in all_views(skeletons, num_layers) {
+            let members = view.members().iter().enumerate();
+            payloads.extend(members.map(|(i, m)| (m.id(), at.member_slot(i))));
+            if let Some(e) = view.in_edge() {
+                in_readers.push((e.child, at));
             }
-            pairs.sort_unstable();
-            Lists::from_sorted(&pairs)
-        };
+        }
+        payloads.sort_unstable();
+        in_readers.sort_unstable();
+        in_readers.dedup_by_key(|(child, _)| *child);
         Routing {
             payloads: Run::from_sorted(payloads),
-            out_edges,
-            readers,
+            in_readers: Run::from_sorted(in_readers),
         }
     }
 
@@ -356,105 +236,68 @@ impl Routing {
         self.payloads.get(id)
     }
 
-    /// The member slot of element `id`, to patch in place.
-    pub(crate) fn payload_mut(&mut self, id: ElementId) -> Option<&mut MemberSlot> {
-        self.payloads.get_mut(id)
-    }
-
     /// Forget element `id`'s payload slot, returning it.
     pub(crate) fn remove_payload(&mut self, id: ElementId) -> Option<MemberSlot> {
         self.payloads.remove(id)
     }
 
-    /// Forget every entry keyed by the edge whose child endpoint is `child`.
+    /// Forget the views the edge whose child endpoint is `child` enters.
     pub(crate) fn remove_edge(&mut self, child: NodeId) {
-        self.out_edges.remove(child);
-        self.readers.remove(child);
+        self.in_readers.remove(child);
     }
 
-    /// Register a new leaf: its payload and its outgoing edge's input both go to `slot`
-    /// (a fresh leaf tops no cluster, so it is the only element leaving by its edge, and
-    /// no view reads its label as a boundary label).
+    /// Register a new leaf at `slot`. A fresh leaf tops no cluster, so its slot is
+    /// the only one its outgoing edge's input reaches, and no view reads its label as
+    /// a boundary label.
     pub(crate) fn add_leaf(&mut self, leaf: NodeId, slot: MemberSlot) {
         self.payloads.insert(leaf, slot);
-        self.out_edges.insert(leaf, &[slot]);
     }
 
-    /// The views reading the label keyed `key` as their out-label (`as_out`) or as
-    /// their in-label.
-    pub(crate) fn readers_as(
-        &self,
-        key: NodeId,
-        as_out: bool,
-    ) -> impl Iterator<Item = ViewSlot> + '_ {
-        self.readers
-            .get(key)
-            .iter()
-            .filter(move |r| r.as_out == as_out)
-            .map(|r| r.view)
-    }
-
-    /// Rebuild every index whose patches are due.
+    /// Rebuild every run whose patches are due.
     pub(crate) fn rebuild_due(&mut self) {
         self.payloads.rebuild_if_due();
-        self.out_edges.rebuild_if_due();
-        self.readers.rebuild_if_due();
+        self.in_readers.rebuild_if_due();
     }
 
-    /// Where the entries of the payload, out-edge and reader indexes lie: a patch
-    /// leaves them where they are, a rebuild moves them.
+    /// Where the entries of the payload and in-reader runs lie: a patch leaves them
+    /// where they are, a rebuild moves them.
     #[cfg(test)]
-    pub(crate) fn entry_addresses(&self) -> [usize; 3] {
+    pub(crate) fn entry_addresses(&self) -> [usize; 2] {
         [
             self.payloads.entries.as_ptr() as usize,
-            self.out_edges.run.entries.as_ptr() as usize,
-            self.readers.run.entries.as_ptr() as usize,
+            self.in_readers.entries.as_ptr() as usize,
         ]
     }
 
-    /// Point the entries of `member`, registered at `from`, at `to`: its payload slot
-    /// and its outgoing edge's input slot.
-    pub(crate) fn move_member(&mut self, member: PlanMember, from: MemberSlot, to: MemberSlot) {
-        if let Some(slot) = self.payload_mut(member.id()) {
-            *slot = to;
-        }
-        if let Some(slot) = self
-            .out_edges
-            .get_mut(member.out_child())
-            .iter_mut()
-            .find(|s| **s == from)
-        {
+    /// Point the payload slot of `member` at `to`.
+    pub(crate) fn move_member(&mut self, member: PlanMember, to: MemberSlot) {
+        if let Some(slot) = self.payloads.get_mut(member.id()) {
             *slot = to;
         }
     }
 
-    /// Point every index entry of `view` (registered at `from`) at view index `to` of
-    /// the same bucket.
+    /// Point every entry of `view` (registered at `from`) at view index `to` of the
+    /// same bucket.
     pub(crate) fn readdress_view(&mut self, view: &PlanView<'_>, from: ViewSlot, to: u32) {
-        let mut readdress = |key: NodeId, as_out: bool| {
-            let was = Reader { view: from, as_out };
-            if let Some(r) = self.readers.get_mut(key).iter_mut().find(|r| **r == was) {
-                r.view.view = to;
-            }
-        };
-        readdress(view.out_edge().child, true);
-        if let Some(in_edge) = view.in_edge() {
-            readdress(in_edge.child, false);
-        }
         let moved = ViewSlot { view: to, ..from };
+        if let Some(entry) = view
+            .in_edge()
+            .and_then(|e| self.in_readers.get_mut(e.child))
+            .filter(|at| **at == from)
+        {
+            *entry = moved;
+        }
         for (idx, member) in view.members().iter().enumerate() {
-            self.move_member(*member, from.member_slot(idx), moved.member_slot(idx));
+            self.move_member(*member, moved.member_slot(idx));
         }
     }
 
-    /// The name of the first index that differs from `fresh`'s, if any.
+    /// The name of the first run that differs from `fresh`'s, if any.
     pub(crate) fn drift_from(&self, fresh: &Routing) -> Option<&'static str> {
         if self.payloads != fresh.payloads {
             Some("payload_slot")
-        } else if self.out_edges != fresh.out_edges {
-            Some("out_edge_slots")
-        } else if self.readers != fresh.readers {
-            Some("label_readers")
+        } else if self.in_readers != fresh.in_readers {
+            Some("in_readers")
         } else {
             None
         }
@@ -466,16 +309,92 @@ impl Routing {
     }
 
     /// Approximate resident size in words: a key word per entry, a word per slot
-    /// coordinate (four for a member slot; three and the as-out flag for a reader), one
-    /// per span, and the directories.
+    /// coordinate (four for a member slot, three for a view slot), and the directories.
     pub(crate) fn resident_words(&self) -> usize {
-        self.payloads.words(4) + self.out_edges.words(4) + self.readers.words(4)
+        self.payloads.words(4) + self.in_readers.words(3)
+    }
+}
+
+impl SolvePlan {
+    /// The member slots leaving by the edge whose child endpoint is `child`, bottom up,
+    /// each with whether the member tops its view and whether it leaves by the virtual
+    /// edge above the root: node `child`'s own slot, then, while the member tops its
+    /// view, the payload slot of the view's cluster. The climb ends after the view of
+    /// cluster `through`, or below the top cluster, which has no payload slot — and,
+    /// in a malformed plan, at a slot that does not lie higher up.
+    fn out_climb(
+        &self,
+        child: NodeId,
+        through: ElementId,
+    ) -> impl Iterator<Item = (MemberSlot, bool, bool)> + '_ {
+        let mut next = self.routing.payload(child).copied();
+        std::iter::from_fn(move || {
+            let slot = next.take()?;
+            let held = &self.skeletons[slot.machine as usize];
+            let (top, member, leaves) = held.top_of(slot.layer, slot.view as usize);
+            let tops = top == slot.member as usize;
+            // The view's cluster, as `PlanView::cluster` names it.
+            let cluster = make_cluster_id(slot.layer, member.id());
+            if tops && cluster != through {
+                next = (self.routing.payload(cluster).copied())
+                    .filter(|above| above.layer > slot.layer);
+            }
+            Some((slot, tops, tops && leaves))
+        })
+    }
+
+    /// The member slots whose `out_input` carries the input of the edge whose child
+    /// endpoint is `child`, bottom up: the out-edge climb less the members leaving by
+    /// the virtual edge above the root.
+    pub(crate) fn out_slots(&self, child: NodeId) -> impl Iterator<Item = MemberSlot> + '_ {
+        self.out_climb(child, self.top_cluster)
+            .filter(|&(_, _, leaves)| !leaves)
+            .map(|(slot, _, _)| slot)
+    }
+
+    /// The views reading the label keyed `child` as their out-label, bottom up, through
+    /// the view of cluster `through` if the climb reaches it: the views on the out-edge
+    /// climb whose top member the climb passes. The label a cluster member's view
+    /// produces reaches the views through the member's own; the root label every one.
+    pub(crate) fn out_readers(
+        &self,
+        child: NodeId,
+        through: ElementId,
+    ) -> impl Iterator<Item = ViewSlot> + '_ {
+        self.out_climb(child, through)
+            .filter(|&(_, tops, _)| tops)
+            .map(|(slot, _, _)| slot.view_slot())
+    }
+
+    /// The views the edge whose child endpoint is `child` enters — each reads that
+    /// edge's input as its `in_input` and its label as its in-label — bottom up: the
+    /// lowest one, then the payload slot's view of each one's cluster while that view
+    /// is entered by the same edge.
+    pub(crate) fn in_readers(&self, child: NodeId) -> impl Iterator<Item = ViewSlot> + '_ {
+        let mut next = self.routing.in_readers.get(child).copied();
+        std::iter::from_fn(move || {
+            let at = next.take()?;
+            let view = self.view_at(at);
+            if view.in_edge()?.child != child {
+                return None;
+            }
+            next = (self.routing.payload(view.cluster()))
+                .map(|above| above.view_slot())
+                .filter(|above| above.layer > at.layer);
+            Some(at)
+        })
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::pipeline::prepare;
+    use mpc_engine::{MpcConfig, MpcContext};
+    use std::collections::BTreeMap;
+    use tree_clustering::is_cluster_id;
+    use tree_gen::{shapes, standard_suite};
+    use tree_repr::{ListOfEdges, TreeInput};
 
     fn slot(member: u32) -> MemberSlot {
         MemberSlot {
@@ -500,7 +419,6 @@ mod tests {
     fn patches_read_like_a_rebuilt_run() {
         let keys = spread_keys();
         let mut run = Run::from_sorted(keys.iter().map(|&k| (k, slot(1))).collect());
-        let mut lists = Lists::from_sorted(&keys.iter().map(|&k| (k, slot(2))).collect::<Vec<_>>());
         let mut live: Vec<u64> = keys.clone();
         let mut rebuilt = 0;
         for step in 0..400u64 {
@@ -512,15 +430,12 @@ mod tests {
             };
             if live.contains(&key) {
                 assert_eq!(run.remove(key), Some(slot(1)));
-                lists.remove(key);
                 live.retain(|&k| k != key);
             } else {
                 run.insert(key, slot(1));
-                lists.insert(key, &[slot(2), slot(3)]);
                 live.push(key);
             }
             run.rebuild_if_due();
-            lists.rebuild_if_due();
             // One patch per step: none pending means the step rebuilt the run.
             rebuilt += usize::from(run.patches == 0);
             live.sort_unstable();
@@ -529,10 +444,92 @@ mod tests {
             assert!(run.iter().map(|(k, _)| k).eq(live.iter().copied()));
             for &k in &live {
                 assert_eq!(run.get(k), Some(&slot(1)));
-                assert!(!lists.get(k).is_empty());
             }
-            assert!(lists.iter().map(|(k, _)| k).eq(live.iter().copied()));
         }
         assert!(rebuilt >= 3, "{rebuilt} rebuilds");
+    }
+
+    /// Per key, what a scan over every view finds: the member slots leaving by the
+    /// key's edge (not by the virtual root edge), the views whose outgoing edge it is,
+    /// and the views it enters — each in slot order, the order the scan meets them.
+    #[derive(Default, Debug, PartialEq)]
+    struct Scanned {
+        out_slots: Vec<MemberSlot>,
+        out_readers: Vec<ViewSlot>,
+        in_readers: Vec<ViewSlot>,
+    }
+
+    fn scan(plan: &SolvePlan) -> BTreeMap<NodeId, Scanned> {
+        let mut keys: BTreeMap<NodeId, Scanned> = BTreeMap::new();
+        for (at, view) in plan.views() {
+            for (i, member) in view.members().iter().enumerate() {
+                if !view.leaves_tree(i) {
+                    let key = keys.entry(member.out_child()).or_default();
+                    key.out_slots.push(at.member_slot(i));
+                }
+            }
+            let key = keys.entry(view.out_edge().child).or_default();
+            key.out_readers.push(at);
+            if let Some(e) = view.in_edge() {
+                keys.entry(e.child).or_default().in_readers.push(at);
+            }
+        }
+        keys
+    }
+
+    /// Every key's climbed out-edge slots, out-label readers and in-label readers equal
+    /// a scan over all views, for the keys the scan finds and for every node key of
+    /// the payload run (one the scan misses climbs to nothing). Returns the longest
+    /// climb.
+    pub(crate) fn assert_climbs_match_a_scan(plan: &SolvePlan) -> usize {
+        let scanned = scan(plan);
+        let payload_keys = (plan.routing.payloads.iter())
+            .map(|(key, _)| key)
+            .filter(|key| !is_cluster_id(*key));
+        let keys: Vec<NodeId> = scanned.keys().copied().chain(payload_keys).collect();
+        let mut longest = 0;
+        for key in keys {
+            let climbed = Scanned {
+                out_slots: plan.out_slots(key).collect(),
+                out_readers: plan.out_readers(key, plan.top_cluster).collect(),
+                in_readers: plan.in_readers(key).collect(),
+            };
+            longest = longest.max(plan.out_climb(key, plan.top_cluster).count());
+            let empty = Scanned::default();
+            assert_eq!(&climbed, scanned.get(&key).unwrap_or(&empty), "key {key}");
+        }
+        longest
+    }
+
+    /// The climbs equal a scan over the views on 39 plans: the standard suite at
+    /// n = 4096 and four shapes with hubs that degree reduction splits, each at three
+    /// δ. Every climb is a few steps long — one per layer at most.
+    #[test]
+    fn climbs_equal_a_scan_over_the_views() {
+        let mut trees: Vec<_> = (standard_suite(4096, 7).into_iter())
+            .map(|entry| entry.tree)
+            .collect();
+        trees.extend([
+            shapes::star(4096),
+            shapes::broom(1024, 3072),
+            shapes::caterpillar(256, 15),
+            shapes::spider(512, 8),
+        ]);
+        let mut plans = 0;
+        for tree in &trees {
+            for delta in [0.3, 0.5, 0.7] {
+                let mut ctx = MpcContext::new(MpcConfig::new(2 * tree.len(), delta));
+                let input = TreeInput::ListOfEdges(ListOfEdges::from_tree(tree));
+                let prepared = prepare(&mut ctx, input, None).expect("well-formed tree");
+                let plan = prepared.plan(&mut ctx);
+                let longest = assert_climbs_match_a_scan(plan);
+                assert!(
+                    longest <= plan.num_layers() as usize,
+                    "{longest}-step climb"
+                );
+                plans += 1;
+            }
+        }
+        assert_eq!(plans, 39);
     }
 }

@@ -365,6 +365,16 @@ impl Skeletons {
         self.at(layer, self.index(layer, index))
     }
 
+    /// The top member of view `index` of `layer`, its index, and whether it leaves by
+    /// the virtual edge above the root: what a routing climb reads of a view, without
+    /// the view's incoming-edge lookup.
+    pub(crate) fn top_of(&self, layer: u32, index: usize) -> (usize, PlanMember, bool) {
+        let head = self.heads[self.index(layer, index)];
+        let top = head.top();
+        let leaves = head.out_parent == VIRTUAL_NODE;
+        (top, self.members[head.start() + top], leaves)
+    }
+
     /// The views of `layer`, in order.
     pub(crate) fn views(&self, layer: u32) -> impl Iterator<Item = PlanView<'_>> + '_ {
         let l = layer as usize;

@@ -29,7 +29,7 @@
 //! derive: per layer and machine the number of views, per view its kind, the parent
 //! end of its outgoing edge, its top index and its incoming-edge record, per member
 //! its id, kind and parent index. Decoding derives the rest — child runs,
-//! enters-parent flags, routing indexes — as a plan build does. No snapshot holds an
+//! enters-parent flags, the routing runs — as a plan build does. No snapshot holds an
 //! edge kind: every kind is read off the edge's child id
 //! ([`EdgeKind::leaving`](tree_clustering::EdgeKind::leaving)), so none can be
 //! written wrong. A checksum only vouches for the bytes, so a decoded [`SolvePlan`] is
@@ -783,7 +783,7 @@ impl Snapshot for SolvePlan {
         });
         write_plan(self, buckets, w);
     }
-    /// Read the views into skeletons, derive the routing indexes from them, as a plan
+    /// Read the views into skeletons, derive the routing from them, as a plan
     /// build does, and check what the evaluation pass relies on
     /// ([`SolvePlan::validate`]) — here, once, for everything that carries a plan
     /// (tree, store, tenant).

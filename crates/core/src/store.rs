@@ -16,7 +16,7 @@
 //!
 //! A view is never copied out of these ([`view`](SolverStore::view) borrows a skeleton
 //! and its slots). `tree-dp-incremental` writes changed inputs into their slots through
-//! the plan's routing indexes and re-processes only the dirty views; a structural repair
+//! the plan's routing and re-processes only the dirty views; a structural repair
 //! is spliced into the store's plan with the slot state carried along by the same
 //! compactions ([`apply_repair`](SolverStore::apply_repair)).
 
@@ -82,14 +82,14 @@ impl<P: ClusterDp> SolverStore<P> {
     /// endpoint is `child` (the member slot of the element leaving by it, the in-edge
     /// slot of the view it enters); the views written to.
     pub fn set_edge_input(&mut self, child: NodeId, input: &P::EdgeInput) -> Vec<ViewSlot> {
-        let routing = &self.plan.routing;
+        let plan = &self.plan;
         let mut touched = Vec::new();
-        for slot in routing.out_edges.get(child) {
+        for slot in plan.out_slots(child) {
             slots_at(&mut self.state, slot.view_slot()).out_inputs[slot.member as usize] =
                 Some(input.clone());
             touched.push(slot.view_slot());
         }
-        for at in routing.readers_as(child, false) {
+        for at in plan.in_readers(child) {
             slots_at(&mut self.state, at).in_input = Some(input.clone());
             touched.push(at);
         }
@@ -146,7 +146,8 @@ impl<P: ClusterDp> SolverStore<P> {
     /// The views that read the label of the edge whose child endpoint is `child` as a
     /// boundary label (out-label or in-label) in their top-down step.
     pub fn label_readers(&self, child: NodeId) -> impl Iterator<Item = ViewSlot> + '_ {
-        self.plan.routing.readers.get(child).iter().map(|r| r.view)
+        let plan = &self.plan;
+        (plan.out_readers(child, plan.top_cluster)).chain(plan.in_readers(child))
     }
 
     /// The label of the virtual root edge.
@@ -168,7 +169,7 @@ impl<P: ClusterDp> SolverStore<P> {
     // ----- structural splicing (batched link/cut repair) ----------------------------
 
     /// Splice a structural repair into the store: the plan's skeletons and routing
-    /// indexes patched in place — the only splice of a plan there is — the slot state
+    /// patched in place — the only splice of a plan there is — the slot state
     /// moved along by the same compactions, the labels of removed edges dropped.
     /// `leaf_inputs` holds the node and edge input of every leaf the repair adds. Zero
     /// rounds (the caller meters the spliced words).
@@ -178,7 +179,7 @@ impl<P: ClusterDp> SolverStore<P> {
         leaf_inputs: &BTreeMap<NodeId, (P::NodeInput, P::EdgeInput)>,
     ) {
         self.plan.splice(repair, &mut self.state);
-        // What the repair clears or adds, at the addresses the spliced indexes give: a
+        // What the repair clears or adds, at the addresses the spliced routing gives: a
         // demoted view reads no in-edge input, a new leaf is its view's last member.
         for cluster in &repair.demoted {
             if let Some(at) = self.plan.view_slot_of(*cluster) {
@@ -205,11 +206,11 @@ impl<P: ClusterDp> SolverStore<P> {
         }
     }
 
-    /// Check the store against from-scratch derivations: every routing index of the
-    /// plan against a re-index of its skeleton views, the edges the plan takes inputs
-    /// for against `edges` (the degree-reduced edge list the plan was built over), and
-    /// the slot state against the skeletons' shape. `Err` names the first index or
-    /// view that drifted. Zero rounds, `O(n log n)` host work — the alarm for long
+    /// Check the store against from-scratch derivations: the plan's routing runs
+    /// against a re-derivation over its skeleton views, the edges the plan takes
+    /// inputs for against `edges` (the degree-reduced edge list the plan was built
+    /// over), and the slot state against the skeletons' shape. `Err` names the first
+    /// run or view that drifted. Zero rounds, `O(n log n)` host work — the alarm for long
     /// sequences of in-place splices.
     pub fn audit<'a>(
         &self,
@@ -358,19 +359,14 @@ pub(crate) mod tests {
     /// The first view with an incoming edge and a member that has both a parent and a
     /// child: every skeleton field a corruption below touches is present in it.
     fn rich_view(plan: &SolvePlan) -> ViewSlot {
-        let mut readers = plan.routing.readers.iter().flat_map(|(_, rs)| rs);
-        readers
-            .find(|r| {
-                !r.as_out && {
-                    let view = plan.view_at(r.view);
-                    view.attach().is_some()
-                        && (0..view.members().len()).any(|i| {
-                            view.member(i).parent().is_some() && !view.children(i).is_empty()
-                        })
-                }
+        let (at, _) = (plan.views())
+            .find(|(_, view)| {
+                view.attach().is_some()
+                    && (0..view.members().len())
+                        .any(|i| view.member(i).parent().is_some() && !view.children(i).is_empty())
             })
-            .expect("a caterpillar has an indegree-1 cluster with an inner member")
-            .view
+            .expect("a caterpillar has an indegree-1 cluster with an inner member");
+        at
     }
 
     fn decode_resealed<T: Snapshot>(kind: u32, value: &T) -> Result<T, SnapshotError> {
@@ -431,7 +427,7 @@ pub(crate) mod tests {
         fn reparent(view: &mut Linked, i: usize, parent: usize) {
             view.members[i] = remade(view.members[i], view.members[i].id(), Some(parent));
         }
-        let corruptions: [Corruption; 10] = [
+        let corruptions: [Corruption; 11] = [
             ("view top/attach index", |_, v, at, _| {
                 view(v, at).top = usize::MAX
             }),
@@ -486,6 +482,16 @@ pub(crate) mod tests {
             }),
             ("plan view in-edge", |_, v, at, _| {
                 view(v, at).in_edge = None
+            }),
+            // A view entered by the edge of the first entered view, from below a
+            // member that edge does not enter: no climb from that view reaches it.
+            ("plan in-edge reader", |_, v, _, _| {
+                let views = v.iter_mut().flatten().flatten();
+                let mut in_edges = views.filter_map(|view| view.in_edge.as_mut());
+                let first = in_edges.next().expect("an entered view").0.child;
+                let (other, _) = (in_edges.find(|(e, _)| e.child != first))
+                    .expect("a view entered by another edge");
+                other.child = first;
             }),
             // A cluster member that claims to be a node.
             ("plan member kind", |_, v, _, _| {
@@ -602,11 +608,10 @@ pub(crate) mod tests {
 
         let mut drifted = reread();
         let routing = &mut drifted.plan.routing;
-        let (first, _) = routing.readers.iter().next().expect("non-empty");
-        let reader = &mut routing.readers.get_mut(first)[0];
-        reader.as_out = !reader.as_out;
+        let (first, _) = routing.in_readers.iter().next().expect("non-empty");
+        routing.in_readers.get_mut(first).expect("live").view += 1;
         let err = drifted.audit(prepared.edges.iter()).expect_err("planted");
-        assert!(err.contains("label_readers"), "{err}");
+        assert!(err.contains("in_readers"), "{err}");
 
         let mut drifted = reread();
         let at = rich_view(&drifted.plan);
@@ -619,6 +624,6 @@ pub(crate) mod tests {
         let mut fewer = prepared.clone();
         fewer.edges = fewer.edges.clone().filter_local(|e| e.child % 5 != 0);
         let err = store.audit(fewer.edges.iter()).expect_err("planted");
-        assert!(err.contains("out_edge_slots"), "{err}");
+        assert!(err.contains("other nodes than the edge list"), "{err}");
     }
 }

@@ -11,7 +11,7 @@
 //!
 //! 1. **`inc-dirty`** — routing the batched updates to the machines holding the
 //!    affected cluster views and writing them into their slots (one round; the
-//!    addresses are the plan's routing indexes),
+//!    addresses come from the plan's routing),
 //! 2. **`inc-up`** — re-running the bottom-up summarization only along the *dirty
 //!    root-paths*: a cluster is re-summarized only if a member payload or boundary-edge
 //!    input changed, and dirt propagates to the parent cluster only when the summary

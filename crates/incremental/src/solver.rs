@@ -144,8 +144,8 @@ where
     ///
     /// The three phases charge rounds for the deterministic MPC implementation whose
     /// data movement they simulate on the cached records: `inc-dirty` routes the batch
-    /// to the machines holding the affected views (1 round — the addresses are the
-    /// plan's routing indexes), `inc-up` forwards changed summaries to the parent
+    /// to the machines holding the affected views (1 round — the addresses come from
+    /// the plan's routing), `inc-up` forwards changed summaries to the parent
     /// clusters' machines (1 round per layer that produced a change), and `inc-down`
     /// forwards changed boundary labels to the reading clusters' machines (1 round per
     /// layer that produced a change). Local recomputation is free in the MPC model.
@@ -516,8 +516,8 @@ where
     }
 
     /// Check the solver's patched-in-place indexes against from-scratch builds: the
-    /// routing indexes of its plan against a re-index of the plan's skeleton views
-    /// over `prepared`'s edge list, the slot state against the skeletons' shape
+    /// routing runs of its plan against a re-derivation over the plan's skeleton views
+    /// and `prepared`'s edge list, the slot state against the skeletons' shape
     /// ([`SolverStore::audit`]), and the repair index (when one has been built) against
     /// one built over `prepared`'s clustering and edge list. `Err` names the first
     /// index that drifted. `O(n log n)` host work, zero rounds — the drift alarm for
@@ -544,6 +544,11 @@ where
     /// The wrapped problem.
     pub fn problem(&self) -> &P {
         &self.problem
+    }
+
+    /// The input every auxiliary degree-reduction node takes.
+    pub fn aux_input(&self) -> &P::NodeInput {
+        &self.aux_input
     }
 
     /// The summary of the top cluster on the current inputs (e.g. the optimum value).
@@ -1243,7 +1248,7 @@ mod tests {
         let err = inc
             .audit_indexes(&prepared)
             .expect_err("the solver was left behind");
-        assert!(err.contains("out_edge_slots"), "{err}");
+        assert!(err.contains("other nodes than the edge list"), "{err}");
     }
 
     #[test]

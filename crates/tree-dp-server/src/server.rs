@@ -225,7 +225,6 @@ where
     ctx: MpcContext,
     prepared: PreparedTree,
     solver: IncrementalSolver<P>,
-    aux_input: P::NodeInput,
     metrics: TenantMetrics,
 }
 
@@ -340,7 +339,7 @@ where
             }
             let jobs: Vec<_> = tables
                 .iter()
-                .map(|(n, e)| (self.solver.problem(), n, self.aux_input.clone(), e))
+                .map(|(n, e)| (self.solver.problem(), n, self.solver.aux_input().clone(), e))
                 .collect();
             let sols = plan.solve_many(&mut self.ctx, &jobs);
             self.metrics.queries += queries.len() as u64;
@@ -412,7 +411,7 @@ where
             &edge_inputs,
         );
         let r3 = ctx.metrics().rounds;
-        let solver = IncrementalSolver::restore(spec.problem, store, spec.aux_input.clone());
+        let solver = IncrementalSolver::restore(spec.problem, store, spec.aux_input);
 
         let metrics = TenantMetrics {
             rounds_charged: r3 - r0,
@@ -425,7 +424,6 @@ where
                 ctx,
                 prepared,
                 solver,
-                aux_input: spec.aux_input,
                 metrics,
             },
         );
@@ -572,7 +570,7 @@ where
         tenant.ctx.config().encode(&mut w);
         tenant.prepared.encode(&mut w);
         tenant.solver.store().encode(&mut w);
-        tenant.aux_input.encode(&mut w);
+        tenant.solver.aux_input().encode(&mut w);
         tenant.metrics.encode(&mut w);
         Ok(seal(KIND_TENANT, w))
     }
@@ -625,14 +623,13 @@ where
             return Err(ServerError::DuplicateTenant(id));
         }
         let ctx = MpcContext::new(config);
-        let solver = IncrementalSolver::restore(problem, store, aux_input.clone());
+        let solver = IncrementalSolver::restore(problem, store, aux_input);
         self.tenants.insert(
             id.clone(),
             Tenant {
                 ctx,
                 prepared,
                 solver,
-                aux_input,
                 metrics,
             },
         );

@@ -9,7 +9,9 @@
 //! moves itself per tree node (`build w/n`: the `clustering` phase less its
 //! `cluster-sizes` and `cluster-paths` subroutines), the words the plan build moves per
 //! tree node (`pbuild w/n`: the `plan-build` phase), the plan's skeleton words per tree
-//! node, the plan's snapshot bytes per tree node (`snap B/n`, a report), the peak local
+//! node, the plan's resident words beyond its skeletons — its routing — per tree node
+//! (`route w/n`, a report), the plan's snapshot bytes per tree node (`snap B/n`, a
+//! report), the peak local
 //! memory against the `Θ(n^δ)` capacity, and the phases whose local-memory breaches
 //! are largest.
 //!
@@ -85,6 +87,8 @@ struct Peaks {
     pbuild_per_node: f64,
     /// The plan's skeleton words per tree node.
     skeleton_per_node: f64,
+    /// The plan's resident words beyond its skeletons per tree node.
+    route_per_node: f64,
     /// The plan's snapshot bytes per tree node.
     snapshot_per_node: f64,
     peak: usize,
@@ -116,6 +120,7 @@ fn measure(tree: &Tree, given: Given, delta: f64, slack: f64) -> Peaks {
     let plan = prepared.plan_uncached(&mut ctx);
     let pbuild_per_node = per_node(&ctx, "plan-build");
     let skeleton_per_node = plan.skeleton_words() as f64 / tree.len() as f64;
+    let route_per_node = (plan.resident_words() - plan.skeleton_words()) as f64 / tree.len() as f64;
     let snapshot_per_node = plan.to_snapshot().len() as f64 / tree.len() as f64;
     let engine = StateEngine::new(MaxWeightIndependentSet);
     let solution = plan.solve(&mut ctx, &engine, &weights, 0, &no_edges);
@@ -140,6 +145,7 @@ fn measure(tree: &Tree, given: Given, delta: f64, slack: f64) -> Peaks {
         build_per_node,
         pbuild_per_node,
         skeleton_per_node,
+        route_per_node,
         snapshot_per_node,
         peak: metrics.peak_local_memory,
         capacity: ctx.config().local_capacity(),
@@ -172,8 +178,8 @@ fn main() {
         let gated = delta == 0.5 && slack == 32.0;
         println!("{section}");
         println!(
-            "{:<17} {:>15} {:>9} {:>9} {:>10} {:>9} {:>9} {:>10} {:>9} {:>7}  worst breaches (phase/primitive: words)",
-            "shape", "degree rnd/words", "paths w/n", "build w/n", "pbuild w/n", "plan w/n", "snap B/n", "peak", "capacity", "ratio"
+            "{:<17} {:>15} {:>9} {:>9} {:>10} {:>9} {:>10} {:>9} {:>10} {:>9} {:>7}  worst breaches (phase/primitive: words)",
+            "shape", "degree rnd/words", "paths w/n", "build w/n", "pbuild w/n", "plan w/n", "route w/n", "snap B/n", "peak", "capacity", "ratio"
         );
         for (name, tree, given) in &trees {
             let peaks = measure(tree, *given, delta, slack);
@@ -184,12 +190,13 @@ fn main() {
                 .map(|(context, words)| format!("{context}: {words}"))
                 .collect();
             println!(
-                "{name:<17} {:>15} {:>9.2} {:>9.2} {:>10.2} {:>9.2} {:>9.1} {:>10} {:>9} {:>7.2}  {}",
+                "{name:<17} {:>15} {:>9.2} {:>9.2} {:>10.2} {:>9.2} {:>10.2} {:>9.1} {:>10} {:>9} {:>7.2}  {}",
                 format!("{}/{}", peaks.degree.0, peaks.degree.1),
                 peaks.paths_per_node,
                 peaks.build_per_node,
                 peaks.pbuild_per_node,
                 peaks.skeleton_per_node,
+                peaks.route_per_node,
                 peaks.snapshot_per_node,
                 peaks.peak,
                 peaks.capacity,

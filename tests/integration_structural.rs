@@ -950,11 +950,11 @@ fn churn_batch(
 }
 
 /// Long churn on one solver: 240 link/cut batches that keep the tree near its size.
-/// After every batch the drift audit holds — each spliced routing index equals
+/// After every batch the drift audit holds — each spliced routing run equals
 /// `Routing::of` over the spliced skeletons — and the spliced routing equals a fresh
 /// plan's of the repaired tree; every 40 batches the answers match a fresh prepare. On
-/// the way every index runs through its tombstones and overflow and is rebuilt from
-/// them many times (the splice rebuilds an index once its patches pass an eighth of
+/// the way every run goes through its tombstones and overflow and is rebuilt from
+/// them many times (the splice rebuilds a run once its patches pass an eighth of
 /// its entries).
 #[test]
 fn long_churn_keeps_spliced_routing_equal_to_a_fresh_derivation() {
