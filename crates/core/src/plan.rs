@@ -953,9 +953,9 @@ impl SolvePlan {
     /// The input scatter: route node inputs, auxiliary inputs, and edge inputs to
     /// their recorded slots, charging one round with exact moved-word volumes — a
     /// moved payload record is a `(key, Payload)` pair (`2 + input` words, matching
-    /// the summary-forwarding charge) and a moved edge record is billed `2 + input`
-    /// words, though it is a `(child, input)` pair. On duplicate records the first one
-    /// wins the slot (join semantics).
+    /// the summary-forwarding charge) and a moved edge record a `(child, input)` pair
+    /// (`1 + input` words). On duplicate records the first one wins the slot (join
+    /// semantics).
     fn scatter_inputs<P: ClusterDp>(
         &self,
         ctx: &mut MpcContext,
@@ -1009,7 +1009,7 @@ impl SolvePlan {
                         continue;
                     }
                     if slot.machine as usize != src {
-                        let w = 2 + input.words();
+                        let w = 1 + input.words();
                         sends[src] += w;
                         recvs[slot.machine as usize] += w;
                     }
@@ -1022,7 +1022,7 @@ impl SolvePlan {
                         continue;
                     }
                     if vslot.machine as usize != src {
-                        let w = 2 + input.words();
+                        let w = 1 + input.words();
                         sends[src] += w;
                         recvs[vslot.machine as usize] += w;
                     }

@@ -58,11 +58,13 @@ pub struct NormalizedTree {
 ///
 /// Costs `O(1)` rounds for every rooted representation: an edge list pays one join and
 /// one all-reduce to find its root, a parent array (pointers, BFS/DFS traversals) one
-/// numbering and one all-reduce, a parentheses string the hierarchical matching of
-/// Section 3.2.1. An undirected edge list pays `O(log n)`: two sorts, one join and
-/// `2⌊log₂(2m − 1)⌋` probe rounds of pointer doubling (see [`crate::rooting`] for
-/// the exact formula and the documented substitution). Returns `None` for malformed
-/// inputs (unbalanced parentheses, multiple roots, cycles).
+/// numbering and one all-reduce, a parentheses string one scan, one sort and one scan
+/// (Section 3.2, see [`crate::parentheses`]). An undirected edge list pays `O(log n)`:
+/// one numbering, one sort and one scan to link the Euler tour, one sort, one join and
+/// `2⌊log₂(2m − 1)⌋` probe rounds of pointer doubling (see [`crate::rooting`] for the
+/// exact formula and the documented substitution). No conversion gathers a node's
+/// neighbourhood onto one machine. Returns `None` for malformed inputs (unbalanced
+/// parentheses, multiple roots, cycles).
 pub fn normalize(ctx: &mut MpcContext, input: TreeInput) -> Option<NormalizedTree> {
     match input {
         TreeInput::ListOfEdges(ListOfEdges(edges)) => {
@@ -77,21 +79,11 @@ pub fn normalize(ctx: &mut MpcContext, input: TreeInput) -> Option<NormalizedTre
         }
         TreeInput::UndirectedEdges(UndirectedEdges(edges)) => {
             let dv = ctx.from_vec(edges);
-            let rooted = root_undirected(ctx, dv)?;
-            Some(NormalizedTree {
-                edges: rooted.edges,
-                root: rooted.root,
-                num_nodes: rooted.num_nodes,
-            })
+            root_undirected(ctx, dv)
         }
         TreeInput::StringOfParentheses(StringOfParentheses(parens)) => {
             let dv = ctx.from_vec(parens);
-            let matched = match_parentheses_mpc(ctx, dv)?;
-            Some(NormalizedTree {
-                edges: matched.edges,
-                root: matched.root,
-                num_nodes: matched.num_nodes,
-            })
+            match_parentheses_mpc(ctx, dv)
         }
         TreeInput::BfsTraversal(BfsTraversal(parents))
         | TreeInput::DfsTraversal(DfsTraversal(parents))

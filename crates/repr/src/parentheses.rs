@@ -1,309 +1,231 @@
-//! MPC parentheses matching (Section 3.2 and 3.2.1 of the paper).
+//! MPC parentheses matching (Sections 3.2 and 3.2.1 of the paper).
 //!
 //! The input is a properly nested string of parentheses distributed over the machines;
 //! the output is the standard representation: one directed child→parent edge per
 //! non-root node, where a node's id is the array position of its opening parenthesis.
+//! Matching is one scan, one sort and one scan, the pattern degree reduction follows:
 //!
-//! The algorithm follows the paper:
+//! 1. **Chunk summaries.** Once its matched pairs cancel, a stretch of the string is
+//!    `)…)(…(`: with its length `l`, `c` unmatched closes and `o` unmatched opens, the
+//!    summary `(l, c, o)` of two stretches in a row is
+//!    `(l₁ + l₂, c₁ + (c₂ ∸ o₁), o₂ + (o₁ ∸ c₂))`. One [`MpcContext::scan`] combines the
+//!    chunk summaries up a fan-in `n^δ` tree — Section 3.2.1's hierarchy — and hands
+//!    machine `k` its global offset, which numbers its opens, and `O_k`, the opens still
+//!    unclosed where it starts. A string whose whole summary is not `(L, 0, 0)` is
+//!    unbalanced and is refused.
+//! 2. **Local cancellation.** Every machine matches its chunk with a stack. An open met
+//!    while the stack holds another gets its parent, the stack's top, at once. The
+//!    *survivors* are the stack left at the chunk's end; the *pendings* are the opens
+//!    met with an empty stack. A pending after `s` unmatched closes of its chunk has
+//!    depth `O_k − s`, and the survivor at stack index `i` on machine `j` depth
+//!    `O_j − c_j + i`. A pending's parent is the last open before it one level up, which
+//!    is always a survivor of an earlier chunk.
+//! 3. **Pairing.** A survivor becomes a type-1 tuple keyed `(depth + 1, position)`, a
+//!    pending a type-2 tuple keyed `(depth, position)`, and one sort orders them
+//!    together: Section 3.2's joint sort, keyed by depth instead of by
+//!    *(machine, index)*. A tuple of key 0 is a root, and the string is a tree exactly
+//!    when it has one — the root is then position 0.
+//! 4. **Parents.** One scan over the sorted tuples hands every machine the last type-1
+//!    tuple before it, and counts the roots. Every other type-2 tuple takes the last
+//!    type-1 tuple before it, which has its key: no open of the parent's depth lies
+//!    between the parent and its child.
 //!
-//! 1. **Local cancellation.** Every machine matches parentheses inside its own chunk
-//!    with a stack. This immediately yields the parent of every opening parenthesis
-//!    whose parent lies in the same chunk, and leaves a reduced sequence of the form
-//!    `)…)(…(` summarized by a pair `(cᵢ, oᵢ)`.
-//! 2. **Hierarchical resolution.** Opens whose parent lies in an earlier chunk carry the
-//!    number `l` of unmatched closing parentheses to their left. Chunks are grouped into
-//!    super-chunks of `n^δ` sub-chunks; inside one super-chunk the sub-chunk summaries
-//!    fit into a single machine, which can resolve each pending open to a pair
-//!    *(sub-chunk, index among that sub-chunk's surviving opens)* or defer it to the
-//!    next level with an adjusted `l`. With `O(1)` levels (`⌈(1-δ)/δ⌉`), every pending
-//!    open except the global root is resolved — this is exactly the `k`-level scheme of
-//!    Section 3.2.1, and the `δ = 1/2` case of Section 3.2 is the one-level special case.
-//! 3. **Pairing.** Resolved references are turned into actual node ids by sorting
-//!    "type 1" tuples (*machine, index, node id of that surviving open*) together with
-//!    "type 2" tuples (*machine, index, child node id*), exactly as in the paper.
+//! With `a = agg_rounds` and `s = sort_rounds` this charges `2a + s + 2a` rounds,
+//! whatever the tree's shape. Edges stay on the machine that makes them: machine `k`
+//! holds the edges matched inside its chunk, in child order, followed by those of the
+//! type-2 tuples the sort dealt it, in (depth, child) order. No machine holds more than
+//! its chunk and its share of the tuples.
 
 use crate::ids::{DirectedEdge, NodeId};
+use crate::normalize::NormalizedTree;
 use crate::representations::Paren;
-use mpc_engine::{DistVec, MpcContext};
+use mpc_engine::{DistVec, MpcContext, Words};
 
-/// Per-chunk summary after local cancellation: `c` unmatched closing parentheses
-/// followed by `o` unmatched opening parentheses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Summary {
-    c: u64,
-    o: u64,
+/// A stretch of the string once its matched pairs cancel: `len` symbols that reduce to
+/// `closes` closing parentheses followed by `opens` opening ones.
+#[derive(Debug, Clone, Copy, Default)]
+struct Reduced {
+    len: u64,
+    closes: u64,
+    opens: u64,
 }
 
-/// A chunk at some level of the hierarchy: its summary plus, for levels above 0, which
-/// prefix of each child chunk's surviving opens is still alive inside this chunk.
-#[derive(Debug, Clone)]
-struct ChunkInfo {
-    summary: Summary,
-    /// `(child chunk index at the previous level, number of its surviving opens that
-    /// survive within this chunk)`, in left-to-right order. Empty at level 0.
-    segments: Vec<(usize, u64)>,
+impl Words for Reduced {}
+
+impl Reduced {
+    /// `self` with the symbol `p` appended.
+    fn push(self, p: &Paren) -> Reduced {
+        let (closes, opens) = match p {
+            Paren::Open => (0, 1),
+            Paren::Close => (1, 0),
+        };
+        self.then(Reduced {
+            len: 1,
+            closes,
+            opens,
+        })
+    }
+
+    /// `self` followed by `next` (associative, `default` its identity): the opens of
+    /// `self` close as many closes of `next` as they can.
+    fn then(self, next: Reduced) -> Reduced {
+        let matched = self.opens.min(next.closes);
+        Reduced {
+            len: self.len + next.len,
+            closes: self.closes + next.closes - matched,
+            opens: self.opens + next.opens - matched,
+        }
+    }
 }
 
-/// A pending open parenthesis: its node id and the number of unmatched closing
-/// parentheses to its left within its current chunk.
+/// A tuple of the joint sort. A survivor (type 1) is keyed one level below its own
+/// depth, where its children are; a pending (type 2) at its own depth. `node` is the
+/// open's position.
 #[derive(Debug, Clone, Copy)]
-struct Pending {
+struct Tuple {
+    depth: u64,
     node: NodeId,
-    skip: u64,
-    /// Index of the chunk (at the current level) this pending currently belongs to.
-    chunk: usize,
+    survivor: bool,
 }
 
-/// Result of matching: the edges, the root node id, and the number of nodes.
-#[derive(Debug, Clone)]
-pub struct MatchedParentheses {
-    /// Child→parent edges over parenthesis-position node ids.
-    pub edges: DistVec<DirectedEdge>,
-    /// Node id (= position of the opening parenthesis) of the root.
-    pub root: NodeId,
-    /// Number of nodes (= half the string length).
-    pub num_nodes: usize,
+impl Words for Tuple {}
+
+/// What local cancellation leaves: an edge matched inside the chunk, or a tuple.
+enum Cancelled {
+    Edge(DirectedEdge),
+    Tuple(Tuple),
 }
 
-/// Match a distributed parentheses string and return the standard representation.
+/// The scan summary of a stretch of the sorted tuples: its last type-1 tuple and its
+/// number of roots.
+#[derive(Debug, Clone, Copy, Default)]
+struct Pairing {
+    last: Option<Tuple>,
+    roots: u64,
+}
+
+impl Words for Pairing {}
+
+impl Pairing {
+    /// `self` with the tuple `t` appended.
+    fn push(self, t: &Tuple) -> Pairing {
+        Pairing {
+            last: if t.survivor { Some(*t) } else { self.last },
+            roots: self.roots + u64::from(t.depth == 0),
+        }
+    }
+
+    /// `self` followed by `next` (associative, `default` its identity).
+    fn then(self, next: Pairing) -> Pairing {
+        Pairing {
+            last: next.last.or(self.last),
+            roots: self.roots + next.roots,
+        }
+    }
+}
+
+/// Match one machine's chunk, which starts after the stretch `before`: the edges inside
+/// the chunk, a type-2 tuple per pending and a type-1 tuple per survivor. `before` and
+/// the chunk belong to a balanced string, so no depth is negative.
+fn cancel(before: Reduced, chunk: &[Paren]) -> Vec<Cancelled> {
+    let mut out = Vec::with_capacity(chunk.len());
+    let mut stack: Vec<NodeId> = Vec::new();
+    let mut closes = 0u64;
+    for (node, p) in (before.len..).zip(chunk) {
+        match p {
+            Paren::Open => {
+                out.push(match stack.last() {
+                    Some(&parent) => Cancelled::Edge(DirectedEdge::new(node, parent)),
+                    None => Cancelled::Tuple(Tuple {
+                        depth: before.opens - closes,
+                        node,
+                        survivor: false,
+                    }),
+                });
+                stack.push(node);
+            }
+            Paren::Close => {
+                if stack.pop().is_none() {
+                    closes += 1;
+                }
+            }
+        }
+    }
+    let below = before.opens - closes;
+    out.extend(stack.into_iter().zip(below + 1..).map(|(node, depth)| {
+        Cancelled::Tuple(Tuple {
+            depth,
+            node,
+            survivor: true,
+        })
+    }));
+    out
+}
+
+/// Match a distributed parentheses string and return the standard representation,
+/// rooted at position 0.
 ///
 /// Returns `None` when the string is empty, unbalanced, or describes a forest rather
 /// than a single tree.
 pub fn match_parentheses_mpc(
     ctx: &mut MpcContext,
     parens: DistVec<Paren>,
-) -> Option<MatchedParentheses> {
+) -> Option<NormalizedTree> {
     if parens.is_empty() {
         return None;
     }
-    let total = parens.len();
-    if total % 2 != 0 {
+    let around = ctx.scan(&parens, Reduced::default(), Reduced::push, Reduced::then);
+    // What every machine knows once it puts its own summary between the two it got.
+    let whole = parens.chunks()[0]
+        .iter()
+        .fold(Reduced::default(), Reduced::push)
+        .then(around[0].1);
+    if whole.closes != 0 || whole.opens != 0 {
         return None;
     }
 
-    // Step 0: global positions become node ids of opening parentheses.
-    let indexed = ctx.with_index(parens);
-
-    // Step 1: machine-local cancellation (no communication).
-    let mut local_edges: Vec<Vec<DirectedEdge>> = Vec::new();
-    let mut survivors: Vec<Vec<NodeId>> = Vec::new();
-    let mut level0: Vec<ChunkInfo> = Vec::new();
-    let mut pendings: Vec<Pending> = Vec::new();
-    for (machine, chunk) in indexed.chunks().iter().enumerate() {
-        let mut stack: Vec<NodeId> = Vec::new();
-        let mut pops = 0u64;
-        let mut edges = Vec::new();
-        for &(pos, p) in chunk {
-            match p {
-                Paren::Open => {
-                    if let Some(&top) = stack.last() {
-                        edges.push(DirectedEdge::new(pos, top));
-                    } else {
-                        pendings.push(Pending {
-                            node: pos,
-                            skip: pops,
-                            chunk: machine,
-                        });
-                    }
-                    stack.push(pos);
-                }
-                Paren::Close => {
-                    if stack.pop().is_none() {
-                        pops += 1;
-                    }
-                }
-            }
-        }
-        level0.push(ChunkInfo {
-            summary: Summary {
-                c: pops,
-                o: stack.len() as u64,
-            },
-            segments: Vec::new(),
-        });
-        local_edges.push(edges);
-        survivors.push(stack);
-    }
-
-    // Step 2: hierarchical resolution. Group size = n^δ sub-chunk summaries per machine.
-    let group_size = ctx.config().n_delta().max(2);
-    let mut levels: Vec<Vec<ChunkInfo>> = vec![level0];
-    let mut resolved: Vec<(usize, u64, NodeId)> = Vec::new(); // (machine, survivor idx, child)
-    let mut unresolved = pendings;
-
-    while levels.last().expect("at least level 0").len() > 1 {
-        let prev = levels.last().expect("level exists").clone();
-        let num_groups = prev.len().div_ceil(group_size);
-
-        // Resolve pendings whose parent lies inside their group at this level.
-        let mut still_unresolved = Vec::new();
-        for mut p in unresolved {
-            let group = p.chunk / group_size;
-            let start = group * group_size;
-            let mut skip = p.skip;
-            let mut found: Option<(usize, u64)> = None;
-            for a in (start..p.chunk).rev() {
-                let s = prev[a].summary;
-                if skip < s.o {
-                    found = Some((a, s.o - 1 - skip));
-                    break;
-                }
-                skip = skip - s.o + s.c;
-            }
-            match found {
-                Some((chunk_idx, idx)) => {
-                    // Translate (chunk at this level, survivor index) down to
-                    // (level-0 machine, survivor index).
-                    let (machine, idx) = descend(&levels, levels.len() - 1, chunk_idx, idx);
-                    resolved.push((machine, idx, p.node));
-                }
-                None => {
-                    p.skip = skip;
-                    p.chunk = group;
-                    still_unresolved.push(p);
-                }
-            }
-        }
-        unresolved = still_unresolved;
-
-        // Build the next level of summaries (one super-chunk per group).
-        let mut next: Vec<ChunkInfo> = Vec::with_capacity(num_groups);
-        for group in 0..num_groups {
-            let start = group * group_size;
-            let end = (start + group_size).min(prev.len());
-            let mut c_total = 0u64;
-            let mut segments: Vec<(usize, u64)> = Vec::new();
-            for (x, info) in prev.iter().enumerate().take(end).skip(start) {
-                let s = info.summary;
-                // The closes of x pop survivors of earlier sub-chunks in this group.
-                let mut to_pop = s.c;
-                while to_pop > 0 {
-                    match segments.last_mut() {
-                        Some((_, cnt)) => {
-                            let take = to_pop.min(*cnt);
-                            *cnt -= take;
-                            to_pop -= take;
-                            if *cnt == 0 {
-                                segments.pop();
-                            }
-                        }
-                        None => {
-                            c_total += to_pop;
-                            to_pop = 0;
-                        }
-                    }
-                }
-                if s.o > 0 {
-                    segments.push((x, s.o));
-                }
-            }
-            let o_total = segments.iter().map(|(_, cnt)| cnt).sum();
-            next.push(ChunkInfo {
-                summary: Summary {
-                    c: c_total,
-                    o: o_total,
-                },
-                segments,
-            });
-        }
-        levels.push(next);
-
-        // Communication cost of one level: every group gathers the (c, o) summaries of
-        // its sub-chunks into one machine and sends back one resolution answer per
-        // pending open; 2 rounds and O(group_size) words per machine.
-        ctx.charge_rounds(2);
-        ctx.record_uniform_comm(2 * group_size.min(prev.len()), "paren-resolution-level");
-    }
-    // Every level divides the chunk count by `group_size`, so the loop charged its 2
-    // rounds ⌈log_{group_size}(chunks)⌉ times: `O(1)` levels for a fixed δ.
-    debug_assert!(
-        levels.len() - 1
-            <= std::iter::successors(Some(1usize), |p| Some(p.saturating_mul(group_size)))
-                .take_while(|&p| p < levels[0].len())
-                .count(),
-        "parentheses resolution ran more levels than the group size allows"
-    );
-
-    // Validity: the fully reduced string must be empty and exactly one open (the root)
-    // must have remained unresolved.
-    let top = levels.last().expect("top level")[0].summary;
-    if top.c != 0 || top.o != 0 {
-        return None;
-    }
-    if unresolved.len() != 1 {
-        return None;
-    }
-    let root = unresolved[0].node;
-
-    // Step 3: pairing via type-1 / type-2 tuples (one sort + group gathering).
-    // Tuple layout: (machine, survivor index, type, node id).
-    let mut tuples: Vec<(u64, u64, u64, NodeId)> = Vec::new();
-    for (machine, surv) in survivors.iter().enumerate() {
-        for (idx, &node) in surv.iter().enumerate() {
-            tuples.push((machine as u64, idx as u64, 1, node));
-        }
-    }
-    for &(machine, idx, child) in &resolved {
-        tuples.push((machine as u64, idx, 2, child));
-    }
-    let tuple_dv = ctx.from_vec(tuples);
-    let grouped = ctx.gather_groups(tuple_dv, |t| (t.0, t.1));
-    let cross_edges: DistVec<DirectedEdge> = grouped.flat_map_local(|(_, mut items)| {
-        items.sort_by_key(|t| t.2);
-        let parent = items
-            .iter()
-            .find(|t| t.2 == 1)
-            .map(|t| t.3)
-            .expect("every referenced survivor exists");
-        items
-            .into_iter()
-            .filter(|t| t.2 == 2)
-            .map(|t| DirectedEdge::new(t.3, parent))
-            .collect::<Vec<_>>()
+    let cancelled = parens.map_chunks_local(|machine, chunk| cancel(around[machine].0, &chunk));
+    let local = cancelled.filter_map_local(|c| match c {
+        Cancelled::Edge(e) => Some(*e),
+        Cancelled::Tuple(_) => None,
+    });
+    let tuples = cancelled.filter_map_local(|c| match c {
+        Cancelled::Tuple(t) => Some(*t),
+        Cancelled::Edge(_) => None,
     });
 
-    // Combine machine-local edges with the cross-machine edges (one balancing round).
-    let mut all_edges: Vec<DirectedEdge> = local_edges.into_iter().flatten().collect();
-    all_edges.extend(cross_edges.iter().copied());
-    if all_edges.len() != total / 2 - 1 {
+    let sorted = ctx.sort_by_key(tuples, |t| (t.depth, t.node));
+    let around = ctx.scan(&sorted, Pairing::default(), Pairing::push, Pairing::then);
+    let roots = sorted.chunks()[0]
+        .iter()
+        .fold(Pairing::default(), Pairing::push)
+        .then(around[0].1)
+        .roots;
+    if roots != 1 {
         return None;
     }
-    let edges = ctx.from_vec(all_edges);
-    let edges = ctx.rebalance(edges);
-
-    Some(MatchedParentheses {
+    let crossing = sorted.map_chunks_local(|machine, chunk| {
+        let mut last = around[machine].0.last;
+        chunk
+            .into_iter()
+            .filter_map(|t| {
+                if t.survivor {
+                    last = Some(t);
+                    return None;
+                }
+                // The root, of key 0, finds no type-1 tuple of its key.
+                let parent = last.filter(|p| p.depth == t.depth)?;
+                Some(DirectedEdge::new(t.node, parent.node))
+            })
+            .collect()
+    });
+    let edges = local.concat_local(crossing);
+    ctx.check_memory(&edges, "match_parentheses");
+    Some(NormalizedTree {
         edges,
-        root,
-        num_nodes: total / 2,
+        root: 0,
+        num_nodes: (whole.len / 2) as usize,
     })
-}
-
-/// Translate a survivor reference `(chunk index at `level`, survivor index)` down the
-/// hierarchy to a `(level-0 machine, survivor index)` pair using the per-chunk segment
-/// lists.
-fn descend(
-    levels: &[Vec<ChunkInfo>],
-    mut level: usize,
-    mut chunk: usize,
-    mut idx: u64,
-) -> (usize, u64) {
-    while level > 0 {
-        let info = &levels[level][chunk];
-        let mut remaining = idx;
-        let mut target = None;
-        for &(child, cnt) in &info.segments {
-            if remaining < cnt {
-                target = Some((child, remaining));
-                break;
-            }
-            remaining -= cnt;
-        }
-        let (child, inner) = target.expect("survivor index within range");
-        chunk = child;
-        idx = inner;
-        level -= 1;
-    }
-    (chunk, idx)
 }
 
 #[cfg(test)]
@@ -313,12 +235,14 @@ mod tests {
     use crate::tree::Tree;
     use mpc_engine::MpcConfig;
 
+    /// Match `s` under strict accounting: a memory or bandwidth breach panics.
     fn run(s: &str, delta: f64) -> Option<(Vec<DirectedEdge>, NodeId)> {
         let parens = StringOfParentheses::parse(s).unwrap();
         let n = parens.0.len().max(4);
-        let mut ctx = MpcContext::new(MpcConfig::new(n, delta));
+        let mut ctx = MpcContext::new(MpcConfig::strict(n, delta));
         let dv = ctx.from_vec(parens.0.clone());
         match_parentheses_mpc(&mut ctx, dv).map(|m| {
+            assert_eq!(m.num_nodes, parens.0.len() / 2);
             let mut edges = m.edges.into_vec();
             edges.sort();
             (edges, m.root)
@@ -421,6 +345,47 @@ mod tests {
         assert!(run(")(", 0.5).is_none());
         assert!(run("()()", 0.5).is_none());
         assert!(run("())(()", 0.5).is_none());
+        // A forest of two 64-node paths: the second root, at position 128, lies on
+        // another machine than the first.
+        let path = "(".repeat(64) + &")".repeat(64);
+        assert!(run(&path.repeat(2), 0.5).is_none());
+        assert!(run(&(path.clone() + "()" + &path), 0.3).is_none());
+    }
+
+    #[test]
+    fn refuses_an_imbalance_only_a_chunk_boundary_shows() {
+        // Machine 0 holds a balanced chunk, and machine 1 starts with a close that
+        // nothing before it opened; opens and closes are equal in number.
+        let len = 64;
+        let mut ctx = MpcContext::new(MpcConfig::strict(len, 0.5));
+        let first = ctx.from_vec(vec![Paren::Open; len]).chunks()[0].len();
+        assert!(first % 2 == 0 && first + 2 < len);
+        let s = "()".repeat(first / 2) + ")" + &"()".repeat((len - first - 2) / 2) + "(";
+        let parens = StringOfParentheses::parse(&s).unwrap().0;
+        assert_eq!(parens.len(), len);
+        let dv = ctx.from_vec(parens);
+        assert_eq!(dv.chunks()[1].first(), Some(&Paren::Close));
+        assert!(match_parentheses_mpc(&mut ctx, dv).is_none());
+    }
+
+    #[test]
+    fn rounds_follow_the_module_formula() {
+        let n = 4096;
+        let deep: String = "(".repeat(n) + &")".repeat(n);
+        let wide: String = "(".to_string() + &"()".repeat(n - 1) + ")";
+        // δ = 0.5 needs two aggregation levels at this size, δ = 0.6 one.
+        for (delta, levels) in [(0.5, 2), (0.6, 1)] {
+            for s in [&deep, &wide] {
+                let parens = StringOfParentheses::parse(s).unwrap();
+                let mut ctx = MpcContext::new(MpcConfig::strict(parens.0.len(), delta));
+                let dv = ctx.from_vec(parens.0);
+                let matched = match_parentheses_mpc(&mut ctx, dv).expect("a tree");
+                assert_eq!(matched.edges.len(), n - 1);
+                let (agg, sort) = (ctx.agg_rounds(), ctx.sort_rounds());
+                assert_eq!(agg, levels, "δ = {delta}");
+                assert_eq!(ctx.metrics().rounds, 4 * agg + sort, "δ = {delta}");
+            }
+        }
     }
 
     #[test]

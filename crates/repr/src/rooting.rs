@@ -8,11 +8,14 @@
 //!
 //! 1. edge `e = {u, v}` (numbered by `with_index`) becomes the two arcs `2e = (u → v)`
 //!    and `2e + 1 = (v → u)`, so an arc's twin is `id ^ 1`;
-//! 2. one gather by head hands every node its incoming arcs; the successor of the
-//!    `i`-th arc into `v` is the twin of the `(i + 1)`-th (any fixed cyclic order
-//!    around a node yields an Euler tour), and the tour is cut inside the root's
-//!    group, after its last incoming arc; an input whose groups do not number
-//!    `m + 1` is not a tree and stops here;
+//! 2. one stable sort by head lays the arcs into every node over consecutive machines,
+//!    in arc-id order, and one [`scan`](MpcContext::scan) hands every machine the first
+//!    arc, the first arc of the last run of equal heads before it, and the arc and run
+//!    counts. The successor of an arc is the twin of the next arc in its run (any fixed
+//!    cyclic order around a node yields an Euler tour); a run's last arc wraps to the
+//!    twin of the run's first, except in the root's run — the first, since the root is
+//!    the smallest id — where the tour is cut. An input whose runs do not number `m + 1`
+//!    is not a tree and stops here;
 //! 3. one sort puts the arcs back in id order, twins side by side, and pointer
 //!    doubling ranks the tour: every arc chases `succ` and accumulates its distance to
 //!    the end, a finished arc asks for nothing;
@@ -22,13 +25,15 @@
 //!    boundary splits.
 //!
 //! With `a = agg_rounds`, `s = sort_rounds` and `k = ⌊log₂(2m − 1)⌋ + 1` doubling steps
-//! this charges `3a` (numbering, count-and-root reduction) `+ (s + 1)` (gather)
-//! `+ s` (sort) `+ join_rounds + 2(k − 1)` (ranking) `+ 1` (exchange) rounds.
+//! this charges `a` (numbering) `+ s` (sort by head) `+ 2a` (scan) `+ s` (sort by id)
+//! `+ join_rounds + 2(k − 1)` (ranking) `+ 1` (exchange) rounds. No node's arcs are
+//! gathered: every machine holds its share of the sorted arcs.
 //!
 //! All other input representations are already rooted, so the `O(log D)` end-to-end
 //! guarantee of the paper is exercised through those (see Section 3 / `normalize`).
 
 use crate::ids::{DirectedEdge, NodeId};
+use crate::normalize::NormalizedTree;
 use mpc_engine::{DistVec, MpcContext, Words};
 
 /// `succ` of an arc with nothing left to chase: the tour's last arc, and every arc
@@ -51,15 +56,52 @@ struct ArcState {
 
 impl Words for ArcState {}
 
-/// Result of rooting an undirected edge list.
-#[derive(Debug, Clone)]
-pub struct RootedTreeEdges {
-    /// Child→parent edges of the rooted tree.
-    pub edges: DistVec<DirectedEdge>,
-    /// The chosen root (the smallest node id).
-    pub root: NodeId,
-    /// Number of nodes.
-    pub num_nodes: usize,
+/// An arc as `(id, head)`.
+type Incoming = (u64, NodeId);
+
+/// The scan summary of a stretch of the head-sorted arcs: its first arc, the first
+/// arc of its last run of equal heads, and its numbers of arcs and of runs.
+#[derive(Debug, Clone, Copy, Default)]
+struct Runs {
+    first: Option<Incoming>,
+    last_run: Option<Incoming>,
+    arcs: u64,
+    runs: u64,
+}
+
+impl Words for Runs {}
+
+impl Runs {
+    /// `self` with the arc `arc` appended.
+    fn push(self, arc: &Incoming) -> Runs {
+        self.then(Runs {
+            first: Some(*arc),
+            last_run: Some(*arc),
+            arcs: 1,
+            runs: 1,
+        })
+    }
+
+    /// `self` followed by `next` (associative, `default` its identity): the runs at
+    /// the seam join when they share a head.
+    fn then(self, next: Runs) -> Runs {
+        let (Some(last), Some(first)) = (self.last_run, next.first) else {
+            return if self.first.is_some() { self } else { next };
+        };
+        let seam = last.1 == first.1;
+        // `next` is one run, which continues the last run of `self`.
+        let continued = seam && next.last_run.is_some_and(|arc| arc.1 == first.1);
+        Runs {
+            first: self.first,
+            last_run: if continued {
+                self.last_run
+            } else {
+                next.last_run
+            },
+            arcs: self.arcs + next.arcs,
+            runs: self.runs + next.runs - u64::from(seam),
+        }
+    }
 }
 
 /// Root an undirected edge list at its smallest node id and orient all edges
@@ -71,48 +113,55 @@ pub struct RootedTreeEdges {
 pub fn root_undirected(
     ctx: &mut MpcContext,
     edges: DistVec<(NodeId, NodeId)>,
-) -> Option<RootedTreeEdges> {
+) -> Option<NormalizedTree> {
     if edges.is_empty() {
         return None;
     }
-    // The edge count and the root (the smallest node id), known to everyone after
-    // one all-reduce.
-    let (num_edges, root) = ctx.all_reduce(
-        &edges,
-        (0usize, NodeId::MAX),
-        |(count, least), &(u, v)| (count + 1, least.min(u).min(v)),
-        |a, b| (a.0 + b.0, a.1.min(b.1)),
-    );
-
-    // Arcs in both directions, as (id, head).
-    let arcs: DistVec<(u64, NodeId)> = ctx
+    // Arcs in both directions, into every node in arc-id order.
+    let arcs: DistVec<Incoming> = ctx
         .with_index(edges)
         .flat_map_local(|(e, (u, v))| [(2 * e, v), (2 * e + 1, u)]);
-
-    // The machine holding node v sees every arc into v, in one fixed order, and
-    // links each to the twin of the next one around v.
-    let by_head = ctx.gather_groups(arcs, |&(_, head)| head);
-    // One group per node. A connected graph with a cycle can still link all its arcs
+    let arcs = ctx.sort_by_key(arcs, |&(_, head)| head);
+    let around = ctx.scan(&arcs, Runs::default(), Runs::push, Runs::then);
+    // What every machine knows once it puts its own summary between the two it got.
+    let whole = arcs.chunks()[0]
+        .iter()
+        .fold(Runs::default(), Runs::push)
+        .then(around[0].1);
+    let root = whole.first?.1;
+    let num_edges = whole.arcs / 2;
+    // One run per node. A connected graph with a cycle can still link all its arcs
     // into a single successor cycle, which would rank like a tree's tour; with
     // m + 1 nodes a single cycle leaves room for a tree only.
-    if by_head.len() != num_edges + 1 {
+    if whole.runs != num_edges + 1 {
         return None;
     }
-    let states: DistVec<ArcState> = by_head.flat_map_local(|(head, incoming)| {
-        let degree = incoming.len();
-        (0..degree).map(move |i| {
-            let succ = if head == root && i + 1 == degree {
-                END
-            } else {
-                incoming[(i + 1) % degree].0 ^ 1
-            };
-            ArcState {
-                id: incoming[i].0,
-                succ,
-                dist: u64::from(succ != END),
-                head,
-            }
-        })
+    let states: DistVec<ArcState> = arcs.map_chunks_local(|machine, chunk| {
+        let (before, after) = around[machine];
+        let mut run = before.last_run;
+        chunk
+            .iter()
+            .enumerate()
+            .map(|(i, &(id, head))| {
+                let first = match run {
+                    Some(arc) if arc.1 == head => arc,
+                    _ => (id, head),
+                };
+                run = Some(first);
+                let next = chunk.get(i + 1).copied().or(after.first);
+                let succ = match next.filter(|next| next.1 == head) {
+                    Some((next, _)) => next ^ 1,
+                    None if head == root => END,
+                    None => first.0 ^ 1,
+                };
+                ArcState {
+                    id,
+                    succ,
+                    dist: u64::from(succ != END),
+                    head,
+                }
+            })
+            .collect()
     });
 
     // Back to arc-id order, then rank: afterwards `dist` is the distance to the end
@@ -172,10 +221,10 @@ pub fn root_undirected(
             .collect()
     });
 
-    Some(RootedTreeEdges {
+    Some(NormalizedTree {
         edges: oriented,
         root,
-        num_nodes: num_edges + 1,
+        num_nodes: num_edges as usize + 1,
     })
 }
 
@@ -186,16 +235,17 @@ mod tests {
     use crate::tree::Tree;
     use mpc_engine::MpcConfig;
 
-    fn root_tree(tree: &Tree, delta: f64) -> RootedTreeEdges {
+    /// Root `tree` under strict accounting: a memory or bandwidth breach panics.
+    fn root_tree(tree: &Tree, delta: f64) -> NormalizedTree {
         let und = UndirectedEdges::from_tree(tree);
         let n = (2 * tree.len()).max(8);
-        let mut ctx = MpcContext::new(MpcConfig::new(n, delta));
+        let mut ctx = MpcContext::new(MpcConfig::strict(n, delta));
         let dv = ctx.from_vec(und.0.clone());
         root_undirected(&mut ctx, dv).expect("valid tree")
     }
 
-    fn check_matches(tree: &Tree) {
-        let rooted = root_tree(tree, 0.5);
+    fn check_matches(tree: &Tree, delta: f64) {
+        let rooted = root_tree(tree, delta);
         // Root must be node 0 (smallest id); with node 0 as root the orientation must
         // match the tree re-rooted at 0.
         assert_eq!(rooted.root, 0);
@@ -225,7 +275,7 @@ mod tests {
         let parents: Vec<Option<usize>> = (0..n)
             .map(|v| if v == 0 { None } else { Some(v - 1) })
             .collect();
-        check_matches(&Tree::from_parents(parents));
+        check_matches(&Tree::from_parents(parents), 0.5);
     }
 
     #[test]
@@ -234,7 +284,7 @@ mod tests {
         let parents: Vec<Option<usize>> = (0..n)
             .map(|v| if v == 0 { None } else { Some(0) })
             .collect();
-        check_matches(&Tree::from_parents(parents));
+        check_matches(&Tree::from_parents(parents), 0.5);
     }
 
     #[test]
@@ -255,17 +305,17 @@ mod tests {
                     }
                 })
                 .collect();
-            check_matches(&Tree::from_parents(parents));
+            check_matches(&Tree::from_parents(parents), 0.5);
         }
     }
 
     #[test]
     fn single_edge() {
         let tree = Tree::from_parents(vec![None, Some(0)]);
-        check_matches(&tree);
+        check_matches(&tree, 0.5);
     }
 
-    fn root_edges(edges: Vec<(u64, u64)>) -> Option<RootedTreeEdges> {
+    fn root_edges(edges: Vec<(u64, u64)>) -> Option<NormalizedTree> {
         let mut ctx = MpcContext::new(MpcConfig::new((2 * edges.len()).max(8), 0.5));
         let dv = ctx.from_vec(edges);
         root_undirected(&mut ctx, dv)
@@ -284,8 +334,11 @@ mod tests {
         assert!(root_edges(vec![(5, 5)]).is_none());
         assert!(root_edges(vec![(0, 0), (0, 1)]).is_none());
         assert!(root_edges(vec![(0, 1), (1, 1), (1, 2)]).is_none());
-        // A forest of two trees.
+        // A forest of two trees, and one of two paths whose smallest ids, 0 and 64,
+        // sort onto different machines.
         assert!(root_edges(vec![(0, 1), (1, 2), (3, 4), (4, 5)]).is_none());
+        let path = |from: u64| (from + 1..from + 64).map(move |v| (v - 1, v));
+        assert!(root_edges(path(0).chain(path(64)).collect()).is_none());
         // K4 minus an edge, in an order whose arcs form one successor cycle (a
         // one-face embedding of genus 1): the ranking settles, the node count is off.
         assert!(root_edges(vec![(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]).is_none());
@@ -309,6 +362,25 @@ mod tests {
         );
     }
 
+    #[test]
+    fn roots_a_star_4096_within_memory() {
+        let parents: Vec<Option<usize>> = (0..4096).map(|v| (v > 0).then_some(0)).collect();
+        for delta in [0.5, 0.3] {
+            check_matches(&Tree::from_parents(parents.clone()), delta);
+        }
+    }
+
+    #[test]
+    fn roots_a_broom_4096_within_memory() {
+        // A handle of 2048 nodes from the root, 2048 bristles on its last node.
+        let parents: Vec<Option<usize>> = (0..4096)
+            .map(|v| (v > 0).then(|| (v - 1).min(2047)))
+            .collect();
+        for delta in [0.5, 0.3] {
+            check_matches(&Tree::from_parents(parents.clone()), delta);
+        }
+    }
+
     /// Words the tuple-keyed join loop this module replaced moved to root
     /// `path-4096` at `MpcConfig::new(8192, 0.5)` (138 rounds).
     const OLD_PATH_4096_WORDS: u64 = 1_467_862;
@@ -327,7 +399,7 @@ mod tests {
             let (agg, sort, join) = (ctx.agg_rounds(), ctx.sort_rounds(), ctx.join_rounds());
             let steps = u64::from((arcs - 1).ilog2()) + 1;
             let rounds = ctx.metrics().rounds;
-            assert_eq!(rounds, 3 * agg + 2 * sort + 2 + join + 2 * (steps - 1));
+            assert_eq!(rounds, 3 * agg + 2 * sort + join + 2 * (steps - 1) + 1);
             let log_arcs = u64::from(arcs.next_power_of_two().ilog2());
             if agg == 1 {
                 assert!(rounds <= join + 2 * log_arcs + 16, "{rounds} rounds");

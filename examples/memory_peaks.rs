@@ -22,6 +22,12 @@
 //! and the plan build at most 32 words per tree node in either section; δ = 1/4 is
 //! reported only.
 //!
+//! Four more rows feed the star and the broom through the unrooted conversions, as
+//! undirected edges and as parentheses, and print the violations of any kind recorded
+//! in `normalize` (`norm`). At δ = 1/2 and 32× slack any such violation fails the run;
+//! every other figure of these rows, and all of them in the other two sections, is
+//! reported only.
+//!
 //! Run with: `cargo run --release --example memory_peaks`
 
 use mpc_tree_dp::gen::shapes;
@@ -91,6 +97,8 @@ struct Peaks {
     route_per_node: f64,
     /// The plan's snapshot bytes per tree node.
     snapshot_per_node: f64,
+    /// The violations of any kind recorded inside the `normalize` phase.
+    normalize_violations: usize,
     peak: usize,
     capacity: usize,
     /// The largest local-memory breach per context, largest first.
@@ -147,6 +155,11 @@ fn measure(tree: &Tree, given: Given, delta: f64, slack: f64) -> Peaks {
         skeleton_per_node,
         route_per_node,
         snapshot_per_node,
+        normalize_violations: metrics
+            .violations
+            .iter()
+            .filter(|v| v.context.starts_with("normalize/"))
+            .count(),
         peak: metrics.peak_local_memory,
         capacity: ctx.config().local_capacity(),
         breaches,
@@ -168,6 +181,12 @@ fn main() {
             RootedEdges,
         ),
     ];
+    let conversions: [(&str, Tree, Given); 4] = [
+        ("star/undirected", shapes::star(N), Undirected),
+        ("star/parens", shapes::star(N), Parentheses),
+        ("broom/undirected", shapes::broom(N / 2, N / 2), Undirected),
+        ("broom/parens", shapes::broom(N / 2, N / 2), Parentheses),
+    ];
     let mut over: Vec<String> = Vec::new();
     let sections = [
         (0.5, 32.0, "δ = 1/2, 32× slack (gated)"),
@@ -178,10 +197,11 @@ fn main() {
         let gated = delta == 0.5 && slack == 32.0;
         println!("{section}");
         println!(
-            "{:<17} {:>15} {:>9} {:>9} {:>10} {:>9} {:>10} {:>9} {:>10} {:>9} {:>7}  worst breaches (phase/primitive: words)",
-            "shape", "degree rnd/words", "paths w/n", "build w/n", "pbuild w/n", "plan w/n", "route w/n", "snap B/n", "peak", "capacity", "ratio"
+            "{:<17} {:>15} {:>9} {:>9} {:>10} {:>9} {:>10} {:>9} {:>5} {:>10} {:>9} {:>7}  worst breaches (phase/primitive: words)",
+            "shape", "degree rnd/words", "paths w/n", "build w/n", "pbuild w/n", "plan w/n", "route w/n", "snap B/n", "norm", "peak", "capacity", "ratio"
         );
-        for (name, tree, given) in &trees {
+        let rows = trees.iter().map(|row| (row, true));
+        for ((name, tree, given), cold) in rows.chain(conversions.iter().map(|row| (row, false))) {
             let peaks = measure(tree, *given, delta, slack);
             let worst: Vec<String> = peaks
                 .breaches
@@ -190,7 +210,7 @@ fn main() {
                 .map(|(context, words)| format!("{context}: {words}"))
                 .collect();
             println!(
-                "{name:<17} {:>15} {:>9.2} {:>9.2} {:>10.2} {:>9.2} {:>10.2} {:>9.1} {:>10} {:>9} {:>7.2}  {}",
+                "{name:<17} {:>15} {:>9.2} {:>9.2} {:>10.2} {:>9.2} {:>10.2} {:>9.1} {:>5} {:>10} {:>9} {:>7.2}  {}",
                 format!("{}/{}", peaks.degree.0, peaks.degree.1),
                 peaks.paths_per_node,
                 peaks.build_per_node,
@@ -198,6 +218,7 @@ fn main() {
                 peaks.skeleton_per_node,
                 peaks.route_per_node,
                 peaks.snapshot_per_node,
+                peaks.normalize_violations,
                 peaks.peak,
                 peaks.capacity,
                 peaks.peak as f64 / peaks.capacity as f64,
@@ -206,6 +227,15 @@ fn main() {
                     false => worst.join(", "),
                 }
             );
+            if gated && peaks.normalize_violations > 0 {
+                over.push(format!(
+                    "{name}: {} violations in normalize",
+                    peaks.normalize_violations
+                ));
+            }
+            if !cold {
+                continue;
+            }
             if gated && (peaks.peak > peaks.capacity || !peaks.breaches.is_empty()) {
                 over.push(format!("{name}: peak {} of {}", peaks.peak, peaks.capacity));
             }

@@ -304,7 +304,8 @@ fn bfs_orientation(edges: &[(u64, u64)]) -> Vec<DirectedEdge> {
         .collect()
 }
 
-/// Root `edges` under every `δ` regime and compare with the BFS oracle.
+/// Root `edges` under every `δ` regime and compare with the BFS oracle. No machine
+/// may hold or exchange more than its share: the rooting records no violation.
 fn assert_rooting_matches_bfs(edges: &[(u64, u64)], what: &str) {
     let expected = bfs_orientation(edges);
     let root = edges.iter().map(|&(u, v)| u.min(v)).min().unwrap();
@@ -317,6 +318,8 @@ fn assert_rooting_matches_bfs(edges: &[(u64, u64)], what: &str) {
         assert_eq!(rooted.root, root, "{what}");
         assert_eq!(rooted.num_nodes, edges.len() + 1, "{what}");
         assert_eq!(rooted.edges.into_vec(), expected, "{what}: δ={delta}");
+        let violations = &ctx.metrics().violations;
+        assert!(violations.is_empty(), "{what}: δ={delta}: {violations:?}");
     }
 }
 

@@ -4,11 +4,11 @@
 use mpc_tree_dp::problems::MaxWeightIndependentSet;
 use mpc_tree_dp::{prepare, MpcConfig, MpcContext, StateEngine, TreeInput};
 use tree_gen::shapes;
-use tree_repr::parentheses::{match_parentheses_mpc, MatchedParentheses};
-use tree_repr::rooting::{root_undirected, RootedTreeEdges};
+use tree_repr::parentheses::match_parentheses_mpc;
+use tree_repr::rooting::root_undirected;
 use tree_repr::{
-    BfsTraversal, DfsTraversal, ListOfEdges, PointersToParents, StringOfParentheses,
-    UndirectedEdges,
+    BfsTraversal, DfsTraversal, ListOfEdges, NormalizedTree, PointersToParents,
+    StringOfParentheses, UndirectedEdges,
 };
 
 #[test]
@@ -104,7 +104,7 @@ fn representations_round_trip_through_to_tree() {
     assert!(parens.is_balanced());
     let mut ctx = MpcContext::new(MpcConfig::new((4 * n).max(64), 0.5));
     let dist = ctx.from_vec(parens.0.clone());
-    let matched: MatchedParentheses =
+    let matched: NormalizedTree =
         match_parentheses_mpc(&mut ctx, dist).expect("balanced single-tree string matches");
     assert_eq!(matched.num_nodes, n);
 
@@ -112,7 +112,7 @@ fn representations_round_trip_through_to_tree() {
     // smallest id as root.
     let undirected = UndirectedEdges::from_tree(&tree);
     let dist = ctx.from_vec(undirected.0.clone());
-    let rooted: RootedTreeEdges =
+    let rooted: NormalizedTree =
         root_undirected(&mut ctx, dist).expect("a tree's edge list roots cleanly");
     assert_eq!(rooted.num_nodes, n);
     assert_eq!(rooted.root, 0, "smallest node id becomes the root");
