@@ -15,10 +15,10 @@
 //!    elements becomes an indegree-1 (caterpillar) cluster, contracted into a single
 //!    uncolored degree-2 element.
 //!
-//! When at most `n^{δ/2}` uncolored elements remain, everything left is gathered into
-//! the single top cluster. Lemma 4 of the paper bounds the number of iterations by a
-//! constant (≈ `2/δ`); the builder enforces a generous safety cap and reports an error
-//! if it is ever exceeded.
+//! When at most `n^{δ/2}` uncolored elements remain, everything left becomes a member
+//! of the single top cluster, recorded in place by the machine that holds it. Lemma 4
+//! of the paper bounds the number of iterations by a constant (≈ `2/δ`); the builder
+//! enforces a generous safety cap and reports an error if it is ever exceeded.
 //!
 //! ## Batched per-level passes
 //!
@@ -176,20 +176,17 @@ pub fn build_clustering(
         if uncolored_count <= threshold as u64 {
             layer += 1;
             top_cluster = make_cluster_id(layer, root);
-            let grouped = ctx.gather_groups(actives, |_| 0u64);
-            for (_, members) in grouped.iter() {
-                for a in members {
-                    finished.push(Element {
-                        id: a.id,
-                        kind: a.kind,
-                        formed_at: a.formed_at,
-                        absorbed_into: top_cluster,
-                        absorbed_at: layer,
-                        out_edge: a.out_edge,
-                        in_edge: a.in_edge,
-                    });
-                }
-            }
+            // Nothing to bring together: every machine records its own actives as
+            // members of the top cluster, where they lie.
+            finished.extend(actives.iter().map(|a| Element {
+                id: a.id,
+                kind: a.kind,
+                formed_at: a.formed_at,
+                absorbed_into: top_cluster,
+                absorbed_at: layer,
+                out_edge: a.out_edge,
+                in_edge: a.in_edge,
+            }));
             finished.push(Element {
                 id: top_cluster,
                 kind: ElementKind::TopCluster,

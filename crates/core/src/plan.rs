@@ -11,9 +11,14 @@
 //! A [`SolvePlan`] factors that out. Building the plan brings the members of every
 //! cluster of every layer onto one machine in **one** group gathering and attaches
 //! every cluster's header in **one** probe of bare cluster ids — a number of rounds
-//! that does not depend on the layer count (charged under `plan-build`). Nothing else
-//! is fetched: an edge's kind is read off its child id ([`EdgeKind::leaving`]), a
-//! cluster's layer and outgoing edge's child off its id. The plan retains
+//! that does not depend on the layer count (charged under `plan-build`). A member
+//! travels as what the member tree is linked from: its absorbing cluster, its id and
+//! its outgoing edge's parent, 3 words, and an indegree-1 cluster's incoming edge, 2
+//! more. The gather deals the clusters over the machines at a fixed 12 words a member
+//! (`MEMBER_DEAL_WORDS`), not at that width, and so fixes which machine every
+//! skeleton lives on. Nothing else is fetched: an edge's kind is read off its child id
+//! ([`EdgeKind::leaving`]), a member's kind and a cluster's layer and outgoing edge's
+//! child off its id. The plan retains
 //!
 //! * per layer and per machine, the **skeleton view** of every cluster formed there
 //!   ([`PlanView`]: members in their assembled order, parent/children links, top and
@@ -171,19 +176,54 @@ pub struct SolvePlan {
     pub(crate) routing: Routing,
 }
 
-/// One member on its way into a skeleton view: the clustering element.
+/// One member on its way into a skeleton view: what [`link_members`] reads of its
+/// element. The kind is not shipped: a member is a node unless its id is a cluster
+/// id ([`is_cluster_id`]), and a cluster member is indegree-1 exactly when it has an
+/// incoming edge. The outgoing edge leaves the member's id, or [`defining_node`] of a
+/// cluster id, so only its parent travels.
 struct MemberRec {
-    element: Element,
+    /// The absorbing cluster: the gather key, whose [`cluster_layer`] is the run.
+    cluster: ElementId,
+    id: ElementId,
+    out_parent: NodeId,
+    /// The incoming edge of an indegree-1 cluster member.
+    in_edge: Option<DirectedEdge>,
+}
+
+impl MemberRec {
+    fn kind(&self) -> ElementKind {
+        match (is_cluster_id(self.id), self.in_edge.is_some()) {
+            (false, _) => ElementKind::Node,
+            (true, false) => ElementKind::ClusterIndeg0,
+            (true, true) => ElementKind::ClusterIndeg1,
+        }
+    }
+
+    fn out_edge(&self) -> DirectedEdge {
+        let child = match is_cluster_id(self.id) {
+            true => defining_node(self.id),
+            false => self.id,
+        };
+        DirectedEdge::new(child, self.out_parent)
+    }
 }
 
 impl Words for MemberRec {
     fn words(&self) -> usize {
-        // The element plus two words: the group gathering balances groups over
-        // machines by word count, so this width decides which machine every skeleton
-        // lives on, and every plan-solve volume with it — narrowing it moves them all.
-        self.element.words() + 2
+        // Absorbing cluster, id and outgoing edge's parent, and the incoming edge when
+        // there is one; its presence flag rides the id's high bit, which no member id
+        // sets (only the virtual node's does).
+        3 + self.in_edge.map_or(0, |e| e.words())
     }
 }
+
+/// The width plan build deals a member at when it places the gathered clusters: a
+/// cluster's group counts as two words (its key and one) plus this many per member.
+/// Twelve is the width of the whole-element records the gather once shipped; keeping
+/// it fixes which machine every skeleton lives on, and with that every plan-solve
+/// volume, whatever the record carries. Re-choosing it is the layout decision of
+/// deriving the plan from the clustering (ROADMAP item 23).
+const MEMBER_DEAL_WORDS: usize = 12;
 
 /// Build the solve plan of a clustering: assemble the skeleton view of every cluster
 /// of every layer — each fully contained in one machine — and record the skeletons
@@ -220,8 +260,9 @@ impl Words for ClusterHeader {
 }
 
 /// Assemble the linked view of every cluster, each fully contained in one machine and
-/// every layer's views spread over all machines: gather the members by absorbing
-/// cluster — once, for all layers — attach the cluster's header (probed in a table of
+/// every layer's views spread over all machines: gather the member records by
+/// absorbing cluster — once, for all layers, dealt at [`MEMBER_DEAL_WORDS`] a member —
+/// attach the cluster's header (probed in a table of
 /// the cluster elements alone, the only ones a cluster id can name; the bare id is
 /// sent and the answer rejoins its group where the group lies), and link the member
 /// tree locally. No edge kind is fetched: a view reads kinds off the ids
@@ -229,14 +270,20 @@ impl Words for ClusterHeader {
 /// order within a layer, each with the layer its cluster was formed at.
 fn build_skeletons(ctx: &mut MpcContext, clustering: &Clustering) -> DistVec<(u32, Linked)> {
     let member_recs = clustering.elements.filter_map_local(|e| {
-        (e.kind != ElementKind::TopCluster).then_some(MemberRec { element: *e })
+        (e.kind != ElementKind::TopCluster).then_some(MemberRec {
+            cluster: e.absorbed_into,
+            id: e.id,
+            out_parent: e.out_edge.parent,
+            in_edge: e.in_edge,
+        })
     });
     // A cluster id carries the layer the cluster is formed at above the defining
     // element's id, so the key order is layer-major and every layer is one run.
     let grouped = ctx.gather_group_runs(
         member_recs,
-        |m| m.element.absorbed_into,
-        |m| m.element.absorbed_at,
+        |m| m.cluster,
+        |m| cluster_layer(m.cluster),
+        |_| MEMBER_DEAL_WORDS,
     );
 
     let headers = clustering.elements.filter_map_local(|e| {
@@ -273,9 +320,9 @@ fn link_members(cluster: &ClusterHeader, members: &[MemberRec]) -> (u32, Linked)
     let mut nodes: Vec<(ElementId, usize)> = Vec::with_capacity(members.len());
     let mut contracted: Vec<(DirectedEdge, usize)> = Vec::new();
     for (idx, m) in members.iter().enumerate() {
-        if m.element.kind == ElementKind::Node {
-            nodes.push((m.element.id, idx));
-        } else if let Some(in_edge) = m.element.in_edge {
+        if !is_cluster_id(m.id) {
+            nodes.push((m.id, idx));
+        } else if let Some(in_edge) = m.in_edge {
             contracted.push((in_edge, idx));
         }
     }
@@ -294,19 +341,19 @@ fn link_members(cluster: &ClusterHeader, members: &[MemberRec]) -> (u32, Linked)
         .iter()
         .enumerate()
         .map(|(b, member)| {
-            let edge = member.element.out_edge;
+            let edge = member.out_edge();
             let parent = (edge != out_edge)
                 .then(|| acceptor(&edge))
                 .flatten()
                 .filter(|&a| a != b);
             // A contracted parent accepted this member's edge as its incoming edge.
-            let enters = parent.is_some_and(|a| members[a].element.kind != ElementKind::Node);
-            PlanMember::new(member.element.id, member.element.kind, parent, enters)
+            let enters = parent.is_some_and(|a| is_cluster_id(members[a].id));
+            PlanMember::new(member.id, member.kind(), parent, enters)
         })
         .collect();
     let top = members
         .iter()
-        .position(|m| m.element.out_edge == out_edge)
+        .position(|m| m.out_edge() == out_edge)
         .expect("the top member carries the cluster's outgoing edge");
     let view = Linked {
         members: linked,
@@ -1399,6 +1446,18 @@ mod tests {
         })
     }
 
+    /// A member as the per-layer reference ships it: the whole element, billed with
+    /// two words more — the 12 words plan build still deals its members at.
+    struct WholeMember {
+        element: Element,
+    }
+
+    impl Words for WholeMember {
+        fn words(&self) -> usize {
+            self.element.words() + 2
+        }
+    }
+
     fn skeletons_of_layer(
         ctx: &mut MpcContext,
         clustering: &Clustering,
@@ -1426,7 +1485,7 @@ mod tests {
             )
             .map_local(|(element, edge)| {
                 assert_eq!(*edge, listed(element.out_edge));
-                MemberRec { element: *element }
+                WholeMember { element: *element }
             });
         let grouped = ctx.gather_groups(member_recs, |m| m.element.absorbed_into);
         let with_cluster = ctx.join_lookup_sorted(
@@ -1454,8 +1513,8 @@ mod tests {
         views
     }
 
-    fn link_members_by_scan(cluster: &Element, members: &[MemberRec]) -> Linked {
-        let accepts = |a: &MemberRec, edge: &DirectedEdge| -> bool {
+    fn link_members_by_scan(cluster: &Element, members: &[WholeMember]) -> Linked {
+        let accepts = |a: &WholeMember, edge: &DirectedEdge| -> bool {
             if a.element.kind == ElementKind::Node {
                 a.element.id == edge.parent
             } else {
@@ -1514,7 +1573,13 @@ mod tests {
     fn assert_builds_the_reference_plan(tree: &Tree, delta: f64) -> bool {
         let (mut ctx, prepared) = prepared(tree, delta);
         let reference = build_plan_per_layer(&mut ctx, &prepared);
+        let before = ctx.metrics().violations.len();
         let plan = prepared.plan_uncached(&mut ctx);
+        let breaches: Vec<_> = ctx.metrics().violations[before..]
+            .iter()
+            .filter(|v| v.context.starts_with("plan-build/"))
+            .collect();
+        assert!(breaches.is_empty(), "the one gather breaches: {breaches:?}");
         assert_eq!(plan.skeletons, reference.skeletons, "skeleton placement");
         assert_eq!(plan, reference);
         let edge_children: BTreeSet<NodeId> = prepared.edges.iter().map(|e| e.child).collect();
@@ -1604,16 +1669,17 @@ mod tests {
         assert_eq!(layer_counts.len(), 2, "the two trees differ in layer count");
     }
 
-    /// Plan build's words per tree node at δ = 1/2: one gather of 12-word members and
-    /// one probe of bare cluster ids against compact headers. The build that also
-    /// sorted and probed the edge kinds and sorted the 10-word cluster elements read
-    /// 21.9 on the path and 61.9 on the degree-reduced star; this one reads 13.2 and
-    /// 30.8.
+    /// Plan build's words per tree node at δ = 1/2: one gather of 3-word member
+    /// records (5 with an incoming edge) and one probe of bare cluster ids against
+    /// compact headers. The build that also sorted and probed the edge kinds and
+    /// sorted the 10-word cluster elements read 21.9 on the path and 61.9 on the
+    /// degree-reduced star, the one that gathered 12-word members 13.2 and 30.8; this
+    /// one reads 4.1 and 11.1.
     #[test]
     fn plan_build_words_per_tree_node() {
         let shapes = [
-            (shapes::path(4096), 16.0, false),
-            (shapes::star(4096), 36.0, true),
+            (shapes::path(4096), 8.0, false),
+            (shapes::star(4096), 16.0, true),
         ];
         for (tree, bound, degree_reduced) in shapes {
             let (mut ctx, prepared) = prepared(&tree, 0.5);

@@ -657,58 +657,70 @@ impl MpcContext {
         K: SortKey + Words,
         F: Fn(&T) -> K,
     {
-        self.gather_runs_impl(dv, key, |_| 0, "gather_groups").0
+        self.gather_runs_impl(dv, key, |_| 0, T::words, "gather_groups")
+            .0
     }
 
     /// [`gather_groups`](Self::gather_groups) for a table that is the union of several
     /// **runs** — contiguous key ranges, `run_of` naming the run of a record — in one
     /// sort: every run's groups are spread over **all** machines exactly as a
     /// `gather_groups` call on that run alone would place them, instead of the runs
-    /// lying side by side on one machine range each. A group goes to the machine its
-    /// first word falls on in its own run's [`Deal`], so a machine holds at most one
-    /// share and one group per run. Machine `i` receives its groups run by run, in key
-    /// order. This is how one exchange assembles the clusters of
+    /// lying side by side on one machine range each. Machine `i` receives its groups
+    /// run by run, in key order. This is how one exchange assembles the clusters of
     /// every layer of a clustering while each layer's evaluation still uses every
     /// machine.
     ///
+    /// Placement is dealt at a width the caller states: a group counts as its key's
+    /// words, one word, and `deal_width` of every record, and goes to the machine its
+    /// first such word falls on in its own run's [`Deal`]. With `deal_width` the
+    /// records' own [`Words`] a machine holds at most one share and one group per run,
+    /// as `gather_groups` does; a caller that keeps a placement fixed while its records
+    /// narrow states the old width. The sends, the receives and the memory check
+    /// always count each record's own words.
+    ///
     /// Charges `sort_rounds + 1 + agg_rounds`: the sort and the routing round of
-    /// `gather_groups`, plus one aggregate that makes the per-run word totals (the
+    /// `gather_groups`, plus one aggregate that makes the per-run dealt totals (the
     /// balancing targets, one word per run) known to every machine.
     ///
     /// # Panics
     /// Panics unless `run_of` is constant over every group and non-decreasing along
     /// the key order.
-    pub fn gather_group_runs<T, K, F, R>(
+    pub fn gather_group_runs<T, K, F, R, D>(
         &mut self,
         dv: DistVec<T>,
         key: F,
         run_of: R,
+        deal_width: D,
     ) -> DistVec<(K, Vec<T>)>
     where
         T: Words + Send + 'static,
         K: SortKey + Words,
         F: Fn(&T) -> K,
         R: Fn(&T) -> u32,
+        D: Fn(&T) -> usize,
     {
-        let (result, runs) = self.gather_runs_impl(dv, key, run_of, "gather_group_runs");
+        let (result, runs) =
+            self.gather_runs_impl(dv, key, run_of, deal_width, "gather_group_runs");
         self.charge_rounds(self.agg_rounds());
         self.record_uniform_comm(runs, "gather_group_runs");
         result
     }
 
     /// The one gather: sort by key, cut the sorted order into groups and the groups
-    /// into runs, and place every group on the machine on which its run's [`Deal`] of
-    /// the run's words over the machines puts its first word. Charges the sort and the
-    /// routing round; returns
-    /// the number of runs beside the placed groups so that
-    /// [`gather_group_runs`](Self::gather_group_runs) can price the aggregate of their
-    /// word totals.
+    /// into runs, and place every group on the machine on which its run's [`Deal`]
+    /// puts its first word — the deal of the run's words counted at `deal_width` per
+    /// record, the group's key words and one word each. Charges the sort and the
+    /// routing round, and bills the moved records and the receiving machines' memory
+    /// at the records' own words; returns the number of runs beside the placed groups
+    /// so that [`gather_group_runs`](Self::gather_group_runs) can price the aggregate
+    /// of their dealt totals.
     #[allow(clippy::type_complexity)]
-    fn gather_runs_impl<T, K, F, R>(
+    fn gather_runs_impl<T, K, F, R, D>(
         &mut self,
         dv: DistVec<T>,
         key: F,
         run_of: R,
+        deal_width: D,
         what: &'static str,
     ) -> (DistVec<(K, Vec<T>)>, usize)
     where
@@ -716,6 +728,7 @@ impl MpcContext {
         K: SortKey + Words,
         F: Fn(&T) -> K,
         R: Fn(&T) -> u32,
+        D: Fn(&T) -> usize,
     {
         let machines = self.config().num_machines();
         let srcs = dv.num_chunks();
@@ -759,11 +772,11 @@ impl MpcContext {
                 }
             }
         }
-        // Cut the groups into runs: `(run, number of groups, word total)` each.
+        // Cut the groups into runs: `(run, number of groups, dealt total)` each.
         let mut group_words: Vec<usize> = Vec::with_capacity(groups.len());
         let mut runs: Vec<(u32, usize, usize)> = Vec::new();
         for (k, items) in &groups {
-            let w = k.words() + 1 + items.iter().map(|(t, _)| t.words()).sum::<usize>();
+            let w = k.words() + 1 + items.iter().map(|(t, _)| deal_width(t)).sum::<usize>();
             group_words.push(w);
             let run = run_of(&items[0].0);
             assert!(
@@ -1322,7 +1335,7 @@ mod tests {
         let mut c = ctx(4096);
         let dv = c.from_vec(run_data());
         let machines = c.config().num_machines();
-        let placed = c.gather_group_runs(dv.clone(), |r| r.0, run_of);
+        let placed = c.gather_group_runs(dv.clone(), |r| r.0, run_of, Words::words);
         assert_eq!(
             c.metrics().rounds,
             c.sort_rounds() + 1 + c.agg_rounds(),
@@ -1353,13 +1366,54 @@ mod tests {
         );
         // A single run is gather_groups itself, plus the aggregate's charge.
         let mut single = ctx(4096);
-        let one_run = single.gather_group_runs(dv.clone(), |r| r.0, |_| 9);
+        let one_run = single.gather_group_runs(dv.clone(), |r| r.0, |_| 9, Words::words);
         let mut plain = ctx(4096);
         assert_eq!(one_run.chunks(), plain.gather_groups(dv, |r| r.0).chunks());
         assert_eq!(
             single.metrics().rounds,
             plain.metrics().rounds + plain.agg_rounds()
         );
+    }
+
+    /// A record of the words it states, whatever it holds.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct Billed((u64, u64), usize);
+
+    impl Words for Billed {
+        fn words(&self) -> usize {
+            self.1
+        }
+    }
+
+    /// Dealt at a stated width, 2-word records land where records of that width
+    /// would, while the moved words and the receive peak count their own 2 words.
+    #[test]
+    fn gather_group_runs_deals_at_the_stated_width() {
+        let mut narrow = ctx(4096);
+        let dv = narrow.from_vec(run_data());
+        let placed = narrow.gather_group_runs(dv, |r| r.0, run_of, |_| 12);
+        let mut wide = ctx(4096);
+        let dv = wide.from_vec(run_data().into_iter().map(|r| Billed(r, 12)).collect());
+        let reference = wide.gather_group_runs(dv, |b| b.0 .0, |b| run_of(&b.0), Words::words);
+        let rebilled: Vec<Vec<_>> = placed
+            .into_chunks()
+            .into_iter()
+            .map(|chunk| {
+                let groups = chunk.into_iter();
+                let billed = |g: Vec<_>| g.into_iter().map(|r| Billed(r, 12)).collect();
+                groups.map(|(k, g)| (k, billed(g))).collect()
+            })
+            .collect();
+        assert_eq!(rebilled, reference.into_chunks(), "placement");
+        // The aggregate of the three run totals bills one word per run and machine.
+        let aggregate = 3 * narrow.config().num_machines() as u64;
+        let (n, w) = (narrow.metrics(), wide.metrics());
+        assert!(n.total_words_sent > aggregate);
+        assert_eq!(
+            6 * (n.total_words_sent - aggregate),
+            w.total_words_sent - aggregate
+        );
+        assert!(n.peak_local_memory < w.peak_local_memory);
     }
 
     #[test]
@@ -1372,13 +1426,13 @@ mod tests {
         let (mut fast, mut slow) = (ctx(4096), ctx(4096));
         let dv = fast.from_vec(run_data());
         let placed: Vec<Vec<_>> = fast
-            .gather_group_runs(dv, |r| r.0, run_of)
+            .gather_group_runs(dv, |r| r.0, run_of, Words::words)
             .into_chunks()
             .into_iter()
             .map(|chunk| chunk.into_iter().map(|(k, g)| (Cmp(k), g)).collect())
             .collect();
         let dv = slow.from_vec(run_data());
-        let reference = slow.gather_group_runs(dv, |r| Cmp(r.0), run_of);
+        let reference = slow.gather_group_runs(dv, |r| Cmp(r.0), run_of, Words::words);
         assert_eq!(placed, reference.into_chunks(), "comparison path");
         assert_eq!(metrics(&fast), metrics(&slow), "comparison path");
     }
@@ -1388,7 +1442,7 @@ mod tests {
     fn gather_group_runs_rejects_non_monotone_runs() {
         let mut c = ctx(256);
         let dv = c.from_vec(vec![(1u64, 0u64), (2, 0), (3, 0)]);
-        let _ = c.gather_group_runs(dv, |r| r.0, |r| [0, 5, 4, 4][r.0 as usize]);
+        let _ = c.gather_group_runs(dv, |r| r.0, |r| [0, 5, 4, 4][r.0 as usize], Words::words);
     }
 
     #[test]
@@ -1396,14 +1450,14 @@ mod tests {
     fn gather_group_runs_rejects_a_group_in_two_runs() {
         let mut c = ctx(256);
         let dv = c.from_vec(vec![(1u64, 0u64), (1, 1)]);
-        let _ = c.gather_group_runs(dv, |r| r.0, |r| r.1 as u32);
+        let _ = c.gather_group_runs(dv, |r| r.0, |r| r.1 as u32, Words::words);
     }
 
     #[test]
     fn gather_group_runs_empty_input() {
         let mut c = ctx(256);
         let dv: DistVec<(u64, u64)> = c.empty();
-        let groups = c.gather_group_runs(dv, |x| x.0, run_of);
+        let groups = c.gather_group_runs(dv, |x| x.0, run_of, Words::words);
         assert!(groups.is_empty());
         assert_eq!(groups.num_chunks(), c.config().num_machines());
         assert_eq!(c.metrics().total_words_sent, 0);
@@ -1472,7 +1526,8 @@ mod tests {
                 data.swap(i, next(i as u64 + 1) as usize);
             }
             let dv = c.from_vec(data.clone());
-            let placed = c.gather_group_runs(dv, |r| r.0, |r| (r.0 / 1_000_000) as u32);
+            let placed =
+                c.gather_group_runs(dv, |r| r.0, |r| (r.0 / 1_000_000) as u32, Words::words);
 
             // The reference: group sizes in key order, dealt per run by prefix.
             let mut sizes: BTreeMap<u64, usize> = BTreeMap::new();

@@ -354,7 +354,7 @@ fn primitive_alloc_calls(records: usize) -> Vec<(&'static str, usize, usize)> {
     });
     let half = groups as u64 / 2;
     let gather_group_runs = calls_on_fresh_input("gather_group_runs", ctx, &grouped, |c, dv, _| {
-        drop(c.gather_group_runs(dv, |r| r.0, |r| u32::from(r.0 >= half)))
+        drop(c.gather_group_runs(dv, |r| r.0, |r| u32::from(r.0 >= half), |_| 2))
     });
     // Pointer jumping up a path, one doubling per step; the states are reset in
     // place, so the call builds no input.

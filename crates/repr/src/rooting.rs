@@ -6,17 +6,20 @@
 //! **Euler-tour list-ranking** rooting that runs in `O(log n)` rounds, built on the
 //! same fused [`MpcContext::try_converge`] engine as the clustering subroutines:
 //!
-//! 1. edge `e = {u, v}` (numbered by `with_index`) becomes the two arcs `2e = (u → v)`
-//!    and `2e + 1 = (v → u)`, so an arc's twin is `id ^ 1`;
+//! 1. edge `e = {u, v}`, numbered `i · machines + machine` when it is the `i`-th edge
+//!    on its machine — unique, known without communication, and dense when the input
+//!    is balanced, which keeps the ranking's probes fast — becomes the two arcs
+//!    `2e = (u → v)` and `2e + 1 = (v → u)`, so an arc's twin is `id ^ 1`;
 //! 2. one stable sort by head lays the arcs into every node over consecutive machines,
-//!    in arc-id order, and one [`scan`](MpcContext::scan) hands every machine the first
+//!    in input order, and one [`scan`](MpcContext::scan) hands every machine the first
 //!    arc, the first arc of the last run of equal heads before it, and the arc and run
 //!    counts. The successor of an arc is the twin of the next arc in its run (any fixed
 //!    cyclic order around a node yields an Euler tour); a run's last arc wraps to the
 //!    twin of the run's first, except in the root's run — the first, since the root is
 //!    the smallest id — where the tour is cut. An input whose runs do not number `m + 1`
 //!    is not a tree and stops here;
-//! 3. one sort puts the arcs back in id order, twins side by side, and pointer
+//! 3. one sort puts the arcs back in input order — by machine, index there and
+//!    direction, all read off the id — twins side by side, and pointer
 //!    doubling ranks the tour: every arc chases `succ` and accumulates its distance to
 //!    the end, a finished arc asks for nothing;
 //! 4. of two twins, the arc farther from the end comes earlier in the tour and so
@@ -25,7 +28,7 @@
 //!    boundary splits.
 //!
 //! With `a = agg_rounds`, `s = sort_rounds` and `k = ⌊log₂(2m − 1)⌋ + 1` doubling steps
-//! this charges `a` (numbering) `+ s` (sort by head) `+ 2a` (scan) `+ s` (sort by id)
+//! this charges `s` (sort by head) `+ 2a` (scan) `+ s` (sort back)
 //! `+ join_rounds + 2(k − 1)` (ranking) `+ 1` (exchange) rounds. No node's arcs are
 //! gathered: every machine holds its share of the sorted arcs.
 //!
@@ -117,10 +120,21 @@ pub fn root_undirected(
     if edges.is_empty() {
         return None;
     }
-    // Arcs in both directions, into every node in arc-id order.
-    let arcs: DistVec<Incoming> = ctx
-        .with_index(edges)
-        .flat_map_local(|(e, (u, v))| [(2 * e, v), (2 * e + 1, u)]);
+    // Arcs in both directions, into every node in input order; the i-th edge on a
+    // machine is numbered `i · machines + machine` (step 1 of the module docs).
+    let machines = edges.num_chunks() as u64;
+    let arcs: DistVec<Incoming> = edges.map_chunks_local(|machine, chunk| {
+        let ids = (machine as u64..).step_by(machines as usize);
+        (chunk.into_iter().zip(ids))
+            .flat_map(|((u, v), e)| [(2 * e, v), (2 * e + 1, u)])
+            .collect()
+    });
+    // An arc's place in the input: its edge's machine, its edge's index there and
+    // its direction.
+    let input_order = |id: u64| {
+        let e = id >> 1;
+        (e % machines) << 33 | (e / machines) << 1 | (id & 1)
+    };
     let arcs = ctx.sort_by_key(arcs, |&(_, head)| head);
     let around = ctx.scan(&arcs, Runs::default(), Runs::push, Runs::then);
     // What every machine knows once it puts its own summary between the two it got.
@@ -164,9 +178,10 @@ pub fn root_undirected(
             .collect()
     });
 
-    // Back to arc-id order, then rank: afterwards `dist` is the distance to the end
-    // of the tour. An arc on a cycle that was not cut never reaches END.
-    let mut states = ctx.sort_by_key(states, |a| a.id);
+    // Back to input order, twins side by side, then rank: afterwards `dist` is the
+    // distance to the end of the tour. An arc on a cycle that was not cut never
+    // reaches END.
+    let mut states = ctx.sort_by_key(states, |a| input_order(a.id));
     ctx.try_converge(
         &mut states,
         |a| a.id,
@@ -399,7 +414,7 @@ mod tests {
             let (agg, sort, join) = (ctx.agg_rounds(), ctx.sort_rounds(), ctx.join_rounds());
             let steps = u64::from((arcs - 1).ilog2()) + 1;
             let rounds = ctx.metrics().rounds;
-            assert_eq!(rounds, 3 * agg + 2 * sort + join + 2 * (steps - 1) + 1);
+            assert_eq!(rounds, 2 * agg + 2 * sort + join + 2 * (steps - 1) + 1);
             let log_arcs = u64::from(arcs.next_power_of_two().ilog2());
             if agg == 1 {
                 assert!(rounds <= join + 2 * log_arcs + 16, "{rounds} rounds");

@@ -725,7 +725,7 @@ fn class_run(name: &str, tree: &Tree, threshold: Option<usize>) -> ClassRun {
     });
     let grouped = ctx.from_vec(keys.iter().map(|&v| (v / 4, v)).collect());
     let runs = rounds_of(&mut ctx, |c| {
-        c.gather_group_runs(grouped, |r| r.0, |r| u32::from(r.0 >= n as u64 / 8))
+        c.gather_group_runs(grouped, |r| r.0, |r| u32::from(r.0 >= n as u64 / 8), |_| 2)
     });
 
     // Pointer jumping to the root: one doubling step per charged exchange.

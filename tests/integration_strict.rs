@@ -13,11 +13,16 @@ use mpc_tree_dp::mpc::MachineId;
 use mpc_tree_dp::problems::brute::{count_matchings_mod, longest_path};
 use mpc_tree_dp::problems::median::MedianInput;
 use mpc_tree_dp::problems::{sequential_tree_median, MaxWeightIndependentSet, TreeMedian};
+use mpc_tree_dp::repr::UndirectedEdges;
 use mpc_tree_dp::{
-    prepare, IncrementalSolver, ListOfEdges, MpcConfig, MpcContext, StateEngine, TreeInput,
+    prepare, IncrementalSolver, ListOfEdges, MpcConfig, MpcContext, StateEngine,
+    StringOfParentheses, TreeInput,
 };
 use tree_gen::labels::{random_bools, uniform_values};
-use tree_gen::shapes::{heavy_caterpillar, path, spider, star};
+use tree_gen::shapes::{
+    balanced_kary, broom, caterpillar, heavy_caterpillar, path, random_recursive, spider, star,
+    with_diameter,
+};
 
 /// Slack over the Θ(n^δ) bounds covering the implementation's constant factors (the
 /// asymptotics are the engine's; the constants are ours). Kept far below the 512×
@@ -30,6 +35,41 @@ fn strict_cfg(input_words: usize) -> MpcConfig {
         .with_memory_slack(SLACK)
         .with_bandwidth_slack(SLACK)
         .with_strict(true)
+}
+
+/// Prepare and the plan build fit local memory under `MpcConfig::strict(2n, δ)` — the
+/// default 32× slack — at δ = 1/2 and in the strongly sublinear regime δ = 1/4, on
+/// the seven cold shapes of the `memory_peaks` example at n = 4096, each in the
+/// representation the cold workloads feed it. The plan build's member gather used to
+/// ship whole 12-word elements and breached at δ = 1/4 on every one of them.
+#[test]
+fn strict_prepare_and_plan_build_fit_local_memory() {
+    let n = 4096;
+    let rooted = |tree| TreeInput::ListOfEdges(ListOfEdges::from_tree(&tree));
+    let inputs = [
+        ("path", rooted(path(n))),
+        ("broom", rooted(broom(n / 2, n / 2))),
+        ("caterpillar", rooted(caterpillar(n / 4, 3))),
+        ("star", rooted(star(n))),
+        (
+            "balanced-binary",
+            TreeInput::StringOfParentheses(StringOfParentheses::from_tree(&balanced_kary(n, 2))),
+        ),
+        (
+            "diameter-8",
+            TreeInput::UndirectedEdges(UndirectedEdges::from_tree(&with_diameter(n, 8, 7))),
+        ),
+        ("random-recursive", rooted(random_recursive(n, 7))),
+    ];
+    for delta in [0.25, 0.5] {
+        for (name, input) in &inputs {
+            let mut ctx = MpcContext::new(MpcConfig::strict(2 * n, delta));
+            // Strict mode panics at the call that breaches.
+            let prepared = prepare(&mut ctx, input.clone(), None).expect("well-formed tree");
+            prepared.plan_uncached(&mut ctx);
+            assert!(ctx.metrics().violations.is_empty(), "{name} at δ = {delta}");
+        }
+    }
 }
 
 /// The raw engine primitives stay compliant under `MpcConfig::strict`: balanced
