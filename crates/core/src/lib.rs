@@ -67,7 +67,7 @@ pub mod store;
 
 pub use pipeline::{prepare, PipelineError, PreparedTree};
 pub use plan::{DpSolution, PlanMember, PlanRouting, PlanView, SolvePlan, ViewSlot};
-pub use problem::{ClusterDp, ClusterView, Payload, SlotState};
+pub use problem::{ClusterDp, ClusterView, Payload};
 pub use sequential::{solve_sequential, SequentialSolution};
 pub use snapshot::{
     open, seal, snapshot_from_bytes, snapshot_to_bytes, Snapshot, SnapshotError, SnapshotReader,

@@ -41,15 +41,20 @@
 //! assembly plus `K` cheap evaluation passes.
 //!
 //! The skeletons are the one representation of a cluster's local view. An evaluation
-//! pass fills a [`SlotState`] beside every skeleton and hands problems a
-//! [`ClusterView`] that borrows the pair — no view is ever copied out. A
-//! [`SolverStore`] is that slot state kept, together with the plan it is aligned
-//! with: the one plan of a tree that is maintained. A structural repair is spliced
-//! into that plan and nowhere else ([`SolverStore::apply_repair`]); a prepared tree
-//! that cached a plan drops it and rebuilds on its next solve. [`SolvePlan::validate`]
-//! holds the plan-wide checks a plan read from bytes passes.
+//! pass fills slot columns beside them, one set per `(layer, machine)` bucket of views:
+//! a payload and an out-edge-input column aligned with the bucket's members, an
+//! in-edge-input column with one entry per view, and presence kept as bits (an
+//! edge-input column of zero-sized records holds no bytes). The top-down pass keeps
+//! each bucket's boundary labels as one more column. Problems get a
+//! [`ClusterView`](crate::ClusterView) that borrows a skeleton and its column slices;
+//! no view is ever copied out. A [`SolverStore`] is those columns kept, together with
+//! the plan they are aligned with: the one plan of a tree that is maintained. A
+//! structural repair is spliced into that plan and nowhere else
+//! ([`SolverStore::apply_repair`]); a prepared tree that cached a plan drops it and
+//! rebuilds on its next solve. [`SolvePlan::validate`] holds the plan-wide checks a
+//! plan read from bytes passes.
 
-use crate::problem::{ClusterDp, ClusterView, Payload, SlotState};
+use crate::problem::{ClusterDp, Payload, SlotColumns};
 use crate::routing::Routing;
 use crate::store::SolverStore;
 use mpc_engine::{unmetered, DistVec, MpcContext, Words};
@@ -92,7 +97,7 @@ pub(crate) struct MemberSlot {
 }
 
 /// One skeleton view, addressed by layer/machine/index (and ordered that way). The
-/// address of a view in its plan and of its [`SlotState`] in a [`SolverStore`]; a
+/// address of a view in its plan and of its slots in a [`SolverStore`]; a
 /// structural splice may move the views behind a deleted one, so an address is good
 /// until the next [`SolverStore::apply_repair`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -388,17 +393,6 @@ pub(crate) fn all_views(
     })
 }
 
-/// Drop the items whose old index `keep` rejects, the rest staying in order: the one
-/// compaction the spliced slot state goes through — a view's member slots, or the
-/// slots of a `(layer, machine)` bucket of views.
-fn compact<T>(items: &mut Vec<T>, keep: &[bool]) {
-    let mut old = 0;
-    items.retain(|_| {
-        old += 1;
-        keep[old - 1]
-    });
-}
-
 impl SolvePlan {
     /// File every machine's linked views in its skeletons, layer by layer, and derive
     /// the routing from them.
@@ -452,6 +446,46 @@ impl SolvePlan {
     /// The skeleton view at `slot`.
     pub(crate) fn view_at(&self, slot: ViewSlot) -> PlanView<'_> {
         self.skeletons[slot.machine as usize].view(slot.layer, slot.view as usize)
+    }
+
+    /// Index of the `(layer, machine)` bucket in a [`PlanState`]: layer-major, as the
+    /// views lie.
+    pub(crate) fn bucket(&self, layer: u32, machine: usize) -> usize {
+        (layer as usize - 1) * self.num_machines + machine
+    }
+
+    /// The bucket holding the view at `at`.
+    pub(crate) fn bucket_of(&self, at: ViewSlot) -> usize {
+        self.bucket(at.layer, at.machine as usize)
+    }
+
+    /// The bucket holding the member at `slot`, and its offset in the member columns.
+    pub(crate) fn column_of(&self, slot: MemberSlot) -> (usize, usize) {
+        let held = &self.skeletons[slot.machine as usize];
+        let first = held.slot_offset(slot.layer, slot.view as usize);
+        let bucket = self.bucket_of(slot.view_slot());
+        (bucket, first + slot.member as usize)
+    }
+
+    /// Empty slot columns for every bucket.
+    fn empty_state<P: ClusterDp>(&self) -> PlanState<P> {
+        let per_layer = |layer| self.skeletons.iter().map(move |held| (layer, held));
+        (1..=self.num_layers)
+            .flat_map(per_layer)
+            .map(|(layer, held)| SlotColumns::new(held.members_at(layer), held.len_at(layer)))
+            .collect()
+    }
+
+    /// The words the views of a bucket hold, as `plan/views` bills them: every skeleton
+    /// in its compact layout, and the bucket's slot `columns`.
+    pub(crate) fn bucket_words<P: ClusterDp>(
+        &self,
+        layer: u32,
+        machine: usize,
+        columns: &SlotColumns<P>,
+    ) -> usize {
+        let skeletons = self.views_at(layer, machine).map(|view| view.words());
+        skeletons.sum::<usize>() + columns.words()
     }
 
     /// The views `machine` holds at `layer`, in order.
@@ -535,10 +569,11 @@ impl SolvePlan {
     /// from-scratch derivation over the spliced skeletons, at a cost confined to the
     /// touched buckets (amortized over the rebuilds).
     ///
-    /// The slot state `state` (aligned slot for slot with the skeletons) is compacted
-    /// by the same remaps. What a repair adds or clears (a new leaf's member, a demoted
-    /// view's in-edge) has no counterpart to move: the caller writes those itself, at
-    /// the addresses the spliced routing gives. This is the only splice there is, and
+    /// The slot columns `state` (aligned slot for slot with the skeletons) are
+    /// compacted by the same remaps, and a new leaf's member gets an empty slot. What a
+    /// repair writes or clears (a new leaf's inputs, a demoted view's in-edge input)
+    /// the caller writes itself, at the addresses the spliced routing gives. This is
+    /// the only splice there is, and
     /// its one caller is [`SolverStore::apply_repair`]: a repair splices the plan a
     /// solver store maintains, while a prepared tree drops the plan it cached.
     ///
@@ -624,6 +659,8 @@ impl SolvePlan {
                 member: idx as u32,
                 ..parent
             };
+            let (bucket, at) = self.column_of(slot);
+            state[bucket].insert_member(at);
             self.routing.add_leaf(leaf.id, slot);
         }
         self.routing.rebuild_due();
@@ -645,6 +682,7 @@ impl SolvePlan {
         removed: &BTreeSet<ElementId>,
         state: &mut PlanState<P>,
     ) {
+        let bucket = self.bucket_of(at);
         let held = &mut self.skeletons[at.machine as usize];
         let view = held.view(at.layer, at.view as usize);
         let mut remap: Vec<Option<usize>> = Vec::with_capacity(view.members().len());
@@ -660,11 +698,10 @@ impl SolvePlan {
             remap.push(Some(kept));
             kept += 1;
         }
+        let before = std::iter::repeat(true).take(view.slots().start);
+        let keep = before.chain(remap.iter().map(Option::is_some));
+        state[bucket].retain_members(keep);
         held.retain_members(at.layer, at.view as usize, &remap);
-        let keep: Vec<bool> = remap.iter().map(Option::is_some).collect();
-        let slots = slots_at(state, at);
-        compact(&mut slots.payloads, &keep);
-        compact(&mut slots.out_inputs, &keep);
     }
 
     /// Delete the views at `doomed` (whose routing entries are already gone) and
@@ -675,8 +712,9 @@ impl SolvePlan {
         state: &mut PlanState<P>,
     ) {
         let mut rest = doomed.iter().copied().peekable();
-        let mut keep: Vec<bool> = Vec::new();
+        let (mut keep, mut members) = (Vec::new(), Vec::new());
         while let Some(first) = rest.next() {
+            let bucket = self.bucket_of(first);
             let held = &mut self.skeletons[first.machine as usize];
             keep.clear();
             keep.resize(held.len_at(first.layer), true);
@@ -687,7 +725,9 @@ impl SolvePlan {
                 keep[next.view as usize] = false;
             }
             let mut to = 0u32;
+            members.clear();
             for (old, view) in held.views(first.layer).enumerate() {
+                members.push(view.members().len());
                 if !keep[old] {
                     continue;
                 }
@@ -700,11 +740,8 @@ impl SolvePlan {
                 }
                 to += 1;
             }
+            state[bucket].retain_views(&keep, &members);
             held.retain_views(first.layer, &keep);
-            compact(
-                &mut state[first.layer as usize - 1][first.machine as usize],
-                &keep,
-            );
         }
     }
 }
@@ -890,18 +927,6 @@ impl SolvePlan {
             .collect()
     }
 
-    /// One `init(skeleton)` per view, laid out like [`PlanState`]: by layer, machine
-    /// and view.
-    fn per_view<T>(&self, init: impl Fn(&PlanView<'_>) -> T) -> Vec<Vec<Vec<T>>> {
-        let per_machine = |layer| {
-            let init = &init;
-            (0..self.num_machines)
-                .map(move |machine| self.views_at(layer, machine).map(|v| init(&v)).collect())
-                .collect()
-        };
-        (1..=self.num_layers).map(per_machine).collect()
-    }
-
     /// One evaluation pass: the solution, and the slot state the pass filled (every
     /// view's payloads and edge inputs, where the skeletons lie).
     fn evaluate<P: ClusterDp>(
@@ -919,8 +944,7 @@ impl SolvePlan {
         );
         ctx.phase("plan-solve", |ctx| {
             let machines = self.num_machines;
-            // Per-view slots, aligned with the skeleton layout.
-            let mut state: PlanState<P> = self.per_view(SlotState::for_view);
+            let mut state = self.empty_state();
 
             // ---- input scatter (1 round): every node/edge input travels straight to
             // its recorded slot; records already on the slot's machine are free.
@@ -955,21 +979,31 @@ impl SolvePlan {
             // ---- top-down (1 round per layer): label locally, forward each produced
             // label to the lower-layer views that read it.
             let root_label = problem.label_root(&root_summary);
-            let mut boundary: Vec<Vec<Vec<BoundaryLabels<P::Label>>>> =
-                self.per_view(|_| (None, None));
-            let mut label_chunks: Vec<Vec<(NodeId, P::Label)>> =
-                (0..machines).map(|_| Vec::new()).collect();
+            let mut boundary: Vec<Vec<BoundaryLabels<P::Label>>> = (state.iter())
+                .map(|columns| columns.in_inputs.values.len())
+                .map(|views| (0..views).map(|_| (None, None)).collect())
+                .collect();
+            // A machine labels at most one edge per member it holds.
+            let mut label_chunks: Vec<Vec<(NodeId, P::Label)>> = (self.skeletons.iter())
+                .map(|held| Vec::with_capacity(held.num_members()))
+                .collect();
             label_chunks[self.top_machine].push((self.root, root_label.clone()));
             ctx.phase("plan-down", |ctx| {
-                self.deliver_label(
-                    ctx,
+                // The root label is conceptually produced above every layer.
+                let (mut sends, mut recvs) = (vec![0; machines], vec![0; machines]);
+                let delivered = self.place_label(
                     self.root,
                     &root_label,
+                    Some(self.top_cluster),
                     self.top_machine,
-                    // The root label is conceptually produced above every layer.
                     self.num_layers + 1,
                     &mut boundary,
+                    (&mut sends, &mut recvs),
                 );
+                if delivered {
+                    ctx.charge_rounds(1);
+                    ctx.record_comm(&sends, &recvs, "plan-down");
+                }
                 for layer in (1..=self.num_layers).rev() {
                     if self.layer_is_empty(layer) {
                         continue;
@@ -1018,62 +1052,43 @@ impl SolvePlan {
         }
         let mut sends = vec![0usize; machines];
         let mut recvs = vec![0usize; machines];
-        let place_payload = |src: usize,
-                             node: NodeId,
-                             input: &P::NodeInput,
-                             state: &mut PlanState<P>,
-                             sends: &mut [usize],
-                             recvs: &mut [usize]| {
-            let Some(slot) = self.routing.payload(node) else {
-                return;
-            };
-            let cell =
-                &mut state[slot.layer as usize - 1][slot.machine as usize][slot.view as usize];
-            if cell.payloads[slot.member as usize].is_some() {
-                return; // duplicate record: the first one won the slot
+        let mut charge = |src: usize, dst: u32, words: usize| {
+            if dst as usize != src {
+                sends[src] += words;
+                recvs[dst as usize] += words;
             }
-            if slot.machine as usize != src {
-                let w = 2 + input.words();
-                sends[src] += w;
-                recvs[slot.machine as usize] += w;
-            }
-            cell.payloads[slot.member as usize] = Some(Payload::Input(input.clone()));
         };
-        for (src, chunk) in node_inputs.chunks().iter().enumerate() {
-            for (node, input) in chunk {
-                place_payload(src, *node, input, state, &mut sends, &mut recvs);
+        let aux = self
+            .aux_nodes
+            .iter()
+            .map(|&(aux, src)| (src, aux, aux_input));
+        for (src, node, input) in held_records(node_inputs).chain(aux) {
+            let Some(&slot) = self.routing.payload(node) else {
+                continue;
+            };
+            let (bucket, at) = self.column_of(slot);
+            if state[bucket].payloads[at].is_none() {
+                charge(src, slot.machine, 2 + input.words());
+                state[bucket].payloads[at] = Some(Payload::Input(input.clone()));
             }
         }
-        for &(aux, src) in &self.aux_nodes {
-            place_payload(src, aux, aux_input, state, &mut sends, &mut recvs);
-        }
-        for (src, chunk) in edge_inputs.chunks().iter().enumerate() {
-            for (child, input) in chunk {
-                for slot in self.out_slots(*child) {
-                    let cell = &mut state[slot.layer as usize - 1][slot.machine as usize]
-                        [slot.view as usize];
-                    if cell.out_inputs[slot.member as usize].is_some() {
-                        continue;
-                    }
-                    if slot.machine as usize != src {
-                        let w = 1 + input.words();
-                        sends[src] += w;
-                        recvs[slot.machine as usize] += w;
-                    }
-                    cell.out_inputs[slot.member as usize] = Some(input.clone());
-                }
-                for vslot in self.in_readers(*child) {
-                    let cell = &mut state[vslot.layer as usize - 1][vslot.machine as usize]
-                        [vslot.view as usize];
-                    if cell.in_input.is_some() {
-                        continue;
-                    }
-                    if vslot.machine as usize != src {
-                        let w = 1 + input.words();
-                        sends[src] += w;
-                        recvs[vslot.machine as usize] += w;
-                    }
-                    cell.in_input = Some(input.clone());
+        for (src, child, input) in held_records(edge_inputs) {
+            let outs = self.out_slots(child).map(|slot| {
+                let (bucket, at) = self.column_of(slot);
+                (slot.machine, bucket, at, true)
+            });
+            let ins = self.in_readers(child).map(|at| {
+                let bucket = self.bucket_of(at);
+                (at.machine, bucket, at.view as usize, false)
+            });
+            for (machine, bucket, at, out) in outs.chain(ins) {
+                let column = match out {
+                    true => &mut state[bucket].out_inputs,
+                    false => &mut state[bucket].in_inputs,
+                };
+                if column.get(at).is_none() {
+                    charge(src, machine, 1 + input.words());
+                    column.set(at, Some(input.clone()));
                 }
             }
         }
@@ -1093,16 +1108,16 @@ impl SolvePlan {
         resident: &mut [usize],
         root_summary: &mut Option<P::Summary>,
     ) {
-        let li = (layer - 1) as usize;
         let machines = self.num_machines;
         let views_of = |machine: usize| {
+            let columns = &state[self.bucket(layer, machine)];
             self.views_at(layer, machine)
-                .zip(&state[li][machine])
-                .map(|(skeleton, slots)| ClusterView { skeleton, slots })
+                .map(|skeleton| columns.view(skeleton))
         };
-        // This layer's views join the resident set (released only after top-down).
+        // This layer's views join the resident set (released only after top-down):
+        // every skeleton and the bucket's slot columns.
         for (machine, words) in resident.iter_mut().enumerate() {
-            *words += views_of(machine).map(|view| view.words()).sum::<usize>();
+            *words += self.bucket_words(layer, machine, &state[self.bucket(layer, machine)]);
         }
         ctx.check_memory_words(resident, "plan/views");
         // Summarize machine by machine, then deliver each summary to its slot (in a
@@ -1132,8 +1147,8 @@ impl SolvePlan {
                 sends[src] += w;
                 recvs[slot.machine as usize] += w;
             }
-            state[slot.layer as usize - 1][slot.machine as usize][slot.view as usize].payloads
-                [slot.member as usize] = Some(Payload::Summary(summary));
+            let (bucket, at) = self.column_of(*slot);
+            state[bucket].payloads[at] = Some(Payload::Summary(summary));
         }
         if any_forwarded {
             ctx.charge_rounds(1);
@@ -1150,26 +1165,22 @@ impl SolvePlan {
         layer: u32,
         problem: &P,
         state: &PlanState<P>,
-        boundary: &mut [Vec<Vec<BoundaryLabels<P::Label>>>],
+        boundary: &mut [Vec<BoundaryLabels<P::Label>>],
         label_chunks: &mut [Vec<(NodeId, P::Label)>],
     ) {
-        let li = (layer - 1) as usize;
         let machines = self.num_machines;
         let mut sends = vec![0usize; machines];
         let mut recvs = vec![0usize; machines];
         let mut any_delivered = false;
         // Labels are forwarded to their readers, which sit at lower layers, and go
         // into the machine's output; this layer's boundary labels stay put.
-        let (below, here) = boundary.split_at_mut(li);
+        let (below, here) = boundary.split_at_mut(self.bucket(layer, 0));
         for (src, output) in label_chunks.iter_mut().enumerate() {
-            let views = self.views_at(layer, src).zip(&state[li][src]);
-            for ((skeleton, slots), (out_label, in_label)) in views.zip(&here[0][src]) {
+            let columns = &state[self.bucket(layer, src)];
+            for (skeleton, (out_label, in_label)) in self.views_at(layer, src).zip(&here[src]) {
                 let out_label = out_label.as_ref().expect("boundary out-label present");
-                let member_labels = problem.label_members(
-                    &ClusterView { skeleton, slots },
-                    out_label,
-                    in_label.as_ref(),
-                );
+                let member_labels =
+                    problem.label_members(&columns.view(skeleton), out_label, in_label.as_ref());
                 let members = skeleton.members().iter().zip(member_labels).enumerate();
                 for (_, (m, label)) in members.filter(|(i, _)| *i != skeleton.top()) {
                     // A node member tops no view: only a cluster member's edge has
@@ -1182,44 +1193,13 @@ impl SolvePlan {
                         src,
                         layer,
                         below,
-                        &mut sends,
-                        &mut recvs,
+                        (&mut sends, &mut recvs),
                     );
                     output.push((m.out_child(), label));
                 }
             }
         }
         if any_delivered {
-            ctx.charge_rounds(1);
-            ctx.record_comm(&sends, &recvs, "plan-down");
-        }
-    }
-
-    /// Deliver one produced label to every reader strictly below `producer_layer`,
-    /// charging one round if anything is (or could be) forwarded.
-    fn deliver_label<L: Clone + Words>(
-        &self,
-        ctx: &mut MpcContext,
-        key: NodeId,
-        label: &L,
-        src: usize,
-        producer_layer: u32,
-        boundary: &mut [Vec<Vec<BoundaryLabels<L>>>],
-    ) {
-        let machines = self.num_machines;
-        let mut sends = vec![0usize; machines];
-        let mut recvs = vec![0usize; machines];
-        let delivered = self.place_label(
-            key,
-            label,
-            Some(self.top_cluster),
-            src,
-            producer_layer,
-            boundary,
-            &mut sends,
-            &mut recvs,
-        );
-        if delivered {
             ctx.charge_rounds(1);
             ctx.record_comm(&sends, &recvs, "plan-down");
         }
@@ -1239,9 +1219,8 @@ impl SolvePlan {
         out_through: Option<ElementId>,
         src: usize,
         producer_layer: u32,
-        boundary: &mut [Vec<Vec<BoundaryLabels<L>>>],
-        sends: &mut [usize],
-        recvs: &mut [usize],
+        boundary: &mut [Vec<BoundaryLabels<L>>],
+        (sends, recvs): (&mut [usize], &mut [usize]),
     ) -> bool {
         // The out-label readers end at the producing member's own view, below it. An
         // in-label reader at or above the producer was labeled before this key was
@@ -1260,8 +1239,7 @@ impl SolvePlan {
                 sends[src] += w;
                 recvs[vslot.machine as usize] += w;
             }
-            let cell = &mut boundary[vslot.layer as usize - 1][vslot.machine as usize]
-                [vslot.view as usize];
+            let cell = &mut boundary[self.bucket_of(vslot)][vslot.view as usize];
             if as_out {
                 cell.0 = Some(label.clone());
             } else {
@@ -1272,16 +1250,18 @@ impl SolvePlan {
     }
 }
 
-/// The slot state of every view of a plan, aligned with its skeletons:
-/// `state[layer - 1][machine][view]`.
-pub(crate) type PlanState<P> = Vec<Vec<Vec<SlotState<P>>>>;
-
-/// The slots of the view at `at`.
-pub(crate) fn slots_at<P: ClusterDp>(state: &mut PlanState<P>, at: ViewSlot) -> &mut SlotState<P> {
-    &mut state[at.layer as usize - 1][at.machine as usize][at.view as usize]
+/// Every keyed record of `records`, with the machine holding it.
+fn held_records<T>(records: &DistVec<(NodeId, T)>) -> impl Iterator<Item = (usize, NodeId, &T)> {
+    let chunks = records.chunks().iter().enumerate();
+    chunks.flat_map(|(src, chunk)| chunk.iter().map(move |(key, record)| (src, *key, record)))
 }
 
-/// The `(out-label, in-label)` delivered to one view before its top-down step.
+/// The slot columns of every view of a plan, aligned with its skeletons: one set per
+/// `(layer, machine)` bucket, at [`SolvePlan::bucket`].
+pub(crate) type PlanState<P> = Vec<SlotColumns<P>>;
+
+/// The `(out-label, in-label)` delivered to one view before its top-down step; a
+/// bucket's are a column of these, one per view.
 type BoundaryLabels<L> = (Option<L>, Option<L>);
 
 impl SolvePlan {

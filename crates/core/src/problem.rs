@@ -1,7 +1,9 @@
 //! The dynamic-programming problem abstraction (Definition 1 of the paper) and the
 //! per-cluster local view handed to problem implementations: a [`ClusterView`] borrows
 //! a skeleton of the solve plan ([`PlanView`], assembled on one machine once) and the
-//! [`SlotState`] a problem's payloads and edge inputs were routed into beside it.
+//! slices of the slot columns a problem's payloads and edge inputs were routed into
+//! beside it — one set of columns per `(layer, machine)` bucket of views, aligned with
+//! the bucket's skeleton members (§1.6.1's summaries as small state-indexed tables).
 
 use crate::plan::PlanView;
 use mpc_engine::Words;
@@ -25,78 +27,175 @@ impl<I: Words, S: Words> Words for Payload<I, S> {
     }
 }
 
-/// The problem-dependent slots of one cluster view, aligned member for member with its
-/// [`PlanView`] skeleton: the payload and the out-edge input of every member, and the
-/// input of the cluster's incoming edge. A slot is `None` until a record reaches it; an
-/// edge input nobody supplied reads as `Default::default()`.
-pub struct SlotState<P: ClusterDp + ?Sized> {
-    /// Per member: its payload (input for nodes, summary for clusters).
-    pub payloads: Vec<Option<Payload<P::NodeInput, P::Summary>>>,
-    /// Per member: the problem data of its outgoing original edge (e.g. an edge
-    /// weight), keyed by the edge's child endpoint.
-    pub out_inputs: Vec<Option<P::EdgeInput>>,
-    /// The problem data of the cluster's incoming edge (keyed by its external child
-    /// endpoint).
-    pub in_input: Option<P::EdgeInput>,
+/// A column of optional records: every value — `Default` where none was written — and
+/// one presence bit each.
+pub(crate) struct Present<T> {
+    pub(crate) values: Vec<T>,
+    bits: Vec<u64>,
 }
 
-impl<P: ClusterDp + ?Sized> SlotState<P> {
-    /// Empty slots for every member of `skeleton`.
-    pub(crate) fn for_view(skeleton: &PlanView<'_>) -> Self {
-        let members = skeleton.members().len();
-        Self {
-            payloads: (0..members).map(|_| None).collect(),
-            out_inputs: (0..members).map(|_| None).collect(),
-            in_input: None,
+impl<T: Default> Present<T> {
+    /// `len` absent records.
+    fn absent(len: usize) -> Self {
+        let values = std::iter::repeat_with(T::default).take(len).collect();
+        let bits = vec![0; len.div_ceil(64)];
+        Present { values, bits }
+    }
+
+    pub(crate) fn get(&self, i: usize) -> Option<&T> {
+        self.bit(i).then(|| &self.values[i])
+    }
+
+    pub(crate) fn set(&mut self, i: usize, value: Option<T>) {
+        self.put_bit(i, value.is_some());
+        self.values[i] = value.unwrap_or_default();
+    }
+
+    /// Insert an absent record at `i`.
+    fn insert(&mut self, i: usize) {
+        self.values.insert(i, T::default());
+        self.bits.resize(self.values.len().div_ceil(64), 0);
+        for j in (i + 1..self.values.len()).rev() {
+            self.put_bit(j, self.bit(j - 1));
         }
+        self.put_bit(i, false);
+    }
+
+    /// Keep the records `keep` flags, in order; records past its end are kept.
+    fn retain(&mut self, keep: impl Iterator<Item = bool> + Clone) {
+        let (len, mut to) = (self.values.len(), 0);
+        let flags = keep.clone().chain(std::iter::repeat(true));
+        for (from, _) in flags.take(len).enumerate().filter(|&(_, kept)| kept) {
+            self.put_bit(to, self.bit(from));
+            to += 1;
+        }
+        self.bits.truncate(to.div_ceil(64));
+        compact(&mut self.values, keep);
+    }
+
+    fn bit(&self, i: usize) -> bool {
+        self.bits[i / 64] >> (i % 64) & 1 != 0
+    }
+
+    fn put_bit(&mut self, i: usize, on: bool) {
+        let word = &mut self.bits[i / 64];
+        *word = *word & !(1 << (i % 64)) | u64::from(on) << (i % 64);
     }
 }
 
-impl<P: ClusterDp + ?Sized> Words for SlotState<P> {
+/// A header word and the records' `words` for a column that holds any, else nothing.
+fn column_words(words: usize) -> usize {
+    words + usize::from(words > 0)
+}
+
+impl<T: Words> Words for Present<T> {
+    /// The values — records of zero size hold no bytes — and one word per 64 bits.
     fn words(&self) -> usize {
-        self.payloads.words() + self.out_inputs.words() + self.in_input.words()
+        column_words(self.values.iter().map(Words::words).sum()) + column_words(self.bits.len())
+    }
+}
+
+/// Drop the items `keep` rejects, in order; items past its end are kept.
+fn compact<T>(items: &mut Vec<T>, mut keep: impl Iterator<Item = bool>) {
+    items.retain(|_| keep.next().unwrap_or(true));
+}
+
+/// The problem-dependent slots of the views one machine holds at one layer — a
+/// `(layer, machine)` bucket — as columns: per member, in the skeletons' member order
+/// (member `i` of a view at the view's [`slots`](PlanView::slots) offset plus `i`),
+/// its payload and the input of its outgoing original edge (e.g. an edge weight); per
+/// view the input of its incoming edge. Edge inputs are keyed by the edge's child
+/// endpoint. A payload is `None` until a record reaches it (the `Option` rides
+/// [`Payload`]'s tag); an edge input nobody supplied reads as `Default::default()`.
+pub(crate) struct SlotColumns<P: ClusterDp + ?Sized> {
+    pub(crate) payloads: Vec<Option<Payload<P::NodeInput, P::Summary>>>,
+    pub(crate) out_inputs: Present<P::EdgeInput>,
+    pub(crate) in_inputs: Present<P::EdgeInput>,
+}
+
+impl<P: ClusterDp + ?Sized> SlotColumns<P> {
+    /// Empty slots for `members` members and `views` views.
+    pub(crate) fn new(members: usize, views: usize) -> Self {
+        SlotColumns {
+            payloads: (0..members).map(|_| None).collect(),
+            out_inputs: Present::absent(members),
+            in_inputs: Present::absent(views),
+        }
+    }
+
+    /// The view `skeleton` of this bucket, its slots borrowed from the columns.
+    pub(crate) fn view<'a>(&'a self, skeleton: PlanView<'a>) -> ClusterView<'a, P> {
+        let slots = skeleton.slots();
+        ClusterView {
+            payloads: &self.payloads[slots.clone()],
+            out_inputs: &self.out_inputs.values[slots],
+            in_input: &self.in_inputs.values[skeleton.index()],
+            skeleton,
+        }
+    }
+
+    /// Keep the member slots `keep` flags, in bucket order.
+    pub(crate) fn retain_members(&mut self, keep: impl Iterator<Item = bool> + Clone) {
+        compact(&mut self.payloads, keep.clone());
+        self.out_inputs.retain(keep);
+    }
+
+    /// Keep the views `keep` flags, each with its `members` member slots.
+    pub(crate) fn retain_views(&mut self, keep: &[bool], members: &[usize]) {
+        let flags = keep.iter().zip(members);
+        self.retain_members(flags.flat_map(|(&kept, &len)| std::iter::repeat(kept).take(len)));
+        self.in_inputs.retain(keep.iter().copied());
+    }
+
+    /// Insert an empty member slot at `i`.
+    pub(crate) fn insert_member(&mut self, i: usize) {
+        self.payloads.insert(i, None);
+        self.out_inputs.insert(i);
+    }
+}
+
+impl<P: ClusterDp + ?Sized> Words for SlotColumns<P> {
+    /// Every column that holds bytes: a header word and its records — a payload at its
+    /// own width (`None` as its tag word) — and the presence bits.
+    fn words(&self) -> usize {
+        let payloads = self.payloads.iter();
+        column_words(payloads.map(|p| p.as_ref().map_or(1, Words::words)).sum())
+            + self.out_inputs.words()
+            + self.in_inputs.words()
     }
 }
 
 /// The local view of one cluster, fully assembled inside a single machine
 /// (Figs. 2 and 3 of the paper), as handed to [`ClusterDp::summarize`] /
 /// [`ClusterDp::label_members`]: the problem-independent skeleton the solve plan
-/// assembled once, paired with the slots this problem's records were routed into.
-/// Nothing is copied to form a view; every pass reads the same two records.
+/// assembled once, paired with the slices of its bucket's slot columns this problem's
+/// records were routed into. Nothing is copied to form a view.
 pub struct ClusterView<'a, P: ClusterDp + ?Sized> {
     /// The cluster's kind, boundary edges and member tree (member `i` of the view is
     /// `skeleton.member(i)`).
     pub skeleton: PlanView<'a>,
-    /// The slots aligned with `skeleton.members()`.
-    pub slots: &'a SlotState<P>,
-}
-
-impl<P: ClusterDp> Words for ClusterView<'_, P> {
-    /// The skeleton's words in its compact layout and the slots' words.
-    fn words(&self) -> usize {
-        self.skeleton.words() + self.slots.words()
-    }
+    payloads: &'a [Option<Payload<P::NodeInput, P::Summary>>],
+    out_inputs: &'a [P::EdgeInput],
+    in_input: &'a P::EdgeInput,
 }
 
 impl<'a, P: ClusterDp + ?Sized> ClusterView<'a, P> {
     /// The payload of member `i` (input for nodes, summary for clusters).
     pub fn payload(&self, i: usize) -> &'a Payload<P::NodeInput, P::Summary> {
-        self.slots.payloads[i]
+        self.payloads[i]
             .as_ref()
             .expect("every member has a payload (input or summary)")
     }
 
     /// The problem data attached to member `i`'s outgoing original edge.
     pub fn out_input(&self, i: usize) -> P::EdgeInput {
-        self.slots.out_inputs[i].clone().unwrap_or_default()
+        self.out_inputs[i].clone()
     }
 
     /// The problem data of the cluster's incoming edge; `None` for a cluster without
     /// one.
     pub fn in_input(&self) -> Option<P::EdgeInput> {
-        self.skeleton
-            .in_edge()
-            .map(|_| self.slots.in_input.clone().unwrap_or_default())
+        self.skeleton.in_edge().map(|_| self.in_input.clone())
     }
 
     /// Members in an order where every member appears after all of its children
@@ -224,12 +323,9 @@ mod tests {
             },
         );
         let skeleton = held.view(1, 0);
-        let mut slots: SlotState<CountNodes> = SlotState::for_view(&skeleton);
+        let mut slots: SlotColumns<CountNodes> = SlotColumns::new(4, 1);
         slots.payloads.fill(Some(Payload::Input(1)));
-        let view = ClusterView {
-            skeleton,
-            slots: &slots,
-        };
+        let view = slots.view(skeleton);
         let up = view.bottom_up_order();
         let pos: Vec<usize> = {
             let mut p = vec![0; 4];
@@ -248,6 +344,24 @@ mod tests {
         let summary = CountNodes.summarize(&view);
         assert_eq!(summary, 4);
         assert_eq!(CountNodes.label_root(&summary), 4);
+    }
+
+    /// Presence bits survive an insertion and a compaction across word boundaries.
+    #[test]
+    fn present_inserts_and_retains_in_place() {
+        let mut flags: Vec<Option<u64>> = (0..130).map(|i| (i % 3 == 0).then_some(i)).collect();
+        let mut column: Present<u64> = Present::absent(flags.len());
+        flags
+            .iter()
+            .enumerate()
+            .for_each(|(i, &value)| column.set(i, value));
+        column.insert(64);
+        flags.insert(64, None);
+        let keep = (0..flags.len()).map(|i| i % 5 != 1);
+        column.retain(keep.clone());
+        compact(&mut flags, keep);
+        assert_eq!(column.bits.len(), flags.len().div_ceil(64));
+        assert!((0..flags.len()).all(|i| column.get(i) == flags[i].as_ref()));
     }
 
     #[test]

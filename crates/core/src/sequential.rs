@@ -8,7 +8,7 @@
 //! why tests compare solution *values*, not raw label vectors, for optimization
 //! problems).
 
-use crate::problem::{ClusterDp, ClusterView, Payload, SlotState};
+use crate::problem::{ClusterDp, Payload, SlotColumns};
 use crate::skeleton::{Linked, PlanMember, Skeletons};
 use std::collections::BTreeMap;
 use tree_clustering::{EdgeKind, ElementKind, VIRTUAL_NODE};
@@ -51,18 +51,14 @@ pub fn solve_sequential<P: ClusterDp>(
         nodes.iter().enumerate().map(|(i, &v)| (v, i)).collect();
     let parent_of: BTreeMap<NodeId, NodeId> = edges.iter().map(|e| (e.child, e.parent)).collect();
 
-    let mut slots: SlotState<P> = SlotState {
-        payloads: Vec::with_capacity(nodes.len()),
-        out_inputs: Vec::with_capacity(nodes.len()),
-        in_input: None,
-    };
-    let members: Vec<PlanMember> = nodes
-        .iter()
-        .map(|&v| {
+    // The one view's slot columns: a member per node.
+    let mut slots: SlotColumns<P> = SlotColumns::new(nodes.len(), 1);
+    let members: Vec<PlanMember> = (nodes.iter().enumerate())
+        .map(|(i, &v)| {
             let (kind, input) = edge_info(v);
             assert_eq!(kind, EdgeKind::leaving(v), "kind of the edge leaving {v}");
-            slots.payloads.push(Some(Payload::Input(node_input(v))));
-            slots.out_inputs.push(Some(input));
+            slots.payloads[i] = Some(Payload::Input(node_input(v)));
+            slots.out_inputs.set(i, Some(input));
             let parent = parent_of.get(&v).map(|p| index_of[p]);
             PlanMember::new(v, ElementKind::Node, parent, false)
         })
@@ -79,10 +75,7 @@ pub fn solve_sequential<P: ClusterDp>(
         },
     );
     let skeleton = held.view(1, 0);
-    let view = ClusterView {
-        skeleton,
-        slots: &slots,
-    };
+    let view = slots.view(skeleton);
 
     let root_summary = problem.summarize(&view);
     let root_label = problem.label_root(&root_summary);

@@ -349,6 +349,25 @@ impl Skeletons {
         self.layer_start[layer as usize - 1] as usize + index
     }
 
+    /// Machine offset of the first member of the views at `layer`.
+    fn layer_base(&self, layer: u32) -> usize {
+        let first = self.layer_start[layer as usize - 1] as usize;
+        self.heads
+            .get(first)
+            .map_or(self.members.len(), |h| h.start())
+    }
+
+    /// Number of members of the views at `layer`: the length of the member columns of
+    /// the machine's `layer` bucket.
+    pub(crate) fn members_at(&self, layer: u32) -> usize {
+        self.layer_base(layer + 1) - self.layer_base(layer)
+    }
+
+    /// Offset of the first member of view `index` of `layer` in its bucket's columns.
+    pub(crate) fn slot_offset(&self, layer: u32, index: usize) -> usize {
+        self.heads[self.index(layer, index)].start() - self.layer_base(layer)
+    }
+
     /// Number of views at `layer`.
     pub(crate) fn len_at(&self, layer: u32) -> usize {
         let l = layer as usize;
@@ -358,6 +377,11 @@ impl Skeletons {
     /// Number of views.
     pub(crate) fn num_views(&self) -> usize {
         self.heads.len()
+    }
+
+    /// Number of members, over all views.
+    pub(crate) fn num_members(&self) -> usize {
+        self.members.len()
     }
 
     /// View `index` of `layer`.
@@ -401,6 +425,8 @@ impl Skeletons {
         let kids = kid0..kid0 + members.len() - 1;
         PlanView {
             layer,
+            first: offset(members.start - self.layer_base(layer)),
+            index: offset(v - self.layer_start[layer as usize - 1] as usize),
             head: self.heads[v],
             members: &self.members[members],
             kids: &self.kids[kids],
@@ -539,11 +565,15 @@ impl Skeletons {
 
 /// One skeleton view, borrowed from the machine that holds it: everything a
 /// [`ClusterView`](crate::ClusterView) shows a problem except the payloads and edge
-/// inputs, which lie in the [`SlotState`](crate::SlotState) aligned with it. Cheap to
+/// inputs, which lie in the slot columns of its `(layer, machine)` bucket. Cheap to
 /// copy; see the module docs for what it derives instead of storing.
 #[derive(Debug, Clone, Copy)]
 pub struct PlanView<'a> {
     layer: u32,
+    /// Offset of member 0 in the bucket's member columns.
+    first: u32,
+    /// The view's index in its bucket.
+    index: u32,
     head: ViewHead,
     members: &'a [PlanMember],
     kids: &'a [u32],
@@ -573,6 +603,17 @@ impl<'a> PlanView<'a> {
     /// The cluster's kind.
     pub fn kind(&self) -> ElementKind {
         self.head.kind()
+    }
+
+    /// The view's member slots in its bucket's member columns.
+    pub(crate) fn slots(&self) -> std::ops::Range<usize> {
+        let first = self.first as usize;
+        first..first + self.members.len()
+    }
+
+    /// The view's index in its `(layer, machine)` bucket: its slot in the view columns.
+    pub(crate) fn index(&self) -> usize {
+        self.index as usize
     }
 
     /// The members, in the order the group gathering delivered them.
@@ -673,6 +714,103 @@ mod tests {
         assert!(std::mem::size_of::<ViewHead>() <= 8 * head.words());
         assert!(std::mem::size_of::<InEdge>() <= 8 * in_edge.words());
         assert_eq!((member.words(), head.words(), in_edge.words()), (2, 2, 3));
+    }
+
+    /// A `(layer, machine)` bucket bills its skeletons and exactly what its slot columns
+    /// hold: a header word and the records of every column that holds any — a payload
+    /// at its own width, the `Option` riding its tag — and a word per 64 presence bits.
+    /// Checked for a problem without edge inputs (as MaxIS: the out-input column holds
+    /// no bytes and bills none) and one with a word of edge input (as matching).
+    #[test]
+    fn buckets_bill_what_their_slot_columns_hold() {
+        use crate::problem::{ClusterDp, ClusterView, Payload};
+        use crate::state_dp::StateSummary;
+        use crate::store::{tests::Count, SolverStore};
+        use std::mem::size_of;
+
+        /// Edge weight per cluster: an edge input of one word.
+        struct Weigh;
+        impl ClusterDp for Weigh {
+            type NodeInput = u64;
+            type EdgeInput = i64;
+            type Summary = i64;
+            type Label = ();
+            fn summarize(&self, view: &ClusterView<'_, Self>) -> i64 {
+                let members = 0..view.skeleton.members().len();
+                let inner = members.map(|i| match view.payload(i) {
+                    Payload::Input(_) => view.out_input(i),
+                    Payload::Summary(s) => *s + view.out_input(i),
+                });
+                inner.sum::<i64>() + view.in_input().unwrap_or(0)
+            }
+            fn label_root(&self, _: &i64) {}
+            fn label_members(
+                &self,
+                view: &ClusterView<'_, Self>,
+                _: &(),
+                _: Option<&()>,
+            ) -> Vec<()> {
+                vec![(); view.skeleton.members().len()]
+            }
+        }
+
+        fn check<P: ClusterDp<NodeInput = u64>>(store: &SolverStore<P>, edge_words: usize) {
+            assert!(size_of::<P::EdgeInput>() <= 8 * edge_words);
+            let plan = &store.plan;
+            let column = |records: usize| if records == 0 { 0 } else { 1 + records };
+            let mut buckets = 0;
+            for (layer, machine) in
+                (1..=plan.num_layers).flat_map(|l| (0..plan.num_machines).map(move |m| (l, m)))
+            {
+                let columns = &store.state[plan.bucket(layer, machine)];
+                let sizes: Vec<usize> = plan
+                    .views_at(layer, machine)
+                    .map(|v| v.members().len())
+                    .collect();
+                let (members, views) = (sizes.iter().sum::<usize>(), sizes.len());
+                let payloads = columns.payloads.iter().map(|p| p.as_ref().expect("filled"));
+                let held = column(payloads.map(Words::words).sum())
+                    + column(edge_words * members)
+                    + column(members.div_ceil(64))
+                    + column(edge_words * views)
+                    + column(views.div_ceil(64));
+                let skeletons = plan.views_at(layer, machine).map(|v| v.words());
+                let billed = plan.bucket_words(layer, machine, columns);
+                assert_eq!(
+                    billed,
+                    skeletons.sum::<usize>() + held,
+                    "layer {layer}, machine {machine}"
+                );
+                buckets += usize::from(views > 0);
+            }
+            assert!(buckets > 1, "the plan spreads over several buckets");
+        }
+
+        let tree = tree_gen::shapes::caterpillar(300, 3);
+        let n = tree.len() as u64;
+        let config = mpc_engine::MpcConfig::new(2 * tree.len(), 0.5).with_memory_slack(512.0);
+        let mut ctx = mpc_engine::MpcContext::new(config);
+        let input = tree_repr::TreeInput::ListOfEdges(tree_repr::ListOfEdges::from_tree(&tree));
+        let prepared = crate::prepare(&mut ctx, input, Some(4)).expect("well-formed tree");
+        let plan = prepared.plan(&mut ctx).clone();
+        let ones = ctx.from_vec((0..n).map(|v| (v, 1)).collect::<Vec<_>>());
+        let no_edges = ctx.from_vec(Vec::<(u64, ())>::new());
+        let (_, count) = plan
+            .clone()
+            .solve_with_store(&mut ctx, &Count, &ones, 1, &no_edges);
+        check(&count, 0);
+        let weights = ctx.from_vec((0..n).map(|v| (v, v as i64)).collect::<Vec<_>>());
+        let (_, weigh) = plan.solve_with_store(&mut ctx, &Weigh, &ones, 1, &weights);
+        check(&weigh, 1);
+
+        // A payload column of `Option`s costs no more than one of bare payloads, for
+        // these problems and for the state engine's (MaxIS's) records.
+        assert_eq!(
+            size_of::<Option<Payload<u64, u64>>>(),
+            size_of::<Payload<u64, u64>>()
+        );
+        type StatePayload = Payload<i64, StateSummary>;
+        assert_eq!(size_of::<Option<StatePayload>>(), size_of::<StatePayload>());
     }
 
     #[test]

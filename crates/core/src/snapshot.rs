@@ -46,7 +46,7 @@
 
 use crate::pipeline::PreparedTree;
 use crate::plan::{PlanMember, SolvePlan};
-use crate::problem::{ClusterDp, Payload, SlotState};
+use crate::problem::{ClusterDp, Payload, SlotColumns};
 use crate::routing::Routing;
 use crate::skeleton::{Linked, Skeletons, MAX_MEMBERS};
 use crate::state_dp::StateSummary;
@@ -907,23 +907,11 @@ impl<I: Snapshot, S: Snapshot> Snapshot for Payload<I, S> {
     }
 }
 
-impl<P: ClusterDp> Snapshot for SlotState<P>
-where
-    P::NodeInput: Snapshot,
-    P::EdgeInput: Snapshot,
-    P::Summary: Snapshot,
-{
-    fn encode(&self, w: &mut SnapshotWriter) {
-        self.payloads.encode(w);
-        self.out_inputs.encode(w);
-        self.in_input.encode(w);
-    }
-    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(SlotState {
-            payloads: Vec::decode(r)?,
-            out_inputs: Vec::decode(r)?,
-            in_input: Option::decode(r)?,
-        })
+/// Write `value` as an `Option<T>` is written.
+fn put_option<T: Snapshot>(w: &mut SnapshotWriter, value: Option<&T>) {
+    w.put_u8(u8::from(value.is_some()));
+    if let Some(value) = value {
+        value.encode(w);
     }
 }
 
@@ -934,17 +922,67 @@ where
     P::Summary: Snapshot,
     P::Label: Snapshot,
 {
+    /// The slot columns travel view by view, as stores have always been written: per
+    /// layer, machine and view the vector of its members' payload options, the vector
+    /// of their out-input options and its in-input option.
     fn encode(&self, w: &mut SnapshotWriter) {
-        self.plan.encode(w);
-        self.state.encode(w);
+        let plan = &self.plan;
+        plan.encode(w);
+        w.put_usize(plan.num_layers as usize);
+        for layer in 1..=plan.num_layers {
+            w.put_usize(plan.num_machines);
+            for machine in 0..plan.num_machines {
+                let columns = &self.state[plan.bucket(layer, machine)];
+                w.put_usize(plan.skeletons[machine].len_at(layer));
+                for view in plan.views_at(layer, machine) {
+                    let slots = view.slots();
+                    w.put_usize(slots.len());
+                    columns.payloads[slots.clone()]
+                        .iter()
+                        .for_each(|p| p.encode(w));
+                    w.put_usize(slots.len());
+                    slots.for_each(|i| put_option(w, columns.out_inputs.get(i)));
+                    put_option(w, columns.in_inputs.get(view.index()));
+                }
+            }
+        }
         self.labels.encode(w);
         self.root_label.encode(w);
         self.root_summary.encode(w);
     }
+
     fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        let plan = SolvePlan::decode(r)?;
+        let layout = "slot state layout differs from the plan's layer/machine/view layout";
+        let lengths = "slot state vectors differ in length from the member list";
+        let expect = |r: &mut SnapshotReader<'_>, len: usize, what| match r.take_usize()? {
+            found if found == len => Ok(()),
+            _ => Err(SnapshotError::Malformed(what)),
+        };
+        let mut state = Vec::new();
+        expect(r, plan.num_layers as usize, layout)?;
+        for layer in 1..=plan.num_layers {
+            expect(r, plan.num_machines, layout)?;
+            for held in &plan.skeletons {
+                expect(r, held.len_at(layer), layout)?;
+                let mut columns = SlotColumns::new(held.members_at(layer), held.len_at(layer));
+                for view in held.views(layer) {
+                    expect(r, view.slots().len(), lengths)?;
+                    for at in view.slots() {
+                        columns.payloads[at] = Option::decode(r)?;
+                    }
+                    expect(r, view.slots().len(), lengths)?;
+                    for at in view.slots() {
+                        columns.out_inputs.set(at, Option::decode(r)?);
+                    }
+                    columns.in_inputs.set(view.index(), Option::decode(r)?);
+                }
+                state.push(columns);
+            }
+        }
         let store = SolverStore {
-            plan: SolvePlan::decode(r)?,
-            state: Vec::decode(r)?,
+            plan,
+            state,
             labels: BTreeMap::decode(r)?,
             root_label: P::Label::decode(r)?,
             root_summary: P::Summary::decode(r)?,

@@ -9,27 +9,28 @@
 //!   here and nowhere else, while a plan a [`PreparedTree`](crate::PreparedTree)
 //!   caches is dropped by a repair and rebuilt on demand (the serving layer holds each
 //!   tenant's one plan here and none on the tree),
-//! * the [`SlotState`](crate::SlotState) of every view, aligned slot for slot with that
-//!   plan's skeletons (`state[layer - 1][machine][view]`): the payloads and edge inputs
+//! * the slot columns of every `(layer, machine)` bucket of views, aligned slot for
+//!   slot with that plan's skeletons (per member a payload and an out-edge input, per
+//!   view an in-edge input, presence as bits): the payloads and edge inputs
 //!   [`SolvePlan::solve`] routes into place and then drops, and
 //! * the per-edge labels and the root label/summary of the last solve.
 //!
 //! A view is never copied out of these ([`view`](SolverStore::view) borrows a skeleton
-//! and its slots). `tree-dp-incremental` writes changed inputs into their slots through
-//! the plan's routing and re-processes only the dirty views; a structural repair
-//! is spliced into the store's plan with the slot state carried along by the same
-//! compactions ([`apply_repair`](SolverStore::apply_repair)).
+//! and its column slices). `tree-dp-incremental` writes changed inputs into their
+//! slots through the plan's routing and re-processes only the dirty views; a
+//! structural repair is spliced into the store's plan with the columns carried along
+//! by the same compactions ([`apply_repair`](SolverStore::apply_repair)).
 
-use crate::plan::{slots_at, DpSolution, PlanState, SolvePlan, ViewSlot};
+use crate::plan::{DpSolution, PlanState, SolvePlan, ViewSlot};
 use crate::problem::{ClusterDp, ClusterView, Payload};
 use mpc_engine::{MpcContext, Words};
 use std::collections::{BTreeMap, BTreeSet};
 use tree_clustering::{ClusteringRepair, ElementId};
 use tree_repr::{DirectedEdge, NodeId};
 
-/// A plan, the slot state of one problem over it, and that problem's labels (see the
+/// A plan, the slot columns of one problem over it, and that problem's labels (see the
 /// module docs). Produced by [`SolvePlan::solve_with_store`] or decoded from a
-/// snapshot; the slot state always matches the plan's skeletons member for member.
+/// snapshot; the columns always match the plan's skeletons member for member.
 pub struct SolverStore<P: ClusterDp> {
     pub(crate) plan: SolvePlan,
     pub(crate) state: PlanState<P>,
@@ -41,7 +42,7 @@ pub struct SolverStore<P: ClusterDp> {
 }
 
 impl<P: ClusterDp> SolverStore<P> {
-    /// The plan the slot state is aligned with.
+    /// The plan the slot columns are aligned with.
     pub fn plan(&self) -> &SolvePlan {
         &self.plan
     }
@@ -53,18 +54,13 @@ impl<P: ClusterDp> SolverStore<P> {
 
     /// The view at `at`: its skeleton paired with its slots.
     pub fn view(&self, at: ViewSlot) -> ClusterView<'_, P> {
-        ClusterView {
-            skeleton: self.plan.view_at(at),
-            slots: &self.state[at.layer as usize - 1][at.machine as usize][at.view as usize],
-        }
+        self.state[self.plan.bucket_of(at)].view(self.plan.view_at(at))
     }
 
     /// Every view, layer by layer.
     pub fn views(&self) -> impl Iterator<Item = ClusterView<'_, P>> {
-        let skeletons = self.plan.views().map(|(_, skeleton)| skeleton);
-        skeletons
-            .zip(self.state.iter().flatten().flatten())
-            .map(|(skeleton, slots)| ClusterView { skeleton, slots })
+        let plan = &self.plan;
+        (plan.views()).map(|(at, skeleton)| self.state[plan.bucket_of(at)].view(skeleton))
     }
 
     // ----- slot writes (the incremental path) ---------------------------------------
@@ -73,9 +69,9 @@ impl<P: ClusterDp> SolverStore<P> {
     /// `None` when the plan routes no such element.
     pub fn set_node_input(&mut self, node: NodeId, input: P::NodeInput) -> Option<ViewSlot> {
         let slot = *self.plan.routing.payload(node)?;
-        let at = slot.view_slot();
-        slots_at(&mut self.state, at).payloads[slot.member as usize] = Some(Payload::Input(input));
-        Some(at)
+        let (bucket, at) = self.plan.column_of(slot);
+        self.state[bucket].payloads[at] = Some(Payload::Input(input));
+        Some(slot.view_slot())
     }
 
     /// Write `input` into every slot carrying the input of the edge whose child
@@ -85,12 +81,13 @@ impl<P: ClusterDp> SolverStore<P> {
         let plan = &self.plan;
         let mut touched = Vec::new();
         for slot in plan.out_slots(child) {
-            slots_at(&mut self.state, slot.view_slot()).out_inputs[slot.member as usize] =
-                Some(input.clone());
+            let (bucket, at) = plan.column_of(slot);
+            self.state[bucket].out_inputs.set(at, Some(input.clone()));
             touched.push(slot.view_slot());
         }
         for at in plan.in_readers(child) {
-            slots_at(&mut self.state, at).in_input = Some(input.clone());
+            let column = &mut self.state[plan.bucket_of(at)].in_inputs;
+            column.set(at.view as usize, Some(input.clone()));
             touched.push(at);
         }
         touched
@@ -102,11 +99,8 @@ impl<P: ClusterDp> SolverStore<P> {
         if cluster == self.plan.top_cluster {
             return Some(&self.root_summary);
         }
-        let slot = self.plan.routing.payload(cluster)?;
-        let at = slot.view_slot();
-        match &self.state[at.layer as usize - 1][at.machine as usize][at.view as usize].payloads
-            [slot.member as usize]
-        {
+        let (bucket, at) = self.plan.column_of(*self.plan.routing.payload(cluster)?);
+        match &self.state[bucket].payloads[at] {
             Some(Payload::Summary(summary)) => Some(summary),
             _ => None,
         }
@@ -120,10 +114,9 @@ impl<P: ClusterDp> SolverStore<P> {
             return None;
         }
         let slot = *self.plan.routing.payload(cluster)?;
-        let at = slot.view_slot();
-        slots_at(&mut self.state, at).payloads[slot.member as usize] =
-            Some(Payload::Summary(summary));
-        Some(at)
+        let (bucket, at) = self.plan.column_of(slot);
+        self.state[bucket].payloads[at] = Some(Payload::Summary(summary));
+        Some(slot.view_slot())
     }
 
     // ----- labels -------------------------------------------------------------------
@@ -169,7 +162,7 @@ impl<P: ClusterDp> SolverStore<P> {
     // ----- structural splicing (batched link/cut repair) ----------------------------
 
     /// Splice a structural repair into the store: the plan's skeletons and routing
-    /// patched in place — the only splice of a plan there is — the slot state
+    /// patched in place — the only splice of a plan there is — the slot columns
     /// moved along by the same compactions, the labels of removed edges dropped.
     /// `leaf_inputs` holds the node and edge input of every leaf the repair adds. Zero
     /// rounds (the caller meters the spliced words).
@@ -179,11 +172,12 @@ impl<P: ClusterDp> SolverStore<P> {
         leaf_inputs: &BTreeMap<NodeId, (P::NodeInput, P::EdgeInput)>,
     ) {
         self.plan.splice(repair, &mut self.state);
-        // What the repair clears or adds, at the addresses the spliced routing gives: a
-        // demoted view reads no in-edge input, a new leaf is its view's last member.
+        // What the repair clears or writes, at the addresses the spliced routing gives:
+        // a demoted view reads no in-edge input, a new leaf's empty slot takes its inputs.
         for cluster in &repair.demoted {
             if let Some(at) = self.plan.view_slot_of(*cluster) {
-                slots_at(&mut self.state, at).in_input = None;
+                let bucket = self.plan.bucket_of(at);
+                self.state[bucket].in_inputs.set(at.view as usize, None);
             }
         }
         for leaf in repair.patches.values().flat_map(|p| &p.added) {
@@ -191,15 +185,10 @@ impl<P: ClusterDp> SolverStore<P> {
                 .get(&leaf.id)
                 .expect("every added leaf came from a link op")
                 .clone();
-            let slot = *self
-                .plan
-                .routing
-                .payload(leaf.id)
-                .expect("the splice filed every added leaf");
-            let slots = slots_at(&mut self.state, slot.view_slot());
-            debug_assert_eq!(slots.payloads.len(), slot.member as usize);
-            slots.payloads.push(Some(Payload::Input(node_input)));
-            slots.out_inputs.push(Some(edge_input));
+            let slot = *(self.plan.routing.payload(leaf.id)).expect("the splice filed every leaf");
+            let (bucket, at) = self.plan.column_of(slot);
+            self.state[bucket].payloads[at] = Some(Payload::Input(node_input));
+            self.state[bucket].out_inputs.set(at, Some(edge_input));
         }
         for child in &repair.removed_nodes {
             self.labels.remove(child);
@@ -209,7 +198,7 @@ impl<P: ClusterDp> SolverStore<P> {
     /// Check the store against from-scratch derivations: the plan's routing runs
     /// against a re-derivation over its skeleton views, the edges the plan takes
     /// inputs for against `edges` (the degree-reduced edge list the plan was built
-    /// over), and the slot state against the skeletons' shape. `Err` names the first
+    /// over), and the slot columns against the skeletons' shape. `Err` names the first
     /// run or view that drifted. Zero rounds, `O(n log n)` host work — the alarm for long
     /// sequences of in-place splices.
     pub fn audit<'a>(
@@ -222,47 +211,46 @@ impl<P: ClusterDp> SolverStore<P> {
             .map_or(Ok(()), |what| Err(what.into()))
     }
 
-    /// What keeps the slot state from matching the plan's skeletons, if anything.
+    /// What keeps the slot columns from matching the plan's skeletons, if anything.
     pub(crate) fn state_mismatch(&self) -> Option<&'static str> {
         let plan = &self.plan;
-        if self.state.len() != plan.num_layers as usize
-            || self.state.iter().any(|s| s.len() != plan.num_machines)
-            || (1..=plan.num_layers).zip(&self.state).any(|(layer, s)| {
-                let held = |machine: usize| plan.skeletons[machine].len_at(layer);
-                s.iter()
-                    .enumerate()
-                    .any(|(machine, s)| s.len() != held(machine))
-            })
-        {
+        if self.state.len() != plan.num_layers as usize * plan.num_machines {
             return Some("slot state layout differs from the plan's layer/machine/view layout");
         }
-        for view in self.views() {
-            let members = view.skeleton.members().len();
-            if view.slots.payloads.len() != members || view.slots.out_inputs.len() != members {
+        for (bucket, columns) in self.state.iter().enumerate() {
+            let layer = (bucket / plan.num_machines) as u32 + 1;
+            let held = &plan.skeletons[bucket % plan.num_machines];
+            if columns.in_inputs.values.len() != held.len_at(layer) {
+                return Some("slot state layout differs from the plan's layer/machine/view layout");
+            }
+            let members = held.members_at(layer);
+            if columns.payloads.len() != members || columns.out_inputs.values.len() != members {
                 return Some("slot state vectors differ in length from the member list");
             }
-            if view.slots.payloads.iter().any(Option::is_none) {
+            if columns.payloads.iter().any(Option::is_none) {
                 return Some("slot state has a member without a payload");
             }
         }
         None
     }
 
+    /// The words the views hold, summed over machines: every skeleton in its compact
+    /// layout and every bucket's slot columns — what the evaluation pass bills as
+    /// resident (`plan/views`) once its bottom-up pass has filled every slot.
+    pub fn view_words(&self) -> usize {
+        let plan = &self.plan;
+        let buckets = (self.state.iter().enumerate()).map(|(bucket, columns)| {
+            let layer = (bucket / plan.num_machines) as u32 + 1;
+            plan.bucket_words(layer, bucket % plan.num_machines, columns)
+        });
+        buckets.sum()
+    }
+
     /// Approximate resident size of the store in machine words: the plan, the slot
-    /// state and the labels, each record counted at its [`Words`] width plus one key
-    /// word. Used by the serving layer's per-tenant accounting.
+    /// columns at their [`Words`] width, and the labels, each at its [`Words`] width
+    /// plus one key word. Used by the serving layer's per-tenant accounting.
     pub fn resident_words(&self) -> usize {
-        let state: usize = self
-            .state
-            .iter()
-            .flatten()
-            .flatten()
-            .map(|slots| {
-                let payloads: usize = slots.payloads.iter().map(Words::words).sum();
-                let out_inputs: usize = slots.out_inputs.iter().map(Words::words).sum();
-                payloads + out_inputs + slots.in_input.words()
-            })
-            .sum();
+        let state: usize = self.state.iter().map(Words::words).sum();
         let labels: usize = self.labels.values().map(|l| 1 + l.words()).sum();
         let roots = self.root_label.words() + self.root_summary.words();
         self.plan.resident_words() + state + labels + roots
@@ -534,19 +522,28 @@ pub(crate) mod tests {
             assert_eq!(decoded.map(|_| ()), refused, "store");
         }
 
-        // The store's own part: slot state that does not match the skeletons.
-        let mut short = decode_resealed(KIND_STORE, &store).expect("valid store");
-        slots_at(&mut short.state, at).payloads.pop();
+        // The store's own part: slot state that does not match the skeletons. After
+        // the plan come the layer count, the machine count of layer 1, the view count
+        // of machine 0 there and the payload count of its first view.
+        assert!(
+            plan.views_at(1, 0).next().is_some(),
+            "machine 0 holds a layer-1 view"
+        );
+        let recounted = |field: usize, count: fn(u64) -> u64| {
+            let mut bytes = store.to_snapshot()[32..].to_vec();
+            let at = good.len() + 8 * field;
+            let old = u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+            bytes[at..at + 8].copy_from_slice(&count(old).to_le_bytes());
+            SolverStore::<Count>::from_snapshot(&resealed(KIND_STORE, bytes)).map(|_| ())
+        };
         assert_eq!(
-            decode_resealed(KIND_STORE, &short).map(|_| ()),
+            recounted(3, |members| members - 1),
             Err(SnapshotError::Malformed(
                 "slot state vectors differ in length from the member list"
             ))
         );
-        let mut missing = decode_resealed(KIND_STORE, &store).expect("valid store");
-        missing.state[at.layer as usize - 1][at.machine as usize].pop();
         assert!(matches!(
-            decode_resealed(KIND_STORE, &missing).map(|_| ()),
+            recounted(2, |views| views + 1),
             Err(SnapshotError::Malformed(_))
         ));
         // A tree whose cached plan belongs to another clustering.
@@ -615,7 +612,10 @@ pub(crate) mod tests {
 
         let mut drifted = reread();
         let at = rich_view(&drifted.plan);
-        slots_at(&mut drifted.state, at).out_inputs.push(None);
+        drifted.state[drifted.plan.bucket_of(at)]
+            .out_inputs
+            .values
+            .push(());
         let err = drifted.audit(prepared.edges.iter()).expect_err("planted");
         assert!(err.contains("slot state vectors"), "{err}");
 

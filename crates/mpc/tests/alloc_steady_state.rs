@@ -29,9 +29,11 @@
 //! call, so it may grow the heap by at most 256 bytes — and the bound holds for the
 //! most calls any of them makes.
 //!
-//! A warm MaxIS solve over a path's plan makes at most `8 · num_views` calls — a few
-//! per view (slot state, summary, label vector), none per member or per child merge,
-//! since the state engine runs every view's local DP in one reused arena.
+//! A warm MaxIS solve over a path's plan makes at most `4 · num_views` calls — two per
+//! view (summary, label vector), a few per `(layer, machine)` bucket of views (its slot
+//! columns and boundary labels) and one per machine's label output, none per member or
+//! per child merge, since the state engine runs every view's local DP in one reused
+//! arena. Measured: 3.69 calls per view at n = 4096, 2.56 at n = 65536.
 //!
 //! The same allocator also counts *gross* allocated bytes, which pins the structural
 //! update path without a clock: a warm one-op `link`, a one-op leaf `cut` and a
@@ -484,7 +486,7 @@ fn warm_primitive_calls_have_zero_net_heap_growth() {
             bytes.sixteen_singles
         );
         assert!(
-            bytes.solve_calls <= 8 * bytes.views,
+            bytes.solve_calls <= 4 * bytes.views,
             "n = {n}: a warm solve made {} allocation calls over {} views",
             bytes.solve_calls,
             bytes.views

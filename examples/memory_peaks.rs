@@ -9,9 +9,11 @@
 //! moves itself per tree node (`build w/n`: the `clustering` phase less its
 //! `cluster-sizes` and `cluster-paths` subroutines), the words the plan build moves per
 //! tree node (`pbuild w/n`: the `plan-build` phase), the plan's skeleton words per tree
-//! node, the plan's resident words beyond its skeletons — its routing — per tree node
-//! (`route w/n`, a report), the plan's snapshot bytes per tree node (`snap B/n`, a
-//! report), the peak local
+//! node, the words the evaluation's resident views hold per tree node once bottom-up
+//! has filled them — every skeleton and every `(layer, machine)` bucket's slot columns,
+//! summed over machines (`views w/n`, a report) — the plan's resident words beyond its
+//! skeletons — its routing — per tree node (`route w/n`, a report), the plan's snapshot
+//! bytes per tree node (`snap B/n`, a report), the peak local
 //! memory against the `Θ(n^δ)` capacity, and the phases whose local-memory breaches
 //! are largest.
 //!
@@ -96,6 +98,9 @@ struct Peaks {
     pbuild_per_node: f64,
     /// The plan's skeleton words per tree node.
     skeleton_per_node: f64,
+    /// The views' resident words at the end of bottom-up per tree node: skeletons and
+    /// slot columns, summed over machines.
+    views_per_node: f64,
     /// The plan's resident words beyond its skeletons per tree node.
     route_per_node: f64,
     /// The plan's snapshot bytes per tree node.
@@ -136,8 +141,9 @@ fn measure(tree: &Tree, given: Given, delta: f64, slack: f64) -> Peaks {
     let route_per_node = (plan.resident_words() - plan.skeleton_words()) as f64 / tree.len() as f64;
     let snapshot_per_node = plan.to_snapshot().len() as f64 / tree.len() as f64;
     let engine = StateEngine::new(MaxWeightIndependentSet);
-    let solution = plan.solve(&mut ctx, &engine, &weights, 0, &no_edges);
+    let (solution, store) = plan.solve_with_store(&mut ctx, &engine, &weights, 0, &no_edges);
     assert!(solution.root_summary.best(engine.problem()).is_some());
+    let views_per_node = store.view_words() as f64 / tree.len() as f64;
 
     let metrics = ctx.metrics();
     let violations_in = |phase: &str| {
@@ -165,6 +171,7 @@ fn measure(tree: &Tree, given: Given, delta: f64, slack: f64) -> Peaks {
         build_per_node,
         pbuild_per_node,
         skeleton_per_node,
+        views_per_node,
         route_per_node,
         snapshot_per_node,
         normalize_violations: violations_in("normalize"),
@@ -206,8 +213,8 @@ fn main() {
         let gated = delta == 0.5 && slack == 32.0;
         println!("{section}");
         println!(
-            "{:<17} {:>15} {:>9} {:>9} {:>10} {:>9} {:>10} {:>9} {:>5} {:>10} {:>9} {:>7}  worst breaches (phase/primitive: words)",
-            "shape", "degree rnd/words", "paths w/n", "build w/n", "pbuild w/n", "plan w/n", "route w/n", "snap B/n", "norm", "peak", "capacity", "ratio"
+            "{:<17} {:>15} {:>9} {:>9} {:>10} {:>9} {:>10} {:>10} {:>9} {:>5} {:>10} {:>9} {:>7}  worst breaches (phase/primitive: words)",
+            "shape", "degree rnd/words", "paths w/n", "build w/n", "pbuild w/n", "plan w/n", "views w/n", "route w/n", "snap B/n", "norm", "peak", "capacity", "ratio"
         );
         let rows = trees.iter().map(|row| (row, true));
         for ((name, tree, given), cold) in rows.chain(conversions.iter().map(|row| (row, false))) {
@@ -219,12 +226,13 @@ fn main() {
                 .map(|(context, words)| format!("{context}: {words}"))
                 .collect();
             println!(
-                "{name:<17} {:>15} {:>9.2} {:>9.2} {:>10.2} {:>9.2} {:>10.2} {:>9.1} {:>5} {:>10} {:>9} {:>7.2}  {}",
+                "{name:<17} {:>15} {:>9.2} {:>9.2} {:>10.2} {:>9.2} {:>10.2} {:>10.2} {:>9.1} {:>5} {:>10} {:>9} {:>7.2}  {}",
                 format!("{}/{}", peaks.degree.0, peaks.degree.1),
                 peaks.paths_per_node,
                 peaks.build_per_node,
                 peaks.pbuild_per_node,
                 peaks.skeleton_per_node,
+                peaks.views_per_node,
                 peaks.route_per_node,
                 peaks.snapshot_per_node,
                 peaks.normalize_violations,

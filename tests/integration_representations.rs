@@ -60,6 +60,10 @@ fn all_representations_yield_the_same_unweighted_optimum() {
         let _ = inputs_of(0);
         let no_edges = ctx.from_vec(Vec::<(u64, ())>::new());
         let sol = prepared.solve(&mut ctx, &engine, &inputs, 0, &no_edges);
+        // Conversion, clustering, plan build and evaluation all stay within the
+        // model's local memory and bandwidth: the evaluation's resident views included.
+        let violations = &ctx.metrics().violations;
+        assert!(violations.is_empty(), "{name}: {violations:?}");
         values.push((name, sol.root_summary.best(engine.problem()).unwrap()));
     }
     let first = values[0].1;
