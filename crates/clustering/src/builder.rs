@@ -444,6 +444,7 @@ fn absorb_and_retarget(
 mod tests {
     use super::*;
     use crate::degree::reduce_degrees;
+    use crate::element::cluster_layer;
     use mpc_engine::MpcConfig;
     use tree_gen::shapes;
     use tree_repr::Tree;
@@ -467,6 +468,36 @@ mod tests {
         let clustering = build_clustering(&mut ctx, &reduced).expect("clustering succeeds");
         let edges = reduced.edges.to_vec();
         (clustering, edges, ctx.metrics().rounds - before)
+    }
+
+    /// Two clusters absorbed into each other, each at the other's layer, make the
+    /// absorption a cycle: the validator reports it instead of expanding the cycle
+    /// until the stack runs out.
+    #[test]
+    fn validate_reports_a_cyclic_absorption_without_expanding_it() {
+        let tree = shapes::caterpillar(20, 3);
+        let (mut clustering, edges, _) = cluster_tree(&tree, 0.5, Some(3));
+        assert_valid(&clustering, &edges);
+        let clusters: Vec<ElementId> = (clustering.elements.iter())
+            .filter(|e| {
+                matches!(
+                    e.kind,
+                    ElementKind::ClusterIndeg0 | ElementKind::ClusterIndeg1
+                )
+            })
+            .map(|e| e.id)
+            .take(2)
+            .collect();
+        let (a, b) = (clusters[0], clusters[1]);
+        clustering.elements = clustering.elements.clone().map_local(|e| {
+            let mut e = *e;
+            if e.id == a || e.id == b {
+                let into = if e.id == a { b } else { a };
+                (e.absorbed_into, e.absorbed_at) = (into, cluster_layer(into));
+            }
+            e
+        });
+        assert!(!clustering.validate(&edges).is_empty());
     }
 
     fn assert_valid(clustering: &Clustering, edges: &[DirectedEdge]) {

@@ -138,6 +138,13 @@ impl Clustering {
                 err(format!("cluster {} has no members", e.id));
             }
         }
+        // The expansion below recurses along the absorption, which ends only where
+        // every element is absorbed above the layer it formed at, into a cluster of
+        // the table: the checks above. Any violation so far may leave it a cycle.
+        if !violations.is_empty() {
+            return violations;
+        }
+        let mut err = |msg: String| violations.push(ClusteringViolation(msg));
 
         // Recursively expand every cluster to its set of original nodes.
         let mut vsets: BTreeMap<ElementId, BTreeSet<NodeId>> = BTreeMap::new();

@@ -66,12 +66,12 @@ mod state_dp;
 pub mod store;
 
 pub use pipeline::{prepare, PipelineError, PreparedTree};
-pub use plan::{DpSolution, PlanMember, PlanRouting, PlanView, SolvePlan, ViewSlot};
+pub use plan::{DpSolution, PlanMember, PlanView, SolvePlan, ViewSlot};
 pub use problem::{ClusterDp, ClusterView, Payload};
 pub use sequential::{solve_sequential, SequentialSolution};
 pub use snapshot::{
     open, seal, snapshot_from_bytes, snapshot_to_bytes, Snapshot, SnapshotError, SnapshotReader,
-    SnapshotWriter, KIND_PLAN, KIND_PREPARED_TREE, KIND_STORE, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    SnapshotWriter, KIND_PREPARED_TREE, KIND_STORE, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 pub use state_dp::{Score, StateDp, StateEngine, StateSummary};
 pub use store::SolverStore;

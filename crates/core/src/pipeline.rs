@@ -427,20 +427,11 @@ mod tests {
                 "step {step}: repair index"
             );
 
-            // The splice's in-place index patches equal the derivation decode runs.
-            assert_eq!(store.audit(prepared.edges.iter()), Ok(()), "step {step}");
-            let plan = store.plan();
-            assert_climbs_match_a_scan(plan);
-            assert_eq!(
-                SolvePlan::from_snapshot(&plan.to_snapshot()).as_ref(),
-                Ok(plan),
-                "step {step}: indexes"
-            );
-            assert_eq!(
-                plan.routing_by_id(),
-                prepared.plan_uncached(&mut ctx).routing_by_id(),
-                "step {step}: routing vs a fresh plan of the repaired tree"
-            );
+            // The spliced plan is the link of the repaired clustering under its own
+            // view counts, bit for bit, and its in-place index patches equal the
+            // derivation a link runs.
+            assert_eq!(store.audit(&prepared), Ok(()), "step {step}");
+            assert_climbs_match_a_scan(store.plan());
         }
         assert!(
             repaired * 2 > steps,

@@ -27,8 +27,8 @@
 //!   edge kinds included ([`skeleton`](crate::skeleton)) — and
 //! * the **routing** of payloads and labels: every element's member slot, and every
 //!   incoming edge's lowest entered view — a pure function of the skeletons, derived
-//!   by one function at plan build and at decode, so a snapshot carries only the
-//!   skeletons. Two flat key-sorted runs probed through the engine's segmented bucket
+//!   by one function at plan build and at link. Two flat key-sorted runs probed
+//!   through the engine's segmented bucket
 //!   [`Directory`](mpc_engine::Directory); the slots an edge's input reaches and the
 //!   views reading a label are climbed from them, one layer a step (see the crate's
 //!   `routing` module).
@@ -51,14 +51,16 @@
 //! the plan they are aligned with: the one plan of a tree that is maintained. A
 //! structural repair is spliced into that plan and nowhere else
 //! ([`SolverStore::apply_repair`]); a prepared tree that cached a plan drops it and
-//! rebuilds on its next solve. [`SolvePlan::validate`] holds the plan-wide checks a
-//! plan read from bytes passes.
+//! rebuilds on its next solve. A plan, fresh or spliced, is derived data: it equals
+//! [`SolvePlan::link`] of its clustering under its own placement, the number of views
+//! each machine holds at each layer ([`SolvePlan::view_counts`]) — the host-side
+//! linker a snapshot decodes with.
 
 use crate::problem::{ClusterDp, Payload, SlotColumns};
 use crate::routing::Routing;
 use crate::store::SolverStore;
 use mpc_engine::{unmetered, DistVec, MpcContext, Words};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 #[cfg(doc)]
 use tree_clustering::EdgeKind;
 use tree_clustering::{
@@ -79,7 +81,7 @@ pub struct DpSolution<P: ClusterDp> {
     pub root_summary: P::Summary,
 }
 
-use crate::skeleton::{Linked, Skeletons};
+use crate::skeleton::{Linked, Skeletons, MAX_MEMBERS};
 pub use crate::skeleton::{PlanMember, PlanView};
 
 /// Where an element's payload (input or summary) or an edge's input lives: a member
@@ -106,28 +108,6 @@ pub struct ViewSlot {
     pub(crate) machine: u32,
     pub(crate) view: u32,
 }
-
-/// What a [`SolvePlan`] routes where, by id instead of by slot: for every payload the
-/// cluster and member element it reaches, for every incoming edge the cluster of the
-/// lowest view it enters, and for every view its header, its top and attach elements
-/// and its member tree as parent ids. Independent of machine placement and member
-/// order; see [`SolvePlan::routing_by_id`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlanRouting {
-    payload: BTreeMap<ElementId, (ElementId, ElementId)>,
-    in_reader: BTreeMap<NodeId, ElementId>,
-    views: BTreeMap<ElementId, ViewById>,
-    aux_nodes: BTreeSet<NodeId>,
-}
-
-/// One view of a [`PlanRouting`]: the header (kind, outgoing and incoming edge), the
-/// ids of the top and attach members, and every member with its element and parent's
-/// id.
-type ViewById = (
-    (ElementKind, DirectedEdge, Option<DirectedEdge>),
-    (ElementId, Option<ElementId>),
-    BTreeMap<ElementId, (Element, Option<ElementId>)>,
-);
 
 impl MemberSlot {
     /// The view holding this member.
@@ -196,6 +176,16 @@ struct MemberRec {
 }
 
 impl MemberRec {
+    /// The member record of `e`; `None` for the top cluster, which is no member.
+    fn of(e: &Element) -> Option<MemberRec> {
+        (e.kind != ElementKind::TopCluster).then_some(MemberRec {
+            cluster: e.absorbed_into,
+            id: e.id,
+            out_parent: e.out_edge.parent,
+            in_edge: e.in_edge,
+        })
+    }
+
     fn kind(&self) -> ElementKind {
         match (is_cluster_id(self.id), self.in_edge.is_some()) {
             (false, _) => ElementKind::Node,
@@ -240,8 +230,12 @@ pub(crate) fn build_plan(
     aux_to_original: &DistVec<(NodeId, NodeId)>,
 ) -> SolvePlan {
     ctx.phase("plan-build", |ctx| {
-        let views = build_skeletons(ctx, clustering);
-        SolvePlan::from_views(ctx, clustering, aux_to_original, views)
+        // Machine i's views stay on machine i, where the gather assembled them.
+        let views = build_skeletons(ctx, clustering).into_chunks();
+        let plan = SolvePlan::filed(clustering, aux_to_original, views);
+        let resident: Vec<usize> = plan.skeletons.iter().map(Skeletons::words).collect();
+        ctx.check_memory_words(&resident, "plan/skeletons");
+        plan
     })
 }
 
@@ -254,6 +248,18 @@ struct ClusterHeader {
     kind: ElementKind,
     out_parent: NodeId,
     in_edge: Option<DirectedEdge>,
+}
+
+impl ClusterHeader {
+    /// The header of `e`; `None` for a node.
+    fn of(e: &Element) -> Option<ClusterHeader> {
+        e.kind.is_cluster().then_some(ClusterHeader {
+            id: e.id,
+            kind: e.kind,
+            out_parent: e.out_edge.parent,
+            in_edge: e.in_edge,
+        })
+    }
 }
 
 impl Words for ClusterHeader {
@@ -274,14 +280,7 @@ impl Words for ClusterHeader {
 /// ([`EdgeKind::leaving`]). Machine `i`'s views come layer by layer, in cluster-id
 /// order within a layer, each with the layer its cluster was formed at.
 fn build_skeletons(ctx: &mut MpcContext, clustering: &Clustering) -> DistVec<(u32, Linked)> {
-    let member_recs = clustering.elements.filter_map_local(|e| {
-        (e.kind != ElementKind::TopCluster).then_some(MemberRec {
-            cluster: e.absorbed_into,
-            id: e.id,
-            out_parent: e.out_edge.parent,
-            in_edge: e.in_edge,
-        })
-    });
+    let member_recs = clustering.elements.filter_map_local(MemberRec::of);
     // A cluster id carries the layer the cluster is formed at above the defining
     // element's id, so the key order is layer-major and every layer is one run.
     let grouped = ctx.gather_group_runs(
@@ -291,18 +290,12 @@ fn build_skeletons(ctx: &mut MpcContext, clustering: &Clustering) -> DistVec<(u3
         |_| MEMBER_DEAL_WORDS,
     );
 
-    let headers = clustering.elements.filter_map_local(|e| {
-        e.kind.is_cluster().then_some(ClusterHeader {
-            id: e.id,
-            kind: e.kind,
-            out_parent: e.out_edge.parent,
-            in_edge: e.in_edge,
-        })
-    });
+    let headers = clustering.elements.filter_map_local(ClusterHeader::of);
     let cluster_ids = grouped.filter_map_local(|(cid, _)| Some(*cid));
     let found = ctx.join_lookup(cluster_ids, |cid| *cid, &headers, |h| h.id);
     grouped.zip_local(found, |(_, members), (_, header)| {
-        link_members(&header.expect("cluster header exists"), &members)
+        let header = header.expect("cluster header exists");
+        link_members(&header, &members).expect("a built clustering links")
     })
 }
 
@@ -314,8 +307,12 @@ fn first_under<K: Ord>(index: &[(K, usize)], key: &K) -> Option<usize> {
 
 /// Link the members of one cluster into the small member tree (machine-local: one
 /// sort of the members, then a search per member). Returns the view with the layer
-/// its cluster was formed at.
-fn link_members(cluster: &ClusterHeader, members: &[MemberRec]) -> (u32, Linked) {
+/// its cluster was formed at; `Err` when no member carries the cluster's outgoing
+/// edge.
+fn link_members(
+    cluster: &ClusterHeader,
+    members: &[MemberRec],
+) -> Result<(u32, Linked), &'static str> {
     // Member `b` hangs below member `a` when `a` accepts `b`'s outgoing edge: original
     // nodes accept every edge pointing at them, contracted clusters accept exactly
     // their recorded incoming edge. Index the members by what they accept — nodes by
@@ -359,7 +356,7 @@ fn link_members(cluster: &ClusterHeader, members: &[MemberRec]) -> (u32, Linked)
     let top = members
         .iter()
         .position(|m| m.out_edge() == out_edge)
-        .expect("the top member carries the cluster's outgoing edge");
+        .ok_or("clustering cluster without the member its outgoing edge leaves")?;
     let view = Linked {
         members: linked,
         top,
@@ -367,7 +364,120 @@ fn link_members(cluster: &ClusterHeader, members: &[MemberRec]) -> (u32, Linked)
         out_parent: cluster.out_parent,
         in_edge: cluster.in_edge.map(|e| (e, acceptor(&e))),
     };
-    (cluster_layer(cluster.id), view)
+    Ok((cluster_layer(cluster.id), view))
+}
+
+/// Link the view of every cluster of `clustering`, in cluster-id order (layer-major),
+/// each with the layer it is filed at, after checking what [`SolvePlan::link`] lists,
+/// without expanding any cluster to its nodes. `Err` names the first defect.
+pub(crate) fn link_views(
+    clustering: &Clustering,
+    aux_to_original: &DistVec<(NodeId, NodeId)>,
+) -> Result<Vec<(u32, Linked)>, &'static str> {
+    let (top, layers) = (clustering.top_cluster, clustering.num_layers);
+    if aux_to_original.num_chunks() != clustering.elements.num_chunks() {
+        return Err("tree tables of different machine counts");
+    }
+    if (cluster_layer(top), defining_node(top)) != (layers, clustering.root) {
+        return Err("clustering top cluster");
+    }
+    let mut ids = Vec::with_capacity(clustering.elements.len());
+    let (mut headers, mut members, mut tops) = (Vec::new(), Vec::new(), 0);
+    for e in clustering.elements.iter() {
+        ids.push(e.id);
+        let is_cluster = e.kind.is_cluster();
+        if is_cluster_id(e.id) != is_cluster
+            || e.in_edge.is_some() != (e.kind == ElementKind::ClusterIndeg1)
+        {
+            return Err("clustering element kind");
+        }
+        let formed = if is_cluster { cluster_layer(e.id) } else { 0 };
+        if e.formed_at != formed || (is_cluster && !(1..=layers).contains(&formed)) {
+            return Err("clustering element layer");
+        }
+        headers.extend(ClusterHeader::of(e));
+        let Some(member) = MemberRec::of(e) else {
+            tops += 1;
+            if e.id != top {
+                return Err("clustering top cluster");
+            }
+            continue;
+        };
+        // Absorbed above its own layer: every climb from a member to the slot of its
+        // view's cluster rises.
+        if cluster_layer(member.cluster) != e.absorbed_at || e.absorbed_at <= formed {
+            return Err("clustering absorption layer");
+        }
+        members.push(member);
+    }
+    if tops != 1 {
+        return Err("clustering top cluster");
+    }
+    ids.sort_unstable();
+    if ids.windows(2).any(|w| w[0] == w[1]) {
+        return Err("clustering element ids");
+    }
+    headers.sort_unstable_by_key(|h| h.id);
+    // Stable: a cluster's members keep their element-table order.
+    members.sort_by_key(|m| m.cluster);
+    let (mut groups, mut rest) = (Vec::with_capacity(headers.len()), &members[..]);
+    while let Some(first) = rest.first() {
+        let (group, tail) = rest.split_at(rest.partition_point(|m| m.cluster == first.cluster));
+        groups.push(group);
+        rest = tail;
+    }
+    let aligned = headers
+        .iter()
+        .zip(&groups)
+        .all(|(h, g)| g[0].cluster == h.id);
+    if groups.len() != headers.len() || !aligned {
+        return Err("clustering absorbing cluster");
+    }
+    // An edge's child once per view it enters not through an attach member it enters
+    // too: the lowest view of the chain a routing climb follows.
+    let mut lowest = Vec::new();
+    let mut views = Vec::with_capacity(headers.len());
+    for (header, group) in headers.iter().zip(groups) {
+        let (layer, view) = link_members(header, group)?;
+        check_member_tree(&view.members, view.top)?;
+        if let Some((edge, attach)) = view.in_edge {
+            if !attach.is_some_and(|a| group[a].in_edge == Some(edge)) {
+                lowest.push(edge.child);
+            }
+        }
+        views.push((layer, view));
+    }
+    lowest.sort_unstable();
+    if lowest.windows(2).any(|w| w[0] == w[1]) {
+        return Err("clustering in-edge");
+    }
+    Ok(views)
+}
+
+/// Check that linked `members` form one tree of fewer than [`MAX_MEMBERS`] members
+/// hanging from member `top`: walking up from any member ends at the top, not at a
+/// second root or in a cycle.
+fn check_member_tree(members: &[PlanMember], top: usize) -> Result<(), &'static str> {
+    let n = members.len();
+    if n >= MAX_MEMBERS {
+        return Err("view member count");
+    }
+    let mut hangs = vec![false; n];
+    hangs[top] = true;
+    let mut walk = Vec::new();
+    for start in 0..n {
+        let mut i = start;
+        while !hangs[i] {
+            // A walk through more than `n` members has gone round a cycle.
+            if walk.len() == n {
+                return Err("view member tree");
+            }
+            walk.push(i);
+            i = members[i].parent().ok_or("view member tree")?;
+        }
+        walk.drain(..).for_each(|j| hangs[j] = true);
+    }
+    Ok(())
 }
 
 /// Every view of `skeletons` (one per machine, `num_layers` layers each) with its
@@ -394,22 +504,55 @@ pub(crate) fn all_views(
 }
 
 impl SolvePlan {
-    /// File every machine's linked views in its skeletons, layer by layer, and derive
-    /// the routing from them.
-    fn from_views(
-        ctx: &mut MpcContext,
+    /// The plan of `clustering` placed by `view_counts` (layer-major, as
+    /// [`view_counts`](Self::view_counts) reads them off a plan) on as many machines as
+    /// the element table has chunks: each layer's clusters in id order, cut into runs
+    /// by the counts, each linked from its members in element-table order. Plan build
+    /// deals and orders so, and a splice keeps both orders, so every plan is the link
+    /// of its clustering under its own counts, bit for bit. Host-side, zero rounds.
+    /// `Err` names the first defect of the counts or of what linking and evaluation
+    /// rely on: one machine count for the clustering's and `aux_to_original`'s tables;
+    /// unique ids; one top cluster, naming the root and the top layer; kinds that agree
+    /// with the ids and incoming edges; every other element absorbed into a cluster
+    /// formed at its `absorbed_at`, above its own `formed_at`; every cluster's members
+    /// one tree below the one its outgoing edge leaves; and the views an edge enters
+    /// chaining up from one lowest view.
+    pub fn link(
         clustering: &Clustering,
         aux_to_original: &DistVec<(NodeId, NodeId)>,
-        views: DistVec<(u32, Linked)>,
-    ) -> SolvePlan {
-        let machines = ctx.config().num_machines();
-        let mut top_machine = 0usize;
-        // Machine i's views stay on machine i, where the gather assembled them; they
-        // come layer by layer (cluster ids are layer-major) and are only packed.
-        let skeletons: Vec<Skeletons> = views
-            .into_chunks()
+        view_counts: &[usize],
+    ) -> Result<SolvePlan, &'static str> {
+        let machines = clustering.elements.num_chunks();
+        if (clustering.num_layers as usize).checked_mul(machines) != Some(view_counts.len()) {
+            return Err("plan view counts");
+        }
+        let mut views = link_views(clustering, aux_to_original)?
             .into_iter()
-            .enumerate()
+            .peekable();
+        let mut chunks: Vec<Vec<(u32, Linked)>> = (0..machines).map(|_| Vec::new()).collect();
+        for (bucket, &count) in view_counts.iter().enumerate() {
+            let layer = (bucket / machines) as u32 + 1;
+            for _ in 0..count {
+                let view = views.next_if(|(at, _)| *at == layer);
+                chunks[bucket % machines].push(view.ok_or("plan view counts")?);
+            }
+        }
+        match views.next() {
+            Some(_) => Err("plan view counts"),
+            None => Ok(SolvePlan::filed(clustering, aux_to_original, chunks)),
+        }
+    }
+
+    /// The plan of `clustering` with machine `i`'s views, layer by layer, from
+    /// `chunks[i]`: packed into skeletons, with the auxiliary nodes read off
+    /// `aux_to_original`'s machines and the routing derived from the skeletons.
+    fn filed(
+        clustering: &Clustering,
+        aux_to_original: &DistVec<(NodeId, NodeId)>,
+        chunks: Vec<Vec<(u32, Linked)>>,
+    ) -> SolvePlan {
+        let mut top_machine = 0usize;
+        let skeletons: Vec<Skeletons> = (chunks.into_iter().enumerate())
             .map(|(machine, chunk)| {
                 let mut held = Skeletons::new(clustering.num_layers);
                 for (layer, view) in chunk {
@@ -424,11 +567,9 @@ impl SolvePlan {
                 held
             })
             .collect();
-        let resident: Vec<usize> = skeletons.iter().map(Skeletons::words).collect();
-        ctx.check_memory_words(&resident, "plan/skeletons");
         SolvePlan {
             num_layers: clustering.num_layers,
-            num_machines: machines,
+            num_machines: skeletons.len(),
             root: clustering.root,
             top_cluster: clustering.top_cluster,
             top_machine,
@@ -498,7 +639,7 @@ impl SolvePlan {
     }
 
     /// Every view with its address, layer by layer, machine by machine.
-    pub(crate) fn views(&self) -> impl Iterator<Item = (ViewSlot, PlanView<'_>)> + '_ {
+    pub fn views(&self) -> impl Iterator<Item = (ViewSlot, PlanView<'_>)> + '_ {
         all_views(&self.skeletons, self.num_layers)
     }
 
@@ -514,44 +655,6 @@ impl SolvePlan {
     pub fn view_slot_of(&self, cluster: ElementId) -> Option<ViewSlot> {
         self.out_readers(defining_node(cluster), cluster)
             .find(|at| self.view_at(*at).cluster() == cluster)
-    }
-
-    /// The incoming edge `cluster`'s own view records, if the plan holds that view.
-    fn cluster_in_edge(&self, cluster: ElementId) -> Option<DirectedEdge> {
-        self.view_slot_of(cluster)
-            .and_then(|at| self.view_at(at).in_edge())
-    }
-
-    /// The clustering element of member `i` of `view`, re-derived from the compact
-    /// layout (see the [`skeleton`](crate::skeleton) module docs); `None` when the view
-    /// a derivation reads is missing — only a malformed plan misses one.
-    pub(crate) fn element(&self, view: &PlanView<'_>, i: usize) -> Option<Element> {
-        let member = view.member(i);
-        let is_cluster = member.kind() != ElementKind::Node;
-        let out_parent = match view.out_parent(i) {
-            Some(parent) => parent,
-            None => {
-                let parent = view.member(member.parent()?).id();
-                self.cluster_in_edge(parent)?.parent
-            }
-        };
-        let in_edge = match member.kind() {
-            ElementKind::ClusterIndeg1 => Some(self.cluster_in_edge(member.id())?),
-            _ => None,
-        };
-        Some(Element {
-            id: member.id(),
-            kind: member.kind(),
-            formed_at: if is_cluster {
-                cluster_layer(member.id())
-            } else {
-                0
-            },
-            absorbed_into: view.cluster(),
-            absorbed_at: view.layer(),
-            out_edge: DirectedEdge::new(member.out_child(), out_parent),
-            in_edge,
-        })
     }
 
     /// Splice a structural repair into the skeletons and their routing: drop the
@@ -747,50 +850,6 @@ impl SolvePlan {
 }
 
 impl SolvePlan {
-    /// The plan's skeletons and routing with every slot resolved to the ids it
-    /// addresses (see [`PlanRouting`]). Two plans of one clustering — say a store's,
-    /// spliced through [`SolverStore::apply_repair`], and one freshly built on the
-    /// repaired tree — agree on it even though they place views on different machines
-    /// and order members differently. `O(n log n)` host work; for tests and audits.
-    pub fn routing_by_id(&self) -> PlanRouting {
-        let member_of = |s: &MemberSlot| {
-            let view = self.view_at(s.view_slot());
-            (view.cluster(), view.member(s.member as usize).id())
-        };
-        let routing = &self.routing;
-        PlanRouting {
-            payload: routing
-                .payloads
-                .iter()
-                .map(|(id, slot)| (id, member_of(slot)))
-                .collect(),
-            in_reader: routing
-                .in_readers
-                .iter()
-                .map(|(key, at)| (key, self.view_at(*at).cluster()))
-                .collect(),
-            views: self
-                .views()
-                .map(|(_, view)| {
-                    let id_at = |idx: usize| view.member(idx).id();
-                    let members = (0..view.members().len())
-                        .map(|i| {
-                            let m = view.member(i);
-                            let element = self
-                                .element(&view, i)
-                                .expect("a plan derives every element");
-                            (m.id(), (element, m.parent().map(id_at)))
-                        })
-                        .collect();
-                    let header = (view.kind(), view.out_edge(), view.in_edge());
-                    let ends = (id_at(view.top()), view.attach().map(id_at));
-                    (view.cluster(), (header, ends, members))
-                })
-                .collect(),
-            aux_nodes: self.aux_nodes.iter().map(|&(aux, _)| aux).collect(),
-        }
-    }
-
     /// Number of layers of the underlying clustering.
     pub fn num_layers(&self) -> u32 {
         self.num_layers
@@ -810,6 +869,13 @@ impl SolvePlan {
     /// this machine layout).
     pub fn num_machines(&self) -> usize {
         self.num_machines
+    }
+
+    /// The number of views every machine holds at every layer, layer-major: the
+    /// plan's placement, all that [`link`](Self::link) needs beside the clustering.
+    pub fn view_counts(&self) -> Vec<usize> {
+        let per_layer = |layer| self.skeletons.iter().map(move |held| held.len_at(layer));
+        (1..=self.num_layers).flat_map(per_layer).collect()
     }
 
     /// Total number of cached skeleton views across all layers.
@@ -1287,78 +1353,6 @@ impl SolvePlan {
         }
         Ok(())
     }
-
-    /// Check that the plan is safe to evaluate and splice — what a decoder must know
-    /// before it hands out a plan read from bytes, on top of the member trees the
-    /// compact layout is packed from: one skeleton set per machine, machine indexes
-    /// in range, an incoming edge on exactly the indegree-1 views, every non-top
-    /// cluster's summary flows to a member slot of its own kind at a higher layer,
-    /// no other member is a cluster, the top cluster's view lies on `top_machine`, no
-    /// element has two member slots, and every view an edge enters lies on that edge's
-    /// in-reader climb. `Err` names the first defect. `O(n log n)`.
-    pub fn validate(&self) -> Result<(), &'static str> {
-        if self.num_machines == 0 || self.skeletons.len() != self.num_machines {
-            return Err("plan layer/machine layout");
-        }
-        if self.top_machine >= self.num_machines
-            || self.aux_nodes.iter().any(|&(_, m)| m >= self.num_machines)
-        {
-            return Err("plan machine index");
-        }
-        let mut top_found = false;
-        let mut cluster_members = 0;
-        for (at, view) in self.views() {
-            if view.in_edge().is_some() != (view.kind() == ElementKind::ClusterIndeg1) {
-                return Err("plan view in-edge");
-            }
-            let members = view.members().iter();
-            cluster_members += members.filter(|m| m.kind() != ElementKind::Node).count();
-            let cluster = view.cluster();
-            if cluster == self.top_cluster {
-                top_found |= at.machine as usize == self.top_machine;
-            } else {
-                match self.routing.payload(cluster) {
-                    Some(s) if s.layer > at.layer => {
-                        let slot = self.view_at(s.view_slot()).member(s.member as usize);
-                        if slot.kind() != view.kind() {
-                            return Err("plan member kind");
-                        }
-                    }
-                    _ => return Err("plan summary slot"),
-                }
-            }
-        }
-        if !top_found {
-            return Err("plan top cluster view");
-        }
-        // A run keeps every member's entry, so one element on two members shows as
-        // a repeated key.
-        if self.routing.repeats_a_payload() {
-            return Err("plan payload slot");
-        }
-        // Each non-top view matched one cluster member above, a distinct one: any
-        // further cluster member claims a cluster no view summarizes.
-        if cluster_members + 1 != self.num_views() {
-            return Err("plan member kind");
-        }
-        // An entered view above the lowest one its edge enters is reached from the
-        // view below — its attach member's own, entered by the same edge — so the
-        // climb from the lowest reaches every view the edge enters.
-        for (at, view) in self.views() {
-            let Some(in_edge) = view.in_edge() else {
-                continue;
-            };
-            let reached = self.routing.in_readers.get(in_edge.child) == Some(&at)
-                || view.attach().map(|a| view.member(a)).is_some_and(|m| {
-                    m.kind() == ElementKind::ClusterIndeg1
-                        && self.cluster_in_edge(m.id()) == Some(in_edge)
-                });
-            if !reached {
-                return Err("plan in-edge reader");
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -1562,6 +1556,13 @@ mod tests {
         assert!(breaches.is_empty(), "the one gather breaches: {breaches:?}");
         assert_eq!(plan.skeletons, reference.skeletons, "skeleton placement");
         assert_eq!(plan, reference);
+        let counts = plan.view_counts();
+        let linked = SolvePlan::link(&prepared.clustering, &prepared.aux_to_original, &counts);
+        assert_eq!(
+            linked.as_ref(),
+            Ok(&plan),
+            "the plan is its clustering's link"
+        );
         let edge_children: BTreeSet<NodeId> = prepared.edges.iter().map(|e| e.child).collect();
         assert_eq!(plan.audit_routing(&edge_children), Ok(()));
         let mut in_edges = plan.routing.in_readers.iter();

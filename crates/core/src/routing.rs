@@ -1,7 +1,7 @@
 //! The routing of a solve plan: which member slot every payload reaches, which slots
 //! carry every edge's input, and which views read every label. Only what the skeleton
 //! views cannot derive is stored — two key-sorted runs, a pure function of the views
-//! ([`Routing::of`]), derived by one function at plan build and snapshot decode and
+//! ([`Routing::of`]), derived by one function at plan build and at link and
 //! compared against by the drift audit:
 //!
 //! * `payloads`: element → the member slot it is (a node's input, a cluster's summary);
@@ -14,8 +14,8 @@
 //! `c`'s label as their out-label are the views on that chain the member tops
 //! ([`SolvePlan::out_readers`]). The views entered by edge `c` lie on the chain from
 //! its `in_readers` view up through the payload slots of their clusters, as long as the
-//! view there is still entered by `c` ([`SolvePlan::in_readers`]; [`SolvePlan::validate`]
-//! refuses a plan with an entered view off that chain). Every climb runs bottom up, in
+//! view there is still entered by `c` ([`SolvePlan::in_readers`]; [`SolvePlan::link`]
+//! refuses a clustering with an entered view off that chain). Every climb runs bottom up, in
 //! the `(layer, machine, view, member)` order the views lie in, and is at most a few
 //! probes long — one per layer.
 //!
@@ -176,12 +176,6 @@ impl<V: Value> Run<V> {
         }
     }
 
-    /// `true` when two entries share a key — the adjacent-duplicate scan of a sorted
-    /// run; a map would have collapsed them.
-    fn repeats_a_key(&self) -> bool {
-        self.entries.windows(2).any(|w| w[0].0 == w[1].0)
-    }
-
     /// Resident size in words: a key word plus `value_words` per entry, and the
     /// directory.
     fn words(&self, value_words: usize) -> usize {
@@ -301,11 +295,6 @@ impl Routing {
         } else {
             None
         }
-    }
-
-    /// `true` when some element has two payload slots — one element on two members.
-    pub(crate) fn repeats_a_payload(&self) -> bool {
-        self.payloads.repeats_a_key()
     }
 
     /// Approximate resident size in words: a key word per entry, a word per slot

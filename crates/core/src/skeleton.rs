@@ -664,33 +664,9 @@ impl<'a> PlanView<'a> {
             .map_or(EdgeKind::Original, |e| EdgeKind::leaving(e.edge.child))
     }
 
-    /// The view as [`Skeletons::push`] takes it.
-    pub(crate) fn linked(&self) -> Linked {
-        Linked {
-            members: self.members.to_vec(),
-            top: self.top(),
-            kind: self.kind(),
-            out_parent: self.head.out_parent,
-            in_edge: self.in_edge().map(|e| (e, self.attach())),
-        }
-    }
-
     /// `true` when member `i` leaves by the virtual edge above the root.
     pub fn leaves_tree(&self, i: usize) -> bool {
         i == self.top() && self.head.out_parent == VIRTUAL_NODE
-    }
-
-    /// The parent endpoint of member `i`'s outgoing edge when the view holds it: the
-    /// view's own for the top member, the parent node's id for a member below a node.
-    /// `None` for a member whose outgoing edge is its parent cluster's incoming edge —
-    /// that cluster's own view records it.
-    pub(crate) fn out_parent(&self, i: usize) -> Option<NodeId> {
-        let member = self.members[i];
-        match member.parent() {
-            None => Some(self.head.out_parent),
-            Some(_) if member.enters_parent() => None,
-            Some(p) => Some(self.members[p].id()),
-        }
     }
 }
 

@@ -1,7 +1,7 @@
 //! Hand-rolled binary snapshot codec for the serving layer: persist a
-//! [`PreparedTree`], its cached [`SolvePlan`], and a [`SolverStore`] to plain bytes
-//! and restore them bit-identically — pure `std`, no external serialization crates
-//! (the environment is offline).
+//! [`PreparedTree`] (with its cached [`SolvePlan`]) and a [`SolverStore`] to plain
+//! bytes and restore them bit-identically — pure `std`, no external serialization
+//! crates.
 //!
 //! ## Format
 //!
@@ -24,38 +24,38 @@
 //!
 //! Decoding is total: corrupted headers, truncated payloads, unknown versions, wrong
 //! kinds, and checksum mismatches all surface as [`SnapshotError`] values — never
-//! panics (the workspace's `clippy::unwrap_used` deny applies here like anywhere). A
-//! plan travels as what its skeletons store ([`crate::skeleton`]) and nothing they
-//! derive: per layer and machine the number of views, per view its kind, the parent
-//! end of its outgoing edge, its top index and its incoming-edge record, per member
-//! its id, kind and parent index. Decoding derives the rest — child runs,
-//! enters-parent flags, the routing runs — as a plan build does. No snapshot holds an
-//! edge kind: every kind is read off the edge's child id
-//! ([`EdgeKind::leaving`](tree_clustering::EdgeKind::leaving)), so none can be
-//! written wrong. A checksum only vouches for the bytes, so a decoded [`SolvePlan`] is
-//! also checked for member trees its skeletons can hold and for what the evaluation
-//! pass relies on ([`SolvePlan::validate`]), a decoded [`SolverStore`] for slot state
-//! that matches its plan, and a decoded [`PreparedTree`] for a cached plan of its own
-//! clustering: a re-sealed payload with one index out of place is
-//! [`SnapshotError::Malformed`], not a panic on the next solve.
+//! panics (the workspace's `clippy::unwrap_used` deny applies here like anywhere).
+//!
+//! A plan is its clustering plus its placement, so no snapshot carries a skeleton: a
+//! tree writes its cached plan as the number of views every machine holds at every
+//! layer ([`SolvePlan::view_counts`]), and a store writes those counts and its slot
+//! columns and decodes against its tree ([`SolverStore::from_snapshot`]). Decoding
+//! links the plan from the clustering as a plan build links it ([`SolvePlan::link`])
+//! and derives the routing from the skeletons. A payload has no tag either: a node
+//! member holds an input, a cluster member a summary. No snapshot holds an edge kind:
+//! every kind is read off the edge's child id
+//! ([`EdgeKind::leaving`](tree_clustering::EdgeKind::leaving)). What is left to write
+//! wrong is the clustering, and a checksum only vouches for the bytes, so a decoded
+//! tree's clustering is checked for what linking and evaluation rely on, plan or no
+//! plan, and its auxiliary nodes against their `aux_to_original` records: a re-sealed
+//! payload with one field out of place is
+//! [`SnapshotError::Malformed`], not a panic on the next build, solve or update.
 //!
 //! The codec is versioned through [`SNAPSHOT_VERSION`]: a reader refuses payloads
 //! written by a future version instead of misinterpreting them. Downstream users (the
-//! `tree-dp-server` crate's tenant snapshots) layer their own kinds on top via
-//! [`seal`] / [`open`].
+//! `tree-dp-server` crate's tenant snapshots, which write the tree before the store)
+//! layer their own kinds on top via [`seal`] / [`open`].
 
 use crate::pipeline::PreparedTree;
-use crate::plan::{PlanMember, SolvePlan};
+use crate::plan::{link_views, SolvePlan};
 use crate::problem::{ClusterDp, Payload, SlotColumns};
-use crate::routing::Routing;
-use crate::skeleton::{Linked, Skeletons, MAX_MEMBERS};
 use crate::state_dp::StateSummary;
 use crate::store::SolverStore;
 use mpc_engine::{unmetered, DistVec, MpcConfig};
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
-use tree_clustering::{Clustering, Element, ElementKind};
-use tree_repr::DirectedEdge;
+use tree_clustering::{is_aux_node, Clustering, Element, ElementKind};
+use tree_repr::{DirectedEdge, NodeId};
 
 /// Magic bytes opening every snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"TREEDPSS";
@@ -66,17 +66,16 @@ pub const SNAPSHOT_VERSION: u32 = 1;
 /// Payload kind: a [`PreparedTree`] (with its cached plan, if built). Bumped 1 → 5
 /// when plans stopped carrying their routing indexes, 5 → 8 when plans began to travel
 /// as their compact skeletons and the tree lost its second root and node count, 8 → 9
-/// when the edge list and the plan stopped carrying edge kinds.
-pub const KIND_PREPARED_TREE: u32 = 9;
-/// Payload kind: a bare [`SolvePlan`]. Bumped 2 → 6 when plans stopped carrying their
-/// routing indexes, 6 → 9 when they began to travel as their compact skeletons, 9 → 10
-/// when they stopped carrying edge kinds.
-pub const KIND_PLAN: u32 = 10;
+/// when the edge list and the plan stopped carrying edge kinds, 9 → 10 when the plan
+/// began to travel as its view counts alone. (Kinds 2, 6, 9 and 10 were bare plans,
+/// which no longer travel: a plan is linked from its tree's clustering.)
+pub const KIND_PREPARED_TREE: u32 = 10;
 /// Payload kind: a [`SolverStore`]. Bumped 3 → 4 when the store became a plan plus
 /// slot state (kind 3 held a cloned view per cluster and a payload map), 4 → 7 when
 /// plans stopped carrying their routing indexes, 7 → 10 when they began to travel as
-/// their compact skeletons, 10 → 11 when they stopped carrying edge kinds.
-pub const KIND_STORE: u32 = 11;
+/// their compact skeletons, 10 → 11 when they stopped carrying edge kinds, 11 → 12
+/// when the plan began to travel as its view counts and payloads lost their tag.
+pub const KIND_STORE: u32 = 12;
 
 /// Why a snapshot failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -664,199 +663,49 @@ impl Snapshot for Clustering {
     }
 }
 
-// ----- plan impls -------------------------------------------------------------------
-
-/// Write a plan in its snapshot layout: `plan`'s header fields and auxiliary nodes,
-/// then, layer by layer and machine by machine, the number of views and each view
-/// ([`write_view`]). `views` yields one `(layer, machine)` bucket after another — the
-/// plan's own views when it is encoded.
-pub(crate) fn write_plan(
-    plan: &SolvePlan,
-    views: impl Iterator<Item = Vec<Linked>>,
-    w: &mut SnapshotWriter,
-) {
-    w.put_u32(plan.num_layers);
-    w.put_usize(plan.num_machines);
-    w.put_u64(plan.root);
-    w.put_u64(plan.top_cluster);
-    w.put_usize(plan.top_machine);
-    plan.aux_nodes.encode(w);
-    for bucket in views {
-        w.put_usize(bucket.len());
-        bucket.iter().for_each(|view| write_view(view, w));
-    }
-}
-
-/// Write one view as its skeleton stores it and nothing it derives: its kind, the
-/// parent end of its outgoing edge, its top index and its incoming-edge record, then
-/// each member's id, kind and parent index.
-fn write_view(view: &Linked, w: &mut SnapshotWriter) {
-    view.kind.encode(w);
-    w.put_u64(view.out_parent);
-    w.put_usize(view.top);
-    view.in_edge.encode(w);
-    w.put_usize(view.members.len());
-    for member in &view.members {
-        w.put_u64(member.id());
-        member.kind().encode(w);
-        member.parent().encode(w);
-    }
-}
-
-/// Read one view written by [`write_view`] and check its member tree, which
-/// [`Skeletons::push`] relies on; an edge into a contracted parent is that parent's
-/// incoming edge, as a plan build links them.
-fn read_view(r: &mut SnapshotReader<'_>) -> Result<Linked, SnapshotError> {
-    let kind = ElementKind::decode(r)?;
-    let out_parent = r.take_u64()?;
-    let top = r.take_usize()?;
-    let in_edge: Option<(DirectedEdge, Option<usize>)> = Option::decode(r)?;
-    let len = r.take_len()?;
-    let (mut written, mut parents) = (Vec::with_capacity(len), Vec::with_capacity(len));
-    for _ in 0..len {
-        written.push((r.take_u64()?, ElementKind::decode(r)?));
-        parents.push(Option::<usize>::decode(r)?);
-    }
-    check_member_tree(&parents, top, in_edge.and_then(|(_, attach)| attach))
-        .map_err(SnapshotError::Malformed)?;
-    let members = written.iter().zip(&parents).map(|(&(id, kind), &parent)| {
-        let enters = parent.is_some_and(|p| written[p].1 != ElementKind::Node);
-        PlanMember::new(id, kind, parent, enters)
-    });
-    Ok(Linked {
-        members: members.collect(),
-        top,
-        kind,
-        out_parent,
-        in_edge,
-    })
-}
-
-/// Check that `parents` links one tree hanging from member `top`: `top`, `attach` and
-/// every parent index in range, fewer than [`MAX_MEMBERS`] members, the top member
-/// without a parent, and every member reached once from it — walking up from any
-/// member ends at the top, not at a second root or in a cycle.
-fn check_member_tree(
-    parents: &[Option<usize>],
-    top: usize,
-    attach: Option<usize>,
-) -> Result<(), &'static str> {
-    let n = parents.len();
-    if top >= n || attach.is_some_and(|a| a >= n) {
-        return Err("view top/attach index");
-    }
-    if n >= MAX_MEMBERS {
-        return Err("view member count");
-    }
-    if parents.iter().flatten().any(|&p| p >= n) {
-        return Err("view parent index");
-    }
-    if parents[top].is_some() {
-        return Err("view top member has a parent");
-    }
-    let mut hangs = vec![false; n];
-    hangs[top] = true;
-    let mut walk = Vec::new();
-    for start in 0..n {
-        let mut i = start;
-        while !hangs[i] {
-            // A walk through more than `n` members has gone round a cycle.
-            if walk.len() == n {
-                return Err("view member tree");
-            }
-            walk.push(i);
-            i = parents[i].ok_or("view member tree")?;
-        }
-        walk.drain(..).for_each(|j| hangs[j] = true);
-    }
-    Ok(())
-}
-
-impl Snapshot for SolvePlan {
-    fn encode(&self, w: &mut SnapshotWriter) {
-        let buckets = (1..=self.num_layers).flat_map(|layer| {
-            (0..self.num_machines).map(move |machine| {
-                self.views_at(layer, machine)
-                    .map(|v| v.linked())
-                    .collect::<Vec<_>>()
-            })
-        });
-        write_plan(self, buckets, w);
-    }
-    /// Read the views into skeletons, derive the routing from them, as a plan
-    /// build does, and check what the evaluation pass relies on
-    /// ([`SolvePlan::validate`]) — here, once, for everything that carries a plan
-    /// (tree, store, tenant).
-    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let num_layers = r.take_u32()?;
-        let num_machines = r.take_usize()?;
-        let root = r.take_u64()?;
-        let top_cluster = r.take_u64()?;
-        let top_machine = r.take_usize()?;
-        let aux_nodes = Vec::decode(r)?;
-        // Eight bytes of view count per layer and machine follow: a payload too short
-        // to hold them is refused before any machine's skeletons are allocated.
-        let buckets = (num_layers as usize).checked_mul(num_machines);
-        if !buckets.is_some_and(|b| b > 0 && b <= r.remaining() / 8) {
-            return Err(SnapshotError::Malformed("plan layer/machine layout"));
-        }
-        let mut skeletons: Vec<Skeletons> = (0..num_machines)
-            .map(|_| Skeletons::new(num_layers))
-            .collect();
-        for layer in 1..=num_layers {
-            for held in &mut skeletons {
-                for _ in 0..r.take_len()? {
-                    held.push(layer, read_view(r)?);
-                }
-            }
-        }
-        skeletons.iter_mut().for_each(Skeletons::shrink_to_fit);
-        let plan = SolvePlan {
-            num_layers,
-            num_machines,
-            root,
-            top_cluster,
-            top_machine,
-            aux_nodes,
-            routing: Routing::of(&skeletons, num_layers),
-            skeletons,
-        };
-        plan.validate().map_err(SnapshotError::Malformed)?;
-        Ok(plan)
-    }
-}
+// ----- tree impls -------------------------------------------------------------------
 
 impl Snapshot for PreparedTree {
+    /// The cached plan travels as its placement alone, the number of views on every
+    /// machine at every layer ([`SolvePlan::view_counts`]): the clustering fixes the
+    /// rest.
     fn encode(&self, w: &mut SnapshotWriter) {
         self.clustering.encode(w);
         self.edges.encode(w);
         w.put_usize(self.original_nodes);
         self.aux_to_original.encode(w);
-        // The cached plan travels with the tree when built; a tree snapshotted before
-        // its first solve restores plan-less and rebuilds lazily (charged as usual).
-        self.plan.get().cloned().encode(w);
+        // A tree snapshotted before its first solve restores plan-less and builds its
+        // plan lazily (charged as usual).
+        self.plan.get().map(SolvePlan::view_counts).encode(w);
     }
+
+    /// Check the clustering for what linking and evaluation rely on and link the
+    /// cached plan from it when the tree carries one ([`SolvePlan::link`]), then check
+    /// that the auxiliary nodes are exactly those with an original — so a decoded
+    /// tree, plan-less or not, builds, links and solves without a panic.
     fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
         let clustering = Clustering::decode(r)?;
         let edges = DistVec::decode(r)?;
         let original_nodes = r.take_usize()?;
-        let aux_to_original = DistVec::decode(r)?;
-        let plan_value: Option<SolvePlan> = Option::decode(r)?;
-        let plan = OnceCell::new();
-        if let Some(p) = plan_value {
-            if (p.root, p.top_cluster, p.num_layers)
-                != (
-                    clustering.root,
-                    clustering.top_cluster,
-                    clustering.num_layers,
-                )
-            {
-                return Err(SnapshotError::Malformed(
-                    "cached plan of another clustering",
-                ));
+        let aux_to_original: DistVec<(NodeId, NodeId)> = DistVec::decode(r)?;
+        let plan = match Option::<Vec<usize>>::decode(r)? {
+            Some(counts) => {
+                let linked = SolvePlan::link(&clustering, &aux_to_original, &counts);
+                OnceCell::from(linked.map_err(SnapshotError::Malformed)?)
             }
-            // A freshly created cell accepts exactly one value; ignore the Ok(()).
-            let _ = plan.set(p);
+            None => {
+                link_views(&clustering, &aux_to_original).map_err(SnapshotError::Malformed)?;
+                OnceCell::new()
+            }
+        };
+        // Every auxiliary node's input is its `aux_to_original` record's.
+        let mut aux: Vec<NodeId> = aux_to_original.iter().map(|(aux, _)| *aux).collect();
+        aux.sort_unstable();
+        let nodes = (clustering.elements.iter()).filter(|e| e.kind == ElementKind::Node);
+        let mut held: Vec<NodeId> = nodes.map(|e| e.id).filter(|&id| is_aux_node(id)).collect();
+        held.sort_unstable();
+        if aux != held {
+            return Err(SnapshotError::Malformed("aux_to_original records"));
         }
         Ok(PreparedTree {
             clustering,
@@ -885,28 +734,6 @@ impl Snapshot for StateSummary {
     }
 }
 
-impl<I: Snapshot, S: Snapshot> Snapshot for Payload<I, S> {
-    fn encode(&self, w: &mut SnapshotWriter) {
-        match self {
-            Payload::Input(i) => {
-                w.put_u8(0);
-                i.encode(w);
-            }
-            Payload::Summary(s) => {
-                w.put_u8(1);
-                s.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        match r.take_u8()? {
-            0 => Ok(Payload::Input(I::decode(r)?)),
-            1 => Ok(Payload::Summary(S::decode(r)?)),
-            _ => Err(SnapshotError::Malformed("Payload tag")),
-        }
-    }
-}
-
 /// Write `value` as an `Option<T>` is written.
 fn put_option<T: Snapshot>(w: &mut SnapshotWriter, value: Option<&T>) {
     w.put_u8(u8::from(value.is_some()));
@@ -915,82 +742,90 @@ fn put_option<T: Snapshot>(w: &mut SnapshotWriter, value: Option<&T>) {
     }
 }
 
-impl<P: ClusterDp> Snapshot for SolverStore<P>
+impl<P: ClusterDp> SolverStore<P>
 where
     P::NodeInput: Snapshot,
     P::EdgeInput: Snapshot,
     P::Summary: Snapshot,
     P::Label: Snapshot,
 {
-    /// The slot columns travel view by view, as stores have always been written: per
-    /// layer, machine and view the vector of its members' payload options, the vector
-    /// of their out-input options and its in-input option.
-    fn encode(&self, w: &mut SnapshotWriter) {
-        let plan = &self.plan;
-        plan.encode(w);
-        w.put_usize(plan.num_layers as usize);
-        for layer in 1..=plan.num_layers {
-            w.put_usize(plan.num_machines);
-            for machine in 0..plan.num_machines {
-                let columns = &self.state[plan.bucket(layer, machine)];
-                w.put_usize(plan.skeletons[machine].len_at(layer));
-                for view in plan.views_at(layer, machine) {
-                    let slots = view.slots();
-                    w.put_usize(slots.len());
-                    columns.payloads[slots.clone()]
-                        .iter()
-                        .for_each(|p| p.encode(w));
-                    w.put_usize(slots.len());
-                    slots.for_each(|i| put_option(w, columns.out_inputs.get(i)));
-                    put_option(w, columns.in_inputs.get(view.index()));
+    /// Append this store's encoding to `w`: its plan's placement
+    /// ([`SolvePlan::view_counts`]), then bucket by bucket, layer-major, its slot
+    /// columns — every member's payload without a tag (a node member holds an input,
+    /// a cluster member a summary), every member's out-edge input and every view's
+    /// in-edge input as options — and the labels.
+    pub fn encode(&self, w: &mut SnapshotWriter) {
+        self.plan.view_counts().encode(w);
+        for columns in &self.state {
+            for payload in &columns.payloads {
+                match payload
+                    .as_ref()
+                    .expect("a solved store fills every payload")
+                {
+                    Payload::Input(input) => input.encode(w),
+                    Payload::Summary(summary) => summary.encode(w),
                 }
             }
+            let members = 0..columns.payloads.len();
+            members.for_each(|i| put_option(w, columns.out_inputs.get(i)));
+            let views = 0..columns.in_inputs.values.len();
+            views.for_each(|v| put_option(w, columns.in_inputs.get(v)));
         }
         self.labels.encode(w);
         self.root_label.encode(w);
         self.root_summary.encode(w);
     }
 
-    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let plan = SolvePlan::decode(r)?;
-        let layout = "slot state layout differs from the plan's layer/machine/view layout";
-        let lengths = "slot state vectors differ in length from the member list";
-        let expect = |r: &mut SnapshotReader<'_>, len: usize, what| match r.take_usize()? {
-            found if found == len => Ok(()),
-            _ => Err(SnapshotError::Malformed(what)),
-        };
-        let mut state = Vec::new();
-        expect(r, plan.num_layers as usize, layout)?;
+    /// Decode a store [`encode`](Self::encode) wrote for `tree`: its plan is linked
+    /// from the tree's clustering under the decoded placement ([`SolvePlan::link`]),
+    /// and the columns are read in the shape that plan gives them.
+    pub fn decode(r: &mut SnapshotReader<'_>, tree: &PreparedTree) -> Result<Self, SnapshotError> {
+        let counts = Vec::<usize>::decode(r)?;
+        let plan = SolvePlan::link(&tree.clustering, &tree.aux_to_original, &counts)
+            .map_err(SnapshotError::Malformed)?;
+        let mut state = Vec::with_capacity(counts.len());
         for layer in 1..=plan.num_layers {
-            expect(r, plan.num_machines, layout)?;
             for held in &plan.skeletons {
-                expect(r, held.len_at(layer), layout)?;
                 let mut columns = SlotColumns::new(held.members_at(layer), held.len_at(layer));
-                for view in held.views(layer) {
-                    expect(r, view.slots().len(), lengths)?;
-                    for at in view.slots() {
-                        columns.payloads[at] = Option::decode(r)?;
-                    }
-                    expect(r, view.slots().len(), lengths)?;
-                    for at in view.slots() {
-                        columns.out_inputs.set(at, Option::decode(r)?);
-                    }
-                    columns.in_inputs.set(view.index(), Option::decode(r)?);
+                let kinds = held.views(layer).flat_map(|view| view.members().iter());
+                for (slot, member) in columns.payloads.iter_mut().zip(kinds) {
+                    *slot = Some(match member.kind() {
+                        ElementKind::Node => Payload::Input(P::NodeInput::decode(r)?),
+                        _ => Payload::Summary(P::Summary::decode(r)?),
+                    });
+                }
+                for i in 0..held.members_at(layer) {
+                    columns.out_inputs.set(i, Option::decode(r)?);
+                }
+                for v in 0..held.len_at(layer) {
+                    columns.in_inputs.set(v, Option::decode(r)?);
                 }
                 state.push(columns);
             }
         }
-        let store = SolverStore {
+        Ok(SolverStore {
             plan,
             state,
             labels: BTreeMap::decode(r)?,
             root_label: P::Label::decode(r)?,
             root_summary: P::Summary::decode(r)?,
-        };
-        match store.state_mismatch() {
-            Some(what) => Err(SnapshotError::Malformed(what)),
-            None => Ok(store),
-        }
+        })
+    }
+
+    /// Serialize this store as a complete [`KIND_STORE`] snapshot.
+    pub fn to_snapshot(&self) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        self.encode(&mut w);
+        seal(KIND_STORE, w)
+    }
+
+    /// Restore a store from [`to_snapshot`](Self::to_snapshot) bytes written for
+    /// `tree`.
+    pub fn from_snapshot(bytes: &[u8], tree: &PreparedTree) -> Result<Self, SnapshotError> {
+        let mut r = open(bytes, KIND_STORE)?;
+        let store = Self::decode(&mut r, tree)?;
+        r.finish()?;
+        Ok(store)
     }
 }
 
@@ -1006,36 +841,6 @@ impl PreparedTree {
     /// Restore a prepared tree from [`to_snapshot`](Self::to_snapshot) bytes.
     pub fn from_snapshot(bytes: &[u8]) -> Result<Self, SnapshotError> {
         snapshot_from_bytes(KIND_PREPARED_TREE, bytes)
-    }
-}
-
-impl SolvePlan {
-    /// Serialize this plan as a complete [`KIND_PLAN`] snapshot.
-    pub fn to_snapshot(&self) -> Vec<u8> {
-        snapshot_to_bytes(KIND_PLAN, self)
-    }
-
-    /// Restore a plan from [`to_snapshot`](Self::to_snapshot) bytes.
-    pub fn from_snapshot(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        snapshot_from_bytes(KIND_PLAN, bytes)
-    }
-}
-
-impl<P: ClusterDp> SolverStore<P>
-where
-    P::NodeInput: Snapshot,
-    P::EdgeInput: Snapshot,
-    P::Summary: Snapshot,
-    P::Label: Snapshot,
-{
-    /// Serialize this store as a complete [`KIND_STORE`] snapshot.
-    pub fn to_snapshot(&self) -> Vec<u8> {
-        snapshot_to_bytes(KIND_STORE, self)
-    }
-
-    /// Restore a store from [`to_snapshot`](Self::to_snapshot) bytes.
-    pub fn from_snapshot(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        snapshot_from_bytes(KIND_STORE, bytes)
     }
 }
 
@@ -1081,10 +886,10 @@ mod tests {
     fn header_round_trip_and_rejections() {
         let mut w = SnapshotWriter::new();
         vec![1u64, 2, 3].encode(&mut w);
-        let sealed = seal(KIND_PLAN, w);
+        let sealed = seal(KIND_PREPARED_TREE, w);
 
         // Good path.
-        let mut r = open(&sealed, KIND_PLAN).unwrap();
+        let mut r = open(&sealed, KIND_PREPARED_TREE).unwrap();
         assert_eq!(Vec::<u64>::decode(&mut r).unwrap(), vec![1, 2, 3]);
         r.finish().unwrap();
 
@@ -1092,7 +897,7 @@ mod tests {
         assert_eq!(
             open(&sealed, KIND_STORE).unwrap_err(),
             SnapshotError::WrongKind {
-                found: KIND_PLAN,
+                found: KIND_PREPARED_TREE,
                 expected: KIND_STORE
             }
         );
@@ -1100,13 +905,16 @@ mod tests {
         // Bad magic.
         let mut bad = sealed.clone();
         bad[0] ^= 0xff;
-        assert_eq!(open(&bad, KIND_PLAN).unwrap_err(), SnapshotError::BadMagic);
+        assert_eq!(
+            open(&bad, KIND_PREPARED_TREE).unwrap_err(),
+            SnapshotError::BadMagic
+        );
 
         // Future version.
         let mut vers = sealed.clone();
         vers[8..12].copy_from_slice(&(SNAPSHOT_VERSION + 1).to_le_bytes());
         assert_eq!(
-            open(&vers, KIND_PLAN).unwrap_err(),
+            open(&vers, KIND_PREPARED_TREE).unwrap_err(),
             SnapshotError::UnsupportedVersion {
                 found: SNAPSHOT_VERSION + 1
             }
@@ -1114,14 +922,17 @@ mod tests {
 
         // Truncated payload.
         let cut = &sealed[..sealed.len() - 3];
-        assert_eq!(open(cut, KIND_PLAN).unwrap_err(), SnapshotError::Truncated);
+        assert_eq!(
+            open(cut, KIND_PREPARED_TREE).unwrap_err(),
+            SnapshotError::Truncated
+        );
 
         // Flipped payload byte.
         let mut flip = sealed.clone();
         let last = flip.len() - 1;
         flip[last] ^= 1;
         assert_eq!(
-            open(&flip, KIND_PLAN).unwrap_err(),
+            open(&flip, KIND_PREPARED_TREE).unwrap_err(),
             SnapshotError::ChecksumMismatch
         );
 
@@ -1129,7 +940,7 @@ mod tests {
         let mut long = sealed.clone();
         long.push(0);
         assert!(matches!(
-            open(&long, KIND_PLAN).unwrap_err(),
+            open(&long, KIND_PREPARED_TREE).unwrap_err(),
             SnapshotError::Malformed(_)
         ));
     }
@@ -1137,10 +948,13 @@ mod tests {
     #[test]
     fn truncated_header_is_an_error() {
         assert_eq!(
-            open(&SNAPSHOT_MAGIC[..5], KIND_PLAN).unwrap_err(),
+            open(&SNAPSHOT_MAGIC[..5], KIND_PREPARED_TREE).unwrap_err(),
             SnapshotError::Truncated
         );
-        assert_eq!(open(&[], KIND_PLAN).unwrap_err(), SnapshotError::Truncated);
+        assert_eq!(
+            open(&[], KIND_PREPARED_TREE).unwrap_err(),
+            SnapshotError::Truncated
+        );
     }
 
     #[test]

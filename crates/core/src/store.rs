@@ -6,9 +6,9 @@
 //! pushes that reuse one step further. It holds
 //!
 //! * a [`SolvePlan`] — the tree's one maintained plan: structural repairs splice it
-//!   here and nowhere else, while a plan a [`PreparedTree`](crate::PreparedTree)
-//!   caches is dropped by a repair and rebuilt on demand (the serving layer holds each
-//!   tenant's one plan here and none on the tree),
+//!   here and nowhere else, while a plan a [`PreparedTree`] caches is dropped by a
+//!   repair and rebuilt on demand (the serving layer holds each tenant's one plan here
+//!   and none on the tree),
 //! * the slot columns of every `(layer, machine)` bucket of views, aligned slot for
 //!   slot with that plan's skeletons (per member a payload and an out-edge input, per
 //!   view an in-edge input, presence as bits): the payloads and edge inputs
@@ -21,12 +21,13 @@
 //! structural repair is spliced into the store's plan with the columns carried along
 //! by the same compactions ([`apply_repair`](SolverStore::apply_repair)).
 
+use crate::pipeline::PreparedTree;
 use crate::plan::{DpSolution, PlanState, SolvePlan, ViewSlot};
 use crate::problem::{ClusterDp, ClusterView, Payload};
 use mpc_engine::{MpcContext, Words};
 use std::collections::{BTreeMap, BTreeSet};
 use tree_clustering::{ClusteringRepair, ElementId};
-use tree_repr::{DirectedEdge, NodeId};
+use tree_repr::NodeId;
 
 /// A plan, the slot columns of one problem over it, and that problem's labels (see the
 /// module docs). Produced by [`SolvePlan::solve_with_store`] or decoded from a
@@ -195,24 +196,28 @@ impl<P: ClusterDp> SolverStore<P> {
         }
     }
 
-    /// Check the store against from-scratch derivations: the plan's routing runs
-    /// against a re-derivation over its skeleton views, the edges the plan takes
-    /// inputs for against `edges` (the degree-reduced edge list the plan was built
-    /// over), and the slot columns against the skeletons' shape. `Err` names the first
-    /// run or view that drifted. Zero rounds, `O(n log n)` host work — the alarm for long
-    /// sequences of in-place splices.
-    pub fn audit<'a>(
-        &self,
-        edges: impl IntoIterator<Item = &'a DirectedEdge>,
-    ) -> Result<(), String> {
-        let edge_children: BTreeSet<NodeId> = edges.into_iter().map(|e| e.child).collect();
+    /// Check the store against from-scratch derivations from `tree`, the tree it
+    /// serves: the plan's routing runs against a re-derivation over its skeleton
+    /// views, the edges the plan takes inputs for against the tree's degree-reduced
+    /// edge list, the whole plan — skeletons, routing, top machine and auxiliary
+    /// nodes — against [`SolvePlan::link`] of the tree's clustering under the plan's
+    /// own view counts, bit for bit, and the slot columns against the skeletons'
+    /// shape. `Err` names the first run, plan or view that drifted. Zero rounds,
+    /// `O(n log n)` host work — the alarm for long sequences of in-place splices.
+    pub fn audit(&self, tree: &PreparedTree) -> Result<(), String> {
+        let edge_children: BTreeSet<NodeId> = tree.edges.iter().map(|e| e.child).collect();
         self.plan.audit_routing(&edge_children)?;
+        let counts = self.plan.view_counts();
+        let linked = SolvePlan::link(&tree.clustering, &tree.aux_to_original, &counts)?;
+        if linked != self.plan {
+            return Err("plan differs from the link of the tree's clustering".into());
+        }
         self.state_mismatch()
             .map_or(Ok(()), |what| Err(what.into()))
     }
 
     /// What keeps the slot columns from matching the plan's skeletons, if anything.
-    pub(crate) fn state_mismatch(&self) -> Option<&'static str> {
+    fn state_mismatch(&self) -> Option<&'static str> {
         let plan = &self.plan;
         if self.state.len() != plan.num_layers as usize * plan.num_machines {
             return Some("slot state layout differs from the plan's layer/machine/view layout");
@@ -275,17 +280,15 @@ impl<P: ClusterDp> SolverStore<P> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::pipeline::{prepare, PreparedTree};
-    use crate::skeleton::{Linked, PlanMember};
+    use crate::pipeline::prepare;
     use crate::snapshot::{
-        seal, snapshot_from_bytes, snapshot_to_bytes, write_plan, Snapshot, SnapshotError,
-        SnapshotWriter, KIND_PLAN, KIND_PREPARED_TREE, KIND_STORE,
+        seal, Snapshot, SnapshotError, SnapshotWriter, KIND_PREPARED_TREE, KIND_STORE,
     };
-    use mpc_engine::MpcConfig;
+    use mpc_engine::{unmetered, MpcConfig};
     use std::cell::OnceCell;
-    use tree_clustering::ElementKind;
+    use tree_clustering::{cluster_layer, make_cluster_id, Element, ElementKind};
     use tree_gen::shapes;
-    use tree_repr::{ListOfEdges, TreeInput};
+    use tree_repr::{DirectedEdge, ListOfEdges, TreeInput};
 
     /// Subtree sizes: a cluster is summarized by its node count.
     pub(crate) struct Count;
@@ -344,224 +347,205 @@ pub(crate) mod tests {
         (prepared, store)
     }
 
-    /// The first view with an incoming edge and a member that has both a parent and a
-    /// child: every skeleton field a corruption below touches is present in it.
-    fn rich_view(plan: &SolvePlan) -> ViewSlot {
-        let (at, _) = (plan.views())
-            .find(|(_, view)| {
-                view.attach().is_some()
-                    && (0..view.members().len())
-                        .any(|i| view.member(i).parent().is_some() && !view.children(i).is_empty())
-            })
-            .expect("a caterpillar has an indegree-1 cluster with an inner member");
-        at
+    fn decode_resealed(tree: &PreparedTree) -> Result<PreparedTree, SnapshotError> {
+        PreparedTree::from_snapshot(&tree.to_snapshot())
     }
 
-    fn decode_resealed<T: Snapshot>(kind: u32, value: &T) -> Result<T, SnapshotError> {
-        snapshot_from_bytes(kind, &snapshot_to_bytes(kind, value))
+    /// `tree` with `edit` applied to its element table in place.
+    fn with_elements(tree: &PreparedTree, edit: impl FnOnce(&mut [Element])) -> PreparedTree {
+        let mut tree = tree.clone();
+        let chunks = unmetered::chunks_mut(&mut tree.clustering.elements);
+        let mut elements: Vec<Element> = chunks.iter().flatten().copied().collect();
+        edit(&mut elements);
+        let mut rest = elements.into_iter();
+        for chunk in chunks.iter_mut() {
+            chunk
+                .iter_mut()
+                .for_each(|e| *e = rest.next().expect("same length"));
+        }
+        tree
     }
 
-    /// The plan's views as its snapshot writes them, `[layer - 1][machine][view]`.
-    fn linked_views(plan: &SolvePlan) -> Vec<Vec<Vec<Linked>>> {
-        (1..=plan.num_layers)
-            .map(|layer| {
-                (0..plan.num_machines)
-                    .map(|machine| plan.views_at(layer, machine).map(|v| v.linked()).collect())
-                    .collect()
-            })
-            .collect()
+    /// The element with id `id`.
+    fn element(elements: &mut [Element], id: ElementId) -> &mut Element {
+        elements.iter_mut().find(|e| e.id == id).expect("element")
     }
 
-    /// The payload of a plan snapshot of `plan`'s header with `views` in place of its
-    /// own.
-    fn plan_payload(plan: &SolvePlan, views: Vec<Vec<Vec<Linked>>>) -> Vec<u8> {
-        let mut w = SnapshotWriter::new();
-        write_plan(plan, views.into_iter().flatten(), &mut w);
-        w.into_bytes()
+    /// The indegree-1 clusters whose view is entered through an attach member that is
+    /// a node (the lowest view of their in-edge), at their view's layer.
+    fn lowest_entered(plan: &SolvePlan) -> Vec<(u32, ElementId, DirectedEdge)> {
+        let views = plan.views().filter_map(|(at, view)| {
+            let attach = view.member(view.attach()?);
+            (attach.kind() == ElementKind::Node)
+                .then(|| (at.layer(), view.cluster(), view.in_edge().expect("entered")))
+        });
+        views.collect()
     }
 
-    /// `member` with another id and parent.
-    fn remade(member: PlanMember, id: u64, parent: Option<usize>) -> PlanMember {
-        PlanMember::new(id, member.kind(), parent, member.enters_parent())
-    }
-
-    /// A checksum-valid payload with one skeleton field out of place must come back as
-    /// a typed error, naming the check it fails, from every decoder that carries a
-    /// plan — not as a value that panics on the next solve or update. The corruptions
-    /// are made on the views as the snapshot writes them.
+    /// A checksum-valid snapshot with one field of the clustering out of place must
+    /// come back as a typed error, naming the check it fails, from every decoder that
+    /// links a plan — a tree with its cached plan, a plan-less tree and a store decoded
+    /// against the tree — not as a value that panics on the next build, solve or
+    /// update. No snapshot carries a skeleton, so the corruptions are made on the
+    /// element table, where every skeleton comes from, and on the view counts.
     #[test]
     fn resealed_payloads_with_one_index_out_of_place_decode_to_malformed() {
         let (prepared, store) = solved();
-        let plan = store.plan().clone();
-        assert_eq!(decode_resealed(KIND_PLAN, &plan).as_ref(), Ok(&plan));
-        let good = plan_payload(&plan, linked_views(&plan));
-        assert_eq!(good, plan.to_snapshot()[32..]);
-        let at = rich_view(&plan);
-        let inner = {
-            let view = plan.view_at(at);
-            (0..view.members().len())
-                .position(|i| view.member(i).parent().is_some() && !view.children(i).is_empty())
-                .expect("rich view")
-        };
+        let plan = store.plan();
+        let restored = decode_resealed(&prepared).expect("a tree decodes");
+        assert_eq!(restored.plan.get(), Some(plan));
+        let bytes = store.to_snapshot();
+        let back = SolverStore::<Count>::from_snapshot(&bytes, &restored).expect("decodes");
+        assert_eq!(back.plan(), plan);
+        assert_eq!(back.to_snapshot(), bytes);
 
-        type Views = Vec<Vec<Vec<Linked>>>;
-        type Corruption = (
-            &'static str,
-            fn(&mut SolvePlan, &mut Views, ViewSlot, usize),
-        );
-        fn view(views: &mut Views, at: ViewSlot) -> &mut Linked {
-            &mut views[at.layer as usize - 1][at.machine as usize][at.view as usize]
-        }
-        fn reparent(view: &mut Linked, i: usize, parent: usize) {
-            view.members[i] = remade(view.members[i], view.members[i].id(), Some(parent));
-        }
-        let corruptions: [Corruption; 11] = [
-            ("view top/attach index", |_, v, at, _| {
-                view(v, at).top = usize::MAX
-            }),
-            ("view top/attach index", |_, v, at, _| {
-                let view = view(v, at);
-                let len = view.members.len();
-                let (_, attach) = view.in_edge.as_mut().expect("rich view");
-                *attach = Some(len);
-            }),
-            ("view parent index", |_, v, at, inner| {
-                let view = view(v, at);
-                reparent(view, inner, view.members.len() + 7);
-            }),
-            // Two members each other's parent: the top does not reach them.
-            ("view member tree", |_, v, at, inner| {
-                let view = view(v, at);
-                let below = (0..view.members.len())
-                    .find(|&i| view.members[i].parent() == Some(inner))
-                    .expect("the inner member has a child");
-                reparent(view, inner, below);
-            }),
-            ("view top member has a parent", |_, v, at, inner| {
-                let view = view(v, at);
-                reparent(view, view.top, inner);
-            }),
-            // One element id on members of two views: a layer-1 member below the top
-            // takes another layer-1 view's member id.
-            ("plan payload slot", |_, v, _, _| {
-                let layer = &mut v[0];
-                let views: Vec<(usize, usize)> = (0..layer.len())
-                    .flat_map(|m| (0..layer[m].len()).map(move |v| (m, v)))
-                    .collect();
-                let (m, v) = *views
-                    .iter()
-                    .find(|&&(m, v)| layer[m][v].members.len() > 1)
-                    .expect("a layer-1 view with two members");
-                let (om, ov) = *views.iter().find(|&&o| o != (m, v)).expect("two views");
-                let other = layer[om][ov].members[0].id();
-                let first = &mut layer[m][v];
-                let below_top = (first.top + 1) % first.members.len();
-                let member = first.members[below_top];
-                first.members[below_top] = remade(member, other, member.parent());
-            }),
-            // A cluster whose top member names no absorbed cluster: no summary slot.
-            ("plan summary slot", |_, v, at, _| {
-                let view = view(v, at);
-                let top = view.members[view.top];
-                view.members[view.top] = remade(top, top.id() ^ 1 << 40, None);
-            }),
-            ("plan machine index", |p, _, _, _| {
-                p.top_machine = p.num_machines
-            }),
-            ("plan view in-edge", |_, v, at, _| {
-                view(v, at).in_edge = None
-            }),
-            // A view entered by the edge of the first entered view, from below a
-            // member that edge does not enter: no climb from that view reaches it.
-            ("plan in-edge reader", |_, v, _, _| {
-                let views = v.iter_mut().flatten().flatten();
-                let mut in_edges = views.filter_map(|view| view.in_edge.as_mut());
-                let first = in_edges.next().expect("an entered view").0.child;
-                let (other, _) = (in_edges.find(|(e, _)| e.child != first))
-                    .expect("a view entered by another edge");
-                other.child = first;
-            }),
-            // A cluster member that claims to be a node.
-            ("plan member kind", |_, v, _, _| {
-                let views = v.iter_mut().flatten().flatten();
-                let member = views
-                    .flat_map(|view| view.members.iter_mut())
-                    .find(|m| m.kind() != ElementKind::Node)
-                    .expect("a cluster member");
-                *member = PlanMember::new(member.id(), ElementKind::Node, member.parent(), false);
-            }),
+        // A node below a node, with a node below it in turn: pointing its outgoing
+        // edge at that child closes a cycle of two members.
+        let (inner, child) = (plan.views())
+            .find_map(|(_, view)| {
+                let node = |i: usize| view.member(i).kind() == ElementKind::Node;
+                (0..view.members().len()).find_map(|i| {
+                    let mut below = view.children(i).iter().map(|&c| c as usize);
+                    let child = below.find(|&c| node(c))?;
+                    let under_node = view.member(i).parent().is_some_and(node);
+                    (node(i) && under_node).then(|| (view.member(i).id(), view.member(child).id()))
+                })
+            })
+            .expect("a caterpillar's spine runs through node members");
+        let entered = lowest_entered(plan);
+        let (layer, a, edge) = entered[0];
+        let (_, b, _) = *(entered.iter())
+            .find(|&&(l, c, e)| l == layer && c != a && e.child != edge.child)
+            .expect("two indegree-1 clusters of one layer");
+        // An indegree-1 cluster that is the attach member of a view its edge enters,
+        // and the edge of a lowest entered view that leaves no member of that view.
+        let in_edges: BTreeMap<ElementId, Option<DirectedEdge>> =
+            (prepared.clustering.elements.iter())
+                .map(|e| (e.id, e.in_edge))
+                .collect();
+        let (chained, foreign) = (plan.views())
+            .find_map(|(_, view)| {
+                let attach = view.member(view.attach()?).id();
+                (in_edges.get(&attach) == Some(&view.in_edge())).then_some(())?;
+                let own = view.in_edge()?.child;
+                let leaves: Vec<NodeId> = view.members().iter().map(|m| m.out_child()).collect();
+                let (_, _, foreign) = (entered.iter())
+                    .find(|(_, _, e)| e.child != own && !leaves.contains(&e.child))?;
+                Some((attach, *foreign))
+            })
+            .expect("a view entered through an indegree-1 attach member");
+        let other = *plan.routing.payload(inner).expect("routed");
+        let other = plan.view_at(other.view_slot()).member(0).id();
+
+        type Corruption = (&'static str, Box<dyn Fn(&mut [Element])>);
+        let corruptions: Vec<Corruption> = vec![
+            (
+                "view member tree",
+                Box::new(move |es| element(es, inner).out_edge.parent = child),
+            ),
+            // One element id on two elements.
+            (
+                "clustering element ids",
+                Box::new(move |es| element(es, inner).id = other),
+            ),
+            // Absorbed into a cluster the table does not hold.
+            (
+                "clustering absorbing cluster",
+                Box::new(move |es| {
+                    let e = element(es, inner);
+                    e.absorbed_into = make_cluster_id(e.absorbed_at, 1 << 40);
+                }),
+            ),
+            // Two clusters absorbed into each other, each at the other's layer.
+            (
+                "clustering absorption layer",
+                Box::new(move |es| {
+                    for (from, into) in [(a, b), (b, a)] {
+                        let e = element(es, from);
+                        (e.absorbed_into, e.absorbed_at) = (into, cluster_layer(into));
+                    }
+                }),
+            ),
+            // An indegree-1 cluster without its incoming edge.
+            (
+                "clustering element kind",
+                Box::new(move |es| element(es, a).in_edge = None),
+            ),
+            // A cluster that claims to be a node.
+            (
+                "clustering element kind",
+                Box::new(move |es| element(es, a).kind = ElementKind::Node),
+            ),
+            // A cluster entered through its own attach member by that member's edge,
+            // re-entered by the edge of another edge's lowest view: two views of one
+            // edge enter neither through the other.
+            (
+                "clustering in-edge",
+                Box::new(move |es| element(es, chained).in_edge = Some(foreign)),
+            ),
+            // A second top cluster.
+            (
+                "clustering top cluster",
+                Box::new(move |es| {
+                    let e = element(es, a);
+                    (e.kind, e.in_edge) = (ElementKind::TopCluster, None);
+                }),
+            ),
         ];
-        // The store and the tree carry the plan's bytes: the tree as its last field
-        // (after a `Some` tag), the store as its first.
-        let resealed = |kind: u32, payload: Vec<u8>| {
-            let mut w = SnapshotWriter::new();
-            w.put_bytes(&payload);
-            seal(kind, w)
-        };
+        for (check, corrupt) in corruptions {
+            let bad = with_elements(&prepared, corrupt);
+            let refused = Err(SnapshotError::Malformed(check));
+            assert_eq!(decode_resealed(&bad).map(|_| ()), refused, "tree");
+            let mut planless = bad.clone();
+            planless.plan = OnceCell::new();
+            assert_eq!(
+                decode_resealed(&planless).map(|_| ()),
+                refused,
+                "plan-less tree"
+            );
+            let decoded = SolverStore::<Count>::from_snapshot(&bytes, &bad);
+            assert_eq!(decoded.map(|_| ()), refused, "store");
+        }
+
+        // A clustering of another root.
+        let mut foreign = prepared.clone();
+        foreign.clustering.root += 1;
+        let refused = Err(SnapshotError::Malformed("clustering top cluster"));
+        assert_eq!(decode_resealed(&foreign).map(|_| ()), refused);
+
+        // View counts that do not sum to a layer's clusters, or of another layout: the
+        // tree's counts are its last field, the store's its first.
         let tree_head = {
             let mut planless = prepared.clone();
             planless.plan = OnceCell::new();
             let bytes = planless.to_snapshot()[32..].to_vec();
             bytes[..bytes.len() - 1].to_vec()
         };
-        let store_tail = store.to_snapshot()[32 + good.len()..].to_vec();
-        for (check, corrupt) in corruptions {
-            let (mut header, mut views) = (plan.clone(), linked_views(&plan));
-            corrupt(&mut header, &mut views, at, inner);
-            let refused = Err(SnapshotError::Malformed(check));
-            let bad = plan_payload(&header, views);
-            let decoded = SolvePlan::from_snapshot(&resealed(KIND_PLAN, bad.clone()));
-            assert_eq!(decoded.map(|_| ()), refused, "plan");
-
-            let tree = [&tree_head[..], &[1], &bad].concat();
-            let decoded = PreparedTree::from_snapshot(&resealed(KIND_PREPARED_TREE, tree));
-            assert_eq!(decoded.map(|_| ()), refused, "prepared tree");
-
-            let bad_store = [&bad[..], &store_tail].concat();
-            let decoded = SolverStore::<Count>::from_snapshot(&resealed(KIND_STORE, bad_store));
+        let counts = plan.view_counts();
+        let mut more = counts.clone();
+        more[0] += 1;
+        let fewer = counts[1..].to_vec();
+        let counts_len = 8 * (1 + counts.len());
+        let refused = Err(SnapshotError::Malformed("plan view counts"));
+        for bad in [more, fewer] {
+            let mut w = SnapshotWriter::new();
+            w.put_bytes(&tree_head);
+            Some(bad.clone()).encode(&mut w);
+            let decoded = PreparedTree::from_snapshot(&seal(KIND_PREPARED_TREE, w));
+            assert_eq!(decoded.map(|_| ()), refused, "tree");
+            let mut w = SnapshotWriter::new();
+            bad.encode(&mut w);
+            w.put_bytes(&bytes[32 + counts_len..]);
+            let decoded = SolverStore::<Count>::from_snapshot(&seal(KIND_STORE, w), &prepared);
             assert_eq!(decoded.map(|_| ()), refused, "store");
         }
-
-        // The store's own part: slot state that does not match the skeletons. After
-        // the plan come the layer count, the machine count of layer 1, the view count
-        // of machine 0 there and the payload count of its first view.
-        assert!(
-            plan.views_at(1, 0).next().is_some(),
-            "machine 0 holds a layer-1 view"
-        );
-        let recounted = |field: usize, count: fn(u64) -> u64| {
-            let mut bytes = store.to_snapshot()[32..].to_vec();
-            let at = good.len() + 8 * field;
-            let old = u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
-            bytes[at..at + 8].copy_from_slice(&count(old).to_le_bytes());
-            SolverStore::<Count>::from_snapshot(&resealed(KIND_STORE, bytes)).map(|_| ())
-        };
-        assert_eq!(
-            recounted(3, |members| members - 1),
-            Err(SnapshotError::Malformed(
-                "slot state vectors differ in length from the member list"
-            ))
-        );
-        assert!(matches!(
-            recounted(2, |views| views + 1),
-            Err(SnapshotError::Malformed(_))
-        ));
-        // A tree whose cached plan belongs to another clustering.
-        let mut foreign = prepared.clone();
-        let mut other = plan.clone();
-        other.root += 1;
-        foreign.plan = OnceCell::from(other);
-        assert!(matches!(
-            decode_resealed(KIND_PREPARED_TREE, &foreign).map(|_| ()),
-            Err(SnapshotError::Malformed(_))
-        ));
     }
 
     /// Every kind a payload was written under before its layout changed is refused by
-    /// kind, before any byte is read as the new layout: tree 1, 5 and 8, plan 2, 6 and
-    /// 9, and store 3 (the store of cloned views and a payload map), 4 (plans with
-    /// routing indexes), 7 (plans with every view spelled out) and 10 (plans and edge
-    /// lists with edge kinds).
+    /// kind, before any byte is read as the new layout: tree 1, 5, 8 and 9 (trees with
+    /// skeletons), and store 3 (the store of cloned views and a payload map), 4 (plans
+    /// with routing indexes), 7 (plans with every view spelled out), 10 (plans and edge
+    /// lists with edge kinds) and 11 (plans as skeletons, payloads with their tag).
     #[test]
     fn superseded_store_kind_is_rejected() {
         let (prepared, store) = solved();
@@ -571,17 +555,12 @@ pub(crate) mod tests {
             bytes
         };
         let wrong = |found, expected| Err(SnapshotError::WrongKind { found, expected });
-        for old in [3, 4, 7, 10] {
+        for old in [3, 4, 7, 10, 11] {
             let bytes = with_kind(store.to_snapshot(), old);
-            let decoded = SolverStore::<Count>::from_snapshot(&bytes).map(|_| ());
+            let decoded = SolverStore::<Count>::from_snapshot(&bytes, &prepared).map(|_| ());
             assert_eq!(decoded, wrong(old, KIND_STORE));
         }
-        for old in [2, 6, 9] {
-            let bytes = with_kind(store.plan().to_snapshot(), old);
-            let decoded = SolvePlan::from_snapshot(&bytes).map(|_| ());
-            assert_eq!(decoded, wrong(old, KIND_PLAN));
-        }
-        for old in [1, 5, 8] {
+        for old in [1, 5, 8, 9] {
             let bytes = with_kind(prepared.to_snapshot(), old);
             let decoded = PreparedTree::from_snapshot(&bytes).map(|_| ());
             assert_eq!(decoded, wrong(old, KIND_PREPARED_TREE));
@@ -593,37 +572,55 @@ pub(crate) mod tests {
     #[test]
     fn audit_names_the_drifted_index() {
         let (prepared, store) = solved();
-        assert_eq!(store.audit(prepared.edges.iter()), Ok(()));
-        let reread = || decode_resealed(KIND_STORE, &store).expect("valid store");
+        assert_eq!(store.audit(&prepared), Ok(()));
+        let bytes = store.to_snapshot();
+        let reread = || SolverStore::<Count>::from_snapshot(&bytes, &prepared).expect("valid");
 
         let mut drifted = reread();
         let routing = &mut drifted.plan.routing;
         let (first, _) = routing.payloads.iter().next().expect("non-empty");
         routing.payloads.get_mut(first).expect("live").member += 1;
-        let err = drifted.audit(prepared.edges.iter()).expect_err("planted");
+        let err = drifted.audit(&prepared).expect_err("planted");
         assert!(err.contains("payload_slot"), "{err}");
 
         let mut drifted = reread();
         let routing = &mut drifted.plan.routing;
         let (first, _) = routing.in_readers.iter().next().expect("non-empty");
         routing.in_readers.get_mut(first).expect("live").view += 1;
-        let err = drifted.audit(prepared.edges.iter()).expect_err("planted");
+        let err = drifted.audit(&prepared).expect_err("planted");
         assert!(err.contains("in_readers"), "{err}");
 
+        // A skeleton that is no longer its cluster's link: a cluster member that
+        // claims to be a node behind the clustering's back.
         let mut drifted = reread();
-        let at = rich_view(&drifted.plan);
+        let (at, member) = (drifted.plan.views())
+            .find_map(|(at, view)| {
+                let members = view.members().iter();
+                let cluster = members
+                    .enumerate()
+                    .find(|(_, m)| m.kind() != ElementKind::Node);
+                cluster.map(|(i, _)| (at, i))
+            })
+            .expect("a cluster member");
+        let held = &mut drifted.plan.skeletons[at.machine as usize];
+        held.set_member_kind(at.layer, at.view as usize, member, ElementKind::Node);
+        let err = drifted.audit(&prepared).expect_err("planted");
+        assert!(err.contains("link of the tree's clustering"), "{err}");
+
+        let mut drifted = reread();
+        let at = (drifted.plan.views()).next().expect("a view").0;
         drifted.state[drifted.plan.bucket_of(at)]
             .out_inputs
             .values
             .push(());
-        let err = drifted.audit(prepared.edges.iter()).expect_err("planted");
+        let err = drifted.audit(&prepared).expect_err("planted");
         assert!(err.contains("slot state vectors"), "{err}");
 
         // A tree that moved on without the store: its edge list no longer has the
         // edges the store's plan routes inputs to.
         let mut fewer = prepared.clone();
         fewer.edges = fewer.edges.clone().filter_local(|e| e.child % 5 != 0);
-        let err = store.audit(fewer.edges.iter()).expect_err("planted");
+        let err = store.audit(&fewer).expect_err("planted");
         assert!(err.contains("other nodes than the edge list"), "{err}");
     }
 }

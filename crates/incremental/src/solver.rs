@@ -517,14 +517,15 @@ where
 
     /// Check the solver's patched-in-place indexes against from-scratch builds: the
     /// routing runs of its plan against a re-derivation over the plan's skeleton views
-    /// and `prepared`'s edge list, the slot state against the skeletons' shape
-    /// ([`SolverStore::audit`]), and the repair index (when one has been built) against
+    /// and `prepared`'s edge list, the plan against the link of `prepared`'s
+    /// clustering under its own view counts, the slot state against the skeletons'
+    /// shape ([`SolverStore::audit`]), and the repair index (when one has been built) against
     /// one built over `prepared`'s clustering and edge list. `Err` names the first
     /// index that drifted. `O(n log n)` host work, zero rounds — the drift alarm for
     /// long update sequences and the oracle the structural test suites call after
     /// every batch.
     pub fn audit_indexes(&self, prepared: &PreparedTree) -> Result<(), String> {
-        self.store.audit(prepared.edges.iter())?;
+        self.store.audit(prepared)?;
         match &self.repair_index {
             Some(index)
                 if *index != RepairIndex::build(&prepared.clustering, prepared.edges.iter()) =>

@@ -23,10 +23,12 @@
 //!    [`TreeDpServer::restore_tenant`]): a tenant serializes to a self-contained
 //!    [`KIND_TENANT`] snapshot (config, prepared tree, solver store, aux input,
 //!    metrics) and restores on any server — including a freshly started one —
-//!    with bit-identical labels and optima. Restoring checks every index the parts
-//!    carry, that store, tree and config belong together (the tree's tables span
-//!    the config's machines), and that the tree travels without a cached plan, as
-//!    the server writes it; anything else is a typed [`ServerError::Snapshot`].
+//!    with bit-identical labels and optima. The store's plan travels as its view
+//!    counts and is linked from the tree written before it, so store and tree
+//!    cannot disagree; restoring checks the tree's clustering, that tree and config
+//!    belong together (the tree's tables span the config's machines), and that the
+//!    tree travels without a cached plan, as the server writes it; anything else is
+//!    a typed [`ServerError::Snapshot`].
 //!    A restored tenant's first query charges exactly the plan-evaluation rounds.
 //!
 //! Within one flush, a tenant's weight updates apply first, then its structural
@@ -62,8 +64,9 @@ pub type TenantId = String;
 /// plan-cache counters (`plan_hits`, `plan_misses`, `evictions`), 105 → 106 when
 /// plans began to travel as their compact skeletons and the tree lost its second
 /// root and node count, 106 → 107 when the tree's edge list and the store's plan
-/// stopped carrying edge kinds.
-pub const KIND_TENANT: u32 = 107;
+/// stopped carrying edge kinds, 107 → 108 when the store's plan began to travel as
+/// its view counts and payloads lost their tag.
+pub const KIND_TENANT: u32 = 108;
 
 /// Why a serving-layer operation failed.
 #[derive(Debug, Clone, PartialEq)]
@@ -577,48 +580,34 @@ where
 
     /// Restore a tenant from [`snapshot_tenant`](Self::snapshot_tenant) bytes onto
     /// this server (typically a freshly started one), re-creating its context from
-    /// the persisted config and its incremental solver from the persisted store.
-    /// Returns the restored tenant's id.
+    /// the persisted config and its incremental solver from the persisted store, whose
+    /// plan is linked from the tree that travels before it. Returns the restored
+    /// tenant's id.
     pub fn restore_tenant(&mut self, bytes: &[u8], problem: P) -> Result<TenantId, ServerError> {
         let mut r = open(bytes, KIND_TENANT)?;
         let id = TenantId::decode(&mut r)?;
         let config = MpcConfig::decode(&mut r)?;
         let prepared = PreparedTree::decode(&mut r)?;
-        let store = SolverStore::<P>::decode(&mut r)?;
-        let aux_input = P::NodeInput::decode(&mut r)?;
-        let metrics = TenantMetrics::decode(&mut r)?;
-        r.finish().map_err(ServerError::from)?;
-        // Each part decoded sound on its own; they must also be parts of one tenant.
         // A tenant's tree travels plan-less: its one plan is the store's, and a tree
-        // carrying another — built for whatever machines — is not what the server
-        // writes.
+        // carrying another is not what the server writes.
         if prepared.has_plan() {
             return Err(SnapshotError::Malformed("tenant tree with a cached plan").into());
         }
-        let plan = store.plan();
-        let clustering = &prepared.clustering;
-        if (plan.root(), plan.top_cluster(), plan.num_layers())
-            != (
-                clustering.root,
-                clustering.top_cluster,
-                clustering.num_layers,
-            )
-        {
-            return Err(SnapshotError::Malformed("solver store of another tree").into());
-        }
-        if plan.num_machines() != config.num_machines() {
-            return Err(SnapshotError::Malformed("solver store of another machine count").into());
-        }
         // Local structural repairs splice the tree's tables in place on this tenant's
-        // machines, so they must be laid out on exactly those.
+        // machines, and the store's plan is linked onto them, so they must be exactly
+        // the config's.
         let chunks = [
-            clustering.elements.num_chunks(),
+            prepared.clustering.elements.num_chunks(),
             prepared.edges.num_chunks(),
             prepared.aux_to_original.num_chunks(),
         ];
         if chunks.iter().any(|&c| c != config.num_machines()) {
             return Err(SnapshotError::Malformed("tenant tree of another machine count").into());
         }
+        let store = SolverStore::<P>::decode(&mut r, &prepared)?;
+        let aux_input = P::NodeInput::decode(&mut r)?;
+        let metrics = TenantMetrics::decode(&mut r)?;
+        r.finish().map_err(ServerError::from)?;
         if self.tenants.contains_key(&id) {
             return Err(ServerError::DuplicateTenant(id));
         }

@@ -12,8 +12,9 @@
 //! node, the words the evaluation's resident views hold per tree node once bottom-up
 //! has filled them — every skeleton and every `(layer, machine)` bucket's slot columns,
 //! summed over machines (`views w/n`, a report) — the plan's resident words beyond its
-//! skeletons — its routing — per tree node (`route w/n`, a report), the plan's snapshot
-//! bytes per tree node (`snap B/n`, a report), the peak local
+//! skeletons — its routing — per tree node (`route w/n`, a report), the plan's share
+//! of the tree's snapshot per tree node — the tree's snapshot bytes with its plan
+//! cached less those without (`snap B/n`, a report) — the peak local
 //! memory against the `Θ(n^δ)` capacity, and the phases whose local-memory breaches
 //! are largest.
 //!
@@ -103,7 +104,7 @@ struct Peaks {
     views_per_node: f64,
     /// The plan's resident words beyond its skeletons per tree node.
     route_per_node: f64,
-    /// The plan's snapshot bytes per tree node.
+    /// The plan's share of the tree's snapshot bytes per tree node.
     snapshot_per_node: f64,
     /// The violations of any kind recorded inside the `normalize` phase.
     normalize_violations: usize,
@@ -139,7 +140,11 @@ fn measure(tree: &Tree, given: Given, delta: f64, slack: f64) -> Peaks {
     let pbuild_per_node = per_node(&ctx, "plan-build");
     let skeleton_per_node = plan.skeleton_words() as f64 / tree.len() as f64;
     let route_per_node = (plan.resident_words() - plan.skeleton_words()) as f64 / tree.len() as f64;
-    let snapshot_per_node = plan.to_snapshot().len() as f64 / tree.len() as f64;
+    // The same plan cached on a copy of the tree, built where it charges no figure.
+    let cached = prepared.clone();
+    cached.plan(&mut MpcContext::new(config));
+    let share = cached.to_snapshot().len() - prepared.to_snapshot().len();
+    let snapshot_per_node = share as f64 / tree.len() as f64;
     let engine = StateEngine::new(MaxWeightIndependentSet);
     let (solution, store) = plan.solve_with_store(&mut ctx, &engine, &weights, 0, &no_edges);
     assert!(solution.root_summary.best(engine.problem()).is_some());

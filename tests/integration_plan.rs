@@ -10,7 +10,7 @@
 
 use mpc_tree_dp::clustering::subroutines::{count_subtree_sizes, path_distances, PathNode};
 use mpc_tree_dp::clustering::{defining_node, Clustering, EdgeKind, ElementKind};
-use mpc_tree_dp::core::{solve_sequential, StateDp};
+use mpc_tree_dp::core::{solve_sequential, PlanView, SolvePlan, StateDp};
 use mpc_tree_dp::gen::{
     labels, shapes,
     suite::{small_suite, standard_suite},
@@ -990,8 +990,8 @@ fn plan_skeletons_take_at_most_eight_words_per_tree_node() {
     }
 }
 
-/// Layout pin: the `KIND_PLAN` snapshot bytes — every skeleton, its machine, its
-/// member order — hash to fixed digests. The skeletons are the placement the commit
+/// Layout pin: the plan written in the layout of the retired plan snapshot (kind 10)
+/// — every skeleton, its machine, its member order — hashes to fixed digests. The skeletons are the placement the commit
 /// before `build_plan` stopped assembling full cluster views (ec9efe6) produced; the
 /// digests were re-taken once when plans stopped carrying their routing indexes,
 /// after checking that the plans still encode to the earlier digests in the earlier
@@ -1003,7 +1003,8 @@ fn plan_skeletons_take_at_most_eight_words_per_tree_node() {
 /// when plan snapshots began to carry the compact skeleton, and once more when they
 /// stopped carrying edge kinds — each time after checking that the plans still encode
 /// to the earlier digests in the earlier layout (for the last, with every kind the
-/// earlier layout wrote read off the child id).
+/// earlier layout wrote read off the child id). Snapshots no longer carry skeletons,
+/// so [`plan_layout_bytes`] writes that layout here, from the plan's public views.
 #[test]
 fn plan_layout_is_pinned() {
     for (name, tree, digest) in [
@@ -1022,7 +1023,51 @@ fn plan_layout_is_pinned() {
             Some(4),
         )
         .unwrap();
-        let bytes = prepared.plan_uncached(&mut ctx).to_snapshot();
+        let bytes = plan_layout_bytes(&prepared, &prepared.plan_uncached(&mut ctx));
         assert_eq!(fnv1a_64(&bytes), digest, "{name}: plan layout moved");
     }
+}
+
+/// `plan` sealed as the retired plan snapshot (kind 10) wrote it: its header and the
+/// machine of every auxiliary node's record, then per layer and machine the number of
+/// views and each view's kind, outgoing edge's parent, top index and incoming edge
+/// with its attach index, and each member's id, kind and parent index.
+fn plan_layout_bytes(prepared: &PreparedTree, plan: &SolvePlan) -> Vec<u8> {
+    use mpc_tree_dp::core::{seal, Snapshot, SnapshotWriter};
+    let counts = plan.view_counts();
+    let machines = plan.num_machines();
+    let mut views = plan.views().map(|(_, view)| view);
+    let buckets: Vec<Vec<PlanView<'_>>> = (counts.iter())
+        .map(|&count| views.by_ref().take(count).collect())
+        .collect();
+    let top = buckets
+        .iter()
+        .position(|bucket| (bucket.iter()).any(|view| view.kind() == ElementKind::TopCluster));
+    let aux_chunks = prepared.aux_to_original.chunks().iter().enumerate();
+    let aux: Vec<(u64, usize)> = aux_chunks
+        .flat_map(|(m, chunk)| chunk.iter().map(move |(aux, _)| (*aux, m)))
+        .collect();
+    let mut w = SnapshotWriter::new();
+    w.put_u32(plan.num_layers());
+    w.put_usize(machines);
+    w.put_u64(plan.root());
+    w.put_u64(plan.top_cluster());
+    w.put_usize(top.expect("a top view") % machines);
+    aux.encode(&mut w);
+    for bucket in &buckets {
+        w.put_usize(bucket.len());
+        for view in bucket {
+            view.kind().encode(&mut w);
+            w.put_u64(view.out_edge().parent);
+            w.put_usize(view.top());
+            view.in_edge().map(|e| (e, view.attach())).encode(&mut w);
+            w.put_usize(view.members().len());
+            for member in view.members() {
+                w.put_u64(member.id());
+                member.kind().encode(&mut w);
+                member.parent().encode(&mut w);
+            }
+        }
+    }
+    seal(10, w)
 }

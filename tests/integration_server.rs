@@ -108,7 +108,7 @@ fn tenant_parts(server: &Server, id: &str) -> (PreparedTree, SolverStore<MaxIs>)
     String::decode(&mut r).expect("id");
     MpcConfig::decode(&mut r).expect("config");
     let tree = PreparedTree::decode(&mut r).expect("tree");
-    let store = SolverStore::decode(&mut r).expect("store");
+    let store = SolverStore::decode(&mut r, &tree).expect("store");
     (tree, store)
 }
 
@@ -654,10 +654,12 @@ fn fresh_plan(tree: &Tree) -> mpc_tree_dp::SolvePlan {
     prepared.plan_uncached(&mut ctx)
 }
 
-/// A tenant snapshot whose checksum is valid says nothing about the indexes inside it:
-/// one index out of place, a store that belongs to another tree or machine count, or
-/// the superseded payload kind must each come back from `restore_tenant` as a typed
-/// `ServerError::Snapshot` — not as a tenant that panics on its next update.
+/// A tenant snapshot whose checksum is valid says nothing about the fields inside it:
+/// view counts that do not place the tree's clusters, a config for another machine
+/// count, or a superseded payload kind must each come back from `restore_tenant` as
+/// a typed `ServerError::Snapshot` — not as a tenant that panics on its next update.
+/// (The store's plan is linked from the tree that travels with it, so a store of
+/// another tree can no longer be written.)
 #[test]
 fn resealed_tenant_snapshots_with_one_field_out_of_place_are_refused() {
     use mpc_tree_dp::core::{seal, SnapshotWriter};
@@ -705,13 +707,14 @@ fn resealed_tenant_snapshots_with_one_field_out_of_place_are_refused() {
         )
     };
 
-    // The store's plan opens with `num_layers: u32`, `num_machines`, `root`,
-    // `top_cluster`, `top_machine` (u64 each); the tenant's tree travels without a
-    // cached plan, so the first such run of bytes is the store's.
-    let header = fresh_plan(&tree).to_snapshot()[32..60].to_vec();
+    // The store opens with its plan's view counts, a length-prefixed run of u64s; the
+    // tenant's tree travels without a cached plan, so that run is the store's.
+    let mut counts = SnapshotWriter::new();
+    fresh_plan(&tree).view_counts().encode(&mut counts);
+    let counts = counts.into_bytes();
     let plan_at = good[32..]
-        .windows(header.len())
-        .position(|w| w == header)
+        .windows(counts.len())
+        .position(|w| w == counts)
         .expect("the store's plan is in the payload");
     let bump = |payload: &mut Vec<u8>, at: usize, by: u64| {
         let mut field = [0u8; 8];
@@ -720,17 +723,18 @@ fn resealed_tenant_snapshots_with_one_field_out_of_place_are_refused() {
         payload[at..at + 8].copy_from_slice(&value.to_le_bytes());
     };
 
-    // One index of the plan: `top_machine` past the last machine.
+    // One view too many on the first machine of the first layer, and a count table
+    // one layer short.
     assert!(malformed(&reseal(KIND_TENANT, &|p| bump(
         p,
-        plan_at + 28,
-        1 << 40
-    ))));
-    // A store that is sound but is not this tree's: another root.
-    assert!(malformed(&reseal(KIND_TENANT, &|p| bump(
-        p,
-        plan_at + 12,
+        plan_at + 8,
         1
+    ))));
+    let machines = strict_cfg(4 * n).num_machines() as u64;
+    assert!(malformed(&reseal(KIND_TENANT, &|p| bump(
+        p,
+        plan_at,
+        machines.wrapping_neg()
     ))));
     // A config for another machine count: `n` is the config's first field, right
     // behind the id string (length prefix + "alpha").
@@ -742,9 +746,10 @@ fn resealed_tenant_snapshots_with_one_field_out_of_place_are_refused() {
     // The payload kinds tenants were written under before the store changed shape
     // (101), before plans stopped carrying their routing indexes (102), before the
     // config lost its radix switch (103), before the metrics lost their plan-cache
-    // counters (104), before plans travelled as their compact skeletons (105), and
-    // before the tree and the plan stopped carrying edge kinds (106).
-    for old in [101, 102, 103, 104, 105, 106] {
+    // counters (104), before plans travelled as their compact skeletons (105), before
+    // the tree and the plan stopped carrying edge kinds (106), and before the plan
+    // travelled as its view counts (107).
+    for old in [101, 102, 103, 104, 105, 106, 107] {
         assert_eq!(
             restore(&reseal(old, &|_| ())),
             Some(ServerError::Snapshot(SnapshotError::WrongKind {
@@ -756,8 +761,9 @@ fn resealed_tenant_snapshots_with_one_field_out_of_place_are_refused() {
 }
 
 /// The server writes a tenant's tree without a cached plan: the tenant's one plan is
-/// its solver store's. A snapshot whose tree does carry one — here built for another
-/// machine count — is refused, not restored as a tenant holding a second plan.
+/// its solver store's. A snapshot whose tree does carry one is refused, not restored
+/// as a tenant holding a second plan; one built for another machine count does not
+/// even place the tree's clusters on the tree's machines.
 #[test]
 fn tenant_snapshot_whose_tree_carries_a_plan_is_refused() {
     use mpc_tree_dp::core::{seal, SnapshotWriter};
@@ -793,26 +799,36 @@ fn tenant_snapshot_whose_tree_carries_a_plan_is_refused() {
     )
     .expect("well-formed tree");
     let plan_less = prepared.to_snapshot()[32..].to_vec();
-    let mut wide = MpcContext::new(strict_cfg(64 * n));
-    assert_ne!(wide.config().num_machines(), ctx.config().num_machines());
-    prepared.plan(&mut wide);
-    let mut payload = good[32..].to_vec();
-    let at = payload
+    let at = good[32..]
         .windows(plan_less.len())
         .position(|w| w == plan_less)
         .expect("the tenant's tree is in the payload");
-    payload.splice(
-        at..at + plan_less.len(),
-        prepared.to_snapshot()[32..].to_vec(),
-    );
-    let mut w = SnapshotWriter::new();
-    w.put_bytes(&payload);
-    assert_eq!(
+    let restored_with = |tree: &PreparedTree| {
+        let mut payload = good[32..].to_vec();
+        payload.splice(at..at + plan_less.len(), tree.to_snapshot()[32..].to_vec());
+        let mut w = SnapshotWriter::new();
+        w.put_bytes(&payload);
         Server::new(cfg)
             .restore_tenant(&seal(KIND_TENANT, w), MaxIs::new(MaxWeightIndependentSet))
-            .err(),
+            .err()
+    };
+    let mut wide = MpcContext::new(strict_cfg(64 * n));
+    assert_ne!(wide.config().num_machines(), ctx.config().num_machines());
+    let planned = |ctx: &mut MpcContext| {
+        let tree = prepared.clone();
+        tree.plan(ctx);
+        tree
+    };
+    assert_eq!(
+        restored_with(&planned(&mut ctx)),
         Some(ServerError::Snapshot(SnapshotError::Malformed(
             "tenant tree with a cached plan"
+        )))
+    );
+    assert_eq!(
+        restored_with(&planned(&mut wide)),
+        Some(ServerError::Snapshot(SnapshotError::Malformed(
+            "plan view counts"
         )))
     );
 }

@@ -1,16 +1,17 @@
-//! Snapshot-codec integration suite: prepared trees, solve plans, and solver stores
-//! round-trip through the hand-rolled binary codec bit-identically, and every class
-//! of corrupted input (bad magic, truncation, wrong version, wrong kind, checksum
-//! mismatch, malformed payload) surfaces as a typed error — never a panic. Committed
-//! golden snapshots (`tests/snapshots/`) keep every kind's bytes readable.
+//! Snapshot-codec integration suite: prepared trees (with their plans) and solver
+//! stores round-trip through the hand-rolled binary codec bit-identically, and every
+//! class of corrupted input (bad magic, truncation, wrong version, wrong kind,
+//! checksum mismatch, malformed payload, a clustering that cannot be linked)
+//! surfaces as a typed error — never a panic. Committed golden snapshots
+//! (`tests/snapshots/`) keep every kind's bytes readable.
 
 // The proptest block below expands past the default macro recursion limit.
 #![recursion_limit = "512"]
 
-use mpc_tree_dp::clustering::{EdgeKind, Element, ElementKind};
+use mpc_tree_dp::clustering::{cluster_layer, make_cluster_id, EdgeKind, Element, ElementKind};
 use mpc_tree_dp::core::{
-    open, solve_sequential, Payload, Snapshot, KIND_PLAN, KIND_PREPARED_TREE, KIND_STORE,
-    SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    open, seal, solve_sequential, Payload, Snapshot, SnapshotWriter, KIND_PREPARED_TREE,
+    KIND_STORE, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 use mpc_tree_dp::problems::MaxWeightIndependentSet;
 use mpc_tree_dp::server::KIND_TENANT;
@@ -110,7 +111,8 @@ fn prepared_tree_round_trips_with_cached_plan() {
     );
 }
 
-/// A bare plan snapshot restores to an equivalent evaluator.
+/// A plan travels as its view counts: linked from its tree's clustering under them,
+/// it is the plan again, bit for bit, and solves like it.
 #[test]
 fn solve_plan_round_trips() {
     let tree = spider(5, 12);
@@ -124,8 +126,10 @@ fn solve_plan_round_trips() {
     )
     .expect("well-formed tree");
     let plan = prepared.plan_uncached(&mut ctx);
-    let bytes = plan.to_snapshot();
-    let restored = SolvePlan::from_snapshot(&bytes).expect("round trip");
+    let counts = plan.view_counts();
+    let restored = SolvePlan::link(&prepared.clustering, &prepared.aux_to_original, &counts)
+        .expect("round trip");
+    assert_eq!(restored, plan);
     assert_eq!(restored.num_layers(), plan.num_layers());
     assert_eq!(restored.num_machines(), plan.num_machines());
     assert_eq!(restored.num_views(), plan.num_views());
@@ -172,7 +176,8 @@ fn solver_store_round_trips_into_incremental_solver() {
     solver.apply_batch(&mut ctx, &[(3, 500), (n as u64 - 1, 2)], &[]);
 
     let bytes = solver.store().to_snapshot();
-    let store: SolverStore<MaxIs> = SolverStore::from_snapshot(&bytes).expect("round trip");
+    let store: SolverStore<MaxIs> =
+        SolverStore::from_snapshot(&bytes, &prepared).expect("round trip");
     assert_eq!(store.num_layers(), solver.store().num_layers());
     assert_eq!(store.resident_words(), solver.store().resident_words());
     let mut restored = IncrementalSolver::restore(MaxIs::new(MaxWeightIndependentSet), store, 0);
@@ -238,16 +243,9 @@ fn corrupted_snapshots_return_errors() {
         }
     );
 
-    // Wrong kind: a prepared-tree snapshot opened as a plan (and vice versa).
+    // Wrong kind: a prepared-tree snapshot opened as a store.
     assert_eq!(
-        SolvePlan::from_snapshot(&good).unwrap_err(),
-        SnapshotError::WrongKind {
-            found: KIND_PREPARED_TREE,
-            expected: KIND_PLAN
-        }
-    );
-    assert_eq!(
-        SolverStore::<MaxIs>::from_snapshot(&good).err(),
+        SolverStore::<MaxIs>::from_snapshot(&good, &prepared).err(),
         Some(SnapshotError::WrongKind {
             found: KIND_PREPARED_TREE,
             expected: KIND_STORE
@@ -265,56 +263,52 @@ fn corrupted_snapshots_return_errors() {
 
     // Malformed payload: a well-framed snapshot whose payload is garbage decodes to
     // an error (Truncated or Malformed depending on where the bytes run out).
-    let mut w = mpc_tree_dp::core::SnapshotWriter::new();
+    let mut w = SnapshotWriter::new();
     w.put_u64(u64::MAX);
     w.put_u8(9);
-    let framed = mpc_tree_dp::core::seal(KIND_PREPARED_TREE, w);
+    let framed = seal(KIND_PREPARED_TREE, w);
     assert!(PreparedTree::from_snapshot(&framed).is_err());
 
     // Sanity: the magic constant is what the header starts with.
     assert_eq!(&good[..8], SNAPSHOT_MAGIC.as_slice());
 }
 
-/// A plan payload claiming `u32::MAX` layers on 2^40 machines is refused as malformed
-/// by every decoder that reads a plan first, before it allocates a machine's
-/// skeletons: the payload is far too short to hold a view count per layer and
-/// machine.
+/// A plan's view counts claiming more buckets than the payload holds are refused as
+/// malformed before anything is allocated by them: a store whose count table's
+/// length prefix runs past the payload, and a tree claiming `u32::MAX` layers, whose
+/// counts cannot cover `u32::MAX` layers of machines, before a machine's skeletons
+/// are allocated.
 #[test]
 fn plan_payload_claiming_a_huge_layout_is_malformed_before_allocating() {
-    use mpc_tree_dp::core::{seal, SnapshotWriter};
+    let tree = spider(4, 6);
+    let weights: Vec<i64> = (0..tree.len()).map(|_| 1).collect();
+    let (_, prepared, _) = prepared_with_plan(&tree, &weights);
 
-    let payload = || {
-        let mut w = SnapshotWriter::new();
-        w.put_u32(u32::MAX); // num_layers
-        w.put_usize(1 << 40); // num_machines
-        w.put_u64(0); // root
-        w.put_u64(0); // top_cluster
-        w.put_usize(0); // top_machine
-        w.put_usize(0); // no auxiliary nodes
-        w.put_usize(1); // one view count, then nothing
-        w
-    };
-    let layout = SnapshotError::Malformed("plan layer/machine layout");
+    let mut w = SnapshotWriter::new();
+    w.put_usize(1 << 40); // view counts, then nothing
     assert_eq!(
-        SolvePlan::from_snapshot(&seal(KIND_PLAN, payload())).map(|_| ()),
-        Err(layout.clone())
+        SolverStore::<MaxIs>::from_snapshot(&seal(KIND_STORE, w), &prepared).map(|_| ()),
+        Err(SnapshotError::Malformed("length prefix exceeds buffer"))
     );
+
+    let mut huge = prepared.clone();
+    huge.clustering.num_layers = u32::MAX;
     assert_eq!(
-        SolverStore::<MaxIs>::from_snapshot(&seal(KIND_STORE, payload())).map(|_| ()),
-        Err(layout)
+        PreparedTree::from_snapshot(&huge.to_snapshot()).map(|_| ()),
+        Err(SnapshotError::Malformed("plan view counts"))
     );
 }
 
-/// A plan snapshot writes what the plan's compact skeletons store, a few words per
-/// member: the bytes per tree node stay below the bounds on the shapes with the most
-/// members per node (a star's auxiliary nodes, a caterpillar's clusters) and on a path.
+/// A tree snapshot writes its cached plan as its placement alone, one view count per
+/// layer and machine: the plan's share of the tree's bytes per tree node stays below
+/// the bounds on the shapes with the most layers and machines per node and on a path.
 #[test]
 fn plan_snapshots_stay_compact() {
     let n = 4096;
     for (name, tree, bound) in [
-        ("star", shapes::star(n), 80.0),
-        ("path", shapes::path(n), 34.0),
-        ("caterpillar", shapes::caterpillar(n / 4, 3), 62.0),
+        ("star", shapes::star(n), 2.0),
+        ("path", shapes::path(n), 2.0),
+        ("caterpillar", shapes::caterpillar(n / 4, 3), 2.0),
     ] {
         let mut ctx = MpcContext::new(MpcConfig::new(2 * n, 0.5));
         let prepared = prepare(
@@ -323,14 +317,114 @@ fn plan_snapshots_stay_compact() {
             None,
         )
         .expect("well-formed tree");
-        let plan = prepared.plan_uncached(&mut ctx);
-        let per_node = plan.to_snapshot().len() as f64 / tree.len() as f64;
-        println!("{name}: {per_node:.1} plan snapshot bytes per tree node");
+        let planless = prepared.to_snapshot().len();
+        prepared.plan(&mut ctx);
+        let share = prepared.to_snapshot().len() - planless;
+        let per_node = share as f64 / tree.len() as f64;
+        println!("{name}: {per_node:.2} plan snapshot bytes per tree node");
         assert!(
             per_node <= bound,
-            "{name}: {per_node:.1} plan snapshot bytes per tree node, over {bound}"
+            "{name}: {per_node:.2} plan snapshot bytes per tree node, over {bound}"
         );
     }
+}
+
+/// A plan-less tree snapshot is checked too: a tree whose element table names an
+/// absorbing cluster it does not hold, or two clusters absorbed into each other, is
+/// refused as malformed, not decoded into a tree whose next plan build panics.
+#[test]
+fn planless_trees_with_a_broken_absorption_are_malformed() {
+    let tree = heavy_caterpillar(12, 4);
+    let mut ctx = MpcContext::new(cfg_for(tree.len()));
+    let prepared = prepare(
+        &mut ctx,
+        TreeInput::ListOfEdges(ListOfEdges::from_tree(&tree)),
+        Some(4),
+    )
+    .expect("well-formed tree");
+    assert!(!prepared.has_plan());
+    assert!(PreparedTree::from_snapshot(&prepared.to_snapshot()).is_ok());
+    let decode_with = |edit: &dyn Fn(&mut Element)| {
+        let mut bad = prepared.clone();
+        bad.clustering.elements = bad.clustering.elements.clone().map_local(|e| {
+            let mut e = *e;
+            edit(&mut e);
+            e
+        });
+        PreparedTree::from_snapshot(&bad.to_snapshot()).map(|_| ())
+    };
+
+    // A leaf absorbed into a cluster that does not exist.
+    let leaf = tree.len() as u64 - 1;
+    let absent = |e: &mut Element| {
+        if e.id == leaf {
+            e.absorbed_into = make_cluster_id(e.absorbed_at, 1 << 40);
+        }
+    };
+    assert_eq!(
+        decode_with(&absent),
+        Err(SnapshotError::Malformed("clustering absorbing cluster"))
+    );
+
+    // Two clusters absorbed into each other, each at the other's layer.
+    let clusters: Vec<u64> = (prepared.clustering.elements.iter())
+        .filter(|e| {
+            matches!(
+                e.kind,
+                ElementKind::ClusterIndeg0 | ElementKind::ClusterIndeg1
+            )
+        })
+        .map(|e| e.id)
+        .take(2)
+        .collect();
+    let (a, b) = (clusters[0], clusters[1]);
+    let cycle = |e: &mut Element| {
+        let into = if e.id == a {
+            b
+        } else if e.id == b {
+            a
+        } else {
+            return;
+        };
+        (e.absorbed_into, e.absorbed_at) = (into, cluster_layer(into));
+    };
+    assert_eq!(
+        decode_with(&cycle),
+        Err(SnapshotError::Malformed("clustering absorption layer"))
+    );
+}
+
+/// Every auxiliary node takes its input from its `aux_to_original` record: a tree
+/// snapshot whose table lost one record, or holds one for a node the clustering does
+/// not, is refused as malformed, not decoded into a tree whose next solve panics on a
+/// member without a payload.
+#[test]
+fn trees_whose_auxiliary_nodes_lack_their_records_are_malformed() {
+    let tree = shapes::star(200);
+    let mut ctx = MpcContext::new(cfg_for(tree.len()));
+    let prepared = prepare(
+        &mut ctx,
+        TreeInput::ListOfEdges(ListOfEdges::from_tree(&tree)),
+        Some(4),
+    )
+    .expect("well-formed tree");
+    let (first, _) = *prepared.aux_to_original.iter().next().expect("reduced");
+    let malformed = Err(SnapshotError::Malformed("aux_to_original records"));
+    let mut fewer = prepared.clone();
+    fewer.aux_to_original = (fewer.aux_to_original.clone()).filter_local(|(aux, _)| *aux != first);
+    assert_eq!(
+        PreparedTree::from_snapshot(&fewer.to_snapshot()).map(|_| ()),
+        malformed
+    );
+    let mut more = prepared.clone();
+    more.aux_to_original = (more.aux_to_original.clone()).flat_map_local(|(aux, to)| {
+        let extra = (aux == first).then_some((aux + (1 << 20), to));
+        std::iter::once((aux, to)).chain(extra)
+    });
+    assert_eq!(
+        PreparedTree::from_snapshot(&more.to_snapshot()).map(|_| ()),
+        malformed
+    );
 }
 
 /// No snapshot writes an edge kind, yet every kind a plan shows after a round trip is
@@ -360,15 +454,17 @@ fn derived_edge_kinds_match_the_element_table_after_round_trips() {
         let inputs = ctx.from_vec(weights.clone());
         let no_edges = ctx.from_vec(Vec::<(u64, ())>::new());
 
-        // Plan round trip, then a store over the decoded plan.
-        let plan_bytes = prepared.plan_uncached(&mut ctx).to_snapshot();
-        let plan = SolvePlan::from_snapshot(&plan_bytes).expect("plan decodes");
+        // Plan round trip through its view counts, then a store over the linked plan.
+        let counts = prepared.plan_uncached(&mut ctx).view_counts();
+        let plan = SolvePlan::link(&prepared.clustering, &prepared.aux_to_original, &counts)
+            .expect("plan links");
         let (_, store) = plan.solve_with_store(&mut ctx, &engine, &inputs, 0, &no_edges);
         let aux_members = kinds_against_elements(&prepared, &store, &format!("{name} plan"));
         assert_eq!(aux_members > 0, has_aux, "{name}");
 
         // Store round trip.
-        let store = SolverStore::<MaxIs>::from_snapshot(&store.to_snapshot()).expect("store");
+        let store =
+            SolverStore::<MaxIs>::from_snapshot(&store.to_snapshot(), &prepared).expect("store");
         kinds_against_elements(&prepared, &store, &format!("{name} store"));
 
         // Tenant round trip: restored on a fresh server, snapshotted again, and read
@@ -394,7 +490,7 @@ fn derived_edge_kinds_match_the_element_table_after_round_trips() {
         String::decode(&mut r).expect("id");
         MpcConfig::decode(&mut r).expect("config");
         let tenant_tree = PreparedTree::decode(&mut r).expect("tree");
-        let store = SolverStore::<MaxIs>::decode(&mut r).expect("store");
+        let store = SolverStore::<MaxIs>::decode(&mut r, &tenant_tree).expect("store");
         kinds_against_elements(&tenant_tree, &store, &format!("{name} tenant"));
     }
 }
@@ -482,8 +578,7 @@ fn codec_primitive_surface_round_trips() {
 /// typed [`SnapshotError::Malformed`] — never an OOM abort or capacity panic.
 #[test]
 fn oversized_length_prefixes_are_malformed_not_oom() {
-    use mpc_tree_dp::core::{seal, SnapshotReader, SnapshotWriter, KIND_STORE};
-    use mpc_tree_dp::Snapshot;
+    use mpc_tree_dp::core::SnapshotReader;
 
     // Eight bytes of payload claiming ~usize::MAX/2 elements: every collection
     // decoder must reject the prefix up front.
@@ -516,7 +611,9 @@ fn oversized_length_prefixes_are_malformed_not_oom() {
     w.put_usize(usize::MAX / 2);
     w.put_u64(1);
     let framed = seal(KIND_STORE, w);
-    assert!(SolverStore::<MaxIs>::from_snapshot(&framed).is_err());
+    let tree = spider(3, 3);
+    let (_, prepared, _) = prepared_with_plan(&tree, &vec![1; tree.len()]);
+    assert!(SolverStore::<MaxIs>::from_snapshot(&framed, &prepared).is_err());
 }
 
 /// Byte-for-byte determinism: encoding the same value twice gives identical bytes.
@@ -587,7 +684,7 @@ fn check_random_tree_round_trip(tree: &Tree, seed: u64) {
 
     // Store round trip preserves the label table exactly.
     let store2: SolverStore<MaxIs> =
-        SolverStore::from_snapshot(&store.to_snapshot()).expect("store round trip");
+        SolverStore::from_snapshot(&store.to_snapshot(), &restored).expect("store round trip");
     let m1: BTreeMap<u64, usize> = store.labels().clone();
     let m2: BTreeMap<u64, usize> = store2.labels().clone();
     prop_assert_eq!(m1, m2);
@@ -609,11 +706,10 @@ proptest! {
 /// `(SNAPSHOT_VERSION, kind)` it was written under. Snapshots written under a kind hold
 /// exactly these bytes, so a golden is never rewritten in place: a codec change that
 /// breaks one bumps the kind and commits a new golden and pin.
-const GOLDEN_PINS: [(u32, u32, u64); 4] = [
-    (1, 9, 0x3181344724021243),
-    (1, 10, 0x372227c56948ecd0),
-    (1, 11, 0x15f12f675fd17f3a),
-    (1, 107, 0x47370b0fb44536aa),
+const GOLDEN_PINS: [(u32, u32, u64); 3] = [
+    (1, 10, 0x8d5cf84566bf3c11),
+    (1, 12, 0x2321d1f8b32d4b9f),
+    (1, 108, 0x027cd3d6f376dd47),
 ];
 
 /// The golden fixture: the smallest tree whose snapshots carry every tag value —
@@ -676,9 +772,9 @@ impl Golden {
     }
 }
 
-/// The fixture's four snapshots: its prepared tree with the cached plan, the plan,
-/// a MaxIS store, and a tenant that served two queries and one update.
-fn golden_fixture() -> [Golden; 4] {
+/// The fixture's three snapshots: its prepared tree with the cached plan, a MaxIS
+/// store, and a tenant that served two queries and one update.
+fn golden_fixture() -> [Golden; 3] {
     let tree = golden_tree();
     let n = tree.len();
     let config = cfg_for(n);
@@ -690,9 +786,7 @@ fn golden_fixture() -> [Golden; 4] {
     let prepared = prepare(&mut ctx, input(), Some(2)).expect("well-formed tree");
     let inputs = ctx.from_vec(weights.clone());
     let no_edges = ctx.from_vec(Vec::<(u64, ())>::new());
-    let plan = prepared.plan(&mut ctx).clone();
-    let (_, store) = plan
-        .clone()
+    let (_, store) = (prepared.plan(&mut ctx).clone())
         .solve_with_store(&mut ctx, &engine, &inputs, 0, &no_edges);
 
     let mut server = golden_server();
@@ -738,7 +832,6 @@ fn golden_fixture() -> [Golden; 4] {
             "KIND_PREPARED_TREE",
             prepared.to_snapshot(),
         ),
-        golden("plan", KIND_PLAN, "KIND_PLAN", plan.to_snapshot()),
         golden("store", KIND_STORE, "KIND_STORE", store.to_snapshot()),
         golden("tenant", KIND_TENANT, "KIND_TENANT", tenant),
     ]
@@ -848,8 +941,8 @@ fn golden_snapshots_decode_and_re_encode_byte_for_byte() {
     }
     assert!(missing.is_empty(), "{missing}");
 
-    let [tree_g, plan_g, store_g, tenant_g] = &fixture;
-    let [tree_b, plan_b, store_b, tenant_b] = &goldens[..] else {
+    let [tree_g, store_g, tenant_g] = &fixture;
+    let [tree_b, store_b, tenant_b] = &goldens[..] else {
         unreachable!("one golden per kind")
     };
     let tree = tree_g.round_trip(
@@ -857,10 +950,10 @@ fn golden_snapshots_decode_and_re_encode_byte_for_byte() {
         PreparedTree::from_snapshot,
         PreparedTree::to_snapshot,
     );
-    plan_g.round_trip(plan_b, SolvePlan::from_snapshot, SolvePlan::to_snapshot);
+    // The store golden was written for the tree golden's tree.
     let store = store_g.round_trip(
         store_b,
-        SolverStore::<MaxIs>::from_snapshot,
+        |bytes| SolverStore::<MaxIs>::from_snapshot(bytes, &tree),
         SolverStore::to_snapshot,
     );
     let (mut server, id) = tenant_g.round_trip(
